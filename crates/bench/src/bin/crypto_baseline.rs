@@ -19,8 +19,7 @@
 //! for a CI-sized run; the JSON schema is identical, with `"quick": true`
 //! recorded so trajectory tooling can separate the two.
 
-use stegfs_base::BlockCodec;
-use stegfs_base::StegFsConfig;
+use stegfs_base::{BlockCodec, StegFsConfig, DEFAULT_MAP_SHARDS};
 use stegfs_bench::harness::{pick, quick_mode, timed};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::MemDevice;
@@ -28,7 +27,7 @@ use stegfs_crypto::{
     backend, backend_name, reference, sha256_backend_name, Aes128, Aes256, Backend, BlockCipher,
     CbcCipher, HashDrbg, HmacSha256, Key256, Sha256,
 };
-use steghide::{AgentConfig, NonVolatileAgent};
+use steghide::{AgentConfig, ConcurrentAgent};
 
 /// Throughput floor committed with the T-table-only codebase (PR 8's
 /// BENCH_crypto.json); the AES-NI acceptance gates below are multiples of it.
@@ -263,12 +262,13 @@ fn main() {
 
     // --- The agent's Figure 6 update path, end to end in memory. ---
     let agent_updates = pick(2_000u64, 200);
-    let mut agent = NonVolatileAgent::format(
+    let agent = ConcurrentAgent::format(
         MemDevice::new(4096, 4096),
         StegFsConfig::default().without_fill(),
         AgentConfig::default(),
         key,
         77,
+        DEFAULT_MAP_SHARDS,
     )
     .expect("format volume");
     let per_block = agent.fs().content_bytes_per_block() as u64;

@@ -125,7 +125,7 @@ fn main() {
 
     // Plain baseline: the same payload on the raw substrate.
     let plain_fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let (plain_fs, mut plain_map) = StegFs::format(
+    let (plain_fs, plain_map) = StegFs::format(
         MemDevice::new(file_blocks * 3 + 64, BLOCK_SIZE),
         plain_fs_cfg,
         41,
@@ -135,7 +135,7 @@ fn main() {
     let payload = pattern(file_blocks as usize * per, 41);
     let fak = FileAccessKey::from_master(&master());
     let plain_open = plain_fs
-        .create_file(&mut plain_map, "/bench", &fak, &payload)
+        .create_file(&plain_map, "/bench", &fak, &payload)
         .expect("create plain");
     let plain_secs = timed(read_iters, || {
         std::hint::black_box(plain_fs.read_file(&plain_open).expect("plain read"));

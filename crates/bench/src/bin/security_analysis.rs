@@ -16,14 +16,14 @@
 //! uniform workload.
 
 use stegfs_analysis::{kl_divergence_between, TrafficAnalysisAttacker, UpdateAnalysisAttacker};
-use stegfs_base::{FileAccessKey, StegFs, StegFsConfig};
+use stegfs_base::{FileAccessKey, StegFs, StegFsConfig, DEFAULT_MAP_SHARDS};
 use stegfs_bench::harness::{fan_out, pick};
 use stegfs_bench::report::print_table;
 use stegfs_blockdev::{MemDevice, Snapshot, TracingDevice};
 use stegfs_crypto::{HashDrbg, Key256};
 use stegfs_oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_workload::AccessPattern;
-use steghide::{AgentConfig, NonVolatileAgent};
+use steghide::{AgentConfig, ConcurrentAgent};
 
 const BLOCK_SIZE: usize = 4096;
 
@@ -35,12 +35,13 @@ fn update_analysis_scenario(relocate: bool, rounds: u64) -> (f64, f64, bool, u64
     } else {
         AgentConfig::default().without_relocation()
     };
-    let mut agent = NonVolatileAgent::format(
+    let agent = ConcurrentAgent::format(
         device,
         StegFsConfig::default(),
         cfg,
         Key256::from_passphrase("security-analysis-agent"),
         31,
+        DEFAULT_MAP_SHARDS,
     )
     .expect("format volume");
 
@@ -68,7 +69,7 @@ fn update_analysis_scenario(relocate: bool, rounds: u64) -> (f64, f64, bool, u64
             let block = pattern.next(&mut rng);
             agent.update_block(hot, block, &payload).expect("update");
         }
-        agent.dummy_updates(10).expect("dummy updates");
+        agent.dummy_update_batch(10).expect("dummy updates");
         let after = Snapshot::capture(agent.fs().device()).expect("snapshot");
         attacker.observe_diff(&before.diff(&after));
         before = after;
@@ -87,12 +88,12 @@ fn update_analysis_scenario(relocate: bool, rounds: u64) -> (f64, f64, bool, u64
 fn direct_read_positions(skewed: bool, reads: u64) -> (Vec<u64>, u64) {
     let volume_blocks = 4096u64;
     let device = TracingDevice::new(MemDevice::new(volume_blocks, BLOCK_SIZE));
-    let (fs, mut map) =
+    let (fs, map) =
         StegFs::format(device, StegFsConfig::default().without_fill(), 3).expect("format");
     let fak = FileAccessKey::from_passphrase("reader");
     let per_block = fs.content_bytes_per_block() as u64;
     let file = fs
-        .create_file_sparse(&mut map, "/data", &fak, 128 * per_block)
+        .create_file_sparse(&map, "/data", &fak, 128 * per_block)
         .expect("create file");
 
     let mut rng = HashDrbg::from_u64(23);

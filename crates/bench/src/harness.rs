@@ -4,13 +4,15 @@
 
 use std::sync::Mutex;
 
-use stegfs_base::{BlockMap, FileAccessKey, OpenFile, StegFs, StegFsConfig};
+use stegfs_base::{FileAccessKey, OpenFile, StegFs, StegFsConfig, DEFAULT_MAP_SHARDS};
 use stegfs_baselines::{AllocationPolicy, NativeFs};
 use stegfs_blockdev::sim::{DiskModel, SimClock, SimDevice};
 use stegfs_blockdev::MemDevice;
 use stegfs_crypto::{HashDrbg, Key256};
 use stegfs_oblivious::{ObliviousConfig, ObliviousStats, ObliviousStore};
-use steghide::{AgentConfig, FileId, NonVolatileAgent, SessionId, UserCredential, VolatileAgent};
+use steghide::{
+    AgentConfig, ConcurrentAgent, ConcurrentVolatileAgent, FileId, SessionId, UserCredential,
+};
 
 /// Block size used by every experiment (the paper's Table 2).
 pub const BLOCK_SIZE: usize = 4096;
@@ -227,18 +229,16 @@ impl BuildSpec {
 
 enum Inner {
     Volatile {
-        agent: VolatileAgent<Sim>,
+        agent: ConcurrentVolatileAgent<Sim>,
         session: SessionId,
         files: Vec<FileId>,
     },
     NonVolatile {
-        agent: NonVolatileAgent<Sim>,
+        agent: ConcurrentAgent<Sim>,
         files: Vec<FileId>,
     },
     Base {
         fs: StegFs<Sim>,
-        #[allow(dead_code)]
-        map: BlockMap,
         files: Vec<OpenFile>,
     },
     Native {
@@ -270,12 +270,13 @@ impl TestBed {
 
         let inner = match kind {
             SystemKind::StegHideStar => {
-                let mut agent = NonVolatileAgent::format(
+                let agent = ConcurrentAgent::format(
                     device,
                     fs_cfg,
                     AgentConfig::default(),
                     Key256::from_passphrase("bench agent key"),
                     spec.seed,
+                    DEFAULT_MAP_SHARDS,
                 )
                 .expect("format StegHide* volume");
                 let mut files = Vec::new();
@@ -293,8 +294,8 @@ impl TestBed {
                 if let Some(util) = spec.target_utilisation {
                     let wanted = (util * payload_blocks as f64) as u64;
                     let mut filler_idx = 0;
-                    while agent.block_map().data_blocks() < wanted {
-                        let chunk = (wanted - agent.block_map().data_blocks()).min(1500);
+                    while agent.map().data_blocks() < wanted {
+                        let chunk = (wanted - agent.map().data_blocks()).min(1500);
                         let secret = Key256::from_passphrase(&format!("filler-{filler_idx}"));
                         agent
                             .create_file_sparse(
@@ -311,9 +312,13 @@ impl TestBed {
             SystemKind::StegHide => {
                 // Provision, then restart the agent and log a user in — the
                 // paper's Construction 2 deployment model.
-                let mut setup =
-                    VolatileAgent::format(device, fs_cfg, AgentConfig::default(), spec.seed)
-                        .expect("format StegHide volume");
+                let setup = ConcurrentVolatileAgent::format(
+                    device,
+                    fs_cfg,
+                    AgentConfig::default(),
+                    spec.seed,
+                )
+                .expect("format StegHide volume");
                 let mut credentials: Vec<UserCredential> = Vec::new();
                 for (i, &blocks) in spec.file_blocks.iter().enumerate() {
                     let fak = FileAccessKey::from_passphrase(&format!("user-file-{i}"));
@@ -360,9 +365,13 @@ impl TestBed {
                 }
 
                 let device = setup.into_device();
-                let mut agent =
-                    VolatileAgent::mount(device, AgentConfig::default(), spec.seed ^ 0xabc)
-                        .expect("mount StegHide volume");
+                let agent = ConcurrentVolatileAgent::mount(
+                    device,
+                    AgentConfig::default(),
+                    spec.seed ^ 0xabc,
+                    DEFAULT_MAP_SHARDS,
+                )
+                .expect("mount StegHide volume");
                 let session = agent.login("bench-user", &credentials).expect("login");
                 let files = agent.session_files(session).expect("session files")
                     [..spec.file_blocks.len()]
@@ -374,14 +383,13 @@ impl TestBed {
                 }
             }
             SystemKind::StegFsBase => {
-                let (fs, mut map) =
-                    StegFs::format(device, fs_cfg, spec.seed).expect("format StegFS");
+                let (fs, map) = StegFs::format(device, fs_cfg, spec.seed).expect("format StegFS");
                 let mut files = Vec::new();
                 for (i, &blocks) in spec.file_blocks.iter().enumerate() {
                     let fak = FileAccessKey::from_passphrase(&format!("stegfs-file-{i}"));
                     let file = fs
                         .create_file_sparse(
-                            &mut map,
+                            &map,
                             &format!("/bench/file{i}"),
                             &fak,
                             blocks * content_per_block,
@@ -389,7 +397,7 @@ impl TestBed {
                         .expect("create StegFS file");
                     files.push(file);
                 }
-                Inner::Base { fs, map, files }
+                Inner::Base { fs, files }
             }
             SystemKind::FragDisk | SystemKind::CleanDisk => {
                 let policy = if kind == SystemKind::FragDisk {

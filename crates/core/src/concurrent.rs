@@ -1,92 +1,91 @@
-//! The concurrent serving layer: a lock-decomposed agent that serves many
-//! users' reads, updates and dummy updates from shared references.
+//! Construction 1 (the paper's **StegHide\***, Section 4.1): the agent holds
+//! a volume-wide key.
 //!
-//! The sequential [`AgentCore`](crate::update) owns everything mutably, so a
-//! multi-user driver can only interleave block steps cooperatively on one
-//! thread. [`ConcurrentAgent`] decomposes that single borrow into independent
-//! locks so the paper's construction — many users whose traffic blends into
-//! one indistinguishable stream — can actually be served by many threads:
-//!
-//! * the **block map** is a [`ShardedBlockMap`]: reclassifications on
-//!   different shards never contend, and relocation targets are claimed
-//!   atomically (`claim`) so two updates cannot steal the same dummy block;
-//! * every physical **read-modify-write** (dummy-update reseal, in-place
-//!   rewrite, relocation write) runs under the *per-shard update lock* of the
-//!   block it touches — operations on blocks in different shards proceed in
-//!   parallel, while a reseal can never interleave destructively with a data
-//!   write to the same block;
-//! * the **read path is shared**: content reads hold only the registry
-//!   *read* lock — shared among all readers, contended only by the brief
-//!   header-repoint at the end of a relocation — across the device read, so
-//!   a block's location is pinned while it is read (see
-//!   [`ConcurrentAgent::read_block`]) and device block ops stay concurrent;
-//! * **dummy updates are batched across shards**: one draw of `K` candidates
-//!   under the RNG lock, grouped by shard, then exactly one update-lock
-//!   acquisition per shard per round;
-//! * **structural operations** (file creation, header flush) take the write
-//!   side of a structural `RwLock` that all per-block traffic holds for read,
-//!   because their multi-block writes go through [`StegFs`] paths that cannot
-//!   take the per-shard locks themselves;
-//! * statistics are atomic ([`SharedUpdateStats`]), and per-file header
-//!   mutations are serialised by per-file locks.
-//!
-//! This agent implements the paper's Construction 1 keying (one volume-wide
-//! key, the non-volatile deployment model), which is the flavour a shared
-//! serving layer runs: the agent is a long-lived service with its own secret.
-//! Security is unchanged — every access still lands on a uniformly selected
+//! The agent runs in a safe environment and owns exactly two persistent
+//! secrets — the volume-wide block encryption key and the FAK of the dummy
+//! file — plus the block map it saves beside them. Every block on the volume
+//! is encrypted under the single agent key; user secrets only determine
+//! *where* a file's header lives. Because the agent has a complete view of
+//! the volume, any payload block is a dummy-update victim and any abandoned
+//! block a relocation target: every access lands on a uniformly selected
 //! block, which the `concurrent_security` integration test verifies against
 //! the statistical attackers.
+//!
+//! [`ConcurrentAgent`] is that keying plus file lifecycle over the shared
+//! [`Engine`]; every method takes `&self`, so one thread or many may drive it.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use parking_lot::RwLock;
 
-use parking_lot::{Mutex, RwLock};
-
-use stegfs_base::{BlockClass, FileAccessKey, ShardedBlockMap, StegFs, StegFsConfig};
+use stegfs_base::{
+    BlockClass, FileAccessKey, FsError, OpenFile, ShardedBlockMap, StegFs, StegFsConfig,
+};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
 use crate::config::AgentConfig;
+use crate::engine::{Engine, Keying, Reseal, SwapTarget, UpdateOutcome};
 use crate::error::AgentError;
 use crate::registry::{FileId, Registry};
-use crate::stats::{SharedUpdateStats, UpdateStats};
-use crate::update::UpdateOutcome;
+use crate::stats::UpdateStats;
 
-/// A pluggable victim stream for dummy updates. The uniform sampler is the
-/// default; a source lets maintenance work (scrub cursors, targeted refresh
-/// sweeps) pick the blocks the cover traffic touches — the observable stream
-/// must stay statistically indistinguishable from uniform, which the
-/// integration suite checks with a KL bound.
-pub trait VictimSource: Sync {
-    /// The next `k` victim payload blocks. May return fewer (or out-of-range
-    /// ids); the agent pads with uniform draws.
-    fn next_victims(&self, k: usize) -> Vec<BlockId>;
+/// Construction 1 keying: one key seals everything, so no question needs the
+/// registry.
+pub(crate) struct VolumeKey(Key256);
+
+impl Keying for VolumeKey {
+    fn draw(
+        &self,
+        payload_blocks: u64,
+        _: &RwLock<Registry>,
+        rng: &mut HashDrbg,
+    ) -> Option<BlockId> {
+        Some(1 + rng.gen_range(payload_blocks))
+    }
+
+    fn claim_swap_target(
+        &self,
+        map: &ShardedBlockMap,
+        _: &RwLock<Registry>,
+        b2: BlockId,
+    ) -> Option<SwapTarget> {
+        map.claim(b2, BlockClass::Dummy, BlockClass::Data)
+            .then_some(SwapTarget::Abandoned)
+    }
+
+    fn reseal(&self, _: &ShardedBlockMap, _: &RwLock<Registry>, _: BlockId) -> Reseal {
+        Reseal::Key(self.0)
+    }
+
+    fn content_key(&self, _: &OpenFile) -> Result<Key256, AgentError> {
+        Ok(self.0)
+    }
 }
 
-/// Lock-decomposed multi-user serving agent (Construction 1 keying).
+/// The Construction 1 agent (StegHide\*).
 pub struct ConcurrentAgent<D> {
-    fs: StegFs<D>,
-    map: ShardedBlockMap,
-    registry: RwLock<Registry>,
-    /// One lock per map shard; held across every read-modify-write of a block
-    /// in that shard.
-    update_locks: Vec<Mutex<()>>,
-    /// Read side: per-block traffic. Write side: multi-block structural
-    /// operations (create, flush) whose writes bypass the shard locks.
-    structural: RwLock<()>,
-    /// Serialises updates of the same file so header bookkeeping stays
-    /// consistent; never held by the read path.
-    file_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
-    cfg: AgentConfig,
-    stats: SharedUpdateStats,
-    rng: Mutex<HashDrbg>,
-    agent_key: Key256,
-    dummy_fak: FileAccessKey,
+    pub(crate) engine: Engine<D, VolumeKey>,
 }
 
 impl<D: BlockDevice> ConcurrentAgent<D> {
+    fn assemble(
+        fs: StegFs<D>,
+        map: ShardedBlockMap,
+        agent_cfg: AgentConfig,
+        agent_key: Key256,
+        seed: u64,
+    ) -> Self {
+        let keying = VolumeKey(agent_key);
+        Self {
+            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x5deece66d, keying),
+        }
+    }
+
     /// Format `device` as a fresh volume served by this agent, with the block
     /// map split over `num_shards` shards.
+    ///
+    /// `agent_key` is the secret the agent keeps; `seed` drives all
+    /// pseudo-random choices (block scattering, IVs, dummy targets) so
+    /// experiments are reproducible.
     pub fn format(
         device: D,
         fs_cfg: StegFsConfig,
@@ -95,440 +94,240 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         seed: u64,
         num_shards: usize,
     ) -> Result<Self, AgentError> {
-        let (fs, mut map) = StegFs::format(device, fs_cfg, seed)?;
-        // Same construction as the sequential non-volatile agent: the agent
-        // holds the FAK of a dummy file that conceptually owns the abandoned
-        // pool.
+        let (fs, map) = StegFs::format(device, fs_cfg, seed)?;
+        // The paper's construction keeps a dummy file whose FAK the agent
+        // holds; all abandoned blocks conceptually belong to it. Its header
+        // is materialised so the construction is complete, while the
+        // abandoned pool itself is tracked by the block map.
         let dummy_fak = FileAccessKey::from_parts(
             agent_key.derive("steghide:dummy-file:location"),
             agent_key,
             Some(agent_key),
         );
-        fs.create_dummy_file(&mut map, "/.steghide-dummy", &dummy_fak, 1)?;
-        let map = ShardedBlockMap::from_scalar(&map, num_shards);
-        let update_locks = (0..num_shards).map(|_| Mutex::new(())).collect();
-        Ok(Self {
-            fs,
-            map,
-            registry: RwLock::new(Registry::new()),
-            update_locks,
-            structural: RwLock::new(()),
-            file_locks: Mutex::new(HashMap::new()),
-            cfg: agent_cfg,
-            stats: SharedUpdateStats::default(),
-            rng: Mutex::new(HashDrbg::new(&(seed ^ 0x5deece66d).to_be_bytes())),
-            agent_key,
-            dummy_fak,
-        })
+        let map = map.with_shards(num_shards);
+        fs.create_dummy_file(&map, "/.steghide-dummy", &dummy_fak, 1)?;
+        Ok(Self::assemble(fs, map, agent_cfg, agent_key, seed))
     }
 
+    /// Re-attach the agent to an existing volume using its persistent
+    /// secrets: the key and the block map it saved (see
+    /// [`ConcurrentAgent::export_block_map`]), whose shard count it keeps.
+    pub fn mount(
+        device: D,
+        agent_cfg: AgentConfig,
+        agent_key: Key256,
+        block_map: ShardedBlockMap,
+        seed: u64,
+    ) -> Result<Self, AgentError> {
+        let fs = StegFs::mount(device)?;
+        Ok(Self::assemble(fs, block_map, agent_cfg, agent_key, seed))
+    }
+
+    /// Serialize the agent's block map — the state it persists alongside its
+    /// key so that a later [`ConcurrentAgent::mount`] (via
+    /// [`ShardedBlockMap::from_bytes`]) has the complete view.
+    pub fn export_block_map(&self) -> Vec<u8> {
+        let _quiesced = self.engine.exclusive();
+        self.engine.map.to_bytes()
+    }
+
+    /// Effective FAK for a user file: the location comes from the user's
+    /// secret and path, while header and content are encrypted under the
+    /// agent's volume-wide key (Section 4.1.2: "the agent keeps two keys
+    /// \[...\] the other is the secret key for encrypting all the storage
+    /// blocks").
     fn effective_fak(&self, user_secret: &Key256) -> FileAccessKey {
+        let agent_key = self.engine.keying.0;
         FileAccessKey::from_parts(
             user_secret.derive("steghide:location"),
-            self.agent_key,
-            Some(self.agent_key),
+            agent_key,
+            Some(agent_key),
         )
     }
 
-    fn file_lock(&self, id: FileId) -> Arc<Mutex<()>> {
-        self.file_locks
-            .lock()
-            .entry(id)
-            .or_insert_with(|| Arc::new(Mutex::new(())))
-            .clone()
+    /// Run a [`StegFs`] creation path as a structural operation (it excludes
+    /// per-block traffic for its short, rare duration) and register the
+    /// result.
+    fn create(
+        &self,
+        user_secret: &Key256,
+        make: impl FnOnce(&StegFs<D>, &ShardedBlockMap, &FileAccessKey) -> Result<OpenFile, FsError>,
+    ) -> Result<FileId, AgentError> {
+        let _exclusive = self.engine.exclusive();
+        let fak = self.effective_fak(user_secret);
+        let file = make(&self.engine.fs, &self.engine.map, &fak)?;
+        Ok(self.engine.register(file).0)
     }
 
-    /// Create a hidden file for a user; returns its id. A structural
-    /// operation: takes the structural write lock, so it excludes per-block
-    /// traffic for its (short, rare) duration.
+    /// Create a hidden file for a user and leave it open; returns its id.
     pub fn create_file(
         &self,
         user_secret: &Key256,
         path: &str,
         content: &[u8],
     ) -> Result<FileId, AgentError> {
-        let _exclusive = self.structural.write();
-        let fak = self.effective_fak(user_secret);
-        let file = self.fs.create_file(&mut &self.map, path, &fak, content)?;
-        Ok(self.registry.write().register(file))
+        self.create(user_secret, |fs, map, fak| {
+            fs.create_file(map, path, fak, content)
+        })
     }
 
     /// Create a hidden file of `size` bytes without writing its content
-    /// blocks (benchmark set-up helper).
+    /// blocks (benchmark set-up helper; reads and updates behave identically
+    /// to a fully written file).
     pub fn create_file_sparse(
         &self,
         user_secret: &Key256,
         path: &str,
         size: u64,
     ) -> Result<FileId, AgentError> {
-        let _exclusive = self.structural.write();
-        let fak = self.effective_fak(user_secret);
-        let file = self
-            .fs
-            .create_file_sparse(&mut &self.map, path, &fak, size)?;
-        Ok(self.registry.write().register(file))
+        self.create(user_secret, |fs, map, fak| {
+            fs.create_file_sparse(map, path, fak, size)
+        })
     }
 
-    /// Open an existing hidden file; returns its id.
+    /// Open an existing hidden file; returns its id. Idempotent: opening a
+    /// file that is already open returns the existing id, so all its users
+    /// share one cached header.
     ///
-    /// Idempotent across sessions: if the file is already registered (same
-    /// header block), the existing id is returned instead of minting a
-    /// second one. Two live ids for one physical file would carry two
-    /// independently cached headers — concurrent updates through them would
-    /// diverge and the last flushed header would silently win, leaking the
-    /// other's relocated blocks.
-    ///
-    /// Takes the structural read lock: opening probes header and indirect
-    /// blocks on the device, which must not interleave with a concurrent
-    /// create/flush's multi-block header writes.
+    /// Per-block traffic: opening probes header and indirect blocks on the
+    /// device, which must not interleave with a concurrent create/flush's
+    /// multi-block header writes.
     pub fn open_file(&self, user_secret: &Key256, path: &str) -> Result<FileId, AgentError> {
-        let _shared = self.structural.read();
-        let fak = self.effective_fak(user_secret);
-        let file = self.fs.open_file(&fak, path)?;
-        let mut registry = self.registry.write();
-        if let Some((existing, crate::registry::BlockRole::Header)) =
-            registry.owner_of(file.header_location)
-        {
-            return Ok(existing);
-        }
-        Ok(registry.register(file))
-    }
-
-    /// Read one content block of an open file — the shared read path.
-    ///
-    /// The registry **read** lock is held across the device read (readers
-    /// never block each other; only the brief `registry.write()` at the end
-    /// of a relocation waits). Holding it pins the location: without it, a
-    /// relocation could repoint the header and abandon the old block, a
-    /// second user's update could re-claim that block, and — everything
-    /// being sealed under the one Construction 1 key — the stale read would
-    /// decrypt *another user's* fresh content instead of failing.
-    pub fn read_block(&self, id: FileId, index: u64) -> Result<Vec<u8>, AgentError> {
-        let _shared = self.structural.read();
-        let registry = self.registry.read();
-        let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        let loc = *file
-            .header
-            .blocks
-            .get(index as usize)
-            .ok_or(AgentError::Fs(stegfs_base::FsError::OutOfBounds {
-                index,
-                len: file.header.num_blocks(),
-            }))?;
-        Ok(self
+        let _shared = self.engine.shared();
+        let file = self
+            .engine
             .fs
-            .codec()
-            .read_sealed(self.fs.device(), loc, &self.agent_key)?)
+            .open_file(&self.effective_fak(user_secret), path)?;
+        Ok(self.engine.register(file).0)
     }
 
-    /// Read a whole open file. Like [`ConcurrentAgent::read_block`], the
-    /// registry read lock is held for the whole read, so the result is a
-    /// consistent snapshot of the file (relocations wait; other readers and
-    /// dummy updates do not).
+    /// Save (if dirty) and close an open file. The id is dead afterwards for
+    /// everyone who held it.
+    pub fn close_file(&self, id: FileId) -> Result<(), AgentError> {
+        let exclusive = self.engine.exclusive();
+        exclusive.save(id)?;
+        exclusive.unregister(id);
+        Ok(())
+    }
+
+    /// Delete an open file, returning its blocks to the dummy pool.
+    pub fn delete_file(&self, id: FileId) -> Result<(), AgentError> {
+        let exclusive = self.engine.exclusive();
+        let file = exclusive
+            .unregister(id)
+            .ok_or(AgentError::UnknownFile(id))?;
+        self.engine.fs.delete_file(&self.engine.map, file)?;
+        Ok(())
+    }
+
+    /// Read one content block of an open file.
+    pub fn read_block(&self, id: FileId, index: u64) -> Result<Vec<u8>, AgentError> {
+        self.engine.shared().read_block(id, index)
+    }
+
+    /// Read a whole open file as one consistent snapshot.
     pub fn read_file(&self, id: FileId) -> Result<Vec<u8>, AgentError> {
-        let _shared = self.structural.read();
-        let registry = self.registry.read();
-        let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        let mut out = Vec::with_capacity(file.header.file_size as usize);
-        for &loc in &file.header.blocks {
-            let chunk = self
-                .fs
-                .codec()
-                .read_sealed(self.fs.device(), loc, &self.agent_key)?;
-            out.extend_from_slice(&chunk);
-        }
-        out.truncate(file.header.file_size as usize);
-        Ok(out)
+        self.engine.shared().read_file(id)
     }
 
     /// Number of content blocks of an open file.
     pub fn num_blocks(&self, id: FileId) -> Result<u64, AgentError> {
-        Ok(self
-            .registry
-            .read()
-            .get(id)
-            .ok_or(AgentError::UnknownFile(id))?
-            .num_content_blocks())
+        self.engine.num_blocks(id)
     }
 
-    fn content_location(&self, id: FileId, index: u64) -> Result<BlockId, AgentError> {
-        let registry = self.registry.read();
-        let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        file.header
-            .blocks
-            .get(index as usize)
-            .copied()
-            .ok_or(AgentError::Fs(stegfs_base::FsError::OutOfBounds {
-                index,
-                len: file.header.num_blocks(),
-            }))
-    }
-
-    /// Reseal `block` under the shard update lock — the unit dummy update.
-    /// The caller must already hold the structural read lock.
-    fn dummy_update_locked(&self, block: BlockId) -> Result<(), AgentError> {
-        let _shard = self.update_locks[self.map.shard_of(block)].lock();
-        self.reseal_shard_locked(block)
-    }
-
-    /// Issue one idle-time dummy update; returns the block touched.
-    pub fn dummy_update_once(&self) -> Result<u64, AgentError> {
-        Ok(self.dummy_update_batch(1)?[0])
-    }
-
-    /// Uniformly draw `k` candidate payload blocks under a single
-    /// acquisition of the agent's selection RNG.
-    fn draw_candidates(&self, k: usize) -> Vec<u64> {
-        let payload = self.fs.superblock().payload_blocks();
-        let mut rng = self.rng.lock();
-        (0..k).map(|_| 1 + rng.gen_range(payload)).collect()
-    }
-
-    /// Draw one candidate without the `Vec` round trip — the Figure 6 loop
-    /// runs this once per iteration.
-    fn draw_candidate(&self) -> u64 {
-        let payload = self.fs.superblock().payload_blocks();
-        1 + self.rng.lock().gen_range(payload)
-    }
-
-    /// Dummy-update `block` in place: read + decrypt lock-free, then seal
-    /// the identical plaintext under a fresh IV (the volume DRBG lock covers
-    /// only the seal, never the device I/O — otherwise every writer on every
-    /// shard would serialise behind one mutex for the duration of a device
-    /// wait). Caller must hold the block's shard update lock.
-    fn reseal_shard_locked(&self, block: BlockId) -> Result<(), AgentError> {
-        let codec = self.fs.codec();
-        let plaintext = codec.read_sealed(self.fs.device(), block, &self.agent_key)?;
-        let sealed = self
-            .fs
-            .with_rng(|rng| codec.seal(&self.agent_key, &plaintext, rng))?;
-        self.fs.device().write_block(block, &sealed)?;
-        self.stats.count_dummy_update();
-        Ok(())
-    }
-
-    /// Issue `k` dummy updates with cross-shard batched selection: all `k`
-    /// candidates are drawn under one RNG lock acquisition, grouped by shard,
-    /// and each shard's update lock is taken exactly once for its whole
-    /// group. Returns the touched blocks in selection order.
-    pub fn dummy_update_batch(&self, k: usize) -> Result<Vec<u64>, AgentError> {
-        let candidates = self.draw_candidates(k);
-        self.dummy_update_candidates(candidates)
-    }
-
-    /// Issue `k` dummy updates drawing the victims from `source` instead of
-    /// the uniform sampler — the hook that lets maintenance sweeps (e.g. a
-    /// scrub cursor) ride the cover-traffic stream. Out-of-range victims and
-    /// any shortfall below `k` are replaced by uniform draws, so a
-    /// misbehaving source degrades to ordinary cover traffic rather than
-    /// skewing or starving it.
-    pub fn dummy_update_batch_from(
-        &self,
-        k: usize,
-        source: &dyn VictimSource,
-    ) -> Result<Vec<u64>, AgentError> {
-        let payload = self.fs.superblock().payload_blocks();
-        let mut candidates: Vec<u64> = source
-            .next_victims(k)
-            .into_iter()
-            .filter(|&b| b >= 1 && b <= payload)
-            .take(k)
-            .collect();
-        while candidates.len() < k {
-            candidates.push(self.draw_candidate());
-        }
-        self.dummy_update_candidates(candidates)
-    }
-
-    fn dummy_update_candidates(&self, candidates: Vec<u64>) -> Result<Vec<u64>, AgentError> {
-        let _shared = self.structural.read();
-        let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); self.update_locks.len()];
-        for &block in &candidates {
-            by_shard[self.map.shard_of(block)].push(block);
-        }
-        for (shard, blocks) in by_shard.iter().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            let _lock = self.update_locks[shard].lock();
-            for &block in blocks {
-                self.reseal_shard_locked(block)?;
-            }
-        }
-        Ok(candidates)
-    }
-
-    /// Update one content block with the Figure 6 algorithm, concurrently
-    /// safe: the relocation target is claimed atomically on the sharded map,
-    /// and every block write happens under that block's shard update lock.
+    /// Update one content block with the Figure 6 algorithm.
     pub fn update_block(
         &self,
         id: FileId,
         index: u64,
         payload: &[u8],
     ) -> Result<UpdateOutcome, AgentError> {
-        let max_payload = self.fs.content_bytes_per_block();
-        if payload.len() > max_payload {
-            return Err(AgentError::PayloadTooLarge {
-                got: payload.len(),
-                max: max_payload,
-            });
-        }
-        let _shared = self.structural.read();
-        let file_lock = self.file_lock(id);
-        let _file = file_lock.lock();
-
-        let b1 = self.content_location(id, index)?;
-
-        if !self.cfg.relocate_on_update {
-            // Ablation mode (the paper's insufficient defence): dummy-update
-            // stream only, data rewritten in place.
-            let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-            self.read_for_accounting(b1)?;
-            self.write_sealed_content(b1, payload)?;
-            self.stats.count_iteration();
-            self.stats.count_data_update();
-            self.stats.count_in_place();
-            return Ok(UpdateOutcome::InPlace { block: b1 });
-        }
-
-        for _attempt in 0..self.cfg.max_update_iterations {
-            self.stats.count_iteration();
-            let b2 = self.draw_candidate();
-
-            if b2 == b1 {
-                // Figure 6, first branch: update in place.
-                let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-                self.read_for_accounting(b1)?;
-                self.write_sealed_content(b1, payload)?;
-                self.stats.count_data_update();
-                self.stats.count_in_place();
-                return Ok(UpdateOutcome::InPlace { block: b1 });
-            }
-
-            if self.map.claim(b2, BlockClass::Dummy, BlockClass::Data) {
-                // Figure 6, second branch: substitute B2 for B1. B2 is ours
-                // alone now (the claim was atomic), so write it, repoint the
-                // header, then abandon B1. An I/O error before the header
-                // repoint must release the claim, or B2 would stay classified
-                // Data with no header referencing it — a permanent dummy-pool
-                // leak.
-                let io = (|| {
-                    {
-                        let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-                        self.read_for_accounting(b1)?;
-                    }
-                    let _shard = self.update_locks[self.map.shard_of(b2)].lock();
-                    self.write_sealed_content(b2, payload)
-                })();
-                if let Err(e) = io {
-                    self.map.set(b2, BlockClass::Dummy);
-                    return Err(e);
-                }
-                self.registry
-                    .write()
-                    .relocate_content_block(id, index, b1, b2);
-                self.map.set(b1, BlockClass::Dummy);
-                self.stats.count_data_update();
-                self.stats.count_relocation();
-                return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
-            }
-
-            // Figure 6, third branch: B2 holds data — dummy-update it and try
-            // again.
-            self.dummy_update_locked(b2)?;
-        }
-
-        Err(AgentError::UpdateRetriesExhausted {
-            attempts: self.cfg.max_update_iterations,
-        })
+        self.engine.shared().update_block(id, index, payload)
     }
 
-    fn read_for_accounting(&self, block: BlockId) -> Result<(), AgentError> {
-        // Per-thread scratch: the Figure 6 loop must not allocate a block
-        // buffer per iteration (same rationale as the sequential core's
-        // scratch field, which a shared `&self` cannot reuse without a lock).
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            scratch.resize(self.fs.codec().block_size(), 0);
-            self.fs.device().read_block(block, &mut scratch)
-        })?;
-        self.stats.count_data_io_pair();
-        Ok(())
+    /// Update `count` consecutive content blocks starting at `start_index`,
+    /// filling each with `fill` — the paper's "update range" workload
+    /// (Figure 11(b)).
+    pub fn update_range_fill(
+        &self,
+        id: FileId,
+        start_index: u64,
+        count: u64,
+        fill: u8,
+    ) -> Result<Vec<UpdateOutcome>, AgentError> {
+        self.engine
+            .shared()
+            .update_range_fill(id, start_index, count, fill)
     }
 
-    fn write_sealed_content(&self, block: BlockId, payload: &[u8]) -> Result<(), AgentError> {
-        // Seal under the volume DRBG lock, write with it released — the lock
-        // must never span a device wait (see `reseal_shard_locked`).
-        let sealed = self
-            .fs
-            .with_rng(|rng| self.fs.codec().seal(&self.agent_key, payload, rng))?;
-        self.fs.device().write_block(block, &sealed)?;
-        Ok(())
+    /// Issue `k` idle-time dummy updates (Section 4.1.3) on uniformly drawn
+    /// payload blocks; returns the touched blocks in selection order.
+    pub fn dummy_update_batch(&self, k: usize) -> Result<Vec<u64>, AgentError> {
+        self.engine.shared().dummy_update_batch(k)
     }
 
     /// Write back every dirty cached header. A structural operation (header
     /// and indirect writes bypass the shard locks).
     pub fn flush(&self) -> Result<(), AgentError> {
-        let _exclusive = self.structural.write();
-        let mut registry = self.registry.write();
-        for id in registry.dirty_file_ids() {
-            let file = registry.get_mut(id).ok_or(AgentError::UnknownFile(id))?;
-            self.fs.save(file)?;
-        }
-        Ok(())
+        self.engine.exclusive().flush()
     }
 
     /// Update statistics collected so far.
     pub fn stats(&self) -> UpdateStats {
-        self.stats.snapshot()
+        self.engine.stats.snapshot()
     }
 
-    /// Current space utilisation.
+    /// Current space utilisation (`data blocks / payload blocks`).
     pub fn utilisation(&self) -> f64 {
-        self.map.utilisation()
+        self.engine.map.utilisation()
     }
 
-    /// The sharded block map.
+    /// The agent's block map.
     pub fn map(&self) -> &ShardedBlockMap {
-        &self.map
+        &self.engine.map
     }
 
     /// The underlying file system.
     pub fn fs(&self) -> &StegFs<D> {
-        &self.fs
+        &self.engine.fs
     }
 
     /// Shard count of the map and the update-lock array.
     pub fn num_shards(&self) -> usize {
-        self.update_locks.len()
+        self.engine.map.num_shards()
     }
 
-    /// The FAK of the agent-held dummy file.
-    pub fn dummy_file_key(&self) -> &FileAccessKey {
-        &self.dummy_fak
+    /// Consume the agent and return the underlying device.
+    pub fn into_device(self) -> D {
+        self.engine.fs.into_device()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use stegfs_blockdev::MemDevice;
 
-    fn agent(num_blocks: u64, shards: usize) -> ConcurrentAgent<MemDevice> {
+    pub(crate) const AGENT_SECRET: &str = "concurrent agent secret";
+
+    pub(crate) fn agent_with(
+        num_blocks: u64,
+        shards: usize,
+        cfg: AgentConfig,
+    ) -> ConcurrentAgent<MemDevice> {
         ConcurrentAgent::format(
             MemDevice::new(num_blocks, 512),
             StegFsConfig::default().with_block_size(512),
-            AgentConfig::default(),
-            Key256::from_passphrase("concurrent agent secret"),
+            cfg,
+            Key256::from_passphrase(AGENT_SECRET),
             7,
             shards,
         )
         .unwrap()
+    }
+
+    pub(crate) fn agent(num_blocks: u64, shards: usize) -> ConcurrentAgent<MemDevice> {
+        agent_with(num_blocks, shards, AgentConfig::default())
     }
 
     #[test]

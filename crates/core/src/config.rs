@@ -8,10 +8,6 @@ pub struct AgentConfig {
     /// this bound is only hit when the volume has essentially no dummy blocks
     /// left.
     pub max_update_iterations: u32,
-    /// Number of dummy updates issued per idle tick
-    /// ([`crate::NonVolatileAgent::tick_idle`] /
-    /// [`crate::VolatileAgent::tick_idle`]).
-    pub dummy_updates_per_tick: u32,
     /// Whether real updates relocate the block (Figure 6). Disabling this
     /// keeps the dummy-update stream but rewrites data in place; it exists
     /// for the ablation experiment showing that dummy updates alone do *not*
@@ -23,7 +19,6 @@ impl Default for AgentConfig {
     fn default() -> Self {
         Self {
             max_update_iterations: 100_000,
-            dummy_updates_per_tick: 1,
             relocate_on_update: true,
         }
     }
@@ -33,12 +28,6 @@ impl AgentConfig {
     /// Configuration with relocation disabled (ablation).
     pub fn without_relocation(mut self) -> Self {
         self.relocate_on_update = false;
-        self
-    }
-
-    /// Override the number of dummy updates per idle tick.
-    pub fn with_dummy_updates_per_tick(mut self, n: u32) -> Self {
-        self.dummy_updates_per_tick = n;
         self
     }
 }
@@ -56,10 +45,11 @@ mod tests {
 
     #[test]
     fn builders_modify_fields() {
-        let cfg = AgentConfig::default()
-            .without_relocation()
-            .with_dummy_updates_per_tick(5);
+        let cfg = AgentConfig::default().without_relocation();
         assert!(!cfg.relocate_on_update);
-        assert_eq!(cfg.dummy_updates_per_tick, 5);
+        assert_eq!(
+            cfg.max_update_iterations,
+            AgentConfig::default().max_update_iterations
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! The registry is the agent's working memory (Section 3.2.3): which hidden
 //! and dummy files it currently knows about, which physical block belongs to
 //! which file and in what role, and the set of blocks it is allowed to touch.
-//! For the volatile agent this is exactly the knowledge that evaporates on
-//! restart; for the non-volatile agent it can be reconstructed from its
+//! Under Construction 2 this is exactly the knowledge that evaporates at
+//! logout or restart; under Construction 1 it can be reconstructed from the
 //! persistent block map and key.
 
 use std::collections::HashMap;
@@ -126,6 +126,14 @@ impl Registry {
         self.owners.get(&block).copied()
     }
 
+    /// The registered file whose header lives at `block`, if any.
+    pub fn file_with_header(&self, block: BlockId) -> Option<FileId> {
+        match self.owners.get(&block) {
+            Some(&(id, BlockRole::Header)) => Some(id),
+            _ => None,
+        }
+    }
+
     /// Uniformly sample a block from the agent's visible universe.
     pub fn random_known_block(&self, rng: &mut HashDrbg) -> Option<BlockId> {
         if self.universe.is_empty() {
@@ -163,7 +171,7 @@ impl Registry {
     /// Swap ownership between a content block of a data file and a content
     /// block of a dummy file: the data file's block `index` moves to
     /// `dummy_block`, and the vacated `data_block` joins the dummy file in
-    /// place of `dummy_block`. Used by the volatile agent, where every block
+    /// place of `dummy_block`. Used under Construction 2, where every block
     /// must stay accounted to some disclosed file.
     pub fn swap_with_dummy(
         &mut self,
@@ -203,16 +211,21 @@ impl Registry {
         true
     }
 
-    /// Iterate over ids of registered files that are dummies.
-    pub fn dummy_file_ids(&self) -> Vec<FileId> {
-        let mut ids: Vec<_> = self
-            .files
-            .iter()
-            .filter(|(_, f)| f.is_dummy())
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+    /// Take content block `block` away from file `id` (a dummy file donating
+    /// it to a file about to be registered): the file shrinks by one block of
+    /// `bytes_per_block`, becomes dirty, and its remaining content blocks
+    /// are re-indexed. `block` itself stays in the universe for its new
+    /// owner's registration to claim.
+    pub fn donate_content_block(&mut self, id: FileId, block: BlockId, bytes_per_block: u64) {
+        let Some(file) = self.files.get_mut(&id) else {
+            return;
+        };
+        file.header.blocks.retain(|&b| b != block);
+        file.header.file_size = file.header.num_blocks() * bytes_per_block;
+        file.dirty = true;
+        for (i, &b) in file.header.blocks.iter().enumerate() {
+            self.owners.insert(b, (id, BlockRole::Content(i as u64)));
+        }
     }
 
     /// Ids of registered files whose cached header is dirty.
@@ -299,7 +312,25 @@ mod tests {
         assert_eq!(reg.get(dummy).unwrap().header.blocks, vec![40, 41, 20]);
         assert_eq!(reg.owner_of(42), Some((data, BlockRole::Content(0))));
         assert_eq!(reg.owner_of(20), Some((dummy, BlockRole::Content(2))));
-        assert_eq!(reg.dummy_file_ids(), vec![dummy]);
+    }
+
+    #[test]
+    fn donating_a_block_shrinks_and_reindexes_the_dummy_file() {
+        let mut reg = Registry::new();
+        let dummy = reg.register(open_file("/dummy", 30, vec![40, 41, 42], true));
+        assert_eq!(reg.file_with_header(30), Some(dummy));
+        assert_eq!(reg.file_with_header(40), None);
+        reg.donate_content_block(dummy, 41, 100);
+        let file = reg.get(dummy).unwrap();
+        assert_eq!(file.header.blocks, vec![40, 42]);
+        assert_eq!(file.header.file_size, 200);
+        assert!(file.dirty);
+        assert_eq!(reg.owner_of(42), Some((dummy, BlockRole::Content(1))));
+        // The donated block is still known; its new owner's registration
+        // takes it over.
+        let data = reg.register(open_file("/new", 41, vec![], false));
+        assert_eq!(reg.owner_of(41), Some((data, BlockRole::Header)));
+        assert_eq!(reg.universe_len(), 4);
     }
 
     #[test]

@@ -61,9 +61,8 @@ impl UpdateStats {
     }
 }
 
-/// Lock-free counterpart of [`UpdateStats`] for the concurrent agent: every
-/// field is an atomic counter, so the read and update paths bump statistics
-/// without sharing a lock. [`SharedUpdateStats::snapshot`] flattens into an
+/// The engine's live counters: every field of [`UpdateStats`] as an atomic,
+/// so the read and update paths bump statistics without sharing a lock. [`SharedUpdateStats::snapshot`] flattens into an
 /// ordinary [`UpdateStats`] for reporting.
 #[derive(Debug, Default)]
 pub struct SharedUpdateStats {

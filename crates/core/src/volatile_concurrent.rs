@@ -1,32 +1,28 @@
-//! The concurrent volatile agent: Construction 2 served by many threads.
+//! Construction 2 (the paper's **StegHide**, Section 4.2): the agent keeps
+//! *no* persistent secrets.
 //!
-//! [`VolatileAgent`](crate::volatile) keeps the paper's StegHide semantics —
-//! zero persistent secrets, per-file keys disclosed at login, a visible
-//! universe that grows and shrinks with sessions — but owns everything
-//! mutably, so one thread serves everyone. This agent joins those semantics
-//! with [`ConcurrentAgent`](crate::concurrent)'s lock decomposition:
+//! Each hidden file is encrypted under its own keys, dummy blocks are
+//! organised into per-user dummy files "of approximately the size of data
+//! files", and both kinds of FAK are disclosed to the agent only when the
+//! user logs on. When the agent starts it has zero knowledge of the volume;
+//! its view — and therefore the region of storage it dummy-updates — grows
+//! as users log in, and is forgotten again at logout or restart.
 //!
-//! * the **block map** is a [`ShardedBlockMap`] starting all-`Unknown` at
-//!   mount; relocation targets are claimed atomically so two updates cannot
-//!   convert the same disclosed dummy block;
+//! [`ConcurrentVolatileAgent`] is that keying plus session lifecycle over the
+//! shared [`Engine`]; every method takes `&self`:
+//!
 //! * **login and logout are structural**: they open/forget many files,
 //!   re-classify all their blocks and mutate the registry wholesale, so they
-//!   take the write side of the structural `RwLock` every per-block
-//!   operation holds for read — a logout can never race a read or update of
-//!   the session's own blocks;
+//!   exclude all per-block traffic — a logout can never race a read or
+//!   update of the session's own blocks;
 //! * the **session table is sharded** by session id: ownership checks on
 //!   different shards never contend, and a login storm distributes its
 //!   bookkeeping instead of serialising on one map;
-//! * per-block read-modify-writes run under the **per-shard update lock** of
-//!   the block they touch, per-file header bookkeeping under a per-file
-//!   lock, and the **read path is shared** (registry read lock held across
-//!   the device read pins a block's location against relocation);
-//! * **dummy-update victims** are drawn from the *known* universe only — the
-//!   blocks of files disclosed by logged-in sessions, exactly Construction
-//!   2's visibility rule. A victim that is mid-conversion (claimed as a
-//!   relocation target but not yet repointed in the registry) is skipped
-//!   under its shard lock rather than re-randomised, which would destroy the
-//!   just-written data.
+//! * **candidates** (dummy-update victims and relocation targets alike) are
+//!   drawn from the *known* universe only — the blocks of files disclosed by
+//!   logged-in sessions, exactly Construction 2's visibility rule — and a
+//!   relocation target is a content block of a disclosed *dummy* file
+//!   (Section 4.2.2, the user's own decoys).
 //!
 //! Sessions of the same user may overlap: files are reference-counted, so a
 //! file stays registered (and its blocks stay visible) until the last
@@ -34,68 +30,154 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use stegfs_base::{BlockClass, FileKind, ShardedBlockMap, StegFs};
+use stegfs_base::{
+    BlockClass, FileAccessKey, FileKind, FsError, OpenFile, ShardedBlockMap, StegFs, StegFsConfig,
+};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
 use crate::config::AgentConfig;
+use crate::engine::{Engine, Exclusive, Keying, Reseal, Shared, SwapTarget, UpdateOutcome};
 use crate::error::AgentError;
 use crate::registry::{BlockRole, FileId, Registry};
-use crate::stats::{SharedUpdateStats, UpdateStats};
-use crate::update::UpdateOutcome;
-use crate::volatile::{SessionId, UserCredential};
+use crate::stats::UpdateStats;
+
+/// Identifier of a login session.
+pub type SessionId = u64;
+
+/// One (path, FAK) pair a user discloses when logging on. Users disclose
+/// their hidden files *and* their dummy files — the agent cannot tell which
+/// is which until it opens the header, and the distinction never leaves the
+/// agent's volatile memory.
+#[derive(Debug, Clone)]
+pub struct UserCredential {
+    /// Path of the file.
+    pub path: String,
+    /// File access key.
+    pub fak: FileAccessKey,
+}
+
+impl UserCredential {
+    /// Convenience constructor.
+    pub fn new(path: impl Into<String>, fak: FileAccessKey) -> Self {
+        Self {
+            path: path.into(),
+            fak,
+        }
+    }
+}
 
 struct Session {
     user: String,
     files: Vec<FileId>,
 }
 
-/// How a dummy update must treat its victim, resolved under the victim's
-/// shard lock.
-enum Reseal {
-    /// Decrypt under this key, refresh the IV, re-encrypt, write back.
-    Key(Key256),
-    /// Meaningless bytes: read (to keep the I/O signature) and re-randomise.
-    Random,
-    /// Mid-conversion (claimed relocation target) — touching it would
-    /// destroy data that the registry does not yet attribute.
-    Skip,
+/// Construction 2 keying: every answer comes from what logged-in users have
+/// disclosed.
+pub(crate) struct DisclosedKeys;
+
+impl Keying for DisclosedKeys {
+    fn draw(&self, _: u64, registry: &RwLock<Registry>, rng: &mut HashDrbg) -> Option<BlockId> {
+        registry.read().random_known_block(rng)
+    }
+
+    fn claim_swap_target(
+        &self,
+        map: &ShardedBlockMap,
+        registry: &RwLock<Registry>,
+        b2: BlockId,
+    ) -> Option<SwapTarget> {
+        let target = {
+            let registry = registry.read();
+            match registry.owner_of(b2)? {
+                (file, BlockRole::Content(index)) if registry.get(file)?.is_dummy() => {
+                    SwapTarget::DummyFile { file, index }
+                }
+                _ => return None,
+            }
+        };
+        // Losing the claim means a concurrent update is converting B2 right
+        // now; the caller's dummy update of it will skip.
+        map.claim(b2, BlockClass::Dummy, BlockClass::Data)
+            .then_some(target)
+    }
+
+    fn reseal(&self, map: &ShardedBlockMap, registry: &RwLock<Registry>, block: BlockId) -> Reseal {
+        let registry = registry.read();
+        // A drawn block is always attributed (logout is structural), but Skip
+        // is the safe answer if it is not.
+        let Some((file, role)) = registry
+            .owner_of(block)
+            .and_then(|(id, role)| Some((registry.get(id)?, role)))
+        else {
+            return Reseal::Skip;
+        };
+        match role {
+            BlockRole::Header | BlockRole::Indirect(_) => Reseal::Key(*file.fak.header_key()),
+            BlockRole::Content(_) => match (file.header.kind, file.fak.content_key()) {
+                (FileKind::Data, Some(key)) => Reseal::Key(*key),
+                // Dummy-file content (or a data file whose content key was
+                // withheld): the bytes are meaningless — unless the block has
+                // just been claimed as a relocation target.
+                _ if map.class(block) == BlockClass::Data => Reseal::Skip,
+                _ => Reseal::Random,
+            },
+        }
+    }
+
+    fn content_key(&self, file: &OpenFile) -> Result<Key256, AgentError> {
+        file.fak
+            .content_key()
+            .copied()
+            .ok_or(AgentError::Fs(FsError::NoContentKey))
+    }
 }
 
-/// Lock-decomposed volatile agent (Construction 2 keying, per-session
-/// registry sharding).
+/// The Construction 2 agent (StegHide).
 pub struct ConcurrentVolatileAgent<D> {
-    fs: StegFs<D>,
-    map: ShardedBlockMap,
-    registry: RwLock<Registry>,
+    pub(crate) engine: Engine<D, DisclosedKeys>,
     /// Sessions, sharded by `session % shards`.
     sessions: Vec<RwLock<HashMap<SessionId, Session>>>,
     /// How many live sessions disclosed each registered file.
     open_counts: Mutex<HashMap<FileId, usize>>,
-    /// One lock per map shard; held across every read-modify-write of a
-    /// block in that shard.
-    update_locks: Vec<Mutex<()>>,
-    /// Read side: per-block traffic. Write side: login, logout, flush —
-    /// multi-file structural operations.
-    structural: RwLock<()>,
-    /// Serialises updates of the same file.
-    file_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
     next_session: AtomicU64,
-    cfg: AgentConfig,
-    stats: SharedUpdateStats,
-    rng: Mutex<HashDrbg>,
 }
 
 impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
+    fn assemble(fs: StegFs<D>, map: ShardedBlockMap, agent_cfg: AgentConfig, seed: u64) -> Self {
+        Self {
+            sessions: (0..map.num_shards())
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
+            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, DisclosedKeys),
+            open_counts: Mutex::new(HashMap::new()),
+            next_session: AtomicU64::new(1),
+        }
+    }
+
+    /// Format `device` as a fresh volume. The returned agent's block map
+    /// reflects the freshly formatted (all-dummy) volume, which makes it
+    /// suitable for the provisioning phase: creating users' initial hidden
+    /// and dummy files before the system goes live. A production agent then
+    /// restarts ([`ConcurrentVolatileAgent::into_device`] +
+    /// [`ConcurrentVolatileAgent::mount`]) and runs with zero knowledge.
+    pub fn format(
+        device: D,
+        fs_cfg: StegFsConfig,
+        agent_cfg: AgentConfig,
+        seed: u64,
+    ) -> Result<Self, AgentError> {
+        let (fs, map) = StegFs::format(device, fs_cfg, seed)?;
+        Ok(Self::assemble(fs, map, agent_cfg, seed))
+    }
+
     /// Attach to an existing volume with zero knowledge, the production
     /// posture of Construction 2: every payload block starts out
     /// [`BlockClass::Unknown`] and the agent only ever touches blocks of
-    /// files that logged-in users disclose. Provisioning is done beforehand
-    /// with [`VolatileAgent`](crate::volatile::VolatileAgent).
+    /// files that logged-in users disclose.
     pub fn mount(
         device: D,
         agent_cfg: AgentConfig,
@@ -104,74 +186,101 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     ) -> Result<Self, AgentError> {
         let fs = StegFs::mount(device)?;
         let map = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, num_shards);
-        Ok(Self {
-            fs,
-            map,
-            registry: RwLock::new(Registry::new()),
-            sessions: (0..num_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            open_counts: Mutex::new(HashMap::new()),
-            update_locks: (0..num_shards).map(|_| Mutex::new(())).collect(),
-            structural: RwLock::new(()),
-            file_locks: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
-            cfg: agent_cfg,
-            stats: SharedUpdateStats::default(),
-            rng: Mutex::new(HashDrbg::new(&(seed ^ 0x9e3779b9).to_be_bytes())),
-        })
+        Ok(Self::assemble(fs, map, agent_cfg, seed))
+    }
+
+    /// Run a [`StegFs`] creation path during the set-up phase (requires a map
+    /// with known dummy blocks, i.e. an agent obtained from
+    /// [`ConcurrentVolatileAgent::format`]). Nothing is registered: the files
+    /// are found again when their owners log in.
+    fn provision(
+        &self,
+        make: impl FnOnce(&StegFs<D>, &ShardedBlockMap) -> Result<OpenFile, FsError>,
+    ) -> Result<(), AgentError> {
+        let _exclusive = self.engine.exclusive();
+        make(&self.engine.fs, &self.engine.map)?;
+        Ok(())
+    }
+
+    /// Provision a hidden file.
+    pub fn provision_file(
+        &self,
+        path: &str,
+        fak: &FileAccessKey,
+        content: &[u8],
+    ) -> Result<(), AgentError> {
+        self.provision(|fs, map| fs.create_file(map, path, fak, content))
+    }
+
+    /// Provision a hidden file of `size` bytes without writing its content
+    /// blocks (benchmark set-up helper).
+    pub fn provision_file_sparse(
+        &self,
+        path: &str,
+        fak: &FileAccessKey,
+        size: u64,
+    ) -> Result<(), AgentError> {
+        self.provision(|fs, map| fs.create_file_sparse(map, path, fak, size))
+    }
+
+    /// Provision a dummy file of `num_blocks` blocks.
+    pub fn provision_dummy_file(
+        &self,
+        path: &str,
+        fak: &FileAccessKey,
+        num_blocks: u64,
+    ) -> Result<(), AgentError> {
+        self.provision(|fs, map| fs.create_dummy_file(map, path, fak, num_blocks))
+    }
+
+    /// Provision a dummy file without re-randomising its content blocks (they
+    /// already hold random bytes on a formatted volume); benchmark set-up
+    /// helper.
+    pub fn provision_dummy_file_sparse(
+        &self,
+        path: &str,
+        fak: &FileAccessKey,
+        num_blocks: u64,
+    ) -> Result<(), AgentError> {
+        self.provision(|fs, map| fs.create_dummy_file_sparse(map, path, fak, num_blocks))
     }
 
     fn session_shard(&self, session: SessionId) -> &RwLock<HashMap<SessionId, Session>> {
         &self.sessions[(session as usize) % self.sessions.len()]
     }
 
-    fn file_lock(&self, id: FileId) -> Arc<Mutex<()>> {
-        self.file_locks
-            .lock()
-            .entry(id)
-            .or_insert_with(|| Arc::new(Mutex::new(())))
-            .clone()
-    }
-
     /// Log a user on: open every disclosed file, add its blocks to the
-    /// agent's view, and return the session id. Structural: takes the write
-    /// lock, so it excludes all per-block traffic for its duration.
+    /// agent's view, and return the session id. Structural: it excludes all
+    /// per-block traffic for its duration.
     pub fn login(
         &self,
         user: &str,
         credentials: &[UserCredential],
     ) -> Result<SessionId, AgentError> {
-        let _exclusive = self.structural.write();
-        let mut registry = self.registry.write();
+        let exclusive = self.engine.exclusive();
         let mut counts = self.open_counts.lock();
         let mut files = Vec::with_capacity(credentials.len());
-        let mut opened: Vec<FileId> = Vec::new();
-        let result = (|| {
-            for cred in credentials {
-                let file = self.fs.open_file(&cred.fak, &cred.path)?;
-                // Re-disclosure of an already-registered file (another live
-                // session of the same user) reuses the id — two cached
-                // headers for one physical file would diverge.
-                let id = match registry.owner_of(file.header_location) {
-                    Some((existing, BlockRole::Header)) => existing,
-                    _ => {
-                        self.fs.register_file(&mut &self.map, &file);
-                        registry.register(file)
+        for cred in credentials {
+            let file = match self.engine.fs.open_file(&cred.fak, &cred.path) {
+                Ok(file) => file,
+                Err(e) => {
+                    // Roll back the files this login already opened.
+                    for id in files {
+                        self.release_file(&exclusive, &mut counts, id);
                     }
-                };
-                *counts.entry(id).or_insert(0) += 1;
-                opened.push(id);
-                files.push(id);
+                    return Err(e.into());
+                }
+            };
+            // Re-disclosure of an already-registered file (another live
+            // session of the same user) reuses the id and its cached header.
+            let (id, fresh) = self.engine.register(file);
+            if fresh {
+                let registry = self.engine.registry.read();
+                let file = registry.get(id).expect("registered a moment ago");
+                self.engine.fs.register_file(&self.engine.map, file);
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            // Roll back the files this login already opened.
-            for id in opened {
-                Self::release_file(&self.fs, &self.map, &mut registry, &mut counts, id);
-            }
-            return Err(e);
+            *counts.entry(id).or_insert(0) += 1;
+            files.push(id);
         }
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
         self.session_shard(session).write().insert(
@@ -184,36 +293,25 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         Ok(session)
     }
 
-    /// Drop one disclosure of `id`; on the last one, persist the header and
-    /// forget the file's keys and block classifications.
+    /// Drop one disclosure of `id`; on the last one, forget the file's keys
+    /// and block classifications. The header must already be saved.
     fn release_file(
-        fs: &StegFs<D>,
-        map: &ShardedBlockMap,
-        registry: &mut Registry,
+        &self,
+        exclusive: &Exclusive<'_, D, DisclosedKeys>,
         counts: &mut HashMap<FileId, usize>,
         id: FileId,
     ) {
-        let remaining = match counts.get_mut(&id) {
-            Some(n) => {
-                *n -= 1;
-                *n
-            }
-            None => return,
+        let Some(remaining) = counts.get_mut(&id) else {
+            return;
         };
-        if remaining > 0 {
+        *remaining -= 1;
+        if *remaining > 0 {
             return;
         }
         counts.remove(&id);
-        if let Some(file) = registry.get_mut(id) {
-            if file.dirty {
-                // A failed header save must not leak the blocks into the
-                // permanent view; the file stays reachable via its FAK.
-                let _ = fs.save(file);
-            }
-        }
-        if let Some(file) = registry.unregister(id) {
+        if let Some(file) = exclusive.unregister(id) {
             for b in file.all_blocks() {
-                map.set(b, BlockClass::Unknown);
+                self.engine.map.set(b, BlockClass::Unknown);
             }
         }
     }
@@ -221,17 +319,21 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// Log a user off: persist dirty headers, then forget every file, key
     /// and block classification the session contributed (unless another live
     /// session still disclosed the same file). Structural.
+    ///
+    /// If a header cannot be written the error is returned and the session
+    /// stays logged in, untouched, so the caller can retry: forgetting a
+    /// relocated file whose on-disk header still names its abandoned blocks
+    /// would hand the next login stale — or by then re-claimed — blocks.
     pub fn logout(&self, session: SessionId) -> Result<(), AgentError> {
-        let _exclusive = self.structural.write();
-        let state = self
-            .session_shard(session)
-            .write()
-            .remove(&session)
-            .ok_or(AgentError::UnknownSession(session))?;
-        let mut registry = self.registry.write();
+        let exclusive = self.engine.exclusive();
+        let files = self.session_files(session)?;
+        for &id in &files {
+            exclusive.save(id)?;
+        }
+        self.session_shard(session).write().remove(&session);
         let mut counts = self.open_counts.lock();
-        for id in state.files {
-            Self::release_file(&self.fs, &self.map, &mut registry, &mut counts, id);
+        for id in files {
+            self.release_file(&exclusive, &mut counts, id);
         }
         Ok(())
     }
@@ -253,7 +355,8 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         users
     }
 
-    /// File ids registered by a session, in credential order.
+    /// File ids registered by a session, in credential order (files created
+    /// during the session follow).
     pub fn session_files(&self, session: SessionId) -> Result<Vec<FileId>, AgentError> {
         Ok(self
             .session_shard(session)
@@ -262,6 +365,18 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
             .ok_or(AgentError::UnknownSession(session))?
             .files
             .clone())
+    }
+
+    /// Enter as per-block traffic on a file `session` disclosed. The check
+    /// runs inside the structural read lock, so it cannot race a logout.
+    fn shared_for(
+        &self,
+        session: SessionId,
+        id: FileId,
+    ) -> Result<Shared<'_, D, DisclosedKeys>, AgentError> {
+        let shared = self.engine.shared();
+        self.check_ownership(session, id)?;
+        Ok(shared)
     }
 
     fn check_ownership(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
@@ -276,14 +391,53 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         }
     }
 
-    /// Read a whole file. The registry read lock is held across the device
-    /// reads, so the result is a consistent snapshot (relocations wait).
+    /// Create a new hidden file for a logged-in user by converting blocks of
+    /// the disclosed dummy files into data blocks. This is how new data
+    /// enters the system at runtime without the agent needing any global
+    /// free-space knowledge. Structural.
+    pub fn create_file_from_dummies(
+        &self,
+        session: SessionId,
+        path: &str,
+        fak: &FileAccessKey,
+        content: &[u8],
+    ) -> Result<FileId, AgentError> {
+        let _exclusive = self.engine.exclusive();
+        let mut sessions = self.session_shard(session).write();
+        let state = sessions
+            .get_mut(&session)
+            .ok_or(AgentError::UnknownSession(session))?;
+        let fs = &self.engine.fs;
+        let file = fs.create_file(&self.engine.map, path, fak, content)?;
+        fs.register_file(&self.engine.map, &file);
+
+        // Creating the file consumed blocks the map classified as dummy;
+        // here those belong to disclosed dummy files, whose headers must stop
+        // referencing them.
+        {
+            let mut registry = self.engine.registry.write();
+            for block in file.all_blocks() {
+                let Some((owner, BlockRole::Content(_))) = registry.owner_of(block) else {
+                    continue;
+                };
+                if registry.get(owner).is_some_and(|f| f.is_dummy()) {
+                    registry.donate_content_block(
+                        owner,
+                        block,
+                        fs.content_bytes_per_block() as u64,
+                    );
+                }
+            }
+        }
+        let (id, _) = self.engine.register(file);
+        self.open_counts.lock().insert(id, 1);
+        state.files.push(id);
+        Ok(id)
+    }
+
+    /// Read a whole file as one consistent snapshot.
     pub fn read_file(&self, session: SessionId, id: FileId) -> Result<Vec<u8>, AgentError> {
-        let _shared = self.structural.read();
-        self.check_ownership(session, id)?;
-        let registry = self.registry.read();
-        let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        Ok(self.fs.read_file(file)?)
+        self.shared_for(session, id)?.read_file(id)
     }
 
     /// Read one content block.
@@ -293,112 +447,17 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         id: FileId,
         index: u64,
     ) -> Result<Vec<u8>, AgentError> {
-        let _shared = self.structural.read();
-        self.check_ownership(session, id)?;
-        let registry = self.registry.read();
-        let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-        Ok(self.fs.read_content_block(file, index)?)
+        self.shared_for(session, id)?.read_block(id, index)
     }
 
     /// Number of content blocks of an open file.
     pub fn num_blocks(&self, session: SessionId, id: FileId) -> Result<u64, AgentError> {
         self.check_ownership(session, id)?;
-        Ok(self
-            .registry
-            .read()
-            .get(id)
-            .ok_or(AgentError::UnknownFile(id))?
-            .num_content_blocks())
+        self.engine.num_blocks(id)
     }
 
-    /// Draw one victim from the known universe.
-    fn draw_known(&self) -> Option<BlockId> {
-        let registry = self.registry.read();
-        let mut rng = self.rng.lock();
-        registry.random_known_block(&mut rng)
-    }
-
-    /// Resolve how to reseal `block`. Must be called under the block's shard
-    /// update lock so the answer cannot go stale against a concurrent
-    /// relocation (see [`Reseal::Skip`]).
-    fn reseal_action(&self, block: BlockId) -> Reseal {
-        let registry = self.registry.read();
-        let Some((fid, role)) = registry.owner_of(block) else {
-            // Disclosed when drawn, logged out since: structural read vs
-            // write makes this unreachable, but Skip is the safe answer.
-            return Reseal::Skip;
-        };
-        let Some(file) = registry.get(fid) else {
-            return Reseal::Skip;
-        };
-        match role {
-            BlockRole::Header | BlockRole::Indirect(_) => Reseal::Key(*file.fak.header_key()),
-            BlockRole::Content(_) => match (file.header.kind, file.fak.content_key()) {
-                (FileKind::Data, Some(key)) => Reseal::Key(*key),
-                _ => {
-                    if self.map.class(block) == BlockClass::Data {
-                        // Claimed as a relocation target, not yet repointed:
-                        // it may already hold fresh data sealed under a key
-                        // the registry does not know yet.
-                        Reseal::Skip
-                    } else {
-                        Reseal::Random
-                    }
-                }
-            },
-        }
-    }
-
-    /// Dummy-update `block` under its shard lock. Returns whether the block
-    /// was actually touched.
-    fn dummy_update_locked(&self, block: BlockId) -> Result<bool, AgentError> {
-        let _shard = self.update_locks[self.map.shard_of(block)].lock();
-        match self.reseal_action(block) {
-            Reseal::Key(key) => {
-                let codec = self.fs.codec();
-                let plaintext = codec.read_sealed(self.fs.device(), block, &key)?;
-                let sealed = self.fs.with_rng(|rng| codec.seal(&key, &plaintext, rng))?;
-                self.fs.device().write_block(block, &sealed)?;
-            }
-            Reseal::Random => {
-                let block_size = self.fs.codec().block_size();
-                let mut scratch = vec![0u8; block_size];
-                self.fs.device().read_block(block, &mut scratch)?;
-                self.fs.randomize_block(block)?;
-            }
-            Reseal::Skip => return Ok(false),
-        }
-        self.stats.count_dummy_update();
-        Ok(true)
-    }
-
-    /// Issue one idle-time dummy update; returns the block touched. With
-    /// nobody logged in there is nothing the agent can touch
-    /// ([`AgentError::NothingToUpdate`]) — the price of volatility.
-    pub fn dummy_update_once(&self) -> Result<BlockId, AgentError> {
-        let _shared = self.structural.read();
-        loop {
-            let block = self.draw_known().ok_or(AgentError::NothingToUpdate)?;
-            if self.dummy_update_locked(block)? {
-                return Ok(block);
-            }
-        }
-    }
-
-    /// Issue the configured number of idle-time dummy updates.
-    pub fn tick_idle(&self) -> Result<Vec<BlockId>, AgentError> {
-        let n = self.cfg.dummy_updates_per_tick;
-        let mut touched = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            touched.push(self.dummy_update_once()?);
-        }
-        Ok(touched)
-    }
-
-    /// Update one content block with the Figure 6 algorithm, concurrently
-    /// safe: the relocation target (a disclosed dummy-file block) is claimed
-    /// atomically on the sharded map, and every block write happens under
-    /// that block's shard update lock.
+    /// Update one content block with the Figure 6 algorithm. Relocation
+    /// targets are drawn from the dummy blocks disclosed by logged-in users.
     pub fn update_block(
         &self,
         session: SessionId,
@@ -406,245 +465,124 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         index: u64,
         payload: &[u8],
     ) -> Result<UpdateOutcome, AgentError> {
-        let max_payload = self.fs.content_bytes_per_block();
-        if payload.len() > max_payload {
-            return Err(AgentError::PayloadTooLarge {
-                got: payload.len(),
-                max: max_payload,
-            });
-        }
-        let _shared = self.structural.read();
-        self.check_ownership(session, id)?;
-        let file_lock = self.file_lock(id);
-        let _file = file_lock.lock();
-
-        let (b1, content_key) = {
-            let registry = self.registry.read();
-            let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-            let b1 = *file
-                .header
-                .blocks
-                .get(index as usize)
-                .ok_or(AgentError::Fs(stegfs_base::FsError::OutOfBounds {
-                    index,
-                    len: file.header.num_blocks(),
-                }))?;
-            let key = file
-                .fak
-                .content_key()
-                .copied()
-                .ok_or(AgentError::Fs(stegfs_base::FsError::NoContentKey))?;
-            (b1, key)
-        };
-
-        if !self.cfg.relocate_on_update {
-            // Ablation mode (the paper's insufficient defence).
-            let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-            self.read_for_accounting(b1)?;
-            self.write_sealed_content(b1, &content_key, payload)?;
-            self.stats.count_iteration();
-            self.stats.count_data_update();
-            self.stats.count_in_place();
-            return Ok(UpdateOutcome::InPlace { block: b1 });
-        }
-
-        for _attempt in 0..self.cfg.max_update_iterations {
-            self.stats.count_iteration();
-            let b2 = self.draw_known().ok_or(AgentError::NoDummyBlocks)?;
-
-            if b2 == b1 {
-                // Figure 6, first branch: update in place.
-                let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-                self.read_for_accounting(b1)?;
-                self.write_sealed_content(b1, &content_key, payload)?;
-                self.stats.count_data_update();
-                self.stats.count_in_place();
-                return Ok(UpdateOutcome::InPlace { block: b1 });
-            }
-
-            // A viable swap target is a content block of a disclosed *dummy*
-            // file (Section 4.2.2 — the user's own decoys), atomically
-            // claimed so no other update converts it concurrently.
-            let target = {
-                let registry = self.registry.read();
-                match registry.owner_of(b2) {
-                    Some((fid, BlockRole::Content(idx)))
-                        if registry
-                            .get(fid)
-                            .map(|f| f.header.kind == FileKind::Dummy)
-                            .unwrap_or(false) =>
-                    {
-                        Some((fid, idx))
-                    }
-                    _ => None,
-                }
-            };
-            if let Some((dummy_fid, dummy_idx)) = target {
-                if self.map.claim(b2, BlockClass::Dummy, BlockClass::Data) {
-                    // Figure 6, second branch: substitute B2 for B1. B2 is
-                    // ours alone now; write it, then repoint both headers in
-                    // one registry transaction, then abandon B1 into the
-                    // dummy file. An I/O error before the repoint releases
-                    // the claim.
-                    let io = (|| {
-                        {
-                            let _shard = self.update_locks[self.map.shard_of(b1)].lock();
-                            self.read_for_accounting(b1)?;
-                        }
-                        let _shard = self.update_locks[self.map.shard_of(b2)].lock();
-                        self.write_sealed_content(b2, &content_key, payload)
-                    })();
-                    if let Err(e) = io {
-                        self.map.set(b2, BlockClass::Dummy);
-                        return Err(e);
-                    }
-                    self.registry
-                        .write()
-                        .swap_with_dummy(id, index, b1, dummy_fid, dummy_idx, b2);
-                    self.map.set(b1, BlockClass::Dummy);
-                    self.stats.count_data_update();
-                    self.stats.count_relocation();
-                    return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
-                }
-                // Claim lost to a concurrent update: B2 is mid-conversion,
-                // fall through to the retry (the dummy update will skip it).
-            }
-
-            // Figure 6, third branch: B2 holds data — dummy-update it and
-            // try again.
-            self.dummy_update_locked(b2)?;
-        }
-
-        Err(AgentError::UpdateRetriesExhausted {
-            attempts: self.cfg.max_update_iterations,
-        })
+        self.shared_for(session, id)?
+            .update_block(id, index, payload)
     }
 
-    fn read_for_accounting(&self, block: BlockId) -> Result<(), AgentError> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            scratch.resize(self.fs.codec().block_size(), 0);
-            self.fs.device().read_block(block, &mut scratch)
-        })?;
-        self.stats.count_data_io_pair();
-        Ok(())
-    }
-
-    fn write_sealed_content(
+    /// Update `count` consecutive blocks with a fill byte (Figure 11(b)'s
+    /// range-update workload).
+    pub fn update_range_fill(
         &self,
-        block: BlockId,
-        key: &Key256,
-        payload: &[u8],
-    ) -> Result<(), AgentError> {
-        // Seal under the volume DRBG lock, write with it released — the lock
-        // must never span a device wait.
-        let sealed = self
-            .fs
-            .with_rng(|rng| self.fs.codec().seal(key, payload, rng))?;
-        self.fs.device().write_block(block, &sealed)?;
-        Ok(())
+        session: SessionId,
+        id: FileId,
+        start_index: u64,
+        count: u64,
+        fill: u8,
+    ) -> Result<Vec<UpdateOutcome>, AgentError> {
+        self.shared_for(session, id)?
+            .update_range_fill(id, start_index, count, fill)
+    }
+
+    /// Issue `k` idle-time dummy updates over the blocks the agent currently
+    /// knows about; returns the touched blocks. With nobody logged in there
+    /// is nothing the agent can touch ([`AgentError::NothingToUpdate`]) — the
+    /// price of volatility the paper notes.
+    pub fn dummy_update_batch(&self, k: usize) -> Result<Vec<BlockId>, AgentError> {
+        self.engine.shared().dummy_update_batch(k)
+    }
+
+    /// Save the cached header of one file. Structural.
+    pub fn save_file(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
+        let exclusive = self.engine.exclusive();
+        self.check_ownership(session, id)?;
+        exclusive.save(id)
     }
 
     /// Write back every dirty cached header. Structural.
     pub fn flush(&self) -> Result<(), AgentError> {
-        let _exclusive = self.structural.write();
-        let mut registry = self.registry.write();
-        for id in registry.dirty_file_ids() {
-            let file = registry.get_mut(id).ok_or(AgentError::UnknownFile(id))?;
-            self.fs.save(file)?;
-        }
-        Ok(())
+        self.engine.exclusive().flush()
     }
 
     /// Update statistics collected so far.
     pub fn stats(&self) -> UpdateStats {
-        self.stats.snapshot()
+        self.engine.stats.snapshot()
     }
 
-    /// The sharded block map.
+    /// The agent's (volatile) block map.
     pub fn map(&self) -> &ShardedBlockMap {
-        &self.map
+        &self.engine.map
     }
 
-    /// Quiesce all traffic (structural write lock — per-block ops hold the
-    /// read side) and audit the map: cached per-shard counters agree with
-    /// the class vectors and every block is in exactly one class. The only
-    /// way to observe counter consistency while other threads are live;
+    /// Quiesce all traffic and audit the map: cached per-shard counters agree
+    /// with the class vectors and every block is in exactly one class. The
+    /// only way to observe counter consistency while other threads are live;
     /// sampling [`ConcurrentVolatileAgent::map`] mid-flight races in-flight
     /// claim/counter pairs by design.
     pub fn audit_map_consistency(&self) -> bool {
-        let _exclusive = self.structural.write();
-        self.map.counters_are_consistent()
-            && self.map.data_blocks()
-                + self.map.dummy_blocks()
-                + self.map.unknown_blocks()
-                + self.map.reserved_blocks()
-                == self.map.num_blocks()
+        let _exclusive = self.engine.exclusive();
+        let map = &self.engine.map;
+        map.counters_are_consistent()
+            && map.data_blocks() + map.dummy_blocks() + map.unknown_blocks() + map.reserved_blocks()
+                == map.num_blocks()
     }
 
     /// The underlying file system.
     pub fn fs(&self) -> &StegFs<D> {
-        &self.fs
+        &self.engine.fs
     }
 
     /// Shard count of the map, the update-lock array and the session table.
     pub fn num_shards(&self) -> usize {
-        self.update_locks.len()
+        self.engine.map.num_shards()
     }
 
     /// Consume the agent and return the underlying device (simulated agent
     /// restart — all volatile knowledge is forgotten).
     pub fn into_device(self) -> D {
-        self.fs.into_device()
+        self.engine.fs.into_device()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::volatile::VolatileAgent;
-    use stegfs_base::{FileAccessKey, StegFsConfig};
     use stegfs_blockdev::MemDevice;
 
-    /// Provision a volume with two users, each owning a data and a dummy
-    /// file, then mount the concurrent agent with zero knowledge.
-    fn provisioned() -> (ConcurrentVolatileAgent<MemDevice>, Vec<u8>) {
+    /// Provision `device` with a data file (six blocks of a known pattern)
+    /// and an eight-block dummy file for each of `users`, then restart the
+    /// agent so it has zero knowledge. Returns the data files' content.
+    pub(crate) fn provisioned_on<D: BlockDevice>(
+        device: D,
+        users: &[&str],
+        cfg: AgentConfig,
+    ) -> (ConcurrentVolatileAgent<D>, Vec<u8>) {
         let fs_cfg = StegFsConfig::default().with_block_size(512);
-        let mut setup = VolatileAgent::format(
-            MemDevice::new(2048, 512),
-            fs_cfg,
-            AgentConfig::default(),
-            21,
-        )
-        .unwrap();
+        let setup = ConcurrentVolatileAgent::format(device, fs_cfg, cfg, 21).unwrap();
         let per = setup.fs().content_bytes_per_block();
         let content = (0..per * 6).map(|i| (i % 251) as u8).collect::<Vec<u8>>();
-        for user in ["alice", "bob"] {
+        for user in users {
+            let creds = credentials(user);
             setup
-                .provision_file(
-                    &format!("/{user}/data"),
-                    &FileAccessKey::from_passphrase(&format!("{user}-data")),
-                    &content,
-                )
+                .provision_file(&creds[0].path, &creds[0].fak, &content)
                 .unwrap();
             setup
-                .provision_dummy_file(
-                    &format!("/{user}/dummy"),
-                    &FileAccessKey::from_passphrase(&format!("{user}-dummy")).without_content_key(),
-                    8,
-                )
+                .provision_dummy_file(&creds[1].path, &creds[1].fak, 8)
                 .unwrap();
         }
-        let device = setup.into_device();
-        let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 77, 8).unwrap();
+        let agent = ConcurrentVolatileAgent::mount(setup.into_device(), cfg, 77, 8).unwrap();
         (agent, content)
     }
 
-    fn credentials(user: &str) -> Vec<UserCredential> {
+    fn provisioned() -> (ConcurrentVolatileAgent<MemDevice>, Vec<u8>) {
+        provisioned_on(
+            MemDevice::new(2048, 512),
+            &["alice", "bob"],
+            AgentConfig::default(),
+        )
+    }
+
+    /// What `user` discloses at login: the data file, then the dummy file.
+    pub(crate) fn credentials(user: &str) -> Vec<UserCredential> {
         vec![
             UserCredential::new(
                 format!("/{user}/data"),
@@ -662,7 +600,7 @@ mod tests {
         let (agent, _) = provisioned();
         assert_eq!(agent.map().data_blocks(), 0);
         assert!(matches!(
-            agent.dummy_update_once(),
+            agent.dummy_update_batch(1),
             Err(AgentError::NothingToUpdate)
         ));
     }
@@ -681,7 +619,7 @@ mod tests {
             .unwrap();
         let read = agent.read_file(session, files[0]).unwrap();
         assert_eq!(&read[2 * per..3 * per], &new_block[..]);
-        assert!(agent.dummy_update_once().is_ok());
+        assert_eq!(agent.dummy_update_batch(3).unwrap().len(), 3);
         assert!(agent.map().counters_are_consistent());
 
         agent.logout(session).unwrap();

@@ -12,7 +12,7 @@
 //!   deterministic for the owner and opaque to everyone else).
 //! * Each shard owns a **head cell** block and **two fixed-size segments** of
 //!   `segment_blocks` blocks each, all claimed through the same uniform
-//!   [`stegfs_base::ClassMap::claim`] path as hidden data and sealed with the
+//!   [`stegfs_base::ShardedBlockMap::claim`] path as hidden data and sealed with the
 //!   volume codec — on disk they read as free space.
 //! * A checkpoint writes the shard's records into the *inactive* segment
 //!   under a bumped generation, then flips the head cell to name it. The head
@@ -397,15 +397,14 @@ impl<D: BlockDevice> ResilientStore<D> {
             ));
         }
         let mut shards = Vec::with_capacity(cfg.shards as usize);
-        let mut mref = &self.map;
         for _ in 0..cfg.shards {
-            let head = self.fs.allocate_blocks(&mut mref, 1)?[0];
+            let head = self.fs.allocate_blocks(&self.map, 1)?[0];
             let a = self
                 .fs
-                .allocate_blocks(&mut mref, cfg.segment_blocks as u64)?;
+                .allocate_blocks(&self.map, cfg.segment_blocks as u64)?;
             let b = self
                 .fs
-                .allocate_blocks(&mut mref, cfg.segment_blocks as u64)?;
+                .allocate_blocks(&self.map, cfg.segment_blocks as u64)?;
             shards.push(ShardGeometry {
                 head,
                 segments: [a, b],

@@ -5,7 +5,7 @@
 //! every hidden file it manages:
 //!
 //! * `m` sealed parity blocks per stripe of `k` content blocks, placed
-//!   through the same uniform [`stegfs_base::ClassMap::claim`] allocation as
+//!   through the same uniform [`ShardedBlockMap::claim`] allocation as
 //!   hidden data — on disk a parity block is indistinguishable from free
 //!   space;
 //! * a per-file [`StripeMap`] of plaintext integrity checks and parity
@@ -185,8 +185,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         master: &Key256,
         seed: u64,
     ) -> Result<Self, ResilienceError> {
-        let (fs, scalar) = StegFs::format(device, cfg.fs, seed)?;
-        let map = ShardedBlockMap::from_scalar(&scalar, DEFAULT_MAP_SHARDS);
+        let (fs, map) = StegFs::format(device, cfg.fs, seed)?;
         for b in VolumeAnchor::replica_blocks(fs.superblock().num_blocks) {
             map.set(b, BlockClass::Reserved);
         }
@@ -194,8 +193,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         // hidden data; the format-time random fill is a valid empty journal.
         // Two blocks per logical slot: consecutive pairs mirror each other,
         // so a lost slot block can no longer orphan an in-flight intent.
-        let mut mref = &map;
-        let slots = fs.allocate_blocks(&mut mref, 2 * cfg.journal_slots as u64)?;
+        let slots = fs.allocate_blocks(&map, 2 * cfg.journal_slots as u64)?;
         let store = Self::assemble(fs, map, cfg, master, 0, slots);
         store.persist_anchor()?;
         Ok(store)
@@ -241,9 +239,8 @@ impl<D: BlockDevice> ResilientStore<D> {
                     open.header.num_blocks()
                 )));
             }
-            let mut mref = &store.map;
-            store.fs.register_file(&mut mref, &open);
-            store.fs.register_file(&mut mref, &shadow);
+            store.fs.register_file(&store.map, &open);
+            store.fs.register_file(&store.map, &shadow);
             for loc in stripes.parity_locations() {
                 store.map.set(loc, BlockClass::Data);
             }
@@ -548,14 +545,13 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.stats.count_intent_journaled();
         }
         let fak = self.file_fak(path);
-        let mut mref = &self.map;
-        let open = self.fs.create_file(&mut mref, path, &fak, content)?;
+        let open = self.fs.create_file(&self.map, path, &fak, content)?;
         let state = match self.stripe_file(open, content) {
             Ok(state) => state,
             Err(e) => {
                 // Unwind the half-created file so the volume stays clean.
                 let reopened = self.fs.open_file(&fak, path)?;
-                self.fs.delete_file(&mut mref, reopened)?;
+                self.fs.delete_file(&self.map, reopened)?;
                 return Err(e);
             }
         };
@@ -574,7 +570,6 @@ impl<D: BlockDevice> ResilientStore<D> {
         let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
         let num_data = open.header.num_blocks();
         let mut stripes = StripeMap::new(self.stripe_cfg, num_data);
-        let mut mref = &self.map;
 
         for stripe in 0..stripes.num_stripes() {
             let range = stripes.stripe_data_range(stripe);
@@ -596,7 +591,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
             let parity = self.codec.encode(&refs);
 
-            let locs = self.fs.allocate_blocks(&mut mref, m as u64)?;
+            let locs = self.fs.allocate_blocks(&self.map, m as u64)?;
             for (row, shard) in parity.iter().enumerate() {
                 self.fs.with_rng(|rng| {
                     self.fs.codec().write_sealed(
@@ -620,7 +615,7 @@ impl<D: BlockDevice> ResilientStore<D> {
 
         let shadow_fak = self.shadow_fak(&open.path);
         let shadow = self.fs.create_file(
-            &mut mref,
+            &self.map,
             &Self::shadow_path(&open.path),
             &shadow_fak,
             &stripes.encode(),
@@ -1128,9 +1123,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.stats.count_intent_journaled();
         }
 
-        let mut mref = &self.map;
         for &(slot, old_loc) in &corrupt {
-            let new_loc = self.fs.allocate_blocks(&mut mref, 1)?[0];
+            let new_loc = self.fs.allocate_blocks(&self.map, 1)?[0];
             let shard = shards[slot].as_ref().expect("reconstructed");
             self.fs.with_rng(|rng| {
                 self.fs
@@ -1822,12 +1816,6 @@ impl ScrubCursor {
     /// Blocks per full cycle (the volume's payload block count).
     pub fn cycle_len(&self) -> usize {
         self.order.len()
-    }
-}
-
-impl steghide::VictimSource for ScrubCursor {
-    fn next_victims(&self, k: usize) -> Vec<BlockId> {
-        ScrubCursor::next_victims(self, k)
     }
 }
 

@@ -1,76 +1,16 @@
-//! The agent's classification of physical blocks.
+//! Block classes and the persisted form of the agent's block map.
 //!
 //! The raw volume itself never records which blocks hold data — that is the
 //! whole point of the steganographic layout. The *agent*, however, needs to
 //! know where it may allocate and which blocks it may dummy-update:
 //!
-//! * the **non-volatile agent** (Construction 1) keeps a complete map
-//!   persistently ("we use a bitmap to mark data blocks against dummy
-//!   blocks", Section 6.2);
-//! * the **volatile agent** (Construction 2) starts with an empty map and
-//!   fills it in as users log on and disclose their files' FAKs
-//!   (Section 4.2.2).
-
-use stegfs_blockdev::BlockId;
-
-/// The classification interface the file-system paths need from a block map.
-///
-/// Two implementations exist: the scalar [`BlockMap`] (the original
-/// single-user map, `&mut` everywhere) and the
-/// [`ShardedBlockMap`](crate::ShardedBlockMap) (per-shard locks, usable
-/// through a shared reference from many threads — `&ShardedBlockMap`
-/// implements this trait too, so a concurrent caller passes
-/// `&mut &sharded_map` where a sequential caller passes `&mut scalar_map`).
-///
-/// Implementations used concurrently must make [`ClassMap::claim`] atomic
-/// (check and reclassify under one lock); the scalar map's default is the
-/// plain check-then-set, which is equivalent when there is a single caller.
-pub trait ClassMap {
-    /// Number of blocks covered.
-    fn num_blocks(&self) -> u64;
-    /// Classification of `block`.
-    fn class(&self, block: BlockId) -> BlockClass;
-    /// Reclassify `block`.
-    fn set(&mut self, block: BlockId, class: BlockClass);
-    /// Reclassify `block` from `from` to `to` if and only if it currently is
-    /// `from`; returns whether the claim succeeded. Allocation goes through
-    /// this method so that two concurrent allocators can never claim the same
-    /// block on a sharded map.
-    fn claim(&mut self, block: BlockId, from: BlockClass, to: BlockClass) -> bool {
-        if self.class(block) == from {
-            self.set(block, to);
-            true
-        } else {
-            false
-        }
-    }
-    /// Number of blocks currently classified as data.
-    fn data_blocks(&self) -> u64;
-    /// Number of blocks currently classified as dummy.
-    fn dummy_blocks(&self) -> u64;
-}
-
-impl ClassMap for BlockMap {
-    fn num_blocks(&self) -> u64 {
-        BlockMap::num_blocks(self)
-    }
-
-    fn class(&self, block: BlockId) -> BlockClass {
-        BlockMap::class(self, block)
-    }
-
-    fn set(&mut self, block: BlockId, class: BlockClass) {
-        BlockMap::set(self, block, class)
-    }
-
-    fn data_blocks(&self) -> u64 {
-        BlockMap::data_blocks(self)
-    }
-
-    fn dummy_blocks(&self) -> u64 {
-        BlockMap::dummy_blocks(self)
-    }
-}
+//! * under **Construction 1** it keeps a complete map persistently ("we use
+//!   a bitmap to mark data blocks against dummy blocks", Section 6.2) — the
+//!   2-bit-per-block wire format below;
+//! * under **Construction 2** it starts with an all-unknown map and fills it
+//!   in as users log on and disclose their files' FAKs (Section 4.2.2).
+//!
+//! The map itself is [`ShardedBlockMap`](crate::ShardedBlockMap).
 
 /// Classification of one physical block from the agent's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,180 +23,75 @@ pub enum BlockClass {
     /// Abandoned / dummy: contains random bytes (or belongs to a dummy file)
     /// and may be overwritten or dummy-updated freely.
     Dummy,
-    /// Not yet classified — the volatile agent has not seen a file covering
-    /// this block. Unknown blocks must not be allocated (they might belong to
-    /// a user who has not logged in) and cannot be dummy-updated (the agent
-    /// has no key for them).
+    /// Not yet classified — the Construction 2 agent has not seen a file
+    /// covering this block. Unknown blocks must not be allocated (they might
+    /// belong to a user who has not logged in) and cannot be dummy-updated
+    /// (the agent has no key for them).
     Unknown,
 }
 
-/// A dense map from physical block number to [`BlockClass`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockMap {
-    classes: Vec<BlockClass>,
-    data_count: u64,
-    dummy_count: u64,
+impl BlockClass {
+    /// Dense index of the class: its 2-bit wire code and its slot in the
+    /// map's per-class counters.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            BlockClass::Reserved => 0,
+            BlockClass::Data => 1,
+            BlockClass::Dummy => 2,
+            BlockClass::Unknown => 3,
+        }
+    }
+
+    fn from_bits(bits: u8) -> Self {
+        match bits & 0b11 {
+            0 => BlockClass::Reserved,
+            1 => BlockClass::Data,
+            2 => BlockClass::Dummy,
+            _ => BlockClass::Unknown,
+        }
+    }
 }
 
-impl BlockMap {
-    /// Create a map of `num_blocks` blocks, all [`BlockClass::Unknown`] except
-    /// block 0 which is [`BlockClass::Reserved`].
-    pub fn new_unknown(num_blocks: u64) -> Self {
-        let mut classes = vec![BlockClass::Unknown; num_blocks as usize];
-        if !classes.is_empty() {
-            classes[0] = BlockClass::Reserved;
+/// Encode `classes` (block 0 first) as an 8-byte little-endian block count
+/// followed by 2 bits per block, four blocks per byte, low bits first.
+pub(crate) fn encode_classes(classes: &[BlockClass]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + classes.len().div_ceil(4));
+    out.extend_from_slice(&(classes.len() as u64).to_le_bytes());
+    for quad in classes.chunks(4) {
+        let mut byte = 0u8;
+        for (i, &class) in quad.iter().enumerate() {
+            byte |= (class.index() as u8) << (i * 2);
         }
-        Self {
-            classes,
-            data_count: 0,
-            dummy_count: 0,
-        }
+        out.push(byte);
     }
+    out
+}
 
-    /// Create a map of `num_blocks` blocks, all [`BlockClass::Dummy`] except
-    /// block 0 — the non-volatile agent's view of a freshly formatted volume.
-    pub fn new_all_dummy(num_blocks: u64) -> Self {
-        let mut classes = vec![BlockClass::Dummy; num_blocks as usize];
-        if !classes.is_empty() {
-            classes[0] = BlockClass::Reserved;
-        }
-        Self {
-            dummy_count: num_blocks.saturating_sub(1),
-            classes,
-            data_count: 0,
-        }
+/// Decode [`encode_classes`] output. `None` unless the byte length matches
+/// the declared block count exactly — so a hostile count is checked against
+/// the bytes actually supplied before anything is allocated for it — and
+/// block 0 is [`BlockClass::Reserved`].
+pub(crate) fn decode_classes(bytes: &[u8]) -> Option<Vec<BlockClass>> {
+    let count = bytes.get(..8)?.try_into().ok()?;
+    let packed = &bytes[8..];
+    let n = usize::try_from(u64::from_le_bytes(count)).ok()?;
+    if packed.len() != n.div_ceil(4) {
+        return None;
     }
-
-    /// Number of blocks covered.
-    pub fn num_blocks(&self) -> u64 {
-        self.classes.len() as u64
-    }
-
-    /// Classification of `block`.
-    pub fn class(&self, block: BlockId) -> BlockClass {
-        self.classes[block as usize]
-    }
-
-    /// Reclassify `block`.
-    pub fn set(&mut self, block: BlockId, class: BlockClass) {
-        let old = self.classes[block as usize];
-        if old == class {
-            return;
-        }
-        match old {
-            BlockClass::Data => self.data_count -= 1,
-            BlockClass::Dummy => self.dummy_count -= 1,
-            _ => {}
-        }
-        match class {
-            BlockClass::Data => self.data_count += 1,
-            BlockClass::Dummy => self.dummy_count += 1,
-            _ => {}
-        }
-        self.classes[block as usize] = class;
-    }
-
-    /// Number of blocks currently classified as data.
-    pub fn data_blocks(&self) -> u64 {
-        self.data_count
-    }
-
-    /// Number of blocks currently classified as dummy.
-    pub fn dummy_blocks(&self) -> u64 {
-        self.dummy_count
-    }
-
-    /// Space utilisation as the paper defines it: fraction of the payload
-    /// blocks that hold data. (`D/N` complement; Section 4.1.5 expresses the
-    /// update overhead as `N/D` where `D` is the number of dummy blocks.)
-    pub fn utilisation(&self) -> f64 {
-        let payload = self.num_blocks().saturating_sub(1);
-        if payload == 0 {
-            0.0
-        } else {
-            self.data_count as f64 / payload as f64
-        }
-    }
-
-    /// Iterator over the blocks in a given class.
-    pub fn blocks_in_class(&self, class: BlockClass) -> impl Iterator<Item = BlockId> + '_ {
-        self.classes
-            .iter()
-            .enumerate()
-            .filter(move |(_, &c)| c == class)
-            .map(|(i, _)| i as BlockId)
-    }
-
-    /// Serialize to a compact byte form (2 bits per block) so the
-    /// non-volatile agent can persist its map.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.classes.len() / 4 + 1);
-        out.extend_from_slice(&(self.classes.len() as u64).to_le_bytes());
-        let mut current = 0u8;
-        let mut filled = 0;
-        for &c in &self.classes {
-            let bits = match c {
-                BlockClass::Reserved => 0u8,
-                BlockClass::Data => 1,
-                BlockClass::Dummy => 2,
-                BlockClass::Unknown => 3,
-            };
-            current |= bits << (filled * 2);
-            filled += 1;
-            if filled == 4 {
-                out.push(current);
-                current = 0;
-                filled = 0;
-            }
-        }
-        if filled > 0 {
-            out.push(current);
-        }
-        out
-    }
-
-    /// Reconstruct a map from [`BlockMap::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 {
-            return None;
-        }
-        let n = u64::from_le_bytes(bytes[..8].try_into().ok()?) as usize;
-        let needed = 8 + n.div_ceil(4);
-        if bytes.len() < needed {
-            return None;
-        }
-        let mut map = Self {
-            classes: Vec::with_capacity(n),
-            data_count: 0,
-            dummy_count: 0,
-        };
-        for i in 0..n {
-            let byte = bytes[8 + i / 4];
-            let bits = (byte >> ((i % 4) * 2)) & 0b11;
-            let class = match bits {
-                0 => BlockClass::Reserved,
-                1 => BlockClass::Data,
-                2 => BlockClass::Dummy,
-                _ => BlockClass::Unknown,
-            };
-            match class {
-                BlockClass::Data => map.data_count += 1,
-                BlockClass::Dummy => map.dummy_count += 1,
-                _ => {}
-            }
-            map.classes.push(class);
-        }
-        Some(map)
-    }
+    let classes: Vec<BlockClass> = (0..n)
+        .map(|i| BlockClass::from_bits(packed[i / 4] >> ((i % 4) * 2)))
+        .collect();
+    matches!(classes.first(), None | Some(BlockClass::Reserved)).then_some(classes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedBlockMap;
 
     #[test]
     fn new_all_dummy_counts() {
-        let map = BlockMap::new_all_dummy(100);
+        let map = ShardedBlockMap::new_all_dummy(100, 1);
         assert_eq!(map.num_blocks(), 100);
         assert_eq!(map.class(0), BlockClass::Reserved);
         assert_eq!(map.class(1), BlockClass::Dummy);
@@ -267,7 +102,7 @@ mod tests {
 
     #[test]
     fn set_updates_counts() {
-        let mut map = BlockMap::new_all_dummy(10);
+        let map = ShardedBlockMap::new_all_dummy(10, 1);
         map.set(3, BlockClass::Data);
         map.set(4, BlockClass::Data);
         assert_eq!(map.data_blocks(), 2);
@@ -282,7 +117,7 @@ mod tests {
 
     #[test]
     fn utilisation_matches_definition() {
-        let mut map = BlockMap::new_all_dummy(101);
+        let map = ShardedBlockMap::new_all_dummy(101, 1);
         for b in 1..=25 {
             map.set(b, BlockClass::Data);
         }
@@ -291,7 +126,8 @@ mod tests {
 
     #[test]
     fn unknown_map_starts_unclassified() {
-        let map = BlockMap::new_unknown(10);
+        let map = ShardedBlockMap::new_unknown(10, 1);
+        assert_eq!(map.class(0), BlockClass::Reserved);
         assert_eq!(map.class(5), BlockClass::Unknown);
         assert_eq!(map.data_blocks(), 0);
         assert_eq!(map.dummy_blocks(), 0);
@@ -299,30 +135,37 @@ mod tests {
 
     #[test]
     fn blocks_in_class_iterates() {
-        let mut map = BlockMap::new_all_dummy(10);
+        let map = ShardedBlockMap::new_all_dummy(10, 1);
         map.set(2, BlockClass::Data);
         map.set(7, BlockClass::Data);
-        let data: Vec<_> = map.blocks_in_class(BlockClass::Data).collect();
-        assert_eq!(data, vec![2, 7]);
+        assert_eq!(map.blocks_in_class(BlockClass::Data), vec![2, 7]);
     }
 
     #[test]
     fn serialization_roundtrip() {
-        let mut map = BlockMap::new_all_dummy(37);
+        // 37 blocks: the last byte carries one block and three padding pairs.
+        let map = ShardedBlockMap::new_all_dummy(37, 5);
         map.set(5, BlockClass::Data);
         map.set(11, BlockClass::Unknown);
         map.set(36, BlockClass::Data);
         let bytes = map.to_bytes();
-        let restored = BlockMap::from_bytes(&bytes).unwrap();
-        assert_eq!(restored, map);
+        assert_eq!(bytes.len(), 8 + 10);
+        // Block 0 Reserved (00), blocks 1–3 Dummy (10): low bits first.
+        assert_eq!(bytes[8], 0b10_10_10_00);
+        let restored = ShardedBlockMap::from_bytes(&bytes).unwrap();
+        for b in 0..37 {
+            assert_eq!(restored.class(b), map.class(b), "block {b}");
+        }
         assert_eq!(restored.data_blocks(), 2);
+        assert_eq!(restored.dummy_blocks(), 33);
+        assert!(restored.counters_are_consistent());
+        assert_eq!(restored.to_bytes(), bytes);
     }
 
     #[test]
     fn from_bytes_rejects_truncated_input() {
-        let map = BlockMap::new_all_dummy(64);
-        let bytes = map.to_bytes();
-        assert!(BlockMap::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(BlockMap::from_bytes(&[1, 2, 3]).is_none());
+        let bytes = ShardedBlockMap::new_all_dummy(64, 4).to_bytes();
+        assert!(ShardedBlockMap::from_bytes(&bytes[..bytes.len() - 1]).is_none());
+        assert!(ShardedBlockMap::from_bytes(&[1, 2, 3]).is_none());
     }
 }

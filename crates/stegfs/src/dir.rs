@@ -10,10 +10,10 @@
 use stegfs_blockdev::BlockDevice;
 use stegfs_crypto::Key256;
 
-use crate::blockmap::BlockMap;
 use crate::error::FsError;
 use crate::fak::FileAccessKey;
 use crate::fs::StegFs;
+use crate::sharded_map::ShardedBlockMap;
 
 /// Kind of object a directory entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +167,7 @@ impl HiddenDirectory {
     pub fn store<D: BlockDevice>(
         &self,
         fs: &StegFs<D>,
-        map: &mut BlockMap,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
     ) -> Result<(), FsError> {
@@ -255,21 +255,21 @@ mod tests {
     #[test]
     fn store_and_load_through_the_fs() {
         let dev = MemDevice::new(512, 512);
-        let (fs, mut map) =
+        let (fs, map) =
             StegFs::format(dev, StegFsConfig::default().with_block_size(512), 7).unwrap();
         let dir_fak = FileAccessKey::from_passphrase("alice-root-dir");
 
         let mut dir = HiddenDirectory::new();
         dir.insert(entry("salary.db", EntryKind::File, "alice-salary"));
         dir.insert(entry("decoy1", EntryKind::Dummy, "alice-decoy1"));
-        dir.store(&fs, &mut map, "/alice", &dir_fak).unwrap();
+        dir.store(&fs, &map, "/alice", &dir_fak).unwrap();
 
         let loaded = HiddenDirectory::load(&fs, &dir_fak, "/alice").unwrap();
         assert_eq!(loaded, dir);
 
         // The child FAK derived from the directory entry opens the child.
         let child_fak = loaded.lookup("salary.db").unwrap().fak();
-        fs.create_file(&mut map, "/alice/salary.db", &child_fak, b"salaries")
+        fs.create_file(&map, "/alice/salary.db", &child_fak, b"salaries")
             .unwrap();
         let child = fs.open_file(&child_fak, "/alice/salary.db").unwrap();
         assert_eq!(fs.read_file(&child).unwrap(), b"salaries");
@@ -278,11 +278,11 @@ mod tests {
     #[test]
     fn wrong_fak_cannot_load_directory() {
         let dev = MemDevice::new(512, 512);
-        let (fs, mut map) =
+        let (fs, map) =
             StegFs::format(dev, StegFsConfig::default().with_block_size(512), 7).unwrap();
         let dir_fak = FileAccessKey::from_passphrase("owner");
         HiddenDirectory::new()
-            .store(&fs, &mut map, "/d", &dir_fak)
+            .store(&fs, &map, "/d", &dir_fak)
             .unwrap();
         let wrong = FileAccessKey::from_passphrase("attacker");
         assert!(HiddenDirectory::load(&fs, &wrong, "/d").is_err());

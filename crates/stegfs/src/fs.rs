@@ -8,7 +8,7 @@
 //! evaluation. The access-hiding behaviour is layered on top by the
 //! `steghide` agent (updates) and `stegfs-oblivious` (reads).
 //!
-//! Block allocation is delegated to the caller through a [`BlockMap`]: the
+//! Block allocation is delegated to the caller through a [`ShardedBlockMap`]: the
 //! map is the *agent's* knowledge, not the volume's (the volume must not
 //! record which blocks are live).
 
@@ -17,12 +17,13 @@ use parking_lot::Mutex;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HashDrbg;
 
-use crate::blockmap::{BlockClass, BlockMap, ClassMap};
+use crate::blockmap::BlockClass;
 use crate::codec::BlockCodec;
 use crate::error::FsError;
 use crate::fak::FileAccessKey;
 use crate::header::{FileHeader, FileKind, HeaderCaps};
 use crate::layout::{Superblock, DEFAULT_BLOCK_SIZE, SUPERBLOCK_BLOCK};
+use crate::sharded_map::{ShardedBlockMap, DEFAULT_MAP_SHARDS};
 
 /// Configuration for formatting a volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +122,11 @@ pub struct StegFs<D> {
 impl<D: BlockDevice> StegFs<D> {
     /// Format `device` as a fresh steganographic volume and return the
     /// mounted file system together with the agent's (all-dummy) block map.
-    pub fn format(device: D, cfg: StegFsConfig, seed: u64) -> Result<(Self, BlockMap), FsError> {
+    pub fn format(
+        device: D,
+        cfg: StegFsConfig,
+        seed: u64,
+    ) -> Result<(Self, ShardedBlockMap), FsError> {
         let block_size = cfg.block_size;
         assert_eq!(
             block_size,
@@ -164,7 +169,7 @@ impl<D: BlockDevice> StegFs<D> {
             probe_limit: cfg.header_probe_limit,
             rng: Mutex::new(rng),
         };
-        let map = BlockMap::new_all_dummy(num_blocks);
+        let map = ShardedBlockMap::new_all_dummy(num_blocks, DEFAULT_MAP_SHARDS);
         Ok((fs, map))
     }
 
@@ -239,11 +244,6 @@ impl<D: BlockDevice> StegFs<D> {
         len.div_ceil(self.content_bytes_per_block() as u64).max(1)
     }
 
-    /// Draw a uniformly random payload block number.
-    pub fn random_payload_block(&self) -> BlockId {
-        1 + self.rng.lock().gen_range(self.superblock.payload_blocks())
-    }
-
     /// Run `f` with the file system's RNG.
     pub fn with_rng<R>(&self, f: impl FnOnce(&mut HashDrbg) -> R) -> R {
         f(&mut self.rng.lock())
@@ -253,17 +253,15 @@ impl<D: BlockDevice> StegFs<D> {
     /// `map` classifies as dummy, marking them as data. Mirrors the paper's
     /// "scattered across the storage space" placement.
     ///
-    /// Generic over [`ClassMap`]: sequential callers pass `&mut BlockMap`,
-    /// the concurrent serving layer passes `&mut &ShardedBlockMap`, whose
-    /// atomic [`ClassMap::claim`] keeps two allocators from marking the same
-    /// block. The up-front space check is only advisory on a shared map
-    /// (other threads may drain the pool mid-loop — the concurrent agent
-    /// therefore runs creation under its structural write lock), so the loop
-    /// also re-checks the pool on every failed claim and rolls back instead
-    /// of spinning forever once it empties.
-    pub fn allocate_blocks<M: ClassMap>(
+    /// The map's atomic [`ShardedBlockMap::claim`] keeps two allocators from
+    /// marking the same block. The up-front space check is only advisory on
+    /// a shared map (other threads may drain the pool mid-loop — the agents
+    /// therefore run creation under their structural write lock), so the
+    /// loop also re-checks the pool on every failed claim and rolls back
+    /// instead of spinning forever once it empties.
+    pub fn allocate_blocks(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         count: u64,
     ) -> Result<Vec<BlockId>, FsError> {
         if map.dummy_blocks() < count {
@@ -301,11 +299,7 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Release blocks back to the dummy pool, refilling them with random
     /// bytes so they are indistinguishable from never-used blocks.
-    pub fn release_blocks<M: ClassMap>(
-        &self,
-        map: &mut M,
-        blocks: &[BlockId],
-    ) -> Result<(), FsError> {
+    pub fn release_blocks(&self, map: &ShardedBlockMap, blocks: &[BlockId]) -> Result<(), FsError> {
         let mut rng = self.rng.lock();
         for &b in blocks {
             self.codec.write_random(&self.device, b, &mut rng)?;
@@ -328,9 +322,9 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Create a hidden file at `path` with the given content.
-    pub fn create_file<M: ClassMap>(
+    pub fn create_file(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
         content: &[u8],
@@ -353,9 +347,9 @@ impl<D: BlockDevice> StegFs<D> {
     /// and timing behaviour of subsequent reads and updates is identical to a
     /// fully written file, so the benchmark harness uses this to set up large
     /// populations quickly; real deployments use [`StegFs::create_file`].
-    pub fn create_file_sparse<M: ClassMap>(
+    pub fn create_file_sparse(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
         size: u64,
@@ -368,9 +362,9 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Create a dummy file of `num_blocks` content blocks at `path`. Its
     /// content blocks are filled with random bytes; only the header is real.
-    pub fn create_dummy_file<M: ClassMap>(
+    pub fn create_dummy_file(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
         num_blocks: u64,
@@ -383,9 +377,9 @@ impl<D: BlockDevice> StegFs<D> {
     /// being filled with fresh random bytes. On a properly formatted volume
     /// the blocks already contain random data, so this is equivalent to
     /// [`StegFs::create_dummy_file`] but much faster for benchmark set-up.
-    pub fn create_dummy_file_sparse<M: ClassMap>(
+    pub fn create_dummy_file_sparse(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
         num_blocks: u64,
@@ -394,9 +388,9 @@ impl<D: BlockDevice> StegFs<D> {
         self.create_inner(map, path, fak, FileKind::Dummy, size, ContentInit::Skip)
     }
 
-    fn create_inner<M: ClassMap>(
+    fn create_inner(
         &self,
-        map: &mut M,
+        map: &ShardedBlockMap,
         path: &str,
         fak: &FileAccessKey,
         kind: FileKind,
@@ -413,7 +407,7 @@ impl<D: BlockDevice> StegFs<D> {
 
         // Find a header slot: the first probe position not already holding
         // live data. Blocks the agent has not classified (`Unknown`, which
-        // only the volatile agent ever has) are accepted too — placing a
+        // only a Construction 2 agent ever has) are accepted too — placing a
         // header there carries the same overwrite risk as in the original
         // StegFS, where the agent simply cannot know about files whose owners
         // are not logged in.
@@ -542,7 +536,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// Register an open file's blocks in the agent's block map — what the
     /// volatile agent does when a user logs on and discloses a FAK
     /// (Section 4.2.2).
-    pub fn register_file<M: ClassMap>(&self, map: &mut M, file: &OpenFile) {
+    pub fn register_file(&self, map: &ShardedBlockMap, file: &OpenFile) {
         let class = if file.is_dummy() {
             // Dummy-file content blocks may be reused for data and are valid
             // dummy-update targets.
@@ -656,7 +650,7 @@ impl<D: BlockDevice> StegFs<D> {
     /// anywhere later strands only unreachable sealed blocks, which are
     /// indistinguishable from free space and simply rejoin the dummy pool at
     /// the next format-level accounting.
-    pub fn delete_file<M: ClassMap>(&self, map: &mut M, file: OpenFile) -> Result<(), FsError> {
+    pub fn delete_file(&self, map: &ShardedBlockMap, file: OpenFile) -> Result<(), FsError> {
         let blocks = file.all_blocks();
         self.release_blocks(map, &blocks)
     }
@@ -730,7 +724,7 @@ mod tests {
     use super::*;
     use stegfs_blockdev::{BlockDeviceExt, MemDevice};
 
-    fn small_fs() -> (StegFs<MemDevice>, BlockMap) {
+    fn small_fs() -> (StegFs<MemDevice>, ShardedBlockMap) {
         let dev = MemDevice::new(512, 512);
         StegFs::format(dev, StegFsConfig::default().with_block_size(512), 42).unwrap()
     }
@@ -756,11 +750,11 @@ mod tests {
 
     #[test]
     fn create_read_roundtrip() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("alice");
         let content: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
         let file = fs
-            .create_file(&mut map, "/secret/report", &fak, &content)
+            .create_file(&map, "/secret/report", &fak, &content)
             .unwrap();
         assert_eq!(fs.read_file(&file).unwrap(), content);
 
@@ -772,9 +766,9 @@ mod tests {
 
     #[test]
     fn wrong_key_or_path_finds_nothing() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("alice");
-        fs.create_file(&mut map, "/secret", &fak, b"data").unwrap();
+        fs.create_file(&map, "/secret", &fak, b"data").unwrap();
 
         let wrong_key = FileAccessKey::from_passphrase("mallory");
         assert_eq!(
@@ -789,30 +783,30 @@ mod tests {
 
     #[test]
     fn empty_file_roundtrip() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
-        let file = fs.create_file(&mut map, "/empty", &fak, b"").unwrap();
+        let file = fs.create_file(&map, "/empty", &fak, b"").unwrap();
         assert_eq!(fs.read_file(&file).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
     fn multi_block_file_with_exact_boundary() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
         let per = fs.content_bytes_per_block();
         let content = vec![0xabu8; per * 3];
-        let file = fs.create_file(&mut map, "/exact", &fak, &content).unwrap();
+        let file = fs.create_file(&map, "/exact", &fak, &content).unwrap();
         assert_eq!(file.num_content_blocks(), 3);
         assert_eq!(fs.read_file(&file).unwrap(), content);
     }
 
     #[test]
     fn in_place_update_changes_content() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
         let per = fs.content_bytes_per_block();
         let content = vec![1u8; per * 2];
-        let mut file = fs.create_file(&mut map, "/f", &fak, &content).unwrap();
+        let mut file = fs.create_file(&map, "/f", &fak, &content).unwrap();
         let new_block = vec![9u8; per];
         fs.write_content_block(&mut file, 1, &new_block).unwrap();
         let read = fs.read_file(&file).unwrap();
@@ -822,9 +816,9 @@ mod tests {
 
     #[test]
     fn dummy_file_reads_are_random_bytes() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("dummy-owner").without_content_key();
-        let file = fs.create_dummy_file(&mut map, "/decoy", &fak, 2).unwrap();
+        let file = fs.create_dummy_file(&map, "/decoy", &fak, 2).unwrap();
         assert!(file.is_dummy());
         let bytes = fs.read_content_block(&file, 0).unwrap();
         assert!(bytes.iter().any(|&b| b != 0));
@@ -835,10 +829,10 @@ mod tests {
 
     #[test]
     fn deniability_wrong_content_key_still_opens_header() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("owner");
         let content = vec![0x33u8; 800];
-        fs.create_file(&mut map, "/real", &fak, &content).unwrap();
+        fs.create_file(&map, "/real", &fak, &content).unwrap();
 
         // The coerced owner reveals the header key but a wrong content key.
         let decoy = fak.with_wrong_content_key();
@@ -853,9 +847,9 @@ mod tests {
 
     #[test]
     fn allocation_respects_block_map_and_space() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let total_dummy = map.dummy_blocks();
-        let allocated = fs.allocate_blocks(&mut map, 10).unwrap();
+        let allocated = fs.allocate_blocks(&map, 10).unwrap();
         assert_eq!(allocated.len(), 10);
         assert_eq!(map.dummy_blocks(), total_dummy - 10);
         // All distinct and marked data.
@@ -869,21 +863,19 @@ mod tests {
         // Requesting more than available fails.
         let too_many = map.dummy_blocks() + 1;
         assert!(matches!(
-            fs.allocate_blocks(&mut map, too_many),
+            fs.allocate_blocks(&map, too_many),
             Err(FsError::NoSpace { .. })
         ));
     }
 
     #[test]
     fn delete_returns_blocks_to_dummy_pool() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
         let before = map.dummy_blocks();
-        let file = fs
-            .create_file(&mut map, "/f", &fak, &vec![5u8; 2000])
-            .unwrap();
+        let file = fs.create_file(&map, "/f", &fak, &vec![5u8; 2000]).unwrap();
         assert!(map.dummy_blocks() < before);
-        fs.delete_file(&mut map, file).unwrap();
+        fs.delete_file(&map, file).unwrap();
         assert_eq!(map.dummy_blocks(), before);
         // The file can no longer be opened.
         assert_eq!(fs.open_file(&fak, "/f").unwrap_err(), FsError::NoSuchFile);
@@ -891,32 +883,30 @@ mod tests {
 
     #[test]
     fn register_file_rebuilds_map_after_remount() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
         let content = vec![1u8; 1500];
-        let created = fs.create_file(&mut map, "/f", &fak, &content).unwrap();
+        let created = fs.create_file(&map, "/f", &fak, &content).unwrap();
         let expected_data = map.data_blocks();
 
         // Simulate an agent restart: a fresh, all-unknown map.
-        let mut fresh = BlockMap::new_unknown(fs.superblock().num_blocks);
+        let fresh = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, 4);
         assert_eq!(fresh.data_blocks(), 0);
         let reopened = fs.open_file(&fak, "/f").unwrap();
-        fs.register_file(&mut fresh, &reopened);
+        fs.register_file(&fresh, &reopened);
         assert_eq!(fresh.data_blocks(), expected_data);
         assert_eq!(reopened.all_blocks().len(), created.all_blocks().len());
     }
 
     #[test]
     fn two_files_do_not_collide() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let alice = FileAccessKey::from_passphrase("alice");
         let bob = FileAccessKey::from_passphrase("bob");
         let a = fs
-            .create_file(&mut map, "/a", &alice, &vec![1u8; 2000])
+            .create_file(&map, "/a", &alice, &vec![1u8; 2000])
             .unwrap();
-        let b = fs
-            .create_file(&mut map, "/b", &bob, &vec![2u8; 2000])
-            .unwrap();
+        let b = fs.create_file(&map, "/b", &bob, &vec![2u8; 2000]).unwrap();
         let mut all: Vec<u64> = a.all_blocks();
         all.extend(b.all_blocks());
         let len = all.len();
@@ -929,10 +919,10 @@ mod tests {
 
     #[test]
     fn reseal_preserves_file_content() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
         let content = vec![0x77u8; 900];
-        let file = fs.create_file(&mut map, "/f", &fak, &content).unwrap();
+        let file = fs.create_file(&map, "/f", &fak, &content).unwrap();
         for &b in &file.header.blocks {
             fs.reseal_block(b, fak.content_key().unwrap()).unwrap();
         }
@@ -958,9 +948,9 @@ mod tests {
 
     #[test]
     fn out_of_bounds_block_index() {
-        let (fs, mut map) = small_fs();
+        let (fs, map) = small_fs();
         let fak = FileAccessKey::from_passphrase("k");
-        let mut file = fs.create_file(&mut map, "/f", &fak, b"tiny").unwrap();
+        let mut file = fs.create_file(&map, "/f", &fak, b"tiny").unwrap();
         assert!(matches!(
             fs.read_content_block(&file, 5),
             Err(FsError::OutOfBounds { .. })
@@ -975,7 +965,7 @@ mod tests {
     fn large_file_uses_indirect_blocks() {
         // Use a small block size so indirect blocks kick in quickly.
         let dev = MemDevice::new(2048, 512);
-        let (fs, mut map) = StegFs::format(
+        let (fs, map) = StegFs::format(
             dev,
             StegFsConfig::default().with_block_size(512).without_fill(),
             9,
@@ -985,7 +975,7 @@ mod tests {
         let per = fs.content_bytes_per_block();
         let blocks_needed = fs.caps().direct + 5;
         let content: Vec<u8> = (0..per * blocks_needed).map(|i| (i % 256) as u8).collect();
-        let file = fs.create_file(&mut map, "/big", &fak, &content).unwrap();
+        let file = fs.create_file(&map, "/big", &fak, &content).unwrap();
         assert!(!file.indirect_locations.is_empty());
         let reopened = fs.open_file(&fak, "/big").unwrap();
         assert_eq!(fs.read_file(&reopened).unwrap(), content);

@@ -17,9 +17,11 @@
 //!   and path name — without the FAK the file cannot be found, with it the
 //!   whole tree can be recovered;
 //! * **dummy files** — headers marked as dummies whose content blocks carry
-//!   only random bytes, handed to users of the volatile-agent construction;
-//! * a **block classification map** ([`BlockMap`]) giving the agent's view of
-//!   which physical blocks hold data versus dummy bytes;
+//!   only random bytes, handed to users under Construction 2;
+//! * one **block classification map** ([`ShardedBlockMap`]) giving the
+//!   agent's view of which physical blocks hold data versus dummy bytes —
+//!   shared by reference, with atomic claims, and persisted in a 2-bit wire
+//!   format;
 //! * **hidden directories** ([`dir::HiddenDirectory`]) mapping names to FAKs.
 //!
 //! The access-hiding mechanisms themselves (dummy updates, Figure 6
@@ -41,7 +43,7 @@ pub mod header;
 pub mod layout;
 mod sharded_map;
 
-pub use blockmap::{BlockClass, BlockMap, ClassMap};
+pub use blockmap::BlockClass;
 pub use codec::BlockCodec;
 pub use error::FsError;
 pub use fak::FileAccessKey;

@@ -1,20 +1,18 @@
-//! A lock-decomposed block classification map for the concurrent serving
-//! layer.
+//! The agent's block classification map.
 //!
-//! The scalar [`BlockMap`] forces `&mut self` on every reclassification, which
-//! serialises all users behind one borrow. [`ShardedBlockMap`] splits the map
-//! into `N` shards keyed by `block_id % N`, each behind its own
-//! `parking_lot::RwLock`, so classifications and reclassifications on
+//! [`ShardedBlockMap`] splits the map into `N` shards keyed by
+//! `block_id % N`, each behind its own `parking_lot::RwLock`, so every
+//! operation takes `&self` and classifications and reclassifications on
 //! different shards proceed in parallel. Per-class counters are map-global
 //! relaxed atomics maintained alongside the class changes, so
 //! [`ShardedBlockMap::data_blocks`] (and the utilisation the Figure 6 loop
 //! depends on) is a single lock-free load — it never takes a shard lock and
 //! never sweeps a class vector.
 //!
-//! The map is observationally equivalent to the scalar map — the
-//! `sharded_equivalence` proptest drives both through identical operation
-//! sequences and requires identical `class()` / `data_blocks()` /
-//! `utilisation()` results.
+//! The shard count is invisible to everything but contention: the
+//! `sharded_equivalence` proptest drives maps of 1–32 shards and a plain
+//! `Vec<BlockClass>` through identical operation sequences and requires
+//! identical `class()` / `data_blocks()` / `utilisation()` results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,7 +20,7 @@ use parking_lot::RwLock;
 
 use stegfs_blockdev::BlockId;
 
-use crate::blockmap::{BlockClass, BlockMap, ClassMap};
+use crate::blockmap::{decode_classes, encode_classes, BlockClass};
 
 /// Default shard count: enough to spread an 8–32-thread serving layer with
 /// negligible per-shard memory overhead.
@@ -35,21 +33,12 @@ struct Shard {
     classes: Vec<BlockClass>,
 }
 
-fn class_index(class: BlockClass) -> usize {
-    match class {
-        BlockClass::Reserved => 0,
-        BlockClass::Data => 1,
-        BlockClass::Dummy => 2,
-        BlockClass::Unknown => 3,
-    }
-}
-
 /// A sharded map from physical block number to [`BlockClass`], safe to share
 /// across threads by reference.
 #[derive(Debug)]
 pub struct ShardedBlockMap {
     shards: Vec<RwLock<Shard>>,
-    /// Map-global per-class counts indexed by [`class_index`]. Updated with
+    /// Map-global per-class counts indexed by class. Updated with
     /// relaxed RMWs *while the owning shard's write lock is held* (so each
     /// class change is paired with its counter transfer), read with relaxed
     /// loads and **no** shard lock: `data_blocks()` / `utilisation()` on the
@@ -74,10 +63,10 @@ impl ShardedBlockMap {
             })
             .collect();
         let counts: [AtomicU64; 4] = Default::default();
-        counts[class_index(fill)].store(num_blocks, Ordering::Relaxed);
+        counts[fill.index()].store(num_blocks, Ordering::Relaxed);
         if num_blocks > 0 {
-            counts[class_index(fill)].fetch_sub(1, Ordering::Relaxed);
-            counts[class_index(BlockClass::Reserved)].fetch_add(1, Ordering::Relaxed);
+            counts[fill.index()].fetch_sub(1, Ordering::Relaxed);
+            counts[BlockClass::Reserved.index()].fetch_add(1, Ordering::Relaxed);
             shards[0].classes[0] = BlockClass::Reserved;
         }
         Self {
@@ -87,37 +76,50 @@ impl ShardedBlockMap {
         }
     }
 
-    /// All-unknown map (the volatile agent's zero-knowledge start).
+    /// All-unknown map (the Construction 2 agent's zero-knowledge start).
     pub fn new_unknown(num_blocks: u64, num_shards: usize) -> Self {
         Self::new_filled(num_blocks, num_shards, BlockClass::Unknown)
     }
 
-    /// All-dummy map (the non-volatile agent's view of a fresh volume).
+    /// All-dummy map (the view of a freshly formatted volume).
     pub fn new_all_dummy(num_blocks: u64, num_shards: usize) -> Self {
         Self::new_filled(num_blocks, num_shards, BlockClass::Dummy)
     }
 
-    /// Build a sharded map holding the same classification as `map`.
-    pub fn from_scalar(map: &BlockMap, num_shards: usize) -> Self {
-        let sharded = Self::new_filled(map.num_blocks(), num_shards, BlockClass::Unknown);
-        for b in 0..map.num_blocks() {
-            let class = map.class(b);
-            let mut shard = sharded.shards[(b % num_shards as u64) as usize].write();
-            let idx = (b / num_shards as u64) as usize;
-            let old = shard.classes[idx];
-            sharded.transfer_count(old, class);
-            shard.classes[idx] = class;
-        }
-        sharded
-    }
-
-    /// Flatten into a scalar [`BlockMap`] (for serialisation or comparison).
-    pub fn to_scalar(&self) -> BlockMap {
-        let mut map = BlockMap::new_unknown(self.num_blocks);
-        for b in 0..self.num_blocks {
-            map.set(b, self.class(b));
+    fn from_classes(classes: &[BlockClass], num_shards: usize) -> Self {
+        let map = Self::new_filled(classes.len() as u64, num_shards, BlockClass::Unknown);
+        for (b, &class) in classes.iter().enumerate() {
+            map.set(b as BlockId, class);
         }
         map
+    }
+
+    /// Every block's class, block 0 first.
+    fn classes(&self) -> Vec<BlockClass> {
+        (0..self.num_blocks).map(|b| self.class(b)).collect()
+    }
+
+    /// The same classification split over `num_shards` shards — the shard
+    /// count changes contention, nothing else.
+    pub fn with_shards(self, num_shards: usize) -> Self {
+        if num_shards == self.shards.len() {
+            return self;
+        }
+        Self::from_classes(&self.classes(), num_shards)
+    }
+
+    /// Serialize to the compact persisted form (2 bits per block) that a
+    /// Construction 1 agent keeps beside its key. The shard count is not
+    /// part of the format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        encode_classes(&self.classes())
+    }
+
+    /// Reconstruct a map (over [`DEFAULT_MAP_SHARDS`] shards) from
+    /// [`ShardedBlockMap::to_bytes`] output; `None` for anything that is not
+    /// exactly one well-formed map.
+    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        decode_classes(bytes).map(|classes| Self::from_classes(&classes, DEFAULT_MAP_SHARDS))
     }
 
     /// Number of shards.
@@ -131,7 +133,7 @@ impl ShardedBlockMap {
     }
 
     /// The shard index responsible for `block` — the same decomposition the
-    /// concurrent agent uses for its per-shard update locks.
+    /// agents use for their per-shard update locks.
     pub fn shard_of(&self, block: BlockId) -> usize {
         (block % self.shards.len() as u64) as usize
     }
@@ -148,8 +150,8 @@ impl ShardedBlockMap {
     /// class change it mirrors; relaxed is enough because readers only ever
     /// sum the counters, never use them to synchronise.
     fn transfer_count(&self, from: BlockClass, to: BlockClass) {
-        self.counts[class_index(from)].fetch_sub(1, Ordering::Relaxed);
-        self.counts[class_index(to)].fetch_add(1, Ordering::Relaxed);
+        self.counts[from.index()].fetch_sub(1, Ordering::Relaxed);
+        self.counts[to.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reclassify `block` through a shared reference.
@@ -184,7 +186,7 @@ impl ShardedBlockMap {
     }
 
     fn count_of(&self, class: BlockClass) -> u64 {
-        self.counts[class_index(class)].load(Ordering::Relaxed)
+        self.counts[class.index()].load(Ordering::Relaxed)
     }
 
     /// Number of data blocks — one relaxed atomic load, no shard lock. Exact
@@ -211,7 +213,9 @@ impl ShardedBlockMap {
         self.count_of(BlockClass::Reserved)
     }
 
-    /// Space utilisation, same definition as [`BlockMap::utilisation`].
+    /// Space utilisation as the paper defines it: fraction of the payload
+    /// blocks that hold data. (`D/N` complement; Section 4.1.5 expresses the
+    /// update overhead as `N/D` where `D` is the number of dummy blocks.)
     pub fn utilisation(&self) -> f64 {
         let payload = self.num_blocks.saturating_sub(1);
         if payload == 0 {
@@ -247,7 +251,7 @@ impl ShardedBlockMap {
         for shard in &self.shards {
             let shard = shard.read();
             for &c in &shard.classes {
-                totals[class_index(c)] += 1;
+                totals[c.index()] += 1;
             }
         }
         let cached: Vec<u64> = self
@@ -259,35 +263,6 @@ impl ShardedBlockMap {
     }
 }
 
-/// `&ShardedBlockMap` satisfies the map interface of the file-system paths:
-/// a concurrent caller hands `&mut &sharded` where a sequential caller hands
-/// `&mut scalar`.
-impl ClassMap for &ShardedBlockMap {
-    fn num_blocks(&self) -> u64 {
-        ShardedBlockMap::num_blocks(self)
-    }
-
-    fn class(&self, block: BlockId) -> BlockClass {
-        ShardedBlockMap::class(self, block)
-    }
-
-    fn set(&mut self, block: BlockId, class: BlockClass) {
-        ShardedBlockMap::set(self, block, class)
-    }
-
-    fn claim(&mut self, block: BlockId, from: BlockClass, to: BlockClass) -> bool {
-        ShardedBlockMap::claim(self, block, from, to)
-    }
-
-    fn data_blocks(&self) -> u64 {
-        ShardedBlockMap::data_blocks(self)
-    }
-
-    fn dummy_blocks(&self) -> u64 {
-        ShardedBlockMap::dummy_blocks(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +270,7 @@ mod tests {
     #[test]
     fn new_all_dummy_matches_scalar_counts() {
         let sharded = ShardedBlockMap::new_all_dummy(100, 7);
-        let scalar = BlockMap::new_all_dummy(100);
+        let scalar = ShardedBlockMap::new_all_dummy(100, 1);
         assert_eq!(sharded.num_blocks(), 100);
         assert_eq!(sharded.num_shards(), 7);
         assert_eq!(sharded.class(0), BlockClass::Reserved);
@@ -326,7 +301,7 @@ mod tests {
     #[test]
     fn utilisation_matches_scalar_definition() {
         let sharded = ShardedBlockMap::new_all_dummy(101, 8);
-        let mut scalar = BlockMap::new_all_dummy(101);
+        let scalar = ShardedBlockMap::new_all_dummy(101, 1);
         for b in 1..=25 {
             sharded.set(b, BlockClass::Data);
             scalar.set(b, BlockClass::Data);
@@ -346,16 +321,24 @@ mod tests {
 
     #[test]
     fn scalar_roundtrip_preserves_classes() {
-        let mut scalar = BlockMap::new_all_dummy(50);
-        scalar.set(5, BlockClass::Data);
-        scalar.set(11, BlockClass::Unknown);
-        scalar.set(49, BlockClass::Data);
-        let sharded = ShardedBlockMap::from_scalar(&scalar, 6);
-        for b in 0..50 {
-            assert_eq!(sharded.class(b), scalar.class(b), "block {b}");
-        }
-        assert_eq!(sharded.to_scalar(), scalar);
-        assert!(sharded.counters_are_consistent());
+        // Through the one-shard layout and back: resharding moves every
+        // block to a different (shard, slot) and must lose nothing.
+        let sharded = ShardedBlockMap::new_all_dummy(50, 6);
+        sharded.set(5, BlockClass::Data);
+        sharded.set(11, BlockClass::Unknown);
+        sharded.set(49, BlockClass::Data);
+        let bytes = sharded.to_bytes();
+        let scalar = sharded.with_shards(1);
+        assert_eq!(scalar.num_shards(), 1);
+        assert_eq!(scalar.to_bytes(), bytes);
+        assert!(scalar.counters_are_consistent());
+        let back = scalar.with_shards(6);
+        assert_eq!(back.num_shards(), 6);
+        assert_eq!(back.class(5), BlockClass::Data);
+        assert_eq!(back.class(11), BlockClass::Unknown);
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.data_blocks(), 2);
+        assert!(back.counters_are_consistent());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 use stegfs_repro::analysis::UpdateAnalysisAttacker;
 use stegfs_repro::blockdev::Snapshot;
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::StegFsConfig;
-use stegfs_repro::steghide::{AgentConfig, NonVolatileAgent};
+use stegfs_repro::stegfs::{StegFsConfig, DEFAULT_MAP_SHARDS};
 
 /// One employee row of the toy salary table.
 fn salary_row(name: &str, salary: u64) -> Vec<u8> {
@@ -29,12 +28,13 @@ fn run_scenario(relocate: bool) -> (bool, f64, usize) {
         AgentConfig::default().without_relocation()
     };
     let volume_blocks = 4096u64;
-    let mut agent = NonVolatileAgent::format(
+    let agent = ConcurrentAgent::format(
         MemDevice::new(volume_blocks, 4096),
         StegFsConfig::default(),
         cfg,
         Key256::from_passphrase("dbms agent"),
         42,
+        DEFAULT_MAP_SHARDS,
     )
     .expect("format");
 
@@ -66,7 +66,7 @@ fn run_scenario(relocate: bool) -> (bool, f64, usize) {
             block[offset..offset + row_bytes.len()].copy_from_slice(&row_bytes);
             agent.update_block(file, 0, &block).expect("update row");
         }
-        agent.dummy_updates(5).expect("dummy updates");
+        agent.dummy_update_batch(5).expect("dummy updates");
         let after = Snapshot::capture(agent.fs().device()).expect("snapshot");
         attacker.observe_diff(&before.diff(&after));
         before = after;

@@ -1,5 +1,5 @@
-//! Million-user scale: the persistent sharded registry and the concurrent
-//! volatile agent.
+//! Million-user scale: the persistent sharded registry and the Construction 2
+//! agent under login churn.
 //!
 //! Run with `cargo run --release --example million_user_registry`.
 //!
@@ -11,7 +11,7 @@
 //!    serves a churn of lookups with memory bounded by the *active* users,
 //!    not the registered population.
 //! 2. A provisioned volume is served by `ConcurrentVolatileAgent`
-//!    (Construction 2 under lock decomposition): sessions log in, disclose
+//!    (Construction 2): sessions log in, disclose
 //!    their files, update through the relocate-on-write path, and log out —
 //!    after which the agent provably knows nothing again.
 
@@ -83,10 +83,10 @@ fn main() {
         users as usize / peak.max(1)
     );
 
-    // ---- 2. The concurrent volatile agent. ----
+    // ---- 2. The Construction 2 agent. ----
     // Provision two users, each with a data file and a dummy file whose
     // blocks donate relocation targets while the user is logged in.
-    let mut setup = VolatileAgent::format(
+    let setup = ConcurrentVolatileAgent::format(
         MemDevice::new(2048, 4096),
         StegFsConfig::default(),
         AgentConfig::default(),

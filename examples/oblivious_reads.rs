@@ -21,13 +21,13 @@ fn main() {
     // ---- A StegFS partition holding one hidden file. ----------------------
     let steg_log = TraceLog::new();
     let steg_device = TracingDevice::with_log(MemDevice::new(2048, BLOCK_SIZE), steg_log.clone());
-    let (fs, mut map) =
+    let (fs, map) =
         StegFs::format(steg_device, StegFsConfig::default(), 5).expect("format partition");
     let fak = FileAccessKey::from_passphrase("analyst");
     let per = fs.content_bytes_per_block();
     let content: Vec<u8> = (0..per * 200).map(|i| (i % 251) as u8).collect();
     let file = fs
-        .create_file(&mut map, "/warehouse/fact_table", &fak, &content)
+        .create_file(&map, "/warehouse/fact_table", &fak, &content)
         .expect("create file");
 
     // ---- An oblivious store + read front over that partition. -------------

@@ -1,8 +1,8 @@
-//! Plausible deniability with the volatile agent (Construction 2).
+//! Plausible deniability under Construction 2 (the paper's StegHide).
 //!
 //! Run with `cargo run --release --example plausible_deniability`.
 //!
-//! The volatile agent keeps no persistent secrets: Alice owns the keys to
+//! The agent keeps no persistent secrets: Alice owns the keys to
 //! both her real files and her decoy (dummy) files and discloses them only at
 //! login. If she is later coerced, she can hand over the dummy files' keys —
 //! or even a real header key paired with a wrong content key — and nothing
@@ -10,13 +10,12 @@
 
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
-use stegfs_repro::steghide::{AgentConfig, UserCredential, VolatileAgent};
 
 fn main() {
     let fs_cfg = StegFsConfig::default();
 
     // ---- Provisioning phase (before the system goes live). ----------------
-    let mut setup = VolatileAgent::format(
+    let setup = ConcurrentVolatileAgent::format(
         MemDevice::new(16 * 1024, 4096),
         fs_cfg,
         AgentConfig::default(),
@@ -36,11 +35,11 @@ fn main() {
 
     // ---- The agent restarts: it now knows nothing at all. -----------------
     let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 99)
+    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 99, 8)
         .expect("mount with zero knowledge");
     println!(
         "agent restarted: knows about {} blocks",
-        agent.block_map().data_blocks()
+        agent.map().data_blocks()
     );
 
     // ---- Alice logs in, disclosing both her real and her decoy files. -----
@@ -63,7 +62,7 @@ fn main() {
     agent
         .update_block(session, files[0], 0, &vec![b'-'; per])
         .expect("redact first page");
-    agent.tick_idle().expect("dummy updates");
+    agent.dummy_update_batch(4).expect("dummy updates");
     agent.logout(session).expect("logout");
     println!("alice logged out: the agent forgot every key and block location");
 

@@ -2,15 +2,15 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 //!
-//! This walks through the non-volatile agent (the paper's Construction 1,
-//! "StegHide*"): every block of the volume is encrypted under the agent's
+//! This walks through the Construction 1 agent (the paper's "StegHide*"):
+//! every block of the volume is encrypted under the agent's
 //! key, user secrets only determine where file headers live, data updates
 //! relocate blocks to uniformly random positions, and idle time is filled
 //! with dummy updates.
 
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::StegFsConfig;
-use stegfs_repro::steghide::{AgentConfig, NonVolatileAgent, UpdateOutcome};
+use stegfs_repro::stegfs::{StegFsConfig, DEFAULT_MAP_SHARDS};
+use stegfs_repro::steghide::UpdateOutcome;
 
 fn main() {
     // A 64 MB in-memory volume of 4 KB blocks. Swap in `FileDevice` for a
@@ -18,14 +18,16 @@ fn main() {
     let device = MemDevice::new(16 * 1024, 4096);
 
     // The agent's persistent secret (Construction 1 keeps this in the agent's
-    // non-volatile memory).
+    // non-volatile memory). Every method takes `&self`: share the agent
+    // across as many serving threads as there are users.
     let agent_key = Key256::from_passphrase("agent: keep this in the HSM");
-    let mut agent = NonVolatileAgent::format(
+    let agent = ConcurrentAgent::format(
         device,
         StegFsConfig::default(),
         AgentConfig::default(),
         agent_key,
         0xC0FFEE,
+        DEFAULT_MAP_SHARDS,
     )
     .expect("format volume");
 
@@ -56,8 +58,8 @@ fn main() {
     }
 
     // Idle-time dummy updates: random blocks get re-encrypted under fresh IVs.
-    let touched = agent.tick_idle().expect("dummy updates");
-    println!("idle tick re-encrypted block(s) {touched:?} — contents unchanged");
+    let touched = agent.dummy_update_batch(4).expect("dummy updates");
+    println!("idle time re-encrypted blocks {touched:?} — contents unchanged");
 
     // Reading back returns the updated content.
     let read = agent.read_file(file).expect("read");

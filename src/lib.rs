@@ -8,8 +8,9 @@
 //! single dependency. Library users should normally depend on the individual
 //! crates instead:
 //!
-//! * [`steghide`] — the paper's primary contribution: the StegHide agent
-//!   (Constructions 1 and 2 of Section 4) that hides data updates.
+//! * [`steghide`] — the paper's primary contribution: the StegHide agents
+//!   (Constructions 1 and 2 of Section 4, two keyings of one Figure 6
+//!   engine) that hide data updates.
 //! * [`stegfs_oblivious`] — the oblivious storage of Section 5 that hides
 //!   read traffic.
 //! * [`stegfs_resilience`] — erasure-coded stripes, the replicated
@@ -48,7 +49,5 @@ pub mod prelude {
     pub use stegfs_resilience::{
         IntentJournal, RegistryConfig, ResilienceConfig, ResilientStore, StripeConfig,
     };
-    pub use steghide::{
-        AgentConfig, ConcurrentVolatileAgent, NonVolatileAgent, UserCredential, VolatileAgent,
-    };
+    pub use steghide::{AgentConfig, ConcurrentAgent, ConcurrentVolatileAgent, UserCredential};
 }

@@ -275,13 +275,13 @@ fn single_thread_reference_run_passes_the_same_audits() {
 }
 
 // ---------------------------------------------------------------------------
-// Construction 2 under storms: the volatile agent's registry is shared by
+// Construction 2 under storms: the agent's registry is shared by
 // every session, and logins/logouts rebuild it while other sessions read and
 // relocate. The satellite invariants: class-counter conservation on the
 // sharded map at every point, and byte-identical read-back of every user's
 // file after the storm.
 
-use steghide::{ConcurrentVolatileAgent, SessionId, UserCredential, VolatileAgent};
+use steghide::{ConcurrentVolatileAgent, SessionId, UserCredential};
 
 const V_USERS: usize = 8;
 const V_ROUNDS: u64 = 12;
@@ -304,7 +304,7 @@ fn volatile_credentials(u: usize) -> Vec<UserCredential> {
 /// Provision a volume with `V_USERS` users (a data and a dummy file each)
 /// and hand it to the zero-knowledge concurrent volatile agent.
 fn build_volatile_system() -> ConcurrentVolatileAgent<MemDevice> {
-    let mut setup = VolatileAgent::format(
+    let setup = ConcurrentVolatileAgent::format(
         MemDevice::new(4096, 512),
         StegFsConfig::default().with_block_size(512),
         AgentConfig::default(),
@@ -409,7 +409,7 @@ fn volatile_agent_survives_login_logout_storms() {
                             // Background cover traffic against whatever is
                             // currently disclosed (possibly nothing, if this
                             // races every other user's logout window).
-                            match agent.dummy_update_once() {
+                            match agent.dummy_update_batch(1) {
                                 Ok(_) | Err(steghide::AgentError::NothingToUpdate) => {}
                                 Err(e) => panic!("dummy update failed: {e:?}"),
                             }

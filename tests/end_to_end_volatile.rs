@@ -1,10 +1,9 @@
-//! End-to-end integration test of the volatile-agent deployment (the paper's
-//! Construction 2): provisioning, agent restart, multi-user sessions,
+//! End-to-end integration test of the Construction 2 deployment (the paper's
+//! StegHide): provisioning, agent restart, multi-user sessions,
 //! updates with relocation, logout and a second restart.
 
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
-use stegfs_repro::steghide::{AgentConfig, UserCredential, VolatileAgent};
 
 const BLOCK_SIZE: usize = 512;
 
@@ -41,7 +40,7 @@ fn credentials(user: &User) -> Vec<UserCredential> {
 #[test]
 fn multi_user_lifecycle_across_restarts() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let mut setup = VolatileAgent::format(
+    let setup = ConcurrentVolatileAgent::format(
         MemDevice::new(4096, BLOCK_SIZE),
         fs_cfg,
         AgentConfig::default(),
@@ -67,8 +66,8 @@ fn multi_user_lifecycle_across_restarts() {
 
     // Restart: the agent now has zero knowledge.
     let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 2).unwrap();
-    assert_eq!(agent.block_map().data_blocks(), 0);
+    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 2, 4).unwrap();
+    assert_eq!(agent.map().data_blocks(), 0);
 
     // All three users log in concurrently; each reads and updates its file
     // while the agent interleaves dummy traffic.
@@ -88,7 +87,7 @@ fn multi_user_lifecycle_across_restarts() {
             .update_block(session, files[0], 1, &new_block)
             .unwrap();
         expected[i][per_block..2 * per_block].copy_from_slice(&new_block);
-        agent.tick_idle().unwrap();
+        agent.dummy_update_batch(1).unwrap();
         assert_eq!(agent.read_file(session, files[0]).unwrap(), expected[i]);
     }
 
@@ -96,12 +95,15 @@ fn multi_user_lifecycle_across_restarts() {
     for &session in &sessions {
         agent.logout(session).unwrap();
     }
-    assert_eq!(agent.block_map().data_blocks(), 0);
-    assert!(agent.tick_idle().is_err(), "nothing left to dummy-update");
+    assert_eq!(agent.map().data_blocks(), 0);
+    assert!(
+        agent.dummy_update_batch(1).is_err(),
+        "nothing left to dummy-update"
+    );
 
     // Second restart, then each user independently verifies its data.
     let device = agent.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 3).unwrap();
+    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 3, 4).unwrap();
     for (user, expected) in users.iter().zip(&expected) {
         let session = agent.login(user.name, &credentials(user)).unwrap();
         let files = agent.session_files(session).unwrap();
@@ -115,7 +117,7 @@ fn multi_user_lifecycle_across_restarts() {
 #[test]
 fn users_cannot_find_each_others_files() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let mut setup = VolatileAgent::format(
+    let setup = ConcurrentVolatileAgent::format(
         MemDevice::new(2048, BLOCK_SIZE),
         fs_cfg,
         AgentConfig::default(),
@@ -128,7 +130,7 @@ fn users_cannot_find_each_others_files() {
         .unwrap();
 
     let device = setup.into_device();
-    let mut agent = VolatileAgent::mount(device, AgentConfig::default(), 6).unwrap();
+    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 6, 4).unwrap();
 
     // Bob guesses Alice's path but has his own key: login fails, and the
     // failure is indistinguishable from the file simply not existing.

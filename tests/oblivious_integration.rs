@@ -17,7 +17,7 @@ fn build_partition() -> (
 ) {
     let log = TraceLog::new();
     let device = TracingDevice::with_log(MemDevice::new(2048, BLOCK_SIZE), log.clone());
-    let (fs, mut map) = StegFs::format(
+    let (fs, map) = StegFs::format(
         device,
         StegFsConfig::default().with_block_size(BLOCK_SIZE),
         9,
@@ -26,7 +26,7 @@ fn build_partition() -> (
     let fak = FileAccessKey::from_passphrase("reader");
     let per = fs.content_bytes_per_block();
     let content: Vec<u8> = (0..per * 40).map(|i| (i % 253) as u8).collect();
-    let file = fs.create_file(&mut map, "/data", &fak, &content).unwrap();
+    let file = fs.create_file(&map, "/data", &fak, &content).unwrap();
     (fs, file, log, content)
 }
 

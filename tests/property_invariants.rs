@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
-use stegfs_repro::steghide::{AgentConfig, NonVolatileAgent};
 
 const BLOCK_SIZE: usize = 512;
 
@@ -36,12 +35,13 @@ proptest! {
     /// updates and header save/reopen cycles.
     #[test]
     fn agent_matches_in_memory_model(ops in proptest::collection::vec(agent_op(), 1..40)) {
-        let mut agent = NonVolatileAgent::format(
+        let agent = ConcurrentAgent::format(
             MemDevice::new(1024, BLOCK_SIZE),
             StegFsConfig::default().with_block_size(BLOCK_SIZE).without_fill(),
             AgentConfig::default(),
             Key256::from_passphrase("prop agent"),
             7,
+            4,
         ).unwrap();
         let user = Key256::from_passphrase("prop user");
         let per = agent.fs().content_bytes_per_block();
@@ -62,7 +62,7 @@ proptest! {
                     model[block as usize] = payload;
                 }
                 AgentOp::DummyUpdates { count } => {
-                    agent.dummy_updates(count as u64).unwrap();
+                    agent.dummy_update_batch(count as usize).unwrap();
                 }
                 AgentOp::SaveAndReopen => {
                     agent.close_file(id).unwrap();
@@ -121,14 +121,14 @@ proptest! {
         pass_b in "[a-z]{4,12}",
     ) {
         prop_assume!(pass_a != pass_b);
-        let (fs, mut map) = StegFs::format(
+        let (fs, map) = StegFs::format(
             MemDevice::new(512, BLOCK_SIZE),
             StegFsConfig::default().with_block_size(BLOCK_SIZE).without_fill(),
             3,
         ).unwrap();
         let fak_a = FileAccessKey::from_passphrase(&pass_a);
         let fak_b = FileAccessKey::from_passphrase(&pass_b);
-        fs.create_file(&mut map, "/doc", &fak_a, &content).unwrap();
+        fs.create_file(&map, "/doc", &fak_a, &content).unwrap();
 
         let reopened = fs.open_file(&fak_a, "/doc").unwrap();
         prop_assert_eq!(fs.read_file(&reopened).unwrap(), content);

@@ -287,14 +287,14 @@ fn striped_volume_is_statistically_indistinguishable_from_unstriped() {
     let payload = pattern(6000, 0x1dd);
 
     // Unstriped reference: the plain substrate with the same shape/payload.
-    let (fs, mut map) = StegFs::format(
+    let (fs, map) = StegFs::format(
         MemDevice::new(NUM_BLOCKS, BLOCK_SIZE),
         StegFsConfig::default().with_block_size(BLOCK_SIZE),
         31,
     )
     .unwrap();
     let fak = FileAccessKey::from_master(&Key256::from_passphrase("unstriped owner"));
-    fs.create_file(&mut map, "/doc", &fak, &payload).unwrap();
+    fs.create_file(&map, "/doc", &fak, &payload).unwrap();
     let plain_bytes = dump_hidden(fs.device());
 
     // Striped volume under the resilience tier, (4, 2) parity.

@@ -1,84 +1,184 @@
 //! Cross-crate integration test of the update-analysis defence (Section 4):
 //! the snapshot-diffing attacker must lose against the full StegHide
-//! mechanism and win against in-place updates.
+//! mechanism and win against in-place updates — under both constructions,
+//! which run the same hot-spot workload through one helper.
 
-use stegfs_repro::analysis::UpdateAnalysisAttacker;
+use stegfs_repro::analysis::{UpdateAnalysisAttacker, UpdateVerdict};
 use stegfs_repro::blockdev::Snapshot;
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::StegFsConfig;
-use stegfs_repro::steghide::{AgentConfig, NonVolatileAgent};
+use stegfs_repro::stegfs::{BlockClass, StegFsConfig};
 
 const BLOCK_SIZE: usize = 512;
 const VOLUME_BLOCKS: u64 = 4096;
+const HOT_BLOCKS: u64 = 64;
+const FILLER_BLOCKS: u64 = 900;
 
-/// Run a hot-spot update workload and return the attacker's verdict.
-fn attacker_verdict(relocate: bool) -> (bool, f64) {
-    let cfg = if relocate {
+#[derive(Debug, Clone, Copy)]
+enum Construction {
+    /// StegHide\*: the agent may touch every payload block.
+    One,
+    /// StegHide: the agent may touch only what the logged-in user disclosed.
+    Two,
+}
+
+fn agent_config(relocate: bool) -> AgentConfig {
+    if relocate {
         AgentConfig::default()
     } else {
         AgentConfig::default().without_relocation()
-    };
-    let mut agent = NonVolatileAgent::format(
-        MemDevice::new(VOLUME_BLOCKS, BLOCK_SIZE),
-        StegFsConfig::default().with_block_size(BLOCK_SIZE),
-        cfg,
-        Key256::from_passphrase("agent"),
-        17,
-    )
-    .unwrap();
-    let per = agent.fs().content_bytes_per_block() as u64;
-    let hot = agent
-        .create_file_sparse(&Key256::from_passphrase("user"), "/hot", 64 * per)
-        .unwrap();
-    // Filler so the volume sits at ~25 % utilisation.
-    agent
-        .create_file_sparse(&Key256::from_passphrase("filler"), "/filler", 900 * per)
-        .unwrap();
+    }
+}
 
-    let payload = vec![0xAAu8; per as usize];
-    let mut attacker = UpdateAnalysisAttacker::new(VOLUME_BLOCKS);
-    let mut before = Snapshot::capture(agent.fs().device()).unwrap();
+fn fs_config() -> StegFsConfig {
+    StegFsConfig::default().with_block_size(BLOCK_SIZE)
+}
+
+/// The workload, independent of who serves it: 30 rounds of a user hammering
+/// a handful of logical blocks of a hot file while the agent mixes in dummy
+/// updates, with the attacker diffing a snapshot after every round.
+///
+/// `universe` lists (ascending) the blocks the agent may touch. The attacker
+/// knows that set's size and judges each changed block by its *rank* within
+/// it: under Construction 1 that is simply the payload position; under
+/// Construction 2 changes can only ever land inside the disclosed universe,
+/// and the question is whether they are uniform *there*.
+fn hot_spot_verdict(
+    device: &MemDevice,
+    universe: &[u64],
+    update_hot: impl Fn(u64),
+    cover: impl Fn(),
+) -> UpdateVerdict {
+    let mut attacker = UpdateAnalysisAttacker::new(universe.len() as u64);
+    let mut before = Snapshot::capture(device).unwrap();
     for round in 0..30u64 {
-        // The user hammers a handful of logical blocks...
         for i in 0..8u64 {
-            agent.update_block(hot, (round + i) % 8, &payload).unwrap();
+            update_hot((round + i) % 8);
         }
-        // ...while the agent mixes in dummy updates.
-        agent.dummy_updates(8).unwrap();
-        let after = Snapshot::capture(agent.fs().device()).unwrap();
-        attacker.observe_diff(&before.diff(&after));
+        cover();
+        let after = Snapshot::capture(device).unwrap();
+        for block in before.diff(&after).changed {
+            let rank = universe
+                .binary_search(&block)
+                .expect("a change landed outside what the agent may touch");
+            attacker.observe_changed_block(rank as u64);
+        }
         before = after;
     }
-    let verdict = attacker.verdict(0.01);
-    (verdict.distinguishable, verdict.kl_divergence)
+    attacker.verdict(0.01)
+}
+
+/// Build a volume at ~25 % utilisation (of the agent's universe) under the
+/// given construction and show its hot-spot workload to the attacker.
+fn attacker_verdict(construction: Construction, relocate: bool) -> UpdateVerdict {
+    let device = MemDevice::new(VOLUME_BLOCKS, BLOCK_SIZE);
+    let payload = vec![0xAAu8; BLOCK_SIZE - stegfs_repro::stegfs::IV_SIZE];
+    let per = payload.len() as u64;
+    match construction {
+        Construction::One => {
+            let agent = ConcurrentAgent::format(
+                device,
+                fs_config(),
+                agent_config(relocate),
+                Key256::from_passphrase("agent"),
+                17,
+                8,
+            )
+            .unwrap();
+            let hot = agent
+                .create_file_sparse(&Key256::from_passphrase("user"), "/hot", HOT_BLOCKS * per)
+                .unwrap();
+            agent
+                .create_file_sparse(
+                    &Key256::from_passphrase("filler"),
+                    "/filler",
+                    FILLER_BLOCKS * per,
+                )
+                .unwrap();
+            let universe: Vec<u64> = (1..VOLUME_BLOCKS).collect();
+            hot_spot_verdict(
+                agent.fs().device(),
+                &universe,
+                |index| {
+                    agent.update_block(hot, index, &payload).unwrap();
+                },
+                || drop(agent.dummy_update_batch(8).unwrap()),
+            )
+        }
+        Construction::Two => {
+            let setup =
+                ConcurrentVolatileAgent::format(device, fs_config(), agent_config(relocate), 17)
+                    .unwrap();
+            let mut credentials = Vec::new();
+            for (name, blocks) in [("hot", HOT_BLOCKS), ("filler", FILLER_BLOCKS)] {
+                let fak = FileAccessKey::from_passphrase(name);
+                setup
+                    .provision_file_sparse(&format!("/{name}"), &fak, blocks * per)
+                    .unwrap();
+                credentials.push(UserCredential::new(format!("/{name}"), fak));
+            }
+            for decoy in 0..3 {
+                let fak =
+                    FileAccessKey::from_passphrase(&format!("decoy-{decoy}")).without_content_key();
+                setup
+                    .provision_dummy_file(&format!("/decoy{decoy}"), &fak, FILLER_BLOCKS)
+                    .unwrap();
+                credentials.push(UserCredential::new(format!("/decoy{decoy}"), fak));
+            }
+            let agent =
+                ConcurrentVolatileAgent::mount(setup.into_device(), agent_config(relocate), 18, 8)
+                    .unwrap();
+            let session = agent.login("user", &credentials).unwrap();
+            let hot = agent.session_files(session).unwrap()[0];
+            // Swaps move blocks between disclosed files but never in or out
+            // of the disclosed set, so the universe is fixed at login.
+            let mut universe = agent.map().blocks_in_class(BlockClass::Data);
+            universe.extend(agent.map().blocks_in_class(BlockClass::Dummy));
+            universe.sort_unstable();
+            assert!(universe.len() < VOLUME_BLOCKS as usize);
+            hot_spot_verdict(
+                agent.fs().device(),
+                &universe,
+                |index| {
+                    agent.update_block(session, hot, index, &payload).unwrap();
+                },
+                || drop(agent.dummy_update_batch(8).unwrap()),
+            )
+        }
+    }
 }
 
 #[test]
 fn relocating_updates_defeat_the_snapshot_attacker() {
-    let (distinguishable, kl) = attacker_verdict(true);
-    assert!(
-        !distinguishable,
-        "attacker should not distinguish relocated updates (KL {kl:.3})"
-    );
+    for construction in [Construction::One, Construction::Two] {
+        let verdict = attacker_verdict(construction, true);
+        assert!(verdict.observations > 300, "{construction:?}: {verdict:?}");
+        assert!(
+            verdict.chi_square <= verdict.critical_value && !verdict.distinguishable,
+            "{construction:?}: attacker should not distinguish relocated updates ({verdict:?})"
+        );
+    }
 }
 
 #[test]
 fn in_place_updates_are_caught_by_the_snapshot_attacker() {
-    let (distinguishable, kl) = attacker_verdict(false);
-    assert!(
-        distinguishable,
-        "attacker should catch in-place updates (KL {kl:.3})"
-    );
+    for construction in [Construction::One, Construction::Two] {
+        let verdict = attacker_verdict(construction, false);
+        assert!(
+            verdict.distinguishable,
+            "{construction:?}: attacker should catch in-place updates ({verdict:?})"
+        );
+    }
 }
 
 #[test]
 fn dummy_updates_alone_change_ciphertext_but_not_data() {
-    let mut agent = NonVolatileAgent::format(
+    let agent = ConcurrentAgent::format(
         MemDevice::new(1024, BLOCK_SIZE),
-        StegFsConfig::default().with_block_size(BLOCK_SIZE),
+        fs_config(),
         AgentConfig::default(),
         Key256::from_passphrase("dummy-update-agent"),
         3,
+        8,
     )
     .unwrap();
     let content = vec![7u8; 3000];
@@ -87,7 +187,7 @@ fn dummy_updates_alone_change_ciphertext_but_not_data() {
         .unwrap();
 
     let before = Snapshot::capture(agent.fs().device()).unwrap();
-    agent.dummy_updates(64).unwrap();
+    agent.dummy_update_batch(64).unwrap();
     let after = Snapshot::capture(agent.fs().device()).unwrap();
     let diff = before.diff(&after);
     assert!(

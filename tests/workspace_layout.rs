@@ -1,6 +1,5 @@
 //! Workspace-layout smoke tests: every figure/table reproduction binary in
-//! `crates/bench/src/bin/` must be declared as a `[[bin]]` target (and every
-//! bench under `crates/bench/benches/` as a `[[bench]]` target) in
+//! `crates/bench/src/bin/` must be declared as a `[[bin]]` target in
 //! `crates/bench/Cargo.toml`, so that `cargo build --all-targets` and CI
 //! actually compile them. Without this, a typo in a target name silently
 //! drops a binary from the build and later PRs can break it unnoticed.
@@ -92,25 +91,4 @@ fn expected_figure_and_table_bins_exist() {
             "expected reproduction binary crates/bench/src/bin/{required}.rs is missing"
         );
     }
-}
-
-#[test]
-fn every_criterion_bench_is_a_declared_harnessless_target() {
-    let dir = bench_crate_dir();
-    let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
-    let on_disk = rust_file_stems(&dir.join("benches"));
-    let declared = declared_targets(&manifest, "bench");
-
-    assert_eq!(
-        on_disk, declared,
-        "benches/ files and [[bench]] entries in crates/bench/Cargo.toml disagree"
-    );
-    // criterion benches provide their own main; the default harness would
-    // reject the `criterion_main!` entry point.
-    let harness_false = manifest.matches("harness = false").count();
-    assert_eq!(
-        harness_false,
-        on_disk.len(),
-        "every [[bench]] target needs `harness = false`"
-    );
 }
