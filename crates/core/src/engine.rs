@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use stegfs_base::{BlockClass, FsError, OpenFile, ShardedBlockMap, StegFs};
+use stegfs_base::{BlockClass, FsError, OpenFile, ShardedBlockMap, StegFs, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
@@ -255,13 +255,14 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
         self.registry.read().get(id).unwrap().header.blocks.clone()
     }
 
-    fn shard_lock(&self, block: BlockId) -> MutexGuard<'_, ()> {
+    pub(crate) fn shard_lock(&self, block: BlockId) -> MutexGuard<'_, ()> {
         self.update_locks[self.map.shard_of(block)].lock()
     }
 
-    /// Read `block` raw into a per-thread scratch buffer, so that neither the
-    /// Figure 6 loop nor a random reseal allocates a block per iteration.
-    fn read_raw(&self, block: BlockId) -> Result<(), AgentError> {
+    /// Run `f` on a per-thread scratch buffer of one physical block, so that
+    /// neither the Figure 6 loop nor a reseal allocates a block per
+    /// iteration. `f` must not re-enter.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         thread_local! {
             static SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -269,8 +270,13 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.resize(self.fs.codec().block_size(), 0);
-            self.fs.device().read_block(block, &mut scratch)
-        })?;
+            f(&mut scratch)
+        })
+    }
+
+    /// Read `block` raw and discard it: only the device access matters.
+    fn read_raw(&self, block: BlockId) -> Result<(), AgentError> {
+        self.with_scratch(|scratch| self.fs.device().read_block(block, scratch))?;
         Ok(())
     }
 
@@ -300,12 +306,19 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
     /// Dummy-update `block` in place: the ciphertext of the whole block
     /// changes while the plaintext does not. Returns whether the block was
     /// touched. Caller must hold the block's shard update lock.
-    fn reseal_shard_locked(&self, block: BlockId) -> Result<bool, AgentError> {
+    pub(crate) fn reseal_shard_locked(&self, block: BlockId) -> Result<bool, AgentError> {
         match self.keying.reseal(&self.map, &self.registry, block) {
-            Reseal::Key(key) => {
-                let plaintext = self.fs.codec().read_sealed(self.fs.device(), block, &key)?;
-                self.write_sealed_content(block, &key, &plaintext)?;
-            }
+            // The whole round trip runs in the scratch block. Only the IV
+            // draw takes the volume DRBG lock; as in `write_sealed_content`
+            // it is released before the device write.
+            Reseal::Key(key) => self.with_scratch(|physical| -> Result<(), AgentError> {
+                self.fs.device().read_block(block, physical)?;
+                let mut fresh_iv = [0u8; IV_SIZE];
+                self.fs.with_rng(|rng| rng.fill_bytes(&mut fresh_iv));
+                self.fs.codec().reseal_in_place(&key, physical, &fresh_iv)?;
+                self.fs.device().write_block(block, physical)?;
+                Ok(())
+            })?,
             Reseal::Random => {
                 self.read_raw(block)?;
                 self.fs.randomize_block(block)?;

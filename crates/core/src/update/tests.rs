@@ -2,10 +2,11 @@
 //! body runs once against each front's engine.
 
 use stegfs_base::{BlockClass, FsError};
-use stegfs_blockdev::MemDevice;
+use stegfs_blockdev::{BlockDevice, MemDevice};
 use stegfs_crypto::Key256;
 
 use crate::concurrent::tests as star;
+use crate::engine::{Keying, Reseal};
 use crate::volatile_concurrent::tests as plain;
 use crate::{AgentConfig, AgentError, UpdateOutcome, UpdateStats};
 
@@ -58,6 +59,35 @@ fn in_place_and_relocated_updates_preserve_readability() {
         assert_eq!(e.map.data_blocks(), data_blocks);
         assert_eq!(e.stats.snapshot().data_updates, 1);
         assert!(e.stats.snapshot().iterations >= 1);
+    });
+}
+
+#[test]
+fn scratch_buffer_reseal_is_byte_identical_to_open_then_seal() {
+    on_both_keyings!(AgentConfig::default(), |e, id| {
+        let block = e.locations(id)[3];
+        let Reseal::Key(key) = e.keying.reseal(&e.map, &e.registry, block) else {
+            panic!("a live content block is dummy-updated under its key");
+        };
+        // The formulation the in-place round trip replaced — open into a
+        // fresh plaintext, seal into a fresh block — replayed on a copy of
+        // the volume DRBG.
+        let codec = e.fs.codec();
+        let mut rng = e.fs.with_rng(|rng| rng.clone());
+        let plaintext = codec.read_sealed(e.fs.device(), block, &key).unwrap();
+        let expected = codec.seal(&key, &plaintext, &mut rng).unwrap();
+
+        {
+            let _shard = e.shard_lock(block);
+            assert!(e.reseal_shard_locked(block).unwrap());
+        }
+
+        let mut on_device = vec![0u8; codec.block_size()];
+        e.fs.device().read_block(block, &mut on_device).unwrap();
+        assert_eq!(on_device, expected);
+        // The same single IV draw: both generators are in the same state.
+        assert_eq!(e.fs.with_rng(|live| live.next_u64()), rng.next_u64());
+        assert_eq!(e.stats.snapshot().dummy_updates, 1);
     });
 }
 

@@ -21,12 +21,7 @@ use core::arch::x86_64::{
     _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
-use super::AES_BLOCK_SIZE;
-
-/// How many blocks the batched entry points keep in flight. Eight 128-bit
-/// lanes fill the `aesenc`/`aesdec` pipeline on every post-2010 x86 core
-/// while still leaving half the XMM register file for the round key.
-pub(crate) const PIPELINE_WIDTH: usize = 8;
+use super::{AES_BLOCK_SIZE, PIPELINE_WIDTH};
 
 const WIDE_BYTES: usize = PIPELINE_WIDTH * AES_BLOCK_SIZE;
 

@@ -31,6 +31,14 @@ use crate::CryptoError;
 /// The AES block size in bytes.
 pub const AES_BLOCK_SIZE: usize = 16;
 
+/// How many blocks the batched entry points keep in flight. Eight 128-bit
+/// lanes fill the `aesenc`/`aesdec` pipeline on every post-2010 x86 core
+/// while still leaving half the XMM register file for the round key. Callers
+/// with independent work to batch (CBC decrypt chunks, the multi-buffer CBC
+/// encrypt of [`crate::CbcCipher::encrypt_many_in_place`]) size their groups
+/// by it on every backend.
+pub const PIPELINE_WIDTH: usize = 8;
+
 /// A block cipher operating on 16-byte blocks.
 ///
 /// Both [`Aes128`] and [`Aes256`] implement this trait; the rest of the

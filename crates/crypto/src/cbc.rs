@@ -12,7 +12,7 @@
 //! no padding scheme is needed; [`CbcCipher`] rejects unaligned buffers
 //! instead.
 
-use crate::aes::{BlockCipher, AES_BLOCK_SIZE};
+use crate::aes::{BlockCipher, AES_BLOCK_SIZE, PIPELINE_WIDTH};
 
 /// Errors returned by CBC operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,20 @@ pub enum CbcError {
         /// Offending input length.
         len: usize,
     },
+    /// The buffers of one multi-buffer call did not all have the same length.
+    UnequalLengths {
+        /// Length of the first buffer.
+        expected: usize,
+        /// Length of the first buffer that differs.
+        got: usize,
+    },
+    /// A multi-buffer call was not given exactly one IV per buffer.
+    IvCountMismatch {
+        /// Number of IVs supplied.
+        ivs: usize,
+        /// Number of buffers supplied.
+        bufs: usize,
+    },
 }
 
 impl core::fmt::Display for CbcError {
@@ -29,6 +43,15 @@ impl core::fmt::Display for CbcError {
         match self {
             CbcError::NotBlockAligned { len } => {
                 write!(f, "CBC input length {len} is not a multiple of 16")
+            }
+            CbcError::UnequalLengths { expected, got } => {
+                write!(
+                    f,
+                    "CBC multi-buffer lengths differ: {got} bytes after {expected}"
+                )
+            }
+            CbcError::IvCountMismatch { ivs, bufs } => {
+                write!(f, "CBC multi-buffer call with {ivs} IVs for {bufs} buffers")
             }
         }
     }
@@ -53,26 +76,73 @@ impl<C: BlockCipher> CbcCipher<C> {
     }
 
     /// Encrypt `data` in place under `iv`. `data.len()` must be a multiple of
-    /// 16 bytes.
-    ///
-    /// The whole buffer is processed in place: each 16-byte lane is XOR-chained
-    /// as one 128-bit word and handed to the block cipher directly, with no
-    /// per-block staging copies.
+    /// 16 bytes. The one-buffer case of [`Self::encrypt_many_in_place`].
     pub fn encrypt_in_place(
         &self,
         iv: &[u8; AES_BLOCK_SIZE],
         data: &mut [u8],
     ) -> Result<(), CbcError> {
-        if data.len() % AES_BLOCK_SIZE != 0 {
-            return Err(CbcError::NotBlockAligned { len: data.len() });
+        self.encrypt_many_in_place(core::slice::from_ref(iv), &mut [data])
+    }
+
+    /// Encrypt every buffer of `bufs` in place, buffer `i` under `ivs[i]`;
+    /// byte-identical to one [`Self::encrypt_in_place`] call per buffer. All
+    /// buffers must have the same 16-byte-aligned length.
+    ///
+    /// Within one buffer CBC encryption is a serial chain — block `j` cannot
+    /// start before block `j - 1` is done — so a single buffer leaves a
+    /// pipelined cipher idle. *Different* buffers' chains are independent, so
+    /// up to [`PIPELINE_WIDTH`] of them advance together: each buffer's next
+    /// 16 bytes are XORed into its own chain value in a lane array, one
+    /// [`BlockCipher::encrypt_blocks`] call runs all lanes through the cipher
+    /// at once, and the lanes scatter back as ciphertext. More buffers than
+    /// that are taken [`PIPELINE_WIDTH`] at a time.
+    pub fn encrypt_many_in_place(
+        &self,
+        ivs: &[[u8; AES_BLOCK_SIZE]],
+        bufs: &mut [&mut [u8]],
+    ) -> Result<(), CbcError> {
+        if ivs.len() != bufs.len() {
+            return Err(CbcError::IvCountMismatch {
+                ivs: ivs.len(),
+                bufs: bufs.len(),
+            });
         }
-        let mut chain = u128::from_ne_bytes(*iv);
-        for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-            let block: &mut [u8; AES_BLOCK_SIZE] =
-                block.try_into().expect("chunks_exact yields 16-byte lanes");
-            *block = (u128::from_ne_bytes(*block) ^ chain).to_ne_bytes();
-            self.cipher.encrypt_block(block);
-            chain = u128::from_ne_bytes(*block);
+        let len = bufs.first().map_or(0, |b| b.len());
+        if len % AES_BLOCK_SIZE != 0 {
+            return Err(CbcError::NotBlockAligned { len });
+        }
+        if let Some(other) = bufs.iter().find(|b| b.len() != len) {
+            return Err(CbcError::UnequalLengths {
+                expected: len,
+                got: other.len(),
+            });
+        }
+        for (ivs, bufs) in ivs
+            .chunks(PIPELINE_WIDTH)
+            .zip(bufs.chunks_mut(PIPELINE_WIDTH))
+        {
+            // Lane `i` holds buffer `i`'s chain value: its IV to start with,
+            // its latest ciphertext block after every step.
+            let mut lanes = [0u8; PIPELINE_WIDTH * AES_BLOCK_SIZE];
+            let lanes = &mut lanes[..ivs.len() * AES_BLOCK_SIZE];
+            for (lane, iv) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(ivs) {
+                lane.copy_from_slice(iv);
+            }
+            for at in (0..len).step_by(AES_BLOCK_SIZE) {
+                for (lane, buf) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(bufs.iter()) {
+                    let lane: &mut [u8; AES_BLOCK_SIZE] =
+                        lane.try_into().expect("chunks_exact yields 16-byte lanes");
+                    let block: [u8; AES_BLOCK_SIZE] = buf[at..at + AES_BLOCK_SIZE]
+                        .try_into()
+                        .expect("16-byte block");
+                    *lane = (u128::from_ne_bytes(*lane) ^ u128::from_ne_bytes(block)).to_ne_bytes();
+                }
+                self.cipher.encrypt_blocks(lanes);
+                for (lane, buf) in lanes.chunks_exact(AES_BLOCK_SIZE).zip(bufs.iter_mut()) {
+                    buf[at..at + AES_BLOCK_SIZE].copy_from_slice(lane);
+                }
+            }
         }
         Ok(())
     }
@@ -264,6 +334,35 @@ mod tests {
                 decrypted, plaintext,
                 "wide path diverged at {blocks} blocks"
             );
+        }
+    }
+
+    #[test]
+    fn interleaved_encrypt_matches_the_textbook_chain() {
+        // Every group shape from no buffer to two full groups and one over,
+        // against the one-block-at-a-time chain written out by hand (the
+        // single-buffer entry point is itself the one-lane case, so it
+        // cannot serve as the oracle here).
+        let cbc = CbcCipher::new(Aes256::new(&[0x6Bu8; 32]));
+        for n in 0..=2 * PIPELINE_WIDTH + 1 {
+            let ivs: Vec<[u8; 16]> = (0..n).map(|i| [0x10 + i as u8; 16]).collect();
+            let plaintexts: Vec<Vec<u8>> = (0..n)
+                .map(|i| (0..5 * 16).map(|j| (i * 37 + j * 11) as u8).collect())
+                .collect();
+            let mut many = plaintexts.clone();
+            let mut bufs: Vec<&mut [u8]> = many.iter_mut().map(Vec::as_mut_slice).collect();
+            cbc.encrypt_many_in_place(&ivs, &mut bufs).unwrap();
+            for (i, (got, plain)) in many.iter().zip(&plaintexts).enumerate() {
+                let mut serial = plain.clone();
+                let mut chain = u128::from_ne_bytes(ivs[i]);
+                for block in serial.chunks_exact_mut(16) {
+                    let block: &mut [u8; 16] = block.try_into().unwrap();
+                    *block = (u128::from_ne_bytes(*block) ^ chain).to_ne_bytes();
+                    cbc.cipher().encrypt_block(block);
+                    chain = u128::from_ne_bytes(*block);
+                }
+                assert_eq!(got, &serial, "buffer {i} of {n}");
+            }
         }
     }
 

@@ -51,7 +51,7 @@ mod keys;
 mod sha256;
 
 pub use aes::reference;
-pub use aes::{Aes128, Aes256, BlockCipher, AES_BLOCK_SIZE};
+pub use aes::{Aes128, Aes256, BlockCipher, AES_BLOCK_SIZE, PIPELINE_WIDTH};
 pub use backend::{backend_name, sha256_backend_name, Backend, Sha256Backend};
 pub use cbc::{CbcCipher, CbcError};
 pub use drbg::HashDrbg;

@@ -5,8 +5,8 @@
 //! vectors per backend so a single failing backend is identified by name.
 
 use stegfs_crypto::{
-    backend_name, sha256_backend_name, Aes128, Aes256, Backend, BlockCipher, CbcCipher,
-    CryptoError, HmacSha256, Sha256, Sha256Backend,
+    backend_name, sha256_backend_name, Aes128, Aes256, Backend, BlockCipher, CbcCipher, CbcError,
+    CryptoError, HmacSha256, Sha256, Sha256Backend, PIPELINE_WIDTH,
 };
 
 fn hex_to_bytes(s: &str) -> Vec<u8> {
@@ -103,6 +103,84 @@ fn sp800_38a_cbc_aes256_on_every_backend() {
         assert_eq!(ciphertext, expected, "F.2.5 on {}", b.name());
         let decrypted = cbc.decrypt(&iv, &ciphertext).unwrap();
         assert_eq!(decrypted, plaintext, "F.2.6 on {}", b.name());
+    }
+}
+
+#[test]
+fn sp800_38a_cbc_aes256_in_every_lane_on_every_backend() {
+    // F.2.5 again, through the multi-buffer encrypt: the vector sits in each
+    // lane position of a full group (and of the partial group after it) in
+    // turn while every other lane carries a different message under a
+    // different IV, so a lane that leaks into its neighbour, or a chain
+    // value scattered back to the wrong buffer, shows up by position.
+    let key: Vec<u8> =
+        hex_to_bytes("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+    let iv: [u8; 16] = hex_to_bytes("000102030405060708090a0b0c0d0e0f")
+        .try_into()
+        .unwrap();
+    let plaintext = hex_to_bytes(
+        "6bc1bee22e409f96e93d7e117393172a\
+         ae2d8a571e03ac9c9eb76fac45af8e51\
+         30c81c46a35ce411e5fbc1191a0a52ef\
+         f69f2445df4f9b17ad2b417be66c3710",
+    );
+    let expected = hex_to_bytes(
+        "f58c4c04d6e5f1ba779eabfb5f7bfbd6\
+         9cfc4e967edb808d679f777bc6702c7d\
+         39f23369a9d9bacfa530e26304231461\
+         b2eb05e2c39be9fcda6c19078c6a9d1b",
+    );
+    const BUFFERS: usize = PIPELINE_WIDTH + 3;
+    for b in aes_backends() {
+        let cbc = CbcCipher::new(Aes256::with_backend(&key, b).unwrap());
+        for position in 0..BUFFERS {
+            let mut ivs = [[0u8; 16]; BUFFERS];
+            let mut data: Vec<Vec<u8>> = (0..BUFFERS)
+                .map(|n| vec![0x11u8.wrapping_mul(n as u8 + 1); plaintext.len()])
+                .collect();
+            for (n, iv) in ivs.iter_mut().enumerate() {
+                iv.fill(0xF0 ^ n as u8);
+            }
+            ivs[position] = iv;
+            data[position] = plaintext.clone();
+            let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+            cbc.encrypt_many_in_place(&ivs, &mut bufs).unwrap();
+            assert_eq!(
+                data[position],
+                expected,
+                "F.2.5 in lane {position} on {}",
+                b.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn malformed_multi_buffer_calls_are_typed_errors() {
+    for b in aes_backends() {
+        let cbc = CbcCipher::new(Aes256::with_backend(&[7u8; 32], b).unwrap());
+        let ivs = [[0u8; 16]; 3];
+        let (mut x, mut y, mut z) = ([0u8; 32], [0u8; 32], [0u8; 48]);
+
+        assert_eq!(
+            cbc.encrypt_many_in_place(&ivs[..2], &mut [&mut x, &mut y, &mut z[..32]]),
+            Err(CbcError::IvCountMismatch { ivs: 2, bufs: 3 })
+        );
+        assert_eq!(
+            cbc.encrypt_many_in_place(&ivs, &mut [&mut x, &mut y, &mut z]),
+            Err(CbcError::UnequalLengths {
+                expected: 32,
+                got: 48
+            })
+        );
+        assert_eq!(
+            cbc.encrypt_many_in_place(&ivs[..2], &mut [&mut x[..17], &mut y[..17]]),
+            Err(CbcError::NotBlockAligned { len: 17 })
+        );
+        // A rejected call touched nothing.
+        assert_eq!((x, y, z), ([0u8; 32], [0u8; 32], [0u8; 48]));
+        // No buffers at all is a valid, empty call.
+        assert_eq!(cbc.encrypt_many_in_place(&[], &mut []), Ok(()));
     }
 }
 

@@ -191,13 +191,16 @@ proptest! {
     /// CBC ciphertexts are byte-identical across backends for random keys,
     /// IVs and payload sizes (including sizes exercising the 8-wide decrypt
     /// path and its remainder), and every backend decrypts every other
-    /// backend's ciphertext.
+    /// backend's ciphertext. On every backend the multi-buffer encrypt over
+    /// 0..=17 buffers (no group, partial groups, two full groups and one
+    /// over) equals one single-buffer encrypt per buffer.
     #[test]
     fn cbc_backends_are_byte_identical(
         key in any::<[u8; 32]>(),
         iv in any::<[u8; 16]>(),
         blocks in 1usize..24,
         seed in any::<u8>(),
+        buffers in 0usize..18,
     ) {
         let data: Vec<u8> = (0..blocks * 16).map(|i| seed.wrapping_mul(i as u8)).collect();
         let backends = aes_backends();
@@ -220,6 +223,29 @@ proptest! {
                 "decrypt diverged on {}",
                 b.name()
             );
+        }
+
+        let ivs: Vec<[u8; 16]> = (0..buffers)
+            .map(|n| iv.map(|b| b.wrapping_add(n as u8)))
+            .collect();
+        let plaintexts: Vec<Vec<u8>> = (0..buffers)
+            .map(|n| data.iter().map(|b| b ^ (n as u8).wrapping_mul(0x3D)).collect())
+            .collect();
+        for &b in &backends {
+            let cbc = CbcCipher::new(Aes256::with_backend(&key, b).unwrap());
+            let mut many = plaintexts.clone();
+            let mut bufs: Vec<&mut [u8]> = many.iter_mut().map(Vec::as_mut_slice).collect();
+            cbc.encrypt_many_in_place(&ivs, &mut bufs).unwrap();
+            for (n, (got, plain)) in many.iter().zip(&plaintexts).enumerate() {
+                prop_assert_eq!(
+                    got,
+                    &cbc.encrypt(&ivs[n], plain).unwrap(),
+                    "buffer {} of {} diverged on {}",
+                    n,
+                    buffers,
+                    b.name()
+                );
+            }
         }
     }
 

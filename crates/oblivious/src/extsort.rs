@@ -68,6 +68,12 @@ impl<D: BlockDevice> ExternalSorter<D> {
         &self.sort_device
     }
 
+    /// Records per run: [`Self::sort`] pulls exactly this many records from
+    /// its input between one spill to the sort partition and the next.
+    pub fn memory_records(&self) -> usize {
+        self.memory_records
+    }
+
     fn encode_record_into(
         &self,
         record: &SortRecord,
@@ -87,15 +93,30 @@ impl<D: BlockDevice> ExternalSorter<D> {
         Ok(())
     }
 
-    fn decode_record(&self, block: &[u8]) -> SortRecord {
-        let key = u64::from_le_bytes(block[..8].try_into().unwrap());
-        let id = u64::from_le_bytes(block[8..16].try_into().unwrap());
-        let len = u32::from_le_bytes(block[16..20].try_into().unwrap()) as usize;
-        SortRecord {
+    /// Decode one sort-partition block. The partition is attacker-writable
+    /// storage, so the declared payload length is checked against the block.
+    fn decode_record(block: &[u8]) -> Result<SortRecord, ObliviousError> {
+        if block.len() < RECORD_HEADER {
+            return Err(ObliviousError::Corrupt(format!(
+                "sort block of {} bytes is smaller than a record header",
+                block.len()
+            )));
+        }
+        let (header, body) = block.split_at(RECORD_HEADER);
+        let key = u64::from_le_bytes(header[..8].try_into().expect("8-byte field"));
+        let id = u64::from_le_bytes(header[8..16].try_into().expect("8-byte field"));
+        let len = u32::from_le_bytes(header[16..].try_into().expect("4-byte field")) as usize;
+        let payload = body.get(..len).ok_or_else(|| {
+            ObliviousError::Corrupt(format!(
+                "sort record declares {len} payload bytes, only {} available",
+                body.len()
+            ))
+        })?;
+        Ok(SortRecord {
             key,
             id,
-            payload: block[20..20 + len].to_vec(),
-        }
+            payload: payload.to_vec(),
+        })
     }
 
     /// Sort `records` by ascending key, delivering them to `output` in order.
@@ -224,7 +245,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
                 cursor.remaining -= batch;
                 want -= batch;
                 for block in window.chunks_exact(bs) {
-                    cursor.buffered.push_back(self.decode_record(block));
+                    cursor.buffered.push_back(Self::decode_record(block)?);
                 }
             }
             Ok(())
@@ -362,6 +383,45 @@ mod tests {
             sorter.sort(too_big.into_iter().map(Ok), |_| Ok(())),
             Err(ObliviousError::ItemTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn hostile_length_fields_decode_to_typed_errors() {
+        type Sorter = ExternalSorter<MemDevice>;
+        let sorter = ExternalSorter::new(MemDevice::new(8, 256), 2);
+        let record = SortRecord {
+            key: 3,
+            id: 4,
+            payload: vec![0xC3; 100],
+        };
+        let mut block = vec![0u8; 256];
+        sorter.encode_record_into(&record, &mut block).unwrap();
+        assert_eq!(Sorter::decode_record(&block).unwrap(), record);
+
+        // Every declared length the block can hold decodes to that many
+        // bytes; one past the end and beyond is `Corrupt`, never a panic.
+        let room = (256 - RECORD_HEADER) as u32;
+        for len in [0, 1, 100, room - 1, room] {
+            block[16..20].copy_from_slice(&len.to_le_bytes());
+            let decoded = Sorter::decode_record(&block).unwrap();
+            assert_eq!(decoded.payload.len(), len as usize);
+        }
+        for len in [room + 1, 256, 257, 1 << 16, u32::MAX - 19, u32::MAX] {
+            block[16..20].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(
+                    Sorter::decode_record(&block),
+                    Err(ObliviousError::Corrupt(_))
+                ),
+                "declared length {len}"
+            );
+        }
+        for cut in [0, 1, RECORD_HEADER - 1] {
+            assert!(matches!(
+                Sorter::decode_record(&block[..cut]),
+                Err(ObliviousError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 
 use std::collections::VecDeque;
 
-use stegfs_base::BlockCodec;
+use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{HashDrbg, Key256};
+use stegfs_crypto::{HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
@@ -129,15 +129,17 @@ impl Level {
 
     /// Maximum payload bytes per item for a given device block size.
     pub fn item_capacity(block_size: usize) -> usize {
-        (block_size - stegfs_base::IV_SIZE) - ITEM_HEADER
+        (block_size - IV_SIZE) - ITEM_HEADER
     }
 
-    fn encode_item(codec: &BlockCodec, id: u64, payload: &[u8]) -> Vec<u8> {
-        let mut plain = vec![0u8; codec.data_field_len()];
-        plain[..8].copy_from_slice(&id.to_le_bytes());
-        plain[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        plain[16..16 + payload.len()].copy_from_slice(payload);
-        plain
+    /// Encode an item over the whole of `field` (a slot's plaintext data
+    /// field), zero-padded.
+    fn encode_item_into(field: &mut [u8], id: u64, payload: &[u8]) {
+        field[..8].copy_from_slice(&id.to_le_bytes());
+        field[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        field[12..ITEM_HEADER].fill(0);
+        field[ITEM_HEADER..ITEM_HEADER + payload.len()].copy_from_slice(payload);
+        field[ITEM_HEADER + payload.len()..].fill(0);
     }
 
     fn decode_item(plain: &[u8]) -> Result<(u64, Vec<u8>), ObliviousError> {
@@ -396,26 +398,17 @@ impl Level {
         // Seal every item under the new epoch key and tag it with a random
         // sort key; the sorted order is the new permutation. The stream is
         // consumed by the sorter, so memory stays bounded by its run size.
-        let new_key = self.key;
-        let item_cap = Self::item_capacity(codec.block_size());
-        let records = items.into_iter().map(|item| {
-            let (id, payload) = item?;
-            if payload.len() > item_cap {
-                return Err(ObliviousError::ItemTooLarge {
-                    got: payload.len(),
-                    max: item_cap,
-                });
-            }
-            let plain = Self::encode_item(codec, id, &payload);
-            let sealed = codec
-                .seal(&new_key, &plain, rng)
-                .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
-            Ok(SortRecord {
-                key: rng.next_u64(),
-                id,
-                payload: sealed,
-            })
-        });
+        let records = SealedRecords {
+            items: items.into_iter(),
+            codec,
+            key: self.key,
+            rng,
+            run_len: sorter.memory_records(),
+            pulled: 0,
+            group: vec![0u8; PIPELINE_WIDTH * codec.block_size()],
+            ready: VecDeque::with_capacity(PIPELINE_WIDTH + 1),
+            exhausted: false,
+        };
 
         // External merge sort; the output callback stages sorted slots and
         // flushes them in ranged writes of IO_BATCH_BLOCKS blocks.
@@ -472,6 +465,104 @@ impl Level {
         io.writes += index_writes;
 
         Ok(io)
+    }
+}
+
+/// The record stream [`Level::rebuild_with`] feeds the sorter: each incoming
+/// item sealed under the new epoch key and tagged with a random sort key.
+///
+/// Items are pulled from the lazy input up to [`PIPELINE_WIDTH`] at a time.
+/// Each is laid out as `IV || plaintext` in the group buffer, drawing its IV
+/// and then its sort key from the DRBG — per item, in stream order, exactly
+/// the draws of a seal-one-item-at-a-time loop — and the group is sealed in
+/// one multi-buffer pass ([`BlockCodec::seal_blocks_in_place`]), so the
+/// records are byte-identical to that loop's.
+///
+/// A group never reaches past the sorter's next run boundary: the sorter
+/// spills a run to the sort partition after every `run_len` records, and
+/// pulling the input (a ranged level read) ahead of that write would reorder
+/// device I/O. An input error or oversized item at position *j* is delivered
+/// after records `0..j`, like the unbatched stream — and since the sort
+/// outputs nothing before its input ends, still before any level write.
+struct SealedRecords<'a, I> {
+    items: I,
+    codec: &'a BlockCodec,
+    key: Key256,
+    rng: &'a mut HashDrbg,
+    run_len: usize,
+    /// Items pulled from `items` so far.
+    pulled: usize,
+    group: Vec<u8>,
+    ready: VecDeque<Result<SortRecord, ObliviousError>>,
+    /// `items` ended or failed; nothing more is pulled.
+    exhausted: bool,
+}
+
+impl<I> SealedRecords<'_, I>
+where
+    I: Iterator<Item = Result<(u64, Vec<u8>), ObliviousError>>,
+{
+    /// Pull, lay out, seal and queue the next group.
+    fn fill(&mut self) {
+        let bs = self.codec.block_size();
+        let item_cap = Level::item_capacity(bs);
+        let want = PIPELINE_WIDTH.min(self.run_len - self.pulled % self.run_len);
+        let mut tags = [(0u64, 0u64); PIPELINE_WIDTH];
+        let mut n = 0;
+        let mut failure = None;
+        while n < want {
+            let (id, payload) = match self.items.next() {
+                Some(Ok(item)) => item,
+                Some(Err(e)) => {
+                    failure = Some(e);
+                    break;
+                }
+                None => break,
+            };
+            if payload.len() > item_cap {
+                failure = Some(ObliviousError::ItemTooLarge {
+                    got: payload.len(),
+                    max: item_cap,
+                });
+                break;
+            }
+            let (iv, field) = self.group[n * bs..(n + 1) * bs].split_at_mut(IV_SIZE);
+            self.rng.fill_bytes(iv);
+            Level::encode_item_into(field, id, &payload);
+            tags[n] = (self.rng.next_u64(), id);
+            n += 1;
+        }
+        self.exhausted = n < want;
+        self.pulled += n;
+        let run = &mut self.group[..n * bs];
+        if let Err(e) = self.codec.seal_blocks_in_place(&self.key, run) {
+            self.exhausted = true;
+            self.ready
+                .push_back(Err(ObliviousError::Corrupt(e.to_string())));
+            return;
+        }
+        for (sealed, &(key, id)) in run.chunks_exact(bs).zip(&tags) {
+            self.ready.push_back(Ok(SortRecord {
+                key,
+                id,
+                payload: sealed.to_vec(),
+            }));
+        }
+        self.ready.extend(failure.map(Err));
+    }
+}
+
+impl<I> Iterator for SealedRecords<'_, I>
+where
+    I: Iterator<Item = Result<(u64, Vec<u8>), ObliviousError>>,
+{
+    type Item = Result<SortRecord, ObliviousError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.ready.is_empty() && !self.exhausted {
+            self.fill();
+        }
+        self.ready.pop_front()
     }
 }
 
@@ -576,7 +667,7 @@ impl<D: BlockDevice + ?Sized> Iterator for SlotStream<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::MemDevice;
+    use stegfs_blockdev::{DeviceError, MemDevice, Snapshot};
 
     const BLOCK: usize = 512;
 
@@ -778,6 +869,187 @@ mod tests {
             .reorder(&device, &codec, &sorter, &master, &mut rng, survivors)
             .unwrap();
         assert_eq!(level.len(), 7);
+    }
+
+    /// What a scan of `device` finds, to compare before and after.
+    fn image(device: &MemDevice) -> Snapshot {
+        Snapshot::capture(device).unwrap()
+    }
+
+    #[test]
+    fn group_sealed_rebuild_is_byte_identical_to_a_seal_loop() {
+        // Nothing, one item, one short of a group, a group, one over, and
+        // enough to spill several runs whose length (12) is not a multiple
+        // of the group width: the level image must be exactly what sealing
+        // one item at a time — IV draw, seal, sort-key draw — produces.
+        for n in [0u64, 1, 7, 8, 9, 67] {
+            let (device, sort_device, mut level, codec, master, mut rng) = setup(n + 5);
+            let sorter = ExternalSorter::new(sort_device, 12);
+            let mut loop_rng = rng.clone();
+            level
+                .reorder(&device, &codec, &sorter, &master, &mut rng, items(n))
+                .unwrap();
+
+            assert_eq!(loop_rng.next_u64(), level.nonce);
+            let mut expected: Vec<(u64, u64, Vec<u8>)> = items(n)
+                .into_iter()
+                .map(|(id, payload)| {
+                    let mut plain = vec![0u8; codec.data_field_len()];
+                    Level::encode_item_into(&mut plain, id, &payload);
+                    let sealed = codec.seal(&level.key, &plain, &mut loop_rng).unwrap();
+                    (loop_rng.next_u64(), id, sealed)
+                })
+                .collect();
+            expected.sort();
+            assert_eq!(level.len() as u64, n);
+            for (slot, (_, id, sealed)) in expected.iter().enumerate() {
+                assert_eq!(level.manifest[id], slot as u64, "{n} items, id {id}");
+                let mut on_device = vec![0u8; BLOCK];
+                device
+                    .read_block(level.data_offset + slot as u64, &mut on_device)
+                    .unwrap();
+                assert_eq!(&on_device, sealed, "{n} items, slot {slot}");
+            }
+            assert_eq!(rng.next_u64(), loop_rng.next_u64(), "{n} items: DRBG drift");
+        }
+    }
+
+    #[test]
+    fn seal_groups_never_pull_input_past_a_run_boundary() {
+        // 5 upper items, then 100 lower items streamed in ranged reads of 64:
+        // item 69 triggers the second level read. With runs of 17 the sorter
+        // spills its fourth run after item 67 — so a seal group that pulled
+        // items 64..72 in one go would issue that read *before* the spill.
+        // The level sits above block 1000 so one shared trace tells the two
+        // devices apart.
+        use stegfs_blockdev::{IoKind, TraceLog, TracingDevice};
+        let master = Key256::from_passphrase("oblivious master");
+        let (mut level, end) = Level::layout(1, 1000, 128, BLOCK, &master);
+        let log = TraceLog::new();
+        let device = TracingDevice::with_log(MemDevice::new(end, BLOCK), log.clone());
+        let codec = BlockCodec::new(BLOCK);
+        let mut rng = HashDrbg::from_u64(5);
+        let sorter = ExternalSorter::new(
+            TracingDevice::with_log(MemDevice::new(512, BLOCK + 32), log.clone()),
+            17,
+        );
+        level
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(100))
+            .unwrap();
+        log.clear();
+
+        let upper: Vec<(u64, Vec<u8>)> = (500..505).map(|id| (id, vec![9u8; 8])).collect();
+        level
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper)
+            .unwrap();
+        let records = log.records();
+        let second_read = records
+            .iter()
+            .position(|r| r.kind == IoKind::Read && r.block == level.data_offset + 64)
+            .expect("second ranged read of the old contents");
+        let spilled_before = records[..second_read]
+            .iter()
+            .filter(|r| r.kind == IoKind::Write && r.block < 1000)
+            .count();
+        assert_eq!(spilled_before, 4 * 17);
+        assert_eq!(level.len(), 105);
+    }
+
+    #[test]
+    fn mid_group_failures_roll_back_with_nothing_written() {
+        // An in-memory sort (32 records) keeps seal groups at full width; in
+        // both cases the failing item is the sixth of the second group.
+        let (device, sort_device, mut level, codec, master, mut rng) = setup(32);
+        let sorter = ExternalSorter::new(sort_device, 32);
+        level
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(20))
+            .unwrap();
+        let state = |level: &Level| {
+            let mut manifest: Vec<(u64, u64)> =
+                level.manifest.iter().map(|(&id, &s)| (id, s)).collect();
+            manifest.sort_unstable();
+            (manifest, level.nonce, level.key)
+        };
+
+        // An oversized item among well-formed ones.
+        let before = (state(&level), image(&device));
+        let mut poisoned = items(20);
+        poisoned[13].1 = vec![0u8; Level::item_capacity(BLOCK) + 1];
+        assert!(matches!(
+            level.reorder(&device, &codec, &sorter, &master, &mut rng, poisoned),
+            Err(ObliviousError::ItemTooLarge { .. })
+        ));
+        assert!((state(&level), image(&device)) == before);
+
+        // A corrupt slot surfacing from the lazy stream of old contents:
+        // slot 10 is item 13 behind three upper items.
+        device
+            .write_block(level.data_offset + 10, &[0xA5u8; BLOCK])
+            .unwrap();
+        let before = (state(&level), image(&device));
+        let upper: Vec<(u64, Vec<u8>)> = (500..503).map(|id| (id, vec![7u8; 16])).collect();
+        assert!(matches!(
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper),
+            Err(ObliviousError::Corrupt(_))
+        ));
+        assert!((state(&level), image(&device)) == before);
+    }
+
+    #[test]
+    fn hostile_sort_partition_is_a_typed_error_and_rolls_back() {
+        /// A sort partition whose every ranged read comes back with the
+        /// first record's length field overwritten.
+        struct Hostile(MemDevice);
+        impl BlockDevice for Hostile {
+            fn num_blocks(&self) -> u64 {
+                self.0.num_blocks()
+            }
+            fn block_size(&self) -> usize {
+                self.0.block_size()
+            }
+            fn read_block(&self, b: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+                self.0.read_block(b, buf)
+            }
+            fn write_block(&self, b: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
+                self.0.write_block(b, buf)
+            }
+            fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+                self.0.read_blocks(start, buf)?;
+                buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+                Ok(())
+            }
+        }
+
+        let (device, sort_device, mut level, codec, master, mut rng) = setup(32);
+        let sorter = ExternalSorter::new(sort_device, 4);
+        level
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(12))
+            .unwrap();
+        let before = image(&device);
+        let manifest_before = level.manifest.len();
+
+        // Runs of 4 spill fine; the merge's first refill reads them back.
+        let hostile = ExternalSorter::new(Hostile(MemDevice::new(128, BLOCK + 32)), 4);
+        assert!(matches!(
+            level.merge_reorder(
+                &device,
+                &codec,
+                &hostile,
+                &master,
+                &mut rng,
+                vec![(500, vec![7u8; 16])],
+            ),
+            Err(ObliviousError::Corrupt(_))
+        ));
+        assert!(
+            image(&device) == before,
+            "level written despite the failure"
+        );
+        assert_eq!(level.manifest.len(), manifest_before);
+        for (id, payload) in items(12) {
+            let slot = level.lookup(&device, id).unwrap().0.expect("present");
+            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+        }
     }
 
     #[test]

@@ -232,9 +232,10 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// The structural-pass counter: even when no flush/dump cascade is in
     /// flight, odd while one is rewriting levels. Two increments per
     /// completed pass, so `write_epoch() / 2` counts structural passes. This
-    /// is the write-epoch guard the serving layer can observe: readers do not
-    /// consult it (the per-level locks already exclude them from levels under
-    /// rewrite), but audits assert it is even at quiescence.
+    /// is the write-epoch guard the serving layer can observe: a read uses it
+    /// to notice that a flush ran while it scanned the levels (the per-level
+    /// locks already exclude it from levels under rewrite), and audits assert
+    /// it is even at quiescence.
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch.load(Ordering::Acquire)
     }
@@ -378,25 +379,61 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     ///
     /// Concurrent readers interleave freely: each holds one level's read
     /// lock while probing it (shared with other readers of the same level)
-    /// and drops it before moving to the next. Correctness under a racing
-    /// flush follows from the cascade moving items strictly *downward* —
-    /// the same direction this scan proceeds — and from fresher copies
-    /// always sitting at shallower levels.
+    /// and drops it before moving to the next. A scan racing a flush always
+    /// finds *a* copy — the cascade moves items strictly downward, the
+    /// direction the scan proceeds — but not necessarily the freshest: a
+    /// `write` of the same id can be buffered and flushed into a level the
+    /// scan has already passed. Re-buffering that stale copy would shadow
+    /// the newer one (the buffer wins by convention), so the copy a scan
+    /// found is only trusted if no structural pass ran since the buffer was
+    /// last seen not to hold the id; otherwise the levels are scanned again.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
         if !self.contains(id) {
             return Err(ObliviousError::NotCached { id });
         }
         self.stats.count_read_served();
 
-        // Buffer hit: served from agent memory, no storage I/O (Figure 8(b)).
-        {
-            let front = self.front.read();
+        loop {
+            // Buffer hit: served from agent memory, no storage I/O (Figure
+            // 8(b)). The epoch is sampled under the front lock, which every
+            // structural pass holds from start to end.
+            let epoch = {
+                let front = self.front.read();
+                if let Some(&pos) = front.index.get(&id) {
+                    self.stats.count_buffer_hit();
+                    return Ok(front.entries[pos].1.clone());
+                }
+                self.write_epoch()
+            };
+
+            let payload = self.scan_levels(id)?;
+
+            // Figure 8(b): "add B1 to buffer; if buffer is full ... copy
+            // buffer into level1". Sequentially neither early exit is ever
+            // taken: the buffer was checked above and nothing ran in between.
+            let mut front = self.front.write();
             if let Some(&pos) = front.index.get(&id) {
-                self.stats.count_buffer_hit();
+                // A racing reader or writer re-buffered the id: that copy is
+                // at least as fresh as ours.
                 return Ok(front.entries[pos].1.clone());
             }
+            if self.write_epoch() != epoch {
+                continue;
+            }
+            let pos = front.entries.len();
+            front.index.insert(id, pos);
+            front.entries.push((id, payload.clone()));
+            if front.entries.len() >= self.cfg.buffer_blocks as usize {
+                self.flush_buffer(&mut front)?;
+            }
+            return Ok(payload);
         }
+    }
 
+    /// One Figure 8(b) pass over the hierarchy for `id`: one index bucket and
+    /// one data slot in every level, real where the id is first found, dummy
+    /// everywhere else. Returns the shallowest copy.
+    fn scan_levels(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
         let start = self.now_us();
         let mut found: Option<Vec<u8>> = None;
         let mut retrieve_ios = 0u64;
@@ -440,30 +477,11 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         }
         self.stats.add_retrieve(retrieve_ios, self.now_us() - start);
 
-        let payload = found.ok_or_else(|| {
+        found.ok_or_else(|| {
             ObliviousError::Corrupt(format!(
                 "membership set contains {id} but no level holds it"
             ))
-        })?;
-
-        // Figure 8(b): "add B1 to buffer; if buffer is full ... copy buffer
-        // into level1". If a racing reader or writer already re-buffered the
-        // id, the buffer copy is at least as fresh as our level copy — keep
-        // it (sequentially this branch is never taken: the buffer was
-        // checked above and nothing ran in between).
-        {
-            let mut front = self.front.write();
-            if !front.index.contains_key(&id) {
-                let pos = front.entries.len();
-                front.index.insert(id, pos);
-                front.entries.push((id, payload.clone()));
-                if front.entries.len() >= self.cfg.buffer_blocks as usize {
-                    self.flush_buffer(&mut front)?;
-                }
-            }
-        }
-
-        Ok(payload)
+        })
     }
 
     /// Flush the buffer into level 1, cascading full levels downwards and
@@ -979,6 +997,108 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.reads_served, 8 * 60);
         assert_eq!(stats.inserts, 48);
+    }
+
+    #[test]
+    fn read_racing_a_write_and_flush_of_the_same_id_returns_the_new_value() {
+        // The lost-write interleaving, forced: a device whose read of one
+        // chosen block first runs a hook. The hook fires while a reader is
+        // holding the stale level-2 copy of id 3 and, on the reader's own
+        // thread, overwrites id 3 and fills the buffer so the new value is
+        // flushed into level 1 — behind the reader's scan.
+        type Hook = Option<(u64, Box<dyn FnOnce() + Send>)>;
+        struct Hooked {
+            inner: MemDevice,
+            hook: std::sync::Arc<Mutex<Hook>>,
+        }
+        impl BlockDevice for Hooked {
+            fn num_blocks(&self) -> u64 {
+                self.inner.num_blocks()
+            }
+            fn block_size(&self) -> usize {
+                self.inner.block_size()
+            }
+            fn read_block(
+                &self,
+                block: u64,
+                buf: &mut [u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                let mut hook = self.hook.lock();
+                let armed = matches!(&*hook, Some((at, _)) if *at == block);
+                let run = if armed { hook.take() } else { None };
+                drop(hook);
+                if let Some((_, run)) = run {
+                    run();
+                }
+                self.inner.read_block(block, buf)
+            }
+            fn write_block(
+                &self,
+                block: u64,
+                buf: &[u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                self.inner.write_block(block, buf)
+            }
+        }
+
+        let cfg = ObliviousConfig::new(4, 64);
+        let blocks = ObliviousStore::<Hooked, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<Hooked, MemDevice>::sort_blocks_required(&cfg);
+        let hook = std::sync::Arc::new(Mutex::new(None));
+        let store = std::sync::Arc::new(
+            ObliviousStore::new(
+                Hooked {
+                    inner: MemDevice::new(blocks, BLOCK),
+                    hook: hook.clone(),
+                },
+                MemDevice::new(sort_blocks + 8, BLOCK + 32),
+                cfg,
+                Key256::from_passphrase("test master"),
+                1234,
+                None,
+            )
+            .unwrap(),
+        );
+        // Three flushes: ids 0..8 end up in level 2, ids 8..12 in level 1,
+        // which has room for one more buffer.
+        for id in 0..12u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let stale_copy = {
+            let level = store.levels[1].read();
+            level.data_offset + level.manifest[&3]
+        };
+        assert!(!store.levels[0].read().manifest.contains_key(&3));
+
+        let fresh = vec![0xF5u8; 64];
+        let writer = store.clone();
+        let value = fresh.clone();
+        *hook.lock() = Some((
+            stale_copy,
+            Box::new(move || {
+                writer.write(3, value).unwrap();
+                for id in 20..23u64 {
+                    writer.insert(id, payload(id)).unwrap();
+                }
+                assert!(writer.levels[0].read().manifest.contains_key(&3));
+            }),
+        ));
+        let epoch = store.write_epoch();
+        assert_eq!(
+            store.read(3).unwrap(),
+            fresh,
+            "the read returned a stale copy"
+        );
+        assert!(hook.lock().is_none(), "the hook never fired");
+        assert_eq!(store.write_epoch(), epoch + 2);
+        assert_eq!(
+            store.read(3).unwrap(),
+            fresh,
+            "a stale copy was re-buffered"
+        );
+        // Two calls, however many scans the first one took.
+        assert_eq!(store.stats().reads_served, 2);
+        assert!(store.membership_is_consistent());
     }
 
     #[test]

@@ -592,16 +592,19 @@ impl<D: BlockDevice> ResilientStore<D> {
             let parity = self.codec.encode(&refs);
 
             let locs = self.fs.allocate_blocks(&self.map, m as u64)?;
+            // The stripe's parity rows are sealed as one group, then written
+            // in row order.
+            let group: Vec<(BlockId, &[u8])> = locs
+                .iter()
+                .zip(&parity)
+                .map(|(&loc, shard)| (loc, shard.as_slice()))
+                .collect();
+            self.fs.with_rng(|rng| {
+                self.fs
+                    .codec()
+                    .write_sealed_many(self.fs.device(), &content_key, &group, rng)
+            })?;
             for (row, shard) in parity.iter().enumerate() {
-                self.fs.with_rng(|rng| {
-                    self.fs.codec().write_sealed(
-                        self.fs.device(),
-                        locs[row],
-                        &content_key,
-                        shard,
-                        rng,
-                    )
-                })?;
                 stripes.set_parity_entry(
                     stripe,
                     row,
@@ -890,21 +893,26 @@ impl<D: BlockDevice> ResilientStore<D> {
                 chunk.iter().zip(entries.iter().zip(&planned_parity))
             {
                 let stripe = self.stripe_cfg.stripe_of(*index);
-                self.fs
-                    .write_content_block(&mut g.open, *index, new_field)?;
+                // The entry's data block and its parity rows are sealed as
+                // one group, then written data first, parity in row order.
+                let mut group: Vec<(BlockId, &[u8])> = Vec::with_capacity(1 + m);
+                group.push((entry.data_location, new_field));
+                group.extend(
+                    entry
+                        .parity
+                        .iter()
+                        .zip(parities)
+                        .map(|(intent, shard)| (intent.location, shard.as_slice())),
+                );
+                self.fs.with_rng(|rng| {
+                    self.fs
+                        .codec()
+                        .write_sealed_many(self.fs.device(), &content_key, &group, rng)
+                })?;
                 g.stripes.set_data_check(*index, entry.data_post);
-                for (row, shard) in parities.iter().enumerate() {
+                for (row, intent) in entry.parity.iter().enumerate() {
                     let mut pe = *g.stripes.parity_entry(stripe, row);
-                    self.fs.with_rng(|rng| {
-                        self.fs.codec().write_sealed(
-                            self.fs.device(),
-                            pe.location,
-                            &content_key,
-                            shard,
-                            rng,
-                        )
-                    })?;
-                    pe.check = entry.parity[row].post;
+                    pe.check = intent.post;
                     g.stripes.set_parity_entry(stripe, row, pe);
                 }
             }

@@ -16,7 +16,7 @@
 //! snapshot-diffing attacker cannot tell it apart from a genuine data update.
 
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{AesScheduleCache, CbcCipher, HashDrbg, Key256};
+use stegfs_crypto::{AesScheduleCache, CbcCipher, HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::error::FsError;
 use crate::layout::IV_SIZE;
@@ -65,6 +65,20 @@ impl BlockCodec {
         plaintext: &[u8],
         rng: &mut HashDrbg,
     ) -> Result<Vec<u8>, FsError> {
+        let mut block = vec![0u8; self.block_size];
+        self.lay_out(&mut block, plaintext, rng)?;
+        self.seal_blocks_in_place(key, &mut block)?;
+        Ok(block)
+    }
+
+    /// Lay one physical block out for [`Self::seal_blocks_in_place`]: a fresh
+    /// IV drawn from `rng`, then `plaintext`, then zero padding.
+    pub fn lay_out(
+        &self,
+        block: &mut [u8],
+        plaintext: &[u8],
+        rng: &mut HashDrbg,
+    ) -> Result<(), FsError> {
         if plaintext.len() > self.data_field_len() {
             return Err(FsError::Cipher(format!(
                 "plaintext of {} bytes exceeds data field of {} bytes",
@@ -72,19 +86,67 @@ impl BlockCodec {
                 self.data_field_len()
             )));
         }
-        let mut block = vec![0u8; self.block_size];
-        let mut iv = [0u8; IV_SIZE];
-        rng.fill_bytes(&mut iv);
-        block[..IV_SIZE].copy_from_slice(&iv);
-        block[IV_SIZE..IV_SIZE + plaintext.len()].copy_from_slice(plaintext);
-        let cbc = CbcCipher::new(self.schedules.get(key));
-        cbc.encrypt_in_place(&iv, &mut block[IV_SIZE..])?;
-        Ok(block)
+        self.check_block(block)?;
+        let (iv, field) = block.split_at_mut(IV_SIZE);
+        rng.fill_bytes(iv);
+        field[..plaintext.len()].copy_from_slice(plaintext);
+        field[plaintext.len()..].fill(0);
+        Ok(())
     }
 
-    /// Open a physical block under `key`, returning the full plaintext data
-    /// field (including any zero padding the caller added at seal time).
-    pub fn open(&self, key: &Key256, physical: &[u8]) -> Result<Vec<u8>, FsError> {
+    /// Seal a contiguous run of laid-out `IV || plaintext` physical blocks in
+    /// place under `key`: every data field is CBC-encrypted under the IV in
+    /// front of it. The blocks are independent CBC chains, so they go through
+    /// the cipher [`PIPELINE_WIDTH`] at a time
+    /// ([`CbcCipher::encrypt_many_in_place`]) instead of one serial chain
+    /// after another.
+    ///
+    /// The caller draws the IVs. As long as it draws them in the order a
+    /// block-at-a-time [`Self::seal`] loop would, the run is byte-identical
+    /// to that loop's output — which is what keeps device images unchanged
+    /// where a seal-then-write loop was turned into a batched one.
+    pub fn seal_blocks_in_place(&self, key: &Key256, run: &mut [u8]) -> Result<(), FsError> {
+        if run.len() % self.block_size != 0 {
+            return Err(FsError::Cipher(format!(
+                "run of {} bytes is not a whole number of {}-byte blocks",
+                run.len(),
+                self.block_size
+            )));
+        }
+        let cbc = CbcCipher::new(self.schedules.get(key));
+        for group in run.chunks_mut(PIPELINE_WIDTH * self.block_size) {
+            let mut ivs = [[0u8; IV_SIZE]; PIPELINE_WIDTH];
+            let mut fields: [&mut [u8]; PIPELINE_WIDTH] = Default::default();
+            let mut n = 0;
+            for block in group.chunks_exact_mut(self.block_size) {
+                let (iv, field) = block.split_at_mut(IV_SIZE);
+                ivs[n].copy_from_slice(iv);
+                fields[n] = field;
+                n += 1;
+            }
+            cbc.encrypt_many_in_place(&ivs[..n], &mut fields[..n])?;
+        }
+        Ok(())
+    }
+
+    /// The cipher half of a dummy update, in place: decrypt the physical
+    /// block's data field under the IV in front of it, replace that IV with
+    /// `fresh_iv`, re-encrypt the identical plaintext.
+    pub fn reseal_in_place(
+        &self,
+        key: &Key256,
+        physical: &mut [u8],
+        fresh_iv: &[u8; IV_SIZE],
+    ) -> Result<(), FsError> {
+        self.check_block(physical)?;
+        let (iv, field) = physical.split_at_mut(IV_SIZE);
+        let old_iv: &[u8; IV_SIZE] = (&*iv).try_into().expect("split at IV_SIZE");
+        CbcCipher::new(self.schedules.get(key)).decrypt_in_place(old_iv, field)?;
+        iv.copy_from_slice(fresh_iv);
+        self.seal_blocks_in_place(key, physical)
+    }
+
+    fn check_block(&self, physical: &[u8]) -> Result<(), FsError> {
         if physical.len() != self.block_size {
             return Err(FsError::Cipher(format!(
                 "physical block of {} bytes, expected {}",
@@ -92,6 +154,13 @@ impl BlockCodec {
                 self.block_size
             )));
         }
+        Ok(())
+    }
+
+    /// Open a physical block under `key`, returning the full plaintext data
+    /// field (including any zero padding the caller added at seal time).
+    pub fn open(&self, key: &Key256, physical: &[u8]) -> Result<Vec<u8>, FsError> {
+        self.check_block(physical)?;
         let mut iv = [0u8; IV_SIZE];
         iv.copy_from_slice(&physical[..IV_SIZE]);
         let mut data = physical[IV_SIZE..].to_vec();
@@ -109,8 +178,33 @@ impl BlockCodec {
         plaintext: &[u8],
         rng: &mut HashDrbg,
     ) -> Result<(), FsError> {
-        let physical = self.seal(key, plaintext, rng)?;
-        device.write_block(block, &physical)?;
+        self.write_sealed_many(device, key, &[(block, plaintext)], rng)
+    }
+
+    /// Seal every `(block, plaintext)` of `blocks` under `key` and write it:
+    /// the same IV draws, device writes and bytes, in the same order, as one
+    /// [`Self::write_sealed`] per entry, but sealed [`PIPELINE_WIDTH`] blocks
+    /// at a time ([`Self::seal_blocks_in_place`]) before that group's writes
+    /// go out.
+    pub fn write_sealed_many<D: BlockDevice + ?Sized>(
+        &self,
+        device: &D,
+        key: &Key256,
+        blocks: &[(BlockId, &[u8])],
+        rng: &mut HashDrbg,
+    ) -> Result<(), FsError> {
+        let bs = self.block_size;
+        let mut staging = vec![0u8; blocks.len().min(PIPELINE_WIDTH) * bs];
+        for group in blocks.chunks(PIPELINE_WIDTH) {
+            let run = &mut staging[..group.len() * bs];
+            for (physical, (_, plaintext)) in run.chunks_exact_mut(bs).zip(group) {
+                self.lay_out(physical, plaintext, rng)?;
+            }
+            self.seal_blocks_in_place(key, run)?;
+            for (physical, &(block, _)) in run.chunks_exact(bs).zip(group) {
+                device.write_block(block, physical)?;
+            }
+        }
         Ok(())
     }
 
@@ -146,13 +240,9 @@ impl BlockCodec {
     ) -> Result<(), FsError> {
         let mut physical = vec![0u8; self.block_size];
         device.read_block(block, &mut physical)?;
-        let mut iv = [0u8; IV_SIZE];
-        iv.copy_from_slice(&physical[..IV_SIZE]);
-        let cbc = CbcCipher::new(self.schedules.get(key));
-        cbc.decrypt_in_place(&iv, &mut physical[IV_SIZE..])?;
-        rng.fill_bytes(&mut iv);
-        physical[..IV_SIZE].copy_from_slice(&iv);
-        cbc.encrypt_in_place(&iv, &mut physical[IV_SIZE..])?;
+        let mut fresh_iv = [0u8; IV_SIZE];
+        rng.fill_bytes(&mut fresh_iv);
+        self.reseal_in_place(key, &mut physical, &fresh_iv)?;
         device.write_block(block, &physical)?;
         Ok(())
     }
@@ -295,6 +385,69 @@ mod tests {
         dev_a.read_block(2, &mut a).unwrap();
         dev_b.read_block(2, &mut b).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn batched_seal_is_byte_identical_to_a_seal_loop() {
+        // No blocks, one, a partial group, a full group, one over, two over
+        // two groups: laying blocks out in order and sealing the run must
+        // give exactly the bytes (and leave the DRBG exactly where) a
+        // block-at-a-time seal loop does.
+        let c = codec();
+        for n in [0usize, 1, 3, 8, 9, 17] {
+            let plaintexts: Vec<Vec<u8>> = (0..n)
+                .map(|i| vec![0x5A ^ i as u8; 100 + 211 * i])
+                .collect();
+            let mut loop_rng = HashDrbg::from_u64(21);
+            let expected: Vec<u8> = plaintexts
+                .iter()
+                .flat_map(|p| c.seal(&key(2), p, &mut loop_rng).unwrap())
+                .collect();
+
+            // Stale bytes in the staging run: lay_out owns every byte.
+            let mut run_rng = HashDrbg::from_u64(21);
+            let mut run = vec![0xEEu8; n * 4096];
+            for (block, p) in run.chunks_exact_mut(4096).zip(&plaintexts) {
+                c.lay_out(block, p, &mut run_rng).unwrap();
+            }
+            c.seal_blocks_in_place(&key(2), &mut run).unwrap();
+            assert_eq!(run, expected, "run of {n}");
+            assert_eq!(run_rng.next_u64(), loop_rng.clone().next_u64());
+
+            // The seal-then-write form: same image, same write order.
+            let dev = stegfs_blockdev::TracingDevice::new(MemDevice::new(64, 4096));
+            let mut many_rng = HashDrbg::from_u64(21);
+            let blocks: Vec<(BlockId, &[u8])> = plaintexts
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (60 - 3 * i as u64, p.as_slice()))
+                .collect();
+            c.write_sealed_many(&dev, &key(2), &blocks, &mut many_rng)
+                .unwrap();
+            let written: Vec<BlockId> = dev.log().records().iter().map(|r| r.block).collect();
+            let targets: Vec<BlockId> = blocks.iter().map(|&(b, _)| b).collect();
+            assert_eq!(written, targets);
+            for (&(block, _), sealed) in blocks.iter().zip(expected.chunks_exact(4096)) {
+                let mut on_device = vec![0u8; 4096];
+                dev.read_block(block, &mut on_device).unwrap();
+                assert_eq!(on_device, sealed);
+            }
+            assert_eq!(many_rng.next_u64(), loop_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn malformed_runs_are_rejected() {
+        let c = codec();
+        let mut rng = HashDrbg::from_u64(22);
+        let mut run = vec![0u8; 4096 + 100];
+        assert!(c.seal_blocks_in_place(&key(1), &mut run).is_err());
+        assert!(c.lay_out(&mut run, b"x", &mut rng).is_err());
+        let too_big = vec![0u8; c.data_field_len() + 1];
+        assert!(c.lay_out(&mut run[..4096], &too_big, &mut rng).is_err());
+        assert!(c
+            .reseal_in_place(&key(1), &mut run[..4000], &[0u8; IV_SIZE])
+            .is_err());
     }
 
     #[test]

@@ -451,17 +451,17 @@ impl<D: BlockDevice> StegFs<D> {
         match content {
             ContentInit::Bytes(bytes) => {
                 let content_key = fak.content_key().ok_or(FsError::NoContentKey)?;
-                for (i, &loc) in content_locs.iter().enumerate() {
-                    let start = i * per_block;
-                    let end = (start + per_block).min(bytes.len());
-                    let chunk = if start < bytes.len() {
-                        &bytes[start..end]
-                    } else {
-                        &[][..]
-                    };
-                    self.codec
-                        .write_sealed(&self.device, loc, content_key, chunk, &mut rng)?;
-                }
+                let blocks: Vec<(BlockId, &[u8])> = content_locs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &loc)| {
+                        let start = (i * per_block).min(bytes.len());
+                        let end = (start + per_block).min(bytes.len());
+                        (loc, &bytes[start..end])
+                    })
+                    .collect();
+                self.codec
+                    .write_sealed_many(&self.device, content_key, &blocks, &mut rng)?;
             }
             ContentInit::Random => {
                 for &loc in &content_locs {
