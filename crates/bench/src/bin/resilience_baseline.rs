@@ -19,6 +19,11 @@
 //! 4. **Recovery latency.** Mean wall-clock latency of a `read_file` that
 //!    must repair one freshly corrupted block mid-read, against the clean
 //!    read latency of the same file.
+//! 5. **Inline check and cover traffic.** The keyed fast check one buffer at
+//!    a time against eight buffers' chains walked together
+//!    (`ChecksumKeys::fast_many`), and the cost per touched block of a
+//!    scrub-cursor `dummy_update_batch` on a volume of 32 managed files —
+//!    the number that has to stay O(blocks touched), not O(blocks managed).
 //!
 //! Run with `--quick` (or `STEGFS_BENCH_QUICK=1`) for a CI-sized run; the
 //! JSON schema is identical, with `"quick": true` recorded so trajectory
@@ -31,7 +36,7 @@ use stegfs_bench::harness::{pick, quick_mode, timed, BLOCK_SIZE};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::{FaultDevice, FaultPlan, MemDevice};
 use stegfs_crypto::Key256;
-use stegfs_resilience::{ErasureCodec, ResilienceConfig, ResilientStore};
+use stegfs_resilience::{ChecksumKeys, ErasureCodec, ResilienceConfig, ResilientStore, FAST_LANES};
 
 const SHAPES: [(usize, usize); 3] = [(4, 1), (4, 2), (8, 2)];
 const MB: f64 = (1 << 20) as f64;
@@ -251,6 +256,72 @@ fn main() {
         "ms",
         recovery_total / lat_iters as f64 * 1e3,
         "read_file repairing one corrupt block in place".to_string(),
+    ));
+
+    // --- 5. Inline fast check, and cover traffic over many files. ---
+    let keys = ChecksumKeys::derive(&master());
+    let fields: Vec<Vec<u8>> = (0..FAST_LANES)
+        .map(|i| pattern(per, 200 + i as u64))
+        .collect();
+    let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
+    let check_iters = pick(40_000u64, 2_000);
+    let group_mb = (FAST_LANES * per) as f64 / MB;
+    let single_secs = timed(check_iters, || {
+        for field in std::hint::black_box(&refs) {
+            std::hint::black_box(keys.fast(field));
+        }
+    });
+    metrics.push(Metric::new(
+        "fast_check_mb_s",
+        "MB/s",
+        group_mb * check_iters as f64 / single_secs,
+        format!("ChecksumKeys::fast, one {per} B field at a time"),
+    ));
+    let mut hashes = [0u64; FAST_LANES];
+    let many_secs = timed(check_iters, || {
+        keys.fast_many(std::hint::black_box(&refs), &mut hashes);
+        std::hint::black_box(&hashes);
+    });
+    metrics.push(Metric::new(
+        "fast_check_x8_mb_s",
+        "MB/s",
+        group_mb * check_iters as f64 / many_secs,
+        format!("ChecksumKeys::fast_many, {FAST_LANES} fields of {per} B per call"),
+    ));
+
+    let cover_files = 32usize;
+    let cover_file_blocks = pick(32usize, 8);
+    let cover_dev = MemDevice::new(
+        (cover_files * cover_file_blocks * 3 + 256) as u64,
+        BLOCK_SIZE,
+    );
+    let cover_store =
+        ResilientStore::format(cover_dev, store_cfg(k, m), &master(), 45).expect("format");
+    for f in 0..cover_files {
+        let payload = pattern(cover_file_blocks * per, 300 + f as u64);
+        cover_store
+            .create_file(&format!("/cover/{f}"), &payload)
+            .expect("create");
+    }
+    let cursor = cover_store.scrub_cursor(45);
+    let cover_batches = pick(2_000u64, 100);
+    // `timed` also runs warm-up and repeat passes: count what it really ran.
+    let (mut calls, mut touched) = (0u64, 0u64);
+    let cover_secs = timed(cover_batches, || {
+        let batch = cover_store
+            .dummy_update_batch(8, Some(&cursor))
+            .expect("dummy batch");
+        calls += 1;
+        touched += batch.len() as u64;
+    });
+    let blocks_per_batch = touched as f64 / calls as f64;
+    metrics.push(Metric::new(
+        "dummy_batch_us_per_block",
+        "us",
+        cover_secs / cover_batches as f64 * 1e6 / blocks_per_batch,
+        format!(
+            "dummy_update_batch(8, cursor), {cover_files} files x {cover_file_blocks} blocks, ({k}, {m})"
+        ),
     ));
 
     // --- Report. ---

@@ -10,37 +10,45 @@
 //! relies on: experiments become reproducible and property tests can replay
 //! exact block-selection sequences.
 
-use crate::sha256::{sha256, Sha256};
+use crate::backend;
+use crate::sha256::{compress_block, Sha256, H0, SHA256_OUTPUT_SIZE};
+
+const OUT: usize = SHA256_OUTPUT_SIZE;
 
 /// Deterministic random bit generator backed by SHA-256.
 #[derive(Clone)]
 pub struct HashDrbg {
-    v: [u8; 32],
+    /// `V` followed by its constant SHA-256 padding: the one 64-byte block
+    /// whose digest is the next output block.
+    v_block: [u8; 64],
     c: [u8; 32],
     reseed_counter: u64,
-    /// Buffered output bytes not yet handed to the caller.
-    buffer: Vec<u8>,
+    /// The last output block; bytes from `cursor` on are not yet handed out.
+    buffer: [u8; OUT],
+    cursor: usize,
 }
 
 impl HashDrbg {
     /// Instantiate from arbitrary seed material.
     pub fn new(seed: &[u8]) -> Self {
-        let mut v_input = Vec::with_capacity(seed.len() + 1);
-        v_input.push(0x01u8);
-        v_input.extend_from_slice(seed);
-        let v = sha256(&v_input);
-
-        let mut c_input = Vec::with_capacity(seed.len() + 1);
-        c_input.push(0x02u8);
-        c_input.extend_from_slice(seed);
-        let c = sha256(&c_input);
-
-        Self {
-            v,
-            c,
+        let tagged = |tag: u8| {
+            let mut h = Sha256::new();
+            h.update(&[tag]);
+            h.update(seed);
+            h.finalize()
+        };
+        let mut rng = Self {
+            v_block: [0u8; 64],
+            c: tagged(0x02),
             reseed_counter: 1,
-            buffer: Vec::new(),
-        }
+            buffer: [0u8; OUT],
+            cursor: OUT,
+        };
+        rng.v_block[..OUT].copy_from_slice(&tagged(0x01));
+        // SHA-256 padding of a 32-byte message: 0x80, zeros, bit length 256.
+        rng.v_block[OUT] = 0x80;
+        rng.v_block[56..].copy_from_slice(&(8 * OUT as u64).to_be_bytes());
+        rng
     }
 
     /// Instantiate from a 64-bit seed; convenience for tests and experiments.
@@ -52,45 +60,59 @@ impl HashDrbg {
     pub fn reseed(&mut self, extra: &[u8]) {
         let mut h = Sha256::new();
         h.update(&[0x03]);
-        h.update(&self.v);
+        h.update(&self.v_block[..OUT]);
         h.update(extra);
-        self.v = h.finalize();
+        self.v_block[..OUT].copy_from_slice(&h.finalize());
         let mut h = Sha256::new();
         h.update(&[0x04]);
         h.update(&self.c);
         h.update(extra);
         self.c = h.finalize();
         self.reseed_counter = self.reseed_counter.wrapping_add(1);
-        self.buffer.clear();
+        self.cursor = OUT;
     }
 
-    fn refill(&mut self) {
-        // Output block: SHA-256(V); then V = V + C + reseed_counter (mod 2^256).
-        let out = sha256(&self.v);
-        self.buffer.extend_from_slice(&out);
-        // Update V.
-        let mut carry = 0u16;
-        let counter_bytes = self.reseed_counter.to_be_bytes();
-        for i in (0..32).rev() {
-            let counter_byte = if i >= 24 { counter_bytes[i - 24] } else { 0 };
-            let sum = self.v[i] as u16 + self.c[i] as u16 + counter_byte as u16 + carry;
-            self.v[i] = (sum & 0xff) as u8;
-            carry = sum >> 8;
+    /// The next output block, SHA-256(V); then V = V + C + reseed_counter
+    /// (mod 2^256, big-endian).
+    fn next_block(&mut self) -> [u8; OUT] {
+        let mut state = H0;
+        compress_block(backend::sha256_active(), &mut state, &self.v_block);
+        let mut out = [0u8; OUT];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        let mut carry = self.reseed_counter;
+        for (v, c) in self.v_block[..OUT]
+            .chunks_exact_mut(8)
+            .zip(self.c.chunks_exact(8))
+            .rev()
+        {
+            let sum = u64::from_be_bytes((&*v).try_into().expect("8-byte limb")) as u128
+                + u64::from_be_bytes(c.try_into().expect("8-byte limb")) as u128
+                + carry as u128;
+            v.copy_from_slice(&(sum as u64).to_be_bytes());
+            carry = (sum >> 64) as u64;
         }
         self.reseed_counter = self.reseed_counter.wrapping_add(1);
+        out
     }
 
-    /// Fill `dest` with pseudo-random bytes.
+    /// Fill `dest` with pseudo-random bytes: what is left of the last output
+    /// block, then whole blocks written straight into `dest`, then the head
+    /// of one more block whose rest stays buffered.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut written = 0;
-        while written < dest.len() {
-            if self.buffer.is_empty() {
-                self.refill();
-            }
-            let take = self.buffer.len().min(dest.len() - written);
-            dest[written..written + take].copy_from_slice(&self.buffer[..take]);
-            self.buffer.drain(..take);
-            written += take;
+        let take = (OUT - self.cursor).min(dest.len());
+        dest[..take].copy_from_slice(&self.buffer[self.cursor..self.cursor + take]);
+        self.cursor += take;
+        let mut blocks = dest[take..].chunks_exact_mut(OUT);
+        for block in &mut blocks {
+            block.copy_from_slice(&self.next_block());
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.buffer = self.next_block();
+            tail.copy_from_slice(&self.buffer[..tail.len()]);
+            self.cursor = tail.len();
         }
     }
 
@@ -162,6 +184,100 @@ impl core::fmt::Debug for HashDrbg {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // First 256 output bytes, generated by the Vec-buffered implementation
+    // this one replaced: the stream is part of every pinned device image.
+    const KAT_SEED_0: [&str; 8] = [
+        "e5d196bfb21caca9dbd654cafb3b4dc0c4882c8927d2eb300d9539dd0b934228",
+        "7bef84a9f5b98906b30c0e7facafaa6f4b8b8164312600d56cb1fb4bb7de55fa",
+        "56310cd40715d077b13cfbc4737eabb99844cc8f3461b85544887ee4e7d19a4f",
+        "d6a2457cdf8ccabd539b82d4cdf892ad9a2d54588f8aca3b63605339586da7d7",
+        "8f04ac428a38c35324788ec42a914a0712b934d7facf21f2d816d866fb90a168",
+        "0ffdcdfe0f27bcc66ec7bfd3fb6523720d76ca4fc9f852bce5d33cd8a59cc7ea",
+        "71d09d2153d366bb587756f09151cbbd0426c5b7a9a7c9c300c2e82e97d31a04",
+        "576280c06f96d6e8a465ffdee2b300ee31974dcbbcaff932b0487ce5e1fc601b",
+    ];
+    const KAT_SEED_1: [&str; 8] = [
+        "a9dd41242dfb82d7800d4c5c95163da288426d6b4cf357cfd9d00e25096247a0",
+        "7612a8172744ff6b12c165ec3e05820c6a72979b464b7250d5f99283c2d4e1b7",
+        "613501d81752d925a3bd5cb8fedfd46c2d815be04da8f6de6f0e5fb39460024c",
+        "2574d80fd418be31ab54b3bade8ac430c3ac8699542382491a7ead3e89ab8167",
+        "d5715183017ff6fa972f9350fa69145596cd162b96db67a33fdcc99aa66475ed",
+        "6bb50f8ff6604396060c085ba21efe5f56467bdcf5d66cd06c77ac04392d5b04",
+        "ffb1f8de9c5f5fb0bee7c2d6e0818e2e788a593dee56f4c78406815bc2aa49cf",
+        "a5beb3e478f8524a1f7554b338fe6db5eb6a912beb382caa18d6c9f58a2622f0",
+    ];
+    const KAT_SEED_42: [&str; 8] = [
+        "6bb983db9f8c133ef78e9cb6f66ddc42de5f7c4857c801b95f4cadbce381c00b",
+        "f4ec241f38befc58e21d4d0a4cb661e2180d4509761d90902879d02d03189860",
+        "4b588136fa07891b677503267f2fe60aee6f87afe8d21b142b1ad6a40b16fb97",
+        "5226807c1955ff1c00d1ef90bc3c305982d8f381f5ad836443a1ba3209f71827",
+        "bf54407c4e1ae1069396e38238551c0e491ccade1feae67254e780d801fd450a",
+        "3c351bf92485efde64a4cc6423e02b16439926c70719b365ed5a36346127d663",
+        "e563066d7db3daa25725718686666bb0409853ee4d22cdc05d2d765e870105d5",
+        "8885ac1a8a5b121d1ed719ce27856943e7afbfb43707b338eb901da7a6cbb352",
+    ];
+    const KAT_RESEED: [&str; 8] = [
+        "fe06a9ab2daaa157b21d0e50f7a970d3ae8ae6bb8dad5eb91859fef07bdc8960",
+        "0e6e1cc8d47596317e224a0eae343a3fd622c45e68531fa4abfe21e73ee922cb",
+        "3b80b3f188011942be24ed924516fcf53d2c2774705566becaab51b716bec558",
+        "7948674d07f9329d6218f1c158598da0c3c14befc2c2f0321f6f606177a60daa",
+        "b5b84628e89a65da07d321f40ab2ba2ddedabba8506bfa29ee9b3fa0e38be20b",
+        "b8a0c661b9c01060712fe09e19a82b32b8d8496428dc61cd8f45cf3d07c5ee29",
+        "56b1e98a318ef224efe9bbcaf19baeab4c03c564d549df9c4b625572aa64e198",
+        "8e20737dec655a7d675a2c6851cde00f8d63e4150f96040f4b293fbd43ffd51a",
+    ];
+    const KAT_CHUNKED: [&str; 8] = [
+        "29bc1834515b006437386f9e6974615fa5a4fb4873eac68ace24357a889f75c7",
+        "de384412d10f1fcb820845222e6e8e1c95f14d7ece0595b27103a9ac6324e99d",
+        "7f0a0c6504dcbc7906f225527d2afc525b418d44ebe35d9b370c0f51a1de3b48",
+        "e8dec522b1716b8a3a61cf7070c6d9324ee9b159e685155c7515e2f129ee3616",
+        "ad77fcae49534a7db479eba92907a2cf661a8330ef68082a8f88a7efc0cb05c8",
+        "5008ca555860427d3da4b279dc20f53bca011e0b0c71a1713b70a68dd7bbea99",
+        "192a9547e46fbe1d28f21e0f0c3b46a8c5e43b1cdba1ba4e52b49caa3bc1d027",
+        "4ee4ba554f0b11ed3cb284c6c3ee203d4266af3ece5fcb1bf7c2e908ac931ad6",
+    ];
+
+    fn unhex(rows: &[&str]) -> Vec<u8> {
+        rows.iter()
+            .flat_map(|row| {
+                (0..row.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&row[i..i + 2], 16).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn known_answers() {
+        for (seed, kat) in [(0, KAT_SEED_0), (1, KAT_SEED_1), (42, KAT_SEED_42)] {
+            assert_eq!(
+                HashDrbg::from_u64(seed).bytes(256),
+                unhex(&kat),
+                "seed {seed}"
+            );
+        }
+
+        // A reseed drops the 27 buffered bytes and moves both V and C.
+        let mut rng = HashDrbg::from_u64(42);
+        assert_eq!(rng.bytes(5), unhex(&KAT_SEED_42)[..5]);
+        rng.reseed(b"extra entropy");
+        assert_eq!(rng.bytes(256), unhex(&KAT_RESEED));
+
+        // Draws that start and end inside, on and across block boundaries.
+        let mut rng = HashDrbg::from_u64(7);
+        let drawn: Vec<u8> = [5usize, 32, 7, 4096]
+            .into_iter()
+            .flat_map(|n| rng.bytes(n))
+            .collect();
+        assert_eq!(drawn[..256], unhex(&KAT_CHUNKED));
+        assert_eq!(
+            crate::sha256(&drawn).to_vec(),
+            unhex(&["bcc7e0ddc344198af1fcc57b498a4718e556c827bcd7e8ae7966628f4dfa01f5"])
+        );
+        assert_eq!(rng.next_u64(), 0x9b62_a8a1_1211_34bc);
+        assert_eq!(HashDrbg::from_u64(7).bytes(drawn.len()), drawn);
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

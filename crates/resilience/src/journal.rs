@@ -401,20 +401,15 @@ impl IntentJournal {
         let (primary, mirror) = self.pair(slot);
         // Two independent seals (fresh IV each): the mirror shares no
         // ciphertext bytes with the primary, so the pair never reads as a
-        // visible twin on disk.
-        let io = (|| {
-            fs.with_rng(|rng| {
-                fs.codec()
-                    .write_sealed(fs.device(), primary, &self.seal_key, &plain, rng)
-            })?;
-            if let Some(mirror) = mirror {
-                fs.with_rng(|rng| {
-                    fs.codec()
-                        .write_sealed(fs.device(), mirror, &self.seal_key, &plain, rng)
-                })?;
-            }
-            Ok::<(), stegfs_base::FsError>(())
-        })();
+        // visible twin on disk. Sealed as one group, written primary first.
+        let pair: Vec<(BlockId, &[u8])> = std::iter::once(primary)
+            .chain(mirror)
+            .map(|block| (block, plain.as_slice()))
+            .collect();
+        let io = fs.with_rng(|rng| {
+            fs.codec()
+                .write_sealed_many(fs.device(), &self.seal_key, &pair, rng)
+        });
         if let Err(e) = io {
             self.free.lock().push(slot);
             return Err(e.into());

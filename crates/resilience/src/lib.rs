@@ -63,5 +63,5 @@ pub use journal::{
 pub use scale::{RegistryConfig, RegistryStats, REGISTRY_PATH};
 pub use stats::{RecoveryReport, ResilienceStats, ScrubReport, SharedResilienceStats};
 pub use store::{ResilienceConfig, ResilientStore, ScrubCursor};
-pub use stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeConfig, StripeMap};
+pub use stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeConfig, StripeMap, FAST_LANES};
 pub use superblock::VolumeAnchor;

@@ -15,6 +15,13 @@
 //!   replicated [`VolumeAnchor`], so [`ResilientStore::open`] can rediscover
 //!   every file from the master key alone.
 //!
+//! The store also keeps one standing *owner index* — physical block → the
+//! managed file holding it and the role it plays there — so a dummy update
+//! finds its victim's key with one lookup instead of walking every file. The
+//! index is filled where a file enters the path table and changed where
+//! `repair_stripe` re-homes a shard; a looked-up role is confirmed under the
+//! file's lock before use, because a repair may run in between.
+//!
 //! Parity is computed over *plaintext* data fields: a dummy update (reseal)
 //! re-randomises every ciphertext byte while leaving the plaintext intact, so
 //! plaintext parity survives arbitrarily many reseals where ciphertext parity
@@ -22,7 +29,8 @@
 //!
 //! The read path verifies the cheap keyed hash of every block inline and
 //! falls back to stripe reconstruction on a mismatch; it never returns wrong
-//! bytes. The scrub path verifies the authoritative truncated HMACs in ranged
+//! bytes. The delta-update path does the same for the data block *and* the
+//! parity rows it is about to fold a delta into. The scrub path verifies the authoritative truncated HMACs in ranged
 //! batches and repairs every degraded stripe onto freshly claimed blocks.
 //!
 //! Scope: stripes protect content and parity blocks. File headers and
@@ -30,7 +38,7 @@
 //! headers via the FAK table) rather than parity; extending striping to the
 //! metadata tree is future work.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -101,11 +109,116 @@ impl ResilienceConfig {
 }
 
 /// One managed file: its open handle, the shadow file holding the stripe map,
-/// and the in-memory stripe map itself.
+/// the in-memory stripe map itself, and the check keys of both files.
 struct FileState {
     open: OpenFile,
     shadow: OpenFile,
     stripes: StripeMap,
+    /// Check keys of the content key (data and parity rows), derived once.
+    keys: Arc<ChecksumKeys>,
+    /// Check keys of the shadow file's content key.
+    shadow_keys: Arc<ChecksumKeys>,
+}
+
+/// The check keys of `file`'s content key.
+fn check_keys(file: &OpenFile) -> Result<Arc<ChecksumKeys>, ResilienceError> {
+    let ck = file
+        .fak
+        .content_key()
+        .ok_or(ResilienceError::Corrupt("file without content key".into()))?;
+    Ok(Arc::new(ChecksumKeys::derive(ck)))
+}
+
+impl FileState {
+    /// Every block the file occupies, with the role it plays.
+    fn owned_blocks(&self) -> Vec<(BlockId, Role)> {
+        let mut out = Vec::new();
+        for (i, &loc) in self.open.header.blocks.iter().enumerate() {
+            out.push((loc, Role::Content(i as u64)));
+        }
+        for stripe in 0..self.stripes.num_stripes() {
+            for row in 0..self.stripes.config().m {
+                let loc = self.stripes.parity_entry(stripe, row).location;
+                out.push((loc, Role::Parity(stripe, row)));
+            }
+        }
+        out.push((self.open.header_location, Role::HeaderTree));
+        for &loc in &self.open.indirect_locations {
+            out.push((loc, Role::HeaderTree));
+        }
+        for &loc in &self.shadow.header.blocks {
+            out.push((loc, Role::ShadowContent));
+        }
+        out.push((self.shadow.header_location, Role::ShadowHeaderTree));
+        for &loc in &self.shadow.indirect_locations {
+            out.push((loc, Role::ShadowHeaderTree));
+        }
+        out
+    }
+}
+
+/// What a managed file keeps in one of its blocks: decides the key a dummy
+/// update reseals it under and the check it is verified against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Content block at this file-wide index.
+    Content(u64),
+    /// Parity row of a stripe.
+    Parity(u64, usize),
+    HeaderTree,
+    ShadowContent,
+    ShadowHeaderTree,
+}
+
+impl Role {
+    /// Whether `block` plays this role in `g` right now. The owner index is
+    /// read before the file's lock is taken, so a repair may have moved the
+    /// shard in between; every use of a looked-up role checks this first.
+    fn holds(self, g: &FileState, block: BlockId) -> bool {
+        let in_tree = |file: &OpenFile| {
+            file.header_location == block || file.indirect_locations.contains(&block)
+        };
+        match self {
+            Role::Content(i) => g.open.header.blocks.get(i as usize) == Some(&block),
+            Role::Parity(stripe, row) => {
+                stripe < g.stripes.num_stripes()
+                    && g.stripes.parity_entry(stripe, row).location == block
+            }
+            Role::HeaderTree => in_tree(&g.open),
+            Role::ShadowContent => g.shadow.header.blocks.contains(&block),
+            Role::ShadowHeaderTree => in_tree(&g.shadow),
+        }
+    }
+}
+
+type Owner = (Arc<RwLock<FileState>>, Role);
+
+/// Which managed file holds each block, and in what role — what a dummy
+/// update needs to know about its victim. Built as files are loaded or
+/// created and kept current at the one place a block changes hands afterwards
+/// (`repair_stripe` re-homing a shard), always under that file's write lock.
+struct OwnerIndex {
+    /// Anchor replicas and journal slots: never dummy-update victims.
+    reserved: HashSet<BlockId>,
+    owners: HashMap<BlockId, Owner>,
+}
+
+impl OwnerIndex {
+    fn insert_file(&mut self, state: &Arc<RwLock<FileState>>) {
+        let blocks = state.read().owned_blocks();
+        self.owners.extend(
+            blocks
+                .into_iter()
+                .map(|(loc, role)| (loc, (Arc::clone(state), role))),
+        );
+    }
+
+    /// A shard moved from `old` to `new`; its file and role move with it.
+    fn relocate(&mut self, old: BlockId, new: BlockId) {
+        if let Some(owner) = self.owners.remove(&old) {
+            self.owners.insert(new, owner);
+        }
+    }
 }
 
 /// Outcome of repairing one stripe.
@@ -143,6 +256,9 @@ pub struct ResilientStore<D> {
     /// Managed files by path. `BTreeMap` so that every sweep and every
     /// persisted table is in deterministic path order.
     files: RwLock<BTreeMap<String, Arc<RwLock<FileState>>>>,
+    /// Block → owning file and role, for every block of every file in
+    /// `files`. Never locked while a file's lock is being waited for.
+    index: RwLock<OwnerIndex>,
     pub(crate) journal: IntentJournal,
     /// The persistent sharded registry, when the volume carries one.
     pub(crate) registry: RwLock<Option<RegistryState>>,
@@ -244,14 +360,14 @@ impl<D: BlockDevice> ResilientStore<D> {
             for loc in stripes.parity_locations() {
                 store.map.set(loc, BlockClass::Data);
             }
-            store.files.write().insert(
-                path,
-                Arc::new(RwLock::new(FileState {
-                    open,
-                    shadow,
-                    stripes,
-                })),
-            );
+            let state = FileState {
+                keys: check_keys(&open)?,
+                shadow_keys: check_keys(&shadow)?,
+                open,
+                shadow,
+                stripes,
+            };
+            store.adopt(path, state);
         }
         // Load the persistent registry geometry (if the volume carries one)
         // before journal recovery: a `RegistryCheckpoint` intent needs the
@@ -271,7 +387,15 @@ impl<D: BlockDevice> ResilientStore<D> {
         generation: u64,
         journal_slots: Vec<BlockId>,
     ) -> Self {
+        let reserved = VolumeAnchor::replica_blocks(fs.superblock().num_blocks)
+            .into_iter()
+            .chain(journal_slots.iter().copied())
+            .collect();
         Self {
+            index: RwLock::new(OwnerIndex {
+                reserved,
+                owners: HashMap::new(),
+            }),
             codec: ErasureCodec::new(cfg.stripe.k, cfg.stripe.m),
             stripe_cfg: cfg.stripe,
             scrub_batch: cfg.scrub_batch.max(1),
@@ -385,14 +509,6 @@ impl<D: BlockDevice> ResilientStore<D> {
         // '\u{0}' cannot appear in caller-supplied paths, so shadow paths
         // never collide with user files.
         format!("{path}\u{0}stripe-map")
-    }
-
-    fn checksum_keys(&self, open: &OpenFile) -> Result<ChecksumKeys, ResilienceError> {
-        let ck = open
-            .fak
-            .content_key()
-            .ok_or(ResilienceError::Corrupt("file without content key".into()))?;
-        Ok(ChecksumKeys::derive(ck))
     }
 
     // ----- anchor / FAK table ------------------------------------------
@@ -555,16 +671,22 @@ impl<D: BlockDevice> ResilientStore<D> {
                 return Err(e);
             }
         };
-        self.files
-            .write()
-            .insert(path.to_string(), Arc::new(RwLock::new(state)));
+        self.adopt(path.to_string(), state);
         self.persist_anchor()
+    }
+
+    /// Start managing a file: enter it in the path table and its blocks in
+    /// the owner index.
+    fn adopt(&self, path: String, state: FileState) {
+        let state = Arc::new(RwLock::new(state));
+        self.index.write().insert_file(&state);
+        self.files.write().insert(path, state);
     }
 
     /// Compute checks and parity for a freshly created file and persist the
     /// stripe map as a shadow hidden file.
     fn stripe_file(&self, open: OpenFile, content: &[u8]) -> Result<FileState, ResilienceError> {
-        let keys = self.checksum_keys(&open)?;
+        let keys = check_keys(&open)?;
         let content_key = *open.fak.content_key().expect("checked above");
         let per = self.fs.content_bytes_per_block();
         let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
@@ -624,6 +746,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             &stripes.encode(),
         )?;
         Ok(FileState {
+            keys,
+            shadow_keys: check_keys(&shadow)?,
             open,
             shadow,
             stripes,
@@ -647,25 +771,19 @@ impl<D: BlockDevice> ResilientStore<D> {
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, ResilienceError> {
         let state = self.file_state(path)?;
         let guard = state.read();
-        let keys = self.checksum_keys(&guard.open)?;
         let per = self.fs.content_bytes_per_block();
         let file_size = guard.open.header.file_size as usize;
-        let num = guard.open.header.num_blocks();
+        let num = guard.open.header.num_blocks() as usize;
 
-        let mut out = Vec::with_capacity(num as usize * per);
-        let mut bad: Vec<u64> = Vec::new();
-        for i in 0..num {
-            let field = self.fs.read_content_block(&guard.open, i)?;
-            if keys.fast(&field) == guard.stripes.data_check(i).fast {
-                self.stats.count_read_verified();
-                out.extend_from_slice(&field);
-            } else {
-                self.stats.count_read_check_failure();
-                bad.push(i);
-                out.resize(out.len() + per, 0);
-            }
+        let mut out = vec![0u8; num * per];
+        let bad = self.read_fields(&guard, &mut out)?;
+        for _ in bad.len()..num {
+            self.stats.count_read_verified();
         }
         if !bad.is_empty() {
+            for _ in &bad {
+                self.stats.count_read_check_failure();
+            }
             drop(guard);
             let mut g = state.write();
             let stripes: BTreeSet<u64> =
@@ -683,20 +801,58 @@ impl<D: BlockDevice> ResilientStore<D> {
                     stripes: lost,
                 });
             }
+            let content_key = *g.open.fak.content_key().expect("managed files have one");
+            let mut scratch = vec![0u8; self.fs.codec().block_size()];
             for i in bad {
-                let field = self.fs.read_content_block(&g.open, i)?;
-                if keys.fast(&field) != g.stripes.data_check(i).fast {
+                let field = &mut out[i as usize * per..][..per];
+                self.read_field(
+                    g.open.header.blocks[i as usize],
+                    &content_key,
+                    &mut scratch,
+                    field,
+                )?;
+                if g.keys.fast(field) != g.stripes.data_check(i).fast {
                     return Err(ResilienceError::Unrecoverable {
                         path: path.to_string(),
                         stripes: vec![self.stripe_cfg.stripe_of(i)],
                     });
                 }
-                let start = i as usize * per;
-                out[start..start + per].copy_from_slice(&field);
             }
         }
         out.truncate(file_size);
         Ok(out)
+    }
+
+    /// Read the block at `loc` into `scratch` and open it under `key` into
+    /// `field`.
+    fn read_field(
+        &self,
+        loc: BlockId,
+        key: &Key256,
+        scratch: &mut [u8],
+        field: &mut [u8],
+    ) -> Result<(), stegfs_base::FsError> {
+        self.fs
+            .codec()
+            .read_sealed_into(self.fs.device(), loc, key, scratch, field)
+    }
+
+    /// Read every content block of `g`, in index order, straight into `out`
+    /// (one data field per block), check all fields' fast hashes together and
+    /// return the indices that fail.
+    fn read_fields(&self, g: &FileState, out: &mut [u8]) -> Result<Vec<u64>, ResilienceError> {
+        let per = self.fs.content_bytes_per_block();
+        let content_key = g.open.fak.content_key().expect("managed files have one");
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
+        for (&loc, field) in g.open.header.blocks.iter().zip(out.chunks_exact_mut(per)) {
+            self.read_field(loc, content_key, &mut scratch, field)?;
+        }
+        let fields: Vec<&[u8]> = out.chunks_exact(per).collect();
+        let mut hashes = vec![0u64; fields.len()];
+        g.keys.fast_many(&fields, &mut hashes);
+        Ok((0..fields.len() as u64)
+            .filter(|&i| hashes[i as usize] != g.stripes.data_check(i).fast)
+            .collect())
     }
 
     // ----- update path -------------------------------------------------
@@ -729,24 +885,39 @@ impl<D: BlockDevice> ResilientStore<D> {
                 data.len()
             ))));
         }
-        let old = self.healed_read(path, g, index)?;
+        let mut old = vec![0u8; per];
+        self.healed_read(path, g, index, &mut old)?;
         let mut new_field = vec![0u8; per];
         new_field[..data.len()].copy_from_slice(data);
-        self.write_batch_locked(path, g, vec![(index, old, new_field)])
+        self.write_batch_locked(path, g, &[(index, &old, &new_field)])
     }
 
-    /// Read one content block's plaintext for a delta update, healing its
-    /// stripe first when the fast check says the stored bytes are stale or
-    /// torn (a delta against corrupt bytes would poison every parity row).
+    /// Read one content block's plaintext into `field` for a delta update,
+    /// healing its stripe first when the fast check says the stored bytes are
+    /// stale or torn (a delta against corrupt bytes would poison every parity
+    /// row).
     fn healed_read(
         &self,
         path: &str,
         g: &mut FileState,
         index: u64,
-    ) -> Result<Vec<u8>, ResilienceError> {
-        let keys = self.checksum_keys(&g.open)?;
-        let mut old = self.fs.read_content_block(&g.open, index)?;
-        if keys.fast(&old) != g.stripes.data_check(index).fast {
+        field: &mut [u8],
+    ) -> Result<(), ResilienceError> {
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
+        let mut read =
+            |g: &FileState, field: &mut [u8]| {
+                let header = &g.open.header;
+                let loc = *header.blocks.get(index as usize).ok_or(
+                    stegfs_base::FsError::OutOfBounds {
+                        index,
+                        len: header.num_blocks(),
+                    },
+                )?;
+                self.read_field(loc, &content_key, &mut scratch, field)
+            };
+        read(g, field)?;
+        if g.keys.fast(field) != g.stripes.data_check(index).fast {
             let stripe = self.stripe_cfg.stripe_of(index);
             let repair = self.repair_stripe(g, stripe, true)?;
             if repair.unrecoverable {
@@ -755,9 +926,9 @@ impl<D: BlockDevice> ResilientStore<D> {
                     stripes: vec![stripe],
                 });
             }
-            old = self.fs.read_content_block(&g.open, index)?;
+            read(g, field)?;
         }
-        Ok(old)
+        Ok(())
     }
 
     /// Apply an ordered list of `(index, old_field, new_field)` delta
@@ -770,13 +941,13 @@ impl<D: BlockDevice> ResilientStore<D> {
         &self,
         path: &str,
         g: &mut FileState,
-        changes: Vec<(u64, Vec<u8>, Vec<u8>)>,
+        changes: &[(u64, &[u8], &[u8])],
     ) -> Result<(), ResilienceError> {
         if changes.is_empty() {
             return Ok(());
         }
-        let keys = self.checksum_keys(&g.open)?;
-        let content_key = *g.open.fak.content_key().expect("checked above");
+        let keys = Arc::clone(&g.keys);
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
         let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
         let per = self.fs.content_bytes_per_block();
         // Reserve record room for the shadow rewrite that closes each chunk,
@@ -793,44 +964,41 @@ impl<D: BlockDevice> ResilientStore<D> {
             cap = self.journal.batch_capacity(&self.fs, path, m).max(1);
         }
         for chunk in changes.chunks(cap) {
-            // Plan the chunk: read each affected stripe's parity once, fold
-            // every delta in entry order, and snapshot the chain state after
-            // each entry — those snapshots are exactly the parity images the
-            // writes below produce and the checks the intent records.
-            let mut parity_now: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
+            // Plan the chunk: read (and verify) each affected stripe's parity
+            // once, fold every delta in entry order, and snapshot the chain
+            // state after each entry — those snapshots are exactly the parity
+            // images the writes below produce and the checks the intent
+            // records. A stripe's rows travel with their checks, so an
+            // entry's pre-image checks are the previous same-stripe entry's
+            // post-image checks, not a second pass over the same bytes.
+            let mut parity_now: BTreeMap<u64, (Vec<Vec<u8>>, Vec<BlockCheck>)> = BTreeMap::new();
             let mut entries: Vec<BlockWriteIntent> = Vec::with_capacity(chunk.len());
             let mut planned_parity: Vec<Vec<Vec<u8>>> = Vec::with_capacity(chunk.len());
-            for (index, old, new_field) in chunk {
-                let stripe = self.stripe_cfg.stripe_of(*index);
-                let parities = match parity_now.entry(stripe) {
-                    std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        let mut rows = Vec::with_capacity(m);
-                        for row in 0..m {
-                            let entry = *g.stripes.parity_entry(stripe, row);
-                            rows.push(self.fs.codec().read_sealed(
-                                self.fs.device(),
-                                entry.location,
-                                &content_key,
-                            )?);
-                        }
-                        e.insert(rows)
+            for &(index, old, new_field) in chunk {
+                let stripe = self.stripe_cfg.stripe_of(index);
+                let (parities, parity_checks) = match parity_now.entry(stripe) {
+                    btree_map::Entry::Occupied(e) => e.into_mut(),
+                    btree_map::Entry::Vacant(e) => {
+                        e.insert(self.read_parity_rows(path, g, stripe)?)
                     }
                 };
-                let pre_parity: Vec<BlockCheck> = parities.iter().map(|p| keys.check(p)).collect();
                 let delta: Vec<u8> = old.iter().zip(new_field).map(|(a, b)| a ^ b).collect();
-                let slot = (*index - stripe * k as u64) as usize;
+                let slot = (index - stripe * k as u64) as usize;
                 self.codec.apply_delta(slot, &delta, parities);
+                let mut images = vec![old, new_field];
+                images.extend(parities.iter().map(Vec::as_slice));
+                let checks = keys.check_many(&images);
+                let pre_parity = std::mem::replace(parity_checks, checks[2..].to_vec());
                 entries.push(BlockWriteIntent {
-                    index: *index,
-                    data_location: g.open.header.blocks[*index as usize],
-                    data_pre: keys.check(old),
-                    data_post: keys.check(new_field),
+                    index,
+                    data_location: g.open.header.blocks[index as usize],
+                    data_pre: checks[0],
+                    data_post: checks[1],
                     parity: (0..m)
                         .map(|row| ParityIntent {
                             location: g.stripes.parity_entry(stripe, row).location,
                             pre: pre_parity[row],
-                            post: keys.check(&parities[row]),
+                            post: parity_checks[row],
                         })
                         .collect(),
                 });
@@ -843,7 +1011,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             // striped; recovery re-derives it from the resolved frontier and
             // uses these checks to verify the on-disk copy.
             if shadow_tail > 0 {
-                let shadow_keys = self.checksum_keys(&g.shadow)?;
+                let shadow_keys = Arc::clone(&g.shadow_keys);
                 let mut post_map = g.stripes.clone();
                 for e in &entries {
                     post_map.set_data_check(e.index, e.data_post);
@@ -889,10 +1057,10 @@ impl<D: BlockDevice> ResilientStore<D> {
                 self.stats.count_intent_journaled();
             }
 
-            for ((index, _, new_field), (entry, parities)) in
+            for (&(index, _, new_field), (entry, parities)) in
                 chunk.iter().zip(entries.iter().zip(&planned_parity))
             {
-                let stripe = self.stripe_cfg.stripe_of(*index);
+                let stripe = self.stripe_cfg.stripe_of(index);
                 // The entry's data block and its parity rows are sealed as
                 // one group, then written data first, parity in row order.
                 let mut group: Vec<(BlockId, &[u8])> = Vec::with_capacity(1 + m);
@@ -909,7 +1077,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                         .codec()
                         .write_sealed_many(self.fs.device(), &content_key, &group, rng)
                 })?;
-                g.stripes.set_data_check(*index, entry.data_post);
+                g.stripes.set_data_check(index, entry.data_post);
                 for (row, intent) in entry.parity.iter().enumerate() {
                     let mut pe = *g.stripes.parity_entry(stripe, row);
                     pe.check = intent.post;
@@ -919,6 +1087,47 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.rewrite_shadow(g)?;
         }
         Ok(())
+    }
+
+    /// Read the parity rows of `stripe` with their checks for a delta update,
+    /// healing the stripe first when a row fails its recorded fast check: a
+    /// delta folded into a corrupt row would be written back, and its check
+    /// recorded as authoritative, with the corruption still inside.
+    fn read_parity_rows(
+        &self,
+        path: &str,
+        g: &mut FileState,
+        stripe: u64,
+    ) -> Result<(Vec<Vec<u8>>, Vec<BlockCheck>), ResilienceError> {
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
+        let read = |g: &FileState| {
+            let rows = (0..self.stripe_cfg.m)
+                .map(|row| {
+                    self.fs.codec().read_sealed(
+                        self.fs.device(),
+                        g.stripes.parity_entry(stripe, row).location,
+                        &content_key,
+                    )
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            let images: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
+            let checks = g.keys.check_many(&images);
+            let intact = (0..self.stripe_cfg.m)
+                .all(|row| checks[row].fast == g.stripes.parity_entry(stripe, row).check.fast);
+            Ok::<_, ResilienceError>((rows, checks, intact))
+        };
+        let (mut rows, mut checks, intact) = read(g)?;
+        if !intact {
+            let repair = self.repair_stripe(g, stripe, true)?;
+            if repair.unrecoverable {
+                return Err(ResilienceError::Unrecoverable {
+                    path: path.to_string(),
+                    stripes: vec![stripe],
+                });
+            }
+            (rows, checks, _) = read(g)?;
+        }
+        Ok((rows, checks))
     }
 
     /// Rewrite a whole file in place through the delta-parity path: only
@@ -937,19 +1146,26 @@ impl<D: BlockDevice> ResilientStore<D> {
                 "rewrite of {path} needs {new_blocks} blocks but the file has {num}"
             )));
         }
-        let mut changes: Vec<(u64, Vec<u8>, Vec<u8>)> = Vec::new();
-        for i in 0..num {
-            let start = i as usize * per;
-            let end = (start + per).min(content.len());
-            let chunk = content.get(start..end).unwrap_or(&[]);
-            let mut new_field = vec![0u8; per];
-            new_field[..chunk.len()].copy_from_slice(chunk);
-            let old = self.healed_read(path, &mut g, i)?;
-            if old != new_field {
-                changes.push((i, old, new_field));
-            }
+        // Pre-read every block in index order and check them together; only
+        // a block that fails goes through the healing read.
+        let mut old = vec![0u8; num as usize * per];
+        for i in self.read_fields(&g, &mut old)? {
+            let field = &mut old[i as usize * per..][..per];
+            self.healed_read(path, &mut g, i, field)?;
         }
-        self.write_batch_locked(path, &mut g, changes)?;
+        // Only the last block can be short of a full data field.
+        let tail_start = (num as usize - 1) * per;
+        let mut tail = vec![0u8; per];
+        tail[..content.len() - tail_start].copy_from_slice(&content[tail_start..]);
+        let changes: Vec<(u64, &[u8], &[u8])> = (0..num)
+            .filter_map(|i| {
+                let start = i as usize * per;
+                let new_field = content.get(start..start + per).unwrap_or(&tail);
+                let old_field = &old[start..start + per];
+                (old_field != new_field).then_some((i, old_field, new_field))
+            })
+            .collect();
+        self.write_batch_locked(path, &mut g, &changes)?;
         if g.open.header.file_size != content.len() as u64 {
             g.open.header.file_size = content.len() as u64;
             self.fs.save(&mut g.open)?;
@@ -972,8 +1188,8 @@ impl<D: BlockDevice> ResilientStore<D> {
                 "rewrite of {path} needs {new_blocks} blocks but the file has {num}"
             )));
         }
-        let keys = self.checksum_keys(&g.open)?;
-        let content_key = *g.open.fak.content_key().expect("checked above");
+        let keys = Arc::clone(&g.keys);
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
         let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
         for stripe in 0..g.stripes.num_stripes() {
             let mut data: Vec<Vec<u8>> = Vec::with_capacity(k);
@@ -1066,8 +1282,8 @@ impl<D: BlockDevice> ResilientStore<D> {
         stripe: u64,
         journaled: bool,
     ) -> Result<StripeRepair, ResilienceError> {
-        let keys = self.checksum_keys(&g.open)?;
-        let content_key = *g.open.fak.content_key().expect("checked above");
+        let keys = Arc::clone(&g.keys);
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
         let per = self.fs.content_bytes_per_block();
         let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
         let range = g.stripes.stripe_data_range(stripe);
@@ -1147,6 +1363,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 entry.location = new_loc;
                 g.stripes.set_parity_entry(stripe, slot - k, entry);
             }
+            self.index.write().relocate(old_loc, new_loc);
             // Only release the corrupt location after the reconstructed
             // shard is durably sealed at its new home (write ordering).
             self.fs.randomize_block(old_loc)?;
@@ -1348,8 +1565,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             let mut dirty = touched;
             if !dirty && !shadow_entries.is_empty() {
                 let per = self.fs.content_bytes_per_block();
-                let shadow_keys = self.checksum_keys(&g.shadow)?;
-                let shadow_key = *g.shadow.fak.content_key().expect("checked above");
+                let shadow_keys = Arc::clone(&g.shadow_keys);
+                let shadow_key = *g.shadow.fak.content_key().expect("shadow has one");
                 let expected = g.stripes.encode();
                 for e in shadow_entries {
                     let i = (e.index - SHADOW_ENTRY_BASE) as usize;
@@ -1420,8 +1637,8 @@ impl<D: BlockDevice> ResilientStore<D> {
                 return Ok(GroupResolution::Stale);
             }
         }
-        let keys = self.checksum_keys(&g.open)?;
-        let content_key = *g.open.fak.content_key().expect("checked above");
+        let keys = Arc::clone(&g.keys);
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
         let per = self.fs.content_bytes_per_block();
 
         // Classify each group data block: Some(true) = post-image landed,
@@ -1577,8 +1794,8 @@ impl<D: BlockDevice> ResilientStore<D> {
         let files: Vec<Arc<RwLock<FileState>>> = self.files.read().values().cloned().collect();
         for state in files {
             let mut g = state.write();
-            let keys = self.checksum_keys(&g.open)?;
-            let content_key = *g.open.fak.content_key().expect("checked above");
+            let keys = Arc::clone(&g.keys);
+            let content_key = *g.open.fak.content_key().expect("managed files have one");
 
             // Every protected location of this file, tagged with its shard
             // identity, sorted by physical position so the sweep can coalesce
@@ -1598,6 +1815,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             sites.sort_by_key(|&(loc, _)| loc);
 
             let block_size = self.fs.codec().block_size();
+            let mut field = vec![0u8; self.fs.content_bytes_per_block()];
             let mut degraded: BTreeSet<u64> = BTreeSet::new();
             let mut start = 0;
             while start < sites.len() {
@@ -1614,7 +1832,9 @@ impl<D: BlockDevice> ResilientStore<D> {
                 let mut buf = vec![0u8; run.len() * block_size];
                 self.fs.device().read_blocks(run[0].0, &mut buf)?;
                 for (&(_, shard), physical) in run.iter().zip(buf.chunks_exact(block_size)) {
-                    let field = self.fs.codec().open(&content_key, physical)?;
+                    self.fs
+                        .codec()
+                        .open_into(&content_key, physical, &mut field)?;
                     let (ok, stripe) = match shard {
                         ShardRef::Data(i) => (
                             keys.mac16(&field) == g.stripes.data_check(i).mac,
@@ -1680,6 +1900,10 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// are skipped in *both* modes, so the two victim streams stay
     /// distributionally comparable.
     ///
+    /// Owners come from the standing owner index — k lookups, whatever the
+    /// number of managed blocks — and each looked-up role is confirmed under
+    /// its file's lock before it is used.
+    ///
     /// Returns the blocks actually rewritten (the observable update stream).
     pub fn dummy_update_batch(
         &self,
@@ -1693,112 +1917,85 @@ impl<D: BlockDevice> ResilientStore<D> {
                 .map(|_| self.fs.with_rng(|rng| 1 + rng.gen_range(num - 1)))
                 .collect(),
         };
-        let reserved: BTreeSet<BlockId> = VolumeAnchor::replica_blocks(num)
-            .into_iter()
-            .chain(self.journal.slots().iter().copied())
-            .collect();
+        // One pass over the standing index: drop the reserved victims and
+        // look every other one's owner up.
+        let planned: Vec<(BlockId, Option<Owner>)> = {
+            let index = self.index.read();
+            victims
+                .into_iter()
+                .filter(|victim| !index.reserved.contains(victim))
+                .map(|victim| (victim, index.owners.get(&victim).cloned()))
+                .collect()
+        };
 
-        // Owner lookup: which managed file (if any) holds each block, and in
-        // what role. Rebuilt per batch; the structures are small.
-        enum Role {
-            Content(u64),
-            Parity(u64, usize),
-            HeaderTree,
-            ShadowContent,
-            ShadowHeaderTree,
-        }
-        let files: Vec<(String, Arc<RwLock<FileState>>)> = self
-            .files
-            .read()
-            .iter()
-            .map(|(p, s)| (p.clone(), Arc::clone(s)))
-            .collect();
-        let mut owners: BTreeMap<BlockId, (usize, Role)> = BTreeMap::new();
-        for (fi, (_, state)) in files.iter().enumerate() {
-            let g = state.read();
-            for (i, &loc) in g.open.header.blocks.iter().enumerate() {
-                owners.insert(loc, (fi, Role::Content(i as u64)));
-            }
-            for stripe in 0..g.stripes.num_stripes() {
-                for row in 0..self.stripe_cfg.m {
-                    owners.insert(
-                        g.stripes.parity_entry(stripe, row).location,
-                        (fi, Role::Parity(stripe, row)),
-                    );
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
+        let mut field = vec![0u8; self.fs.content_bytes_per_block()];
+        let mut touched = Vec::with_capacity(planned.len());
+        for (victim, mut owner) in planned {
+            // The lookup ran before the owner's lock was taken; a repair may
+            // have re-homed the shard since. A role that no longer holds is
+            // looked up afresh — repairs update the index under the file's
+            // lock, so it is current again once that lock has been ours.
+            loop {
+                let Some((state, role)) = owner else {
+                    self.fs.randomize_block(victim)?;
+                    break;
+                };
+                if self.dummy_update_owned(victim, &state, role, &mut scratch, &mut field)? {
+                    break;
                 }
-            }
-            owners.insert(g.open.header_location, (fi, Role::HeaderTree));
-            for &loc in &g.open.indirect_locations {
-                owners.insert(loc, (fi, Role::HeaderTree));
-            }
-            for &loc in &g.shadow.header.blocks {
-                owners.insert(loc, (fi, Role::ShadowContent));
-            }
-            owners.insert(g.shadow.header_location, (fi, Role::ShadowHeaderTree));
-            for &loc in &g.shadow.indirect_locations {
-                owners.insert(loc, (fi, Role::ShadowHeaderTree));
-            }
-        }
-
-        let mut touched = Vec::with_capacity(victims.len());
-        for victim in victims {
-            if reserved.contains(&victim) {
-                continue;
-            }
-            match owners.get(&victim) {
-                None => self.fs.randomize_block(victim)?,
-                Some(&(fi, ref role)) => {
-                    let state = &files[fi].1;
-                    let g = state.read();
-                    let fak = &g.open.fak;
-                    match *role {
-                        Role::Content(i) => {
-                            let key = fak.content_key().expect("managed files have one");
-                            let field =
-                                self.fs.codec().read_sealed(self.fs.device(), victim, key)?;
-                            let keys = self.checksum_keys(&g.open)?;
-                            if i < g.stripes.num_data()
-                                && keys.mac16(&field) != g.stripes.data_check(i).mac
-                            {
-                                // Scrub-on-cover-traffic: the dummy update
-                                // found silent corruption; heal the stripe.
-                                drop(g);
-                                let mut w = state.write();
-                                let stripe = self.stripe_cfg.stripe_of(i);
-                                self.repair_stripe(&mut w, stripe, true)?;
-                            } else {
-                                self.fs.reseal_block(victim, key)?;
-                            }
-                        }
-                        Role::Parity(stripe, row) => {
-                            let key = fak.content_key().expect("managed files have one");
-                            let field =
-                                self.fs.codec().read_sealed(self.fs.device(), victim, key)?;
-                            let keys = self.checksum_keys(&g.open)?;
-                            if keys.mac16(&field) != g.stripes.parity_entry(stripe, row).check.mac {
-                                drop(g);
-                                let mut w = state.write();
-                                self.repair_stripe(&mut w, stripe, true)?;
-                            } else {
-                                self.fs.reseal_block(victim, key)?;
-                            }
-                        }
-                        Role::HeaderTree => {
-                            self.fs.reseal_block(victim, fak.header_key())?;
-                        }
-                        Role::ShadowContent => {
-                            let key = g.shadow.fak.content_key().expect("shadow has one");
-                            self.fs.reseal_block(victim, key)?;
-                        }
-                        Role::ShadowHeaderTree => {
-                            self.fs.reseal_block(victim, g.shadow.fak.header_key())?;
-                        }
-                    }
-                }
+                owner = self.index.read().owners.get(&victim).cloned();
             }
             touched.push(victim);
         }
         Ok(touched)
+    }
+
+    /// Dummy-update `victim` as the block playing `role` in `state`: reseal
+    /// it under the key that role implies, MAC-verifying content and parity
+    /// on the way (a mismatch becomes a journaled stripe repair instead).
+    /// Returns `false`, with nothing read or written, if the role no longer
+    /// holds under the file's lock.
+    fn dummy_update_owned(
+        &self,
+        victim: BlockId,
+        state: &RwLock<FileState>,
+        role: Role,
+        scratch: &mut [u8],
+        field: &mut [u8],
+    ) -> Result<bool, ResilienceError> {
+        let g = state.read();
+        if !role.holds(&g, victim) {
+            return Ok(false);
+        }
+        // The key the block is sealed under and, for the striped roles, the
+        // MAC it must carry and the stripe to heal if it does not.
+        let content_key = *g.open.fak.content_key().expect("managed files have one");
+        let (key, striped) = match role {
+            Role::Content(i) => {
+                let stripe = self.stripe_cfg.stripe_of(i);
+                (content_key, Some((g.stripes.data_check(i).mac, stripe)))
+            }
+            Role::Parity(stripe, row) => {
+                let mac = g.stripes.parity_entry(stripe, row).check.mac;
+                (content_key, Some((mac, stripe)))
+            }
+            Role::HeaderTree => (*g.open.fak.header_key(), None),
+            Role::ShadowContent => (*g.shadow.fak.content_key().expect("shadow has one"), None),
+            Role::ShadowHeaderTree => (*g.shadow.fak.header_key(), None),
+        };
+        if let Some((expected, stripe)) = striped {
+            self.read_field(victim, &key, scratch, field)?;
+            if g.keys.mac16(field) != expected {
+                // Scrub-on-cover-traffic: the dummy update found silent
+                // corruption; heal the stripe.
+                drop(g);
+                self.repair_stripe(&mut state.write(), stripe, true)?;
+                return Ok(true);
+            }
+        }
+        self.fs.reseal_block(victim, &key)?;
+        Ok(true)
     }
 }
 
@@ -2101,6 +2298,387 @@ mod tests {
         }
         store.fs.device().apply_plan(&plan).unwrap();
         assert!(store.journal.scan(store.fs()).unwrap().is_empty());
+    }
+
+    fn block_of(store: &ResilientStore<impl BlockDevice>, path: &str, index: usize) -> BlockId {
+        store.file_state(path).unwrap().read().open.header.blocks[index]
+    }
+
+    fn image(device: &impl BlockDevice) -> Vec<u8> {
+        let mut out = vec![0u8; device.num_blocks() as usize * device.block_size()];
+        for (b, block) in out.chunks_exact_mut(device.block_size()).enumerate() {
+            device.read_block(b as u64, block).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn corrupt_parity_row_is_healed_before_a_delta_folds_into_it() {
+        let store = fresh_store();
+        let data = content(4000);
+        store.create_file("/a", &data).unwrap();
+        let row = store.stripe_layout("/a").unwrap()[0][4];
+        let mut plan = FaultPlan::new(31);
+        plan.flip_bit(row);
+        store.fs.device().apply_plan(&plan).unwrap();
+
+        let per = store.fs().content_bytes_per_block();
+        let new_block = vec![0x5au8; per];
+        store.write_block("/a", 0, &new_block).unwrap();
+        // The plan's first read of the row caught it: healed onto a fresh
+        // block before the delta, not laundered into a "valid" post-image.
+        assert_eq!(store.stats().blocks_repaired, 1);
+        assert_ne!(store.stripe_layout("/a").unwrap()[0][4], row);
+        assert!(store.scrub().unwrap().is_clean());
+
+        // Both parity rows are good, so m = 2 still covers a double loss.
+        let mut plan = FaultPlan::new(37);
+        plan.zero_block(block_of(&store, "/a", 1));
+        plan.zero_block(block_of(&store, "/a", 2));
+        store.fs.device().apply_plan(&plan).unwrap();
+        let mut expected = data;
+        expected[..per].copy_from_slice(&new_block);
+        assert_eq!(store.read_file("/a").unwrap(), expected);
+    }
+
+    #[test]
+    fn write_file_heals_the_one_corrupt_block_its_batched_pre_read_finds() {
+        let store = fresh_store();
+        let per = store.fs().content_bytes_per_block();
+        let data = content(64 * per - 100);
+        store.create_file("/a", &data).unwrap();
+        let victim = block_of(&store, "/a", 37);
+        let mut plan = FaultPlan::new(47);
+        plan.zero_block(victim);
+        store.fs.device().apply_plan(&plan).unwrap();
+
+        // Change the corrupt block, a neighbour in its stripe, one block far
+        // away and the short tail.
+        let mut updated = data;
+        for i in [37, 38, 5, 63] {
+            updated[i * per] ^= 0xff;
+        }
+        store.write_file("/a", &updated).unwrap();
+        assert_eq!(store.stats().blocks_repaired, 1);
+        assert_ne!(block_of(&store, "/a", 37), victim);
+        assert_eq!(store.read_file("/a").unwrap(), updated);
+        assert_eq!(store.stats().read_check_failures, 0);
+        assert!(store.scrub().unwrap().is_clean());
+    }
+
+    /// The owner index, rebuilt from the file table the way every
+    /// `dummy_update_batch` call used to.
+    fn rebuilt_owners<D: BlockDevice>(
+        store: &ResilientStore<D>,
+    ) -> BTreeMap<BlockId, (String, Role)> {
+        let mut owners = BTreeMap::new();
+        for (path, state) in store.files.read().iter() {
+            let g = state.read();
+            let mut own = |loc, role| owners.insert(loc, (path.clone(), role));
+            for (i, &loc) in g.open.header.blocks.iter().enumerate() {
+                own(loc, Role::Content(i as u64));
+            }
+            for stripe in 0..g.stripes.num_stripes() {
+                for row in 0..store.stripe_cfg.m {
+                    let loc = g.stripes.parity_entry(stripe, row).location;
+                    own(loc, Role::Parity(stripe, row));
+                }
+            }
+            own(g.open.header_location, Role::HeaderTree);
+            for &loc in &g.open.indirect_locations {
+                own(loc, Role::HeaderTree);
+            }
+            for &loc in &g.shadow.header.blocks {
+                own(loc, Role::ShadowContent);
+            }
+            own(g.shadow.header_location, Role::ShadowHeaderTree);
+            for &loc in &g.shadow.indirect_locations {
+                own(loc, Role::ShadowHeaderTree);
+            }
+        }
+        owners
+    }
+
+    fn assert_index_is_current<D: BlockDevice>(store: &ResilientStore<D>, when: &str) {
+        let index = store.index.read();
+        let standing: BTreeMap<BlockId, (String, Role)> = index
+            .owners
+            .iter()
+            .map(|(&loc, (state, role))| (loc, (state.read().open.path.clone(), *role)))
+            .collect();
+        assert_eq!(standing, rebuilt_owners(store), "{when}");
+        let reserved: HashSet<BlockId> =
+            VolumeAnchor::replica_blocks(store.fs.superblock().num_blocks)
+                .into_iter()
+                .chain(store.journal_slots())
+                .collect();
+        assert_eq!(index.reserved, reserved, "{when}");
+    }
+
+    #[test]
+    fn owner_index_tracks_a_rebuild_through_creates_writes_repairs_and_reopens() {
+        let mut store = fresh_store();
+        let mut rng = HashDrbg::from_u64(2024);
+        let mut sizes: Vec<usize> = Vec::new();
+        assert_index_is_current(&store, "fresh volume");
+        for step in 0..60 {
+            let op = if sizes.is_empty() {
+                0
+            } else {
+                rng.gen_range(5)
+            };
+            let file = rng.gen_range(sizes.len().max(1) as u64) as usize;
+            let path = format!("/f{file}");
+            let when = format!("step {step}, op {op} on {path}");
+            match op {
+                0 if sizes.len() < 3 => {
+                    let len = 1 + rng.gen_range(6000) as usize;
+                    store
+                        .create_file(&format!("/f{}", sizes.len()), &content(len))
+                        .unwrap();
+                    sizes.push(len);
+                }
+                0 | 1 => {
+                    let per = store.fs().content_bytes_per_block();
+                    let index = rng.gen_range(sizes[file].div_ceil(per) as u64);
+                    store.write_block(&path, index, &[step as u8; 40]).unwrap();
+                }
+                // Corrupt any shard of the file: the read, or a cover-traffic
+                // sweep over the whole volume, re-homes it.
+                2 | 3 => {
+                    let layout = store.stripe_layout(&path).unwrap();
+                    let stripe = &layout[rng.gen_range(layout.len() as u64) as usize];
+                    let mut plan = FaultPlan::new(step);
+                    plan.zero_block(stripe[rng.gen_range(stripe.len() as u64) as usize]);
+                    store.fs.device().apply_plan(&plan).unwrap();
+                    if op == 2 {
+                        store.read_file(&path).unwrap();
+                    } else {
+                        let cursor = store.scrub_cursor(step);
+                        store
+                            .dummy_update_batch(cursor.cycle_len(), Some(&cursor))
+                            .unwrap();
+                    }
+                }
+                // Reopen with a live `Repair` intent over a corrupt shard:
+                // the re-homing happens inside `open`'s recovery pass.
+                _ => {
+                    let guard = store
+                        .journal
+                        .begin(store.fs(), &path, IntentBody::Repair)
+                        .unwrap();
+                    std::mem::forget(guard);
+                    let mut plan = FaultPlan::new(step);
+                    plan.zero_block(block_of(&store, &path, 0));
+                    store.fs.device().apply_plan(&plan).unwrap();
+                    store =
+                        ResilientStore::open(store.into_device(), cfg(), &master(), step).unwrap();
+                    assert_eq!(store.last_recovery().rolled_forward, 1, "{when}");
+                }
+            }
+            assert_index_is_current(&store, &when);
+        }
+        // A zeroed parity row is invisible to `read_file`; the scrub re-homes
+        // whatever is still waiting.
+        assert!(store.scrub().unwrap().fully_repaired());
+        assert_index_is_current(&store, "after the closing scrub");
+        assert!(store.stats().blocks_repaired > 0);
+    }
+
+    /// `dummy_update_batch` as it was before the standing index: the owner
+    /// map rebuilt for every batch, keys derived and buffers allocated per
+    /// victim. The reference for the touched stream and the device image.
+    fn rebuild_per_batch_dummy_update<D: BlockDevice>(
+        store: &ResilientStore<D>,
+        k: usize,
+        cursor: Option<&ScrubCursor>,
+    ) -> Vec<BlockId> {
+        let num = store.fs.superblock().num_blocks;
+        let victims: Vec<BlockId> = match cursor {
+            Some(cursor) => cursor.next_victims(k),
+            None => (0..k)
+                .map(|_| store.fs.with_rng(|rng| 1 + rng.gen_range(num - 1)))
+                .collect(),
+        };
+        let reserved: BTreeSet<BlockId> = VolumeAnchor::replica_blocks(num)
+            .into_iter()
+            .chain(store.journal_slots())
+            .collect();
+        let owners = rebuilt_owners(store);
+        let mut touched = Vec::new();
+        for victim in victims {
+            if reserved.contains(&victim) {
+                continue;
+            }
+            match owners.get(&victim) {
+                None => store.fs.randomize_block(victim).unwrap(),
+                Some((path, role)) => {
+                    let state = store.file_state(path).unwrap();
+                    let g = state.read();
+                    let content_key = *g.open.fak.content_key().unwrap();
+                    let keys = ChecksumKeys::derive(&content_key);
+                    let verified = |expected: [u8; 16]| {
+                        let codec = store.fs.codec();
+                        let field = codec
+                            .read_sealed(store.fs.device(), victim, &content_key)
+                            .unwrap();
+                        keys.mac16(&field) == expected
+                    };
+                    let (key, stripe, intact) = match *role {
+                        Role::Content(i) => (
+                            content_key,
+                            store.stripe_cfg.stripe_of(i),
+                            verified(g.stripes.data_check(i).mac),
+                        ),
+                        Role::Parity(stripe, row) => (
+                            content_key,
+                            stripe,
+                            verified(g.stripes.parity_entry(stripe, row).check.mac),
+                        ),
+                        Role::HeaderTree => (*g.open.fak.header_key(), 0, true),
+                        Role::ShadowContent => (*g.shadow.fak.content_key().unwrap(), 0, true),
+                        Role::ShadowHeaderTree => (*g.shadow.fak.header_key(), 0, true),
+                    };
+                    drop(g);
+                    if intact {
+                        store.fs.reseal_block(victim, &key).unwrap();
+                    } else {
+                        store
+                            .repair_stripe(&mut state.write(), stripe, true)
+                            .unwrap();
+                    }
+                }
+            }
+            touched.push(victim);
+        }
+        touched
+    }
+
+    #[test]
+    fn dummy_updates_match_the_rebuild_per_batch_reference() {
+        for with_cursor in [true, false] {
+            let build = || {
+                let store = fresh_store();
+                store.create_file("/a", &content(3000)).unwrap();
+                store.create_file("/b", &content(5000)).unwrap();
+                store.create_file("/c", &content(700)).unwrap();
+                // One corrupt data block and one corrupt parity row, so the
+                // verify-and-repair arm is on the compared path too.
+                let mut plan = FaultPlan::new(53);
+                plan.zero_block(block_of(&store, "/a", 2));
+                plan.flip_bit(store.stripe_layout("/b").unwrap()[1][5]);
+                store.fs.device().apply_plan(&plan).unwrap();
+                let cursor = with_cursor.then(|| store.scrub_cursor(5));
+                (store, cursor)
+            };
+            let (standing, standing_cursor) = build();
+            let (reference, reference_cursor) = build();
+            // 8 at a time, past one full cycle of the 511 payload blocks.
+            for batch in 0..80 {
+                let touched = standing
+                    .dummy_update_batch(8, standing_cursor.as_ref())
+                    .unwrap();
+                let expected =
+                    rebuild_per_batch_dummy_update(&reference, 8, reference_cursor.as_ref());
+                assert_eq!(touched, expected, "batch {batch}, cursor {with_cursor}");
+            }
+            assert!(
+                image(standing.fs.device()) == image(reference.fs.device()),
+                "device images diverge, cursor {with_cursor}"
+            );
+            assert_eq!(standing.stats(), reference.stats());
+            if with_cursor {
+                assert_eq!(standing.stats().blocks_repaired, 2);
+            }
+            assert_index_is_current(&standing, "after the sweep");
+        }
+    }
+
+    #[test]
+    fn dummy_update_rechecks_a_role_that_went_stale_after_the_lookup() {
+        // A device whose next read of one chosen block first runs a hook, and
+        // which logs every write.
+        type Hook = Option<(BlockId, Box<dyn FnOnce() + Send>)>;
+        struct Hooked {
+            inner: MemDevice,
+            hook: Arc<Mutex<Hook>>,
+            writes: Mutex<Vec<BlockId>>,
+        }
+        impl BlockDevice for Hooked {
+            fn num_blocks(&self) -> u64 {
+                self.inner.num_blocks()
+            }
+            fn block_size(&self) -> usize {
+                self.inner.block_size()
+            }
+            fn read_block(
+                &self,
+                block: BlockId,
+                buf: &mut [u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                let mut hook = self.hook.lock();
+                let armed = matches!(&*hook, Some((at, _)) if *at == block);
+                let run = if armed { hook.take() } else { None };
+                drop(hook);
+                if let Some((_, run)) = run {
+                    run();
+                }
+                self.inner.read_block(block, buf)
+            }
+            fn write_block(
+                &self,
+                block: BlockId,
+                buf: &[u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                self.writes.lock().push(block);
+                self.inner.write_block(block, buf)
+            }
+        }
+
+        let hook = Arc::new(Mutex::new(None));
+        let device = Hooked {
+            inner: MemDevice::new(512, 512),
+            hook: hook.clone(),
+            writes: Mutex::new(Vec::new()),
+        };
+        let store = Arc::new(ResilientStore::format(device, cfg(), &master(), 7).unwrap());
+        store.create_file("/a", &content(2000)).unwrap();
+        store.create_file("/b", &content(2000)).unwrap();
+        let a0 = block_of(&store, "/a", 0);
+        let b1 = block_of(&store, "/b", 1);
+
+        // The batch looks both victims up, then verifies `a0` — and during
+        // that read, on the same thread, `b1` is corrupted and a read of /b
+        // re-homes its shard. By the time the batch reaches `b1` the role it
+        // looked up describes a block /b no longer owns.
+        let mover = store.clone();
+        *hook.lock() = Some((
+            a0,
+            Box::new(move || {
+                let zeros = vec![0u8; 512];
+                mover.fs.device().inner.write_block(b1, &zeros).unwrap();
+                assert_eq!(mover.read_file("/b").unwrap(), content(2000));
+                assert_ne!(block_of(&mover, "/b", 1), b1);
+            }),
+        ));
+        store.fs.device().writes.lock().clear();
+        let cursor = ScrubCursor {
+            order: vec![a0, b1],
+            pos: AtomicUsize::new(0),
+        };
+        let touched = store.dummy_update_batch(2, Some(&cursor)).unwrap();
+        assert!(hook.lock().is_none(), "the hook never fired");
+        assert_eq!(touched, vec![a0, b1]);
+
+        // `b1` is nobody's now: the repair randomised it once, and the dummy
+        // update rewrote it as the unowned block it is — not "verified"
+        // under /b's key, found wanting and left alone.
+        let writes = store.fs.device().writes.lock().clone();
+        assert_eq!(writes.iter().filter(|&&b| b == b1).count(), 2);
+        assert_eq!(writes.last(), Some(&b1));
+        assert_eq!(store.stats().degraded_stripes, 1);
+        assert_index_is_current(&store, "after the batch");
+        assert!(store.scrub().unwrap().is_clean());
     }
 
     #[test]

@@ -90,6 +90,10 @@ impl ParityEntry {
     const ENCODED_LEN: usize = 8 + BlockCheck::ENCODED_LEN;
 }
 
+/// Buffers whose [`ChecksumKeys::fast`] chains are walked together by
+/// [`ChecksumKeys::fast_many`].
+pub const FAST_LANES: usize = 8;
+
 /// Keys for computing both block checks, derived once per file.
 pub struct ChecksumKeys {
     hmac: HmacSha256,
@@ -125,24 +129,72 @@ impl ChecksumKeys {
     /// flip or zeroed block changes it with overwhelming probability, which
     /// is the failure model of cover-traffic overwrites.
     pub fn fast(&self, data: &[u8]) -> u64 {
-        const M: u64 = 0x9e37_79b9_7f4a_7c15;
-        let mut h = self.s0 ^ (data.len() as u64).wrapping_mul(M);
-        let mut chunks = data.chunks_exact(8);
-        for lane in &mut chunks {
-            let v = u64::from_le_bytes(lane.try_into().unwrap());
-            h = (h ^ v).wrapping_mul(M).rotate_left(29) ^ self.s1;
+        self.fast_lanes([data])[0]
+    }
+
+    /// [`Self::fast`] of every buffer of `bufs`, written to the matching
+    /// entry of `out`. One buffer's hash is a serial multiply chain, so a
+    /// lone call is bound by the multiplier's latency; buffers of one length
+    /// are taken [`FAST_LANES`] at a time and their independent chains walked
+    /// in one loop, which keeps the multiplier busy instead. Values are
+    /// exactly those of a [`Self::fast`] loop, which is also what a group of
+    /// mixed lengths falls back to.
+    ///
+    /// # Panics
+    /// If `out` is not as long as `bufs`.
+    pub fn fast_many(&self, bufs: &[&[u8]], out: &mut [u64]) {
+        assert_eq!(bufs.len(), out.len(), "one hash per buffer");
+        for (group, hashes) in bufs.chunks(FAST_LANES).zip(out.chunks_mut(FAST_LANES)) {
+            if group.iter().any(|b| b.len() != group[0].len()) {
+                for (buf, hash) in group.iter().zip(hashes) {
+                    *hash = self.fast(buf);
+                }
+                continue;
+            }
+            // A short group runs at the next power-of-two width, its spare
+            // lanes repeating the last buffer: cheaper than splitting it
+            // into narrower interleaves.
+            match group.len() {
+                1 => self.fast_group::<1>(group, hashes),
+                2 => self.fast_group::<2>(group, hashes),
+                3..=4 => self.fast_group::<4>(group, hashes),
+                _ => self.fast_group::<FAST_LANES>(group, hashes),
+            }
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            let v = u64::from_le_bytes(tail);
-            h = (h ^ v).wrapping_mul(M).rotate_left(29) ^ self.s1;
+    }
+
+    fn fast_group<const N: usize>(&self, group: &[&[u8]], hashes: &mut [u64]) {
+        let lanes: [&[u8]; N] = core::array::from_fn(|i| group[i.min(group.len() - 1)]);
+        hashes.copy_from_slice(&self.fast_lanes(lanes)[..group.len()]);
+    }
+
+    /// The hash chains of `N` equal-length buffers, advanced in lockstep.
+    fn fast_lanes<const N: usize>(&self, bufs: [&[u8]; N]) -> [u64; N] {
+        const M: u64 = 0x9e37_79b9_7f4a_7c15;
+        let len = bufs[0].len();
+        debug_assert!(bufs.iter().all(|b| b.len() == len));
+        let step = |h: u64, v: u64| (h ^ v).wrapping_mul(M).rotate_left(29) ^ self.s1;
+        let mut h = [self.s0 ^ (len as u64).wrapping_mul(M); N];
+        let whole = len - len % 8;
+        for at in (0..whole).step_by(8) {
+            for (h, buf) in h.iter_mut().zip(&bufs) {
+                let lane = buf[at..at + 8].try_into().expect("8-byte lane");
+                *h = step(*h, u64::from_le_bytes(lane));
+            }
+        }
+        if whole < len {
+            for (h, buf) in h.iter_mut().zip(&bufs) {
+                let mut tail = [0u8; 8];
+                tail[..len - whole].copy_from_slice(&buf[whole..]);
+                *h = step(*h, u64::from_le_bytes(tail));
+            }
         }
         // Final avalanche.
-        h ^= h >> 32;
-        h = h.wrapping_mul(M);
-        h ^ (h >> 29)
+        h.map(|mut h| {
+            h ^= h >> 32;
+            h = h.wrapping_mul(M);
+            h ^ (h >> 29)
+        })
     }
 
     /// Both checks of `data` at once.
@@ -151,6 +203,18 @@ impl ChecksumKeys {
             fast: self.fast(data),
             mac: self.mac16(data),
         }
+    }
+
+    /// [`Self::check`] of every buffer of `bufs`, the fast halves through
+    /// [`Self::fast_many`].
+    pub fn check_many(&self, bufs: &[&[u8]]) -> Vec<BlockCheck> {
+        let mut fast = vec![0u64; bufs.len()];
+        self.fast_many(bufs, &mut fast);
+        let macs = bufs.iter().map(|data| self.mac16(data));
+        fast.into_iter()
+            .zip(macs)
+            .map(|(fast, mac)| BlockCheck { fast, mac })
+            .collect()
     }
 }
 
@@ -322,6 +386,62 @@ mod tests {
         let zeroed = vec![0u8; 4080];
         assert_ne!(h, k.fast(&zeroed), "zeroing detected");
         assert_ne!(k.fast(&data[..100]), k.fast(&data[..101]), "length bound");
+    }
+
+    #[test]
+    fn fast_hash_values_are_pinned() {
+        // Values of the single-chain loop this crate shipped before
+        // `fast_many`: they sit in every persisted stripe map and journal
+        // record, so the interleaved walk must reproduce them exactly.
+        let k = keys();
+        let data: Vec<u8> = (0..4100u32).map(|i| (i * 31 % 251) as u8).collect();
+        for (len, pinned) in [
+            (0usize, 0xa8c2f343c5ef2f22u64),
+            (1, 0xc84a7db603e7e954),
+            (7, 0xd5fbf16c606a2a4d),
+            (8, 0xc0904fe35683f0fd),
+            (13, 0xfbdee8509d5773a4),
+            (496, 0x5dafccdb63d86eea),
+            (4080, 0xdaa9c5b31b28116e),
+            (4100, 0xc0a5b97aedd86a6b),
+        ] {
+            assert_eq!(k.fast(&data[..len]), pinned, "length {len}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Any number of buffers, equal lengths or not: `fast_many` is a
+        /// `fast` loop, and `check_many` a `check` loop.
+        #[test]
+        fn fast_many_matches_a_fast_loop(
+            lens in proptest::collection::vec(0usize..4101, 0..18),
+            equal in proptest::prelude::any::<bool>(),
+            fill in proptest::prelude::any::<u64>(),
+        ) {
+            let k = keys();
+            let mut x = fill | 1;
+            let bufs: Vec<Vec<u8>> = lens
+                .iter()
+                .map(|&len| {
+                    let len = if equal { lens[0] } else { len };
+                    (0..len)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            x as u8
+                        })
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[u8]> = bufs.iter().map(Vec::as_slice).collect();
+            let mut many = vec![0u64; refs.len()];
+            k.fast_many(&refs, &mut many);
+            let looped: Vec<u64> = refs.iter().map(|b| k.fast(b)).collect();
+            proptest::prop_assert_eq!(&many, &looped);
+            let checks: Vec<BlockCheck> = refs.iter().map(|b| k.check(b)).collect();
+            proptest::prop_assert_eq!(k.check_many(&refs), checks);
+        }
     }
 
     #[test]

@@ -157,16 +157,46 @@ impl BlockCodec {
         Ok(())
     }
 
+    fn check_field(&self, dst: &[u8]) -> Result<(), FsError> {
+        if dst.len() != self.data_field_len() {
+            return Err(FsError::Cipher(format!(
+                "destination of {} bytes, expected a data field of {}",
+                dst.len(),
+                self.data_field_len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Open a physical block under `key`, returning the full plaintext data
     /// field (including any zero padding the caller added at seal time).
     pub fn open(&self, key: &Key256, physical: &[u8]) -> Result<Vec<u8>, FsError> {
         self.check_block(physical)?;
-        let mut iv = [0u8; IV_SIZE];
-        iv.copy_from_slice(&physical[..IV_SIZE]);
         let mut data = physical[IV_SIZE..].to_vec();
-        let cbc = CbcCipher::new(self.schedules.get(key));
-        cbc.decrypt_in_place(&iv, &mut data)?;
+        self.decrypt_field(key, physical, &mut data)?;
         Ok(data)
+    }
+
+    /// [`Self::open`] into a buffer the caller owns: `dst` must be exactly
+    /// one data field long and receives the decrypted field.
+    pub fn open_into(&self, key: &Key256, physical: &[u8], dst: &mut [u8]) -> Result<(), FsError> {
+        self.check_block(physical)?;
+        self.check_field(dst)?;
+        dst.copy_from_slice(&physical[IV_SIZE..]);
+        self.decrypt_field(key, physical, dst)
+    }
+
+    /// Decrypt `field`, a copy of `physical`'s data field, under the IV in
+    /// front of that field.
+    fn decrypt_field(
+        &self,
+        key: &Key256,
+        physical: &[u8],
+        field: &mut [u8],
+    ) -> Result<(), FsError> {
+        let iv: &[u8; IV_SIZE] = physical[..IV_SIZE].try_into().expect("a whole block");
+        CbcCipher::new(self.schedules.get(key)).decrypt_in_place(iv, field)?;
+        Ok(())
     }
 
     /// Write `plaintext` sealed under `key` to `block` on `device`.
@@ -218,6 +248,24 @@ impl BlockCodec {
         let mut physical = vec![0u8; self.block_size];
         device.read_block(block, &mut physical)?;
         self.open(key, &physical)
+    }
+
+    /// [`Self::read_sealed`] without allocating: the physical block is read
+    /// into `scratch` (one block long, reusable across calls) and opened into
+    /// `dst` (one data field long).
+    pub fn read_sealed_into<D: BlockDevice + ?Sized>(
+        &self,
+        device: &D,
+        block: BlockId,
+        key: &Key256,
+        scratch: &mut [u8],
+        dst: &mut [u8],
+    ) -> Result<(), FsError> {
+        // Refuse a malformed call before it costs (and shows) a device read.
+        self.check_block(scratch)?;
+        self.check_field(dst)?;
+        device.read_block(block, scratch)?;
+        self.open_into(key, scratch, dst)
     }
 
     /// Perform a *dummy update* on `block`: decrypt, choose a fresh IV,
@@ -448,6 +496,63 @@ mod tests {
         assert!(c
             .reseal_in_place(&key(1), &mut run[..4000], &[0u8; IV_SIZE])
             .is_err());
+    }
+
+    #[test]
+    fn into_forms_match_the_allocating_ones() {
+        let c = codec();
+        let dev = MemDevice::new(8, 4096);
+        let mut rng = HashDrbg::from_u64(23);
+        let mut scratch = vec![0xEEu8; 4096];
+        // Stale bytes in the destination: open_into owns every byte of it.
+        let mut field = vec![0xEEu8; c.data_field_len()];
+        for (block, len) in [(1u64, 0usize), (2, 15), (3, 1000), (4, 4080)] {
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + block as usize) as u8).collect();
+            c.write_sealed(&dev, block, &key(5), &plaintext, &mut rng)
+                .unwrap();
+            // Right key and wrong key: the same bytes either way.
+            for k in [key(5), key(6)] {
+                let expected = c.read_sealed(&dev, block, &k).unwrap();
+                c.read_sealed_into(&dev, block, &k, &mut scratch, &mut field)
+                    .unwrap();
+                assert_eq!(field, expected);
+                field.fill(0xEE);
+                c.open_into(&k, &scratch, &mut field).unwrap();
+                assert_eq!(field, c.open(&k, &scratch).unwrap());
+            }
+        }
+
+        // Errors: a short physical block, a destination that is not one data
+        // field, a block past the device — each typed, each as the
+        // allocating form reports it, none touching the destination.
+        field.fill(0xEE);
+        let short = c.open(&key(5), &scratch[..4000]).unwrap_err();
+        assert_eq!(
+            c.open_into(&key(5), &scratch[..4000], &mut field),
+            Err(short)
+        );
+        for bad in [0usize, 4079, 4081] {
+            let mut dst = vec![0xEEu8; bad];
+            assert!(matches!(
+                c.open_into(&key(5), &scratch, &mut dst),
+                Err(FsError::Cipher(_))
+            ));
+            assert!(matches!(
+                c.read_sealed_into(&dev, 1, &key(5), &mut scratch, &mut dst),
+                Err(FsError::Cipher(_))
+            ));
+            assert!(dst.iter().all(|&b| b == 0xEE));
+        }
+        assert!(matches!(
+            c.read_sealed_into(&dev, 1, &key(5), &mut scratch[..100], &mut field),
+            Err(FsError::Cipher(_))
+        ));
+        let past = c.read_sealed(&dev, 8, &key(5)).unwrap_err();
+        assert_eq!(
+            c.read_sealed_into(&dev, 8, &key(5), &mut scratch, &mut field),
+            Err(past)
+        );
+        assert!(field.iter().all(|&b| b == 0xEE));
     }
 
     #[test]
