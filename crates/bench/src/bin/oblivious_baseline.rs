@@ -24,10 +24,10 @@
 //!    waits of concurrent readers under its per-level read locks; the Mutex
 //!    serializes them, so the 8-thread ratio is the headline decomposition
 //!    delta.
-//! 5. **Submission-queue elevator gain (simulated).** The interleaved ranged
-//!    request streams of four concurrent level sweeps, billed to the 2004
-//!    disk model in arrival order vs drained-and-sorted the way
-//!    [`SubmissionQueue`](stegfs_blockdev::SubmissionQueue) services a batch.
+//! 5. **Elevator gain (simulated).** The interleaved ranged request streams
+//!    of four concurrent level sweeps, billed to the 2004 disk model in
+//!    arrival order vs sorted by start block, the order an elevator would
+//!    service them in.
 //!
 //! Run with `--quick` (or `STEGFS_BENCH_QUICK=1`) for a CI-sized run; the
 //! JSON schema is identical, with `"quick": true` recorded so trajectory
@@ -402,11 +402,10 @@ fn main() {
         "decomposed / coarse-Mutex aggregate read throughput at 8 threads".to_string(),
     ));
 
-    // --- 5. Submission-queue elevator gain (deterministic, simulated). ---
+    // --- 5. Elevator gain (deterministic, simulated). ---
     // Four concurrent level sweeps at distant offsets whose ranged requests
     // arrive round-robin interleaved: billed in arrival order every request
-    // switches streams and pays the full seek; drained and elevator-sorted
-    // (exactly what `SubmissionQueue::service_batch` does) each stream's
+    // switches streams and pays the full seek; elevator-sorted, each stream's
     // requests coalesce into ascending runs.
     let sweep_steps = pick(64u64, 16);
     let run_len = 8u64;
@@ -425,7 +424,10 @@ fn main() {
     elevator_clock.reset();
     let mut drained = arrival.clone();
     drained.sort_by_key(|r| r.0);
-    let drained_us = elevator_clock.charge_drained(&model, &drained);
+    for &(start, count, bytes) in &drained {
+        elevator_clock.charge_batch(&model, start, count, bytes);
+    }
+    let drained_us = elevator_clock.now_us();
     metrics.push(Metric::new(
         "submission_queue_elevator_speedup",
         "x",

@@ -29,10 +29,6 @@
 //! * [`sim::SimDevice`] — wrapper that charges every request to a
 //!   [`sim::DiskModel`] so experiments can report simulated elapsed time on
 //!   the paper's 2004-era Ultra-ATA disk.
-//! * [`SubmissionQueue`] — io_uring-style executor: concurrent readers submit
-//!   ranged reads, a worker pool (or the waiters themselves, on a one-CPU
-//!   host) drains them in elevator-sorted batches so overlapping level sweeps
-//!   coalesce instead of convoying.
 //! * [`IoStats`] — cheap shared counters of read/write/sequential/random I/O.
 
 #![forbid(unsafe_code)]
@@ -46,7 +42,6 @@ mod latency;
 mod mem;
 pub mod sim;
 mod stats;
-mod submission;
 mod trace;
 
 pub use crash::{clone_to_mem, CrashDevice, CrashPoint};
@@ -56,5 +51,4 @@ pub use file::FileDevice;
 pub use latency::LatencyDevice;
 pub use mem::MemDevice;
 pub use stats::{IoCounters, IoStats};
-pub use submission::{SubmissionQueue, SubmissionStats, Ticket};
 pub use trace::{IoKind, IoRecord, Snapshot, SnapshotDiff, TraceLog, TracingDevice};

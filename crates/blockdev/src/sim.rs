@@ -69,20 +69,6 @@ impl DiskModel {
         }
     }
 
-    /// A modern-NVMe-like model (much smaller random penalty); useful for the
-    /// ablation benches that ask how the paper's trade-offs shift on current
-    /// hardware.
-    pub fn nvme_2020() -> Self {
-        Self {
-            avg_seek_us: 0,
-            rotational_latency_us: 80,
-            transfer_bytes_per_sec: 2_000_000_000,
-            per_request_overhead_us: 10,
-            near_seek_window: 0,
-            near_seek_us: 0,
-        }
-    }
-
     /// Service time in microseconds for a request of `bytes` at `block`, given
     /// the current head position.
     pub fn service_time_us(&self, head: Option<BlockId>, block: BlockId, bytes: usize) -> u64 {
@@ -206,29 +192,6 @@ impl SimClock {
         s.busy_us += service;
         s.head = Some(start + count - 1);
         (service, sequential)
-    }
-
-    /// Charge a drained request batch — the overlapped-request accounting
-    /// used by the submission-queue executor. `requests` are `(start, count,
-    /// bytes_per_block)` ranged reads in service order (the executor sorts a
-    /// drained batch by start block); the whole batch is billed in one clock
-    /// transaction with the head chained from request to request, so an
-    /// ascending sweep whose steps fall inside the near-seek window pays
-    /// track-to-track seeks instead of the full average seek every
-    /// interleaved arrival-order stream would pay. Returns the total service
-    /// time of the batch.
-    pub fn charge_drained(&self, model: &DiskModel, requests: &[(BlockId, u64, usize)]) -> u64 {
-        let mut s = self.state.lock();
-        let mut total = 0u64;
-        for &(start, count, bytes_per_block) in requests {
-            debug_assert!(count > 0, "empty batches are rejected by the devices");
-            let service = model.batch_service_time_us(s.head, start, count, bytes_per_block);
-            s.now_us += service;
-            s.busy_us += service;
-            s.head = Some(start + count - 1);
-            total += service;
-        }
-        total
     }
 
     /// Reset time to zero and forget the head position.
@@ -470,8 +433,8 @@ mod tests {
         // Four logical streams (level sweeps at distant offsets) whose ranged
         // requests arrive round-robin interleaved. Charged in arrival order,
         // every request switches streams and pays the full average seek;
-        // drained and sorted by the submission queue, each stream's requests
-        // coalesce into ascending runs that continue the head.
+        // sorted by start block, each stream's requests coalesce into
+        // ascending runs that continue the head.
         let model = DiskModel::default();
         let clock = SimClock::new();
         let mut arrival: Vec<(u64, u64, usize)> = Vec::new();
@@ -488,28 +451,16 @@ mod tests {
         clock.reset();
         let mut drained = arrival.clone();
         drained.sort_by_key(|r| r.0);
-        let total = clock.charge_drained(&model, &drained);
+        let total: u64 = drained
+            .iter()
+            .map(|&(start, count, bytes)| clock.charge_batch(&model, start, count, bytes).0)
+            .sum();
         assert_eq!(total, clock.now_us(), "busy time equals elapsed time");
         assert_eq!(clock.busy_us(), total);
         assert!(
             interleaved_us > 3 * total,
             "interleaved {interleaved_us} us vs drained elevator {total} us"
         );
-    }
-
-    #[test]
-    fn charge_drained_matches_chained_charge_batch() {
-        let model = DiskModel::default();
-        let a = SimClock::new();
-        let b = SimClock::new();
-        let requests = [(100u64, 4u64, 512usize), (104, 4, 512), (900, 2, 512)];
-        let total = a.charge_drained(&model, &requests);
-        let mut chained = 0;
-        for &(start, count, bytes) in &requests {
-            chained += b.charge_batch(&model, start, count, bytes).0;
-        }
-        assert_eq!(total, chained);
-        assert_eq!(a.now_us(), b.now_us());
     }
 
     #[test]
@@ -538,13 +489,6 @@ mod tests {
         clock.advance_us(500);
         assert_eq!(clock.now_us(), 500);
         assert_eq!(clock.busy_us(), 0);
-    }
-
-    #[test]
-    fn nvme_model_is_much_faster() {
-        let old = DiskModel::ultra_ata_2004();
-        let new = DiskModel::nvme_2020();
-        assert!(new.random_block_us(4096) * 20 < old.random_block_us(4096));
     }
 
     #[test]

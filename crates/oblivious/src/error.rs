@@ -1,5 +1,6 @@
 //! Error type for the oblivious storage.
 
+use stegfs_base::wire::WireError;
 use stegfs_blockdev::DeviceError;
 
 /// Errors produced by the oblivious storage.
@@ -75,6 +76,12 @@ impl std::error::Error for ObliviousError {}
 impl From<DeviceError> for ObliviousError {
     fn from(e: DeviceError) -> Self {
         ObliviousError::Device(e)
+    }
+}
+
+impl From<WireError> for ObliviousError {
+    fn from(e: WireError) -> Self {
+        ObliviousError::Corrupt(e.to_string())
     }
 }
 

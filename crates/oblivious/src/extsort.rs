@@ -16,6 +16,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::BlockDevice;
 
 use crate::error::ObliviousError;
@@ -74,7 +75,8 @@ impl<D: BlockDevice> ExternalSorter<D> {
         self.memory_records
     }
 
-    fn encode_record_into(
+    #[doc(hidden)]
+    pub fn encode_record_into(
         &self,
         record: &SortRecord,
         block: &mut [u8],
@@ -86,36 +88,24 @@ impl<D: BlockDevice> ExternalSorter<D> {
                 max: bs - RECORD_HEADER,
             });
         }
-        block[..8].copy_from_slice(&record.key.to_le_bytes());
-        block[8..16].copy_from_slice(&record.id.to_le_bytes());
-        block[16..20].copy_from_slice(&(record.payload.len() as u32).to_le_bytes());
-        block[20..20 + record.payload.len()].copy_from_slice(&record.payload);
+        Writer::over(block)
+            .u64(record.key)
+            .u64(record.id)
+            .u32(record.payload.len() as u32)
+            .bytes(&record.payload);
         Ok(())
     }
 
     /// Decode one sort-partition block. The partition is attacker-writable
     /// storage, so the declared payload length is checked against the block.
-    fn decode_record(block: &[u8]) -> Result<SortRecord, ObliviousError> {
-        if block.len() < RECORD_HEADER {
-            return Err(ObliviousError::Corrupt(format!(
-                "sort block of {} bytes is smaller than a record header",
-                block.len()
-            )));
-        }
-        let (header, body) = block.split_at(RECORD_HEADER);
-        let key = u64::from_le_bytes(header[..8].try_into().expect("8-byte field"));
-        let id = u64::from_le_bytes(header[8..16].try_into().expect("8-byte field"));
-        let len = u32::from_le_bytes(header[16..].try_into().expect("4-byte field")) as usize;
-        let payload = body.get(..len).ok_or_else(|| {
-            ObliviousError::Corrupt(format!(
-                "sort record declares {len} payload bytes, only {} available",
-                body.len()
-            ))
-        })?;
+    #[doc(hidden)]
+    pub fn decode_record(block: &[u8]) -> Result<SortRecord, ObliviousError> {
+        let mut r = Reader::new(block);
+        let (key, id, len) = (r.u64()?, r.u64()?, r.u32()?);
         Ok(SortRecord {
             key,
             id,
-            payload: payload.to_vec(),
+            payload: r.bytes(len as usize)?.to_vec(),
         })
     }
 
@@ -489,5 +479,31 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![(1, 9), (5, 1), (5, 2), (5, 3)]);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_SORT_RECORD: &[u8] = b"\
+            \x08\x07\x06\x05\x04\x03\x02\x01\x18\x17\x16\x15\x14\x13\x12\x11\x15\x00\x00\x00\
+            \x20\x21\x22\x23\x24\x25\x26\x27\x28\x29\x2a\x2b\x2c\x2d\x2e\x2f\x30\x31\x32\x33\
+            \x34\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\xee\
+            \xee\xee\xee\xee";
+        let sorter = ExternalSorter::new(MemDevice::new(4, 64), 2);
+        let record = SortRecord {
+            key: 0x0102_0304_0506_0708,
+            id: 0x1112_1314_1516_1718,
+            payload: (0x20..0x35).collect(),
+        };
+        // Bytes behind the payload are not the encoder's: they keep whatever
+        // the staging buffer held.
+        let mut block = vec![0xEEu8; 64];
+        sorter.encode_record_into(&record, &mut block).unwrap();
+        assert_eq!(block, GOLDEN_SORT_RECORD);
+        assert_eq!(
+            ExternalSorter::<MemDevice>::decode_record(GOLDEN_SORT_RECORD).unwrap(),
+            record
+        );
     }
 }

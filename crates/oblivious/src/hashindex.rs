@@ -18,6 +18,7 @@
 
 use std::sync::OnceLock;
 
+use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HmacSha256;
 
@@ -61,8 +62,7 @@ impl HashIndexRegion {
 
     fn keyed_hash(nonce: u64, id: u64) -> u64 {
         let mut msg = [0u8; 16];
-        msg[..8].copy_from_slice(&nonce.to_le_bytes());
-        msg[8..].copy_from_slice(&id.to_le_bytes());
+        Writer::over(&mut msg[..]).u64(nonce).u64(id);
         index_hmac().derive_u64_with(&msg)
     }
 
@@ -110,12 +110,10 @@ impl HashIndexRegion {
                 .iter()
                 .enumerate()
             {
-                let block = &mut window[j * self.block_size..(j + 1) * self.block_size];
-                block[..2].copy_from_slice(&(bucket.len() as u16).to_le_bytes());
-                for (k, &(hash, slot)) in bucket.iter().enumerate() {
-                    let at = BUCKET_HEADER + k * ENTRY_SIZE;
-                    block[at..at + 8].copy_from_slice(&hash.to_le_bytes());
-                    block[at + 8..at + 16].copy_from_slice(&slot.to_le_bytes());
+                let mut w = Writer::over(&mut window[j * self.block_size..][..self.block_size]);
+                w.u16(bucket.len() as u16);
+                for &(hash, slot) in bucket {
+                    w.u64(hash).u64(slot);
                 }
             }
             device.write_blocks(self.offset + written, window)?;
@@ -140,12 +138,14 @@ impl HashIndexRegion {
         for _ in 0..self.num_blocks {
             device.read_block(self.offset + bucket, &mut buf)?;
             reads += 1;
-            let count = u16::from_le_bytes(buf[..2].try_into().unwrap()) as usize;
-            for j in 0..count {
-                let at = BUCKET_HEADER + j * ENTRY_SIZE;
-                let entry_hash = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+            // The index is plaintext on the device: a count the bucket block
+            // cannot hold is corruption, not a walk past its end.
+            let mut r = Reader::new(&buf);
+            let count = r.u16()?;
+            let count = r.count(count, ENTRY_SIZE)?;
+            for _ in 0..count {
+                let (entry_hash, slot) = (r.u64()?, r.u64()?);
                 if entry_hash == hash {
-                    let slot = u64::from_le_bytes(buf[at + 8..at + 16].try_into().unwrap());
                     return Ok((Some(slot), reads));
                 }
             }
@@ -273,5 +273,66 @@ mod tests {
         // 50 % load factor: 100 items need ceil(200/31) = 7 buckets.
         assert_eq!(HashIndexRegion::blocks_for_capacity(100, 512), 7);
         assert!(HashIndexRegion::blocks_for_capacity(0, 512) >= 1);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn bucket_golden_vector_is_bit_identical() {
+        const GOLDEN_BUCKETS: &[u8] = b"\
+            \x01\x00\xf8\xfe\xbb\xbe\x3a\x37\x0d\xb3\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x03\x00\xfd\x73\x19\x19\x22\x14\xb3\x8e\x01\x01\x00\x00\x00\x00\
+            \x00\x00\xb5\x26\xa4\x2b\x80\xf2\x4f\xb3\x03\x01\x00\x00\x00\x00\x00\x00\x01\x8b\
+            \x23\xd7\xbe\x1c\x10\xcf\x06\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x03\x00\xe6\xd9\xb2\xa2\x3f\x2a\xfd\xfc\x02\x01\
+            \x00\x00\x00\x00\x00\x00\x76\xa2\xc4\x2c\xdb\x4c\x57\x9e\x04\x01\x00\x00\x00\x00\
+            \x00\x00\x3e\x6c\x42\x6d\xa0\xc1\x36\x40\x05\x01\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+        let device = MemDevice::new(6, 64);
+        let region = HashIndexRegion {
+            offset: 1,
+            num_blocks: 4,
+            block_size: 64,
+        };
+        let entries = || (0..7u64).map(|i| (i * 13 + 7, 0x100 + i));
+        region.build(&device, 42, entries()).unwrap();
+        let mut image = vec![0u8; 4 * 64];
+        device.read_blocks(1, &mut image).unwrap();
+        assert_eq!(image, GOLDEN_BUCKETS);
+
+        let pinned = MemDevice::new(6, 64);
+        pinned.write_blocks(1, GOLDEN_BUCKETS).unwrap();
+        for (id, slot) in entries() {
+            assert_eq!(region.lookup(&pinned, 42, id).unwrap().0, Some(slot));
+        }
+        assert_eq!(region.lookup(&pinned, 42, 9999).unwrap().0, None);
+    }
+
+    /// Regression: a count field of `0xffff` walked the parent past the end
+    /// of the bucket block (a slice panic, in release builds too).
+    #[test]
+    fn bucket_count_beyond_the_block_is_corrupt() {
+        let (device, region) = region(50, 512);
+        region.build(&device, 42, (0..50).map(|i| (i, i))).unwrap();
+        let per_bucket = HashIndexRegion::entries_per_bucket(512) as u16;
+        for count in [per_bucket + 1, 0x7fff, 0xffff] {
+            let mut bucket = vec![0u8; 512];
+            bucket[..2].copy_from_slice(&count.to_le_bytes());
+            for b in 0..region.num_blocks {
+                device.write_block(region.offset + b, &bucket).unwrap();
+            }
+            assert!(
+                matches!(
+                    region.lookup(&device, 42, 7),
+                    Err(ObliviousError::Corrupt(_))
+                ),
+                "count {count}"
+            );
+        }
     }
 }

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 
+use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256, PIPELINE_WIDTH};
@@ -82,6 +83,27 @@ impl MaintenanceIo {
     }
 }
 
+/// Encode an item over the whole of `field` (a slot's plaintext data
+/// field), zero-padded.
+pub fn encode_item_into(field: &mut [u8], id: u64, payload: &[u8]) {
+    let end = field.len();
+    Writer::over(field)
+        .u64(id)
+        .u32(payload.len() as u32)
+        .skip_to(ITEM_HEADER)
+        .bytes(payload)
+        .skip_to(end);
+}
+
+/// Inverse of [`encode_item_into`]; the payload length is checked against the
+/// field.
+pub fn decode_item(plain: &[u8]) -> Result<(u64, Vec<u8>), ObliviousError> {
+    let mut r = Reader::new(plain);
+    let (id, len) = (r.u64()?, r.u32()?);
+    r.skip_to(ITEM_HEADER)?;
+    Ok((id, r.bytes(len as usize)?.to_vec()))
+}
+
 impl Level {
     /// Lay out a level starting at `offset`; returns the level and the first
     /// block after it.
@@ -132,31 +154,6 @@ impl Level {
         (block_size - IV_SIZE) - ITEM_HEADER
     }
 
-    /// Encode an item over the whole of `field` (a slot's plaintext data
-    /// field), zero-padded.
-    fn encode_item_into(field: &mut [u8], id: u64, payload: &[u8]) {
-        field[..8].copy_from_slice(&id.to_le_bytes());
-        field[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        field[12..ITEM_HEADER].fill(0);
-        field[ITEM_HEADER..ITEM_HEADER + payload.len()].copy_from_slice(payload);
-        field[ITEM_HEADER + payload.len()..].fill(0);
-    }
-
-    fn decode_item(plain: &[u8]) -> Result<(u64, Vec<u8>), ObliviousError> {
-        if plain.len() < ITEM_HEADER {
-            return Err(ObliviousError::Corrupt("slot too small".to_string()));
-        }
-        let id = u64::from_le_bytes(plain[..8].try_into().unwrap());
-        let len = u32::from_le_bytes(plain[8..12].try_into().unwrap()) as usize;
-        if ITEM_HEADER + len > plain.len() {
-            return Err(ObliviousError::Corrupt(format!(
-                "slot declares {len} payload bytes, only {} available",
-                plain.len() - ITEM_HEADER
-            )));
-        }
-        Ok((id, plain[ITEM_HEADER..ITEM_HEADER + len].to_vec()))
-    }
-
     /// Read and decrypt the item in `slot`.
     pub fn read_slot<D: BlockDevice + ?Sized>(
         &self,
@@ -172,7 +169,7 @@ impl Level {
         let plain = codec
             .open(&self.key, &sealed)
             .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
-        Self::decode_item(&plain)
+        decode_item(&plain)
     }
 
     /// Read a slot without interpreting it (dummy probe).
@@ -528,7 +525,7 @@ where
             }
             let (iv, field) = self.group[n * bs..(n + 1) * bs].split_at_mut(IV_SIZE);
             self.rng.fill_bytes(iv);
-            Level::encode_item_into(field, id, &payload);
+            encode_item_into(field, id, &payload);
             tags[n] = (self.rng.next_u64(), id);
             n += 1;
         }
@@ -652,7 +649,7 @@ impl<D: BlockDevice + ?Sized> Iterator for SlotStream<'_, D> {
                     return Some(Err(ObliviousError::Corrupt(e.to_string())));
                 }
             };
-            match Level::decode_item(&plain) {
+            match decode_item(&plain) {
                 Ok(item) => self.decoded.push_back(item),
                 Err(e) => {
                     self.failed = true;
@@ -895,7 +892,7 @@ mod tests {
                 .into_iter()
                 .map(|(id, payload)| {
                     let mut plain = vec![0u8; codec.data_field_len()];
-                    Level::encode_item_into(&mut plain, id, &payload);
+                    encode_item_into(&mut plain, id, &payload);
                     let sealed = codec.seal(&level.key, &plain, &mut loop_rng).unwrap();
                     (loop_rng.next_u64(), id, sealed)
                 })
@@ -1163,5 +1160,24 @@ mod tests {
                 prop_assert_eq!(got, expected);
             }
         }
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn item_golden_vector_is_bit_identical() {
+        const GOLDEN_ITEM: &[u8] = b"\
+            \x08\x07\x06\x05\x04\x03\x02\x01\x14\x00\x00\x00\x00\x00\x00\x00\x20\x21\x22\x23\
+            \x24\x25\x26\x27\x28\x29\x2a\x2b\x2c\x2d\x2e\x2f\x30\x31\x32\x33\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00";
+        let payload: Vec<u8> = (0x20..0x34).collect();
+        // The whole field is the encoder's: stale bytes are zeroed.
+        let mut field = vec![0xEEu8; 48];
+        encode_item_into(&mut field, 0x0102_0304_0506_0708, &payload);
+        assert_eq!(field, GOLDEN_ITEM);
+        assert_eq!(
+            decode_item(GOLDEN_ITEM).unwrap(),
+            (0x0102_0304_0506_0708, payload)
+        );
     }
 }

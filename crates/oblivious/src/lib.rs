@@ -72,3 +72,10 @@ pub use extsort::{ExternalSorter, SortRecord};
 pub use front::{FrontStats, ObliviousReadFront};
 pub use stats::{ObliviousStats, SharedObliviousStats};
 pub use store::{EpochState, ObliviousStore};
+/// The per-item codecs, for the hostile-input suite
+/// (`tests/hostile_decoders.rs`) only.
+#[doc(hidden)]
+pub use {
+    hashindex::HashIndexRegion,
+    level::{decode_item, encode_item_into},
+};

@@ -27,6 +27,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::BlockCodec;
 use stegfs_blockdev::{sim::SimClock, BlockDevice};
 use stegfs_crypto::{HashDrbg, HmacSha256, Key256};
@@ -40,9 +41,6 @@ use crate::stats::{ObliviousStats, SharedObliviousStats};
 
 /// Magic prefix of the sealed write-epoch record.
 const EPOCH_MAGIC: [u8; 8] = *b"SOEP\x01\0\0\0";
-/// Truncated-HMAC length authenticating the record from the inside (the
-/// block codec itself has no MAC by design).
-const EPOCH_MAC_LEN: usize = 16;
 
 /// What the persisted write-epoch record says about the last structural pass
 /// (see [`ObliviousStore::epoch_state`]).
@@ -244,28 +242,29 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         master_key.derive("oblivious:epoch")
     }
 
+    /// The key authenticating an epoch record from the inside (the block
+    /// codec itself has no MAC by design).
+    fn epoch_mac(master_key: &Key256) -> HmacSha256 {
+        HmacSha256::new(master_key.derive("oblivious:epoch-mac").as_bytes())
+    }
+
     /// Encode and authenticate an epoch record plaintext.
-    fn encode_epoch_record(master_key: &Key256, epoch: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 8 + EPOCH_MAC_LEN);
-        out.extend_from_slice(&EPOCH_MAGIC);
-        out.extend_from_slice(&epoch.to_le_bytes());
-        let mac_key = master_key.derive("oblivious:epoch-mac");
-        let tag = HmacSha256::mac(mac_key.as_bytes(), &out);
-        out.extend_from_slice(&tag[..EPOCH_MAC_LEN]);
-        out
+    #[doc(hidden)]
+    pub fn encode_epoch_record(master_key: &Key256, epoch: u64) -> Vec<u8> {
+        Writer::new()
+            .bytes(&EPOCH_MAGIC)
+            .u64(epoch)
+            .finish_tagged(&Self::epoch_mac(master_key))
     }
 
     /// Parse a candidate epoch record; `None` means "no valid record".
-    fn decode_epoch_record(master_key: &Key256, plain: &[u8]) -> Option<u64> {
-        if plain.len() < 16 + EPOCH_MAC_LEN || plain[..8] != EPOCH_MAGIC {
-            return None;
-        }
-        let mac_key = master_key.derive("oblivious:epoch-mac");
-        let tag = HmacSha256::mac(mac_key.as_bytes(), &plain[..16]);
-        if tag[..EPOCH_MAC_LEN] != plain[16..16 + EPOCH_MAC_LEN] {
-            return None;
-        }
-        Some(u64::from_le_bytes(plain[8..16].try_into().unwrap()))
+    #[doc(hidden)]
+    pub fn decode_epoch_record(master_key: &Key256, plain: &[u8]) -> Option<u64> {
+        let mut r = Reader::new(plain);
+        r.magic(&EPOCH_MAGIC).ok()?;
+        let epoch = r.u64().ok()?;
+        r.tag16(&Self::epoch_mac(master_key)).ok()?;
+        Some(epoch)
     }
 
     /// Seal the current epoch value into the record block (no-op when
@@ -1144,5 +1143,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn epoch_record_golden_vector_is_bit_identical() {
+        const GOLDEN_EPOCH: &[u8] = b"\
+            \x53\x4f\x45\x50\x01\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\xe6\xa8\x2e\x3e\
+            \xab\x85\x03\x33\x93\xd4\xcf\x8a\xb6\xe8\x19\xc3";
+        type Store = ObliviousStore<MemDevice, MemDevice>;
+        let master = Key256::from_passphrase("epoch golden");
+        let epoch = 0x0102_0304_0506_0708;
+        assert_eq!(Store::encode_epoch_record(&master, epoch), GOLDEN_EPOCH);
+        assert_eq!(
+            Store::decode_epoch_record(&master, GOLDEN_EPOCH),
+            Some(epoch)
+        );
+        let other = Key256::from_passphrase("another master");
+        assert_eq!(Store::decode_epoch_record(&other, GOLDEN_EPOCH), None);
+        for cut in 0..GOLDEN_EPOCH.len() {
+            assert_eq!(
+                Store::decode_epoch_record(&master, &GOLDEN_EPOCH[..cut]),
+                None
+            );
+        }
+    }
+
+    /// Regression: the hash index is parsed straight off the device, and two
+    /// flipped bytes in a bucket's count field walked the parent past the
+    /// end of the block — a slice panic inside `read`, in release builds too.
+    #[test]
+    fn read_surfaces_a_corrupt_index_bucket_as_a_typed_error() {
+        let store = new_store(4, 32);
+        for id in 0..4u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let index = store.levels[0].read().index;
+        let mut bucket = vec![0u8; BLOCK];
+        bucket[..2].fill(0xff);
+        for b in 0..index.num_blocks {
+            store.device.write_block(index.offset + b, &bucket).unwrap();
+        }
+        assert!(matches!(store.read(0), Err(ObliviousError::Corrupt(_))));
     }
 }

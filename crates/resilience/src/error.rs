@@ -1,5 +1,6 @@
 //! Error type for the resilience tier.
 
+use stegfs_base::wire::WireError;
 use stegfs_base::FsError;
 use stegfs_blockdev::DeviceError;
 
@@ -91,6 +92,12 @@ impl From<FsError> for ResilienceError {
 impl From<DeviceError> for ResilienceError {
     fn from(e: DeviceError) -> Self {
         ResilienceError::Device(e)
+    }
+}
+
+impl From<WireError> for ResilienceError {
+    fn from(e: WireError) -> Self {
+        ResilienceError::Corrupt(e.to_string())
     }
 }
 

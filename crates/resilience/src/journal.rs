@@ -67,6 +67,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use stegfs_base::wire::{Reader, WireError, Writer, TAG_LEN};
 use stegfs_base::StegFs;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HmacSha256, Key256};
@@ -75,7 +76,11 @@ use crate::error::ResilienceError;
 use crate::stripe::BlockCheck;
 
 const MAGIC: [u8; 8] = *b"SJINT\x01\0\0";
-const MAC_LEN: usize = 16;
+/// Encoded bytes of one parity row: location ‖ pre ‖ post.
+const PARITY_LEN: usize = 8 + 2 * BlockCheck::ENCODED_LEN;
+/// Encoded bytes of a parity-less entry: index ‖ location ‖ pre ‖ post ‖
+/// parity row count.
+const ENTRY_LEN: usize = 8 + 8 + 2 * BlockCheck::ENCODED_LEN + 1;
 const KIND_CREATE: u8 = 1;
 const KIND_WRITE_BATCH: u8 = 2;
 const KIND_REPAIR: u8 = 3;
@@ -160,88 +165,70 @@ pub struct IntentRecord {
 impl IntentRecord {
     /// Serialise and authenticate: `MAGIC ‖ op_id ‖ kind ‖ path ‖ body ‖
     /// HMAC₁₆(everything before)`.
-    fn encode(&self, mac: &HmacSha256) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&self.op_id.to_le_bytes());
-        match &self.body {
-            IntentBody::Create => out.push(KIND_CREATE),
-            IntentBody::WriteBatch { .. } => out.push(KIND_WRITE_BATCH),
-            IntentBody::Repair => out.push(KIND_REPAIR),
-            IntentBody::RegistryCheckpoint { .. } => out.push(KIND_REGISTRY_CHECKPOINT),
-        }
-        out.extend_from_slice(&(self.path.len() as u16).to_le_bytes());
-        out.extend_from_slice(self.path.as_bytes());
+    #[doc(hidden)]
+    pub fn encode(&self, mac: &HmacSha256) -> Vec<u8> {
+        let kind = match &self.body {
+            IntentBody::Create => KIND_CREATE,
+            IntentBody::WriteBatch { .. } => KIND_WRITE_BATCH,
+            IntentBody::Repair => KIND_REPAIR,
+            IntentBody::RegistryCheckpoint { .. } => KIND_REGISTRY_CHECKPOINT,
+        };
+        let mut w = Writer::with_capacity(128);
+        w.bytes(&MAGIC).u64(self.op_id).u8(kind).str16(&self.path);
         match &self.body {
             IntentBody::WriteBatch { entries } => {
-                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+                w.u16(entries.len() as u16);
                 for e in entries {
-                    out.extend_from_slice(&e.index.to_le_bytes());
-                    out.extend_from_slice(&e.data_location.to_le_bytes());
-                    e.data_pre.encode_into(&mut out);
-                    e.data_post.encode_into(&mut out);
-                    out.push(e.parity.len() as u8);
+                    w.u64(e.index).u64(e.data_location);
+                    e.data_pre.write(&mut w);
+                    e.data_post.write(&mut w);
+                    w.u8(e.parity.len() as u8);
                     for p in &e.parity {
-                        out.extend_from_slice(&p.location.to_le_bytes());
-                        p.pre.encode_into(&mut out);
-                        p.post.encode_into(&mut out);
+                        w.u64(p.location);
+                        p.pre.write(&mut w);
+                        p.post.write(&mut w);
                     }
                 }
             }
             IntentBody::RegistryCheckpoint { shard, generation } => {
-                out.extend_from_slice(&shard.to_le_bytes());
-                out.extend_from_slice(&generation.to_le_bytes());
+                w.u32(*shard).u64(*generation);
             }
             IntentBody::Create | IntentBody::Repair => {}
         }
-        let tag = mac.mac_with(&out);
-        out.extend_from_slice(&tag[..MAC_LEN]);
-        out
+        w.finish_tagged(mac)
     }
 
     /// Parse and authenticate a candidate plaintext. `None` means "no valid
     /// intent here" — random fill, a torn record, or a forged one.
-    fn decode(plain: &[u8], mac: &HmacSha256) -> Option<Self> {
-        let need = |off: usize, n: usize| -> Option<usize> {
-            (off + n + MAC_LEN <= plain.len()).then_some(off + n)
-        };
-        if plain.len() < MAGIC.len() + 8 + 1 + 2 + MAC_LEN || plain[..8] != MAGIC {
-            return None;
-        }
-        let op_id = u64::from_le_bytes(plain[8..16].try_into().unwrap());
-        let kind = plain[16];
-        let plen = u16::from_le_bytes(plain[17..19].try_into().unwrap()) as usize;
-        let mut off = need(19, plen)?;
-        let path = String::from_utf8(plain[19..off].to_vec()).ok()?;
+    #[doc(hidden)]
+    pub fn decode(plain: &[u8], mac: &HmacSha256) -> Option<Self> {
+        Self::parse(plain, mac).ok()
+    }
+
+    fn parse(plain: &[u8], mac: &HmacSha256) -> Result<Self, WireError> {
+        let mut r = Reader::new(plain);
+        r.magic(&MAGIC)?;
+        let op_id = r.u64()?;
+        let kind = r.u8()?;
+        let path = r.str16()?.to_string();
         let body = match kind {
             KIND_CREATE => IntentBody::Create,
             KIND_REPAIR => IntentBody::Repair,
             KIND_WRITE_BATCH => {
-                let start = off;
-                off = need(off, 2)?;
-                let count =
-                    u16::from_le_bytes(plain[start..start + 2].try_into().unwrap()) as usize;
-                let mut entries = Vec::with_capacity(count.min(64));
+                let count = r.u16()?;
+                let mut entries = Vec::with_capacity(r.count(count, ENTRY_LEN)?);
                 for _ in 0..count {
-                    let start = off;
-                    off = need(off, 8 + 8 + 2 * BlockCheck::ENCODED_LEN + 1)?;
-                    let index = u64::from_le_bytes(plain[start..start + 8].try_into().unwrap());
-                    let data_location =
-                        u64::from_le_bytes(plain[start + 8..start + 16].try_into().unwrap());
-                    let data_pre = BlockCheck::decode(&plain[start + 16..]);
-                    let data_post =
-                        BlockCheck::decode(&plain[start + 16 + BlockCheck::ENCODED_LEN..]);
-                    let rows = plain[off - 1] as usize;
-                    let mut parity = Vec::with_capacity(rows);
+                    let index = r.u64()?;
+                    let data_location = r.u64()?;
+                    let data_pre = BlockCheck::read(&mut r)?;
+                    let data_post = BlockCheck::read(&mut r)?;
+                    let rows = r.u8()?;
+                    let mut parity = Vec::with_capacity(r.count(rows, PARITY_LEN)?);
                     for _ in 0..rows {
-                        let start = off;
-                        off = need(off, 8 + 2 * BlockCheck::ENCODED_LEN)?;
                         parity.push(ParityIntent {
-                            location: u64::from_le_bytes(
-                                plain[start..start + 8].try_into().unwrap(),
-                            ),
-                            pre: BlockCheck::decode(&plain[start + 8..]),
-                            post: BlockCheck::decode(&plain[start + 8 + BlockCheck::ENCODED_LEN..]),
+                            location: r.u64()?,
+                            pre: BlockCheck::read(&mut r)?,
+                            post: BlockCheck::read(&mut r)?,
                         });
                     }
                     entries.push(BlockWriteIntent {
@@ -254,23 +241,19 @@ impl IntentRecord {
                 }
                 IntentBody::WriteBatch { entries }
             }
-            KIND_REGISTRY_CHECKPOINT => {
-                let start = off;
-                off = need(off, 4 + 8)?;
-                IntentBody::RegistryCheckpoint {
-                    shard: u32::from_le_bytes(plain[start..start + 4].try_into().unwrap()),
-                    generation: u64::from_le_bytes(
-                        plain[start + 4..start + 12].try_into().unwrap(),
-                    ),
-                }
+            KIND_REGISTRY_CHECKPOINT => IntentBody::RegistryCheckpoint {
+                shard: r.u32()?,
+                generation: r.u64()?,
+            },
+            _ => {
+                return Err(WireError {
+                    what: "intent kind",
+                    at: r.pos() - 1,
+                })
             }
-            _ => return None,
         };
-        let tag = mac.mac_with(&plain[..off]);
-        if tag[..MAC_LEN] != plain[off..off + MAC_LEN] {
-            return None;
-        }
-        Some(Self { op_id, path, body })
+        r.tag16(mac)?;
+        Ok(Self { op_id, path, body })
     }
 }
 
@@ -351,13 +334,12 @@ impl IntentJournal {
         parity_rows: usize,
         tail_entries: usize,
     ) -> usize {
-        let fixed = MAGIC.len() + 8 + 1 + 2 + path.len() + 2 + MAC_LEN;
-        let per_plain = 8 + 8 + 2 * BlockCheck::ENCODED_LEN + 1;
-        let per_entry = per_plain + parity_rows * (8 + 2 * BlockCheck::ENCODED_LEN);
+        // magic ‖ op id ‖ kind ‖ path ‖ entry count ‖ tag
+        let fixed = MAGIC.len() + 8 + 1 + 2 + path.len() + 2 + TAG_LEN;
         fs.codec()
             .data_field_len()
-            .saturating_sub(fixed + tail_entries * per_plain)
-            / per_entry
+            .saturating_sub(fixed + tail_entries * ENTRY_LEN)
+            / (ENTRY_LEN + parity_rows * PARITY_LEN)
     }
 
     /// Wait for a free slot. Operations hold a slot only for their own
@@ -588,7 +570,7 @@ mod tests {
         // encode for a couple of parity widths.
         for (field, rows) in [(496usize, 2usize), (4064, 2), (4064, 4)] {
             let path = "/db/main";
-            let fixed = MAGIC.len() + 8 + 1 + 2 + path.len() + 2 + MAC_LEN;
+            let fixed = MAGIC.len() + 8 + 1 + 2 + path.len() + 2 + TAG_LEN;
             let per =
                 8 + 8 + 2 * BlockCheck::ENCODED_LEN + 1 + rows * (8 + 2 * BlockCheck::ENCODED_LEN);
             let cap = (field - fixed) / per;
@@ -652,5 +634,87 @@ mod tests {
         let mut plain = record.encode(&mac);
         plain.resize(496, 0);
         assert_eq!(IntentRecord::decode(&plain, &mac), Some(record));
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vectors_are_bit_identical() {
+        const GOLDEN_CREATE: &[u8] = b"\
+            \x53\x4a\x49\x4e\x54\x01\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x02\x00\x2f\
+            \x61\xbf\xcf\xe5\x26\xb6\xbe\xa2\x2f\x21\xc3\x91\x76\xc7\x9d\x26\xc7";
+        const GOLDEN_REPAIR: &[u8] = b"\
+            \x53\x4a\x49\x4e\x54\x01\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\x03\x05\x00\x2f\
+            \x62\x2f\xc3\xbc\xf6\x17\xae\x63\x48\x25\xd5\xf2\x6e\x04\xd7\x5e\x47\x72\x54\xa7";
+        const GOLDEN_CHECKPOINT: &[u8] = b"\
+            \x53\x4a\x49\x4e\x54\x01\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x0a\x00\x2f\
+            \x2e\x72\x65\x67\x69\x73\x74\x72\x79\x0b\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\
+            \x01\xe3\x43\xae\x8b\xe5\xe1\x3e\xb7\xce\xf8\x08\xe6\x32\x52\x8c\x45";
+        const GOLDEN_WRITE_BATCH: &[u8] = b"\
+            \x53\x4a\x49\x4e\x54\x01\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00\x02\x08\x00\x2f\
+            \x64\x62\x2f\x6d\x61\x69\x6e\x02\x00\x07\x00\x00\x00\x00\x00\x00\x00\x37\x01\x00\
+            \x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x11\x11\x11\x11\x11\x11\x11\
+            \x11\x11\x11\x11\x11\x11\x11\x11\x11\x02\x00\x00\x00\x00\x00\x00\x00\x22\x22\x22\
+            \x22\x22\x22\x22\x22\x22\x22\x22\x22\x22\x22\x22\x22\x02\x5f\x00\x00\x00\x00\x00\
+            \x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x33\x33\x33\x33\x33\x33\x33\x33\x33\x33\
+            \x33\x33\x33\x33\x33\x33\x04\x00\x00\x00\x00\x00\x00\x00\x44\x44\x44\x44\x44\x44\
+            \x44\x44\x44\x44\x44\x44\x44\x44\x44\x44\x91\x01\x00\x00\x00\x00\x00\x00\x05\x00\
+            \x00\x00\x00\x00\x00\x00\x55\x55\x55\x55\x55\x55\x55\x55\x55\x55\x55\x55\x55\x55\
+            \x55\x55\x06\x00\x00\x00\x00\x00\x00\x00\x66\x66\x66\x66\x66\x66\x66\x66\x66\x66\
+            \x66\x66\x66\x66\x66\x66\x01\x00\x00\x00\x00\x00\x00\x80\x4d\x00\x00\x00\x00\x00\
+            \x00\x00\x08\x00\x00\x00\x00\x00\x00\x00\x88\x88\x88\x88\x88\x88\x88\x88\x88\x88\
+            \x88\x88\x88\x88\x88\x88\x09\x00\x00\x00\x00\x00\x00\x00\x99\x99\x99\x99\x99\x99\
+            \x99\x99\x99\x99\x99\x99\x99\x99\x99\x99\x00\x7f\xaa\x2c\x92\x7c\x0a\xe2\x5b\xa0\
+            \x79\x97\x23\x3a\xef\x12\x84";
+        let mac = HmacSha256::new(Key256::from_passphrase("journal golden").as_bytes());
+        let record = |op_id, path: &str, body| IntentRecord {
+            op_id,
+            path: path.to_string(),
+            body,
+        };
+        let shadow_tail = BlockWriteIntent {
+            index: SHADOW_ENTRY_BASE + 1,
+            data_location: 77,
+            data_pre: BlockCheck {
+                fast: 8,
+                mac: [0x88; 16],
+            },
+            data_post: BlockCheck {
+                fast: 9,
+                mac: [0x99; 16],
+            },
+            parity: vec![],
+        };
+        for (record, golden) in [
+            (record(1, "/a", IntentBody::Create), GOLDEN_CREATE),
+            (
+                record(0x0102_0304_0506_0708, "/b/ü", IntentBody::Repair),
+                GOLDEN_REPAIR,
+            ),
+            (
+                record(
+                    3,
+                    "/.registry",
+                    IntentBody::RegistryCheckpoint {
+                        shard: 11,
+                        generation: 0x0102_0304_0506_0708,
+                    },
+                ),
+                GOLDEN_CHECKPOINT,
+            ),
+            (
+                record(
+                    42,
+                    "/db/main",
+                    IntentBody::WriteBatch {
+                        entries: vec![sample_entry(0), shadow_tail],
+                    },
+                ),
+                GOLDEN_WRITE_BATCH,
+            ),
+        ] {
+            assert_eq!(record.encode(&mac), golden);
+            assert_eq!(IntentRecord::decode(golden, &mac), Some(record));
+        }
     }
 }

@@ -60,6 +60,13 @@ pub use error::ResilienceError;
 pub use journal::{
     BlockWriteIntent, IntentBody, IntentJournal, IntentRecord, ParityIntent, SHADOW_ENTRY_BASE,
 };
+/// The registry's sealed-structure codecs, for the hostile-input suite
+/// (`tests/hostile_decoders.rs`) only.
+#[doc(hidden)]
+pub use scale::{
+    decode_geometry, decode_head, decode_records, decode_segment_block, encode_head,
+    encode_records, encode_segment_block,
+};
 pub use scale::{RegistryConfig, RegistryStats, REGISTRY_PATH};
 pub use stats::{RecoveryReport, ResilienceStats, ScrubReport, SharedResilienceStats};
 pub use store::{ResilienceConfig, ResilientStore, ScrubCursor};

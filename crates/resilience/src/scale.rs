@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
+use stegfs_base::wire::{Reader, WireError, Writer, TAG_LEN};
 use stegfs_base::BlockClass;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HmacSha256, Key256};
@@ -49,7 +50,6 @@ pub const REGISTRY_PATH: &str = "/.registry";
 const GEO_MAGIC: [u8; 8] = *b"RGEO0001";
 const HEAD_MAGIC: [u8; 8] = *b"RHEAD001";
 const SEG_MAGIC: [u8; 8] = *b"RSEG0001";
-const MAC_LEN: usize = 16;
 /// Fixed bytes of a segment block before its payload chunk:
 /// magic ‖ shard ‖ generation ‖ seq ‖ total ‖ len.
 const SEG_HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4 + 2;
@@ -111,7 +111,7 @@ pub struct RegistryStats {
 }
 
 /// On-disk geometry of one shard.
-struct ShardGeometry {
+pub struct ShardGeometry {
     head: BlockId,
     segments: [Vec<BlockId>; 2],
 }
@@ -158,7 +158,7 @@ impl RegistryState {
     /// opaque without the registry key.
     fn shard_of(&self, user: &str) -> u32 {
         let tag = self.mac.mac_with(user.as_bytes());
-        u32::from_le_bytes(tag[..4].try_into().unwrap()) % self.cfg.shards
+        Reader::new(&tag).u32().expect("32-byte tag") % self.cfg.shards
     }
 
     /// Every block the registry occupies (head cells and both segments of
@@ -177,54 +177,42 @@ impl RegistryState {
 // ----- wire formats ----------------------------------------------------
 
 fn encode_geometry(state: &RegistryState) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&GEO_MAGIC);
-    out.extend_from_slice(&state.cfg.shards.to_le_bytes());
-    out.extend_from_slice(&state.cfg.segment_blocks.to_le_bytes());
-    out.extend_from_slice(&(state.cfg.max_resident_shards as u32).to_le_bytes());
+    let mut w = Writer::new();
+    w.bytes(&GEO_MAGIC)
+        .u32(state.cfg.shards)
+        .u32(state.cfg.segment_blocks)
+        .u32(state.cfg.max_resident_shards as u32);
     for geo in &state.shards {
-        out.extend_from_slice(&geo.head.to_le_bytes());
-        for seg in &geo.segments {
-            for &b in seg {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
+        w.u64(geo.head);
+        for &b in geo.segments.iter().flatten() {
+            w.u64(b);
         }
     }
-    out
+    w.finish()
 }
 
-fn decode_geometry(buf: &[u8]) -> Result<(RegistryConfig, Vec<ShardGeometry>), ResilienceError> {
-    let corrupt = |what: &str| ResilienceError::Corrupt(format!("registry geometry: {what}"));
-    if buf.len() < 20 || buf[..8] != GEO_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let shards = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    let segment_blocks = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    let max_resident = u32::from_le_bytes(buf[16..20].try_into().unwrap()) as usize;
+/// Parse the geometry file: the registry shape and every shard's blocks.
+pub fn decode_geometry(
+    buf: &[u8],
+) -> Result<(RegistryConfig, Vec<ShardGeometry>), ResilienceError> {
+    let mut r = Reader::new(buf);
+    r.magic(&GEO_MAGIC)?;
+    let shards = r.u32()?;
+    let segment_blocks = r.u32()?;
+    let max_resident = r.u32()? as usize;
     if shards == 0 || segment_blocks == 0 {
-        return Err(corrupt("degenerate shape"));
+        return Err(ResilienceError::Corrupt(
+            "registry geometry: degenerate shape".to_string(),
+        ));
     }
-    let per_shard = 8 * (1 + 2 * segment_blocks as usize);
-    let need = 20 + shards as usize * per_shard;
-    if buf.len() < need {
-        return Err(corrupt("truncated shard table"));
-    }
-    let mut off = 20;
-    let read_u64 = |off: &mut usize| {
-        let v = u64::from_le_bytes(buf[*off..*off + 8].try_into().unwrap());
-        *off += 8;
-        v
-    };
-    let mut out = Vec::with_capacity(shards as usize);
+    // One shard: head ‖ two segments of `segment_blocks` locations.
+    let per_segment = r.count(segment_blocks, 2 * 8)?;
+    let mut out = Vec::with_capacity(r.count(shards, 8 + per_segment * 2 * 8)?);
     for _ in 0..shards {
-        let head = read_u64(&mut off);
-        let mut segments = [Vec::new(), Vec::new()];
-        for seg in &mut segments {
-            for _ in 0..segment_blocks {
-                seg.push(read_u64(&mut off));
-            }
-        }
-        out.push(ShardGeometry { head, segments });
+        out.push(ShardGeometry {
+            head: r.u64()?,
+            segments: [r.u64s(per_segment)?, r.u64s(per_segment)?],
+        });
     }
     Ok((
         RegistryConfig {
@@ -236,47 +224,38 @@ fn decode_geometry(buf: &[u8]) -> Result<(RegistryConfig, Vec<ShardGeometry>), R
     ))
 }
 
-fn encode_head(
+/// A shard's head cell: which segment is live, at which generation.
+pub fn encode_head(
     mac: &HmacSha256,
     shard: u32,
     active: usize,
     generation: u64,
     count: u32,
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 + 1 + 8 + 4 + MAC_LEN);
-    out.extend_from_slice(&HEAD_MAGIC);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.push(active as u8);
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    let tag = mac.mac_with(&out);
-    out.extend_from_slice(&tag[..MAC_LEN]);
-    out
+    Writer::new()
+        .bytes(&HEAD_MAGIC)
+        .u32(shard)
+        .u8(active as u8)
+        .u64(generation)
+        .u32(count)
+        .finish_tagged(mac)
 }
 
 /// `(active, generation, count)` of a valid head cell, `None` otherwise.
-fn decode_head(mac: &HmacSha256, shard: u32, plain: &[u8]) -> Option<(usize, u64, u32)> {
-    let body = 8 + 4 + 1 + 8 + 4;
-    if plain.len() < body + MAC_LEN || plain[..8] != HEAD_MAGIC {
-        return None;
-    }
-    let tag = mac.mac_with(&plain[..body]);
-    if tag[..MAC_LEN] != plain[body..body + MAC_LEN] {
-        return None;
-    }
-    if u32::from_le_bytes(plain[8..12].try_into().unwrap()) != shard {
-        return None;
-    }
-    let active = plain[12] as usize;
-    if active > 1 {
-        return None;
-    }
-    let generation = u64::from_le_bytes(plain[13..21].try_into().unwrap());
-    let count = u32::from_le_bytes(plain[21..25].try_into().unwrap());
-    Some((active, generation, count))
+pub fn decode_head(mac: &HmacSha256, shard: u32, plain: &[u8]) -> Option<(usize, u64, u32)> {
+    let mut r = Reader::new(plain);
+    let mut parse = || -> Result<_, WireError> {
+        r.magic(&HEAD_MAGIC)?;
+        let fields = (r.u32()?, r.u8()? as usize, r.u64()?, r.u32()?);
+        r.tag16(mac)?;
+        Ok(fields)
+    };
+    let (for_shard, active, generation, count) = parse().ok()?;
+    (for_shard == shard && active <= 1).then_some((active, generation, count))
 }
 
-fn encode_segment_block(
+/// One block of a shard segment: its position and a chunk of the payload.
+pub fn encode_segment_block(
     mac: &HmacSha256,
     shard: u32,
     generation: u64,
@@ -284,85 +263,56 @@ fn encode_segment_block(
     total: u32,
     chunk: &[u8],
 ) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SEG_HEADER_LEN + chunk.len() + MAC_LEN);
-    out.extend_from_slice(&SEG_MAGIC);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&total.to_le_bytes());
-    out.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
-    out.extend_from_slice(chunk);
-    let tag = mac.mac_with(&out);
-    out.extend_from_slice(&tag[..MAC_LEN]);
-    out
+    Writer::new()
+        .bytes(&SEG_MAGIC)
+        .u32(shard)
+        .u64(generation)
+        .u32(seq)
+        .u32(total)
+        .u16(chunk.len() as u16)
+        .bytes(chunk)
+        .finish_tagged(mac)
 }
 
 /// `(generation, seq, total, payload chunk)` of a valid segment block.
-fn decode_segment_block(
+pub fn decode_segment_block(
     mac: &HmacSha256,
     shard: u32,
     plain: &[u8],
 ) -> Option<(u64, u32, u32, Vec<u8>)> {
-    if plain.len() < SEG_HEADER_LEN + MAC_LEN || plain[..8] != SEG_MAGIC {
-        return None;
-    }
-    let len = u16::from_le_bytes(plain[28..30].try_into().unwrap()) as usize;
-    let body = SEG_HEADER_LEN + len;
-    if plain.len() < body + MAC_LEN {
-        return None;
-    }
-    let tag = mac.mac_with(&plain[..body]);
-    if tag[..MAC_LEN] != plain[body..body + MAC_LEN] {
-        return None;
-    }
-    if u32::from_le_bytes(plain[8..12].try_into().unwrap()) != shard {
-        return None;
-    }
-    let generation = u64::from_le_bytes(plain[12..20].try_into().unwrap());
-    let seq = u32::from_le_bytes(plain[20..24].try_into().unwrap());
-    let total = u32::from_le_bytes(plain[24..28].try_into().unwrap());
-    Some((generation, seq, total, plain[SEG_HEADER_LEN..body].to_vec()))
+    let mut r = Reader::new(plain);
+    let mut parse = || -> Result<_, WireError> {
+        r.magic(&SEG_MAGIC)?;
+        let fields = (r.u32()?, r.u64()?, r.u32()?, r.u32()?);
+        let len = r.u16()?;
+        let chunk = r.bytes(len as usize)?;
+        r.tag16(mac)?;
+        Ok((fields, chunk))
+    };
+    let ((for_shard, generation, seq, total), chunk) = parse().ok()?;
+    (for_shard == shard).then(|| (generation, seq, total, chunk.to_vec()))
 }
 
-fn encode_records(records: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+/// A shard's records, the payload chunked across its segment blocks.
+pub fn encode_records(records: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u32(records.len() as u32);
     for (user, value) in records {
-        out.extend_from_slice(&(user.len() as u16).to_le_bytes());
-        out.extend_from_slice(user.as_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        out.extend_from_slice(value);
+        w.str16(user).u32(value.len() as u32).bytes(value);
     }
-    out
+    w.finish()
 }
 
-fn decode_records(buf: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, ResilienceError> {
-    let corrupt = |what: &str| ResilienceError::Corrupt(format!("registry shard payload: {what}"));
-    if buf.len() < 4 {
-        return Err(corrupt("truncated count"));
-    }
-    let count = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    let mut off = 4;
+/// Inverse of [`encode_records`].
+pub fn decode_records(buf: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, ResilienceError> {
+    let mut r = Reader::new(buf);
+    let count = r.u32()?;
     let mut out = BTreeMap::new();
-    for _ in 0..count {
-        if off + 2 > buf.len() {
-            return Err(corrupt("truncated key length"));
-        }
-        let ulen = u16::from_le_bytes(buf[off..off + 2].try_into().unwrap()) as usize;
-        off += 2;
-        if off + ulen + 4 > buf.len() {
-            return Err(corrupt("truncated key"));
-        }
-        let user = String::from_utf8(buf[off..off + ulen].to_vec())
-            .map_err(|_| corrupt("non-UTF-8 key"))?;
-        off += ulen;
-        let vlen = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        if off + vlen > buf.len() {
-            return Err(corrupt("truncated value"));
-        }
-        out.insert(user, buf[off..off + vlen].to_vec());
-        off += vlen;
+    // An empty record: key length ‖ value length.
+    for _ in 0..r.count(count, 2 + 4)? {
+        let user = r.str16()?.to_string();
+        let len = r.u32()? as usize;
+        out.insert(user, r.bytes(len)?.to_vec());
     }
     Ok(out)
 }
@@ -377,7 +327,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         let per = self
             .fs
             .content_bytes_per_block()
-            .saturating_sub(SEG_HEADER_LEN + MAC_LEN);
+            .saturating_sub(SEG_HEADER_LEN + TAG_LEN);
         Some(per * cfg.segment_blocks as usize)
     }
 
@@ -733,7 +683,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         let per = self
             .fs
             .content_bytes_per_block()
-            .saturating_sub(SEG_HEADER_LEN + MAC_LEN);
+            .saturating_sub(SEG_HEADER_LEN + TAG_LEN);
         if payload.len() > per * blocks.len() {
             return Err(ResilienceError::Corrupt(format!(
                 "registry shard {shard} overflows its segment: {} > {} bytes",
@@ -997,5 +947,93 @@ mod tests {
         let mut bad = encoded.clone();
         bad[0] ^= 1;
         assert!(decode_geometry(&bad).is_err());
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vectors_are_bit_identical() {
+        const GOLDEN_GEOMETRY: &[u8] = b"\
+            \x52\x47\x45\x4f\x30\x30\x30\x31\x02\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\
+            \x11\x00\x00\x00\x00\x00\x00\x00\x12\x00\x00\x00\x00\x00\x00\x00\x13\x00\x00\x00\
+            \x00\x00\x00\x00\x14\x00\x00\x00\x00\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\
+            \x21\x00\x00\x00\x00\x00\x00\x00\x22\x00\x00\x00\x00\x00\x00\x00\x23\x00\x00\x00\
+            \x00\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x25\x00\x00\x00\x00\x00\x00\x00";
+        const GOLDEN_HEAD: &[u8] = b"\
+            \x52\x48\x45\x41\x44\x30\x30\x31\x03\x00\x00\x00\x01\x08\x07\x06\x05\x04\x03\x02\
+            \x01\x0d\x0c\x0b\x0a\x7c\xa2\x30\xb0\x90\x36\x51\x48\x85\xc4\xb1\x9c\x31\x10\x8f\
+            \x8a";
+        const GOLDEN_SEGMENT: &[u8] = b"\
+            \x52\x53\x45\x47\x30\x30\x30\x31\x03\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\
+            \x01\x00\x00\x00\x02\x00\x00\x00\x0b\x00\x63\x68\x75\x6e\x6b\x2d\x62\x79\x74\x65\
+            \x73\x06\xea\xad\xe0\xe5\xf0\xfd\xbe\xf6\x70\xc1\xbd\x87\x9e\xab\x88";
+        const GOLDEN_RECORDS: &[u8] = b"\
+            \x03\x00\x00\x00\x00\x00\x01\x00\x00\x00\x09\x05\x00\x61\x6c\x69\x63\x65\x03\x00\
+            \x00\x00\x01\x02\x03\x03\x00\x62\x6f\x62\x00\x00\x00\x00";
+        let state = RegistryState::new(
+            RegistryConfig {
+                shards: 2,
+                segment_blocks: 2,
+                max_resident_shards: 3,
+            },
+            vec![
+                ShardGeometry {
+                    head: 0x11,
+                    segments: [vec![0x12, 0x13], vec![0x14, 0x0102_0304_0506_0708]],
+                },
+                ShardGeometry {
+                    head: 0x21,
+                    segments: [vec![0x22, 0x23], vec![0x24, 0x25]],
+                },
+            ],
+            &Key256::from_passphrase("registry golden"),
+        );
+        assert_eq!(encode_geometry(&state), GOLDEN_GEOMETRY);
+        let (cfg, shards) = decode_geometry(GOLDEN_GEOMETRY).unwrap();
+        assert_eq!(cfg, state.cfg);
+        for (got, want) in shards.iter().zip(&state.shards) {
+            assert_eq!((got.head, &got.segments), (want.head, &want.segments));
+        }
+
+        let generation = 0x0102_0304_0506_0708;
+        assert_eq!(
+            encode_head(&state.mac, 3, 1, generation, 0x0a0b_0c0d),
+            GOLDEN_HEAD
+        );
+        assert_eq!(
+            decode_head(&state.mac, 3, GOLDEN_HEAD),
+            Some((1, generation, 0x0a0b_0c0d))
+        );
+        assert_eq!(decode_head(&state.mac, 2, GOLDEN_HEAD), None, "other shard");
+
+        assert_eq!(
+            encode_segment_block(&state.mac, 3, generation, 1, 2, b"chunk-bytes"),
+            GOLDEN_SEGMENT
+        );
+        assert_eq!(
+            decode_segment_block(&state.mac, 3, GOLDEN_SEGMENT),
+            Some((generation, 1, 2, b"chunk-bytes".to_vec()))
+        );
+
+        let mut records = BTreeMap::new();
+        records.insert("alice".to_string(), vec![1, 2, 3]);
+        records.insert("bob".to_string(), vec![]);
+        records.insert(String::new(), vec![9]);
+        assert_eq!(encode_records(&records), GOLDEN_RECORDS);
+        assert_eq!(decode_records(GOLDEN_RECORDS).unwrap(), records);
+    }
+
+    /// Regression: `u32::MAX` shards of `u32::MAX`-block segments made the
+    /// parent's size product overflow — a panic in debug builds, a wrapped
+    /// (and by luck still refused) length in release builds.
+    #[test]
+    fn hostile_geometry_shape_is_refused_without_overflow() {
+        let mut buf = GEO_MAGIC.to_vec();
+        buf.extend_from_slice(&[0xff; 8]);
+        buf.extend_from_slice(&[4, 0, 0, 0]);
+        assert!(matches!(
+            decode_geometry(&buf),
+            Err(ResilienceError::Corrupt(_))
+        ));
     }
 }

@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{
     BlockClass, FileAccessKey, OpenFile, ShardedBlockMap, StegFs, StegFsConfig, DEFAULT_MAP_SHARDS,
 };
@@ -518,62 +519,37 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// path order.
     fn encode_payload_plain(&self) -> Vec<u8> {
         let files = self.files.read();
-        let mut out = Vec::new();
         let slots = self.journal.slots();
-        out.extend_from_slice(&(slots.len() as u16).to_le_bytes());
+        let mut w = Writer::new();
+        w.u16(slots.len() as u16);
         for &slot in slots {
-            out.extend_from_slice(&slot.to_le_bytes());
+            w.u64(slot);
         }
-        out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+        w.u32(files.len() as u32);
         for (path, state) in files.iter() {
-            out.extend_from_slice(&(path.len() as u16).to_le_bytes());
-            out.extend_from_slice(path.as_bytes());
-            out.extend_from_slice(&state.read().open.fak.to_bytes());
+            w.str16(path).bytes(&state.read().open.fak.to_bytes());
         }
-        out
+        w.finish()
     }
 
     /// Parse the anchor payload plaintext: journal slot locations, then the
     /// FAK table.
     #[allow(clippy::type_complexity)]
-    fn parse_payload(
+    #[doc(hidden)]
+    pub fn parse_payload(
         plain: &[u8],
     ) -> Result<(Vec<BlockId>, Vec<(String, FileAccessKey)>), ResilienceError> {
-        let corrupt = |what: &str| ResilienceError::Corrupt(format!("anchor payload: {what}"));
-        if plain.len() < 2 {
-            return Err(corrupt("truncated slot count"));
-        }
-        let num_slots = u16::from_le_bytes(plain[..2].try_into().unwrap()) as usize;
-        let mut off = 2;
-        if off + num_slots * 8 > plain.len() {
-            return Err(corrupt("truncated slot list"));
-        }
-        let mut slots = Vec::with_capacity(num_slots);
-        for _ in 0..num_slots {
-            slots.push(u64::from_le_bytes(plain[off..off + 8].try_into().unwrap()));
-            off += 8;
-        }
-        if off + 4 > plain.len() {
-            return Err(corrupt("truncated count"));
-        }
-        let count = u32::from_le_bytes(plain[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let mut out = Vec::with_capacity(count);
+        let mut r = Reader::new(plain);
+        let num_slots = r.u16()?;
+        let slots = r.u64s(num_slots as usize)?;
+        let count = r.u32()?;
+        // An entry with an empty path: path length ‖ access key.
+        let mut out = Vec::with_capacity(r.count(count, 2 + FileAccessKey::ENCODED_LEN)?);
         for _ in 0..count {
-            if off + 2 > plain.len() {
-                return Err(corrupt("truncated path length"));
-            }
-            let plen = u16::from_le_bytes(plain[off..off + 2].try_into().unwrap()) as usize;
-            off += 2;
-            if off + plen + FileAccessKey::ENCODED_LEN > plain.len() {
-                return Err(corrupt("truncated entry"));
-            }
-            let path = String::from_utf8(plain[off..off + plen].to_vec())
-                .map_err(|_| corrupt("non-UTF-8 path"))?;
-            off += plen;
-            let fak = FileAccessKey::from_bytes(&plain[off..off + FileAccessKey::ENCODED_LEN])
-                .ok_or_else(|| corrupt("malformed access key"))?;
-            off += FileAccessKey::ENCODED_LEN;
+            let path = r.str16()?.to_string();
+            let fak = FileAccessKey::from_bytes(r.bytes(FileAccessKey::ENCODED_LEN)?).ok_or_else(
+                || ResilienceError::Corrupt("anchor payload: malformed access key".to_string()),
+            )?;
             out.push((path, fak));
         }
         Ok((slots, out))
@@ -590,22 +566,19 @@ impl<D: BlockDevice> ResilientStore<D> {
         let cbc = CbcCipher::new(Aes256::new(self.payload_key.as_bytes()));
         cbc.encrypt_in_place(&iv, &mut padded)
             .expect("padded to block size");
-        let mut out = Vec::with_capacity(16 + 4 + padded.len());
-        out.extend_from_slice(&iv);
-        out.extend_from_slice(&(plain.len() as u32).to_le_bytes());
-        out.extend_from_slice(&padded);
-        out
+        Writer::new()
+            .bytes(&iv)
+            .u32(plain.len() as u32)
+            .bytes(&padded)
+            .finish()
     }
 
-    fn open_payload_with(key: &Key256, sealed: &[u8]) -> Result<Vec<u8>, ResilienceError> {
-        if sealed.len() < 20 || (sealed.len() - 20) % 16 != 0 {
-            return Err(ResilienceError::Corrupt(
-                "anchor payload framing".to_string(),
-            ));
-        }
-        let iv: [u8; 16] = sealed[..16].try_into().unwrap();
-        let plain_len = u32::from_le_bytes(sealed[16..20].try_into().unwrap()) as usize;
-        let mut data = sealed[20..].to_vec();
+    #[doc(hidden)]
+    pub fn open_payload_with(key: &Key256, sealed: &[u8]) -> Result<Vec<u8>, ResilienceError> {
+        let mut r = Reader::new(sealed);
+        let iv: [u8; 16] = r.array()?;
+        let plain_len = r.u32()? as usize;
+        let mut data = r.rest().to_vec();
         if plain_len > data.len() {
             return Err(ResilienceError::Corrupt(
                 "anchor payload length".to_string(),
@@ -1171,61 +1144,6 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.fs.save(&mut g.open)?;
         }
         Ok(())
-    }
-
-    /// Rewrite a whole file by re-encoding every stripe from scratch —
-    /// re-sealing all `k` data blocks and all `m` parity rows whether or not
-    /// they changed. Kept as the measurement baseline the delta path in
-    /// [`ResilientStore::write_file`] is benchmarked against; not journaled.
-    pub fn rewrite_file_full(&self, path: &str, content: &[u8]) -> Result<(), ResilienceError> {
-        let state = self.file_state(path)?;
-        let mut g = state.write();
-        let per = self.fs.content_bytes_per_block();
-        let num = g.open.header.num_blocks();
-        let new_blocks = (content.len().div_ceil(per) as u64).max(1);
-        if new_blocks != num {
-            return Err(ResilienceError::Corrupt(format!(
-                "rewrite of {path} needs {new_blocks} blocks but the file has {num}"
-            )));
-        }
-        let keys = Arc::clone(&g.keys);
-        let content_key = *g.open.fak.content_key().expect("managed files have one");
-        let (k, m) = (self.stripe_cfg.k, self.stripe_cfg.m);
-        for stripe in 0..g.stripes.num_stripes() {
-            let mut data: Vec<Vec<u8>> = Vec::with_capacity(k);
-            for i in g.stripes.stripe_data_range(stripe) {
-                let start = i as usize * per;
-                let end = (start + per).min(content.len());
-                let chunk = content.get(start..end).unwrap_or(&[]);
-                let mut field = vec![0u8; per];
-                field[..chunk.len()].copy_from_slice(chunk);
-                self.fs.write_content_block(&mut g.open, i, &field)?;
-                g.stripes.set_data_check(i, keys.check(&field));
-                data.push(field);
-            }
-            data.resize(k, vec![0u8; per]);
-            let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
-            let parity = self.codec.encode(&refs);
-            for (row, shard) in parity.iter().enumerate().take(m) {
-                let mut entry = *g.stripes.parity_entry(stripe, row);
-                self.fs.with_rng(|rng| {
-                    self.fs.codec().write_sealed(
-                        self.fs.device(),
-                        entry.location,
-                        &content_key,
-                        shard,
-                        rng,
-                    )
-                })?;
-                entry.check = keys.check(shard);
-                g.stripes.set_parity_entry(stripe, row, entry);
-            }
-        }
-        if g.open.header.file_size != content.len() as u64 {
-            g.open.header.file_size = content.len() as u64;
-            self.fs.save(&mut g.open)?;
-        }
-        self.rewrite_shadow(&mut g)
     }
 
     /// Dummy-update every block of a file (content, parity, header tree):
@@ -2710,5 +2628,77 @@ mod tests {
             counts[b as usize] += 1;
         }
         assert!(*counts.iter().max().unwrap() < 20);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn anchor_payload_golden_vectors_are_bit_identical() {
+        const GOLDEN_PAYLOAD_PLAIN: &[u8] = b"\
+            \x08\x00\x6b\x01\x00\x00\x00\x00\x00\x00\xaf\x00\x00\x00\x00\x00\x00\x00\x77\x01\
+            \x00\x00\x00\x00\x00\x00\xe2\x01\x00\x00\x00\x00\x00\x00\x94\x00\x00\x00\x00\x00\
+            \x00\x00\xe5\x00\x00\x00\x00\x00\x00\x00\xc3\x01\x00\x00\x00\x00\x00\x00\x6d\x01\
+            \x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x02\x00\x2f\x61\x01\xc9\xa7\xa1\x2d\x1b\
+            \x41\x16\x79\x7d\x93\xf2\xc8\xa8\x03\xe9\xf4\x01\x77\x52\xb4\x83\x24\xd7\xf3\x6f\
+            \xc3\x80\xfe\x8a\x35\x86\xfe\x1d\xe5\x72\x17\x92\x02\xbe\xf2\xab\x39\xe4\x8e\xad\
+            \xdc\xcb\xe5\x9a\x9b\x58\xa1\xd3\x09\x89\xcc\xc6\xbc\xc1\xd2\x62\x28\x70\x82\x23\
+            \x22\xd0\xb8\x94\xfa\xc1\x3f\x4a\x8b\xd8\x02\xd0\x6b\x70\x91\x1c\x31\x99\x37\x86\
+            \xf1\x9b\x0a\xf3\x4d\x4b\xe1\x34\x04\xc3\x60\x05\x00\x2f\x62\x2f\xc3\xbc\x01\x95\
+            \x9b\xb4\x23\x54\x72\xf7\x1f\x89\xb3\x5b\x7a\x12\x44\x20\xb3\x3d\x11\xef\xf3\xb4\
+            \x59\x0f\x93\x31\x27\x98\x4c\x7f\x26\x9f\xa8\x1a\x50\x8e\x39\xb6\x71\x39\x8e\x05\
+            \xa2\xec\x65\xb7\xea\x4e\x5d\x9e\xa9\x05\xfa\xbf\xfa\x6f\x54\x26\xd0\xe1\x43\xb9\
+            \x72\x87\x44\x9f\x1a\xab\x28\x3f\x59\xba\x96\x77\x00\xbc\xa4\xc0\xab\x49\xa7\x6e\
+            \x07\x42\xfe\x37\xad\xc1\xd5\x6e\x2f\x2b\xbb\xa7\x6e\x66\x27";
+        const GOLDEN_PAYLOAD_SEALED: &[u8] = b"\
+            \xc8\xfa\xc1\xcb\x5e\x08\x32\x0d\xb9\x7b\x50\x53\x08\xce\x38\xb0\x13\x01\x00\x00\
+            \x56\xc6\x0e\x82\x34\x0a\x49\x74\x3f\x35\x6c\x31\x44\x8b\xa5\x43\x41\x3b\x29\x84\
+            \xf6\x92\x68\x9d\xd6\xdb\x3b\xcb\x47\xba\x16\xee\xfd\x86\x97\x8f\xe8\x03\xbb\x52\
+            \x93\x87\xe4\x51\xe3\xd1\xd8\x69\xfc\x1a\x04\xd7\xd8\x38\xa2\xfc\x60\xd7\xa0\xa7\
+            \x19\x51\x9a\xb4\x38\x06\x56\x97\x7a\x0e\x0a\xe7\xf8\xd5\x60\xa8\x55\x49\x68\x1d\
+            \xc4\xb2\x77\xcf\xce\xe6\xfd\x7d\x8b\xe3\xb8\xd8\x8f\x20\x04\x86\xc3\x84\x59\x33\
+            \xf7\x7a\xdf\x0d\xa0\x38\xa0\x9d\x0b\xd5\xfb\x83\xaf\x44\x4c\xbb\x80\x98\x5f\xa0\
+            \x9f\x20\xf6\x19\xc7\x33\xe9\x0f\x8a\x61\x18\xfb\x68\x1d\x59\x9a\x76\x9e\x03\xef\
+            \x30\x35\x91\x6a\x42\x6a\xee\x75\xba\x3f\xea\x0e\xc9\x96\xa9\xbd\xa7\xbf\xff\x09\
+            \x40\x03\xf4\x0e\x5a\x4f\xd7\x93\xf9\x4c\x7c\x3a\x10\x62\xca\xef\x57\x6a\xd4\x77\
+            \x5a\x7a\x8f\x28\x55\x4a\x0c\xfd\xa3\x05\xc5\x04\x26\x93\xb9\x7b\x9e\x04\x2b\xc5\
+            \xda\x4e\x80\x70\x1d\x99\xdd\x53\x05\x42\xb2\x7d\x52\xea\xb4\x11\x92\xcf\xc9\xc1\
+            \xf6\x4e\x5e\x22\xf5\x41\x32\x46\x3e\xd7\x3d\xca\xa3\x12\xb0\x3e\x71\xe3\x75\x72\
+            \x34\xaa\x27\x1d\x2d\x37\x30\xe4\xbf\xd3\xe2\x4d\x56\xb0\xde\x72\x98\xf3\xee\xf4\
+            \xfe\x32\x2f\x83\x55\x00\x71\xb0\x2d\x03\xa0\xa8\xdd\xbe\xb2\xd3\x6f\x6a\x09\xdc\
+            \xf7\x4c\xd5\xda\x44\xc5\xf6\xfc";
+        let store = fresh_store();
+        store.create_file("/a", &content(700)).unwrap();
+        store.create_file("/b/ü", &content(10)).unwrap();
+        let plain = store.encode_payload_plain();
+        assert_eq!(plain, GOLDEN_PAYLOAD_PLAIN);
+        assert_eq!(store.seal_payload(&plain), GOLDEN_PAYLOAD_SEALED);
+
+        type Store = ResilientStore<FaultDevice<MemDevice>>;
+        let opened = Store::open_payload_with(&store.payload_key, GOLDEN_PAYLOAD_SEALED).unwrap();
+        assert_eq!(opened, GOLDEN_PAYLOAD_PLAIN);
+        let (slots, faks) = Store::parse_payload(GOLDEN_PAYLOAD_PLAIN).unwrap();
+        assert_eq!(slots, store.journal_slots());
+        assert_eq!(
+            faks,
+            [
+                ("/a".to_string(), store.file_fak("/a")),
+                ("/b/ü".to_string(), store.file_fak("/b/ü")),
+            ]
+        );
+    }
+
+    /// Regression: six bytes declaring no journal slots and `u32::MAX` files
+    /// made the parent reserve 549 GB and abort the process.
+    #[test]
+    fn hostile_anchor_payload_count_is_refused_before_allocation() {
+        type Store = ResilientStore<FaultDevice<MemDevice>>;
+        assert!(matches!(
+            Store::parse_payload(&[0, 0, 0xff, 0xff, 0xff, 0xff]),
+            Err(ResilienceError::Corrupt(_))
+        ));
+        assert!(matches!(
+            Store::parse_payload(&[0xff, 0xff, 1]),
+            Err(ResilienceError::Corrupt(_))
+        ));
     }
 }

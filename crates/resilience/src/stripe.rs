@@ -18,6 +18,7 @@
 //! scattered like every other hidden file — so it never appears in plaintext
 //! on disk.
 
+use stegfs_base::wire::{Reader, Sink, WireError, Writer};
 use stegfs_crypto::{HmacSha256, Key256};
 
 use crate::error::ResilienceError;
@@ -64,16 +65,15 @@ pub struct BlockCheck {
 impl BlockCheck {
     pub(crate) const ENCODED_LEN: usize = 8 + 16;
 
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.fast.to_le_bytes());
-        out.extend_from_slice(&self.mac);
+    pub(crate) fn write<B: Sink>(&self, w: &mut Writer<B>) {
+        w.u64(self.fast).bytes(&self.mac);
     }
 
-    pub(crate) fn decode(buf: &[u8]) -> Self {
-        let fast = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let mut mac = [0u8; 16];
-        mac.copy_from_slice(&buf[8..24]);
-        Self { fast, mac }
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            fast: r.u64()?,
+            mac: r.array()?,
+        })
     }
 }
 
@@ -107,11 +107,12 @@ impl ChecksumKeys {
     pub fn derive(key: &Key256) -> Self {
         let mac_key = key.derive("resilience:mac");
         let fast_key = key.derive("resilience:fast");
-        let fb = fast_key.as_bytes();
+        let mut seeds = Reader::new(fast_key.as_bytes());
+        let mut seed = || seeds.u64().expect("32-byte key") | 1;
         Self {
             hmac: HmacSha256::new(mac_key.as_bytes()),
-            s0: u64::from_le_bytes(fb[..8].try_into().unwrap()) | 1,
-            s1: u64::from_le_bytes(fb[8..16].try_into().unwrap()) | 1,
+            s0: seed(),
+            s1: seed(),
         }
     }
 
@@ -297,57 +298,46 @@ impl StripeMap {
 
     /// Serialize; the output length is [`StripeMap::encoded_len`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::encoded_len(self.cfg, self.num_data()));
-        out.extend_from_slice(&MAP_MAGIC);
-        out.extend_from_slice(&(self.cfg.k as u16).to_le_bytes());
-        out.extend_from_slice(&(self.cfg.m as u16).to_le_bytes());
-        out.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+        let mut w = Writer::with_capacity(Self::encoded_len(self.cfg, self.num_data()));
+        w.bytes(&MAP_MAGIC)
+            .u16(self.cfg.k as u16)
+            .u16(self.cfg.m as u16)
+            .u32(self.data.len() as u32);
         for c in &self.data {
-            c.encode_into(&mut out);
+            c.write(&mut w);
         }
         for e in &self.parity {
-            out.extend_from_slice(&e.location.to_le_bytes());
-            e.check.encode_into(&mut out);
+            w.u64(e.location);
+            e.check.write(&mut w);
         }
-        out
+        w.finish()
     }
 
     /// Reconstruct a map from [`StripeMap::encode`] output, validating the
     /// magic, shape and length.
     pub fn decode(buf: &[u8]) -> Result<Self, ResilienceError> {
-        if buf.len() < 16 || buf[..8] != MAP_MAGIC {
-            return Err(ResilienceError::Corrupt("bad stripe map magic".to_string()));
-        }
-        let k = u16::from_le_bytes(buf[8..10].try_into().unwrap()) as usize;
-        let m = u16::from_le_bytes(buf[10..12].try_into().unwrap()) as usize;
+        let mut r = Reader::new(buf);
+        r.magic(&MAP_MAGIC)?;
+        let (k, m) = (r.u16()? as usize, r.u16()? as usize);
         if k < 1 || m < 1 || k + m > 256 {
             return Err(ResilienceError::Corrupt(format!(
                 "implausible stripe shape k={k} m={m}"
             )));
         }
         let cfg = StripeConfig { k, m };
-        let num_data = u32::from_le_bytes(buf[12..16].try_into().unwrap()) as u64;
-        let need = Self::encoded_len(cfg, num_data);
-        if buf.len() < need {
-            return Err(ResilienceError::Corrupt(format!(
-                "stripe map truncated: {} < {need} bytes",
-                buf.len()
-            )));
-        }
-        let mut data = Vec::with_capacity(num_data as usize);
-        let mut off = 16;
-        for _ in 0..num_data {
-            data.push(BlockCheck::decode(&buf[off..off + BlockCheck::ENCODED_LEN]));
-            off += BlockCheck::ENCODED_LEN;
-        }
-        let entries = cfg.num_stripes(num_data) * m as u64;
-        let mut parity = Vec::with_capacity(entries as usize);
-        for _ in 0..entries {
-            let location = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-            let check = BlockCheck::decode(&buf[off + 8..off + ParityEntry::ENCODED_LEN]);
-            parity.push(ParityEntry { location, check });
-            off += ParityEntry::ENCODED_LEN;
-        }
+        let num_data = r.u32()?;
+        let data = (0..r.count(num_data, BlockCheck::ENCODED_LEN)?)
+            .map(|_| BlockCheck::read(&mut r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let entries = cfg.num_stripes(num_data as u64) * m as u64;
+        let parity = (0..r.count(entries, ParityEntry::ENCODED_LEN)?)
+            .map(|_| {
+                Ok(ParityEntry {
+                    location: r.u64()?,
+                    check: BlockCheck::read(&mut r)?,
+                })
+            })
+            .collect::<Result<Vec<_>, WireError>>()?;
         Ok(Self { cfg, data, parity })
     }
 }
@@ -534,5 +524,43 @@ mod tests {
             }
         }
         assert_eq!(map.parity_locations(), vec![0, 1, 2, 3]);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_STRIPE_MAP: &[u8] = b"\
+            \x52\x53\x4d\x41\x50\x30\x30\x31\x02\x00\x02\x00\x03\x00\x00\x00\x00\x07\x06\x05\
+            \x04\x03\x02\x01\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\x10\
+            \x01\x07\x06\x05\x04\x03\x02\x01\x11\x11\x11\x11\x11\x11\x11\x11\x11\x11\x11\x11\
+            \x11\x11\x11\x11\x02\x07\x06\x05\x04\x03\x02\x01\x12\x12\x12\x12\x12\x12\x12\x12\
+            \x12\x12\x12\x12\x12\x12\x12\x12\x00\x01\x00\x00\x00\x00\x00\x00\xf0\x00\x00\x00\
+            \x00\x00\x00\x00\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\xa0\
+            \x01\x01\x00\x00\x00\x00\x00\x00\xf1\x00\x00\x00\x00\x00\x00\x00\xa1\xa1\xa1\xa1\
+            \xa1\xa1\xa1\xa1\xa1\xa1\xa1\xa1\xa1\xa1\xa1\xa1\x10\x01\x00\x00\x00\x00\x00\x00\
+            \xf2\x00\x00\x00\x00\x00\x00\x00\xa2\xa2\xa2\xa2\xa2\xa2\xa2\xa2\xa2\xa2\xa2\xa2\
+            \xa2\xa2\xa2\xa2\x11\x01\x00\x00\x00\x00\x00\x00\xf3\x00\x00\x00\x00\x00\x00\x00\
+            \xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3\xa3";
+        let mut map = StripeMap::new(StripeConfig::new(2, 2), 3);
+        for i in 0..3u64 {
+            let check = BlockCheck {
+                fast: 0x0102_0304_0506_0700 + i,
+                mac: [0x10 + i as u8; 16],
+            };
+            map.set_data_check(i, check);
+        }
+        for s in 0..2u64 {
+            for r in 0..2usize {
+                let check = BlockCheck {
+                    fast: 0xf0 + s * 2 + r as u64,
+                    mac: [0xa0 + (s * 2) as u8 + r as u8; 16],
+                };
+                let location = 0x100 + s * 16 + r as u64;
+                map.set_parity_entry(s, r, ParityEntry { location, check });
+            }
+        }
+        assert_eq!(map.encode(), GOLDEN_STRIPE_MAP);
+        assert_eq!(StripeMap::decode(GOLDEN_STRIPE_MAP).unwrap(), map);
     }
 }

@@ -17,6 +17,7 @@
 //! many hidden files it holds.
 
 use stegfs_base::layout::Superblock;
+use stegfs_base::wire::{Reader, WireError, Writer};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HmacSha256, Key256};
 
@@ -62,7 +63,8 @@ impl VolumeAnchor {
 
     /// Encode one replica for `slot` into a block-sized buffer, MAC'd under
     /// `key`.
-    fn encode_replica(
+    #[doc(hidden)]
+    pub fn encode_replica(
         &self,
         block_size: usize,
         slot: usize,
@@ -76,40 +78,40 @@ impl VolumeAnchor {
         }
         let mut buf = vec![0u8; block_size];
         self.superblock.encode_into(&mut buf);
-        buf[EXT_OFF..EXT_OFF + 8].copy_from_slice(&ANCHOR_MAGIC);
-        buf[EXT_OFF + 8..EXT_OFF + 16].copy_from_slice(&self.generation.to_le_bytes());
-        buf[EXT_OFF + 16..EXT_OFF + 20].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let payload_end = FRAME_LEN + self.payload.len();
-        buf[FRAME_LEN..payload_end].copy_from_slice(&self.payload);
-        let mac = Self::replica_mac(&buf[..payload_end], slot, key);
-        buf[payload_end..payload_end + MAC_LEN].copy_from_slice(&mac);
+        Writer::over(&mut buf[EXT_OFF..])
+            .bytes(&ANCHOR_MAGIC)
+            .u64(self.generation)
+            .u32(self.payload.len() as u32)
+            .bytes(&self.payload);
+        let content_end = FRAME_LEN + self.payload.len();
+        let mac = Self::replica_mac(&buf[..content_end], slot, key);
+        buf[content_end..content_end + MAC_LEN].copy_from_slice(&mac);
         Ok(buf)
     }
 
     /// Decode and verify one replica read from `slot`.
-    fn decode_replica(buf: &[u8], slot: usize, key: &Key256) -> Result<Self, String> {
+    #[doc(hidden)]
+    pub fn decode_replica(buf: &[u8], slot: usize, key: &Key256) -> Result<Self, String> {
         let superblock = Superblock::decode(buf)?;
-        if buf.len() < FRAME_LEN + MAC_LEN {
-            return Err("replica buffer too small".to_string());
-        }
-        if buf[EXT_OFF..EXT_OFF + 8] != ANCHOR_MAGIC {
-            return Err("bad anchor magic".to_string());
-        }
-        let generation = u64::from_le_bytes(buf[EXT_OFF + 8..EXT_OFF + 16].try_into().unwrap());
-        let payload_len =
-            u32::from_le_bytes(buf[EXT_OFF + 16..EXT_OFF + 20].try_into().unwrap()) as usize;
-        let payload_end = FRAME_LEN + payload_len;
-        if payload_end + MAC_LEN > buf.len() {
-            return Err(format!("implausible payload length {payload_len}"));
-        }
-        let expect = Self::replica_mac(&buf[..payload_end], slot, key);
-        if buf[payload_end..payload_end + MAC_LEN] != expect {
+        let mut r = Reader::new(buf);
+        let mut parse = || -> Result<_, WireError> {
+            r.skip_to(EXT_OFF)?;
+            r.magic(&ANCHOR_MAGIC)?;
+            let generation = r.u64()?;
+            let payload_len = r.u32()?;
+            let payload = r.bytes(payload_len as usize)?;
+            let content_end = r.pos();
+            Ok((generation, payload, content_end, r.array::<MAC_LEN>()?))
+        };
+        let (generation, payload, content_end, mac) =
+            parse().map_err(|e| format!("anchor replica: {e}"))?;
+        if mac != Self::replica_mac(&buf[..content_end], slot, key) {
             return Err("replica MAC mismatch".to_string());
         }
         Ok(Self {
             superblock,
             generation,
-            payload: buf[FRAME_LEN..payload_end].to_vec(),
+            payload: payload.to_vec(),
         })
     }
 
@@ -316,5 +318,43 @@ mod tests {
         full.write_replicas(&dev, &key()).unwrap();
         let (read, _) = VolumeAnchor::read_quorum(&dev, &key()).unwrap();
         assert_eq!(read.payload.len(), cap);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_REPLICA: &[u8] = b"\
+            \x53\x54\x45\x47\x46\x53\x30\x34\x00\x02\x00\x00\x40\x00\x00\x00\x00\x00\x00\x00\
+            \x01\x00\x00\x00\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\x07\
+            \x53\x54\x45\x47\x41\x4e\x43\x31\x08\x07\x06\x05\x04\x03\x02\x01\x14\x00\x00\x00\
+            \x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\x12\x13\
+            \xe5\xe8\x9c\xc0\x60\x9a\x68\x4e\xd3\x68\x60\xbc\xc0\x73\x53\xb2\x46\x9d\x75\x92\
+            \x29\x71\x42\xf1\xb3\x27\xeb\x15\xec\x46\x40\xa3\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+        let a = VolumeAnchor {
+            superblock: Superblock::new(512, 64, [7u8; 16]),
+            generation: 0x0102_0304_0506_0708,
+            payload: (0..20u8).collect(),
+        };
+        assert_eq!(a.encode_replica(160, 1, &key()).unwrap(), GOLDEN_REPLICA);
+        assert_eq!(
+            VolumeAnchor::decode_replica(GOLDEN_REPLICA, 1, &key()),
+            Ok(a)
+        );
+        assert!(VolumeAnchor::decode_replica(GOLDEN_REPLICA, 0, &key()).is_err());
+    }
+
+    #[test]
+    fn truncated_or_overlong_replicas_are_errors_not_panics() {
+        let buf = anchor(3).encode_replica(512, 0, &key()).unwrap();
+        for cut in 0..FRAME_LEN + 100 + MAC_LEN {
+            assert!(VolumeAnchor::decode_replica(&buf[..cut], 0, &key()).is_err());
+        }
+        // A payload length pointing past the block.
+        let mut long = buf.clone();
+        long[EXT_OFF + 16..EXT_OFF + 20].fill(0xff);
+        assert!(VolumeAnchor::decode_replica(&long, 0, &key()).is_err());
     }
 }

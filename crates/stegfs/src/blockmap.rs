@@ -12,6 +12,8 @@
 //!
 //! The map itself is [`ShardedBlockMap`](crate::ShardedBlockMap).
 
+use crate::wire::{Reader, Writer};
+
 /// Classification of one physical block from the agent's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockClass {
@@ -55,16 +57,16 @@ impl BlockClass {
 /// Encode `classes` (block 0 first) as an 8-byte little-endian block count
 /// followed by 2 bits per block, four blocks per byte, low bits first.
 pub(crate) fn encode_classes(classes: &[BlockClass]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + classes.len().div_ceil(4));
-    out.extend_from_slice(&(classes.len() as u64).to_le_bytes());
+    let mut w = Writer::new();
+    w.u64(classes.len() as u64);
     for quad in classes.chunks(4) {
         let mut byte = 0u8;
         for (i, &class) in quad.iter().enumerate() {
             byte |= (class.index() as u8) << (i * 2);
         }
-        out.push(byte);
+        w.u8(byte);
     }
-    out
+    w.finish()
 }
 
 /// Decode [`encode_classes`] output. `None` unless the byte length matches
@@ -72,10 +74,10 @@ pub(crate) fn encode_classes(classes: &[BlockClass]) -> Vec<u8> {
 /// the bytes actually supplied before anything is allocated for it — and
 /// block 0 is [`BlockClass::Reserved`].
 pub(crate) fn decode_classes(bytes: &[u8]) -> Option<Vec<BlockClass>> {
-    let count = bytes.get(..8)?.try_into().ok()?;
-    let packed = &bytes[8..];
-    let n = usize::try_from(u64::from_le_bytes(count)).ok()?;
-    if packed.len() != n.div_ceil(4) {
+    let mut r = Reader::new(bytes);
+    let n = usize::try_from(r.u64().ok()?).ok()?;
+    let packed = r.bytes(n.div_ceil(4)).ok()?;
+    if !r.rest().is_empty() {
         return None;
     }
     let classes: Vec<BlockClass> = (0..n)
@@ -167,5 +169,19 @@ mod tests {
         let bytes = ShardedBlockMap::new_all_dummy(64, 4).to_bytes();
         assert!(ShardedBlockMap::from_bytes(&bytes[..bytes.len() - 1]).is_none());
         assert!(ShardedBlockMap::from_bytes(&[1, 2, 3]).is_none());
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_CLASSES: &[u8] = b"\
+            \x0b\x00\x00\x00\x00\x00\x00\x00\xe4\xa5\x1b";
+        use BlockClass::*;
+        let classes = [
+            Reserved, Data, Dummy, Unknown, Data, Data, Dummy, Dummy, Unknown, Dummy, Data,
+        ];
+        assert_eq!(encode_classes(&classes), GOLDEN_CLASSES);
+        assert_eq!(decode_classes(GOLDEN_CLASSES).unwrap(), classes);
     }
 }

@@ -295,35 +295,6 @@ impl BlockCodec {
         Ok(())
     }
 
-    /// Write-ordered relocating reseal: open `from`, seal its plaintext under
-    /// a fresh IV at `to`, then read `to` back and verify it opens to the
-    /// identical plaintext *before* returning. Only after this returns may
-    /// the caller release or reuse `from` — so a write torn mid-reseal (a
-    /// crash between issuing and completing the write) can lose at most the
-    /// in-flight copy at `to`, while `from` still holds the data intact.
-    ///
-    /// The in-place [`BlockCodec::reseal`] lacks this property: a torn write
-    /// there corrupts the only copy, which is exactly the crash-consistency
-    /// hole the resilience tier's parity exists to cover.
-    pub fn reseal_relocated<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        from: BlockId,
-        to: BlockId,
-        key: &Key256,
-        rng: &mut HashDrbg,
-    ) -> Result<(), FsError> {
-        let plaintext = self.read_sealed(device, from, key)?;
-        self.write_sealed(device, to, key, &plaintext, rng)?;
-        let back = self.read_sealed(device, to, key)?;
-        if back != plaintext {
-            return Err(FsError::Corrupt(format!(
-                "relocated reseal read-back mismatch at block {to}"
-            )));
-        }
-        Ok(())
-    }
-
     /// Fill `block` with uniformly random bytes — the state of every abandoned
     /// block after formatting, and of dummy-file content blocks.
     pub fn write_random<D: BlockDevice + ?Sized>(
@@ -575,46 +546,11 @@ mod tests {
     }
 
     #[test]
-    fn reseal_relocated_copies_and_verifies() {
-        let c = codec();
-        let dev = MemDevice::new(8, 4096);
-        let mut rng = HashDrbg::from_u64(7);
-        c.write_sealed(&dev, 2, &key(9), b"relocate me", &mut rng)
-            .unwrap();
-        c.reseal_relocated(&dev, 2, 5, &key(9), &mut rng).unwrap();
-        let moved = c.read_sealed(&dev, 5, &key(9)).unwrap();
-        assert_eq!(&moved[..11], b"relocate me");
-        // Write ordering: the source block is untouched until the caller
-        // releases it, so the data exists at both locations.
-        let original = c.read_sealed(&dev, 2, &key(9)).unwrap();
-        assert_eq!(original, moved);
-    }
-
-    #[test]
-    fn reseal_relocated_detects_torn_destination_write() {
-        use stegfs_blockdev::FaultDevice;
-        let c = codec();
-        let dev = FaultDevice::new(MemDevice::new(8, 4096));
-        let mut rng = HashDrbg::from_u64(8);
-        c.write_sealed(&dev, 1, &key(3), b"survives the tear", &mut rng)
-            .unwrap();
-        // The next scalar write lands only its first 100 bytes — a crash
-        // mid-write at the destination.
-        dev.arm_partial_scalar_write(100);
-        let err = c.reseal_relocated(&dev, 1, 6, &key(3), &mut rng);
-        assert!(err.is_err(), "read-back must catch the torn destination");
-        // The source copy is still intact: nothing was released.
-        let original = c.read_sealed(&dev, 1, &key(3)).unwrap();
-        assert_eq!(&original[..17], b"survives the tear");
-    }
-
-    #[test]
     fn mid_range_tear_is_caught_by_relocation_read_back() {
         // A batched flush of relocated blocks goes through write_blocks and
-        // the range tears *inside* a block (sub-sector crash). The read-back
-        // verification that reseal_relocated performs per destination must
-        // classify every destination as landed or not — the mid-torn sealed
-        // block may not silently pass.
+        // the range tears *inside* a block (sub-sector crash). A read-back
+        // of each destination must classify it as landed or not — the
+        // mid-torn sealed block may not silently pass.
         use stegfs_blockdev::FaultDevice;
         let c = codec();
         let dev = FaultDevice::new(MemDevice::new(8, 4096));
@@ -628,7 +564,7 @@ mod tests {
         // IV plus a few ciphertext bytes, the rest stale.
         dev.arm_torn_ranged_write_partial(1, 20);
         dev.write_blocks(4, &batch).unwrap();
-        // Destination 4 landed and verifies like reseal_relocated's check.
+        // Destination 4 landed and reads back as written.
         let ok = c.read_sealed(&dev, 4, &key(4)).unwrap();
         assert_eq!(&ok[..64], &payloads[0][..]);
         // Destination 5 is mid-torn: the new IV no longer matches the stale

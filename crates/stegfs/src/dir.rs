@@ -14,6 +14,7 @@ use crate::error::FsError;
 use crate::fak::FileAccessKey;
 use crate::fs::StegFs;
 use crate::sharded_map::ShardedBlockMap;
+use crate::wire::{Reader, Writer};
 
 /// Kind of object a directory entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +76,8 @@ pub struct HiddenDirectory {
 }
 
 const DIR_MAGIC: [u8; 8] = *b"SGDIR001";
+/// Encoded bytes of an entry with an empty name: name length ‖ kind ‖ master.
+const ENTRY_MIN_LEN: usize = 2 + 1 + 32;
 
 impl HiddenDirectory {
     /// Create an empty directory.
@@ -119,44 +122,29 @@ impl HiddenDirectory {
 
     /// Serialize the directory to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&DIR_MAGIC);
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        let mut w = Writer::new();
+        w.bytes(&DIR_MAGIC).u32(self.entries.len() as u32);
         for e in &self.entries {
-            let name_bytes = e.name.as_bytes();
-            out.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-            out.push(e.kind.to_byte());
-            out.extend_from_slice(name_bytes);
-            out.extend_from_slice(e.master.as_bytes());
+            w.u16(e.name.len() as u16)
+                .u8(e.kind.to_byte())
+                .bytes(e.name.as_bytes())
+                .bytes(e.master.as_bytes());
         }
-        out
+        w.finish()
     }
 
     /// Deserialize a directory from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, FsError> {
-        if bytes.len() < 12 || bytes[..8] != DIR_MAGIC {
-            return Err(FsError::Corrupt("bad directory magic".to_string()));
-        }
-        let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let mut offset = 12;
+        let mut r = Reader::new(bytes);
+        r.magic(&DIR_MAGIC)?;
+        let count = r.u32()?;
+        let count = r.count(count, ENTRY_MIN_LEN)?;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            if bytes.len() < offset + 3 {
-                return Err(FsError::Corrupt("truncated directory entry".to_string()));
-            }
-            let name_len =
-                u16::from_le_bytes(bytes[offset..offset + 2].try_into().unwrap()) as usize;
-            let kind = EntryKind::from_byte(bytes[offset + 2])?;
-            offset += 3;
-            if bytes.len() < offset + name_len + 32 {
-                return Err(FsError::Corrupt("truncated directory entry".to_string()));
-            }
-            let name = String::from_utf8(bytes[offset..offset + name_len].to_vec())
-                .map_err(|_| FsError::Corrupt("directory entry name is not UTF-8".to_string()))?;
-            offset += name_len;
-            let master = Key256::from_slice(&bytes[offset..offset + 32])
-                .map_err(|e| FsError::Corrupt(e.to_string()))?;
-            offset += 32;
+            let name_len = r.u16()? as usize;
+            let kind = EntryKind::from_byte(r.u8()?)?;
+            let name = r.str(name_len)?.to_string();
+            let master = r.key()?;
             entries.push(DirEntry { name, kind, master });
         }
         Ok(Self { entries })
@@ -286,5 +274,37 @@ mod tests {
             .unwrap();
         let wrong = FileAccessKey::from_passphrase("attacker");
         assert!(HiddenDirectory::load(&fs, &wrong, "/d").is_err());
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_DIR: &[u8] = b"\
+            \x53\x47\x44\x49\x52\x30\x30\x31\x03\x00\x00\x00\x0a\x00\x00\x72\x65\x70\x6f\x72\
+            \x74\x2e\x64\x6f\x63\xca\x97\x81\x12\xca\x1b\xbd\xca\xfa\xc2\x31\xb3\x9a\x23\xdc\
+            \x4d\xa7\x86\xef\xf8\x14\x7c\x4e\x72\xb9\x80\x77\x85\xaf\xee\x48\xbb\x08\x00\x01\
+            \xd1\x84\xd0\xbe\xd1\x82\xd0\xbe\x3e\x23\xe8\x16\x00\x39\x59\x4a\x33\x89\x4f\x65\
+            \x64\xe1\xb1\x34\x8b\xbd\x7a\x00\x88\xd4\x2c\x4a\xcb\x73\xee\xae\xd5\x9c\x00\x9d\
+            \x00\x00\x02\x2e\x7d\x2c\x03\xa9\x50\x7a\xe2\x65\xec\xf5\xb5\x35\x68\x85\xa5\x33\
+            \x93\xa2\x02\x9d\x24\x13\x94\x99\x72\x65\xa1\xa2\x5a\xef\xc6";
+        let mut dir = HiddenDirectory::new();
+        dir.insert(entry("report.doc", EntryKind::File, "a"));
+        dir.insert(entry("фото", EntryKind::Directory, "b"));
+        dir.insert(entry("", EntryKind::Dummy, "c"));
+        assert_eq!(dir.to_bytes(), GOLDEN_DIR);
+        assert_eq!(HiddenDirectory::from_bytes(GOLDEN_DIR).unwrap(), dir);
+    }
+
+    /// Regression: twelve bytes declaring `u32::MAX` entries made the parent
+    /// reserve 256 GB and abort the process.
+    #[test]
+    fn hostile_entry_count_is_refused_before_allocation() {
+        let mut bytes = DIR_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0xff; 4]);
+        assert!(matches!(
+            HiddenDirectory::from_bytes(&bytes),
+            Err(FsError::Corrupt(_))
+        ));
     }
 }

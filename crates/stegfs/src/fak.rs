@@ -16,6 +16,8 @@
 
 use stegfs_crypto::{HmacSha256, Key256};
 
+use crate::wire::{Reader, Writer};
+
 /// The access key to one hidden (or dummy) file.
 ///
 /// All three components are derived deterministically from a master secret
@@ -108,11 +110,12 @@ impl FileAccessKey {
     /// payload.
     pub fn to_bytes(&self) -> [u8; Self::ENCODED_LEN] {
         let mut out = [0u8; Self::ENCODED_LEN];
-        out[0] = u8::from(self.content_key.is_some());
-        out[1..33].copy_from_slice(self.location_secret.as_bytes());
-        out[33..65].copy_from_slice(self.header_key.as_bytes());
+        let mut w = Writer::over(&mut out[..]);
+        w.u8(u8::from(self.content_key.is_some()))
+            .bytes(self.location_secret.as_bytes())
+            .bytes(self.header_key.as_bytes());
         if let Some(ck) = &self.content_key {
-            out[65..97].copy_from_slice(ck.as_bytes());
+            w.bytes(ck.as_bytes());
         }
         out
     }
@@ -120,18 +123,21 @@ impl FileAccessKey {
     /// Inverse of [`FileAccessKey::to_bytes`]. Returns `None` on a wrong
     /// length or an unknown presence flag.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != Self::ENCODED_LEN || bytes[0] > 1 {
+        if bytes.len() != Self::ENCODED_LEN {
             return None;
         }
-        let content_key = if bytes[0] == 1 {
-            Some(Key256::from_slice(&bytes[65..97]).ok()?)
-        } else {
-            None
+        let mut r = Reader::new(bytes);
+        let has_content_key = match r.u8().ok()? {
+            0 => false,
+            1 => true,
+            _ => return None,
         };
+        let (location_secret, header_key, content_key) =
+            (r.key().ok()?, r.key().ok()?, r.key().ok()?);
         Some(Self {
-            location_secret: Key256::from_slice(&bytes[1..33]).ok()?,
-            header_key: Key256::from_slice(&bytes[33..65]).ok()?,
-            content_key,
+            location_secret,
+            header_key,
+            content_key: has_content_key.then_some(content_key),
         })
     }
 
@@ -150,10 +156,11 @@ impl FileAccessKey {
         probe: u32,
         payload_blocks: u64,
     ) -> u64 {
-        let mut msg = Vec::with_capacity(16 + path.len() + 4);
-        msg.extend_from_slice(salt);
-        msg.extend_from_slice(path.as_bytes());
-        msg.extend_from_slice(&probe.to_le_bytes());
+        let msg = Writer::new()
+            .bytes(salt)
+            .bytes(path.as_bytes())
+            .u32(probe)
+            .finish();
         let h = HmacSha256::derive_u64(self.location_secret.as_bytes(), &msg);
         1 + (h % payload_blocks)
     }
@@ -257,5 +264,32 @@ mod tests {
         let fak = FileAccessKey::from_passphrase("super secret passphrase");
         let s = format!("{fak:?}");
         assert!(!s.contains("secret"));
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vectors_are_bit_identical() {
+        const GOLDEN_FAK: &[u8] = b"\
+            \x01\xfc\xf2\x5c\x4c\x76\xc4\xf1\xff\x4d\x4c\x96\xe1\x7b\x73\xd9\x16\xf1\x16\x77\
+            \xb4\xaa\xe4\xae\xcd\x08\xe0\x8a\x38\xe5\x25\x06\x60\x1e\xd2\x7a\x3a\x4a\x09\x84\
+            \xbe\xee\xe6\xf2\x4c\xf8\x0b\x2e\xe8\x4a\xa5\xde\x3f\xad\xe1\x63\xeb\xa3\x41\xee\
+            \x65\x15\xb8\x1a\x1d\x6f\x22\x9b\xd5\xab\x55\x6a\x38\x46\x13\x9c\x0f\xf8\x8f\xcd\
+            \x9e\xe4\x0e\xdc\x7d\x20\x8b\xdc\x8e\x01\x3d\x32\x64\xb5\x83\x0f\xa4";
+        const GOLDEN_FAK_WITHHELD: &[u8] = b"\
+            \x00\xfc\xf2\x5c\x4c\x76\xc4\xf1\xff\x4d\x4c\x96\xe1\x7b\x73\xd9\x16\xf1\x16\x77\
+            \xb4\xaa\xe4\xae\xcd\x08\xe0\x8a\x38\xe5\x25\x06\x60\x1e\xd2\x7a\x3a\x4a\x09\x84\
+            \xbe\xee\xe6\xf2\x4c\xf8\x0b\x2e\xe8\x4a\xa5\xde\x3f\xad\xe1\x63\xeb\xa3\x41\xee\
+            \x65\x15\xb8\x1a\x1d\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+        let fak = FileAccessKey::from_passphrase("golden");
+        assert_eq!(fak.to_bytes(), GOLDEN_FAK);
+        assert_eq!(FileAccessKey::from_bytes(GOLDEN_FAK).unwrap(), fak);
+        let withheld = fak.without_content_key();
+        assert_eq!(withheld.to_bytes(), GOLDEN_FAK_WITHHELD);
+        assert_eq!(
+            FileAccessKey::from_bytes(GOLDEN_FAK_WITHHELD).unwrap(),
+            withheld
+        );
     }
 }

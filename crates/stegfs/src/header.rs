@@ -11,6 +11,7 @@
 //! plausibly disclosed) but its "content" blocks contain only random bytes.
 
 use crate::error::FsError;
+use crate::wire::{Reader, Writer};
 
 /// Magic prefix of a decrypted header block.
 pub const HEADER_MAGIC: [u8; 8] = *b"SGHDR001";
@@ -158,40 +159,37 @@ impl FileHeader {
             )));
         }
 
-        let mut out = vec![0u8; data_field_len];
-        out[..8].copy_from_slice(&HEADER_MAGIC);
-        out[8] = self.kind.to_byte();
-        out[9] = 1; // version
-                    // bytes 10..12 reserved
-        out[12..20].copy_from_slice(&self.file_size.to_le_bytes());
-        out[20..28].copy_from_slice(&(self.blocks.len() as u64).to_le_bytes());
-        out[28..44].copy_from_slice(&self.path_tag);
         let direct_count = self.blocks.len().min(caps.direct);
-        out[44..48].copy_from_slice(&(direct_count as u32).to_le_bytes());
-        out[48..52].copy_from_slice(&(indirect_locs.len() as u32).to_le_bytes());
-
-        let mut offset = PREFIX_LEN;
+        let mut w = Writer::with_capacity(data_field_len);
+        w.bytes(&HEADER_MAGIC)
+            .u8(self.kind.to_byte())
+            .u8(1) // version
+            .u16(0) // reserved
+            .u64(self.file_size)
+            .u64(self.blocks.len() as u64)
+            .bytes(&self.path_tag)
+            .u32(direct_count as u32)
+            .u32(indirect_locs.len() as u32);
         for &b in &self.blocks[..direct_count] {
-            out[offset..offset + 8].copy_from_slice(&b.to_le_bytes());
-            offset += 8;
+            w.u64(b);
         }
-        // Skip the unused direct slots.
-        offset = PREFIX_LEN + caps.direct * 8;
+        // The unused direct slots stay zero.
+        w.skip_to(PREFIX_LEN + caps.direct * 8);
         for &loc in indirect_locs {
-            out[offset..offset + 8].copy_from_slice(&loc.to_le_bytes());
-            offset += 8;
+            w.u64(loc);
         }
+        let out = w.skip_to(data_field_len).finish();
 
-        // Build indirect payloads.
-        let mut indirect_payloads = Vec::with_capacity(indirect_locs.len());
-        let spill = &self.blocks[direct_count..];
-        for chunk in spill.chunks(caps.ptrs_per_indirect) {
-            let mut payload = vec![0u8; data_field_len];
-            for (i, &b) in chunk.iter().enumerate() {
-                payload[i * 8..i * 8 + 8].copy_from_slice(&b.to_le_bytes());
-            }
-            indirect_payloads.push(payload);
-        }
+        let indirect_payloads: Vec<Vec<u8>> = self.blocks[direct_count..]
+            .chunks(caps.ptrs_per_indirect)
+            .map(|chunk| {
+                let mut w = Writer::with_capacity(data_field_len);
+                for &b in chunk {
+                    w.u64(b);
+                }
+                w.skip_to(data_field_len).finish()
+            })
+            .collect();
         debug_assert_eq!(indirect_payloads.len(), indirect_locs.len());
 
         Ok((out, indirect_payloads))
@@ -204,16 +202,17 @@ impl FileHeader {
         payload: &[u8],
         caps: &HeaderCaps,
     ) -> Result<(FileHeader, Vec<u64>), FsError> {
-        if payload.len() < PREFIX_LEN || payload[..8] != HEADER_MAGIC {
+        let mut r = Reader::new(payload);
+        if r.magic(&HEADER_MAGIC).is_err() {
             return Err(FsError::NoSuchFile);
         }
-        let kind = FileKind::from_byte(payload[8])?;
-        let file_size = u64::from_le_bytes(payload[12..20].try_into().unwrap());
-        let total_blocks = u64::from_le_bytes(payload[20..28].try_into().unwrap());
-        let mut path_tag = [0u8; 16];
-        path_tag.copy_from_slice(&payload[28..44]);
-        let direct_count = u32::from_le_bytes(payload[44..48].try_into().unwrap()) as usize;
-        let indirect_count = u32::from_le_bytes(payload[48..52].try_into().unwrap()) as usize;
+        let kind = FileKind::from_byte(r.u8()?)?;
+        r.skip_to(12)?; // version and reserved bytes
+        let file_size = r.u64()?;
+        let total_blocks = r.u64()?;
+        let path_tag = r.array()?;
+        let direct_count = r.u32()? as usize;
+        let indirect_count = r.u32()? as usize;
 
         if direct_count > caps.direct || indirect_count > caps.indirect {
             return Err(FsError::Corrupt(format!(
@@ -226,22 +225,11 @@ impl FileHeader {
             )));
         }
 
+        // Bounded by the capacity check above, not by the wire.
         let mut blocks = Vec::with_capacity(total_blocks as usize);
-        let mut offset = PREFIX_LEN;
-        for _ in 0..direct_count {
-            blocks.push(u64::from_le_bytes(
-                payload[offset..offset + 8].try_into().unwrap(),
-            ));
-            offset += 8;
-        }
-        offset = PREFIX_LEN + caps.direct * 8;
-        let mut indirect_locs = Vec::with_capacity(indirect_count);
-        for _ in 0..indirect_count {
-            indirect_locs.push(u64::from_le_bytes(
-                payload[offset..offset + 8].try_into().unwrap(),
-            ));
-            offset += 8;
-        }
+        blocks.extend(r.u64s(direct_count)?);
+        r.skip_to(PREFIX_LEN + caps.direct * 8)?;
+        let indirect_locs = r.u64s(indirect_count)?;
 
         let header = FileHeader {
             kind,
@@ -255,12 +243,14 @@ impl FileHeader {
 
     /// Absorb the pointers stored in one indirect block payload.
     pub fn absorb_indirect(&mut self, payload: &[u8], caps: &HeaderCaps) {
-        for i in 0..caps.ptrs_per_indirect {
-            if self.blocks.len() as u64 >= self.expected_total {
+        let mut r = Reader::new(payload);
+        for _ in 0..caps.ptrs_per_indirect {
+            if self.is_complete() {
                 break;
             }
-            let start = i * 8;
-            let ptr = u64::from_le_bytes(payload[start..start + 8].try_into().unwrap());
+            // A short payload leaves the header incomplete, which the caller
+            // reports.
+            let Ok(ptr) = r.u64() else { break };
             self.blocks.push(ptr);
         }
     }
@@ -424,5 +414,74 @@ mod tests {
         assert_eq!(locs, vec![77]);
         decoded.absorb_indirect(&ind[0], &c);
         assert_eq!(decoded.blocks, blocks);
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_HEADER: &[u8] = b"\
+            \x53\x47\x48\x44\x52\x30\x30\x31\x01\x01\x00\x00\x06\x05\x04\x03\x02\x01\x00\x00\
+            \x11\x00\x00\x00\x00\x00\x00\x00\x10\x11\x12\x13\x14\x15\x16\x17\x18\x19\x1a\x1b\
+            \x1c\x1d\x1e\x1f\x03\x00\x00\x00\x02\x00\x00\x00\xa4\x01\x01\x01\x01\x01\x01\x01\
+            \xa7\x02\x02\x02\x02\x02\x02\x02\xa6\x03\x03\x03\x03\x03\x03\x03\x11\x11\x00\x00\
+            \x00\x00\x00\x00\x33\x33\x22\x22\x00\x00\x00\x00\x00\x00\x00\x00";
+        const GOLDEN_INDIRECT_0: &[u8] = b"\
+            \xa1\x04\x04\x04\x04\x04\x04\x04\xa0\x05\x05\x05\x05\x05\x05\x05\xa3\x06\x06\x06\
+            \x06\x06\x06\x06\xa2\x07\x07\x07\x07\x07\x07\x07\xad\x08\x08\x08\x08\x08\x08\x08\
+            \xac\x09\x09\x09\x09\x09\x09\x09\xaf\x0a\x0a\x0a\x0a\x0a\x0a\x0a\xae\x0b\x0b\x0b\
+            \x0b\x0b\x0b\x0b\xa9\x0c\x0c\x0c\x0c\x0c\x0c\x0c\xa8\x0d\x0d\x0d\x0d\x0d\x0d\x0d\
+            \xab\x0e\x0e\x0e\x0e\x0e\x0e\x0e\xaa\x0f\x0f\x0f\x0f\x0f\x0f\x0f";
+        const GOLDEN_INDIRECT_1: &[u8] = b"\
+            \xb5\x10\x10\x10\x10\x10\x10\x10\xb4\x11\x11\x11\x11\x11\x11\x11\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+        let caps = HeaderCaps::for_data_field(96);
+        assert_eq!(
+            (caps.direct, caps.indirect, caps.ptrs_per_indirect),
+            (3, 2, 12)
+        );
+        let blocks: Vec<u64> = (1..=17u64)
+            .map(|i| 0x0101_0101_0101_0101u64.wrapping_mul(i) ^ 0xa5)
+            .collect();
+        let tag: [u8; 16] = core::array::from_fn(|i| 0x10 + i as u8);
+        let header = FileHeader::new(FileKind::Dummy, 0x0102_0304_0506, tag, blocks);
+        let indirect_locs = [0x1111, 0x2222_3333];
+
+        let (payload, indirect) = header.encode(&caps, 96, &indirect_locs).unwrap();
+        assert_eq!(payload, GOLDEN_HEADER);
+        assert_eq!(indirect, [GOLDEN_INDIRECT_0, GOLDEN_INDIRECT_1]);
+
+        let (mut decoded, locs) = FileHeader::decode_prefix(GOLDEN_HEADER, &caps).unwrap();
+        assert_eq!(locs, indirect_locs);
+        decoded.absorb_indirect(GOLDEN_INDIRECT_0, &caps);
+        decoded.absorb_indirect(GOLDEN_INDIRECT_1, &caps);
+        assert_eq!(decoded, header);
+    }
+
+    #[test]
+    fn short_payloads_are_typed_errors() {
+        let c = HeaderCaps::for_data_field(496);
+        let blocks: Vec<u64> = (0..c.direct as u64 + 3).collect();
+        let header = FileHeader::new(FileKind::Data, 100, [1u8; 16], blocks);
+        let (payload, ind) = header.encode(&c, 496, &[77]).unwrap();
+        // A header cut inside its pointer area (the parent indexed past the
+        // end) and an indirect block cut short.
+        for cut in [
+            PREFIX_LEN - 1,
+            PREFIX_LEN,
+            PREFIX_LEN + 12,
+            PREFIX_LEN + c.direct * 8 + 4,
+        ] {
+            assert!(matches!(
+                FileHeader::decode_prefix(&payload[..cut], &c),
+                Err(FsError::Corrupt(_))
+            ));
+        }
+        let (mut decoded, _) = FileHeader::decode_prefix(&payload, &c).unwrap();
+        decoded.absorb_indirect(&ind[0][..12], &c);
+        assert!(!decoded.is_complete());
     }
 }

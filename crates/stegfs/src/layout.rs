@@ -8,6 +8,8 @@
 //! scan of the volume reveals nothing about how many hidden files exist —
 //! the core StegFS property the paper builds on.
 
+use crate::wire::{Reader, WireError, Writer};
+
 /// Default block size used throughout the paper's experiments (Table 2).
 pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 
@@ -54,38 +56,34 @@ impl Superblock {
 
     /// Encode into the start of a block-sized buffer.
     pub fn encode_into(&self, buf: &mut [u8]) {
-        assert!(buf.len() >= Self::ENCODED_LEN);
-        buf[..8].copy_from_slice(&SUPERBLOCK_MAGIC);
-        buf[8..12].copy_from_slice(&self.block_size.to_le_bytes());
-        buf[12..20].copy_from_slice(&self.num_blocks.to_le_bytes());
-        buf[20..24].copy_from_slice(&self.version.to_le_bytes());
-        buf[24..40].copy_from_slice(&self.salt);
+        Writer::over(buf)
+            .bytes(&SUPERBLOCK_MAGIC)
+            .u32(self.block_size)
+            .u64(self.num_blocks)
+            .u32(self.version)
+            .bytes(&self.salt);
     }
 
     /// Decode from the start of a block-sized buffer.
     pub fn decode(buf: &[u8]) -> Result<Self, String> {
-        if buf.len() < Self::ENCODED_LEN {
-            return Err(format!("superblock buffer too small: {}", buf.len()));
-        }
-        if buf[..8] != SUPERBLOCK_MAGIC {
-            return Err("bad superblock magic".to_string());
-        }
-        let block_size = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        let num_blocks = u64::from_le_bytes(buf[12..20].try_into().unwrap());
-        let version = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-        let mut salt = [0u8; 16];
-        salt.copy_from_slice(&buf[24..40]);
-        if block_size == 0 || num_blocks < 2 {
+        let mut r = Reader::new(buf);
+        let mut parse = || -> Result<Self, WireError> {
+            r.magic(&SUPERBLOCK_MAGIC)?;
+            Ok(Self {
+                block_size: r.u32()?,
+                num_blocks: r.u64()?,
+                version: r.u32()?,
+                salt: r.array()?,
+            })
+        };
+        let sb = parse().map_err(|e| format!("superblock: {e}"))?;
+        if sb.block_size == 0 || sb.num_blocks < 2 {
             return Err(format!(
-                "implausible geometry: block_size={block_size}, num_blocks={num_blocks}"
+                "implausible geometry: block_size={}, num_blocks={}",
+                sb.block_size, sb.num_blocks
             ));
         }
-        Ok(Self {
-            block_size,
-            num_blocks,
-            version,
-            salt,
-        })
+        Ok(sb)
     }
 
     /// Size of the encrypted data field within each payload block.
@@ -144,5 +142,25 @@ mod tests {
     #[test]
     fn rejects_short_buffer() {
         assert!(Superblock::decode(&[0u8; 10]).is_err());
+    }
+
+    /// Bytes produced by the encoder as it stood before the port onto
+    /// `wire`: the format must not move.
+    #[test]
+    fn golden_vector_is_bit_identical() {
+        const GOLDEN_SUPERBLOCK: &[u8] = b"\
+            \x53\x54\x45\x47\x46\x53\x30\x34\x00\x10\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\
+            \x07\x00\x00\x00\xa0\xa1\xa2\xa3\xa4\xa5\xa6\xa7\xa8\xa9\xaa\xab\xac\xad\xae\xaf\
+            \x00\x00\x00\x00\x00\x00\x00\x00";
+        let sb = Superblock {
+            block_size: 4096,
+            num_blocks: 0x1_0000_0001,
+            version: 7,
+            salt: core::array::from_fn(|i| 0xa0 + i as u8),
+        };
+        let mut buf = [0u8; 48];
+        sb.encode_into(&mut buf);
+        assert_eq!(buf, GOLDEN_SUPERBLOCK);
+        assert_eq!(Superblock::decode(GOLDEN_SUPERBLOCK), Ok(sb));
     }
 }

@@ -22,7 +22,10 @@
 //!   agent's view of which physical blocks hold data versus dummy bytes —
 //!   shared by reference, with atomic claims, and persisted in a 2-bit wire
 //!   format;
-//! * **hidden directories** ([`dir::HiddenDirectory`]) mapping names to FAKs.
+//! * **hidden directories** ([`dir::HiddenDirectory`]) mapping names to FAKs;
+//! * the **wire layer** ([`wire`]) — the one bounds-checked cursor and one
+//!   authenticated frame every on-disk encoder and decoder of the workspace
+//!   goes through.
 //!
 //! The access-hiding mechanisms themselves (dummy updates, Figure 6
 //! relocation, oblivious reads) live in the `steghide` and `stegfs-oblivious`
@@ -42,6 +45,7 @@ mod fs;
 pub mod header;
 pub mod layout;
 mod sharded_map;
+pub mod wire;
 
 pub use blockmap::BlockClass;
 pub use codec::BlockCodec;

@@ -1,0 +1,128 @@
+//! Whole-device images after a scripted, fixed-seed sequence that writes
+//! every on-disk format, pinned by SHA-256.
+//!
+//! The hashes were taken from the build *before* the codecs moved onto
+//! `stegfs_base::wire`; they hold only while every format stays bit-identical
+//! — same magics, field order, widths, padding, MAC coverage and tag length —
+//! and the DRBG is consumed in the same order.
+
+use std::sync::Arc;
+
+use stegfs_repro::blockdev::{BlockDevice, MemDevice};
+use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
+use stegfs_repro::prelude::*;
+use stegfs_repro::stegfs::dir::{DirEntry, EntryKind, HiddenDirectory};
+
+fn image_sha256(device: &MemDevice) -> String {
+    let mut image = vec![0u8; device.num_blocks() as usize * device.block_size()];
+    device.read_blocks(0, &mut image).unwrap();
+    let mut hasher = Sha256::new();
+    hasher.update(&image);
+    hasher
+        .finalize()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+fn content(len: usize, salt: u8) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8 ^ salt).collect()
+}
+
+/// Superblock, anchor replicas and payload, create / write-batch / registry
+/// checkpoint journal records, file headers with indirect blocks, stripe
+/// maps, registry geometry, head cells and segments, and a hidden directory —
+/// on one durable volume.
+#[test]
+fn durable_volume_image_is_pinned() {
+    let device = Arc::new(MemDevice::new(2048, 512));
+    let cfg = ResilienceConfig::default()
+        .with_fs(StegFsConfig::default().with_block_size(512))
+        .with_stripe(4, 2);
+    let master = Key256::from_passphrase("wire image owner");
+    let store = ResilientStore::format(Arc::clone(&device), cfg, &master, 41).unwrap();
+
+    // 60 content blocks: more than a 512-byte header's direct pointers.
+    store.create_file("/big", &content(60 * 496, 0)).unwrap();
+    store.create_file("/small", &content(1300, 0x5a)).unwrap();
+    store.write_block("/big", 7, &content(496, 0xc3)).unwrap();
+    store.write_file("/small", &content(1300, 0xa5)).unwrap();
+
+    store
+        .init_registry(
+            RegistryConfig::default()
+                .with_shards(4)
+                .with_segment_blocks(2),
+        )
+        .unwrap();
+    for i in 0..24u8 {
+        store
+            .registry_put(&format!("user-{i}"), &content(8 + i as usize, i))
+            .unwrap();
+    }
+    store.registry_checkpoint().unwrap();
+
+    let mut dir = HiddenDirectory::new();
+    for (name, kind) in [
+        ("salary.db", EntryKind::File),
+        ("photos", EntryKind::Directory),
+        ("decoy", EntryKind::Dummy),
+    ] {
+        dir.insert(DirEntry {
+            name: name.to_string(),
+            kind,
+            master: Key256::from_passphrase(name),
+        });
+    }
+    let dir_fak = FileAccessKey::from_passphrase("wire image dir");
+    dir.store(store.fs(), store.block_map(), "/alice", &dir_fak)
+        .unwrap();
+
+    assert_eq!(
+        image_sha256(&device),
+        "b9432a61229b110e3f34f1c2deb1ed8ce8e61a906bf247eb94d6e6bc5b35e0ed"
+    );
+}
+
+/// Level items, hash-index buckets and the sealed epoch record on the main
+/// partition; spilled sort records on the sort partition.
+#[test]
+fn oblivious_store_images_are_pinned() {
+    type Store = ObliviousStore<Arc<MemDevice>, Arc<MemDevice>>;
+    let cfg = ObliviousConfig::new(4, 64).with_persisted_epoch();
+    let device = Arc::new(MemDevice::new(Store::blocks_required(&cfg, 512), 512));
+    let sort_device = Arc::new(MemDevice::new(
+        Store::sort_blocks_required(&cfg) + 8,
+        Store::sort_block_size_for(512),
+    ));
+    let store = Store::new(
+        Arc::clone(&device),
+        Arc::clone(&sort_device),
+        cfg,
+        Key256::from_passphrase("wire image oblivious"),
+        43,
+        None,
+    )
+    .unwrap();
+    // Enough inserts to flush the buffer, merge level 1 down and spill
+    // sorted runs to the sort partition.
+    for id in 0..40u64 {
+        store.insert(id, content(200, id as u8)).unwrap();
+    }
+    assert!(store.stats().reorders > 0, "no flush ran");
+    for id in [0u64, 17, 39] {
+        assert_eq!(store.read(id).unwrap(), content(200, id as u8));
+    }
+
+    assert_eq!(
+        image_sha256(&device),
+        "58fb51f22c8e2019a1ca0d07c89d2ab8831d7daadbb617affc461cd9b44bd396"
+    );
+    let sort_image = image_sha256(&sort_device);
+    let untouched = MemDevice::new(sort_device.num_blocks(), sort_device.block_size());
+    assert_ne!(sort_image, image_sha256(&untouched), "no run was spilled");
+    assert_eq!(
+        sort_image,
+        "c2fb38d70988aee62184b8c73c080b7c94a1c257ab4864403ceea5d0139ff2ed"
+    );
+}
