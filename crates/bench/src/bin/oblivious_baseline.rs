@@ -11,7 +11,9 @@
 //!    requests via [`ScalarDevice`] — the access stream is identical, only
 //!    the billing differs. Their ratio is the headline batched-I/O delta.
 //! 2. **Wall-clock read/update throughput** of an in-memory store, with the
-//!    same warmup/best-of-3 timing the crypto baseline uses.
+//!    same warmup/best-of-3 timing the crypto baseline uses — and, over every
+//!    call of that pass that ran a flush cascade, the wall time per item the
+//!    cascade re-ordered.
 //! 3. **Per-point Figure 12 numbers** (mean simulated read time and sorting
 //!    fractions per buffer size, same seeds as the `fig12a`/`fig12b` bins),
 //!    so the trajectory records the exact curve the figures plot.
@@ -74,6 +76,47 @@ fn populate<D: BlockDevice, S: BlockDevice>(
         "membership invariant violated after populate cascade"
     );
     store.stats()
+}
+
+/// Wall time spent in the calls that ran a flush cascade, and the items those
+/// cascades re-ordered, accumulated over a sequence of store calls.
+///
+/// Levels change only inside a cascade, so the occupancy seen after the last
+/// one is the occupancy the next one starts from. A cascade that re-orders
+/// `r` levels rewrites levels `1..=r` with what they hold afterwards; when the
+/// hierarchy is at capacity it first re-orders the last level in place, with
+/// what it held before (`r` is then one more than the number of levels).
+#[derive(Default)]
+struct ReorderWall {
+    secs: f64,
+    items: u64,
+    reorders: u64,
+    levels: Vec<usize>,
+}
+
+impl ReorderWall {
+    fn time<D: BlockDevice, S: BlockDevice, T>(
+        &mut self,
+        store: &ObliviousStore<D, S>,
+        call: impl FnOnce() -> T,
+    ) -> T {
+        let t0 = Instant::now();
+        let out = call();
+        let elapsed = t0.elapsed().as_secs_f64();
+        let reorders = store.stats().reorders;
+        let reordered = (reorders - self.reorders) as usize;
+        if reordered > 0 {
+            let levels = store.occupancy().split_off(1);
+            let in_place = reordered > levels.len();
+            let rewritten: usize = levels.iter().take(reordered).sum();
+            let last_before = self.levels.last().copied().unwrap_or(0);
+            self.items += (rewritten + if in_place { last_before } else { 0 }) as u64;
+            self.secs += elapsed;
+            self.reorders = reorders;
+            self.levels = levels;
+        }
+        out
+    }
 }
 
 /// Run the reorder-path workload on the simulated 2004 disk, batched or
@@ -291,14 +334,18 @@ fn main() {
     )
     .expect("construct store");
     let payload = vec![0x3Cu8; BLOCK_SIZE];
+    let mut reorder_wall = ReorderWall::default();
     for id in 0..wall_items {
-        store.insert(id, payload.clone()).expect("populate");
+        let item = payload.clone();
+        reorder_wall
+            .time(&store, || store.insert(id, item))
+            .expect("populate");
     }
     let read_iters = pick(4_000u64, 400);
     let mut rng = HashDrbg::from_u64(7);
     let read_secs = timed(read_iters, || {
         let id = rng.gen_range(wall_items);
-        store.read(id).expect("read");
+        reorder_wall.time(&store, || store.read(id)).expect("read");
     });
     metrics.push(Metric::new(
         "read_throughput_wall",
@@ -309,13 +356,26 @@ fn main() {
     let update_iters = pick(4_000u64, 400);
     let update_secs = timed(update_iters, || {
         let id = rng.gen_range(wall_items);
-        store.write(id, payload.clone()).expect("update");
+        let item = payload.clone();
+        reorder_wall
+            .time(&store, || store.write(id, item))
+            .expect("update");
     });
     metrics.push(Metric::new(
         "update_throughput_wall",
         "updates/s",
         update_iters as f64 / update_secs,
         format!("uniform overwrites over {wall_items} cached 4 KB blocks"),
+    ));
+    metrics.push(Metric::new(
+        "reorder_wall_us_per_item",
+        "us",
+        reorder_wall.secs * 1e6 / reorder_wall.items as f64,
+        format!(
+            "wall time of the calls above that ran a flush cascade / items those \
+             cascades re-ordered ({} items, {} level re-orders, MemDevice)",
+            reorder_wall.items, reorder_wall.reorders
+        ),
     ));
 
     // --- 3. Figure 12 per-point simulated numbers (same seeds as the bins). ---

@@ -60,7 +60,7 @@ impl HashIndexRegion {
         (capacity * 2).div_ceil(per_bucket).max(1)
     }
 
-    fn keyed_hash(nonce: u64, id: u64) -> u64 {
+    pub(crate) fn keyed_hash(nonce: u64, id: u64) -> u64 {
         let mut msg = [0u8; 16];
         Writer::over(&mut msg[..]).u64(nonce).u64(id);
         index_hmac().derive_u64_with(&msg)
@@ -80,14 +80,19 @@ impl HashIndexRegion {
         nonce: u64,
         entries: impl Iterator<Item = (u64, u64)>,
     ) -> Result<u64, ObliviousError> {
-        let per_bucket = Self::entries_per_bucket(self.block_size);
-        let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.num_blocks as usize];
+        let bs = self.block_size;
+        let per_bucket = Self::entries_per_bucket(bs);
+        // The region is laid out in memory as it will lie on the device:
+        // each entry is encoded once, behind the entries its bucket already
+        // holds, whatever the number of entries.
+        let mut image = vec![0u8; self.num_blocks as usize * bs];
+        let mut counts = vec![0usize; self.num_blocks as usize];
 
         for (id, slot) in entries {
             let hash = Self::keyed_hash(nonce, id);
             let mut b = self.bucket_of(hash) as usize;
             let mut probes = 0;
-            while buckets[b].len() >= per_bucket {
+            while counts[b] >= per_bucket {
                 b = (b + 1) % self.num_blocks as usize;
                 probes += 1;
                 if probes > self.num_blocks {
@@ -96,51 +101,43 @@ impl HashIndexRegion {
                     ));
                 }
             }
-            buckets[b].push((hash, slot));
+            let entry = b * bs + BUCKET_HEADER + counts[b] * ENTRY_SIZE;
+            Writer::over(&mut image[entry..][..ENTRY_SIZE])
+                .u64(hash)
+                .u64(slot);
+            counts[b] += 1;
+        }
+        for (bucket, &count) in image.chunks_exact_mut(bs).zip(&counts) {
+            Writer::over(bucket).u16(count as u16);
         }
 
-        let batch = crate::level::IO_BATCH_BLOCKS.min(self.num_blocks) as usize;
-        let mut staging = vec![0u8; batch * self.block_size];
-        let mut written: u64 = 0;
-        while written < self.num_blocks {
-            let n = (batch as u64).min(self.num_blocks - written) as usize;
-            let window = &mut staging[..n * self.block_size];
-            window.fill(0);
-            for (j, bucket) in buckets[written as usize..written as usize + n]
-                .iter()
-                .enumerate()
-            {
-                let mut w = Writer::over(&mut window[j * self.block_size..][..self.block_size]);
-                w.u16(bucket.len() as u16);
-                for &(hash, slot) in bucket {
-                    w.u64(hash).u64(slot);
-                }
-            }
-            device.write_blocks(self.offset + written, window)?;
-            written += n as u64;
+        let batch = crate::level::IO_BATCH_BLOCKS as usize;
+        for (i, window) in image.chunks(batch * bs).enumerate() {
+            device.write_blocks(self.offset + (i * batch) as u64, window)?;
         }
         Ok(self.num_blocks)
     }
 
     /// Look up `id`, returning its slot if present, together with the number
-    /// of bucket blocks read.
+    /// of bucket blocks read. Buckets are read into `scratch`, one block of
+    /// the caller's.
     pub fn lookup<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         nonce: u64,
         id: u64,
+        scratch: &mut [u8],
     ) -> Result<(Option<u64>, u64), ObliviousError> {
         let per_bucket = Self::entries_per_bucket(self.block_size);
         let hash = Self::keyed_hash(nonce, id);
         let mut bucket = self.bucket_of(hash);
-        let mut buf = vec![0u8; self.block_size];
         let mut reads = 0u64;
         for _ in 0..self.num_blocks {
-            device.read_block(self.offset + bucket, &mut buf)?;
+            device.read_block(self.offset + bucket, scratch)?;
             reads += 1;
             // The index is plaintext on the device: a count the bucket block
             // cannot hold is corruption, not a walk past its end.
-            let mut r = Reader::new(&buf);
+            let mut r = Reader::new(scratch);
             let count = r.u16()?;
             let count = r.count(count, ENTRY_SIZE)?;
             for _ in 0..count {
@@ -158,16 +155,16 @@ impl HashIndexRegion {
         Ok((None, reads))
     }
 
-    /// Read one uniformly "random-looking" bucket block (used to make a
-    /// dummy probe indistinguishable from a real one). The caller supplies
-    /// the bucket choice.
+    /// Read one uniformly "random-looking" bucket block into `scratch` (used
+    /// to make a dummy probe indistinguishable from a real one). The caller
+    /// supplies the bucket choice.
     pub fn dummy_probe<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         bucket: u64,
+        scratch: &mut [u8],
     ) -> Result<(), ObliviousError> {
-        let mut buf = vec![0u8; self.block_size];
-        device.read_block(self.offset + (bucket % self.num_blocks), &mut buf)?;
+        device.read_block(self.offset + (bucket % self.num_blocks), scratch)?;
         Ok(())
     }
 }
@@ -176,6 +173,16 @@ impl HashIndexRegion {
 mod tests {
     use super::*;
     use stegfs_blockdev::MemDevice;
+
+    /// [`HashIndexRegion::lookup`] through a scratch block of its own.
+    fn lookup(
+        region: &HashIndexRegion,
+        device: &MemDevice,
+        nonce: u64,
+        id: u64,
+    ) -> Result<(Option<u64>, u64), ObliviousError> {
+        region.lookup(device, nonce, id, &mut vec![0u8; region.block_size])
+    }
 
     fn region(capacity: u64, block_size: usize) -> (MemDevice, HashIndexRegion) {
         let num_blocks = HashIndexRegion::blocks_for_capacity(capacity, block_size);
@@ -197,7 +204,7 @@ mod tests {
         let written = region.build(&device, 42, entries.iter().copied()).unwrap();
         assert_eq!(written, region.num_blocks);
         for &(id, slot) in &entries {
-            let (found, reads) = region.lookup(&device, 42, id).unwrap();
+            let (found, reads) = lookup(&region, &device, 42, id).unwrap();
             assert_eq!(found, Some(slot), "id {id}");
             assert!(reads <= 3, "lookup took {reads} reads");
         }
@@ -211,7 +218,7 @@ mod tests {
             .unwrap();
         let mut total_reads = 0;
         for id in 1000..1100u64 {
-            let (found, reads) = region.lookup(&device, 1, id).unwrap();
+            let (found, reads) = lookup(&region, &device, 1, id).unwrap();
             assert_eq!(found, None);
             total_reads += reads;
         }
@@ -230,7 +237,7 @@ mod tests {
         // rebuilds.
         let mut hits = 0;
         for id in 0..200u64 {
-            if region.lookup(&device, 8, id).unwrap().0.is_some() {
+            if lookup(&region, &device, 8, id).unwrap().0.is_some() {
                 hits += 1;
             }
         }
@@ -246,8 +253,8 @@ mod tests {
         region
             .build(&device, 2, (100..120u64).map(|i| (i, i * 2)))
             .unwrap();
-        assert_eq!(region.lookup(&device, 2, 110).unwrap().0, Some(220));
-        assert_eq!(region.lookup(&device, 2, 10).unwrap().0, None);
+        assert_eq!(lookup(&region, &device, 2, 110).unwrap().0, Some(220));
+        assert_eq!(lookup(&region, &device, 2, 10).unwrap().0, None);
     }
 
     #[test]
@@ -308,9 +315,9 @@ mod tests {
         let pinned = MemDevice::new(6, 64);
         pinned.write_blocks(1, GOLDEN_BUCKETS).unwrap();
         for (id, slot) in entries() {
-            assert_eq!(region.lookup(&pinned, 42, id).unwrap().0, Some(slot));
+            assert_eq!(lookup(&region, &pinned, 42, id).unwrap().0, Some(slot));
         }
-        assert_eq!(region.lookup(&pinned, 42, 9999).unwrap().0, None);
+        assert_eq!(lookup(&region, &pinned, 42, 9999).unwrap().0, None);
     }
 
     /// Regression: a count field of `0xffff` walked the parent past the end
@@ -328,7 +335,7 @@ mod tests {
             }
             assert!(
                 matches!(
-                    region.lookup(&device, 42, 7),
+                    lookup(&region, &device, 42, 7),
                     Err(ObliviousError::Corrupt(_))
                 ),
                 "count {count}"

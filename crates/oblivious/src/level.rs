@@ -14,8 +14,6 @@
 //! paper report sorting as a minority of access *time* despite being the
 //! majority of I/O *operations* (Figure 12(b), Section 6.3).
 
-use std::collections::VecDeque;
-
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
@@ -23,7 +21,7 @@ use stegfs_crypto::{HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
-use crate::extsort::{ExternalSorter, SortIo, SortRecord};
+use crate::extsort::{ExternalSorter, SortIo};
 use crate::hashindex::HashIndexRegion;
 
 /// Per-item header inside a sealed slot: id (8) + payload length (4) +
@@ -95,13 +93,13 @@ pub fn encode_item_into(field: &mut [u8], id: u64, payload: &[u8]) {
         .skip_to(end);
 }
 
-/// Inverse of [`encode_item_into`]; the payload length is checked against the
-/// field.
-pub fn decode_item(plain: &[u8]) -> Result<(u64, Vec<u8>), ObliviousError> {
+/// Inverse of [`encode_item_into`]: the id and the payload, borrowed from the
+/// field. The payload length is checked against the field.
+pub fn decode_item(plain: &[u8]) -> Result<(u64, &[u8]), ObliviousError> {
     let mut r = Reader::new(plain);
     let (id, len) = (r.u64()?, r.u32()?);
     r.skip_to(ITEM_HEADER)?;
-    Ok((id, r.bytes(len as usize)?.to_vec()))
+    Ok((id, r.bytes(len as usize)?))
 }
 
 impl Level {
@@ -154,53 +152,52 @@ impl Level {
         (block_size - IV_SIZE) - ITEM_HEADER
     }
 
-    /// Read and decrypt the item in `slot`.
-    pub fn read_slot<D: BlockDevice + ?Sized>(
+    /// Read the item in `slot` into `scratch` (one block, the caller's) and
+    /// decrypt it there; the id and payload are borrowed from it.
+    pub fn read_slot<'a, D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         codec: &BlockCodec,
         slot: u64,
-    ) -> Result<(u64, Vec<u8>), ObliviousError> {
-        let sealed = {
-            let mut buf = vec![0u8; codec.block_size()];
-            device.read_block(self.data_offset + slot, &mut buf)?;
-            buf
-        };
-        let plain = codec
-            .open(&self.key, &sealed)
+        scratch: &'a mut [u8],
+    ) -> Result<(u64, &'a [u8]), ObliviousError> {
+        device.read_block(self.data_offset + slot, scratch)?;
+        codec
+            .open_in_place(&self.key, scratch)
             .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
-        decode_item(&plain)
+        decode_item(&scratch[IV_SIZE..])
     }
 
-    /// Read a slot without interpreting it (dummy probe).
+    /// Read a slot into `scratch` without interpreting it (dummy probe).
     pub fn read_slot_raw<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
-        codec: &BlockCodec,
         slot: u64,
+        scratch: &mut [u8],
     ) -> Result<(), ObliviousError> {
-        let mut buf = vec![0u8; codec.block_size()];
-        device.read_block(self.data_offset + slot, &mut buf)?;
+        device.read_block(self.data_offset + slot, scratch)?;
         Ok(())
     }
 
-    /// Look up `id` in the on-disk index. Returns the slot (if present) and
-    /// the number of index blocks read.
+    /// Look up `id` in the on-disk index, reading buckets through `scratch`.
+    /// Returns the slot (if present) and the number of index blocks read.
     pub fn lookup<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         id: u64,
+        scratch: &mut [u8],
     ) -> Result<(Option<u64>, u64), ObliviousError> {
-        self.index.lookup(device, self.nonce, id)
+        self.index.lookup(device, self.nonce, id, scratch)
     }
 
-    /// Read one index bucket as a dummy probe.
+    /// Read one index bucket into `scratch` as a dummy probe.
     pub fn dummy_index_probe<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         bucket: u64,
+        scratch: &mut [u8],
     ) -> Result<(), ObliviousError> {
-        self.index.dummy_probe(device, bucket)
+        self.index.dummy_probe(device, bucket, scratch)
     }
 
     /// Collect every live item (id, plaintext payload), reading the occupied
@@ -211,8 +208,11 @@ impl Level {
         codec: &BlockCodec,
     ) -> Result<CollectedItems, ObliviousError> {
         let len = self.manifest.len() as u64;
-        let items = SlotStream::new(device, codec, self.key, self.data_offset, len)
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut items = Vec::with_capacity(len as usize);
+        let mut sweep = LevelSweep::new(device, codec, self.key, self.data_offset, len);
+        while let Some((id, payload)) = sweep.next_item()? {
+            items.push((id, payload.to_vec()));
+        }
         Ok((
             items,
             MaintenanceIo {
@@ -258,14 +258,15 @@ impl Level {
             return Err(ObliviousError::CapacityExhausted);
         }
         let snapshot = self.take_snapshot();
+        let nothing_below = LevelSweep::new(device, codec, self.key, self.data_offset, 0);
         let result = self.rebuild_with(
-            device,
             codec,
             sorter,
             master_key,
             rng,
-            items.into_iter().map(Ok),
-            MaintenanceIo::default(),
+            &items,
+            &DetHashSet::default(),
+            nothing_below,
         );
         self.settle_rebuild(snapshot, result)
     }
@@ -275,7 +276,9 @@ impl Level {
     /// union: the `dump` merge of Figure 8(b) as one streaming pass. The
     /// level's own items are decrypted lazily in ranged batches and flow
     /// straight into the external sort, so at no point are two full levels —
-    /// or even one — materialized in agent memory.
+    /// or even one — materialized in agent memory. The upper items are only
+    /// borrowed: whoever holds them (the front buffer, a collected level)
+    /// still does if the merge fails.
     pub fn merge_reorder<D, S>(
         &mut self,
         device: &D,
@@ -283,7 +286,7 @@ impl Level {
         sorter: &ExternalSorter<S>,
         master_key: &Key256,
         rng: &mut HashDrbg,
-        upper_items: Vec<(u64, Vec<u8>)>,
+        upper_items: &[(u64, Vec<u8>)],
     ) -> Result<MaintenanceIo, ObliviousError>
     where
         D: BlockDevice + ?Sized,
@@ -300,26 +303,16 @@ impl Level {
         }
 
         let old_len = self.manifest.len() as u64;
-        let old_key = self.key;
-        let lower = SlotStream::new(device, codec, old_key, self.data_offset, old_len).filter(
-            move |item| match item {
-                Ok((id, _)) => !upper_ids.contains(id),
-                Err(_) => true,
-            },
-        );
-        let items = upper_items.into_iter().map(Ok).chain(lower);
+        let lower = LevelSweep::new(device, codec, self.key, self.data_offset, old_len);
         let snapshot = self.take_snapshot();
         let result = self.rebuild_with(
-            device,
             codec,
             sorter,
             master_key,
             rng,
-            items,
-            MaintenanceIo {
-                reads: old_len,
-                writes: 0,
-            },
+            upper_items,
+            &upper_ids,
+            lower,
         );
         self.settle_rebuild(snapshot, result)
     }
@@ -362,28 +355,44 @@ impl Level {
     }
 
     /// Shared tail of [`Level::reorder`] / [`Level::merge_reorder`]: derive a
-    /// fresh epoch key and nonce, seal the incoming item stream lazily, sort
-    /// it by random keys, write the new permutation back in ranged batches
-    /// and rebuild the index. The caller must have snapshotted the level
-    /// state ([`Level::take_snapshot`]) and pre-checked capacity; `io`
-    /// carries the reads already attributed to collecting the input. Errors
-    /// are tagged with whether any level block had been written, so
+    /// fresh epoch key and nonce, seal `upper_items` and then the items of
+    /// `lower` (the level's old contents, still under the old epoch key) that
+    /// `upper_ids` does not shadow into the sorter's run arena, sort them by
+    /// random keys, write the new permutation back in ranged batches and
+    /// rebuild the index. The caller must have snapshotted the level state
+    /// ([`Level::take_snapshot`]) and pre-checked capacity. Errors are tagged
+    /// with whether any level block had been written, so
     /// [`Level::settle_rebuild`] knows when a rollback is safe.
+    ///
+    /// The producer handed to [`ExternalSorter::sort`] fills at most
+    /// [`PIPELINE_WIDTH`] arena slots a call. Each item's plaintext is laid
+    /// out in its slot exactly once — `IV || id, length, payload, zero pad`,
+    /// which for a lower item re-encodes what was decoded, so stray reserved
+    /// or pad bytes do not survive — drawing its IV and then its sort key
+    /// from the DRBG: per item, in stream order, exactly the draws of a
+    /// seal-one-item-at-a-time loop. The slots just filled are then sealed
+    /// where they lie in one multi-buffer pass
+    /// ([`BlockCodec::seal_blocks_in_place`]), byte-identical to that loop.
+    /// The sorter offers only what the current run still holds, so the next
+    /// ranged read of `lower` is never issued ahead of the spill that
+    /// precedes it on the device. An oversized item or a corrupt lower batch
+    /// aborts the sort — which outputs nothing before its input ends, so
+    /// still before any level write — with the DRBG where the items before
+    /// it left it.
     #[allow(clippy::too_many_arguments)]
-    fn rebuild_with<D, S, I>(
+    fn rebuild_with<D, S>(
         &mut self,
-        device: &D,
         codec: &BlockCodec,
         sorter: &ExternalSorter<S>,
         master_key: &Key256,
         rng: &mut HashDrbg,
-        items: I,
-        mut io: MaintenanceIo,
+        upper_items: &[(u64, Vec<u8>)],
+        upper_ids: &DetHashSet<u64>,
+        mut lower: LevelSweep<'_, D>,
     ) -> Result<MaintenanceIo, RebuildFailure>
     where
         D: BlockDevice + ?Sized,
         S: BlockDevice,
-        I: IntoIterator<Item = Result<(u64, Vec<u8>), ObliviousError>>,
     {
         self.epoch += 1;
         self.nonce = rng.next_u64();
@@ -392,24 +401,46 @@ impl Level {
             self.index_no, self.epoch
         ));
 
-        // Seal every item under the new epoch key and tag it with a random
-        // sort key; the sorted order is the new permutation. The stream is
-        // consumed by the sorter, so memory stays bounded by its run size.
-        let records = SealedRecords {
-            items: items.into_iter(),
-            codec,
-            key: self.key,
-            rng,
-            run_len: sorter.memory_records(),
-            pulled: 0,
-            group: vec![0u8; PIPELINE_WIDTH * codec.block_size()],
-            ready: VecDeque::with_capacity(PIPELINE_WIDTH + 1),
-            exhausted: false,
+        let device = lower.device;
+        let mut io = MaintenanceIo {
+            reads: lower.end_slot,
+            writes: 0,
+        };
+        let bs = codec.block_size();
+        let item_cap = Self::item_capacity(bs);
+        let key = self.key;
+        let mut upper = upper_items.iter();
+        let produce = |free: &mut [u8], tags: &mut Vec<(u64, u64)>| {
+            let want = (free.len() / bs).min(PIPELINE_WIDTH);
+            let mut filled = 0;
+            while filled < want {
+                let (id, payload) = match upper.next() {
+                    Some((id, payload)) => (*id, payload.as_slice()),
+                    None => match lower.next_item()? {
+                        Some((id, _)) if upper_ids.contains(&id) => continue,
+                        Some(item) => item,
+                        None => break,
+                    },
+                };
+                if payload.len() > item_cap {
+                    return Err(ObliviousError::ItemTooLarge {
+                        got: payload.len(),
+                        max: item_cap,
+                    });
+                }
+                let (iv, field) = free[filled * bs..][..bs].split_at_mut(IV_SIZE);
+                rng.fill_bytes(iv);
+                encode_item_into(field, id, payload);
+                tags.push((rng.next_u64(), id));
+                filled += 1;
+            }
+            codec
+                .seal_blocks_in_place(&key, &mut free[..filled * bs])
+                .map_err(|e| ObliviousError::Corrupt(e.to_string()))
         };
 
         // External merge sort; the output callback stages sorted slots and
         // flushes them in ranged writes of IO_BATCH_BLOCKS blocks.
-        let bs = codec.block_size();
         let batch_bytes = IO_BATCH_BLOCKS as usize * bs;
         let mut staging: Vec<u8> = Vec::with_capacity(batch_bytes);
         let mut staged_start: u64 = 0;
@@ -418,11 +449,11 @@ impl Level {
         let capacity = self.capacity;
         let manifest = &mut self.manifest;
         let data_offset = self.data_offset;
-        let sort_result = sorter.sort(records, |record| {
+        let sort_result = sorter.sort(bs, produce, |record| {
             if slot >= capacity {
                 return Err(ObliviousError::CapacityExhausted);
             }
-            staging.extend_from_slice(&record.payload);
+            staging.extend_from_slice(record.payload);
             manifest.insert(record.id, slot);
             slot += 1;
             if staging.len() == batch_bytes {
@@ -465,104 +496,6 @@ impl Level {
     }
 }
 
-/// The record stream [`Level::rebuild_with`] feeds the sorter: each incoming
-/// item sealed under the new epoch key and tagged with a random sort key.
-///
-/// Items are pulled from the lazy input up to [`PIPELINE_WIDTH`] at a time.
-/// Each is laid out as `IV || plaintext` in the group buffer, drawing its IV
-/// and then its sort key from the DRBG — per item, in stream order, exactly
-/// the draws of a seal-one-item-at-a-time loop — and the group is sealed in
-/// one multi-buffer pass ([`BlockCodec::seal_blocks_in_place`]), so the
-/// records are byte-identical to that loop's.
-///
-/// A group never reaches past the sorter's next run boundary: the sorter
-/// spills a run to the sort partition after every `run_len` records, and
-/// pulling the input (a ranged level read) ahead of that write would reorder
-/// device I/O. An input error or oversized item at position *j* is delivered
-/// after records `0..j`, like the unbatched stream — and since the sort
-/// outputs nothing before its input ends, still before any level write.
-struct SealedRecords<'a, I> {
-    items: I,
-    codec: &'a BlockCodec,
-    key: Key256,
-    rng: &'a mut HashDrbg,
-    run_len: usize,
-    /// Items pulled from `items` so far.
-    pulled: usize,
-    group: Vec<u8>,
-    ready: VecDeque<Result<SortRecord, ObliviousError>>,
-    /// `items` ended or failed; nothing more is pulled.
-    exhausted: bool,
-}
-
-impl<I> SealedRecords<'_, I>
-where
-    I: Iterator<Item = Result<(u64, Vec<u8>), ObliviousError>>,
-{
-    /// Pull, lay out, seal and queue the next group.
-    fn fill(&mut self) {
-        let bs = self.codec.block_size();
-        let item_cap = Level::item_capacity(bs);
-        let want = PIPELINE_WIDTH.min(self.run_len - self.pulled % self.run_len);
-        let mut tags = [(0u64, 0u64); PIPELINE_WIDTH];
-        let mut n = 0;
-        let mut failure = None;
-        while n < want {
-            let (id, payload) = match self.items.next() {
-                Some(Ok(item)) => item,
-                Some(Err(e)) => {
-                    failure = Some(e);
-                    break;
-                }
-                None => break,
-            };
-            if payload.len() > item_cap {
-                failure = Some(ObliviousError::ItemTooLarge {
-                    got: payload.len(),
-                    max: item_cap,
-                });
-                break;
-            }
-            let (iv, field) = self.group[n * bs..(n + 1) * bs].split_at_mut(IV_SIZE);
-            self.rng.fill_bytes(iv);
-            encode_item_into(field, id, &payload);
-            tags[n] = (self.rng.next_u64(), id);
-            n += 1;
-        }
-        self.exhausted = n < want;
-        self.pulled += n;
-        let run = &mut self.group[..n * bs];
-        if let Err(e) = self.codec.seal_blocks_in_place(&self.key, run) {
-            self.exhausted = true;
-            self.ready
-                .push_back(Err(ObliviousError::Corrupt(e.to_string())));
-            return;
-        }
-        for (sealed, &(key, id)) in run.chunks_exact(bs).zip(&tags) {
-            self.ready.push_back(Ok(SortRecord {
-                key,
-                id,
-                payload: sealed.to_vec(),
-            }));
-        }
-        self.ready.extend(failure.map(Err));
-    }
-}
-
-impl<I> Iterator for SealedRecords<'_, I>
-where
-    I: Iterator<Item = Result<(u64, Vec<u8>), ObliviousError>>,
-{
-    type Item = Result<SortRecord, ObliviousError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.ready.is_empty() && !self.exhausted {
-            self.fill();
-        }
-        self.ready.pop_front()
-    }
-}
-
 /// Pre-rebuild state captured by [`Level::take_snapshot`] and restored by
 /// [`Level::settle_rebuild`] when a rebuild fails without writing. The epoch
 /// counter is deliberately absent: a failed attempt keeps its bump so no
@@ -580,24 +513,28 @@ struct RebuildFailure {
     wrote: bool,
 }
 
-/// Lazy reader of a level's occupied slot prefix: fetches
-/// [`IO_BATCH_BLOCKS`]-sized ranged reads on demand and yields decrypted
-/// `(id, payload)` items. Holds only device/codec references plus copied
-/// level parameters, so a level can stream its *old* contents (under the old
-/// epoch key) while [`Level::rebuild_with`] mutates the level state.
-struct SlotStream<'a, D: ?Sized> {
+/// Sweep of a level's occupied slot prefix in ranged reads of
+/// [`IO_BATCH_BLOCKS`] blocks, fetched on demand. A batch is decrypted in the
+/// buffer it was read into and every item in it checked before the first is
+/// handed out, so a corrupt slot surfaces with the read that fetched it.
+/// Holds only device/codec references plus copied level parameters, so a
+/// level can stream its *old* contents (under the old epoch key) while
+/// [`Level::rebuild_with`] mutates the level state.
+struct LevelSweep<'a, D: ?Sized> {
     device: &'a D,
     codec: &'a BlockCodec,
     key: Key256,
     data_offset: BlockId,
     next_slot: u64,
     end_slot: u64,
-    decoded: VecDeque<(u64, Vec<u8>)>,
-    failed: bool,
     buf: Vec<u8>,
+    /// Bytes of `buf` the current batch occupies, and how many of them have
+    /// been handed out.
+    loaded: usize,
+    taken: usize,
 }
 
-impl<'a, D: BlockDevice + ?Sized> SlotStream<'a, D> {
+impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
     fn new(
         device: &'a D,
         codec: &'a BlockCodec,
@@ -605,7 +542,6 @@ impl<'a, D: BlockDevice + ?Sized> SlotStream<'a, D> {
         data_offset: BlockId,
         len: u64,
     ) -> Self {
-        let batch = IO_BATCH_BLOCKS.min(len.max(1)) as usize;
         Self {
             device,
             codec,
@@ -613,51 +549,36 @@ impl<'a, D: BlockDevice + ?Sized> SlotStream<'a, D> {
             data_offset,
             next_slot: 0,
             end_slot: len,
-            decoded: VecDeque::new(),
-            failed: false,
-            buf: vec![0u8; batch * codec.block_size()],
+            buf: vec![0u8; IO_BATCH_BLOCKS.min(len) as usize * codec.block_size()],
+            loaded: 0,
+            taken: 0,
         }
     }
-}
 
-impl<D: BlockDevice + ?Sized> Iterator for SlotStream<'_, D> {
-    type Item = Result<(u64, Vec<u8>), ObliviousError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(item) = self.decoded.pop_front() {
-            return Some(Ok(item));
-        }
-        if self.failed || self.next_slot >= self.end_slot {
-            return None;
-        }
+    /// The next item's id and payload, borrowed from the batch buffer;
+    /// `None` behind the last.
+    fn next_item(&mut self) -> Result<Option<(u64, &[u8])>, ObliviousError> {
         let bs = self.codec.block_size();
-        let batch = IO_BATCH_BLOCKS.min(self.end_slot - self.next_slot);
-        let window = &mut self.buf[..batch as usize * bs];
-        if let Err(e) = self
-            .device
-            .read_blocks(self.data_offset + self.next_slot, window)
-        {
-            self.failed = true;
-            return Some(Err(e.into()));
-        }
-        self.next_slot += batch;
-        for block in window.chunks_exact(bs) {
-            let plain = match self.codec.open(&self.key, block) {
-                Ok(plain) => plain,
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(ObliviousError::Corrupt(e.to_string())));
-                }
-            };
-            match decode_item(&plain) {
-                Ok(item) => self.decoded.push_back(item),
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
+        if self.taken == self.loaded {
+            if self.next_slot >= self.end_slot {
+                return Ok(None);
             }
+            let batch = IO_BATCH_BLOCKS.min(self.end_slot - self.next_slot);
+            let window = &mut self.buf[..batch as usize * bs];
+            self.device
+                .read_blocks(self.data_offset + self.next_slot, window)?;
+            self.next_slot += batch;
+            self.codec
+                .open_in_place(&self.key, window)
+                .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
+            for block in window.chunks_exact(bs) {
+                decode_item(&block[IV_SIZE..])?;
+            }
+            (self.loaded, self.taken) = (window.len(), 0);
         }
-        self.decoded.pop_front().map(Ok)
+        let block = &self.buf[self.taken..self.taken + bs];
+        self.taken += bs;
+        decode_item(&block[IV_SIZE..]).map(Some)
     }
 }
 
@@ -678,6 +599,24 @@ mod tests {
         (device, sort_device, level, codec, master, rng)
     }
 
+    /// The slot the on-disk index gives for `id`.
+    fn lookup<D: BlockDevice>(level: &Level, device: &D, id: u64) -> Option<u64> {
+        let mut scratch = vec![0u8; BLOCK];
+        level.lookup(device, id, &mut scratch).unwrap().0
+    }
+
+    /// The `(id, payload)` sealed in `slot`.
+    fn read_slot<D: BlockDevice>(
+        level: &Level,
+        device: &D,
+        codec: &BlockCodec,
+        slot: u64,
+    ) -> (u64, Vec<u8>) {
+        let mut scratch = vec![0u8; BLOCK];
+        let (id, payload) = level.read_slot(device, codec, slot, &mut scratch).unwrap();
+        (id, payload.to_vec())
+    }
+
     fn items(n: u64) -> Vec<(u64, Vec<u8>)> {
         (0..n)
             .map(|i| (i + 100, vec![(i % 256) as u8; 64]))
@@ -695,14 +634,13 @@ mod tests {
         assert!(io.writes >= 20);
 
         for (id, payload) in items(20) {
-            let (slot, _reads) = level.lookup(&device, id).unwrap();
-            let slot = slot.expect("present");
-            let (read_id, read_payload) = level.read_slot(&device, &codec, slot).unwrap();
+            let slot = lookup(&level, &device, id).expect("present");
+            let (read_id, read_payload) = read_slot(&level, &device, &codec, slot);
             assert_eq!(read_id, id);
             assert_eq!(read_payload, payload);
         }
         // Absent ids are not found.
-        assert_eq!(level.lookup(&device, 9999).unwrap().0, None);
+        assert_eq!(lookup(&level, &device, 9999), None);
     }
 
     #[test]
@@ -754,23 +692,20 @@ mod tests {
             })
             .collect();
         let io = level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper)
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
             .unwrap();
         assert_eq!(level.len(), 15, "10 lower + 10 upper - 5 duplicates");
         assert!(io.reads >= 10, "old contents must be streamed out");
 
         // Duplicates carry the upper payload; survivors keep the lower one.
         for id in 105..110u64 {
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
-            assert_eq!(
-                level.read_slot(&device, &codec, slot).unwrap().1,
-                vec![0xEE; 32]
-            );
+            let slot = lookup(&level, &device, id).expect("present");
+            assert_eq!(read_slot(&level, &device, &codec, slot).1, vec![0xEE; 32]);
         }
         for (i, id) in (100..105u64).enumerate() {
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
+            let slot = lookup(&level, &device, id).expect("present");
             assert_eq!(
-                level.read_slot(&device, &codec, slot).unwrap().1,
+                read_slot(&level, &device, &codec, slot).1,
                 vec![(i % 256) as u8; 64]
             );
         }
@@ -785,14 +720,14 @@ mod tests {
             .unwrap();
         let first: Vec<u64> = (0..10).map(|i| level.manifest[&(i + 100)]).collect();
         level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, Vec::new())
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &[])
             .unwrap();
         assert_eq!(level.len(), 10);
         let second: Vec<u64> = (0..10).map(|i| level.manifest[&(i + 100)]).collect();
         assert_ne!(first, second, "in-place merge still re-permutes");
         for (id, payload) in items(10) {
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
-            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+            let slot = lookup(&level, &device, id).expect("present");
+            assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
     }
 
@@ -805,14 +740,14 @@ mod tests {
             .unwrap();
         let upper: Vec<(u64, Vec<u8>)> = (500..510).map(|id| (id, vec![1u8; 8])).collect();
         assert!(matches!(
-            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper),
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper),
             Err(ObliviousError::CapacityExhausted)
         ));
         // The level is untouched: all original items still resolvable.
         assert_eq!(level.len(), 8);
         for (id, payload) in items(8) {
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
-            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+            let slot = lookup(&level, &device, id).expect("present");
+            assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
     }
 
@@ -840,7 +775,7 @@ mod tests {
                 &sorter,
                 &master,
                 &mut rng,
-                vec![(500, vec![7u8; 16])],
+                &[(500, vec![7u8; 16])],
             ),
             Err(ObliviousError::Corrupt(_))
         ));
@@ -855,8 +790,8 @@ mod tests {
             if id == 100 {
                 continue; // the deliberately corrupted slot
             }
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
-            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+            let slot = lookup(&level, &device, id).expect("present");
+            assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
 
         // A retry over the surviving items succeeds under a fresh epoch key.
@@ -937,7 +872,7 @@ mod tests {
 
         let upper: Vec<(u64, Vec<u8>)> = (500..505).map(|id| (id, vec![9u8; 8])).collect();
         level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper)
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
             .unwrap();
         let records = log.records();
         let second_read = records
@@ -986,7 +921,7 @@ mod tests {
         let before = (state(&level), image(&device));
         let upper: Vec<(u64, Vec<u8>)> = (500..503).map(|id| (id, vec![7u8; 16])).collect();
         assert!(matches!(
-            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper),
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper),
             Err(ObliviousError::Corrupt(_))
         ));
         assert!((state(&level), image(&device)) == before);
@@ -1034,7 +969,7 @@ mod tests {
                 &hostile,
                 &master,
                 &mut rng,
-                vec![(500, vec![7u8; 16])],
+                &[(500, vec![7u8; 16])],
             ),
             Err(ObliviousError::Corrupt(_))
         ));
@@ -1044,9 +979,724 @@ mod tests {
         );
         assert_eq!(level.manifest.len(), manifest_before);
         for (id, payload) in items(12) {
-            let slot = level.lookup(&device, id).unwrap().0.expect("present");
-            assert_eq!(level.read_slot(&device, &codec, slot).unwrap().1, payload);
+            let slot = lookup(&level, &device, id).expect("present");
+            assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
+    }
+
+    /// The re-order pipeline as it stood before the sorter owned a run arena
+    /// — one `Vec` per decoded item, per sealed record and per record read
+    /// back from the sort partition — kept as the reference the arena path
+    /// must match byte for byte, draw for draw and request for request.
+    mod reference {
+        use super::*;
+        use crate::extsort::SortRecord;
+        use std::cmp::Reverse;
+        use std::collections::{BinaryHeap, VecDeque};
+
+        struct Record {
+            key: u64,
+            id: u64,
+            payload: Vec<u8>,
+        }
+
+        type Item = Result<(u64, Vec<u8>), ObliviousError>;
+
+        /// Lazy reader of the occupied slot prefix: a ranged read on demand,
+        /// every block opened and decoded into a `Vec` of its own.
+        struct SlotStream<'a, D> {
+            device: &'a D,
+            codec: &'a BlockCodec,
+            key: Key256,
+            data_offset: BlockId,
+            next_slot: u64,
+            end_slot: u64,
+            decoded: VecDeque<(u64, Vec<u8>)>,
+            failed: bool,
+            buf: Vec<u8>,
+        }
+
+        impl<D: BlockDevice> Iterator for SlotStream<'_, D> {
+            type Item = Item;
+
+            fn next(&mut self) -> Option<Item> {
+                if let Some(item) = self.decoded.pop_front() {
+                    return Some(Ok(item));
+                }
+                if self.failed || self.next_slot >= self.end_slot {
+                    return None;
+                }
+                let bs = self.codec.block_size();
+                let batch = IO_BATCH_BLOCKS.min(self.end_slot - self.next_slot);
+                let window = &mut self.buf[..batch as usize * bs];
+                if let Err(e) = self
+                    .device
+                    .read_blocks(self.data_offset + self.next_slot, window)
+                {
+                    self.failed = true;
+                    return Some(Err(e.into()));
+                }
+                self.next_slot += batch;
+                for block in window.chunks_exact(bs) {
+                    let plain = self.codec.open(&self.key, block).unwrap();
+                    match decode_item(&plain) {
+                        Ok((id, payload)) => self.decoded.push_back((id, payload.to_vec())),
+                        Err(e) => {
+                            self.failed = true;
+                            return Some(Err(e));
+                        }
+                    }
+                }
+                self.decoded.pop_front().map(Ok)
+            }
+        }
+
+        /// Items pulled up to `PIPELINE_WIDTH` at a time — never past the
+        /// sorter's next run boundary — laid out in a group buffer, sealed
+        /// as a group, each copied out into a record of its own.
+        struct SealedRecords<'a, I> {
+            items: I,
+            codec: &'a BlockCodec,
+            key: Key256,
+            rng: &'a mut HashDrbg,
+            run_len: usize,
+            pulled: usize,
+            group: Vec<u8>,
+            ready: VecDeque<Result<Record, ObliviousError>>,
+            exhausted: bool,
+        }
+
+        impl<I: Iterator<Item = Item>> SealedRecords<'_, I> {
+            fn fill(&mut self) {
+                let bs = self.codec.block_size();
+                let item_cap = Level::item_capacity(bs);
+                let want = PIPELINE_WIDTH.min(self.run_len - self.pulled % self.run_len);
+                let mut tags = [(0u64, 0u64); PIPELINE_WIDTH];
+                let mut n = 0;
+                let mut failure = None;
+                while n < want {
+                    let (id, payload) = match self.items.next() {
+                        Some(Ok(item)) => item,
+                        Some(Err(e)) => {
+                            failure = Some(e);
+                            break;
+                        }
+                        None => break,
+                    };
+                    if payload.len() > item_cap {
+                        failure = Some(ObliviousError::ItemTooLarge {
+                            got: payload.len(),
+                            max: item_cap,
+                        });
+                        break;
+                    }
+                    let (iv, field) = self.group[n * bs..(n + 1) * bs].split_at_mut(IV_SIZE);
+                    self.rng.fill_bytes(iv);
+                    encode_item_into(field, id, &payload);
+                    tags[n] = (self.rng.next_u64(), id);
+                    n += 1;
+                }
+                self.exhausted = n < want;
+                self.pulled += n;
+                let run = &mut self.group[..n * bs];
+                self.codec.seal_blocks_in_place(&self.key, run).unwrap();
+                for (sealed, &(key, id)) in run.chunks_exact(bs).zip(&tags) {
+                    self.ready.push_back(Ok(Record {
+                        key,
+                        id,
+                        payload: sealed.to_vec(),
+                    }));
+                }
+                self.ready.extend(failure.map(Err));
+            }
+        }
+
+        impl<I: Iterator<Item = Item>> Iterator for SealedRecords<'_, I> {
+            type Item = Result<Record, ObliviousError>;
+
+            fn next(&mut self) -> Option<Self::Item> {
+                if self.ready.is_empty() && !self.exhausted {
+                    self.fill();
+                }
+                self.ready.pop_front()
+            }
+        }
+
+        /// The external sort over owned records: chunks of `memory_records`
+        /// sorted in place, spilled through a staging buffer zero-filled for
+        /// every batch, merged from per-run queues of decoded records.
+        fn sort<S: BlockDevice>(
+            sort_device: &S,
+            memory_records: usize,
+            mut iter: impl Iterator<Item = Result<Record, ObliviousError>>,
+            mut output: impl FnMut(Record) -> Result<(), ObliviousError>,
+        ) -> Result<SortIo, ObliviousError> {
+            let mut io = SortIo::default();
+            let bs = sort_device.block_size();
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            let mut next_free: u64 = 0;
+            let mut first_run: Option<Vec<Record>> = None;
+            let mut staging: Vec<u8> = Vec::new();
+            loop {
+                let mut chunk: Vec<Record> = Vec::with_capacity(memory_records);
+                for record in iter.by_ref() {
+                    chunk.push(record?);
+                    if chunk.len() == memory_records {
+                        break;
+                    }
+                }
+                if chunk.is_empty() {
+                    break;
+                }
+                chunk.sort_by_key(|r| (r.key, r.id));
+                let is_last_possible = chunk.len() < memory_records;
+                if runs.is_empty() && is_last_possible {
+                    first_run = Some(chunk);
+                    break;
+                }
+                let start = next_free;
+                let len = chunk.len() as u64;
+                if start + len > sort_device.num_blocks() {
+                    return Err(ObliviousError::SortPartitionTooSmall {
+                        required: start + len,
+                        available: sort_device.num_blocks(),
+                    });
+                }
+                let mut written = 0u64;
+                while written < len {
+                    let batch = (len - written).min(IO_BATCH_BLOCKS);
+                    staging.clear();
+                    staging.resize(batch as usize * bs, 0);
+                    let records = &chunk[written as usize..(written + batch) as usize];
+                    for (record, block) in records.iter().zip(staging.chunks_exact_mut(bs)) {
+                        SortRecord {
+                            key: record.key,
+                            id: record.id,
+                            payload: &record.payload,
+                        }
+                        .encode_into(block)?;
+                    }
+                    sort_device.write_blocks(start + written, &staging)?;
+                    written += batch;
+                }
+                io.writes += len;
+                next_free += len;
+                runs.push((start, len));
+                if is_last_possible {
+                    break;
+                }
+            }
+            if let Some(run) = first_run {
+                for record in run {
+                    output(record)?;
+                }
+                return Ok(io);
+            }
+            if runs.is_empty() {
+                return Ok(io);
+            }
+
+            struct RunCursor {
+                next_block: u64,
+                remaining: u64,
+                buffered: VecDeque<Record>,
+            }
+            let lookahead = (memory_records / runs.len()).max(1) as u64;
+            let mut cursors: Vec<RunCursor> = runs
+                .iter()
+                .map(|&(start, len)| RunCursor {
+                    next_block: start,
+                    remaining: len,
+                    buffered: VecDeque::new(),
+                })
+                .collect();
+            let read_batch = lookahead.min(IO_BATCH_BLOCKS);
+            let mut buf = vec![0u8; read_batch as usize * bs];
+            let mut refill = |cursor: &mut RunCursor, io: &mut SortIo| {
+                let mut want = lookahead.min(cursor.remaining);
+                while want > 0 {
+                    let batch = want.min(read_batch);
+                    let window = &mut buf[..batch as usize * bs];
+                    sort_device.read_blocks(cursor.next_block, window)?;
+                    io.reads += batch;
+                    cursor.next_block += batch;
+                    cursor.remaining -= batch;
+                    want -= batch;
+                    for block in window.chunks_exact(bs) {
+                        let record = SortRecord::view(block)?;
+                        cursor.buffered.push_back(Record {
+                            key: record.key,
+                            id: record.id,
+                            payload: record.payload.to_vec(),
+                        });
+                    }
+                }
+                Ok::<(), ObliviousError>(())
+            };
+            let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
+            for (run_idx, cursor) in cursors.iter_mut().enumerate() {
+                refill(cursor, &mut io)?;
+                if let Some(front) = cursor.buffered.front() {
+                    heap.push(Reverse((front.key, front.id, run_idx)));
+                }
+            }
+            while let Some(Reverse((_, _, run_idx))) = heap.pop() {
+                let record = cursors[run_idx].buffered.pop_front().unwrap();
+                output(record)?;
+                let cursor = &mut cursors[run_idx];
+                if cursor.buffered.is_empty() && cursor.remaining > 0 {
+                    refill(cursor, &mut io)?;
+                }
+                if let Some(front) = cursor.buffered.front() {
+                    heap.push(Reverse((front.key, front.id, run_idx)));
+                }
+            }
+            Ok(io)
+        }
+
+        /// The index build over one `Vec` of entries per bucket.
+        fn build_index<D: BlockDevice>(
+            index: &HashIndexRegion,
+            device: &D,
+            nonce: u64,
+            entries: impl Iterator<Item = (u64, u64)>,
+        ) -> Result<u64, ObliviousError> {
+            let bs = index.block_size;
+            let per_bucket = HashIndexRegion::entries_per_bucket(bs);
+            let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); index.num_blocks as usize];
+            for (id, slot) in entries {
+                let hash = HashIndexRegion::keyed_hash(nonce, id);
+                let mut b = (hash % index.num_blocks) as usize;
+                while buckets[b].len() >= per_bucket {
+                    b = (b + 1) % index.num_blocks as usize;
+                }
+                buckets[b].push((hash, slot));
+            }
+            let batch = IO_BATCH_BLOCKS.min(index.num_blocks) as usize;
+            let mut staging = vec![0u8; batch * bs];
+            let mut written: u64 = 0;
+            while written < index.num_blocks {
+                let n = (batch as u64).min(index.num_blocks - written) as usize;
+                let window = &mut staging[..n * bs];
+                window.fill(0);
+                for (j, bucket) in buckets[written as usize..written as usize + n]
+                    .iter()
+                    .enumerate()
+                {
+                    let mut w = Writer::over(&mut window[j * bs..][..bs]);
+                    w.u16(bucket.len() as u16);
+                    for &(hash, slot) in bucket {
+                        w.u64(hash).u64(slot);
+                    }
+                }
+                device.write_blocks(index.offset + written, window)?;
+                written += n as u64;
+            }
+            Ok(index.num_blocks)
+        }
+
+        /// `Level::merge_reorder` over the pieces above, rollback included.
+        #[allow(clippy::too_many_arguments)]
+        pub fn merge_reorder<D: BlockDevice, S: BlockDevice>(
+            level: &mut Level,
+            device: &D,
+            codec: &BlockCodec,
+            sort_device: &S,
+            memory_records: usize,
+            master_key: &Key256,
+            rng: &mut HashDrbg,
+            upper_items: Vec<(u64, Vec<u8>)>,
+        ) -> Result<MaintenanceIo, ObliviousError> {
+            let upper_ids: DetHashSet<u64> = upper_items.iter().map(|&(id, _)| id).collect();
+            let kept_lower = level
+                .manifest
+                .keys()
+                .filter(|id| !upper_ids.contains(id))
+                .count() as u64;
+            if upper_items.len() as u64 + kept_lower > level.capacity {
+                return Err(ObliviousError::CapacityExhausted);
+            }
+            let old_len = level.manifest.len() as u64;
+            let lower = SlotStream {
+                device,
+                codec,
+                key: level.key,
+                data_offset: level.data_offset,
+                next_slot: 0,
+                end_slot: old_len,
+                decoded: VecDeque::new(),
+                failed: false,
+                buf: vec![0u8; IO_BATCH_BLOCKS.min(old_len.max(1)) as usize * codec.block_size()],
+            }
+            .filter(move |item| match item {
+                Ok((id, _)) => !upper_ids.contains(id),
+                Err(_) => true,
+            });
+            let items = upper_items.into_iter().map(Ok).chain(lower);
+            let snapshot = level.take_snapshot();
+
+            level.epoch += 1;
+            level.nonce = rng.next_u64();
+            level.key = master_key.derive(&format!(
+                "oblivious:level{}:epoch{}",
+                level.index_no, level.epoch
+            ));
+            let records = SealedRecords {
+                items,
+                codec,
+                key: level.key,
+                rng,
+                run_len: memory_records,
+                pulled: 0,
+                group: vec![0u8; PIPELINE_WIDTH * codec.block_size()],
+                ready: VecDeque::with_capacity(PIPELINE_WIDTH + 1),
+                exhausted: false,
+            };
+            let bs = codec.block_size();
+            let batch_bytes = IO_BATCH_BLOCKS as usize * bs;
+            let mut staging: Vec<u8> = Vec::with_capacity(batch_bytes);
+            let mut staged_start: u64 = 0;
+            let mut slot: u64 = 0;
+            let mut wrote = false;
+            let manifest = &mut level.manifest;
+            let data_offset = level.data_offset;
+            let sorted = sort(sort_device, memory_records, records, |record| {
+                staging.extend_from_slice(&record.payload);
+                manifest.insert(record.id, slot);
+                slot += 1;
+                if staging.len() == batch_bytes {
+                    wrote = true;
+                    device.write_blocks(data_offset + staged_start, &staging)?;
+                    staging.clear();
+                    staged_start = slot;
+                }
+                Ok(())
+            });
+            let sort_io = match sorted {
+                Ok(sort_io) => sort_io,
+                Err(error) => {
+                    assert!(!wrote, "the reference is only driven to pre-write failures");
+                    level.manifest = snapshot.manifest;
+                    level.nonce = snapshot.nonce;
+                    level.key = snapshot.key;
+                    return Err(error);
+                }
+            };
+            if !staging.is_empty() {
+                device.write_blocks(data_offset + staged_start, &staging)?;
+            }
+            let mut io = MaintenanceIo {
+                reads: old_len,
+                writes: slot,
+            };
+            io.absorb_sort(sort_io);
+            io.writes += build_index(
+                &level.index,
+                device,
+                level.nonce,
+                level.manifest.iter().map(|(&id, &s)| (id, s)),
+            )?;
+            Ok(io)
+        }
+    }
+
+    /// One request as the observer of both partitions sees it: which device,
+    /// read or write, first block, block count.
+    type Request = (&'static str, stegfs_blockdev::IoKind, u64, u64);
+
+    /// A device logging every request — ranged ones as a single entry — into
+    /// a log it can share with another device.
+    struct Watched {
+        inner: MemDevice,
+        name: &'static str,
+        log: std::sync::Arc<std::sync::Mutex<Vec<Request>>>,
+    }
+
+    impl Watched {
+        fn note(&self, kind: stegfs_blockdev::IoKind, start: BlockId, bytes: usize) {
+            let blocks = (bytes / self.inner.block_size()) as u64;
+            self.log
+                .lock()
+                .unwrap()
+                .push((self.name, kind, start, blocks));
+        }
+    }
+
+    impl BlockDevice for Watched {
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn read_block(&self, b: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.note(stegfs_blockdev::IoKind::Read, b, buf.len());
+            self.inner.read_block(b, buf)
+        }
+        fn write_block(&self, b: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
+            self.note(stegfs_blockdev::IoKind::Write, b, buf.len());
+            self.inner.write_block(b, buf)
+        }
+        fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+            self.note(stegfs_blockdev::IoKind::Read, start, buf.len());
+            self.inner.read_blocks(start, buf)
+        }
+        fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
+            self.note(stegfs_blockdev::IoKind::Write, start, buf.len());
+            self.inner.write_blocks(start, buf)
+        }
+    }
+
+    /// A level of `n` items (ids 100..) on watched devices, the state every
+    /// side of a comparison starts from, and everything a comparison looks
+    /// at afterwards.
+    struct Rig {
+        device: Watched,
+        sort_device: Watched,
+        level: Level,
+        codec: BlockCodec,
+        master: Key256,
+        rng: HashDrbg,
+    }
+
+    impl Rig {
+        fn with_lower(n: u64) -> Self {
+            let master = Key256::from_passphrase("oblivious master");
+            let (level, end) = Level::layout(1, 0, n + 16, BLOCK, &master);
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut rig = Self {
+                device: Watched {
+                    inner: MemDevice::new(end, BLOCK),
+                    name: "level",
+                    log: log.clone(),
+                },
+                sort_device: Watched {
+                    inner: MemDevice::new(n + 40, BLOCK + 32),
+                    name: "sort",
+                    log,
+                },
+                level,
+                codec: BlockCodec::new(BLOCK),
+                master,
+                rng: HashDrbg::from_u64(5),
+            };
+            // Payloads of every length up to a full item, so pads differ.
+            let lower: Vec<(u64, Vec<u8>)> = (0..n)
+                .map(|i| {
+                    let len = (i as usize * 37) % (Level::item_capacity(BLOCK) + 1);
+                    (100 + i, vec![i as u8; len])
+                })
+                .collect();
+            let sorter = ExternalSorter::new(&rig.sort_device, 32);
+            rig.level
+                .reorder(
+                    &rig.device,
+                    &rig.codec,
+                    &sorter,
+                    &rig.master,
+                    &mut rig.rng,
+                    lower,
+                )
+                .unwrap();
+            rig.device.log.lock().unwrap().clear();
+            rig
+        }
+
+        fn observe(&self) -> Observed {
+            Observed {
+                level_image: image(&self.device.inner),
+                sort_image: image(&self.sort_device.inner),
+                manifest: self.level.manifest.iter().map(|(&i, &s)| (i, s)).collect(),
+                epoch: (self.level.nonce, self.level.key, self.level.epoch),
+                next_draw: self.rng.clone().next_u64(),
+                requests: self.device.log.lock().unwrap().clone(),
+            }
+        }
+    }
+
+    /// What two sides of a comparison must agree on: both partition images,
+    /// the manifest in iteration order (the index is built in it), nonce,
+    /// key and epoch, the DRBG's next output and the request log.
+    #[derive(PartialEq)]
+    struct Observed {
+        level_image: Snapshot,
+        sort_image: Snapshot,
+        manifest: Vec<(u64, u64)>,
+        epoch: (u64, Key256, u64),
+        next_draw: u64,
+        requests: Vec<Request>,
+    }
+
+    #[test]
+    fn arena_rebuild_matches_the_one_vec_per_record_pipeline() {
+        // Level sizes around the seal-group width and the I/O batch, runs
+        // whose length is a multiple of neither, upper items that do and do
+        // not shadow lower ids: images (the zero tails of spilled blocks
+        // included), manifest, DRBG position and the request sequence on
+        // both partitions are the reference pipeline's.
+        for n in [0u64, 1, 7, 8, 9, 63, 64, 65, 200] {
+            for run_len in [12usize, 17] {
+                for shadowing in [false, true] {
+                    let case = format!("{n} lower items, runs of {run_len}, shadowing {shadowing}");
+                    let upper: Vec<(u64, Vec<u8>)> = (0..5u64)
+                        .map(|i| {
+                            // Shadowing: the first, a middle and the last
+                            // lower id (where there are that many).
+                            let id = if shadowing && i < 3 {
+                                100 + [0, n / 2, n.saturating_sub(1)][i as usize]
+                            } else {
+                                900 + i
+                            };
+                            (id, vec![0xE0 | i as u8; 40 + 9 * i as usize])
+                        })
+                        .filter({
+                            let mut seen = DetHashSet::default();
+                            move |&(id, _)| seen.insert(id)
+                        })
+                        .collect();
+
+                    let mut arena = Rig::with_lower(n);
+                    let sorter = ExternalSorter::new(&arena.sort_device, run_len);
+                    let arena_io = arena
+                        .level
+                        .merge_reorder(
+                            &arena.device,
+                            &arena.codec,
+                            &sorter,
+                            &arena.master,
+                            &mut arena.rng,
+                            &upper,
+                        )
+                        .unwrap();
+
+                    let mut vecs = Rig::with_lower(n);
+                    let reference_io = reference::merge_reorder(
+                        &mut vecs.level,
+                        &vecs.device,
+                        &vecs.codec,
+                        &vecs.sort_device,
+                        run_len,
+                        &vecs.master,
+                        &mut vecs.rng,
+                        upper,
+                    )
+                    .unwrap();
+
+                    assert_eq!(arena_io, reference_io, "{case}");
+                    assert!(arena.observe() == vecs.observe(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failing_rebuilds_stop_where_the_one_vec_per_record_pipeline_stops() {
+        // A corrupt lower slot (in the first and in the second ranged batch)
+        // and an oversized upper item: the same error, nothing written to
+        // the level, the same runs already on the sort partition and the
+        // DRBG advanced by the same draws as the reference.
+        let corrupt = |rig: &mut Rig, slot: u64| {
+            rig.device
+                .inner
+                .write_block(rig.level.data_offset + slot, &[0xA5u8; BLOCK])
+                .unwrap();
+        };
+        let fine: Vec<(u64, Vec<u8>)> = (900..905).map(|id| (id, vec![7u8; 16])).collect();
+        let mut oversized = fine.clone();
+        oversized[3].1 = vec![0u8; Level::item_capacity(BLOCK) + 1];
+        for (case, bad_slot, upper) in [
+            ("corrupt slot 10", Some(10), &fine),
+            ("corrupt slot 70", Some(70), &fine),
+            ("oversized upper item", None, &oversized),
+        ] {
+            let mut arena = Rig::with_lower(100);
+            let mut vecs = Rig::with_lower(100);
+            for rig in [&mut arena, &mut vecs] {
+                if let Some(slot) = bad_slot {
+                    corrupt(rig, slot);
+                }
+            }
+            let before = image(&arena.device.inner);
+
+            let sorter = ExternalSorter::new(&arena.sort_device, 17);
+            let arena_err = arena
+                .level
+                .merge_reorder(
+                    &arena.device,
+                    &arena.codec,
+                    &sorter,
+                    &arena.master,
+                    &mut arena.rng,
+                    upper,
+                )
+                .unwrap_err();
+            let reference_err = reference::merge_reorder(
+                &mut vecs.level,
+                &vecs.device,
+                &vecs.codec,
+                &vecs.sort_device,
+                17,
+                &vecs.master,
+                &mut vecs.rng,
+                upper.clone(),
+            )
+            .unwrap_err();
+
+            assert_eq!(arena_err, reference_err, "{case}");
+            assert!(image(&arena.device.inner) == before, "{case}");
+            assert!(arena.observe() == vecs.observe(), "{case}");
+        }
+    }
+
+    #[test]
+    fn stray_reserved_and_pad_bytes_in_a_lower_slot_are_not_carried_over() {
+        // A slot that decodes — id and length are sound — but whose reserved
+        // header bytes and padding are not zero, as a writer other than
+        // `encode_item_into` could have left it. The re-order copies the
+        // field into the arena; what it seals must still be what decoding
+        // the item and encoding it again gives.
+        let mut rig = Rig::with_lower(20);
+        let id = 107;
+        let payload = vec![0x5Au8; 33];
+        let mut dirty = vec![0xC7u8; rig.codec.data_field_len()];
+        Writer::over(&mut dirty[..])
+            .u64(id)
+            .u32(payload.len() as u32)
+            .bytes(&[0xDE, 0xAD, 0xBE, 0xEF])
+            .bytes(&payload);
+        assert_eq!(decode_item(&dirty).unwrap(), (id, &payload[..]));
+        let sealed = rig
+            .codec
+            .seal(&rig.level.key, &dirty, &mut HashDrbg::from_u64(77))
+            .unwrap();
+        let slot = rig.level.manifest[&id];
+        rig.device
+            .write_block(rig.level.data_offset + slot, &sealed)
+            .unwrap();
+
+        let sorter = ExternalSorter::new(&rig.sort_device, 8);
+        rig.level
+            .merge_reorder(
+                &rig.device,
+                &rig.codec,
+                &sorter,
+                &rig.master,
+                &mut rig.rng,
+                &[],
+            )
+            .unwrap();
+
+        let mut physical = vec![0u8; BLOCK];
+        rig.device
+            .read_block(
+                rig.level.data_offset + rig.level.manifest[&id],
+                &mut physical,
+            )
+            .unwrap();
+        let field = rig.codec.open(&rig.level.key, &physical).unwrap();
+        let mut clean = vec![0xEEu8; rig.codec.data_field_len()];
+        encode_item_into(&mut clean, id, &payload);
+        assert_eq!(field, clean);
     }
 
     #[test]
@@ -1076,7 +1726,7 @@ mod tests {
         level.clear(&mut rng);
         assert_eq!(level.len(), 0);
         for (id, _) in items(10) {
-            assert_eq!(level.lookup(&device, id).unwrap().0, None);
+            assert_eq!(lookup(&level, &device, id), None);
         }
         let _ = codec;
     }
@@ -1152,7 +1802,7 @@ mod tests {
                     .reorder(&device, &codec, &sorter, &master, &mut rng, lower)
                     .expect("seed lower level");
                 level
-                    .merge_reorder(&device, &codec, &sorter, &master, &mut rng, upper)
+                    .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
                     .expect("streaming merge");
 
                 let (collected, _) = level.collect_items(&device, &codec).expect("collect");
@@ -1177,7 +1827,7 @@ mod tests {
         assert_eq!(field, GOLDEN_ITEM);
         assert_eq!(
             decode_item(GOLDEN_ITEM).unwrap(),
-            (0x0102_0304_0506_0708, payload)
+            (0x0102_0304_0506_0708, &payload[..])
         );
     }
 }

@@ -436,16 +436,26 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         let start = self.now_us();
         let mut found: Option<Vec<u8>> = None;
         let mut retrieve_ios = 0u64;
+        // Every probe of the pass, index or data, real or dummy, reads into
+        // this one block.
+        let mut scratch = vec![0u8; self.codec.block_size()];
         for (li, slot) in self.levels.iter().enumerate() {
             let level = slot.read();
             let len = level.len() as u64;
+            // Where a dummy data probe may land: the occupied prefix, like
+            // every real read. Occupancy is public (the re-order's write
+            // range shows it), so a probe behind the prefix would be
+            // recognisably a dummy — and if only some dummies could land
+            // there, tell which kind it was. An empty level has no prefix to
+            // hide in; any slot does.
+            let dummy_range = if len > 0 { len } else { level.capacity };
             if found.is_none() && len > 0 {
-                let (hit, index_reads) = level.lookup(&self.device, id)?;
+                let (hit, index_reads) = level.lookup(&self.device, id, &mut scratch)?;
                 retrieve_ios += index_reads;
                 match hit {
                     Some(data_slot) => {
                         let (read_id, payload) =
-                            level.read_slot(&self.device, &self.codec, data_slot)?;
+                            level.read_slot(&self.device, &self.codec, data_slot, &mut scratch)?;
                         retrieve_ios += 1;
                         if read_id != id {
                             return Err(ObliviousError::Corrupt(format!(
@@ -453,14 +463,14 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                                 li + 1
                             )));
                         }
-                        found = Some(payload);
+                        found = Some(payload.to_vec());
                     }
                     None => {
                         // Not in this level: still read a random data slot so
                         // the level sees exactly one data access. The DRBG
                         // lock is released before the device wait.
-                        let data_slot = self.rng.lock().gen_range(len.max(1));
-                        level.read_slot_raw(&self.device, &self.codec, data_slot)?;
+                        let data_slot = self.rng.lock().gen_range(dummy_range);
+                        level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
                         retrieve_ios += 1;
                     }
                 }
@@ -468,9 +478,9 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 // Either the block was already found higher up, or the level
                 // is empty: issue dummy probes so every read looks the same.
                 let bucket = self.rng.lock().next_u64() % level.index.num_blocks;
-                level.dummy_index_probe(&self.device, bucket)?;
-                let data_slot = self.rng.lock().gen_range(level.capacity);
-                level.read_slot_raw(&self.device, &self.codec, data_slot)?;
+                level.dummy_index_probe(&self.device, bucket, &mut scratch)?;
+                let data_slot = self.rng.lock().gen_range(dummy_range);
+                level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
                 retrieve_ios += 2;
             }
         }
@@ -548,7 +558,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 &self.sorter,
                 &self.master_key,
                 &mut rng,
-                Vec::new(),
+                &[],
             )?;
             io = Self::merge_io(io, reorder_io);
             reorders += 1;
@@ -564,14 +574,14 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 &self.sorter,
                 &self.master_key,
                 &mut rng,
-                upper_items,
+                &upper_items,
             )?;
             io = Self::merge_io(io, reorder_io);
             reorders += 1;
             guards[d].clear(&mut rng);
         }
 
-        // The merge gets a copy and the buffer is cleared only on success:
+        // The merge borrows the buffer, which is cleared only on success:
         // if the merge fails before its first write (a corrupt level slot
         // surfacing mid-stream), the level rolls back and the buffered items
         // stay readable from the buffer instead of being silently lost.
@@ -581,7 +591,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             &self.sorter,
             &self.master_key,
             &mut rng,
-            front.entries.clone(),
+            &front.entries,
         )?;
         front.entries.clear();
         front.index.clear();

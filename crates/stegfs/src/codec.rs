@@ -106,13 +106,7 @@ impl BlockCodec {
     /// to that loop's output — which is what keeps device images unchanged
     /// where a seal-then-write loop was turned into a batched one.
     pub fn seal_blocks_in_place(&self, key: &Key256, run: &mut [u8]) -> Result<(), FsError> {
-        if run.len() % self.block_size != 0 {
-            return Err(FsError::Cipher(format!(
-                "run of {} bytes is not a whole number of {}-byte blocks",
-                run.len(),
-                self.block_size
-            )));
-        }
+        self.check_run(run)?;
         let cbc = CbcCipher::new(self.schedules.get(key));
         for group in run.chunks_mut(PIPELINE_WIDTH * self.block_size) {
             let mut ivs = [[0u8; IV_SIZE]; PIPELINE_WIDTH];
@@ -129,6 +123,22 @@ impl BlockCodec {
         Ok(())
     }
 
+    /// Open a contiguous run of physical blocks in place under `key`, the
+    /// inverse of [`Self::seal_blocks_in_place`]: every data field is
+    /// CBC-decrypted where it lies under the IV in front of it, which stays.
+    /// Nothing is copied, so a ranged device read can be opened in the
+    /// buffer it arrived in.
+    pub fn open_in_place(&self, key: &Key256, run: &mut [u8]) -> Result<(), FsError> {
+        self.check_run(run)?;
+        let cbc = CbcCipher::new(self.schedules.get(key));
+        for block in run.chunks_exact_mut(self.block_size) {
+            let (iv, field) = block.split_at_mut(IV_SIZE);
+            let iv: &[u8; IV_SIZE] = (&*iv).try_into().expect("split at IV_SIZE");
+            cbc.decrypt_in_place(iv, field)?;
+        }
+        Ok(())
+    }
+
     /// The cipher half of a dummy update, in place: decrypt the physical
     /// block's data field under the IV in front of it, replace that IV with
     /// `fresh_iv`, re-encrypt the identical plaintext.
@@ -139,11 +149,20 @@ impl BlockCodec {
         fresh_iv: &[u8; IV_SIZE],
     ) -> Result<(), FsError> {
         self.check_block(physical)?;
-        let (iv, field) = physical.split_at_mut(IV_SIZE);
-        let old_iv: &[u8; IV_SIZE] = (&*iv).try_into().expect("split at IV_SIZE");
-        CbcCipher::new(self.schedules.get(key)).decrypt_in_place(old_iv, field)?;
-        iv.copy_from_slice(fresh_iv);
+        self.open_in_place(key, physical)?;
+        physical[..IV_SIZE].copy_from_slice(fresh_iv);
         self.seal_blocks_in_place(key, physical)
+    }
+
+    fn check_run(&self, run: &[u8]) -> Result<(), FsError> {
+        if run.len() % self.block_size != 0 {
+            return Err(FsError::Cipher(format!(
+                "run of {} bytes is not a whole number of {}-byte blocks",
+                run.len(),
+                self.block_size
+            )));
+        }
+        Ok(())
     }
 
     fn check_block(&self, physical: &[u8]) -> Result<(), FsError> {
@@ -524,6 +543,38 @@ mod tests {
             Err(past)
         );
         assert!(field.iter().all(|&b| b == 0xEE));
+    }
+
+    #[test]
+    fn open_in_place_matches_open_block_by_block() {
+        // An empty run, one block, a partial and a full pipeline group and
+        // one over: each block's field is what `open` returns for it, each
+        // IV is left alone, and sealing the opened run again restores it.
+        let c = codec();
+        for n in [0usize, 1, 3, 8, 9] {
+            let mut rng = HashDrbg::from_u64(31);
+            let sealed: Vec<u8> = (0..n)
+                .flat_map(|i| {
+                    c.seal(&key(3), &vec![0xA0 ^ i as u8; 50 + 400 * i], &mut rng)
+                        .unwrap()
+                })
+                .collect();
+            for k in [key(3), key(4)] {
+                let mut run = sealed.clone();
+                c.open_in_place(&k, &mut run).unwrap();
+                for (opened, physical) in run.chunks_exact(4096).zip(sealed.chunks_exact(4096)) {
+                    assert_eq!(opened[..IV_SIZE], physical[..IV_SIZE]);
+                    assert_eq!(opened[IV_SIZE..], c.open(&k, physical).unwrap()[..]);
+                }
+                c.seal_blocks_in_place(&k, &mut run).unwrap();
+                assert_eq!(run, sealed, "run of {n}");
+            }
+        }
+        let mut ragged = vec![0u8; 4096 + 100];
+        assert!(matches!(
+            c.open_in_place(&key(3), &mut ragged),
+            Err(FsError::Cipher(_))
+        ));
     }
 
     #[test]

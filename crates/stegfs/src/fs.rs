@@ -712,9 +712,16 @@ impl FastFill {
     }
 
     fn fill(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
+        // Whole words first: a fixed-length copy is a single store, where a
+        // `chunk.len()`-long one is a `memcpy` call per word.
+        let mut words = buf.chunks_exact_mut(8);
+        for word in &mut words {
+            word.copy_from_slice(&self.next().to_le_bytes());
+        }
+        let tail = words.into_remainder();
+        if !tail.is_empty() {
             let v = self.next().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+            tail.copy_from_slice(&v[..tail.len()]);
         }
     }
 }
@@ -740,6 +747,22 @@ mod tests {
         // A formatted volume's payload blocks are non-zero (random fill).
         let blk = dev2.read_block_vec(5).unwrap();
         assert!(blk.iter().any(|&b| b != 0));
+    }
+
+    #[test]
+    fn fast_fill_is_one_word_per_eight_bytes_and_a_cut_last_word() {
+        // The fill is the generator's words laid end to end, the last one
+        // cut to fit: buffers that are and are not whole words.
+        for len in [0usize, 1, 7, 8, 9, 64, 515] {
+            let mut words = FastFill::new(&mut HashDrbg::from_u64(9));
+            let expected: Vec<u8> = (0..len.div_ceil(8))
+                .flat_map(|_| words.next().to_le_bytes())
+                .take(len)
+                .collect();
+            let mut buf = vec![0xEEu8; len];
+            FastFill::new(&mut HashDrbg::from_u64(9)).fill(&mut buf);
+            assert_eq!(buf, expected, "{len} bytes");
+        }
     }
 
     #[test]

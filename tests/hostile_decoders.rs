@@ -20,7 +20,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use stegfs_repro::blockdev::{BlockDevice, MemDevice};
 use stegfs_repro::crypto::{HmacSha256, Key256};
 use stegfs_repro::oblivious::{
-    decode_item, encode_item_into, ExternalSorter, HashIndexRegion, ObliviousStore, SortRecord,
+    decode_item, encode_item_into, HashIndexRegion, ObliviousStore, SortRecord,
 };
 use stegfs_repro::resilience::{
     decode_geometry, decode_head, decode_records, decode_segment_block, encode_head,
@@ -223,21 +223,19 @@ fn cases() -> Vec<Case> {
     );
 
     // ----- stegfs_oblivious: unauthenticated bodies -----------------------
-    let sorter = ExternalSorter::new(MemDevice::new(4, 128), 2);
     let mut sort_block = vec![0u8; 128];
     let record = SortRecord {
         key: 5,
         id: 6,
-        payload: vec![0xc3; 60],
+        payload: &[0xc3; 60],
     };
-    sorter.encode_record_into(&record, &mut sort_block).unwrap();
+    record.encode_into(&mut sort_block).unwrap();
     plain(
         "sort record",
         sort_block,
-        Box::new(|bytes| {
-            let record = ExternalSorter::<MemDevice>::decode_record(bytes).ok()?;
-            Some(record.payload.len())
-        }),
+        // The merge reads records through this borrowed view, straight out
+        // of the look-ahead buffer a ranged read filled.
+        Box::new(|bytes| Some(SortRecord::view(bytes).ok()?.payload.len())),
     );
 
     let mut field = vec![0u8; 112];
@@ -268,7 +266,9 @@ fn cases() -> Vec<Case> {
             let mut block = bytes.to_vec();
             block.resize(128, 0);
             bucket_device.write_block(0, &block[..128]).unwrap();
-            let (slot, _) = region.lookup(&bucket_device, 42, 3).ok()?;
+            let (slot, _) = region
+                .lookup(&bucket_device, 42, 3, &mut block[..128])
+                .ok()?;
             Some(slot.is_some() as usize)
         }),
     );

@@ -1,0 +1,138 @@
+//! Read hiding, seen from where the data reads land.
+//!
+//! A Figure 8(b) read touches one data slot in every level: the real one in
+//! the shallowest level that holds the block, a dummy in every other. How
+//! full a level is, is public — the re-order that filled it wrote exactly
+//! its occupied prefix — so a dummy must be drawn from that prefix, like the
+//! real reads it stands in for. Drawn from the whole capacity it can land
+//! behind the prefix, where no real read ever does; and because only the
+//! levels *below* the hit were probed that way, one such read told the
+//! observer the block had been found further up — that it was requested
+//! recently.
+
+use stegfs_repro::analysis::chi_square_uniform;
+use stegfs_repro::blockdev::{IoKind, MemDevice, TraceLog, TracingDevice};
+use stegfs_repro::crypto::Key256;
+use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
+
+type Store = ObliviousStore<TracingDevice<MemDevice>, MemDevice>;
+
+const BLOCK: usize = 512;
+const BUFFER: u64 = 8;
+const LAST_LEVEL: u64 = 2048;
+/// Blocks read over and over; few enough that their fresh copies never sink
+/// below the first two levels between two reads.
+const HOT: u64 = 24;
+
+/// Data region of level `i` (1-based): first block and slot count. The
+/// levels lie back to back, each an index region followed by its slots.
+fn data_region(i: u32) -> (u64, u64) {
+    let through_level_i = ObliviousConfig::new(BUFFER, BUFFER << i);
+    let capacity = through_level_i.level_capacity(i);
+    (
+        Store::blocks_required(&through_level_i, BLOCK) - capacity,
+        capacity,
+    )
+}
+
+#[test]
+fn dummy_data_probes_stay_inside_the_occupied_prefix_and_are_uniform_over_it() {
+    let cfg = ObliviousConfig::new(BUFFER, LAST_LEVEL);
+    let levels = cfg.num_levels();
+    let log = TraceLog::new();
+    let store = Store::new(
+        TracingDevice::with_log(
+            MemDevice::new(Store::blocks_required(&cfg, BLOCK), BLOCK),
+            log.clone(),
+        ),
+        MemDevice::new(
+            Store::sort_blocks_required(&cfg) + 8,
+            Store::sort_block_size_for(BLOCK),
+        ),
+        cfg,
+        Key256::from_passphrase("read hiding"),
+        29,
+        None,
+    )
+    .unwrap();
+    let payload = |id: u64| vec![id as u8; 100];
+    // 700 of 2048 ids: deep levels end up part full.
+    for id in 0..700 {
+        store.insert(id, payload(id)).unwrap();
+    }
+    // Bring every hot block up once; from here on each is found in a
+    // shallow level and every deeper level sees a dummy probe.
+    for id in 0..HOT {
+        store.read(id).unwrap();
+    }
+
+    // Per level, for the scans that found it part full: which sixteenth of
+    // the occupied prefix the data read landed in.
+    const BINS: u64 = 16;
+    let mut sixteenths: Vec<Vec<u64>> = vec![Vec::new(); levels as usize];
+    let mut scans = 0;
+    let before_reads = store.stats();
+    for n in 0..2400 {
+        let id = n % HOT;
+        let occupancy = store.occupancy();
+        log.clear();
+        assert_eq!(store.read(id).unwrap(), payload(id));
+        if occupancy[0] as u64 == BUFFER - 1 {
+            // This read filled the buffer: the trace holds a flush too.
+            continue;
+        }
+        scans += 1;
+        let reads: Vec<u64> = log
+            .records()
+            .iter()
+            .inspect(|r| assert_eq!(r.kind, IoKind::Read, "a scan only reads"))
+            .map(|r| r.block)
+            .collect();
+        for i in 1..=levels {
+            let (start, capacity) = data_region(i);
+            let level = i as usize - 1;
+            let in_region: Vec<u64> = reads
+                .iter()
+                .filter(|&&b| (start..start + capacity).contains(&b))
+                .map(|&b| b - start)
+                .collect();
+            let [slot] = in_region[..] else {
+                panic!("read {n}: level {i} saw data reads at {in_region:?}");
+            };
+            let occupied = occupancy[i as usize] as u64;
+            assert!(
+                occupied == 0 || slot < occupied,
+                "read {n}: level {i} holds {occupied} of {capacity} slots, data read at slot {slot}"
+            );
+            // Prefixes that split into equal sixteenths only.
+            if occupied > 0 && occupied < capacity && occupied % BINS == 0 {
+                sixteenths[level].push(slot * BINS / occupied);
+            }
+        }
+    }
+    let during = store.stats().since(&before_reads);
+    assert_eq!(during.buffer_hits, 0, "every read reached the levels");
+    assert!(scans >= 2000, "only {scans} scans checked");
+
+    // Below the first two levels every probe was a dummy: over the occupied
+    // prefix, however it grew between cascades, they must look uniform.
+    let mut tested = 0;
+    for (level, landed) in sixteenths.iter().enumerate().skip(2) {
+        if landed.len() < 1000 {
+            continue;
+        }
+        let chi = chi_square_uniform(landed, BINS, BINS, 0.001);
+        assert!(
+            !chi.rejects_uniformity,
+            "level {}: {} dummy probes over the occupied prefix give {chi:?}",
+            level + 1,
+            landed.len()
+        );
+        tested += 1;
+    }
+    assert!(
+        tested >= 2,
+        "only {tested} part-full levels were probed enough: {:?}",
+        sixteenths.iter().map(Vec::len).collect::<Vec<_>>()
+    );
+}

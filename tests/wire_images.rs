@@ -4,25 +4,74 @@
 //! The hashes were taken from the build *before* the codecs moved onto
 //! `stegfs_base::wire`; they hold only while every format stays bit-identical
 //! — same magics, field order, widths, padding, MAC coverage and tag length —
-//! and the DRBG is consumed in the same order.
+//! and the DRBG is consumed in the same order. The oblivious store's request
+//! sequence on both of its partitions is pinned the same way.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use stegfs_repro::blockdev::{BlockDevice, MemDevice};
+use stegfs_repro::blockdev::{BlockDevice, BlockId, DeviceError, MemDevice};
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::dir::{DirEntry, EntryKind, HiddenDirectory};
 
-fn image_sha256(device: &MemDevice) -> String {
-    let mut image = vec![0u8; device.num_blocks() as usize * device.block_size()];
-    device.read_blocks(0, &mut image).unwrap();
+fn sha256_hex(bytes: &[u8]) -> String {
     let mut hasher = Sha256::new();
-    hasher.update(&image);
+    hasher.update(bytes);
     hasher
         .finalize()
         .iter()
         .map(|b| format!("{b:02x}"))
         .collect()
+}
+
+fn image_sha256(device: &MemDevice) -> String {
+    let mut image = vec![0u8; device.num_blocks() as usize * device.block_size()];
+    device.read_blocks(0, &mut image).unwrap();
+    sha256_hex(&image)
+}
+
+/// A device that appends every request it serves — `name`, `r` or `w`, first
+/// block and block count as little-endian `u64`s, a ranged request as one
+/// entry — to a log it can share with another device.
+struct Watched {
+    inner: Arc<MemDevice>,
+    name: u8,
+    log: Arc<Mutex<Vec<u8>>>,
+}
+
+impl Watched {
+    fn note(&self, kind: u8, start: BlockId, bytes: usize) {
+        let blocks = (bytes / self.inner.block_size()) as u64;
+        let mut log = self.log.lock().unwrap();
+        log.extend([self.name, kind]);
+        log.extend(start.to_le_bytes());
+        log.extend(blocks.to_le_bytes());
+    }
+}
+
+impl BlockDevice for Watched {
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+        self.note(b'r', block, buf.len());
+        self.inner.read_block(block, buf)
+    }
+    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
+        self.note(b'w', block, buf.len());
+        self.inner.write_block(block, buf)
+    }
+    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
+        self.note(b'r', start, buf.len());
+        self.inner.read_blocks(start, buf)
+    }
+    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
+        self.note(b'w', start, buf.len());
+        self.inner.write_blocks(start, buf)
+    }
 }
 
 fn content(len: usize, salt: u8) -> Vec<u8> {
@@ -85,19 +134,26 @@ fn durable_volume_image_is_pinned() {
 }
 
 /// Level items, hash-index buckets and the sealed epoch record on the main
-/// partition; spilled sort records on the sort partition.
+/// partition; spilled sort records on the sort partition; and the requests
+/// that put them there, as an observer of both partitions sees them.
 #[test]
 fn oblivious_store_images_are_pinned() {
-    type Store = ObliviousStore<Arc<MemDevice>, Arc<MemDevice>>;
+    type Store = ObliviousStore<Watched, Watched>;
     let cfg = ObliviousConfig::new(4, 64).with_persisted_epoch();
     let device = Arc::new(MemDevice::new(Store::blocks_required(&cfg, 512), 512));
     let sort_device = Arc::new(MemDevice::new(
         Store::sort_blocks_required(&cfg) + 8,
         Store::sort_block_size_for(512),
     ));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let watched = |inner: &Arc<MemDevice>, name| Watched {
+        inner: Arc::clone(inner),
+        name,
+        log: Arc::clone(&log),
+    };
     let store = Store::new(
-        Arc::clone(&device),
-        Arc::clone(&sort_device),
+        watched(&device, b'L'),
+        watched(&sort_device, b'S'),
         cfg,
         Key256::from_passphrase("wire image oblivious"),
         43,
@@ -110,9 +166,25 @@ fn oblivious_store_images_are_pinned() {
         store.insert(id, content(200, id as u8)).unwrap();
     }
     assert!(store.stats().reorders > 0, "no flush ran");
+    // Every flush cascade lies behind: the request sequence of the whole
+    // maintenance path, taken from the build before the sorter owned its run
+    // arena.
+    assert_eq!(
+        sha256_hex(&log.lock().unwrap()),
+        "ec0e0c28dba96f767d89c71b21fb392c26f0e6e2de3caf0174e5f4c68a085a86"
+    );
     for id in [0u64, 17, 39] {
         assert_eq!(store.read(id).unwrap(), content(200, id as u8));
     }
+    // ... and with three level scans behind them. Not that build's value
+    // (b52916…4824, which the arena path reproduced): a scan now draws every
+    // dummy data slot from the level's occupied prefix, where it drew from
+    // the whole capacity once the block had been found, so dummies land
+    // elsewhere — and a one-slot prefix consumes no draw.
+    assert_eq!(
+        sha256_hex(&log.lock().unwrap()),
+        "565bedd0d5e9c508d46282443b73f98800dc1be973a15bb05cd4773bc756e491"
+    );
 
     assert_eq!(
         image_sha256(&device),
