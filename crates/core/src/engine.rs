@@ -319,10 +319,11 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
                 self.fs.device().write_block(block, physical)?;
                 Ok(())
             })?,
-            Reseal::Random => {
-                self.read_raw(block)?;
-                self.fs.randomize_block(block)?;
-            }
+            Reseal::Random => self.with_scratch(|scratch| -> Result<(), AgentError> {
+                self.fs.device().read_block(block, scratch)?;
+                self.fs.randomize_block(block, scratch)?;
+                Ok(())
+            })?,
             Reseal::Skip => return Ok(false),
         }
         self.stats.count_dummy_update();

@@ -11,7 +11,7 @@
 //! exact block-selection sequences.
 
 use crate::backend;
-use crate::sha256::{compress_block, Sha256, H0, SHA256_OUTPUT_SIZE};
+use crate::sha256::{compress_many, digest_bytes, Sha256, H0, SHA256_OUTPUT_SIZE, SHA_LANES};
 
 const OUT: usize = SHA256_OUTPUT_SIZE;
 
@@ -72,45 +72,60 @@ impl HashDrbg {
         self.cursor = OUT;
     }
 
-    /// The next output block, SHA-256(V); then V = V + C + reseed_counter
-    /// (mod 2^256, big-endian).
-    fn next_block(&mut self) -> [u8; OUT] {
-        let mut state = H0;
-        compress_block(backend::sha256_active(), &mut state, &self.v_block);
-        let mut out = [0u8; OUT];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
+    /// The next `N` output blocks. Each is SHA-256(V), after which
+    /// V = V + C + reseed_counter (mod 2^256, big-endian): V never depends on
+    /// an output, so the `N` values of V are laid out first and hashed as `N`
+    /// independent one-block streams.
+    fn next_blocks<const N: usize>(&mut self) -> [[u8; OUT]; N] {
+        let mut vs = [[0u8; 64]; N];
+        for v in &mut vs {
+            *v = self.v_block;
+            let mut carry = self.reseed_counter;
+            for (v, c) in self.v_block[..OUT]
+                .chunks_exact_mut(8)
+                .zip(self.c.chunks_exact(8))
+                .rev()
+            {
+                let sum = u64::from_be_bytes((&*v).try_into().expect("8-byte limb")) as u128
+                    + u64::from_be_bytes(c.try_into().expect("8-byte limb")) as u128
+                    + carry as u128;
+                v.copy_from_slice(&(sum as u64).to_be_bytes());
+                carry = (sum >> 64) as u64;
+            }
+            self.reseed_counter = self.reseed_counter.wrapping_add(1);
         }
-        let mut carry = self.reseed_counter;
-        for (v, c) in self.v_block[..OUT]
-            .chunks_exact_mut(8)
-            .zip(self.c.chunks_exact(8))
-            .rev()
-        {
-            let sum = u64::from_be_bytes((&*v).try_into().expect("8-byte limb")) as u128
-                + u64::from_be_bytes(c.try_into().expect("8-byte limb")) as u128
-                + carry as u128;
-            v.copy_from_slice(&(sum as u64).to_be_bytes());
-            carry = (sum >> 64) as u64;
-        }
-        self.reseed_counter = self.reseed_counter.wrapping_add(1);
-        out
+        let mut states = [H0; N];
+        compress_many(
+            backend::sha256_active(),
+            &mut states,
+            core::array::from_fn(|lane| &vs[lane][..]),
+            1,
+        );
+        states.map(|state| digest_bytes(&state))
     }
 
     /// Fill `dest` with pseudo-random bytes: what is left of the last output
-    /// block, then whole blocks written straight into `dest`, then the head
+    /// block, then whole blocks written straight into `dest` —
+    /// [`SHA_LANES`] at a time while that many are wanted — then the head
     /// of one more block whose rest stays buffered.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let take = (OUT - self.cursor).min(dest.len());
         dest[..take].copy_from_slice(&self.buffer[self.cursor..self.cursor + take]);
         self.cursor += take;
-        let mut blocks = dest[take..].chunks_exact_mut(OUT);
+        let mut groups = dest[take..].chunks_exact_mut(SHA_LANES * OUT);
+        for group in &mut groups {
+            let blocks = self.next_blocks::<SHA_LANES>();
+            for (dest, block) in group.chunks_exact_mut(OUT).zip(&blocks) {
+                dest.copy_from_slice(block);
+            }
+        }
+        let mut blocks = groups.into_remainder().chunks_exact_mut(OUT);
         for block in &mut blocks {
-            block.copy_from_slice(&self.next_block());
+            block.copy_from_slice(&self.next_blocks::<1>()[0]);
         }
         let tail = blocks.into_remainder();
         if !tail.is_empty() {
-            self.buffer = self.next_block();
+            [self.buffer] = self.next_blocks();
             tail.copy_from_slice(&self.buffer[..tail.len()]);
             self.cursor = tail.len();
         }
@@ -277,6 +292,108 @@ mod tests {
         );
         assert_eq!(rng.next_u64(), 0x9b62_a8a1_1211_34bc);
         assert_eq!(HashDrbg::from_u64(7).bytes(drawn.len()), drawn);
+    }
+
+    /// The generator one block at a time through the one-shot hash, bytes
+    /// handed out singly: what the lane-grouped `fill_bytes` must reproduce.
+    struct Reference {
+        v: [u8; 32],
+        c: [u8; 32],
+        reseed_counter: u64,
+        left: Vec<u8>,
+    }
+
+    impl Reference {
+        fn tagged(tag: u8, parts: &[&[u8]]) -> [u8; 32] {
+            let mut input = vec![tag];
+            parts.iter().for_each(|p| input.extend_from_slice(p));
+            crate::sha256(&input)
+        }
+
+        fn new(seed: u64) -> Self {
+            let seed = seed.to_be_bytes();
+            Self {
+                v: Self::tagged(0x01, &[&seed]),
+                c: Self::tagged(0x02, &[&seed]),
+                reseed_counter: 1,
+                left: Vec::new(),
+            }
+        }
+
+        fn reseed(&mut self, extra: &[u8]) {
+            self.v = Self::tagged(0x03, &[&self.v, extra]);
+            self.c = Self::tagged(0x04, &[&self.c, extra]);
+            self.reseed_counter += 1;
+            self.left.clear();
+        }
+
+        fn bytes(&mut self, n: usize) -> Vec<u8> {
+            while self.left.len() < n {
+                self.left.extend_from_slice(&crate::sha256(&self.v));
+                // V = V + C + reseed_counter, byte by byte from the low end.
+                let mut addend = [0u8; 32];
+                addend[24..].copy_from_slice(&self.reseed_counter.to_be_bytes());
+                for term in [self.c, addend] {
+                    let mut carry = 0u16;
+                    for (v, t) in self.v.iter_mut().zip(term).rev() {
+                        let sum = *v as u16 + t as u16 + carry;
+                        *v = sum as u8;
+                        carry = sum >> 8;
+                    }
+                }
+                self.reseed_counter += 1;
+            }
+            self.left.drain(..n).collect()
+        }
+    }
+
+    #[test]
+    fn every_split_of_a_draw_gives_the_one_shot_stream() {
+        let one_shot = HashDrbg::from_u64(11).bytes(1024);
+        assert_eq!(one_shot, Reference::new(11).bytes(1024));
+        for split in 0..=1024 {
+            let mut rng = HashDrbg::from_u64(11);
+            let mut drawn = vec![0u8; 1024];
+            let (head, tail) = drawn.split_at_mut(split);
+            rng.fill_bytes(head);
+            rng.fill_bytes(tail);
+            assert_eq!(drawn, one_shot, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn clone_and_reseed_inside_a_lane_group_keep_the_stream() {
+        // Stop at every offset of the first two lane groups — inside a block,
+        // on a block boundary that is not a group boundary, on a group
+        // boundary — then clone, and reseed the clone's twin.
+        for stop in 0..=2 * SHA_LANES * OUT {
+            let mut rng = HashDrbg::from_u64(12);
+            let mut reference = Reference::new(12);
+            assert_eq!(rng.bytes(stop), reference.bytes(stop), "stop {stop}");
+            let mut twin = rng.clone();
+            assert_eq!(twin.bytes(300), rng.clone().bytes(300), "clone at {stop}");
+            assert_eq!(rng.bytes(300), reference.bytes(300), "clone at {stop}");
+            twin.reseed(b"mid-group");
+            reference.reseed(b"mid-group");
+            assert_eq!(twin.bytes(4096), reference.bytes(4096), "reseed at {stop}");
+        }
+    }
+
+    #[test]
+    fn iv_sized_and_block_sized_draws_interleave_on_one_stream() {
+        // The volume DRBG's real diet: 16-byte IVs and 8-byte values between
+        // 4 KB randomised blocks.
+        let mut rng = HashDrbg::from_u64(13);
+        let mut reference = Reference::new(13);
+        let mut drawn = Vec::new();
+        for round in 0..6 {
+            for n in [16usize, 4096, 8, 16, 16, 4096, 4080, 8 + round] {
+                let bytes = rng.bytes(n);
+                assert_eq!(bytes, reference.bytes(n), "round {round}, draw of {n}");
+                drawn.extend(bytes);
+            }
+        }
+        assert_eq!(HashDrbg::from_u64(13).bytes(drawn.len()), drawn);
     }
 
     #[test]

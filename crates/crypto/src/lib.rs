@@ -57,7 +57,7 @@ pub use cbc::{CbcCipher, CbcError};
 pub use drbg::HashDrbg;
 pub use hmac::HmacSha256;
 pub use keys::{AesScheduleCache, Key128, Key256, KeyError};
-pub use sha256::{sha256, Sha256, SHA256_OUTPUT_SIZE};
+pub use sha256::{sha256, sha256_many, Sha256, SHA256_OUTPUT_SIZE, SHA_LANES};
 
 /// Errors produced by this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

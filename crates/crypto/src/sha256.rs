@@ -34,23 +34,70 @@ pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
-/// Run one 64-byte block through the compression function on `backend`.
+/// Independent SHA-256 streams the multi-buffer callers
+/// ([`HmacSha256::mac_many`](crate::HmacSha256::mac_many),
+/// [`HashDrbg::fill_bytes`](crate::HashDrbg::fill_bytes)) walk in lockstep.
+///
+/// One SHA-NI stream is bound by the latency of its `sha256rnds2` chain, not
+/// by the unit's throughput, so a second independent stream is nearly free.
+/// Chosen by measurement (the `sha256_xN` and `hmac_sha256_xN` rows of
+/// `crypto_baseline`): on the Xeon this was sized on two streams already use
+/// the unit up and three or four run no slower, although only two fit the
+/// sixteen xmm registers without spilling message words. Four takes a
+/// delta-parity write plan's three MACs in one pass, divides a 4 KB DRBG fill
+/// evenly, and leaves room on cores with more SHA throughput.
+pub const SHA_LANES: usize = 4;
+
+/// Run `nblocks` 64-byte blocks of each of `N` independent streams through
+/// the compression function on `backend`: stream `i` advances `states[i]`
+/// over the first `64 * nblocks` bytes of `data[i]`.
 ///
 /// This is the single funnel every path in the crate goes through —
-/// [`Sha256::update`], finalisation, and [`HmacSha256`](crate::HmacSha256)'s
-/// single-block `derive_u64` fast path.
-pub(crate) fn compress_block(backend: Sha256Backend, state: &mut [u32; 8], block: &[u8; 64]) {
+/// [`Sha256::update`] and finalisation (one stream),
+/// [`HmacSha256`](crate::HmacSha256)'s one- and many-message MACs and
+/// [`HashDrbg`](crate::HashDrbg)'s output blocks. On SHA-NI the streams move
+/// in lockstep with every stream's state held in registers for the whole
+/// run; the scalar and SSSE3 paths take the streams one after another.
+///
+/// # Panics
+/// If a stream holds fewer than `64 * nblocks` bytes.
+pub(crate) fn compress_many<const N: usize>(
+    backend: Sha256Backend,
+    states: &mut [[u32; 8]; N],
+    data: [&[u8]; N],
+    nblocks: usize,
+) {
+    if nblocks == 0 {
+        return;
+    }
+    let data = data.map(|stream| &stream[..64 * nblocks]);
     match backend {
-        Sha256Backend::Scalar => compress_scalar(state, block),
         #[cfg(target_arch = "x86_64")]
-        Sha256Backend::Ssse3 => x86::compress_ssse3(state, block),
+        Sha256Backend::ShaNi => x86::compress_shani(states, data),
         #[cfg(target_arch = "x86_64")]
-        Sha256Backend::ShaNi => x86::compress_shani(state, block),
-        // Unreachable in practice: these backends never report available off
-        // x86-64, so selection cannot produce them. Scalar output is
-        // identical anyway.
-        #[cfg(not(target_arch = "x86_64"))]
-        Sha256Backend::Ssse3 | Sha256Backend::ShaNi => compress_scalar(state, block),
+        Sha256Backend::Ssse3 => each_block(states, data, x86::compress_ssse3),
+        // Off x86-64 the hardware backends never report available, so
+        // selection cannot produce them. Scalar output is identical anyway.
+        _ => each_block(states, data, compress_scalar),
+    }
+}
+
+/// One 64-byte block of one stream: the `N = 1`, one-block case of
+/// [`compress_many`].
+pub(crate) fn compress_block(backend: Sha256Backend, state: &mut [u32; 8], block: &[u8; 64]) {
+    compress_many(backend, core::array::from_mut(state), [block], 1);
+}
+
+/// The streams one after another, a block at a time, through `compress`.
+fn each_block<const N: usize>(
+    states: &mut [[u32; 8]; N],
+    data: [&[u8]; N],
+    compress: fn(&mut [u32; 8], &[u8; 64]),
+) {
+    for (state, stream) in states.iter_mut().zip(data) {
+        for block in stream.chunks_exact(64) {
+            compress(state, block.try_into().expect("64-byte chunk"));
+        }
     }
 }
 
@@ -115,9 +162,9 @@ mod x86 {
     use super::{rounds, K};
     use core::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
-        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-        _mm_shuffle_epi8, _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32, _mm_srli_si128,
-        _mm_storeu_si128, _mm_xor_si128,
+        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32,
+        _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
     };
 
     /// `pshufb` mask flipping each 32-bit lane from big-endian message bytes
@@ -191,70 +238,138 @@ mod x86 {
         rounds(state, &w);
     }
 
-    /// One block through the SHA extensions. State lives in two registers in
-    /// the `ABEF`/`CDGH` packing `sha256rnds2` expects; each loop iteration
-    /// retires four rounds (two per instruction) while `sha256msg1`/`msg2`
-    /// expand the next message group in flight.
-    #[target_feature(enable = "sha,ssse3,sse4.1")]
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        // Repack (a,b,c,d)(e,f,g,h) into ABEF/CDGH.
-        // SAFETY: `state` holds 8 readable words.
-        let (lo, hi) = unsafe {
-            (
-                _mm_loadu_si128(state.as_ptr().cast()),
-                _mm_loadu_si128(state.as_ptr().add(4).cast()),
-            )
-        };
-        let tmp = _mm_shuffle_epi32(lo, 0xB1); // CDAB
-        let st1 = _mm_shuffle_epi32(hi, 0x1B); // EFGH
-        let mut state0 = _mm_alignr_epi8(tmp, st1, 8); // ABEF
-        let mut state1 = _mm_blend_epi16(st1, tmp, 0xF0); // CDGH
+    /// One stream of [`compress_lanes`]: its state in the `ABEF`/`CDGH`
+    /// packing `sha256rnds2` expects, the sixteen message words in flight and
+    /// the current four `w + K` sums.
+    #[derive(Clone, Copy)]
+    struct Lane {
+        abef: __m128i,
+        cdgh: __m128i,
+        w: [__m128i; 4],
+        wk: __m128i,
+    }
 
+    /// `nblocks` blocks of each of `N` streams through the SHA extensions, in
+    /// lockstep. A stream's state stays in its two registers from the first
+    /// block to the last; every step retires four rounds of every stream
+    /// (two per `sha256rnds2`) while `sha256msg1`/`msg2` expand the message
+    /// groups in flight. One stream alone waits out the latency of each
+    /// `sha256rnds2` before it can issue the next; with several, another
+    /// stream's round fills that wait.
+    ///
+    /// # Safety
+    /// Besides the target features, every stream of `data` must hold at
+    /// least `64 * nblocks` readable bytes.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn compress_lanes<const N: usize>(
+        states: &mut [[u32; 8]; N],
+        data: [&[u8]; N],
+        nblocks: usize,
+    ) {
         let flip = flip_mask();
-        let mut w = [_mm_set_epi64x(0, 0); 4];
-        for (i, lane) in w.iter_mut().enumerate() {
-            // SAFETY: `block` holds 64 readable bytes.
-            let m = unsafe { _mm_loadu_si128(block.as_ptr().add(16 * i).cast()) };
-            *lane = _mm_shuffle_epi8(m, flip);
+        let zero = _mm_setzero_si128();
+        let mut lanes = [Lane {
+            abef: zero,
+            cdgh: zero,
+            w: [zero; 4],
+            wk: zero,
+        }; N];
+        for (lane, state) in lanes.iter_mut().zip(states.iter()) {
+            // Repack (a,b,c,d)(e,f,g,h) into ABEF/CDGH.
+            // SAFETY: `state` holds 8 readable words.
+            let (lo, hi) = unsafe {
+                (
+                    _mm_loadu_si128(state.as_ptr().cast()),
+                    _mm_loadu_si128(state.as_ptr().add(4).cast()),
+                )
+            };
+            let tmp = _mm_shuffle_epi32(lo, 0xB1); // CDAB
+            let st1 = _mm_shuffle_epi32(hi, 0x1B); // EFGH
+            lane.abef = _mm_alignr_epi8(tmp, st1, 8);
+            lane.cdgh = _mm_blend_epi16(st1, tmp, 0xF0);
         }
 
-        let abef_save = state0;
-        let cdgh_save = state1;
-        for j in 0..16 {
-            // SAFETY: `K` holds 64 words; 4 * j + 4 ≤ 64.
-            let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * j).cast()) };
-            let wk = _mm_add_epi32(w[j % 4], k);
-            state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
-            state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0E));
-            if j < 12 {
-                // w[4(j+4)..] = msg2(msg1(w_j, w_{j+1}) + alignr(w_{j+3},
-                // w_{j+2}, 4), w_{j+3}) — the full FIPS 180-2 recurrence.
-                let t = _mm_alignr_epi8(w[(j + 3) % 4], w[(j + 2) % 4], 4);
-                w[j % 4] = _mm_sha256msg2_epu32(
-                    _mm_add_epi32(_mm_sha256msg1_epu32(w[j % 4], w[(j + 1) % 4]), t),
-                    w[(j + 3) % 4],
-                );
+        // Rounds 4j..4j+4 of every stream on message group `$cur`, which is
+        // then (while there are rounds left to feed) replaced by the group
+        // sixteen words on: msg2(msg1(w_j, w_{j+1}) + alignr(w_{j+3},
+        // w_{j+2}, 4), w_{j+3}) — the full FIPS 180-2 recurrence.
+        macro_rules! four_rounds {
+            ($j:expr, $cur:literal, $n1:literal, $n2:literal, $n3:literal) => {{
+                // SAFETY: `K` holds 64 words; 4 * j + 4 ≤ 64.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * $j).cast()) };
+                for lane in lanes.iter_mut() {
+                    lane.wk = _mm_add_epi32(lane.w[$cur], k);
+                }
+                for lane in lanes.iter_mut() {
+                    lane.cdgh = _mm_sha256rnds2_epu32(lane.cdgh, lane.abef, lane.wk);
+                }
+                for lane in lanes.iter_mut() {
+                    let wk_hi = _mm_shuffle_epi32(lane.wk, 0x0E);
+                    lane.abef = _mm_sha256rnds2_epu32(lane.abef, lane.cdgh, wk_hi);
+                }
+                if $j < 12 {
+                    for lane in lanes.iter_mut() {
+                        let t = _mm_alignr_epi8(lane.w[$n3], lane.w[$n2], 4);
+                        lane.w[$cur] = _mm_sha256msg2_epu32(
+                            _mm_add_epi32(_mm_sha256msg1_epu32(lane.w[$cur], lane.w[$n1]), t),
+                            lane.w[$n3],
+                        );
+                    }
+                }
+            }};
+        }
+
+        for block in 0..nblocks {
+            for (lane, stream) in lanes.iter_mut().zip(&data) {
+                for (i, group) in lane.w.iter_mut().enumerate() {
+                    // SAFETY: the caller guarantees `stream` holds
+                    // 64 * nblocks bytes, and 64 * block + 16 * i + 16 is at
+                    // most 64 * (block + 1).
+                    let m =
+                        unsafe { _mm_loadu_si128(stream.as_ptr().add(64 * block + 16 * i).cast()) };
+                    *group = _mm_shuffle_epi8(m, flip);
+                }
+            }
+            let saved = lanes;
+            for quad in 0..4 {
+                four_rounds!(4 * quad, 0, 1, 2, 3);
+                four_rounds!(4 * quad + 1, 1, 2, 3, 0);
+                four_rounds!(4 * quad + 2, 2, 3, 0, 1);
+                four_rounds!(4 * quad + 3, 3, 0, 1, 2);
+            }
+            for (lane, saved) in lanes.iter_mut().zip(&saved) {
+                lane.abef = _mm_add_epi32(lane.abef, saved.abef);
+                lane.cdgh = _mm_add_epi32(lane.cdgh, saved.cdgh);
             }
         }
-        state0 = _mm_add_epi32(state0, abef_save);
-        state1 = _mm_add_epi32(state1, cdgh_save);
 
-        // Unpack ABEF/CDGH back to (a..d)(e..h).
-        let tmp = _mm_shuffle_epi32(state0, 0x1B); // FEBA
-        let st1 = _mm_shuffle_epi32(state1, 0xB1); // DCHG
-        let out_lo = _mm_blend_epi16(tmp, st1, 0xF0); // DCBA
-        let out_hi = _mm_alignr_epi8(st1, tmp, 8); // HGFE
-                                                   // SAFETY: `state` holds 8 writable words.
-        unsafe {
-            _mm_storeu_si128(state.as_mut_ptr().cast(), out_lo);
-            _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), out_hi);
+        for (lane, state) in lanes.iter().zip(states.iter_mut()) {
+            // Unpack ABEF/CDGH back to (a..d)(e..h).
+            let tmp = _mm_shuffle_epi32(lane.abef, 0x1B); // FEBA
+            let st1 = _mm_shuffle_epi32(lane.cdgh, 0xB1); // DCHG
+            let out_lo = _mm_blend_epi16(tmp, st1, 0xF0); // DCBA
+            let out_hi = _mm_alignr_epi8(st1, tmp, 8); // HGFE
+
+            // SAFETY: `state` holds 8 writable words.
+            unsafe {
+                _mm_storeu_si128(state.as_mut_ptr().cast(), out_lo);
+                _mm_storeu_si128(state.as_mut_ptr().add(4).cast(), out_hi);
+            }
         }
     }
 
-    pub(super) fn compress_shani(state: &mut [u32; 8], block: &[u8; 64]) {
+    /// Every stream of `data` (all of one length, a whole number of blocks)
+    /// through [`compress_lanes`].
+    pub(super) fn compress_shani<const N: usize>(states: &mut [[u32; 8]; N], data: [&[u8]; N]) {
+        let len = data.first().map_or(0, |stream| stream.len());
+        assert!(
+            len % 64 == 0 && data.iter().all(|stream| stream.len() == len),
+            "streams of one whole-block length"
+        );
         // SAFETY: this path is only selected when SHA-NI detection passed
-        // (`Sha256Backend::ShaNi.is_available()` checks sha + ssse3 + sse4.1).
-        unsafe { compress(state, block) }
+        // (`Sha256Backend::ShaNi.is_available()` checks sha + ssse3 + sse4.1),
+        // and every stream holds the `len` bytes the call walks.
+        unsafe { compress_lanes(states, data, len / 64) }
     }
 }
 
@@ -315,8 +430,8 @@ impl Sha256 {
     }
 
     /// The current chaining state. Only meaningful at a 64-byte boundary
-    /// (`buffer_len == 0`); the HMAC fast path relies on exactly that after
-    /// absorbing the one-block ipad/opad.
+    /// (`buffer_len == 0`); HMAC starts both its hashes from exactly that
+    /// after absorbing the one-block ipad/opad.
     pub(crate) fn chaining_state(&self) -> [u32; 8] {
         debug_assert_eq!(self.buffer_len, 0, "state read mid-block");
         self.state
@@ -333,17 +448,18 @@ impl Sha256 {
             self.buffer_len += take;
             input = &input[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+                self.compress_buffer();
             }
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
-        }
+        // Every whole block in one call, straight from the caller's bytes.
+        let whole = input.len() / 64;
+        compress_many(
+            self.backend,
+            core::array::from_mut(&mut self.state),
+            [input],
+            whole,
+        );
+        input = &input[64 * whole..];
         if !input.is_empty() {
             self.buffer[..input.len()].copy_from_slice(input);
             self.buffer_len = input.len();
@@ -360,36 +476,122 @@ impl Sha256 {
         }
         let len_bytes = bit_len.to_be_bytes();
         self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; SHA256_OUTPUT_SIZE];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        self.compress_buffer();
+        digest_bytes(&self.state)
     }
 
     fn update_padding_byte(&mut self, byte: u8) {
         self.buffer[self.buffer_len] = byte;
         self.buffer_len += 1;
         if self.buffer_len == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
+            self.compress_buffer();
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(self.backend, &mut self.state, block);
+    /// Compress the (full) buffer and empty it.
+    fn compress_buffer(&mut self) {
+        compress_block(self.backend, &mut self.state, &self.buffer);
+        self.buffer_len = 0;
     }
 }
 
-/// One-shot SHA-256 of `data`.
+/// A chaining state as the big-endian digest bytes.
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; SHA256_OUTPUT_SIZE] {
+    let mut out = [0u8; SHA256_OUTPUT_SIZE];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// Finish `N` lockstep hashes: `states` have absorbed `prefix_len` bytes (a
+/// whole number of blocks) each; absorb the equal-length `msgs` — the whole
+/// blocks straight from the callers' bytes, then the padded tails (one block,
+/// or two when fewer than nine bytes are left in the last one) — and return
+/// the digests.
+pub(crate) fn finish_many<const N: usize>(
+    backend: Sha256Backend,
+    mut states: [[u32; 8]; N],
+    msgs: [&[u8]; N],
+    prefix_len: usize,
+) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
+    let len = msgs[0].len();
+    debug_assert!(prefix_len % 64 == 0 && msgs.iter().all(|m| m.len() == len));
+    let whole = len / 64;
+    compress_many(backend, &mut states, msgs, whole);
+
+    let rest = len - 64 * whole;
+    let tail_len = if rest + 9 <= 64 { 64 } else { 128 };
+    let bit_len = ((prefix_len + len) as u64).wrapping_mul(8);
+    let mut tails = [[0u8; 128]; N];
+    for (tail, msg) in tails.iter_mut().zip(msgs) {
+        tail[..rest].copy_from_slice(&msg[64 * whole..]);
+        tail[rest] = 0x80;
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+    }
+    let tails = core::array::from_fn(|lane| &tails[lane][..]);
+    compress_many(backend, &mut states, tails, tail_len / 64);
+    states.map(|state| digest_bytes(&state))
+}
+
+/// A hash of whole messages that can take `N` equal-length ones in lockstep:
+/// plain SHA-256, or HMAC under one key.
+pub(crate) trait LaneHash {
+    /// The hash of each of `msgs`, all of one length.
+    fn lanes<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; SHA256_OUTPUT_SIZE]; N];
+}
+
+/// `hash` of every message of `msgs`, written to the matching entry of `out`:
+/// messages are taken [`SHA_LANES`] at a time and a group of one length goes
+/// through `hash` together; a group of mixed lengths falls back to one
+/// message at a time, which gives the same values.
+///
+/// # Panics
+/// If `out` is not as long as `msgs`.
+pub(crate) fn hash_many<H: LaneHash>(
+    hash: &H,
+    msgs: &[&[u8]],
+    out: &mut [[u8; SHA256_OUTPUT_SIZE]],
+) {
+    const _: () = assert!(SHA_LANES == 4, "one arm per group size below");
+    assert_eq!(msgs.len(), out.len(), "one digest per message");
+    for (group, digests) in msgs.chunks(SHA_LANES).zip(out.chunks_mut(SHA_LANES)) {
+        let one_length = group.iter().all(|m| m.len() == group[0].len());
+        match *group {
+            [a, b] if one_length => digests.copy_from_slice(&hash.lanes([a, b])),
+            [a, b, c] if one_length => digests.copy_from_slice(&hash.lanes([a, b, c])),
+            [a, b, c, d] if one_length => digests.copy_from_slice(&hash.lanes([a, b, c, d])),
+            _ => {
+                for (msg, digest) in group.iter().zip(digests) {
+                    [*digest] = hash.lanes([msg]);
+                }
+            }
+        }
+    }
+}
+
+/// Plain SHA-256 on one backend, as a [`LaneHash`].
+struct Plain(Sha256Backend);
+
+impl LaneHash for Plain {
+    fn lanes<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
+        finish_many(self.0, [H0; N], msgs, 0)
+    }
+}
+
+/// One-shot SHA-256 of `data`: the one-message case of [`sha256_many`].
 pub fn sha256(data: &[u8]) -> [u8; SHA256_OUTPUT_SIZE] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    Plain(backend::sha256_active()).lanes([data])[0]
+}
+
+/// [`sha256`] of every message of `msgs`, written to the matching entry of
+/// `out`. Messages of one length are hashed [`SHA_LANES`] at a time in
+/// lockstep, which on SHA-NI costs little more than one of them alone.
+///
+/// # Panics
+/// If `out` is not as long as `msgs`.
+pub fn sha256_many(msgs: &[&[u8]], out: &mut [[u8; SHA256_OUTPUT_SIZE]]) {
+    hash_many(&Plain(backend::sha256_active()), msgs, out);
 }
 
 #[cfg(test)]
@@ -487,6 +689,143 @@ mod tests {
             }
             assert_eq!(h.finalize(), d1, "length {len}");
         }
+    }
+
+    /// The digests of `N` equal-length messages hashed as `N` lockstep
+    /// streams: padding done here, every block through one `compress_many`.
+    fn digest_lanes<const N: usize>(
+        backend: Sha256Backend,
+        msgs: [&[u8]; N],
+    ) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
+        let padded = msgs.map(|msg| {
+            let mut p = msg.to_vec();
+            p.push(0x80);
+            p.resize((msg.len() + 9).div_ceil(64) * 64 - 8, 0);
+            p.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+            p
+        });
+        let mut states = [H0; N];
+        compress_many(
+            backend,
+            &mut states,
+            core::array::from_fn(|lane| padded[lane].as_slice()),
+            padded[0].len() / 64,
+        );
+        states.map(|state| digest_bytes(&state))
+    }
+
+    /// Run `$check::<N>(args…)` at every lane width up to [`SHA_LANES`].
+    macro_rules! at_every_width {
+        ($check:ident($($arg:expr),*)) => {{
+            const _: () = assert!(SHA_LANES == 4, "cover the new widths");
+            $check::<1>($($arg),*);
+            $check::<2>($($arg),*);
+            $check::<3>($($arg),*);
+            $check::<4>($($arg),*);
+        }};
+    }
+
+    #[test]
+    fn fips_vectors_through_every_lane_width_on_every_backend() {
+        fn check<const N: usize>(backend: Sha256Backend, msg: &[u8], expected: &str) {
+            for (lane, digest) in digest_lanes(backend, [msg; N]).iter().enumerate() {
+                assert_eq!(
+                    hex(digest),
+                    expected,
+                    "{} bytes, lane {lane} of {N} on {}",
+                    msg.len(),
+                    backend.name()
+                );
+            }
+        }
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for backend in available_backends() {
+            for (msg, expected) in vectors {
+                at_every_width!(check(backend, msg, expected));
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_streams_do_not_mix() {
+        // Every lane its own bytes: each digest is the one-stream digest of
+        // that lane's message, at lengths of zero, one, two and many blocks.
+        fn check<const N: usize>(backend: Sha256Backend, len: usize) {
+            let msgs: [Vec<u8>; N] = core::array::from_fn(|lane| {
+                (0..len).map(|i| (i * 31 + lane * 101 + 7) as u8).collect()
+            });
+            let digests = digest_lanes::<N>(backend, core::array::from_fn(|lane| &msgs[lane][..]));
+            for (lane, msg) in msgs.iter().enumerate() {
+                let mut h = Sha256::with_backend(Sha256Backend::Scalar);
+                h.update(msg);
+                assert_eq!(
+                    digests[lane],
+                    h.finalize(),
+                    "{len} bytes, lane {lane} of {N} on {}",
+                    backend.name()
+                );
+            }
+        }
+        for backend in available_backends() {
+            for len in [0usize, 1, 55, 56, 64, 119, 120, 1000, 4080] {
+                at_every_width!(check(backend, len));
+            }
+        }
+    }
+
+    #[test]
+    fn compress_many_walks_exactly_the_blocks_asked_for() {
+        let data: Vec<u8> = (0..256u32).map(|i| (i * 7) as u8).collect();
+        for backend in available_backends() {
+            // No blocks: the states stay put.
+            let mut none = [H0; 2];
+            compress_many(backend, &mut none, [&data, &data[64..]], 0);
+            assert_eq!(none, [H0; 2]);
+            // Two of the four blocks a stream holds: the rest is not read.
+            let mut two = [H0; 2];
+            compress_many(backend, &mut two, [&data, &data[64..]], 2);
+            let mut steps = [H0; 2];
+            for block in 0..2 {
+                compress_many(
+                    backend,
+                    &mut steps,
+                    [&data[64 * block..], &data[64 * (block + 1)..]],
+                    1,
+                );
+            }
+            assert_eq!(two, steps, "{}", backend.name());
+            // `compress_block` is the one-stream, one-block case.
+            let mut one = H0;
+            compress_block(backend, &mut one, data[..64].try_into().unwrap());
+            let mut many = [H0];
+            compress_many(backend, &mut many, [&data], 1);
+            assert_eq!([one], many, "{}", backend.name());
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn compress_many_refuses_a_short_stream() {
+        let data = [0u8; 128];
+        compress_many(Sha256Backend::Scalar, &mut [H0; 2], [&data, &data[1..]], 2);
     }
 
     #[test]

@@ -440,8 +440,9 @@ impl IntentJournal {
     /// Randomize every slot — the post-recovery "journal is empty" state,
     /// indistinguishable from the slots never having been written.
     pub fn clear_all<D: BlockDevice>(&self, fs: &StegFs<D>) -> Result<(), ResilienceError> {
+        let mut scratch = vec![0u8; fs.codec().block_size()];
         for &slot in &self.slots {
-            fs.randomize_block(slot)?;
+            fs.randomize_block(slot, &mut scratch)?;
         }
         Ok(())
     }

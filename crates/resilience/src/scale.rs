@@ -782,8 +782,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         match decode_head(&state.mac, shard, &plain) {
             Some((_, head_gen, _)) if head_gen == generation => Ok(Recovered::Forward),
             Some((active, head_gen, _)) if head_gen < generation => {
+                let mut scratch = vec![0u8; self.fs.codec().block_size()];
                 for &b in &geo.segments[1 - active] {
-                    self.fs.randomize_block(b)?;
+                    self.fs.randomize_block(b, &mut scratch)?;
                 }
                 Ok(Recovered::Back)
             }

@@ -47,6 +47,7 @@ use parking_lot::{Mutex, RwLock};
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{
     BlockClass, FileAccessKey, OpenFile, ShardedBlockMap, StegFs, StegFsConfig, DEFAULT_MAP_SHARDS,
+    IV_SIZE,
 };
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, Key256};
@@ -128,6 +129,15 @@ fn check_keys(file: &OpenFile) -> Result<Arc<ChecksumKeys>, ResilienceError> {
         .content_key()
         .ok_or(ResilienceError::Corrupt("file without content key".into()))?;
     Ok(Arc::new(ChecksumKeys::derive(ck)))
+}
+
+/// The truncated MAC of every field of `fields`, taken together
+/// ([`ChecksumKeys::mac16_many`]).
+fn mac16_each(keys: &ChecksumKeys, fields: &[Vec<u8>]) -> Vec<[u8; 16]> {
+    let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
+    let mut macs = vec![[0u8; 16]; refs.len()];
+    keys.mac16_many(&refs, &mut macs);
+    macs
 }
 
 impl FileState {
@@ -868,7 +878,10 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// Read one content block's plaintext into `field` for a delta update,
     /// healing its stripe first when the fast check says the stored bytes are
     /// stale or torn (a delta against corrupt bytes would poison every parity
-    /// row).
+    /// row). Either way `field` comes back verified against the stripe map's
+    /// record for `index` — by its fast check, or after a heal by the full
+    /// recomputed check — which is what [`Self::write_batch_locked`] relies
+    /// on to record that check as the block's pre-image without a MAC.
     fn healed_read(
         &self,
         path: &str,
@@ -900,6 +913,12 @@ impl<D: BlockDevice> ResilientStore<D> {
                 });
             }
             read(g, field)?;
+            if g.keys.check(field) != *g.stripes.data_check(index) {
+                return Err(ResilienceError::Unrecoverable {
+                    path: path.to_string(),
+                    stripes: vec![stripe],
+                });
+            }
         }
         Ok(())
     }
@@ -910,6 +929,13 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// chain, the per-entry data and parity writes follow record order, and
     /// the stripe-map shadow lands once at the end — so the journal and
     /// shadow costs amortise over every block of the chunk.
+    ///
+    /// Contract: every `old_field` has been verified by the caller against
+    /// the stripe map's record for its index ([`Self::healed_read`],
+    /// [`Self::read_fields`]). The plan therefore records that check as the
+    /// block's pre-image instead of MACing the same bytes again, as it does
+    /// for parity rows whose fast check passed ([`Self::read_parity_rows`]);
+    /// debug builds recompute every check so taken and assert it equal.
     fn write_batch_locked(
         &self,
         path: &str,
@@ -943,7 +969,10 @@ impl<D: BlockDevice> ResilientStore<D> {
             // images the writes below produce and the checks the intent
             // records. A stripe's rows travel with their checks, so an
             // entry's pre-image checks are the previous same-stripe entry's
-            // post-image checks, not a second pass over the same bytes.
+            // post-image checks, not a second pass over the same bytes; a
+            // data block's pre-image check is likewise the previous entry's
+            // post-image check for that index or, first time round, the
+            // stripe map's record the caller verified `old` against.
             let mut parity_now: BTreeMap<u64, (Vec<Vec<u8>>, Vec<BlockCheck>)> = BTreeMap::new();
             let mut entries: Vec<BlockWriteIntent> = Vec::with_capacity(chunk.len());
             let mut planned_parity: Vec<Vec<Vec<u8>>> = Vec::with_capacity(chunk.len());
@@ -958,15 +987,21 @@ impl<D: BlockDevice> ResilientStore<D> {
                 let delta: Vec<u8> = old.iter().zip(new_field).map(|(a, b)| a ^ b).collect();
                 let slot = (index - stripe * k as u64) as usize;
                 self.codec.apply_delta(slot, &delta, parities);
-                let mut images = vec![old, new_field];
+                let data_pre = entries
+                    .iter()
+                    .rev()
+                    .find(|e| e.index == index)
+                    .map_or(*g.stripes.data_check(index), |e| e.data_post);
+                debug_assert_eq!(data_pre, keys.check(old), "unverified pre-image");
+                let mut images = vec![new_field];
                 images.extend(parities.iter().map(Vec::as_slice));
                 let checks = keys.check_many(&images);
-                let pre_parity = std::mem::replace(parity_checks, checks[2..].to_vec());
+                let pre_parity = std::mem::replace(parity_checks, checks[1..].to_vec());
                 entries.push(BlockWriteIntent {
                     index,
                     data_location: g.open.header.blocks[index as usize],
-                    data_pre: checks[0],
-                    data_post: checks[1],
+                    data_pre,
+                    data_post: checks[0],
                     parity: (0..m)
                         .map(|row| ParityIntent {
                             location: g.stripes.parity_entry(stripe, row).location,
@@ -1006,11 +1041,12 @@ impl<D: BlockDevice> ResilientStore<D> {
                     pre_field[..pre.len()].copy_from_slice(pre);
                     let mut post_field = vec![0u8; per];
                     post_field[..post.len()].copy_from_slice(post);
+                    let checks = shadow_keys.check_many(&[&pre_field, &post_field]);
                     entries.push(BlockWriteIntent {
                         index: SHADOW_ENTRY_BASE + i as u64,
                         data_location: g.shadow.header.blocks[i],
-                        data_pre: shadow_keys.check(&pre_field),
-                        data_post: shadow_keys.check(&post_field),
+                        data_pre: checks[0],
+                        data_post: checks[1],
                         parity: Vec::new(),
                     });
                 }
@@ -1065,16 +1101,19 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// Read the parity rows of `stripe` with their checks for a delta update,
     /// healing the stripe first when a row fails its recorded fast check: a
     /// delta folded into a corrupt row would be written back, and its check
-    /// recorded as authoritative, with the corruption still inside.
+    /// recorded as authoritative, with the corruption still inside. Rows
+    /// that pass travel with the stripe map's recorded checks; only rows
+    /// re-read after a heal are MACed afresh.
     fn read_parity_rows(
         &self,
         path: &str,
         g: &mut FileState,
         stripe: u64,
     ) -> Result<(Vec<Vec<u8>>, Vec<BlockCheck>), ResilienceError> {
+        let m = self.stripe_cfg.m;
         let content_key = *g.open.fak.content_key().expect("managed files have one");
         let read = |g: &FileState| {
-            let rows = (0..self.stripe_cfg.m)
+            (0..m)
                 .map(|row| {
                     self.fs.codec().read_sealed(
                         self.fs.device(),
@@ -1082,24 +1121,37 @@ impl<D: BlockDevice> ResilientStore<D> {
                         &content_key,
                     )
                 })
-                .collect::<Result<Vec<_>, _>>()?;
-            let images: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
-            let checks = g.keys.check_many(&images);
-            let intact = (0..self.stripe_cfg.m)
-                .all(|row| checks[row].fast == g.stripes.parity_entry(stripe, row).check.fast);
-            Ok::<_, ResilienceError>((rows, checks, intact))
+                .collect::<Result<Vec<_>, _>>()
         };
-        let (mut rows, mut checks, intact) = read(g)?;
-        if !intact {
-            let repair = self.repair_stripe(g, stripe, true)?;
-            if repair.unrecoverable {
-                return Err(ResilienceError::Unrecoverable {
-                    path: path.to_string(),
-                    stripes: vec![stripe],
-                });
-            }
-            (rows, checks, _) = read(g)?;
+        let rows = read(g)?;
+        let images: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
+        let mut fast = vec![0u64; m];
+        g.keys.fast_many(&images, &mut fast);
+        let recorded: Vec<BlockCheck> = (0..m)
+            .map(|row| g.stripes.parity_entry(stripe, row).check)
+            .collect();
+        if fast
+            .iter()
+            .zip(&recorded)
+            .all(|(fast, rec)| *fast == rec.fast)
+        {
+            debug_assert_eq!(
+                recorded,
+                g.keys.check_many(&images),
+                "unverified parity row"
+            );
+            return Ok((rows, recorded));
         }
+        let repair = self.repair_stripe(g, stripe, true)?;
+        if repair.unrecoverable {
+            return Err(ResilienceError::Unrecoverable {
+                path: path.to_string(),
+                stripes: vec![stripe],
+            });
+        }
+        let rows = read(g)?;
+        let images: Vec<&[u8]> = rows.iter().map(Vec::as_slice).collect();
+        let checks = g.keys.check_many(&images);
         Ok((rows, checks))
     }
 
@@ -1183,6 +1235,17 @@ impl<D: BlockDevice> ResilientStore<D> {
         Ok(())
     }
 
+    /// The data fields of the blocks at `locations`, read in that order.
+    fn read_shards(
+        &self,
+        locations: impl Iterator<Item = BlockId>,
+        key: &Key256,
+    ) -> Result<Vec<Vec<u8>>, stegfs_base::FsError> {
+        locations
+            .map(|loc| self.fs.codec().read_sealed(self.fs.device(), loc, key))
+            .collect()
+    }
+
     /// MAC-verify every shard of `stripe` and reconstruct the missing ones,
     /// rewriting repaired shards onto freshly claimed blocks (the corrupt
     /// locations are randomised and released — a torn or corrupted sector is
@@ -1207,15 +1270,26 @@ impl<D: BlockDevice> ResilientStore<D> {
         let range = g.stripes.stripe_data_range(stripe);
         let live = range.clone().count();
 
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
-        let mut corrupt: Vec<(usize, BlockId)> = Vec::new();
+        // Read the stripe's live data blocks, then its parity rows, and MAC
+        // the lot together; a shard stays only if its MAC is the recorded one.
+        let mut sites: Vec<(usize, BlockId, [u8; 16])> = Vec::with_capacity(live + m);
         for (slot, i) in range.clone().enumerate() {
             let loc = g.open.header.blocks[i as usize];
-            let field = self
-                .fs
-                .codec()
-                .read_sealed(self.fs.device(), loc, &content_key)?;
-            if keys.mac16(&field) == g.stripes.data_check(i).mac {
+            sites.push((slot, loc, g.stripes.data_check(i).mac));
+        }
+        for row in 0..m {
+            let entry = g.stripes.parity_entry(stripe, row);
+            sites.push((k + row, entry.location, entry.check.mac));
+        }
+        let fields = self.read_shards(sites.iter().map(|&(_, loc, _)| loc), &content_key)?;
+        let macs = mac16_each(&keys, &fields);
+
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
+        let mut corrupt: Vec<(usize, BlockId)> = Vec::new();
+        for ((slot, loc, recorded), (field, mac)) in
+            sites.into_iter().zip(fields.into_iter().zip(macs))
+        {
+            if mac == recorded {
                 shards[slot] = Some(field);
             } else {
                 corrupt.push((slot, loc));
@@ -1223,18 +1297,6 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         for shard in shards.iter_mut().take(k).skip(live) {
             *shard = Some(vec![0u8; per]);
-        }
-        for row in 0..m {
-            let entry = *g.stripes.parity_entry(stripe, row);
-            let field =
-                self.fs
-                    .codec()
-                    .read_sealed(self.fs.device(), entry.location, &content_key)?;
-            if keys.mac16(&field) == entry.check.mac {
-                shards[k + row] = Some(field);
-            } else {
-                corrupt.push((k + row, entry.location));
-            }
         }
         if corrupt.is_empty() {
             return Ok(StripeRepair {
@@ -1265,6 +1327,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.stats.count_intent_journaled();
         }
 
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
         for &(slot, old_loc) in &corrupt {
             let new_loc = self.fs.allocate_blocks(&self.map, 1)?[0];
             let shard = shards[slot].as_ref().expect("reconstructed");
@@ -1284,7 +1347,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             self.index.write().relocate(old_loc, new_loc);
             // Only release the corrupt location after the reconstructed
             // shard is durably sealed at its new home (write ordering).
-            self.fs.randomize_block(old_loc)?;
+            self.fs.randomize_block(old_loc, &mut scratch)?;
             self.map.set(old_loc, BlockClass::Dummy);
         }
         self.fs.save(&mut g.open)?;
@@ -1382,7 +1445,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         // Randomising the header is the undo of the commit point: it is the
         // one block that makes the file discoverable, and it goes first.
-        self.fs.randomize_block(open.header_location)?;
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
+        self.fs
+            .randomize_block(open.header_location, &mut scratch)?;
         let num_blocks = self.fs.superblock().num_blocks;
         for loc in hygiene {
             // Locations decoded from a partially written shadow map may be
@@ -1390,7 +1455,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             // is hygiene — the blocks are unreferenced once the header is
             // gone.
             if loc > 0 && loc < num_blocks {
-                self.fs.randomize_block(loc)?;
+                self.fs.randomize_block(loc, &mut scratch)?;
             }
         }
         Ok(Recovered::Back)
@@ -1505,7 +1570,9 @@ impl<D: BlockDevice> ResilientStore<D> {
                         e.data_location,
                         &shadow_key,
                     )?;
-                    if shadow_keys.mac16(&field) != shadow_keys.mac16(&want) {
+                    let mut macs = [[0u8; 16]; 2];
+                    shadow_keys.mac16_many(&[&field, &want], &mut macs);
+                    if macs[0] != macs[1] {
                         dirty = true;
                         break;
                     }
@@ -1559,25 +1626,44 @@ impl<D: BlockDevice> ResilientStore<D> {
         let content_key = *g.open.fak.content_key().expect("managed files have one");
         let per = self.fs.content_bytes_per_block();
 
+        // Read every shard the resolve looks at — the group's data blocks,
+        // the parity rows, then the stripe's other (bystander) data blocks —
+        // and MAC them together.
+        let range = g.stripes.stripe_data_range(stripe);
+        let live = range.clone().count();
+        let in_group = |i: u64| group.iter().position(|e| e.index == i);
+        let locations = group
+            .iter()
+            .map(|e| e.data_location)
+            .chain((0..m).map(|row| g.stripes.parity_entry(stripe, row).location))
+            .chain(
+                range
+                    .clone()
+                    .filter(|&i| in_group(i).is_none())
+                    .map(|i| g.open.header.blocks[i as usize]),
+            );
+        let fields = self.read_shards(locations, &content_key)?;
+        let macs = mac16_each(&keys, &fields);
+        let mut shard_macs = fields.into_iter().zip(macs);
+        let data: Vec<(Vec<u8>, [u8; 16])> = shard_macs.by_ref().take(group.len()).collect();
+        let parity: Vec<(Vec<u8>, [u8; 16])> = shard_macs.by_ref().take(m).collect();
+        let mut bystanders = shard_macs;
+
         // Classify each group data block: Some(true) = post-image landed,
         // Some(false) = still pre-image, None = torn.
-        let mut data_fields = Vec::with_capacity(group.len());
-        let mut data_states: Vec<Option<bool>> = Vec::with_capacity(group.len());
-        for e in group {
-            let field =
-                self.fs
-                    .codec()
-                    .read_sealed(self.fs.device(), e.data_location, &content_key)?;
-            let mac = keys.mac16(&field);
-            data_states.push(if mac == e.data_post.mac {
-                Some(true)
-            } else if mac == e.data_pre.mac {
-                Some(false)
-            } else {
-                None
-            });
-            data_fields.push(field);
-        }
+        let data_states: Vec<Option<bool>> = group
+            .iter()
+            .zip(&data)
+            .map(|(e, (_, mac))| {
+                if *mac == e.data_post.mac {
+                    Some(true)
+                } else if *mac == e.data_pre.mac {
+                    Some(false)
+                } else {
+                    None
+                }
+            })
+            .collect();
         // The frontier: writes land as a strict prefix, so post-images form
         // a leading run. A block past it that is not a clean pre-image was
         // torn mid-write and gets erased and rolled back.
@@ -1589,44 +1675,27 @@ impl<D: BlockDevice> ResilientStore<D> {
         } else {
             group[complete - 1].parity.iter().map(|p| p.post).collect()
         };
-        let mut parity_fields = Vec::with_capacity(m);
-        let mut parity_ok = Vec::with_capacity(m);
-        for (row, exp) in expected.iter().enumerate() {
-            let loc = g.stripes.parity_entry(stripe, row).location;
-            let field = self
-                .fs
-                .codec()
-                .read_sealed(self.fs.device(), loc, &content_key)?;
-            parity_ok.push(keys.mac16(&field) == exp.mac);
-            parity_fields.push(field);
-        }
 
         // Build the stripe's shard vector in the target state, erasing every
         // shard that does not match it.
-        let range = g.stripes.stripe_data_range(stripe);
-        let live = range.clone().count();
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; k + m];
-        for (slot, i) in range.clone().enumerate() {
-            if let Some(j) = group.iter().position(|e| e.index == i) {
+        for (slot, i) in range.enumerate() {
+            if let Some(j) = in_group(i) {
                 let want_post = j < complete;
-                shards[slot] = (data_states[j] == Some(want_post)).then(|| data_fields[j].clone());
+                shards[slot] = (data_states[j] == Some(want_post)).then(|| data[j].0.clone());
             } else {
                 // Bystander: its content is identical at every chain
                 // position; trust it if it matches its (state-independent)
                 // stripe-map check.
-                let loc = g.open.header.blocks[i as usize];
-                let field = self
-                    .fs
-                    .codec()
-                    .read_sealed(self.fs.device(), loc, &content_key)?;
-                shards[slot] = (keys.mac16(&field) == g.stripes.data_check(i).mac).then_some(field);
+                let (field, mac) = bystanders.next().expect("one read per bystander");
+                shards[slot] = (mac == g.stripes.data_check(i).mac).then_some(field);
             }
         }
         for shard in shards.iter_mut().take(k).skip(live) {
             *shard = Some(vec![0u8; per]);
         }
-        for row in 0..m {
-            shards[k + row] = parity_ok[row].then(|| parity_fields[row].clone());
+        for (row, (field, mac)) in parity.into_iter().enumerate() {
+            shards[k + row] = (mac == expected[row].mac).then_some(field);
         }
         let missing: Vec<usize> = (0..k + m).filter(|&s| shards[s].is_none()).collect();
         if self.codec.reconstruct(&mut shards, per).is_err() {
@@ -1732,9 +1801,39 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
             sites.sort_by_key(|&(loc, _)| loc);
 
+            // Runs are read in order into one batch buffer; a full batch
+            // (and the last one) is opened where it lies and its fields are
+            // MACed together — scattered blocks make most runs one block
+            // long, too short to fill the hash lanes on their own.
             let block_size = self.fs.codec().block_size();
-            let mut field = vec![0u8; self.fs.content_bytes_per_block()];
             let mut degraded: BTreeSet<u64> = BTreeSet::new();
+            let mut verify =
+                |batch: &[(BlockId, ShardRef)], buf: &mut [u8]| -> Result<(), ResilienceError> {
+                    self.fs.codec().open_in_place(&content_key, buf)?;
+                    let fields: Vec<&[u8]> = buf
+                        .chunks_exact(block_size)
+                        .map(|physical| &physical[IV_SIZE..])
+                        .collect();
+                    let mut macs = vec![[0u8; 16]; fields.len()];
+                    keys.mac16_many(&fields, &mut macs);
+                    for (&(_, shard), mac) in batch.iter().zip(macs) {
+                        let (recorded, stripe) = match shard {
+                            ShardRef::Data(i) => {
+                                (g.stripes.data_check(i).mac, self.stripe_cfg.stripe_of(i))
+                            }
+                            ShardRef::Parity(stripe, row) => {
+                                (g.stripes.parity_entry(stripe, row).check.mac, stripe)
+                            }
+                        };
+                        if mac != recorded {
+                            degraded.insert(stripe);
+                        }
+                    }
+                    Ok(())
+                };
+            let mut buf = vec![0u8; self.scrub_batch.min(sites.len()) * block_size];
+            // `sites[batch..start]` are read into `buf` and not yet verified.
+            let mut batch = 0;
             let mut start = 0;
             while start < sites.len() {
                 // Extend the run while physically contiguous and under the
@@ -1746,30 +1845,19 @@ impl<D: BlockDevice> ResilientStore<D> {
                 {
                     end += 1;
                 }
-                let run = &sites[start..end];
-                let mut buf = vec![0u8; run.len() * block_size];
-                self.fs.device().read_blocks(run[0].0, &mut buf)?;
-                for (&(_, shard), physical) in run.iter().zip(buf.chunks_exact(block_size)) {
-                    self.fs
-                        .codec()
-                        .open_into(&content_key, physical, &mut field)?;
-                    let (ok, stripe) = match shard {
-                        ShardRef::Data(i) => (
-                            keys.mac16(&field) == g.stripes.data_check(i).mac,
-                            self.stripe_cfg.stripe_of(i),
-                        ),
-                        ShardRef::Parity(stripe, row) => (
-                            keys.mac16(&field) == g.stripes.parity_entry(stripe, row).check.mac,
-                            stripe,
-                        ),
-                    };
-                    if !ok {
-                        degraded.insert(stripe);
-                    }
+                if end - batch > self.scrub_batch {
+                    verify(
+                        &sites[batch..start],
+                        &mut buf[..(start - batch) * block_size],
+                    )?;
+                    batch = start;
                 }
-                report.blocks_checked += run.len() as u64;
+                let run = &mut buf[(start - batch) * block_size..(end - batch) * block_size];
+                self.fs.device().read_blocks(sites[start].0, run)?;
+                report.blocks_checked += (end - start) as u64;
                 start = end;
             }
+            verify(&sites[batch..], &mut buf[..(start - batch) * block_size])?;
             self.stats.add_blocks_checked(sites.len() as u64);
 
             for stripe in degraded {
@@ -1856,7 +1944,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             // lock, so it is current again once that lock has been ours.
             loop {
                 let Some((state, role)) = owner else {
-                    self.fs.randomize_block(victim)?;
+                    self.fs.randomize_block(victim, &mut scratch)?;
                     break;
                 };
                 if self.dummy_update_owned(victim, &state, role, &mut scratch, &mut field)? {
@@ -2284,6 +2372,233 @@ mod tests {
         assert!(store.scrub().unwrap().is_clean());
     }
 
+    /// A store of 4 KB blocks: one journal record holds a 22-entry batch, so
+    /// the record an operation leaves in its slot carries its whole plan.
+    fn roomy_store() -> ResilientStore<FaultDevice<MemDevice>> {
+        let dev = FaultDevice::new(MemDevice::new(512, 4096));
+        ResilientStore::format(dev, ResilienceConfig::default(), &master(), 7).unwrap()
+    }
+
+    /// The checks of a batch's entries, without the locations a repair may
+    /// have moved: `(index, data pre, data post, [(row pre, row post)])`.
+    type EntryChecks = (u64, BlockCheck, BlockCheck, Vec<(BlockCheck, BlockCheck)>);
+
+    fn checks_of(entries: &[BlockWriteIntent]) -> Vec<EntryChecks> {
+        entries
+            .iter()
+            .map(|e| {
+                let rows = e.parity.iter().map(|p| (p.pre, p.post)).collect();
+                (e.index, e.data_pre, e.data_post, rows)
+            })
+            .collect()
+    }
+
+    /// What the plan of `changes` (block index, new data field; in order) on
+    /// `path` must record, every check recomputed with `keys.check` from the
+    /// plaintext on the device — the way the plan itself worked before it
+    /// began to reuse the checks the stripe map already holds.
+    fn recomputed_plan(
+        store: &ResilientStore<impl BlockDevice>,
+        path: &str,
+        changes: &[(u64, Vec<u8>)],
+    ) -> Vec<EntryChecks> {
+        let state = store.file_state(path).unwrap();
+        let g = state.read();
+        let (k, m) = (store.stripe_cfg.k as u64, store.stripe_cfg.m);
+        let per = store.fs.content_bytes_per_block();
+        let content_key = *g.open.fak.content_key().unwrap();
+        let read = |loc| {
+            store
+                .read_shards(std::iter::once(loc), &content_key)
+                .unwrap()
+                .remove(0)
+        };
+        let mut post_map = g.stripes.clone();
+        let mut data: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut parity: BTreeMap<u64, Vec<Vec<u8>>> = BTreeMap::new();
+        let mut plan = Vec::new();
+        for (index, new) in changes {
+            let stripe = index / k;
+            let old = data
+                .entry(*index)
+                .or_insert_with(|| read(g.open.header.blocks[*index as usize]));
+            let rows = parity.entry(stripe).or_insert_with(|| {
+                (0..m)
+                    .map(|row| read(g.stripes.parity_entry(stripe, row).location))
+                    .collect()
+            });
+            let pre: Vec<BlockCheck> = rows.iter().map(|row| g.keys.check(row)).collect();
+            let delta: Vec<u8> = old.iter().zip(new).map(|(a, b)| a ^ b).collect();
+            store.codec.apply_delta((index % k) as usize, &delta, rows);
+            let post: Vec<BlockCheck> = rows.iter().map(|row| g.keys.check(row)).collect();
+            let (data_pre, data_post) = (g.keys.check(old), g.keys.check(new));
+            post_map.set_data_check(*index, data_post);
+            for (row, check) in post.iter().enumerate() {
+                let mut entry = *post_map.parity_entry(stripe, row);
+                entry.check = *check;
+                post_map.set_parity_entry(stripe, row, entry);
+            }
+            plan.push((
+                *index,
+                data_pre,
+                data_post,
+                pre.into_iter().zip(post).collect(),
+            ));
+            *old = new.clone();
+        }
+        // The chunk-closing shadow rewrite: the map before and after.
+        let (pre, post) = (g.stripes.encode(), post_map.encode());
+        for (i, (pre, post)) in pre.chunks(per).zip(post.chunks(per)).enumerate() {
+            let field = |chunk: &[u8]| {
+                let mut field = vec![0u8; per];
+                field[..chunk.len()].copy_from_slice(chunk);
+                g.shadow_keys.check(&field)
+            };
+            plan.push((
+                SHADOW_ENTRY_BASE + i as u64,
+                field(pre),
+                field(post),
+                Vec::new(),
+            ));
+        }
+        plan
+    }
+
+    /// The entries of the newest `WriteBatch` record `path` left in the
+    /// journal (a finished operation's record stays in its slot).
+    fn last_write_batch(
+        store: &ResilientStore<impl BlockDevice>,
+        path: &str,
+    ) -> Vec<BlockWriteIntent> {
+        let records = store.journal.scan(store.fs()).unwrap();
+        let newest = records
+            .into_iter()
+            .filter(|r| r.path == path)
+            .max_by_key(|r| r.op_id)
+            .expect("a record for the path");
+        match newest.body {
+            IntentBody::WriteBatch { entries } => entries,
+            other => panic!("newest record is {other:?}"),
+        }
+    }
+
+    fn field_of(store: &ResilientStore<impl BlockDevice>, data: &[u8]) -> Vec<u8> {
+        let mut field = vec![0u8; store.fs.content_bytes_per_block()];
+        field[..data.len()].copy_from_slice(data);
+        field
+    }
+
+    #[test]
+    fn write_plan_records_the_checks_a_full_recompute_would() {
+        let store = roomy_store();
+        let per = store.fs().content_bytes_per_block();
+        let data = content(12 * per - 300);
+        store.create_file("/a", &data).unwrap();
+
+        // One block: a one-entry batch plus the shadow rewrite.
+        let changes = vec![(5, field_of(&store, &[0x5a; 1000]))];
+        let expected = recomputed_plan(&store, "/a", &changes);
+        store.write_block("/a", 5, &[0x5a; 1000]).unwrap();
+        let entries = last_write_batch(&store, "/a");
+        assert_eq!(checks_of(&entries), expected);
+        assert_eq!(entries[0].data_location, block_of(&store, "/a", 5));
+        assert_eq!(
+            entries[0].parity[1].location,
+            store.stripe_layout("/a").unwrap()[1][5]
+        );
+
+        // A rewrite touching all three stripes, two of them twice (so parity
+        // checks chain from entry to entry) and the short tail block.
+        let mut updated = store.read_file("/a").unwrap();
+        let touched = [0u64, 3, 5, 8, 11];
+        for i in touched {
+            updated[i as usize * per + 17] ^= 0xff;
+        }
+        let changes: Vec<(u64, Vec<u8>)> = touched
+            .iter()
+            .map(|&i| {
+                let start = i as usize * per;
+                let end = updated.len().min(start + per);
+                (i, field_of(&store, &updated[start..end]))
+            })
+            .collect();
+        let expected = recomputed_plan(&store, "/a", &changes);
+        store.write_file("/a", &updated).unwrap();
+        assert_eq!(checks_of(&last_write_batch(&store, "/a")), expected);
+        assert_eq!(store.read_file("/a").unwrap(), updated);
+        assert!(store.scrub().unwrap().is_clean());
+    }
+
+    #[test]
+    fn corrupt_data_block_is_healed_before_its_delta_is_taken() {
+        // The data-block twin of the parity-row test above: the block being
+        // overwritten is itself corrupt. It is healed, re-read and verified
+        // by its full recomputed check, and only then does the plan take the
+        // stripe map's record as its pre-image — which must be the check of
+        // the true old plaintext, not of anything the corruption left.
+        let store = roomy_store();
+        let per = store.fs().content_bytes_per_block();
+        let data = content(8 * per);
+        store.create_file("/a", &data).unwrap();
+        let changes = vec![(1, field_of(&store, &[0x33; 50]))];
+        let expected = recomputed_plan(&store, "/a", &changes);
+
+        let victim = block_of(&store, "/a", 1);
+        let mut plan = FaultPlan::new(59);
+        plan.flip_bit(victim);
+        store.fs.device().apply_plan(&plan).unwrap();
+        store.write_block("/a", 1, &[0x33; 50]).unwrap();
+        assert_eq!(store.stats().blocks_repaired, 1);
+        assert_ne!(block_of(&store, "/a", 1), victim);
+        let entries = last_write_batch(&store, "/a");
+        assert_eq!(checks_of(&entries), expected);
+        assert_eq!(entries[0].data_location, block_of(&store, "/a", 1));
+        assert!(store.scrub().unwrap().is_clean());
+
+        // Parity took the true delta, so m = 2 still covers a double loss.
+        let mut plan = FaultPlan::new(61);
+        plan.zero_block(block_of(&store, "/a", 0));
+        plan.zero_block(block_of(&store, "/a", 1));
+        store.fs.device().apply_plan(&plan).unwrap();
+        let mut updated = data;
+        updated[per..2 * per].copy_from_slice(&changes[0].1);
+        assert_eq!(store.read_file("/a").unwrap(), updated);
+    }
+
+    #[test]
+    fn write_file_records_the_healed_blocks_true_pre_image() {
+        // The twin of the batched pre-read test above, on a volume whose
+        // journal record holds the whole batch: the one corrupt block among
+        // the changed ones goes through heal, full re-check and then the
+        // recorded-check branch like its intact neighbours.
+        let store = roomy_store();
+        let per = store.fs().content_bytes_per_block();
+        let data = content(12 * per);
+        store.create_file("/a", &data).unwrap();
+        let mut updated = data;
+        let touched = [2u64, 6, 7, 10];
+        for i in touched {
+            updated[i as usize * per] ^= 0xff;
+        }
+        let changes: Vec<(u64, Vec<u8>)> = touched
+            .iter()
+            .map(|&i| (i, updated[i as usize * per..][..per].to_vec()))
+            .collect();
+        let expected = recomputed_plan(&store, "/a", &changes);
+
+        let victim = block_of(&store, "/a", 6);
+        let mut plan = FaultPlan::new(67);
+        plan.zero_block(victim);
+        store.fs.device().apply_plan(&plan).unwrap();
+        store.write_file("/a", &updated).unwrap();
+        assert_eq!(store.stats().blocks_repaired, 1);
+        assert_ne!(block_of(&store, "/a", 6), victim);
+        assert_eq!(checks_of(&last_write_batch(&store, "/a")), expected);
+        assert_eq!(store.read_file("/a").unwrap(), updated);
+        assert_eq!(store.stats().read_check_failures, 0);
+        assert!(store.scrub().unwrap().is_clean());
+    }
+
     /// The owner index, rebuilt from the file table the way every
     /// `dummy_update_batch` call used to.
     fn rebuilt_owners<D: BlockDevice>(
@@ -2423,13 +2738,14 @@ mod tests {
             .chain(store.journal_slots())
             .collect();
         let owners = rebuilt_owners(store);
+        let mut scratch = vec![0u8; store.fs.codec().block_size()];
         let mut touched = Vec::new();
         for victim in victims {
             if reserved.contains(&victim) {
                 continue;
             }
             match owners.get(&victim) {
-                None => store.fs.randomize_block(victim).unwrap(),
+                None => store.fs.randomize_block(victim, &mut scratch).unwrap(),
                 Some((path, role)) => {
                     let state = store.file_state(path).unwrap();
                     let g = state.read();

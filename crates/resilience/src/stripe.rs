@@ -19,7 +19,7 @@
 //! on disk.
 
 use stegfs_base::wire::{Reader, Sink, WireError, Writer};
-use stegfs_crypto::{HmacSha256, Key256};
+use stegfs_crypto::{HmacSha256, Key256, SHA_LANES};
 
 use crate::error::ResilienceError;
 
@@ -118,10 +118,29 @@ impl ChecksumKeys {
 
     /// The authoritative 16-byte truncated HMAC of `data`.
     pub fn mac16(&self, data: &[u8]) -> [u8; 16] {
-        let full = self.hmac.mac_with(data);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&full[..16]);
-        out
+        let mut out = [[0u8; 16]];
+        self.mac16_many(&[data], &mut out);
+        out[0]
+    }
+
+    /// [`Self::mac16`] of every buffer of `bufs`, written to the matching
+    /// entry of `out`: buffers of one length go through the hash
+    /// [`SHA_LANES`] at a time ([`HmacSha256::mac_many`]), so a plan that
+    /// needs several independent 4 KB MACs pays for a group little more than
+    /// for one of them.
+    ///
+    /// # Panics
+    /// If `out` is not as long as `bufs`.
+    pub fn mac16_many(&self, bufs: &[&[u8]], out: &mut [[u8; 16]]) {
+        assert_eq!(bufs.len(), out.len(), "one MAC per buffer");
+        let mut full = [[0u8; 32]; SHA_LANES];
+        for (group, macs) in bufs.chunks(SHA_LANES).zip(out.chunks_mut(SHA_LANES)) {
+            let full = &mut full[..group.len()];
+            self.hmac.mac_many(group, full);
+            for (mac, full) in macs.iter_mut().zip(full) {
+                mac.copy_from_slice(&full[..16]);
+            }
+        }
     }
 
     /// The cheap keyed hash of `data`: a wyhash-style multiply-xor fold over
@@ -207,11 +226,12 @@ impl ChecksumKeys {
     }
 
     /// [`Self::check`] of every buffer of `bufs`, the fast halves through
-    /// [`Self::fast_many`].
+    /// [`Self::fast_many`] and the MAC halves through [`Self::mac16_many`].
     pub fn check_many(&self, bufs: &[&[u8]]) -> Vec<BlockCheck> {
         let mut fast = vec![0u64; bufs.len()];
         self.fast_many(bufs, &mut fast);
-        let macs = bufs.iter().map(|data| self.mac16(data));
+        let mut macs = vec![[0u8; 16]; bufs.len()];
+        self.mac16_many(bufs, &mut macs);
         fast.into_iter()
             .zip(macs)
             .map(|(fast, mac)| BlockCheck { fast, mac })

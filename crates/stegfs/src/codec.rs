@@ -305,25 +305,42 @@ impl BlockCodec {
         key: &Key256,
         rng: &mut HashDrbg,
     ) -> Result<(), FsError> {
+        self.reseal_with(device, block, key, |iv| rng.fill_bytes(iv))
+    }
+
+    /// [`Self::reseal`] with the fresh IV drawn by `draw_iv`, called once
+    /// between the device read and the device write — so a caller whose
+    /// generator sits behind a lock can hold it for the draw alone.
+    pub(crate) fn reseal_with<D: BlockDevice + ?Sized>(
+        &self,
+        device: &D,
+        block: BlockId,
+        key: &Key256,
+        draw_iv: impl FnOnce(&mut [u8; IV_SIZE]),
+    ) -> Result<(), FsError> {
         let mut physical = vec![0u8; self.block_size];
         device.read_block(block, &mut physical)?;
         let mut fresh_iv = [0u8; IV_SIZE];
-        rng.fill_bytes(&mut fresh_iv);
+        draw_iv(&mut fresh_iv);
         self.reseal_in_place(key, &mut physical, &fresh_iv)?;
         device.write_block(block, &physical)?;
         Ok(())
     }
 
     /// Fill `block` with uniformly random bytes — the state of every abandoned
-    /// block after formatting, and of dummy-file content blocks.
+    /// block after formatting, and of dummy-file content blocks. The bytes
+    /// are drawn into `scratch` (one block long, reusable across calls).
     pub fn write_random<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         block: BlockId,
         rng: &mut HashDrbg,
+        scratch: &mut [u8],
     ) -> Result<(), FsError> {
-        let random = rng.bytes(self.block_size);
-        device.write_block(block, &random)?;
+        // Refuse a malformed call before it draws from the generator.
+        self.check_block(scratch)?;
+        rng.fill_bytes(scratch);
+        device.write_block(block, scratch)?;
         Ok(())
     }
 }
@@ -632,10 +649,23 @@ mod tests {
         let c = codec();
         let dev = MemDevice::new(4, 4096);
         let mut rng = HashDrbg::from_u64(6);
-        c.write_random(&dev, 1, &mut rng).unwrap();
+        let mut scratch = vec![0u8; 4096];
+        c.write_random(&dev, 1, &mut rng, &mut scratch).unwrap();
         let mut buf = vec![0u8; 4096];
         dev.read_block(1, &mut buf).unwrap();
         assert!(buf.iter().filter(|&&b| b != 0).count() > 3500);
+        // The bytes `rng.bytes` would have produced, through the scratch.
+        assert_eq!(buf, HashDrbg::from_u64(6).bytes(4096));
+        assert_eq!(buf, scratch);
+        // A scratch that is not one block draws nothing.
+        assert!(c
+            .write_random(&dev, 2, &mut rng, &mut scratch[..100])
+            .is_err());
+        assert_eq!(rng.next_u64(), {
+            let mut twin = HashDrbg::from_u64(6);
+            twin.bytes(4096);
+            twin.next_u64()
+        });
     }
 
     #[test]

@@ -301,8 +301,10 @@ impl<D: BlockDevice> StegFs<D> {
     /// bytes so they are indistinguishable from never-used blocks.
     pub fn release_blocks(&self, map: &ShardedBlockMap, blocks: &[BlockId]) -> Result<(), FsError> {
         let mut rng = self.rng.lock();
+        let mut scratch = vec![0u8; self.codec.block_size()];
         for &b in blocks {
-            self.codec.write_random(&self.device, b, &mut rng)?;
+            self.codec
+                .write_random(&self.device, b, &mut rng, &mut scratch)?;
             map.set(b, BlockClass::Dummy);
         }
         Ok(())
@@ -464,8 +466,10 @@ impl<D: BlockDevice> StegFs<D> {
                     .write_sealed_many(&self.device, content_key, &blocks, &mut rng)?;
             }
             ContentInit::Random => {
+                let mut scratch = vec![0u8; self.codec.block_size()];
                 for &loc in &content_locs {
-                    self.codec.write_random(&self.device, loc, &mut rng)?;
+                    self.codec
+                        .write_random(&self.device, loc, &mut rng, &mut scratch)?;
                 }
             }
             ContentInit::Skip => {}
@@ -656,18 +660,23 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Perform a dummy update (re-encrypt under a fresh IV) on `block` using
-    /// `key`. Exposed for the agent's idle-time dummy traffic.
+    /// `key`. Exposed for the agent's idle-time dummy traffic. Only the IV
+    /// draw takes the volume DRBG lock: it must never span a device wait or
+    /// the cipher work, or every thread that needs an IV queues behind it.
     pub fn reseal_block(&self, block: BlockId, key: &stegfs_crypto::Key256) -> Result<(), FsError> {
-        let mut rng = self.rng.lock();
-        self.codec.reseal(&self.device, block, key, &mut rng)
+        self.codec.reseal_with(&self.device, block, key, |iv| {
+            self.with_rng(|rng| rng.fill_bytes(iv))
+        })
     }
 
     /// Overwrite `block` with fresh random bytes (used when a block is
     /// abandoned, and as the "dummy update" for blocks that only ever held
-    /// random data).
-    pub fn randomize_block(&self, block: BlockId) -> Result<(), FsError> {
-        let mut rng = self.rng.lock();
-        self.codec.write_random(&self.device, block, &mut rng)
+    /// random data). The bytes are drawn into `scratch` (one block long)
+    /// under the volume DRBG lock and written with it released.
+    pub fn randomize_block(&self, block: BlockId, scratch: &mut [u8]) -> Result<(), FsError> {
+        self.with_rng(|rng| rng.fill_bytes(scratch));
+        self.device.write_block(block, scratch)?;
+        Ok(())
     }
 }
 
@@ -763,6 +772,78 @@ mod tests {
             FastFill::new(&mut HashDrbg::from_u64(9)).fill(&mut buf);
             assert_eq!(buf, expected, "{len} bytes");
         }
+    }
+
+    #[test]
+    fn dummy_updates_release_the_drbg_lock_before_the_device_write() {
+        // A device whose write first runs a hook. The hook has a second
+        // thread draw from the volume DRBG and waits for it: if the writer
+        // still held the DRBG lock the draw could not finish until the write
+        // returned, and the wait would time out.
+        type Hook = Box<dyn Fn() + Send + Sync>;
+        struct Hooked {
+            inner: MemDevice,
+            on_write: Mutex<Option<Hook>>,
+        }
+        impl BlockDevice for Hooked {
+            fn num_blocks(&self) -> u64 {
+                self.inner.num_blocks()
+            }
+            fn block_size(&self) -> usize {
+                self.inner.block_size()
+            }
+            fn read_block(
+                &self,
+                block: BlockId,
+                buf: &mut [u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                self.inner.read_block(block, buf)
+            }
+            fn write_block(
+                &self,
+                block: BlockId,
+                buf: &[u8],
+            ) -> Result<(), stegfs_blockdev::DeviceError> {
+                if let Some(hook) = &*self.on_write.lock() {
+                    hook();
+                }
+                self.inner.write_block(block, buf)
+            }
+        }
+
+        let device = Hooked {
+            inner: MemDevice::new(64, 512),
+            on_write: Mutex::new(None),
+        };
+        let cfg = StegFsConfig::default().with_block_size(512);
+        let (fs, map) = StegFs::format(device, cfg, 3).unwrap();
+        let fs = std::sync::Arc::new(fs);
+        let fak = FileAccessKey::from_passphrase("alice");
+        let file = fs.create_file(&map, "/f", &fak, &[7u8; 400]).unwrap();
+
+        let drawn_mid_write = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let drawers = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let (other, log, spawned) = (fs.clone(), drawn_mid_write.clone(), drawers.clone());
+        *fs.device().on_write.lock() = Some(Box::new(move || {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let other = other.clone();
+            // Joined once the write this hook sits in has returned, so a
+            // drawer stuck behind the lock fails the test instead of hanging.
+            spawned.lock().push(std::thread::spawn(move || {
+                tx.send(other.with_rng(|rng| rng.next_u64())).ok();
+            }));
+            let drawn = rx.recv_timeout(std::time::Duration::from_secs(2));
+            log.lock().push(drawn.is_ok());
+        }));
+        fs.reseal_block(file.header.blocks[0], fak.content_key().unwrap())
+            .unwrap();
+        fs.randomize_block(40, &mut [0u8; 512]).unwrap();
+        *fs.device().on_write.lock() = None;
+        for drawer in drawers.lock().drain(..) {
+            drawer.join().unwrap();
+        }
+        assert_eq!(*drawn_mid_write.lock(), [true, true]);
+        assert_eq!(fs.read_file(&file).unwrap(), [7u8; 400]);
     }
 
     #[test]
