@@ -84,7 +84,7 @@ fn run_point(w: &Workload, threads: usize) -> (f64, u64) {
             let mut remaining = w.ops_per_user;
             move |agent: &ConcurrentAgent<LatencyDevice<MemDevice>>| {
                 let block = pattern.next(&mut rng);
-                if remaining % 3 == 0 {
+                if remaining.is_multiple_of(3) {
                     agent.update_block(id, block, &payload).expect("update");
                 } else {
                     agent.read_block(id, block).expect("read");

@@ -154,7 +154,7 @@ pub trait BlockDevice: Send + Sync {
     /// on the device. Helper for implementors of the batched operations.
     fn check_range_access(&self, start: BlockId, buf_len: usize) -> Result<(), DeviceError> {
         let bs = self.block_size();
-        if buf_len == 0 || buf_len % bs != 0 {
+        if buf_len == 0 || !buf_len.is_multiple_of(bs) {
             return Err(DeviceError::BadBufferSize {
                 expected: bs,
                 got: buf_len,

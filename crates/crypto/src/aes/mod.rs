@@ -1,15 +1,25 @@
 //! FIPS-197 AES block cipher (128- and 256-bit keys), encryption and
 //! decryption, behind a runtime-dispatched backend.
 //!
-//! Three implementations live side by side:
+//! Four implementations live side by side:
 //!
 //! * [`ttable`] — the portable fused-T-table cipher (a round is 16 table
 //!   lookups and a handful of XORs); compiles and runs everywhere.
 //! * `aesni` — hardware AES via `aesenc`/`aesdec`/`aeskeygenassist`
-//!   intrinsics (x86-64 only), with batched 8-wide pipelined entry points.
+//!   intrinsics (x86-64 only), with CBC kernels that keep chain values and
+//!   round keys in registers.
+//! * `vaes` — the same key schedule and narrow kernels, with CBC decrypt and
+//!   the eight-lane CBC encrypt on 512-bit `vaesdec`/`vaesenc` (four blocks
+//!   an instruction; needs VAES and AVX-512F).
 //! * [`reference`] — the original table-free byte-oriented implementation,
 //!   kept as the correctness oracle; property tests assert all backends agree
 //!   on random keys and blocks.
+//!
+//! CBC lives here, not above the cipher: [`BlockCipher`] carries the mode's
+//! three bulk operations, whose defaults are plain loops over
+//! [`BlockCipher::encrypt_block`] / [`BlockCipher::decrypt_block`] and which
+//! the hardware backends override with fused kernels. [`crate::CbcCipher`] is
+//! the checked front: it turns malformed calls into typed errors and forwards.
 //!
 //! [`Aes128`] and [`Aes256`] snapshot the process-wide selection from
 //! [`crate::backend`] at construction time, so which machine code runs is
@@ -24,6 +34,9 @@ pub mod reference;
 #[allow(unsafe_code)]
 mod aesni;
 mod ttable;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod vaes;
 
 use crate::backend::{self, Backend};
 use crate::CryptoError;
@@ -31,96 +44,174 @@ use crate::CryptoError;
 /// The AES block size in bytes.
 pub const AES_BLOCK_SIZE: usize = 16;
 
-/// How many blocks the batched entry points keep in flight. Eight 128-bit
-/// lanes fill the `aesenc`/`aesdec` pipeline on every post-2010 x86 core
-/// while still leaving half the XMM register file for the round key. Callers
-/// with independent work to batch (CBC decrypt chunks, the multi-buffer CBC
-/// encrypt of [`crate::CbcCipher::encrypt_many_in_place`]) size their groups
-/// by it on every backend.
+/// How many independent CBC chains one multi-buffer encrypt keeps in flight.
+/// Eight 128-bit lanes fill the `aesenc` pipeline on every post-2010 x86 core
+/// while still leaving half the XMM register file for round keys. Callers
+/// with independent blocks to seal (a level re-order, a file creation, a
+/// write plan) size their groups by it on every backend.
 pub const PIPELINE_WIDTH: usize = 8;
 
-/// A block cipher operating on 16-byte blocks.
+/// A block cipher operating on 16-byte blocks, and CBC mode over it.
 ///
 /// Both [`Aes128`] and [`Aes256`] implement this trait; the rest of the
 /// workspace is generic over it so tests can plug in lighter ciphers. The
-/// batched methods exist so hardware backends can keep several blocks in
-/// flight per call — implementors with a pipelined path should override them,
-/// and callers with more than a block of data should prefer them.
+/// three `cbc_*` methods default to loops over the single-block methods;
+/// hardware backends override them with kernels that never leave registers.
+/// They are the unchecked half of [`crate::CbcCipher`], which every caller
+/// outside this crate should go through.
 pub trait BlockCipher: Send + Sync {
     /// Encrypt a single 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]);
     /// Decrypt a single 16-byte block in place.
     fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]);
 
-    /// Encrypt every 16-byte block of `data` in place (ECB over the slice).
+    /// CBC-encrypt every buffer of `bufs` in place, buffer `i` under
+    /// `ivs[i]`. The buffers are independent chains, so an implementation
+    /// may advance up to [`PIPELINE_WIDTH`] of them together; the bytes are
+    /// those of one serial chain per buffer either way.
     ///
     /// # Panics
-    /// Panics if `data.len()` is not a multiple of [`AES_BLOCK_SIZE`].
-    fn encrypt_blocks(&self, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % AES_BLOCK_SIZE,
-            0,
-            "data must be 16-byte blocks"
-        );
-        for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-            self.encrypt_block(block.try_into().expect("16-byte chunks"));
+    /// Panics unless there is one IV per buffer and every buffer has the same
+    /// length, a multiple of [`AES_BLOCK_SIZE`].
+    fn cbc_encrypt_many(&self, ivs: &[[u8; AES_BLOCK_SIZE]], bufs: &mut [&mut [u8]]) {
+        check_lanes(ivs, bufs);
+        for (ivs, bufs) in ivs
+            .chunks(PIPELINE_WIDTH)
+            .zip(bufs.chunks_mut(PIPELINE_WIDTH))
+        {
+            // Step the group's chains together: consecutive calls then work
+            // on independent blocks, which an out-of-order core overlaps.
+            let mut chains = [[0u8; AES_BLOCK_SIZE]; PIPELINE_WIDTH];
+            chains[..ivs.len()].copy_from_slice(ivs);
+            let len = bufs.first().map_or(0, |b| b.len());
+            for at in (0..len).step_by(AES_BLOCK_SIZE) {
+                for (chain, buf) in chains.iter_mut().zip(bufs.iter_mut()) {
+                    let block: &mut [u8; AES_BLOCK_SIZE] = (&mut buf[at..at + AES_BLOCK_SIZE])
+                        .try_into()
+                        .expect("16-byte block");
+                    xor_block(block, chain);
+                    self.encrypt_block(block);
+                    *chain = *block;
+                }
+            }
         }
     }
 
-    /// Decrypt every 16-byte block of `data` in place (ECB over the slice).
+    /// CBC-decrypt `data` in place under `iv`.
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of [`AES_BLOCK_SIZE`].
-    fn decrypt_blocks(&self, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % AES_BLOCK_SIZE,
-            0,
-            "data must be 16-byte blocks"
-        );
+    fn cbc_decrypt_in_place(&self, iv: &[u8; AES_BLOCK_SIZE], data: &mut [u8]) {
+        check_blocks(data.len());
+        let mut chain = *iv;
         for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-            self.decrypt_block(block.try_into().expect("16-byte chunks"));
+            let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("16-byte chunks");
+            let ciphertext = *block;
+            self.decrypt_block(block);
+            xor_block(block, &chain);
+            chain = ciphertext;
+        }
+    }
+
+    /// CBC-decrypt `src` under `iv` into `dst`, leaving `src` as it is.
+    ///
+    /// # Panics
+    /// Panics if the two lengths differ or are not a multiple of
+    /// [`AES_BLOCK_SIZE`].
+    fn cbc_decrypt(&self, iv: &[u8; AES_BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
+        check_src_dst(src, dst);
+        let mut chain = iv;
+        for (ciphertext, block) in src
+            .chunks_exact(AES_BLOCK_SIZE)
+            .zip(dst.chunks_exact_mut(AES_BLOCK_SIZE))
+        {
+            let ciphertext: &[u8; AES_BLOCK_SIZE] = ciphertext.try_into().expect("16-byte chunks");
+            let block: &mut [u8; AES_BLOCK_SIZE] = block.try_into().expect("16-byte chunks");
+            *block = *ciphertext;
+            self.decrypt_block(block);
+            xor_block(block, chain);
+            chain = ciphertext;
         }
     }
 }
 
-// The blanket impls must forward the batched methods explicitly — falling
-// back to the trait defaults here would silently strip the pipelined path
-// from every cipher reaching CBC through `&C` or the schedule cache's
-// `Arc<Aes256>`.
+#[inline]
+fn xor_block(block: &mut [u8; AES_BLOCK_SIZE], with: &[u8; AES_BLOCK_SIZE]) {
+    *block = (u128::from_ne_bytes(*block) ^ u128::from_ne_bytes(*with)).to_ne_bytes();
+}
+
+/// The length condition every bulk entry point shares. The hardware kernels
+/// walk raw pointers in 16-byte steps, so for them this is a safety check.
+#[inline]
+fn check_blocks(len: usize) {
+    assert!(
+        len.is_multiple_of(AES_BLOCK_SIZE),
+        "data must be 16-byte blocks"
+    );
+}
+
+/// [`BlockCipher::cbc_encrypt_many`]'s conditions: one IV per buffer, equal
+/// block-aligned lengths.
+#[inline]
+fn check_lanes(ivs: &[[u8; AES_BLOCK_SIZE]], bufs: &[&mut [u8]]) {
+    assert_eq!(ivs.len(), bufs.len(), "one IV per buffer");
+    let len = bufs.first().map_or(0, |b| b.len());
+    check_blocks(len);
+    assert!(
+        bufs.iter().all(|b| b.len() == len),
+        "buffers of one call must have equal lengths"
+    );
+}
+
+/// [`BlockCipher::cbc_decrypt`]'s conditions: equal block-aligned lengths.
+#[inline]
+fn check_src_dst(src: &[u8], dst: &[u8]) {
+    assert_eq!(
+        src.len(),
+        dst.len(),
+        "source and destination lengths differ"
+    );
+    check_blocks(src.len());
+}
+
+// The blanket impls must forward the CBC methods explicitly — falling back to
+// the trait defaults here would silently strip the fused kernels from every
+// cipher reaching CBC through `&C` or the schedule cache's `Arc<Aes256>`.
+macro_rules! forward_block_cipher {
+    () => {
+        #[inline]
+        fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+            (**self).encrypt_block(block);
+        }
+
+        #[inline]
+        fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+            (**self).decrypt_block(block);
+        }
+
+        #[inline]
+        fn cbc_encrypt_many(&self, ivs: &[[u8; AES_BLOCK_SIZE]], bufs: &mut [&mut [u8]]) {
+            (**self).cbc_encrypt_many(ivs, bufs);
+        }
+
+        #[inline]
+        fn cbc_decrypt_in_place(&self, iv: &[u8; AES_BLOCK_SIZE], data: &mut [u8]) {
+            (**self).cbc_decrypt_in_place(iv, data);
+        }
+
+        #[inline]
+        fn cbc_decrypt(&self, iv: &[u8; AES_BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
+            (**self).cbc_decrypt(iv, src, dst);
+        }
+    };
+}
+
 impl<C: BlockCipher + ?Sized> BlockCipher for &C {
-    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        (**self).encrypt_block(block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        (**self).decrypt_block(block);
-    }
-
-    fn encrypt_blocks(&self, data: &mut [u8]) {
-        (**self).encrypt_blocks(data);
-    }
-
-    fn decrypt_blocks(&self, data: &mut [u8]) {
-        (**self).decrypt_blocks(data);
-    }
+    forward_block_cipher!();
 }
 
 impl<C: BlockCipher + ?Sized> BlockCipher for std::sync::Arc<C> {
-    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        (**self).encrypt_block(block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        (**self).decrypt_block(block);
-    }
-
-    fn encrypt_blocks(&self, data: &mut [u8]) {
-        (**self).encrypt_blocks(data);
-    }
-
-    fn decrypt_blocks(&self, data: &mut [u8]) {
-        (**self).decrypt_blocks(data);
-    }
+    forward_block_cipher!();
 }
 
 pub(crate) const SBOX: [u8; 256] = build_sbox();
@@ -222,6 +313,8 @@ enum Aes128Inner {
     TTable(ttable::Aes128),
     #[cfg(target_arch = "x86_64")]
     AesNi(aesni::Aes128Ni),
+    #[cfg(target_arch = "x86_64")]
+    Vaes(vaes::Vaes<11>),
 }
 
 #[derive(Clone)]
@@ -229,6 +322,8 @@ enum Aes256Inner {
     TTable(ttable::Aes256),
     #[cfg(target_arch = "x86_64")]
     AesNi(aesni::Aes256Ni),
+    #[cfg(target_arch = "x86_64")]
+    Vaes(vaes::Vaes<15>),
 }
 
 /// AES with a 128-bit key (10 rounds).
@@ -242,6 +337,21 @@ pub struct Aes128 {
 #[derive(Clone)]
 pub struct Aes256 {
     inner: Aes256Inner,
+}
+
+/// Run `$call` on whichever backend's cipher `$inner` holds. Every backend
+/// implements [`BlockCipher`] in full (the T-table one through the trait's
+/// default CBC loops), so every method of the dispatcher is this one match.
+macro_rules! on_backend {
+    ($value:expr, $inner:ident, $c:ident => $call:expr) => {
+        match $value {
+            $inner::TTable($c) => $call,
+            #[cfg(target_arch = "x86_64")]
+            $inner::AesNi($c) => $call,
+            #[cfg(target_arch = "x86_64")]
+            $inner::Vaes($c) => $call,
+        }
+    };
 }
 
 macro_rules! dispatcher_impl {
@@ -271,19 +381,23 @@ macro_rules! dispatcher_impl {
                         backend: backend.name(),
                     });
                 }
+                #[cfg(target_arch = "x86_64")]
+                let hardware = || -> Result<$aesni, CryptoError> {
+                    let key: &[u8; $keylen] =
+                        key.try_into().map_err(|_| CryptoError::BadKeyLength {
+                            expected: $keylen,
+                            got: key.len(),
+                        })?;
+                    Ok(<$aesni>::new(key))
+                };
                 let inner = match backend {
                     Backend::Portable => $inner::TTable(<$ttable>::from_slice(key)?),
                     #[cfg(target_arch = "x86_64")]
-                    Backend::AesNi => {
-                        let key: &[u8; $keylen] =
-                            key.try_into().map_err(|_| CryptoError::BadKeyLength {
-                                expected: $keylen,
-                                got: key.len(),
-                            })?;
-                        $inner::AesNi(<$aesni>::new(key))
-                    }
+                    Backend::AesNi => $inner::AesNi(hardware()?),
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Vaes => $inner::Vaes(vaes::Vaes::new(hardware()?)),
                     #[cfg(not(target_arch = "x86_64"))]
-                    Backend::AesNi => unreachable!("checked is_available above"),
+                    Backend::AesNi | Backend::Vaes => unreachable!("checked is_available above"),
                 };
                 Ok(Self { inner })
             }
@@ -294,6 +408,8 @@ macro_rules! dispatcher_impl {
                     $inner::TTable(_) => Backend::Portable,
                     #[cfg(target_arch = "x86_64")]
                     $inner::AesNi(_) => Backend::AesNi,
+                    #[cfg(target_arch = "x86_64")]
+                    $inner::Vaes(_) => Backend::Vaes,
                 }
             }
         }
@@ -301,56 +417,27 @@ macro_rules! dispatcher_impl {
         impl BlockCipher for $name {
             #[inline]
             fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-                match &self.inner {
-                    $inner::TTable(c) => c.encrypt_block(block),
-                    #[cfg(target_arch = "x86_64")]
-                    $inner::AesNi(c) => c.encrypt_block(block),
-                }
+                on_backend!(&self.inner, $inner, c => c.encrypt_block(block))
             }
 
             #[inline]
             fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-                match &self.inner {
-                    $inner::TTable(c) => c.decrypt_block(block),
-                    #[cfg(target_arch = "x86_64")]
-                    $inner::AesNi(c) => c.decrypt_block(block),
-                }
+                on_backend!(&self.inner, $inner, c => c.decrypt_block(block))
             }
 
             #[inline]
-            fn encrypt_blocks(&self, data: &mut [u8]) {
-                assert_eq!(
-                    data.len() % AES_BLOCK_SIZE,
-                    0,
-                    "data must be 16-byte blocks"
-                );
-                match &self.inner {
-                    $inner::TTable(c) => {
-                        for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-                            c.encrypt_block(block.try_into().expect("16-byte chunks"));
-                        }
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    $inner::AesNi(c) => c.encrypt_blocks(data),
-                }
+            fn cbc_encrypt_many(&self, ivs: &[[u8; AES_BLOCK_SIZE]], bufs: &mut [&mut [u8]]) {
+                on_backend!(&self.inner, $inner, c => c.cbc_encrypt_many(ivs, bufs))
             }
 
             #[inline]
-            fn decrypt_blocks(&self, data: &mut [u8]) {
-                assert_eq!(
-                    data.len() % AES_BLOCK_SIZE,
-                    0,
-                    "data must be 16-byte blocks"
-                );
-                match &self.inner {
-                    $inner::TTable(c) => {
-                        for block in data.chunks_exact_mut(AES_BLOCK_SIZE) {
-                            c.decrypt_block(block.try_into().expect("16-byte chunks"));
-                        }
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    $inner::AesNi(c) => c.decrypt_blocks(data),
-                }
+            fn cbc_decrypt_in_place(&self, iv: &[u8; AES_BLOCK_SIZE], data: &mut [u8]) {
+                on_backend!(&self.inner, $inner, c => c.cbc_decrypt_in_place(iv, data))
+            }
+
+            #[inline]
+            fn cbc_decrypt(&self, iv: &[u8; AES_BLOCK_SIZE], src: &[u8], dst: &mut [u8]) {
+                on_backend!(&self.inner, $inner, c => c.cbc_decrypt(iv, src, dst))
             }
         }
     };
@@ -549,7 +636,7 @@ mod tests {
 
     #[test]
     fn with_backend_rejects_wrong_lengths_on_every_backend() {
-        for b in [Backend::Portable, Backend::AesNi] {
+        for b in [Backend::Portable, Backend::AesNi, Backend::Vaes] {
             if !b.is_available() {
                 continue;
             }
@@ -640,27 +727,51 @@ mod tests {
         assert_ne!(b1, b2);
     }
 
+    /// The textbook chain over `cipher`'s single-block methods.
+    fn chain_by_hand<C: BlockCipher>(cipher: &C, iv: &[u8; 16], plain: &[u8]) -> Vec<u8> {
+        let mut out = plain.to_vec();
+        let mut chain = *iv;
+        for block in out.chunks_exact_mut(16) {
+            let block: &mut [u8; 16] = block.try_into().unwrap();
+            xor_block(block, &chain);
+            cipher.encrypt_block(block);
+            chain = *block;
+        }
+        out
+    }
+
     #[test]
     fn batched_api_matches_per_block_api() {
-        // Both key sizes, every available backend, including an odd block
-        // count that exercises wide chunks plus remainder.
-        for b in [Backend::Portable, Backend::AesNi] {
+        // Both key sizes, every available backend: 13 blocks are one full
+        // decrypt group plus a remainder, three buffers a partial lane group.
+        fn check<C: BlockCipher>(cipher: &C, what: &str) {
+            let ivs = [[0x11u8; 16], [0x22; 16], [0x33; 16]];
+            let plain: Vec<Vec<u8>> = (0..3usize)
+                .map(|n| (0..13 * 16).map(|i| (i * 7 + n) as u8).collect())
+                .collect();
+            let mut sealed = plain.clone();
+            let mut bufs: Vec<&mut [u8]> = sealed.iter_mut().map(Vec::as_mut_slice).collect();
+            cipher.cbc_encrypt_many(&ivs, &mut bufs);
+            for ((iv, sealed), plain) in ivs.iter().zip(&sealed).zip(&plain) {
+                assert_eq!(
+                    sealed,
+                    &chain_by_hand(cipher, iv, plain),
+                    "encrypt on {what}"
+                );
+                let mut opened = vec![0xEEu8; sealed.len()];
+                cipher.cbc_decrypt(iv, sealed, &mut opened);
+                assert_eq!(&opened, plain, "decrypt on {what}");
+                let mut in_place = sealed.clone();
+                cipher.cbc_decrypt_in_place(iv, &mut in_place);
+                assert_eq!(&in_place, plain, "decrypt in place on {what}");
+            }
+        }
+        for b in [Backend::Portable, Backend::AesNi, Backend::Vaes] {
             if !b.is_available() {
                 continue;
             }
-            let cipher = Aes256::with_backend(&[3u8; 32], b).unwrap();
-            let mut batched: Vec<u8> = (0..13 * 16).map(|i| (i * 7 % 256) as u8).collect();
-            let mut single = batched.clone();
-            cipher.encrypt_blocks(&mut batched);
-            for block in single.chunks_exact_mut(16) {
-                cipher.encrypt_block(block.try_into().unwrap());
-            }
-            assert_eq!(batched, single, "encrypt_blocks diverged on {}", b.name());
-            cipher.decrypt_blocks(&mut batched);
-            for block in single.chunks_exact_mut(16) {
-                cipher.decrypt_block(block.try_into().unwrap());
-            }
-            assert_eq!(batched, single, "decrypt_blocks diverged on {}", b.name());
+            check(&Aes256::with_backend(&[3u8; 32], b).unwrap(), b.name());
+            check(&Aes128::with_backend(&[3u8; 16], b).unwrap(), b.name());
         }
     }
 
@@ -669,7 +780,46 @@ mod tests {
     fn batched_api_rejects_ragged_lengths() {
         let cipher = Aes256::new(&[0u8; 32]);
         let mut data = vec![0u8; 24];
-        cipher.encrypt_blocks(&mut data);
+        cipher.cbc_decrypt_in_place(&[0u8; 16], &mut data);
+    }
+
+    #[test]
+    fn bulk_preconditions_hold_on_every_backend() {
+        // The hardware kernels walk raw pointers: a malformed call must stop
+        // at the entry point's check on every backend, not only where
+        // `CbcCipher` stands in front.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for b in [Backend::Portable, Backend::AesNi, Backend::Vaes] {
+            if !b.is_available() {
+                continue;
+            }
+            let cipher = Aes256::with_backend(&[0u8; 32], b).unwrap();
+            let iv = [0u8; 16];
+            let ivs = [iv; 9];
+            let ragged = catch_unwind(AssertUnwindSafe(|| {
+                cipher.cbc_decrypt_in_place(&iv, &mut [0u8; 24]);
+            }));
+            assert!(ragged.is_err(), "ragged in-place decrypt on {}", b.name());
+            let short_dst = catch_unwind(AssertUnwindSafe(|| {
+                cipher.cbc_decrypt(&iv, &[0u8; 32], &mut [0u8; 16]);
+            }));
+            assert!(short_dst.is_err(), "short destination on {}", b.name());
+            // One short buffer among nine: in the second group of lanes.
+            let unequal = catch_unwind(AssertUnwindSafe(|| {
+                let mut data = vec![[0u8; 32]; 9];
+                let mut bufs: Vec<&mut [u8]> = data
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(n, d)| &mut d[..if n == 8 { 16 } else { 32 }])
+                    .collect();
+                cipher.cbc_encrypt_many(&ivs, &mut bufs);
+            }));
+            assert!(unequal.is_err(), "unequal lanes on {}", b.name());
+            let missing_iv = catch_unwind(AssertUnwindSafe(|| {
+                cipher.cbc_encrypt_many(&ivs[..1], &mut [&mut [0u8; 16], &mut [0u8; 16]]);
+            }));
+            assert!(missing_iv.is_err(), "missing IV on {}", b.name());
+        }
     }
 
     #[test]
@@ -697,12 +847,18 @@ mod tests {
         via_arc.decrypt_block(&mut b);
         assert_eq!(b, [9u8; 16]);
 
-        // The batched methods must also delegate (not fall back to the trait
-        // defaults, which would bypass hardware pipelining through Arc).
-        let mut batched = vec![9u8; 32];
-        via_arc.encrypt_blocks(&mut batched);
-        assert_eq!(&batched[..16], &direct);
-        via_arc.decrypt_blocks(&mut batched);
-        assert_eq!(batched, vec![9u8; 32]);
+        // The CBC methods must also delegate (not fall back to the trait
+        // defaults, which would bypass the fused kernels through Arc); the
+        // counting cipher in tests/backends.rs proves it call by call.
+        let iv = [1u8; 16];
+        let expected = chain_by_hand(&cipher, &iv, &[9u8; 48]);
+        let mut sealed = vec![9u8; 48];
+        via_arc.cbc_encrypt_many(&[iv], &mut [&mut sealed]);
+        assert_eq!(sealed, expected);
+        let mut opened = vec![0u8; 48];
+        via_ref.cbc_decrypt(&iv, &sealed, &mut opened);
+        assert_eq!(opened, vec![9u8; 48]);
+        via_arc.cbc_decrypt_in_place(&iv, &mut sealed);
+        assert_eq!(sealed, vec![9u8; 48]);
     }
 }

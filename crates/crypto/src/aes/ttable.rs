@@ -11,7 +11,9 @@
 //! [`crate::Aes256`] wrappers: it compiles and runs on every architecture,
 //! while hosts with AES-NI get the [`super::aesni`] backend instead.
 
-use super::{AES_BLOCK_SIZE, INV_SBOX, MUL11, MUL13, MUL14, MUL2, MUL3, MUL9, RCON, SBOX};
+use super::{
+    BlockCipher, AES_BLOCK_SIZE, INV_SBOX, MUL11, MUL13, MUL14, MUL2, MUL3, MUL9, RCON, SBOX,
+};
 use crate::CryptoError;
 
 /// Fused encryption table: `TE0[x]` is the MixColumns image of the column
@@ -278,14 +280,18 @@ impl Aes128 {
             keys: Schedule::expand(key)?,
         })
     }
+}
 
+/// CBC stays on the trait's default loops: a table-lookup round has no
+/// pipeline for a fused kernel to fill.
+impl BlockCipher for Aes128 {
     #[inline]
-    pub(crate) fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
         encrypt_words(block, &self.keys.enc);
     }
 
     #[inline]
-    pub(crate) fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
         decrypt_words(block, &self.keys.dec);
     }
 }
@@ -302,14 +308,18 @@ impl Aes256 {
             keys: Schedule::expand(key)?,
         })
     }
+}
 
+/// CBC stays on the trait's default loops: a table-lookup round has no
+/// pipeline for a fused kernel to fill.
+impl BlockCipher for Aes256 {
     #[inline]
-    pub(crate) fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
         encrypt_words(block, &self.keys.enc);
     }
 
     #[inline]
-    pub(crate) fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
+    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
         decrypt_words(block, &self.keys.dec);
     }
 }

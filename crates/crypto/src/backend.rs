@@ -1,9 +1,12 @@
 //! Runtime selection of the cryptographic backends.
 //!
-//! The crate ships two AES implementations (the portable fused-T-table cipher
-//! and an AES-NI one built on `aesenc`/`aesdec` intrinsics) and three SHA-256
-//! compression paths (scalar, an SSSE3-vectorised message schedule, and
-//! SHA-NI). Which one runs is decided **once per process** from CPU feature
+//! The crate ships three AES backends (the portable fused-T-table cipher, an
+//! AES-NI one built on `aesenc`/`aesdec` intrinsics, and a VAES one that puts
+//! the two CBC passes with independent blocks on 512-bit `vaesenc`/`vaesdec`)
+//! and three SHA-256 compression paths (scalar, an SSSE3-vectorised message
+//! schedule, and SHA-NI). CBC mode is a method of the AES backend
+//! ([`crate::BlockCipher`]), so a backend decides not only how a round runs
+//! but how the mode is laid around the rounds. Which one runs is decided **once per process** from CPU feature
 //! detection (`std::arch::is_x86_feature_detected!`) plus an environment
 //! override, and every `Aes128`/`Aes256`/`Sha256` constructed afterwards
 //! snapshots that choice. All backends are byte-for-byte equivalent — the
@@ -15,15 +18,19 @@
 //!
 //! `STEGFS_CRYPTO_BACKEND` controls the choice:
 //!
-//! * `auto` (or unset) — fastest detected path: AES-NI and SHA-NI/SSSE3 where
-//!   the CPU reports them, portable otherwise.
+//! * `auto` (or unset) — fastest detected path: VAES where the CPU reports
+//!   `vaes`, `avx2` and `avx512f`, else AES-NI where it reports `aes`, else
+//!   portable; SHA-NI, then SSSE3, then scalar.
 //! * `portable` — the pure-Rust paths (T-table AES, scalar SHA-256)
 //!   everywhere, regardless of CPU support. Used by CI's cross-backend legs
 //!   and the `crypto_baseline` comparison section.
 //! * `aesni` — *require* the AES-NI path. If the CPU does not support it the
 //!   process panics at selection time instead of silently falling back, so a
 //!   benchmark labelled `aesni` is guaranteed to have measured hardware AES.
-//!   SHA-256 still uses the best detected path (SHA-NI, then SSSE3).
+//!   SHA-256 still uses the best detected path (SHA-NI, then SSSE3). On a
+//!   CPU where `auto` picks VAES this pins the 128-bit kernels.
+//! * `vaes` — *require* the VAES path, under the same refuse-to-fall-back
+//!   rule.
 //!
 //! Any other value is a hard error — a typo must not silently benchmark the
 //! wrong cipher.
@@ -37,6 +44,9 @@ pub enum Backend {
     Portable,
     /// Hardware AES via `aesenc`/`aesdec`/`aeskeygenassist` (x86-64 only).
     AesNi,
+    /// [`Backend::AesNi`] with CBC decrypt and the eight-lane CBC encrypt on
+    /// 512-bit `vaesdec`/`vaesenc` (x86-64 with VAES and AVX-512F).
+    Vaes,
 }
 
 /// Which SHA-256 compression-function path executes.
@@ -56,6 +66,7 @@ impl Backend {
         match self {
             Backend::Portable => true,
             Backend::AesNi => aesni_detected(),
+            Backend::Vaes => vaes_detected(),
         }
     }
 
@@ -64,6 +75,7 @@ impl Backend {
         match self {
             Backend::Portable => "portable",
             Backend::AesNi => "aesni",
+            Backend::Vaes => "vaes",
         }
     }
 }
@@ -98,6 +110,21 @@ fn aesni_detected() -> bool {
     false
 }
 
+/// The wide kernels are AVX-512 code and fall back on the AES-NI ones for
+/// tails and narrow groups.
+#[cfg(target_arch = "x86_64")]
+fn vaes_detected() -> bool {
+    aesni_detected()
+        && std::arch::is_x86_feature_detected!("vaes")
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("avx512f")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn vaes_detected() -> bool {
+    false
+}
+
 /// SHA-NI compression also uses `palignr` (SSSE3) and `pblendw` (SSE4.1).
 #[cfg(target_arch = "x86_64")]
 fn shani_detected() -> bool {
@@ -125,6 +152,7 @@ fn ssse3_detected() -> bool {
 const UNSET: u8 = 0;
 const AES_PORTABLE: u8 = 1;
 const AES_AESNI: u8 = 2;
+const AES_VAES: u8 = 3;
 const SHA_SCALAR: u8 = 1;
 const SHA_SSSE3: u8 = 2;
 const SHA_SHANI: u8 = 3;
@@ -146,14 +174,25 @@ fn resolve_from_env() -> (Backend, Sha256Backend) {
             );
             (Backend::AesNi, best_sha())
         }
+        "vaes" => {
+            assert!(
+                Backend::Vaes.is_available(),
+                "STEGFS_CRYPTO_BACKEND=vaes, but this CPU does not report VAES with \
+                 AVX-512F; refusing to fall back silently (use auto, aesni or portable)"
+            );
+            (Backend::Vaes, best_sha())
+        }
         other => panic!(
-            "unknown STEGFS_CRYPTO_BACKEND value {other:?} (expected auto, portable or aesni)"
+            "unknown STEGFS_CRYPTO_BACKEND value {other:?} \
+             (expected auto, portable, aesni or vaes)"
         ),
     }
 }
 
 fn best_aes() -> Backend {
-    if Backend::AesNi.is_available() {
+    if Backend::Vaes.is_available() {
+        Backend::Vaes
+    } else if Backend::AesNi.is_available() {
         Backend::AesNi
     } else {
         Backend::Portable
@@ -174,6 +213,7 @@ fn store(aes: Backend, sha: Sha256Backend) {
     let aes_code = match aes {
         Backend::Portable => AES_PORTABLE,
         Backend::AesNi => AES_AESNI,
+        Backend::Vaes => AES_VAES,
     };
     let sha_code = match sha {
         Sha256Backend::Scalar => SHA_SCALAR,
@@ -196,6 +236,7 @@ pub fn active() -> Backend {
     select_if_unset();
     match AES_ACTIVE.load(Ordering::Relaxed) {
         AES_AESNI => Backend::AesNi,
+        AES_VAES => Backend::Vaes,
         _ => Backend::Portable,
     }
 }
@@ -210,7 +251,7 @@ pub fn sha256_active() -> Sha256Backend {
     }
 }
 
-/// Name of the active AES backend: `"aesni"` or `"portable"`.
+/// Name of the active AES backend: `"vaes"`, `"aesni"` or `"portable"`.
 pub fn backend_name() -> &'static str {
     active().name()
 }
@@ -222,13 +263,14 @@ pub fn sha256_backend_name() -> &'static str {
 
 /// Force the whole stack onto `backend` for every cipher and hasher
 /// constructed afterwards: `Portable` selects T-table AES + scalar SHA-256,
-/// `AesNi` selects hardware AES plus the best detected SHA-256 path.
+/// `AesNi` and `Vaes` select that AES backend plus the best detected SHA-256
+/// path.
 ///
 /// Intended for benchmarks (the `crypto_baseline` forced-portable comparison
 /// section) and for the determinism suite, which asserts that experiment
 /// outputs are byte-identical across backends. Panics if `backend` is not
-/// available on this CPU — a forced-`AesNi` measurement must never silently
-/// run portable code. Instances created before the call keep their backend.
+/// available on this CPU — a forced hardware measurement must never silently
+/// run other code. Instances created before the call keep their backend.
 pub fn force(backend: Backend) {
     assert!(
         backend.is_available(),
@@ -237,7 +279,7 @@ pub fn force(backend: Backend) {
     );
     match backend {
         Backend::Portable => store(Backend::Portable, Sha256Backend::Scalar),
-        Backend::AesNi => store(Backend::AesNi, best_sha()),
+        Backend::AesNi | Backend::Vaes => store(backend, best_sha()),
     }
 }
 
@@ -279,6 +321,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Backend::Portable.name(), "portable");
         assert_eq!(Backend::AesNi.name(), "aesni");
+        assert_eq!(Backend::Vaes.name(), "vaes");
         assert_eq!(Sha256Backend::Scalar.name(), "scalar");
         assert_eq!(Sha256Backend::Ssse3.name(), "ssse3");
         assert_eq!(Sha256Backend::ShaNi.name(), "sha-ni");

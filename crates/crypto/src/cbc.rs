@@ -11,8 +11,14 @@
 //! Storage block payloads are always exact multiples of the AES block size, so
 //! no padding scheme is needed; [`CbcCipher`] rejects unaligned buffers
 //! instead.
+//!
+//! The mode itself — the chaining loops — is a method of the cipher
+//! ([`BlockCipher::cbc_encrypt_many`] and the two decrypts), so that a
+//! hardware backend can keep chain values and round keys in registers across
+//! a whole buffer. This module is the checked front: every malformed call is
+//! a typed [`CbcError`] here and never reaches a kernel.
 
-use crate::aes::{BlockCipher, AES_BLOCK_SIZE, PIPELINE_WIDTH};
+use crate::aes::{BlockCipher, AES_BLOCK_SIZE};
 
 /// Errors returned by CBC operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +28,8 @@ pub enum CbcError {
         /// Offending input length.
         len: usize,
     },
-    /// The buffers of one multi-buffer call did not all have the same length.
+    /// The buffers of one call — the lanes of a multi-buffer encrypt, or a
+    /// decrypt's source and destination — did not all have the same length.
     UnequalLengths {
         /// Length of the first buffer.
         expected: usize,
@@ -45,10 +52,7 @@ impl core::fmt::Display for CbcError {
                 write!(f, "CBC input length {len} is not a multiple of 16")
             }
             CbcError::UnequalLengths { expected, got } => {
-                write!(
-                    f,
-                    "CBC multi-buffer lengths differ: {got} bytes after {expected}"
-                )
+                write!(f, "CBC buffer lengths differ: {got} bytes after {expected}")
             }
             CbcError::IvCountMismatch { ivs, bufs } => {
                 write!(f, "CBC multi-buffer call with {ivs} IVs for {bufs} buffers")
@@ -92,11 +96,8 @@ impl<C: BlockCipher> CbcCipher<C> {
     /// Within one buffer CBC encryption is a serial chain — block `j` cannot
     /// start before block `j - 1` is done — so a single buffer leaves a
     /// pipelined cipher idle. *Different* buffers' chains are independent, so
-    /// up to [`PIPELINE_WIDTH`] of them advance together: each buffer's next
-    /// 16 bytes are XORed into its own chain value in a lane array, one
-    /// [`BlockCipher::encrypt_blocks`] call runs all lanes through the cipher
-    /// at once, and the lanes scatter back as ciphertext. More buffers than
-    /// that are taken [`PIPELINE_WIDTH`] at a time.
+    /// the cipher advances up to [`crate::PIPELINE_WIDTH`] of them together
+    /// ([`BlockCipher::cbc_encrypt_many`]).
     pub fn encrypt_many_in_place(
         &self,
         ivs: &[[u8; AES_BLOCK_SIZE]],
@@ -109,92 +110,51 @@ impl<C: BlockCipher> CbcCipher<C> {
             });
         }
         let len = bufs.first().map_or(0, |b| b.len());
-        if len % AES_BLOCK_SIZE != 0 {
-            return Err(CbcError::NotBlockAligned { len });
-        }
+        check_aligned(len)?;
         if let Some(other) = bufs.iter().find(|b| b.len() != len) {
             return Err(CbcError::UnequalLengths {
                 expected: len,
                 got: other.len(),
             });
         }
-        for (ivs, bufs) in ivs
-            .chunks(PIPELINE_WIDTH)
-            .zip(bufs.chunks_mut(PIPELINE_WIDTH))
-        {
-            // Lane `i` holds buffer `i`'s chain value: its IV to start with,
-            // its latest ciphertext block after every step.
-            let mut lanes = [0u8; PIPELINE_WIDTH * AES_BLOCK_SIZE];
-            let lanes = &mut lanes[..ivs.len() * AES_BLOCK_SIZE];
-            for (lane, iv) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(ivs) {
-                lane.copy_from_slice(iv);
-            }
-            for at in (0..len).step_by(AES_BLOCK_SIZE) {
-                for (lane, buf) in lanes.chunks_exact_mut(AES_BLOCK_SIZE).zip(bufs.iter()) {
-                    let lane: &mut [u8; AES_BLOCK_SIZE] =
-                        lane.try_into().expect("chunks_exact yields 16-byte lanes");
-                    let block: [u8; AES_BLOCK_SIZE] = buf[at..at + AES_BLOCK_SIZE]
-                        .try_into()
-                        .expect("16-byte block");
-                    *lane = (u128::from_ne_bytes(*lane) ^ u128::from_ne_bytes(block)).to_ne_bytes();
-                }
-                self.cipher.encrypt_blocks(lanes);
-                for (lane, buf) in lanes.chunks_exact(AES_BLOCK_SIZE).zip(bufs.iter_mut()) {
-                    buf[at..at + AES_BLOCK_SIZE].copy_from_slice(lane);
-                }
-            }
-        }
+        self.cipher.cbc_encrypt_many(ivs, bufs);
         Ok(())
     }
 
     /// Decrypt `data` in place under `iv`.
     ///
     /// Unlike encryption, CBC decryption has no serial dependency between
-    /// blocks — every plaintext block is `D(c[i]) ^ c[i-1]` — so the bulk of
-    /// the buffer goes through [`BlockCipher::decrypt_blocks`] eight blocks
-    /// at a time (saving a copy of the ciphertext first, then applying the
-    /// XOR chain afterwards), which lets hardware backends keep their whole
-    /// pipeline full. Buffers shorter than eight blocks, and the tail, use
-    /// the per-block chained loop.
+    /// blocks — every plaintext block is `D(c[i]) ^ c[i-1]` — so a hardware
+    /// backend keeps a whole group of blocks in flight
+    /// ([`BlockCipher::cbc_decrypt_in_place`]).
     pub fn decrypt_in_place(
         &self,
         iv: &[u8; AES_BLOCK_SIZE],
         data: &mut [u8],
     ) -> Result<(), CbcError> {
-        if data.len() % AES_BLOCK_SIZE != 0 {
-            return Err(CbcError::NotBlockAligned { len: data.len() });
+        check_aligned(data.len())?;
+        self.cipher.cbc_decrypt_in_place(iv, data);
+        Ok(())
+    }
+
+    /// Decrypt `src` under `iv` into `dst`, which must be exactly as long;
+    /// `src` is left as it is. Saves [`Self::decrypt_in_place`]'s caller the
+    /// copy when the ciphertext has to stay, or sits in a buffer the
+    /// plaintext should not.
+    pub fn decrypt_into(
+        &self,
+        iv: &[u8; AES_BLOCK_SIZE],
+        src: &[u8],
+        dst: &mut [u8],
+    ) -> Result<(), CbcError> {
+        check_aligned(src.len())?;
+        if dst.len() != src.len() {
+            return Err(CbcError::UnequalLengths {
+                expected: src.len(),
+                got: dst.len(),
+            });
         }
-        const WIDE: usize = 8 * AES_BLOCK_SIZE;
-        let mut chain = u128::from_ne_bytes(*iv);
-        let mut wide = data.chunks_exact_mut(WIDE);
-        for chunk in &mut wide {
-            let mut saved = [0u8; WIDE];
-            saved.copy_from_slice(chunk);
-            self.cipher.decrypt_blocks(chunk);
-            for (i, block) in chunk.chunks_exact_mut(AES_BLOCK_SIZE).enumerate() {
-                let block: &mut [u8; AES_BLOCK_SIZE] =
-                    block.try_into().expect("chunks_exact yields 16-byte lanes");
-                let prev = if i == 0 {
-                    chain
-                } else {
-                    u128::from_ne_bytes(
-                        saved[(i - 1) * AES_BLOCK_SIZE..i * AES_BLOCK_SIZE]
-                            .try_into()
-                            .expect("16-byte lane"),
-                    )
-                };
-                *block = (u128::from_ne_bytes(*block) ^ prev).to_ne_bytes();
-            }
-            chain = u128::from_ne_bytes(saved[WIDE - AES_BLOCK_SIZE..].try_into().expect("tail"));
-        }
-        for block in wide.into_remainder().chunks_exact_mut(AES_BLOCK_SIZE) {
-            let block: &mut [u8; AES_BLOCK_SIZE] =
-                block.try_into().expect("chunks_exact yields 16-byte lanes");
-            let ciphertext = u128::from_ne_bytes(*block);
-            self.cipher.decrypt_block(block);
-            *block = (u128::from_ne_bytes(*block) ^ chain).to_ne_bytes();
-            chain = ciphertext;
-        }
+        self.cipher.cbc_decrypt(iv, src, dst);
         Ok(())
     }
 
@@ -207,16 +167,23 @@ impl<C: BlockCipher> CbcCipher<C> {
 
     /// Decrypt `data` into a new vector.
     pub fn decrypt(&self, iv: &[u8; AES_BLOCK_SIZE], data: &[u8]) -> Result<Vec<u8>, CbcError> {
-        let mut out = data.to_vec();
-        self.decrypt_in_place(iv, &mut out)?;
+        let mut out = vec![0u8; data.len()];
+        self.decrypt_into(iv, data, &mut out)?;
         Ok(out)
     }
+}
+
+fn check_aligned(len: usize) -> Result<(), CbcError> {
+    if !len.is_multiple_of(AES_BLOCK_SIZE) {
+        return Err(CbcError::NotBlockAligned { len });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aes::{Aes128, Aes256};
+    use crate::aes::{Aes128, Aes256, PIPELINE_WIDTH};
 
     fn hex_to_bytes(s: &str) -> Vec<u8> {
         (0..s.len())

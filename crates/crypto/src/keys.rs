@@ -126,10 +126,12 @@ impl AesScheduleCache {
     pub fn get(&self, key: &Key256) -> Arc<Aes256> {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(pos) = entries.iter().position(|(k, _)| k == key) {
-            let entry = entries.remove(pos);
-            let cipher = entry.1.clone();
-            entries.insert(0, entry);
-            return cipher;
+            // The usual hit is already at the front (an agent reseals block
+            // after block under one key): nothing moves under the lock.
+            if pos != 0 {
+                entries[..=pos].rotate_right(1);
+            }
+            return entries[0].1.clone();
         }
         let cipher = Arc::new(Aes256::new(&key.0));
         if entries.len() == self.capacity {
@@ -137,6 +139,13 @@ impl AesScheduleCache {
         }
         entries.insert(0, (*key, cipher.clone()));
         cipher
+    }
+
+    /// The cached keys, most recently used first.
+    #[cfg(test)]
+    fn order(&self) -> Vec<Key256> {
+        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        entries.iter().map(|(k, _)| *k).collect()
     }
 
     /// Number of schedules currently cached.
@@ -255,6 +264,34 @@ mod tests {
         let data = vec![7u8; 64];
         let sealed = cbc.encrypt(&[1u8; 16], &data).unwrap();
         assert_eq!(cbc.decrypt(&[1u8; 16], &sealed).unwrap(), data);
+    }
+
+    #[test]
+    fn hits_keep_most_recently_used_order() {
+        let cache = AesScheduleCache::new(8);
+        let keys: Vec<Key256> = (0..5u8).map(|i| Key256([i; 32])).collect();
+        let handles: Vec<_> = keys.iter().map(|k| cache.get(k)).collect();
+        let order = |ids: [usize; 5]| ids.map(|i| keys[i]).to_vec();
+        assert_eq!(cache.order(), order([4, 3, 2, 1, 0]));
+
+        // A hit at the front leaves order and length as they are.
+        assert!(Arc::ptr_eq(&cache.get(&keys[4]), &handles[4]));
+        assert_eq!(cache.order(), order([4, 3, 2, 1, 0]));
+        assert_eq!(cache.len(), 5);
+
+        // A hit at position 3 moves to the front; the three entries it
+        // passes shift down one, the one behind it stays.
+        assert!(Arc::ptr_eq(&cache.get(&keys[1]), &handles[1]));
+        assert_eq!(cache.order(), order([1, 4, 3, 2, 0]));
+        assert_eq!(cache.len(), 5);
+
+        // The last entry, then a miss: the new key goes in front of it.
+        assert!(Arc::ptr_eq(&cache.get(&keys[0]), &handles[0]));
+        assert_eq!(cache.order(), order([0, 1, 4, 3, 2]));
+        let fresh = Key256([9; 32]);
+        cache.get(&fresh);
+        assert_eq!(cache.order()[..2], [fresh, keys[0]]);
+        assert_eq!(cache.len(), 6);
     }
 
     #[test]

@@ -363,7 +363,7 @@ mod x86 {
     pub(super) fn compress_shani<const N: usize>(states: &mut [[u32; 8]; N], data: [&[u8]; N]) {
         let len = data.first().map_or(0, |stream| stream.len());
         assert!(
-            len % 64 == 0 && data.iter().all(|stream| stream.len() == len),
+            len.is_multiple_of(64) && data.iter().all(|stream| stream.len() == len),
             "streams of one whole-block length"
         );
         // SAFETY: this path is only selected when SHA-NI detection passed
@@ -516,7 +516,7 @@ pub(crate) fn finish_many<const N: usize>(
     prefix_len: usize,
 ) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
     let len = msgs[0].len();
-    debug_assert!(prefix_len % 64 == 0 && msgs.iter().all(|m| m.len() == len));
+    debug_assert!(prefix_len.is_multiple_of(64) && msgs.iter().all(|m| m.len() == len));
     let whole = len / 64;
     compress_many(backend, &mut states, msgs, whole);
 

@@ -4,9 +4,12 @@
 //! counterpart lives in `tests/proptests.rs`; this suite pins the named
 //! vectors per backend so a single failing backend is identified by name.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use stegfs_crypto::{
-    backend_name, sha256_backend_name, Aes128, Aes256, Backend, BlockCipher, CbcCipher, CbcError,
-    CryptoError, HmacSha256, Sha256, Sha256Backend, PIPELINE_WIDTH,
+    backend_name, reference, sha256_backend_name, Aes128, Aes256, Backend, BlockCipher, CbcCipher,
+    CbcError, CryptoError, HmacSha256, Sha256, Sha256Backend, PIPELINE_WIDTH,
 };
 
 fn hex_to_bytes(s: &str) -> Vec<u8> {
@@ -21,7 +24,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn aes_backends() -> Vec<Backend> {
-    [Backend::Portable, Backend::AesNi]
+    [Backend::Portable, Backend::AesNi, Backend::Vaes]
         .into_iter()
         .filter(|b| b.is_available())
         .collect()
@@ -177,11 +180,169 @@ fn malformed_multi_buffer_calls_are_typed_errors() {
             cbc.encrypt_many_in_place(&ivs[..2], &mut [&mut x[..17], &mut y[..17]]),
             Err(CbcError::NotBlockAligned { len: 17 })
         );
+        assert_eq!(
+            cbc.decrypt_into(&ivs[0], &x, &mut z),
+            Err(CbcError::UnequalLengths {
+                expected: 32,
+                got: 48
+            })
+        );
+        assert_eq!(
+            cbc.decrypt_into(&ivs[0], &x[..17], &mut y[..17]),
+            Err(CbcError::NotBlockAligned { len: 17 })
+        );
         // A rejected call touched nothing.
         assert_eq!((x, y, z), ([0u8; 32], [0u8; 32], [0u8; 48]));
         // No buffers at all is a valid, empty call.
         assert_eq!(cbc.encrypt_many_in_place(&[], &mut []), Ok(()));
     }
+}
+
+/// One CBC chain written out by hand over the byte-oriented reference cipher,
+/// which shares no code with any backend.
+fn reference_chain(key: &[u8; 32], iv: &[u8; 16], plain: &[u8]) -> Vec<u8> {
+    let cipher = reference::Aes256::new(key);
+    let mut out = plain.to_vec();
+    let mut chain = *iv;
+    for block in out.chunks_exact_mut(16) {
+        let block: &mut [u8; 16] = block.try_into().unwrap();
+        for (b, c) in block.iter_mut().zip(chain) {
+            *b ^= c;
+        }
+        cipher.encrypt_block(block);
+        chain = *block;
+    }
+    out
+}
+
+#[test]
+fn every_cbc_kernel_matches_the_reference_chain() {
+    // Lane counts on both sides of every group width (one chain, each
+    // N-lane kernel, a full group of eight, two groups and one over) times
+    // field lengths on both sides of every kernel's step (one block; 112,
+    // 128, 144 around the eight-block decrypt group and the 64-byte wide
+    // encrypt step; 1008 and 4080, the data fields of 1 KB and 4 KB blocks,
+    // both 48 bytes past a multiple of 64 and seven blocks past a multiple of
+    // eight) times buffers starting on and off a 16-byte boundary.
+    const MAX_LANES: usize = 2 * PIPELINE_WIDTH + 1;
+    let key = [0xC3u8; 32];
+    let iv_of = |n: usize| -> [u8; 16] { core::array::from_fn(|i| (n * 16 + i) as u8 ^ 0x5A) };
+    for len in [16usize, 32, 112, 128, 144, 1008, 4080] {
+        let plain: Vec<Vec<u8>> = (0..MAX_LANES)
+            .map(|n| (0..len).map(|i| (i * 131 + n * 17) as u8).collect())
+            .collect();
+        let expected: Vec<Vec<u8>> = plain
+            .iter()
+            .enumerate()
+            .map(|(n, p)| reference_chain(&key, &iv_of(n), p))
+            .collect();
+        for b in aes_backends() {
+            let cbc = CbcCipher::new(Aes256::with_backend(&key, b).unwrap());
+            for lanes in 1..=MAX_LANES {
+                for offset in [0usize, 1] {
+                    let what = format!("{lanes} x {len} B at +{offset} on {}", b.name());
+                    let ivs: Vec<[u8; 16]> = (0..lanes).map(iv_of).collect();
+                    let mut data: Vec<Vec<u8>> = plain[..lanes]
+                        .iter()
+                        .map(|p| [&[0xEE][..offset], p].concat())
+                        .collect();
+                    let mut bufs: Vec<&mut [u8]> =
+                        data.iter_mut().map(|d| &mut d[offset..]).collect();
+                    cbc.encrypt_many_in_place(&ivs, &mut bufs).unwrap();
+                    for (n, buf) in bufs.iter().enumerate() {
+                        assert_eq!(**buf, expected[n][..], "lane {n} of {what}");
+                    }
+                }
+            }
+            // Decrypt has no lanes: once per buffer position is every shape.
+            for offset in [0usize, 1] {
+                let what = format!("{len} B at +{offset} on {}", b.name());
+                let sealed = [&[0xEE][..offset], &expected[0]].concat();
+                let mut opened = vec![0xEEu8; offset + len];
+                cbc.decrypt_into(&iv_of(0), &sealed[offset..], &mut opened[offset..])
+                    .unwrap();
+                assert_eq!(opened[offset..], plain[0][..], "src -> dst, {what}");
+                assert_eq!(opened[..offset], sealed[..offset], "stray write, {what}");
+                let mut in_place = sealed.clone();
+                cbc.decrypt_in_place(&iv_of(0), &mut in_place[offset..])
+                    .unwrap();
+                assert_eq!(in_place, opened, "in place, {what}");
+            }
+        }
+    }
+}
+
+/// A cipher that counts which entry points reach it.
+#[derive(Default)]
+struct Counting {
+    blocks: AtomicUsize,
+    encrypt_many: AtomicUsize,
+    decrypt_in_place: AtomicUsize,
+    decrypt: AtomicUsize,
+}
+
+impl Counting {
+    fn counts(&self) -> [usize; 4] {
+        [
+            &self.blocks,
+            &self.encrypt_many,
+            &self.decrypt_in_place,
+            &self.decrypt,
+        ]
+        .map(|c| c.load(Ordering::Relaxed))
+    }
+}
+
+impl BlockCipher for Counting {
+    fn encrypt_block(&self, _: &mut [u8; 16]) {
+        self.blocks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn decrypt_block(&self, _: &mut [u8; 16]) {
+        self.blocks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cbc_encrypt_many(&self, _: &[[u8; 16]], _: &mut [&mut [u8]]) {
+        self.encrypt_many.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cbc_decrypt_in_place(&self, _: &[u8; 16], _: &mut [u8]) {
+        self.decrypt_in_place.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cbc_decrypt(&self, _: &[u8; 16], _: &[u8], _: &mut [u8]) {
+        self.decrypt.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn reference_and_arc_forward_the_cbc_methods() {
+    // A cipher's own CBC methods are its fast path. A wrapper that forwards
+    // only the single-block methods still produces the right bytes, through
+    // the trait's default loops, so nothing but a count can see the
+    // difference — and every production caller reaches its cipher through
+    // `Arc<Aes256>` (the schedule cache) inside a `CbcCipher`.
+    fn drive<C: BlockCipher>(cbc: &CbcCipher<C>) {
+        let iv = [0u8; 16];
+        let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+        cbc.encrypt_in_place(&iv, &mut a).unwrap();
+        cbc.encrypt_many_in_place(&[iv, iv], &mut [&mut a, &mut b])
+            .unwrap();
+        cbc.decrypt_in_place(&iv, &mut a).unwrap();
+        cbc.decrypt_into(&iv, &a, &mut b).unwrap();
+        cbc.decrypt(&iv, &a).unwrap();
+    }
+    let direct = Counting::default();
+    drive(&CbcCipher::new(&direct));
+    assert_eq!(direct.counts(), [0, 2, 1, 2], "through &C");
+
+    let shared = Arc::new(Counting::default());
+    drive(&CbcCipher::new(shared.clone()));
+    assert_eq!(shared.counts(), [0, 2, 1, 2], "through Arc<C>");
+
+    let nested = Arc::new(Counting::default());
+    drive(&CbcCipher::new(&&nested));
+    assert_eq!(nested.counts(), [0, 2, 1, 2], "through &&Arc<C>");
 }
 
 #[test]
@@ -275,32 +436,38 @@ fn sha_backends_agree_on_structured_data() {
 
 #[test]
 fn unavailable_backend_is_a_typed_error() {
-    // Either AES-NI is available (constructing works) or requesting it is the
-    // typed BackendUnavailable error — never a silent fallback.
-    match Aes256::with_backend(&[0u8; 32], Backend::AesNi) {
-        Ok(cipher) => {
-            assert!(Backend::AesNi.is_available());
-            assert_eq!(cipher.backend(), Backend::AesNi);
+    // Either the hardware backend is available (constructing works) or
+    // requesting it is the typed BackendUnavailable error — never a silent
+    // fallback.
+    for b in [Backend::AesNi, Backend::Vaes] {
+        match Aes256::with_backend(&[0u8; 32], b) {
+            Ok(cipher) => {
+                assert!(b.is_available());
+                assert_eq!(cipher.backend(), b);
+            }
+            Err(CryptoError::BackendUnavailable { backend }) => {
+                assert!(!b.is_available());
+                assert_eq!(backend, b.name());
+            }
+            Err(other) => panic!("unexpected error: {other}"),
         }
-        Err(CryptoError::BackendUnavailable { backend }) => {
-            assert!(!Backend::AesNi.is_available());
-            assert_eq!(backend, "aesni");
-        }
-        Err(other) => panic!("unexpected error: {other}"),
     }
+    // The wide kernels fall back on the narrow ones for tails.
+    assert!(!Backend::Vaes.is_available() || Backend::AesNi.is_available());
 }
 
 #[test]
 fn backend_names_report_active_selection() {
     let aes = backend_name();
-    assert!(aes == "portable" || aes == "aesni", "unexpected name {aes}");
+    let named = [Backend::Portable, Backend::AesNi, Backend::Vaes]
+        .into_iter()
+        .find(|b| b.name() == aes)
+        .unwrap_or_else(|| panic!("unexpected name {aes}"));
+    // The name must be consistent with what detection allows.
+    assert!(named.is_available());
     let sha = sha256_backend_name();
     assert!(
         sha == "scalar" || sha == "ssse3" || sha == "sha-ni",
         "unexpected name {sha}"
     );
-    // The names must be consistent with what detection allows.
-    if aes == "aesni" {
-        assert!(Backend::AesNi.is_available());
-    }
 }

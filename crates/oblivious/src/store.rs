@@ -790,7 +790,7 @@ mod tests {
         let mut rng = HashDrbg::from_u64(42);
         for step in 0..400u64 {
             let id = rng.gen_range(40);
-            if rng.next_u64() % 3 == 0 || !expected.contains_key(&id) {
+            if rng.next_u64().is_multiple_of(3) || !expected.contains_key(&id) {
                 let value = vec![(step % 256) as u8; 100 + (id as usize % 50)];
                 store.write(id, value.clone()).unwrap();
                 expected.insert(id, value);

@@ -15,8 +15,11 @@
 //! The plaintext is untouched but every ciphertext byte changes, so a
 //! snapshot-diffing attacker cannot tell it apart from a genuine data update.
 
+use std::cell::Cell;
+use std::sync::Arc;
+
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{AesScheduleCache, CbcCipher, HashDrbg, Key256, PIPELINE_WIDTH};
+use stegfs_crypto::{Aes256, AesScheduleCache, CbcCipher, HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::error::FsError;
 use crate::layout::IV_SIZE;
@@ -37,7 +40,7 @@ impl BlockCodec {
     /// Create a codec for a given physical block size.
     pub fn new(block_size: usize) -> Self {
         assert!(
-            block_size > IV_SIZE && (block_size - IV_SIZE) % 16 == 0,
+            block_size > IV_SIZE && (block_size - IV_SIZE).is_multiple_of(16),
             "block size must leave a 16-byte-aligned data field"
         );
         Self {
@@ -107,14 +110,14 @@ impl BlockCodec {
     /// where a seal-then-write loop was turned into a batched one.
     pub fn seal_blocks_in_place(&self, key: &Key256, run: &mut [u8]) -> Result<(), FsError> {
         self.check_run(run)?;
-        let cbc = CbcCipher::new(self.schedules.get(key));
+        let cbc = self.cbc(key);
         for group in run.chunks_mut(PIPELINE_WIDTH * self.block_size) {
             let mut ivs = [[0u8; IV_SIZE]; PIPELINE_WIDTH];
             let mut fields: [&mut [u8]; PIPELINE_WIDTH] = Default::default();
             let mut n = 0;
             for block in group.chunks_exact_mut(self.block_size) {
-                let (iv, field) = block.split_at_mut(IV_SIZE);
-                ivs[n].copy_from_slice(iv);
+                let (iv, field) = split_iv_mut(block);
+                ivs[n] = *iv;
                 fields[n] = field;
                 n += 1;
             }
@@ -130,10 +133,9 @@ impl BlockCodec {
     /// buffer it arrived in.
     pub fn open_in_place(&self, key: &Key256, run: &mut [u8]) -> Result<(), FsError> {
         self.check_run(run)?;
-        let cbc = CbcCipher::new(self.schedules.get(key));
+        let cbc = self.cbc(key);
         for block in run.chunks_exact_mut(self.block_size) {
-            let (iv, field) = block.split_at_mut(IV_SIZE);
-            let iv: &[u8; IV_SIZE] = (&*iv).try_into().expect("split at IV_SIZE");
+            let (iv, field) = split_iv_mut(block);
             cbc.decrypt_in_place(iv, field)?;
         }
         Ok(())
@@ -149,13 +151,22 @@ impl BlockCodec {
         fresh_iv: &[u8; IV_SIZE],
     ) -> Result<(), FsError> {
         self.check_block(physical)?;
-        self.open_in_place(key, physical)?;
-        physical[..IV_SIZE].copy_from_slice(fresh_iv);
-        self.seal_blocks_in_place(key, physical)
+        // One schedule lookup for both directions.
+        let cbc = self.cbc(key);
+        let (iv, field) = split_iv_mut(physical);
+        cbc.decrypt_in_place(iv, field)?;
+        *iv = *fresh_iv;
+        cbc.encrypt_in_place(iv, field)?;
+        Ok(())
+    }
+
+    /// CBC under `key`'s cached schedule.
+    fn cbc(&self, key: &Key256) -> CbcCipher<Arc<Aes256>> {
+        CbcCipher::new(self.schedules.get(key))
     }
 
     fn check_run(&self, run: &[u8]) -> Result<(), FsError> {
-        if run.len() % self.block_size != 0 {
+        if !run.len().is_multiple_of(self.block_size) {
             return Err(FsError::Cipher(format!(
                 "run of {} bytes is not a whole number of {}-byte blocks",
                 run.len(),
@@ -190,31 +201,20 @@ impl BlockCodec {
     /// Open a physical block under `key`, returning the full plaintext data
     /// field (including any zero padding the caller added at seal time).
     pub fn open(&self, key: &Key256, physical: &[u8]) -> Result<Vec<u8>, FsError> {
-        self.check_block(physical)?;
-        let mut data = physical[IV_SIZE..].to_vec();
-        self.decrypt_field(key, physical, &mut data)?;
+        let mut data = vec![0u8; self.data_field_len()];
+        self.open_into(key, physical, &mut data)?;
         Ok(data)
     }
 
     /// [`Self::open`] into a buffer the caller owns: `dst` must be exactly
-    /// one data field long and receives the decrypted field.
+    /// one data field long and receives the decrypted field. The ciphertext
+    /// is decrypted from where it lies into `dst`, never copied.
     pub fn open_into(&self, key: &Key256, physical: &[u8], dst: &mut [u8]) -> Result<(), FsError> {
         self.check_block(physical)?;
         self.check_field(dst)?;
-        dst.copy_from_slice(&physical[IV_SIZE..]);
-        self.decrypt_field(key, physical, dst)
-    }
-
-    /// Decrypt `field`, a copy of `physical`'s data field, under the IV in
-    /// front of that field.
-    fn decrypt_field(
-        &self,
-        key: &Key256,
-        physical: &[u8],
-        field: &mut [u8],
-    ) -> Result<(), FsError> {
-        let iv: &[u8; IV_SIZE] = physical[..IV_SIZE].try_into().expect("a whole block");
-        CbcCipher::new(self.schedules.get(key)).decrypt_in_place(iv, field)?;
+        let (iv, field) = physical.split_at(IV_SIZE);
+        let iv: &[u8; IV_SIZE] = iv.try_into().expect("split at IV_SIZE");
+        self.cbc(key).decrypt_into(iv, field, dst)?;
         Ok(())
     }
 
@@ -264,9 +264,25 @@ impl BlockCodec {
         block: BlockId,
         key: &Key256,
     ) -> Result<Vec<u8>, FsError> {
-        let mut physical = vec![0u8; self.block_size];
-        device.read_block(block, &mut physical)?;
-        self.open(key, &physical)
+        let mut data = vec![0u8; self.data_field_len()];
+        self.with_scratch(|scratch| self.read_sealed_into(device, block, key, scratch, &mut data))?;
+        Ok(data)
+    }
+
+    /// Run `f` on a per-thread buffer of one physical block, for a block that
+    /// is read only to be opened somewhere else: nothing to allocate or zero
+    /// per read. The buffer is taken out of its slot for the call, so an `f`
+    /// that comes back here (a device layered on another codec) finds the
+    /// slot empty and gets a buffer of its own.
+    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        thread_local! {
+            static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
+        let mut scratch = SCRATCH.take();
+        scratch.resize(self.block_size, 0);
+        let result = f(&mut scratch);
+        SCRATCH.set(scratch);
+        result
     }
 
     /// [`Self::read_sealed`] without allocating: the physical block is read
@@ -318,13 +334,14 @@ impl BlockCodec {
         key: &Key256,
         draw_iv: impl FnOnce(&mut [u8; IV_SIZE]),
     ) -> Result<(), FsError> {
-        let mut physical = vec![0u8; self.block_size];
-        device.read_block(block, &mut physical)?;
-        let mut fresh_iv = [0u8; IV_SIZE];
-        draw_iv(&mut fresh_iv);
-        self.reseal_in_place(key, &mut physical, &fresh_iv)?;
-        device.write_block(block, &physical)?;
-        Ok(())
+        self.with_scratch(|physical| {
+            device.read_block(block, physical)?;
+            let mut fresh_iv = [0u8; IV_SIZE];
+            draw_iv(&mut fresh_iv);
+            self.reseal_in_place(key, physical, &fresh_iv)?;
+            device.write_block(block, physical)?;
+            Ok(())
+        })
     }
 
     /// Fill `block` with uniformly random bytes — the state of every abandoned
@@ -343,6 +360,12 @@ impl BlockCodec {
         device.write_block(block, scratch)?;
         Ok(())
     }
+}
+
+/// A physical block as its IV and its data field.
+fn split_iv_mut(block: &mut [u8]) -> (&mut [u8; IV_SIZE], &mut [u8]) {
+    let (iv, field) = block.split_at_mut(IV_SIZE);
+    (iv.try_into().expect("split at IV_SIZE"), field)
 }
 
 #[cfg(test)]

@@ -559,6 +559,22 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Read one content block of an open file.
     pub fn read_content_block(&self, file: &OpenFile, index: u64) -> Result<Vec<u8>, FsError> {
+        let mut out = vec![0u8; self.content_bytes_per_block()];
+        self.codec
+            .with_scratch(|scratch| self.read_content_into(file, index, scratch, &mut out))?;
+        Ok(out)
+    }
+
+    /// Content block `index` of `file` into `dst` (one block's content long),
+    /// through `scratch` (one physical block long): one device read, and for
+    /// a data file one decrypt, from the scratch straight into `dst`.
+    fn read_content_into(
+        &self,
+        file: &OpenFile,
+        index: u64,
+        scratch: &mut [u8],
+        dst: &mut [u8],
+    ) -> Result<(), FsError> {
         let loc = *file
             .header
             .blocks
@@ -570,27 +586,28 @@ impl<D: BlockDevice> StegFs<D> {
         match file.header.kind {
             FileKind::Data => {
                 let key = file.fak.content_key().ok_or(FsError::NoContentKey)?;
-                self.codec.read_sealed(&self.device, loc, key)
+                self.codec
+                    .read_sealed_into(&self.device, loc, key, scratch, dst)
             }
             FileKind::Dummy => {
                 // Dummy content is meaningless; return the raw bytes.
-                let mut buf = vec![0u8; self.codec.block_size()];
-                self.device.read_block(loc, &mut buf)?;
-                Ok(buf[..self.content_bytes_per_block()].to_vec())
+                self.device.read_block(loc, scratch)?;
+                dst.copy_from_slice(&scratch[..dst.len()]);
+                Ok(())
             }
         }
     }
 
     /// Read an entire file's contents.
     pub fn read_file(&self, file: &OpenFile) -> Result<Vec<u8>, FsError> {
-        let mut out = Vec::with_capacity(file.header.file_size as usize);
         let per_block = self.content_bytes_per_block();
-        for i in 0..file.header.num_blocks() {
-            let chunk = self.read_content_block(file, i)?;
-            out.extend_from_slice(&chunk);
-        }
+        let mut out = vec![0u8; file.header.blocks.len() * per_block];
+        self.codec.with_scratch(|scratch| {
+            out.chunks_exact_mut(per_block)
+                .enumerate()
+                .try_for_each(|(i, dst)| self.read_content_into(file, i as u64, scratch, dst))
+        })?;
         out.truncate(file.header.file_size as usize);
-        let _ = per_block;
         Ok(out)
     }
 

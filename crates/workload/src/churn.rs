@@ -147,7 +147,7 @@ impl ChurnWorkload {
 
     fn generate_step(&mut self) {
         self.step += 1;
-        if self.step % self.cfg.storm_period == 0 {
+        if self.step.is_multiple_of(self.cfg.storm_period) {
             // Storm: mass logout of the oldest sessions, then a burst of
             // fresh logins drawn from the skewed population.
             let burst = self.cfg.storm_size.min(self.order.len());
@@ -166,7 +166,7 @@ impl ChurnWorkload {
         }
         let u = self.zipf.sample(&mut self.rng);
         if self.active.contains(&u) {
-            if self.rng.next_u64() % 4 == 0 {
+            if self.rng.next_u64().is_multiple_of(4) {
                 self.pending.push_back(ChurnOp::Update(u));
             } else {
                 self.pending.push_back(ChurnOp::Lookup(u));

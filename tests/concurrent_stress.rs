@@ -315,7 +315,7 @@ fn build_volatile_system() -> ConcurrentVolatileAgent<MemDevice> {
     for u in 0..V_USERS {
         let mut content = Vec::with_capacity(per * V_FILE_BLOCKS as usize);
         for b in 0..V_FILE_BLOCKS {
-            content.extend(std::iter::repeat(fill_byte(u, 0, b)).take(per));
+            content.extend(std::iter::repeat_n(fill_byte(u, 0, b), per));
         }
         setup
             .provision_file(

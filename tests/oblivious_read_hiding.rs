@@ -105,7 +105,7 @@ fn dummy_data_probes_stay_inside_the_occupied_prefix_and_are_uniform_over_it() {
                 "read {n}: level {i} holds {occupied} of {capacity} slots, data read at slot {slot}"
             );
             // Prefixes that split into equal sixteenths only.
-            if occupied > 0 && occupied < capacity && occupied % BINS == 0 {
+            if occupied > 0 && occupied < capacity && occupied.is_multiple_of(BINS) {
                 sixteenths[level].push(slot * BINS / occupied);
             }
         }
