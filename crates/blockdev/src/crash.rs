@@ -24,7 +24,8 @@
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::device::{BlockDevice, BlockId, DeviceError};
+use crate::device::{BlockDevice, DeviceError};
+use crate::layered::{write_torn, Io, IoHook, Layered};
 use crate::mem::MemDevice;
 
 #[derive(Debug, Clone, Copy)]
@@ -35,40 +36,98 @@ struct CutPlan {
     torn_bytes: Option<usize>,
 }
 
-/// A [`BlockDevice`] wrapper that cuts power after a configured number of
+/// A [`BlockDevice`] that cuts power after a configured number of
 /// block-granular write units. See the [module docs](self) for the model.
-pub struct CrashDevice<D> {
-    inner: D,
+pub type CrashDevice<D> = Layered<D, CrashHook>;
+
+/// The hook of a [`CrashDevice`]: counts write units and decides which land.
+#[derive(Default)]
+pub struct CrashHook {
     cut: Mutex<Option<CutPlan>>,
     attempted: AtomicU64,
     dropped: AtomicU64,
 }
 
-impl<D: BlockDevice> CrashDevice<D> {
-    /// Wrap `inner` with no cut armed (all writes land; units are counted).
-    pub fn new(inner: D) -> Self {
-        Self {
-            inner,
-            cut: Mutex::new(None),
-            attempted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+impl CrashHook {
+    fn power_is_cut(&self) -> bool {
+        match *self.cut.lock() {
+            Some(plan) => self.attempted.load(Ordering::Relaxed) >= plan.after,
+            None => false,
         }
     }
 
-    /// Access the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
+    /// Account for one write unit of a `block_size`-byte block and decide its
+    /// fate. Returns how many bytes of the block should land (`block_size` =
+    /// all, `0` = dropped).
+    fn admit_unit(&self, block_size: usize) -> usize {
+        let plan = self.cut.lock();
+        let idx = self.attempted.fetch_add(1, Ordering::Relaxed);
+        match *plan {
+            None => block_size,
+            Some(p) if idx < p.after => block_size,
+            Some(p) => {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                if idx == p.after {
+                    p.torn_bytes.unwrap_or(0).min(block_size)
+                } else {
+                    0
+                }
+            }
+        }
+    }
+}
+
+impl<D: BlockDevice> IoHook<D> for CrashHook {
+    fn write(&self, inner: &D, io: Io, buf: &[u8]) -> Result<(), DeviceError> {
+        io.check(inner, buf.len())?;
+        let bs = inner.block_size();
+        // Per-block admission so the cut can fall mid-range; a request that
+        // lands whole is forwarded as the caller issued it, so the inner
+        // device's I/O accounting keeps the uncut shape.
+        let total = io.blocks as usize;
+        for i in 0..total {
+            let landed = self.admit_unit(bs);
+            if landed == bs {
+                continue;
+            }
+            // Flush the fully-landing prefix, then the torn remainder.
+            if i > 0 {
+                inner.write_blocks(io.start, &buf[..i * bs])?;
+            }
+            write_torn(
+                inner,
+                io.start + i as u64,
+                &buf[i * bs..(i + 1) * bs],
+                landed,
+            )?;
+            // Account for the remaining units, all dropped.
+            for _ in i + 1..total {
+                self.admit_unit(bs);
+            }
+            return Ok(());
+        }
+        io.forward_write(inner, buf)
     }
 
-    /// Consume the wrapper, returning the inner device.
-    pub fn into_inner(self) -> D {
-        self.inner
+    fn sync(&self, inner: &D) -> Result<(), DeviceError> {
+        if self.power_is_cut() {
+            Ok(())
+        } else {
+            inner.sync()
+        }
+    }
+}
+
+impl<D: BlockDevice> Layered<D, CrashHook> {
+    /// Wrap `inner` with no cut armed (all writes land; units are counted).
+    pub fn new(inner: D) -> Self {
+        Self::with_hook(inner, CrashHook::default())
     }
 
     /// Arm a power cut: counting from now, the next `after_writes` write
     /// units land and everything later is silently dropped.
     pub fn arm_cut(&self, after_writes: u64) {
-        *self.cut.lock() = Some(CutPlan {
+        *self.hook().cut.lock() = Some(CutPlan {
             after: after_writes,
             torn_bytes: None,
         });
@@ -78,7 +137,7 @@ impl<D: BlockDevice> CrashDevice<D> {
     /// torn rather than dropped: its first `landed_bytes` bytes land and the
     /// rest of the block keeps its previous content.
     pub fn arm_cut_torn(&self, after_writes: u64, landed_bytes: usize) {
-        *self.cut.lock() = Some(CutPlan {
+        *self.hook().cut.lock() = Some(CutPlan {
             after: after_writes,
             torn_bytes: Some(landed_bytes),
         });
@@ -87,130 +146,36 @@ impl<D: BlockDevice> CrashDevice<D> {
     /// Remove any armed cut; subsequent writes land again ("power restored").
     /// Counters are unaffected.
     pub fn disarm(&self) {
-        *self.cut.lock() = None;
+        *self.hook().cut.lock() = None;
     }
 
     /// Whether an armed cut has already been crossed.
     pub fn power_is_cut(&self) -> bool {
-        match *self.cut.lock() {
-            Some(plan) => self.attempted.load(Ordering::Relaxed) >= plan.after,
-            None => false,
-        }
+        self.hook().power_is_cut()
     }
 
     /// Total write units attempted through this wrapper (landed or not).
     pub fn writes_attempted(&self) -> u64 {
-        self.attempted.load(Ordering::Relaxed)
+        self.hook().attempted.load(Ordering::Relaxed)
     }
 
     /// Write units dropped (or torn) because of an armed cut.
     pub fn writes_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.hook().dropped.load(Ordering::Relaxed)
     }
 
     /// Reset both counters to zero (an armed cut keeps counting from the new
     /// zero, so disarm first if that is not intended).
     pub fn reset_counters(&self) {
-        self.attempted.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
+        self.hook().attempted.store(0, Ordering::Relaxed);
+        self.hook().dropped.store(0, Ordering::Relaxed);
     }
 
     /// Copy the surviving on-device bytes into a fresh [`MemDevice`] — the
     /// "what a fsck would find after the power cut" snapshot that recovery
     /// tests mount from. Reads bypass the cut, so this is usable at any time.
     pub fn snapshot_to_mem(&self) -> Result<MemDevice, DeviceError> {
-        clone_to_mem(&self.inner)
-    }
-
-    /// Account for one write unit and decide its fate. Returns how many bytes
-    /// of the block should land (`block_size` = all, `0` = dropped).
-    fn admit_unit(&self) -> usize {
-        let plan = self.cut.lock();
-        let idx = self.attempted.fetch_add(1, Ordering::Relaxed);
-        match *plan {
-            None => self.inner.block_size(),
-            Some(p) if idx < p.after => self.inner.block_size(),
-            Some(p) => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                if idx == p.after {
-                    p.torn_bytes.unwrap_or(0).min(self.inner.block_size())
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
-    fn land_partial(&self, block: BlockId, buf: &[u8], landed: usize) -> Result<(), DeviceError> {
-        if landed == 0 {
-            return Ok(());
-        }
-        let mut old = vec![0u8; buf.len()];
-        self.inner.read_block(block, &mut old)?;
-        old[..landed].copy_from_slice(&buf[..landed]);
-        self.inner.write_block(block, &old)
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for CrashDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.check_access(block, buf.len())?;
-        let landed = self.admit_unit();
-        if landed == self.block_size() {
-            self.inner.write_block(block, buf)
-        } else {
-            self.land_partial(block, buf, landed)
-        }
-    }
-
-    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_blocks(start, buf)
-    }
-
-    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.check_range_access(start, buf.len())?;
-        let bs = self.block_size();
-        // Per-block admission so the cut can fall mid-range; a fully landing
-        // prefix is forwarded as one ranged request to keep the inner
-        // device's I/O accounting close to the uncut shape.
-        let total = buf.len() / bs;
-        for i in 0..total {
-            let landed = self.admit_unit();
-            if landed == bs {
-                continue;
-            }
-            // Flush the fully-landing prefix, then the torn remainder.
-            if i > 0 {
-                self.inner.write_blocks(start, &buf[..i * bs])?;
-            }
-            self.land_partial(start + i as u64, &buf[i * bs..(i + 1) * bs], landed)?;
-            // Account for the remaining units, all dropped.
-            for _ in i + 1..total {
-                self.admit_unit();
-            }
-            return Ok(());
-        }
-        self.inner.write_blocks(start, buf)
-    }
-
-    fn sync(&self) -> Result<(), DeviceError> {
-        if self.power_is_cut() {
-            Ok(())
-        } else {
-            self.inner.sync()
-        }
+        clone_to_mem(self.inner())
     }
 }
 

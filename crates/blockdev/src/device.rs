@@ -163,7 +163,8 @@ pub trait BlockDevice: Send + Sync {
         let count = (buf_len / bs) as u64;
         if start >= self.num_blocks() || count > self.num_blocks() - start {
             return Err(DeviceError::OutOfRange {
-                block: start + count - 1,
+                // `start` may be anything a caller decoded from disk.
+                block: start.saturating_add(count - 1),
                 num_blocks: self.num_blocks(),
             });
         }
@@ -246,6 +247,10 @@ impl<T: BlockDevice + ?Sized> BlockDevice for &T {
 /// timing model bill a level sweep as N independent requests again, which is
 /// what the `oblivious_baseline` bench and the equivalence tests measure
 /// against.
+///
+/// It is the one wrapper that is not a [`Layered`](crate::Layered): that
+/// layer forwards every request in the caller's shape, and the whole point
+/// here is not to.
 pub struct ScalarDevice<D>(pub D);
 
 impl<D: BlockDevice> ScalarDevice<D> {
@@ -339,6 +344,34 @@ mod tests {
             dev.check_range_access(0, 700),
             Err(DeviceError::BadBufferSize { .. })
         ));
+    }
+
+    #[test]
+    fn a_huge_start_block_is_out_of_range_not_an_overflow() {
+        // `start + count - 1` used to be computed unchecked for the error.
+        let dev = MemDevice::new(4, 512);
+        for start in [u64::MAX, u64::MAX - 1] {
+            // The reported block is the last one addressed, capped.
+            for (blocks, last) in [(1, start), (2, u64::MAX), (4, u64::MAX)] {
+                assert_eq!(
+                    dev.check_range_access(start, blocks * 512),
+                    Err(DeviceError::OutOfRange {
+                        block: last,
+                        num_blocks: 4
+                    }),
+                    "start {start}, {blocks} blocks"
+                );
+            }
+            let mut buf = [0u8; 512];
+            assert!(matches!(
+                dev.read_blocks(start, &mut buf),
+                Err(DeviceError::OutOfRange { .. })
+            ));
+            assert!(matches!(
+                dev.write_blocks(start, &buf),
+                Err(DeviceError::OutOfRange { .. })
+            ));
+        }
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //!   first `n` bytes, simulating a torn sector write mid-reseal.
 //!
 //! Every injected fault is recorded as a [`FaultSite`], so tests can assert
-//! exactly which faults a scrub pass detected and repaired. Batched reads and
-//! untorn batched writes forward to the inner device's ranged paths (like
-//! `TracingDevice`), so attacker-visible I/O statistics stay valid.
+//! exactly which faults a scrub pass detected and repaired.
 
 use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId, DeviceError};
+use crate::layered::{write_torn, Io, IoHook, Layered};
 
 /// The kind of an injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -109,45 +108,70 @@ impl FaultPlan {
     }
 }
 
-/// One armed tear of a ranged write: how many leading whole blocks land,
-/// plus how many bytes of the block after them (a torn sector mid-range).
+/// One armed tear of a write: how many leading whole blocks land, plus how
+/// many bytes of the block after them (a torn sector).
 #[derive(Debug, Clone, Copy)]
-struct RangedTear {
+struct Tear {
     landed_blocks: u64,
     partial_bytes: usize,
 }
 
-/// A [`BlockDevice`] wrapper that injects faults and keeps bookkeeping of
-/// every fault it injected.
-pub struct FaultDevice<D> {
-    inner: D,
+/// A [`BlockDevice`] that injects faults and keeps bookkeeping of every fault
+/// it injected.
+pub type FaultDevice<D> = Layered<D, FaultHook>;
+
+/// The hook of a [`FaultDevice`]: the armed tears and the sites injected so
+/// far.
+#[derive(Default)]
+pub struct FaultHook {
     injected: Mutex<Vec<FaultSite>>,
     /// Armed torn ranged writes, applied in order to the next ranged writes.
-    torn_ranged: Mutex<VecDeque<RangedTear>>,
-    /// Armed partial scalar writes: each entry is the number of leading bytes
-    /// of the next scalar write that will land.
-    torn_scalar: Mutex<VecDeque<usize>>,
+    torn_ranged: Mutex<VecDeque<Tear>>,
+    /// Armed partial scalar writes, applied in order to the next scalar
+    /// writes (no whole block of a one-block write lands).
+    torn_scalar: Mutex<VecDeque<Tear>>,
 }
 
-impl<D: BlockDevice> FaultDevice<D> {
+impl<D: BlockDevice> IoHook<D> for FaultHook {
+    fn write(&self, inner: &D, io: Io, buf: &[u8]) -> Result<(), DeviceError> {
+        let armed = if io.ranged {
+            &self.torn_ranged
+        } else {
+            &self.torn_scalar
+        };
+        let Some(tear) = armed.lock().pop_front() else {
+            return io.forward_write(inner, buf);
+        };
+        io.check(inner, buf.len())?;
+        let bs = inner.block_size();
+        let landed = tear.landed_blocks.min(io.blocks);
+        let off = landed as usize * bs;
+        if landed > 0 {
+            inner.write_blocks(io.start, &buf[..off])?;
+        }
+        // The block after the landed prefix keeps what the tear let through.
+        if landed < io.blocks {
+            write_torn(
+                inner,
+                io.start + landed,
+                &buf[off..off + bs],
+                tear.partial_bytes,
+            )?;
+        }
+        self.injected
+            .lock()
+            .extend((landed..io.blocks).map(|b| FaultSite {
+                block: io.start + b,
+                kind: FaultKind::TornWrite,
+            }));
+        Ok(())
+    }
+}
+
+impl<D: BlockDevice> Layered<D, FaultHook> {
     /// Wrap `inner` with no faults armed.
     pub fn new(inner: D) -> Self {
-        Self {
-            inner,
-            injected: Mutex::new(Vec::new()),
-            torn_ranged: Mutex::new(VecDeque::new()),
-            torn_scalar: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Access the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Consume the wrapper, returning the inner device.
-    pub fn into_inner(self) -> D {
-        self.inner
+        Self::with_hook(inner, FaultHook::default())
     }
 
     /// Apply every content fault in `plan` to the stored data right now,
@@ -155,16 +179,16 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// bookkeeping).
     pub fn apply_plan(&self, plan: &FaultPlan) -> Result<Vec<FaultSite>, DeviceError> {
         let mut applied = Vec::with_capacity(plan.ops.len());
-        let bs = self.inner.block_size();
+        let bs = self.inner().block_size();
         let mut buf = vec![0u8; bs];
         for op in &plan.ops {
             let site = match *op {
                 PlannedFault::Flip { block, raw } => {
-                    self.inner.read_block(block, &mut buf)?;
+                    self.inner().read_block(block, &mut buf)?;
                     let byte = (raw as usize) % bs;
                     let bit = ((raw >> 32) % 8) as u8;
                     buf[byte] ^= 1 << bit;
-                    self.inner.write_block(block, &buf)?;
+                    self.inner().write_block(block, &buf)?;
                     FaultSite {
                         block,
                         kind: FaultKind::BitFlip,
@@ -172,7 +196,7 @@ impl<D: BlockDevice> FaultDevice<D> {
                 }
                 PlannedFault::Zero { block } => {
                     buf.fill(0);
-                    self.inner.write_block(block, &buf)?;
+                    self.inner().write_block(block, &buf)?;
                     FaultSite {
                         block,
                         kind: FaultKind::ZeroBlock,
@@ -181,7 +205,7 @@ impl<D: BlockDevice> FaultDevice<D> {
             };
             applied.push(site);
         }
-        self.injected.lock().extend_from_slice(&applied);
+        self.hook().injected.lock().extend_from_slice(&applied);
         Ok(applied)
     }
 
@@ -190,10 +214,7 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// blocks and silently drops the rest (recorded as
     /// [`FaultKind::TornWrite`] sites). Multiple arms queue in order.
     pub fn arm_torn_ranged_write(&self, landed_blocks: u64) {
-        self.torn_ranged.lock().push_back(RangedTear {
-            landed_blocks,
-            partial_bytes: 0,
-        });
+        self.arm_torn_ranged_write_partial(landed_blocks, 0);
     }
 
     /// Arm a torn ranged write that tears *mid-block*: the next call to
@@ -203,7 +224,7 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// This is the sub-sector crash shape: a ranged write dies inside a
     /// sector rather than on a block boundary.
     pub fn arm_torn_ranged_write_partial(&self, landed_blocks: u64, partial_bytes: usize) {
-        self.torn_ranged.lock().push_back(RangedTear {
+        self.hook().torn_ranged.lock().push_back(Tear {
             landed_blocks,
             partial_bytes,
         });
@@ -214,18 +235,22 @@ impl<D: BlockDevice> FaultDevice<D> {
     /// bytes; the rest of the block keeps its previous content (a torn
     /// sector write). Recorded as a [`FaultKind::TornWrite`] site.
     pub fn arm_partial_scalar_write(&self, landed_bytes: usize) {
-        self.torn_scalar.lock().push_back(landed_bytes);
+        self.hook().torn_scalar.lock().push_back(Tear {
+            landed_blocks: 0,
+            partial_bytes: landed_bytes,
+        });
     }
 
     /// Every fault injected so far, in injection order.
     pub fn injected_sites(&self) -> Vec<FaultSite> {
-        self.injected.lock().clone()
+        self.hook().injected.lock().clone()
     }
 
     /// Injected sites of one kind, sorted and deduplicated — the form tests
     /// compare against a scrub report's detection list.
     pub fn injected_blocks(&self, kind: FaultKind) -> Vec<BlockId> {
         let mut v: Vec<BlockId> = self
+            .hook()
             .injected
             .lock()
             .iter()
@@ -239,88 +264,7 @@ impl<D: BlockDevice> FaultDevice<D> {
 
     /// Forget all bookkeeping (armed tears stay armed).
     pub fn clear_sites(&self) {
-        self.injected.lock().clear();
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        let armed = self.torn_scalar.lock().pop_front();
-        match armed {
-            None => self.inner.write_block(block, buf),
-            Some(landed_bytes) => {
-                self.check_access(block, buf.len())?;
-                let landed = landed_bytes.min(buf.len());
-                if landed > 0 {
-                    let mut old = vec![0u8; buf.len()];
-                    self.inner.read_block(block, &mut old)?;
-                    old[..landed].copy_from_slice(&buf[..landed]);
-                    self.inner.write_block(block, &old)?;
-                }
-                self.injected.lock().push(FaultSite {
-                    block,
-                    kind: FaultKind::TornWrite,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    // Ranged reads forward to the inner device's batched path untouched, so
-    // I/O statistics over this wrapper match the unwrapped pipeline.
-    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_blocks(start, buf)
-    }
-
-    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        let armed = self.torn_ranged.lock().pop_front();
-        match armed {
-            None => self.inner.write_blocks(start, buf),
-            Some(tear) => {
-                self.check_range_access(start, buf.len())?;
-                let bs = self.block_size();
-                let total = (buf.len() / bs) as u64;
-                let landed = tear.landed_blocks.min(total);
-                if landed > 0 {
-                    self.inner
-                        .write_blocks(start, &buf[..(landed as usize) * bs])?;
-                }
-                // Mid-range tear: part of the block after the landed prefix.
-                if landed < total && tear.partial_bytes > 0 {
-                    let block = start + landed;
-                    let n = tear.partial_bytes.min(bs);
-                    let mut old = vec![0u8; bs];
-                    self.inner.read_block(block, &mut old)?;
-                    let off = (landed as usize) * bs;
-                    old[..n].copy_from_slice(&buf[off..off + n]);
-                    self.inner.write_block(block, &old)?;
-                }
-                let mut sites = self.injected.lock();
-                for b in landed..total {
-                    sites.push(FaultSite {
-                        block: start + b,
-                        kind: FaultKind::TornWrite,
-                    });
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn sync(&self) -> Result<(), DeviceError> {
-        self.inner.sync()
+        self.hook().injected.lock().clear();
     }
 }
 

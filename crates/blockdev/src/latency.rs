@@ -16,106 +16,50 @@
 
 use std::time::Duration;
 
-use crate::device::{BlockDevice, BlockId, DeviceError};
+use crate::device::{BlockDevice, DeviceError};
+use crate::layered::{Io, IoHook, Layered};
 
-/// A device wrapper that sleeps a fixed duration per request.
-pub struct LatencyDevice<D> {
-    inner: D,
+/// A device that sleeps a fixed duration per request.
+pub type LatencyDevice<D> = Layered<D, LatencyHook>;
+
+/// The hook of a [`LatencyDevice`]: the calling thread waits before the
+/// request is forwarded.
+pub struct LatencyHook {
     per_request: Duration,
 }
 
-impl<D: BlockDevice> LatencyDevice<D> {
+impl<D: BlockDevice> IoHook<D> for LatencyHook {
+    fn before(&self, _inner: &D, _io: Io) -> Result<(), DeviceError> {
+        if !self.per_request.is_zero() {
+            std::thread::sleep(self.per_request);
+        }
+        Ok(())
+    }
+}
+
+impl<D: BlockDevice> Layered<D, LatencyHook> {
     /// Wrap `inner`, charging `per_request_us` microseconds of wall-clock
     /// latency per block request (scalar or ranged).
     pub fn new(inner: D, per_request_us: u64) -> Self {
-        Self {
-            inner,
-            per_request: Duration::from_micros(per_request_us),
-        }
+        let per_request = Duration::from_micros(per_request_us);
+        Self::with_hook(inner, LatencyHook { per_request })
     }
 
     /// The configured per-request latency in microseconds.
     pub fn latency_us(&self) -> u64 {
-        self.per_request.as_micros() as u64
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
-    fn wait(&self) {
-        if !self.per_request.is_zero() {
-            std::thread::sleep(self.per_request);
-        }
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for LatencyDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.wait();
-        self.inner.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.wait();
-        self.inner.write_block(block, buf)
-    }
-
-    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.wait();
-        self.inner.read_blocks(start, buf)
-    }
-
-    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.wait();
-        self.inner.write_blocks(start, buf)
-    }
-
-    fn sync(&self) -> Result<(), DeviceError> {
-        self.inner.sync()
+        self.hook().per_request.as_micros() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::BlockDeviceExt;
     use crate::mem::MemDevice;
-
-    #[test]
-    fn delegates_data_faithfully() {
-        let dev = LatencyDevice::new(MemDevice::new(8, 64), 0);
-        let data = vec![7u8; 64];
-        dev.write_block(3, &data).unwrap();
-        assert_eq!(dev.read_block_vec(3).unwrap(), data);
-        assert_eq!(dev.num_blocks(), 8);
-        assert_eq!(dev.block_size(), 64);
-        assert_eq!(dev.latency_us(), 0);
-        let ranged = vec![9u8; 128];
-        dev.write_blocks(4, &ranged).unwrap();
-        let mut back = vec![0u8; 128];
-        dev.read_blocks(4, &mut back).unwrap();
-        assert_eq!(back, ranged);
-        assert!(dev.inner().read_block_vec(3).is_ok());
-    }
 
     #[test]
     fn sleeps_at_least_the_configured_latency() {
         let dev = LatencyDevice::new(MemDevice::new(4, 64), 2_000);
+        assert_eq!(dev.latency_us(), 2_000);
         let mut buf = vec![0u8; 64];
         let t0 = std::time::Instant::now();
         for _ in 0..3 {

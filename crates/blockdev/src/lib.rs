@@ -5,50 +5,77 @@
 //! attacker can snapshot (update analysis) or whose request stream the
 //! attacker can observe (traffic analysis).
 //!
-//! The crate provides:
+//! **Devices that store.**
 //!
 //! * [`BlockDevice`] — the storage trait: scalar `read_block` / `write_block`
 //!   plus ranged `read_blocks` / `write_blocks` for contiguous sweeps (the
 //!   batched primitives the oblivious store's re-ordering pipeline streams
 //!   through).
-//! * [`ScalarDevice`] — wrapper that disables a device's batched paths,
-//!   re-expressing every ranged request as N scalar ones (the baseline side
-//!   of batched-I/O measurements).
 //! * [`MemDevice`] — in-memory backing store, used by tests, examples and the
 //!   benchmark harness.
 //! * [`FileDevice`] — file-backed store for persistence demos.
-//! * [`FaultDevice`] — wrapper that injects deterministic seeded faults (bit
-//!   flips, zeroed blocks, torn ranged/scalar writes) with per-site
-//!   bookkeeping, the failure model the resilience tier is tested against.
-//! * [`CrashDevice`] — wrapper that cuts power after a configured write
+//!
+//! **One layer that observes.** [`Layered<D, H>`](Layered) is the only
+//! `impl BlockDevice` that forwards to a device underneath. It describes each
+//! request once as an [`Io`] `{ kind, start, blocks, ranged }`, always
+//! forwards it in the caller's shape — a ranged request reaches the inner
+//! device as one ranged request, which is what the disk model bills and the
+//! attacker's trace records — and calls an [`IoHook`] whose methods all
+//! default to nothing: `before` (may wait or refuse), `write` (decides what
+//! lands), `after_read` (sees the filled buffer), `after` (the request
+//! succeeded), `sync`. Everything else here that wraps a device is that
+//! layer with a hook, under an alias that carries the constructors:
+//!
+//! * [`TracingDevice`] (`after`) — records every I/O request, the
+//!   traffic-analysis attacker's view; [`Snapshot`] is the update-analysis
+//!   attacker's.
+//! * [`sim::SimDevice`] (`after`) — charges every request to a
+//!   [`sim::DiskModel`] so experiments can report simulated elapsed time on
+//!   the paper's 2004-era Ultra-ATA disk, and tallies [`IoStats`].
+//! * [`LatencyDevice`] (`before`) — makes the calling thread wait per
+//!   request, for wall-clock concurrency measurements.
+//! * [`CrashDevice`] (`write`, `sync`) — cuts power after a configured write
 //!   index, landing exactly a prefix of an operation's writes, plus the
 //!   [`CrashPoint`] enumerator behind the exhaustive crash-recovery matrix.
-//! * [`TracingDevice`] — wrapper that records every I/O request (the
-//!   traffic-analysis attacker's view) and can take full snapshots (the
-//!   update-analysis attacker's view).
-//! * [`sim::SimDevice`] — wrapper that charges every request to a
-//!   [`sim::DiskModel`] so experiments can report simulated elapsed time on
-//!   the paper's 2004-era Ultra-ATA disk.
-//! * [`IoStats`] — cheap shared counters of read/write/sequential/random I/O.
+//! * [`FaultDevice`] (`write`) — injects deterministic seeded faults (bit
+//!   flips, zeroed blocks, torn ranged/scalar writes) with per-site
+//!   bookkeeping, the failure model the resilience tier is tested against.
+//! * a closure `Fn(&D, Io) -> Result<(), DeviceError>` is a `before` hook —
+//!   the form a test double takes
+//!   (`Layered::with_hook(dev, |_: &MemDevice, io: Io| …)`).
+//!
+//! [`ScalarDevice`] is the deliberate exception: it re-expresses every ranged
+//! request as N scalar ones (the baseline side of batched-I/O measurements),
+//! which is exactly what the layer exists to prevent, so it stays a hand
+//! implementation.
+//!
+//! **Counters.** [`Counter`] and [`counters!`] declare a live counter struct
+//! and its plain snapshot twin from one field list; [`IoStats`] /
+//! [`IoCounters`] here and the agents', stores' and front's statistics
+//! elsewhere in the workspace are invocations of it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod counters;
 mod crash;
 mod device;
 mod fault;
 mod file;
 mod latency;
+mod layered;
 mod mem;
 pub mod sim;
 mod stats;
 mod trace;
 
-pub use crash::{clone_to_mem, CrashDevice, CrashPoint};
+pub use counters::Counter;
+pub use crash::{clone_to_mem, CrashDevice, CrashHook, CrashPoint};
 pub use device::{BlockDevice, BlockDeviceExt, BlockId, DeviceError, DeviceGeometry, ScalarDevice};
-pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultSite};
+pub use fault::{FaultDevice, FaultHook, FaultKind, FaultPlan, FaultSite};
 pub use file::FileDevice;
-pub use latency::LatencyDevice;
+pub use latency::{LatencyDevice, LatencyHook};
+pub use layered::{Io, IoHook, IoKind, Layered};
 pub use mem::MemDevice;
 pub use stats::{IoCounters, IoStats};
-pub use trace::{IoKind, IoRecord, Snapshot, SnapshotDiff, TraceLog, TracingDevice};
+pub use trace::{IoRecord, Snapshot, SnapshotDiff, TraceHook, TraceLog, TracingDevice};

@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::device::{BlockDevice, BlockId, DeviceError};
+use crate::device::{BlockDevice, BlockId};
+use crate::layered::{Io, IoHook, IoKind, Layered};
 use crate::stats::IoStats;
 
 /// Parameters of the simulated disk.
@@ -162,21 +163,10 @@ impl SimClock {
         s.now_us += us;
     }
 
-    /// Charge one request against `model`; returns (service_us, was_sequential).
-    pub fn charge(&self, model: &DiskModel, block: BlockId, bytes: usize) -> (u64, bool) {
-        let mut s = self.state.lock();
-        let sequential = matches!(s.head, Some(h) if block == h + 1 || block == h);
-        let service = model.service_time_us(s.head, block, bytes);
-        s.now_us += service;
-        s.busy_us += service;
-        s.head = Some(block);
-        (service, sequential)
-    }
-
-    /// Charge one ranged request of `count` blocks against `model`; returns
-    /// (service_us, was_sequential) where the flag says whether the *first*
-    /// block of the range continued the head (the rest stream by
-    /// construction). The head ends on the last block of the range.
+    /// Charge one request of `count` consecutive blocks against `model`;
+    /// returns (service_us, was_sequential) where the flag says whether the
+    /// *first* block continued the head (the rest stream by construction).
+    /// The head ends on the last block. A scalar request is `count == 1`.
     pub fn charge_batch(
         &self,
         model: &DiskModel,
@@ -201,16 +191,38 @@ impl SimClock {
     }
 }
 
-/// A [`BlockDevice`] wrapper that charges every request to a [`DiskModel`] via
-/// a shared [`SimClock`] and tallies [`IoStats`].
-pub struct SimDevice<D> {
-    inner: D,
+/// A [`BlockDevice`] that charges every request to a [`DiskModel`] via a
+/// shared [`SimClock`] and tallies [`IoStats`].
+pub type SimDevice<D> = Layered<D, SimHook>;
+
+/// The hook of a [`SimDevice`]. Every request that succeeded is billed as
+/// one positioning plus its transfers; the stats count one operation per
+/// block (an I/O *count* is blocks moved, as in the paper's Table 4), the
+/// first block carrying the head-dependent locality flag and the rest
+/// sequential by construction.
+pub struct SimHook {
     model: DiskModel,
     clock: SimClock,
     stats: IoStats,
 }
 
-impl<D: BlockDevice> SimDevice<D> {
+impl<D: BlockDevice> IoHook<D> for SimHook {
+    fn after(&self, inner: &D, io: Io) {
+        let (_, sequential) =
+            self.clock
+                .charge_batch(&self.model, io.start, io.blocks, inner.block_size());
+        let record = match io.kind {
+            IoKind::Read => IoStats::record_read,
+            IoKind::Write => IoStats::record_write,
+        };
+        record(&self.stats, sequential);
+        for _ in 1..io.blocks {
+            record(&self.stats, true);
+        }
+    }
+}
+
+impl<D: BlockDevice> Layered<D, SimHook> {
     /// Wrap `inner` with the default (paper-era) disk model.
     pub fn new(inner: D) -> Self {
         Self::with_model(inner, DiskModel::default())
@@ -218,106 +230,35 @@ impl<D: BlockDevice> SimDevice<D> {
 
     /// Wrap `inner` with an explicit disk model.
     pub fn with_model(inner: D, model: DiskModel) -> Self {
-        Self {
-            inner,
-            model,
-            clock: SimClock::new(),
-            stats: IoStats::new(),
-        }
+        Self::with_shared_clock(inner, model, SimClock::new())
     }
 
     /// Wrap `inner`, sharing an existing clock (e.g. so a StegFS partition and
     /// an oblivious-storage partition contend for the same simulated disk).
     pub fn with_shared_clock(inner: D, model: DiskModel, clock: SimClock) -> Self {
-        Self {
+        Self::with_hook(
             inner,
-            model,
-            clock,
-            stats: IoStats::new(),
-        }
+            SimHook {
+                model,
+                clock,
+                stats: IoStats::default(),
+            },
+        )
     }
 
     /// The shared simulated clock.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.hook().clock
     }
 
     /// The I/O statistics collected so far.
     pub fn stats(&self) -> &IoStats {
-        &self.stats
+        &self.hook().stats
     }
 
     /// The timing model in use.
     pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// Access the wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Consume the wrapper and return the inner device.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for SimDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_block(block, buf)?;
-        let (_, sequential) = self.clock.charge(&self.model, block, buf.len());
-        self.stats.record_read(sequential);
-        Ok(())
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.inner.write_block(block, buf)?;
-        let (_, sequential) = self.clock.charge(&self.model, block, buf.len());
-        self.stats.record_write(sequential);
-        Ok(())
-    }
-
-    // Ranged requests are billed as one positioning plus N transfers. The
-    // stats still count one operation per block (an I/O *count* is blocks
-    // moved, as in the paper's Table 4), with the first block carrying the
-    // head-dependent locality flag and the rest sequential by construction.
-    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_blocks(start, buf)?;
-        let count = (buf.len() / self.block_size()) as u64;
-        let (_, sequential) = self
-            .clock
-            .charge_batch(&self.model, start, count, self.block_size());
-        self.stats.record_read(sequential);
-        for _ in 1..count {
-            self.stats.record_read(true);
-        }
-        Ok(())
-    }
-
-    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.inner.write_blocks(start, buf)?;
-        let count = (buf.len() / self.block_size()) as u64;
-        let (_, sequential) = self
-            .clock
-            .charge_batch(&self.model, start, count, self.block_size());
-        self.stats.record_write(sequential);
-        for _ in 1..count {
-            self.stats.record_write(true);
-        }
-        Ok(())
-    }
-
-    fn sync(&self) -> Result<(), DeviceError> {
-        self.inner.sync()
+        &self.hook().model
     }
 }
 

@@ -1,20 +1,21 @@
 //! Shared I/O counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A point-in-time copy of the counters in an [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoCounters {
-    /// Number of block reads.
-    pub reads: u64,
-    /// Number of block writes.
-    pub writes: u64,
-    /// Requests whose block number immediately followed the previous request
-    /// from the same stream (sequential I/O).
-    pub sequential: u64,
-    /// Requests that required a seek (random I/O).
-    pub random: u64,
+crate::counters! {
+    /// A point-in-time copy of the counters in an [`IoStats`].
+    pub struct IoCounters,
+    /// Cheap thread-safe I/O counters, shared between a device layer and the
+    /// harness that reports on it.
+    pub struct IoStats {
+        /// Number of block reads.
+        reads,
+        /// Number of block writes.
+        writes,
+        /// Requests whose block number immediately followed the previous
+        /// request from the same stream (sequential I/O).
+        sequential,
+        /// Requests that required a seek (random I/O).
+        random,
+    }
 }
 
 impl IoCounters {
@@ -33,76 +34,29 @@ impl IoCounters {
             self.sequential as f64 / classified as f64
         }
     }
-
-    /// Difference `self - earlier`, for measuring an interval.
-    pub fn since(&self, earlier: &IoCounters) -> IoCounters {
-        IoCounters {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            sequential: self.sequential - earlier.sequential,
-            random: self.random - earlier.random,
-        }
-    }
-}
-
-/// Cheap, cloneable, thread-safe I/O counters shared between a device wrapper
-/// and the harness that reports on it.
-#[derive(Clone, Default)]
-pub struct IoStats {
-    inner: Arc<Inner>,
-}
-
-#[derive(Default)]
-struct Inner {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    sequential: AtomicU64,
-    random: AtomicU64,
 }
 
 impl IoStats {
-    /// Create a zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record a read; `sequential` says whether it continued the previous
-    /// request of its stream.
+    /// request of its stream. Every operation is one read or one write *and*
+    /// one sequential or one random.
     pub fn record_read(&self, sequential: bool) {
-        self.inner.reads.fetch_add(1, Ordering::Relaxed);
+        self.reads.inc();
         self.record_locality(sequential);
     }
 
     /// Record a write.
     pub fn record_write(&self, sequential: bool) {
-        self.inner.writes.fetch_add(1, Ordering::Relaxed);
+        self.writes.inc();
         self.record_locality(sequential);
     }
 
     fn record_locality(&self, sequential: bool) {
         if sequential {
-            self.inner.sequential.fetch_add(1, Ordering::Relaxed);
+            self.sequential.inc();
         } else {
-            self.inner.random.fetch_add(1, Ordering::Relaxed);
+            self.random.inc();
         }
-    }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> IoCounters {
-        IoCounters {
-            reads: self.inner.reads.load(Ordering::Relaxed),
-            writes: self.inner.writes.load(Ordering::Relaxed),
-            sequential: self.inner.sequential.load(Ordering::Relaxed),
-            random: self.inner.random.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.inner.reads.store(0, Ordering::Relaxed);
-        self.inner.writes.store(0, Ordering::Relaxed);
-        self.inner.sequential.store(0, Ordering::Relaxed);
-        self.inner.random.store(0, Ordering::Relaxed);
     }
 }
 
@@ -112,7 +66,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let stats = IoStats::new();
+        let stats = IoStats::default();
         stats.record_read(true);
         stats.record_read(false);
         stats.record_write(false);
@@ -126,7 +80,7 @@ mod tests {
 
     #[test]
     fn sequential_fraction() {
-        let stats = IoStats::new();
+        let stats = IoStats::default();
         assert_eq!(stats.snapshot().sequential_fraction(), 0.0);
         for _ in 0..3 {
             stats.record_read(true);
@@ -138,7 +92,7 @@ mod tests {
 
     #[test]
     fn since_computes_interval() {
-        let stats = IoStats::new();
+        let stats = IoStats::default();
         stats.record_read(true);
         let before = stats.snapshot();
         stats.record_write(false);
@@ -146,15 +100,5 @@ mod tests {
         let delta = stats.snapshot().since(&before);
         assert_eq!(delta.reads, 0);
         assert_eq!(delta.writes, 2);
-    }
-
-    #[test]
-    fn clones_share_state_and_reset_works() {
-        let a = IoStats::new();
-        let b = a.clone();
-        a.record_read(true);
-        assert_eq!(b.snapshot().reads, 1);
-        b.reset();
-        assert_eq!(a.snapshot().reads, 0);
     }
 }

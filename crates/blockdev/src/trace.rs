@@ -14,15 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId, DeviceError};
-
-/// Kind of I/O request observed on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoKind {
-    /// A block read.
-    Read,
-    /// A block write.
-    Write,
-}
+use crate::layered::{Io, IoHook, IoKind, Layered};
 
 /// One observed I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,88 +157,42 @@ impl SnapshotDiff {
     }
 }
 
-/// A wrapper device that records every request into a [`TraceLog`].
+/// A device that records every request into a [`TraceLog`].
 ///
 /// The log is the traffic-analysis attacker's input; the wrapped device is
 /// otherwise transparent.
-pub struct TracingDevice<D> {
-    inner: D,
+pub type TracingDevice<D> = Layered<D, TraceHook>;
+
+/// The hook of a [`TracingDevice`]: one record per block of every request
+/// that succeeded. The attacker observes the bus, where a ranged transfer
+/// still addresses every block of its range, so the traffic-analysis
+/// statistics do not depend on how the agent batches.
+pub struct TraceHook {
     log: TraceLog,
 }
 
-impl<D: BlockDevice> TracingDevice<D> {
+impl<D: BlockDevice> IoHook<D> for TraceHook {
+    fn after(&self, _inner: &D, io: Io) {
+        for block in io.block_ids() {
+            self.log.push(io.kind, block);
+        }
+    }
+}
+
+impl<D: BlockDevice> Layered<D, TraceHook> {
     /// Wrap `inner`, recording requests into a fresh log.
     pub fn new(inner: D) -> Self {
-        Self {
-            inner,
-            log: TraceLog::new(),
-        }
+        Self::with_log(inner, TraceLog::new())
     }
 
     /// Wrap `inner`, recording requests into the provided shared log.
     pub fn with_log(inner: D, log: TraceLog) -> Self {
-        Self { inner, log }
+        Self::with_hook(inner, TraceHook { log })
     }
 
     /// The shared trace log.
     pub fn log(&self) -> &TraceLog {
-        &self.log
-    }
-
-    /// Consume the wrapper and return the inner device.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
-    /// Access the inner device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for TracingDevice<D> {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_block(block, buf)?;
-        self.log.push(IoKind::Read, block);
-        Ok(())
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.inner.write_block(block, buf)?;
-        self.log.push(IoKind::Write, block);
-        Ok(())
-    }
-
-    // Ranged requests delegate to the inner device's batched path but are
-    // logged block by block: the attacker observes the bus, where a ranged
-    // transfer still addresses every block in the range, so per-block records
-    // keep the traffic-analysis statistics identical to the scalar pipeline.
-    fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_blocks(start, buf)?;
-        for i in 0..(buf.len() / self.block_size()) as u64 {
-            self.log.push(IoKind::Read, start + i);
-        }
-        Ok(())
-    }
-
-    fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        self.inner.write_blocks(start, buf)?;
-        for i in 0..(buf.len() / self.block_size()) as u64 {
-            self.log.push(IoKind::Write, start + i);
-        }
-        Ok(())
-    }
-
-    fn sync(&self) -> Result<(), DeviceError> {
-        self.inner.sync()
+        &self.hook().log
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use stegfs_base::{BlockClass, FsError, OpenFile, ShardedBlockMap, StegFs, IV_SIZE};
+use stegfs_base::{BlockClass, FsError, OpenFile, ShardedBlockMap, StegFs};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
@@ -259,31 +259,20 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
         self.update_locks[self.map.shard_of(block)].lock()
     }
 
-    /// Run `f` on a per-thread scratch buffer of one physical block, so that
-    /// neither the Figure 6 loop nor a reseal allocates a block per
-    /// iteration. `f` must not re-enter.
-    fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            scratch.resize(self.fs.codec().block_size(), 0);
-            f(&mut scratch)
-        })
-    }
-
     /// Read `block` raw and discard it: only the device access matters.
     fn read_raw(&self, block: BlockId) -> Result<(), AgentError> {
-        self.with_scratch(|scratch| self.fs.device().read_block(block, scratch))?;
+        self.fs
+            .codec()
+            .with_scratch(|scratch| self.fs.device().read_block(block, scratch))?;
         Ok(())
     }
 
-    /// The read half of a data update's read+write I/O pair.
+    /// The read half of a data update's read+write I/O pair, which is
+    /// counted here.
     fn read_for_accounting(&self, block: BlockId) -> Result<(), AgentError> {
         self.read_raw(block)?;
-        self.stats.count_data_io_pair();
+        self.stats.block_reads.inc();
+        self.stats.block_writes.inc();
         Ok(())
     }
 
@@ -308,22 +297,16 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
     /// touched. Caller must hold the block's shard update lock.
     pub(crate) fn reseal_shard_locked(&self, block: BlockId) -> Result<bool, AgentError> {
         match self.keying.reseal(&self.map, &self.registry, block) {
-            // The whole round trip runs in the scratch block. Only the IV
-            // draw takes the volume DRBG lock; as in `write_sealed_content`
-            // it is released before the device write.
-            Reseal::Key(key) => self.with_scratch(|physical| -> Result<(), AgentError> {
-                self.fs.device().read_block(block, physical)?;
-                let mut fresh_iv = [0u8; IV_SIZE];
-                self.fs.with_rng(|rng| rng.fill_bytes(&mut fresh_iv));
-                self.fs.codec().reseal_in_place(&key, physical, &fresh_iv)?;
-                self.fs.device().write_block(block, physical)?;
-                Ok(())
-            })?,
-            Reseal::Random => self.with_scratch(|scratch| -> Result<(), AgentError> {
-                self.fs.device().read_block(block, scratch)?;
-                self.fs.randomize_block(block, scratch)?;
-                Ok(())
-            })?,
+            Reseal::Key(key) => self.fs.reseal_block(block, &key)?,
+            Reseal::Random => {
+                self.fs
+                    .codec()
+                    .with_scratch(|scratch| -> Result<(), AgentError> {
+                        self.fs.device().read_block(block, scratch)?;
+                        self.fs.randomize_block(block, scratch)?;
+                        Ok(())
+                    })?
+            }
             Reseal::Skip => return Ok(false),
         }
         self.stats.count_dummy_update();
@@ -403,7 +386,7 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
         };
 
         for _ in 0..e.cfg.max_update_iterations {
-            e.stats.count_iteration();
+            e.stats.iterations.inc();
             // With relocation disabled (the ablation: dummy-update stream
             // only, which the paper argues is insufficient) the "draw" always
             // lands on the block itself.
@@ -418,8 +401,8 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
                 let _shard = e.shard_lock(b1);
                 e.read_for_accounting(b1)?;
                 e.write_sealed_content(b1, &key, payload)?;
-                e.stats.count_data_update();
-                e.stats.count_in_place();
+                e.stats.data_updates.inc();
+                e.stats.in_place.inc();
                 return Ok(UpdateOutcome::InPlace { block: b1 });
             }
 
@@ -453,8 +436,8 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
                     };
                 }
                 e.map.set(b1, BlockClass::Dummy);
-                e.stats.count_data_update();
-                e.stats.count_relocation();
+                e.stats.data_updates.inc();
+                e.stats.relocations.inc();
                 return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
             }
 

@@ -3,9 +3,10 @@
 //! agent — between sessions.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use stegfs_base::{BlockClass, FileAccessKey};
-use stegfs_blockdev::{BlockDevice, BlockId, DeviceError, MemDevice};
+use stegfs_blockdev::{DeviceError, Io, IoKind, Layered, MemDevice};
 
 use crate::volatile_concurrent::tests::{credentials, provisioned_on};
 use crate::{AgentConfig, AgentError, ConcurrentVolatileAgent, UpdateOutcome, UserCredential};
@@ -222,39 +223,19 @@ fn login_churn_leaves_the_file_lock_table_empty() {
     assert_eq!(ids.len(), 20);
 }
 
-/// A device whose writes fail while `failing` is set.
-struct FailingWrites {
-    inner: MemDevice,
-    failing: AtomicBool,
-}
-
-impl BlockDevice for FailingWrites {
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.inner.block_size()
-    }
-
-    fn read_block(&self, block: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-        self.inner.read_block(block, buf)
-    }
-
-    fn write_block(&self, block: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-        if self.failing.load(Ordering::SeqCst) {
-            return Err(DeviceError::Io("injected write failure".to_string()));
-        }
-        self.inner.write_block(block, buf)
-    }
-}
-
 #[test]
 fn logout_surfaces_a_failed_header_write_and_keeps_the_session() {
-    let device = FailingWrites {
-        inner: MemDevice::new(1024, 512),
-        failing: AtomicBool::new(false),
-    };
+    // A device whose writes fail while `failing` is set.
+    let failing = Arc::new(AtomicBool::new(false));
+    let device = Layered::with_hook(MemDevice::new(1024, 512), {
+        let failing = failing.clone();
+        move |_: &MemDevice, io: Io| {
+            if io.kind == IoKind::Write && failing.load(Ordering::SeqCst) {
+                return Err(DeviceError::Io("injected write failure".to_string()));
+            }
+            Ok(())
+        }
+    });
     let (agent, _) = provisioned_on(device, &["alice"], AgentConfig::default());
     let per = agent.fs().content_bytes_per_block();
     let session = agent.login("alice", &credentials("alice")).unwrap();
@@ -270,7 +251,7 @@ fn logout_surfaces_a_failed_header_write_and_keeps_the_session() {
     }
     let expected = agent.read_file(session, data).unwrap();
 
-    agent.fs().device().failing.store(true, Ordering::SeqCst);
+    failing.store(true, Ordering::SeqCst);
     assert!(matches!(
         agent.logout(session),
         Err(AgentError::Fs(stegfs_base::FsError::Device(
@@ -284,7 +265,7 @@ fn logout_surfaces_a_failed_header_write_and_keeps_the_session() {
 
     // The retry the error asked for succeeds once the device recovers, and
     // the relocation is what the next login finds.
-    agent.fs().device().failing.store(false, Ordering::SeqCst);
+    failing.store(false, Ordering::SeqCst);
     agent.logout(session).unwrap();
     let session = agent.login("alice", &credentials("alice")).unwrap();
     let data = agent.session_files(session).unwrap()[0];

@@ -326,7 +326,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::MemDevice;
+    use stegfs_blockdev::{Io, IoHook, Layered, MemDevice};
 
     /// An owned `(key, id, payload)`, the sorter's input and output in tests.
     type Owned = (u64, u64, Vec<u8>);
@@ -511,30 +511,16 @@ mod tests {
         /// A sort partition whose second run's first block reads back one
         /// payload byte short — a length the block can hold, so the view
         /// accepts it.
-        struct Shortened(MemDevice);
-        impl BlockDevice for Shortened {
-            fn num_blocks(&self) -> u64 {
-                self.0.num_blocks()
-            }
-            fn block_size(&self) -> usize {
-                self.0.block_size()
-            }
-            fn read_block(
-                &self,
-                b: u64,
-                buf: &mut [u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                self.0.read_block(b, buf)?;
-                if b == 4 {
-                    buf[16..20].copy_from_slice(&99u32.to_le_bytes());
+        struct Shortened;
+        impl IoHook<MemDevice> for Shortened {
+            fn after_read(&self, _: &MemDevice, io: Io, buf: &mut [u8]) {
+                if io.contains(4) {
+                    let at = (4 - io.start) as usize * 256;
+                    buf[at + 16..at + 20].copy_from_slice(&99u32.to_le_bytes());
                 }
-                Ok(())
-            }
-            fn write_block(&self, b: u64, buf: &[u8]) -> Result<(), stegfs_blockdev::DeviceError> {
-                self.0.write_block(b, buf)
             }
         }
-        let sorter = ExternalSorter::new(Shortened(MemDevice::new(64, 256)), 4);
+        let sorter = ExternalSorter::new(Layered::with_hook(MemDevice::new(64, 256), Shortened), 4);
         let mut delivered = 0;
         let result = sorter.sort(100, feed(&records(10, 100), 3, None), |_| {
             delivered += 1;

@@ -14,8 +14,6 @@
 //! Lock order: fetch state → DRBG → store locks (a guard on the fetch state
 //! may be held while calling into the store, never the reverse).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::{Mutex, RwLock};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HashDrbg;
@@ -24,37 +22,20 @@ use crate::det::DetHashSet;
 use crate::error::ObliviousError;
 use crate::store::ObliviousStore;
 
-/// Counters describing the read front's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontStats {
-    /// Logical block reads served.
-    pub reads_served: u64,
-    /// Reads satisfied by the oblivious cache.
-    pub cache_hits: u64,
-    /// First-time fetches from the StegFS partition.
-    pub steg_fetches: u64,
-    /// Decoy reads issued against the StegFS partition (both the re-draw
-    /// reads of Figure 8(a) and explicit dummy reads).
-    pub steg_dummy_reads: u64,
-}
-
-/// Relaxed-atomic mirror of [`FrontStats`] for the `&self` read path.
-#[derive(Debug, Default)]
-struct SharedFrontStats {
-    reads_served: AtomicU64,
-    cache_hits: AtomicU64,
-    steg_fetches: AtomicU64,
-    steg_dummy_reads: AtomicU64,
-}
-
-impl SharedFrontStats {
-    fn snapshot(&self) -> FrontStats {
-        FrontStats {
-            reads_served: self.reads_served.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            steg_fetches: self.steg_fetches.load(Ordering::Relaxed),
-            steg_dummy_reads: self.steg_dummy_reads.load(Ordering::Relaxed),
-        }
+stegfs_blockdev::counters! {
+    /// Counters describing the read front's activity.
+    pub struct FrontStats,
+    /// The live counters of the `&self` read path.
+    struct SharedFrontStats {
+        /// Logical block reads served.
+        reads_served,
+        /// Reads satisfied by the oblivious cache.
+        cache_hits,
+        /// First-time fetches from the StegFS partition.
+        steg_fetches,
+        /// Decoy reads issued against the StegFS partition (both the re-draw
+        /// reads of Figure 8(a) and explicit dummy reads).
+        steg_dummy_reads,
     }
 }
 
@@ -125,9 +106,9 @@ where
     /// actually copied into the cache — so the partition sees reads whose
     /// positions are uniform and independent of the request stream.
     pub fn read_block(&self, block: BlockId) -> Result<Vec<u8>, ObliviousError> {
-        self.stats.reads_served.fetch_add(1, Ordering::Relaxed);
+        self.stats.reads_served.inc();
         if self.store.contains(block) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.cache_hits.inc();
             return self.store.read(block);
         }
 
@@ -147,7 +128,7 @@ where
                 // membership here guarantees the cached copy is in place.
                 if state.fetched_set.contains(&block) {
                     drop(state);
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.stats.cache_hits.inc();
                     return self.store.read(block);
                 }
                 let mut rng = self.rng.lock();
@@ -161,7 +142,7 @@ where
             };
             if let Some(decoy) = decoy {
                 let _ = self.read_steg_raw(decoy)?;
-                self.stats.steg_dummy_reads.fetch_add(1, Ordering::Relaxed);
+                self.stats.steg_dummy_reads.inc();
                 continue;
             }
 
@@ -176,10 +157,10 @@ where
                 // indistinguishable from a decoy, and the cached copy (which
                 // may be fresher than our raw bytes) is authoritative.
                 drop(state);
-                self.stats.steg_dummy_reads.fetch_add(1, Ordering::Relaxed);
+                self.stats.steg_dummy_reads.inc();
                 return self.store.read(block);
             }
-            self.stats.steg_fetches.fetch_add(1, Ordering::Relaxed);
+            self.stats.steg_fetches.inc();
             state.fetched.push(block);
             state.fetched_set.insert(block);
             self.store.insert(block, raw.clone())?;
@@ -193,7 +174,7 @@ where
         let m = self.steg_partition.num_blocks();
         let block = self.rng.lock().gen_range(m);
         let _ = self.read_steg_raw(block)?;
-        self.stats.steg_dummy_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.steg_dummy_reads.inc();
         Ok(())
     }
 
@@ -205,7 +186,7 @@ where
         if self.store.contains(block) || state.fetched_set.contains(&block) {
             self.store.write(block, raw)
         } else {
-            self.stats.steg_fetches.fetch_add(1, Ordering::Relaxed);
+            self.stats.steg_fetches.inc();
             state.fetched.push(block);
             state.fetched_set.insert(block);
             self.store.insert(block, raw)

@@ -585,7 +585,7 @@ impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{DeviceError, MemDevice, Snapshot};
+    use stegfs_blockdev::{DeviceError, Io, IoHook, Layered, MemDevice, Snapshot};
 
     const BLOCK: usize = 512;
 
@@ -931,24 +931,12 @@ mod tests {
     fn hostile_sort_partition_is_a_typed_error_and_rolls_back() {
         /// A sort partition whose every ranged read comes back with the
         /// first record's length field overwritten.
-        struct Hostile(MemDevice);
-        impl BlockDevice for Hostile {
-            fn num_blocks(&self) -> u64 {
-                self.0.num_blocks()
-            }
-            fn block_size(&self) -> usize {
-                self.0.block_size()
-            }
-            fn read_block(&self, b: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-                self.0.read_block(b, buf)
-            }
-            fn write_block(&self, b: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-                self.0.write_block(b, buf)
-            }
-            fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-                self.0.read_blocks(start, buf)?;
-                buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-                Ok(())
+        struct Hostile;
+        impl IoHook<MemDevice> for Hostile {
+            fn after_read(&self, _: &MemDevice, io: Io, buf: &mut [u8]) {
+                if io.ranged {
+                    buf[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+                }
             }
         }
 
@@ -961,7 +949,10 @@ mod tests {
         let manifest_before = level.manifest.len();
 
         // Runs of 4 spill fine; the merge's first refill reads them back.
-        let hostile = ExternalSorter::new(Hostile(MemDevice::new(128, BLOCK + 32)), 4);
+        let hostile = ExternalSorter::new(
+            Layered::with_hook(MemDevice::new(128, BLOCK + 32), Hostile),
+            4,
+        );
         assert!(matches!(
             level.merge_reorder(
                 &device,
@@ -1406,45 +1397,28 @@ mod tests {
 
     /// A device logging every request — ranged ones as a single entry — into
     /// a log it can share with another device.
-    struct Watched {
-        inner: MemDevice,
+    type Watched = Layered<MemDevice, Watch>;
+
+    struct Watch {
         name: &'static str,
         log: std::sync::Arc<std::sync::Mutex<Vec<Request>>>,
     }
 
-    impl Watched {
-        fn note(&self, kind: stegfs_blockdev::IoKind, start: BlockId, bytes: usize) {
-            let blocks = (bytes / self.inner.block_size()) as u64;
-            self.log
-                .lock()
-                .unwrap()
-                .push((self.name, kind, start, blocks));
+    impl IoHook<MemDevice> for Watch {
+        fn before(&self, _: &MemDevice, io: Io) -> Result<(), DeviceError> {
+            let request = (self.name, io.kind, io.start, io.blocks);
+            self.log.lock().unwrap().push(request);
+            Ok(())
         }
     }
 
-    impl BlockDevice for Watched {
-        fn num_blocks(&self) -> u64 {
-            self.inner.num_blocks()
-        }
-        fn block_size(&self) -> usize {
-            self.inner.block_size()
-        }
-        fn read_block(&self, b: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-            self.note(stegfs_blockdev::IoKind::Read, b, buf.len());
-            self.inner.read_block(b, buf)
-        }
-        fn write_block(&self, b: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-            self.note(stegfs_blockdev::IoKind::Write, b, buf.len());
-            self.inner.write_block(b, buf)
-        }
-        fn read_blocks(&self, start: BlockId, buf: &mut [u8]) -> Result<(), DeviceError> {
-            self.note(stegfs_blockdev::IoKind::Read, start, buf.len());
-            self.inner.read_blocks(start, buf)
-        }
-        fn write_blocks(&self, start: BlockId, buf: &[u8]) -> Result<(), DeviceError> {
-            self.note(stegfs_blockdev::IoKind::Write, start, buf.len());
-            self.inner.write_blocks(start, buf)
-        }
+    fn watched(
+        inner: MemDevice,
+        name: &'static str,
+        log: &std::sync::Arc<std::sync::Mutex<Vec<Request>>>,
+    ) -> Watched {
+        let log = log.clone();
+        Layered::with_hook(inner, Watch { name, log })
     }
 
     /// A level of `n` items (ids 100..) on watched devices, the state every
@@ -1465,16 +1439,8 @@ mod tests {
             let (level, end) = Level::layout(1, 0, n + 16, BLOCK, &master);
             let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let mut rig = Self {
-                device: Watched {
-                    inner: MemDevice::new(end, BLOCK),
-                    name: "level",
-                    log: log.clone(),
-                },
-                sort_device: Watched {
-                    inner: MemDevice::new(n + 40, BLOCK + 32),
-                    name: "sort",
-                    log,
-                },
+                device: watched(MemDevice::new(end, BLOCK), "level", &log),
+                sort_device: watched(MemDevice::new(n + 40, BLOCK + 32), "sort", &log),
                 level,
                 codec: BlockCodec::new(BLOCK),
                 master,
@@ -1498,18 +1464,18 @@ mod tests {
                     lower,
                 )
                 .unwrap();
-            rig.device.log.lock().unwrap().clear();
+            rig.device.hook().log.lock().unwrap().clear();
             rig
         }
 
         fn observe(&self) -> Observed {
             Observed {
-                level_image: image(&self.device.inner),
-                sort_image: image(&self.sort_device.inner),
+                level_image: image(self.device.inner()),
+                sort_image: image(self.sort_device.inner()),
                 manifest: self.level.manifest.iter().map(|(&i, &s)| (i, s)).collect(),
                 epoch: (self.level.nonce, self.level.key, self.level.epoch),
                 next_draw: self.rng.clone().next_u64(),
-                requests: self.device.log.lock().unwrap().clone(),
+                requests: self.device.hook().log.lock().unwrap().clone(),
             }
         }
     }
@@ -1597,7 +1563,7 @@ mod tests {
         // DRBG advanced by the same draws as the reference.
         let corrupt = |rig: &mut Rig, slot: u64| {
             rig.device
-                .inner
+                .inner()
                 .write_block(rig.level.data_offset + slot, &[0xA5u8; BLOCK])
                 .unwrap();
         };
@@ -1616,7 +1582,7 @@ mod tests {
                     corrupt(rig, slot);
                 }
             }
-            let before = image(&arena.device.inner);
+            let before = image(arena.device.inner());
 
             let sorter = ExternalSorter::new(&arena.sort_device, 17);
             let arena_err = arena
@@ -1643,7 +1609,7 @@ mod tests {
             .unwrap_err();
 
             assert_eq!(arena_err, reference_err, "{case}");
-            assert!(image(&arena.device.inner) == before, "{case}");
+            assert!(image(arena.device.inner()) == before, "{case}");
             assert!(arena.observe() == vecs.observe(), "{case}");
         }
     }

@@ -1,32 +1,38 @@
 //! Counters separating retrieving from sorting overhead.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counters collected by an [`crate::ObliviousStore`].
-///
-/// The split between *retrieving* I/O (index probes + per-level block reads
-/// on the read path) and *sorting* I/O (the cascading flushes, external merge
-/// sorts and index rebuilds) is exactly the split Figure 12(b) of the paper
-/// reports. Simulated time, when a clock is attached, is attributed the same
-/// way.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObliviousStats {
-    /// Reads served by the store (buffer hits included).
-    pub reads_served: u64,
-    /// Reads satisfied straight from the in-memory buffer.
-    pub buffer_hits: u64,
-    /// Items inserted (first-time fetches and write-backs).
-    pub inserts: u64,
-    /// I/O operations on the retrieval path (index probes and level reads).
-    pub retrieve_ios: u64,
-    /// I/O operations spent flushing, merge-sorting and rebuilding indexes.
-    pub sort_ios: u64,
-    /// Number of level re-order (shuffle) operations performed.
-    pub reorders: u64,
-    /// Simulated microseconds spent on the retrieval path (0 without a clock).
-    pub retrieve_time_us: u64,
-    /// Simulated microseconds spent sorting/re-ordering (0 without a clock).
-    pub sort_time_us: u64,
+stegfs_blockdev::counters! {
+    /// Counters collected by an [`crate::ObliviousStore`].
+    ///
+    /// The split between *retrieving* I/O (index probes + per-level block
+    /// reads on the read path) and *sorting* I/O (the cascading flushes,
+    /// external merge sorts and index rebuilds) is exactly the split Figure
+    /// 12(b) of the paper reports. Simulated time, when a clock is attached,
+    /// is attributed the same way.
+    pub struct ObliviousStats,
+    /// The decomposed store's live counters: the `&self` read path bumps
+    /// them without any lock.
+    pub struct SharedObliviousStats {
+        /// Reads served by the store (buffer hits included).
+        reads_served,
+        /// Reads satisfied straight from the in-memory buffer.
+        buffer_hits,
+        /// Items inserted (first-time fetches and write-backs).
+        inserts,
+        /// I/O operations on the retrieval path (index probes and level
+        /// reads).
+        retrieve_ios,
+        /// I/O operations spent flushing, merge-sorting and rebuilding
+        /// indexes.
+        sort_ios,
+        /// Number of level re-order (shuffle) operations performed.
+        reorders,
+        /// Simulated microseconds spent on the retrieval path (0 without a
+        /// clock).
+        retrieve_time_us,
+        /// Simulated microseconds spent sorting/re-ordering (0 without a
+        /// clock).
+        sort_time_us,
+    }
 }
 
 impl ObliviousStats {
@@ -65,87 +71,6 @@ impl ObliviousStats {
             self.sort_ios as f64 / total as f64
         }
     }
-
-    /// Difference `self - earlier`.
-    pub fn since(&self, earlier: &ObliviousStats) -> ObliviousStats {
-        ObliviousStats {
-            reads_served: self.reads_served - earlier.reads_served,
-            buffer_hits: self.buffer_hits - earlier.buffer_hits,
-            inserts: self.inserts - earlier.inserts,
-            retrieve_ios: self.retrieve_ios - earlier.retrieve_ios,
-            sort_ios: self.sort_ios - earlier.sort_ios,
-            reorders: self.reorders - earlier.reorders,
-            retrieve_time_us: self.retrieve_time_us - earlier.retrieve_time_us,
-            sort_time_us: self.sort_time_us - earlier.sort_time_us,
-        }
-    }
-}
-
-/// Interior-mutable mirror of [`ObliviousStats`] for the decomposed store:
-/// every counter is a relaxed [`AtomicU64`], so the `&self` read path bumps
-/// them without any lock, and [`SharedObliviousStats::snapshot`] materialises
-/// a plain [`ObliviousStats`] for reporting. The same pattern as the serving
-/// layer's `SharedUpdateStats`.
-///
-/// Relaxed ordering is sufficient: the counters are monotone tallies, never
-/// used to synchronise data, and a snapshot taken while operations are in
-/// flight is allowed to be a moment-in-time mixture (a snapshot taken at
-/// quiescence — after a driver run joins its workers — is exact).
-#[derive(Debug, Default)]
-pub struct SharedObliviousStats {
-    reads_served: AtomicU64,
-    buffer_hits: AtomicU64,
-    inserts: AtomicU64,
-    retrieve_ios: AtomicU64,
-    sort_ios: AtomicU64,
-    reorders: AtomicU64,
-    retrieve_time_us: AtomicU64,
-    sort_time_us: AtomicU64,
-}
-
-impl SharedObliviousStats {
-    /// One logical read served (buffer hits included).
-    pub fn count_read_served(&self) {
-        self.reads_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One read satisfied straight from the in-memory buffer.
-    pub fn count_buffer_hit(&self) {
-        self.buffer_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One item inserted (first-time fetch or write-back).
-    pub fn count_insert(&self) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Retrieval-path I/O and simulated time for one read.
-    pub fn add_retrieve(&self, ios: u64, time_us: u64) {
-        self.retrieve_ios.fetch_add(ios, Ordering::Relaxed);
-        self.retrieve_time_us.fetch_add(time_us, Ordering::Relaxed);
-    }
-
-    /// Sorting-path I/O, re-order count and simulated time for one
-    /// flush/dump cascade.
-    pub fn add_sort(&self, ios: u64, reorders: u64, time_us: u64) {
-        self.sort_ios.fetch_add(ios, Ordering::Relaxed);
-        self.reorders.fetch_add(reorders, Ordering::Relaxed);
-        self.sort_time_us.fetch_add(time_us, Ordering::Relaxed);
-    }
-
-    /// Materialise the counters as a plain [`ObliviousStats`].
-    pub fn snapshot(&self) -> ObliviousStats {
-        ObliviousStats {
-            reads_served: self.reads_served.load(Ordering::Relaxed),
-            buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            retrieve_ios: self.retrieve_ios.load(Ordering::Relaxed),
-            sort_ios: self.sort_ios.load(Ordering::Relaxed),
-            reorders: self.reorders.load(Ordering::Relaxed),
-            retrieve_time_us: self.retrieve_time_us.load(Ordering::Relaxed),
-            sort_time_us: self.sort_time_us.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,31 +98,6 @@ mod tests {
         assert!((s.overhead_factor() - 20.0).abs() < 1e-9);
         assert!((s.sorting_time_fraction() - 0.3).abs() < 1e-9);
         assert!((s.sorting_io_fraction() - 0.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shared_stats_accumulate_across_threads() {
-        let shared = SharedObliviousStats::default();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        shared.count_read_served();
-                        shared.add_retrieve(3, 10);
-                    }
-                    shared.count_insert();
-                    shared.add_sort(7, 1, 20);
-                });
-            }
-        });
-        let snap = shared.snapshot();
-        assert_eq!(snap.reads_served, 400);
-        assert_eq!(snap.retrieve_ios, 1200);
-        assert_eq!(snap.retrieve_time_us, 4000);
-        assert_eq!(snap.inserts, 4);
-        assert_eq!(snap.sort_ios, 28);
-        assert_eq!(snap.reorders, 4);
-        assert_eq!(snap.sort_time_us, 80);
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         if membership.len() >= self.cfg.last_level_blocks as usize && !membership.contains(&id) {
             return Err(ObliviousError::CapacityExhausted);
         }
-        self.stats.count_insert();
+        self.stats.inserts.inc();
         membership.insert(id);
         let mut front = self.front.write();
         if let Some(&pos) = front.index.get(&id) {
@@ -390,7 +390,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         if !self.contains(id) {
             return Err(ObliviousError::NotCached { id });
         }
-        self.stats.count_read_served();
+        self.stats.reads_served.inc();
 
         loop {
             // Buffer hit: served from agent memory, no storage I/O (Figure
@@ -399,7 +399,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             let epoch = {
                 let front = self.front.read();
                 if let Some(&pos) = front.index.get(&id) {
-                    self.stats.count_buffer_hit();
+                    self.stats.buffer_hits.inc();
                     return Ok(front.entries[pos].1.clone());
                 }
                 self.write_epoch()
@@ -484,7 +484,8 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 retrieve_ios += 2;
             }
         }
-        self.stats.add_retrieve(retrieve_ios, self.now_us() - start);
+        self.stats.retrieve_ios.add(retrieve_ios);
+        self.stats.retrieve_time_us.add(self.now_us() - start);
 
         found.ok_or_else(|| {
             ObliviousError::Corrupt(format!(
@@ -598,8 +599,9 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         io = Self::merge_io(io, reorder_io);
         reorders += 1;
 
-        self.stats
-            .add_sort(io.total(), reorders, self.now_us() - start);
+        self.stats.sort_ios.add(io.total());
+        self.stats.reorders.add(reorders);
+        self.stats.sort_time_us.add(self.now_us() - start);
         Ok(())
     }
 
@@ -639,7 +641,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use stegfs_blockdev::MemDevice;
+    use stegfs_blockdev::{Io, IoKind, Layered, MemDevice};
 
     const BLOCK: usize = 512;
 
@@ -1016,50 +1018,27 @@ mod tests {
         // thread, overwrites id 3 and fills the buffer so the new value is
         // flushed into level 1 — behind the reader's scan.
         type Hook = Option<(u64, Box<dyn FnOnce() + Send>)>;
-        struct Hooked {
-            inner: MemDevice,
-            hook: std::sync::Arc<Mutex<Hook>>,
-        }
-        impl BlockDevice for Hooked {
-            fn num_blocks(&self) -> u64 {
-                self.inner.num_blocks()
-            }
-            fn block_size(&self) -> usize {
-                self.inner.block_size()
-            }
-            fn read_block(
-                &self,
-                block: u64,
-                buf: &mut [u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                let mut hook = self.hook.lock();
-                let armed = matches!(&*hook, Some((at, _)) if *at == block);
-                let run = if armed { hook.take() } else { None };
-                drop(hook);
-                if let Some((_, run)) = run {
+        let hook: std::sync::Arc<Mutex<Hook>> = std::sync::Arc::default();
+        let run_hook = {
+            let hook = hook.clone();
+            move |_: &MemDevice, io: Io| {
+                // The lock is released before the hook runs.
+                let armed = hook
+                    .lock()
+                    .take_if(|(at, _)| io.kind == IoKind::Read && io.contains(*at));
+                if let Some((_, run)) = armed {
                     run();
                 }
-                self.inner.read_block(block, buf)
+                Ok(())
             }
-            fn write_block(
-                &self,
-                block: u64,
-                buf: &[u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                self.inner.write_block(block, buf)
-            }
-        }
+        };
 
         let cfg = ObliviousConfig::new(4, 64);
-        let blocks = ObliviousStore::<Hooked, MemDevice>::blocks_required(&cfg, BLOCK);
-        let sort_blocks = ObliviousStore::<Hooked, MemDevice>::sort_blocks_required(&cfg);
-        let hook = std::sync::Arc::new(Mutex::new(None));
+        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
         let store = std::sync::Arc::new(
             ObliviousStore::new(
-                Hooked {
-                    inner: MemDevice::new(blocks, BLOCK),
-                    hook: hook.clone(),
-                },
+                Layered::with_hook(MemDevice::new(blocks, BLOCK), run_hook),
                 MemDevice::new(sort_blocks + 8, BLOCK + 32),
                 cfg,
                 Key256::from_passphrase("test master"),

@@ -1,7 +1,5 @@
 //! Scrub reporting and shared resilience counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use stegfs_blockdev::BlockId;
 
 /// The result of one [`crate::ResilientStore::scrub`] sweep.
@@ -67,150 +65,38 @@ impl RecoveryReport {
     }
 }
 
-/// Point-in-time snapshot of a store's cumulative resilience counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Content-block reads whose fast check was verified.
-    pub reads_verified: u64,
-    /// Read-path fast-check failures (each triggers a stripe repair).
-    pub read_check_failures: u64,
-    /// Blocks MAC-verified by scrub sweeps.
-    pub blocks_checked: u64,
-    /// Blocks reconstructed from parity.
-    pub blocks_repaired: u64,
-    /// Stripes observed degraded.
-    pub degraded_stripes: u64,
-    /// Stripes found beyond parity tolerance.
-    pub unrecoverable_stripes: u64,
-    /// Anchor replicas rewritten during quorum reads.
-    pub anchor_repairs: u64,
-    /// Completed scrub sweeps.
-    pub scrubs: u64,
-    /// Intent records journaled ahead of multi-block mutations.
-    pub intents_journaled: u64,
-    /// Intents rolled forward or back by open-time recovery.
-    pub intents_recovered: u64,
-}
-
-/// Interior-mutable mirror of [`ResilienceStats`]: every counter is a relaxed
-/// [`AtomicU64`], so concurrent readers bump them without a lock and
-/// [`SharedResilienceStats::snapshot`] materialises a plain value for
-/// reporting — the same pattern as the oblivious store's shared stats.
-///
-/// Relaxed ordering suffices: these are monotone tallies, never used for
-/// synchronisation, and a snapshot at quiescence is exact.
-#[derive(Debug, Default)]
-pub struct SharedResilienceStats {
-    reads_verified: AtomicU64,
-    read_check_failures: AtomicU64,
-    blocks_checked: AtomicU64,
-    blocks_repaired: AtomicU64,
-    degraded_stripes: AtomicU64,
-    unrecoverable_stripes: AtomicU64,
-    anchor_repairs: AtomicU64,
-    scrubs: AtomicU64,
-    intents_journaled: AtomicU64,
-    intents_recovered: AtomicU64,
-}
-
-impl SharedResilienceStats {
-    /// One content-block read verified on the fast path.
-    pub fn count_read_verified(&self) {
-        self.reads_verified.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One read-path fast-check failure.
-    pub fn count_read_check_failure(&self) {
-        self.read_check_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` blocks MAC-verified by a scrub sweep.
-    pub fn add_blocks_checked(&self, n: u64) {
-        self.blocks_checked.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` blocks reconstructed from parity.
-    pub fn add_blocks_repaired(&self, n: u64) {
-        self.blocks_repaired.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` stripes observed degraded.
-    pub fn add_degraded_stripes(&self, n: u64) {
-        self.degraded_stripes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` stripes found unrecoverable.
-    pub fn add_unrecoverable_stripes(&self, n: u64) {
-        self.unrecoverable_stripes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` anchor replicas repaired in place.
-    pub fn add_anchor_repairs(&self, n: u64) {
-        self.anchor_repairs.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One scrub sweep completed.
-    pub fn count_scrub(&self) {
-        self.scrubs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One intent record journaled ahead of a mutation.
-    pub fn count_intent_journaled(&self) {
-        self.intents_journaled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` intents rolled forward or back by open-time recovery.
-    pub fn add_intents_recovered(&self, n: u64) {
-        self.intents_recovered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Materialise a plain snapshot of all counters.
-    pub fn snapshot(&self) -> ResilienceStats {
-        ResilienceStats {
-            reads_verified: self.reads_verified.load(Ordering::Relaxed),
-            read_check_failures: self.read_check_failures.load(Ordering::Relaxed),
-            blocks_checked: self.blocks_checked.load(Ordering::Relaxed),
-            blocks_repaired: self.blocks_repaired.load(Ordering::Relaxed),
-            degraded_stripes: self.degraded_stripes.load(Ordering::Relaxed),
-            unrecoverable_stripes: self.unrecoverable_stripes.load(Ordering::Relaxed),
-            anchor_repairs: self.anchor_repairs.load(Ordering::Relaxed),
-            scrubs: self.scrubs.load(Ordering::Relaxed),
-            intents_journaled: self.intents_journaled.load(Ordering::Relaxed),
-            intents_recovered: self.intents_recovered.load(Ordering::Relaxed),
-        }
+stegfs_blockdev::counters! {
+    /// Point-in-time snapshot of a store's cumulative resilience counters.
+    pub struct ResilienceStats,
+    /// The store's live counters, bumped by concurrent readers without a
+    /// lock.
+    pub struct SharedResilienceStats {
+        /// Content-block reads whose fast check was verified.
+        reads_verified,
+        /// Read-path fast-check failures (each triggers a stripe repair).
+        read_check_failures,
+        /// Blocks MAC-verified by scrub sweeps.
+        blocks_checked,
+        /// Blocks reconstructed from parity.
+        blocks_repaired,
+        /// Stripes observed degraded.
+        degraded_stripes,
+        /// Stripes found beyond parity tolerance.
+        unrecoverable_stripes,
+        /// Anchor replicas rewritten during quorum reads.
+        anchor_repairs,
+        /// Completed scrub sweeps.
+        scrubs,
+        /// Intent records journaled ahead of multi-block mutations.
+        intents_journaled,
+        /// Intents rolled forward or back by open-time recovery.
+        intents_recovered,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_into_snapshot() {
-        let stats = SharedResilienceStats::default();
-        stats.count_read_verified();
-        stats.count_read_verified();
-        stats.count_read_check_failure();
-        stats.add_blocks_checked(10);
-        stats.add_blocks_repaired(3);
-        stats.add_degraded_stripes(2);
-        stats.add_unrecoverable_stripes(1);
-        stats.add_anchor_repairs(1);
-        stats.count_scrub();
-        stats.count_intent_journaled();
-        stats.add_intents_recovered(2);
-        let snap = stats.snapshot();
-        assert_eq!(snap.reads_verified, 2);
-        assert_eq!(snap.read_check_failures, 1);
-        assert_eq!(snap.blocks_checked, 10);
-        assert_eq!(snap.blocks_repaired, 3);
-        assert_eq!(snap.degraded_stripes, 2);
-        assert_eq!(snap.unrecoverable_stripes, 1);
-        assert_eq!(snap.anchor_repairs, 1);
-        assert_eq!(snap.scrubs, 1);
-        assert_eq!(snap.intents_journaled, 1);
-        assert_eq!(snap.intents_recovered, 2);
-    }
 
     #[test]
     fn report_classification() {

@@ -242,16 +242,6 @@ struct StripeRepair {
     unrecoverable: bool,
 }
 
-/// Which shard of which stripe a physical location belongs to (scrub sweep
-/// bookkeeping).
-#[derive(Clone, Copy)]
-enum ShardRef {
-    /// Data block at this file-wide index.
-    Data(u64),
-    /// Parity row of a stripe.
-    Parity(u64, usize),
-}
-
 /// A store of erasure-coded hidden files over a block device.
 pub struct ResilientStore<D> {
     pub(crate) fs: StegFs<D>,
@@ -351,7 +341,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             map.set(slot, BlockClass::Data);
         }
         let store = Self::assemble(fs, map, cfg, master, anchor.generation, slots);
-        store.stats.add_anchor_repairs(repaired.len() as u64);
+        store.stats.anchor_repairs.add(repaired.len() as u64);
 
         for (path, fak) in table {
             let open = store.fs.open_file(&fak, &path)?;
@@ -641,7 +631,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         let intent = self.journal.begin(&self.fs, path, IntentBody::Create)?;
         if intent.is_some() {
-            self.stats.count_intent_journaled();
+            self.stats.intents_journaled.inc();
         }
         let fak = self.file_fak(path);
         let open = self.fs.create_file(&self.map, path, &fak, content)?;
@@ -761,11 +751,11 @@ impl<D: BlockDevice> ResilientStore<D> {
         let mut out = vec![0u8; num * per];
         let bad = self.read_fields(&guard, &mut out)?;
         for _ in bad.len()..num {
-            self.stats.count_read_verified();
+            self.stats.reads_verified.inc();
         }
         if !bad.is_empty() {
             for _ in &bad {
-                self.stats.count_read_check_failure();
+                self.stats.read_check_failures.inc();
             }
             drop(guard);
             let mut g = state.write();
@@ -1063,7 +1053,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 },
             )?;
             if intent.is_some() {
-                self.stats.count_intent_journaled();
+                self.stats.intents_journaled.inc();
             }
 
             for (&(index, _, new_field), (entry, parities)) in
@@ -1306,10 +1296,10 @@ impl<D: BlockDevice> ResilientStore<D> {
             });
         }
 
-        self.stats.add_degraded_stripes(1);
+        self.stats.degraded_stripes.inc();
         let detected: Vec<BlockId> = corrupt.iter().map(|&(_, loc)| loc).collect();
         if self.codec.reconstruct(&mut shards, per).is_err() {
-            self.stats.add_unrecoverable_stripes(1);
+            self.stats.unrecoverable_stripes.inc();
             return Ok(StripeRepair {
                 detected,
                 repaired: 0,
@@ -1324,7 +1314,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             None
         };
         if intent.is_some() {
-            self.stats.count_intent_journaled();
+            self.stats.intents_journaled.inc();
         }
 
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
@@ -1352,7 +1342,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         self.fs.save(&mut g.open)?;
         self.rewrite_shadow(g)?;
-        self.stats.add_blocks_repaired(corrupt.len() as u64);
+        self.stats.blocks_repaired.add(corrupt.len() as u64);
         Ok(StripeRepair {
             repaired: corrupt.len() as u64,
             detected,
@@ -1407,7 +1397,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
         }
         self.journal.clear_all(&self.fs)?;
-        self.stats.add_intents_recovered(report.recovered());
+        self.stats.intents_recovered.add(report.recovered());
         Ok(report)
     }
 
@@ -1699,7 +1689,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         let missing: Vec<usize> = (0..k + m).filter(|&s| shards[s].is_none()).collect();
         if self.codec.reconstruct(&mut shards, per).is_err() {
-            self.stats.add_unrecoverable_stripes(1);
+            self.stats.unrecoverable_stripes.inc();
             return Ok(GroupResolution::Lost);
         }
 
@@ -1776,7 +1766,7 @@ impl<D: BlockDevice> ResilientStore<D> {
 
         let (_, healed) = VolumeAnchor::read_quorum(self.fs.device(), &self.anchor_key)?;
         report.anchor_replicas_repaired = healed.len() as u64;
-        self.stats.add_anchor_repairs(healed.len() as u64);
+        self.stats.anchor_repairs.add(healed.len() as u64);
 
         let files: Vec<Arc<RwLock<FileState>>> = self.files.read().values().cloned().collect();
         for state in files {
@@ -1784,21 +1774,11 @@ impl<D: BlockDevice> ResilientStore<D> {
             let keys = Arc::clone(&g.keys);
             let content_key = *g.open.fak.content_key().expect("managed files have one");
 
-            // Every protected location of this file, tagged with its shard
-            // identity, sorted by physical position so the sweep can coalesce
+            // Every striped location of this file with the shard it holds,
+            // sorted by physical position so the sweep can coalesce
             // contiguous runs into ranged reads.
-            let mut sites: Vec<(BlockId, ShardRef)> = Vec::new();
-            for (i, &loc) in g.open.header.blocks.iter().enumerate() {
-                sites.push((loc, ShardRef::Data(i as u64)));
-            }
-            for stripe in 0..g.stripes.num_stripes() {
-                for row in 0..self.stripe_cfg.m {
-                    sites.push((
-                        g.stripes.parity_entry(stripe, row).location,
-                        ShardRef::Parity(stripe, row),
-                    ));
-                }
-            }
+            let mut sites = g.owned_blocks();
+            sites.retain(|(_, role)| matches!(role, Role::Content(_) | Role::Parity(..)));
             sites.sort_by_key(|&(loc, _)| loc);
 
             // Runs are read in order into one batch buffer; a full batch
@@ -1808,7 +1788,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             let block_size = self.fs.codec().block_size();
             let mut degraded: BTreeSet<u64> = BTreeSet::new();
             let mut verify =
-                |batch: &[(BlockId, ShardRef)], buf: &mut [u8]| -> Result<(), ResilienceError> {
+                |batch: &[(BlockId, Role)], buf: &mut [u8]| -> Result<(), ResilienceError> {
                     self.fs.codec().open_in_place(&content_key, buf)?;
                     let fields: Vec<&[u8]> = buf
                         .chunks_exact(block_size)
@@ -1816,14 +1796,15 @@ impl<D: BlockDevice> ResilientStore<D> {
                         .collect();
                     let mut macs = vec![[0u8; 16]; fields.len()];
                     keys.mac16_many(&fields, &mut macs);
-                    for (&(_, shard), mac) in batch.iter().zip(macs) {
-                        let (recorded, stripe) = match shard {
-                            ShardRef::Data(i) => {
+                    for (&(_, role), mac) in batch.iter().zip(macs) {
+                        let (recorded, stripe) = match role {
+                            Role::Content(i) => {
                                 (g.stripes.data_check(i).mac, self.stripe_cfg.stripe_of(i))
                             }
-                            ShardRef::Parity(stripe, row) => {
+                            Role::Parity(stripe, row) => {
                                 (g.stripes.parity_entry(stripe, row).check.mac, stripe)
                             }
+                            _ => unreachable!("the sweep keeps striped roles only"),
                         };
                         if mac != recorded {
                             degraded.insert(stripe);
@@ -1858,7 +1839,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 start = end;
             }
             verify(&sites[batch..], &mut buf[..(start - batch) * block_size])?;
-            self.stats.add_blocks_checked(sites.len() as u64);
+            self.stats.blocks_checked.add(sites.len() as u64);
 
             for stripe in degraded {
                 let repair = self.repair_stripe(&mut g, stripe, true)?;
@@ -1870,7 +1851,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 }
             }
         }
-        self.stats.count_scrub();
+        self.stats.scrubs.inc();
         Ok(report)
     }
 
@@ -2033,7 +2014,7 @@ impl ScrubCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{FaultDevice, FaultPlan, MemDevice};
+    use stegfs_blockdev::{FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
 
     fn cfg() -> ResilienceConfig {
         ResilienceConfig::default()
@@ -2831,50 +2812,26 @@ mod tests {
     #[test]
     fn dummy_update_rechecks_a_role_that_went_stale_after_the_lookup() {
         // A device whose next read of one chosen block first runs a hook, and
-        // which logs every write.
+        // which logs every block written.
         type Hook = Option<(BlockId, Box<dyn FnOnce() + Send>)>;
-        struct Hooked {
-            inner: MemDevice,
-            hook: Arc<Mutex<Hook>>,
-            writes: Mutex<Vec<BlockId>>,
-        }
-        impl BlockDevice for Hooked {
-            fn num_blocks(&self) -> u64 {
-                self.inner.num_blocks()
-            }
-            fn block_size(&self) -> usize {
-                self.inner.block_size()
-            }
-            fn read_block(
-                &self,
-                block: BlockId,
-                buf: &mut [u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                let mut hook = self.hook.lock();
-                let armed = matches!(&*hook, Some((at, _)) if *at == block);
-                let run = if armed { hook.take() } else { None };
-                drop(hook);
-                if let Some((_, run)) = run {
-                    run();
+        let hook: Arc<Mutex<Hook>> = Arc::default();
+        let writes: Arc<Mutex<Vec<BlockId>>> = Arc::default();
+        let device = Layered::with_hook(MemDevice::new(512, 512), {
+            let (hook, writes) = (hook.clone(), writes.clone());
+            move |_: &MemDevice, io: Io| {
+                match io.kind {
+                    IoKind::Write => writes.lock().extend(io.block_ids()),
+                    IoKind::Read => {
+                        // The lock is released before the hook runs.
+                        let armed = hook.lock().take_if(|(at, _)| io.contains(*at));
+                        if let Some((_, run)) = armed {
+                            run();
+                        }
+                    }
                 }
-                self.inner.read_block(block, buf)
+                Ok(())
             }
-            fn write_block(
-                &self,
-                block: BlockId,
-                buf: &[u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                self.writes.lock().push(block);
-                self.inner.write_block(block, buf)
-            }
-        }
-
-        let hook = Arc::new(Mutex::new(None));
-        let device = Hooked {
-            inner: MemDevice::new(512, 512),
-            hook: hook.clone(),
-            writes: Mutex::new(Vec::new()),
-        };
+        });
         let store = Arc::new(ResilientStore::format(device, cfg(), &master(), 7).unwrap());
         store.create_file("/a", &content(2000)).unwrap();
         store.create_file("/b", &content(2000)).unwrap();
@@ -2890,12 +2847,12 @@ mod tests {
             a0,
             Box::new(move || {
                 let zeros = vec![0u8; 512];
-                mover.fs.device().inner.write_block(b1, &zeros).unwrap();
+                mover.fs.device().inner().write_block(b1, &zeros).unwrap();
                 assert_eq!(mover.read_file("/b").unwrap(), content(2000));
                 assert_ne!(block_of(&mover, "/b", 1), b1);
             }),
         ));
-        store.fs.device().writes.lock().clear();
+        writes.lock().clear();
         let cursor = ScrubCursor {
             order: vec![a0, b1],
             pos: AtomicUsize::new(0),
@@ -2907,7 +2864,7 @@ mod tests {
         // `b1` is nobody's now: the repair randomised it once, and the dummy
         // update rewrote it as the unowned block it is — not "verified"
         // under /b's key, found wanting and left alone.
-        let writes = store.fs.device().writes.lock().clone();
+        let writes = writes.lock().clone();
         assert_eq!(writes.iter().filter(|&&b| b == b1).count(), 2);
         assert_eq!(writes.last(), Some(&b1));
         assert_eq!(store.stats().degraded_stripes, 1);

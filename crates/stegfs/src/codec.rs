@@ -274,7 +274,7 @@ impl BlockCodec {
     /// per read. The buffer is taken out of its slot for the call, so an `f`
     /// that comes back here (a device layered on another codec) finds the
     /// slot empty and gets a buffer of its own.
-    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    pub fn with_scratch<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         thread_local! {
             static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
         }

@@ -755,7 +755,7 @@ impl FastFill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_blockdev::{BlockDeviceExt, MemDevice};
+    use stegfs_blockdev::{BlockDeviceExt, Io, IoKind, Layered, MemDevice};
 
     fn small_fs() -> (StegFs<MemDevice>, ShardedBlockMap) {
         let dev = MemDevice::new(512, 512);
@@ -798,40 +798,16 @@ mod tests {
         // still held the DRBG lock the draw could not finish until the write
         // returned, and the wait would time out.
         type Hook = Box<dyn Fn() + Send + Sync>;
-        struct Hooked {
-            inner: MemDevice,
-            on_write: Mutex<Option<Hook>>,
-        }
-        impl BlockDevice for Hooked {
-            fn num_blocks(&self) -> u64 {
-                self.inner.num_blocks()
-            }
-            fn block_size(&self) -> usize {
-                self.inner.block_size()
-            }
-            fn read_block(
-                &self,
-                block: BlockId,
-                buf: &mut [u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                self.inner.read_block(block, buf)
-            }
-            fn write_block(
-                &self,
-                block: BlockId,
-                buf: &[u8],
-            ) -> Result<(), stegfs_blockdev::DeviceError> {
-                if let Some(hook) = &*self.on_write.lock() {
+        let on_write = std::sync::Arc::new(Mutex::new(None::<Hook>));
+        let device = Layered::with_hook(MemDevice::new(64, 512), {
+            let on_write = on_write.clone();
+            move |_: &MemDevice, io: Io| {
+                if let (IoKind::Write, Some(hook)) = (io.kind, &*on_write.lock()) {
                     hook();
                 }
-                self.inner.write_block(block, buf)
+                Ok(())
             }
-        }
-
-        let device = Hooked {
-            inner: MemDevice::new(64, 512),
-            on_write: Mutex::new(None),
-        };
+        });
         let cfg = StegFsConfig::default().with_block_size(512);
         let (fs, map) = StegFs::format(device, cfg, 3).unwrap();
         let fs = std::sync::Arc::new(fs);
@@ -841,7 +817,7 @@ mod tests {
         let drawn_mid_write = std::sync::Arc::new(Mutex::new(Vec::new()));
         let drawers = std::sync::Arc::new(Mutex::new(Vec::new()));
         let (other, log, spawned) = (fs.clone(), drawn_mid_write.clone(), drawers.clone());
-        *fs.device().on_write.lock() = Some(Box::new(move || {
+        *on_write.lock() = Some(Box::new(move || {
             let (tx, rx) = std::sync::mpsc::channel();
             let other = other.clone();
             // Joined once the write this hook sits in has returned, so a
@@ -855,7 +831,7 @@ mod tests {
         fs.reseal_block(file.header.blocks[0], fak.content_key().unwrap())
             .unwrap();
         fs.randomize_block(40, &mut [0u8; 512]).unwrap();
-        *fs.device().on_write.lock() = None;
+        *on_write.lock() = None;
         for drawer in drawers.lock().drain(..) {
             drawer.join().unwrap();
         }

@@ -92,3 +92,59 @@ fn expected_figure_and_table_bins_exist() {
         );
     }
 }
+
+fn rust_files_under(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files_under(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Forwarding a request to the device underneath is written once, in
+/// `stegfs_blockdev::Layered`: a wrapper that spells it out again can forget
+/// the ranged methods, still compile, and silently turn every ranged request
+/// into N scalar ones under the disk model and the attacker's trace. The
+/// next observing device or test double is an `IoHook` (or a closure), not
+/// an `impl BlockDevice`. `tests/wire_images.rs` keeps its own double so
+/// that the pin of the on-disk formats stays an unedited file; `benchmark/`
+/// is a package of its own.
+#[test]
+fn block_device_is_implemented_only_by_stores_the_layer_and_scalar_device() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files_under(&root.join(dir), &mut files);
+    }
+    let mut implementors = BTreeSet::new();
+    for file in files {
+        let source = std::fs::read_to_string(&file).unwrap();
+        for line in source.lines().map(str::trim_start) {
+            if !line.starts_with("impl") {
+                continue;
+            }
+            if let Some((_, implementor)) = line.split_once("BlockDevice for ") {
+                let implementor = implementor.trim_end_matches(['{', ' ']);
+                let file = file.strip_prefix(root).unwrap().display();
+                implementors.insert(format!("{implementor} ({file})"));
+            }
+        }
+    }
+    let expected: BTreeSet<String> = [
+        "&T (crates/blockdev/src/device.rs)",
+        "FileDevice (crates/blockdev/src/file.rs)",
+        "Layered<D, H> (crates/blockdev/src/layered.rs)",
+        "MemDevice (crates/blockdev/src/mem.rs)",
+        "ScalarDevice<D> (crates/blockdev/src/device.rs)",
+        "std::sync::Arc<T> (crates/blockdev/src/device.rs)",
+    ]
+    .map(String::from)
+    .into();
+    assert_eq!(
+        implementors, expected,
+        "write the new device as a hook on `stegfs_blockdev::Layered`"
+    );
+}
