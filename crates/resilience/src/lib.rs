@@ -31,12 +31,22 @@
 //!   self-authenticating records in uniformly claimed slot blocks, written
 //!   before every multi-block mutation so a power cut leaves the volume
 //!   recoverable to exactly the old or the new state — never a partial one.
-//! * [`ResilientStore`] — ties it together: striped files, a verify-always
-//!   read path that falls back to reconstruction, a delta-parity update
-//!   path, journaled mutations with open-time crash recovery, and
+//! * [`ResilientStore`] — ties it together, as a `store/` module split by
+//!   concern: volume assembly and the anchor payload (`format`, `open`); a
+//!   managed file's state and the one enumeration of the blocks it owns; a
+//!   verify-always read path whose every failed check goes through one
+//!   heal-then-reread helper; a journaled delta-parity write plan; the
+//!   stripe view (load a stripe, MAC it, erase what is out of state,
+//!   reconstruct) under stripe repair, crash recovery and
 //!   [`ResilientStore::scrub`] — a ranged-batch MAC sweep that repairs every
-//!   degraded stripe onto freshly claimed blocks and can also ride the cover
-//!   traffic via [`ScrubCursor`].
+//!   degraded stripe onto freshly claimed blocks; open-time journal
+//!   recovery; and cover traffic, which can carry the scrub via
+//!   [`ScrubCursor`]. Cover traffic follows one rule: *the block map decides
+//!   what is free; the owner index only supplies keys.* A victim some managed
+//!   file owns is resealed under that file's key, a victim the block map
+//!   classes `Dummy` is re-randomised, and every other block — anchor
+//!   replicas, journal slots, registry cells and segments, an allocation not
+//!   yet adopted by a file — is left alone.
 //!
 //! The failure model it is tested against lives in `stegfs-blockdev`'s
 //! `FaultDevice`: deterministic seeded bit flips, zeroed blocks and torn

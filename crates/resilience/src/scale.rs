@@ -384,7 +384,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         let (cfg, shards) = decode_geometry(&bytes)?;
         let state = RegistryState::new(cfg, shards, &self.master);
         // The registry's blocks are payload, not free space: re-mark them so
-        // later allocations cannot claim them.
+        // later allocations cannot claim them and cover traffic — which
+        // randomises only what the map classes `Dummy` — leaves them alone,
+        // as `init_registry`'s claims through the allocator did.
         for b in state.blocks() {
             self.map.set(b, BlockClass::Data);
         }
@@ -450,10 +452,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         };
         let mut total = 0u64;
         for (shard, geo) in state.shards.iter().enumerate() {
-            let plain = self
-                .fs
-                .codec()
-                .read_sealed(self.fs.device(), geo.head, &state.key)?;
+            let plain = self.open_block(geo.head, &state.key)?;
             if let Some((_, _, count)) = decode_head(&state.mac, shard as u32, &plain) {
                 total += count as u64;
             }
@@ -569,10 +568,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// fallback when the head cell does not authenticate.
     fn load_shard(&self, state: &RegistryState, shard: u32) -> Result<ShardCache, ResilienceError> {
         let geo = &state.shards[shard as usize];
-        let plain = self
-            .fs
-            .codec()
-            .read_sealed(self.fs.device(), geo.head, &state.key)?;
+        let plain = self.open_block(geo.head, &state.key)?;
         if let Some((active, generation, _)) = decode_head(&state.mac, shard, &plain) {
             if let Some(records) = self.read_segment(state, shard, active, Some(generation))? {
                 return Ok(ShardCache {
@@ -621,10 +617,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         seg: usize,
     ) -> Result<u64, ResilienceError> {
         let geo = &state.shards[shard as usize];
-        let plain =
-            self.fs
-                .codec()
-                .read_sealed(self.fs.device(), geo.segments[seg][0], &state.key)?;
+        let plain = self.open_block(geo.segments[seg][0], &state.key)?;
         Ok(decode_segment_block(&state.mac, shard, &plain)
             .map(|(g, _, _, _)| g)
             .unwrap_or(0))
@@ -645,10 +638,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         let mut payload = Vec::new();
         let mut generation = None;
         for (i, &b) in blocks.iter().enumerate() {
-            let plain = self
-                .fs
-                .codec()
-                .read_sealed(self.fs.device(), b, &state.key)?;
+            let plain = self.open_block(b, &state.key)?;
             let Some((g, seq, total, chunk)) = decode_segment_block(&state.mac, shard, &plain)
             else {
                 return Ok(None);
@@ -702,11 +692,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 blocks.len() as u32,
                 &payload[start..end],
             );
-            self.fs.with_rng(|rng| {
-                self.fs
-                    .codec()
-                    .write_sealed(self.fs.device(), b, &state.key, &plain, rng)
-            })?;
+            self.seal_block(b, &state.key, &plain)?;
         }
         Ok(())
     }
@@ -721,11 +707,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     ) -> Result<(), ResilienceError> {
         let geo = &state.shards[shard as usize];
         let plain = encode_head(&state.mac, shard, active, generation, count);
-        self.fs.with_rng(|rng| {
-            self.fs
-                .codec()
-                .write_sealed(self.fs.device(), geo.head, &state.key, &plain, rng)
-        })?;
+        self.seal_block(geo.head, &state.key, &plain)?;
         Ok(())
     }
 
@@ -775,10 +757,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         let Some(geo) = state.shards.get(shard as usize) else {
             return Ok(Recovered::Stale);
         };
-        let plain = self
-            .fs
-            .codec()
-            .read_sealed(self.fs.device(), geo.head, &state.key)?;
+        let plain = self.open_block(geo.head, &state.key)?;
         match decode_head(&state.mac, shard, &plain) {
             Some((_, head_gen, _)) if head_gen == generation => Ok(Recovered::Forward),
             Some((active, head_gen, _)) if head_gen < generation => {
@@ -929,6 +908,46 @@ mod tests {
                 Some(vec![i as u8; 4])
             );
         }
+    }
+
+    #[test]
+    fn cover_traffic_leaves_the_registry_readable() {
+        let store = fresh_store();
+        let users: Vec<String> = (0..12).map(|i| format!("u{i}")).collect();
+        for (i, user) in users.iter().enumerate() {
+            store.registry_put(user, &[i as u8; 24]).unwrap();
+        }
+        store.registry_checkpoint().unwrap();
+
+        // One full scrub-cursor cycle, then uniform batches: head cells and
+        // segments are claimed in the block map and owned by no managed
+        // file, so neither victim stream may rewrite them.
+        let registry: std::collections::BTreeSet<BlockId> =
+            store.registry_blocks().into_iter().collect();
+        let cursor = store.scrub_cursor(3);
+        let mut touched = Vec::new();
+        for _ in 0..cursor.cycle_len().div_ceil(8) {
+            touched.extend(store.dummy_update_batch(8, Some(&cursor)).unwrap());
+        }
+        for _ in 0..64 {
+            touched.extend(store.dummy_update_batch(8, None).unwrap());
+        }
+        assert!(touched.len() > cursor.cycle_len() / 2);
+        assert!(touched.iter().all(|b| !registry.contains(b)));
+
+        let read_back = |store: &ResilientStore<FaultDevice<MemDevice>>| {
+            for (i, user) in users.iter().enumerate() {
+                assert_eq!(
+                    store.registry_get(user).unwrap(),
+                    Some(vec![i as u8; 24]),
+                    "{user}"
+                );
+            }
+        };
+        store.registry_drop_caches().unwrap();
+        read_back(&store);
+        let reopened = ResilientStore::open(store.into_device(), cfg(), &master(), 8).unwrap();
+        read_back(&reopened);
     }
 
     #[test]

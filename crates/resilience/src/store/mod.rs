@@ -1,0 +1,478 @@
+//! The resilient store: erasure-coded hidden files over a steganographic
+//! volume, with a replicated self-healing anchor and a scrub/repair sweep.
+//!
+//! [`ResilientStore`] wraps the plain [`StegFs`] substrate and keeps, for
+//! every hidden file it manages:
+//!
+//! * `m` sealed parity blocks per stripe of `k` content blocks, placed
+//!   through the same uniform [`ShardedBlockMap::claim`] allocation as
+//!   hidden data — on disk a parity block is indistinguishable from free
+//!   space;
+//! * a per-file [`StripeMap`] of plaintext integrity checks and parity
+//!   locations, persisted as a *shadow hidden file* (sealed and scattered
+//!   like any other hidden file, never plaintext on disk);
+//! * an entry in the sealed file-access-key table carried by the 3-way
+//!   replicated [`VolumeAnchor`], so [`ResilientStore::open`] can rediscover
+//!   every file from the master key alone.
+//!
+//! The store also keeps one standing *owner index* — physical block → the
+//! managed file holding it and the role it plays there — so a dummy update
+//! finds its victim's key with one lookup instead of walking every file. The
+//! index is filled where a file enters the path table and changed where
+//! `repair_stripe` re-homes a shard; a looked-up role is confirmed under the
+//! file's lock before use, because a repair may run in between.
+//!
+//! The cover rule: **the block map decides what is free; the owner index
+//! only supplies keys** (spelled out in `cover`).
+//!
+//! Parity is computed over *plaintext* data fields: a dummy update (reseal)
+//! re-randomises every ciphertext byte while leaving the plaintext intact, so
+//! plaintext parity survives arbitrarily many reseals where ciphertext parity
+//! would go stale on the first one.
+//!
+//! The read path verifies the cheap keyed hash of every block inline and
+//! falls back to stripe reconstruction on a mismatch; it never returns wrong
+//! bytes. The delta-update path does the same for the data block *and* the
+//! parity rows it is about to fold a delta into. The scrub path verifies the
+//! authoritative truncated HMACs in ranged batches and repairs every degraded
+//! stripe onto freshly claimed blocks.
+//!
+//! Scope: stripes protect content and parity blocks. File headers and
+//! indirect pointer blocks rely on the replicated anchor (which can re-locate
+//! headers via the FAK table) rather than parity; extending striping to the
+//! metadata tree is future work.
+
+mod cover;
+mod file;
+mod read;
+mod recover;
+mod repair;
+mod write;
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use parking_lot::{Mutex, RwLock};
+
+use stegfs_base::wire::{Reader, Writer};
+use stegfs_base::{
+    BlockClass, FileAccessKey, ShardedBlockMap, StegFs, StegFsConfig, DEFAULT_MAP_SHARDS,
+};
+use stegfs_blockdev::{BlockDevice, BlockId};
+use stegfs_crypto::{Aes256, CbcCipher, Key256};
+
+use crate::codec::ErasureCodec;
+use crate::error::ResilienceError;
+use crate::journal::{IntentBody, IntentGuard, IntentJournal};
+use crate::scale::RegistryState;
+use crate::stats::{RecoveryReport, ResilienceStats, SharedResilienceStats};
+use crate::stripe::{StripeConfig, StripeMap};
+use crate::superblock::VolumeAnchor;
+
+pub use cover::ScrubCursor;
+use file::{FileState, OwnerIndex};
+pub(crate) use recover::Recovered;
+
+/// `chunk` as a whole data field of `per` bytes, zero-padded — what sealing
+/// a short chunk stores.
+fn padded(chunk: &[u8], per: usize) -> Vec<u8> {
+    let mut field = vec![0u8; per];
+    field[..chunk.len()].copy_from_slice(chunk);
+    field
+}
+
+/// Configuration of a resilient volume.
+#[derive(Debug, Clone, Copy)]
+pub struct ResilienceConfig {
+    /// Striping shape: `k` data blocks + `m` parity blocks per stripe.
+    pub stripe: StripeConfig,
+    /// Underlying file-system configuration.
+    pub fs: StegFsConfig,
+    /// Maximum blocks per ranged read in a scrub sweep.
+    pub scrub_batch: usize,
+    /// Logical intent-journal slots claimed at format time. `0` disables
+    /// journaling entirely (the pre-journal update path, kept as the bench
+    /// baseline); each slot admits one in-flight multi-block mutation and
+    /// occupies *two* uniformly claimed blocks (a replicated pair, so a lost
+    /// slot block cannot orphan an in-flight intent).
+    pub journal_slots: usize,
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        Self {
+            stripe: StripeConfig::new(4, 2),
+            fs: StegFsConfig::default(),
+            scrub_batch: 64,
+            journal_slots: 4,
+        }
+    }
+}
+
+impl ResilienceConfig {
+    /// Override the striping shape.
+    pub fn with_stripe(mut self, k: usize, m: usize) -> Self {
+        self.stripe = StripeConfig::new(k, m);
+        self
+    }
+
+    /// Override the file-system configuration.
+    pub fn with_fs(mut self, fs: StegFsConfig) -> Self {
+        self.fs = fs;
+        self
+    }
+
+    /// Override the intent-journal slot count (`0` disables journaling).
+    pub fn with_journal_slots(mut self, slots: usize) -> Self {
+        self.journal_slots = slots;
+        self
+    }
+}
+/// A store of erasure-coded hidden files over a block device.
+pub struct ResilientStore<D> {
+    pub(crate) fs: StegFs<D>,
+    pub(crate) map: ShardedBlockMap,
+    codec: ErasureCodec,
+    stripe_cfg: StripeConfig,
+    scrub_batch: usize,
+    pub(crate) master: Key256,
+    anchor_key: Key256,
+    payload_key: Key256,
+    /// Anchor generation counter; bumped on every FAK-table change.
+    generation: Mutex<u64>,
+    /// Managed files by path. `BTreeMap` so that every sweep and every
+    /// persisted table is in deterministic path order.
+    files: RwLock<BTreeMap<String, Arc<RwLock<FileState>>>>,
+    /// Block → owning file and role, for every block of every file in
+    /// `files`. Never locked while a file's lock is being waited for.
+    index: RwLock<OwnerIndex>,
+    pub(crate) journal: IntentJournal,
+    /// The persistent sharded registry, when the volume carries one.
+    pub(crate) registry: RwLock<Option<RegistryState>>,
+    /// Outcome of the journal-recovery pass run by [`ResilientStore::open`].
+    recovery: Mutex<RecoveryReport>,
+    stats: Arc<SharedResilienceStats>,
+}
+
+impl<D: BlockDevice> ResilientStore<D> {
+    /// Format `device` as a fresh resilient volume owned by `master`.
+    pub fn format(
+        device: D,
+        cfg: ResilienceConfig,
+        master: &Key256,
+        seed: u64,
+    ) -> Result<Self, ResilienceError> {
+        let (fs, map) = StegFs::format(device, cfg.fs, seed)?;
+        for b in VolumeAnchor::replica_blocks(fs.superblock().num_blocks) {
+            map.set(b, BlockClass::Reserved);
+        }
+        // Claim the journal slots through the same uniform allocation as
+        // hidden data; the format-time random fill is a valid empty journal.
+        // Two blocks per logical slot: consecutive pairs mirror each other,
+        // so a lost slot block can no longer orphan an in-flight intent.
+        let slots = fs.allocate_blocks(&map, 2 * cfg.journal_slots as u64)?;
+        let store = Self::assemble(fs, map, cfg, master, 0, slots);
+        store.persist_anchor()?;
+        Ok(store)
+    }
+
+    /// Open an existing resilient volume: quorum-read the anchor (repairing
+    /// stale or corrupt replicas in place), mount the file system, reopen
+    /// every file listed in the sealed FAK table together with its shadow
+    /// stripe map, then run journal recovery — rolling every interrupted
+    /// mutation forward or back — before the volume is handed out.
+    pub fn open(
+        device: D,
+        cfg: ResilienceConfig,
+        master: &Key256,
+        seed: u64,
+    ) -> Result<Self, ResilienceError> {
+        let anchor_key = master.derive("resilience:anchor");
+        let (anchor, repaired) = VolumeAnchor::read_quorum(&device, &anchor_key)?;
+        let fs = StegFs::mount_with(device, cfg.fs.header_probe_limit, seed)?;
+        let map = ShardedBlockMap::new_all_dummy(fs.superblock().num_blocks, DEFAULT_MAP_SHARDS);
+        for b in VolumeAnchor::replica_blocks(fs.superblock().num_blocks) {
+            map.set(b, BlockClass::Reserved);
+        }
+        let payload_key = master.derive("resilience:payload");
+        let plain = Self::open_payload_with(&payload_key, &anchor.payload)?;
+        let (slots, table) = Self::parse_payload(&plain)?;
+        for &slot in &slots {
+            map.set(slot, BlockClass::Data);
+        }
+        let store = Self::assemble(fs, map, cfg, master, anchor.generation, slots);
+        store.stats.anchor_repairs.add(repaired.len() as u64);
+
+        for (path, fak) in table {
+            let open = store.fs.open_file(&fak, &path)?;
+            let shadow_fak = store.shadow_fak(&path);
+            let shadow = store.fs.open_file(&shadow_fak, &Self::shadow_path(&path))?;
+            let encoded = store.fs.read_file(&shadow)?;
+            let stripes = StripeMap::decode(&encoded)?;
+            if stripes.num_data() != open.header.num_blocks() {
+                return Err(ResilienceError::Corrupt(format!(
+                    "stripe map covers {} blocks but {path} has {}",
+                    stripes.num_data(),
+                    open.header.num_blocks()
+                )));
+            }
+            let state = FileState::new(file::content_keys(&open)?, open, shadow, stripes)?;
+            for (loc, _) in state.owned_blocks() {
+                store.map.set(loc, BlockClass::Data);
+            }
+            store.adopt(path, state);
+        }
+        // Load the persistent registry geometry (if the volume carries one)
+        // before journal recovery: a `RegistryCheckpoint` intent needs the
+        // shard geometry to resolve. The geometry file is written exactly
+        // once at `init_registry`, so reading it pre-recovery is safe.
+        store.load_registry()?;
+        let report = store.recover_journal()?;
+        *store.recovery.lock() = report;
+        Ok(store)
+    }
+
+    fn assemble(
+        fs: StegFs<D>,
+        map: ShardedBlockMap,
+        cfg: ResilienceConfig,
+        master: &Key256,
+        generation: u64,
+        journal_slots: Vec<BlockId>,
+    ) -> Self {
+        Self {
+            index: RwLock::default(),
+            codec: ErasureCodec::new(cfg.stripe.k, cfg.stripe.m),
+            stripe_cfg: cfg.stripe,
+            scrub_batch: cfg.scrub_batch.max(1),
+            master: *master,
+            anchor_key: master.derive("resilience:anchor"),
+            payload_key: master.derive("resilience:payload"),
+            generation: Mutex::new(generation),
+            files: RwLock::new(BTreeMap::new()),
+            journal: IntentJournal::new(master, journal_slots),
+            registry: RwLock::new(None),
+            recovery: Mutex::new(RecoveryReport::default()),
+            stats: Arc::new(SharedResilienceStats::default()),
+            fs,
+            map,
+        }
+    }
+
+    /// The underlying file system.
+    pub fn fs(&self) -> &StegFs<D> {
+        &self.fs
+    }
+
+    /// Consume the store and return the raw device (simulated unmount — no
+    /// flush is performed; checkpoint the registry first if it has dirty
+    /// resident shards).
+    pub fn into_device(self) -> D {
+        self.fs.into_device()
+    }
+
+    /// The shared block classification map.
+    pub fn block_map(&self) -> &ShardedBlockMap {
+        &self.map
+    }
+
+    /// The striping shape.
+    pub fn stripe_config(&self) -> StripeConfig {
+        self.stripe_cfg
+    }
+
+    /// Shared resilience counters.
+    pub fn shared_stats(&self) -> Arc<SharedResilienceStats> {
+        Arc::clone(&self.stats)
+    }
+
+    /// Snapshot of the resilience counters.
+    pub fn stats(&self) -> ResilienceStats {
+        self.stats.snapshot()
+    }
+
+    /// The anchor generation the volume currently carries. Bumped on every
+    /// FAK-table change; the bump is the atomic commit point of file creation.
+    pub fn generation(&self) -> u64 {
+        *self.generation.lock()
+    }
+
+    /// The intent-journal slot locations (empty when journaling is disabled).
+    pub fn journal_slots(&self) -> Vec<BlockId> {
+        self.journal.slots().to_vec()
+    }
+
+    /// What the journal-recovery pass of [`ResilientStore::open`] did. A
+    /// freshly formatted store reports a clean (empty) recovery.
+    pub fn last_recovery(&self) -> RecoveryReport {
+        self.recovery.lock().clone()
+    }
+
+    /// Paths of every managed file, in order.
+    pub fn paths(&self) -> Vec<String> {
+        self.files.read().keys().cloned().collect()
+    }
+
+    // ----- sealed blocks and intents -----------------------------------
+
+    /// The plaintext data field of the block at `loc`, sealed under `key`.
+    pub(crate) fn open_block(
+        &self,
+        loc: BlockId,
+        key: &Key256,
+    ) -> Result<Vec<u8>, stegfs_base::FsError> {
+        self.fs.codec().read_sealed(self.fs.device(), loc, key)
+    }
+
+    /// Seal `field` under `key` and a fresh IV into the block at `loc`.
+    pub(crate) fn seal_block(
+        &self,
+        loc: BlockId,
+        key: &Key256,
+        field: &[u8],
+    ) -> Result<(), stegfs_base::FsError> {
+        self.fs.with_rng(|rng| {
+            self.fs
+                .codec()
+                .write_sealed(self.fs.device(), loc, key, field, rng)
+        })
+    }
+
+    /// Journal `body` for `path` ahead of the operation's first write and
+    /// count it; `None` when journaling is disabled.
+    fn begin_intent(
+        &self,
+        path: &str,
+        body: IntentBody,
+    ) -> Result<Option<IntentGuard<'_>>, ResilienceError> {
+        let intent = self.journal.begin(&self.fs, path, body)?;
+        if intent.is_some() {
+            self.stats.intents_journaled.inc();
+        }
+        Ok(intent)
+    }
+
+    // ----- key derivations ---------------------------------------------
+
+    fn file_master(&self, path: &str) -> Key256 {
+        self.master.derive(&format!("resilience:file:{path}"))
+    }
+
+    fn file_fak(&self, path: &str) -> FileAccessKey {
+        FileAccessKey::from_master(&self.file_master(path))
+    }
+
+    fn shadow_fak(&self, path: &str) -> FileAccessKey {
+        FileAccessKey::from_master(&self.file_master(path).derive("shadow"))
+    }
+
+    fn shadow_path(path: &str) -> String {
+        // '\u{0}' cannot appear in caller-supplied paths, so shadow paths
+        // never collide with user files.
+        format!("{path}\u{0}stripe-map")
+    }
+
+    // ----- anchor / FAK table ------------------------------------------
+
+    /// Serialise the anchor payload plaintext: the journal slot locations,
+    /// then the FAK table as `count` and `(path_len, path, fak)` entries in
+    /// path order.
+    fn encode_payload_plain(&self) -> Vec<u8> {
+        let files = self.files.read();
+        let slots = self.journal.slots();
+        let mut w = Writer::new();
+        w.u16(slots.len() as u16);
+        for &slot in slots {
+            w.u64(slot);
+        }
+        w.u32(files.len() as u32);
+        for (path, state) in files.iter() {
+            w.str16(path).bytes(&state.read().open.fak.to_bytes());
+        }
+        w.finish()
+    }
+
+    /// Parse the anchor payload plaintext: journal slot locations, then the
+    /// FAK table.
+    #[allow(clippy::type_complexity)]
+    #[doc(hidden)]
+    pub fn parse_payload(
+        plain: &[u8],
+    ) -> Result<(Vec<BlockId>, Vec<(String, FileAccessKey)>), ResilienceError> {
+        let mut r = Reader::new(plain);
+        let num_slots = r.u16()?;
+        let slots = r.u64s(num_slots as usize)?;
+        let count = r.u32()?;
+        // An entry with an empty path: path length ‖ access key.
+        let mut out = Vec::with_capacity(r.count(count, 2 + FileAccessKey::ENCODED_LEN)?);
+        for _ in 0..count {
+            let path = r.str16()?.to_string();
+            let fak = FileAccessKey::from_bytes(r.bytes(FileAccessKey::ENCODED_LEN)?).ok_or_else(
+                || ResilienceError::Corrupt("anchor payload: malformed access key".to_string()),
+            )?;
+            out.push((path, fak));
+        }
+        Ok((slots, out))
+    }
+
+    /// Seal the table under the payload key: `IV ‖ plain_len ‖ CBC(padded)`.
+    /// Confidentiality only — integrity comes from the anchor's replica MACs,
+    /// which cover the whole payload.
+    fn seal_payload(&self, plain: &[u8]) -> Vec<u8> {
+        let mut padded = plain.to_vec();
+        padded.resize(plain.len().div_ceil(16) * 16, 0);
+        let mut iv = [0u8; 16];
+        self.fs.with_rng(|rng| rng.fill_bytes(&mut iv));
+        let cbc = CbcCipher::new(Aes256::new(self.payload_key.as_bytes()));
+        cbc.encrypt_in_place(&iv, &mut padded)
+            .expect("padded to block size");
+        Writer::new()
+            .bytes(&iv)
+            .u32(plain.len() as u32)
+            .bytes(&padded)
+            .finish()
+    }
+
+    #[doc(hidden)]
+    pub fn open_payload_with(key: &Key256, sealed: &[u8]) -> Result<Vec<u8>, ResilienceError> {
+        let mut r = Reader::new(sealed);
+        let iv: [u8; 16] = r.array()?;
+        let plain_len = r.u32()? as usize;
+        let mut data = r.rest().to_vec();
+        if plain_len > data.len() {
+            return Err(ResilienceError::Corrupt(
+                "anchor payload length".to_string(),
+            ));
+        }
+        let cbc = CbcCipher::new(Aes256::new(key.as_bytes()));
+        cbc.decrypt_in_place(&iv, &mut data)
+            .map_err(|e| ResilienceError::Corrupt(format!("anchor payload cipher: {e:?}")))?;
+        data.truncate(plain_len);
+        Ok(data)
+    }
+
+    /// Re-write every anchor replica with the current FAK table under a
+    /// bumped generation.
+    fn persist_anchor(&self) -> Result<(), ResilienceError> {
+        let payload = self.seal_payload(&self.encode_payload_plain());
+        let capacity = VolumeAnchor::payload_capacity(self.fs.codec().block_size());
+        if payload.len() > capacity {
+            return Err(ResilienceError::AnchorOverflow {
+                needed: payload.len(),
+                capacity,
+            });
+        }
+        let mut generation = self.generation.lock();
+        *generation += 1;
+        let anchor = VolumeAnchor {
+            superblock: *self.fs.superblock(),
+            generation: *generation,
+            payload,
+        };
+        anchor.write_replicas(self.fs.device(), &self.anchor_key)?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests;

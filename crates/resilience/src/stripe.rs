@@ -296,6 +296,11 @@ impl StripeMap {
         self.parity[stripe as usize * self.cfg.m + row] = entry;
     }
 
+    /// Record a new check for parity row `row` of `stripe` where it lies.
+    pub(crate) fn set_parity_check(&mut self, stripe: u64, row: usize, check: BlockCheck) {
+        self.parity[stripe as usize * self.cfg.m + row].check = check;
+    }
+
     /// The data-block indices belonging to `stripe` (the final stripe may be
     /// shorter than `k`).
     pub fn stripe_data_range(&self, stripe: u64) -> core::ops::Range<u64> {

@@ -148,3 +148,66 @@ fn block_device_is_implemented_only_by_stores_the_layer_and_scalar_device() {
         "write the new device as a hook on `stegfs_blockdev::Layered`"
     );
 }
+
+/// The non-test lines of a source file under `crates/resilience/src`:
+/// everything before the file's `#[cfg(test)]`, and nothing of a `tests.rs`
+/// (a test-only module declared `#[cfg(test)]` by its parent).
+fn resilience_production_lines(file: &Path) -> Vec<String> {
+    if file.file_name().is_some_and(|name| name == "tests.rs") {
+        return Vec::new();
+    }
+    let source = std::fs::read_to_string(file).unwrap();
+    source
+        .lines()
+        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .map(String::from)
+        .collect()
+}
+
+/// `ResilientStore` states each repeated decision once. Erase-and-reconstruct
+/// lives in the stripe view (`store/repair.rs`), so a second caller of the
+/// codec's `reconstruct` is a second copy of "which shards are trusted";
+/// what cover traffic may overwrite is the block map's call, so a `reserved`
+/// set kept beside it is a list that can (and did) fall out of date; and the
+/// store stays a module of files one concern long.
+#[test]
+fn resilient_store_states_each_decision_once() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/resilience/src");
+    let mut files = Vec::new();
+    rust_files_under(&src, &mut files);
+    assert!(
+        files.iter().any(|f| f.ends_with("store/repair.rs")),
+        "the store is a module split by concern"
+    );
+
+    let mut reconstruct_calls = Vec::new();
+    for file in &files {
+        let lines = resilience_production_lines(file);
+        let name = file.strip_prefix(&src).unwrap().display().to_string();
+        for line in lines.iter().filter(|l| !l.trim_start().starts_with("//")) {
+            if line.contains(".reconstruct(") {
+                reconstruct_calls.push(name.clone());
+            }
+            let mentions_reserved_set = ["reserved:", ".reserved", "let reserved", "reserved ="]
+                .iter()
+                .any(|spelling| line.contains(spelling));
+            assert!(
+                !mentions_reserved_set,
+                "{name}: `{}` — what is claimed is the block map's to know, not a set beside it",
+                line.trim()
+            );
+        }
+        if name.starts_with("store/") {
+            assert!(
+                lines.len() < 700,
+                "{name} has {} lines of non-test code; split it by concern",
+                lines.len()
+            );
+        }
+    }
+    assert_eq!(
+        reconstruct_calls,
+        ["store/repair.rs"],
+        "erase-and-reconstruct is written once, in the stripe view"
+    );
+}
