@@ -26,7 +26,7 @@
 //! for a CI-sized run; the JSON schema is identical, with `"quick": true`
 //! recorded so trajectory tooling can separate the two.
 
-use stegfs_base::{BlockCodec, StegFsConfig, DEFAULT_MAP_SHARDS};
+use stegfs_base::BlockCodec;
 use stegfs_bench::harness::{pick, quick_mode, timed};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::MemDevice;
@@ -34,7 +34,6 @@ use stegfs_crypto::{
     backend, backend_name, reference, sha256_backend_name, sha256_many, Aes128, Aes256, Backend,
     BlockCipher, CbcCipher, HashDrbg, HmacSha256, Key256, Sha256, SHA_LANES,
 };
-use steghide::{AgentConfig, ConcurrentAgent};
 
 /// Throughput floor committed with the T-table-only codebase (PR 8's
 /// BENCH_crypto.json); the AES-NI acceptance gates below are multiples of it.
@@ -350,39 +349,6 @@ fn main() {
         "ops/s",
         active_hash.derive,
         tag("16 B messages, two compressions from the cached key states"),
-    ));
-
-    // --- The agent's Figure 6 update path, end to end in memory. ---
-    let agent_updates = pick(2_000u64, 200);
-    let agent = ConcurrentAgent::format(
-        MemDevice::new(4096, 4096),
-        StegFsConfig::default().without_fill(),
-        AgentConfig::default(),
-        key,
-        77,
-        DEFAULT_MAP_SHARDS,
-    )
-    .expect("format volume");
-    let per_block = agent.fs().content_bytes_per_block() as u64;
-    let file = agent
-        .create_file_sparse(
-            &Key256::from_passphrase("bench file"),
-            "/bench",
-            256 * per_block,
-        )
-        .expect("create file");
-    let mut rng = HashDrbg::from_u64(13);
-    let update = timed(agent_updates, || {
-        let block = rng.gen_range(256);
-        agent
-            .update_range_fill(file, block, 1, 0xAB)
-            .expect("update");
-    });
-    metrics.push(Metric::new(
-        "agent_update_path",
-        "blocks/s",
-        agent_updates as f64 / update,
-        tag("single-block Figure 6 updates on an in-memory volume"),
     ));
 
     // --- Tier 2: forced aesni (the 128-bit kernels), cipher rows only. ---

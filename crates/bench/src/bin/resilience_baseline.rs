@@ -2,7 +2,7 @@
 //! written to `BENCH_resilience.json` — the fault-tolerance counterpart of
 //! `crypto_baseline` and `oblivious_baseline`.
 //!
-//! Four groups of metrics, each at the three supported stripe shapes
+//! Five groups of metrics, each at the three supported stripe shapes
 //! (k, m) ∈ {(4, 1), (4, 2), (8, 2)} where the shape matters:
 //!
 //! 1. **Codec throughput.** Raw GF(2⁸) Cauchy-matrix encode (k data shards →
@@ -19,11 +19,11 @@
 //! 4. **Recovery latency.** Mean wall-clock latency of a `read_file` that
 //!    must repair one freshly corrupted block mid-read, against the clean
 //!    read latency of the same file.
-//! 5. **Inline check and cover traffic.** The keyed fast check one buffer at
-//!    a time against eight buffers' chains walked together
-//!    (`ChecksumKeys::fast_many`), and the cost per touched block of a
-//!    scrub-cursor `dummy_update_batch` on a volume of 32 managed files —
-//!    the number that has to stay O(blocks touched), not O(blocks managed).
+//! 5. **Inline check.** The keyed fast check one buffer at a time against
+//!    eight buffers' chains walked together (`ChecksumKeys::fast_many`).
+//!
+//! The cost per block of scrub-cursor cover traffic is
+//! `resilience.dummy_span_us_per_block` on `benchmark/`'s `durable_mixed`.
 //!
 //! Run with `--quick` (or `STEGFS_BENCH_QUICK=1`) for a CI-sized run; the
 //! JSON schema is identical, with `"quick": true` recorded so trajectory
@@ -258,7 +258,7 @@ fn main() {
         "read_file repairing one corrupt block in place".to_string(),
     ));
 
-    // --- 5. Inline fast check, and cover traffic over many files. ---
+    // --- 5. Inline fast check. ---
     let keys = ChecksumKeys::derive(&master());
     let fields: Vec<Vec<u8>> = (0..FAST_LANES)
         .map(|i| pattern(per, 200 + i as u64))
@@ -287,41 +287,6 @@ fn main() {
         "MB/s",
         group_mb * check_iters as f64 / many_secs,
         format!("ChecksumKeys::fast_many, {FAST_LANES} fields of {per} B per call"),
-    ));
-
-    let cover_files = 32usize;
-    let cover_file_blocks = pick(32usize, 8);
-    let cover_dev = MemDevice::new(
-        (cover_files * cover_file_blocks * 3 + 256) as u64,
-        BLOCK_SIZE,
-    );
-    let cover_store =
-        ResilientStore::format(cover_dev, store_cfg(k, m), &master(), 45).expect("format");
-    for f in 0..cover_files {
-        let payload = pattern(cover_file_blocks * per, 300 + f as u64);
-        cover_store
-            .create_file(&format!("/cover/{f}"), &payload)
-            .expect("create");
-    }
-    let cursor = cover_store.scrub_cursor(45);
-    let cover_batches = pick(2_000u64, 100);
-    // `timed` also runs warm-up and repeat passes: count what it really ran.
-    let (mut calls, mut touched) = (0u64, 0u64);
-    let cover_secs = timed(cover_batches, || {
-        let batch = cover_store
-            .dummy_update_batch(8, Some(&cursor))
-            .expect("dummy batch");
-        calls += 1;
-        touched += batch.len() as u64;
-    });
-    let blocks_per_batch = touched as f64 / calls as f64;
-    metrics.push(Metric::new(
-        "dummy_batch_us_per_block",
-        "us",
-        cover_secs / cover_batches as f64 * 1e6 / blocks_per_batch,
-        format!(
-            "dummy_update_batch(8, cursor), {cover_files} files x {cover_file_blocks} blocks, ({k}, {m})"
-        ),
     ));
 
     // --- Report. ---

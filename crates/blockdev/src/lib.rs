@@ -32,8 +32,6 @@
 //! * [`sim::SimDevice`] (`after`) — charges every request to a
 //!   [`sim::DiskModel`] so experiments can report simulated elapsed time on
 //!   the paper's 2004-era Ultra-ATA disk, and tallies [`IoStats`].
-//! * [`LatencyDevice`] (`before`) — makes the calling thread wait per
-//!   request, for wall-clock concurrency measurements.
 //! * [`CrashDevice`] (`write`, `sync`) — cuts power after a configured write
 //!   index, landing exactly a prefix of an operation's writes, plus the
 //!   [`CrashPoint`] enumerator behind the exhaustive crash-recovery matrix.
@@ -62,7 +60,6 @@ mod crash;
 mod device;
 mod fault;
 mod file;
-mod latency;
 mod layered;
 mod mem;
 pub mod sim;
@@ -74,7 +71,6 @@ pub use crash::{clone_to_mem, CrashDevice, CrashHook, CrashPoint};
 pub use device::{BlockDevice, BlockDeviceExt, BlockId, DeviceError, DeviceGeometry, ScalarDevice};
 pub use fault::{FaultDevice, FaultHook, FaultKind, FaultPlan, FaultSite};
 pub use file::FileDevice;
-pub use latency::{LatencyDevice, LatencyHook};
 pub use layered::{Io, IoHook, IoKind, Layered};
 pub use mem::MemDevice;
 pub use stats::{IoCounters, IoStats};

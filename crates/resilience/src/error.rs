@@ -44,6 +44,10 @@ pub enum ResilienceError {
         /// Bytes one slot's data field can hold.
         capacity: usize,
     },
+    /// The volume would have no intent-journal slot: `format` was asked for
+    /// none, or the anchor being opened names none. A durable volume is never
+    /// run without crash consistency.
+    NoJournal,
     /// A structurally invalid persisted structure (stripe map, FAK table).
     Corrupt(String),
     /// The named file is not registered in the store.
@@ -75,6 +79,12 @@ impl core::fmt::Display for ResilienceError {
                 f,
                 "journal record of {needed} bytes exceeds slot capacity of {capacity} bytes"
             ),
+            ResilienceError::NoJournal => {
+                write!(
+                    f,
+                    "a resilient volume needs at least one intent-journal slot"
+                )
+            }
             ResilienceError::Corrupt(msg) => write!(f, "corrupt persisted structure: {msg}"),
             ResilienceError::UnknownFile(path) => write!(f, "unknown file: {path}"),
         }

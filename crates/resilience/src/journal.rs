@@ -257,8 +257,9 @@ impl IntentRecord {
     }
 }
 
-/// The slot pool and keys of a volume's intent journal. An empty slot list
-/// means journaling is disabled (the store runs exactly as before PR 8).
+/// The slot pool and keys of a volume's intent journal. The pool is never
+/// empty: `ResilientStore::format` and `open` refuse a volume without slots,
+/// so [`IntentJournal::begin`] always has one to wait for.
 ///
 /// Consecutive blocks of the slot list form replicated pairs: blocks `2i`
 /// and `2i + 1` both hold logical slot `i`'s record. An odd trailing block
@@ -278,6 +279,7 @@ impl IntentJournal {
     /// replicated logical slots: `slots[2i]` and `slots[2i + 1]` mirror each
     /// other.
     pub fn new(master: &Key256, slots: Vec<BlockId>) -> Self {
+        assert!(!slots.is_empty(), "an intent journal needs a slot");
         let mac_key = master.derive("resilience:journal-mac");
         let logical = slots.len().div_ceil(2);
         Self {
@@ -287,11 +289,6 @@ impl IntentJournal {
             mac: HmacSha256::new(mac_key.as_bytes()),
             slots,
         }
-    }
-
-    /// Whether journaling is active.
-    pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
     }
 
     /// The slot block locations, in pool order (both copies of every pair).
@@ -313,8 +310,7 @@ impl IntentJournal {
     /// How many [`BlockWriteIntent`] entries (each with `parity_rows` parity
     /// rows) fit in one sealed record for a file at `path`. Delta updates
     /// chunk larger batches to this size so a record never overflows its
-    /// slot. Computed from the record wire format, independent of whether
-    /// journaling is enabled.
+    /// slot. Computed from the record wire format.
     pub fn batch_capacity<D: BlockDevice>(
         &self,
         fs: &StegFs<D>,
@@ -354,18 +350,15 @@ impl IntentJournal {
     }
 
     /// Journal an intent: seal the record into a free slot *before* the
-    /// operation's first data write. Returns `None` when journaling is
-    /// disabled. The guard returns the slot to the pool when dropped; the
-    /// on-disk record stays behind as a stale (certainly-complete) entry.
+    /// operation's first data write. The guard returns the slot to the pool
+    /// when dropped; the on-disk record stays behind as a stale
+    /// (certainly-complete) entry.
     pub fn begin<D: BlockDevice>(
         &self,
         fs: &StegFs<D>,
         path: &str,
         body: IntentBody,
-    ) -> Result<Option<IntentGuard<'_>>, ResilienceError> {
-        if !self.is_enabled() {
-            return Ok(None);
-        }
+    ) -> Result<IntentGuard<'_>, ResilienceError> {
         let record = IntentRecord {
             op_id: self.op_counter.fetch_add(1, Ordering::Relaxed),
             path: path.to_string(),
@@ -396,10 +389,10 @@ impl IntentJournal {
             self.free.lock().push(slot);
             return Err(e.into());
         }
-        Ok(Some(IntentGuard {
+        Ok(IntentGuard {
             journal: self,
             slot,
-        }))
+        })
     }
 
     /// Read every logical slot and return the valid records found, in slot

@@ -88,11 +88,9 @@ pub struct ResilienceConfig {
     pub stripe: StripeConfig,
     /// Underlying file-system configuration.
     pub fs: StegFsConfig,
-    /// Maximum blocks per ranged read in a scrub sweep.
-    pub scrub_batch: usize,
-    /// Logical intent-journal slots claimed at format time. `0` disables
-    /// journaling entirely (the pre-journal update path, kept as the bench
-    /// baseline); each slot admits one in-flight multi-block mutation and
+    /// Logical intent-journal slots claimed at format time, at least one
+    /// (`format` refuses `0`: a durable volume is never built without crash
+    /// consistency). Each slot admits one in-flight multi-block mutation and
     /// occupies *two* uniformly claimed blocks (a replicated pair, so a lost
     /// slot block cannot orphan an in-flight intent).
     pub journal_slots: usize,
@@ -103,7 +101,6 @@ impl Default for ResilienceConfig {
         Self {
             stripe: StripeConfig::new(4, 2),
             fs: StegFsConfig::default(),
-            scrub_batch: 64,
             journal_slots: 4,
         }
     }
@@ -122,7 +119,7 @@ impl ResilienceConfig {
         self
     }
 
-    /// Override the intent-journal slot count (`0` disables journaling).
+    /// Override the intent-journal slot count (at least one).
     pub fn with_journal_slots(mut self, slots: usize) -> Self {
         self.journal_slots = slots;
         self
@@ -134,7 +131,6 @@ pub struct ResilientStore<D> {
     pub(crate) map: ShardedBlockMap,
     codec: ErasureCodec,
     stripe_cfg: StripeConfig,
-    scrub_batch: usize,
     pub(crate) master: Key256,
     anchor_key: Key256,
     payload_key: Key256,
@@ -162,6 +158,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         master: &Key256,
         seed: u64,
     ) -> Result<Self, ResilienceError> {
+        if cfg.journal_slots == 0 {
+            return Err(ResilienceError::NoJournal);
+        }
         let (fs, map) = StegFs::format(device, cfg.fs, seed)?;
         for b in VolumeAnchor::replica_blocks(fs.superblock().num_blocks) {
             map.set(b, BlockClass::Reserved);
@@ -197,6 +196,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         let payload_key = master.derive("resilience:payload");
         let plain = Self::open_payload_with(&payload_key, &anchor.payload)?;
         let (slots, table) = Self::parse_payload(&plain)?;
+        if slots.is_empty() {
+            return Err(ResilienceError::NoJournal);
+        }
         for &slot in &slots {
             map.set(slot, BlockClass::Data);
         }
@@ -244,7 +246,6 @@ impl<D: BlockDevice> ResilientStore<D> {
             index: RwLock::default(),
             codec: ErasureCodec::new(cfg.stripe.k, cfg.stripe.m),
             stripe_cfg: cfg.stripe,
-            scrub_batch: cfg.scrub_batch.max(1),
             master: *master,
             anchor_key: master.derive("resilience:anchor"),
             payload_key: master.derive("resilience:payload"),
@@ -297,7 +298,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         *self.generation.lock()
     }
 
-    /// The intent-journal slot locations (empty when journaling is disabled).
+    /// The intent-journal slot locations.
     pub fn journal_slots(&self) -> Vec<BlockId> {
         self.journal.slots().to_vec()
     }
@@ -339,16 +340,14 @@ impl<D: BlockDevice> ResilientStore<D> {
     }
 
     /// Journal `body` for `path` ahead of the operation's first write and
-    /// count it; `None` when journaling is disabled.
+    /// count it.
     fn begin_intent(
         &self,
         path: &str,
         body: IntentBody,
-    ) -> Result<Option<IntentGuard<'_>>, ResilienceError> {
+    ) -> Result<IntentGuard<'_>, ResilienceError> {
         let intent = self.journal.begin(&self.fs, path, body)?;
-        if intent.is_some() {
-            self.stats.intents_journaled.inc();
-        }
+        self.stats.intents_journaled.inc();
         Ok(intent)
     }
 

@@ -46,9 +46,6 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// per-record action is idempotent).
     pub(super) fn recover_journal(&self) -> Result<RecoveryReport, ResilienceError> {
         let mut report = RecoveryReport::default();
-        if !self.journal.is_enabled() {
-            return Ok(report);
-        }
         let records = self.journal.scan(&self.fs)?;
         report.intents_found = records.len() as u64;
 

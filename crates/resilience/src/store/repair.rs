@@ -20,6 +20,9 @@ use crate::stats::ScrubReport;
 use crate::stripe::ChecksumKeys;
 use crate::superblock::VolumeAnchor;
 
+/// Maximum blocks per ranged read in a scrub sweep.
+const SCRUB_BATCH: usize = 64;
+
 /// One stripe as it stands on the device: its live data shards, then its `m`
 /// parity rows, each with the truncated MAC of the plaintext it holds.
 pub(super) struct StripeView {
@@ -189,11 +192,9 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
         };
 
-        let _intent = if journaled {
-            self.begin_intent(&g.open.path, IntentBody::Repair)?
-        } else {
-            None
-        };
+        let _intent = journaled
+            .then(|| self.begin_intent(&g.open.path, IntentBody::Repair))
+            .transpose()?;
 
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         for shard in &rebuilt {
@@ -230,7 +231,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     }
 
     /// Sweep every managed file: quorum-heal the anchor, MAC-verify every
-    /// data and parity block in ranged batches of at most `scrub_batch`
+    /// data and parity block in ranged batches of at most [`SCRUB_BATCH`]
     /// blocks, and reconstruct every degraded stripe.
     pub fn scrub(&self) -> Result<ScrubReport, ResilienceError> {
         let mut report = ScrubReport::default();
@@ -275,7 +276,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                     }
                     Ok(())
                 };
-            let mut buf = vec![0u8; self.scrub_batch.min(sites.len()) * block_size];
+            let mut buf = vec![0u8; SCRUB_BATCH.min(sites.len()) * block_size];
             // `sites[batch..start]` are read into `buf` and not yet verified.
             let mut batch = 0;
             let mut start = 0;
@@ -284,12 +285,12 @@ impl<D: BlockDevice> ResilientStore<D> {
                 // batch cap.
                 let mut end = start + 1;
                 while end < sites.len()
-                    && end - start < self.scrub_batch
+                    && end - start < SCRUB_BATCH
                     && sites[end].0 == sites[end - 1].0 + 1
                 {
                     end += 1;
                 }
-                if end - batch > self.scrub_batch {
+                if end - batch > SCRUB_BATCH {
                     verify(
                         &sites[batch..start],
                         &mut buf[..(start - batch) * block_size],

@@ -65,6 +65,20 @@ fn wrong_master_cannot_open() {
 }
 
 #[test]
+fn format_refuses_zero_journal_slots() {
+    // There is no un-journaled write path: a volume without slots would
+    // wait for one forever on its first create.
+    let dev = FaultDevice::new(MemDevice::new(512, 512));
+    assert!(matches!(
+        ResilientStore::format(dev, cfg().with_journal_slots(0), &master(), 7),
+        Err(ResilienceError::NoJournal)
+    ));
+    let dev = FaultDevice::new(MemDevice::new(512, 512));
+    let store = ResilientStore::format(dev, cfg().with_journal_slots(1), &master(), 7).unwrap();
+    assert_eq!(store.journal_slots().len(), 2);
+}
+
+#[test]
 fn read_path_repairs_corrupted_block() {
     let store = fresh_store();
     let data = content(4000);
@@ -274,7 +288,6 @@ fn journal_record_survives_one_zeroed_slot_copy() {
     let guard = store
         .journal
         .begin(store.fs(), "/victim", IntentBody::Create)
-        .unwrap()
         .unwrap();
     // Leak the guard: the record stays live on disk, as after a crash.
     std::mem::forget(guard);

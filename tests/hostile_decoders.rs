@@ -493,3 +493,72 @@ fn retagged_absurd_bodies_never_panic() {
         }
     }
 }
+
+/// An anchor that authenticates — written by someone holding the master key,
+/// or left by a build that still had an un-journaled mode — whose journal
+/// slot list is empty or of odd length. There is no un-journaled write path
+/// any more, so the empty list is refused with a typed error; the odd list
+/// (a trailing slot with no mirror) opens, and recovery still finds every
+/// intent that was in flight.
+#[test]
+fn anchor_with_an_empty_or_odd_journal_slot_list_never_skips_an_intent() {
+    use stegfs_repro::blockdev::clone_to_mem;
+    use stegfs_repro::crypto::{Aes256, CbcCipher};
+    use stegfs_repro::resilience::{IntentJournal, ResilienceConfig, ResilienceError};
+    use stegfs_repro::stegfs::StegFsConfig;
+
+    let master = Key256::from_passphrase("hostile anchor");
+    let cfg = ResilienceConfig::default().with_fs(StegFsConfig::default().with_block_size(512));
+    let store = ResilientStore::format(MemDevice::new(512, 512), cfg, &master, 3).unwrap();
+    store.create_file("/a", &[0x5a; 700]).unwrap();
+    // One live intent in every logical slot, as after a cut with four
+    // writers in flight.
+    let slots = store.journal_slots();
+    assert_eq!(slots.len(), 8);
+    let journal = IntentJournal::new(&master, slots.clone());
+    for f in 0..4 {
+        let guard = journal.begin(store.fs(), &format!("/ghost{f}"), IntentBody::Create);
+        std::mem::forget(guard.unwrap());
+    }
+    let image = store.into_device();
+
+    // Re-issue the volume's own anchor, one generation on, naming only the
+    // first `keep` slot blocks.
+    let anchor_key = master.derive("resilience:anchor");
+    let payload_key = master.derive("resilience:payload");
+    let with_slots = |keep: usize| {
+        let device = clone_to_mem(&image).unwrap();
+        let (mut anchor, _) = VolumeAnchor::read_quorum(&device, &anchor_key).unwrap();
+        let plain =
+            ResilientStore::<MemDevice>::open_payload_with(&payload_key, &anchor.payload).unwrap();
+        let mut w = Writer::new();
+        w.u16(keep as u16)
+            .bytes(&plain[2..2 + 8 * keep])
+            .bytes(&plain[2 + 8 * slots.len()..]);
+        let plain = w.finish();
+        let mut padded = plain.clone();
+        padded.resize(plain.len().div_ceil(16) * 16, 0);
+        let iv = [0x24; 16];
+        CbcCipher::new(Aes256::new(payload_key.as_bytes()))
+            .encrypt_in_place(&iv, &mut padded)
+            .unwrap();
+        let mut w = Writer::new();
+        w.bytes(&iv).u32(plain.len() as u32).bytes(&padded);
+        anchor.payload = w.finish();
+        anchor.generation += 1;
+        anchor.write_replicas(&device, &anchor_key).unwrap();
+        device
+    };
+
+    assert!(matches!(
+        ResilientStore::open(with_slots(0), cfg, &master, 4),
+        Err(ResilienceError::NoJournal)
+    ));
+
+    let odd = ResilientStore::open(with_slots(7), cfg, &master, 4).unwrap();
+    assert_eq!(odd.journal_slots(), slots[..7]);
+    assert_eq!(odd.last_recovery().intents_found, 4);
+    assert_eq!(odd.read_file("/a").unwrap(), [0x5a; 700]);
+    odd.create_file("/b", &[1; 100]).unwrap();
+    assert_eq!(odd.stats().intents_journaled, 1);
+}

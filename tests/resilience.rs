@@ -477,3 +477,52 @@ fn registry_segments_are_indistinguishable_from_free_space() {
         "volume-wide uniformity broke: {all:?}"
     );
 }
+
+/// Journal invisibility: the raw bytes of the intent-journal slot blocks,
+/// sampled across a `write_block` stream, must pass the same uniformity
+/// bounds as any hidden block. A journal an attacker could find would defeat
+/// the deniability the volume exists for.
+#[test]
+fn journal_slots_are_indistinguishable_from_free_space() {
+    let store = fresh(4, 2, 0x6a71);
+    let per = store.fs().content_bytes_per_block();
+    let file_blocks = 16u64;
+    store
+        .create_file("/j", &pattern(file_blocks as usize * per, 71))
+        .unwrap();
+    let slots = store.journal_slots();
+    assert!(!slots.is_empty());
+    let device = store.fs().device();
+
+    // A slot counts only when its bytes changed since the last sample:
+    // re-counting an untouched slot round after round multiplies that one
+    // sample's chi-square deviation by the repeat count and manufactures a
+    // rejection out of perfectly uniform data.
+    let mut last: Vec<Vec<u8>> = slots
+        .iter()
+        .map(|&s| device.read_block_vec(s).unwrap())
+        .collect();
+    let mut slot_bytes = Vec::new();
+    for r in 0..300u64 {
+        store
+            .write_block("/j", r % file_blocks, &pattern(per, 7000 + r))
+            .unwrap();
+        for (seen, &s) in last.iter_mut().zip(&slots) {
+            let now = device.read_block_vec(s).unwrap();
+            if now != *seen {
+                slot_bytes.extend_from_slice(&now);
+                *seen = now;
+            }
+        }
+    }
+    // Every update seals its intent into both blocks of one slot pair.
+    assert_eq!(slot_bytes.len(), 300 * 2 * BLOCK_SIZE);
+
+    let chi = byte_value_chi_square(&slot_bytes, 0.01);
+    assert!(
+        !chi.rejects_uniformity,
+        "journal slots show byte-level structure: {chi:?}"
+    );
+    let kl = byte_value_kl(&slot_bytes);
+    assert!(kl < 0.01, "journal slot KL too high: {kl}");
+}

@@ -3,6 +3,11 @@
 //! `crates/bench/Cargo.toml`, so that `cargo build --all-targets` and CI
 //! actually compile them. Without this, a typo in a target name silently
 //! drops a binary from the build and later PRs can break it unnoticed.
+//!
+//! The source-layout rules ride here too, so each is one mechanism that
+//! runs under `cargo test`: who may implement `BlockDevice`, what
+//! `ResilientStore` states once, where integers meet bytes, and which bin
+//! and guard schema each committed `BENCH_*.json` belongs to.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -81,7 +86,6 @@ fn expected_figure_and_table_bins_exist() {
         "overhead_model",
         "crypto_baseline",
         "oblivious_baseline",
-        "concurrent_baseline",
         "resilience_baseline",
         "recovery_baseline",
         "scale_baseline",
@@ -149,17 +153,17 @@ fn block_device_is_implemented_only_by_stores_the_layer_and_scalar_device() {
     );
 }
 
-/// The non-test lines of a source file under `crates/resilience/src`:
-/// everything before the file's `#[cfg(test)]`, and nothing of a `tests.rs`
-/// (a test-only module declared `#[cfg(test)]` by its parent).
-fn resilience_production_lines(file: &Path) -> Vec<String> {
+/// The non-test lines of a source file: everything before the file's
+/// `#[cfg(test)]`, and nothing of a `tests.rs` (a test-only module declared
+/// `#[cfg(test)]` by its parent).
+fn production_lines(file: &Path) -> Vec<String> {
     if file.file_name().is_some_and(|name| name == "tests.rs") {
         return Vec::new();
     }
     let source = std::fs::read_to_string(file).unwrap();
     source
         .lines()
-        .take_while(|line| line.trim() != "#[cfg(test)]")
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
         .map(String::from)
         .collect()
 }
@@ -182,7 +186,7 @@ fn resilient_store_states_each_decision_once() {
 
     let mut reconstruct_calls = Vec::new();
     for file in &files {
-        let lines = resilience_production_lines(file);
+        let lines = production_lines(file);
         let name = file.strip_prefix(&src).unwrap().display().to_string();
         for line in lines.iter().filter(|l| !l.trim_start().starts_with("//")) {
             if line.contains(".reconstruct(") {
@@ -209,5 +213,113 @@ fn resilient_store_states_each_decision_once() {
         reconstruct_calls,
         ["store/repair.rs"],
         "erase-and-reconstruct is written once, in the stripe view"
+    );
+}
+
+/// Byte order and bounds live in `stegfs_base::wire` only: every on-disk
+/// codec of the three storage crates goes through it. Outside it, non-test
+/// source may not convert integers to or from bytes by hand, except in the
+/// files listed here with the reason the use is not a format;
+/// `try_into().unwrap()` is allowed nowhere.
+#[test]
+fn byte_order_and_bounds_live_in_the_wire_layer_only() {
+    const NOT_A_FORMAT: [(&str, &str); 4] = [
+        ("crates/stegfs/src/wire.rs", "the wire layer itself"),
+        (
+            "crates/stegfs/src/fs.rs",
+            "format-time DRBG seed and fill generator",
+        ),
+        (
+            "crates/resilience/src/stripe.rs",
+            "lanes of the keyed fast hash",
+        ),
+        (
+            "crates/oblivious/src/det.rs",
+            "lanes of the deterministic hasher",
+        ),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["stegfs", "resilience", "oblivious"] {
+        rust_files_under(&root.join("crates").join(dir).join("src"), &mut files);
+    }
+    let mut found = Vec::new();
+    for file in files {
+        let name = file.strip_prefix(root).unwrap().display().to_string();
+        let mut banned = vec!["try_into().unwrap()"];
+        if !NOT_A_FORMAT.iter().any(|(allowed, _)| *allowed == name) {
+            banned.extend(["from_le_bytes", "to_le_bytes"]);
+        }
+        for (at, line) in production_lines(&file).iter().enumerate() {
+            if banned.iter().any(|pattern| line.contains(pattern)) {
+                found.push(format!("{name}:{}: {}", at + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "integers go to and from bytes through `stegfs_base::wire`:\n{}",
+        found.join("\n")
+    );
+}
+
+/// The quoted `BENCH_*.json` file names in `source`.
+fn report_names(source: &str) -> BTreeSet<String> {
+    source
+        .split('"')
+        .filter(|token| token.starts_with("BENCH_") && token.ends_with(".json"))
+        .map(String::from)
+        .collect()
+}
+
+/// One home per number: each committed `BENCH_*.json` is written by exactly
+/// one bin and checked by exactly one `bench_guard.py` schema, and every
+/// writing bin and every schema has its committed report — a report whose
+/// bin is gone, or a schema no report carries, is a number nobody can
+/// regenerate or a guard that guards nothing.
+#[test]
+fn every_bench_report_has_one_writer_and_one_guard() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut reports = Vec::new();
+    let mut report_schemas = Vec::new();
+    for entry in std::fs::read_dir(root).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+            continue;
+        }
+        let report = std::fs::read_to_string(root.join(&name)).unwrap();
+        let schema = report
+            .split_once("\"schema\": \"")
+            .and_then(|(_, rest)| rest.split_once('"'))
+            .unwrap_or_else(|| panic!("{name} has no schema"))
+            .0;
+        report_schemas.push(schema.to_string());
+        reports.push(name);
+    }
+    reports.sort();
+
+    let mut written = Vec::new();
+    let mut bins = Vec::new();
+    rust_files_under(&bench_crate_dir().join("src/bin"), &mut bins);
+    for bin in bins {
+        written.extend(report_names(&std::fs::read_to_string(bin).unwrap()));
+    }
+    written.sort();
+    assert_eq!(
+        written, reports,
+        "reports the bins write (left) against the reports committed at the root (right)"
+    );
+
+    let guard = std::fs::read_to_string(root.join(".github/scripts/bench_guard.py")).unwrap();
+    let mut guarded: Vec<String> = guard
+        .lines()
+        .filter_map(|line| line.strip_prefix("    \"")?.strip_suffix("\": {"))
+        .map(String::from)
+        .collect();
+    guarded.sort();
+    report_schemas.sort();
+    assert_eq!(
+        guarded, report_schemas,
+        "schemas in bench_guard.py SPECS (left) against the committed reports' (right)"
     );
 }
