@@ -242,6 +242,11 @@ mod tests {
     /// reconstructs the stripe exactly.
     #[test]
     fn all_erasure_patterns_recover_4_2() {
+        all_erasure_patterns_recover();
+        gf256::with_table_loop(all_erasure_patterns_recover);
+    }
+
+    fn all_erasure_patterns_recover() {
         let codec = ErasureCodec::new(4, 2);
         let data = stripe(4, 96);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
@@ -354,6 +359,11 @@ mod tests {
 
     #[test]
     fn delta_update_matches_reencode() {
+        delta_update_matches();
+        gf256::with_table_loop(delta_update_matches);
+    }
+
+    fn delta_update_matches() {
         let codec = ErasureCodec::new(4, 2);
         let mut data = stripe(4, 80);
         let refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();

@@ -44,6 +44,14 @@ pub enum ResilienceError {
         /// Bytes one slot's data field can hold.
         capacity: usize,
     },
+    /// A single-block write was handed more bytes than one block's data
+    /// field holds.
+    BlockTooLarge {
+        /// Bytes the caller supplied.
+        len: usize,
+        /// Bytes one data field can hold.
+        capacity: usize,
+    },
     /// The volume would have no intent-journal slot: `format` was asked for
     /// none, or the anchor being opened names none. A durable volume is never
     /// run without crash consistency.
@@ -78,6 +86,10 @@ impl core::fmt::Display for ResilienceError {
             ResilienceError::JournalOverflow { needed, capacity } => write!(
                 f,
                 "journal record of {needed} bytes exceeds slot capacity of {capacity} bytes"
+            ),
+            ResilienceError::BlockTooLarge { len, capacity } => write!(
+                f,
+                "block write of {len} bytes exceeds data field of {capacity} bytes"
             ),
             ResilienceError::NoJournal => {
                 write!(

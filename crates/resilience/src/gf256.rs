@@ -80,13 +80,24 @@ pub fn pow(a: u8, n: u32) -> u8 {
     EXP[((log * n) % 255) as usize]
 }
 
+/// The x86-64 vector kernel; the one module of the crate that may hold
+/// `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx2;
+
 /// A precomputed multiply-by-constant table: `table[x] = c · x`.
 ///
-/// The codec's hot loops multiply whole 4 KB data fields by one coefficient;
-/// a 256-byte table turns that into a lookup per byte, the same trick every
-/// production RS library uses before reaching for SIMD.
+/// The codec's hot loops multiply whole 4 KB data fields by one coefficient.
+/// The 256-byte table turns that into a lookup per byte; its two 16-entry
+/// halves — `c · x` for the low nibble, `c · (x << 4)` for the high one, which
+/// XOR to `c · x` because the multiply is linear over GF(2) — are what the
+/// vector kernel looks up 32 bytes at a time where the CPU has one.
 pub struct MulTable {
     table: [u8; 256],
+    /// `c · x` and `c · (x << 4)` for `x` in `0..16`.
+    #[cfg(target_arch = "x86_64")]
+    nibbles: ([u8; 16], [u8; 16]),
 }
 
 impl MulTable {
@@ -99,7 +110,14 @@ impl MulTable {
                 *slot = EXP[log_c + LOG[x] as usize];
             }
         }
-        Self { table }
+        Self {
+            #[cfg(target_arch = "x86_64")]
+            nibbles: (
+                core::array::from_fn(|x| table[x]),
+                core::array::from_fn(|x| table[x << 4]),
+            ),
+            table,
+        }
     }
 
     /// `c · x` via the table.
@@ -108,15 +126,64 @@ impl MulTable {
         self.table[x as usize]
     }
 
-    /// `dst[i] ^= c · src[i]` — the accumulate step of both encoding and
-    /// reconstruction.
+    /// `dst[i] ^= c · src[i]` — the accumulate step of encoding, delta update
+    /// and reconstruction. The vector kernel takes the leading whole vectors
+    /// when the CPU has it (runtime detection, nothing to configure); the
+    /// table loop takes the tail, and everything where it does not.
+    ///
+    /// # Panics
+    /// If the buffers differ in length.
     #[inline]
     pub fn mul_xor_into(&self, dst: &mut [u8], src: &[u8]) {
-        debug_assert_eq!(dst.len(), src.len());
-        for (d, &s) in dst.iter_mut().zip(src.iter()) {
+        assert_eq!(dst.len(), src.len(), "buffers of one length");
+        #[cfg(target_arch = "x86_64")]
+        let done = self.vector_prefix(dst, src);
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
             *d ^= self.table[s as usize];
         }
     }
+
+    /// Run the vector kernel over what it can take; the number of bytes done.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn vector_prefix(&self, dst: &mut [u8], src: &[u8]) -> usize {
+        #[cfg(test)]
+        {
+            if TABLE_LOOP_ONLY.get() {
+                return 0;
+            }
+        }
+        avx2::mul_xor_into(&self.nibbles.0, &self.nibbles.1, dst, src)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Set while [`with_table_loop`] runs its closure on this thread.
+    static TABLE_LOOP_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Run `f` with every [`MulTable::mul_xor_into`] of this thread on the table
+/// loop alone — the portable entry the equivalence tests compare the kernel
+/// against, so a machine with the kernel and one without both run both loops.
+#[cfg(test)]
+pub(crate) fn with_table_loop<R>(f: impl FnOnce() -> R) -> R {
+    let was = TABLE_LOOP_ONLY.replace(true);
+    let out = f();
+    TABLE_LOOP_ONLY.set(was);
+    out
+}
+
+/// The loop detection picked for this machine, for the test log.
+#[cfg(test)]
+pub(crate) fn kernel_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::detected() {
+        return "avx2 split-nibble vpshufb";
+    }
+    "table loop"
 }
 
 #[cfg(test)]
@@ -201,6 +268,56 @@ mod tests {
         for i in 0..4 {
             assert_eq!(dst[i], 0xaa ^ mul(0x37, src[i]));
         }
+    }
+
+    /// `mul_xor_into` by whatever loop detection picks against the table
+    /// loop alone, on buffers cut `dst_at` / `src_at` bytes into an
+    /// allocation so neither starts on a vector boundary.
+    fn assert_loops_agree(c: u8, len: usize, dst_at: usize, src_at: usize) {
+        let t = MulTable::new(c);
+        let src: Vec<u8> = (0..src_at + len).map(|i| (i * 37 + 11) as u8).collect();
+        let dst: Vec<u8> = (0..dst_at + len).map(|i| (i * 101 + 7) as u8).collect();
+        let (mut picked, mut table) = (dst.clone(), dst.clone());
+        t.mul_xor_into(&mut picked[dst_at..], &src[src_at..]);
+        with_table_loop(|| t.mul_xor_into(&mut table[dst_at..], &src[src_at..]));
+        assert_eq!(picked, table, "c={c} len={len} dst+{dst_at} src+{src_at}");
+        // The table loop itself against the scalar multiply, and nothing
+        // written in front of the buffer.
+        assert_eq!(table[..dst_at], dst[..dst_at]);
+        for i in 0..len {
+            assert_eq!(table[dst_at + i], dst[dst_at + i] ^ mul(c, src[src_at + i]));
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_table_loop_for_every_constant_and_length() {
+        println!("gf256 kernel: {}", kernel_name());
+        for c in 0..=255u8 {
+            for len in (0..=97).chain([4080, 4096]) {
+                assert_loops_agree(c, len, len % 32, c as usize % 32);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_table_loop_at_every_offset() {
+        // Lengths around one and three vectors: no whole vector, exactly
+        // whole vectors, and a tail shorter than a vector behind them.
+        for c in [0u8, 1, 2, 0x1d, 0x8e, 255] {
+            for len in [31, 32, 33, 96, 97] {
+                for dst_at in 0..32 {
+                    for src_at in 0..32 {
+                        assert_loops_agree(c, len, dst_at, src_at);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one length")]
+    fn unequal_buffers_are_refused() {
+        MulTable::new(3).mul_xor_into(&mut [0u8; 64], &[0u8; 63]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! The pieces, each shaped to stay inside the steganographic envelope:
 //!
 //! * [`gf256`] — GF(2⁸) arithmetic with constant-time-built log/exp tables
-//!   and per-coefficient multiply tables.
+//!   and per-coefficient multiply tables, whose multiply-accumulate over a
+//!   whole shard runs as a split-nibble `vpshufb` kernel where the CPU has
+//!   AVX2 and as a table loop elsewhere.
 //! * [`ErasureCodec`] — a systematic Cauchy-matrix Reed–Solomon coder:
 //!   `m` parity shards per `k` data shards, any `k` survivors reconstruct.
 //!   Parity is computed over *plaintext* data fields (reseals re-randomise
@@ -51,8 +53,13 @@
 //! The failure model it is tested against lives in `stegfs-blockdev`'s
 //! `FaultDevice`: deterministic seeded bit flips, zeroed blocks and torn
 //! ranged/scalar writes.
+//!
+//! `unsafe` is denied crate-wide and allowed in exactly one leaf module (the
+//! AVX2 multiply-accumulate kernel, `gf256/avx2.rs`), where every block is a
+//! `core::arch` intrinsic call guarded by runtime feature detection or an
+//! unaligned load/store whose bounds the module's safe entry point checks.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;

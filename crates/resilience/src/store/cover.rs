@@ -126,11 +126,14 @@ impl<D: BlockDevice> ResilientStore<D> {
         Ok(touched)
     }
 
-    /// Dummy-update `victim` as the block playing `role` in `state`: reseal
-    /// it under the key that role implies, MAC-verifying content and parity
-    /// on the way (a mismatch becomes a journaled stripe repair instead).
-    /// Returns `false`, with nothing read or written, if the role no longer
-    /// holds under the file's lock.
+    /// Dummy-update `victim` as the block playing `role` in `state`: one
+    /// read, one write, whatever the role. The block is opened under the key
+    /// the role implies and that same plaintext sealed back under a fresh IV
+    /// — the bytes and the IV draw of a reseal; in between, a content block
+    /// or parity row is MAC-verified against its record (a mismatch becomes a
+    /// journaled stripe repair instead), which is why the plaintext is in
+    /// hand at all. Returns `false`, with nothing read or written, if the
+    /// role no longer holds under the file's lock.
     fn dummy_update_owned(
         &self,
         victim: BlockId,
@@ -144,8 +147,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             return Ok(false);
         }
         let (key, striped) = g.sealing(role);
+        self.read_field(victim, &key, scratch, field)?;
         if let Some((expected, stripe)) = striped {
-            self.read_field(victim, &key, scratch, field)?;
             if g.keys.mac16(field) != expected.mac {
                 // Scrub-on-cover-traffic: the dummy update found silent
                 // corruption; heal the stripe. Nothing is read again — the
@@ -156,7 +159,10 @@ impl<D: BlockDevice> ResilientStore<D> {
                 return Ok(true);
             }
         }
-        self.fs.reseal_block(victim, &key)?;
+        let codec = self.fs.codec();
+        self.fs.with_rng(|rng| codec.lay_out(scratch, field, rng))?;
+        codec.seal_blocks_in_place(&key, scratch)?;
+        self.fs.device().write_block(victim, scratch)?;
         Ok(true)
     }
 }

@@ -29,6 +29,11 @@ pub(super) struct FileState {
     pub(super) shadow_key: Key256,
     /// Check keys of the shadow file's content key.
     pub(super) shadow_keys: ChecksumKeys,
+    /// The check of every shadow block as the last write plan left it — the
+    /// next plan's shadow pre-images, so it does not encode and MAC the map
+    /// it is about to replace. `None` whenever anything else wrote the
+    /// shadow last ([`ResilientStore::rewrite_shadow`]) or nothing has yet.
+    pub(super) shadow_checks: Option<Vec<BlockCheck>>,
 }
 
 /// `file`'s content key and the check keys derived from it. Every managed
@@ -61,6 +66,7 @@ impl FileState {
             keys,
             shadow_key,
             shadow_keys,
+            shadow_checks: None,
         })
     }
 

@@ -423,8 +423,10 @@ impl<D: BlockDevice> ResilientStore<D> {
         let mut iv = [0u8; 16];
         self.fs.with_rng(|rng| rng.fill_bytes(&mut iv));
         let cbc = CbcCipher::new(Aes256::new(self.payload_key.as_bytes()));
+        // Invariant: the `resize` above made `padded` a whole number of
+        // 16-byte cipher blocks, the one thing CBC can refuse.
         cbc.encrypt_in_place(&iv, &mut padded)
-            .expect("padded to block size");
+            .expect("a whole number of cipher blocks");
         Writer::new()
             .bytes(&iv)
             .u32(plain.len() as u32)

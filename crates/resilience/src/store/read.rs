@@ -57,7 +57,9 @@ impl<D: BlockDevice> ResilientStore<D> {
 
     /// Read every content block of `g`, in index order, straight into `out`
     /// (one data field per block), check all fields' fast hashes together and
-    /// return the indices that fail.
+    /// return the indices that fail. The whole-file read is [`Self::read_file`]'s
+    /// alone: an update reads only the blocks it rewrites
+    /// ([`Self::healed_read`]).
     pub(super) fn read_fields(
         &self,
         g: &FileState,
@@ -76,13 +78,14 @@ impl<D: BlockDevice> ResilientStore<D> {
             .collect())
     }
 
-    /// Read one content block's plaintext into `field` for a delta update,
-    /// healing its stripe first when the fast check says the stored bytes are
-    /// stale or torn (a delta against corrupt bytes would poison every parity
-    /// row). Either way `field` comes back verified against the stripe map's
-    /// record for `index` — by its fast check, or after a heal by the full
-    /// recomputed check — which is what `write_batch_locked` relies on to
-    /// record that check as the block's pre-image without a MAC.
+    /// Read one content block's plaintext into `field` for a delta update —
+    /// the one pre-read of a block `write_block` or `write_file` is about to
+    /// rewrite — healing its stripe first when the fast check says the stored
+    /// bytes are stale or torn (a delta against corrupt bytes would poison
+    /// every parity row). Either way `field` comes back verified against the
+    /// stripe map's record for `index` — by its fast check, or after a heal
+    /// by the full recomputed check — which is what `write_batch_locked`
+    /// relies on to record that check as the block's pre-image without a MAC.
     pub(super) fn healed_read(
         &self,
         g: &mut FileState,
@@ -116,9 +119,12 @@ impl<D: BlockDevice> ResilientStore<D> {
         failed: &[Role],
         fields: impl Iterator<Item = &'f mut [u8]>,
     ) -> Result<(), ResilienceError> {
+        // Invariant: `failed` holds `Role::Content` and `Role::Parity` only —
+        // the two roles a recorded check can fail for, and the only ones the
+        // three callers build — so `sealing` has a record for each.
         let recorded = |g: &FileState, role| {
             let (_, striped) = g.sealing(role);
-            striped.expect("only striped shards carry a check to fail")
+            striped.expect("a failed check belongs to a content block or parity row")
         };
         let unrecoverable = |g: &FileState, stripes| ResilienceError::Unrecoverable {
             path: g.open.path.clone(),
@@ -136,7 +142,12 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         for (&role, field) in failed.iter().zip(fields) {
-            let loc = g.shard_location(role).expect("a repaired shard has a home");
+            // Invariant: `recorded` has indexed the stripe map with `role`
+            // above, so it names a shard of this file, and a repair re-homes
+            // a shard, never drops it.
+            let loc = g
+                .shard_location(role)
+                .expect("a shard with a record has a location");
             self.read_field(loc, &g.content_key, &mut scratch, field)?;
             let (check, stripe) = recorded(g, role);
             if g.keys.check(field) != check {

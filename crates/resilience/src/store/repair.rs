@@ -11,7 +11,7 @@ use stegfs_base::{BlockClass, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::Key256;
 
-use super::file::{FileState, Role};
+use super::file::FileState;
 use super::ResilientStore;
 use crate::codec::ErasureCodec;
 use crate::error::ResilienceError;
@@ -103,12 +103,14 @@ impl StripeView {
         if codec.reconstruct(&mut slots, per).is_err() {
             return Err(Lost(erased.into_iter().map(|(_, loc)| loc).collect()));
         }
+        // Invariant: `reconstruct` returned `Ok`, whose contract is that every
+        // slot is `Some` afterwards; each erased slot is taken once.
         Ok(erased
             .into_iter()
             .map(|(slot, location)| Rebuilt {
                 slot,
                 location,
-                shard: slots[slot].take().expect("reconstructed"),
+                shard: slots[slot].take().expect("reconstruct fills every slot"),
             })
             .collect())
     }
@@ -245,12 +247,19 @@ impl<D: BlockDevice> ResilientStore<D> {
             let mut g = state.write();
             let content_key = g.content_key;
 
-            // Every striped location of this file with the shard it holds,
-            // sorted by physical position so the sweep can coalesce
-            // contiguous runs into ranged reads.
-            let mut sites = g.owned_blocks();
-            sites.retain(|&(_, role)| g.sealing(role).1.is_some());
-            sites.sort_by_key(|&(loc, _)| loc);
+            // Every striped location of this file with the MAC recorded for
+            // the shard it holds and that shard's stripe, sorted by physical
+            // position so the sweep can coalesce contiguous runs into ranged
+            // reads.
+            let mut sites: Vec<(BlockId, [u8; 16], u64)> = g
+                .owned_blocks()
+                .into_iter()
+                .filter_map(|(loc, role)| {
+                    let (recorded, stripe) = g.sealing(role).1?;
+                    Some((loc, recorded.mac, stripe))
+                })
+                .collect();
+            sites.sort_by_key(|&(loc, ..)| loc);
 
             // Runs are read in order into one batch buffer; a full batch
             // (and the last one) is opened where it lies and its fields are
@@ -258,24 +267,23 @@ impl<D: BlockDevice> ResilientStore<D> {
             // long, too short to fill the hash lanes on their own.
             let block_size = self.fs.codec().block_size();
             let mut degraded: BTreeSet<u64> = BTreeSet::new();
-            let mut verify =
-                |batch: &[(BlockId, Role)], buf: &mut [u8]| -> Result<(), ResilienceError> {
-                    self.fs.codec().open_in_place(&content_key, buf)?;
-                    let fields: Vec<&[u8]> = buf
-                        .chunks_exact(block_size)
-                        .map(|physical| &physical[IV_SIZE..])
-                        .collect();
-                    let mut macs = vec![[0u8; 16]; fields.len()];
-                    g.keys.mac16_many(&fields, &mut macs);
-                    for (&(_, role), mac) in batch.iter().zip(macs) {
-                        let (_, striped) = g.sealing(role);
-                        let (recorded, stripe) = striped.expect("the sweep keeps striped roles");
-                        if mac != recorded.mac {
-                            degraded.insert(stripe);
-                        }
+            let mut verify = |batch: &[(BlockId, [u8; 16], u64)],
+                              buf: &mut [u8]|
+             -> Result<(), ResilienceError> {
+                self.fs.codec().open_in_place(&content_key, buf)?;
+                let fields: Vec<&[u8]> = buf
+                    .chunks_exact(block_size)
+                    .map(|physical| &physical[IV_SIZE..])
+                    .collect();
+                let mut macs = vec![[0u8; 16]; fields.len()];
+                g.keys.mac16_many(&fields, &mut macs);
+                for (&(_, recorded, stripe), mac) in batch.iter().zip(macs) {
+                    if mac != recorded {
+                        degraded.insert(stripe);
                     }
-                    Ok(())
-                };
+                }
+                Ok(())
+            };
             let mut buf = vec![0u8; SCRUB_BATCH.min(sites.len()) * block_size];
             // `sites[batch..start]` are read into `buf` and not yet verified.
             let mut batch = 0;

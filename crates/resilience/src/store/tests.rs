@@ -1,7 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
-use stegfs_blockdev::{FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
+use stegfs_blockdev::{CrashDevice, FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
 use stegfs_crypto::HashDrbg;
 
 use super::file::Role;
@@ -356,7 +356,9 @@ fn corrupt_parity_row_is_healed_before_a_delta_folds_into_it() {
 }
 
 #[test]
-fn write_file_heals_the_one_corrupt_block_its_batched_pre_read_finds() {
+fn write_file_heals_the_corrupt_block_among_those_it_changes() {
+    // A changed block is read, so it is verified: the corrupt one among
+    // them is healed before its delta is taken, like `write_block`'s.
     let store = fresh_store();
     let per = store.fs().content_bytes_per_block();
     let data = content(64 * per - 100);
@@ -377,6 +379,185 @@ fn write_file_heals_the_one_corrupt_block_its_batched_pre_read_finds() {
     assert_ne!(block_of(&store, "/a", 37), victim);
     assert_eq!(store.read_file("/a").unwrap(), updated);
     assert_eq!(store.stats().read_check_failures, 0);
+    assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn write_block_refuses_more_than_a_data_field_with_a_typed_error() {
+    let store = fresh_store();
+    store.create_file("/a", &content(2000)).unwrap();
+    let per = store.fs().content_bytes_per_block();
+    assert_eq!(
+        store.write_block("/a", 1, &vec![0u8; per + 1]),
+        Err(ResilienceError::BlockTooLarge {
+            len: per + 1,
+            capacity: per
+        })
+    );
+    store.write_block("/a", 1, &vec![0u8; per]).unwrap();
+}
+
+/// A store over a device that logs every block read.
+fn read_logged_store() -> (ResilientStore<impl BlockDevice>, Arc<Mutex<Vec<BlockId>>>) {
+    let reads: Arc<Mutex<Vec<BlockId>>> = Arc::default();
+    let log = reads.clone();
+    let device = Layered::with_hook(MemDevice::new(512, 512), move |_: &MemDevice, io: Io| {
+        if io.kind == IoKind::Read {
+            log.lock().extend(io.block_ids());
+        }
+        Ok(())
+    });
+    let store = ResilientStore::format(device, cfg(), &master(), 7).unwrap();
+    (store, reads)
+}
+
+#[test]
+fn write_file_reads_only_the_blocks_it_rewrites() {
+    let (store, reads) = read_logged_store();
+    let per = store.fs().content_bytes_per_block();
+    let data = content(12 * per - 100);
+    store.create_file("/a", &data).unwrap();
+
+    // The same content again: the stripe map answers for every block.
+    reads.lock().clear();
+    store.write_file("/a", &data).unwrap();
+    assert!(reads.lock().is_empty(), "identical content read the device");
+
+    // Block 5 rots on the device. A rewrite that changes its stripe-mate 4
+    // and block 9 leaves it alone: not read, not in the intent, not healed.
+    let victim = block_of(&store, "/a", 5);
+    store.fs.device().write_block(victim, &[0u8; 512]).unwrap();
+    let mut updated = data;
+    for i in [4, 9] {
+        updated[i * per + 3] ^= 0xff;
+    }
+    store.write_file("/a", &updated).unwrap();
+    let layout = store.stripe_layout("/a").unwrap();
+    let mut expected = vec![layout[1][0], layout[2][1]];
+    expected.extend([layout[1][4], layout[1][5], layout[2][4], layout[2][5]]);
+    assert_eq!(
+        *reads.lock(),
+        expected,
+        "the blocks, then their stripes' rows"
+    );
+    let indices: Vec<u64> = last_write_batch(&store, "/a")
+        .iter()
+        .map(|e| e.index)
+        .filter(|&i| i < SHADOW_ENTRY_BASE)
+        .collect();
+    assert_eq!(indices, [4, 9]);
+    assert_eq!(store.stats().blocks_repaired, 0);
+    assert_eq!(block_of(&store, "/a", 5), victim);
+
+    // The next read of the file finds it and heals it — from parity rows
+    // that took block 4's delta in the meantime.
+    assert_eq!(store.read_file("/a").unwrap(), updated);
+    assert_eq!(store.stats().blocks_repaired, 1);
+    assert_ne!(block_of(&store, "/a", 5), victim);
+    assert!(store.scrub().unwrap().is_clean());
+}
+
+#[test]
+fn write_file_takes_a_fast_hash_collision_for_the_change_it_is() {
+    // New content whose block 3 differs from the stored one and has the
+    // same fast hash — a real collision, since a record edited so that its
+    // two halves disagree is one `healed_read` rightly refuses. The fast
+    // hash only nominates a block as unchanged; the MAC decides.
+    let store = fresh_store();
+    let per = store.fs().content_bytes_per_block();
+    let data = content(8 * per);
+    store.create_file("/a", &data).unwrap();
+    let mut updated = data.clone();
+    let colliding = {
+        let state = store.file_state("/a").unwrap();
+        let g = state.read();
+        let colliding = g.keys.fast_collision(&data[3 * per..4 * per]);
+        assert_eq!(g.keys.fast(&colliding), g.stripes.data_check(3).fast);
+        colliding
+    };
+    updated[3 * per..4 * per].copy_from_slice(&colliding);
+    assert_ne!(updated, data);
+
+    store.write_file("/a", &updated).unwrap();
+    assert_eq!(last_write_batch(&store, "/a")[0].index, 3);
+    assert_eq!(store.read_file("/a").unwrap(), updated);
+    assert_eq!(store.stats().read_check_failures, 0);
+    assert!(store.scrub().unwrap().is_clean());
+}
+
+/// The check of every shadow block of `path` as the device holds it.
+fn shadow_checks_on_device(
+    store: &ResilientStore<impl BlockDevice>,
+    path: &str,
+) -> Vec<BlockCheck> {
+    let state = store.file_state(path).unwrap();
+    let g = state.read();
+    let blocks = g.shadow.header.blocks.iter();
+    blocks
+        .map(|&loc| {
+            g.shadow_keys
+                .check(&store.open_block(loc, &g.shadow_key).unwrap())
+        })
+        .collect()
+}
+
+/// `write_block` on `path`, asserting that the shadow entries of its intent
+/// record what the device held before (pre) and holds after (post).
+fn write_block_checking_shadow_entries(
+    store: &ResilientStore<impl BlockDevice>,
+    path: &str,
+    index: u64,
+    fill: u8,
+) {
+    let before = shadow_checks_on_device(store, path);
+    store.write_block(path, index, &[fill; 300]).unwrap();
+    let entries = last_write_batch(store, path);
+    let shadow: Vec<&BlockWriteIntent> = entries
+        .iter()
+        .filter(|e| e.index >= SHADOW_ENTRY_BASE)
+        .collect();
+    let pre: Vec<BlockCheck> = shadow.iter().map(|e| e.data_pre).collect();
+    let post: Vec<BlockCheck> = shadow.iter().map(|e| e.data_post).collect();
+    assert_eq!(pre, before, "shadow pre-images");
+    assert_eq!(
+        post,
+        shadow_checks_on_device(store, path),
+        "shadow post-images"
+    );
+}
+
+#[test]
+fn shadow_pre_images_follow_a_repair_and_a_recovery_between_two_updates() {
+    let device = CrashDevice::new(MemDevice::new(512, 4096));
+    let store = ResilientStore::format(device, ResilienceConfig::default(), &master(), 7).unwrap();
+    let per = store.fs().content_bytes_per_block();
+    store.create_file("/a", &content(12 * per - 300)).unwrap();
+
+    // Computed the first time, taken from the previous plan the second.
+    write_block_checking_shadow_entries(&store, "/a", 5, 0x11);
+    write_block_checking_shadow_entries(&store, "/a", 6, 0x22);
+
+    // A repair re-homes a parity row, so the shadow it rewrites differs
+    // from the one the last plan left: that plan's checks must be gone.
+    let row = store.stripe_layout("/a").unwrap()[1][4];
+    let zeros = vec![0u8; 4096];
+    store.fs.device().inner().write_block(row, &zeros).unwrap();
+    assert_eq!(store.scrub().unwrap().blocks_repaired, 1);
+    write_block_checking_shadow_entries(&store, "/a", 5, 0x33);
+    write_block_checking_shadow_entries(&store, "/a", 2, 0x44);
+
+    // A power cut after the intent pair, the data block and one parity
+    // row; recovery resolves the stripe and rewrites the shadow.
+    store.fs.device().reset_counters();
+    store.fs.device().arm_cut(4);
+    store.write_block("/a", 9, &[0x55; 300]).unwrap();
+    assert!(store.fs.device().power_is_cut());
+    let device = store.into_device();
+    device.disarm();
+    let store = ResilientStore::open(device, ResilienceConfig::default(), &master(), 8).unwrap();
+    assert_eq!(store.last_recovery().recovered(), 1);
+    write_block_checking_shadow_entries(&store, "/a", 9, 0x66);
+    write_block_checking_shadow_entries(&store, "/a", 9, 0x77);
     assert!(store.scrub().unwrap().is_clean());
 }
 

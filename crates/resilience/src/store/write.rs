@@ -22,6 +22,31 @@ fn record_post(map: &mut StripeMap, entry: &BlockWriteIntent) {
     }
 }
 
+/// The indices whose recorded check is not that of the field `new_fields`
+/// holds for them: which blocks a rewrite changes, asked of the stripe map
+/// and not of the device. A fast hash that differs from the record settles
+/// it — changed; the multiply-xor hash is not collision-resistant, so one
+/// that matches only nominates the block as unchanged, and the recorded MAC
+/// has the last word.
+fn changed_blocks(g: &FileState, new_fields: &[&[u8]]) -> Vec<u64> {
+    let mut fast = vec![0u64; new_fields.len()];
+    g.keys.fast_many(new_fields, &mut fast);
+    let recorded = |i: usize| g.stripes.data_check(i as u64);
+    let nominated: Vec<usize> = (0..new_fields.len())
+        .filter(|&i| fast[i] == recorded(i).fast)
+        .collect();
+    let fields: Vec<&[u8]> = nominated.iter().map(|&i| new_fields[i]).collect();
+    let mut macs = vec![[0u8; 16]; fields.len()];
+    g.keys.mac16_many(&fields, &mut macs);
+    let mut changed = vec![true; new_fields.len()];
+    for (i, mac) in nominated.into_iter().zip(macs) {
+        changed[i] = mac != recorded(i).mac;
+    }
+    (0..new_fields.len() as u64)
+        .filter(|&i| changed[i as usize])
+        .collect()
+}
+
 impl<D: BlockDevice> ResilientStore<D> {
     /// Overwrite one content block, folding the plaintext delta into every
     /// parity shard of the stripe (`p' = p ⊕ C[i][j]·(old ⊕ new)`) instead of
@@ -36,10 +61,10 @@ impl<D: BlockDevice> ResilientStore<D> {
         let mut g = state.write();
         let per = self.fs.content_bytes_per_block();
         if data.len() > per {
-            return Err(ResilienceError::Fs(stegfs_base::FsError::Cipher(format!(
-                "block write of {} bytes exceeds data field of {per}",
-                data.len()
-            ))));
+            return Err(ResilienceError::BlockTooLarge {
+                len: data.len(),
+                capacity: per,
+            });
         }
         let mut old = vec![0u8; per];
         self.healed_read(&mut g, index, &mut old)?;
@@ -54,12 +79,14 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// the stripe-map shadow lands once at the end — so the journal and
     /// shadow costs amortise over every block of the chunk.
     ///
-    /// Contract: every `old_field` has been verified by the caller against
-    /// the stripe map's record for its index ([`Self::healed_read`],
-    /// [`Self::read_fields`]). The plan therefore records that check as the
+    /// Contract: every `old_field` has been read through
+    /// [`Self::healed_read`], which verifies it against the stripe map's
+    /// record for its index. The plan therefore records that check as the
     /// block's pre-image instead of MACing the same bytes again, as it does
-    /// for parity rows whose fast check passed ([`Self::read_parity_rows`]);
-    /// debug builds recompute every check so taken and assert it equal.
+    /// for parity rows whose fast check passed ([`Self::read_parity_rows`])
+    /// and for the shadow blocks the previous plan wrote
+    /// (`FileState::shadow_checks`); debug builds recompute every check so
+    /// taken and assert it equal.
     fn write_batch_locked(
         &self,
         path: &str,
@@ -137,25 +164,35 @@ impl<D: BlockDevice> ResilientStore<D> {
             // the intent: pre = the map as it stands, post = the map with
             // every planned check applied. Parity-less — the shadow is not
             // striped; recovery re-derives it from the resolved frontier and
-            // uses these checks to verify the on-disk copy.
-            if shadow_tail > 0 {
+            // uses these checks to verify the on-disk copy. The post fields
+            // are the bytes the rewrite below then writes, and their checks
+            // the next plan's pre-images.
+            let shadow_post = if shadow_tail > 0 {
                 let mut post_map = g.stripes.clone();
                 for e in &entries {
                     record_post(&mut post_map, e);
                 }
-                let pre_fields = self.shadow_fields(&g.stripes);
-                let post_fields = self.shadow_fields(&post_map);
-                for (i, (pre, post)) in pre_fields.iter().zip(&post_fields).enumerate() {
-                    let checks = g.shadow_keys.check_many(&[pre, post]);
+                let pre = match g.shadow_checks.take() {
+                    Some(checks) => {
+                        debug_assert_eq!(checks, self.shadow_image(g, &g.stripes).1);
+                        checks
+                    }
+                    None => self.shadow_image(g, &g.stripes).1,
+                };
+                let (fields, post) = self.shadow_image(g, &post_map);
+                for (i, (pre, post)) in pre.iter().zip(&post).enumerate() {
                     entries.push(BlockWriteIntent {
                         index: SHADOW_ENTRY_BASE + i as u64,
                         data_location: g.shadow.header.blocks[i],
-                        data_pre: checks[0],
-                        data_post: checks[1],
+                        data_pre: *pre,
+                        data_post: *post,
                         parity: Vec::new(),
                     });
                 }
-            }
+                Some((fields, post))
+            } else {
+                None
+            };
 
             // Write-ahead intent: every pre/post check the recovery pass
             // needs to classify each affected block as old or new, sealed
@@ -188,7 +225,13 @@ impl<D: BlockDevice> ResilientStore<D> {
                 })?;
                 record_post(&mut g.stripes, entry);
             }
-            self.rewrite_shadow(g)?;
+            match shadow_post {
+                Some((fields, checks)) => {
+                    self.write_shadow_fields(g, &fields)?;
+                    g.shadow_checks = Some(checks);
+                }
+                None => self.rewrite_shadow(g)?,
+            }
         }
         Ok(())
     }
@@ -233,10 +276,12 @@ impl<D: BlockDevice> ResilientStore<D> {
     }
 
     /// Rewrite a whole file in place through the delta-parity path: only
-    /// blocks whose content actually changed are touched, the whole change
-    /// set journaled as one (or, past the record capacity, a few) ordered
-    /// `WriteBatch` intent(s). The new content must occupy the same number
-    /// of blocks (striped files do not resize in place).
+    /// blocks whose content actually changed are touched — read, verified
+    /// and written; a block the stripe map's MAC says is unchanged costs no
+    /// device request, so identical content costs none at all — the whole
+    /// change set journaled as one (or, past the record capacity, a few)
+    /// ordered `WriteBatch` intent(s). The new content must occupy the same
+    /// number of blocks (striped files do not resize in place).
     pub fn write_file(&self, path: &str, content: &[u8]) -> Result<(), ResilienceError> {
         let state = self.file_state(path)?;
         let mut g = state.write();
@@ -248,23 +293,23 @@ impl<D: BlockDevice> ResilientStore<D> {
                 "rewrite of {path} needs {new_blocks} blocks but the file has {num}"
             )));
         }
-        // Pre-read every block in index order and check them together; only
-        // a block that fails goes through the healing read.
-        let mut old = vec![0u8; num as usize * per];
-        for i in self.read_fields(&g, &mut old)? {
-            let field = &mut old[i as usize * per..][..per];
-            self.healed_read(&mut g, i, field)?;
-        }
         // Only the last block can be short of a full data field.
         let tail_start = (num as usize - 1) * per;
         let tail = padded(&content[tail_start..], per);
-        let changes: Vec<(u64, &[u8], &[u8])> = (0..num)
-            .filter_map(|i| {
-                let start = i as usize * per;
-                let new_field = content.get(start..start + per).unwrap_or(&tail);
-                let old_field = &old[start..start + per];
-                (old_field != new_field).then_some((i, old_field, new_field))
-            })
+        let new_fields: Vec<&[u8]> = (0..num as usize)
+            .map(|i| content.get(i * per..(i + 1) * per).unwrap_or(&tail))
+            .collect();
+        // Only a block that changes is read: verified against its record —
+        // healed first where it fails — so that its delta is a true one.
+        let indices = changed_blocks(&g, &new_fields);
+        let mut old = vec![0u8; indices.len() * per];
+        for (&i, field) in indices.iter().zip(old.chunks_exact_mut(per)) {
+            self.healed_read(&mut g, i, field)?;
+        }
+        let changes: Vec<(u64, &[u8], &[u8])> = indices
+            .iter()
+            .zip(old.chunks_exact(per))
+            .map(|(&i, old_field)| (i, old_field, new_fields[i as usize]))
             .collect();
         self.write_batch_locked(path, &mut g, &changes)?;
         if g.open.header.file_size != content.len() as u64 {
@@ -285,16 +330,36 @@ impl<D: BlockDevice> ResilientStore<D> {
             .collect()
     }
 
-    /// Persist the in-memory stripe map into the shadow file, in place. The
-    /// encoded length is fixed for a given shape, so the shadow's geometry
-    /// never changes.
-    pub(super) fn rewrite_shadow(&self, g: &mut FileState) -> Result<(), ResilienceError> {
-        let encoded = g.stripes.encode();
-        let per = self.fs.content_bytes_per_block();
-        for (i, chunk) in encoded.chunks(per).enumerate() {
+    /// [`Self::shadow_fields`] of `map` with the check of each.
+    fn shadow_image(&self, g: &FileState, map: &StripeMap) -> (Vec<Vec<u8>>, Vec<BlockCheck>) {
+        let fields = self.shadow_fields(map);
+        let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
+        let checks = g.shadow_keys.check_many(&refs);
+        (fields, checks)
+    }
+
+    /// Seal `fields` into the shadow file's blocks, in place and in order.
+    /// The encoded length is fixed for a given shape, so the shadow's
+    /// geometry never changes.
+    fn write_shadow_fields(
+        &self,
+        g: &mut FileState,
+        fields: &[Vec<u8>],
+    ) -> Result<(), ResilienceError> {
+        for (i, field) in fields.iter().enumerate() {
             self.fs
-                .write_content_block(&mut g.shadow, i as u64, chunk)?;
+                .write_content_block(&mut g.shadow, i as u64, field)?;
         }
         Ok(())
+    }
+
+    /// Persist the in-memory stripe map into the shadow file. For everything
+    /// but the write plan, which hands [`Self::write_shadow_fields`] the
+    /// fields it has already checked: the checks it left behind describe the
+    /// shadow no longer and are dropped.
+    pub(super) fn rewrite_shadow(&self, g: &mut FileState) -> Result<(), ResilienceError> {
+        g.shadow_checks = None;
+        let fields = self.shadow_fields(&g.stripes);
+        self.write_shadow_fields(g, &fields)
     }
 }

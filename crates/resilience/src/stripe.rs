@@ -368,6 +368,27 @@ impl StripeMap {
 }
 
 #[cfg(test)]
+impl ChecksumKeys {
+    /// A buffer that differs from `data` (16 bytes or more) in its first two
+    /// lanes and has the same [`Self::fast`] hash — what "not
+    /// collision-resistant against an adversary who knows the key" looks
+    /// like: flip a bit of the first lane, then pick the second so that the
+    /// chain ([`Self::fast_lanes`]' `step`) is back where it was.
+    pub(crate) fn fast_collision(&self, data: &[u8]) -> Vec<u8> {
+        const M: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |h: u64, v: u64| (h ^ v).wrapping_mul(M).rotate_left(29) ^ self.s1;
+        let lane = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
+        let start = self.s0 ^ (data.len() as u64).wrapping_mul(M);
+        let flipped = lane(0) ^ 1;
+        let steered = lane(8) ^ step(start, lane(0)) ^ step(start, flipped);
+        let mut out = data.to_vec();
+        out[..8].copy_from_slice(&flipped.to_le_bytes());
+        out[8..16].copy_from_slice(&steered.to_le_bytes());
+        out
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

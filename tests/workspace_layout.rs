@@ -216,6 +216,54 @@ fn resilient_store_states_each_decision_once() {
     );
 }
 
+/// `stegfs_resilience` follows the crypto crate's `unsafe` policy: denied
+/// crate-wide, allowed on one leaf module — the AVX2 multiply-accumulate
+/// kernel — whose every block says why it is sound. A second file that needs
+/// `unsafe` is a second place to audit; it goes through this list first.
+#[test]
+fn resilience_keeps_unsafe_in_the_one_kernel_file() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/resilience/src");
+    let mut files = Vec::new();
+    rust_files_under(&src, &mut files);
+    let (mut holders, mut allows) = (BTreeSet::new(), Vec::new());
+    for file in &files {
+        let name = file.strip_prefix(&src).unwrap().display().to_string();
+        let source = std::fs::read_to_string(file).unwrap();
+        let lines: Vec<&str> = source.lines().map(str::trim_start).collect();
+        for (at, line) in lines.iter().enumerate() {
+            if line.starts_with("//") {
+                continue;
+            }
+            if line.contains("allow(unsafe_code)") {
+                allows.push((name.clone(), lines[at + 1].to_string()));
+            }
+            let uses = ["unsafe {", "unsafe fn", "unsafe impl", "unsafe extern"];
+            if !uses.iter().any(|spelling| line.contains(spelling)) {
+                continue;
+            }
+            holders.insert(name.clone());
+            if line.contains("unsafe {") {
+                let justified = lines[at.saturating_sub(4)..at]
+                    .iter()
+                    .any(|above| above.starts_with("// SAFETY:"));
+                assert!(justified, "{name}:{}: no `// SAFETY:` above", at + 1);
+            }
+        }
+    }
+    assert_eq!(holders, BTreeSet::from(["gf256/avx2.rs".to_string()]));
+    assert_eq!(
+        allows,
+        [("gf256.rs".to_string(), "mod avx2;".to_string())],
+        "`#[allow(unsafe_code)]` sits on the kernel module alone"
+    );
+    let crate_doc = std::fs::read_to_string(src.join("lib.rs")).unwrap();
+    assert!(crate_doc.contains("#![deny(unsafe_code)]"));
+    assert!(
+        crate_doc.contains("`unsafe` is denied crate-wide and allowed in exactly one leaf module"),
+        "the crate doc states the policy"
+    );
+}
+
 /// Byte order and bounds live in `stegfs_base::wire` only: every on-disk
 /// codec of the three storage crates goes through it. Outside it, non-test
 /// source may not convert integers to or from bytes by hand, except in the
