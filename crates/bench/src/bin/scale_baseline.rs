@@ -4,7 +4,7 @@
 //! The scenario the registry tier exists for: a registered population far
 //! larger than the active set (10⁵ users in full mode), Zipf-skewed
 //! activity, and login/logout storms, all against a volume whose registry
-//! lives on disk in uniformly placed sealed shard segments. Metric groups:
+//! is one resilient hidden file of one-block shards. Metric groups:
 //!
 //! 1. **Bulk registration.** Throughput of registering the whole population
 //!    (shard-ordered, the bulk-load fast path) plus the final full
@@ -33,10 +33,11 @@ fn master() -> Key256 {
     Key256::from_passphrase("scale baseline")
 }
 
-fn store_cfg() -> ResilienceConfig {
+fn store_cfg(max_resident: usize) -> ResilienceConfig {
     ResilienceConfig::default()
         .with_fs(StegFsConfig::default().with_block_size(BLOCK_SIZE))
         .with_stripe(2, 1)
+        .with_registry_resident(max_resident)
 }
 
 fn user_name(u: u64) -> String {
@@ -55,22 +56,21 @@ fn main() {
     let quick = quick_mode();
     let mut metrics: Vec<Metric> = Vec::new();
 
+    // A shard is one 4 KiB block: ≈ 123 records of 33 bytes. Full mode
+    // spreads 10⁵ users over enough shards that the keyed hash's largest
+    // shard still fits, and keeps ≈ 13 k records resident.
     let users: u64 = pick(100_000, 2_000);
-    let shards: u32 = pick(256, 32);
-    let max_resident: usize = pick(32, 8);
+    let shards: u32 = pick(1_280, 32);
+    let max_resident: usize = pick(140, 8);
     let churn_ops: usize = pick(50_000, 2_000);
     let volume_blocks: u64 = pick(4096, 1024);
 
     // --- 1. Bulk registration, checkpoint, cold reopen. ---
     let device = MemDevice::new(volume_blocks, BLOCK_SIZE);
-    let store = ResilientStore::format(device, store_cfg(), &master(), 0x5ca1e).expect("format");
+    let store = ResilientStore::format(device, store_cfg(max_resident), &master(), 0x5ca1e)
+        .expect("format");
     store
-        .init_registry(
-            RegistryConfig::default()
-                .with_shards(shards)
-                .with_segment_blocks(4)
-                .with_max_resident(max_resident),
-        )
+        .init_registry(RegistryConfig { shards })
         .expect("init registry");
 
     // Shard-ordered bulk load: group the population by its keyed shard so
@@ -106,7 +106,8 @@ fn main() {
     let device = store.into_device();
 
     let t0 = std::time::Instant::now();
-    let store = ResilientStore::open(device, store_cfg(), &master(), 0x5ca1e).expect("reopen");
+    let store =
+        ResilientStore::open(device, store_cfg(max_resident), &master(), 0x5ca1e).expect("reopen");
     let reopen_secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert!(store.has_registry(), "reopen must rediscover the registry");
     assert_eq!(
@@ -119,7 +120,10 @@ fn main() {
         "registered_users",
         "users",
         users as f64,
-        format!("{shards} shards, 4 segment blocks, {max_resident} resident"),
+        format!(
+            "{shards} one-block shards (≈{} records each), {max_resident} resident",
+            users / shards as u64
+        ),
     ));
     metrics.push(Metric::new(
         "register_throughput",

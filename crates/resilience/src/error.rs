@@ -56,6 +56,16 @@ pub enum ResilienceError {
     /// none, or the anchor being opened names none. A durable volume is never
     /// run without crash consistency.
     NoJournal,
+    /// A registry shard's records outgrew the one block's data field that
+    /// holds the shard; nothing of the checkpoint was written.
+    ShardOverflow {
+        /// The shard that overflowed.
+        shard: u32,
+        /// Bytes its encoded records need.
+        needed: usize,
+        /// Bytes one data field can hold.
+        capacity: usize,
+    },
     /// A structurally invalid persisted structure (stripe map, FAK table).
     Corrupt(String),
     /// The named file is not registered in the store.
@@ -97,6 +107,14 @@ impl core::fmt::Display for ResilienceError {
                     "a resilient volume needs at least one intent-journal slot"
                 )
             }
+            ResilienceError::ShardOverflow {
+                shard,
+                needed,
+                capacity,
+            } => write!(
+                f,
+                "registry shard {shard} of {needed} bytes exceeds block capacity of {capacity} bytes"
+            ),
             ResilienceError::Corrupt(msg) => write!(f, "corrupt persisted structure: {msg}"),
             ResilienceError::UnknownFile(path) => write!(f, "unknown file: {path}"),
         }

@@ -84,7 +84,8 @@ const ENTRY_LEN: usize = 8 + 8 + 2 * BlockCheck::ENCODED_LEN + 1;
 const KIND_CREATE: u8 = 1;
 const KIND_WRITE_BATCH: u8 = 2;
 const KIND_REPAIR: u8 = 3;
-const KIND_REGISTRY_CHECKPOINT: u8 = 4;
+// Kind 4 belonged to a retired record; it decodes as no intent and is not
+// reused.
 
 /// Pre/post integrity checks and the location of one parity row touched by a
 /// journaled delta update.
@@ -138,16 +139,6 @@ pub enum IntentBody {
     },
     /// Re-verify and re-repair the whole file (idempotent redo marker).
     Repair,
-    /// A registry shard checkpoint is switching its live segment to the one
-    /// holding `generation`. Commit point is the shard's head-cell flip:
-    /// recovery keeps whichever segment the head cell names and randomises
-    /// the other, so a cut mid-checkpoint resolves to clean old-or-new.
-    RegistryCheckpoint {
-        /// Registry shard being checkpointed.
-        shard: u32,
-        /// Generation the new segment carries.
-        generation: u64,
-    },
 }
 
 /// One sealed journal record.
@@ -171,7 +162,6 @@ impl IntentRecord {
             IntentBody::Create => KIND_CREATE,
             IntentBody::WriteBatch { .. } => KIND_WRITE_BATCH,
             IntentBody::Repair => KIND_REPAIR,
-            IntentBody::RegistryCheckpoint { .. } => KIND_REGISTRY_CHECKPOINT,
         };
         let mut w = Writer::with_capacity(128);
         w.bytes(&MAGIC).u64(self.op_id).u8(kind).str16(&self.path);
@@ -189,9 +179,6 @@ impl IntentRecord {
                         p.post.write(&mut w);
                     }
                 }
-            }
-            IntentBody::RegistryCheckpoint { shard, generation } => {
-                w.u32(*shard).u64(*generation);
             }
             IntentBody::Create | IntentBody::Repair => {}
         }
@@ -241,10 +228,6 @@ impl IntentRecord {
                 }
                 IntentBody::WriteBatch { entries }
             }
-            KIND_REGISTRY_CHECKPOINT => IntentBody::RegistryCheckpoint {
-                shard: r.u32()?,
-                generation: r.u64()?,
-            },
             _ => {
                 return Err(WireError {
                     what: "intent kind",
@@ -525,14 +508,6 @@ mod tests {
                 path: "/b".into(),
                 body: IntentBody::Repair,
             },
-            IntentRecord {
-                op_id: 3,
-                path: "/.registry".into(),
-                body: IntentBody::RegistryCheckpoint {
-                    shard: 11,
-                    generation: 0x0102_0304_0506_0708,
-                },
-            },
             sample_write_record(),
         ] {
             let plain = record.encode(&mac);
@@ -640,10 +615,6 @@ mod tests {
         const GOLDEN_REPAIR: &[u8] = b"\
             \x53\x4a\x49\x4e\x54\x01\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\x03\x05\x00\x2f\
             \x62\x2f\xc3\xbc\xf6\x17\xae\x63\x48\x25\xd5\xf2\x6e\x04\xd7\x5e\x47\x72\x54\xa7";
-        const GOLDEN_CHECKPOINT: &[u8] = b"\
-            \x53\x4a\x49\x4e\x54\x01\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x0a\x00\x2f\
-            \x2e\x72\x65\x67\x69\x73\x74\x72\x79\x0b\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\
-            \x01\xe3\x43\xae\x8b\xe5\xe1\x3e\xb7\xce\xf8\x08\xe6\x32\x52\x8c\x45";
         const GOLDEN_WRITE_BATCH: &[u8] = b"\
             \x53\x4a\x49\x4e\x54\x01\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00\x02\x08\x00\x2f\
             \x64\x62\x2f\x6d\x61\x69\x6e\x02\x00\x07\x00\x00\x00\x00\x00\x00\x00\x37\x01\x00\
@@ -684,17 +655,6 @@ mod tests {
             (
                 record(0x0102_0304_0506_0708, "/b/ü", IntentBody::Repair),
                 GOLDEN_REPAIR,
-            ),
-            (
-                record(
-                    3,
-                    "/.registry",
-                    IntentBody::RegistryCheckpoint {
-                        shard: 11,
-                        generation: 0x0102_0304_0506_0708,
-                    },
-                ),
-                GOLDEN_CHECKPOINT,
             ),
             (
                 record(

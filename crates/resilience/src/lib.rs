@@ -47,8 +47,9 @@
 //!   what is free; the owner index only supplies keys.* A victim some managed
 //!   file owns is resealed under that file's key, a victim the block map
 //!   classes `Dummy` is re-randomised, and every other block — anchor
-//!   replicas, journal slots, registry cells and segments, an allocation not
-//!   yet adopted by a file — is left alone.
+//!   replicas, journal slots, an allocation not yet adopted by a file — is
+//!   left alone. The persistent sharded registry is one such managed file,
+//!   one shard per content block.
 //!
 //! The failure model it is tested against lives in `stegfs-blockdev`'s
 //! `FaultDevice`: deterministic seeded bit flips, zeroed blocks and torn
@@ -66,7 +67,6 @@ mod codec;
 mod error;
 pub mod gf256;
 mod journal;
-mod scale;
 mod stats;
 mod store;
 mod stripe;
@@ -77,15 +77,13 @@ pub use error::ResilienceError;
 pub use journal::{
     BlockWriteIntent, IntentBody, IntentJournal, IntentRecord, ParityIntent, SHADOW_ENTRY_BASE,
 };
-/// The registry's sealed-structure codecs, for the hostile-input suite
+pub use stats::{RecoveryReport, ResilienceStats, ScrubReport, SharedResilienceStats};
+/// The registry's record codec, for the hostile-input suite
 /// (`tests/hostile_decoders.rs`) only.
 #[doc(hidden)]
-pub use scale::{
-    decode_geometry, decode_head, decode_records, decode_segment_block, encode_head,
-    encode_records, encode_segment_block,
+pub use store::{decode_records, encode_records};
+pub use store::{
+    RegistryConfig, RegistryStats, ResilienceConfig, ResilientStore, ScrubCursor, REGISTRY_PATH,
 };
-pub use scale::{RegistryConfig, RegistryStats, REGISTRY_PATH};
-pub use stats::{RecoveryReport, ResilienceStats, ScrubReport, SharedResilienceStats};
-pub use store::{ResilienceConfig, ResilientStore, ScrubCursor};
 pub use stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeConfig, StripeMap, FAST_LANES};
 pub use superblock::VolumeAnchor;

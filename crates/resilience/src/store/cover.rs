@@ -5,8 +5,8 @@
 //! the owner index supplies the key of a victim some managed file holds, and
 //! for every other victim the *block map* decides — `Dummy` is free space and
 //! is randomised, anything else is somebody's (an anchor replica, a journal
-//! slot, a registry cell, a block an allocation has claimed for a file or a
-//! repair that has not entered the index yet) and is left alone.
+//! slot, a block an allocation has claimed for a file or a repair that has
+//! not entered the index yet) and is left alone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

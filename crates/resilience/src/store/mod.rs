@@ -46,6 +46,7 @@ mod cover;
 mod file;
 mod read;
 mod recover;
+mod registry;
 mod repair;
 mod write;
 
@@ -64,14 +65,16 @@ use stegfs_crypto::{Aes256, CbcCipher, Key256};
 use crate::codec::ErasureCodec;
 use crate::error::ResilienceError;
 use crate::journal::{IntentBody, IntentGuard, IntentJournal};
-use crate::scale::RegistryState;
 use crate::stats::{RecoveryReport, ResilienceStats, SharedResilienceStats};
 use crate::stripe::{StripeConfig, StripeMap};
 use crate::superblock::VolumeAnchor;
 
 pub use cover::ScrubCursor;
 use file::{FileState, OwnerIndex};
-pub(crate) use recover::Recovered;
+use registry::RegistryState;
+#[doc(hidden)]
+pub use registry::{decode_records, encode_records};
+pub use registry::{RegistryConfig, RegistryStats, REGISTRY_PATH};
 
 /// `chunk` as a whole data field of `per` bytes, zero-padded — what sealing
 /// a short chunk stores.
@@ -94,6 +97,10 @@ pub struct ResilienceConfig {
     /// occupies *two* uniformly claimed blocks (a replicated pair, so a lost
     /// slot block cannot orphan an in-flight intent).
     pub journal_slots: usize,
+    /// Most registry shards kept resident at once; past it the oldest
+    /// resident shard is checkpointed (when dirty) and dropped. A runtime
+    /// setting: nothing of it is persisted.
+    pub registry_resident_shards: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -102,6 +109,7 @@ impl Default for ResilienceConfig {
             stripe: StripeConfig::new(4, 2),
             fs: StegFsConfig::default(),
             journal_slots: 4,
+            registry_resident_shards: 4,
         }
     }
 }
@@ -124,14 +132,20 @@ impl ResilienceConfig {
         self.journal_slots = slots;
         self
     }
+
+    /// Override the resident registry shard bound.
+    pub fn with_registry_resident(mut self, shards: usize) -> Self {
+        self.registry_resident_shards = shards;
+        self
+    }
 }
 /// A store of erasure-coded hidden files over a block device.
 pub struct ResilientStore<D> {
-    pub(crate) fs: StegFs<D>,
-    pub(crate) map: ShardedBlockMap,
+    fs: StegFs<D>,
+    map: ShardedBlockMap,
     codec: ErasureCodec,
     stripe_cfg: StripeConfig,
-    pub(crate) master: Key256,
+    master: Key256,
     anchor_key: Key256,
     payload_key: Key256,
     /// Anchor generation counter; bumped on every FAK-table change.
@@ -142,9 +156,11 @@ pub struct ResilientStore<D> {
     /// Block → owning file and role, for every block of every file in
     /// `files`. Never locked while a file's lock is being waited for.
     index: RwLock<OwnerIndex>,
-    pub(crate) journal: IntentJournal,
+    journal: IntentJournal,
     /// The persistent sharded registry, when the volume carries one.
-    pub(crate) registry: RwLock<Option<RegistryState>>,
+    registry: RwLock<Option<RegistryState>>,
+    /// [`ResilienceConfig::registry_resident_shards`].
+    registry_resident: usize,
     /// Outcome of the journal-recovery pass run by [`ResilientStore::open`].
     recovery: Mutex<RecoveryReport>,
     stats: Arc<SharedResilienceStats>,
@@ -224,13 +240,9 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
             store.adopt(path, state);
         }
-        // Load the persistent registry geometry (if the volume carries one)
-        // before journal recovery: a `RegistryCheckpoint` intent needs the
-        // shard geometry to resolve. The geometry file is written exactly
-        // once at `init_registry`, so reading it pre-recovery is safe.
-        store.load_registry()?;
         let report = store.recover_journal()?;
         *store.recovery.lock() = report;
+        store.load_registry()?;
         Ok(store)
     }
 
@@ -253,6 +265,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             files: RwLock::new(BTreeMap::new()),
             journal: IntentJournal::new(master, journal_slots),
             registry: RwLock::new(None),
+            registry_resident: cfg.registry_resident_shards,
             recovery: Mutex::new(RecoveryReport::default()),
             stats: Arc::new(SharedResilienceStats::default()),
             fs,
@@ -317,16 +330,12 @@ impl<D: BlockDevice> ResilientStore<D> {
     // ----- sealed blocks and intents -----------------------------------
 
     /// The plaintext data field of the block at `loc`, sealed under `key`.
-    pub(crate) fn open_block(
-        &self,
-        loc: BlockId,
-        key: &Key256,
-    ) -> Result<Vec<u8>, stegfs_base::FsError> {
+    fn open_block(&self, loc: BlockId, key: &Key256) -> Result<Vec<u8>, stegfs_base::FsError> {
         self.fs.codec().read_sealed(self.fs.device(), loc, key)
     }
 
     /// Seal `field` under `key` and a fresh IV into the block at `loc`.
-    pub(crate) fn seal_block(
+    fn seal_block(
         &self,
         loc: BlockId,
         key: &Key256,

@@ -14,7 +14,7 @@ use crate::stripe::{BlockCheck, StripeMap};
 
 /// Outcome of recovering one intent record.
 #[derive(PartialEq, Eq)]
-pub(crate) enum Recovered {
+enum Recovered {
     /// The operation was completed forward (its new state made durable).
     Forward,
     /// The operation was undone (the old state restored).
@@ -69,9 +69,6 @@ impl<D: BlockDevice> ResilientStore<D> {
                 IntentBody::Create => self.recover_create(&path)?,
                 IntentBody::WriteBatch { entries } => self.recover_write_batch(&path, &entries)?,
                 IntentBody::Repair => self.recover_repair(&path)?,
-                IntentBody::RegistryCheckpoint { shard, generation } => {
-                    self.recover_registry_checkpoint(shard, generation)?
-                }
             };
             match outcome {
                 Recovered::Forward => report.rolled_forward += 1,

@@ -57,19 +57,39 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// device write, so a power cut leaves the stripe recoverable to exactly
     /// the old or the new content — never a mix.
     pub fn write_block(&self, path: &str, index: u64, data: &[u8]) -> Result<(), ResilienceError> {
+        self.write_blocks(path, &[(index, data)])
+    }
+
+    /// [`Self::write_block`] of every `(index, data)` pair as one batch of
+    /// the write plan, so the journal and shadow costs amortise over them.
+    /// Indices ascend and are distinct: each block's delta is taken against
+    /// its content before the batch.
+    pub(super) fn write_blocks(
+        &self,
+        path: &str,
+        blocks: &[(u64, &[u8])],
+    ) -> Result<(), ResilienceError> {
         let state = self.file_state(path)?;
         let mut g = state.write();
         let per = self.fs.content_bytes_per_block();
-        if data.len() > per {
+        if let Some(&(_, data)) = blocks.iter().find(|(_, data)| data.len() > per) {
             return Err(ResilienceError::BlockTooLarge {
                 len: data.len(),
                 capacity: per,
             });
         }
-        let mut old = vec![0u8; per];
-        self.healed_read(&mut g, index, &mut old)?;
-        let new_field = padded(data, per);
-        self.write_batch_locked(path, &mut g, &[(index, &old, &new_field)])
+        let mut old = vec![0u8; blocks.len() * per];
+        for (&(index, _), field) in blocks.iter().zip(old.chunks_exact_mut(per)) {
+            self.healed_read(&mut g, index, field)?;
+        }
+        let new_fields: Vec<Vec<u8>> = blocks.iter().map(|&(_, data)| padded(data, per)).collect();
+        let changes: Vec<(u64, &[u8], &[u8])> = blocks
+            .iter()
+            .zip(old.chunks_exact(per))
+            .zip(&new_fields)
+            .map(|((&(index, _), old), new)| (index, old, new.as_slice()))
+            .collect();
+        self.write_batch_locked(path, &mut g, &changes)
     }
 
     /// Apply an ordered list of `(index, old_field, new_field)` delta

@@ -6,10 +6,10 @@
 //! Two halves of the scale tier in one walkthrough:
 //!
 //! 1. A `ResilientStore` grows a persistent registry — shard-partitioned by
-//!    a keyed hash, sealed into uniformly placed segment blocks that read as
-//!    free space, checkpointed through the deniable intent journal — and
-//!    serves a churn of lookups with memory bounded by the *active* users,
-//!    not the registered population.
+//!    a keyed hash into one hidden file of one-block shards, checkpointed
+//!    through the same journaled, parity-protected write path as any file —
+//!    and serves a churn of lookups with memory bounded by the *active*
+//!    users, not the registered population.
 //! 2. A provisioned volume is served by `ConcurrentVolatileAgent`
 //!    (Construction 2): sessions log in, disclose
 //!    their files, update through the relocate-on-write path, and log out —
@@ -23,18 +23,15 @@ fn main() {
     let master = Key256::from_passphrase("operator master key");
     let store = ResilientStore::format(
         MemDevice::new(4096, 4096),
-        ResilienceConfig::default().with_stripe(2, 1),
+        ResilienceConfig::default()
+            .with_stripe(2, 1)
+            .with_registry_resident(8),
         &master,
         0x5ca1e,
     )
     .expect("format volume");
     store
-        .init_registry(
-            RegistryConfig::default()
-                .with_shards(64)
-                .with_segment_blocks(4)
-                .with_max_resident(8),
-        )
+        .init_registry(RegistryConfig { shards: 256 })
         .expect("init registry");
 
     let users = 20_000u64;

@@ -368,18 +368,12 @@ fn shadow_map_rewrite_cuts_leave_a_consistent_stripe_map() {
 #[test]
 fn registry_checkpoint_is_old_or_new_at_every_cut() {
     // Tentpole crash row: a power cut anywhere inside a registry checkpoint
-    // (intent slots, segment blocks, head-cell flip) must resolve, per
-    // shard, to exactly the pre-checkpoint or post-checkpoint record set.
+    // (intent slots, shard blocks, parity rows, shadow stripe map) must
+    // resolve, per shard, to exactly the pre-checkpoint or post-checkpoint
+    // record set.
     let (image, keep) = baseline();
     let (dev, store) = open_clone(&image);
-    store
-        .init_registry(
-            RegistryConfig::default()
-                .with_shards(4)
-                .with_segment_blocks(2)
-                .with_max_resident(8),
-        )
-        .unwrap();
+    store.init_registry(RegistryConfig { shards: 4 }).unwrap();
     let users: Vec<String> = (0..10).map(|i| format!("user-{i}")).collect();
     for u in &users {
         store.registry_put(u, b"old-state").unwrap();

@@ -337,14 +337,15 @@ fn single_thread_decomposed_store_is_trace_identical_to_direct_calls() {
 // ---------------------------------------------------------------------------
 // Persistent registry: reopening the sharded registry from disk must be
 // behaviour- AND trace-identical to the session that built it in RAM. The
-// registry's lazy shard loads, checkpoint slot choices and segment placement
-// all consume persisted state only — nothing in the reopened store may
-// depend on in-memory residue of the building session.
+// registry's lazy shard loads, checkpoint slot choices and the blocks its
+// batches write all consume persisted state only — nothing in the reopened
+// store may depend on in-memory residue of the building session.
 
 fn registry_det_cfg() -> ResilienceConfig {
     ResilienceConfig::default()
         .with_fs(StegFsConfig::default().with_block_size(512))
         .with_stripe(2, 1)
+        .with_registry_resident(2)
 }
 
 /// A deterministic single-threaded registry workload: interleaved lookups,
@@ -383,14 +384,7 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let master = Key256::from_passphrase("registry determinism");
     let store_a =
         ResilientStore::format(Arc::clone(&dev_a), registry_det_cfg(), &master, 0xd373).unwrap();
-    store_a
-        .init_registry(
-            RegistryConfig::default()
-                .with_shards(4)
-                .with_segment_blocks(2)
-                .with_max_resident(2),
-        )
-        .unwrap();
+    store_a.init_registry(RegistryConfig { shards: 4 }).unwrap();
     for i in 0..12u64 {
         store_a
             .registry_put(&format!("det-reg-{i}"), format!("seed-{i}").as_bytes())

@@ -12,7 +12,7 @@
 //! back it before anything is allocated for it (`wire::Reader::count`).
 //!
 //! Run in debug *and* `--release`: overflow checks differ, which is how an
-//! overflowing size product once hid in the registry geometry decoder.
+//! overflowing size product once hid in a since-retired registry decoder.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +23,7 @@ use stegfs_repro::oblivious::{
     decode_item, encode_item_into, HashIndexRegion, ObliviousStore, SortRecord,
 };
 use stegfs_repro::resilience::{
-    decode_geometry, decode_head, decode_records, decode_segment_block, encode_head,
-    encode_records, encode_segment_block, BlockCheck, BlockWriteIntent, IntentBody, IntentRecord,
+    decode_records, encode_records, BlockCheck, BlockWriteIntent, IntentBody, IntentRecord,
     ParityEntry, ParityIntent, ResilientStore, StripeConfig, StripeMap, VolumeAnchor,
 };
 use stegfs_repro::stegfs::dir::{DirEntry, EntryKind, HiddenDirectory};
@@ -137,22 +136,6 @@ fn cases() -> Vec<Case> {
     );
 
     // ----- stegfs_resilience: unauthenticated bodies ----------------------
-    plain(
-        "registry geometry",
-        {
-            let mut w = Writer::new();
-            w.bytes(b"RGEO0001").u32(3).u32(2).u32(4);
-            for block in 0..3 * (1 + 2 * 2) {
-                w.u64(1000 + block);
-            }
-            w.finish()
-        },
-        Box::new(|bytes| {
-            let (cfg, shards) = decode_geometry(bytes).ok()?;
-            Some(shards.len() * (1 + 2 * cfg.segment_blocks as usize))
-        }),
-    );
-
     let mut records = BTreeMap::new();
     records.insert("alice".to_string(), vec![1; 40]);
     records.insert("bob".to_string(), vec![]);
@@ -304,14 +287,6 @@ fn cases() -> Vec<Case> {
                 .collect(),
         },
     };
-    let checkpoint = IntentRecord {
-        op_id: 43,
-        path: "/.registry".to_string(),
-        body: IntentBody::RegistryCheckpoint {
-            shard: 3,
-            generation: 9,
-        },
-    };
     let decode_intent = |bytes: &[u8]| {
         let record = IntentRecord::decode(bytes, &mac())?;
         Some(match record.body {
@@ -325,23 +300,6 @@ fn cases() -> Vec<Case> {
         "write-batch intent",
         batch.encode(&mac()),
         Box::new(decode_intent),
-    );
-    framed(
-        "checkpoint intent",
-        checkpoint.encode(&mac()),
-        Box::new(decode_intent),
-    );
-    framed(
-        "registry head cell",
-        encode_head(&mac(), 3, 1, 77, 12),
-        Box::new(|bytes| decode_head(&mac(), 3, bytes).map(|_| 1)),
-    );
-    framed(
-        "registry segment block",
-        encode_segment_block(&mac(), 3, 77, 1, 2, &[0xab; 90]),
-        Box::new(|bytes| {
-            decode_segment_block(&mac(), 3, bytes).map(|(_, _, _, chunk)| chunk.len())
-        }),
     );
     let epoch_master = Key256::from_passphrase("epoch master");
     let epoch_mac = HmacSha256::new(epoch_master.derive("oblivious:epoch-mac").as_bytes());
@@ -492,6 +450,28 @@ fn retagged_absurd_bodies_never_panic() {
             feed(&case, &retag(&absurd), &|| format!("re-tagged {what}"));
         }
     }
+}
+
+/// An authentic record of intent kind 4 — the retired registry checkpoint,
+/// which a volume written before the registry became an ordinary file can
+/// still hold in a journal slot — is no intent, not a panic.
+#[test]
+fn retired_intent_kind_decodes_to_no_intent() {
+    let retired = Writer::new()
+        .bytes(b"SJINT\x01\0\0")
+        .u64(43)
+        .u8(4)
+        .str16("/.registry")
+        .u32(3)
+        .u64(9)
+        .finish_tagged(&mac());
+    let case = Case {
+        name: "retired intent kind",
+        valid: retired.clone(),
+        decode: Box::new(|bytes| IntentRecord::decode(bytes, &mac()).map(|_| 1)),
+        frame: None,
+    };
+    assert_eq!(feed(&case, &retired, &|| "kind 4".to_string()), None);
 }
 
 /// An anchor that authenticates — written by someone holding the master key,
