@@ -10,7 +10,11 @@
 //! That distinction — random versus sequential I/O — is the sole mechanism
 //! behind every curve in the paper's evaluation:
 //!
-//! * steganographic file systems scatter blocks, so they pay a seek per block;
+//! * steganographic file systems scatter blocks, so they pay a seek per
+//!   block: a full seek when a file is read in index order (the paper's
+//!   model; `StegFs::read_file` and the agents), a near seek for each short
+//!   forward gap when it is read as one ascending sweep
+//!   (`ResilientStore::read_file`);
 //! * CleanDisk/FragDisk read contiguous runs, so they mostly pay transfer
 //!   time — until concurrent users interleave their requests and destroy the
 //!   sequential runs (Figures 10(b) and 11(c));

@@ -160,6 +160,9 @@ impl ErasureCodec {
                 for (r, &row) in rows.iter().enumerate() {
                     let c = inverse[j][r];
                     if c != 0 {
+                        // Invariant: `rows` come from `present`, the slots
+                        // that held a shard on entry, and this loop fills
+                        // only missing data slots, so none of them is taken.
                         let src = shards[row].as_ref().expect("surviving shard");
                         MulTable::new(c).mul_xor_into(&mut out, src);
                     }
@@ -175,6 +178,8 @@ impl ErasureCodec {
             }
             let mut out = vec![0u8; shard_len];
             for (j, shard) in shards.iter().enumerate().take(self.k) {
+                // Invariant: a data slot held a shard on entry or is one of
+                // `missing_data`, which the block above has filled.
                 let src = shard.as_ref().expect("data shard reconstructed");
                 self.tables[i][j].mul_xor_into(&mut out, src);
             }
@@ -197,6 +202,9 @@ fn invert(mut matrix: Vec<Vec<u8>>, k: usize) -> Vec<Vec<u8>> {
         .collect();
     for col in 0..k {
         // Find a non-zero pivot at or below the diagonal.
+        // Invariant: the caller passes k distinct rows of the generator, and
+        // every k×k minor of identity-over-Cauchy is invertible (the module
+        // doc's MDS property), so elimination never runs out of pivots.
         let pivot = (col..k)
             .find(|&r| matrix[r][col] != 0)
             .expect("Cauchy submatrix must be invertible");

@@ -4,6 +4,8 @@ use stegfs_base::wire::WireError;
 use stegfs_base::FsError;
 use stegfs_blockdev::DeviceError;
 
+use crate::stripe::StripeConfig;
+
 /// Errors produced by the erasure codec, the replicated anchor and the
 /// resilient store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,6 +68,17 @@ pub enum ResilienceError {
         /// Bytes one data field can hold.
         capacity: usize,
     },
+    /// A file's stripe map was written under another striping shape than the
+    /// one the volume is being opened with; every stripe index of the store
+    /// would address the wrong rows.
+    StripeShapeMismatch {
+        /// Path of the file whose map disagrees.
+        path: String,
+        /// The shape its stripe map records.
+        stored: StripeConfig,
+        /// The shape [`crate::ResilienceConfig::stripe`] asked for.
+        configured: StripeConfig,
+    },
     /// A structurally invalid persisted structure (stripe map, FAK table).
     Corrupt(String),
     /// The named file is not registered in the store.
@@ -114,6 +127,15 @@ impl core::fmt::Display for ResilienceError {
             } => write!(
                 f,
                 "registry shard {shard} of {needed} bytes exceeds block capacity of {capacity} bytes"
+            ),
+            ResilienceError::StripeShapeMismatch {
+                path,
+                stored,
+                configured,
+            } => write!(
+                f,
+                "file {path} is striped as (k, m) = ({}, {}) but the volume was opened as ({}, {})",
+                stored.k, stored.m, configured.k, configured.m
             ),
             ResilienceError::Corrupt(msg) => write!(f, "corrupt persisted structure: {msg}"),
             ResilienceError::UnknownFile(path) => write!(f, "unknown file: {path}"),

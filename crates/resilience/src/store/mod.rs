@@ -195,7 +195,9 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// stale or corrupt replicas in place), mount the file system, reopen
     /// every file listed in the sealed FAK table together with its shadow
     /// stripe map, then run journal recovery — rolling every interrupted
-    /// mutation forward or back — before the volume is handed out.
+    /// mutation forward or back — before the volume is handed out. A stripe
+    /// map of another shape than `cfg.stripe` is refused with
+    /// [`ResilienceError::StripeShapeMismatch`].
     pub fn open(
         device: D,
         cfg: ResilienceConfig,
@@ -227,6 +229,13 @@ impl<D: BlockDevice> ResilientStore<D> {
             let shadow = store.fs.open_file(&shadow_fak, &Self::shadow_path(&path))?;
             let encoded = store.fs.read_file(&shadow)?;
             let stripes = StripeMap::decode(&encoded)?;
+            if stripes.config() != cfg.stripe {
+                return Err(ResilienceError::StripeShapeMismatch {
+                    path,
+                    stored: stripes.config(),
+                    configured: cfg.stripe,
+                });
+            }
             if stripes.num_data() != open.header.num_blocks() {
                 return Err(ResilienceError::Corrupt(format!(
                     "stripe map covers {} blocks but {path} has {}",

@@ -13,9 +13,10 @@ use crate::error::ResilienceError;
 
 impl<D: BlockDevice> ResilientStore<D> {
     /// Read a whole file, verifying the fast check of every block inline.
-    /// A check failure triggers stripe reconstruction; the call either
-    /// returns the file's true bytes or reports it unrecoverable — never
-    /// silently wrong data.
+    /// The blocks are read in one ascending sweep over the disk, not in the
+    /// file's index order. A check failure triggers stripe reconstruction;
+    /// the call either returns the file's true bytes or reports it
+    /// unrecoverable — never silently wrong data.
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, ResilienceError> {
         let state = self.file_state(path)?;
         let guard = state.read();
@@ -55,21 +56,43 @@ impl<D: BlockDevice> ResilientStore<D> {
             .read_sealed_into(self.fs.device(), loc, key, scratch, field)
     }
 
-    /// Read every content block of `g`, in index order, straight into `out`
-    /// (one data field per block), check all fields' fast hashes together and
-    /// return the indices that fail. The whole-file read is [`Self::read_file`]'s
-    /// alone: an update reads only the blocks it rewrites
-    /// ([`Self::healed_read`]).
+    /// Open the block at each of `locations` under `key` into the matching
+    /// entry of `fields`, issuing the reads in ascending block order. A
+    /// file's blocks are scattered uniformly over the volume, so in index
+    /// order every read is a full seek; in ascending order each one moves the
+    /// head forward, and a gap inside the disk model's near-seek window costs
+    /// a track-to-track seek instead. The requests stay scalar and their set
+    /// is unchanged: what a bus watcher learns is that set, not the file's
+    /// index → location map.
+    pub(super) fn read_ascending<F: AsMut<[u8]>>(
+        &self,
+        locations: &[BlockId],
+        key: &Key256,
+        fields: &mut [F],
+    ) -> Result<(), stegfs_base::FsError> {
+        debug_assert_eq!(locations.len(), fields.len(), "one field per block");
+        let mut order: Vec<usize> = (0..locations.len()).collect();
+        order.sort_unstable_by_key(|&i| locations[i]);
+        let mut scratch = vec![0u8; self.fs.codec().block_size()];
+        for i in order {
+            self.read_field(locations[i], key, &mut scratch, fields[i].as_mut())?;
+        }
+        Ok(())
+    }
+
+    /// Read every content block of `g` in one ascending sweep
+    /// ([`Self::read_ascending`]), each into its index's data field of `out`,
+    /// check all fields' fast hashes together and return the indices that
+    /// fail, ascending. The whole-file read is [`Self::read_file`]'s alone: an
+    /// update reads only the blocks it rewrites ([`Self::healed_read`]).
     pub(super) fn read_fields(
         &self,
         g: &FileState,
         out: &mut [u8],
     ) -> Result<Vec<u64>, ResilienceError> {
         let per = self.fs.content_bytes_per_block();
-        let mut scratch = vec![0u8; self.fs.codec().block_size()];
-        for (&loc, field) in g.open.header.blocks.iter().zip(out.chunks_exact_mut(per)) {
-            self.read_field(loc, &g.content_key, &mut scratch, field)?;
-        }
+        let mut fields: Vec<&mut [u8]> = out.chunks_exact_mut(per).collect();
+        self.read_ascending(&g.open.header.blocks, &g.content_key, &mut fields)?;
         let fields: Vec<&[u8]> = out.chunks_exact(per).collect();
         let mut hashes = vec![0u64; fields.len()];
         g.keys.fast_many(&fields, &mut hashes);

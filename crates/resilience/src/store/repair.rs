@@ -127,13 +127,17 @@ pub(super) struct StripeRepair {
 }
 
 impl<D: BlockDevice> ResilientStore<D> {
-    /// The data fields of the blocks at `locations`, read in that order.
+    /// The data fields of the blocks at `locations`, in that order — read in
+    /// ascending block order ([`Self::read_ascending`]).
     pub(super) fn read_shards(
         &self,
         locations: impl Iterator<Item = BlockId>,
         key: &Key256,
     ) -> Result<Vec<Vec<u8>>, stegfs_base::FsError> {
-        locations.map(|loc| self.open_block(loc, key)).collect()
+        let locations: Vec<BlockId> = locations.collect();
+        let mut fields = vec![vec![0u8; self.fs.content_bytes_per_block()]; locations.len()];
+        self.read_ascending(&locations, key, &mut fields)?;
+        Ok(fields)
     }
 
     /// Read `stripe`'s live data blocks, then its parity rows, and MAC the

@@ -1,6 +1,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
+use stegfs_blockdev::sim::{DiskModel, SimDevice};
 use stegfs_blockdev::{CrashDevice, FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
 use stegfs_crypto::HashDrbg;
 
@@ -434,11 +435,15 @@ fn write_file_reads_only_the_blocks_it_rewrites() {
     store.write_file("/a", &updated).unwrap();
     let layout = store.stripe_layout("/a").unwrap();
     let mut expected = vec![layout[1][0], layout[2][1]];
-    expected.extend([layout[1][4], layout[1][5], layout[2][4], layout[2][5]]);
+    for stripe in [1, 2] {
+        let mut rows = layout[stripe][4..].to_vec();
+        rows.sort_unstable();
+        expected.extend(rows);
+    }
     assert_eq!(
         *reads.lock(),
         expected,
-        "the blocks, then their stripes' rows"
+        "the blocks, then each stripe's rows in ascending order"
     );
     let indices: Vec<u64> = last_write_batch(&store, "/a")
         .iter()
@@ -455,6 +460,54 @@ fn write_file_reads_only_the_blocks_it_rewrites() {
     assert_eq!(store.stats().blocks_repaired, 1);
     assert_ne!(block_of(&store, "/a", 5), victim);
     assert!(store.scrub().unwrap().is_clean());
+}
+
+/// What `model` bills for reading `addresses` one scalar request each, in
+/// that order, from a head at an unknown position.
+fn scalar_bill(model: &DiskModel, addresses: &[BlockId], block_size: usize) -> u64 {
+    let mut head = None;
+    addresses
+        .iter()
+        .map(|&block| {
+            let us = model.service_time_us(head, block, block_size);
+            head = Some(block);
+            us
+        })
+        .sum()
+}
+
+#[test]
+fn read_file_is_billed_as_one_ascending_sweep() {
+    // 96 content blocks scattered over a 4 096-block volume: under the
+    // paper's disk model an index-order read is a random walk, an ascending
+    // one moves the head forward only.
+    const N: usize = 96;
+    let device = SimDevice::new(MemDevice::new(4096, 512));
+    let store = ResilientStore::format(device, cfg(), &master(), 7).unwrap();
+    let per = store.fs.content_bytes_per_block();
+    let data = content(N * per - 5);
+    store.create_file("/big", &data).unwrap();
+    let state = store.file_state("/big").unwrap();
+    let by_index = state.read().open.header.blocks.clone();
+    assert_eq!(by_index.len(), N);
+    let mut ascending = by_index.clone();
+    ascending.sort_unstable();
+
+    let sim = store.fs.device();
+    sim.clock().reset();
+    assert_eq!(store.read_file("/big").unwrap(), data);
+    let billed = sim.clock().now_us();
+
+    let (model, block_size) = (sim.model(), sim.block_size());
+    let sweep = scalar_bill(model, &ascending, block_size);
+    let index_order = scalar_bill(model, &by_index, block_size);
+    println!(
+        "read_file of {N} blocks over 4096: {billed} us simulated; ascending sweep {sweep} us, \
+         index order {index_order} us ({:.1} % less)",
+        100.0 * (index_order - sweep) as f64 / index_order as f64
+    );
+    assert_eq!(billed, sweep, "the clock bills exactly the ascending sweep");
+    assert!(sweep <= index_order, "{sweep} us > {index_order} us");
 }
 
 #[test]

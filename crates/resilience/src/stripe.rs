@@ -108,6 +108,7 @@ impl ChecksumKeys {
         let mac_key = key.derive("resilience:mac");
         let fast_key = key.derive("resilience:fast");
         let mut seeds = Reader::new(fast_key.as_bytes());
+        // Invariant: a `Key256` is 32 bytes and the two seeds take 16.
         let mut seed = || seeds.u64().expect("32-byte key") | 1;
         Self {
             hmac: HmacSha256::new(mac_key.as_bytes()),
@@ -198,7 +199,8 @@ impl ChecksumKeys {
         let whole = len - len % 8;
         for at in (0..whole).step_by(8) {
             for (h, buf) in h.iter_mut().zip(&bufs) {
-                let lane = buf[at..at + 8].try_into().expect("8-byte lane");
+                let mut lane = [0u8; 8];
+                lane.copy_from_slice(&buf[at..at + 8]);
                 *h = step(*h, u64::from_le_bytes(lane));
             }
         }

@@ -15,14 +15,18 @@
 //! | `write_block`          | 1 + m     | 2 journal + (1 + m) stripe + S other |
 //! | `write_file`           | c + m·s   | 2 journal + c(1 + m) stripe + S other |
 //! | `write_file`, same content | 0     | 0                                   |
-//! | `read_file`, n blocks  | n         | 0                                   |
+//! | `read_file`, n blocks  | n, ascending | 0                                |
 //! | cover update, owned victim of any role | 1 (the victim) | 1 (the victim) |
 //!
 //! The pre-reads are Plank's delta update — the block and its stripe's m
 //! parity rows — and nothing else. Two rows are about the attacker, not the
 //! bill: an update reads only blocks it then writes, so the read set tells
 //! whoever watches the bus nothing the write set does not; and the request
-//! sequence of `write_block` does not depend on how hot the block is.
+//! sequence of `write_block` does not depend on how hot the block is. The
+//! read row also fixes the order: one sweep in ascending block order, which
+//! under the disk model turns some of a scattered file's full seeks into
+//! near ones, and shows the bus the file's set of blocks but not which index
+//! lives where.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -170,16 +174,33 @@ fn every_operation_costs_what_the_model_says() {
     });
     assert_eq!(bill, Bill::default(), "unchanged write_file");
 
-    // read_file: each content block once, nothing else.
-    let (bill, read, _) = billed(&store, &log, "/a", || {
+    // read_file: each content block once, nothing else, in one ascending
+    // sweep over the disk.
+    let mut addresses: Vec<BlockId> = Vec::new();
+    let (bill, ..) = billed(&store, &log, "/a", || {
         assert_eq!(store.read_file("/a").unwrap(), data);
+        addresses = log.lock().unwrap().iter().map(|io| io.start).collect();
     });
     let model = Bill {
         stripe_reads: N,
         ..Bill::default()
     };
     assert_eq!(bill, model, "read_file");
-    assert_eq!(read.len(), N);
+    assert!(
+        addresses.windows(2).all(|w| w[0] < w[1]),
+        "read_file's addresses do not strictly ascend: {addresses:?}"
+    );
+    let mut content_blocks: Vec<BlockId> = store
+        .stripe_layout("/a")
+        .unwrap()
+        .iter()
+        .flat_map(|stripe| stripe[..stripe.len() - M].to_vec())
+        .collect();
+    content_blocks.sort_unstable();
+    assert_eq!(
+        addresses, content_blocks,
+        "read_file reads the content blocks"
+    );
 }
 
 #[test]

@@ -256,6 +256,44 @@ fn reopen_after_offline_damage_recovers_everything() {
     assert_eq!(store.read_file("/persist").unwrap(), data);
 }
 
+/// A volume reopened under another striping shape than the one its files
+/// were written with is refused at `open`, with an error naming the file and
+/// both shapes — never mounted to panic on the first write, whose stripe
+/// indices would address parity rows the file's map does not have. The
+/// refusal writes nothing: the right shape still opens the volume intact.
+#[test]
+fn reopen_under_another_stripe_shape_is_refused() {
+    let dev = Arc::new(FaultDevice::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE)));
+    let store = ResilientStore::format(Arc::clone(&dev), cfg(4, 1), &master(), 21).unwrap();
+    let per = store.fs().content_bytes_per_block();
+    let mut data = pattern(6 * per + 17, 0x5a9e);
+    store.create_file("/shaped", &data).unwrap();
+    drop(store);
+
+    for (k, m) in [(4, 2), (3, 1), (8, 1)] {
+        let refused = ResilientStore::open(Arc::clone(&dev), cfg(k, m), &master(), 22).err();
+        let expected = ResilienceError::StripeShapeMismatch {
+            path: "/shaped".to_string(),
+            stored: StripeConfig::new(4, 1),
+            configured: StripeConfig::new(k, m),
+        };
+        assert_eq!(refused.as_ref(), Some(&expected), "opened as ({k}, {m})");
+        let message = expected.to_string();
+        assert!(
+            message.contains("/shaped") && message.contains("(4, 1)"),
+            "{message}"
+        );
+        assert!(message.contains(&format!("({k}, {m})")), "{message}");
+    }
+
+    let store = ResilientStore::open(Arc::clone(&dev), cfg(4, 1), &master(), 23).unwrap();
+    store.write_block("/shaped", 5, &[0x11; 64]).unwrap();
+    data[5 * per..6 * per].fill(0);
+    data[5 * per..5 * per + 64].fill(0x11);
+    assert_eq!(store.read_file("/shaped").unwrap(), data);
+    assert!(store.scrub().unwrap().is_clean());
+}
+
 /// Dump a device's raw contents, skipping the public superblock/anchor
 /// replica locations. Those blocks are *known* plaintext metadata in both
 /// designs (an attacker can read the volume shape without any key); the

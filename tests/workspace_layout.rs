@@ -311,6 +311,47 @@ fn byte_order_and_bounds_live_in_the_wire_layer_only() {
     );
 }
 
+/// Production `.unwrap()` / `.expect(` sites in the library crates and the
+/// root crate, by a lines-before-`#[cfg(test)]` count (comment lines
+/// skipped). The bench crate — the figure bins and the harness they share,
+/// where a failed setup is a panic by design — is not counted. Each site
+/// left is a panic on a condition the code above it rules out, stated there
+/// as an `// Invariant:` or in the `expect` message; a failure correct use
+/// can meet is a typed error. The ratchet may come down, never up.
+const PRODUCTION_PANIC_SITES: usize = 32;
+
+#[test]
+fn production_unwrap_and_expect_sites_do_not_grow() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files_under(&root.join("src"), &mut files);
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = entry.unwrap().path();
+        if krate != bench_crate_dir() {
+            rust_files_under(&krate.join("src"), &mut files);
+        }
+    }
+    let mut sites = Vec::new();
+    for file in &files {
+        let name = file.strip_prefix(root).unwrap().display().to_string();
+        for (at, line) in production_lines(file).iter().enumerate() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            for _ in 0..line.matches(".unwrap()").count() + line.matches(".expect(").count() {
+                sites.push(format!("{name}:{}: {}", at + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        sites.len() <= PRODUCTION_PANIC_SITES,
+        "{} production unwrap/expect sites, past the ratchet of {PRODUCTION_PANIC_SITES}: \
+         return a typed error or state the invariant, don't add a site\n{}",
+        sites.len(),
+        sites.join("\n")
+    );
+}
+
 /// The quoted `BENCH_*.json` file names in `source`.
 fn report_names(source: &str) -> BTreeSet<String> {
     source
