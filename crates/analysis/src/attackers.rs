@@ -190,6 +190,7 @@ fn expected_repetition_rate(n: u64, m: u64) -> f64 {
 mod tests {
     use super::*;
     use stegfs_blockdev::IoKind;
+    use stegfs_crypto::HashDrbg;
 
     fn record(seq: u64, kind: IoKind, block: u64) -> IoRecord {
         IoRecord { seq, kind, block }
@@ -197,12 +198,11 @@ mod tests {
 
     #[test]
     fn uniform_updates_are_indistinguishable() {
-        use rand::{Rng, SeedableRng};
         let n = 100_000u64;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut rng = HashDrbg::from_u64(11);
         let mut attacker = UpdateAnalysisAttacker::new(n);
         for _ in 0..4000u64 {
-            attacker.observe_changed_block(rng.gen_range(0..n));
+            attacker.observe_changed_block(rng.gen_range(n));
         }
         let v = attacker.verdict(0.01);
         assert!(
@@ -217,10 +217,9 @@ mod tests {
         let n = 100_000u64;
         let mut attacker = UpdateAnalysisAttacker::new(n);
         // Dummy background...
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut rng = HashDrbg::from_u64(12);
         for _ in 0..2000u64 {
-            attacker.observe_changed_block(rng.gen_range(0..n));
+            attacker.observe_changed_block(rng.gen_range(n));
         }
         // ...plus a hot table repeatedly updated in place.
         for i in 0..2000u64 {
@@ -243,12 +242,11 @@ mod tests {
 
     #[test]
     fn random_traffic_is_indistinguishable() {
-        use rand::{Rng, SeedableRng};
         let n = 50_000u64;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut rng = HashDrbg::from_u64(13);
         let mut attacker = TrafficAnalysisAttacker::new(n);
         for i in 0..3000u64 {
-            attacker.observe(&record(i, IoKind::Read, rng.gen_range(0..n)));
+            attacker.observe(&record(i, IoKind::Read, rng.gen_range(n)));
         }
         let v = attacker.read_verdict(0.01);
         assert!(!v.distinguishable, "{v:?}");

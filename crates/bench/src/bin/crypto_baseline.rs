@@ -31,7 +31,7 @@ use stegfs_bench::harness::{pick, quick_mode, timed};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::MemDevice;
 use stegfs_crypto::{
-    backend, backend_name, reference, sha256_backend_name, sha256_many, Aes128, Aes256, Backend,
+    backend, backend_name, reference, sha256_backend_name, sha256_many, Aes256, Backend,
     BlockCipher, CbcCipher, HashDrbg, HmacSha256, Key256, Sha256, SHA_LANES,
 };
 
@@ -95,7 +95,6 @@ const CBC_LANES: [usize; 5] = [1, 2, 3, 4, 8];
 struct CipherSuite {
     aes256_enc: f64,
     aes256_dec: f64,
-    aes128_enc: f64,
     /// MB/s at each of [`CBC_LANES`].
     cbc_enc: [f64; CBC_LANES.len()],
     cbc_enc_generic: f64,
@@ -107,8 +106,6 @@ fn run_cipher_suite(key: &Key256) -> CipherSuite {
     let block_iters = pick(2_000_000u64, 100_000);
     let aes256 = Aes256::new(key.as_bytes());
     let (aes256_enc, aes256_dec) = single_block_mbps(&aes256, block_iters);
-    let aes128 = Aes128::from_slice(&key.as_bytes()[..16]).expect("16-byte key");
-    let (aes128_enc, _) = single_block_mbps(&aes128, block_iters);
 
     // CBC over the codec's 4080-byte data field, in place: `lanes`
     // independent chains a call, then one field decrypted.
@@ -152,7 +149,6 @@ fn run_cipher_suite(key: &Key256) -> CipherSuite {
     CipherSuite {
         aes256_enc,
         aes256_dec,
-        aes128_enc,
         cbc_enc,
         cbc_enc_generic,
         cbc_dec,
@@ -298,12 +294,6 @@ fn main() {
         active.aes256_dec,
         tag("single blocks"),
     ));
-    metrics.push(Metric::new(
-        "aes128_ecb_encrypt",
-        "MB/s",
-        active.aes128_enc,
-        tag("single blocks"),
-    ));
     push_cbc_rows(&mut metrics, &active, "", &label);
     metrics.push(Metric::new(
         "aes256_cbc_encrypt_generic",
@@ -377,12 +367,6 @@ fn main() {
         "aes256_ecb_decrypt_ttable",
         "MB/s",
         portable.aes256_dec,
-        "single blocks, forced portable".to_string(),
-    ));
-    metrics.push(Metric::new(
-        "aes128_ecb_encrypt_ttable",
-        "MB/s",
-        portable.aes128_enc,
         "single blocks, forced portable".to_string(),
     ));
     push_cbc_rows(&mut metrics, &portable, "_portable", "forced portable");

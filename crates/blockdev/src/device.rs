@@ -50,22 +50,6 @@ impl From<std::io::Error> for DeviceError {
     }
 }
 
-/// Static geometry of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceGeometry {
-    /// Number of blocks.
-    pub num_blocks: u64,
-    /// Block size in bytes.
-    pub block_size: usize,
-}
-
-impl DeviceGeometry {
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.num_blocks * self.block_size as u64
-    }
-}
-
 /// A fixed-geometry array of blocks — the "raw storage" of the paper's system
 /// model. All StegFS structures, the baselines and the oblivious storage are
 /// built on top of this trait, so any of them can run over memory, a file, a
@@ -122,14 +106,6 @@ pub trait BlockDevice: Send + Sync {
     /// Flush any caches to stable storage. Defaults to a no-op.
     fn sync(&self) -> Result<(), DeviceError> {
         Ok(())
-    }
-
-    /// Geometry of the device.
-    fn geometry(&self) -> DeviceGeometry {
-        DeviceGeometry {
-            num_blocks: self.num_blocks(),
-            block_size: self.block_size(),
-        }
     }
 
     /// Validate that `block` and `buf` are usable; helper for implementors.
@@ -290,15 +266,6 @@ mod tests {
     use super::*;
     use crate::MemDevice;
     use std::sync::Arc;
-
-    #[test]
-    fn geometry_capacity() {
-        let g = DeviceGeometry {
-            num_blocks: 1024,
-            block_size: 4096,
-        };
-        assert_eq!(g.capacity_bytes(), 4 * 1024 * 1024);
-    }
 
     #[test]
     fn arc_wrapper_delegates() {

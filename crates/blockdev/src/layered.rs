@@ -316,7 +316,6 @@ mod tests {
         let dev = wrap(recorder(&below));
 
         assert_eq!((dev.num_blocks(), dev.block_size()), (BLOCKS, BS), "{name}");
-        assert_eq!(dev.geometry(), dev.inner().geometry(), "{name}");
 
         // One request in, the same request out: a scalar call arrives as one
         // scalar call, a ranged call as one ranged call of the same length.

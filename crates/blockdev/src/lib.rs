@@ -68,7 +68,7 @@ mod trace;
 
 pub use counters::Counter;
 pub use crash::{clone_to_mem, CrashDevice, CrashHook, CrashPoint};
-pub use device::{BlockDevice, BlockDeviceExt, BlockId, DeviceError, DeviceGeometry, ScalarDevice};
+pub use device::{BlockDevice, BlockDeviceExt, BlockId, DeviceError, ScalarDevice};
 pub use fault::{FaultDevice, FaultHook, FaultKind, FaultPlan, FaultSite};
 pub use file::FileDevice;
 pub use layered::{Io, IoHook, IoKind, Layered};

@@ -46,6 +46,11 @@ use crate::error::AgentError;
 use crate::registry::{FileId, Registry};
 use crate::stats::SharedUpdateStats;
 
+/// Safety bound on the number of block-selection iterations in the Figure 6
+/// update loop. The expected number is `N/D` (Section 4.1.5), so the bound
+/// is only hit when the volume has essentially no dummy blocks left.
+const MAX_UPDATE_ITERATIONS: u32 = 100_000;
+
 /// What a data update ended up doing, as reported to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateOutcome {
@@ -385,7 +390,7 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
             (content_location(file, index)?, e.keying.content_key(file)?)
         };
 
-        for _ in 0..e.cfg.max_update_iterations {
+        for _ in 0..MAX_UPDATE_ITERATIONS {
             e.stats.iterations.inc();
             // With relocation disabled (the ablation: dummy-update stream
             // only, which the paper argues is insufficient) the "draw" always
@@ -448,7 +453,7 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
         }
 
         Err(AgentError::UpdateRetriesExhausted {
-            attempts: e.cfg.max_update_iterations,
+            attempts: MAX_UPDATE_ITERATIONS,
         })
     }
 

@@ -80,34 +80,10 @@ fn key_fold(mut a: __m128i, assist: __m128i) -> __m128i {
 }
 
 #[target_feature(enable = "aes,sse2")]
-fn expand128(key: &[u8; 16]) -> [__m128i; 11] {
-    let mut rk = [_mm_setzero_si128(); 11];
-    rk[0] = load_block(key);
-    macro_rules! step {
-        ($i:expr, $rcon:literal) => {
-            rk[$i] = key_fold(
-                rk[$i - 1],
-                _mm_shuffle_epi32(_mm_aeskeygenassist_si128(rk[$i - 1], $rcon), 0xff),
-            );
-        };
-    }
-    step!(1, 0x01);
-    step!(2, 0x02);
-    step!(3, 0x04);
-    step!(4, 0x08);
-    step!(5, 0x10);
-    step!(6, 0x20);
-    step!(7, 0x40);
-    step!(8, 0x80);
-    step!(9, 0x1b);
-    step!(10, 0x36);
-    rk
-}
-
-#[target_feature(enable = "aes,sse2")]
 fn expand256(key: &[u8; 32]) -> [__m128i; 15] {
     let (lo, hi) = key.split_at(16);
     let mut rk = [_mm_setzero_si128(); 15];
+    // Invariant: a 32-byte key splits at 16 into two 16-byte halves.
     rk[0] = load_block(lo.try_into().expect("split at 16"));
     rk[1] = load_block(hi.try_into().expect("split at 16"));
     // Even round keys use the rcon assist on the 0xff-shuffled word; the odd
@@ -384,35 +360,21 @@ pub(crate) struct AesNi<const R: usize> {
     dec: [__m128i; R],
 }
 
-pub(crate) type Aes128Ni = AesNi<11>;
 pub(crate) type Aes256Ni = AesNi<15>;
-
-impl Aes128Ni {
-    pub(crate) fn new(key: &[u8; 16]) -> Self {
-        assert_detected();
-        // SAFETY: `assert_detected` proved AES-NI support.
-        let enc = unsafe { expand128(key) };
-        Self::from_encryption_keys(enc)
-    }
-}
 
 impl Aes256Ni {
     pub(crate) fn new(key: &[u8; 32]) -> Self {
         assert_detected();
         // SAFETY: `assert_detected` proved AES-NI support.
-        let enc = unsafe { expand256(key) };
-        Self::from_encryption_keys(enc)
+        let (enc, dec) = unsafe {
+            let enc = expand256(key);
+            (enc, invert_schedule(&enc))
+        };
+        Self { enc, dec }
     }
 }
 
 impl<const R: usize> AesNi<R> {
-    /// Only called by the constructors, after `assert_detected`.
-    fn from_encryption_keys(enc: [__m128i; R]) -> Self {
-        // SAFETY: the constructors proved AES-NI support.
-        let dec = unsafe { invert_schedule(&enc) };
-        Self { enc, dec }
-    }
-
     /// The encryption round keys, for the wide kernels in [`super::vaes`].
     pub(super) fn encryption_keys(&self) -> &[__m128i; R] {
         &self.enc
@@ -495,25 +457,11 @@ mod tests {
         if !available() {
             return;
         }
-        // C.1 AES-128 and C.3 AES-256, both directions.
+        // C.3 AES-256, both directions.
         let plaintext: [u8; 16] = [
             0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
             0xee, 0xff,
         ];
-        let key128: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let c = Aes128Ni::new(&key128);
-        let mut block = plaintext;
-        c.encrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-                0xc5, 0x5a
-            ]
-        );
-        c.decrypt_block(&mut block);
-        assert_eq!(block, plaintext);
-
         let key256: [u8; 32] = core::array::from_fn(|i| i as u8);
         let c = Aes256Ni::new(&key256);
         let mut block = plaintext;

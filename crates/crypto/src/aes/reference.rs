@@ -12,9 +12,9 @@
 use super::{gf_mul, BlockCipher, AES_BLOCK_SIZE, INV_SBOX, RCON, SBOX};
 use crate::CryptoError;
 
-/// Key schedule shared by both key sizes: `nk` = key length in words,
-/// `nr` = number of rounds, producing `4 * (nr + 1)` words. Rejects keys whose
-/// length is not `4 * nk` bytes with a typed error instead of panicking.
+/// FIPS-197 `KeyExpansion`: `nk` = key length in words, `nr` = number of
+/// rounds, producing `4 * (nr + 1)` words. Rejects keys whose length is not
+/// `4 * nk` bytes with a typed error instead of panicking.
 fn expand_key(key: &[u8], nk: usize, nr: usize) -> Result<Vec<[u8; 4]>, CryptoError> {
     if key.len() != nk * 4 {
         return Err(CryptoError::BadKeyLength {
@@ -157,47 +157,6 @@ fn wipe_schedule(round_keys: &mut [[u8; 4]]) {
     core::hint::black_box(&*round_keys);
 }
 
-/// Byte-oriented AES with a 128-bit key (10 rounds).
-#[derive(Clone)]
-pub struct Aes128 {
-    round_keys: Vec<[u8; 4]>,
-}
-
-impl Aes128 {
-    /// Number of rounds for AES-128.
-    const ROUNDS: usize = 10;
-
-    /// Construct a cipher instance from a 16-byte key.
-    pub fn new(key: &[u8; 16]) -> Self {
-        Self {
-            round_keys: expand_key(key, 4, Self::ROUNDS).expect("16-byte key is always valid"),
-        }
-    }
-
-    /// Construct from a slice, rejecting wrong lengths with a typed error.
-    pub fn from_slice(key: &[u8]) -> Result<Self, CryptoError> {
-        Ok(Self {
-            round_keys: expand_key(key, 4, Self::ROUNDS)?,
-        })
-    }
-}
-
-impl Drop for Aes128 {
-    fn drop(&mut self) {
-        wipe_schedule(&mut self.round_keys);
-    }
-}
-
-impl BlockCipher for Aes128 {
-    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        encrypt_with_schedule(block, &self.round_keys, Self::ROUNDS);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        decrypt_with_schedule(block, &self.round_keys, Self::ROUNDS);
-    }
-}
-
 /// Byte-oriented AES with a 256-bit key (14 rounds).
 #[derive(Clone)]
 pub struct Aes256 {
@@ -210,6 +169,8 @@ impl Aes256 {
 
     /// Construct a cipher instance from a 32-byte key.
     pub fn new(key: &[u8; 32]) -> Self {
+        // Invariant: the key is 32 bytes by its type, the length
+        // `expand_key` checks for an 8-word key.
         Self {
             round_keys: expand_key(key, 8, Self::ROUNDS).expect("32-byte key is always valid"),
         }
@@ -244,29 +205,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aes128_fips197_vector() {
-        // FIPS-197 Appendix B.
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let plaintext: [u8; 16] = [
-            0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-            0x07, 0x34,
-        ];
-        let expected: [u8; 16] = [
-            0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
-            0x0b, 0x32,
-        ];
-        let cipher = Aes128::new(&key);
-        let mut block = plaintext;
-        cipher.encrypt_block(&mut block);
-        assert_eq!(block, expected);
-        cipher.decrypt_block(&mut block);
-        assert_eq!(block, plaintext);
-    }
-
-    #[test]
     fn aes256_fips197_appendix_c3() {
         // FIPS-197 Appendix C.3 example vectors.
         let key: [u8; 32] = [
@@ -292,15 +230,7 @@ mod tests {
 
     #[test]
     fn expand_key_rejects_wrong_lengths() {
-        assert!(expand_key(&[0u8; 16], 4, 10).is_ok());
         assert!(expand_key(&[0u8; 32], 8, 14).is_ok());
-        assert_eq!(
-            expand_key(&[0u8; 15], 4, 10).err(),
-            Some(CryptoError::BadKeyLength {
-                expected: 16,
-                got: 15
-            })
-        );
         assert_eq!(
             expand_key(&[0u8; 33], 8, 14).err(),
             Some(CryptoError::BadKeyLength {
@@ -308,7 +238,6 @@ mod tests {
                 got: 33
             })
         );
-        assert!(Aes128::from_slice(&[0u8; 24]).is_err());
         assert!(Aes256::from_slice(&[0u8; 24]).is_err());
     }
 }

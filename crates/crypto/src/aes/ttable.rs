@@ -7,9 +7,9 @@
 //! compile time, and the round keys live in fixed-size stack arrays, so
 //! constructing a cipher performs no heap allocation.
 //!
-//! This is the fallback behind the runtime-dispatched [`crate::Aes128`] /
-//! [`crate::Aes256`] wrappers: it compiles and runs on every architecture,
-//! while hosts with AES-NI get the [`super::aesni`] backend instead.
+//! This is the fallback behind the runtime-dispatched [`crate::Aes256`]
+//! wrapper: it compiles and runs on every architecture, while hosts with
+//! AES-NI get the [`super::aesni`] backend instead.
 
 use super::{
     BlockCipher, AES_BLOCK_SIZE, INV_SBOX, MUL11, MUL13, MUL14, MUL2, MUL3, MUL9, RCON, SBOX,
@@ -93,61 +93,63 @@ fn inv_mix_word(w: u32) -> u32 {
     ])
 }
 
-/// Expanded round keys for both directions, in fixed-size stack arrays
-/// (`W = 4 * (rounds + 1)` words). Construction never touches the heap.
+/// Key length in 32-bit words: an 8-word (256-bit) key.
+const KEY_WORDS: usize = 8;
+/// Rounds of AES-256.
+const ROUNDS: usize = 14;
+/// Round-key words a direction: four for each of the `ROUNDS + 1` keys.
+const SCHEDULE_WORDS: usize = 4 * (ROUNDS + 1);
+
+/// Expanded round keys for both directions, in fixed-size stack arrays.
+/// Construction never touches the heap.
 #[derive(Clone)]
-struct Schedule<const W: usize> {
-    enc: [u32; W],
-    dec: [u32; W],
+struct Schedule {
+    enc: [u32; SCHEDULE_WORDS],
+    dec: [u32; SCHEDULE_WORDS],
 }
 
-impl<const W: usize> Schedule<W> {
+impl Schedule {
     /// FIPS-197 key expansion into both directions' round keys. The key
     /// length is checked once here with a typed error; nothing downstream can
     /// panic on a short slice.
     fn expand(key: &[u8]) -> Result<Self, CryptoError> {
-        let nk = match W {
-            44 => 4, // AES-128: 4-word key, 10 rounds, 44 schedule words.
-            60 => 8, // AES-256: 8-word key, 14 rounds, 60 schedule words.
-            _ => unreachable!("unsupported schedule size"),
-        };
-        if key.len() != nk * 4 {
+        if key.len() != KEY_WORDS * 4 {
             return Err(CryptoError::BadKeyLength {
-                expected: nk * 4,
+                expected: KEY_WORDS * 4,
                 got: key.len(),
             });
         }
-        let rounds = W / 4 - 1;
-        let mut enc = [0u32; W];
+        let mut enc = [0u32; SCHEDULE_WORDS];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             enc[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        for i in nk..W {
+        for i in KEY_WORDS..SCHEDULE_WORDS {
             let mut temp = enc[i - 1];
-            if i % nk == 0 {
-                temp = sub_word(temp.rotate_left(8)) ^ ((RCON[i / nk - 1] as u32) << 24);
-            } else if nk > 6 && i % nk == 4 {
+            if i % KEY_WORDS == 0 {
+                temp = sub_word(temp.rotate_left(8)) ^ ((RCON[i / KEY_WORDS - 1] as u32) << 24);
+            } else if i % KEY_WORDS == 4 {
+                // The extra SubWord step of keys longer than six words.
                 temp = sub_word(temp);
             }
-            enc[i] = enc[i - nk] ^ temp;
+            enc[i] = enc[i - KEY_WORDS] ^ temp;
         }
 
         // Decryption schedule: round keys in reverse round order, with
         // InvMixColumns folded into every middle round.
-        let mut dec = [0u32; W];
-        for r in 0..=rounds {
+        let mut dec = [0u32; SCHEDULE_WORDS];
+        for r in 0..=ROUNDS {
             for c in 0..4 {
-                dec[4 * r + c] = enc[4 * (rounds - r) + c];
+                dec[4 * r + c] = enc[4 * (ROUNDS - r) + c];
             }
         }
-        for w in dec[4..4 * rounds].iter_mut() {
+        for w in dec[4..4 * ROUNDS].iter_mut() {
             *w = inv_mix_word(*w);
         }
         Ok(Self { enc, dec })
     }
 }
 
-impl<const W: usize> Drop for Schedule<W> {
+impl Drop for Schedule {
     fn drop(&mut self) {
         // Explicit clearing of key material on drop. `black_box` keeps the
         // optimiser from eliding the writes as dead stores.
@@ -158,19 +160,18 @@ impl<const W: usize> Drop for Schedule<W> {
     }
 }
 
-/// One full encryption through a `W`-word schedule. `W` is a compile-time
-/// constant, so the round count (`W / 4 - 1`) unrolls and every round-key
-/// access is bounds-check free after monomorphisation.
+/// One full encryption through the schedule. The round count is a
+/// compile-time constant, so the loop unrolls and every round-key access is
+/// bounds-check free.
 #[inline]
-fn encrypt_words<const W: usize>(block: &mut [u8; AES_BLOCK_SIZE], rk: &[u32; W]) {
-    let rounds = W / 4 - 1;
+fn encrypt_words(block: &mut [u8; AES_BLOCK_SIZE], rk: &[u32; SCHEDULE_WORDS]) {
     let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ rk[0];
     let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ rk[1];
     let mut s2 = u32::from_be_bytes([block[8], block[9], block[10], block[11]]) ^ rk[2];
     let mut s3 = u32::from_be_bytes([block[12], block[13], block[14], block[15]]) ^ rk[3];
 
     let mut k = 4;
-    for _ in 1..rounds {
+    for _ in 1..ROUNDS {
         let t0 = TE0[(s0 >> 24) as usize]
             ^ TE1[((s1 >> 16) & 0xff) as usize]
             ^ TE2[((s2 >> 8) & 0xff) as usize]
@@ -211,15 +212,14 @@ fn encrypt_words<const W: usize>(block: &mut [u8; AES_BLOCK_SIZE], rk: &[u32; W]
 }
 
 #[inline]
-fn decrypt_words<const W: usize>(block: &mut [u8; AES_BLOCK_SIZE], rk: &[u32; W]) {
-    let rounds = W / 4 - 1;
+fn decrypt_words(block: &mut [u8; AES_BLOCK_SIZE], rk: &[u32; SCHEDULE_WORDS]) {
     let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ rk[0];
     let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ rk[1];
     let mut s2 = u32::from_be_bytes([block[8], block[9], block[10], block[11]]) ^ rk[2];
     let mut s3 = u32::from_be_bytes([block[12], block[13], block[14], block[15]]) ^ rk[3];
 
     let mut k = 4;
-    for _ in 1..rounds {
+    for _ in 1..ROUNDS {
         let t0 = TD0[(s0 >> 24) as usize]
             ^ TD1[((s3 >> 16) & 0xff) as usize]
             ^ TD2[((s2 >> 8) & 0xff) as usize]
@@ -268,38 +268,10 @@ fn last_round_word(a: u32, b: u32, c: u32, d: u32, sbox: &[u8; 256]) -> u32 {
         | (sbox[(d & 0xff) as usize] as u32)
 }
 
-/// T-table AES with a 128-bit key (10 rounds).
-#[derive(Clone)]
-pub(crate) struct Aes128 {
-    keys: Schedule<44>,
-}
-
-impl Aes128 {
-    pub(crate) fn from_slice(key: &[u8]) -> Result<Self, CryptoError> {
-        Ok(Self {
-            keys: Schedule::expand(key)?,
-        })
-    }
-}
-
-/// CBC stays on the trait's default loops: a table-lookup round has no
-/// pipeline for a fused kernel to fill.
-impl BlockCipher for Aes128 {
-    #[inline]
-    fn encrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        encrypt_words(block, &self.keys.enc);
-    }
-
-    #[inline]
-    fn decrypt_block(&self, block: &mut [u8; AES_BLOCK_SIZE]) {
-        decrypt_words(block, &self.keys.dec);
-    }
-}
-
 /// T-table AES with a 256-bit key (14 rounds).
 #[derive(Clone)]
 pub(crate) struct Aes256 {
-    keys: Schedule<60>,
+    keys: Schedule,
 }
 
 impl Aes256 {
@@ -346,18 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn ttable_roundtrip_both_key_sizes() {
-        let c256 = Aes256::from_slice(&[7u8; 32]).unwrap();
-        let c128 = Aes128::from_slice(&[7u8; 16]).unwrap();
+    fn ttable_roundtrip() {
+        let cipher = Aes256::from_slice(&[7u8; 32]).unwrap();
         for i in 0..32u8 {
             let original = [i; 16];
             let mut block = original;
-            c256.encrypt_block(&mut block);
+            cipher.encrypt_block(&mut block);
             assert_ne!(block, original);
-            c256.decrypt_block(&mut block);
-            assert_eq!(block, original);
-            c128.encrypt_block(&mut block);
-            c128.decrypt_block(&mut block);
+            cipher.decrypt_block(&mut block);
             assert_eq!(block, original);
         }
     }

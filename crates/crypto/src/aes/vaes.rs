@@ -133,6 +133,8 @@ unsafe fn cbc_encrypt_8<const R: usize>(
     bufs: [*mut u8; PIPELINE_WIDTH],
     len: usize,
 ) {
+    // Invariant: `cbc_encrypt_groups` hands this kernel only full groups,
+    // after `check_lanes` matched one IV to every buffer.
     let ivs: &[[u8; AES_BLOCK_SIZE]; PIPELINE_WIDTH] =
         ivs.try_into().expect("eight chains, eight IVs");
     let keys = broadcast_keys(rk);

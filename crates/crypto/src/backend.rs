@@ -8,7 +8,7 @@
 //! ([`crate::BlockCipher`]), so a backend decides not only how a round runs
 //! but how the mode is laid around the rounds. Which one runs is decided **once per process** from CPU feature
 //! detection (`std::arch::is_x86_feature_detected!`) plus an environment
-//! override, and every `Aes128`/`Aes256`/`Sha256` constructed afterwards
+//! override, and every `Aes256`/`Sha256` constructed afterwards
 //! snapshots that choice. All backends are byte-for-byte equivalent — the
 //! cross-backend KAT and property suites enforce it — so the selection can
 //! never leak into ciphertexts, traces or attacker statistics; only wall-clock
@@ -231,7 +231,7 @@ fn select_if_unset() {
     }
 }
 
-/// The AES backend new [`crate::Aes128`]/[`crate::Aes256`] instances use.
+/// The AES backend new [`crate::Aes256`] instances use.
 pub fn active() -> Backend {
     select_if_unset();
     match AES_ACTIVE.load(Ordering::Relaxed) {

@@ -82,14 +82,15 @@ impl HashDrbg {
             *v = self.v_block;
             let mut carry = self.reseed_counter;
             for (v, c) in self.v_block[..OUT]
-                .chunks_exact_mut(8)
-                .zip(self.c.chunks_exact(8))
+                .as_chunks_mut::<8>()
+                .0
+                .iter_mut()
+                .zip(self.c.as_chunks::<8>().0)
                 .rev()
             {
-                let sum = u64::from_be_bytes((&*v).try_into().expect("8-byte limb")) as u128
-                    + u64::from_be_bytes(c.try_into().expect("8-byte limb")) as u128
-                    + carry as u128;
-                v.copy_from_slice(&(sum as u64).to_be_bytes());
+                let sum =
+                    u64::from_be_bytes(*v) as u128 + u64::from_be_bytes(*c) as u128 + carry as u128;
+                *v = (sum as u64).to_be_bytes();
                 carry = (sum >> 64) as u64;
             }
             self.reseed_counter = self.reseed_counter.wrapping_add(1);

@@ -29,42 +29,10 @@ impl core::fmt::Display for KeyError {
 
 impl std::error::Error for KeyError {}
 
-/// A 128-bit symmetric key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Key128(pub [u8; 16]);
-
 /// A 256-bit symmetric key. This is the key type used for block encryption,
 /// header keys and content keys throughout the reproduction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Key256(pub [u8; 32]);
-
-impl Key128 {
-    /// Derive a key from an arbitrary passphrase by hashing.
-    pub fn from_passphrase(passphrase: &str) -> Self {
-        let digest = sha256(passphrase.as_bytes());
-        let mut k = [0u8; 16];
-        k.copy_from_slice(&digest[..16]);
-        Self(k)
-    }
-
-    /// Construct from a slice, checking the length.
-    pub fn from_slice(bytes: &[u8]) -> Result<Self, KeyError> {
-        if bytes.len() != 16 {
-            return Err(KeyError {
-                expected: 16,
-                got: bytes.len(),
-            });
-        }
-        let mut k = [0u8; 16];
-        k.copy_from_slice(bytes);
-        Ok(Self(k))
-    }
-
-    /// Raw bytes of the key.
-    pub fn as_bytes(&self) -> &[u8; 16] {
-        &self.0
-    }
-}
 
 impl Key256 {
     /// Derive a key from an arbitrary passphrase by hashing.
@@ -177,15 +145,9 @@ impl core::fmt::Debug for AesScheduleCache {
     }
 }
 
-impl core::fmt::Debug for Key128 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        // Keys are never printed.
-        write!(f, "Key128(..)")
-    }
-}
-
 impl core::fmt::Debug for Key256 {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // Keys are never printed.
         write!(f, "Key256(..)")
     }
 }
@@ -216,8 +178,6 @@ mod tests {
                 got: 31
             })
         );
-        assert!(Key128::from_slice(&[0u8; 16]).is_ok());
-        assert!(Key128::from_slice(&[0u8; 17]).is_err());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!
 //! This crate therefore provides, implemented from scratch in safe Rust:
 //!
-//! * [`Aes128`] / [`Aes256`] — the FIPS-197 block cipher (encrypt and
-//!   decrypt), implemented with compile-time fused T-tables and word-oriented
-//!   state; the original byte-oriented implementation survives as the
-//!   [`reference`] module that property tests compare against.
+//! * [`Aes256`] — the FIPS-197 block cipher with a 256-bit key, the one key
+//!   size every block, header, journal record and anchor is sealed under
+//!   (encrypt and decrypt), implemented with compile-time fused T-tables and
+//!   word-oriented state; the original byte-oriented implementation survives
+//!   as the [`reference`] module that property tests compare against.
 //! * [`CbcCipher`] — CBC mode over whole 16-byte blocks, exactly the
 //!   `IV || data field` layout that Section 4.1.1 places in every storage block.
 //! * [`Sha256`] — FIPS 180-2 SHA-256.
@@ -55,12 +56,12 @@ mod keys;
 mod sha256;
 
 pub use aes::reference;
-pub use aes::{Aes128, Aes256, BlockCipher, AES_BLOCK_SIZE, PIPELINE_WIDTH};
+pub use aes::{Aes256, BlockCipher, AES_BLOCK_SIZE, PIPELINE_WIDTH};
 pub use backend::{backend_name, sha256_backend_name, Backend, Sha256Backend};
 pub use cbc::{CbcCipher, CbcError};
 pub use drbg::HashDrbg;
 pub use hmac::HmacSha256;
-pub use keys::{AesScheduleCache, Key128, Key256, KeyError};
+pub use keys::{AesScheduleCache, Key256, KeyError};
 pub use sha256::{sha256, sha256_many, Sha256, SHA256_OUTPUT_SIZE, SHA_LANES};
 
 /// Errors produced by this crate.

@@ -95,8 +95,8 @@ fn each_block<const N: usize>(
     compress: fn(&mut [u32; 8], &[u8; 64]),
 ) {
     for (state, stream) in states.iter_mut().zip(data) {
-        for block in stream.chunks_exact(64) {
-            compress(state, block.try_into().expect("64-byte chunk"));
+        for block in stream.as_chunks().0 {
+            compress(state, block);
         }
     }
 }

@@ -62,24 +62,6 @@ pub fn inv(a: u8) -> u8 {
     EXP[255 - LOG[a as usize] as usize]
 }
 
-/// Divide `a` by `b`. Panics when `b` is zero.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    mul(a, inv(b))
-}
-
-/// Raise `a` to the `n`-th power.
-pub fn pow(a: u8, n: u32) -> u8 {
-    if n == 0 {
-        return 1;
-    }
-    if a == 0 {
-        return 0;
-    }
-    let log = LOG[a as usize] as u32;
-    EXP[((log * n) % 255) as usize]
-}
-
 /// The x86-64 vector kernel; the one module of the crate that may hold
 /// `unsafe`.
 #[cfg(target_arch = "x86_64")]
@@ -228,18 +210,6 @@ mod tests {
     fn every_nonzero_element_has_an_inverse() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "inv({a})");
-            assert_eq!(div(a, a), 1);
-        }
-    }
-
-    #[test]
-    fn powers_match_repeated_multiplication() {
-        for a in [0u8, 1, 2, 3, 29, 142, 255] {
-            let mut acc = 1u8;
-            for n in 0..20u32 {
-                assert_eq!(pow(a, n), acc, "{a}^{n}");
-                acc = mul(acc, a);
-            }
         }
     }
 

@@ -343,23 +343,6 @@ impl BlockCodec {
             Ok(())
         })
     }
-
-    /// Fill `block` with uniformly random bytes — the state of every abandoned
-    /// block after formatting, and of dummy-file content blocks. The bytes
-    /// are drawn into `scratch` (one block long, reusable across calls).
-    pub fn write_random<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        block: BlockId,
-        rng: &mut HashDrbg,
-        scratch: &mut [u8],
-    ) -> Result<(), FsError> {
-        // Refuse a malformed call before it draws from the generator.
-        self.check_block(scratch)?;
-        rng.fill_bytes(scratch);
-        device.write_block(block, scratch)?;
-        Ok(())
-    }
 }
 
 /// A physical block as its IV and its data field.
@@ -665,30 +648,6 @@ mod tests {
         // Destination 6 was dropped entirely (still the old content).
         let dropped = c.read_sealed(&dev, 6, &key(4)).unwrap();
         assert_ne!(&dropped[..64], &payloads[2][..]);
-    }
-
-    #[test]
-    fn write_random_fills_block() {
-        let c = codec();
-        let dev = MemDevice::new(4, 4096);
-        let mut rng = HashDrbg::from_u64(6);
-        let mut scratch = vec![0u8; 4096];
-        c.write_random(&dev, 1, &mut rng, &mut scratch).unwrap();
-        let mut buf = vec![0u8; 4096];
-        dev.read_block(1, &mut buf).unwrap();
-        assert!(buf.iter().filter(|&&b| b != 0).count() > 3500);
-        // The bytes `rng.bytes` would have produced, through the scratch.
-        assert_eq!(buf, HashDrbg::from_u64(6).bytes(4096));
-        assert_eq!(buf, scratch);
-        // A scratch that is not one block draws nothing.
-        assert!(c
-            .write_random(&dev, 2, &mut rng, &mut scratch[..100])
-            .is_err());
-        assert_eq!(rng.next_u64(), {
-            let mut twin = HashDrbg::from_u64(6);
-            twin.bytes(4096);
-            twin.next_u64()
-        });
     }
 
     #[test]

@@ -25,13 +25,14 @@ use crate::header::{FileHeader, FileKind, HeaderCaps};
 use crate::layout::{Superblock, DEFAULT_BLOCK_SIZE, SUPERBLOCK_BLOCK};
 use crate::sharded_map::{ShardedBlockMap, DEFAULT_MAP_SHARDS};
 
+/// Probe positions tried when locating (or placing) a file's header.
+const HEADER_PROBE_LIMIT: u32 = 64;
+
 /// Configuration for formatting a volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StegFsConfig {
     /// Block size in bytes (must leave a 16-byte-aligned data field).
     pub block_size: usize,
-    /// Maximum number of probe positions tried when locating a header.
-    pub header_probe_limit: u32,
     /// Whether to physically fill abandoned blocks with random bytes at
     /// format time. Filling is what a real deployment does (it is what makes
     /// abandoned and live blocks indistinguishable); benchmarks that only
@@ -43,7 +44,6 @@ impl Default for StegFsConfig {
     fn default() -> Self {
         Self {
             block_size: DEFAULT_BLOCK_SIZE,
-            header_probe_limit: 64,
             fill_on_format: true,
         }
     }
@@ -115,7 +115,6 @@ pub struct StegFs<D> {
     superblock: Superblock,
     codec: BlockCodec,
     caps: HeaderCaps,
-    probe_limit: u32,
     rng: Mutex<HashDrbg>,
 }
 
@@ -166,7 +165,6 @@ impl<D: BlockDevice> StegFs<D> {
             superblock,
             caps: HeaderCaps::for_data_field(codec.data_field_len()),
             codec,
-            probe_limit: cfg.header_probe_limit,
             rng: Mutex::new(rng),
         };
         let map = ShardedBlockMap::new_all_dummy(num_blocks, DEFAULT_MAP_SHARDS);
@@ -175,15 +173,11 @@ impl<D: BlockDevice> StegFs<D> {
 
     /// Mount an already formatted volume.
     pub fn mount(device: D) -> Result<Self, FsError> {
-        Self::mount_with(
-            device,
-            StegFsConfig::default().header_probe_limit,
-            0xfeed_beef,
-        )
+        Self::mount_with(device, 0xfeed_beef)
     }
 
-    /// Mount with an explicit probe limit and RNG seed.
-    pub fn mount_with(device: D, probe_limit: u32, seed: u64) -> Result<Self, FsError> {
+    /// Mount with an explicit RNG seed.
+    pub fn mount_with(device: D, seed: u64) -> Result<Self, FsError> {
         let mut sb_block = vec![0u8; device.block_size()];
         device.read_block(SUPERBLOCK_BLOCK, &mut sb_block)?;
         let superblock = Superblock::decode(&sb_block).map_err(FsError::BadSuperblock)?;
@@ -204,7 +198,6 @@ impl<D: BlockDevice> StegFs<D> {
             codec,
             superblock,
             device,
-            probe_limit,
             rng: Mutex::new(HashDrbg::new(&seed.to_be_bytes())),
         })
     }
@@ -300,18 +293,16 @@ impl<D: BlockDevice> StegFs<D> {
     /// Release blocks back to the dummy pool, refilling them with random
     /// bytes so they are indistinguishable from never-used blocks.
     pub fn release_blocks(&self, map: &ShardedBlockMap, blocks: &[BlockId]) -> Result<(), FsError> {
-        let mut rng = self.rng.lock();
         let mut scratch = vec![0u8; self.codec.block_size()];
         for &b in blocks {
-            self.codec
-                .write_random(&self.device, b, &mut rng, &mut scratch)?;
+            self.randomize_block(b, &mut scratch)?;
             map.set(b, BlockClass::Dummy);
         }
         Ok(())
     }
 
     fn header_candidates(&self, fak: &FileAccessKey, path: &str) -> Vec<BlockId> {
-        (0..self.probe_limit)
+        (0..HEADER_PROBE_LIMIT)
             .map(|probe| {
                 fak.header_location(
                     &self.superblock.salt,
@@ -449,7 +440,6 @@ impl<D: BlockDevice> StegFs<D> {
 
         // Write content blocks.
         let per_block = self.content_bytes_per_block();
-        let mut rng = self.rng.lock();
         match content {
             ContentInit::Bytes(bytes) => {
                 let content_key = fak.content_key().ok_or(FsError::NoContentKey)?;
@@ -462,19 +452,18 @@ impl<D: BlockDevice> StegFs<D> {
                         (loc, &bytes[start..end])
                     })
                     .collect();
+                let mut rng = self.rng.lock();
                 self.codec
                     .write_sealed_many(&self.device, content_key, &blocks, &mut rng)?;
             }
             ContentInit::Random => {
                 let mut scratch = vec![0u8; self.codec.block_size()];
                 for &loc in &content_locs {
-                    self.codec
-                        .write_random(&self.device, loc, &mut rng, &mut scratch)?;
+                    self.randomize_block(loc, &mut scratch)?;
                 }
             }
             ContentInit::Skip => {}
         }
-        drop(rng);
 
         let header = FileHeader::new(
             kind,
@@ -687,9 +676,10 @@ impl<D: BlockDevice> StegFs<D> {
     }
 
     /// Overwrite `block` with fresh random bytes (used when a block is
-    /// abandoned, and as the "dummy update" for blocks that only ever held
-    /// random data). The bytes are drawn into `scratch` (one block long)
-    /// under the volume DRBG lock and written with it released.
+    /// abandoned, for a dummy file's content, and as the "dummy update" for
+    /// blocks that only ever held random data). The bytes are drawn into
+    /// `scratch` (one block long) under the volume DRBG lock and written with
+    /// it released.
     pub fn randomize_block(&self, block: BlockId, scratch: &mut [u8]) -> Result<(), FsError> {
         self.with_rng(|rng| rng.fill_bytes(scratch));
         self.device.write_block(block, scratch)?;

@@ -255,12 +255,6 @@ impl FileHeader {
         }
     }
 
-    /// Total number of content blocks this header declares (may exceed
-    /// `blocks.len()` until all indirect payloads have been absorbed).
-    pub fn expected_total_blocks(&self) -> u64 {
-        self.expected_total
-    }
-
     /// True once every declared pointer has been loaded.
     pub fn is_complete(&self) -> bool {
         self.blocks.len() as u64 == self.expected_total

@@ -22,10 +22,13 @@
 //!   agent's view of which physical blocks hold data versus dummy bytes —
 //!   shared by reference, with atomic claims, and persisted in a 2-bit wire
 //!   format;
-//! * **hidden directories** ([`dir::HiddenDirectory`]) mapping names to FAKs;
 //! * the **wire layer** ([`wire`]) — the one bounds-checked cursor and one
 //!   authenticated frame every on-disk encoder and decoder of the workspace
 //!   goes through.
+//!
+//! The ICDE 2003 substrate's hidden directories are not carried: every
+//! caller here names a file by its FAK and full path, which is all the
+//! paper's agents and experiments need.
 //!
 //! The access-hiding mechanisms themselves (dummy updates, Figure 6
 //! relocation, oblivious reads) live in the `steghide` and `stegfs-oblivious`
@@ -38,7 +41,6 @@
 
 mod blockmap;
 mod codec;
-pub mod dir;
 mod error;
 mod fak;
 mod fs;

@@ -86,10 +86,6 @@ impl RoundRobinDriver {
     }
 }
 
-/// A boxed user task for the concurrent driver: one block-granular step per
-/// call against a *shared* system reference, `true` on completion.
-pub type SharedUserTask<'a, S> = Box<dyn FnMut(&S) -> bool + Send + 'a>;
-
 /// Multi-threaded driver: runs user tasks on scoped threads against a shared
 /// system.
 ///

@@ -1,11 +1,10 @@
 //! # stegfs-workload
 //!
 //! Workload generators reproducing the paper's experimental set-up (Table 2):
-//! populations of 4–8 MB files on a 1 GB volume of 4 KB blocks, single-block
-//! and range updates, sequential and skewed read patterns, and a round-robin
-//! driver that interleaves several users' block-level operations on one
-//! shared (simulated) disk — the mechanism behind the concurrency curves of
-//! Figures 10(b) and 11(c).
+//! uniform, sequential and skewed (Zipf) block-access patterns, a login-churn
+//! workload, and the drivers that interleave several users' block-level
+//! operations on one shared (simulated) disk — the mechanism behind the
+//! concurrency curves of Figures 10(b) and 11(c).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,9 +12,7 @@
 mod churn;
 mod driver;
 mod patterns;
-mod population;
 
 pub use churn::{ChurnConfig, ChurnOp, ChurnWorkload};
-pub use driver::{ConcurrentDriver, RoundRobinDriver, SharedUserTask, TaskTiming, UserTask};
+pub use driver::{ConcurrentDriver, RoundRobinDriver, TaskTiming, UserTask};
 pub use patterns::{AccessPattern, ZipfDistribution};
-pub use population::{deterministic_content, FileSpec, PopulationConfig};

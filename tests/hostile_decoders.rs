@@ -26,7 +26,6 @@ use stegfs_repro::resilience::{
     decode_records, encode_records, BlockCheck, BlockWriteIntent, IntentBody, IntentRecord,
     ParityEntry, ParityIntent, ResilientStore, StripeConfig, StripeMap, VolumeAnchor,
 };
-use stegfs_repro::stegfs::dir::{DirEntry, EntryKind, HiddenDirectory};
 use stegfs_repro::stegfs::header::HeaderCaps;
 use stegfs_repro::stegfs::wire::{Writer, TAG_LEN};
 use stegfs_repro::stegfs::{
@@ -100,24 +99,6 @@ fn cases() -> Vec<Case> {
         "superblock",
         block0,
         Box::new(|bytes| Superblock::decode(bytes).ok().map(|_| 1)),
-    );
-
-    let mut dir = HiddenDirectory::new();
-    for (name, kind) in [
-        ("a", EntryKind::File),
-        ("dir", EntryKind::Directory),
-        ("", EntryKind::Dummy),
-    ] {
-        dir.insert(DirEntry {
-            name: name.to_string(),
-            kind,
-            master: Key256::from_passphrase(name),
-        });
-    }
-    plain(
-        "hidden directory",
-        dir.to_bytes(),
-        Box::new(|bytes| HiddenDirectory::from_bytes(bytes).ok().map(|d| d.len())),
     );
 
     plain(

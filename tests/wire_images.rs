@@ -12,7 +12,6 @@ use std::sync::{Arc, Mutex};
 use stegfs_repro::blockdev::{BlockDevice, BlockId, DeviceError, MemDevice};
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::dir::{DirEntry, EntryKind, HiddenDirectory};
 
 fn sha256_hex(bytes: &[u8]) -> String {
     let mut hasher = Sha256::new();
@@ -79,8 +78,8 @@ fn content(len: usize, salt: u8) -> Vec<u8> {
 }
 
 /// Superblock, anchor replicas and payload, create / write-batch journal
-/// records, file headers with indirect blocks, stripe maps and a hidden
-/// directory — on one durable volume.
+/// records, file headers with indirect blocks and stripe maps — on one
+/// durable volume.
 fn durable_volume() -> (Arc<MemDevice>, ResilientStore<Arc<MemDevice>>) {
     let device = Arc::new(MemDevice::new(2048, 512));
     let cfg = ResilienceConfig::default()
@@ -94,38 +93,26 @@ fn durable_volume() -> (Arc<MemDevice>, ResilientStore<Arc<MemDevice>>) {
     store.create_file("/small", &content(1300, 0x5a)).unwrap();
     store.write_block("/big", 7, &content(496, 0xc3)).unwrap();
     store.write_file("/small", &content(1300, 0xa5)).unwrap();
-
-    let mut dir = HiddenDirectory::new();
-    for (name, kind) in [
-        ("salary.db", EntryKind::File),
-        ("photos", EntryKind::Directory),
-        ("decoy", EntryKind::Dummy),
-    ] {
-        dir.insert(DirEntry {
-            name: name.to_string(),
-            kind,
-            master: Key256::from_passphrase(name),
-        });
-    }
-    let dir_fak = FileAccessKey::from_passphrase("wire image dir");
-    dir.store(store.fs(), store.block_map(), "/alice", &dir_fak)
-        .unwrap();
     (device, store)
 }
 
-/// The hash the build before the registry became an ordinary hidden file
-/// gave for this script: nothing outside the registry moved with it.
+/// The hash the build before the hidden-directory format was deleted gave
+/// for this script with the directory's lines taken out (with them it gave
+/// 0b4edb…efa5, the hash of the build before the registry became an ordinary
+/// hidden file): nothing the script still writes moved.
 #[test]
 fn durable_volume_image_is_pinned() {
     let (device, _store) = durable_volume();
     assert_eq!(
         image_sha256(&device),
-        "0b4edb454f4f7ec965e1d9ec49e65b99f9bc50ed5b22da7fcf67c88e15eeefa5"
+        "7e5453ac84626aa37d228c13a9e0221e71d161aeb012940a2e4938352a03f728"
     );
 }
 
 /// [`durable_volume`] plus a registry: a hidden file of zeroed one-block
-/// shards, then records checkpointed into it through the write plan.
+/// shards, then records checkpointed into it through the write plan. Pinned
+/// the same way: the hash the build before the hidden-directory format was
+/// deleted gave without the directory's lines (757acf…a21d with them).
 #[test]
 fn registry_volume_image_is_pinned() {
     let (device, store) = durable_volume();
@@ -138,7 +125,31 @@ fn registry_volume_image_is_pinned() {
     store.registry_checkpoint().unwrap();
     assert_eq!(
         image_sha256(&device),
-        "757acfee9c283db8c3f2f28a97bdddd401418ff93a46a5be3857e189a11da21d"
+        "62f05dc6f50c4c382017593f521afe0e74d3a1deaf5c07fbad6e7d2d410c4570"
+    );
+}
+
+/// A bare substrate volume through two files' lives: a data file created
+/// and a dummy file created with random content, then both deleted — the
+/// random fill of a dummy file's content and the refill of every released
+/// block, drawn from the volume DRBG. The hash is the one the build before
+/// both fills went through `StegFs::randomize_block` gave.
+#[test]
+fn substrate_file_lifecycle_image_is_pinned() {
+    let device = Arc::new(MemDevice::new(512, 512));
+    let cfg = StegFsConfig::default().with_block_size(512);
+    let (fs, map) = StegFs::format(Arc::clone(&device), cfg, 44).unwrap();
+    let data_fak = FileAccessKey::from_passphrase("wire image data");
+    let data = fs
+        .create_file(&map, "/data", &data_fak, &content(3000, 0x3c))
+        .unwrap();
+    let dummy_fak = FileAccessKey::from_passphrase("wire image dummy").without_content_key();
+    let dummy = fs.create_dummy_file(&map, "/dummy", &dummy_fak, 5).unwrap();
+    fs.delete_file(&map, data).unwrap();
+    fs.delete_file(&map, dummy).unwrap();
+    assert_eq!(
+        image_sha256(&device),
+        "158596697620597cde5ff6597376127d7e8fb3bdb39e82e6072061637eb1db19"
     );
 }
 
