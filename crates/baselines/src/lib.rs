@@ -124,6 +124,13 @@ impl NativeFile {
         }
         None
     }
+
+    /// Physical blocks of every content block, in index order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.extents
+            .iter()
+            .flat_map(|&(start, len)| start..start + len)
+    }
 }
 
 /// An unencrypted, extent-based native file system baseline.
@@ -251,14 +258,13 @@ impl<D: BlockDevice> NativeFs<D> {
         // Write the content.
         let bs = self.bytes_per_block();
         let mut buf = vec![0u8; bs];
-        for i in 0..num_blocks {
-            let start = (i as usize) * bs;
+        for (i, block) in file.blocks().enumerate() {
+            let start = i * bs;
             let end = (start + bs).min(content.len());
             buf.fill(0);
             if start < content.len() {
                 buf[..end - start].copy_from_slice(&content[start..end]);
             }
-            let block = file.block_at(i).expect("allocated block");
             self.device.write_block(block, &buf)?;
         }
         state.files.insert(name.to_string(), file.clone());
@@ -301,8 +307,7 @@ impl<D: BlockDevice> NativeFs<D> {
         let bs = self.bytes_per_block();
         let mut out = Vec::with_capacity(file.num_blocks() as usize * bs);
         let mut buf = vec![0u8; bs];
-        for i in 0..file.num_blocks() {
-            let block = file.block_at(i).expect("in-range block");
+        for block in file.blocks() {
             self.device.read_block(block, &mut buf)?;
             out.extend_from_slice(&buf);
         }

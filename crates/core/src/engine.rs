@@ -7,11 +7,14 @@
 //!
 //! * relocation targets are **claimed atomically** on the map, so two updates
 //!   can never take the same dummy block;
-//! * every physical **read-modify-write** (dummy-update reseal, in-place
-//!   rewrite, relocation write) runs under the *per-shard update lock* of the
-//!   block it touches — operations on blocks in different shards proceed in
-//!   parallel, while a reseal can never interleave destructively with a data
-//!   write to the same block;
+//! * every Figure 6 iteration is one **read-modify-write of one block** —
+//!   dummy-update reseal, in-place rewrite and relocation alike read the
+//!   block they write (a relocation reads its target B2, never the old
+//!   location B1), so no read links an update to the data it hides and the
+//!   disk head never leaves the block between the pair. Each pair runs under
+//!   the *per-shard update lock* of that block — operations on blocks in
+//!   different shards proceed in parallel, while a reseal can never
+//!   interleave destructively with a data write to the same block;
 //! * the **read path is shared**: content reads hold only the registry
 //!   *read* lock — shared among all readers, contended only by the brief
 //!   header-repoint at the end of a relocation — across the device read, so
@@ -273,7 +276,9 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
     }
 
     /// The read half of a data update's read+write I/O pair, which is
-    /// counted here.
+    /// counted here. `block` is the block the iteration then writes — B1 in
+    /// place, the claimed target B2 on a relocation — so the pair has the
+    /// same shape and position as a reseal's.
     fn read_for_accounting(&self, block: BlockId) -> Result<(), AgentError> {
         self.read_raw(block)?;
         self.stats.block_reads.inc();
@@ -401,55 +406,57 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
                 b1
             };
 
-            if b2 == b1 {
-                // Figure 6, first branch: update in place.
-                let _shard = e.shard_lock(b1);
-                e.read_for_accounting(b1)?;
-                e.write_sealed_content(b1, &key, payload)?;
+            // Figure 6: B2 = B1 is the in-place branch; a B2 the keying can
+            // claim takes the content (`Some(target)`); any other B2 holds
+            // data (or was claimed by a concurrent update a moment ago), so
+            // the third branch dummy-updates it and draws again.
+            let target = if b2 == b1 {
+                None
+            } else if let Some(target) = e.keying.claim_swap_target(&e.map, &e.registry, b2) {
+                Some(target)
+            } else {
+                let _shard = e.shard_lock(b2);
+                e.reseal_shard_locked(b2)?;
+                continue;
+            };
+
+            // Both writing branches issue the same pair, r(B2) w(B2) under
+            // B2's shard lock, like every reseal iteration: the read never
+            // names B1 unless B1 is the block being written.
+            let io = (|| {
+                let _shard = e.shard_lock(b2);
+                e.read_for_accounting(b2)?;
+                e.write_sealed_content(b2, &key, payload)
+            })();
+            let Some(target) = target else {
+                io?;
                 e.stats.data_updates.inc();
                 e.stats.in_place.inc();
                 return Ok(UpdateOutcome::InPlace { block: b1 });
+            };
+            // B2 is ours alone (the claim was atomic): repoint the header(s)
+            // in one registry transaction, then abandon B1. An I/O error
+            // before the repoint must release the claim, or B2 would stay
+            // classified Data with no header referencing it — a permanent
+            // dummy-pool leak.
+            if let Err(err) = io {
+                e.map.set(b2, BlockClass::Dummy);
+                return Err(err);
             }
-
-            if let Some(target) = e.keying.claim_swap_target(&e.map, &e.registry, b2) {
-                // Figure 6, second branch: substitute B2 for B1. B2 is ours
-                // alone now (the claim was atomic), so write it, repoint the
-                // header(s) in one registry transaction, then abandon B1. An
-                // I/O error before the repoint must release the claim, or B2
-                // would stay classified Data with no header referencing it —
-                // a permanent dummy-pool leak.
-                let io = (|| {
-                    {
-                        let _shard = e.shard_lock(b1);
-                        e.read_for_accounting(b1)?;
-                    }
-                    let _shard = e.shard_lock(b2);
-                    e.write_sealed_content(b2, &key, payload)
-                })();
-                if let Err(err) = io {
-                    e.map.set(b2, BlockClass::Dummy);
-                    return Err(err);
-                }
-                {
-                    let mut registry = e.registry.write();
-                    match target {
-                        SwapTarget::Abandoned => registry.relocate_content_block(id, index, b1, b2),
-                        SwapTarget::DummyFile {
-                            file,
-                            index: dummy_index,
-                        } => registry.swap_with_dummy(id, index, b1, file, dummy_index, b2),
-                    };
-                }
-                e.map.set(b1, BlockClass::Dummy);
-                e.stats.data_updates.inc();
-                e.stats.relocations.inc();
-                return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
+            {
+                let mut registry = e.registry.write();
+                match target {
+                    SwapTarget::Abandoned => registry.relocate_content_block(id, index, b1, b2),
+                    SwapTarget::DummyFile {
+                        file,
+                        index: dummy_index,
+                    } => registry.swap_with_dummy(id, index, b1, file, dummy_index, b2),
+                };
             }
-
-            // Figure 6, third branch: B2 holds data (or was claimed by a
-            // concurrent update a moment ago) — dummy-update it and try again.
-            let _shard = e.shard_lock(b2);
-            e.reseal_shard_locked(b2)?;
+            e.map.set(b1, BlockClass::Dummy);
+            e.stats.data_updates.inc();
+            e.stats.relocations.inc();
+            return Ok(UpdateOutcome::Relocated { from: b1, to: b2 });
         }
 
         Err(AgentError::UpdateRetriesExhausted {

@@ -275,9 +275,11 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
             // session of the same user) reuses the id and its cached header.
             let (id, fresh) = self.engine.register(file);
             if fresh {
-                let registry = self.engine.registry.read();
-                let file = registry.get(id).expect("registered a moment ago");
-                self.engine.fs.register_file(&self.engine.map, file);
+                // Registered a moment ago, under the exclusive side: no
+                // close can have taken it out since.
+                if let Some(file) = self.engine.registry.read().get(id) {
+                    self.engine.fs.register_file(&self.engine.map, file);
+                }
             }
             *counts.entry(id).or_insert(0) += 1;
             files.push(id);

@@ -49,11 +49,10 @@ impl Hasher for DetHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in chunks.by_ref() {
-            self.add_to_hash(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.add_to_hash(u64::from_le_bytes(word));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut tail = [0u8; 8];
             tail[..rest.len()].copy_from_slice(rest);

@@ -116,7 +116,7 @@ impl BlockCodec {
             let mut fields: [&mut [u8]; PIPELINE_WIDTH] = Default::default();
             let mut n = 0;
             for block in group.chunks_exact_mut(self.block_size) {
-                let (iv, field) = split_iv_mut(block);
+                let (iv, field) = split_iv_mut(block)?;
                 ivs[n] = *iv;
                 fields[n] = field;
                 n += 1;
@@ -135,7 +135,7 @@ impl BlockCodec {
         self.check_run(run)?;
         let cbc = self.cbc(key);
         for block in run.chunks_exact_mut(self.block_size) {
-            let (iv, field) = split_iv_mut(block);
+            let (iv, field) = split_iv_mut(block)?;
             cbc.decrypt_in_place(iv, field)?;
         }
         Ok(())
@@ -153,7 +153,7 @@ impl BlockCodec {
         self.check_block(physical)?;
         // One schedule lookup for both directions.
         let cbc = self.cbc(key);
-        let (iv, field) = split_iv_mut(physical);
+        let (iv, field) = split_iv_mut(physical)?;
         cbc.decrypt_in_place(iv, field)?;
         *iv = *fresh_iv;
         cbc.encrypt_in_place(iv, field)?;
@@ -212,8 +212,7 @@ impl BlockCodec {
     pub fn open_into(&self, key: &Key256, physical: &[u8], dst: &mut [u8]) -> Result<(), FsError> {
         self.check_block(physical)?;
         self.check_field(dst)?;
-        let (iv, field) = physical.split_at(IV_SIZE);
-        let iv: &[u8; IV_SIZE] = iv.try_into().expect("split at IV_SIZE");
+        let (iv, field) = split_iv(physical)?;
         self.cbc(key).decrypt_into(iv, field, dst)?;
         Ok(())
     }
@@ -346,9 +345,18 @@ impl BlockCodec {
 }
 
 /// A physical block as its IV and its data field.
-fn split_iv_mut(block: &mut [u8]) -> (&mut [u8; IV_SIZE], &mut [u8]) {
-    let (iv, field) = block.split_at_mut(IV_SIZE);
-    (iv.try_into().expect("split at IV_SIZE"), field)
+fn split_iv(block: &[u8]) -> Result<(&[u8; IV_SIZE], &[u8]), FsError> {
+    block.split_first_chunk().ok_or_else(|| no_iv(block.len()))
+}
+
+/// [`split_iv`] for a block about to be rewritten in place.
+fn split_iv_mut(block: &mut [u8]) -> Result<(&mut [u8; IV_SIZE], &mut [u8]), FsError> {
+    let len = block.len();
+    block.split_first_chunk_mut().ok_or_else(|| no_iv(len))
+}
+
+fn no_iv(len: usize) -> FsError {
+    FsError::Cipher(format!("block of {len} bytes is shorter than its IV"))
 }
 
 #[cfg(test)]

@@ -210,11 +210,19 @@ impl<'a> Reader<'a> {
         rest
     }
 
+    fn take_array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], WireError> {
+        match self.buf[self.pos..].split_first_chunk() {
+            Some((bytes, _)) => {
+                self.pos += N;
+                Ok(*bytes)
+            }
+            None => self.fail(what),
+        }
+    }
+
     /// The next `N` bytes as an array.
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N, "fixed-width field")?);
-        Ok(out)
+        self.take_array("fixed-width field")
     }
 
     /// One byte.
@@ -245,8 +253,7 @@ impl<'a> Reader<'a> {
 
     /// A 32-byte key.
     pub fn key(&mut self) -> Result<Key256, WireError> {
-        let bytes = self.take(32, "key")?;
-        Ok(Key256::from_slice(bytes).expect("exactly 32 bytes taken"))
+        self.take_array("key").map(Key256)
     }
 
     /// Require the next bytes to equal `magic`.

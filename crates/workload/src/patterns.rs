@@ -49,7 +49,7 @@ impl ZipfDistribution {
         let u = rng.next_f64();
         match self
             .cumulative
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("no NaN"))
+            .binary_search_by(|probe| probe.total_cmp(&u))
         {
             Ok(i) => i as u64,
             Err(i) => (i as u64).min(self.cumulative.len() as u64 - 1),

@@ -1,12 +1,15 @@
 //! Cross-crate integration test of the update-analysis defence (Section 4):
 //! the snapshot-diffing attacker must lose against the full StegHide
 //! mechanism and win against in-place updates — under both constructions,
-//! which run the same hot-spot workload through one helper.
+//! which run the same hot-spot workload through one helper. A request-stream
+//! attacker who links an update's read to the block the previous update
+//! wrote must find nothing to link.
 
-use stegfs_repro::analysis::{UpdateAnalysisAttacker, UpdateVerdict};
-use stegfs_repro::blockdev::Snapshot;
+use stegfs_repro::analysis::{TrafficAnalysisAttacker, UpdateAnalysisAttacker, UpdateVerdict};
+use stegfs_repro::blockdev::{IoKind, Snapshot, TraceLog};
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::{BlockClass, StegFsConfig};
+use stegfs_repro::steghide::UpdateOutcome;
 
 const BLOCK_SIZE: usize = 512;
 const VOLUME_BLOCKS: u64 = 4096;
@@ -168,6 +171,70 @@ fn in_place_updates_are_caught_by_the_snapshot_attacker() {
             "{construction:?}: attacker should catch in-place updates ({verdict:?})"
         );
     }
+}
+
+/// A request-stream attacker who chains reads: a relocation that read the
+/// old location of the data it hides would name, in its read, the block the
+/// previous update of the same logical block wrote. Every update read must
+/// instead be addressed at a block the update writes, so over a hot-spot
+/// stream on one logical block no read lands on a vacated location — and the
+/// read positions stay uniform.
+#[test]
+fn update_reads_never_name_the_vacated_block() {
+    let log = TraceLog::new();
+    let device = TracingDevice::with_log(MemDevice::new(VOLUME_BLOCKS, BLOCK_SIZE), log.clone());
+    let agent = ConcurrentAgent::format(
+        device,
+        fs_config(),
+        AgentConfig::default(),
+        Key256::from_passphrase("agent"),
+        17,
+        8,
+    )
+    .unwrap();
+    let per = agent.fs().content_bytes_per_block();
+    let hot = agent
+        .create_file_sparse(
+            &Key256::from_passphrase("user"),
+            "/hot",
+            HOT_BLOCKS * per as u64,
+        )
+        .unwrap();
+    agent
+        .create_file_sparse(
+            &Key256::from_passphrase("filler"),
+            "/filler",
+            FILLER_BLOCKS * per as u64,
+        )
+        .unwrap();
+
+    let payload = vec![0xAAu8; per];
+    let mut attacker = TrafficAnalysisAttacker::new(VOLUME_BLOCKS);
+    let (mut relocations, mut linked) = (0, 0);
+    for _ in 0..240 {
+        log.clear();
+        let outcome = agent.update_block(hot, 0, &payload).unwrap();
+        let reads: Vec<_> = log
+            .records()
+            .into_iter()
+            .filter(|r| r.kind == IoKind::Read)
+            .collect();
+        if let UpdateOutcome::Relocated { from, .. } = outcome {
+            relocations += 1;
+            linked += reads.iter().filter(|r| r.block == from).count();
+        }
+        attacker.observe_trace(&reads);
+    }
+    assert!(relocations > 150, "{relocations} relocations of 240");
+    assert_eq!(
+        linked, 0,
+        "{linked} of {relocations} relocations read the block they vacated"
+    );
+    let verdict = attacker.read_verdict(0.01);
+    assert!(
+        !verdict.distinguishable,
+        "update reads are not uniform: {verdict:?}"
+    );
 }
 
 #[test]

@@ -318,7 +318,7 @@ fn byte_order_and_bounds_live_in_the_wire_layer_only() {
 /// left is a panic on a condition the code above it rules out, stated there
 /// as an `// Invariant:` or in the `expect` message; a failure correct use
 /// can meet is a typed error. The ratchet may come down, never up.
-const PRODUCTION_PANIC_SITES: usize = 24;
+const PRODUCTION_PANIC_SITES: usize = 14;
 
 #[test]
 fn production_unwrap_and_expect_sites_do_not_grow() {
