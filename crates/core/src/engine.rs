@@ -28,15 +28,19 @@
 //!   that cannot take the per-shard locks themselves. [`Engine::shared`] and
 //!   [`Engine::exclusive`] hand out the two sides as handles, so an operation
 //!   that needs a side can only be reached through it;
-//! * per-file header bookkeeping is serialised by per-file locks, and
+//! * per-file header bookkeeping is serialised by each file's update lock,
+//!   which lives in the file's [`Registry`] entry and so dies with it, and
 //!   statistics are atomic.
+//!
+//! The [`Registry`] is the engine's only table keyed by file and its only
+//! block → owner index: the cached headers, the update locks, block
+//! ownership and the universe Construction 2 draws from are one structure
+//! behind one `RwLock`. (The block map holds each block's class, nothing
+//! about its owner.)
 //!
 //! What the engine does *not* decide is keying. The paper runs the same
 //! algorithm under two constructions; a [`Keying`] policy, chosen statically
 //! by each agent front, answers the four questions on which they differ.
-
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -151,10 +155,6 @@ pub(crate) struct Engine<D, K> {
     /// in that shard.
     update_locks: Vec<Mutex<()>>,
     structural: RwLock<()>,
-    /// Serialises updates of the same file so header bookkeeping stays
-    /// consistent; never held by the read path. An entry lives exactly as
-    /// long as its file is registered.
-    file_locks: Mutex<HashMap<FileId, Arc<Mutex<()>>>>,
     /// Selection randomness (candidate draws), separate from the volume's
     /// own DRBG (IVs, allocation).
     rng: Mutex<HashDrbg>,
@@ -198,12 +198,11 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
             update_locks: (0..map.num_shards()).map(|_| Mutex::new(())).collect(),
             fs,
             map,
-            registry: RwLock::new(Registry::new()),
+            registry: RwLock::default(),
             stats: SharedUpdateStats::default(),
             keying,
             cfg,
             structural: RwLock::new(()),
-            file_locks: Mutex::new(HashMap::new()),
             rng: Mutex::new(HashDrbg::new(&rng_seed.to_be_bytes())),
         }
     }
@@ -224,22 +223,6 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
         }
     }
 
-    /// Register an open file (and give it its per-file update lock) unless a
-    /// file with the same header block already is: two live ids for one
-    /// physical file would carry two independently cached headers —
-    /// concurrent updates through them would diverge and the last flushed
-    /// header would silently win, leaking the other's relocated blocks.
-    /// Returns the id and whether it is new.
-    pub(crate) fn register(&self, file: OpenFile) -> (FileId, bool) {
-        let mut registry = self.registry.write();
-        if let Some(existing) = registry.file_with_header(file.header_location) {
-            return (existing, false);
-        }
-        let id = registry.register(file);
-        self.file_locks.lock().insert(id, Arc::default());
-        (id, true)
-    }
-
     /// Number of content blocks of a registered file.
     pub(crate) fn num_blocks(&self, id: FileId) -> Result<u64, AgentError> {
         Ok(self
@@ -248,12 +231,6 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
             .get(id)
             .ok_or(AgentError::UnknownFile(id))?
             .num_content_blocks())
-    }
-
-    /// Number of per-file update locks currently held in the table.
-    #[cfg(test)]
-    pub(crate) fn file_lock_count(&self) -> usize {
-        self.file_locks.lock().len()
     }
 
     /// Locations of a registered file's content blocks, from the cached
@@ -272,17 +249,6 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
         self.fs
             .codec()
             .with_scratch(|scratch| self.fs.device().read_block(block, scratch))?;
-        Ok(())
-    }
-
-    /// The read half of a data update's read+write I/O pair, which is
-    /// counted here. `block` is the block the iteration then writes — B1 in
-    /// place, the claimed target B2 on a relocation — so the pair has the
-    /// same shape and position as a reseal's.
-    fn read_for_accounting(&self, block: BlockId) -> Result<(), AgentError> {
-        self.read_raw(block)?;
-        self.stats.block_reads.inc();
-        self.stats.block_writes.inc();
         Ok(())
     }
 
@@ -319,7 +285,7 @@ impl<D: BlockDevice, K: Keying> Engine<D, K> {
             }
             Reseal::Skip => return Ok(false),
         }
-        self.stats.count_dummy_update();
+        self.stats.dummy_updates.inc();
         Ok(true)
     }
 
@@ -383,10 +349,9 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
             });
         }
         let file_lock = e
-            .file_locks
-            .lock()
-            .get(&id)
-            .cloned()
+            .registry
+            .read()
+            .update_lock(id)
             .ok_or(AgentError::UnknownFile(id))?;
         let _file = file_lock.lock();
         let (b1, key) = {
@@ -425,7 +390,7 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
             // names B1 unless B1 is the block being written.
             let io = (|| {
                 let _shard = e.shard_lock(b2);
-                e.read_for_accounting(b2)?;
+                e.read_raw(b2)?;
                 e.write_sealed_content(b2, &key, payload)
             })();
             let Some(target) = target else {
@@ -534,10 +499,9 @@ impl<D: BlockDevice, K: Keying> Exclusive<'_, D, K> {
         dirty.into_iter().try_for_each(|id| self.save(id))
     }
 
-    /// Forget a registered file and its per-file lock; returns it so the
+    /// Forget a registered file and its update lock; returns it so the
     /// caller can release or reclassify its blocks.
     pub(crate) fn unregister(&self, id: FileId) -> Option<OpenFile> {
-        self.engine.file_locks.lock().remove(&id);
         self.engine.registry.write().unregister(id)
     }
 }

@@ -52,7 +52,7 @@ pub use concurrent::ConcurrentAgent;
 pub use config::AgentConfig;
 pub use engine::UpdateOutcome;
 pub use error::AgentError;
-pub use registry::{BlockRole, FileId, Registry};
+pub use registry::FileId;
 pub use stats::{SharedUpdateStats, UpdateStats};
 pub use volatile_concurrent::{ConcurrentVolatileAgent, SessionId, UserCredential};
 

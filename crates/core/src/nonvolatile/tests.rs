@@ -145,7 +145,7 @@ fn utilisation_reflects_allocations() {
 }
 
 #[test]
-fn closing_and_deleting_files_empties_the_file_lock_table() {
+fn closing_and_deleting_files_empties_the_registry() {
     let agent = agent(512, 8);
     let per = agent.fs().content_bytes_per_block();
     let user = Key256::from_passphrase("churn");
@@ -155,7 +155,7 @@ fn closing_and_deleting_files_empties_the_file_lock_table() {
             .create_file(&user, &path, &vec![1u8; per * 2])
             .unwrap();
         agent.update_block(id, round % 2, &vec![2u8; per]).unwrap();
-        assert_eq!(agent.engine.file_lock_count(), 1);
+        assert!(!agent.engine.registry.read().is_empty());
         if round % 2 == 0 {
             agent.close_file(id).unwrap();
             let id = agent.open_file(&user, &path).unwrap();
@@ -164,6 +164,6 @@ fn closing_and_deleting_files_empties_the_file_lock_table() {
         } else {
             agent.delete_file(id).unwrap();
         }
-        assert_eq!(agent.engine.file_lock_count(), 0, "round {round}");
+        assert!(agent.engine.registry.read().is_empty(), "round {round}");
     }
 }

@@ -149,7 +149,7 @@ fn login_with_wrong_key_fails() {
     // The half-finished login left nothing behind.
     assert!(agent.logged_in_users().is_empty());
     assert_eq!(agent.map().data_blocks() + agent.map().dummy_blocks(), 0);
-    assert_eq!(agent.engine.file_lock_count(), 0);
+    assert!(agent.engine.registry.read().is_empty());
     assert_eq!(
         agent.dummy_update_batch(1),
         Err(AgentError::NothingToUpdate)
@@ -202,7 +202,7 @@ fn logout_unknown_session_errors() {
 }
 
 #[test]
-fn login_churn_leaves_the_file_lock_table_empty() {
+fn login_churn_leaves_the_registry_empty() {
     let (agent, _) = provisioned_agent();
     let per = agent.fs().content_bytes_per_block();
     let mut ids = Vec::new();
@@ -212,9 +212,9 @@ fn login_churn_leaves_the_file_lock_table_empty() {
         agent
             .update_block(session, files[0], cycle % 6, &vec![cycle as u8; per])
             .unwrap();
-        assert_eq!(agent.engine.file_lock_count(), 2);
+        assert!(!agent.engine.registry.read().is_empty());
         agent.logout(session).unwrap();
-        assert_eq!(agent.engine.file_lock_count(), 0, "cycle {cycle}");
+        assert!(agent.engine.registry.read().is_empty(), "cycle {cycle}");
         ids.extend(files);
     }
     // Every login minted fresh ids; none of them left anything behind.

@@ -15,23 +15,24 @@
 //!   re-classify all their blocks and mutate the registry wholesale, so they
 //!   exclude all per-block traffic — a logout can never race a read or
 //!   update of the session's own blocks;
-//! * the **session table is sharded** by session id: ownership checks on
-//!   different shards never contend, and a login storm distributes its
-//!   bookkeeping instead of serialising on one map;
+//! * the **session table** is one map behind one `RwLock`: login, logout and
+//!   file creation — its only writers — are structural anyway, and the
+//!   ownership checks that read it never contend with each other;
 //! * **candidates** (dummy-update victims and relocation targets alike) are
 //!   drawn from the *known* universe only — the blocks of files disclosed by
 //!   logged-in sessions, exactly Construction 2's visibility rule — and a
 //!   relocation target is a content block of a disclosed *dummy* file
 //!   (Section 4.2.2, the user's own decoys).
 //!
-//! Sessions of the same user may overlap: files are reference-counted, so a
-//! file stays registered (and its blocks stay visible) until the last
-//! session disclosing it logs out.
+//! Sessions of the same user may overlap: a file stays registered (and its
+//! blocks stay visible) until no live session lists it. The session table is
+//! the only record of who disclosed what; the registry the only record of
+//! what was disclosed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use stegfs_base::{
     BlockClass, FileAccessKey, FileKind, FsError, OpenFile, ShardedBlockMap, StegFs, StegFsConfig,
@@ -139,21 +140,16 @@ impl Keying for DisclosedKeys {
 /// The Construction 2 agent (StegHide).
 pub struct ConcurrentVolatileAgent<D> {
     pub(crate) engine: Engine<D, DisclosedKeys>,
-    /// Sessions, sharded by `session % shards`.
-    sessions: Vec<RwLock<HashMap<SessionId, Session>>>,
-    /// How many live sessions disclosed each registered file.
-    open_counts: Mutex<HashMap<FileId, usize>>,
+    /// Live sessions and the files each one lists.
+    sessions: RwLock<HashMap<SessionId, Session>>,
     next_session: AtomicU64,
 }
 
 impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     fn assemble(fs: StegFs<D>, map: ShardedBlockMap, agent_cfg: AgentConfig, seed: u64) -> Self {
         Self {
-            sessions: (0..map.num_shards())
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
             engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, DisclosedKeys),
-            open_counts: Mutex::new(HashMap::new()),
+            sessions: RwLock::default(),
             next_session: AtomicU64::new(1),
         }
     }
@@ -177,14 +173,16 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// Attach to an existing volume with zero knowledge, the production
     /// posture of Construction 2: every payload block starts out
     /// [`BlockClass::Unknown`] and the agent only ever touches blocks of
-    /// files that logged-in users disclose.
+    /// files that logged-in users disclose. `seed` drives the candidate draws
+    /// and, in a stream of its own, the volume DRBG ([`StegFs::mount`]):
+    /// give each restart a fresh one.
     pub fn mount(
         device: D,
         agent_cfg: AgentConfig,
         seed: u64,
         num_shards: usize,
     ) -> Result<Self, AgentError> {
-        let fs = StegFs::mount(device)?;
+        let fs = StegFs::mount(device, seed)?;
         let map = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, num_shards);
         Ok(Self::assemble(fs, map, agent_cfg, seed))
     }
@@ -245,10 +243,6 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         self.provision(|fs, map| fs.create_dummy_file_sparse(map, path, fak, num_blocks))
     }
 
-    fn session_shard(&self, session: SessionId) -> &RwLock<HashMap<SessionId, Session>> {
-        &self.sessions[(session as usize) % self.sessions.len()]
-    }
-
     /// Log a user on: open every disclosed file, add its blocks to the
     /// agent's view, and return the session id. Structural: it excludes all
     /// per-block traffic for its duration.
@@ -258,34 +252,27 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         credentials: &[UserCredential],
     ) -> Result<SessionId, AgentError> {
         let exclusive = self.engine.exclusive();
-        let mut counts = self.open_counts.lock();
         let mut files = Vec::with_capacity(credentials.len());
         for cred in credentials {
             let file = match self.engine.fs.open_file(&cred.fak, &cred.path) {
                 Ok(file) => file,
                 Err(e) => {
                     // Roll back the files this login already opened.
-                    for id in files {
-                        self.release_file(&exclusive, &mut counts, id);
-                    }
+                    self.release_unlisted(&exclusive, &files);
                     return Err(e.into());
                 }
             };
             // Re-disclosure of an already-registered file (another live
             // session of the same user) reuses the id and its cached header.
-            let (id, fresh) = self.engine.register(file);
-            if fresh {
-                // Registered a moment ago, under the exclusive side: no
-                // close can have taken it out since.
-                if let Some(file) = self.engine.registry.read().get(id) {
-                    self.engine.fs.register_file(&self.engine.map, file);
-                }
+            let mut registry = self.engine.registry.write();
+            let (id, fresh) = registry.register(file);
+            if let Some(file) = registry.get(id).filter(|_| fresh) {
+                self.engine.fs.register_file(&self.engine.map, file);
             }
-            *counts.entry(id).or_insert(0) += 1;
             files.push(id);
         }
         let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.session_shard(session).write().insert(
+        self.sessions.write().insert(
             session,
             Session {
                 user: user.to_string(),
@@ -295,32 +282,26 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         Ok(session)
     }
 
-    /// Drop one disclosure of `id`; on the last one, forget the file's keys
-    /// and block classifications. The header must already be saved.
-    fn release_file(
-        &self,
-        exclusive: &Exclusive<'_, D, DisclosedKeys>,
-        counts: &mut HashMap<FileId, usize>,
-        id: FileId,
-    ) {
-        let Some(remaining) = counts.get_mut(&id) else {
-            return;
-        };
-        *remaining -= 1;
-        if *remaining > 0 {
-            return;
-        }
-        counts.remove(&id);
-        if let Some(file) = exclusive.unregister(id) {
-            for b in file.all_blocks() {
-                self.engine.map.set(b, BlockClass::Unknown);
+    /// Forget every file of `files` that no live session lists: its keys,
+    /// its cached header and its blocks' classifications. Headers must
+    /// already be saved.
+    fn release_unlisted(&self, exclusive: &Exclusive<'_, D, DisclosedKeys>, files: &[FileId]) {
+        let sessions = self.sessions.read();
+        for &id in files {
+            if sessions.values().any(|s| s.files.contains(&id)) {
+                continue;
+            }
+            if let Some(file) = exclusive.unregister(id) {
+                for b in file.all_blocks() {
+                    self.engine.map.set(b, BlockClass::Unknown);
+                }
             }
         }
     }
 
     /// Log a user off: persist dirty headers, then forget every file, key
     /// and block classification the session contributed (unless another live
-    /// session still disclosed the same file). Structural.
+    /// session still lists the same file). Structural.
     ///
     /// If a header cannot be written the error is returned and the session
     /// stays logged in, untouched, so the caller can retry: forgetting a
@@ -332,11 +313,8 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         for &id in &files {
             exclusive.save(id)?;
         }
-        self.session_shard(session).write().remove(&session);
-        let mut counts = self.open_counts.lock();
-        for id in files {
-            self.release_file(&exclusive, &mut counts, id);
-        }
+        self.sessions.write().remove(&session);
+        self.release_unlisted(&exclusive, &files);
         Ok(())
     }
 
@@ -344,14 +322,9 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     pub fn logged_in_users(&self) -> Vec<String> {
         let mut users: Vec<String> = self
             .sessions
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .values()
-                    .map(|s| s.user.clone())
-                    .collect::<Vec<_>>()
-            })
+            .read()
+            .values()
+            .map(|s| s.user.clone())
             .collect();
         users.sort();
         users
@@ -361,7 +334,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// during the session follow).
     pub fn session_files(&self, session: SessionId) -> Result<Vec<FileId>, AgentError> {
         Ok(self
-            .session_shard(session)
+            .sessions
             .read()
             .get(&session)
             .ok_or(AgentError::UnknownSession(session))?
@@ -382,8 +355,8 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     }
 
     fn check_ownership(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
-        let shard = self.session_shard(session).read();
-        let s = shard
+        let sessions = self.sessions.read();
+        let s = sessions
             .get(&session)
             .ok_or(AgentError::UnknownSession(session))?;
         if s.files.contains(&id) {
@@ -405,7 +378,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         content: &[u8],
     ) -> Result<FileId, AgentError> {
         let _exclusive = self.engine.exclusive();
-        let mut sessions = self.session_shard(session).write();
+        let mut sessions = self.sessions.write();
         let state = sessions
             .get_mut(&session)
             .ok_or(AgentError::UnknownSession(session))?;
@@ -416,23 +389,16 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         // Creating the file consumed blocks the map classified as dummy;
         // here those belong to disclosed dummy files, whose headers must stop
         // referencing them.
-        {
-            let mut registry = self.engine.registry.write();
-            for block in file.all_blocks() {
-                let Some((owner, BlockRole::Content(_))) = registry.owner_of(block) else {
-                    continue;
-                };
-                if registry.get(owner).is_some_and(|f| f.is_dummy()) {
-                    registry.donate_content_block(
-                        owner,
-                        block,
-                        fs.content_bytes_per_block() as u64,
-                    );
-                }
+        let mut registry = self.engine.registry.write();
+        for block in file.all_blocks() {
+            let Some((owner, BlockRole::Content(_))) = registry.owner_of(block) else {
+                continue;
+            };
+            if registry.get(owner).is_some_and(|f| f.is_dummy()) {
+                registry.donate_content_block(owner, block, fs.content_bytes_per_block() as u64);
             }
         }
-        let (id, _) = self.engine.register(file);
-        self.open_counts.lock().insert(id, 1);
+        let (id, _) = registry.register(file);
         state.files.push(id);
         Ok(id)
     }
@@ -533,7 +499,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         &self.engine.fs
     }
 
-    /// Shard count of the map, the update-lock array and the session table.
+    /// Shard count of the map and the update-lock array.
     pub fn num_shards(&self) -> usize {
         self.engine.map.num_shards()
     }

@@ -45,12 +45,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     pub fn scrub_cursor(&self, seed: u64) -> ScrubCursor {
         let num = self.fs.superblock().num_blocks;
         let mut order: Vec<BlockId> = (1..num).collect();
-        let mut rng = HashDrbg::from_u64(seed);
-        // Fisher–Yates with the deterministic DRBG.
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(i as u64 + 1) as usize;
-            order.swap(i, j);
-        }
+        HashDrbg::from_u64(seed).shuffle(&mut order);
         ScrubCursor {
             order,
             pos: AtomicUsize::new(0),

@@ -206,7 +206,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     ) -> Result<Self, ResilienceError> {
         let anchor_key = master.derive("resilience:anchor");
         let (anchor, repaired) = VolumeAnchor::read_quorum(&device, &anchor_key)?;
-        let fs = StegFs::mount_with(device, seed)?;
+        let fs = StegFs::mount(device, seed)?;
         let map = ShardedBlockMap::new_all_dummy(fs.superblock().num_blocks, DEFAULT_MAP_SHARDS);
         for b in VolumeAnchor::replica_blocks(fs.superblock().num_blocks) {
             map.set(b, BlockClass::Reserved);

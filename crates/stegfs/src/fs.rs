@@ -171,13 +171,13 @@ impl<D: BlockDevice> StegFs<D> {
         Ok((fs, map))
     }
 
-    /// Mount an already formatted volume.
-    pub fn mount(device: D) -> Result<Self, FsError> {
-        Self::mount_with(device, 0xfeed_beef)
-    }
-
-    /// Mount with an explicit RNG seed.
-    pub fn mount_with(device: D, seed: u64) -> Result<Self, FsError> {
+    /// Mount an already formatted volume. `seed` seeds the volume DRBG (IVs,
+    /// random fills, allocation) in a stream of its own, apart from the one
+    /// [`StegFs::format`] draws under the same seed: a session that reused
+    /// an earlier session's stream would write that session's bytes again —
+    /// the same IVs, the same fills, even the superblock's public salt —
+    /// linking the two on the device. Distinct seeds give distinct streams.
+    pub fn mount(device: D, seed: u64) -> Result<Self, FsError> {
         let mut sb_block = vec![0u8; device.block_size()];
         device.read_block(SUPERBLOCK_BLOCK, &mut sb_block)?;
         let superblock = Superblock::decode(&sb_block).map_err(FsError::BadSuperblock)?;
@@ -193,12 +193,14 @@ impl<D: BlockDevice> StegFs<D> {
             )));
         }
         let codec = BlockCodec::new(superblock.block_size as usize);
+        let mut rng = HashDrbg::new(&seed.to_be_bytes());
+        rng.reseed(b"stegfs:mount");
         Ok(Self {
             caps: HeaderCaps::for_data_field(codec.data_field_len()),
             codec,
             superblock,
             device,
-            rng: Mutex::new(HashDrbg::new(&seed.to_be_bytes())),
+            rng: Mutex::new(rng),
         })
     }
 
@@ -832,7 +834,7 @@ mod tests {
     #[test]
     fn mount_rejects_unformatted_volume() {
         let dev = MemDevice::new(64, 512);
-        assert!(StegFs::mount(dev).is_err());
+        assert!(StegFs::mount(dev, 1).is_err());
     }
 
     #[test]

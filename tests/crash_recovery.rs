@@ -755,7 +755,7 @@ fn agent_relocate_update_is_old_or_new_at_every_cut() {
         // Remount the raw substrate and open the file exactly as the agent
         // would: the header either still points at the old block or was
         // repointed to the relocated one — never in between.
-        let fs = StegFs::mount(snapshot).unwrap();
+        let fs = StegFs::mount(snapshot, SEED).unwrap();
         let fak =
             FileAccessKey::from_parts(user.derive("steghide:location"), agent_key, Some(agent_key));
         let open = fs.open_file(&fak, "/doc").unwrap();

@@ -5,7 +5,8 @@
 //! `stegfs_base::wire`; they hold only while every format stays bit-identical
 //! — same magics, field order, widths, padding, MAC coverage and tag length —
 //! and the DRBG is consumed in the same order. The oblivious store's request
-//! sequence on both of its partitions is pinned the same way.
+//! sequence on both of its partitions is pinned the same way, and so are a
+//! session of each StegHide construction.
 
 use std::sync::{Arc, Mutex};
 
@@ -150,6 +151,154 @@ fn substrate_file_lifecycle_image_is_pinned() {
     assert_eq!(
         image_sha256(&device),
         "158596697620597cde5ff6597376127d7e8fb3bdb39e82e6072061637eb1db19"
+    );
+}
+
+/// A fresh memory device behind a request log of its own.
+fn watched_device(blocks: u64) -> (Arc<MemDevice>, Watched) {
+    let device = Arc::new(MemDevice::new(blocks, 512));
+    let watched = Watched {
+        inner: Arc::clone(&device),
+        name: b'A',
+        log: Arc::new(Mutex::new(Vec::new())),
+    };
+    (device, watched)
+}
+
+/// One Construction 1 agent from format to file deletion, with no restart:
+/// files created, a file closed and opened again (the construction's
+/// login), relocating updates interleaved with dummy batches, a range
+/// update, a file created mid-session, then flush, close and delete. The
+/// image and the request sequence are the build's before the agent's
+/// per-file and per-block state moved into one registry.
+#[test]
+fn construction1_session_is_pinned() {
+    let (device, watched) = watched_device(512);
+    let log = Arc::clone(&watched.log);
+    let agent = ConcurrentAgent::format(
+        watched,
+        StegFsConfig::default().with_block_size(512),
+        AgentConfig::default(),
+        Key256::from_passphrase("wire image agent"),
+        45,
+        4,
+    )
+    .unwrap();
+    let per = agent.fs().content_bytes_per_block();
+    let (alice, bob) = (
+        Key256::from_passphrase("wire image alice"),
+        Key256::from_passphrase("wire image bob"),
+    );
+    let db = agent
+        .create_file(&alice, "/alice/db", &content(6 * per, 1))
+        .unwrap();
+    let notes = agent
+        .create_file(&bob, "/bob/notes", &content(3 * per, 2))
+        .unwrap();
+    agent.close_file(notes).unwrap();
+    let notes = agent.open_file(&bob, "/bob/notes").unwrap();
+    for i in 0..24u64 {
+        agent
+            .update_block(db, i % 6, &content(per, i as u8))
+            .unwrap();
+        if i % 4 == 0 {
+            agent.dummy_update_batch(8).unwrap();
+        }
+    }
+    agent.update_range_fill(notes, 0, 3, 0x77).unwrap();
+    let late = agent
+        .create_file(&alice, "/alice/late", &content(2 * per, 3))
+        .unwrap();
+    agent.update_block(late, 1, &content(per, 4)).unwrap();
+    assert!(agent.stats().relocations > 0);
+    agent.flush().unwrap();
+    agent.close_file(db).unwrap();
+    agent.delete_file(notes).unwrap();
+    agent.close_file(late).unwrap();
+
+    assert_eq!(
+        image_sha256(&device),
+        "bb9d0b9844684927366c87239f513967086789f34e4ffbbdbbc099b3faa3657e"
+    );
+    assert_eq!(
+        sha256_hex(&log.lock().unwrap()),
+        "1f2c5907503b0fe1ded097036b3625d5a397610ce19d3e520e431dc98b13bdbb"
+    );
+}
+
+/// One Construction 2 agent from format to logout, with no restart: two
+/// users' data and dummy files provisioned, both logged in, relocating
+/// updates (each a swap with a disclosed dummy file's block) interleaved
+/// with dummy batches, a file created from dummy blocks, then both logouts.
+/// Pinned the same way as [`construction1_session_is_pinned`].
+#[test]
+fn construction2_session_is_pinned() {
+    let (device, watched) = watched_device(1024);
+    let log = Arc::clone(&watched.log);
+    let agent = ConcurrentVolatileAgent::format(
+        watched,
+        StegFsConfig::default().with_block_size(512),
+        AgentConfig::default(),
+        46,
+    )
+    .unwrap();
+    let per = agent.fs().content_bytes_per_block();
+    let credentials = |user: &str| {
+        vec![
+            UserCredential::new(
+                format!("/{user}/data"),
+                FileAccessKey::from_passphrase(&format!("wire image {user} data")),
+            ),
+            UserCredential::new(
+                format!("/{user}/dummy"),
+                FileAccessKey::from_passphrase(&format!("wire image {user} dummy"))
+                    .without_content_key(),
+            ),
+        ]
+    };
+    for (salt, user) in ["alice", "bob"].into_iter().enumerate() {
+        let creds = credentials(user);
+        agent
+            .provision_file(&creds[0].path, &creds[0].fak, &content(6 * per, salt as u8))
+            .unwrap();
+        agent
+            .provision_dummy_file(&creds[1].path, &creds[1].fak, 12)
+            .unwrap();
+    }
+    let alice = agent.login("alice", &credentials("alice")).unwrap();
+    let bob = agent.login("bob", &credentials("bob")).unwrap();
+    let (data, bob_data) = (
+        agent.session_files(alice).unwrap()[0],
+        agent.session_files(bob).unwrap()[0],
+    );
+    for i in 0..24u64 {
+        agent
+            .update_block(alice, data, i % 6, &content(per, i as u8))
+            .unwrap();
+        if i % 4 == 0 {
+            agent.dummy_update_batch(8).unwrap();
+        }
+    }
+    agent.update_range_fill(bob, bob_data, 2, 3, 0x66).unwrap();
+    let notes_fak = FileAccessKey::from_passphrase("wire image alice notes");
+    let notes = agent
+        .create_file_from_dummies(alice, "/alice/notes", &notes_fak, &content(2 * per, 5))
+        .unwrap();
+    agent
+        .update_block(alice, notes, 0, &content(per, 6))
+        .unwrap();
+    agent.dummy_update_batch(16).unwrap();
+    assert!(agent.stats().relocations > 0);
+    agent.logout(alice).unwrap();
+    agent.logout(bob).unwrap();
+
+    assert_eq!(
+        image_sha256(&device),
+        "84096211f0ef4a142618078f95890c8d78379c438486c4cb2420a6bd8e2e46eb"
+    );
+    assert_eq!(
+        sha256_hex(&log.lock().unwrap()),
+        "356855c3bb8da6ed83219a980fab9154fee4bb612ef90b307f961e3375f0c2e4"
     );
 }
 
