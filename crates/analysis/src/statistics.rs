@@ -100,6 +100,12 @@ pub fn chi_square_uniform(
     bins: u64,
     alpha: f64,
 ) -> ChiSquareResult {
+    chi_square_of_counts(&bucket_counts(observations, universe, bins), alpha)
+}
+
+/// `observations` counted into `bins` equal-width bins over `0..universe`
+/// (at most one bin per value).
+fn bucket_counts(observations: &[u64], universe: u64, bins: u64) -> Vec<u64> {
     assert!(universe > 0 && bins > 0);
     let bins = bins.min(universe);
     let mut counts = vec![0u64; bins as usize];
@@ -107,7 +113,14 @@ pub fn chi_square_uniform(
         let bin = (obs.min(universe - 1) * bins) / universe;
         counts[bin as usize] += 1;
     }
-    let expected = observations.len() as f64 / bins as f64;
+    counts
+}
+
+/// Pearson's Σ(c − e)²/e of `counts` against their total spread evenly over
+/// the bins, tested at `alpha` with one degree of freedom per bin but one.
+fn chi_square_of_counts(counts: &[u64], alpha: f64) -> ChiSquareResult {
+    let bins = counts.len() as u64;
+    let expected = counts.iter().sum::<u64>() as f64 / bins as f64;
     let statistic: f64 = if expected == 0.0 {
         0.0
     } else {
@@ -134,18 +147,18 @@ pub fn chi_square_uniform(
 /// uniform distribution. Zero means identical; larger means more structure
 /// for the attacker to exploit.
 pub fn kl_divergence_from_uniform(observations: &[u64], universe: u64, bins: u64) -> f64 {
-    assert!(universe > 0 && bins > 0);
-    if observations.is_empty() {
+    kl_of_counts(&bucket_counts(observations, universe, bins))
+}
+
+/// Σ p·log₂(p/q) of the distribution `counts` describe against the uniform
+/// one over as many bins; zero for no observations at all.
+fn kl_of_counts(counts: &[u64]) -> f64 {
+    let n = counts.iter().sum::<u64>();
+    if n == 0 {
         return 0.0;
     }
-    let bins = bins.min(universe);
-    let mut counts = vec![0u64; bins as usize];
-    for &obs in observations {
-        let bin = (obs.min(universe - 1) * bins) / universe;
-        counts[bin as usize] += 1;
-    }
-    let n = observations.len() as f64;
-    let q = 1.0 / bins as f64;
+    let n = n as f64;
+    let q = 1.0 / counts.len() as f64;
     counts
         .iter()
         .filter(|&&c| c > 0)
@@ -197,52 +210,23 @@ pub fn kl_divergence_between(a: &[u64], b: &[u64], universe: u64, bins: u64) -> 
 /// resilience tier's parity-visibility check feeds whole volumes through
 /// this to confirm erasure coding leaves no such fingerprint.
 pub fn byte_value_chi_square(data: &[u8], alpha: f64) -> ChiSquareResult {
-    let mut counts = [0u64; 256];
-    for &b in data {
-        counts[b as usize] += 1;
-    }
-    let expected = data.len() as f64 / 256.0;
-    let statistic: f64 = if expected == 0.0 {
-        0.0
-    } else {
-        counts
-            .iter()
-            .map(|&c| {
-                let diff = c as f64 - expected;
-                diff * diff / expected
-            })
-            .sum()
-    };
-    let critical_value = chi_square_critical_value(255, alpha);
-    ChiSquareResult {
-        statistic,
-        degrees_of_freedom: 255,
-        critical_value,
-        rejects_uniformity: statistic > critical_value,
-    }
+    chi_square_of_counts(&byte_counts(data), alpha)
 }
 
 /// Kullback–Leibler divergence (in bits) of `data`'s byte-value distribution
 /// from uniform. Zero for perfectly uniform content; plaintext structure
 /// (ASCII, zeros, tables) pushes it up sharply.
 pub fn byte_value_kl(data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
+    kl_of_counts(&byte_counts(data))
+}
+
+/// How often each byte value occurs in `data`.
+fn byte_counts(data: &[u8]) -> [u64; 256] {
     let mut counts = [0u64; 256];
     for &b in data {
         counts[b as usize] += 1;
     }
-    let n = data.len() as f64;
-    let q = 1.0 / 256.0;
     counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            p * (p / q).log2()
-        })
-        .sum()
 }
 
 /// Fraction of observations that repeat a value already seen — a cheap but

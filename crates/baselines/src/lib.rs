@@ -124,13 +124,6 @@ impl NativeFile {
         }
         None
     }
-
-    /// Physical blocks of every content block, in index order.
-    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.extents
-            .iter()
-            .flat_map(|&(start, len)| start..start + len)
-    }
 }
 
 /// An unencrypted, extent-based native file system baseline.
@@ -173,24 +166,9 @@ impl<D: BlockDevice> NativeFs<D> {
         }
     }
 
-    /// The layout policy.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
-    }
-
-    /// The underlying device.
-    pub fn device(&self) -> &D {
-        &self.device
-    }
-
-    /// Bytes stored per block.
-    pub fn bytes_per_block(&self) -> usize {
-        self.device.block_size()
-    }
-
     /// Number of blocks needed for `len` bytes.
-    pub fn blocks_for_len(&self, len: u64) -> u64 {
-        len.div_ceil(self.bytes_per_block() as u64).max(1)
+    fn blocks_for_len(&self, len: u64) -> u64 {
+        len.div_ceil(self.device.block_size() as u64).max(1)
     }
 
     fn allocate(
@@ -242,35 +220,6 @@ impl<D: BlockDevice> NativeFs<D> {
         }
     }
 
-    /// Create a file with the given content.
-    pub fn create_file(&self, name: &str, content: &[u8]) -> Result<NativeFile, NativeFsError> {
-        let mut state = self.state.lock();
-        if state.files.contains_key(name) {
-            return Err(NativeFsError::AlreadyExists(name.to_string()));
-        }
-        let num_blocks = self.blocks_for_len(content.len() as u64);
-        let extents = self.allocate(&mut state, num_blocks)?;
-        let file = NativeFile {
-            name: name.to_string(),
-            size: content.len() as u64,
-            extents,
-        };
-        // Write the content.
-        let bs = self.bytes_per_block();
-        let mut buf = vec![0u8; bs];
-        for (i, block) in file.blocks().enumerate() {
-            let start = i * bs;
-            let end = (start + bs).min(content.len());
-            buf.fill(0);
-            if start < content.len() {
-                buf[..end - start].copy_from_slice(&content[start..end]);
-            }
-            self.device.write_block(block, &buf)?;
-        }
-        state.files.insert(name.to_string(), file.clone());
-        Ok(file)
-    }
-
     /// Create a file of `size` bytes without writing content (blocks are
     /// whatever the device already holds). Used by the benchmark harness to
     /// set up large populations quickly; the I/O pattern of later reads and
@@ -292,27 +241,13 @@ impl<D: BlockDevice> NativeFs<D> {
     }
 
     /// Look up a file's metadata.
-    pub fn stat(&self, name: &str) -> Result<NativeFile, NativeFsError> {
+    fn stat(&self, name: &str) -> Result<NativeFile, NativeFsError> {
         self.state
             .lock()
             .files
             .get(name)
             .cloned()
             .ok_or_else(|| NativeFsError::NotFound(name.to_string()))
-    }
-
-    /// Read a whole file.
-    pub fn read_file(&self, name: &str) -> Result<Vec<u8>, NativeFsError> {
-        let file = self.stat(name)?;
-        let bs = self.bytes_per_block();
-        let mut out = Vec::with_capacity(file.num_blocks() as usize * bs);
-        let mut buf = vec![0u8; bs];
-        for block in file.blocks() {
-            self.device.read_block(block, &mut buf)?;
-            out.extend_from_slice(&buf);
-        }
-        out.truncate(file.size as usize);
-        Ok(out)
     }
 
     /// Read `count` consecutive content blocks starting at `start_index`,
@@ -323,17 +258,9 @@ impl<D: BlockDevice> NativeFs<D> {
         start_index: u64,
         count: u64,
     ) -> Result<(), NativeFsError> {
-        let file = self.stat(name)?;
-        let bs = self.bytes_per_block();
-        let mut buf = vec![0u8; bs];
-        for i in start_index..start_index + count {
-            let block = file.block_at(i).ok_or(NativeFsError::OutOfBounds {
-                index: i,
-                len: file.num_blocks(),
-            })?;
-            self.device.read_block(block, &mut buf)?;
-        }
-        Ok(())
+        self.for_blocks(name, start_index, count, |block, buf| {
+            self.device.read_block(block, buf)
+        })
     }
 
     /// Update `count` consecutive content blocks in place (read-modify-write),
@@ -346,37 +273,32 @@ impl<D: BlockDevice> NativeFs<D> {
         count: u64,
         fill: u8,
     ) -> Result<(), NativeFsError> {
+        self.for_blocks(name, start_index, count, |block, buf| {
+            self.device.read_block(block, buf)?;
+            buf.fill(fill);
+            self.device.write_block(block, buf)
+        })
+    }
+
+    /// Run `io` on the physical block of each of `count` consecutive content
+    /// blocks from `start_index`, in index order, with one block buffer.
+    fn for_blocks(
+        &self,
+        name: &str,
+        start_index: u64,
+        count: u64,
+        mut io: impl FnMut(BlockId, &mut [u8]) -> Result<(), DeviceError>,
+    ) -> Result<(), NativeFsError> {
         let file = self.stat(name)?;
-        let bs = self.bytes_per_block();
-        let mut buf = vec![0u8; bs];
+        let mut buf = vec![0u8; self.device.block_size()];
         for i in start_index..start_index + count {
             let block = file.block_at(i).ok_or(NativeFsError::OutOfBounds {
                 index: i,
                 len: file.num_blocks(),
             })?;
-            self.device.read_block(block, &mut buf)?;
-            buf.fill(fill);
-            self.device.write_block(block, &buf)?;
+            io(block, &mut buf)?;
         }
         Ok(())
-    }
-
-    /// Delete a file (metadata only; blocks are not scrubbed, as in a real
-    /// native file system — which is precisely why it offers no deniability).
-    pub fn delete_file(&self, name: &str) -> Result<(), NativeFsError> {
-        self.state
-            .lock()
-            .files
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| NativeFsError::NotFound(name.to_string()))
-    }
-
-    /// Names of all files.
-    pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.state.lock().files.keys().cloned().collect();
-        names.sort();
-        names
     }
 }
 
@@ -388,8 +310,8 @@ mod tests {
     #[test]
     fn clean_disk_allocates_contiguously() {
         let fs = NativeFs::new(MemDevice::new(1024, 512), AllocationPolicy::clean_disk());
-        let a = fs.create_file("a", &vec![1u8; 512 * 10]).unwrap();
-        let b = fs.create_file("b", &vec![2u8; 512 * 5]).unwrap();
+        let a = fs.create_file_sparse("a", 512 * 10).unwrap();
+        let b = fs.create_file_sparse("b", 512 * 5).unwrap();
         assert_eq!(a.extents, vec![(1, 10)]);
         assert_eq!(b.extents, vec![(11, 5)]);
         assert_eq!(a.block_at(0), Some(1));
@@ -410,40 +332,37 @@ mod tests {
     }
 
     #[test]
-    fn read_write_roundtrip() {
-        let fs = NativeFs::new(MemDevice::new(256, 512), AllocationPolicy::clean_disk());
-        let content: Vec<u8> = (0..2000u32).map(|i| (i % 256) as u8).collect();
-        fs.create_file("data", &content).unwrap();
-        assert_eq!(fs.read_file("data").unwrap(), content);
-    }
-
-    #[test]
     fn update_range_changes_blocks_in_place() {
-        let fs = NativeFs::new(MemDevice::new(256, 512), AllocationPolicy::clean_disk());
-        fs.create_file("f", &vec![0u8; 512 * 4]).unwrap();
-        let before = fs.stat("f").unwrap();
+        let dev = MemDevice::new(256, 512);
+        let fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
+        let before = fs.create_file_sparse("f", 512 * 4).unwrap();
         fs.update_range("f", 1, 2, 0xee).unwrap();
         let after = fs.stat("f").unwrap();
         assert_eq!(before.extents, after.extents, "no relocation happens");
-        let data = fs.read_file("f").unwrap();
-        assert!(data[512..1536].iter().all(|&b| b == 0xee));
-        assert!(data[..512].iter().all(|&b| b == 0));
+        let block = |index: u64| {
+            let mut buf = vec![0u8; 512];
+            dev.read_block(after.block_at(index).unwrap(), &mut buf)
+                .unwrap();
+            buf
+        };
+        assert!(block(1).iter().chain(&block(2)).all(|&b| b == 0xee));
+        assert!(block(0).iter().chain(&block(3)).all(|&b| b == 0));
     }
 
     #[test]
     fn out_of_bounds_and_missing_files_error() {
         let fs = NativeFs::new(MemDevice::new(256, 512), AllocationPolicy::clean_disk());
-        fs.create_file("f", &vec![0u8; 512]).unwrap();
+        fs.create_file_sparse("f", 512).unwrap();
         assert!(matches!(
             fs.update_range("f", 5, 1, 0),
             Err(NativeFsError::OutOfBounds { .. })
         ));
         assert!(matches!(
-            fs.read_file("nope"),
+            fs.read_range("nope", 0, 1),
             Err(NativeFsError::NotFound(_))
         ));
         assert!(matches!(
-            fs.create_file("f", b"x"),
+            fs.create_file_sparse("f", 1),
             Err(NativeFsError::AlreadyExists(_))
         ));
     }
@@ -458,24 +377,13 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_list() {
-        let fs = NativeFs::new(MemDevice::new(64, 512), AllocationPolicy::clean_disk());
-        fs.create_file("a", b"1").unwrap();
-        fs.create_file("b", b"2").unwrap();
-        assert_eq!(fs.list(), vec!["a".to_string(), "b".to_string()]);
-        fs.delete_file("a").unwrap();
-        assert_eq!(fs.list(), vec!["b".to_string()]);
-        assert!(fs.delete_file("a").is_err());
-    }
-
-    #[test]
     fn frag_disk_read_is_mostly_sequential_within_fragments() {
         use stegfs_blockdev::sim::SimDevice;
         let dev = SimDevice::new(MemDevice::new(65536, 4096));
-        let fs = NativeFs::new(dev, AllocationPolicy::frag_disk());
+        let fs = NativeFs::new(&dev, AllocationPolicy::frag_disk());
         fs.create_file_sparse("f", 4096 * 64).unwrap();
         fs.read_range("f", 0, 64).unwrap();
-        let stats = fs.device().stats().snapshot();
+        let stats = dev.stats().snapshot();
         // 8 fragments of 8 blocks: 8 random-ish jumps, 56 sequential reads.
         assert_eq!(stats.reads, 64);
         assert!(stats.sequential >= 50, "sequential = {}", stats.sequential);
@@ -486,10 +394,10 @@ mod tests {
     fn clean_disk_read_is_almost_entirely_sequential() {
         use stegfs_blockdev::sim::SimDevice;
         let dev = SimDevice::new(MemDevice::new(65536, 4096));
-        let fs = NativeFs::new(dev, AllocationPolicy::clean_disk());
+        let fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
         fs.create_file_sparse("f", 4096 * 64).unwrap();
         fs.read_range("f", 0, 64).unwrap();
-        let stats = fs.device().stats().snapshot();
+        let stats = dev.stats().snapshot();
         assert_eq!(stats.reads, 64);
         assert_eq!(stats.random, 1);
         assert_eq!(stats.sequential, 63);

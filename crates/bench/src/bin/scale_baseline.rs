@@ -26,18 +26,17 @@ use stegfs_bench::harness::{pick, quick_mode, BLOCK_SIZE};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::MemDevice;
 use stegfs_crypto::Key256;
-use stegfs_resilience::{RegistryConfig, ResilienceConfig, ResilientStore};
+use stegfs_resilience::{Registry, ResilienceConfig, ResilientStore};
 use stegfs_workload::{ChurnConfig, ChurnOp, ChurnWorkload};
 
 fn master() -> Key256 {
     Key256::from_passphrase("scale baseline")
 }
 
-fn store_cfg(max_resident: usize) -> ResilienceConfig {
+fn store_cfg() -> ResilienceConfig {
     ResilienceConfig::default()
         .with_fs(StegFsConfig::default().with_block_size(BLOCK_SIZE))
         .with_stripe(2, 1)
-        .with_registry_resident(max_resident)
 }
 
 fn user_name(u: u64) -> String {
@@ -67,51 +66,42 @@ fn main() {
 
     // --- 1. Bulk registration, checkpoint, cold reopen. ---
     let device = MemDevice::new(volume_blocks, BLOCK_SIZE);
-    let store = ResilientStore::format(device, store_cfg(max_resident), &master(), 0x5ca1e)
-        .expect("format");
-    store
-        .init_registry(RegistryConfig { shards })
-        .expect("init registry");
+    let store = ResilientStore::format(device, store_cfg(), &master(), 0x5ca1e).expect("format");
+    let registry = Registry::create(&store, shards, max_resident).expect("create registry");
 
     // Shard-ordered bulk load: group the population by its keyed shard so
     // each shard is filled once instead of thrashing the resident cache.
     let mut by_shard: Vec<(u32, u64)> = (0..users)
-        .map(|u| {
-            (
-                store
-                    .registry_shard_of(&user_name(u))
-                    .expect("registry present"),
-                u,
-            )
-        })
+        .map(|u| (registry.shard_of(&user_name(u)), u))
         .collect();
     by_shard.sort_unstable();
 
     let t0 = std::time::Instant::now();
     for &(_, u) in &by_shard {
-        store
-            .registry_put(&user_name(u), &profile(u))
+        registry
+            .put(&user_name(u), &profile(u))
             .expect("register user");
     }
     let register_secs = t0.elapsed().as_secs_f64().max(1e-9);
 
     let t0 = std::time::Instant::now();
-    store.registry_checkpoint().expect("checkpoint");
+    registry.checkpoint().expect("checkpoint");
     let checkpoint_secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(
-        store.registry_checkpointed_records().expect("count"),
+        registry.checkpointed_records().expect("count"),
         users,
         "checkpoint must persist the full population"
     );
     let device = store.into_device();
 
     let t0 = std::time::Instant::now();
-    let store =
-        ResilientStore::open(device, store_cfg(max_resident), &master(), 0x5ca1e).expect("reopen");
+    let store = ResilientStore::open(device, store_cfg(), &master(), 0x5ca1e).expect("reopen");
+    let registry = Registry::open(&store, max_resident)
+        .expect("open registry")
+        .expect("reopen must rediscover the registry");
     let reopen_secs = t0.elapsed().as_secs_f64().max(1e-9);
-    assert!(store.has_registry(), "reopen must rediscover the registry");
     assert_eq!(
-        store.registry_stats().resident_shards,
+        registry.stats().resident_shards,
         0,
         "a reopened registry starts cold"
     );
@@ -159,7 +149,7 @@ fn main() {
         match op {
             // A login loads the user's profile; a logout persists it.
             ChurnOp::Login(u) | ChurnOp::Lookup(u) => {
-                let got = store.registry_get(&user_name(u)).expect("lookup");
+                let got = registry.get(&user_name(u)).expect("lookup");
                 assert!(got.is_some(), "registered user {u} vanished");
                 let idx = if matches!(op, ChurnOp::Login(_)) {
                     0
@@ -169,8 +159,8 @@ fn main() {
                 counts[idx] += 1;
             }
             ChurnOp::Logout(u) | ChurnOp::Update(u) => {
-                store
-                    .registry_put(&user_name(u), &profile(u ^ 0xff))
+                registry
+                    .put(&user_name(u), &profile(u ^ 0xff))
                     .expect("update");
                 let idx = if matches!(op, ChurnOp::Logout(_)) {
                     1
@@ -180,7 +170,7 @@ fn main() {
                 counts[idx] += 1;
             }
         }
-        peak_resident = peak_resident.max(store.registry_stats().resident_records as u64);
+        peak_resident = peak_resident.max(registry.stats().resident_records as u64);
     }
     let churn_secs = t0.elapsed().as_secs_f64().max(1e-9);
 
@@ -201,9 +191,9 @@ fn main() {
     for s in 0..storm_sessions {
         let u = (s * stride) % users;
         // login: load the profile; logout: write the session's last state.
-        assert!(store.registry_get(&user_name(u)).expect("login").is_some());
-        store
-            .registry_put(&user_name(u), &profile(u ^ 0xa5))
+        assert!(registry.get(&user_name(u)).expect("login").is_some());
+        registry
+            .put(&user_name(u), &profile(u ^ 0xa5))
             .expect("logout");
     }
     let storm_secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -246,9 +236,9 @@ fn main() {
     ));
 
     // A final checkpoint + audit: everything the churn wrote is durable.
-    store.registry_checkpoint().expect("final checkpoint");
+    registry.checkpoint().expect("final checkpoint");
     assert_eq!(
-        store.registry_checkpointed_records().expect("count"),
+        registry.checkpointed_records().expect("count"),
         users,
         "population must survive the churn"
     );

@@ -58,8 +58,9 @@ pub enum ResilienceError {
     /// none, or the anchor being opened names none. A durable volume is never
     /// run without crash consistency.
     NoJournal,
-    /// A registry shard's records outgrew the one block's data field that
-    /// holds the shard; nothing of the checkpoint was written.
+    /// A registry put would make its shard's records outgrow the one
+    /// block's data field that holds the shard; the put was refused and the
+    /// shard left as it was.
     ShardOverflow {
         /// The shard that overflowed.
         shard: u32,

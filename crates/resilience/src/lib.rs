@@ -48,8 +48,11 @@
 //!   file owns is resealed under that file's key, a victim the block map
 //!   classes `Dummy` is re-randomised, and every other block — anchor
 //!   replicas, journal slots, an allocation not yet adopted by a file — is
-//!   left alone. The persistent sharded registry is one such managed file,
-//!   one shard per content block.
+//!   left alone.
+//! * [`Registry`] — the persistent sharded registry, a client of the store:
+//!   it borrows a [`ResilientStore`], keeps its records in one managed
+//!   hidden file at [`REGISTRY_PATH`] (one shard per content block), reads
+//!   through the healing read and checkpoints through the write plan.
 //!
 //! The failure model it is tested against lives in `stegfs-blockdev`'s
 //! `FaultDevice`: deterministic seeded bit flips, zeroed blocks and torn
@@ -77,13 +80,13 @@ pub use error::ResilienceError;
 pub use journal::{
     BlockWriteIntent, IntentBody, IntentJournal, IntentRecord, ParityIntent, SHADOW_ENTRY_BASE,
 };
-pub use stats::{RecoveryReport, ResilienceStats, ScrubReport, SharedResilienceStats};
+pub use stats::{RecoveryReport, ResilienceStats, ScrubReport};
 /// The registry's record codec, for the hostile-input suite
 /// (`tests/hostile_decoders.rs`) only.
 #[doc(hidden)]
 pub use store::{decode_records, encode_records};
 pub use store::{
-    RegistryConfig, RegistryStats, ResilienceConfig, ResilientStore, ScrubCursor, REGISTRY_PATH,
+    Registry, RegistryStats, ResilienceConfig, ResilientStore, ScrubCursor, REGISTRY_PATH,
 };
 pub use stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeConfig, StripeMap, FAST_LANES};
 pub use superblock::VolumeAnchor;

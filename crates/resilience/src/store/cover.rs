@@ -1,5 +1,5 @@
 //! Cover traffic: dummy updates over victims drawn uniformly or from a scrub
-//! cursor, and the whole-file reseal.
+//! cursor.
 //!
 //! The rule that keeps cover traffic from destroying what it hides among:
 //! the owner index supplies the key of a victim some managed file holds, and
@@ -21,21 +21,6 @@ use super::ResilientStore;
 use crate::error::ResilienceError;
 
 impl<D: BlockDevice> ResilientStore<D> {
-    /// Dummy-update every block of a file (content, parity, header tree and
-    /// the shadow stripe map with its header tree): reseal each under a
-    /// fresh IV. Ciphertexts all change; every plaintext check and parity
-    /// relation survives untouched — the property that makes plaintext-domain
-    /// parity compatible with cover traffic.
-    pub fn reseal_file(&self, path: &str) -> Result<(), ResilienceError> {
-        let state = self.file_state(path)?;
-        let g = state.read();
-        for (loc, role) in g.owned_blocks() {
-            let (key, _) = g.sealing(role);
-            self.fs.reseal_block(loc, &key)?;
-        }
-        Ok(())
-    }
-
     /// Build a scrub cursor over every payload block, in a seeded
     /// pseudo-random order. Feeding it to
     /// [`ResilientStore::dummy_update_batch`] turns the volume's cover

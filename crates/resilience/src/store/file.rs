@@ -72,8 +72,8 @@ impl FileState {
 
     /// Every block the file occupies, with the role it plays. This is the
     /// only enumeration of a managed file's blocks: the owner index, the
-    /// block map's marking at `open`, the scrub sweep, `reseal_file` and
-    /// `stripe_layout` all walk it.
+    /// block map's marking at `open`, the scrub sweep, `stripe_layout` and
+    /// `Registry::blocks` all walk it.
     pub(super) fn owned_blocks(&self) -> Vec<(BlockId, Role)> {
         let mut out = Vec::new();
         for (i, &loc) in self.open.header.blocks.iter().enumerate() {
@@ -101,8 +101,8 @@ impl FileState {
 
     /// The key the block playing `role` is sealed under and, for the striped
     /// roles, the check the stripe map records for it and the stripe to heal
-    /// when it does not hold. Scrub, cover verification, the healing re-read
-    /// and `reseal_file` all ask here.
+    /// when it does not hold. Scrub, cover verification and the healing
+    /// re-read all ask here.
     pub(super) fn sealing(&self, role: Role) -> (Key256, Option<(BlockCheck, u64)>) {
         match role {
             Role::Content(i) => {

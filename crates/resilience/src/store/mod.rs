@@ -71,10 +71,9 @@ use crate::superblock::VolumeAnchor;
 
 pub use cover::ScrubCursor;
 use file::{FileState, OwnerIndex};
-use registry::RegistryState;
 #[doc(hidden)]
 pub use registry::{decode_records, encode_records};
-pub use registry::{RegistryConfig, RegistryStats, REGISTRY_PATH};
+pub use registry::{Registry, RegistryStats, REGISTRY_PATH};
 
 /// `chunk` as a whole data field of `per` bytes, zero-padded — what sealing
 /// a short chunk stores.
@@ -97,10 +96,6 @@ pub struct ResilienceConfig {
     /// occupies *two* uniformly claimed blocks (a replicated pair, so a lost
     /// slot block cannot orphan an in-flight intent).
     pub journal_slots: usize,
-    /// Most registry shards kept resident at once; past it the oldest
-    /// resident shard is checkpointed (when dirty) and dropped. A runtime
-    /// setting: nothing of it is persisted.
-    pub registry_resident_shards: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -109,7 +104,6 @@ impl Default for ResilienceConfig {
             stripe: StripeConfig::new(4, 2),
             fs: StegFsConfig::default(),
             journal_slots: 4,
-            registry_resident_shards: 4,
         }
     }
 }
@@ -132,12 +126,6 @@ impl ResilienceConfig {
         self.journal_slots = slots;
         self
     }
-
-    /// Override the resident registry shard bound.
-    pub fn with_registry_resident(mut self, shards: usize) -> Self {
-        self.registry_resident_shards = shards;
-        self
-    }
 }
 /// A store of erasure-coded hidden files over a block device.
 pub struct ResilientStore<D> {
@@ -157,13 +145,9 @@ pub struct ResilientStore<D> {
     /// `files`. Never locked while a file's lock is being waited for.
     index: RwLock<OwnerIndex>,
     journal: IntentJournal,
-    /// The persistent sharded registry, when the volume carries one.
-    registry: RwLock<Option<RegistryState>>,
-    /// [`ResilienceConfig::registry_resident_shards`].
-    registry_resident: usize,
     /// Outcome of the journal-recovery pass run by [`ResilientStore::open`].
     recovery: Mutex<RecoveryReport>,
-    stats: Arc<SharedResilienceStats>,
+    stats: SharedResilienceStats,
 }
 
 impl<D: BlockDevice> ResilientStore<D> {
@@ -251,7 +235,6 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         let report = store.recover_journal()?;
         *store.recovery.lock() = report;
-        store.load_registry()?;
         Ok(store)
     }
 
@@ -273,10 +256,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             generation: Mutex::new(generation),
             files: RwLock::new(BTreeMap::new()),
             journal: IntentJournal::new(master, journal_slots),
-            registry: RwLock::new(None),
-            registry_resident: cfg.registry_resident_shards,
             recovery: Mutex::new(RecoveryReport::default()),
-            stats: Arc::new(SharedResilienceStats::default()),
+            stats: SharedResilienceStats::default(),
             fs,
             map,
         }
@@ -288,8 +269,8 @@ impl<D: BlockDevice> ResilientStore<D> {
     }
 
     /// Consume the store and return the raw device (simulated unmount — no
-    /// flush is performed; checkpoint the registry first if it has dirty
-    /// resident shards).
+    /// flush is performed: checkpoint a [`Registry`] with dirty resident
+    /// shards before its borrow ends).
     pub fn into_device(self) -> D {
         self.fs.into_device()
     }
@@ -302,11 +283,6 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// The striping shape.
     pub fn stripe_config(&self) -> StripeConfig {
         self.stripe_cfg
-    }
-
-    /// Shared resilience counters.
-    pub fn shared_stats(&self) -> Arc<SharedResilienceStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Snapshot of the resilience counters.

@@ -4,34 +4,30 @@
 //! blocks: the file's length is the only geometry. A shard is its encoded
 //! records in one zero-padded data field, and a zeroed field holds none.
 //!
-//! A shard loads through the healing read (a damaged one is rebuilt from
-//! parity or reported, never served from an older state), and a checkpoint
-//! is one batch of the write plan. A shard is one block because that plan is
-//! atomic per block: after a power cut each block, so each shard, is old or
-//! new. Shards load lazily into a bounded FIFO cache, a dirty one written
-//! back as it is evicted, so resident memory is O(active users).
+//! [`Registry`] is a client of the store, found through its path like any
+//! file: it borrows a [`ResilientStore`], reads a shard through the healing
+//! read (a damaged one is rebuilt from parity or reported, never served
+//! from an older state), and checkpoints as one batch of the write plan. A
+//! shard is one block because that plan is atomic per block: after a power
+//! cut each block, so each shard, is old or new. Shards load lazily into a
+//! bounded FIFO cache, a dirty one written back as it is evicted, so
+//! resident memory is O(active users).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HmacSha256;
 
+use super::file::FileState;
 use super::ResilientStore;
 use crate::error::ResilienceError;
 
 /// Path of the hidden file holding the registry's shards.
 pub const REGISTRY_PATH: &str = "/.registry";
-
-/// Shape of a new registry, persisted as its file's length; the resident
-/// bound is a runtime setting, `ResilienceConfig::registry_resident_shards`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegistryConfig {
-    /// Number of shards the key space is partitioned into, one block each.
-    pub shards: u32,
-}
 
 /// Point-in-time registry statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,25 +44,17 @@ pub struct RegistryStats {
 struct Shard {
     id: u32,
     records: BTreeMap<String, Vec<u8>>,
+    /// Encoded length of `records`, at most one data field: `put` refuses
+    /// a record that would push it past.
+    len: usize,
     /// Whether `records` differ from the shard's block.
     dirty: bool,
 }
 
-/// In-memory state of an opened registry.
-pub(super) struct RegistryState {
-    shards: u32,
-    max_resident: usize,
-    mac: HmacSha256,
-    /// Resident shards in load order; the front is evicted first, which is
-    /// deterministic for a deterministic operation sequence.
-    resident: Mutex<VecDeque<Shard>>,
-}
-
-impl RegistryState {
-    /// Shard owning `user`: a keyed hash, opaque without the registry key.
-    fn shard_of(&self, user: &str) -> u32 {
-        (self.mac.derive_u64_with(user.as_bytes()) % u64::from(self.shards)) as u32
-    }
+/// Bytes a record adds to its shard's encoding: key length, key, value
+/// length, value.
+fn record_len(user: &str, value: &[u8]) -> usize {
+    2 + user.len() + 4 + value.len()
 }
 
 /// A shard's records: `count ‖ (user, value length, value)*`.
@@ -96,76 +84,90 @@ pub fn decode_records(buf: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, Resilienc
     Ok(out)
 }
 
-fn not_initialised() -> ResilienceError {
-    ResilienceError::Corrupt("registry not initialised".to_string())
+/// The persistent registry of one volume, served over the store that holds
+/// its file. A value exists only while the volume carries the file.
+pub struct Registry<'s, D> {
+    store: &'s ResilientStore<D>,
+    file: Arc<RwLock<FileState>>,
+    shards: u32,
+    max_resident: usize,
+    mac: HmacSha256,
+    /// Resident shards in load order; the front is evicted first, which is
+    /// deterministic for a deterministic operation sequence.
+    resident: Mutex<VecDeque<Shard>>,
 }
 
-impl<D: BlockDevice> ResilientStore<D> {
-    /// Create the persistent registry on this volume: a hidden file at
-    /// [`REGISTRY_PATH`] of `cfg.shards` zeroed blocks, each an empty shard.
-    pub fn init_registry(&self, cfg: RegistryConfig) -> Result<(), ResilienceError> {
-        if cfg.shards == 0 {
+impl<'s, D: BlockDevice> Registry<'s, D> {
+    /// Create the registry on `store`'s volume: a hidden file at
+    /// [`REGISTRY_PATH`] of `shards` zeroed blocks, each an empty shard,
+    /// served as [`Registry::open`] serves it.
+    pub fn create(
+        store: &'s ResilientStore<D>,
+        shards: u32,
+        resident: usize,
+    ) -> Result<Self, ResilienceError> {
+        if shards == 0 {
             return Err(ResilienceError::Corrupt("registry of zero shards".into()));
         }
-        let per = self.fs.content_bytes_per_block();
-        self.create_file(REGISTRY_PATH, &vec![0u8; cfg.shards as usize * per])?;
-        self.load_registry()
+        let per = store.fs.content_bytes_per_block();
+        store.create_file(REGISTRY_PATH, &vec![0u8; shards as usize * per])?;
+        let file = store.file_state(REGISTRY_PATH)?;
+        Ok(Self::serve(store, file, shards, resident))
     }
 
-    /// Start serving the registry if this volume carries one. Called by
-    /// [`ResilientStore::open`] after journal recovery, like any file's use.
-    pub(super) fn load_registry(&self) -> Result<(), ResilienceError> {
-        let Ok(file) = self.file_state(REGISTRY_PATH) else {
-            return Ok(());
+    /// The registry `store`'s volume carries, if any. At most `resident`
+    /// shards stay in memory; past it the oldest is checkpointed (when
+    /// dirty) and dropped. A runtime setting: nothing of it is persisted.
+    pub fn open(
+        store: &'s ResilientStore<D>,
+        resident: usize,
+    ) -> Result<Option<Self>, ResilienceError> {
+        let Ok(file) = store.file_state(REGISTRY_PATH) else {
+            return Ok(None);
         };
         let blocks = file.read().open.header.num_blocks();
         let shards = u32::try_from(blocks)
             .ok()
             .filter(|&n| n > 0)
             .ok_or_else(|| ResilienceError::Corrupt(format!("registry of {blocks} blocks")))?;
-        let mac_key = self.master.derive("resilience:registry").derive("mac");
-        *self.registry.write() = Some(RegistryState {
+        Ok(Some(Self::serve(store, file, shards, resident)))
+    }
+
+    fn serve(
+        store: &'s ResilientStore<D>,
+        file: Arc<RwLock<FileState>>,
+        shards: u32,
+        resident: usize,
+    ) -> Self {
+        let mac_key = store.master.derive("resilience:registry").derive("mac");
+        Self {
+            store,
+            file,
             shards,
-            max_resident: self.registry_resident.max(1),
+            max_resident: resident.max(1),
             mac: HmacSha256::new(mac_key.as_bytes()),
             resident: Mutex::default(),
-        });
-        Ok(())
+        }
     }
 
-    /// Whether this volume carries a persistent registry.
-    pub fn has_registry(&self) -> bool {
-        self.registry.read().is_some()
-    }
-
-    /// The shard a user's records live in, stable across reopens.
-    pub fn registry_shard_of(&self, user: &str) -> Option<u32> {
-        self.registry.read().as_ref().map(|s| s.shard_of(user))
+    /// The shard a user's records live in: a keyed hash, opaque without the
+    /// registry key, stable across reopens.
+    pub fn shard_of(&self, user: &str) -> u32 {
+        (self.mac.derive_u64_with(user.as_bytes()) % u64::from(self.shards)) as u32
     }
 
     /// Every block the registry file occupies (content, parity, header tree
     /// and shadow stripe map), for invisibility and cover-traffic tests.
-    pub fn registry_blocks(&self) -> Vec<BlockId> {
-        let Ok(file) = self.file_state(REGISTRY_PATH) else {
-            return Vec::new();
-        };
-        let owned = file.read().owned_blocks();
+    pub fn blocks(&self) -> Vec<BlockId> {
+        let owned = self.file.read().owned_blocks();
         owned.into_iter().map(|(b, _)| b).collect()
     }
 
     /// Resident-memory statistics: the O(active users) contract.
-    pub fn registry_stats(&self) -> RegistryStats {
-        let reg = self.registry.read();
-        let Some(state) = reg.as_ref() else {
-            return RegistryStats {
-                shards: 0,
-                resident_shards: 0,
-                resident_records: 0,
-            };
-        };
-        let resident = state.resident.lock();
+    pub fn stats(&self) -> RegistryStats {
+        let resident = self.resident.lock();
         RegistryStats {
-            shards: state.shards,
+            shards: self.shards,
             resident_shards: resident.len(),
             resident_records: resident.iter().map(|s| s.records.len()).sum(),
         }
@@ -173,46 +175,58 @@ impl<D: BlockDevice> ResilientStore<D> {
 
     /// Total records as of each shard's last checkpoint, dirty resident ones
     /// not included: one verified read per shard, no resident memory.
-    pub fn registry_checkpointed_records(&self) -> Result<u64, ResilienceError> {
-        if !self.has_registry() {
-            return Ok(0);
-        }
-        let per = self.fs.content_bytes_per_block();
-        let shards = self.read_file(REGISTRY_PATH)?;
+    pub fn checkpointed_records(&self) -> Result<u64, ResilienceError> {
+        let per = self.store.fs.content_bytes_per_block();
+        let shards = self.store.read_file(REGISTRY_PATH)?;
         shards
             .chunks(per)
             .map(|field| Ok(u64::from(Reader::new(field).u32()?)))
             .sum()
     }
 
-    /// Insert or replace `user`'s record.
-    pub fn registry_put(&self, user: &str, value: &[u8]) -> Result<(), ResilienceError> {
+    /// Insert or replace `user`'s record. A record that would make its shard
+    /// outgrow one data field is refused with
+    /// [`ResilienceError::ShardOverflow`], and the shard is left as it was.
+    pub fn put(&self, user: &str, value: &[u8]) -> Result<(), ResilienceError> {
+        let capacity = self.store.fs.content_bytes_per_block();
         self.with_shard_of(user, |shard| {
+            let old = shard.records.get(user).map_or(0, |v| record_len(user, v));
+            let needed = shard.len - old + record_len(user, value);
+            if needed > capacity {
+                return Err(ResilienceError::ShardOverflow {
+                    shard: shard.id,
+                    needed,
+                    capacity,
+                });
+            }
             shard.records.insert(user.to_string(), value.to_vec());
+            shard.len = needed;
             shard.dirty = true;
-        })
+            Ok(())
+        })?
     }
 
     /// Look up `user`'s record.
-    pub fn registry_get(&self, user: &str) -> Result<Option<Vec<u8>>, ResilienceError> {
+    pub fn get(&self, user: &str) -> Result<Option<Vec<u8>>, ResilienceError> {
         self.with_shard_of(user, |shard| shard.records.get(user).cloned())
     }
 
     /// Remove `user`'s record; reports whether it existed.
-    pub fn registry_remove(&self, user: &str) -> Result<bool, ResilienceError> {
+    pub fn remove(&self, user: &str) -> Result<bool, ResilienceError> {
         self.with_shard_of(user, |shard| {
-            let existed = shard.records.remove(user).is_some();
-            shard.dirty |= existed;
-            existed
+            let Some(value) = shard.records.remove(user) else {
+                return false;
+            };
+            shard.len -= record_len(user, &value);
+            shard.dirty = true;
+            true
         })
     }
 
     /// Checkpoint every dirty resident shard as one batch; returns how many
     /// were written.
-    pub fn registry_checkpoint(&self) -> Result<usize, ResilienceError> {
-        let reg = self.registry.read();
-        let state = reg.as_ref().ok_or_else(not_initialised)?;
-        let mut resident = state.resident.lock();
+    pub fn checkpoint(&self) -> Result<usize, ResilienceError> {
+        let mut resident = self.resident.lock();
         let mut dirty: Vec<&mut Shard> = resident.iter_mut().filter(|s| s.dirty).collect();
         // The write plan takes a batch in block order.
         dirty.sort_unstable_by_key(|s| s.id);
@@ -225,11 +239,9 @@ impl<D: BlockDevice> ResilientStore<D> {
 
     /// Checkpoint dirty shards, then drop every resident shard: the cold
     /// state a fresh open starts from.
-    pub fn registry_drop_caches(&self) -> Result<(), ResilienceError> {
-        self.registry_checkpoint()?;
-        if let Some(state) = self.registry.read().as_ref() {
-            state.resident.lock().clear();
-        }
+    pub fn drop_caches(&self) -> Result<(), ResilienceError> {
+        self.checkpoint()?;
+        self.resident.lock().clear();
         Ok(())
     }
 
@@ -239,16 +251,14 @@ impl<D: BlockDevice> ResilientStore<D> {
         user: &str,
         f: impl FnOnce(&mut Shard) -> T,
     ) -> Result<T, ResilienceError> {
-        let reg = self.registry.read();
-        let state = reg.as_ref().ok_or_else(not_initialised)?;
-        let id = state.shard_of(user);
-        let mut resident = state.resident.lock();
+        let id = self.shard_of(user);
+        let mut resident = self.resident.lock();
         let at = match resident.iter().position(|s| s.id == id) {
             Some(at) => at,
             None => {
                 // The oldest shards leave past the bound, each written back
                 // before it goes when dirty, so a failed write loses nothing.
-                while resident.len() >= state.max_resident {
+                while resident.len() >= self.max_resident {
                     if let Some(old) = resident.front().filter(|s| s.dirty) {
                         self.write_shards(&[old])?;
                     }
@@ -264,34 +274,28 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// Read shard `id` from its block through the healing read: a damaged
     /// block is rebuilt from parity first, or the load fails.
     fn load_shard(&self, id: u32) -> Result<Shard, ResilienceError> {
-        let file = self.file_state(REGISTRY_PATH)?;
-        let mut field = vec![0u8; self.fs.content_bytes_per_block()];
-        self.healed_read(&mut file.write(), u64::from(id), &mut field)?;
+        let mut field = vec![0u8; self.store.fs.content_bytes_per_block()];
+        self.store
+            .healed_read(&mut self.file.write(), u64::from(id), &mut field)?;
+        let records = decode_records(&field)?;
+        let len = 4 + records.iter().map(|(u, v)| record_len(u, v)).sum::<usize>();
         Ok(Shard {
             id,
-            records: decode_records(&field)?,
+            records,
+            len,
             dirty: false,
         })
     }
 
     /// Write `shards`, in ascending id order, to their blocks as one batch of
-    /// the write plan. Nothing is written if any shard outgrows its block.
+    /// the write plan.
     fn write_shards(&self, shards: &[&Shard]) -> Result<(), ResilienceError> {
-        let capacity = self.fs.content_bytes_per_block();
-        let mut fields = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let field = encode_records(&shard.records);
-            if field.len() > capacity {
-                return Err(ResilienceError::ShardOverflow {
-                    shard: shard.id,
-                    needed: field.len(),
-                    capacity,
-                });
-            }
-            fields.push((u64::from(shard.id), field));
-        }
+        let fields: Vec<(u64, Vec<u8>)> = shards
+            .iter()
+            .map(|s| (u64::from(s.id), encode_records(&s.records)))
+            .collect();
         let blocks: Vec<(u64, &[u8])> = fields.iter().map(|(i, f)| (*i, f.as_slice())).collect();
-        self.write_blocks(REGISTRY_PATH, &blocks)
+        self.store.write_blocks(REGISTRY_PATH, &blocks)
     }
 }
 
@@ -305,28 +309,34 @@ mod tests {
     use stegfs_blockdev::{FaultDevice, FaultPlan, MemDevice};
     use stegfs_crypto::Key256;
 
+    const SHARDS: u32 = 4;
+    const RESIDENT: usize = 2;
+
     fn cfg() -> ResilienceConfig {
         ResilienceConfig::default()
             .with_fs(StegFsConfig::default().with_block_size(512))
             .with_stripe(4, 2)
-            .with_registry_resident(2)
     }
 
     fn master() -> Key256 {
         Key256::from_passphrase("registry-owner")
     }
 
-    fn reg_cfg() -> RegistryConfig {
-        RegistryConfig { shards: 4 }
-    }
-
     type Store = ResilientStore<FaultDevice<MemDevice>>;
 
     fn fresh_store() -> Store {
         let dev = FaultDevice::new(MemDevice::new(2048, 512));
-        let store = ResilientStore::format(dev, cfg(), &master(), 7).unwrap();
-        store.init_registry(reg_cfg()).unwrap();
-        store
+        ResilientStore::format(dev, cfg(), &master(), 7).unwrap()
+    }
+
+    fn create(store: &Store) -> Registry<'_, FaultDevice<MemDevice>> {
+        Registry::create(store, SHARDS, RESIDENT).unwrap()
+    }
+
+    fn open(store: &Store) -> Registry<'_, FaultDevice<MemDevice>> {
+        Registry::open(store, RESIDENT)
+            .unwrap()
+            .expect("volume carries a registry")
     }
 
     /// Zero `blocks` on the raw device, below every check.
@@ -343,13 +353,14 @@ mod tests {
     /// shard's own block in it (shard `i` is content block `i`).
     fn checkpointed_twice() -> (Store, Vec<BlockId>, BlockId) {
         let store = fresh_store();
+        let reg = create(&store);
         for value in [&b"first"[..], b"second"] {
-            store.registry_put("u0", value).unwrap();
-            store.registry_checkpoint().unwrap();
+            reg.put("u0", value).unwrap();
+            reg.checkpoint().unwrap();
         }
-        store.registry_drop_caches().unwrap();
+        reg.drop_caches().unwrap();
         let k = store.stripe_config().k;
-        let shard = store.registry_shard_of("u0").unwrap() as usize;
+        let shard = reg.shard_of("u0") as usize;
         let stripe = store.stripe_layout(REGISTRY_PATH).unwrap()[shard / k].clone();
         let block = stripe[shard % k];
         (store, stripe, block)
@@ -358,88 +369,118 @@ mod tests {
     #[test]
     fn put_get_remove_roundtrip() {
         let store = fresh_store();
-        assert!(store.has_registry());
-        assert_eq!(store.registry_stats().shards, reg_cfg().shards);
+        assert!(Registry::open(&store, RESIDENT).unwrap().is_none());
+        let reg = create(&store);
+        assert_eq!(reg.stats().shards, SHARDS);
         for i in 0..20 {
-            store
-                .registry_put(&format!("user-{i}"), format!("state-{i}").as_bytes())
+            reg.put(&format!("user-{i}"), format!("state-{i}").as_bytes())
                 .unwrap();
         }
         for i in 0..20 {
             assert_eq!(
-                store.registry_get(&format!("user-{i}")).unwrap().as_deref(),
+                reg.get(&format!("user-{i}")).unwrap().as_deref(),
                 Some(format!("state-{i}").as_bytes())
             );
         }
-        assert!(store.registry_remove("user-3").unwrap());
-        assert!(!store.registry_remove("user-3").unwrap());
-        assert_eq!(store.registry_get("user-3").unwrap(), None);
-        assert_eq!(store.registry_get("never-registered").unwrap(), None);
+        assert!(reg.remove("user-3").unwrap());
+        assert!(!reg.remove("user-3").unwrap());
+        assert_eq!(reg.get("user-3").unwrap(), None);
+        assert_eq!(reg.get("never-registered").unwrap(), None);
     }
 
     #[test]
     fn checkpoint_then_reopen_from_disk() {
         let store = fresh_store();
+        let reg = create(&store);
         for i in 0..12 {
-            store
-                .registry_put(&format!("u{i}"), &[i as u8; 24])
-                .unwrap();
+            reg.put(&format!("u{i}"), &[i as u8; 24]).unwrap();
         }
-        assert!(store.registry_checkpoint().unwrap() >= 1);
-        assert_eq!(store.registry_checkpointed_records().unwrap(), 12);
+        assert!(reg.checkpoint().unwrap() >= 1);
+        assert_eq!(reg.checkpointed_records().unwrap(), 12);
         let device = store.fs.into_device();
 
         let reopened = ResilientStore::open(device, cfg(), &master(), 8).unwrap();
-        assert!(reopened.has_registry());
+        let reg = open(&reopened);
         // Cold start: nothing resident until a lookup pulls a shard in.
-        assert_eq!(reopened.registry_stats().resident_shards, 0);
+        assert_eq!(reg.stats().resident_shards, 0);
         for i in 0..12 {
-            assert_eq!(
-                reopened.registry_get(&format!("u{i}")).unwrap(),
-                Some(vec![i as u8; 24])
-            );
+            assert_eq!(reg.get(&format!("u{i}")).unwrap(), Some(vec![i as u8; 24]));
         }
     }
 
     #[test]
     fn resident_memory_stays_bounded() {
         let store = fresh_store();
+        let reg = create(&store);
         for i in 0..64 {
-            store.registry_put(&format!("user-{i}"), &[7; 8]).unwrap();
-            assert!(store.registry_stats().resident_shards <= 2);
+            reg.put(&format!("user-{i}"), &[7; 8]).unwrap();
+            assert!(reg.stats().resident_shards <= RESIDENT);
         }
         // Eviction checkpointed the displaced shards: everything reads back
         // even though at most two shards were ever resident.
         for i in 0..64 {
-            assert_eq!(
-                store.registry_get(&format!("user-{i}")).unwrap(),
-                Some(vec![7; 8])
-            );
+            assert_eq!(reg.get(&format!("user-{i}")).unwrap(), Some(vec![7; 8]));
         }
-        store.registry_drop_caches().unwrap();
-        assert_eq!(store.registry_stats().resident_records, 0);
-        assert_eq!(store.registry_checkpointed_records().unwrap(), 64);
+        reg.drop_caches().unwrap();
+        assert_eq!(reg.stats().resident_records, 0);
+        assert_eq!(reg.checkpointed_records().unwrap(), 64);
     }
 
     #[test]
     fn shard_overflow_is_reported() {
         let store = fresh_store();
-        // A shard holds one data field; a record that cannot fit must not
-        // checkpoint, and must not be silently truncated.
+        let reg = create(&store);
+        // A shard holds one data field: a record that fills it exactly fits,
+        // one byte more is refused before it reaches the shard — never
+        // stored, never silently truncated.
         let capacity = store.fs().content_bytes_per_block();
-        store.registry_put("whale", &vec![1u8; capacity]).unwrap();
-        let err = store.registry_checkpoint().unwrap_err();
-        let shard = store.registry_shard_of("whale").unwrap();
+        let fits = capacity - 4 - record_len("whale", &[]);
+        reg.put("whale", &vec![1u8; fits]).unwrap();
+        let err = reg.put("whale", &vec![2u8; fits + 1]).unwrap_err();
+        let shard = reg.shard_of("whale");
         assert!(matches!(
             err,
             ResilienceError::ShardOverflow { shard: s, needed, capacity: c }
-                if s == shard && needed > capacity && c == capacity
+                if s == shard && needed == capacity + 1 && c == capacity
         ));
-        // Still resident and dirty: nothing was lost.
-        assert_eq!(
-            store.registry_get("whale").unwrap(),
-            Some(vec![1u8; capacity])
-        );
+        // The refused put changed nothing: the full shard checkpoints and
+        // reads back whole.
+        assert_eq!(reg.get("whale").unwrap(), Some(vec![1u8; fits]));
+        reg.drop_caches().unwrap();
+        assert_eq!(reg.get("whale").unwrap(), Some(vec![1u8; fits]));
+    }
+
+    #[test]
+    fn refused_put_leaves_other_shards_writable() {
+        // A refused record never reaches the resident cache: kept dirty
+        // there, it would be retried first by every eviction and fail it,
+        // taking down puts to every other shard and every checkpoint.
+        let store = fresh_store();
+        let reg = create(&store);
+        assert!(matches!(
+            reg.put("whale", &[9; 496]),
+            Err(ResilienceError::ShardOverflow {
+                needed: 511,
+                capacity: 496,
+                ..
+            })
+        ));
+        let whale_shard = reg.shard_of("whale");
+        let users: Vec<String> = (0..)
+            .map(|i| format!("user-{i}"))
+            .filter(|u| reg.shard_of(u) != whale_shard)
+            .take(28)
+            .collect();
+        for user in &users {
+            reg.put(user, user.as_bytes()).unwrap();
+            assert!(reg.stats().resident_shards <= RESIDENT);
+        }
+        reg.checkpoint().unwrap();
+        reg.drop_caches().unwrap();
+        assert_eq!(reg.checkpointed_records().unwrap(), users.len() as u64);
+        for user in &users {
+            assert_eq!(reg.get(user).unwrap().as_deref(), Some(user.as_bytes()));
+        }
     }
 
     #[test]
@@ -447,7 +488,7 @@ mod tests {
         let (store, _, block) = checkpointed_twice();
         zero(&store, &[block]);
         assert_eq!(
-            store.registry_get("u0").unwrap().as_deref(),
+            open(&store).get("u0").unwrap().as_deref(),
             Some(&b"second"[..]),
             "a damaged shard must heal, not roll back"
         );
@@ -465,7 +506,7 @@ mod tests {
         lost.extend(stripe.iter().filter(|&&b| b != block).take(m));
         zero(&store, &lost);
         assert!(matches!(
-            store.registry_get("u0"),
+            open(&store).get("u0"),
             Err(ResilienceError::Unrecoverable { path, .. }) if path == REGISTRY_PATH
         ));
     }
@@ -473,11 +514,12 @@ mod tests {
     #[test]
     fn cover_traffic_reseals_every_registry_block() {
         let store = fresh_store();
+        let reg = create(&store);
         let users: Vec<String> = (0..12).map(|i| format!("u{i}")).collect();
         for (i, user) in users.iter().enumerate() {
-            store.registry_put(user, &[i as u8; 24]).unwrap();
+            reg.put(user, &[i as u8; 24]).unwrap();
         }
-        store.registry_checkpoint().unwrap();
+        reg.checkpoint().unwrap();
         let image = store.read_file(REGISTRY_PATH).unwrap();
 
         // One scrub-cursor cycle rewrites every block the registry file
@@ -488,23 +530,20 @@ mod tests {
         for _ in 0..cursor.cycle_len().div_ceil(8) {
             touched.extend(store.dummy_update_batch(8, Some(&cursor)).unwrap());
         }
-        let blocks = store.registry_blocks();
-        assert!(blocks.len() > reg_cfg().shards as usize);
+        let blocks = reg.blocks();
+        assert!(blocks.len() > SHARDS as usize);
         for b in &blocks {
             assert!(touched.contains(b), "registry block {b} never resealed");
         }
 
         let read_back = |store: &Store| {
             assert_eq!(store.read_file(REGISTRY_PATH).unwrap(), image);
+            let reg = open(store);
             for (i, user) in users.iter().enumerate() {
-                assert_eq!(
-                    store.registry_get(user).unwrap(),
-                    Some(vec![i as u8; 24]),
-                    "{user}"
-                );
+                assert_eq!(reg.get(user).unwrap(), Some(vec![i as u8; 24]), "{user}");
             }
         };
-        store.registry_drop_caches().unwrap();
+        reg.drop_caches().unwrap();
         read_back(&store);
         let reopened = ResilientStore::open(store.into_device(), cfg(), &master(), 8).unwrap();
         read_back(&reopened);

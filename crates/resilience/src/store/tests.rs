@@ -203,9 +203,14 @@ fn reseal_preserves_parity_relations() {
         store.fs.device().read_block(loc, &mut buf).unwrap();
         buf
     };
+    // One full cycle of scrub-cursor cover traffic reseals every block of
+    // the volume, so every block the file owns.
+    let cursor = store.scrub_cursor(5);
     for _ in 0..3 {
         let before: Vec<Vec<u8>> = owned.iter().map(|&loc| ciphertext(loc)).collect();
-        store.reseal_file("/a").unwrap();
+        for _ in 0..cursor.cycle_len().div_ceil(8) {
+            store.dummy_update_batch(8, Some(&cursor)).unwrap();
+        }
         // Every block the file owns — the shadow stripe map and its header
         // tree included — comes back under a fresh IV.
         for (&loc, before) in owned.iter().zip(&before) {

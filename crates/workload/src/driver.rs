@@ -52,30 +52,7 @@ impl RoundRobinDriver {
         F: FnMut(&mut S) -> bool,
         N: Fn() -> u64,
     {
-        let mut timings: Vec<Option<TaskTiming>> = vec![None; tasks.len()];
-        let mut done = vec![false; tasks.len()];
-        let mut remaining = tasks.len();
-        while remaining > 0 {
-            for (i, task) in tasks.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                let start = now();
-                let finished = task(system);
-                let end = now();
-                let timing = timings[i].get_or_insert(TaskTiming {
-                    start_us: start,
-                    end_us: end,
-                });
-                timing.end_us = end;
-                if finished {
-                    done[i] = true;
-                    remaining -= 1;
-                }
-            }
-        }
-        // The loop above ran every task at least once, so every slot is set.
-        timings.into_iter().flatten().collect()
+        round_robin(&mut tasks, |task| task(system), &now)
     }
 
     /// Average elapsed time across tasks, in microseconds.
@@ -131,14 +108,15 @@ impl ConcurrentDriver {
         let now = &now;
         let collected = std::sync::Mutex::new(Vec::with_capacity(num_tasks));
         std::thread::scope(|scope| {
-            for stripe in stripes {
+            for mut stripe in stripes {
                 let collected = &collected;
                 scope.spawn(move || {
-                    let timings = Self::run_stripe(system, stripe, now);
+                    let timings = round_robin(&mut stripe, |(_, task)| task(system), now);
+                    let indexed = stripe.iter().map(|(index, _)| *index).zip(timings);
                     collected
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
-                        .extend(timings);
+                        .extend(indexed);
                 });
             }
         });
@@ -146,53 +124,44 @@ impl ConcurrentDriver {
         timings.sort_by_key(|(index, _)| *index);
         timings.into_iter().map(|(_, t)| t).collect()
     }
+}
 
-    /// Round-robin one worker's stripe to completion — the same loop as
-    /// [`RoundRobinDriver::run`], over a shared reference.
-    fn run_stripe<S, F, N>(
-        system: &S,
-        mut stripe: Vec<(usize, F)>,
-        now: &N,
-    ) -> Vec<(usize, TaskTiming)>
-    where
-        S: Sync + ?Sized,
-        F: FnMut(&S) -> bool,
-        N: Fn() -> u64,
-    {
-        let mut timings: Vec<Option<TaskTiming>> = vec![None; stripe.len()];
-        let mut done = vec![false; stripe.len()];
-        let mut remaining = stripe.len();
-        while remaining > 0 {
-            for (slot, (_, task)) in stripe.iter_mut().enumerate() {
-                if done[slot] {
-                    continue;
-                }
-                let start = now();
-                let finished = task(system);
-                let end = now();
-                let timing = timings[slot].get_or_insert(TaskTiming {
-                    start_us: start,
-                    end_us: end,
-                });
-                timing.end_us = end;
-                if finished {
-                    done[slot] = true;
-                    remaining -= 1;
-                }
+/// Round-robin `tasks` to completion: every pass steps each unfinished task
+/// once, in order, and a task's timing runs from the start of its first step
+/// to the end of its last. The one loop of both drivers, so one thread of
+/// [`ConcurrentDriver`] visits tasks exactly as [`RoundRobinDriver`] does.
+fn round_robin<T, N>(
+    tasks: &mut [T],
+    mut step: impl FnMut(&mut T) -> bool,
+    now: &N,
+) -> Vec<TaskTiming>
+where
+    N: Fn() -> u64,
+{
+    let mut timings: Vec<Option<TaskTiming>> = vec![None; tasks.len()];
+    let mut done = vec![false; tasks.len()];
+    let mut remaining = tasks.len();
+    while remaining > 0 {
+        for (i, task) in tasks.iter_mut().enumerate() {
+            if done[i] {
+                continue;
+            }
+            let start = now();
+            let finished = step(task);
+            let end = now();
+            let timing = timings[i].get_or_insert(TaskTiming {
+                start_us: start,
+                end_us: end,
+            });
+            timing.end_us = end;
+            if finished {
+                done[i] = true;
+                remaining -= 1;
             }
         }
-        // Every task of the stripe ran at least once, so every slot is set.
-        stripe
-            .iter()
-            .zip(timings)
-            .filter_map(|((index, _), t)| Some((*index, t?)))
-            .collect()
     }
-
-    /// Average elapsed time across tasks, in microseconds.
-    pub fn mean_elapsed_us(timings: &[TaskTiming]) -> f64 {
-        RoundRobinDriver::mean_elapsed_us(timings)
-    }
+    // The loop above ran every task at least once, so every slot is set.
+    timings.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -386,7 +355,7 @@ mod tests {
             assert!(t.end_us >= t.start_us);
             assert!(t.end_us <= 8);
         }
-        assert!(ConcurrentDriver::mean_elapsed_us(&timings) >= 0.0);
+        assert!(RoundRobinDriver::mean_elapsed_us(&timings) >= 0.0);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //!
 //! Two halves of the scale tier in one walkthrough:
 //!
-//! 1. A `ResilientStore` grows a persistent registry — shard-partitioned by
-//!    a keyed hash into one hidden file of one-block shards, checkpointed
-//!    through the same journaled, parity-protected write path as any file —
-//!    and serves a churn of lookups with memory bounded by the *active*
-//!    users, not the registered population.
+//! 1. A persistent `Registry` is created over a `ResilientStore` —
+//!    shard-partitioned by a keyed hash into one hidden file of one-block
+//!    shards, checkpointed through the same journaled, parity-protected write
+//!    path as any file — and serves a churn of lookups with memory bounded by
+//!    the *active* users, not the registered population.
 //! 2. A provisioned volume is served by `ConcurrentVolatileAgent`
 //!    (Construction 2): sessions log in, disclose
 //!    their files, update through the relocate-on-write path, and log out —
@@ -23,29 +23,25 @@ fn main() {
     let master = Key256::from_passphrase("operator master key");
     let store = ResilientStore::format(
         MemDevice::new(4096, 4096),
-        ResilienceConfig::default()
-            .with_stripe(2, 1)
-            .with_registry_resident(8),
+        ResilienceConfig::default().with_stripe(2, 1),
         &master,
         0x5ca1e,
     )
     .expect("format volume");
-    store
-        .init_registry(RegistryConfig { shards: 256 })
-        .expect("init registry");
+    let registry = Registry::create(&store, 256, 8).expect("create registry");
 
     let users = 20_000u64;
     for u in 0..users {
-        store
-            .registry_put(&format!("user-{u:06}"), &u.to_le_bytes())
+        registry
+            .put(&format!("user-{u:06}"), &u.to_le_bytes())
             .expect("register");
     }
-    store.registry_checkpoint().expect("checkpoint");
+    registry.checkpoint().expect("checkpoint");
     println!(
         "registered {} users into {} sealed blocks ({} durable records)",
         users,
-        store.registry_blocks().len(),
-        store.registry_checkpointed_records().expect("count"),
+        registry.blocks().len(),
+        registry.checkpointed_records().expect("count"),
     );
 
     // Churn: Zipf-skewed activity with login/logout storms. The resident
@@ -60,18 +56,18 @@ fn main() {
     for _ in 0..5_000 {
         match churn.next().expect("infinite stream") {
             ChurnOp::Login(u) | ChurnOp::Lookup(u) => {
-                store
-                    .registry_get(&format!("user-{u:06}"))
+                registry
+                    .get(&format!("user-{u:06}"))
                     .expect("lookup")
                     .expect("registered user");
             }
             ChurnOp::Logout(u) | ChurnOp::Update(u) => {
-                store
-                    .registry_put(&format!("user-{u:06}"), &(!u).to_le_bytes())
+                registry
+                    .put(&format!("user-{u:06}"), &(!u).to_le_bytes())
                     .expect("update");
             }
         }
-        peak = peak.max(store.registry_stats().resident_records);
+        peak = peak.max(registry.stats().resident_records);
     }
     println!(
         "churned 5000 ops: peak {} resident records for {} registered ({}x headroom)",

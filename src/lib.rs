@@ -47,7 +47,7 @@ pub mod prelude {
     pub use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, Key256, Sha256};
     pub use stegfs_oblivious::{ObliviousConfig, ObliviousStore};
     pub use stegfs_resilience::{
-        IntentJournal, RegistryConfig, ResilienceConfig, ResilientStore, StripeConfig,
+        IntentJournal, Registry, ResilienceConfig, ResilientStore, StripeConfig,
     };
     pub use steghide::{AgentConfig, ConcurrentAgent, ConcurrentVolatileAgent, UserCredential};
 }

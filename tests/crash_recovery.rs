@@ -25,7 +25,6 @@ use std::sync::Arc;
 use stegfs_repro::blockdev::{clone_to_mem, CrashDevice, CrashPoint};
 use stegfs_repro::oblivious::EpochState;
 use stegfs_repro::prelude::*;
-use stegfs_repro::resilience::RegistryConfig;
 use stegfs_repro::steghide::ConcurrentAgent;
 
 const BLOCK_SIZE: usize = 512;
@@ -372,22 +371,24 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
     // resolve, per shard, to exactly the pre-checkpoint or post-checkpoint
     // record set.
     let (image, keep) = baseline();
+    const RESIDENT: usize = 4;
     let (dev, store) = open_clone(&image);
-    store.init_registry(RegistryConfig { shards: 4 }).unwrap();
+    let registry = Registry::create(&store, 4, RESIDENT).unwrap();
     let users: Vec<String> = (0..10).map(|i| format!("user-{i}")).collect();
     for u in &users {
-        store.registry_put(u, b"old-state").unwrap();
+        registry.put(u, b"old-state").unwrap();
     }
-    store.registry_checkpoint().unwrap();
+    registry.checkpoint().unwrap();
     let image = dev.snapshot_to_mem().unwrap();
     drop(store);
 
     // The dirtying itself is in-memory; only the checkpoint writes.
     let dirty_and_checkpoint = |store: &CrashStore| {
+        let registry = Registry::open(store, RESIDENT).unwrap().unwrap();
         for u in &users {
-            store.registry_put(u, b"new-state").unwrap();
+            registry.put(u, b"new-state").unwrap();
         }
-        let _ = store.registry_checkpoint();
+        let _ = registry.checkpoint();
     };
 
     let (dev, store) = open_clone(&image);
@@ -412,11 +413,12 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
 
         let store = reopen(snapshot);
         assert_volume_sane(&store, gen0, &keep, &format!("checkpoint cut {n}"));
+        let registry = Registry::open(&store, RESIDENT).unwrap().unwrap();
         // Per shard, the record set is all-old or all-new; a user never
         // reads a hybrid or vanishes.
         let mut shard_saw: std::collections::HashMap<u32, bool> = std::collections::HashMap::new();
         for (i, u) in users.iter().enumerate() {
-            let got = store.registry_get(u).unwrap();
+            let got = registry.get(u).unwrap();
             let is_new = match got.as_deref() {
                 Some(b"new-state") => true,
                 Some(b"old-state") => false,
@@ -424,7 +426,7 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
             };
             saw_old |= !is_new;
             saw_new |= is_new;
-            let shard = store.registry_shard_of(u).unwrap();
+            let shard = registry.shard_of(u);
             let first = *shard_saw.entry(shard).or_insert(is_new);
             assert_eq!(
                 first, is_new,
@@ -435,7 +437,7 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
             assert!(
                 users
                     .iter()
-                    .all(|u| store.registry_get(u).unwrap().as_deref() == Some(&b"old-state"[..])),
+                    .all(|u| registry.get(u).unwrap().as_deref() == Some(&b"old-state"[..])),
                 "cut 0 must keep the old records"
             );
         }
@@ -443,16 +445,16 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
             assert!(
                 users
                     .iter()
-                    .all(|u| store.registry_get(u).unwrap().as_deref() == Some(&b"new-state"[..])),
+                    .all(|u| registry.get(u).unwrap().as_deref() == Some(&b"new-state"[..])),
                 "uncut checkpoint must land the new records"
             );
         }
         // After recovery the registry accepts further traffic and
         // checkpoints cleanly.
-        store.registry_put("post-crash", b"fresh").unwrap();
-        store.registry_checkpoint().unwrap();
+        registry.put("post-crash", b"fresh").unwrap();
+        registry.checkpoint().unwrap();
         assert_eq!(
-            store.registry_get("post-crash").unwrap().as_deref(),
+            registry.get("post-crash").unwrap().as_deref(),
             Some(&b"fresh"[..])
         );
     }

@@ -345,26 +345,28 @@ fn registry_det_cfg() -> ResilienceConfig {
     ResilienceConfig::default()
         .with_fs(StegFsConfig::default().with_block_size(512))
         .with_stripe(2, 1)
-        .with_registry_resident(2)
 }
+
+/// Registry shards kept resident by both sessions.
+const REGISTRY_RESIDENT: usize = 2;
 
 /// A deterministic single-threaded registry workload: interleaved lookups,
 /// overwrites and checkpoints over 12 users spread across 4 shards. Returns
 /// every lookup result so behaviour can be compared alongside the I/O trace.
 fn registry_workload<D: BlockDevice>(
-    store: &stegfs_repro::resilience::ResilientStore<D>,
+    registry: &stegfs_repro::resilience::Registry<'_, D>,
 ) -> Vec<Option<Vec<u8>>> {
     let mut observed = Vec::new();
     for i in 0..32u64 {
         let user = format!("det-reg-{}", i % 12);
         if i % 3 == 0 {
-            store
-                .registry_put(&user, format!("gen-{i}").as_bytes())
+            registry
+                .put(&user, format!("gen-{i}").as_bytes())
                 .expect("put");
         }
-        observed.push(store.registry_get(&user).expect("get"));
+        observed.push(registry.get(&user).expect("get"));
         if i % 8 == 7 {
-            store.registry_checkpoint().expect("checkpoint");
+            registry.checkpoint().expect("checkpoint");
         }
     }
     observed
@@ -373,7 +375,7 @@ fn registry_workload<D: BlockDevice>(
 #[test]
 fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     use std::sync::Arc;
-    use stegfs_repro::resilience::RegistryConfig;
+    use stegfs_repro::resilience::Registry;
 
     // Session 1 builds the registry in RAM and checkpoints it out.
     let log_a = TraceLog::new();
@@ -384,20 +386,20 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let master = Key256::from_passphrase("registry determinism");
     let store_a =
         ResilientStore::format(Arc::clone(&dev_a), registry_det_cfg(), &master, 0xd373).unwrap();
-    store_a.init_registry(RegistryConfig { shards: 4 }).unwrap();
+    let registry_a = Registry::create(&store_a, 4, REGISTRY_RESIDENT).unwrap();
     for i in 0..12u64 {
-        store_a
-            .registry_put(&format!("det-reg-{i}"), format!("seed-{i}").as_bytes())
+        registry_a
+            .put(&format!("det-reg-{i}"), format!("seed-{i}").as_bytes())
             .unwrap();
     }
-    store_a.registry_checkpoint().unwrap();
+    registry_a.checkpoint().unwrap();
 
     // Freeze the image for session 2, then put session 1's caches in the
     // same cold state a reopen starts from.
     let image = stegfs_repro::blockdev::clone_to_mem(&*dev_a).unwrap();
-    store_a.registry_drop_caches().unwrap();
+    registry_a.drop_caches().unwrap();
     log_a.clear();
-    let observed_a = registry_workload(&store_a);
+    let observed_a = registry_workload(&registry_a);
     let trace_a: Vec<(IoKind, u64)> = log_a.records().iter().map(|r| (r.kind, r.block)).collect();
 
     // Session 2 reopens the identical image from disk.
@@ -405,17 +407,16 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let dev_b = Arc::new(TracingDevice::with_log(image, log_b.clone()));
     let store_b =
         ResilientStore::open(Arc::clone(&dev_b), registry_det_cfg(), &master, 0xd373).unwrap();
-    assert!(
-        store_b.has_registry(),
-        "reopen must rediscover the registry"
-    );
+    let registry_b = Registry::open(&store_b, REGISTRY_RESIDENT)
+        .unwrap()
+        .expect("reopen must rediscover the registry");
     assert_eq!(
-        store_b.registry_stats().resident_shards,
+        registry_b.stats().resident_shards,
         0,
         "a reopened registry starts cold: resident memory is O(active users)"
     );
     log_b.clear();
-    let observed_b = registry_workload(&store_b);
+    let observed_b = registry_workload(&registry_b);
     let trace_b: Vec<(IoKind, u64)> = log_b.records().iter().map(|r| (r.kind, r.block)).collect();
 
     assert_eq!(

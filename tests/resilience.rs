@@ -451,24 +451,24 @@ fn concurrent_opens_repair_a_stale_anchor_replica() {
 /// after a million-user registry moves in.
 #[test]
 fn registry_segments_are_indistinguishable_from_free_space() {
-    use stegfs_repro::resilience::RegistryConfig;
+    use stegfs_repro::resilience::Registry;
 
     let store = fresh(2, 1, 0x3e61);
     // 128 one-block shards make a file of ≈ 200 blocks: enough bytes that
     // the KL estimators' own sampling bias, which shrinks as 1/n over n
     // bytes, sits well under the 0.01 bounds below.
-    store.init_registry(RegistryConfig { shards: 128 }).unwrap();
+    let registry = Registry::create(&store, 128, 4).unwrap();
     // Fill the shards with real records (bounded by block capacity) and
     // push them all to disk.
     for i in 0..96u64 {
-        store
-            .registry_put(&format!("invis-user-{i}"), &pattern(24, i))
+        registry
+            .put(&format!("invis-user-{i}"), &pattern(24, i))
             .unwrap();
     }
-    store.registry_checkpoint().unwrap();
+    registry.checkpoint().unwrap();
 
     // Bytes of every registry block, straight off the raw device.
-    let registry_blocks = store.registry_blocks();
+    let registry_blocks = registry.blocks();
     assert!(!registry_blocks.is_empty());
     let device = store.fs().device();
     let bs = device.block_size();

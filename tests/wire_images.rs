@@ -117,13 +117,13 @@ fn durable_volume_image_is_pinned() {
 #[test]
 fn registry_volume_image_is_pinned() {
     let (device, store) = durable_volume();
-    store.init_registry(RegistryConfig { shards: 4 }).unwrap();
+    let registry = Registry::create(&store, 4, 4).unwrap();
     for i in 0..24u8 {
-        store
-            .registry_put(&format!("user-{i}"), &content(8 + i as usize, i))
+        registry
+            .put(&format!("user-{i}"), &content(8 + i as usize, i))
             .unwrap();
     }
-    store.registry_checkpoint().unwrap();
+    registry.checkpoint().unwrap();
     assert_eq!(
         image_sha256(&device),
         "62f05dc6f50c4c382017593f521afe0e74d3a1deaf5c07fbad6e7d2d410c4570"
