@@ -26,7 +26,7 @@ use std::sync::Arc;
 use stegfs_base::StegFsConfig;
 use stegfs_bench::harness::{pick, quick_mode, timed, BLOCK_SIZE};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
-use stegfs_blockdev::{clone_to_mem, CrashDevice, MemDevice};
+use stegfs_blockdev::{clone_to_mem, FaultDevice, MemDevice};
 use stegfs_crypto::Key256;
 use stegfs_resilience::{IntentBody, IntentJournal, ResilienceConfig, ResilientStore, StripeMap};
 
@@ -59,7 +59,7 @@ fn main() {
     // One volume with four files, so up to four concurrent intents (the
     // journal keys staleness per path) can be staged.
     let staged_file_blocks = pick(16u64, 8);
-    let dev = Arc::new(CrashDevice::new(MemDevice::new(
+    let dev = Arc::new(FaultDevice::new(MemDevice::new(
         4 * staged_file_blocks * 3 + 96,
         BLOCK_SIZE,
     )));
@@ -80,7 +80,7 @@ fn main() {
 
     let open_iters = pick(20u64, 5);
     for staged in [0usize, 1, 2, 4] {
-        let dev = Arc::new(CrashDevice::new(clone_to_mem(&image).expect("clone")));
+        let dev = Arc::new(FaultDevice::new(clone_to_mem(&image).expect("clone")));
         let store =
             ResilientStore::open(Arc::clone(&dev), store_cfg(), &master(), 62).expect("open");
         // Stage `staged` concurrently in-flight mutations: write each intent
@@ -139,7 +139,7 @@ fn main() {
         new
     };
     // A write-counting device with no cut armed.
-    let dev = Arc::new(CrashDevice::new(MemDevice::new(
+    let dev = Arc::new(FaultDevice::new(MemDevice::new(
         rewrite_blocks * 3 + 64,
         BLOCK_SIZE,
     )));

@@ -253,7 +253,7 @@ impl<D: BlockDevice, H: IoHook<D>> BlockDevice for Layered<D, H> {
 mod tests {
     use super::*;
     use crate::sim::SimDevice;
-    use crate::{CrashDevice, FaultDevice, MemDevice, TracingDevice};
+    use crate::{FaultDevice, MemDevice, TracingDevice};
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::Arc;
@@ -384,7 +384,6 @@ mod tests {
     fn every_hook_forwards_each_request_once_in_the_callers_shape() {
         conforms("tracing", TracingDevice::new);
         conforms("sim", SimDevice::new);
-        conforms("crash, uncut", CrashDevice::new);
         conforms("fault, unarmed", FaultDevice::new);
         conforms("closure", |d| {
             Layered::with_hook(d, |_: &Recorder, _: Io| Ok(()))

@@ -12,7 +12,7 @@
 //!   batched primitives the oblivious store's re-ordering pipeline streams
 //!   through).
 //! * [`MemDevice`] — in-memory backing store, used by tests, examples and the
-//!   benchmark harness.
+//!   benchmark harness; [`clone_to_mem`] copies any device into one.
 //! * [`FileDevice`] — file-backed store for persistence demos.
 //!
 //! **One layer that observes.** [`Layered<D, H>`](Layered) is the only
@@ -32,12 +32,12 @@
 //! * [`sim::SimDevice`] (`after`) — charges every request to a
 //!   [`sim::DiskModel`] so experiments can report simulated elapsed time on
 //!   the paper's 2004-era Ultra-ATA disk, and tallies [`IoStats`].
-//! * [`CrashDevice`] (`write`, `sync`) — cuts power after a configured write
-//!   index, landing exactly a prefix of an operation's writes, plus the
-//!   [`CrashPoint`] enumerator behind the exhaustive crash-recovery matrix.
-//! * [`FaultDevice`] (`write`) — injects deterministic seeded faults (bit
-//!   flips, zeroed blocks, torn ranged/scalar writes) with per-site
-//!   bookkeeping, the failure model the resilience tier is tested against.
+//! * [`FaultDevice`] (`write`, `sync`) — the one failure model: cuts power
+//!   after a configured write unit (landing exactly a prefix of an
+//!   operation's writes, optionally tearing the unit that crosses the cut),
+//!   tears the next scalar writes, and applies seeded [`FaultPlan`]s of bit
+//!   flips and zeroed blocks. The crash-recovery matrix and the resilience
+//!   tier are tested against it.
 //! * a closure `Fn(&D, Io) -> Result<(), DeviceError>` is a `before` hook —
 //!   the form a test double takes
 //!   (`Layered::with_hook(dev, |_: &MemDevice, io: Io| …)`).
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 mod counters;
-mod crash;
 mod device;
 mod fault;
 mod file;
@@ -67,11 +66,10 @@ mod stats;
 mod trace;
 
 pub use counters::Counter;
-pub use crash::{clone_to_mem, CrashDevice, CrashHook, CrashPoint};
 pub use device::{BlockDevice, BlockDeviceExt, BlockId, DeviceError, ScalarDevice};
-pub use fault::{FaultDevice, FaultHook, FaultKind, FaultPlan, FaultSite};
+pub use fault::{FaultDevice, FaultHook, FaultPlan};
 pub use file::FileDevice;
 pub use layered::{Io, IoHook, IoKind, Layered};
-pub use mem::MemDevice;
+pub use mem::{clone_to_mem, MemDevice};
 pub use stats::{IoCounters, IoStats};
 pub use trace::{IoRecord, Snapshot, SnapshotDiff, TraceHook, TraceLog, TracingDevice};

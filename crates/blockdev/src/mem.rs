@@ -32,6 +32,29 @@ impl MemDevice {
     pub fn with_capacity(capacity_bytes: u64, block_size: usize) -> Self {
         Self::new(capacity_bytes / block_size as u64, block_size)
     }
+
+    /// The blocks whose contents differ from `other`'s, in order, over the
+    /// blocks both devices have.
+    pub(crate) fn changed_blocks(&self, other: &MemDevice) -> Vec<BlockId> {
+        self.blocks
+            .iter()
+            .zip(&other.blocks)
+            .enumerate()
+            .filter(|(_, (a, b))| *a.read() != *b.read())
+            .map(|(i, _)| i as BlockId)
+            .collect()
+    }
+}
+
+/// Copy every block of `dev` into a fresh [`MemDevice`] with the same
+/// geometry, one scalar read per block in address order: the image a
+/// recovery test mounts and a [`Snapshot`](crate::Snapshot) holds.
+pub fn clone_to_mem<D: BlockDevice + ?Sized>(dev: &D) -> Result<MemDevice, DeviceError> {
+    let mut copy = MemDevice::new(dev.num_blocks(), dev.block_size());
+    for (b, block) in copy.blocks.iter_mut().enumerate() {
+        dev.read_block(b as BlockId, block.get_mut())?;
+    }
+    Ok(copy)
 }
 
 impl BlockDevice for MemDevice {

@@ -141,7 +141,6 @@ pub struct SimClock {
 struct ClockState {
     now_us: u64,
     head: Option<BlockId>,
-    busy_us: u64,
 }
 
 impl SimClock {
@@ -155,16 +154,10 @@ impl SimClock {
         self.state.lock().now_us
     }
 
-    /// Total time the disk spent servicing requests (equals `now_us` unless
-    /// idle time was injected).
+    /// Total time the disk spent servicing requests: the clock advances by
+    /// service time only, so this is [`now_us`](Self::now_us).
     pub fn busy_us(&self) -> u64 {
-        self.state.lock().busy_us
-    }
-
-    /// Advance the clock by a non-disk delay (e.g. CPU-side encryption cost).
-    pub fn advance_us(&self, us: u64) {
-        let mut s = self.state.lock();
-        s.now_us += us;
+        self.now_us()
     }
 
     /// Charge one request of `count` consecutive blocks against `model`;
@@ -183,7 +176,6 @@ impl SimClock {
         let sequential = matches!(s.head, Some(h) if start == h + 1 || start == h);
         let service = model.batch_service_time_us(s.head, start, count, bytes_per_block);
         s.now_us += service;
-        s.busy_us += service;
         s.head = Some(start + count - 1);
         (service, sequential)
     }
@@ -426,14 +418,6 @@ mod tests {
         let t1 = clock.now_us();
         let _ = b.read_block_vec(2).unwrap();
         assert!(clock.now_us() > t1);
-    }
-
-    #[test]
-    fn advance_adds_idle_time_without_busy() {
-        let clock = SimClock::new();
-        clock.advance_us(500);
-        assert_eq!(clock.now_us(), 500);
-        assert_eq!(clock.busy_us(), 0);
     }
 
     #[test]

@@ -23,17 +23,6 @@ impl IoCounters {
     pub fn total(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Fraction of operations that were sequential, in `[0, 1]`. Returns 0 for
-    /// an empty counter set.
-    pub fn sequential_fraction(&self) -> f64 {
-        let classified = self.sequential + self.random;
-        if classified == 0 {
-            0.0
-        } else {
-            self.sequential as f64 / classified as f64
-        }
-    }
 }
 
 impl IoStats {
@@ -76,18 +65,6 @@ mod tests {
         assert_eq!(c.sequential, 1);
         assert_eq!(c.random, 2);
         assert_eq!(c.total(), 3);
-    }
-
-    #[test]
-    fn sequential_fraction() {
-        let stats = IoStats::default();
-        assert_eq!(stats.snapshot().sequential_fraction(), 0.0);
-        for _ in 0..3 {
-            stats.record_read(true);
-        }
-        stats.record_read(false);
-        let f = stats.snapshot().sequential_fraction();
-        assert!((f - 0.75).abs() < 1e-9);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId, DeviceError};
 use crate::layered::{Io, IoHook, IoKind, Layered};
+use crate::mem::{clone_to_mem, MemDevice};
 
 /// One observed I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,75 +66,54 @@ impl TraceLog {
     pub fn clear(&self) {
         self.inner.lock().clear();
     }
-
-    /// Copy out the records with sequence number `>= from_seq`; used to
-    /// examine the traffic generated by one phase of an experiment.
-    pub fn records_since(&self, from_seq: u64) -> Vec<IoRecord> {
-        self.inner
-            .lock()
-            .iter()
-            .filter(|r| r.seq >= from_seq)
-            .copied()
-            .collect()
-    }
 }
 
 /// A full copy of the raw storage contents at one instant — what the paper's
 /// first attacker group obtains by scanning the volume.
-#[derive(Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    block_size: usize,
-    blocks: Vec<Vec<u8>>,
+    image: MemDevice,
 }
 
 impl Snapshot {
     /// Scan `device` into a snapshot.
     pub fn capture<D: BlockDevice + ?Sized>(device: &D) -> Result<Self, DeviceError> {
-        let block_size = device.block_size();
-        let mut blocks = Vec::with_capacity(device.num_blocks() as usize);
-        let mut buf = vec![0u8; block_size];
-        for b in 0..device.num_blocks() {
-            device.read_block(b, &mut buf)?;
-            blocks.push(buf.clone());
-        }
-        Ok(Self { block_size, blocks })
+        clone_to_mem(device).map(|image| Self { image })
     }
 
     /// Number of blocks captured.
     pub fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
-    }
-
-    /// Contents of block `b`.
-    pub fn block(&self, b: BlockId) -> &[u8] {
-        &self.blocks[b as usize]
+        self.image.num_blocks()
     }
 
     /// Compare with a later snapshot, returning the set of changed blocks —
     /// the information the update-analysis attacker works from (Figure 1).
     pub fn diff(&self, later: &Snapshot) -> SnapshotDiff {
         assert_eq!(
-            self.blocks.len(),
-            later.blocks.len(),
+            self.num_blocks(),
+            later.num_blocks(),
             "snapshots must cover the same device"
         );
-        let changed = self
-            .blocks
-            .iter()
-            .zip(later.blocks.iter())
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i as BlockId)
-            .collect();
-        SnapshotDiff { changed }
+        SnapshotDiff {
+            changed: self.image.changed_blocks(&later.image),
+        }
     }
 }
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.image.block_size() == other.image.block_size()
+            && self.num_blocks() == other.num_blocks()
+            && self.diff(other).is_empty()
+    }
+}
+
+impl Eq for Snapshot {}
 
 impl core::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("num_blocks", &self.blocks.len())
-            .field("block_size", &self.block_size)
+            .field("num_blocks", &self.num_blocks())
+            .field("block_size", &self.image.block_size())
             .finish()
     }
 }
@@ -200,7 +180,6 @@ impl<D: BlockDevice> Layered<D, TraceHook> {
 mod tests {
     use super::*;
     use crate::device::BlockDeviceExt;
-    use crate::mem::MemDevice;
 
     #[test]
     fn tracing_records_requests_in_order() {
@@ -236,17 +215,6 @@ mod tests {
                 (IoKind::Read, 5),
             ]
         );
-    }
-
-    #[test]
-    fn records_since_filters() {
-        let dev = TracingDevice::new(MemDevice::new(8, 512));
-        for b in 0..4 {
-            dev.fill_block(b, b as u8).unwrap();
-        }
-        let since = dev.log().records_since(2);
-        assert_eq!(since.len(), 2);
-        assert_eq!(since[0].block, 2);
     }
 
     #[test]

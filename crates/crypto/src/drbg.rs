@@ -146,13 +146,6 @@ impl HashDrbg {
         u64::from_be_bytes(b)
     }
 
-    /// Next pseudo-random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.fill_bytes(&mut b);
-        u32::from_be_bytes(b)
-    }
-
     /// Uniform value in `[0, bound)` using rejection sampling to avoid modulo
     /// bias. `bound` must be non-zero.
     pub fn gen_range(&mut self, bound: u64) -> u64 {

@@ -55,8 +55,8 @@
 //!   through the healing read and checkpoints through the write plan.
 //!
 //! The failure model it is tested against lives in `stegfs-blockdev`'s
-//! `FaultDevice`: deterministic seeded bit flips, zeroed blocks and torn
-//! ranged/scalar writes.
+//! `FaultDevice`: deterministic seeded bit flips and zeroed blocks, torn
+//! scalar writes, and power cuts after any write unit.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly one leaf module (the
 //! AVX2 multiply-accumulate kernel, `gf256/avx2.rs`), where every block is a

@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
 
 use stegfs_blockdev::sim::{DiskModel, SimDevice};
-use stegfs_blockdev::{CrashDevice, FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
+use stegfs_blockdev::{FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
 use stegfs_crypto::HashDrbg;
 
 use super::file::Role;
@@ -152,8 +152,8 @@ fn scrub_finds_and_repairs_silent_corruption() {
     let mut plan = FaultPlan::new(17);
     plan.flip_bit(victim_data);
     plan.zero_block(victim_parity);
-    let sites = store.fs.device().apply_plan(&plan).unwrap();
-    assert_eq!(sites.len(), 2);
+    store.fs.device().apply_plan(&plan).unwrap();
+    assert_eq!(plan.len(), 2);
 
     let report = store.scrub().unwrap();
     assert!(report.fully_repaired());
@@ -586,7 +586,7 @@ fn write_block_checking_shadow_entries(
 
 #[test]
 fn shadow_pre_images_follow_a_repair_and_a_recovery_between_two_updates() {
-    let device = CrashDevice::new(MemDevice::new(512, 4096));
+    let device = FaultDevice::new(MemDevice::new(512, 4096));
     let store = ResilientStore::format(device, ResilienceConfig::default(), &master(), 7).unwrap();
     let per = store.fs().content_bytes_per_block();
     store.create_file("/a", &content(12 * per - 300)).unwrap();

@@ -642,9 +642,9 @@ mod tests {
         for p in &payloads {
             batch.extend_from_slice(&c.seal(&key(4), p, &mut rng).unwrap());
         }
-        // One whole block lands, then 20 bytes of the second block: its new
-        // IV plus a few ciphertext bytes, the rest stale.
-        dev.arm_torn_ranged_write_partial(1, 20);
+        // Power fails one block in: that block lands, then 20 bytes of the
+        // second block: its new IV plus a few ciphertext bytes, the rest stale.
+        dev.arm_cut_torn(1, 20);
         dev.write_blocks(4, &batch).unwrap();
         // Destination 4 landed and reads back as written.
         let ok = c.read_sealed(&dev, 4, &key(4)).unwrap();

