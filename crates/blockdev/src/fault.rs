@@ -372,6 +372,22 @@ mod tests {
     }
 
     #[test]
+    fn uncut_device_is_transparent_and_counts() {
+        // A cut armed beyond the traffic drops nothing but still counts units.
+        let dev = FaultDevice::new(MemDevice::new(8, 512));
+        dev.arm_cut(10);
+        dev.fill_block(1, 0x11).unwrap();
+        let data: Vec<u8> = (0..3 * 512).map(|i| (i % 251) as u8).collect();
+        dev.write_blocks(2, &data).unwrap();
+        assert_eq!(dev.writes_attempted(), 4); // 1 scalar + 3 ranged units
+        assert!(!dev.power_is_cut());
+        assert!(dev.read_block_vec(1).unwrap().iter().all(|&x| x == 0x11));
+        let mut back = vec![0u8; 3 * 512];
+        dev.read_blocks(2, &mut back).unwrap();
+        assert_eq!(back, data);
+    }
+
+    #[test]
     fn cut_lands_exactly_the_prefix() {
         // 5 scalar writes, cut after 3: exactly blocks 0..3 land.
         let dev = FaultDevice::new(MemDevice::new(8, 512));
@@ -407,6 +423,27 @@ mod tests {
         dev.disarm();
         dev.write_blocks(1, &vec![0x44u8; 4 * 512]).unwrap();
         assert!(dev.read_block_vec(4).unwrap().iter().all(|&b| b == 0x44));
+    }
+
+    #[test]
+    fn cut_mid_range_tears_a_ranged_write_at_block_granularity() {
+        let dev = FaultDevice::new(MemDevice::new(8, 512));
+        for b in 0..8 {
+            dev.inner().fill_block(b, 0xee).unwrap();
+        }
+        dev.arm_cut(2);
+        dev.write_blocks(1, &vec![0x33u8; 4 * 512]).unwrap();
+        assert!(dev.read_block_vec(1).unwrap().iter().all(|&x| x == 0x33));
+        assert!(dev.read_block_vec(2).unwrap().iter().all(|&x| x == 0x33));
+        assert!(dev.read_block_vec(3).unwrap().iter().all(|&x| x == 0xee));
+        assert!(dev.read_block_vec(4).unwrap().iter().all(|&x| x == 0xee));
+        assert_eq!(dev.writes_attempted(), 4);
+        assert!(dev.power_is_cut());
+        // The cut holds: a later ranged write lands nothing.
+        dev.write_blocks(5, &vec![0x33u8; 2 * 512]).unwrap();
+        assert!(dev.read_block_vec(5).unwrap().iter().all(|&x| x == 0xee));
+        assert!(dev.read_block_vec(6).unwrap().iter().all(|&x| x == 0xee));
+        assert_eq!(dev.writes_attempted(), 6);
     }
 
     #[test]
