@@ -310,21 +310,15 @@ impl TestBed {
                 Inner::NonVolatile { agent, files }
             }
             SystemKind::StegHide => {
-                // Provision, then restart the agent and log a user in — the
-                // paper's Construction 2 deployment model.
-                let setup = ConcurrentVolatileAgent::format(
-                    device,
-                    fs_cfg,
-                    AgentConfig::default(),
-                    spec.seed,
-                )
-                .expect("format StegHide volume");
+                // Provision on the substrate, then mount the agent and log a
+                // user in — the paper's Construction 2 deployment model.
+                let (fs, map) =
+                    StegFs::format(device, fs_cfg, spec.seed).expect("format StegHide volume");
                 let mut credentials: Vec<UserCredential> = Vec::new();
                 for (i, &blocks) in spec.file_blocks.iter().enumerate() {
                     let fak = FileAccessKey::from_passphrase(&format!("user-file-{i}"));
                     let path = format!("/bench/file{i}");
-                    setup
-                        .provision_file_sparse(&path, &fak, blocks * content_per_block)
+                    fs.create_file_sparse(&map, &path, &fak, blocks * content_per_block)
                         .expect("provision workload file");
                     credentials.push(UserCredential::new(path, fak));
                 }
@@ -342,8 +336,7 @@ impl TestBed {
                     let chunk = remaining_data.min(1500);
                     let fak = FileAccessKey::from_passphrase(&format!("filler-{filler_idx}"));
                     let path = format!("/bench/filler{filler_idx}");
-                    setup
-                        .provision_file_sparse(&path, &fak, chunk * content_per_block)
+                    fs.create_file_sparse(&map, &path, &fak, chunk * content_per_block)
                         .expect("provision filler file");
                     credentials.push(UserCredential::new(path, fak));
                     remaining_data -= chunk;
@@ -356,17 +349,15 @@ impl TestBed {
                     let fak = FileAccessKey::from_passphrase(&format!("dummy-{dummy_idx}"))
                         .without_content_key();
                     let path = format!("/bench/dummy{dummy_idx}");
-                    setup
-                        .provision_dummy_file_sparse(&path, &fak, chunk)
+                    fs.create_dummy_file_sparse(&map, &path, &fak, chunk)
                         .expect("provision dummy file");
                     credentials.push(UserCredential::new(path, fak));
                     dummy_pool -= chunk;
                     dummy_idx += 1;
                 }
 
-                let device = setup.into_device();
                 let agent = ConcurrentVolatileAgent::mount(
-                    device,
+                    fs.into_device(),
                     AgentConfig::default(),
                     spec.seed ^ 0xabc,
                     DEFAULT_MAP_SHARDS,

@@ -102,7 +102,7 @@ impl FaultPlan {
 }
 
 /// A [`BlockDevice`] that cuts power, tears writes and corrupts content on
-/// demand. See the [module docs](self) for the model.
+/// demand, under the failure model described at the top of `fault.rs`.
 pub type FaultDevice<D> = Layered<D, FaultHook>;
 
 /// The hook of a [`FaultDevice`]: counts write units and decides, from the

@@ -154,12 +154,6 @@ impl SimClock {
         self.state.lock().now_us
     }
 
-    /// Total time the disk spent servicing requests: the clock advances by
-    /// service time only, so this is [`now_us`](Self::now_us).
-    pub fn busy_us(&self) -> u64 {
-        self.now_us()
-    }
-
     /// Charge one request of `count` consecutive blocks against `model`;
     /// returns (service_us, was_sequential) where the flag says whether the
     /// *first* block continued the head (the rest stream by construction).
@@ -393,7 +387,6 @@ mod tests {
             .map(|&(start, count, bytes)| clock.charge_batch(&model, start, count, bytes).0)
             .sum();
         assert_eq!(total, clock.now_us(), "busy time equals elapsed time");
-        assert_eq!(clock.busy_us(), total);
         assert!(
             interleaved_us > 3 * total,
             "interleaved {interleaved_us} us vs drained elevator {total} us"

@@ -160,6 +160,8 @@ fn login_with_wrong_key_fails() {
 fn create_file_from_dummies_converts_dummy_blocks() {
     let (agent, _) = provisioned_agent();
     let session = agent.login("alice", &credentials("alice")).unwrap();
+    let dummy_id = agent.session_files(session).unwrap()[1];
+    let dummy_before = agent.engine.locations(dummy_id);
     let per = agent.fs().content_bytes_per_block();
     let new_fak = FileAccessKey::from_passphrase("alice-notes");
     let content = vec![0x5Au8; per * 2];
@@ -167,6 +169,15 @@ fn create_file_from_dummies_converts_dummy_blocks() {
         .create_file_from_dummies(session, "/alice/notes", &new_fak, &content)
         .unwrap();
     assert_eq!(agent.session_files(session).unwrap().len(), 3);
+    // Every content block of the new file was one of the dummy file's, and
+    // the dummy file gave up exactly those.
+    let taken = agent.engine.locations(id);
+    assert!(taken.iter().all(|b| dummy_before.contains(b)), "{taken:?}");
+    let kept: Vec<_> = dummy_before
+        .into_iter()
+        .filter(|b| !taken.contains(b))
+        .collect();
+    assert_eq!(agent.engine.locations(dummy_id), kept);
     assert_eq!(agent.read_file(session, id).unwrap(), content);
     // The new file is a first-class citizen of the session.
     agent
@@ -185,11 +196,7 @@ fn create_file_from_dummies_converts_dummy_blocks() {
         )
         .unwrap();
     let files = agent.session_files(session2).unwrap();
-    let dummy_blocks = agent.num_blocks(session2, files[0]).unwrap();
-    assert!(
-        dummy_blocks < 8,
-        "dummy file should have shrunk, has {dummy_blocks}"
-    );
+    assert_eq!(agent.num_blocks(session2, files[0]).unwrap(), 8 - 2);
     let read = agent.read_file(session2, files[1]).unwrap();
     assert_eq!(&read[..per], &content[..per]);
     assert_eq!(&read[per..], &vec![0x5B; per][..]);

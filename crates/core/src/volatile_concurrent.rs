@@ -8,6 +8,18 @@
 //! its view — and therefore the region of storage it dummy-updates — grows
 //! as users log in, and is forgotten again at logout or restart.
 //!
+//! The volume is provisioned on the substrate before any agent runs:
+//!
+//! ```text
+//! let (fs, map) = StegFs::format(device, fs_cfg, seed)?;
+//! fs.create_file(&map, "/alice/diary", &diary_fak, &diary)?;
+//! fs.create_dummy_file(&map, "/alice/decoy", &decoy_fak, 16)?;
+//! let agent = ConcurrentVolatileAgent::mount(fs.into_device(), agent_cfg, seed2, shards)?;
+//! ```
+//!
+//! [`ConcurrentVolatileAgent::mount`] is the agent's only constructor, so the
+//! agent never holds a map that knows the volume's free blocks.
+//!
 //! [`ConcurrentVolatileAgent`] is that keying plus session lifecycle over the
 //! shared [`Engine`]; every method takes `&self`:
 //!
@@ -35,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::RwLock;
 
 use stegfs_base::{
-    BlockClass, FileAccessKey, FileKind, FsError, OpenFile, ShardedBlockMap, StegFs, StegFsConfig,
+    BlockClass, FileAccessKey, FileKind, FsError, OpenFile, ShardedBlockMap, StegFs,
 };
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
@@ -146,36 +158,19 @@ pub struct ConcurrentVolatileAgent<D> {
 }
 
 impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
-    fn assemble(fs: StegFs<D>, map: ShardedBlockMap, agent_cfg: AgentConfig, seed: u64) -> Self {
-        Self {
-            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, DisclosedKeys),
-            sessions: RwLock::default(),
-            next_session: AtomicU64::new(1),
-        }
-    }
-
-    /// Format `device` as a fresh volume. The returned agent's block map
-    /// reflects the freshly formatted (all-dummy) volume, which makes it
-    /// suitable for the provisioning phase: creating users' initial hidden
-    /// and dummy files before the system goes live. A production agent then
-    /// restarts ([`ConcurrentVolatileAgent::into_device`] +
-    /// [`ConcurrentVolatileAgent::mount`]) and runs with zero knowledge.
-    pub fn format(
-        device: D,
-        fs_cfg: StegFsConfig,
-        agent_cfg: AgentConfig,
-        seed: u64,
-    ) -> Result<Self, AgentError> {
-        let (fs, map) = StegFs::format(device, fs_cfg, seed)?;
-        Ok(Self::assemble(fs, map, agent_cfg, seed))
-    }
-
-    /// Attach to an existing volume with zero knowledge, the production
-    /// posture of Construction 2: every payload block starts out
+    /// Attach to a provisioned volume with zero knowledge, the one posture
+    /// of Construction 2: every payload block starts out
     /// [`BlockClass::Unknown`] and the agent only ever touches blocks of
     /// files that logged-in users disclose. `seed` drives the candidate draws
     /// and, in a stream of its own, the volume DRBG ([`StegFs::mount`]):
     /// give each restart a fresh one.
+    ///
+    /// Provisioning happens on the substrate before the agent exists:
+    /// [`StegFs::format`], then `create_file`, `create_file_sparse`,
+    /// `create_dummy_file` or `create_dummy_file_sparse` on the map it
+    /// returns, then [`StegFs::into_device`] handed to this constructor.
+    /// Nothing is registered then; the files are found again when their
+    /// owners log in.
     pub fn mount(
         device: D,
         agent_cfg: AgentConfig,
@@ -184,63 +179,11 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     ) -> Result<Self, AgentError> {
         let fs = StegFs::mount(device, seed)?;
         let map = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, num_shards);
-        Ok(Self::assemble(fs, map, agent_cfg, seed))
-    }
-
-    /// Run a [`StegFs`] creation path during the set-up phase (requires a map
-    /// with known dummy blocks, i.e. an agent obtained from
-    /// [`ConcurrentVolatileAgent::format`]). Nothing is registered: the files
-    /// are found again when their owners log in.
-    fn provision(
-        &self,
-        make: impl FnOnce(&StegFs<D>, &ShardedBlockMap) -> Result<OpenFile, FsError>,
-    ) -> Result<(), AgentError> {
-        let _exclusive = self.engine.exclusive();
-        make(&self.engine.fs, &self.engine.map)?;
-        Ok(())
-    }
-
-    /// Provision a hidden file.
-    pub fn provision_file(
-        &self,
-        path: &str,
-        fak: &FileAccessKey,
-        content: &[u8],
-    ) -> Result<(), AgentError> {
-        self.provision(|fs, map| fs.create_file(map, path, fak, content))
-    }
-
-    /// Provision a hidden file of `size` bytes without writing its content
-    /// blocks (benchmark set-up helper).
-    pub fn provision_file_sparse(
-        &self,
-        path: &str,
-        fak: &FileAccessKey,
-        size: u64,
-    ) -> Result<(), AgentError> {
-        self.provision(|fs, map| fs.create_file_sparse(map, path, fak, size))
-    }
-
-    /// Provision a dummy file of `num_blocks` blocks.
-    pub fn provision_dummy_file(
-        &self,
-        path: &str,
-        fak: &FileAccessKey,
-        num_blocks: u64,
-    ) -> Result<(), AgentError> {
-        self.provision(|fs, map| fs.create_dummy_file(map, path, fak, num_blocks))
-    }
-
-    /// Provision a dummy file without re-randomising its content blocks (they
-    /// already hold random bytes on a formatted volume); benchmark set-up
-    /// helper.
-    pub fn provision_dummy_file_sparse(
-        &self,
-        path: &str,
-        fak: &FileAccessKey,
-        num_blocks: u64,
-    ) -> Result<(), AgentError> {
-        self.provision(|fs, map| fs.create_dummy_file_sparse(map, path, fak, num_blocks))
+        Ok(Self {
+            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, DisclosedKeys),
+            sessions: RwLock::default(),
+            next_session: AtomicU64::new(1),
+        })
     }
 
     /// Log a user on: open every disclosed file, add its blocks to the
@@ -514,30 +457,29 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use stegfs_base::StegFsConfig;
     use stegfs_blockdev::MemDevice;
 
     /// Provision `device` with a data file (six blocks of a known pattern)
-    /// and an eight-block dummy file for each of `users`, then restart the
-    /// agent so it has zero knowledge. Returns the data files' content.
+    /// and an eight-block dummy file for each of `users`, then mount the
+    /// agent with zero knowledge. Returns the data files' content.
     pub(crate) fn provisioned_on<D: BlockDevice>(
         device: D,
         users: &[&str],
         cfg: AgentConfig,
     ) -> (ConcurrentVolatileAgent<D>, Vec<u8>) {
         let fs_cfg = StegFsConfig::default().with_block_size(512);
-        let setup = ConcurrentVolatileAgent::format(device, fs_cfg, cfg, 21).unwrap();
-        let per = setup.fs().content_bytes_per_block();
+        let (fs, map) = StegFs::format(device, fs_cfg, 21).unwrap();
+        let per = fs.content_bytes_per_block();
         let content = (0..per * 6).map(|i| (i % 251) as u8).collect::<Vec<u8>>();
         for user in users {
             let creds = credentials(user);
-            setup
-                .provision_file(&creds[0].path, &creds[0].fak, &content)
+            fs.create_file(&map, &creds[0].path, &creds[0].fak, &content)
                 .unwrap();
-            setup
-                .provision_dummy_file(&creds[1].path, &creds[1].fak, 8)
+            fs.create_dummy_file(&map, &creds[1].path, &creds[1].fak, 8)
                 .unwrap();
         }
-        let agent = ConcurrentVolatileAgent::mount(setup.into_device(), cfg, 77, 8).unwrap();
+        let agent = ConcurrentVolatileAgent::mount(fs.into_device(), cfg, 77, 8).unwrap();
         (agent, content)
     }
 

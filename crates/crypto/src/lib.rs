@@ -13,7 +13,7 @@
 //!   size every block, header, journal record and anchor is sealed under
 //!   (encrypt and decrypt), implemented with compile-time fused T-tables and
 //!   word-oriented state; the original byte-oriented implementation survives
-//!   as the [`reference`] module that property tests compare against.
+//!   as the [`reference`](mod@reference) module that property tests compare against.
 //! * [`CbcCipher`] — CBC mode over whole 16-byte blocks, exactly the
 //!   `IV || data field` layout that Section 4.1.1 places in every storage block.
 //! * [`Sha256`] — FIPS 180-2 SHA-256.

@@ -130,7 +130,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
     /// in which case it is delivered straight from the arena and the sort
     /// partition is not touched — spilled to the partition by gathering the
     /// payloads in sorted order into the batch staging: **consecutive ranged
-    /// writes** of at most [`IO_BATCH_BLOCKS`] blocks (the head continues
+    /// writes** of at most `IO_BATCH_BLOCKS` blocks (the head continues
     /// across batches, so a run still streams at transfer speed while the
     /// staging stays capped at one batch). The runs are merged in a single
     /// multi-way pass from per-run look-ahead buffers that the ranged refill

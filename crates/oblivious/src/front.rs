@@ -192,12 +192,6 @@ where
             self.store.insert(block, raw)
         }
     }
-
-    /// Number of distinct partition blocks fetched so far (the size of the
-    /// set `S` in Figure 8(a)).
-    pub fn fetched_len(&self) -> usize {
-        self.state.read().fetched.len()
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +252,6 @@ mod tests {
             }
         }
         assert_eq!(front.stats().steg_fetches, 32);
-        assert_eq!(front.fetched_len(), 32);
     }
 
     #[test]
@@ -329,7 +322,6 @@ mod tests {
             stats.steg_fetches, 32,
             "racing readers must not double-fetch a partition block"
         );
-        assert_eq!(front.fetched_len(), 32);
         assert!(front.store().membership_is_consistent());
     }
 

@@ -1,6 +1,6 @@
 //! Arithmetic in GF(2⁸), the symbol field of the erasure codec.
 //!
-//! The field is GF(2)[x] / (x⁸ + x⁴ + x³ + x² + 1) — the polynomial
+//! The field is GF(2)\[x\] / (x⁸ + x⁴ + x³ + x² + 1) — the polynomial
 //! conventionally used by Reed–Solomon coders (0x11d), *not* the AES
 //! polynomial 0x11b; the two fields are isomorphic but their byte encodings
 //! differ, and 0x11d keeps the tables comparable with every published RS

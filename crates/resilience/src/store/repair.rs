@@ -237,7 +237,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     }
 
     /// Sweep every managed file: quorum-heal the anchor, MAC-verify every
-    /// data and parity block in ranged batches of at most [`SCRUB_BATCH`]
+    /// data and parity block in ranged batches of at most `SCRUB_BATCH`
     /// blocks, and reconstruct every degraded stripe.
     pub fn scrub(&self) -> Result<ScrubReport, ResilienceError> {
         let mut report = ScrubReport::default();

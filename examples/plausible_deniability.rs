@@ -2,6 +2,10 @@
 //!
 //! Run with `cargo run --release --example plausible_deniability`.
 //!
+//! The volume is provisioned on the StegFS substrate (`StegFs::format`,
+//! then `create_file` / `create_dummy_file`), and the agent starts from
+//! `ConcurrentVolatileAgent::mount` knowing nothing about it.
+//!
 //! The agent keeps no persistent secrets: Alice owns the keys to
 //! both her real files and her decoy (dummy) files and discloses them only at
 //! login. If she is later coerced, she can hand over the dummy files' keys —
@@ -9,33 +13,23 @@
 //! about the volume contradicts her story (Section 4.2.1).
 
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
 
 fn main() {
     let fs_cfg = StegFsConfig::default();
 
     // ---- Provisioning phase (before the system goes live). ----------------
-    let setup = ConcurrentVolatileAgent::format(
-        MemDevice::new(16 * 1024, 4096),
-        fs_cfg,
-        AgentConfig::default(),
-        7,
-    )
-    .expect("format");
+    let (fs, map) = StegFs::format(MemDevice::new(16 * 1024, 4096), fs_cfg, 7).expect("format");
 
     let diary_fak = FileAccessKey::from_passphrase("alice diary key");
     let decoy_fak = FileAccessKey::from_passphrase("alice decoy key").without_content_key();
     let diary = b"2026-06-13: met the journalist at the usual place...".repeat(50);
-    setup
-        .provision_file("/alice/diary", &diary_fak, &diary)
+    fs.create_file(&map, "/alice/diary", &diary_fak, &diary)
         .expect("provision diary");
-    setup
-        .provision_dummy_file("/alice/vacation-photos", &decoy_fak, 16)
+    fs.create_dummy_file(&map, "/alice/vacation-photos", &decoy_fak, 16)
         .expect("provision decoy");
 
-    // ---- The agent restarts: it now knows nothing at all. -----------------
-    let device = setup.into_device();
-    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 99, 8)
+    // ---- The agent mounts the volume: it knows nothing at all. ------------
+    let agent = ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 99, 8)
         .expect("mount with zero knowledge");
     println!(
         "agent restarted: knows about {} blocks",

@@ -304,37 +304,35 @@ fn volatile_credentials(u: usize) -> Vec<UserCredential> {
 /// Provision a volume with `V_USERS` users (a data and a dummy file each)
 /// and hand it to the zero-knowledge concurrent volatile agent.
 fn build_volatile_system() -> ConcurrentVolatileAgent<MemDevice> {
-    let setup = ConcurrentVolatileAgent::format(
+    let (fs, map) = StegFs::format(
         MemDevice::new(4096, 512),
         StegFsConfig::default().with_block_size(512),
-        AgentConfig::default(),
         33,
     )
     .expect("format volume");
-    let per = setup.fs().content_bytes_per_block();
+    let per = fs.content_bytes_per_block();
     for u in 0..V_USERS {
         let mut content = Vec::with_capacity(per * V_FILE_BLOCKS as usize);
         for b in 0..V_FILE_BLOCKS {
             content.extend(std::iter::repeat_n(fill_byte(u, 0, b), per));
         }
-        setup
-            .provision_file(
-                &format!("/v{u}/data"),
-                &FileAccessKey::from_passphrase(&format!("volatile-{u}-data")),
-                &content,
-            )
-            .expect("provision data file");
-        setup
-            .provision_dummy_file(
-                &format!("/v{u}/dummy"),
-                &FileAccessKey::from_passphrase(&format!("volatile-{u}-dummy"))
-                    .without_content_key(),
-                V_DUMMY_BLOCKS,
-            )
-            .expect("provision dummy file");
+        fs.create_file(
+            &map,
+            &format!("/v{u}/data"),
+            &FileAccessKey::from_passphrase(&format!("volatile-{u}-data")),
+            &content,
+        )
+        .expect("provision data file");
+        fs.create_dummy_file(
+            &map,
+            &format!("/v{u}/dummy"),
+            &FileAccessKey::from_passphrase(&format!("volatile-{u}-dummy")).without_content_key(),
+            V_DUMMY_BLOCKS,
+        )
+        .expect("provision dummy file");
     }
     ConcurrentVolatileAgent::mount(
-        setup.into_device(),
+        fs.into_device(),
         AgentConfig::default(),
         91,
         DEFAULT_MAP_SHARDS,

@@ -1,9 +1,8 @@
 //! End-to-end integration test of the Construction 2 deployment (the paper's
-//! StegHide): provisioning, agent restart, multi-user sessions,
-//! updates with relocation, logout and a second restart.
+//! StegHide): provisioning on the substrate, a zero-knowledge mount,
+//! multi-user sessions, updates with relocation, logout and a restart.
 
 use stegfs_repro::prelude::*;
-use stegfs_repro::stegfs::{FileAccessKey, StegFsConfig};
 
 const BLOCK_SIZE: usize = 512;
 
@@ -40,33 +39,26 @@ fn credentials(user: &User) -> Vec<UserCredential> {
 #[test]
 fn multi_user_lifecycle_across_restarts() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let setup = ConcurrentVolatileAgent::format(
-        MemDevice::new(4096, BLOCK_SIZE),
-        fs_cfg,
-        AgentConfig::default(),
-        1,
-    )
-    .unwrap();
-    let per_block = setup.fs().content_bytes_per_block();
+    let (fs, map) = StegFs::format(MemDevice::new(4096, BLOCK_SIZE), fs_cfg, 1).unwrap();
+    let per_block = fs.content_bytes_per_block();
     let users = users(per_block);
 
     // Provision every user with a data file and a dummy pool.
     for user in &users {
-        setup
-            .provision_file(
-                &format!("/{}/data", user.name),
-                &user.data_fak,
-                &user.content,
-            )
-            .unwrap();
-        setup
-            .provision_dummy_file(&format!("/{}/dummy", user.name), &user.dummy_fak, 12)
+        fs.create_file(
+            &map,
+            &format!("/{}/data", user.name),
+            &user.data_fak,
+            &user.content,
+        )
+        .unwrap();
+        fs.create_dummy_file(&map, &format!("/{}/dummy", user.name), &user.dummy_fak, 12)
             .unwrap();
     }
 
-    // Restart: the agent now has zero knowledge.
-    let device = setup.into_device();
-    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 2, 4).unwrap();
+    // Mount: the agent starts with zero knowledge.
+    let agent =
+        ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 2, 4).unwrap();
     assert_eq!(agent.map().data_blocks(), 0);
 
     // All three users log in concurrently; each reads and updates its file
@@ -101,7 +93,7 @@ fn multi_user_lifecycle_across_restarts() {
         "nothing left to dummy-update"
     );
 
-    // Second restart, then each user independently verifies its data.
+    // Restart, then each user independently verifies its data.
     let device = agent.into_device();
     let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 3, 4).unwrap();
     for (user, expected) in users.iter().zip(&expected) {
@@ -117,20 +109,13 @@ fn multi_user_lifecycle_across_restarts() {
 #[test]
 fn users_cannot_find_each_others_files() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let setup = ConcurrentVolatileAgent::format(
-        MemDevice::new(2048, BLOCK_SIZE),
-        fs_cfg,
-        AgentConfig::default(),
-        5,
-    )
-    .unwrap();
+    let (fs, map) = StegFs::format(MemDevice::new(2048, BLOCK_SIZE), fs_cfg, 5).unwrap();
     let alice = FileAccessKey::from_passphrase("alice-data");
-    setup
-        .provision_file("/alice/data", &alice, b"alice's secret")
+    fs.create_file(&map, "/alice/data", &alice, b"alice's secret")
         .unwrap();
 
-    let device = setup.into_device();
-    let agent = ConcurrentVolatileAgent::mount(device, AgentConfig::default(), 6, 4).unwrap();
+    let agent =
+        ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 6, 4).unwrap();
 
     // Bob guesses Alice's path but has his own key: login fails, and the
     // failure is indistinguishable from the file simply not existing.

@@ -122,21 +122,19 @@ fn every_figure6_iteration_reads_the_block_it_writes() {
     // Construction 2: the universe is what the user disclosed, and every
     // relocation swaps with a dummy file's block.
     let (device, log) = logged(512);
-    let setup =
-        ConcurrentVolatileAgent::format(device, fs_config(), AgentConfig::default(), 6).unwrap();
+    let (fs, map) = StegFs::format(device, fs_config(), 6).unwrap();
     let fak = FileAccessKey::from_passphrase("hot");
-    setup
-        .provision_file_sparse("/hot", &fak, 4 * per as u64)
+    fs.create_file_sparse(&map, "/hot", &fak, 4 * per as u64)
         .unwrap();
     let mut credentials = vec![UserCredential::new("/hot".to_string(), fak)];
     for decoy in 0..2 {
         let path = format!("/decoy{decoy}");
         let fak = FileAccessKey::from_passphrase(&path).without_content_key();
-        setup.provision_dummy_file(&path, &fak, 8).unwrap();
+        fs.create_dummy_file(&map, &path, &fak, 8).unwrap();
         credentials.push(UserCredential::new(path, fak));
     }
     let agent =
-        ConcurrentVolatileAgent::mount(setup.into_device(), AgentConfig::default(), 7, 4).unwrap();
+        ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 7, 4).unwrap();
     let session = agent.login("user", &credentials).unwrap();
     let hot = agent.session_files(session).unwrap()[0];
     assert_one_block_per_iteration(
@@ -198,5 +196,5 @@ fn the_simulated_disk_bills_every_figure6_write_as_a_head_continuation() {
     // random read plus a streamed write.
     let model = device.model();
     let per_iteration = model.random_block_us(BLOCK_SIZE) + model.sequential_block_us(BLOCK_SIZE);
-    assert!(device.clock().busy_us() <= s.iterations * per_iteration);
+    assert!(device.clock().now_us() <= s.iterations * per_iteration);
 }

@@ -83,17 +83,14 @@ fn credentials() -> Vec<UserCredential> {
 fn volatile_agent_restarts_draw_fresh_bytes() {
     let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
     let (device, written) = recorded(1024);
-    let setup =
-        ConcurrentVolatileAgent::format(device, fs_cfg, AgentConfig::default(), 21).unwrap();
-    let per = setup.fs().content_bytes_per_block();
+    let (fs, map) = StegFs::format(device, fs_cfg, 21).unwrap();
+    let per = fs.content_bytes_per_block();
     let creds = credentials();
-    setup
-        .provision_file(&creds[0].path, &creds[0].fak, &vec![0x11; 6 * per])
+    fs.create_file(&map, &creds[0].path, &creds[0].fak, &vec![0x11; 6 * per])
         .unwrap();
-    setup
-        .provision_dummy_file(&creds[1].path, &creds[1].fak, 8)
+    fs.create_dummy_file(&map, &creds[1].path, &creds[1].fak, 8)
         .unwrap();
-    let mut device = setup.into_device();
+    let mut device = fs.into_device();
     written.take();
 
     let mut sessions = Vec::new();

@@ -108,27 +108,23 @@ fn attacker_verdict(construction: Construction, relocate: bool) -> UpdateVerdict
             )
         }
         Construction::Two => {
-            let setup =
-                ConcurrentVolatileAgent::format(device, fs_config(), agent_config(relocate), 17)
-                    .unwrap();
+            let (fs, map) = StegFs::format(device, fs_config(), 17).unwrap();
             let mut credentials = Vec::new();
             for (name, blocks) in [("hot", HOT_BLOCKS), ("filler", FILLER_BLOCKS)] {
                 let fak = FileAccessKey::from_passphrase(name);
-                setup
-                    .provision_file_sparse(&format!("/{name}"), &fak, blocks * per)
+                fs.create_file_sparse(&map, &format!("/{name}"), &fak, blocks * per)
                     .unwrap();
                 credentials.push(UserCredential::new(format!("/{name}"), fak));
             }
             for decoy in 0..3 {
                 let fak =
                     FileAccessKey::from_passphrase(&format!("decoy-{decoy}")).without_content_key();
-                setup
-                    .provision_dummy_file(&format!("/decoy{decoy}"), &fak, FILLER_BLOCKS)
+                fs.create_dummy_file(&map, &format!("/decoy{decoy}"), &fak, FILLER_BLOCKS)
                     .unwrap();
                 credentials.push(UserCredential::new(format!("/decoy{decoy}"), fak));
             }
             let agent =
-                ConcurrentVolatileAgent::mount(setup.into_device(), agent_config(relocate), 18, 8)
+                ConcurrentVolatileAgent::mount(fs.into_device(), agent_config(relocate), 18, 8)
                     .unwrap();
             let session = agent.login("user", &credentials).unwrap();
             let hot = agent.session_files(session).unwrap()[0];

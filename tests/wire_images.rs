@@ -226,23 +226,19 @@ fn construction1_session_is_pinned() {
     );
 }
 
-/// One Construction 2 agent from format to logout, with no restart: two
-/// users' data and dummy files provisioned, both logged in, relocating
-/// updates (each a swap with a disclosed dummy file's block) interleaved
-/// with dummy batches, a file created from dummy blocks, then both logouts.
+/// One Construction 2 session on a volume provisioned on the substrate: two
+/// users' data and dummy files created through `StegFs`, the agent mounted
+/// with zero knowledge, both users logged in, relocating updates (each a
+/// swap with a disclosed dummy file's block) interleaved with dummy batches,
+/// a file created from the disclosed dummy files' blocks, then both logouts.
 /// Pinned the same way as [`construction1_session_is_pinned`].
 #[test]
 fn construction2_session_is_pinned() {
     let (device, watched) = watched_device(1024);
     let log = Arc::clone(&watched.log);
-    let agent = ConcurrentVolatileAgent::format(
-        watched,
-        StegFsConfig::default().with_block_size(512),
-        AgentConfig::default(),
-        46,
-    )
-    .unwrap();
-    let per = agent.fs().content_bytes_per_block();
+    let (fs, map) =
+        StegFs::format(watched, StegFsConfig::default().with_block_size(512), 46).unwrap();
+    let per = fs.content_bytes_per_block();
     let credentials = |user: &str| {
         vec![
             UserCredential::new(
@@ -258,13 +254,18 @@ fn construction2_session_is_pinned() {
     };
     for (salt, user) in ["alice", "bob"].into_iter().enumerate() {
         let creds = credentials(user);
-        agent
-            .provision_file(&creds[0].path, &creds[0].fak, &content(6 * per, salt as u8))
-            .unwrap();
-        agent
-            .provision_dummy_file(&creds[1].path, &creds[1].fak, 12)
+        fs.create_file(
+            &map,
+            &creds[0].path,
+            &creds[0].fak,
+            &content(6 * per, salt as u8),
+        )
+        .unwrap();
+        fs.create_dummy_file(&map, &creds[1].path, &creds[1].fak, 12)
             .unwrap();
     }
+    let agent =
+        ConcurrentVolatileAgent::mount(fs.into_device(), AgentConfig::default(), 47, 4).unwrap();
     let alice = agent.login("alice", &credentials("alice")).unwrap();
     let bob = agent.login("bob", &credentials("bob")).unwrap();
     let (data, bob_data) = (
@@ -280,10 +281,34 @@ fn construction2_session_is_pinned() {
         }
     }
     agent.update_range_fill(bob, bob_data, 2, 3, 0x66).unwrap();
+    // The dummy files' blocks just before the creation, read from headers
+    // the agent has saved, through a mount the request log does not see.
+    agent.flush().unwrap();
+    let substrate = StegFs::mount(Arc::clone(&device), 0).unwrap();
+    let dummy_blocks: Vec<u64> = ["alice", "bob"]
+        .into_iter()
+        .flat_map(|user| {
+            let dummy = &credentials(user)[1];
+            substrate
+                .open_file(&dummy.fak, &dummy.path)
+                .unwrap()
+                .header
+                .blocks
+        })
+        .collect();
     let notes_fak = FileAccessKey::from_passphrase("wire image alice notes");
     let notes = agent
         .create_file_from_dummies(alice, "/alice/notes", &notes_fak, &content(2 * per, 5))
         .unwrap();
+    let notes_blocks = substrate
+        .open_file(&notes_fak, "/alice/notes")
+        .unwrap()
+        .header
+        .blocks;
+    assert!(
+        notes_blocks.iter().all(|b| dummy_blocks.contains(b)),
+        "/alice/notes took {notes_blocks:?}, the dummy files held {dummy_blocks:?}"
+    );
     agent
         .update_block(alice, notes, 0, &content(per, 6))
         .unwrap();
@@ -294,11 +319,11 @@ fn construction2_session_is_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "84096211f0ef4a142618078f95890c8d78379c438486c4cb2420a6bd8e2e46eb"
+        "4e808c024c3dae92dc02b0bd6a0cba5224c2eddfdb492c07095517577a1a4d1b"
     );
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "356855c3bb8da6ed83219a980fab9154fee4bb612ef90b307f961e3375f0c2e4"
+        "a300aa5405a0314a78c07cb9298c99fb7e5667d04f144fde291521b3db43292f"
     );
 }
 
