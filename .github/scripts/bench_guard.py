@@ -16,7 +16,7 @@ import math
 import re
 import sys
 
-BACKEND_LABEL = re.compile(r"\[aes=(portable|aesni|vaes), sha256=(scalar|ssse3|sha-ni)\]")
+BACKEND_LABEL = re.compile(r"\[aes=(portable|aesni|vaes), sha256=(scalar|sha-ni)\]")
 
 
 def crypto_labels(by_name, _args):

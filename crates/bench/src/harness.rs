@@ -428,11 +428,6 @@ impl TestBed {
         &self.clock
     }
 
-    /// Number of workload files.
-    pub fn num_files(&self) -> usize {
-        self.file_blocks.len()
-    }
-
     /// Number of content blocks of workload file `idx`.
     pub fn file_blocks(&self, idx: usize) -> u64 {
         self.file_blocks[idx]
@@ -750,7 +745,6 @@ mod tests {
     fn all_testbeds_build_and_serve_reads_and_updates() {
         for kind in SystemKind::all() {
             let mut bed = TestBed::build(kind, &tiny_spec());
-            assert_eq!(bed.num_files(), 2);
             assert_eq!(bed.file_blocks(0), 32);
             assert_eq!(bed.clock().now_us(), 0, "{:?} clock must be reset", kind);
             bed.read_block(0, 5);

@@ -44,7 +44,7 @@
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use stegfs_base::{BlockClass, FsError, OpenFile, ShardedBlockMap, StegFs};
+use stegfs_base::{BlockClass, OpenFile, ShardedBlockMap, StegFs};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
@@ -171,17 +171,6 @@ pub(crate) struct Shared<'a, D, K> {
 pub(crate) struct Exclusive<'a, D, K> {
     engine: &'a Engine<D, K>,
     _structural: RwLockWriteGuard<'a, ()>,
-}
-
-fn content_location(file: &OpenFile, index: u64) -> Result<BlockId, AgentError> {
-    file.header
-        .blocks
-        .get(index as usize)
-        .copied()
-        .ok_or(AgentError::Fs(FsError::OutOfBounds {
-            index,
-            len: file.header.num_blocks(),
-        }))
 }
 
 impl<D: BlockDevice, K: Keying> Engine<D, K> {
@@ -357,7 +346,7 @@ impl<D: BlockDevice, K: Keying> Shared<'_, D, K> {
         let (b1, key) = {
             let registry = e.registry.read();
             let file = registry.get(id).ok_or(AgentError::UnknownFile(id))?;
-            (content_location(file, index)?, e.keying.content_key(file)?)
+            (file.content_block(index)?, e.keying.content_key(file)?)
         };
 
         for _ in 0..MAX_UPDATE_ITERATIONS {

@@ -696,6 +696,7 @@ mod tests {
 
     #[test]
     fn backend_accessor_reports_construction_backend() {
+        let _selection = crate::backend::tests::selection_lock();
         let portable = Aes256::with_backend(&[0u8; 32], Backend::Portable).unwrap();
         assert_eq!(portable.backend(), Backend::Portable);
         assert_eq!(Aes256::new(&[0u8; 32]).backend(), backend::active());

@@ -232,14 +232,10 @@ mod tests {
     }
 
     fn available_backends() -> Vec<Sha256Backend> {
-        [
-            Sha256Backend::Scalar,
-            Sha256Backend::Ssse3,
-            Sha256Backend::ShaNi,
-        ]
-        .into_iter()
-        .filter(|b| b.is_available())
-        .collect()
+        [Sha256Backend::Scalar, Sha256Backend::ShaNi]
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
     }
 
     #[test]

@@ -30,16 +30,17 @@
 //!
 //! ## Backends
 //!
-//! AES and SHA-256 each have hardware paths (VAES and AES-NI; SHA-NI with an
-//! SSSE3 fallback) selected once per process by the [`backend`] module from
+//! AES and SHA-256 each have hardware paths (VAES and AES-NI; SHA-NI) beside
+//! a portable one, selected once per process by the [`backend`] module from
 //! CPU feature detection plus the `STEGFS_CRYPTO_BACKEND` environment
-//! override. CBC is a method of the AES backend ([`BlockCipher`]), which the
-//! hardware ones implement as fused kernels; [`CbcCipher`] is the checked
-//! front every caller goes through. All backends are byte-for-byte
-//! equivalent; only throughput differs.
+//! override; the SHA-256 path follows the AES setting. CBC is a method of
+//! the AES backend ([`BlockCipher`]), which the hardware ones implement as
+//! fused kernels; [`CbcCipher`] is the checked front every caller goes
+//! through. All backends are byte-for-byte equivalent; only throughput
+//! differs.
 //!
 //! `unsafe` is denied crate-wide and allowed in exactly three leaf modules
-//! (the AES-NI and VAES ciphers and the x86 SHA-256 compressors), where every
+//! (the AES-NI and VAES ciphers and the SHA-NI compressor), where every
 //! block is a `core::arch` intrinsic call guarded by runtime feature
 //! detection or an unaligned load/store whose bounds the module's safe entry
 //! points check.

@@ -1,11 +1,8 @@
 //! FIPS 180-2 SHA-256, with runtime-dispatched compression backends.
 //!
-//! Three compression paths produce identical digests:
+//! Two compression paths produce identical digests:
 //!
 //! * scalar — the portable FIPS 180-2 implementation; runs everywhere.
-//! * SSSE3 — the same scalar rounds fed by a vectorised message schedule
-//!   (σ0/σ1 over four lanes at a time, with a two-stage σ1 to resolve the
-//!   `w[i+2]`/`w[i+3]` dependency inside each group of four).
 //! * SHA-NI — hardware compression via `sha256rnds2`/`sha256msg1`/`sha256msg2`
 //!   (two rounds per instruction).
 //!
@@ -57,7 +54,7 @@ pub const SHA_LANES: usize = 4;
 /// [`HmacSha256`](crate::HmacSha256)'s one- and many-message MACs and
 /// [`HashDrbg`](crate::HashDrbg)'s output blocks. On SHA-NI the streams move
 /// in lockstep with every stream's state held in registers for the whole
-/// run; the scalar and SSSE3 paths take the streams one after another.
+/// run; the scalar path takes the streams one after another.
 ///
 /// # Panics
 /// If a stream holds fewer than `64 * nblocks` bytes.
@@ -74,11 +71,15 @@ pub(crate) fn compress_many<const N: usize>(
     match backend {
         #[cfg(target_arch = "x86_64")]
         Sha256Backend::ShaNi => x86::compress_shani(states, data),
-        #[cfg(target_arch = "x86_64")]
-        Sha256Backend::Ssse3 => each_block(states, data, x86::compress_ssse3),
-        // Off x86-64 the hardware backends never report available, so
-        // selection cannot produce them. Scalar output is identical anyway.
-        _ => each_block(states, data, compress_scalar),
+        // Off x86-64 SHA-NI never reports available, so selection cannot
+        // produce it. Scalar output is identical anyway.
+        _ => {
+            for (state, stream) in states.iter_mut().zip(data) {
+                for block in stream.as_chunks().0 {
+                    compress_scalar(state, block);
+                }
+            }
+        }
     }
 }
 
@@ -86,19 +87,6 @@ pub(crate) fn compress_many<const N: usize>(
 /// [`compress_many`].
 pub(crate) fn compress_block(backend: Sha256Backend, state: &mut [u32; 8], block: &[u8; 64]) {
     compress_many(backend, core::array::from_mut(state), [block], 1);
-}
-
-/// The streams one after another, a block at a time, through `compress`.
-fn each_block<const N: usize>(
-    states: &mut [[u32; 8]; N],
-    data: [&[u8]; N],
-    compress: fn(&mut [u32; 8], &[u8; 64]),
-) {
-    for (state, stream) in states.iter_mut().zip(data) {
-        for block in stream.as_chunks().0 {
-            compress(state, block);
-        }
-    }
 }
 
 fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
@@ -114,12 +102,7 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
             .wrapping_add(w[i - 7])
             .wrapping_add(s1);
     }
-    rounds(state, &w);
-}
 
-/// The 64 compression rounds over an already-expanded message schedule.
-/// Shared by the scalar and SSSE3 paths (SSSE3 only vectorises the schedule).
-fn rounds(state: &mut [u32; 8], w: &[u32; 64]) {
     let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
     for i in 0..64 {
         let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -152,19 +135,18 @@ fn rounds(state: &mut [u32; 8], w: &[u32; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The x86-64 hardware compression paths. `unsafe` here is confined to
-/// `core::arch` intrinsics reached only through backends whose
+/// The x86-64 SHA-NI compression path. `unsafe` here is confined to
+/// `core::arch` intrinsics reached only once [`Sha256Backend::ShaNi`]'s
 /// [`Sha256Backend::is_available`] detection passed, plus unaligned 16-byte
 /// loads/stores over arrays whose bounds are statically known.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{rounds, K};
+    use super::K;
     use core::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
         _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_slli_epi32, _mm_slli_si128, _mm_srli_epi32,
-        _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
     };
 
     /// `pshufb` mask flipping each 32-bit lane from big-endian message bytes
@@ -175,67 +157,6 @@ mod x86 {
             0x0c0d_0e0f_0809_0a0bu64 as i64,
             0x0405_0607_0001_0203u64 as i64,
         )
-    }
-
-    /// σ0 over four lanes: `rotr7 ^ rotr18 ^ shr3`, with each rotate built
-    /// from a shift pair (the halves cannot overlap, so XOR equals OR).
-    #[target_feature(enable = "sse2")]
-    fn sigma0(v: __m128i) -> __m128i {
-        let r7 = _mm_xor_si128(_mm_srli_epi32(v, 7), _mm_slli_epi32(v, 25));
-        let r18 = _mm_xor_si128(_mm_srli_epi32(v, 18), _mm_slli_epi32(v, 14));
-        _mm_xor_si128(_mm_xor_si128(r7, r18), _mm_srli_epi32(v, 3))
-    }
-
-    /// σ1 over four lanes: `rotr17 ^ rotr19 ^ shr10`. Note σ1(0) = 0, which
-    /// the two-stage schedule below relies on.
-    #[target_feature(enable = "sse2")]
-    fn sigma1(v: __m128i) -> __m128i {
-        let r17 = _mm_xor_si128(_mm_srli_epi32(v, 17), _mm_slli_epi32(v, 15));
-        let r19 = _mm_xor_si128(_mm_srli_epi32(v, 19), _mm_slli_epi32(v, 13));
-        _mm_xor_si128(_mm_xor_si128(r17, r19), _mm_srli_epi32(v, 10))
-    }
-
-    /// Message-schedule expansion four words at a time. The recurrence's only
-    /// intra-group dependency is σ1: `w[i+2]`/`w[i+3]` need `w[i]`/`w[i+1]`,
-    /// so σ1 is applied in two stages — first to `(w[i-2], w[i-1], 0, 0)`,
-    /// finalising lanes 0–1, then to the partial result shifted up by two
-    /// lanes, finalising lanes 2–3 (σ1(0) = 0 leaves lanes 0–1 untouched).
-    #[target_feature(enable = "ssse3")]
-    fn schedule_ssse3(block: &[u8; 64]) -> [u32; 64] {
-        let flip = flip_mask();
-        let mut w = [0u32; 64];
-        for i in 0..4 {
-            // SAFETY: `block` holds 64 readable bytes, `w` holds 64 writable
-            // words; unaligned access is allowed by loadu/storeu.
-            unsafe {
-                let m = _mm_loadu_si128(block.as_ptr().add(16 * i).cast());
-                _mm_storeu_si128(w.as_mut_ptr().add(4 * i).cast(), _mm_shuffle_epi8(m, flip));
-            }
-        }
-        let mut i = 16;
-        while i < 64 {
-            // SAFETY: all four loads start at least 4 words before `i` ≤ 60,
-            // and the store writes w[i..i+4] with i + 4 ≤ 64.
-            unsafe {
-                let w16 = _mm_loadu_si128(w.as_ptr().add(i - 16).cast());
-                let w15 = _mm_loadu_si128(w.as_ptr().add(i - 15).cast());
-                let w7 = _mm_loadu_si128(w.as_ptr().add(i - 7).cast());
-                let w4 = _mm_loadu_si128(w.as_ptr().add(i - 4).cast());
-                let mut t = _mm_add_epi32(_mm_add_epi32(w16, sigma0(w15)), w7);
-                t = _mm_add_epi32(t, sigma1(_mm_srli_si128(w4, 8)));
-                t = _mm_add_epi32(t, sigma1(_mm_slli_si128(t, 8)));
-                _mm_storeu_si128(w.as_mut_ptr().add(i).cast(), t);
-            }
-            i += 4;
-        }
-        w
-    }
-
-    pub(super) fn compress_ssse3(state: &mut [u32; 8], block: &[u8; 64]) {
-        // SAFETY: this path is only selected when SSSE3 detection passed
-        // (`Sha256Backend::Ssse3.is_available()`).
-        let w = unsafe { schedule_ssse3(block) };
-        rounds(state, &w);
     }
 
     /// One stream of [`compress_lanes`]: its state in the `ABEF`/`CDGH`
@@ -367,8 +288,9 @@ mod x86 {
             "streams of one whole-block length"
         );
         // SAFETY: this path is only selected when SHA-NI detection passed
-        // (`Sha256Backend::ShaNi.is_available()` checks sha + ssse3 + sse4.1),
-        // and every stream holds the `len` bytes the call walks.
+        // (`Sha256Backend::ShaNi.is_available()` checks every feature
+        // `compress_lanes` enables), and every stream holds the `len` bytes
+        // the call walks.
         unsafe { compress_lanes(states, data, len / 64) }
     }
 }
@@ -603,14 +525,10 @@ mod tests {
     }
 
     fn available_backends() -> Vec<Sha256Backend> {
-        [
-            Sha256Backend::Scalar,
-            Sha256Backend::Ssse3,
-            Sha256Backend::ShaNi,
-        ]
-        .into_iter()
-        .filter(|b| b.is_available())
-        .collect()
+        [Sha256Backend::Scalar, Sha256Backend::ShaNi]
+            .into_iter()
+            .filter(|b| b.is_available())
+            .collect()
     }
 
     #[test]

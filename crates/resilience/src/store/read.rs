@@ -115,17 +115,11 @@ impl<D: BlockDevice> ResilientStore<D> {
         index: u64,
         field: &mut [u8],
     ) -> Result<(), ResilienceError> {
-        let role = Role::Content(index);
-        let loc = g
-            .shard_location(role)
-            .ok_or(stegfs_base::FsError::OutOfBounds {
-                index,
-                len: g.open.header.num_blocks(),
-            })?;
+        let loc = g.open.content_block(index)?;
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         self.read_field(loc, &g.content_key, &mut scratch, field)?;
         if g.keys.fast(field) != g.stripes.data_check(index).fast {
-            self.heal_and_reread(g, &[role], std::iter::once(field))?;
+            self.heal_and_reread(g, &[Role::Content(index)], std::iter::once(field))?;
         }
         Ok(())
     }

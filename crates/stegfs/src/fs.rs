@@ -107,6 +107,19 @@ impl OpenFile {
     pub fn num_content_blocks(&self) -> u64 {
         self.header.num_blocks()
     }
+
+    /// Physical block holding content block `index`, or
+    /// [`FsError::OutOfBounds`] past the last one.
+    pub fn content_block(&self, index: u64) -> Result<BlockId, FsError> {
+        self.header
+            .blocks
+            .get(index as usize)
+            .copied()
+            .ok_or(FsError::OutOfBounds {
+                index,
+                len: self.header.num_blocks(),
+            })
+    }
 }
 
 /// The steganographic file system over a block device.
@@ -566,14 +579,7 @@ impl<D: BlockDevice> StegFs<D> {
         scratch: &mut [u8],
         dst: &mut [u8],
     ) -> Result<(), FsError> {
-        let loc = *file
-            .header
-            .blocks
-            .get(index as usize)
-            .ok_or(FsError::OutOfBounds {
-                index,
-                len: file.header.num_blocks(),
-            })?;
+        let loc = file.content_block(index)?;
         match file.header.kind {
             FileKind::Data => {
                 let key = file.fak.content_key().ok_or(FsError::NoContentKey)?;
@@ -612,14 +618,7 @@ impl<D: BlockDevice> StegFs<D> {
         index: u64,
         data: &[u8],
     ) -> Result<(), FsError> {
-        let loc = *file
-            .header
-            .blocks
-            .get(index as usize)
-            .ok_or(FsError::OutOfBounds {
-                index,
-                len: file.header.num_blocks(),
-            })?;
+        let loc = file.content_block(index)?;
         let key = file.fak.content_key().ok_or(FsError::NoContentKey)?;
         let mut rng = self.rng.lock();
         self.codec

@@ -101,7 +101,7 @@ fn security_analysis_trace_is_bit_for_bit_reproducible() {
 /// Backend choice must never leak into experiment outputs: the fig12a sweep
 /// and the security_analysis read trace must be byte-identical whether the
 /// crypto stack runs its portable paths (T-table AES, scalar SHA-256) or any
-/// hardware backend this CPU has (AES-NI, VAES; SHA-NI/SSSE3). This is the
+/// hardware backend this CPU has (AES-NI, VAES; SHA-NI). This is the
 /// cross-backend analogue of the in-process double runs above — an attacker
 /// observing traces, and a reviewer replaying committed bench numbers, must
 /// see the same bytes on every host.
