@@ -6,18 +6,16 @@
 /// level `i` (1-based) holds `2^i * buffer_blocks` item slots, so the last
 /// level holds at least `last_level_blocks` items — "enough to accommodate
 /// all the data blocks that could be read by users" (Section 5.1.2).
+///
+/// The two sizes are the whole configuration: the store is a cache over the
+/// StegFS partition and keeps nothing on its partitions that a later start
+/// reads back, so there is no on-disk state to configure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObliviousConfig {
     /// Size of the agent's in-memory buffer, in items (the paper's `B`).
     pub buffer_blocks: u64,
     /// Number of items the last level must be able to hold (the paper's `N`).
     pub last_level_blocks: u64,
-    /// Persist the structural write epoch in a sealed record block after the
-    /// levels, written odd entering and even leaving every flush/dump
-    /// cascade. A mount can then tell a cleanly finished pass from one a
-    /// power cut interrupted (see `ObliviousStore::epoch_state`). Off by
-    /// default: it costs two extra block writes per structural pass.
-    pub persist_epoch: bool,
 }
 
 impl ObliviousConfig {
@@ -32,14 +30,7 @@ impl ObliviousConfig {
         Self {
             buffer_blocks,
             last_level_blocks,
-            persist_epoch: false,
         }
-    }
-
-    /// Enable the persisted write-epoch record.
-    pub fn with_persisted_epoch(mut self) -> Self {
-        self.persist_epoch = true;
-        self
     }
 
     /// Number of levels `k = ceil(log2(N/B))`.

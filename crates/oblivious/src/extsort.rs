@@ -15,6 +15,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::AddAssign;
 
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::BlockDevice;
@@ -72,13 +73,28 @@ impl<'a> SortRecord<'a> {
     }
 }
 
-/// I/O counts produced by one sort.
+/// Blocks moved by maintenance: one sort (on the sort partition), one level
+/// collect or re-order (on both partitions), or a whole flush cascade.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SortIo {
-    /// Blocks read from the sort partition.
+pub struct MaintenanceIo {
+    /// Blocks read.
     pub reads: u64,
-    /// Blocks written to the sort partition.
+    /// Blocks written.
     pub writes: u64,
+}
+
+impl MaintenanceIo {
+    /// Reads plus writes.
+    pub fn total(&self) -> u64 {
+        self.reads + self.writes
+    }
+}
+
+impl AddAssign for MaintenanceIo {
+    fn add_assign(&mut self, other: Self) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+    }
 }
 
 /// External merge sorter writing its runs to a sort partition device.
@@ -151,7 +167,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
         payload_len: usize,
         mut produce: P,
         mut output: F,
-    ) -> Result<SortIo, ObliviousError>
+    ) -> Result<MaintenanceIo, ObliviousError>
     where
         P: FnMut(&mut [u8], &mut Vec<(u64, u64)>) -> Result<(), ObliviousError>,
         F: FnMut(SortRecord<'_>) -> Result<(), ObliviousError>,
@@ -164,7 +180,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
                 max: bs.saturating_sub(RECORD_HEADER),
             });
         }
-        let mut io = SortIo::default();
+        let mut io = MaintenanceIo::default();
 
         // Run formation.
         let mut arena = vec![0u8; self.memory_records * payload_len];
@@ -296,7 +312,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
         cursor: &mut RunCursor,
         buffer: &mut [u8],
         payload_len: usize,
-        io: &mut SortIo,
+        io: &mut MaintenanceIo,
     ) -> Result<(), ObliviousError> {
         let bs = self.sort_device.block_size();
         let want = ((buffer.len() / bs) as u64).min(cursor.remaining);
@@ -368,7 +384,7 @@ mod tests {
     fn sort_all<D: BlockDevice>(
         sorter: &ExternalSorter<D>,
         input: &[Owned],
-    ) -> Result<(Vec<Owned>, SortIo), ObliviousError> {
+    ) -> Result<(Vec<Owned>, MaintenanceIo), ObliviousError> {
         let mut out = Vec::new();
         let payload_len = input.first().map_or(1, |r| r.2.len());
         let io = sorter.sort(payload_len, feed(input, 3, None), |r| {
@@ -378,7 +394,7 @@ mod tests {
         Ok((out, io))
     }
 
-    fn run_sort(n: u64, memory: usize) -> (Vec<Owned>, SortIo) {
+    fn run_sort(n: u64, memory: usize) -> (Vec<Owned>, MaintenanceIo) {
         let device = MemDevice::new(4 * n.max(8), 256);
         let sorter = ExternalSorter::new(device, memory);
         sort_all(&sorter, &records(n, 100)).unwrap()
@@ -387,7 +403,7 @@ mod tests {
     #[test]
     fn in_memory_sort_uses_no_io() {
         let (out, io) = run_sort(10, 64);
-        assert_eq!(io, SortIo::default());
+        assert_eq!(io, MaintenanceIo::default());
         assert_eq!(out.len(), 10);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
     }
@@ -458,7 +474,7 @@ mod tests {
         let sorter = ExternalSorter::new(device, 4);
         let (out, io) = sort_all(&sorter, &[]).unwrap();
         assert!(out.is_empty());
-        assert_eq!(io, SortIo::default());
+        assert_eq!(io, MaintenanceIo::default());
     }
 
     #[test]

@@ -21,12 +21,12 @@ use stegfs_crypto::{HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
-use crate::extsort::{ExternalSorter, SortIo};
+use crate::extsort::{ExternalSorter, MaintenanceIo};
 use crate::hashindex::HashIndexRegion;
 
 /// Per-item header inside a sealed slot: id (8) + payload length (4) +
 /// reserved (4).
-const ITEM_HEADER: usize = 16;
+pub(crate) const ITEM_HEADER: usize = 16;
 
 /// Blocks moved per ranged request during maintenance sweeps. Large enough
 /// that positioning cost amortises to noise on the 2004 disk model (64 × 4 KB
@@ -59,27 +59,9 @@ pub(crate) struct Level {
     pub key: Key256,
 }
 
-/// I/O performed by a maintenance (re-order / collect) operation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct MaintenanceIo {
-    pub reads: u64,
-    pub writes: u64,
-}
-
 /// Result of draining a level: `(id, plaintext payload)` pairs plus the I/O
 /// spent reading them.
 pub(crate) type CollectedItems = (Vec<(u64, Vec<u8>)>, MaintenanceIo);
-
-impl MaintenanceIo {
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    fn absorb_sort(&mut self, io: SortIo) {
-        self.reads += io.reads;
-        self.writes += io.writes;
-    }
-}
 
 /// Encode an item over the whole of `field` (a slot's plaintext data
 /// field), zero-padded.
@@ -477,7 +459,7 @@ impl Level {
                 });
             }
         }
-        io.absorb_sort(sort_io);
+        io += sort_io;
         io.writes += slot;
 
         // Rebuild the on-disk hash index under the fresh nonce.
@@ -1121,8 +1103,8 @@ mod tests {
             memory_records: usize,
             mut iter: impl Iterator<Item = Result<Record, ObliviousError>>,
             mut output: impl FnMut(Record) -> Result<(), ObliviousError>,
-        ) -> Result<SortIo, ObliviousError> {
-            let mut io = SortIo::default();
+        ) -> Result<MaintenanceIo, ObliviousError> {
+            let mut io = MaintenanceIo::default();
             let bs = sort_device.block_size();
             let mut runs: Vec<(u64, u64)> = Vec::new();
             let mut next_free: u64 = 0;
@@ -1203,7 +1185,7 @@ mod tests {
                 .collect();
             let read_batch = lookahead.min(IO_BATCH_BLOCKS);
             let mut buf = vec![0u8; read_batch as usize * bs];
-            let mut refill = |cursor: &mut RunCursor, io: &mut SortIo| {
+            let mut refill = |cursor: &mut RunCursor, io: &mut MaintenanceIo| {
                 let mut want = lookahead.min(cursor.remaining);
                 while want > 0 {
                     let batch = want.min(read_batch);
@@ -1380,7 +1362,7 @@ mod tests {
                 reads: old_len,
                 writes: slot,
             };
-            io.absorb_sort(sort_io);
+            io += sort_io;
             io.writes += build_index(
                 &level.index,
                 device,
@@ -1722,6 +1704,14 @@ mod tests {
     fn item_capacity_leaves_room_for_headers() {
         assert_eq!(Level::item_capacity(4128), 4096);
         assert!(Level::item_capacity(512) >= 480);
+        type Store = crate::ObliviousStore<MemDevice, MemDevice>;
+        for n in 1..=4096 {
+            let capacity = Level::item_capacity(Store::block_size_for_item(n));
+            assert!(capacity >= n, "item of {n} bytes");
+            if n % 16 == 0 {
+                assert_eq!(capacity, n, "item of {n} bytes");
+            }
+        }
     }
 
     mod merge_equivalence {

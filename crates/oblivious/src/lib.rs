@@ -71,7 +71,7 @@ pub use error::ObliviousError;
 pub use extsort::{ExternalSorter, SortRecord};
 pub use front::{FrontStats, ObliviousReadFront};
 pub use stats::{ObliviousStats, SharedObliviousStats};
-pub use store::{EpochState, ObliviousStore};
+pub use store::ObliviousStore;
 /// The per-item codecs, for the hostile-input suite
 /// (`tests/hostile_decoders.rs`) only.
 #[doc(hidden)]

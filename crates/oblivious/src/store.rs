@@ -27,41 +27,16 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
-use stegfs_base::wire::{Reader, Writer};
-use stegfs_base::BlockCodec;
+use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{sim::SimClock, BlockDevice};
-use stegfs_crypto::{HashDrbg, HmacSha256, Key256};
+use stegfs_crypto::{HashDrbg, Key256, AES_BLOCK_SIZE};
 
 use crate::config::ObliviousConfig;
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
-use crate::extsort::ExternalSorter;
-use crate::level::{Level, MaintenanceIo};
+use crate::extsort::{ExternalSorter, MaintenanceIo};
+use crate::level::{Level, ITEM_HEADER};
 use crate::stats::{ObliviousStats, SharedObliviousStats};
-
-/// Magic prefix of the sealed write-epoch record.
-const EPOCH_MAGIC: [u8; 8] = *b"SOEP\x01\0\0\0";
-
-/// What the persisted write-epoch record says about the last structural pass
-/// (see [`ObliviousStore::epoch_state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochState {
-    /// The record is even: the last flush/dump cascade completed.
-    Clean {
-        /// The persisted epoch value.
-        epoch: u64,
-    },
-    /// The record is odd: a structural pass was interrupted mid-rewrite. The
-    /// hierarchy must be treated as scrambled and rebuilt (it is a cache —
-    /// dropping it loses no data, only read-traffic hiding warm-up).
-    InFlight {
-        /// The persisted epoch value.
-        epoch: u64,
-    },
-    /// No valid record: epoch persistence was off, no structural pass has
-    /// run yet, or the record block was destroyed.
-    Absent,
-}
 
 /// Agent-memory front buffer: the items awaiting their first flush, plus an
 /// id → position index mirroring the entry vector exactly.
@@ -99,17 +74,14 @@ pub struct ObliviousStore<D, S> {
     /// Structural-pass guard: even at rest, odd while a flush/dump cascade is
     /// rewriting levels. Bumped entering and leaving [`Self::flush_buffer`].
     write_epoch: AtomicU64,
-    /// Where the sealed epoch record lives when persistence is enabled.
-    epoch_block: Option<u64>,
 }
 
 impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
-    /// Device block size needed to cache items of `item_size` bytes.
+    /// Device block size needed to cache items of `item_size` bytes: IV,
+    /// item header and payload, the slot layout `Level::item_capacity`
+    /// reads, rounded up so the sealed data field is whole AES blocks.
     pub fn block_size_for_item(item_size: usize) -> usize {
-        // IV (16) + item header (16) + payload, rounded up so the data field
-        // is a multiple of the AES block size.
-        let raw = 16 + 16 + item_size;
-        raw.div_ceil(16) * 16
+        (IV_SIZE + ITEM_HEADER + item_size).next_multiple_of(AES_BLOCK_SIZE)
     }
 
     /// Sort-partition block size required for a given store block size.
@@ -117,13 +89,12 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         device_block_size + 32
     }
 
-    /// Number of blocks the oblivious partition must provide for `cfg`
-    /// (plus one for the epoch record when persistence is enabled).
+    /// Number of blocks the oblivious partition must provide for `cfg`:
+    /// the levels' index and data regions, back to back, and nothing else.
     pub fn blocks_required(cfg: &ObliviousConfig, block_size: usize) -> u64 {
         (1..=cfg.num_levels())
             .map(|i| Level::blocks_required(cfg.level_capacity(i), block_size))
-            .sum::<u64>()
-            + u64::from(cfg.persist_epoch)
+            .sum()
     }
 
     /// Number of blocks the sort partition must provide for `cfg` (it has to
@@ -134,6 +105,10 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Create an oblivious store over `device`, using `sort_device` as the
     /// sorting space and `buffer_blocks` items of agent memory.
+    ///
+    /// Reads neither partition: the store is a cache over the StegFS
+    /// partition with no on-disk state of its own, so every start is a
+    /// rebuild, whatever an earlier run or a power cut left behind.
     pub fn new(
         device: D,
         sort_device: S,
@@ -173,10 +148,8 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             levels.push(RwLock::new(level));
             offset = next;
         }
-        let epoch_block = cfg.persist_epoch.then_some(offset);
 
         Ok(Self {
-            epoch_block,
             sorter: ExternalSorter::new(sort_device, cfg.buffer_blocks.max(2) as usize),
             device,
             codec: BlockCodec::new(block_size),
@@ -236,85 +209,6 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// it is even at quiescence.
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch.load(Ordering::Acquire)
-    }
-
-    fn epoch_key(master_key: &Key256) -> Key256 {
-        master_key.derive("oblivious:epoch")
-    }
-
-    /// The key authenticating an epoch record from the inside (the block
-    /// codec itself has no MAC by design).
-    fn epoch_mac(master_key: &Key256) -> HmacSha256 {
-        HmacSha256::new(master_key.derive("oblivious:epoch-mac").as_bytes())
-    }
-
-    /// Encode and authenticate an epoch record plaintext.
-    #[doc(hidden)]
-    pub fn encode_epoch_record(master_key: &Key256, epoch: u64) -> Vec<u8> {
-        Writer::new()
-            .bytes(&EPOCH_MAGIC)
-            .u64(epoch)
-            .finish_tagged(&Self::epoch_mac(master_key))
-    }
-
-    /// Parse a candidate epoch record; `None` means "no valid record".
-    #[doc(hidden)]
-    pub fn decode_epoch_record(master_key: &Key256, plain: &[u8]) -> Option<u64> {
-        let mut r = Reader::new(plain);
-        r.magic(&EPOCH_MAGIC).ok()?;
-        let epoch = r.u64().ok()?;
-        r.tag16(&Self::epoch_mac(master_key)).ok()?;
-        Some(epoch)
-    }
-
-    /// Seal the current epoch value into the record block (no-op when
-    /// persistence is off).
-    fn persist_epoch_record(&self, epoch: u64) -> Result<(), ObliviousError> {
-        let Some(block) = self.epoch_block else {
-            return Ok(());
-        };
-        let plain = Self::encode_epoch_record(&self.master_key, epoch);
-        let key = Self::epoch_key(&self.master_key);
-        let sealed = {
-            let mut rng = self.rng.lock();
-            self.codec
-                .seal(&key, &plain, &mut rng)
-                .map_err(|e| ObliviousError::Corrupt(format!("epoch record seal: {e}")))?
-        };
-        self.device.write_block(block, &sealed)?;
-        Ok(())
-    }
-
-    /// Inspect the persisted write-epoch record of an oblivious partition
-    /// without constructing a store: the mount-time crash detector. An odd
-    /// epoch means a structural pass was cut mid-rewrite and the hierarchy
-    /// contents must not be trusted; the caller rebuilds the (lossless)
-    /// cache instead.
-    pub fn epoch_state(
-        device: &D,
-        cfg: &ObliviousConfig,
-        master_key: &Key256,
-    ) -> Result<EpochState, ObliviousError> {
-        if !cfg.persist_epoch {
-            return Ok(EpochState::Absent);
-        }
-        let block_size = device.block_size();
-        let block = Self::blocks_required(cfg, block_size) - 1;
-        if block >= device.num_blocks() {
-            return Ok(EpochState::Absent);
-        }
-        let mut physical = vec![0u8; block_size];
-        device.read_block(block, &mut physical)?;
-        let codec = BlockCodec::new(block_size);
-        let key = Self::epoch_key(master_key);
-        let Ok(plain) = codec.open(&key, &physical) else {
-            return Ok(EpochState::Absent);
-        };
-        Ok(match Self::decode_epoch_record(master_key, &plain) {
-            None => EpochState::Absent,
-            Some(epoch) if epoch % 2 == 0 => EpochState::Clean { epoch },
-            Some(epoch) => EpochState::InFlight { epoch },
-        })
     }
 
     /// Number of items per level, buffer first — handy for tests and the
@@ -508,14 +402,9 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         if front.entries.is_empty() {
             return Ok(());
         }
-        // Journal the pass when epoch persistence is on: the odd record
-        // lands *before* the first level write, the even one *after* the
-        // last, so a mount can classify a power cut in between.
-        let odd = self.write_epoch.fetch_add(1, Ordering::Release) + 1;
-        self.persist_epoch_record(odd)?;
+        self.write_epoch.fetch_add(1, Ordering::Release);
         let result = self.flush_buffer_inner(front);
-        let even = self.write_epoch.fetch_add(1, Ordering::Release) + 1;
-        self.persist_epoch_record(even)?;
+        self.write_epoch.fetch_add(1, Ordering::Release);
         result
     }
 
@@ -561,14 +450,14 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 &mut rng,
                 &[],
             )?;
-            io = Self::merge_io(io, reorder_io);
+            io += reorder_io;
             reorders += 1;
         }
         for &d in plan.iter().rev() {
             // Only the (strictly smaller) upper level is held in memory; the
             // receiving level streams through the merge.
             let (upper_items, upper_io) = guards[d].collect_items(&self.device, &self.codec)?;
-            io = Self::merge_io(io, upper_io);
+            io += upper_io;
             let reorder_io = guards[d + 1].merge_reorder(
                 &self.device,
                 &self.codec,
@@ -577,7 +466,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 &mut rng,
                 &upper_items,
             )?;
-            io = Self::merge_io(io, reorder_io);
+            io += reorder_io;
             reorders += 1;
             guards[d].clear(&mut rng);
         }
@@ -596,19 +485,13 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         )?;
         front.entries.clear();
         front.index.clear();
-        io = Self::merge_io(io, reorder_io);
+        io += reorder_io;
         reorders += 1;
 
         self.stats.sort_ios.add(io.total());
         self.stats.reorders.add(reorders);
         self.stats.sort_time_us.add(self.now_us() - start);
         Ok(())
-    }
-
-    fn merge_io(mut a: MaintenanceIo, b: MaintenanceIo) -> MaintenanceIo {
-        a.reads += b.reads;
-        a.writes += b.writes;
-        a
     }
 
     /// Audit the agent-memory bookkeeping: `membership` must equal the union
@@ -709,57 +592,49 @@ mod tests {
         }
     }
 
+    /// The store is a cache with no on-disk state of its own: a start reads
+    /// neither partition, so nothing a crash or an attacker left on them is
+    /// ever trusted, and the first flush rewrites over it.
     #[test]
-    fn persisted_epoch_tracks_structural_passes() {
-        let master = Key256::from_passphrase("epoch master");
-        let cfg = ObliviousConfig::new(4, 32).with_persisted_epoch();
+    fn a_new_store_reads_neither_partition() {
+        let counting = |requests: &std::sync::Arc<AtomicU64>| {
+            let requests = requests.clone();
+            move |_: &MemDevice, _: Io| {
+                requests.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+        };
+        let main_requests = std::sync::Arc::new(AtomicU64::new(0));
+        let sort_requests = std::sync::Arc::new(AtomicU64::new(0));
+        let cfg = ObliviousConfig::new(4, 64);
         let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
-        let device = MemDevice::new(blocks, BLOCK);
         let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
-        let sort_device = MemDevice::new(sort_blocks + 8, BLOCK + 32);
+        let main = MemDevice::new(blocks, BLOCK);
+        main.write_blocks(0, &vec![0xFF; blocks as usize * BLOCK])
+            .unwrap();
+        let store = ObliviousStore::new(
+            Layered::with_hook(main, counting(&main_requests)),
+            Layered::with_hook(
+                MemDevice::new(sort_blocks + 8, BLOCK + 32),
+                counting(&sort_requests),
+            ),
+            cfg,
+            Key256::from_passphrase("test master"),
+            1234,
+            None,
+        )
+        .unwrap();
+        assert_eq!(main_requests.load(Ordering::Relaxed), 0, "main partition");
+        assert_eq!(sort_requests.load(Ordering::Relaxed), 0, "sort partition");
 
-        // Before any structural pass: no record.
-        assert_eq!(
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&device, &cfg, &master).unwrap(),
-            EpochState::Absent
-        );
-
-        let store = ObliviousStore::new(device, sort_device, cfg, master, 77, None).unwrap();
-        for id in 0..8u64 {
+        for id in 0..40u64 {
             store.insert(id, payload(id)).unwrap();
         }
-        let epoch = store.write_epoch();
-        assert!(epoch >= 2 && epoch % 2 == 0);
-        let device = store.device;
-        assert_eq!(
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&device, &cfg, &master).unwrap(),
-            EpochState::Clean { epoch }
-        );
-
-        // Forge the crashed-pass state: reseal the record with an odd value.
-        let block = blocks - 1;
-        let plain = ObliviousStore::<MemDevice, MemDevice>::encode_epoch_record(&master, epoch + 1);
-        let key = ObliviousStore::<MemDevice, MemDevice>::epoch_key(&master);
-        let mut rng = HashDrbg::from_u64(5);
-        let sealed = BlockCodec::new(BLOCK).seal(&key, &plain, &mut rng).unwrap();
-        device.write_block(block, &sealed).unwrap();
-        assert_eq!(
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&device, &cfg, &master).unwrap(),
-            EpochState::InFlight { epoch: epoch + 1 }
-        );
-
-        // A destroyed record degrades to Absent, never to a wrong verdict.
-        device.write_block(block, &vec![0u8; BLOCK]).unwrap();
-        assert_eq!(
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&device, &cfg, &master).unwrap(),
-            EpochState::Absent
-        );
-        // A wrong master key cannot read the record either.
-        let wrong = Key256::from_passphrase("wrong");
-        assert_eq!(
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&device, &cfg, &wrong).unwrap(),
-            EpochState::Absent
-        );
+        for id in 0..40u64 {
+            assert_eq!(store.read(id).unwrap(), payload(id), "id {id}");
+        }
+        assert!(store.membership_is_consistent());
+        assert!(main_requests.load(Ordering::Relaxed) > 0, "the hook counts");
     }
 
     #[test]
@@ -1131,31 +1006,6 @@ mod tests {
                     "id {id} lost its last write"
                 );
             }
-        }
-    }
-
-    /// Bytes produced by the encoder as it stood before the port onto
-    /// `wire`: the format must not move.
-    #[test]
-    fn epoch_record_golden_vector_is_bit_identical() {
-        const GOLDEN_EPOCH: &[u8] = b"\
-            \x53\x4f\x45\x50\x01\x00\x00\x00\x08\x07\x06\x05\x04\x03\x02\x01\xe6\xa8\x2e\x3e\
-            \xab\x85\x03\x33\x93\xd4\xcf\x8a\xb6\xe8\x19\xc3";
-        type Store = ObliviousStore<MemDevice, MemDevice>;
-        let master = Key256::from_passphrase("epoch golden");
-        let epoch = 0x0102_0304_0506_0708;
-        assert_eq!(Store::encode_epoch_record(&master, epoch), GOLDEN_EPOCH);
-        assert_eq!(
-            Store::decode_epoch_record(&master, GOLDEN_EPOCH),
-            Some(epoch)
-        );
-        let other = Key256::from_passphrase("another master");
-        assert_eq!(Store::decode_epoch_record(&other, GOLDEN_EPOCH), None);
-        for cut in 0..GOLDEN_EPOCH.len() {
-            assert_eq!(
-                Store::decode_epoch_record(&master, &GOLDEN_EPOCH[..cut]),
-                None
-            );
         }
     }
 

@@ -11,8 +11,8 @@
 //! Covered operations: resilient `create_file` (commit point = anchor
 //! generation bump), the delta-parity `write_block` update, a scrub repair
 //! over a pre-corrupted stripe, the oblivious store's structural flush
-//! (persisted write-epoch classification), and the steghide agent's
-//! relocate-update plus header flush. A second matrix re-crashes the
+//! (a cache: recovery is a rebuild over whatever survived), and the
+//! steghide agent's relocate-update plus header flush. A second matrix re-crashes the
 //! recovery pass itself at every write index and checks recovery is
 //! idempotent.
 //!
@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use stegfs_repro::blockdev::{clone_to_mem, FaultDevice};
-use stegfs_repro::oblivious::EpochState;
 use stegfs_repro::prelude::*;
 use stegfs_repro::steghide::ConcurrentAgent;
 
@@ -614,7 +613,7 @@ fn recovery_is_idempotent_under_a_second_crash() {
 type ObStore = ObliviousStore<Arc<FaultDevice<MemDevice>>, MemDevice>;
 
 fn ob_cfg() -> ObliviousConfig {
-    ObliviousConfig::new(4, 32).with_persisted_epoch()
+    ObliviousConfig::new(4, 32)
 }
 
 fn ob_master() -> Key256 {
@@ -641,9 +640,8 @@ fn ob_store_primed() -> (Arc<FaultDevice<MemDevice>>, ObStore) {
 }
 
 #[test]
-fn oblivious_flush_epoch_classifies_every_cut() {
-    // The sort partition is a separate device; the persisted epoch protects
-    // only the main partition's structure, which is what a mount inspects.
+fn oblivious_flush_cut_at_any_write_rebuilds() {
+    // Cuts land on the main partition; the sort partition is scratch.
     let cfg = ob_cfg();
     let master = ob_master();
 
@@ -662,20 +660,9 @@ fn oblivious_flush_epoch_classifies_every_cut() {
         let snapshot = dev.snapshot_to_mem().unwrap();
         drop((dev, store));
 
-        // The mount-time detector must classify every prefix: nothing landed
-        // → no record yet; mid-pass → in-flight (odd); complete → clean.
-        let state =
-            ObliviousStore::<MemDevice, MemDevice>::epoch_state(&snapshot, &cfg, &master).unwrap();
-        if n == 0 {
-            assert_eq!(state, EpochState::Absent, "flush cut {n}");
-        } else if n == total {
-            assert_eq!(state, EpochState::Clean { epoch: 2 }, "flush cut {n}");
-        } else {
-            assert_eq!(state, EpochState::InFlight { epoch: 1 }, "flush cut {n}");
-        }
-
         // Recovery for the (lossless) cache is a rebuild: a fresh store over
-        // the surviving partition must come up and serve reads.
+        // the surviving partition, which it never reads, must come up and
+        // serve reads.
         let sort = MemDevice::new(ObStore::sort_blocks_required(&cfg) + 8, BLOCK_SIZE + 32);
         let rebuilt =
             ObliviousStore::<MemDevice, MemDevice>::new(snapshot, sort, cfg, master, 10, None)
@@ -686,22 +673,6 @@ fn oblivious_flush_epoch_classifies_every_cut() {
         }
         assert!(rebuilt.membership_is_consistent(), "flush cut {n}");
     }
-}
-
-#[test]
-fn torn_epoch_record_degrades_to_absent() {
-    // Beyond the sector-atomic contract: the record write itself torn
-    // mid-block must read as "no record", never as a bogus verdict.
-    let (dev, store) = ob_store_primed();
-    dev.reset_counters();
-    dev.arm_cut_torn(0, 37);
-    let _ = store.insert(3, ob_payload(3));
-    let snapshot = dev.snapshot_to_mem().unwrap();
-    drop((dev, store));
-    let state =
-        ObliviousStore::<MemDevice, MemDevice>::epoch_state(&snapshot, &ob_cfg(), &ob_master())
-            .unwrap();
-    assert_eq!(state, EpochState::Absent);
 }
 
 // ----- steghide relocate-update -----------------------------------------

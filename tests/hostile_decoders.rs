@@ -19,9 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use stegfs_repro::blockdev::{BlockDevice, MemDevice};
 use stegfs_repro::crypto::{HmacSha256, Key256};
-use stegfs_repro::oblivious::{
-    decode_item, encode_item_into, HashIndexRegion, ObliviousStore, SortRecord,
-};
+use stegfs_repro::oblivious::{decode_item, encode_item_into, HashIndexRegion, SortRecord};
 use stegfs_repro::resilience::{
     decode_records, encode_records, BlockCheck, BlockWriteIntent, IntentBody, IntentRecord,
     ParityEntry, ParityIntent, ResilientStore, StripeConfig, StripeMap, VolumeAnchor,
@@ -282,21 +280,6 @@ fn cases() -> Vec<Case> {
         batch.encode(&mac()),
         Box::new(decode_intent),
     );
-    let epoch_master = Key256::from_passphrase("epoch master");
-    let epoch_mac = HmacSha256::new(epoch_master.derive("oblivious:epoch-mac").as_bytes());
-    type Oblivious = ObliviousStore<MemDevice, MemDevice>;
-    cases.push(Case {
-        name: "oblivious epoch record",
-        valid: Oblivious::encode_epoch_record(&epoch_master, 6),
-        decode: Box::new(move |bytes| {
-            Oblivious::decode_epoch_record(&epoch_master, bytes).map(|_| 1)
-        }),
-        frame: Some((
-            TAG_LEN,
-            Box::new(move |body| Writer::new().bytes(body).finish_tagged(&epoch_mac)),
-        )),
-    });
-
     // The anchor replica keeps its own frame: a 32-byte HMAC over the
     // content *and the slot index*, behind a length-prefixed payload.
     let anchor_key = Key256::from_passphrase("anchor key");

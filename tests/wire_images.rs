@@ -327,13 +327,16 @@ fn construction2_session_is_pinned() {
     );
 }
 
-/// Level items, hash-index buckets and the sealed epoch record on the main
-/// partition; spilled sort records on the sort partition; and the requests
-/// that put them there, as an observer of both partitions sees them.
+/// Level items and hash-index buckets on the main partition; spilled sort
+/// records on the sort partition; and the requests that put them there, as
+/// an observer of both partitions sees them. The store keeps no record of
+/// its own beside the levels. The four values were taken from the last build
+/// that could persist a write-epoch record, with that record off, so no
+/// level, bucket or sort-record byte and no request moved when it went.
 #[test]
 fn oblivious_store_images_are_pinned() {
     type Store = ObliviousStore<Watched, Watched>;
-    let cfg = ObliviousConfig::new(4, 64).with_persisted_epoch();
+    let cfg = ObliviousConfig::new(4, 64);
     let device = Arc::new(MemDevice::new(Store::blocks_required(&cfg, 512), 512));
     let sort_device = Arc::new(MemDevice::new(
         Store::sort_blocks_required(&cfg) + 8,
@@ -361,34 +364,31 @@ fn oblivious_store_images_are_pinned() {
     }
     assert!(store.stats().reorders > 0, "no flush ran");
     // Every flush cascade lies behind: the request sequence of the whole
-    // maintenance path, taken from the build before the sorter owned its run
-    // arena.
+    // maintenance path.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "ec0e0c28dba96f767d89c71b21fb392c26f0e6e2de3caf0174e5f4c68a085a86"
+        "07a549e772bc4e40aff839e93b0506b897a0bd86809255202fd9326c6c04b497"
     );
     for id in [0u64, 17, 39] {
         assert_eq!(store.read(id).unwrap(), content(200, id as u8));
     }
-    // ... and with three level scans behind them. Not that build's value
-    // (b52916…4824, which the arena path reproduced): a scan now draws every
-    // dummy data slot from the level's occupied prefix, where it drew from
-    // the whole capacity once the block had been found, so dummies land
-    // elsewhere — and a one-slot prefix consumes no draw.
+    // ... and with three level scans behind them: every dummy data slot is
+    // drawn from the level's occupied prefix, and a one-slot prefix consumes
+    // no draw.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "565bedd0d5e9c508d46282443b73f98800dc1be973a15bb05cd4773bc756e491"
+        "3c2f4dcd636ed85e477684c60381d47dc3190881020349a1c75993b7391584ed"
     );
 
     assert_eq!(
         image_sha256(&device),
-        "58fb51f22c8e2019a1ca0d07c89d2ab8831d7daadbb617affc461cd9b44bd396"
+        "819f58aae4d4b89a4e84af39349d9328c96d1103f6c7d6cff46e1434a3769e28"
     );
     let sort_image = image_sha256(&sort_device);
     let untouched = MemDevice::new(sort_device.num_blocks(), sort_device.block_size());
     assert_ne!(sort_image, image_sha256(&untouched), "no run was spilled");
     assert_eq!(
         sort_image,
-        "c2fb38d70988aee62184b8c73c080b7c94a1c257ab4864403ceea5d0139ff2ed"
+        "9995164993334bf4581e7efbc9cb659df4b366b2f5b1fda90e405cd5d3aa7d19"
     );
 }

@@ -6,8 +6,9 @@
 //!
 //! The source-layout rules ride here too, so each is one mechanism that
 //! runs under `cargo test`: who may implement `BlockDevice`, what
-//! `ResilientStore` states once, where integers meet bytes, and which bin
-//! and guard schema each committed `BENCH_*.json` belongs to.
+//! `ResilientStore` states once, where integers meet bytes, which
+//! configuration builders the program calls, and which bin and guard schema
+//! each committed `BENCH_*.json` belongs to.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -349,6 +350,69 @@ fn production_unwrap_and_expect_sites_do_not_grow() {
          return a typed error or state the invariant, don't add a site\n{}",
         sites.len(),
         sites.join("\n")
+    );
+}
+
+/// An option stays only while the program sets it: every `pub fn with_*` /
+/// `without_*` of an `impl …Config` block needs a `.name(` call in another
+/// file's production lines under `crates/*/src` (the bench bins included),
+/// in `examples/` or in `benchmark/src/`. A builder that only its own tests
+/// call selects a branch no bin, example or workload runs.
+#[test]
+fn every_config_builder_has_a_caller_outside_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_files_under(&entry.unwrap().path().join("src"), &mut sources);
+    }
+    let mut callers = sources.clone();
+    for dir in ["examples", "benchmark/src"] {
+        rust_files_under(&root.join(dir), &mut callers);
+    }
+    let callers: Vec<(PathBuf, String)> = callers
+        .into_iter()
+        .map(|file| {
+            let lines = production_lines(&file).join("\n");
+            (file, lines)
+        })
+        .collect();
+
+    let mut uncalled = Vec::new();
+    for file in &sources {
+        let mut config: Option<String> = None;
+        for line in production_lines(file) {
+            if line.starts_with("impl") {
+                let header = line.trim_end_matches(['{', ' ']);
+                let ty = header.rsplit(' ').next().unwrap_or_default();
+                let ty = ty.split('<').next().unwrap_or_default();
+                config = ty.ends_with("Config").then(|| ty.to_string());
+                continue;
+            }
+            if line.starts_with('}') {
+                config = None;
+            }
+            let Some(ty) = &config else { continue };
+            let Some(signature) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name = signature.split(['(', '<']).next().unwrap_or_default();
+            if !(name.starts_with("with_") || name.starts_with("without_")) {
+                continue;
+            }
+            let call = format!(".{name}(");
+            if !callers
+                .iter()
+                .any(|(caller, lines)| caller != file && lines.contains(&call))
+            {
+                let file = file.strip_prefix(root).unwrap().display();
+                uncalled.push(format!("{ty}::{name} ({file})"));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "configuration builders nothing outside tests calls; delete the option:\n{}",
+        uncalled.join("\n")
     );
 }
 
