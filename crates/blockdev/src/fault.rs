@@ -13,10 +13,11 @@
 //!   still returned), as is every `sync`. The caller's in-memory state
 //!   therefore runs to completion while the device retains exactly the
 //!   prefix a power cut would have preserved; recovery is then exercised by
-//!   re-opening from [`FaultDevice::snapshot_to_mem`]. A crash matrix learns
-//!   an operation's total from [`FaultDevice::writes_attempted`] in one uncut
-//!   run and then cuts at every `N = 0..=total`: `N = 0` is a crash before any
-//!   write landed, `N = total` the no-crash case.
+//!   re-opening from [`FaultDevice::snapshot_to_mem`]. The crash-state
+//!   explorer (`tests/crash_recovery.rs`) learns an op sequence's total from
+//!   [`FaultDevice::writes_attempted`] in one uncut run and then cuts at every
+//!   `N = 0..=total`: `N = 0` is a crash before any write landed, `N = total`
+//!   the no-crash case.
 //! * **torn sectors** — the base model is sector-atomic (each block is
 //!   entirely old or entirely new, the disk contract recovery reasons about),
 //!   but the unit that crosses a cut can be torn instead of dropped

@@ -229,6 +229,11 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
             let state = FileState::new(file::content_keys(&open)?, open, shadow, stripes)?;
             for (loc, _) in state.owned_blocks() {
+                // An unauthenticated stripe map can name any block.
+                if loc >= store.fs.superblock().num_blocks {
+                    let msg = format!("stripe map of {path} names block {loc}");
+                    return Err(ResilienceError::Corrupt(msg));
+                }
                 store.map.set(loc, BlockClass::Data);
             }
             store.adopt(path, state);

@@ -1,30 +1,35 @@
-//! Exhaustive crash-point recovery matrix.
+//! Crash-state exploration: one bounded explorer drives every crash property.
 //!
-//! Every mutating operation of the stack is run under [`FaultDevice`] with a
-//! power cut armed at *every* write index `N = 0..=total` (the total is the
-//! device's `writes_attempted` after one uncut run). After each cut the
-//! surviving bytes are snapshotted and the volume is re-opened — which runs
-//! the intent-journal recovery pass — and the tests assert the crash
-//! contract: the affected object reads back as **exactly the old or exactly
-//! the new state, never a hybrid**, with zero unclassifiable outcomes.
+//! A *system* is a seeded start behind a `FaultDevice` (a fixture image, or a
+//! replay from `format`), an `Op` enum, a remount from the `MemDevice`
+//! snapshot, and a property over the remount and the acknowledged states.
+//! `explore` walks op sequences shortest-first (a list, or `every_sequence`
+//! up to depth *d*), learns each one's write marks and acknowledged states
+//! `S_0..S_n` from one uncut run, then replays it under a cut at every index
+//! of `0..=total`: a *prefix* cut (`arm_cut(n)`) lands the first `n` write
+//! units, a *torn* cut (`arm_cut_torn(n, t)`) also `t` bytes of the next.
 //!
-//! Covered operations: resilient `create_file` (commit point = anchor
-//! generation bump), the delta-parity `write_block` update, a scrub repair
-//! over a pre-corrupted stripe, the oblivious store's structural flush
-//! (a cache: recovery is a rebuild over whatever survived), and the
-//! steghide agent's relocate-update plus header flush. A second matrix re-crashes the
-//! recovery pass itself at every write index and checks recovery is
-//! idempotent.
+//! The old-or-new rule lives here, once: a state is a list of cells (a file,
+//! a block, a record), each atomic on its own, and if k ops landed before the
+//! cut each cell reads as in `S_k` or `S_{k+1}`; cut 0 reads `S_0`, the uncut
+//! run the last state. Torn cuts skip the rule (the disk model is
+//! sector-atomic) and check only the system's property. The first failure,
+//! a panic included, is a `Counterexample` printed as a
+//! `replay(&system, &[..], Cut { .. })` call to paste into a unit test.
 //!
-//! Set `STEGFS_CRASH_QUICK=1` to stride through the cut indices (always
-//! keeping `0`, `total`, and every eighth point in between) for the reduced
-//! CI profile; the default runs the full matrix.
+//! The search is bounded and explicit-state, not a proof: it covers only the
+//! sequences and cuts it enumerates. `STEGFS_CRASH_QUICK=1` strides the cut
+//! indices (keeping `0`, `total` and every eighth one) for the CI profile.
 
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::{self, Debug};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use stegfs_repro::blockdev::{clone_to_mem, FaultDevice};
+use stegfs_repro::blockdev::{clone_to_mem, BlockDeviceExt, FaultDevice};
 use stegfs_repro::prelude::*;
-use stegfs_repro::steghide::ConcurrentAgent;
+use stegfs_repro::resilience::ResilienceError;
 
 const BLOCK_SIZE: usize = 512;
 const NUM_BLOCKS: u64 = 256;
@@ -34,8 +39,7 @@ fn quick() -> bool {
     std::env::var("STEGFS_CRASH_QUICK").is_ok_and(|v| v != "0")
 }
 
-/// Cut indices to sweep: the full `0..=total` matrix, or a strided subset
-/// (always including both endpoints) in quick mode.
+/// Cut indices: all of `0..=total`, or a strided subset in quick mode.
 fn cut_points(total: u64) -> Vec<u64> {
     let step = if quick() { (total / 8).max(1) } else { 1 };
     let mut points: Vec<u64> = (0..=total).step_by(step as usize).collect();
@@ -45,700 +49,695 @@ fn cut_points(total: u64) -> Vec<u64> {
     points
 }
 
+fn pattern(len: usize, seed: u64) -> Vec<u8> {
+    HashDrbg::from_u64(seed).bytes(len)
+}
+
+fn key(phrase: &str) -> Key256 {
+    Key256::from_passphrase(phrase)
+}
+
+/// One cell per unit that must be atomic on its own; `None` is absent.
+type State = Vec<Option<Vec<u8>>>;
+type Dev = Arc<FaultDevice<MemDevice>>;
+
+trait System {
+    type Op: Clone + Debug;
+    type Live;
+    /// The seeded start. Its writes are not counted.
+    fn start(&self) -> (Dev, Self::Live);
+    /// Run one op. An op that fails acknowledges nothing.
+    fn apply(&self, live: &mut Self::Live, op: &Self::Op);
+    /// The cells the acknowledged ops have promised.
+    fn acked(&self, _live: &Self::Live) -> State {
+        State::new()
+    }
+    /// Remount `snapshot`, assert the system's own property, and return the
+    /// remount's cells for the old-or-new rule.
+    fn check(&self, snapshot: MemDevice, cut: Cut, trace: &Trace) -> State;
+}
+
+/// A cut after `at` write units; `torn` bytes of the next one land too.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Cut {
+    at: u64,
+    torn: Option<usize>,
+}
+
+/// A sequence's uncut run: the write mark after each op, and `S_0..=S_n`.
+#[derive(Default)]
+struct Trace {
+    marks: Vec<u64>,
+    history: Vec<State>,
+}
+
+impl Trace {
+    fn total(&self) -> u64 {
+        self.marks.last().copied().unwrap_or(0)
+    }
+}
+
+struct Counterexample<Op> {
+    ops: Vec<Op>,
+    marks: Vec<u64>,
+    cut: Cut,
+    why: String,
+}
+
+impl<Op: Debug> fmt::Display for Counterexample<Op> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (ops, marks, cut) = (&self.ops, &self.marks, self.cut);
+        writeln!(f, "crash counterexample: {}", self.why)?;
+        writeln!(f, "write marks after each op: {marks:?}; to replay it:")?;
+        write!(f, "replay(&system, &{ops:?}, {cut:?}).unwrap();")
+    }
+}
+
+/// Each explored sequence's trace and the remounted cells of its cut runs.
+type Explored<S> = Result<Vec<(Trace, Vec<State>)>, Found<S>>;
+type Found<S> = Counterexample<<S as System>::Op>;
+type Checked<S> = Result<State, Found<S>>;
+
+/// Every sequence over `alphabet` of length 1 to `depth`, shortest first.
+fn every_sequence<Op: Clone>(alphabet: &[Op], depth: usize) -> Vec<Vec<Op>> {
+    let (mut seqs, mut next) = (vec![vec![]], 0);
+    while seqs[next].len() < depth {
+        for op in alphabet {
+            seqs.push([&seqs[next][..], std::slice::from_ref(op)].concat());
+        }
+        next += 1;
+    }
+    seqs.split_off(1)
+}
+
+/// Run `ops` from the start, uncut or under `cut`: trace and surviving bytes.
+fn run<S: System>(sys: &S, ops: &[S::Op], cut: Option<Cut>) -> (Trace, MemDevice) {
+    let (dev, mut live) = sys.start();
+    dev.reset_counters();
+    match cut.map(|c| (c.at, c.torn)) {
+        Some((at, None)) => dev.arm_cut(at),
+        Some((at, Some(bytes))) => dev.arm_cut_torn(at, bytes),
+        None => {}
+    }
+    let mut trace = Trace::default();
+    trace.history.push(sys.acked(&live));
+    for op in ops {
+        sys.apply(&mut live, op);
+        trace.marks.push(dev.writes_attempted());
+        trace.history.push(sys.acked(&live));
+    }
+    let snapshot = dev.snapshot_to_mem().unwrap();
+    drop(live);
+    (trace, snapshot)
+}
+
+/// The old-or-new rule for the cells of a remount after `at` write units.
+fn old_or_new(state: &State, trace: &Trace, at: u64) -> Result<(), String> {
+    let history = &trace.history;
+    let landed = trace.marks.iter().filter(|&&m| m <= at).count();
+    let allowed = match at {
+        _ if at == trace.total() => vec![history.len() - 1],
+        0 => vec![0],
+        _ => vec![landed, landed + 1],
+    };
+    if state.len() != history[0].len() {
+        return Err(format!("the remount has {} cells", state.len()));
+    }
+    for (c, cell) in state.iter().enumerate() {
+        if !allowed.iter().any(|&k| history[k][c] == *cell) {
+            let k = history.iter().position(|s| s[c] == *cell);
+            return Err(format!("cell {c} reads S_k for k = {k:?}, not {allowed:?}"));
+        }
+    }
+    Ok(())
+}
+
+fn panicked(payload: Box<dyn Any + Send>) -> String {
+    let text = payload.downcast_ref::<String>().cloned();
+    let text = text.or(payload.downcast_ref::<&str>().map(|s| s.to_string()));
+    format!("panicked: {}", text.unwrap_or_default())
+}
+
+/// Crash `ops` at `cut`, remount, and check the system and the rule.
+fn check_cut<S: System>(sys: &S, ops: &[S::Op], trace: &Trace, cut: Cut) -> Checked<S> {
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        let state = sys.check(run(sys, ops, Some(cut)).1, cut, trace);
+        match cut.torn {
+            None => old_or_new(&state, trace, cut.at).map(|()| state),
+            Some(_) => Ok(state),
+        }
+    }));
+    let checked = checked.unwrap_or_else(|payload| Err(panicked(payload)));
+    checked.map_err(|why| Counterexample {
+        ops: ops.to_vec(),
+        marks: trace.marks.clone(),
+        cut,
+        why,
+    })
+}
+
+/// Explore `seqs`, shortest first, at every cut in each mode of `tears`.
+fn explore<S: System>(sys: &S, mut seqs: Vec<Vec<S::Op>>, tears: &[Option<usize>]) -> Explored<S> {
+    seqs.sort_by_key(Vec::len);
+    let mut explored = Vec::new();
+    for ops in &seqs {
+        let (trace, mut states) = (run(sys, ops, None).0, Vec::new());
+        for at in cut_points(trace.total()) {
+            for &torn in tears {
+                states.push(check_cut(sys, ops, &trace, Cut { at, torn })?);
+            }
+        }
+        explored.push((trace, states));
+    }
+    let runs: usize = explored.iter().map(|(_, states)| states.len()).sum();
+    eprintln!("{} sequences, {runs} cut runs", seqs.len());
+    Ok(explored)
+}
+
+fn holds<S: System>(sys: &S, seqs: Vec<Vec<S::Op>>) -> Vec<(Trace, Vec<State>)> {
+    explore(sys, seqs, &[None]).unwrap_or_else(|cx| panic!("{cx}"))
+}
+
+/// Re-run one cut of `ops`: the call a counterexample prints.
+fn replay<S: System>(sys: &S, ops: &[S::Op], cut: Cut) -> Checked<S> {
+    check_cut(sys, ops, &run(sys, ops, None).0, cut)
+}
+
+type Remount = ResilientStore<MemDevice>;
+type Property<'a> = dyn Fn(&Remount, Cut, &Trace, &State) + 'a;
+/// What a durable store acknowledged, and how its cells are read: files by
+/// path, registry records by user.
+type Acked = BTreeMap<String, Vec<u8>>;
+type Read<'a> = &'a dyn Fn(&str) -> Option<Vec<u8>>;
+
+const PER: usize = 496; // content bytes in a 512-byte block
+const RESIDENT: usize = 4;
+
 fn cfg() -> ResilienceConfig {
     ResilienceConfig::default()
         .with_fs(StegFsConfig::default().with_block_size(BLOCK_SIZE))
         .with_stripe(2, 1)
 }
 
-fn master() -> Key256 {
-    Key256::from_passphrase("crash recovery")
+fn open<D: BlockDevice>(device: D) -> Result<ResilientStore<D>, ResilienceError> {
+    ResilientStore::open(device, cfg(), &key("crash recovery"), SEED)
 }
 
-/// Deterministic payload bytes that differ per seed.
-fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 56) as u8
+fn users() -> Vec<String> {
+    (0..10).map(|i| format!("user-{i}")).collect()
+}
+
+/// The cells of `/f`, one per block.
+fn blocks(read: Read<'_>) -> State {
+    let f = read("/f").unwrap_or_default();
+    f.chunks(PER).map(|block| Some(block.to_vec())).collect()
+}
+
+/// `content` with block `i` replaced by `pattern(seed)`.
+fn replaced(mut content: Vec<u8>, i: u64, seed: u64) -> Vec<u8> {
+    content[i as usize * PER..][..PER].copy_from_slice(&pattern(PER, seed));
+    content
+}
+
+/// The durable ops; all but `Create` act on `/f`.
+#[derive(Clone, Debug)]
+enum Op {
+    /// `create_file(path)` of `pattern(seed)`, 57 bytes short of `blocks` blocks.
+    Create(&'static str, usize, u64),
+    /// `write_block(index)` with `pattern(seed)`.
+    WriteBlock(u64, u64),
+    /// `write_file` with each listed block `i` replaced by `pattern(seed + i)`.
+    WriteFile(&'static [u64], u64),
+    Scrub,
+    /// Set every registry user to the value, then checkpoint.
+    Checkpoint(&'static [u8]),
+    /// Drop the store and open its device again: recovery runs.
+    Reopen,
+}
+use Op::*;
+
+const UPDATE: Op = WriteBlock(1, 99);
+
+/// A `ResilientStore` over a volume image.
+struct Durable<'a> {
+    image: MemDevice,
+    acked: Acked,
+    /// The image's anchor generation.
+    gen0: u64,
+    /// Whether the start opens the store; if not, the first op is `Reopen`.
+    mounted: bool,
+    /// The state's cells, read from what was acknowledged or remounted.
+    cells: fn(Read<'_>) -> State,
+    property: Box<Property<'a>>,
+    /// A transform on the snapshot before it is remounted.
+    damage: Box<dyn Fn(&MemDevice) + 'a>,
+}
+
+impl<'a> Durable<'a> {
+    /// A formatted volume holding the `/keep` bystander.
+    fn new(cells: fn(Read<'_>) -> State) -> Self {
+        let dev = Arc::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE));
+        let master = key("crash recovery");
+        let store = ResilientStore::format(Arc::clone(&dev), cfg(), &master, SEED).unwrap();
+        assert_eq!(store.fs().content_bytes_per_block(), PER);
+        let keep = pattern(4 * PER, 7);
+        store.create_file("/keep", &keep).unwrap();
+        let (image, gen0) = (clone_to_mem(&dev).unwrap(), store.generation());
+        let acked = Acked::from([("/keep".into(), keep)]);
+        Self {
+            image,
+            acked,
+            gen0,
+            mounted: true,
+            cells,
+            property: Box::new(no_property),
+            damage: Box::new(|_| {}),
+        }
+    }
+
+    /// Open the image and keep what `f` makes of the store and the model.
+    fn with(mut self, f: impl FnOnce(&ResilientStore<Dev>, &mut Acked)) -> Self {
+        let dev = Arc::new(FaultDevice::new(self.image));
+        let store = open(Arc::clone(&dev)).unwrap();
+        f(&store, &mut self.acked);
+        self.gen0 = store.generation();
+        self.image = dev.snapshot_to_mem().unwrap();
+        self
+    }
+
+    fn with_file(self, path: &str, blocks: usize, seed: u64) -> Self {
+        let content = pattern(blocks * PER, seed);
+        self.with(|store, acked| {
+            store.create_file(path, &content).unwrap();
+            acked.insert(path.into(), content);
         })
-        .collect()
+    }
+
+    fn property(mut self, property: impl Fn(&Remount, Cut, &Trace, &State) + 'a) -> Self {
+        self.property = Box::new(property);
+        self
+    }
 }
 
-type CrashStore = ResilientStore<Arc<FaultDevice<MemDevice>>>;
+fn no_property(_: &Remount, _: Cut, _: &Trace, _: &State) {}
 
-/// Clone `image` behind a fresh crash wrapper and open it (recovery runs
-/// uncut; the caller arms the cut afterwards).
-fn open_clone(image: &MemDevice) -> (Arc<FaultDevice<MemDevice>>, CrashStore) {
-    let dev = Arc::new(FaultDevice::new(clone_to_mem(image).unwrap()));
-    let store = ResilientStore::open(Arc::clone(&dev), cfg(), &master(), SEED).unwrap();
-    (dev, store)
+/// `/f` holding four blocks next to the bystander.
+fn update_fixture<'a>(cells: fn(Read<'_>) -> State) -> Durable<'a> {
+    Durable::new(cells).with_file("/f", 4, 29)
 }
 
-fn reopen(snapshot: MemDevice) -> ResilientStore<MemDevice> {
-    ResilientStore::open(snapshot, cfg(), &master(), SEED).unwrap()
-}
+impl System for Durable<'_> {
+    type Op = Op;
+    type Live = (Dev, Option<ResilientStore<Dev>>, Acked);
 
-/// A formatted volume holding one bystander file, plus that file's bytes.
-fn baseline() -> (MemDevice, Vec<u8>) {
-    let dev = Arc::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE));
-    let store = ResilientStore::format(Arc::clone(&dev), cfg(), &master(), SEED).unwrap();
-    let per = store.fs().content_bytes_per_block();
-    let keep = pattern(4 * per, 7);
-    store.create_file("/keep", &keep).unwrap();
-    drop(store);
-    (clone_to_mem(&dev).unwrap(), keep)
-}
+    fn start(&self) -> (Dev, Self::Live) {
+        let dev = Arc::new(FaultDevice::new(clone_to_mem(&self.image).unwrap()));
+        let store = self.mounted.then(|| open(Arc::clone(&dev)).unwrap());
+        (Arc::clone(&dev), (dev, store, self.acked.clone()))
+    }
 
-/// Common post-crash checks: recovery classified everything, the generation
-/// never went backwards, and the bystander file is untouched.
-fn assert_volume_sane(store: &ResilientStore<MemDevice>, gen0: u64, keep: &[u8], ctx: &str) {
-    let report = store.last_recovery();
-    assert_eq!(report.unrecoverable, 0, "{ctx}: unclassifiable crash state");
-    assert!(
-        report.intents_found >= report.recovered() + report.intents_stale,
-        "{ctx}: incoherent recovery report {report:?}"
-    );
-    assert!(
-        store.generation() >= gen0,
-        "{ctx}: anchor generation moved backwards"
-    );
-    assert_eq!(
-        store.read_file("/keep").unwrap(),
-        keep,
-        "{ctx}: bystander file damaged"
-    );
+    fn apply(&self, (dev, store, acked): &mut Self::Live, op: &Op) {
+        if let Reopen = op {
+            *store = None;
+            *store = open(Arc::clone(dev)).ok();
+        }
+        let Some(store) = store else { return };
+        let f = acked.get("/f").cloned().unwrap_or_default();
+        let (path, content, landed) = match *op {
+            Create(path, blocks, seed) => {
+                let content = pattern(blocks * PER - 57, seed);
+                let landed = store.create_file(path, &content).is_ok();
+                (path, content, landed)
+            }
+            WriteBlock(i, seed) => {
+                let landed = store.write_block("/f", i, &pattern(PER, seed)).is_ok();
+                ("/f", replaced(f, i, seed), landed)
+            }
+            WriteFile(blocks, seed) => {
+                let f = blocks.iter().fold(f, |f, &i| replaced(f, i, seed + i));
+                let landed = store.write_file("/f", &f).is_ok();
+                ("/f", f, landed)
+            }
+            Checkpoint(value) => {
+                let registry = Registry::open(store, RESIDENT).unwrap().unwrap();
+                let put = users().iter().all(|u| registry.put(u, value).is_ok());
+                if put && registry.checkpoint().is_ok() {
+                    acked.extend(users().into_iter().map(|u| (u, value.to_vec())));
+                }
+                return;
+            }
+            Scrub => return drop(store.scrub()),
+            Reopen => return,
+        };
+        if landed {
+            acked.insert(path.into(), content);
+        }
+    }
+
+    fn acked(&self, (_, _, acked): &Self::Live) -> State {
+        (self.cells)(&|key| acked.get(key).cloned())
+    }
+
+    fn check(&self, snapshot: MemDevice, cut: Cut, trace: &Trace) -> State {
+        (self.damage)(&snapshot);
+        let store = match (open(snapshot), cut.torn) {
+            (Ok(store), _) => store,
+            // A torn cut may leave the volume unopenable, with a typed error.
+            (Err(_), Some(_)) => return State::new(),
+            (Err(e), None) => panic!("remount refused: {e:?}"),
+        };
+        // A key the store has no file for reads as a registry record.
+        let registry = Registry::open(&store, RESIDENT).unwrap();
+        let state = (self.cells)(&|key| match store.read_file(key) {
+            Err(ResilienceError::UnknownFile(_)) => registry.as_ref()?.get(key).unwrap(),
+            read => Some(read.unwrap()),
+        });
+        if cut.torn.is_none() {
+            // Recovery classified everything, the generation never went
+            // backwards, and the bystander file is untouched.
+            let r = store.last_recovery();
+            assert_eq!(r.unrecoverable, 0, "unclassified crash state");
+            assert!(r.intents_found >= r.recovered() + r.intents_stale, "{r:?}");
+            assert!(store.generation() >= self.gen0, "generation went back");
+            let keep = store.read_file("/keep").ok();
+            assert_eq!(keep.as_ref(), self.acked.get("/keep"), "bystander");
+        }
+        (self.property)(&store, cut, trace, &state);
+        state
+    }
 }
 
 #[test]
 fn create_file_recovers_to_old_or_new_at_every_cut() {
-    let (image, keep) = baseline();
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    let per = store.fs().content_bytes_per_block();
-    // Deliberately not block-aligned so the tail check exercises file_size.
-    let content = pattern(3 * per - 57, 13);
-
-    dev.reset_counters();
-    store.create_file("/new", &content).unwrap();
-    let total = dev.writes_attempted();
-    assert!(total >= 5, "create issued only {} writes", total);
-    drop(store);
-
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.create_file("/new", &content);
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("create cut {n}"));
-        if n == 0 {
-            // Nothing landed: trivially rolled back.
+    let sys = Durable::new(|read| vec![read("/new")]);
+    let gen0 = sys.gen0;
+    let sys = sys.property(|store, cut, trace, state| {
+        if cut.at == 0 {
             assert_eq!(store.generation(), gen0, "cut 0 must be a no-op");
         }
-        if n == total {
-            assert!(
-                store.paths().iter().any(|p| p == "/new"),
-                "uncut create must be committed"
-            );
-        }
-        if store.paths().iter().any(|p| p == "/new") {
-            // Committed: the file must read back fully, not half-exist.
-            assert_eq!(
-                store.read_file("/new").unwrap(),
-                content,
-                "create cut {n}: committed file is not intact"
-            );
-            assert!(
-                store.generation() > gen0,
-                "create cut {n}: committed without a generation bump"
-            );
+        if state[0].is_some() {
+            assert!(store.generation() > gen0, "committed without a bump");
         } else {
-            // Rolled back: the undo must have freed everything the aborted
-            // create touched — re-creating the same path must succeed.
+            // Rolled back: the undo freed all the create touched.
+            let content = trace.history[1][0].clone().unwrap();
             store.create_file("/new", &content).unwrap();
             assert_eq!(store.read_file("/new").unwrap(), content);
         }
-    }
-}
-
-/// Build the write_block fixture: a volume with "/f" holding `old`, plus the
-/// bystander, and the expected post-update bytes.
-fn update_fixture() -> (MemDevice, Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>) {
-    let (image, keep) = baseline();
-    let (dev, store) = open_clone(&image);
-    let per = store.fs().content_bytes_per_block();
-    let old = pattern(4 * per, 29);
-    store.create_file("/f", &old).unwrap();
-    let image = dev.snapshot_to_mem().unwrap();
-    drop(store);
-
-    let newblk = pattern(per, 99);
-    let mut new = old.clone();
-    new[per..2 * per].copy_from_slice(&newblk);
-    (image, keep, old, new, newblk)
+    });
+    let (trace, _) = &holds(&sys, vec![vec![Create("/new", 3, 13)]])[0];
+    assert!(trace.total() >= 5, "create issued too few writes");
 }
 
 #[test]
 fn block_update_is_old_or_new_at_every_cut() {
-    let (image, keep, old, new, newblk) = update_fixture();
+    let sys = update_fixture(|read| vec![read("/f")]);
+    let (trace, states) = &holds(&sys, vec![vec![UPDATE]])[0];
+    assert!(trace.total() >= 4, "update issued too few writes");
+    let saw = |k: usize| states.contains(&trace.history[k]);
+    assert!(saw(0) && saw(1), "sweep never covered both outcomes");
+}
 
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    store.write_block("/f", 1, &newblk).unwrap();
-    let total = dev.writes_attempted();
-    assert!(total >= 4, "update issued only {} writes", total);
-    drop(store);
-
-    let (mut saw_old, mut saw_new) = (false, false);
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.write_block("/f", 1, &newblk);
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("update cut {n}"));
-        let got = store.read_file("/f").unwrap();
-        assert!(
-            got == old || got == new,
-            "update cut {n}: hybrid state (neither old nor new bytes)"
-        );
-        saw_old |= got == old;
-        saw_new |= got == new;
-        if n == 0 {
-            assert_eq!(got, old, "cut 0 must keep the old bytes");
-        }
-        if n == total {
-            assert_eq!(got, new, "uncut update must land the new bytes");
-        }
-    }
-    // The sweep must have exercised both recovery directions.
-    assert!(saw_old && saw_new, "sweep never covered both outcomes");
+/// Which changed blocks of `/f` read new, in index order.
+fn frontier(state: &State, history: &[State]) -> Vec<bool> {
+    let (old, new) = (&history[0], &history[1]);
+    let changed = (0..state.len()).filter(|&i| old[i] != new[i]);
+    changed.map(|i| state[i] == new[i]).collect()
 }
 
 #[test]
 fn batched_file_rewrite_recovers_to_a_clean_frontier_at_every_cut() {
-    let (image, keep) = baseline();
-    let (dev, store) = open_clone(&image);
-    let per = store.fs().content_bytes_per_block();
-    let old = pattern(8 * per, 31);
-    store.create_file("/f", &old).unwrap();
-    let image = dev.snapshot_to_mem().unwrap();
-    drop(store);
-
-    // Change 5 of 8 blocks: both blocks of stripe 0 (exercising the parity
-    // chain within one record) plus singles across other stripes. With
-    // 512-byte blocks the journal record fits three entries, so the batch
-    // also splits across two sealed intents.
-    let changed: [u64; 5] = [0, 1, 2, 5, 7];
-    let mut new = old.clone();
-    for (j, &i) in changed.iter().enumerate() {
-        let blk = pattern(per, 900 + j as u64);
-        new[i as usize * per..(i as usize + 1) * per].copy_from_slice(&blk);
-    }
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    store.write_file("/f", &new).unwrap();
-    let total = dev.writes_attempted();
-    assert!(total >= 10, "batched rewrite issued only {} writes", total);
-    drop(store);
-
-    let mut frontiers = std::collections::BTreeSet::new();
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.write_file("/f", &new);
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("rewrite cut {n}"));
-        let got = store.read_file("/f").unwrap();
-
-        // Every unchanged block is untouched; every changed block is exactly
-        // old or new; and in batch (index) order the changed blocks form a
-        // contiguous new-prefix / old-suffix — the recovery frontier.
-        let mut states: Vec<bool> = Vec::new();
-        for i in 0..8usize {
-            let g = &got[i * per..(i + 1) * per];
-            let o = &old[i * per..(i + 1) * per];
-            let w = &new[i * per..(i + 1) * per];
-            if changed.contains(&(i as u64)) {
-                assert!(
-                    g == o || g == w,
-                    "rewrite cut {n}: block {i} is a hybrid of old and new"
-                );
-                states.push(g == w);
-            } else {
-                assert_eq!(g, o, "rewrite cut {n}: bystander block {i} damaged");
-            }
-        }
-        let frontier = states.iter().filter(|&&s| s).count();
-        assert!(
-            states[..frontier].iter().all(|&s| s) && states[frontier..].iter().all(|&s| !s),
-            "rewrite cut {n}: non-contiguous frontier {states:?}"
-        );
-        frontiers.insert(frontier);
-        if n == 0 {
-            assert_eq!(frontier, 0, "cut 0 must keep the old bytes");
-        }
-        if n == total {
-            assert_eq!(frontier, changed.len(), "uncut rewrite must land fully");
-        }
-    }
-    assert!(
-        frontiers.contains(&0) && frontiers.contains(&changed.len()),
-        "sweep never covered both extremes: {frontiers:?}"
-    );
-    if !quick() {
-        assert!(
-            frontiers.len() >= 3,
-            "sweep never stopped mid-batch: {frontiers:?}"
-        );
-    }
+    // Both blocks of stripe 0 plus singles across other stripes; a 512-byte
+    // journal record fits three entries, so the batch splits in two.
+    let sys = Durable::new(blocks).with_file("/f", 8, 31);
+    let sys = sys.property(|_, _, trace, state| {
+        // In batch (index) order the changed blocks read new, then old.
+        let states = frontier(state, &trace.history);
+        let contiguous = states.windows(2).all(|w| w[0] >= w[1]);
+        assert!(contiguous, "non-contiguous frontier {states:?}");
+    });
+    let rewrite = WriteFile(&[0, 1, 2, 5, 7], 900);
+    let (trace, states) = &holds(&sys, vec![vec![rewrite]])[0];
+    assert!(trace.total() >= 10, "rewrite issued too few writes");
+    let frontier = |s| frontier(s, &trace.history);
+    let frontiers: BTreeSet<_> = states.iter().map(frontier).collect();
+    let extremes = [[false; 5], [true; 5]].map(|f| frontiers.contains(&f[..]));
+    assert!(extremes == [true; 2], "missed an extreme: {frontiers:?}");
+    assert!(quick() || frontiers.len() >= 3, "never stopped mid-batch");
 }
 
 #[test]
 fn shadow_map_rewrite_cuts_leave_a_consistent_stripe_map() {
-    // The shadow stripe-map rewrite at the end of each batched chunk is now
-    // recorded as the tail of the chunk's intent record. Whatever write the
-    // cut lands on — data, parity, or any shadow block — recovery must leave
-    // the on-disk stripe map aligned with the resolved data frontier: the
-    // volume scrubs clean and a further update works first try.
-    let (image, keep) = baseline();
-    let (dev, store) = open_clone(&image);
-    let per = store.fs().content_bytes_per_block();
-    let old = pattern(6 * per, 61);
-    store.create_file("/f", &old).unwrap();
-    let image = dev.snapshot_to_mem().unwrap();
-    drop(store);
-
-    let mut new = old.clone();
-    for i in [0usize, 3, 4] {
-        new[i * per..(i + 1) * per].copy_from_slice(&pattern(per, 700 + i as u64));
-    }
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    store.write_file("/f", &new).unwrap();
-    let total = dev.writes_attempted();
-    drop(store);
-
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.write_file("/f", &new);
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("shadow cut {n}"));
-        // The recovered stripe map agrees with every on-disk block: a scrub
-        // finds nothing to repair.
+    // Wherever the cut lands (data, parity, or the shadow stripe map at the
+    // tail of the intent), the volume scrubs clean and updates first try.
+    let sys = Durable::new(blocks).with_file("/f", 6, 61);
+    let sys = sys.property(|store, _, _, _| {
         let report = store.scrub().unwrap();
-        assert!(
-            report.is_clean(),
-            "shadow cut {n}: stripe map out of line with disk: {report:?}"
-        );
-        // And the map serves a fresh delta update correctly.
-        let touch = pattern(per, 1234);
+        assert!(report.is_clean(), "stripe map off disk: {report:?}");
+        let touch = pattern(PER, 1234);
         store.write_block("/f", 2, &touch).unwrap();
-        let got = store.read_file("/f").unwrap();
-        assert_eq!(&got[2 * per..3 * per], &touch[..], "shadow cut {n}");
-    }
+        assert_eq!(store.read_file("/f").unwrap()[2 * PER..3 * PER], touch);
+    });
+    holds(&sys, vec![vec![WriteFile(&[0, 3, 4], 700)]]);
 }
 
 #[test]
 fn registry_checkpoint_is_old_or_new_at_every_cut() {
-    // Tentpole crash row: a power cut anywhere inside a registry checkpoint
-    // (intent slots, shard blocks, parity rows, shadow stripe map) must
-    // resolve, per shard, to exactly the pre-checkpoint or post-checkpoint
-    // record set.
-    let (image, keep) = baseline();
-    const RESIDENT: usize = 4;
-    let (dev, store) = open_clone(&image);
-    let registry = Registry::create(&store, 4, RESIDENT).unwrap();
-    let users: Vec<String> = (0..10).map(|i| format!("user-{i}")).collect();
-    for u in &users {
-        registry.put(u, b"old-state").unwrap();
-    }
-    registry.checkpoint().unwrap();
-    let image = dev.snapshot_to_mem().unwrap();
-    drop(store);
-
-    // The dirtying itself is in-memory; only the checkpoint writes.
-    let dirty_and_checkpoint = |store: &CrashStore| {
+    let records = |read: Read<'_>| users().iter().map(|u| read(u)).collect();
+    let sys = Durable::new(records).with(|store, acked| {
+        let registry = Registry::create(store, 4, RESIDENT).unwrap();
+        for u in users() {
+            registry.put(&u, b"old-state").unwrap();
+            acked.insert(u, b"old-state".to_vec());
+        }
+        registry.checkpoint().unwrap();
+    });
+    let sys = sys.property(|store, _, _, state| {
         let registry = Registry::open(store, RESIDENT).unwrap().unwrap();
-        for u in &users {
-            registry.put(u, b"new-state").unwrap();
-        }
-        let _ = registry.checkpoint();
-    };
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    dirty_and_checkpoint(&store);
-    let total = dev.writes_attempted();
-    assert!(total >= 4, "checkpoint issued only {} writes", total);
-    drop(store);
-
-    let (mut saw_old, mut saw_new) = (false, false);
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        dirty_and_checkpoint(&store);
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("checkpoint cut {n}"));
-        let registry = Registry::open(&store, RESIDENT).unwrap().unwrap();
-        // Per shard, the record set is all-old or all-new; a user never
-        // reads a hybrid or vanishes.
-        let mut shard_saw: std::collections::HashMap<u32, bool> = std::collections::HashMap::new();
-        for (i, u) in users.iter().enumerate() {
-            let got = registry.get(u).unwrap();
-            let is_new = match got.as_deref() {
-                Some(b"new-state") => true,
-                Some(b"old-state") => false,
-                other => panic!("checkpoint cut {n}: user {i} reads {other:?}"),
-            };
-            saw_old |= !is_new;
-            saw_new |= is_new;
+        let mut first = HashMap::new();
+        for (u, record) in users().iter().zip(state) {
             let shard = registry.shard_of(u);
-            let first = *shard_saw.entry(shard).or_insert(is_new);
-            assert_eq!(
-                first, is_new,
-                "checkpoint cut {n}: shard {shard} committed only some of its users"
-            );
+            let same = *first.entry(shard).or_insert(record) == record;
+            assert!(same, "shard {shard} committed only some users");
         }
-        if n == 0 {
-            assert!(
-                users
-                    .iter()
-                    .all(|u| registry.get(u).unwrap().as_deref() == Some(&b"old-state"[..])),
-                "cut 0 must keep the old records"
-            );
-        }
-        if n == total {
-            assert!(
-                users
-                    .iter()
-                    .all(|u| registry.get(u).unwrap().as_deref() == Some(&b"new-state"[..])),
-                "uncut checkpoint must land the new records"
-            );
-        }
-        // After recovery the registry accepts further traffic and
-        // checkpoints cleanly.
         registry.put("post-crash", b"fresh").unwrap();
         registry.checkpoint().unwrap();
-        assert_eq!(
-            registry.get("post-crash").unwrap().as_deref(),
-            Some(&b"fresh"[..])
-        );
-    }
-    assert!(saw_old && saw_new, "sweep never covered both outcomes");
+        assert_eq!(registry.get("post-crash").unwrap().unwrap(), b"fresh");
+    });
+    let (trace, states) = &holds(&sys, vec![vec![Checkpoint(b"new-state")]])[0];
+    assert!(trace.total() >= 4, "checkpoint issued too few writes");
+    let saw = |v: &[u8]| states.iter().flatten().any(|c| c.as_deref() == Some(v));
+    assert!(saw(b"old-state") && saw(b"new-state"), "missed an outcome");
 }
 
 #[test]
 fn live_intent_survives_a_zeroed_slot_copy() {
-    // Satellite: journal slots are replicated; losing one copy of a live
-    // record must not orphan the in-flight intent. Crash an update mid-way,
-    // zero the *primary* copy of every slot pair, and recovery must still
-    // classify the cut from the mirror.
-    let (image, keep, old, new, newblk) = update_fixture();
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    let slots = store.journal_slots();
-    assert!(slots.len() >= 2 && slots.len() % 2 == 0, "slots are paired");
-    dev.reset_counters();
-    store.write_block("/f", 1, &newblk).unwrap();
-    let total = dev.writes_attempted();
-    drop(store);
-
-    for n in cut_points(total) {
-        for copy in [0usize, 1] {
-            let (dev, store) = open_clone(&image);
-            dev.reset_counters();
-            dev.arm_cut(n);
-            let _ = store.write_block("/f", 1, &newblk);
-            let snapshot = dev.snapshot_to_mem().unwrap();
-            drop(store);
-
-            // Lose one copy of every pair (primaries, then mirrors on the
-            // second pass) — the FaultDevice-style zeroed-block loss model.
+    // Zero one copy of every journal slot pair in the snapshot (primaries,
+    // then mirrors): recovery classifies the intent from the other.
+    for copy in [0, 1] {
+        let mut slots = Vec::new();
+        let sys = update_fixture(|read| vec![read("/f")]);
+        let mut sys = sys.with(|store, _| slots = store.journal_slots());
+        assert!(slots.len() >= 2 && slots.len() % 2 == 0, "slots are paired");
+        sys.damage = Box::new(|snapshot| {
             for pair in slots.chunks(2) {
-                snapshot
-                    .write_block(pair[copy], &vec![0u8; BLOCK_SIZE])
-                    .unwrap();
+                snapshot.write_block(pair[copy], &[0; BLOCK_SIZE]).unwrap();
             }
-
-            let store = reopen(snapshot);
-            assert_volume_sane(&store, gen0, &keep, &format!("slot loss {n}/{copy}"));
-            let got = store.read_file("/f").unwrap();
-            assert!(
-                got == old || got == new,
-                "slot loss {n}/{copy}: hybrid state after losing a slot copy"
-            );
-        }
+        });
+        holds(&sys, vec![vec![UPDATE]]);
     }
 }
 
 #[test]
 fn scrub_repair_crash_never_loses_data() {
-    let (image, keep) = baseline();
-    let (dev, store) = open_clone(&image);
-    let per = store.fs().content_bytes_per_block();
-    let old = pattern(4 * per, 43);
-    store.create_file("/f", &old).unwrap();
-    // Physical location of content block 0 — the shard the scrub will find
-    // corrupt and repair.
-    let victim = store.stripe_layout("/f").unwrap()[0][0];
-    let image = dev.snapshot_to_mem().unwrap();
-    drop(store);
-    image.write_block(victim, &pattern(BLOCK_SIZE, 5)).unwrap();
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    store.scrub().unwrap();
-    let total = dev.writes_attempted();
-    assert!(total >= 1, "scrub over a corrupt shard wrote nothing");
-    drop(store);
-
-    for n in cut_points(total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.scrub();
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        // Repair is content-neutral: whatever prefix of it landed, the file
-        // must still read back byte-exact (the read path re-repairs any
-        // remaining damage from parity).
-        let store = reopen(snapshot);
-        assert_volume_sane(&store, gen0, &keep, &format!("scrub cut {n}"));
-        assert_eq!(
-            store.read_file("/f").unwrap(),
-            old,
-            "scrub cut {n}: repair changed file content"
-        );
-        // And the volume scrubs clean afterwards.
+    // Corrupt `/f`'s block 0 for the scrub to repair.
+    let mut victim = 0;
+    let sys = Durable::new(|read| vec![read("/f")]).with_file("/f", 4, 43);
+    let sys = sys.with(|store, _| victim = store.stripe_layout("/f").unwrap()[0][0]);
+    let garbage = pattern(BLOCK_SIZE, 5);
+    sys.image.write_block(victim, &garbage).unwrap();
+    // Repair is content-neutral (the rule, with S_0 = S_1).
+    let sys = sys.property(|store, _, trace, _| {
         store.scrub().unwrap();
-        assert_eq!(store.read_file("/f").unwrap(), old);
-    }
+        assert_eq!(store.read_file("/f").ok(), trace.history[0][0]);
+    });
+    let (trace, _) = &holds(&sys, vec![vec![Scrub]])[0];
+    assert!(trace.total() >= 1, "scrub wrote nothing");
 }
 
 #[test]
 fn recovery_is_idempotent_under_a_second_crash() {
-    let (image, keep, old, new, newblk) = update_fixture();
-
-    let (dev, store) = open_clone(&image);
-    let gen0 = store.generation();
-    dev.reset_counters();
-    store.write_block("/f", 1, &newblk).unwrap();
-    let total = dev.writes_attempted();
-    drop(store);
-
-    // Representative first-crash points: just after the intent landed, the
-    // middle of the data writes, and just before completion.
-    let mut firsts = vec![1, total / 2, total.saturating_sub(1)];
-    firsts.dedup();
+    let update = update_fixture(|read| vec![read("/f")]);
+    let (trace, _) = run(&update, &[UPDATE], None);
+    let (old, new) = (&trace.history[0][0], &trace.history[1][0]);
+    // The second cut lands in the recovery that `Reopen` runs.
+    let total = trace.total();
+    let firsts = BTreeSet::from([1, total / 2, total.saturating_sub(1)]);
     for n in firsts.into_iter().filter(|&n| n > 0 && n < total) {
-        let (dev, store) = open_clone(&image);
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.write_block("/f", 1, &newblk);
-        let crashed = dev.snapshot_to_mem().unwrap();
-        drop(store);
-
-        // Discover how many writes the recovery pass itself issues.
-        let rdev = Arc::new(FaultDevice::new(clone_to_mem(&crashed).unwrap()));
-        drop(ResilientStore::open(Arc::clone(&rdev), cfg(), &master(), SEED).unwrap());
-        let recovery_total = rdev.writes_attempted();
-        drop(rdev);
-
-        for m in cut_points(recovery_total) {
-            let rdev = Arc::new(FaultDevice::new(clone_to_mem(&crashed).unwrap()));
-            rdev.arm_cut(m);
-            // The recovery pass is cut at write m; it may finish in memory or
-            // surface an error — either way only the landed prefix matters.
-            let _ = ResilientStore::open(Arc::clone(&rdev), cfg(), &master(), SEED);
-            let snapshot = rdev.snapshot_to_mem().unwrap();
-            drop(rdev);
-
-            let store = reopen(snapshot);
-            assert_volume_sane(&store, gen0, &keep, &format!("double crash {n}/{m}"));
-            let got = store.read_file("/f").unwrap();
-            assert!(
-                got == old || got == new,
-                "double crash {n}/{m}: hybrid state after re-recovery"
-            );
-            if m == recovery_total {
-                // The first recovery ran to completion: a further open must
-                // find a quiescent journal.
-                let again = reopen(clone_to_mem(store.fs().device()).unwrap());
-                assert_eq!(
-                    again.last_recovery().intents_found,
-                    0,
-                    "double crash {n}/{m}: completed recovery left intents behind"
-                );
-                assert_eq!(again.read_file("/f").unwrap(), got);
+        let mut sys = update_fixture(|_| vec![]);
+        sys.image = run(&update, &[UPDATE], Some(Cut { at: n, torn: None })).1;
+        sys.mounted = false;
+        let sys = sys.property(|store, cut, trace, _| {
+            let got = store.read_file("/f").ok();
+            assert!(got == *old || got == *new, "hybrid after re-recovery");
+            if cut.at == trace.total() {
+                // The first recovery completed: the journal is quiescent.
+                let again = open(clone_to_mem(store.fs().device()).unwrap()).unwrap();
+                assert_eq!(again.last_recovery().intents_found, 0, "intents left");
+                assert_eq!(again.read_file("/f").ok(), got);
             }
+        });
+        holds(&sys, vec![vec![Reopen]]);
+    }
+}
+
+#[test]
+fn resilient_store_chains_are_old_or_new_at_depth_2() {
+    // Each block of `/f`, and `/g` as a whole, is old-or-new.
+    let sys = update_fixture(|read| [blocks(read), vec![read("/g")]].concat());
+    let writes = [WriteBlock(1, 99), WriteBlock(1, 98), WriteBlock(3, 97)];
+    let others = [Create("/g", 2, 51), Scrub, WriteFile(&[0, 2], 800)];
+    holds(&sys, every_sequence(&[writes, others].concat(), 2));
+}
+
+#[test]
+fn torn_cuts_never_panic_the_durable_store() {
+    // A store that opens answers a read and a scrub.
+    let sys = Durable::new(|_| vec![]).with_file("/f", 8, 31);
+    let sys = sys.property(|store, _, _, _| {
+        let _ = store.read_file("/f");
+        let _ = store.scrub();
+    });
+    let rewrite = WriteFile(&[0, 1, 2, 5, 7], 900);
+    let ops = [Create("/g", 2, 51), UPDATE, Scrub, rewrite];
+    let tears = [Some(1), Some(BLOCK_SIZE / 2)];
+    explore(&sys, every_sequence(&ops, 1), &tears).unwrap_or_else(|cx| panic!("{cx}"));
+}
+
+type ObStore<D> = ObliviousStore<D, MemDevice>;
+
+fn ob_store<D: BlockDevice>(device: D, seed: u64) -> ObStore<D> {
+    let cfg = ObliviousConfig::new(4, 32);
+    let sort_blocks = ObStore::<D>::sort_blocks_required(&cfg) + 8;
+    let sort = MemDevice::new(sort_blocks, BLOCK_SIZE + 32);
+    ObliviousStore::new(device, sort, cfg, key("crash oblivious"), seed, None).unwrap()
+}
+
+/// `Insert(id)` into an oblivious store one insert short of its first flush,
+/// cut on the main partition. The store is a cache: it recovers by a rebuild
+/// over whatever survived, which it never reads.
+struct Oblivious;
+
+#[derive(Clone, Debug)]
+struct Insert(u64);
+
+impl System for Oblivious {
+    type Op = Insert;
+    type Live = ObStore<Dev>;
+    fn start(&self) -> (Dev, ObStore<Dev>) {
+        let blocks = ObStore::<Dev>::blocks_required(&ObliviousConfig::new(4, 32), BLOCK_SIZE);
+        let dev = Arc::new(FaultDevice::new(MemDevice::new(blocks, BLOCK_SIZE)));
+        let store = ob_store(Arc::clone(&dev), 9);
+        (0..3).for_each(|id| store.insert(id, vec![id as u8; 200]).unwrap());
+        (dev, store)
+    }
+    fn apply(&self, store: &mut ObStore<Dev>, &Insert(id): &Insert) {
+        let _ = store.insert(id, vec![id as u8; 200]);
+    }
+    fn check(&self, snapshot: MemDevice, _: Cut, _: &Trace) -> State {
+        let rebuilt = ob_store(snapshot, 10);
+        for id in 0..4 {
+            rebuilt.insert(id, vec![id as u8; 200]).unwrap();
+            assert_eq!(rebuilt.read(id).unwrap(), vec![id as u8; 200]);
         }
+        assert!(rebuilt.membership_is_consistent());
+        State::new()
     }
-}
-
-// ----- oblivious structural flush ---------------------------------------
-
-type ObStore = ObliviousStore<Arc<FaultDevice<MemDevice>>, MemDevice>;
-
-fn ob_cfg() -> ObliviousConfig {
-    ObliviousConfig::new(4, 32)
-}
-
-fn ob_master() -> Key256 {
-    Key256::from_passphrase("crash oblivious")
-}
-
-fn ob_payload(id: u64) -> Vec<u8> {
-    vec![(id % 251) as u8; 200]
-}
-
-/// Fresh oblivious store over a crash wrapper, with the buffer one insert
-/// away from its first structural flush.
-fn ob_store_primed() -> (Arc<FaultDevice<MemDevice>>, ObStore) {
-    let cfg = ob_cfg();
-    let blocks = ObStore::blocks_required(&cfg, BLOCK_SIZE);
-    let sort_blocks = ObStore::sort_blocks_required(&cfg);
-    let dev = Arc::new(FaultDevice::new(MemDevice::new(blocks, BLOCK_SIZE)));
-    let sort = MemDevice::new(sort_blocks + 8, BLOCK_SIZE + 32);
-    let store = ObliviousStore::new(Arc::clone(&dev), sort, cfg, ob_master(), 9, None).unwrap();
-    for id in 0..3u64 {
-        store.insert(id, ob_payload(id)).unwrap();
-    }
-    (dev, store)
 }
 
 #[test]
 fn oblivious_flush_cut_at_any_write_rebuilds() {
-    // Cuts land on the main partition; the sort partition is scratch.
-    let cfg = ob_cfg();
-    let master = ob_master();
+    let (trace, _) = &holds(&Oblivious, vec![vec![Insert(3)]])[0];
+    assert!(trace.total() >= 3, "flush issued too few writes");
+}
 
-    let (dev, store) = ob_store_primed();
-    dev.reset_counters();
-    store.insert(3, ob_payload(3)).unwrap();
-    let total = dev.writes_attempted();
-    assert!(total >= 3, "flush issued only {} writes", total);
-    drop((dev, store));
+/// The agent's relocate-update plus header flush. Its state lives in memory,
+/// so the start replays a seeded format, create and flush; a remount opens
+/// the file as the agent would, through whichever block the header names.
+struct Agent;
 
-    for n in cut_points(total) {
-        let (dev, store) = ob_store_primed();
-        dev.reset_counters();
-        dev.arm_cut(n);
-        let _ = store.insert(3, ob_payload(3));
-        let snapshot = dev.snapshot_to_mem().unwrap();
-        drop((dev, store));
+#[derive(Clone, Debug)]
+struct UpdateAndFlush(u64, u64);
 
-        // Recovery for the (lossless) cache is a rebuild: a fresh store over
-        // the surviving partition, which it never reads, must come up and
-        // serve reads.
-        let sort = MemDevice::new(ObStore::sort_blocks_required(&cfg) + 8, BLOCK_SIZE + 32);
-        let rebuilt =
-            ObliviousStore::<MemDevice, MemDevice>::new(snapshot, sort, cfg, master, 10, None)
-                .unwrap();
-        for id in 0..4u64 {
-            rebuilt.insert(id, ob_payload(id)).unwrap();
-            assert_eq!(rebuilt.read(id).unwrap(), ob_payload(id));
+impl System for Agent {
+    type Op = UpdateAndFlush;
+    type Live = (ConcurrentAgent<Dev>, u64, Vec<u8>);
+    fn start(&self) -> (Dev, Self::Live) {
+        let dev = Arc::new(FaultDevice::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE)));
+        let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
+        let (agent_cfg, agent) = (AgentConfig::default(), key("crash agent"));
+        let agent = ConcurrentAgent::format(Arc::clone(&dev), fs_cfg, agent_cfg, agent, SEED, 4);
+        let agent = agent.unwrap();
+        let doc = pattern(3 * PER, 21);
+        let id = agent.create_file(&key("crash user"), "/doc", &doc).unwrap();
+        agent.flush().unwrap();
+        (dev, (agent, id, doc))
+    }
+    fn apply(&self, (agent, id, doc): &mut Self::Live, &UpdateAndFlush(i, seed): &Self::Op) {
+        let updated = agent.update_block(*id, i, &pattern(PER, seed)).is_ok();
+        if agent.flush().is_ok() && updated {
+            *doc = replaced(std::mem::take(doc), i, seed);
         }
-        assert!(rebuilt.membership_is_consistent(), "flush cut {n}");
+    }
+    fn acked(&self, (_, _, doc): &Self::Live) -> State {
+        vec![Some(doc.clone())]
+    }
+    fn check(&self, snapshot: MemDevice, _: Cut, _: &Trace) -> State {
+        let fs = StegFs::mount(snapshot, SEED).unwrap();
+        let (user, agent) = (key("crash user"), key("crash agent"));
+        let fak = FileAccessKey::from_parts(user.derive("steghide:location"), agent, Some(agent));
+        let open = fs.open_file(&fak, "/doc").unwrap();
+        vec![Some(fs.read_file(&open).unwrap())]
     }
 }
 
-// ----- steghide relocate-update -----------------------------------------
-
 #[test]
 fn agent_relocate_update_is_old_or_new_at_every_cut() {
-    let fs_cfg = StegFsConfig::default().with_block_size(BLOCK_SIZE);
-    let agent_key = Key256::from_passphrase("crash agent");
-    let user = Key256::from_passphrase("crash user");
+    let (trace, _) = &holds(&Agent, vec![vec![UpdateAndFlush(1, 77)]])[0];
+    assert!(trace.total() >= 2, "update+flush issued too few writes");
+}
 
-    // The agent's state lives in memory, so every sweep iteration replays
-    // the identical seeded format + create + update sequence on a fresh
-    // device and only the cut index varies; the write trace before the cut
-    // is deterministic.
-    let run = |cut: Option<u64>| -> (MemDevice, u64, Vec<u8>, Vec<u8>) {
-        let dev = Arc::new(FaultDevice::new(MemDevice::new(NUM_BLOCKS, BLOCK_SIZE)));
-        let agent = ConcurrentAgent::format(
-            Arc::clone(&dev),
-            fs_cfg,
-            AgentConfig::default(),
-            agent_key,
-            SEED,
-            4,
-        )
-        .unwrap();
-        let per = agent.fs().content_bytes_per_block();
-        let old = pattern(3 * per, 21);
-        let id = agent.create_file(&user, "/doc", &old).unwrap();
-        agent.flush().unwrap();
+/// A planted bug: the op writes block A, then block B, and the property is
+/// A == B, so a cut between the two writes breaks it.
+struct Planted;
 
-        let newblk = pattern(per, 77);
-        let mut new = old.clone();
-        new[per..2 * per].copy_from_slice(&newblk);
+#[derive(Clone, Debug)]
+struct WriteAThenB;
 
-        dev.reset_counters();
-        if let Some(n) = cut {
-            dev.arm_cut(n);
-        }
-        let _ = agent.update_block(id, 1, &newblk);
-        let _ = agent.flush();
-        let total = dev.writes_attempted();
-        (dev.snapshot_to_mem().unwrap(), total, old, new)
-    };
-
-    let (_, total, _, _) = run(None);
-    assert!(total >= 2, "update+flush issued only {total} writes");
-
-    for n in cut_points(total) {
-        let (snapshot, _, old, new) = run(Some(n));
-        // Remount the raw substrate and open the file exactly as the agent
-        // would: the header either still points at the old block or was
-        // repointed to the relocated one — never in between.
-        let fs = StegFs::mount(snapshot, SEED).unwrap();
-        let fak =
-            FileAccessKey::from_parts(user.derive("steghide:location"), agent_key, Some(agent_key));
-        let open = fs.open_file(&fak, "/doc").unwrap();
-        let got = fs.read_file(&open).unwrap();
-        assert!(
-            got == old || got == new,
-            "agent cut {n}: hybrid state after relocate-update"
-        );
-        if n == 0 {
-            assert_eq!(got, old, "cut 0 must keep the old bytes");
-        }
-        if n == total {
-            assert_eq!(got, new, "uncut update must land the new bytes");
-        }
+impl System for Planted {
+    type Op = WriteAThenB;
+    type Live = Dev;
+    fn start(&self) -> (Dev, Dev) {
+        let dev = Arc::new(FaultDevice::new(MemDevice::new(2, BLOCK_SIZE)));
+        (Arc::clone(&dev), dev)
     }
+    fn apply(&self, dev: &mut Dev, _: &WriteAThenB) {
+        (0..2).for_each(|block| dev.write_block(block, &[7; BLOCK_SIZE]).unwrap());
+    }
+    fn check(&self, snapshot: MemDevice, _: Cut, _: &Trace) -> State {
+        let [a, b] = [0, 1].map(|block| snapshot.read_block_vec(block).unwrap());
+        assert!(a == b, "A and B disagree");
+        State::new()
+    }
+}
+
+#[test]
+fn explorer_reports_the_shortest_counterexample_to_a_planted_bug() {
+    let found = explore(&Planted, every_sequence(&[WriteAThenB], 2), &[None]);
+    let cx = found.err().expect("the planted bug went unseen");
+    assert_eq!((cx.ops.len(), cx.cut), (1, Cut { at: 1, torn: None }));
+    assert_eq!(cx.marks, [2]);
+    let printed = cx.to_string();
+    let call = "replay(&system, &[WriteAThenB], Cut { at: 1, torn: None })";
+    assert!(printed.contains("A and B disagree") && printed.contains(call));
+    assert!(replay(&Planted, &cx.ops, cx.cut).is_err());
 }
