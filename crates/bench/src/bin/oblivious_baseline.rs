@@ -138,7 +138,7 @@ fn main() {
         "sort_ios_per_reorder",
         "ios",
         batched_stats.sort_ios as f64 / batched_stats.reorders as f64,
-        "collect + spill + merge + rewrite + index blocks".to_string(),
+        "sweep + spill + merge + rewrite + index blocks".to_string(),
     ));
 
     print_metrics_table(

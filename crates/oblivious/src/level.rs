@@ -7,7 +7,7 @@
 //! epochs. Occupied slots are always the contiguous prefix `0..len` because
 //! the only way items enter a level is a full rewrite during re-ordering.
 //!
-//! Maintenance (collect / re-order / merge) moves data in ranged
+//! Maintenance (re-order / merge) moves data in ranged
 //! [`BlockDevice::read_blocks`] / [`BlockDevice::write_blocks`] requests of
 //! [`IO_BATCH_BLOCKS`] blocks: on the simulated disk a level sweep pays one
 //! positioning per batch instead of one per block, which is what lets the
@@ -58,10 +58,6 @@ pub(crate) struct Level {
     /// Encryption key of the current epoch.
     pub key: Key256,
 }
-
-/// Result of draining a level: `(id, plaintext payload)` pairs plus the I/O
-/// spent reading them.
-pub(crate) type CollectedItems = (Vec<(u64, Vec<u8>)>, MaintenanceIo);
 
 /// Encode an item over the whole of `field` (a slot's plaintext data
 /// field), zero-padded.
@@ -182,28 +178,6 @@ impl Level {
         self.index.dummy_probe(device, bucket, scratch)
     }
 
-    /// Collect every live item (id, plaintext payload), reading the occupied
-    /// slot prefix as ranged batches. Returns the items and the I/O spent.
-    pub fn collect_items<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        codec: &BlockCodec,
-    ) -> Result<CollectedItems, ObliviousError> {
-        let len = self.manifest.len() as u64;
-        let mut items = Vec::with_capacity(len as usize);
-        let mut sweep = LevelSweep::new(device, codec, self.key, self.data_offset, len);
-        while let Some((id, payload)) = sweep.next_item()? {
-            items.push((id, payload.to_vec()));
-        }
-        Ok((
-            items,
-            MaintenanceIo {
-                reads: len,
-                writes: 0,
-            },
-        ))
-    }
-
     /// Discard the level's contents. The on-disk blocks are left as they are
     /// (they are indistinguishable from live ciphertext anyway); bumping the
     /// index nonce makes every stale on-disk index entry unfindable.
@@ -240,27 +214,26 @@ impl Level {
             return Err(ObliviousError::CapacityExhausted);
         }
         let snapshot = self.take_snapshot();
-        let nothing_below = LevelSweep::new(device, codec, self.key, self.data_offset, 0);
-        let result = self.rebuild_with(
-            codec,
-            sorter,
-            master_key,
-            rng,
-            &items,
-            &DetHashSet::default(),
-            nothing_below,
-        );
+        let nothing = Prefix {
+            len: 0,
+            ..self.prefix()
+        };
+        let sweep = LevelSweep::new(device, codec, [nothing, nothing]);
+        let result = self.rebuild_with(codec, sorter, master_key, rng, &items, |_| false, sweep);
         self.settle_rebuild(snapshot, result)
     }
 
-    /// Merge `upper_items` (the fresher copies — they win on duplicate ids)
-    /// with this level's current contents and re-order the level to hold the
-    /// union: the `dump` merge of Figure 8(b) as one streaming pass. The
-    /// level's own items are decrypted lazily in ranged batches and flow
-    /// straight into the external sort, so at no point are two full levels —
-    /// or even one — materialized in agent memory. The upper items are only
-    /// borrowed: whoever holds them (the front buffer, a collected level)
-    /// still does if the merge fails.
+    /// Merge the fresher copies — `upper_items`, borrowed from the front
+    /// buffer, or the items of `upper_level`, the level above — with this
+    /// level's current contents and re-order the level to hold the union
+    /// (the upper copy wins on a duplicate id): the `dump` merge of Figure
+    /// 8(b) as one streaming pass. The upper level's occupied prefix and
+    /// then this level's are decrypted lazily in ranged batches, each under
+    /// its own epoch key, and flow straight into the external sort, so at no
+    /// point is a level materialized in agent memory. The upper copies are
+    /// only read: the buffer or the upper level still holds them if the
+    /// merge fails, and the caller clears the upper level once it succeeds.
+    #[allow(clippy::too_many_arguments)]
     pub fn merge_reorder<D, S>(
         &mut self,
         device: &D,
@@ -269,34 +242,43 @@ impl Level {
         master_key: &Key256,
         rng: &mut HashDrbg,
         upper_items: &[(u64, Vec<u8>)],
+        upper_level: Option<&Level>,
     ) -> Result<MaintenanceIo, ObliviousError>
     where
         D: BlockDevice + ?Sized,
         S: BlockDevice,
     {
         let upper_ids: DetHashSet<u64> = upper_items.iter().map(|&(id, _)| id).collect();
-        let kept_lower = self
-            .manifest
-            .keys()
-            .filter(|id| !upper_ids.contains(id))
-            .count() as u64;
-        if upper_items.len() as u64 + kept_lower > self.capacity {
+        let shadowed = |id: u64| {
+            upper_ids.contains(&id) || upper_level.is_some_and(|l| l.manifest.contains_key(&id))
+        };
+        let upper_prefix = match upper_level {
+            Some(level) => level.prefix(),
+            None => Prefix {
+                len: 0,
+                ..self.prefix()
+            },
+        };
+        let kept_lower = self.manifest.keys().filter(|&&id| !shadowed(id)).count() as u64;
+        if upper_items.len() as u64 + upper_prefix.len + kept_lower > self.capacity {
             return Err(ObliviousError::CapacityExhausted);
         }
 
-        let old_len = self.manifest.len() as u64;
-        let lower = LevelSweep::new(device, codec, self.key, self.data_offset, old_len);
+        let sweep = LevelSweep::new(device, codec, [upper_prefix, self.prefix()]);
         let snapshot = self.take_snapshot();
-        let result = self.rebuild_with(
-            codec,
-            sorter,
-            master_key,
-            rng,
-            upper_items,
-            &upper_ids,
-            lower,
-        );
+        let result =
+            self.rebuild_with(codec, sorter, master_key, rng, upper_items, shadowed, sweep);
         self.settle_rebuild(snapshot, result)
+    }
+
+    /// Where the level's current contents lie and the key they are sealed
+    /// under.
+    fn prefix(&self) -> Prefix {
+        Prefix {
+            key: self.key,
+            data_offset: self.data_offset,
+            len: self.manifest.len() as u64,
+        }
     }
 
     /// Capture the level's logical state and empty the manifest in
@@ -337,11 +319,12 @@ impl Level {
     }
 
     /// Shared tail of [`Level::reorder`] / [`Level::merge_reorder`]: derive a
-    /// fresh epoch key and nonce, seal `upper_items` and then the items of
-    /// `lower` (the level's old contents, still under the old epoch key) that
-    /// `upper_ids` does not shadow into the sorter's run arena, sort them by
-    /// random keys, write the new permutation back in ranged batches and
-    /// rebuild the index. The caller must have snapshotted the level state
+    /// fresh epoch key and nonce; seal into the sorter's run arena
+    /// `upper_items`, then what `sweep` reads — the emptied upper level's
+    /// items, then those of the level's old contents (still under the old
+    /// epoch key) that are not `shadowed`; sort them by random keys, write
+    /// the new permutation back in ranged batches and rebuild the index.
+    /// The caller must have snapshotted the level state
     /// ([`Level::take_snapshot`]) and pre-checked capacity. Errors are tagged
     /// with whether any level block had been written, so
     /// [`Level::settle_rebuild`] knows when a rollback is safe.
@@ -356,8 +339,8 @@ impl Level {
     /// where they lie in one multi-buffer pass
     /// ([`BlockCodec::seal_blocks_in_place`]), byte-identical to that loop.
     /// The sorter offers only what the current run still holds, so the next
-    /// ranged read of `lower` is never issued ahead of the spill that
-    /// precedes it on the device. An oversized item or a corrupt lower batch
+    /// ranged read of `sweep` is never issued ahead of the spill that
+    /// precedes it on the device. An oversized item or a corrupt swept batch
     /// aborts the sort — which outputs nothing before its input ends, so
     /// still before any level write — with the DRBG where the items before
     /// it left it.
@@ -369,8 +352,8 @@ impl Level {
         master_key: &Key256,
         rng: &mut HashDrbg,
         upper_items: &[(u64, Vec<u8>)],
-        upper_ids: &DetHashSet<u64>,
-        mut lower: LevelSweep<'_, D>,
+        shadowed: impl Fn(u64) -> bool,
+        mut sweep: LevelSweep<'_, D>,
     ) -> Result<MaintenanceIo, RebuildFailure>
     where
         D: BlockDevice + ?Sized,
@@ -383,9 +366,9 @@ impl Level {
             self.index_no, self.epoch
         ));
 
-        let device = lower.device;
+        let device = sweep.device;
         let mut io = MaintenanceIo {
-            reads: lower.end_slot,
+            reads: sweep.prefixes.iter().map(|p| p.len).sum(),
             writes: 0,
         };
         let bs = codec.block_size();
@@ -398,9 +381,9 @@ impl Level {
             while filled < want {
                 let (id, payload) = match upper.next() {
                     Some((id, payload)) => (*id, payload.as_slice()),
-                    None => match lower.next_item()? {
-                        Some((id, _)) if upper_ids.contains(&id) => continue,
-                        Some(item) => item,
+                    None => match sweep.next_item()? {
+                        Some((true, id, _)) if shadowed(id) => continue,
+                        Some((_, id, payload)) => (id, payload),
                         None => break,
                     },
                 };
@@ -495,20 +478,33 @@ struct RebuildFailure {
     wrote: bool,
 }
 
-/// Sweep of a level's occupied slot prefix in ranged reads of
-/// [`IO_BATCH_BLOCKS`] blocks, fetched on demand. A batch is decrypted in the
-/// buffer it was read into and every item in it checked before the first is
-/// handed out, so a corrupt slot surfaces with the read that fetched it.
-/// Holds only device/codec references plus copied level parameters, so a
-/// level can stream its *old* contents (under the old epoch key) while
+/// A level's occupied slot prefix as a sweep reads it: the epoch key its
+/// items are sealed under, its first data block and its length.
+#[derive(Clone, Copy)]
+struct Prefix {
+    key: Key256,
+    data_offset: BlockId,
+    len: u64,
+}
+
+/// Sweep of two occupied slot prefixes, one after the other — the level
+/// being emptied into a merge (empty when the upper items are in agent
+/// memory), then the receiving level's old contents — in ranged reads of
+/// [`IO_BATCH_BLOCKS`] blocks, fetched on demand into one batch buffer. A
+/// batch never spans the two prefixes; it is decrypted in the buffer it was
+/// read into and every item in it checked before the first is handed out,
+/// so a corrupt slot surfaces with the read that fetched it. Holds only
+/// device/codec references plus copied level parameters, so a level can
+/// stream its *old* contents (under the old epoch key) while
 /// [`Level::rebuild_with`] mutates the level state.
 struct LevelSweep<'a, D: ?Sized> {
     device: &'a D,
     codec: &'a BlockCodec,
-    key: Key256,
-    data_offset: BlockId,
+    prefixes: [Prefix; 2],
+    /// The prefix the current batch was read from, and the next slot of it
+    /// to read.
+    current: usize,
     next_slot: u64,
-    end_slot: u64,
     buf: Vec<u8>,
     /// Bytes of `buf` the current batch occupies, and how many of them have
     /// been handed out.
@@ -516,42 +512,44 @@ struct LevelSweep<'a, D: ?Sized> {
     taken: usize,
 }
 
+/// A swept item: whether it is one of the receiving level's own (read from
+/// the second prefix), its id, and its payload borrowed from the batch
+/// buffer.
+type Swept<'b> = (bool, u64, &'b [u8]);
+
 impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
-    fn new(
-        device: &'a D,
-        codec: &'a BlockCodec,
-        key: Key256,
-        data_offset: BlockId,
-        len: u64,
-    ) -> Self {
+    fn new(device: &'a D, codec: &'a BlockCodec, prefixes: [Prefix; 2]) -> Self {
+        let longest = prefixes[0].len.max(prefixes[1].len);
         Self {
             device,
             codec,
-            key,
-            data_offset,
+            prefixes,
+            current: 0,
             next_slot: 0,
-            end_slot: len,
-            buf: vec![0u8; IO_BATCH_BLOCKS.min(len) as usize * codec.block_size()],
+            buf: vec![0u8; IO_BATCH_BLOCKS.min(longest) as usize * codec.block_size()],
             loaded: 0,
             taken: 0,
         }
     }
 
-    /// The next item's id and payload, borrowed from the batch buffer;
-    /// `None` behind the last.
-    fn next_item(&mut self) -> Result<Option<(u64, &[u8])>, ObliviousError> {
+    /// The next item; `None` behind the last.
+    fn next_item(&mut self) -> Result<Option<Swept<'_>>, ObliviousError> {
         let bs = self.codec.block_size();
         if self.taken == self.loaded {
-            if self.next_slot >= self.end_slot {
-                return Ok(None);
+            while self.next_slot >= self.prefixes[self.current].len {
+                if self.current + 1 == self.prefixes.len() {
+                    return Ok(None);
+                }
+                (self.current, self.next_slot) = (self.current + 1, 0);
             }
-            let batch = IO_BATCH_BLOCKS.min(self.end_slot - self.next_slot);
+            let prefix = self.prefixes[self.current];
+            let batch = IO_BATCH_BLOCKS.min(prefix.len - self.next_slot);
             let window = &mut self.buf[..batch as usize * bs];
             self.device
-                .read_blocks(self.data_offset + self.next_slot, window)?;
+                .read_blocks(prefix.data_offset + self.next_slot, window)?;
             self.next_slot += batch;
             self.codec
-                .open_in_place(&self.key, window)
+                .open_in_place(&prefix.key, window)
                 .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
             for block in window.chunks_exact(bs) {
                 decode_item(&block[IV_SIZE..])?;
@@ -560,7 +558,8 @@ impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
         }
         let block = &self.buf[self.taken..self.taken + bs];
         self.taken += bs;
-        decode_item(&block[IV_SIZE..]).map(Some)
+        let (id, payload) = decode_item(&block[IV_SIZE..])?;
+        Ok(Some((self.current == 1, id, payload)))
     }
 }
 
@@ -597,6 +596,25 @@ mod tests {
         let mut scratch = vec![0u8; BLOCK];
         let (id, payload) = level.read_slot(device, codec, slot, &mut scratch).unwrap();
         (id, payload.to_vec())
+    }
+
+    /// Every `(id, payload)` the level holds, in slot order, as a sweep of
+    /// its occupied prefix reads them.
+    fn contents<D: BlockDevice>(
+        level: &Level,
+        device: &D,
+        codec: &BlockCodec,
+    ) -> Vec<(u64, Vec<u8>)> {
+        let nothing = Prefix {
+            len: 0,
+            ..level.prefix()
+        };
+        let mut sweep = LevelSweep::new(device, codec, [nothing, level.prefix()]);
+        let mut items = Vec::new();
+        while let Some((_, id, payload)) = sweep.next_item().unwrap() {
+            items.push((id, payload.to_vec()));
+        }
+        items
     }
 
     fn items(n: u64) -> Vec<(u64, Vec<u8>)> {
@@ -645,20 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_items_returns_everything() {
-        let (device, sort_device, mut level, codec, master, mut rng) = setup(16);
-        let sorter = ExternalSorter::new(sort_device, 4);
-        level
-            .reorder(&device, &codec, &sorter, &master, &mut rng, items(10))
-            .unwrap();
-        let (collected, io) = level.collect_items(&device, &codec).unwrap();
-        assert_eq!(io.reads, 10);
-        let mut ids: Vec<u64> = collected.iter().map(|&(id, _)| id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (100..110).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn merge_reorder_dedups_with_upper_wins() {
         let (device, sort_device, mut level, codec, master, mut rng) = setup(32);
         let sorter = ExternalSorter::new(sort_device, 8);
@@ -674,7 +678,7 @@ mod tests {
             })
             .collect();
         let io = level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper, None)
             .unwrap();
         assert_eq!(level.len(), 15, "10 lower + 10 upper - 5 duplicates");
         assert!(io.reads >= 10, "old contents must be streamed out");
@@ -702,7 +706,7 @@ mod tests {
             .unwrap();
         let first: Vec<u64> = (0..10).map(|i| level.manifest[&(i + 100)]).collect();
         level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &[])
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &[], None)
             .unwrap();
         assert_eq!(level.len(), 10);
         let second: Vec<u64> = (0..10).map(|i| level.manifest[&(i + 100)]).collect();
@@ -710,6 +714,152 @@ mod tests {
         for (id, payload) in items(10) {
             let slot = lookup(&level, &device, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
+        }
+    }
+
+    /// Level 2 holding `lower` items (ids 100..) under level 1 holding
+    /// `upper` fresh ones, the first `shadowing` of which repeat the last
+    /// lower ids.
+    struct TwoLevels {
+        device: MemDevice,
+        sort_device: MemDevice,
+        above: Level,
+        below: Level,
+        codec: BlockCodec,
+        master: Key256,
+        rng: HashDrbg,
+    }
+
+    fn two_levels(upper: u64, lower: u64, shadowing: u64) -> TwoLevels {
+        let master = Key256::from_passphrase("oblivious master");
+        let (mut above, end) = Level::layout(1, 0, upper + 8, BLOCK, &master);
+        let (mut below, end) = Level::layout(2, end, upper + lower + 8, BLOCK, &master);
+        let device = MemDevice::new(end, BLOCK);
+        let sort_device = MemDevice::new(upper + lower + 8, BLOCK + 32);
+        let codec = BlockCodec::new(BLOCK);
+        let mut rng = HashDrbg::from_u64(5);
+        let sorter = ExternalSorter::new(&sort_device, 17);
+        below
+            .reorder(&device, &codec, &sorter, &master, &mut rng, items(lower))
+            .unwrap();
+        let fresh = (0..upper)
+            .map(|i| {
+                (
+                    100 + lower - shadowing + i,
+                    vec![0xD0 ^ i as u8; 24 + i as usize % 40],
+                )
+            })
+            .collect();
+        above
+            .reorder(&device, &codec, &sorter, &master, &mut rng, fresh)
+            .unwrap();
+        TwoLevels {
+            device,
+            sort_device,
+            above,
+            below,
+            codec,
+            master,
+            rng,
+        }
+    }
+
+    impl TwoLevels {
+        /// Merge level 1 into level 2, as a cascade does before clearing it.
+        fn merge_down(&mut self) -> Result<MaintenanceIo, ObliviousError> {
+            let sorter = ExternalSorter::new(&self.sort_device, 17);
+            self.below.merge_reorder(
+                &self.device,
+                &self.codec,
+                &sorter,
+                &self.master,
+                &mut self.rng,
+                &[],
+                Some(&self.above),
+            )
+        }
+    }
+
+    #[test]
+    fn merging_a_level_streams_what_merging_its_collected_items_writes() {
+        // Upper levels of up to three batches, shadowing some, none or all
+        // of the lower ids, with runs of 17 so their batch reads fall
+        // between spills: both partition images, the manifest, the epoch
+        // and the DRBG are what merging the upper items from memory gives.
+        for (upper, lower, shadowing) in [(0, 20, 0), (9, 0, 0), (150, 70, 30), (64, 65, 64)] {
+            let case = format!("{upper} upper items over {lower}, {shadowing} shadowing");
+            let mut streamed = two_levels(upper, lower, shadowing);
+            let streamed_io = streamed.merge_down().unwrap();
+
+            let mut collected = two_levels(upper, lower, shadowing);
+            let upper_items = contents(&collected.above, &collected.device, &collected.codec);
+            let sorter = ExternalSorter::new(&collected.sort_device, 17);
+            let collected_io = collected
+                .below
+                .merge_reorder(
+                    &collected.device,
+                    &collected.codec,
+                    &sorter,
+                    &collected.master,
+                    &mut collected.rng,
+                    &upper_items,
+                    None,
+                )
+                .unwrap();
+
+            assert_eq!(
+                streamed.below.len() as u64,
+                upper + lower - shadowing,
+                "{case}"
+            );
+            assert_eq!(streamed_io.reads, collected_io.reads + upper, "{case}");
+            assert_eq!(streamed_io.writes, collected_io.writes, "{case}");
+            let state = |t: &TwoLevels| {
+                let manifest: Vec<(u64, u64)> =
+                    t.below.manifest.iter().map(|(&i, &s)| (i, s)).collect();
+                let epoch = (t.below.nonce, t.below.key, t.below.epoch);
+                (
+                    image(&t.device),
+                    image(&t.sort_device),
+                    manifest,
+                    epoch,
+                    t.rng.clone().next_u64(),
+                )
+            };
+            assert!(state(&streamed) == state(&collected), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_upper_slot_fails_the_level_merge_before_any_write() {
+        // Slot 70 is in the upper level's second batch, read after runs were
+        // spilled: the merge still fails before the lower level is written,
+        // the lower level rolls back and the upper one is left as it was.
+        let mut t = two_levels(100, 40, 10);
+        t.device
+            .write_block(t.above.data_offset + 70, &[0xA5u8; BLOCK])
+            .unwrap();
+        let state = |t: &TwoLevels| {
+            let sorted = |level: &Level| {
+                let mut manifest: Vec<(u64, u64)> =
+                    level.manifest.iter().map(|(&i, &s)| (i, s)).collect();
+                manifest.sort_unstable();
+                manifest
+            };
+            (
+                image(&t.device),
+                sorted(&t.below),
+                t.below.nonce,
+                t.below.key,
+                sorted(&t.above),
+            )
+        };
+        let before = state(&t);
+        assert!(matches!(t.merge_down(), Err(ObliviousError::Corrupt(_))));
+        assert!(state(&t) == before);
+        for (id, payload) in items(40) {
+            let slot = lookup(&t.below, &t.device, id).expect("present");
+            assert_eq!(read_slot(&t.below, &t.device, &t.codec, slot).1, payload);
         }
     }
 
@@ -722,7 +872,7 @@ mod tests {
             .unwrap();
         let upper: Vec<(u64, Vec<u8>)> = (500..510).map(|id| (id, vec![1u8; 8])).collect();
         assert!(matches!(
-            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper),
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper, None),
             Err(ObliviousError::CapacityExhausted)
         ));
         // The level is untouched: all original items still resolvable.
@@ -758,6 +908,7 @@ mod tests {
                 &master,
                 &mut rng,
                 &[(500, vec![7u8; 16])],
+                None,
             ),
             Err(ObliviousError::Corrupt(_))
         ));
@@ -854,7 +1005,7 @@ mod tests {
 
         let upper: Vec<(u64, Vec<u8>)> = (500..505).map(|id| (id, vec![9u8; 8])).collect();
         level
-            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
+            .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper, None)
             .unwrap();
         let records = log.records();
         let second_read = records
@@ -903,7 +1054,7 @@ mod tests {
         let before = (state(&level), image(&device));
         let upper: Vec<(u64, Vec<u8>)> = (500..503).map(|id| (id, vec![7u8; 16])).collect();
         assert!(matches!(
-            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper),
+            level.merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper, None),
             Err(ObliviousError::Corrupt(_))
         ));
         assert!((state(&level), image(&device)) == before);
@@ -943,6 +1094,7 @@ mod tests {
                 &master,
                 &mut rng,
                 &[(500, vec![7u8; 16])],
+                None,
             ),
             Err(ObliviousError::Corrupt(_))
         ));
@@ -1514,6 +1666,7 @@ mod tests {
                             &arena.master,
                             &mut arena.rng,
                             &upper,
+                            None,
                         )
                         .unwrap();
 
@@ -1576,6 +1729,7 @@ mod tests {
                     &arena.master,
                     &mut arena.rng,
                     upper,
+                    None,
                 )
                 .unwrap_err();
             let reference_err = reference::merge_reorder(
@@ -1631,6 +1785,7 @@ mod tests {
                 &rig.master,
                 &mut rig.rng,
                 &[],
+                None,
             )
             .unwrap();
 
@@ -1649,7 +1804,7 @@ mod tests {
 
     #[test]
     fn large_level_round_trips_through_batched_sweeps() {
-        // More items than IO_BATCH_BLOCKS so collect/rebuild exercise the
+        // More items than IO_BATCH_BLOCKS so sweep/rebuild exercise the
         // multi-batch and tail-batch paths.
         let n = 2 * IO_BATCH_BLOCKS + 7;
         let (device, sort_device, mut level, codec, master, mut rng) = setup(n + 5);
@@ -1657,8 +1812,8 @@ mod tests {
         level
             .reorder(&device, &codec, &sorter, &master, &mut rng, items(n))
             .unwrap();
-        let (collected, io) = level.collect_items(&device, &codec).unwrap();
-        assert_eq!(io.reads, n);
+        let collected = contents(&level, &device, &codec);
+        assert_eq!(collected.len() as u64, n);
         let mut ids: Vec<u64> = collected.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (100..100 + n).collect::<Vec<_>>());
@@ -1758,11 +1913,11 @@ mod tests {
                     .reorder(&device, &codec, &sorter, &master, &mut rng, lower)
                     .expect("seed lower level");
                 level
-                    .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper)
+                    .merge_reorder(&device, &codec, &sorter, &master, &mut rng, &upper, None)
                     .expect("streaming merge");
 
-                let (collected, _) = level.collect_items(&device, &codec).expect("collect");
-                let got: HashMap<u64, Vec<u8>> = collected.into_iter().collect();
+                let got: HashMap<u64, Vec<u8>> =
+                    contents(&level, &device, &codec).into_iter().collect();
                 prop_assert_eq!(got, expected);
             }
         }

@@ -390,10 +390,11 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Flush the buffer into level 1, cascading full levels downwards and
     /// re-ordering every level that receives items — the `dump` procedure of
-    /// Figure 8(b). The buffer merges into level 1 as one streaming pass
-    /// ([`Level::merge_reorder`]): buffer copies win on duplicate ids (they
-    /// are fresher) and the level's old contents flow straight from ranged
-    /// reads into the external sort without being materialized.
+    /// Figure 8(b). Every merge is one streaming pass
+    /// ([`Level::merge_reorder`]): the upper copies win on duplicate ids
+    /// (they are fresher), and both the emptied level and the receiving
+    /// level's old contents flow from ranged reads into the external sort
+    /// without being materialized.
     ///
     /// Called with the front-buffer write lock held (every structural entry
     /// point holds it), which makes structural passes mutually exclusive;
@@ -412,84 +413,60 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         let start = self.now_us();
 
         // Plan the cascade, acquiring level write locks in ascending order
-        // (all of them before the DRBG — the documented lock order). `plan`
-        // holds the levels that will be collected and cleared; `in_place` is
-        // the last level when the hierarchy is genuinely at capacity and it
-        // must re-order in place instead of dumping further down.
+        // (all of them before the DRBG — the documented lock order). Every
+        // level in `guards` but the last is emptied into the one below it.
+        // The cascade stops at the first level with room for the one above
+        // or at the last level, which always has room once duplicates are
+        // dropped: `insert` holds membership to `last_level_blocks`, which
+        // the last level's capacity covers. Only occupancy (public) decides.
         let mut guards: Vec<RwLockWriteGuard<'_, Level>> = vec![self.levels[0].write()];
-        let mut plan: Vec<usize> = Vec::new();
-        let mut in_place: Option<usize> = None;
         if !guards[0].can_accept(front.entries.len()) {
-            let mut d = 0usize;
-            loop {
-                if d + 1 == self.levels.len() {
-                    in_place = Some(d);
+            while let Some(next) = self.levels.get(guards.len()) {
+                let upper_len = guards[guards.len() - 1].len();
+                guards.push(next.write());
+                if guards[guards.len() - 1].can_accept(upper_len) {
                     break;
                 }
-                plan.push(d);
-                guards.push(self.levels[d + 1].write());
-                let upper_len = guards[d].len();
-                if guards[d + 1].can_accept(upper_len) {
-                    break;
-                }
-                d += 1;
             }
         }
 
         let mut rng = self.rng.lock();
         let mut io = MaintenanceIo::default();
-        let mut reorders = 0u64;
 
-        // Deepest first, exactly as the recursive dump of Figure 8(b).
-        if let Some(ip) = in_place {
-            let reorder_io = guards[ip].merge_reorder(
+        // Deepest first, exactly as the recursive dump of Figure 8(b). An
+        // upper level is cleared only once the level below holds its items.
+        for d in (1..guards.len()).rev() {
+            let (upper, lower) = guards.split_at_mut(d);
+            io += lower[0].merge_reorder(
                 &self.device,
                 &self.codec,
                 &self.sorter,
                 &self.master_key,
                 &mut rng,
                 &[],
+                Some(&upper[d - 1]),
             )?;
-            io += reorder_io;
-            reorders += 1;
-        }
-        for &d in plan.iter().rev() {
-            // Only the (strictly smaller) upper level is held in memory; the
-            // receiving level streams through the merge.
-            let (upper_items, upper_io) = guards[d].collect_items(&self.device, &self.codec)?;
-            io += upper_io;
-            let reorder_io = guards[d + 1].merge_reorder(
-                &self.device,
-                &self.codec,
-                &self.sorter,
-                &self.master_key,
-                &mut rng,
-                &upper_items,
-            )?;
-            io += reorder_io;
-            reorders += 1;
-            guards[d].clear(&mut rng);
+            upper[d - 1].clear(&mut rng);
         }
 
         // The merge borrows the buffer, which is cleared only on success:
         // if the merge fails before its first write (a corrupt level slot
         // surfacing mid-stream), the level rolls back and the buffered items
         // stay readable from the buffer instead of being silently lost.
-        let reorder_io = guards[0].merge_reorder(
+        io += guards[0].merge_reorder(
             &self.device,
             &self.codec,
             &self.sorter,
             &self.master_key,
             &mut rng,
             &front.entries,
+            None,
         )?;
         front.entries.clear();
         front.index.clear();
-        io += reorder_io;
-        reorders += 1;
 
         self.stats.sort_ios.add(io.total());
-        self.stats.reorders.add(reorders);
+        self.stats.reorders.add(guards.len() as u64);
         self.stats.sort_time_us.add(self.now_us() - start);
         Ok(())
     }
@@ -726,6 +703,46 @@ mod tests {
         }
         // Deep levels were exercised, not just level 1.
         assert!(store.stats().reorders > 4);
+    }
+
+    #[test]
+    fn a_cascade_rebuilds_each_receiving_level_once() {
+        // 32 ids fill the store to its membership cap; reading them round
+        // and round re-buffers them, so the last level fills up and flushes
+        // keep cascading into it. Whatever the last level holds, a flush
+        // rebuilds every level it reaches once: at most one re-order per
+        // level.
+        let store = new_store(4, 32);
+        let k = u64::from(store.num_levels());
+        let last_capacity = store.config().level_capacity(store.num_levels()) as usize;
+        for id in 0..32u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let mut deep_cascades = 0;
+        for n in 0..4096u64 {
+            let id = n % 32;
+            let full = store.occupancy()[k as usize] == last_capacity;
+            let before = store.stats();
+            assert_eq!(store.read(id).unwrap(), payload(id), "read {n}");
+            let delta = store.stats().since(&before);
+            assert!(
+                delta.reorders <= k,
+                "read {n}: {} re-orders over {k} levels",
+                delta.reorders
+            );
+            assert!(store.membership_is_consistent(), "read {n}");
+            if full && delta.reorders == k {
+                deep_cascades += 1;
+                println!(
+                    "cascade into the full last level at read {n}: {} re-orders, {} sort I/Os",
+                    delta.reorders, delta.sort_ios
+                );
+                if deep_cascades == 3 {
+                    return;
+                }
+            }
+        }
+        panic!("{deep_cascades} cascades into the full last level");
     }
 
     #[test]

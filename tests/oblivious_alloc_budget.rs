@@ -6,9 +6,9 @@
 //! is paid thousands of times per flush cascade. The re-order forms its
 //! records in the sorter's run arena and hands them on as borrowed slices;
 //! this suite holds it to that: the bytes a cascade allocates are the fixed
-//! buffers of the pipeline plus the upper levels it collects, and the *number*
-//! of allocations does not depend on how many items the receiving level
-//! holds. A read that scans the levels reads every probe into one scratch
+//! buffers of the pipeline, whatever the size of the levels it streams, and
+//! the *number* of allocations does not depend on how many items the
+//! receiving level holds. A read that scans the levels reads every probe into one scratch
 //! block.
 //!
 //! The counting allocator lives here, in the test crate: the workspace crates
@@ -127,9 +127,10 @@ fn reorders_allocate_per_sort_and_level_scans_one_scratch() {
 
     // Count. What is left that grows with the receiving level is not per
     // item: the doublings of its new manifest map — measured here on a map
-    // grown the same way — and the two things sweeping an empty level does
-    // not need: the batch buffer, and the AES schedule of the level's old
-    // epoch key, long evicted from the codec's cache.
+    // grown the same way — and the one thing sweeping an empty level does
+    // not need: the AES schedule of the level's old epoch key, long evicted
+    // from the codec's cache. The batch buffer is there either way: the
+    // level emptied into it streams through the same one.
     let map_growth = |entries: u64| {
         measure(|| {
             let mut map = DetHashMap::default();
@@ -143,26 +144,23 @@ fn reorders_allocate_per_sort_and_level_scans_one_scratch() {
     };
     assert_eq!(
         into_1024.allocations - into_empty.allocations,
-        map_growth(2048) - map_growth(1024) + 2,
+        map_growth(2048) - map_growth(1024) + 1,
         "{into_empty:?} into the empty level, {into_1024:?} into 1024 items"
     );
 
     // Bytes. Each of the k re-orders allocates the sorter's memory — run
     // arena, then look-ahead, and one I/O batch of spill staging — plus one
-    // batch each for sweeping the old level and writing the new one, and the
-    // index image. Beyond that fixed part: the collected upper levels (a
-    // `Vec` per item and its entry) and hashed bookkeeping — manifest maps
-    // and shadow sets, doublings included — of well under 192 bytes an item.
+    // batch for sweeping the emptied level and the old contents and one for
+    // writing the new ones, and the index image. Beyond that fixed part only
+    // hashed bookkeeping — manifest maps and shadow sets, doublings included
+    // — of well under 192 bytes an item.
     let buffer = BUFFER as usize;
     let sorter_memory = buffer * (BLOCK + sort_block) + buffer.min(64) * sort_block;
     let level_batches = 2 * 64 * BLOCK;
     let index_images = (Store::blocks_required(&cfg, BLOCK) - cfg.total_slots()) as usize * BLOCK;
-    let collected: usize = upper[1..levels].iter().sum();
-    let reordered = buffer + collected + upper[levels];
-    let budget = levels * (sorter_memory + level_batches)
-        + index_images
-        + collected * (payload_len + 32)
-        + reordered * 192;
+    let streamed: usize = upper[1..levels].iter().sum();
+    let reordered = buffer + streamed + upper[levels];
+    let budget = levels * (sorter_memory + level_batches) + index_images + reordered * 192;
     assert!(
         into_1024.bytes as usize <= budget,
         "cascade allocated {} bytes, budget {budget}",
