@@ -2,8 +2,9 @@
 //! agent's buffer size, compared with a plain StegFS read.
 //!
 //! Expected shape: the oblivious store costs a small multiple (the paper
-//! reports 5–12×) of a single StegFS random-block read, and the cost falls as
-//! the buffer grows (fewer levels). The sweep reads through the whole store
+//! reports 5–12×; `--quick` here gives 13.4× at 8 MB and 4.4× at 128 MB) of
+//! a single StegFS random-block read, and the cost falls as the buffer grows
+//! (fewer levels). The sweep reads through the whole store
 //! in random order, exactly as the paper's experiment does. Each buffer size
 //! is an independent store, so the sweep points run concurrently via
 //! [`fan_out`].

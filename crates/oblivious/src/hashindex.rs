@@ -7,14 +7,16 @@
 //! index is rebuilt. Therefore, attackers could not detect anything from the
 //! accesses to the indices."
 //!
-//! The index occupies a fixed region of blocks at the front of its level.
-//! Buckets are whole blocks; an entry is `(keyed hash of the logical id,
-//! slot)`. Overflowing buckets spill into the next bucket block (linear
-//! probing), and a lookup stops at the first non-full bucket that does not
-//! contain the key — the standard open-addressing invariant. With the region
-//! sized for a 50 % load factor a lookup almost always costs exactly one
-//! block read, which is the "1 index I/O per level" the paper's `2k`
-//! retrieving cost assumes.
+//! Each level's index occupies a fixed region of blocks. The store lays out
+//! every level's region back to back, in level order, ahead of all the data
+//! regions, so a read's one-bucket-per-level index phase crosses a few
+//! dozen blocks in short forward skips. Buckets are whole blocks; an entry
+//! is `(keyed hash of the logical id, slot)`. Overflowing buckets spill
+//! into the next bucket block (linear probing), and a lookup stops at the
+//! first non-full bucket that does not contain the key — the standard
+//! open-addressing invariant. With the region sized for a 50 % load factor
+//! a lookup almost always costs exactly one block read, which is the "1
+//! index I/O per level" the paper's `2k` retrieving cost assumes.
 
 use std::sync::OnceLock;
 

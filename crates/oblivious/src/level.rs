@@ -1,9 +1,11 @@
 //! One level of the oblivious storage hierarchy.
 //!
-//! A level is an index region followed by a data region of `capacity` slots.
-//! Every slot holds one sealed item (`IV || CBC(id, length, payload)`) under
-//! the level's current *epoch key*; re-ordering derives a fresh epoch key and
-//! a fresh index nonce, so nothing observable links a level's contents across
+//! A level is an index region and a data region of `capacity` slots, placed
+//! by the store: every level's index region lies in one area at the front of
+//! the oblivious partition, every data region behind it. Every slot holds
+//! one sealed item (`IV || CBC(id, length, payload)`) under the level's
+//! current *epoch key*; re-ordering derives a fresh epoch key and a fresh
+//! index nonce, so nothing observable links a level's contents across
 //! epochs. Occupied slots are always the contiguous prefix `0..len` because
 //! the only way items enter a level is a full rewrite during re-ordering.
 //!
@@ -81,33 +83,31 @@ pub fn decode_item(plain: &[u8]) -> Result<(u64, &[u8]), ObliviousError> {
 }
 
 impl Level {
-    /// Lay out a level starting at `offset`; returns the level and the first
-    /// block after it.
+    /// Lay out a level with its index region at `index_offset` and its
+    /// `capacity` data slots at `data_offset`; the caller places the two
+    /// regions so they do not overlap.
     pub fn layout(
         index_no: u32,
-        offset: BlockId,
+        index_offset: BlockId,
+        data_offset: BlockId,
         capacity: u64,
         block_size: usize,
         master_key: &Key256,
-    ) -> (Self, BlockId) {
-        let index_blocks = HashIndexRegion::blocks_for_capacity(capacity, block_size);
-        let index = HashIndexRegion {
-            offset,
-            num_blocks: index_blocks,
-            block_size,
-        };
-        let data_offset = offset + index_blocks;
-        let level = Self {
+    ) -> Self {
+        Self {
             index_no,
-            index,
+            index: HashIndexRegion {
+                offset: index_offset,
+                num_blocks: HashIndexRegion::blocks_for_capacity(capacity, block_size),
+                block_size,
+            },
             data_offset,
             capacity,
             manifest: DetHashMap::default(),
             nonce: 0,
             epoch: 0,
             key: master_key.derive(&format!("oblivious:level{index_no}:epoch0")),
-        };
-        (level, data_offset + capacity)
+        }
     }
 
     /// Number of blocks (index + data) this level occupies.
@@ -570,9 +570,24 @@ mod tests {
 
     const BLOCK: usize = 512;
 
+    /// Lay out a level standalone at `offset`, its index region just before
+    /// its data region; returns the level and the first block after it.
+    fn back_to_back(index_no: u32, offset: u64, capacity: u64, master: &Key256) -> (Level, u64) {
+        let level = Level::layout(
+            index_no,
+            offset,
+            offset + HashIndexRegion::blocks_for_capacity(capacity, BLOCK),
+            capacity,
+            BLOCK,
+            master,
+        );
+        let end = level.data_offset + capacity;
+        (level, end)
+    }
+
     fn setup(capacity: u64) -> (MemDevice, MemDevice, Level, BlockCodec, Key256, HashDrbg) {
         let master = Key256::from_passphrase("oblivious master");
-        let (level, end) = Level::layout(1, 0, capacity, BLOCK, &master);
+        let (level, end) = back_to_back(1, 0, capacity, &master);
         let device = MemDevice::new(end, BLOCK);
         let sort_device = MemDevice::new(4 * capacity.max(8), BLOCK + 32);
         let codec = BlockCodec::new(BLOCK);
@@ -732,8 +747,8 @@ mod tests {
 
     fn two_levels(upper: u64, lower: u64, shadowing: u64) -> TwoLevels {
         let master = Key256::from_passphrase("oblivious master");
-        let (mut above, end) = Level::layout(1, 0, upper + 8, BLOCK, &master);
-        let (mut below, end) = Level::layout(2, end, upper + lower + 8, BLOCK, &master);
+        let (mut above, end) = back_to_back(1, 0, upper + 8, &master);
+        let (mut below, end) = back_to_back(2, end, upper + lower + 8, &master);
         let device = MemDevice::new(end, BLOCK);
         let sort_device = MemDevice::new(upper + lower + 8, BLOCK + 32);
         let codec = BlockCodec::new(BLOCK);
@@ -989,7 +1004,7 @@ mod tests {
         // devices apart.
         use stegfs_blockdev::{IoKind, TraceLog, TracingDevice};
         let master = Key256::from_passphrase("oblivious master");
-        let (mut level, end) = Level::layout(1, 1000, 128, BLOCK, &master);
+        let (mut level, end) = back_to_back(1, 1000, 128, &master);
         let log = TraceLog::new();
         let device = TracingDevice::with_log(MemDevice::new(end, BLOCK), log.clone());
         let codec = BlockCodec::new(BLOCK);
@@ -1570,7 +1585,7 @@ mod tests {
     impl Rig {
         fn with_lower(n: u64) -> Self {
             let master = Key256::from_passphrase("oblivious master");
-            let (level, end) = Level::layout(1, 0, n + 16, BLOCK, &master);
+            let (level, end) = back_to_back(1, 0, n + 16, &master);
             let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let mut rig = Self {
                 device: watched(MemDevice::new(end, BLOCK), "level", &log),

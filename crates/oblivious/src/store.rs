@@ -8,8 +8,11 @@
 //! * the read side (`read`, `contains`, `stats`, audits) takes `&self`: the
 //!   front buffer and the membership set sit behind `RwLock`s, each hierarchy
 //!   level behind its own `RwLock`, and the counters are relaxed atomics
-//!   ([`SharedObliviousStats`]) — a read holds at most one level lock at a
-//!   time, shared with every other reader touching that level;
+//!   ([`SharedObliviousStats`]) — a read probes every level's index and then
+//!   every level's data, holding at most one level lock at a time, shared
+//!   with every other reader touching that level, and rescans if the level
+//!   it found the id in was rebuilt between its two probes (the level's
+//!   epoch moved);
 //! * the structural side (buffer flushes and the cascading `dump` of Figure
 //!   8(b)) acquires the front-buffer write lock plus write locks on exactly
 //!   the levels it restructures, so concurrent reads on untouched levels
@@ -55,10 +58,10 @@ struct FrontBuffer {
 ///
 /// Every method takes `&self`; the store is `Sync` and is shared across the
 /// serving layer's worker threads by reference. A single-threaded caller
-/// observes exactly the sequential semantics (the DRBG is consumed in the
-/// same order as the pre-decomposition store, so traces are bit-for-bit
-/// identical); multi-threaded runs are value-deterministic — every item reads
-/// back what was last written — while trace order depends on scheduling.
+/// observes exactly the sequential semantics (every run consumes the DRBG
+/// in the same order, so traces are bit-for-bit identical); multi-threaded
+/// runs are value-deterministic — every item reads back what was last
+/// written — while trace order depends on scheduling.
 pub struct ObliviousStore<D, S> {
     device: D,
     sorter: ExternalSorter<S>,
@@ -90,7 +93,8 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     }
 
     /// Number of blocks the oblivious partition must provide for `cfg`:
-    /// the levels' index and data regions, back to back, and nothing else.
+    /// every level's index region, in level order, then every level's data
+    /// region, and nothing else.
     pub fn blocks_required(cfg: &ObliviousConfig, block_size: usize) -> u64 {
         (1..=cfg.num_levels())
             .map(|i| Level::blocks_required(cfg.level_capacity(i), block_size))
@@ -140,14 +144,25 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             )));
         }
 
-        let mut levels = Vec::with_capacity(cfg.num_levels() as usize);
-        let mut offset = 0;
-        for i in 1..=cfg.num_levels() {
-            let (level, next) =
-                Level::layout(i, offset, cfg.level_capacity(i), block_size, &master_key);
-            levels.push(RwLock::new(level));
-            offset = next;
-        }
+        // Every level's index region, in level order, then every level's
+        // data region: a read's k index probes stay inside one small area.
+        let (mut index_offset, mut data_offset) = (0, required - cfg.total_slots());
+        let levels = (1..=cfg.num_levels())
+            .map(|i| {
+                let capacity = cfg.level_capacity(i);
+                let level = Level::layout(
+                    i,
+                    index_offset,
+                    data_offset,
+                    capacity,
+                    block_size,
+                    &master_key,
+                );
+                index_offset += level.index.num_blocks;
+                data_offset += capacity;
+                RwLock::new(level)
+            })
+            .collect();
 
         Ok(Self {
             sorter: ExternalSorter::new(sort_device, cfg.buffer_blocks.max(2) as usize),
@@ -266,20 +281,25 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Read logical block `id` — Figure 8(b).
     ///
-    /// The request touches one index bucket and one data slot in *every*
-    /// level, regardless of where (or whether) the block was found, so the
-    /// observable access pattern is independent of the request stream.
+    /// The request touches one index bucket in *every* level, in level
+    /// order, then one data slot in every level, in level order, regardless
+    /// of where (or whether) the block was found, so the observable access
+    /// pattern is independent of the request stream.
     ///
-    /// Concurrent readers interleave freely: each holds one level's read
-    /// lock while probing it (shared with other readers of the same level)
-    /// and drops it before moving to the next. A scan racing a flush always
-    /// finds *a* copy — the cascade moves items strictly downward, the
-    /// direction the scan proceeds — but not necessarily the freshest: a
-    /// `write` of the same id can be buffered and flushed into a level the
-    /// scan has already passed. Re-buffering that stale copy would shadow
-    /// the newer one (the buffer wins by convention), so the copy a scan
-    /// found is only trusted if no structural pass ran since the buffer was
-    /// last seen not to hold the id; otherwise the levels are scanned again.
+    /// Concurrent readers interleave freely: in each phase a reader holds
+    /// one level's read lock while probing it (shared with other readers of
+    /// the same level) and drops it before moving to the next. The index
+    /// phase racing a flush always finds *a* copy — the cascade moves items
+    /// strictly downward, the direction the phase proceeds — but the level
+    /// it was found in may be rebuilt before the data phase reaches it. The
+    /// level's epoch then has moved: the slot its old index named is not
+    /// read (a dummy slot is), and the levels are scanned again. Nor is the
+    /// copy necessarily the freshest: a `write` of the same id can be
+    /// buffered and flushed into a level the scan has already passed.
+    /// Re-buffering that stale copy would shadow the newer one (the buffer
+    /// wins by convention), so the copy a scan found is only trusted if no
+    /// structural pass ran since the buffer was last seen not to hold the
+    /// id; otherwise the levels are scanned again.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
         if !self.contains(id) {
             return Err(ObliviousError::NotCached { id });
@@ -299,7 +319,9 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 self.write_epoch()
             };
 
-            let payload = self.scan_levels(id)?;
+            let Some(payload) = self.scan_levels(id)? else {
+                continue;
+            };
 
             // Figure 8(b): "add B1 to buffer; if buffer is full ... copy
             // buffer into level1". Sequentially neither early exit is ever
@@ -323,65 +345,73 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         }
     }
 
-    /// One Figure 8(b) pass over the hierarchy for `id`: one index bucket and
-    /// one data slot in every level, real where the id is first found, dummy
-    /// everywhere else. Returns the shallowest copy.
-    fn scan_levels(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
+    /// One Figure 8(b) pass over the hierarchy for `id`, in two ascending
+    /// phases: one index bucket in every level, then one data slot in every
+    /// level — real in the shallowest level whose index names the id, dummy
+    /// everywhere else. The index regions lie back to back, so the first
+    /// phase's hops are short forward skips. Returns the shallowest copy, or
+    /// `None` if the level holding it was rebuilt between its two probes:
+    /// its slot is never read under an epoch other than the one whose index
+    /// named it, and the caller scans again.
+    fn scan_levels(&self, id: u64) -> Result<Option<Vec<u8>>, ObliviousError> {
         let start = self.now_us();
-        let mut found: Option<Vec<u8>> = None;
         let mut retrieve_ios = 0u64;
         // Every probe of the pass, index or data, real or dummy, reads into
         // this one block.
         let mut scratch = vec![0u8; self.codec.block_size()];
+
+        // The hit: the level, the slot its index names and the level's epoch.
+        let mut hit: Option<(usize, u64, u64)> = None;
         for (li, slot) in self.levels.iter().enumerate() {
             let level = slot.read();
-            let len = level.len() as u64;
-            // Where a dummy data probe may land: the occupied prefix, like
-            // every real read. Occupancy is public (the re-order's write
-            // range shows it), so a probe behind the prefix would be
-            // recognisably a dummy — and if only some dummies could land
-            // there, tell which kind it was. An empty level has no prefix to
-            // hide in; any slot does.
-            let dummy_range = if len > 0 { len } else { level.capacity };
-            if found.is_none() && len > 0 {
-                let (hit, index_reads) = level.lookup(&self.device, id, &mut scratch)?;
+            if hit.is_none() && level.len() > 0 {
+                let (data_slot, index_reads) = level.lookup(&self.device, id, &mut scratch)?;
                 retrieve_ios += index_reads;
-                match hit {
-                    Some(data_slot) => {
-                        let (read_id, payload) =
-                            level.read_slot(&self.device, &self.codec, data_slot, &mut scratch)?;
-                        retrieve_ios += 1;
-                        if read_id != id {
-                            return Err(ObliviousError::Corrupt(format!(
-                                "slot {data_slot} of level {} holds id {read_id}, expected {id}",
-                                li + 1
-                            )));
-                        }
-                        found = Some(payload.to_vec());
-                    }
-                    None => {
-                        // Not in this level: still read a random data slot so
-                        // the level sees exactly one data access. The DRBG
-                        // lock is released before the device wait.
-                        let data_slot = self.rng.lock().gen_range(dummy_range);
-                        level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
-                        retrieve_ios += 1;
-                    }
-                }
+                hit = data_slot.map(|data_slot| (li, data_slot, level.epoch));
             } else {
                 // Either the block was already found higher up, or the level
-                // is empty: issue dummy probes so every read looks the same.
+                // is empty: a dummy probe, so every read looks the same.
                 let bucket = self.rng.lock().next_u64() % level.index.num_blocks;
                 level.dummy_index_probe(&self.device, bucket, &mut scratch)?;
-                let data_slot = self.rng.lock().gen_range(dummy_range);
-                level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
-                retrieve_ios += 2;
+                retrieve_ios += 1;
             }
+        }
+
+        let mut found: Option<Vec<u8>> = None;
+        for (li, slot) in self.levels.iter().enumerate() {
+            let level = slot.read();
+            match hit {
+                Some((hit_li, data_slot, epoch)) if hit_li == li && level.epoch == epoch => {
+                    let (read_id, payload) =
+                        level.read_slot(&self.device, &self.codec, data_slot, &mut scratch)?;
+                    if read_id != id {
+                        return Err(ObliviousError::Corrupt(format!(
+                            "slot {data_slot} of level {} holds id {read_id}, expected {id}",
+                            li + 1
+                        )));
+                    }
+                    found = Some(payload.to_vec());
+                }
+                _ => {
+                    // Where a dummy data probe may land: the occupied prefix,
+                    // like every real read. Occupancy is public (the
+                    // re-order's write range shows it), so a probe behind the
+                    // prefix would be recognisably a dummy — and if only some
+                    // dummies could land there, tell which kind it was. An
+                    // empty level has no prefix to hide in; any slot does.
+                    // The DRBG lock is released before the device wait.
+                    let len = level.len() as u64;
+                    let dummy_range = if len > 0 { len } else { level.capacity };
+                    let data_slot = self.rng.lock().gen_range(dummy_range);
+                    level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
+                }
+            }
+            retrieve_ios += 1;
         }
         self.stats.retrieve_ios.add(retrieve_ios);
         self.stats.retrieve_time_us.add(self.now_us() - start);
 
-        found.ok_or_else(|| {
+        hit.map(|_| found).ok_or_else(|| {
             ObliviousError::Corrupt(format!(
                 "membership set contains {id} but no level holds it"
             ))
@@ -902,6 +932,45 @@ mod tests {
         assert_eq!(stats.inserts, 48);
     }
 
+    /// A closure a device runs once, on the reading thread, before the first
+    /// read of a block in the armed range.
+    type Hook = Option<(std::ops::Range<u64>, Box<dyn FnOnce() + Send>)>;
+
+    /// A store for `ObliviousConfig::new(4, 64)` whose main partition runs
+    /// the [`Hook`] armed in the returned slot.
+    fn hooked_store() -> (
+        std::sync::Arc<ObliviousStore<impl BlockDevice + 'static, MemDevice>>,
+        std::sync::Arc<Mutex<Hook>>,
+    ) {
+        let hook: std::sync::Arc<Mutex<Hook>> = std::sync::Arc::default();
+        let run_hook = {
+            let hook = hook.clone();
+            move |_: &MemDevice, io: Io| {
+                // The lock is released before the hook runs.
+                let armed = hook.lock().take_if(|(range, _)| {
+                    io.kind == IoKind::Read && io.block_ids().any(|b| range.contains(&b))
+                });
+                if let Some((_, run)) = armed {
+                    run();
+                }
+                Ok(())
+            }
+        };
+        let cfg = ObliviousConfig::new(4, 64);
+        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
+        let store = ObliviousStore::new(
+            Layered::with_hook(MemDevice::new(blocks, BLOCK), run_hook),
+            MemDevice::new(sort_blocks + 8, BLOCK + 32),
+            cfg,
+            Key256::from_passphrase("test master"),
+            1234,
+            None,
+        )
+        .unwrap();
+        (std::sync::Arc::new(store), hook)
+    }
+
     #[test]
     fn read_racing_a_write_and_flush_of_the_same_id_returns_the_new_value() {
         // The lost-write interleaving, forced: a device whose read of one
@@ -909,36 +978,7 @@ mod tests {
         // holding the stale level-2 copy of id 3 and, on the reader's own
         // thread, overwrites id 3 and fills the buffer so the new value is
         // flushed into level 1 — behind the reader's scan.
-        type Hook = Option<(u64, Box<dyn FnOnce() + Send>)>;
-        let hook: std::sync::Arc<Mutex<Hook>> = std::sync::Arc::default();
-        let run_hook = {
-            let hook = hook.clone();
-            move |_: &MemDevice, io: Io| {
-                // The lock is released before the hook runs.
-                let armed = hook
-                    .lock()
-                    .take_if(|(at, _)| io.kind == IoKind::Read && io.contains(*at));
-                if let Some((_, run)) = armed {
-                    run();
-                }
-                Ok(())
-            }
-        };
-
-        let cfg = ObliviousConfig::new(4, 64);
-        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
-        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
-        let store = std::sync::Arc::new(
-            ObliviousStore::new(
-                Layered::with_hook(MemDevice::new(blocks, BLOCK), run_hook),
-                MemDevice::new(sort_blocks + 8, BLOCK + 32),
-                cfg,
-                Key256::from_passphrase("test master"),
-                1234,
-                None,
-            )
-            .unwrap(),
-        );
+        let (store, hook) = hooked_store();
         // Three flushes: ids 0..8 end up in level 2, ids 8..12 in level 1,
         // which has room for one more buffer.
         for id in 0..12u64 {
@@ -954,7 +994,7 @@ mod tests {
         let writer = store.clone();
         let value = fresh.clone();
         *hook.lock() = Some((
-            stale_copy,
+            stale_copy..stale_copy + 1,
             Box::new(move || {
                 writer.write(3, value).unwrap();
                 for id in 20..23u64 {
@@ -979,6 +1019,151 @@ mod tests {
         // Two calls, however many scans the first one took.
         assert_eq!(store.stats().reads_served, 2);
         assert!(store.membership_is_consistent());
+    }
+
+    #[test]
+    fn a_level_rebuilt_between_its_index_and_data_probes_is_scanned_again() {
+        // The epoch rule, forced: a read finds id 9 in level 1's index;
+        // while its index phase is probing level 2, a flush on the reader's
+        // own thread rebuilds level 1 — a fresh permutation under a fresh
+        // key — before the data phase comes back to level 1. The slot the
+        // old index named now holds another item.
+        let (store, hook) = hooked_store();
+        // Three flushes: ids 0..8 end up in level 2, ids 8..12 in level 1,
+        // which has room for one more buffer.
+        for id in 0..12u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let old_slot = store.levels[0].read().manifest[&9];
+        let level_2_index = {
+            let index = store.levels[1].read().index;
+            index.offset..index.offset + index.num_blocks
+        };
+
+        let writer = store.clone();
+        *hook.lock() = Some((
+            level_2_index,
+            Box::new(move || {
+                for id in 20..24u64 {
+                    writer.insert(id, payload(id)).unwrap();
+                }
+                let level = writer.levels[0].read();
+                assert_eq!(level.len(), 8, "the flush went into level 1");
+                assert_ne!(
+                    level.manifest[&9], old_slot,
+                    "the rebuild left id 9 in place"
+                );
+            }),
+        ));
+        let epoch = store.write_epoch();
+        assert_eq!(store.read(9).unwrap(), payload(9));
+        assert!(hook.lock().is_none(), "the hook never fired");
+        assert_eq!(store.write_epoch(), epoch + 2);
+        assert!(store.membership_is_consistent());
+    }
+
+    /// A scan reads the k index buckets first, level by level, then the k
+    /// data slots, level by level. The index regions lie back to back at
+    /// the front of the partition, so every hop between two index reads is
+    /// a short forward skip — a near seek on the 2004 disk model — although
+    /// the data regions of levels 4 to 6 (64, 128 and 256 slots) each span
+    /// at least its near-seek window.
+    #[test]
+    fn a_scan_reads_every_index_then_every_data_slot_in_level_order() {
+        use stegfs_blockdev::sim::DiskModel;
+        use stegfs_blockdev::{TraceLog, TracingDevice};
+
+        let model = DiskModel::ultra_ata_2004();
+        let log = TraceLog::new();
+        let cfg = ObliviousConfig::new(4, 256);
+        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
+        let store = ObliviousStore::new(
+            TracingDevice::with_log(MemDevice::new(blocks, BLOCK), log.clone()),
+            MemDevice::new(sort_blocks + 8, BLOCK + 32),
+            cfg,
+            Key256::from_passphrase("test master"),
+            1234,
+            None,
+        )
+        .unwrap();
+        for id in 0..160u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let k = store.num_levels() as usize;
+        let regions: Vec<_> = store
+            .levels
+            .iter()
+            .map(|level| {
+                let level = level.read();
+                let index = level.index.offset..level.index.offset + level.index.num_blocks;
+                (index, level.data_offset..level.data_offset + level.capacity)
+            })
+            .collect();
+
+        // Per level: how the head got to its index read and to its data
+        // read — counts of no positioning, a near seek and a full one. Level
+        // 1's index read follows the previous request, so only the hops
+        // inside a scan are counted.
+        let mut index_hops = vec![[0u32; 3]; k];
+        let mut data_hops = vec![[0u32; 3]; k];
+        let tally = |hops: &mut [u32; 3], from: u64, to: u64| {
+            let positioning =
+                model.service_time_us(Some(from), to, 0) - model.per_request_overhead_us;
+            hops[usize::from(positioning > 0) + usize::from(positioning > model.near_seek_us)] += 1;
+        };
+        let mut scans = 0;
+        for n in 0..400u64 {
+            let id = (n * 7) % 160;
+            let before = store.stats();
+            log.clear();
+            assert_eq!(store.read(id).unwrap(), payload(id));
+            let delta = store.stats().since(&before);
+            // A buffer hit, a scan that read an overflow bucket or one
+            // whose read triggered a flush: not a plain 2k-read scan.
+            if delta.retrieve_ios != 2 * k as u64 || delta.reorders > 0 {
+                continue;
+            }
+            let reads: Vec<u64> = log
+                .records()
+                .iter()
+                .filter(|r| r.kind == IoKind::Read)
+                .map(|r| r.block)
+                .collect();
+            assert_eq!(reads.len(), 2 * k, "read {n}");
+            for (level, (index, data)) in regions.iter().enumerate() {
+                assert!(
+                    index.contains(&reads[level]),
+                    "read {n}: index probe {level}"
+                );
+                assert!(
+                    data.contains(&reads[k + level]),
+                    "read {n}: data probe {level}"
+                );
+            }
+            for (level, hop) in reads[..k].windows(2).enumerate() {
+                assert!(
+                    hop[1] > hop[0] && hop[1] - hop[0] <= model.near_seek_window,
+                    "read {n}: index hop {} -> {} into level {}",
+                    hop[0],
+                    hop[1],
+                    level + 2
+                );
+                tally(&mut index_hops[level + 1], hop[0], hop[1]);
+            }
+            for (level, hop) in reads[k - 1..].windows(2).enumerate() {
+                tally(&mut data_hops[level], hop[0], hop[1]);
+            }
+            scans += 1;
+        }
+        for (level, (index, data)) in index_hops.iter().zip(&data_hops).enumerate() {
+            println!(
+                "level {}: index read none/near/full {index:?}, data read none/near/full {data:?}",
+                level + 1
+            );
+        }
+        println!("{scans} scans");
+        assert!(scans >= 100, "only {scans} plain scans");
     }
 
     #[test]

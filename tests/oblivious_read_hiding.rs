@@ -24,15 +24,14 @@ const LAST_LEVEL: u64 = 2048;
 /// below the first two levels between two reads.
 const HOT: u64 = 24;
 
-/// Data region of level `i` (1-based): first block and slot count. The
-/// levels lie back to back, each an index region followed by its slots.
+/// Data region of level `i` (1-based): first block and slot count. Every
+/// level's index region lies at the front of the partition, then every
+/// level's slots, in level order.
 fn data_region(i: u32) -> (u64, u64) {
-    let through_level_i = ObliviousConfig::new(BUFFER, BUFFER << i);
-    let capacity = through_level_i.level_capacity(i);
-    (
-        Store::blocks_required(&through_level_i, BLOCK) - capacity,
-        capacity,
-    )
+    let cfg = ObliviousConfig::new(BUFFER, LAST_LEVEL);
+    let index_area = Store::blocks_required(&cfg, BLOCK) - cfg.total_slots();
+    let shallower: u64 = (1..i).map(|j| cfg.level_capacity(j)).sum();
+    (index_area + shallower, cfg.level_capacity(i))
 }
 
 #[test]
