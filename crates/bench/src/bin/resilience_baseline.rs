@@ -1,14 +1,11 @@
 //! `resilience_baseline`: performance trajectory of the resilience tier,
 //! written to `BENCH_resilience.json` — the fault-tolerance counterpart of
-//! `crypto_baseline` and `oblivious_baseline`.
+//! `oblivious_baseline`.
 //!
-//! Five groups of metrics, each at the three supported stripe shapes
-//! (k, m) ∈ {(4, 1), (4, 2), (8, 2)} where the shape matters:
+//! Three groups of metrics, the first at the three supported stripe shapes
+//! (k, m) ∈ {(4, 1), (4, 2), (8, 2)}:
 //!
-//! 1. **Codec throughput.** Raw GF(2⁸) Cauchy-matrix encode (k data shards →
-//!    m parity shards) and decode (reconstruction of m erased shards from the
-//!    survivors), in MB/s of data covered.
-//! 2. **Read-path overhead.** `ResilientStore::read_file` vs the plain
+//! 1. **Read-path overhead.** `ResilientStore::read_file` vs the plain
 //!    substrate's `StegFs::read_file` on the same payload — the cost of the
 //!    per-block inline integrity check, as the extra nanoseconds one 4 KB
 //!    block read pays for it (`read_check_ns_per_block_*`) and as a ratio
@@ -16,18 +13,19 @@
 //!    costs, not how that compares with a cipher that keeps getting faster
 //!    (the ratio went 1.22 → 1.4 while both reads got faster) — and the
 //!    full-mode run asserts it at (8, 2).
-//! 3. **Scrub throughput, clean vs degraded.** A full scrub sweep of a
+//! 2. **Scrub throughput, clean vs degraded.** A full scrub sweep of a
 //!    multi-file volume in MB/s, both when every HMAC verifies and when a
 //!    seeded fault plan has corrupted one block per stripe first (the
 //!    degraded pass pays reconstruction and re-placement).
-//! 4. **Recovery latency.** Mean wall-clock latency of a `read_file` that
+//! 3. **Recovery latency.** Mean wall-clock latency of a `read_file` that
 //!    must repair one freshly corrupted block mid-read, against the clean
 //!    read latency of the same file.
-//! 5. **Inline check.** The keyed fast check one buffer at a time against
-//!    eight buffers' chains walked together (`ChecksumKeys::fast_many`).
 //!
-//! The cost per block of scrub-cursor cover traffic is
-//! `resilience.dummy_span_us_per_block` on `benchmark/`'s `durable_mixed`.
+//! Kernel speed is not measured here. The erasure codec's is
+//! `resilience.encode_mb_s`, `resilience.apply_delta_mb_s` and
+//! `resilience.reconstruct_mb_s` on `benchmark/`'s `durable_mixed`, and the
+//! cost per block of scrub-cursor cover traffic is
+//! `resilience.dummy_span_us_per_block` on the same workload.
 //!
 //! Run with `--quick` (or `STEGFS_BENCH_QUICK=1`) for a CI-sized run; the
 //! JSON schema is identical, with `"quick": true` recorded so trajectory
@@ -40,7 +38,7 @@ use stegfs_bench::harness::{pick, quick_mode, timed, BLOCK_SIZE};
 use stegfs_bench::report::{print_metrics_table, render_bench_json, BenchMetric as Metric};
 use stegfs_blockdev::{FaultDevice, FaultPlan, MemDevice};
 use stegfs_crypto::Key256;
-use stegfs_resilience::{ChecksumKeys, ErasureCodec, ResilienceConfig, ResilientStore, FAST_LANES};
+use stegfs_resilience::{ResilienceConfig, ResilientStore};
 
 const SHAPES: [(usize, usize); 3] = [(4, 1), (4, 2), (8, 2)];
 const MB: f64 = (1 << 20) as f64;
@@ -52,14 +50,15 @@ const MB: f64 = (1 << 20) as f64;
 /// with every timing of the report halved, read up to 402. The budget is
 /// 2.6× the quiet median: above what load does to the number, below the
 /// ≈ 1 100 ns a field costs once the check loses its lane interleave
-/// (`fast_check_mb_s`), which is the regression it is here to catch.
+/// (measured with the fast check taking one field at a time), which is the
+/// regression it is here to catch.
 const READ_CHECK_BUDGET_NS: u32 = 600;
 
 fn master() -> Key256 {
     Key256::from_passphrase("resilience baseline")
 }
 
-/// Deterministic shard/payload bytes.
+/// Deterministic payload bytes.
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
     (0..len)
@@ -97,48 +96,7 @@ fn main() {
     let quick = quick_mode();
     let mut metrics: Vec<Metric> = Vec::new();
 
-    // --- 1. Codec encode/decode throughput. ---
-    let shard_len = BLOCK_SIZE;
-    let codec_iters = pick(3_000u64, 150);
-    for (k, m) in SHAPES {
-        let codec = ErasureCodec::new(k, m);
-        let data: Vec<Vec<u8>> = (0..k).map(|i| pattern(shard_len, 100 + i as u64)).collect();
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let stripe_mb = (k * shard_len) as f64 / MB;
-
-        let encode_secs = timed(codec_iters, || {
-            std::hint::black_box(codec.encode(&refs));
-        });
-        metrics.push(Metric::new(
-            format!("encode_mb_s_{k}_{m}"),
-            "MB/s",
-            stripe_mb * codec_iters as f64 / encode_secs,
-            format!("GF(2^8) Cauchy encode, {k}+{m}, {shard_len} B shards"),
-        ));
-
-        // Decode: the worst case — the first m shards (all data) erased.
-        let parity = codec.encode(&refs);
-        let decode_secs = timed(codec_iters, || {
-            let mut shards: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .map(|d| Some(d.clone()))
-                .chain(parity.iter().map(|p| Some(p.clone())))
-                .collect();
-            for slot in shards.iter_mut().take(m) {
-                *slot = None;
-            }
-            codec.reconstruct(&mut shards, shard_len).expect("decode");
-            std::hint::black_box(&shards);
-        });
-        metrics.push(Metric::new(
-            format!("decode_mb_s_{k}_{m}"),
-            "MB/s",
-            stripe_mb * codec_iters as f64 / decode_secs,
-            format!("reconstruct {m} erased data shards of {k}+{m}"),
-        ));
-    }
-
-    // --- 2. Read-path overhead vs the plain substrate. ---
+    // --- 1. Read-path overhead vs the plain substrate. ---
     let file_blocks = pick(192u64, 24);
     let read_iters = pick(60u64, 9);
 
@@ -201,7 +159,7 @@ fn main() {
         ));
     }
 
-    // --- 3. Scrub throughput, clean vs degraded. ---
+    // --- 2. Scrub throughput, clean vs degraded. ---
     let (k, m) = (4usize, 2usize);
     let (scrub_store, _) = resilient_store(k, m, file_blocks, 43);
     let scrub_iters = pick(12u64, 3);
@@ -245,7 +203,7 @@ fn main() {
         format!("{repaired_per_pass} blocks reconstructed + re-placed per sweep"),
     ));
 
-    // --- 4. Recovery latency: a read that repairs one block mid-flight. ---
+    // --- 3. Recovery latency: a read that repairs one block mid-flight. ---
     let (lat_store, lat_payload) = resilient_store(k, m, pick(64u64, 16), 44);
     let lat_layout = lat_store.stripe_layout("/bench").expect("layout");
     let lat_iters = pick(40u64, 8);
@@ -280,37 +238,6 @@ fn main() {
         "ms",
         recovery_total / lat_iters as f64 * 1e3,
         "read_file repairing one corrupt block in place".to_string(),
-    ));
-
-    // --- 5. Inline fast check. ---
-    let keys = ChecksumKeys::derive(&master());
-    let fields: Vec<Vec<u8>> = (0..FAST_LANES)
-        .map(|i| pattern(per, 200 + i as u64))
-        .collect();
-    let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
-    let check_iters = pick(40_000u64, 2_000);
-    let group_mb = (FAST_LANES * per) as f64 / MB;
-    let single_secs = timed(check_iters, || {
-        for field in std::hint::black_box(&refs) {
-            std::hint::black_box(keys.fast(field));
-        }
-    });
-    metrics.push(Metric::new(
-        "fast_check_mb_s",
-        "MB/s",
-        group_mb * check_iters as f64 / single_secs,
-        format!("ChecksumKeys::fast, one {per} B field at a time"),
-    ));
-    let mut hashes = [0u64; FAST_LANES];
-    let many_secs = timed(check_iters, || {
-        keys.fast_many(std::hint::black_box(&refs), &mut hashes);
-        std::hint::black_box(&hashes);
-    });
-    metrics.push(Metric::new(
-        "fast_check_x8_mb_s",
-        "MB/s",
-        group_mb * check_iters as f64 / many_secs,
-        format!("ChecksumKeys::fast_many, {FAST_LANES} fields of {per} B per call"),
     ));
 
     // --- Report. ---

@@ -39,7 +39,7 @@ pub fn pick<T>(full: T, quick: T) -> T {
 /// executions. One untimed warmup pass touches code and tables, then the
 /// fastest of three passes is reported — on a shared single-CPU host,
 /// scheduler steal time otherwise dominates the variance. Shared by the
-/// `crypto_baseline` and `oblivious_baseline` trajectory bins.
+/// `recovery_baseline` and `resilience_baseline` trajectory bins.
 pub fn timed(iters: u64, mut op: impl FnMut()) -> f64 {
     let per_pass = (iters / 3).max(1);
     for _ in 0..per_pass / 4 {

@@ -24,15 +24,16 @@
 //! the paper's testbed rather than to the machine running the simulation.
 //!
 //! What a request costs on the machine at hand, through the whole stack, is
-//! measured by the end-to-end benchmark (`benchmark/`, a package of its own).
-//! Five baseline bins stay here for quantities it publishes no metric for;
-//! each writes one report into the current directory:
+//! measured by the end-to-end benchmark (`benchmark/`, a package of its own),
+//! kernel speed included: its per-layer `crypto.*` rows are the active
+//! backend's, with the backend in the run's provenance. Four baseline bins
+//! stay here for quantities it publishes no metric for; each writes one
+//! report into the current directory:
 //!
 //! | Binary | Measures | Writes |
 //! |---|---|---|
-//! | `crypto_baseline` | cipher, hash and codec throughput per forced backend tier, per lane count, and their speedup ratios | `BENCH_crypto.json` |
 //! | `oblivious_baseline` | simulated level re-order, batched vs scalar I/O | `BENCH_oblivious.json` |
-//! | `resilience_baseline` | codec and read overhead per stripe shape, degraded scrub, repairing read, fast check | `BENCH_resilience.json` |
+//! | `resilience_baseline` | read overhead per stripe shape, degraded scrub, repairing read | `BENCH_resilience.json` |
 //! | `recovery_baseline` | mount latency vs staged intents, delta vs full rewrite | `BENCH_recovery.json` |
 //! | `scale_baseline` | the persistent user registry at scale | `BENCH_scale.json` |
 //!

@@ -1,13 +1,13 @@
 //! The byte-oriented AES implementation, kept as an executable specification.
 //!
 //! The word-oriented T-table cipher in the parent module is the hot path used
-//! by the rest of the workspace; this module exists so property tests (and the
-//! `crypto_baseline` bench bin) can check the fast path against an
-//! independent, maximally-literal transcription of FIPS-197. It is
-//! deliberately table-free beyond the S-box (which FIPS-197 itself specifies
-//! as a table): MixColumns multiplies in GF(2^8) at runtime, exactly as the
-//! standard's pseudocode does. Do not use it in production paths — it is
-//! roughly an order of magnitude slower than the T-table cipher.
+//! by the rest of the workspace; this module exists so property tests can
+//! check the fast path against an independent, maximally-literal
+//! transcription of FIPS-197. It is deliberately table-free beyond the S-box
+//! (which FIPS-197 itself specifies as a table): MixColumns multiplies in
+//! GF(2^8) at runtime, exactly as the standard's pseudocode does. Do not use
+//! it in production paths — it is roughly an order of magnitude slower than
+//! the T-table cipher.
 
 use super::{gf_mul, BlockCipher, AES_BLOCK_SIZE, INV_SBOX, RCON, SBOX};
 use crate::CryptoError;

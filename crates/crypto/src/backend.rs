@@ -24,7 +24,7 @@
 //!   portable; SHA-NI where detected, else scalar.
 //! * `portable` — the pure-Rust paths (T-table AES, scalar SHA-256)
 //!   everywhere, regardless of CPU support. Used by CI's cross-backend legs
-//!   and the `crypto_baseline` comparison section.
+//!   and to measure the portable tier with `benchmark/`.
 //! * `aesni` — *require* the AES-NI path. If the CPU does not support it the
 //!   process panics at selection time instead of silently falling back, so a
 //!   benchmark labelled `aesni` is guaranteed to have measured hardware AES.
@@ -251,9 +251,8 @@ pub fn sha256_backend_name() -> &'static str {
 /// `AesNi` and `Vaes` select that AES backend plus SHA-NI where detected,
 /// else scalar SHA-256.
 ///
-/// Intended for benchmarks (the `crypto_baseline` forced-portable comparison
-/// section) and for the determinism suite, which asserts that experiment
-/// outputs are byte-identical across backends. Panics if `backend` is not
+/// Intended for the determinism suite, which asserts that experiment outputs
+/// are byte-identical across backends. Panics if `backend` is not
 /// available on this CPU — a forced hardware measurement must never silently
 /// run other code. Instances created before the call keep their backend.
 pub fn force(backend: Backend) {

@@ -37,12 +37,12 @@ pub(crate) const H0: [u32; 8] = [
 ///
 /// One SHA-NI stream is bound by the latency of its `sha256rnds2` chain, not
 /// by the unit's throughput, so a second independent stream is nearly free.
-/// Chosen by measurement (the `sha256_xN` and `hmac_sha256_xN` rows of
-/// `crypto_baseline`): on the Xeon this was sized on two streams already use
-/// the unit up and three or four run no slower, although only two fit the
-/// sixteen xmm registers without spilling message words. Four takes a
-/// delta-parity write plan's three MACs in one pass, divides a 4 KB DRBG fill
-/// evenly, and leaves room on cores with more SHA throughput.
+/// Chosen by measurement (aggregate HMAC over 4080-byte fields at one to four
+/// lanes, in the README's crypto record): on the Xeon this was sized on two
+/// streams already use the unit up and three or four run no slower, although
+/// only two fit the sixteen xmm registers without spilling message words.
+/// Four takes a delta-parity write plan's three MACs in one pass, divides a
+/// 4 KB DRBG fill evenly, and leaves room on cores with more SHA throughput.
 pub const SHA_LANES: usize = 4;
 
 /// Run `nblocks` 64-byte blocks of each of `N` independent streams through
@@ -457,7 +457,7 @@ pub(crate) fn finish_many<const N: usize>(
 }
 
 /// A hash of whole messages that can take `N` equal-length ones in lockstep:
-/// plain SHA-256, or HMAC under one key.
+/// HMAC under one key, or in tests a double that records the widths.
 pub(crate) trait LaneHash {
     /// The hash of each of `msgs`, all of one length.
     fn lanes<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; SHA256_OUTPUT_SIZE]; N];
@@ -492,28 +492,9 @@ pub(crate) fn hash_many<H: LaneHash>(
     }
 }
 
-/// Plain SHA-256 on one backend, as a [`LaneHash`].
-struct Plain(Sha256Backend);
-
-impl LaneHash for Plain {
-    fn lanes<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
-        finish_many(self.0, [H0; N], msgs, 0)
-    }
-}
-
-/// One-shot SHA-256 of `data`: the one-message case of [`sha256_many`].
+/// One-shot SHA-256 of `data`: one lane of the lockstep hash.
 pub fn sha256(data: &[u8]) -> [u8; SHA256_OUTPUT_SIZE] {
-    Plain(backend::sha256_active()).lanes([data])[0]
-}
-
-/// [`sha256`] of every message of `msgs`, written to the matching entry of
-/// `out`. Messages of one length are hashed [`SHA_LANES`] at a time in
-/// lockstep, which on SHA-NI costs little more than one of them alone.
-///
-/// # Panics
-/// If `out` is not as long as `msgs`.
-pub fn sha256_many(msgs: &[&[u8]], out: &mut [[u8; SHA256_OUTPUT_SIZE]]) {
-    hash_many(&Plain(backend::sha256_active()), msgs, out);
+    finish_many(backend::sha256_active(), [H0], [data], 0)[0]
 }
 
 #[cfg(test)]
@@ -705,6 +686,45 @@ mod tests {
         for backend in available_backends() {
             for len in [0usize, 1, 55, 56, 64, 119, 120, 1000, 4080] {
                 at_every_width!(check(backend, len));
+            }
+        }
+    }
+
+    /// Plain SHA-256 that records the width `N` of every `lanes` call.
+    struct Widths(core::cell::RefCell<Vec<usize>>);
+
+    impl LaneHash for Widths {
+        fn lanes<const N: usize>(&self, msgs: [&[u8]; N]) -> [[u8; SHA256_OUTPUT_SIZE]; N] {
+            self.0.borrow_mut().push(N);
+            finish_many(Sha256Backend::Scalar, [H0; N], msgs, 0)
+        }
+    }
+
+    #[test]
+    fn hash_many_hands_each_group_of_one_length_to_the_lanes_at_once() {
+        // `HmacSha256::mac_many` reaches the SHA-NI lanes only through this
+        // grouping (`compress_many` then takes all N lanes in one call). A
+        // loop over single messages gives the same digests, so only the
+        // widths tell the two apart.
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[64; 4], &[4]),
+            (&[64; 6], &[4, 2]),
+            (&[64; 9], &[4, 4, 1]),
+            (&[64, 64, 65, 64], &[1, 1, 1, 1]),
+        ];
+        for (lengths, widths) in cases {
+            let msgs: Vec<Vec<u8>> = lengths
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| vec![i as u8; len])
+                .collect();
+            let msgs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
+            let hash = Widths(Default::default());
+            let mut digests = vec![[0u8; SHA256_OUTPUT_SIZE]; msgs.len()];
+            hash_many(&hash, &msgs, &mut digests);
+            assert_eq!(hash.0.into_inner(), widths, "lengths {lengths:?}");
+            for (msg, digest) in msgs.iter().zip(&digests) {
+                assert_eq!(*digest, sha256(msg), "lengths {lengths:?}");
             }
         }
     }

@@ -437,13 +437,36 @@ fn unavailable_backend_is_a_typed_error() {
 
 #[test]
 fn backend_names_report_active_selection() {
-    let aes = backend_name();
-    let named = [Backend::Portable, Backend::AesNi, Backend::Vaes]
-        .into_iter()
-        .find(|b| b.name() == aes)
-        .unwrap_or_else(|| panic!("unexpected name {aes}"));
-    // The name must be consistent with what detection allows.
-    assert!(named.is_available());
-    let sha = sha256_backend_name();
-    assert!(sha == "scalar" || sha == "sha-ni", "unexpected name {sha}");
+    // What `STEGFS_CRYPTO_BACKEND` asks for is what runs: a named backend
+    // exactly, `auto` (or unset) the best one detected. Every CI matrix leg
+    // runs this under its own setting, so a leg pinned to `aesni` cannot
+    // quietly test another backend.
+    let requested = std::env::var("STEGFS_CRYPTO_BACKEND").unwrap_or_default();
+    let expected = match requested.as_str() {
+        "" | "auto" => [Backend::Vaes, Backend::AesNi, Backend::Portable]
+            .into_iter()
+            .find(|b| b.is_available())
+            .expect("portable is always available"),
+        named => [Backend::Portable, Backend::AesNi, Backend::Vaes]
+            .into_iter()
+            .find(|b| b.name() == named)
+            .unwrap_or_else(|| panic!("unexpected STEGFS_CRYPTO_BACKEND={named:?}")),
+    };
+    assert_eq!(
+        backend_name(),
+        expected.name(),
+        "STEGFS_CRYPTO_BACKEND={requested:?}"
+    );
+    // SHA-256 follows the AES setting: scalar under `portable`, else SHA-NI
+    // exactly where it is detected.
+    let sha = if expected != Backend::Portable && Sha256Backend::ShaNi.is_available() {
+        Sha256Backend::ShaNi
+    } else {
+        Sha256Backend::Scalar
+    };
+    assert_eq!(
+        sha256_backend_name(),
+        sha.name(),
+        "STEGFS_CRYPTO_BACKEND={requested:?}"
+    );
 }

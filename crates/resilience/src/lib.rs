@@ -23,9 +23,9 @@
 //!   Parity is computed over *plaintext* data fields (reseals re-randomise
 //!   ciphertext, so ciphertext parity would go stale on every dummy update)
 //!   and the parity shards are sealed and scattered like hidden data.
-//! * [`StripeMap`] / [`ChecksumKeys`] — per-file integrity metadata: a cheap
-//!   keyed hash verified on every read plus a truncated HMAC verified by
-//!   scrub, persisted as a shadow hidden file.
+//! * [`StripeMap`] — per-file integrity metadata: a cheap keyed hash
+//!   verified on every read plus a truncated HMAC verified by scrub, under
+//!   keys derived per file, persisted as a shadow hidden file.
 //! * [`VolumeAnchor`] — the 3-way replicated, generation-counted,
 //!   slot-MAC'd superblock + sealed FAK table; quorum reads self-heal stale
 //!   or corrupt replicas.
@@ -88,5 +88,5 @@ pub use store::{decode_records, encode_records};
 pub use store::{
     Registry, RegistryStats, ResilienceConfig, ResilientStore, ScrubCursor, REGISTRY_PATH,
 };
-pub use stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeConfig, StripeMap, FAST_LANES};
+pub use stripe::{BlockCheck, ParityEntry, StripeConfig, StripeMap};
 pub use superblock::VolumeAnchor;

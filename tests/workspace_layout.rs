@@ -85,7 +85,6 @@ fn expected_figure_and_table_bins_exist() {
         "table4",
         "security_analysis",
         "overhead_model",
-        "crypto_baseline",
         "oblivious_baseline",
         "resilience_baseline",
         "recovery_baseline",
