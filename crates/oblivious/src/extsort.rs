@@ -97,6 +97,20 @@ impl AddAssign for MaintenanceIo {
     }
 }
 
+/// Encode `records` over the leading `bs`-byte blocks of `staging`, one a
+/// block, and return the blocks they cover.
+fn stage<'s, 'r>(
+    records: impl ExactSizeIterator<Item = SortRecord<'r>>,
+    staging: &'s mut [u8],
+    bs: usize,
+) -> Result<&'s [u8], ObliviousError> {
+    let window = &mut staging[..records.len() * bs];
+    for (record, block) in records.zip(window.chunks_exact_mut(bs)) {
+        record.encode_into(block)?;
+    }
+    Ok(window)
+}
+
 /// External merge sorter writing its runs to a sort partition device.
 pub struct ExternalSorter<D> {
     sort_device: D,
@@ -104,8 +118,9 @@ pub struct ExternalSorter<D> {
     memory_records: usize,
 }
 
-/// Where the merge stands in one spilled run, and which part of the run's
-/// look-ahead buffer holds records read but not yet delivered.
+/// Where the merge stands in one spilled run (or the resident batch, which
+/// has nothing left on the partition), and which part of its look-ahead
+/// buffer holds records read but not yet delivered.
 struct RunCursor {
     next_block: u64,
     remaining: u64,
@@ -129,34 +144,45 @@ impl<D: BlockDevice> ExternalSorter<D> {
         &self.sort_device
     }
 
-    /// Sort records of `payload_len` payload bytes each by ascending
-    /// `(key, id)`, delivering them to `output` in order.
+    /// Sort the `count` records `produce` makes, of `payload_len` payload
+    /// bytes each, by ascending `(key, id)`, delivering them to `output` in
+    /// order.
     ///
     /// The sorter owns the memory the records are formed in: a **run arena**
     /// of `memory_records` payload slots, allocated once per sort. `produce`
-    /// is handed the unfilled tail of the arena — whole slots, at least one —
-    /// writes payloads into its leading slots and pushes one `(key, id)` tag
-    /// per slot it filled; filling none ends the input, an `Err` aborts the
-    /// sort. It is never offered more than the current run still holds, so
-    /// whatever `produce` reads to make its records, it reads no earlier
-    /// than a record-at-a-time input would.
+    /// is handed the unfilled tail of the current run — whole slots, at
+    /// least one — writes payloads into its leading slots and pushes one
+    /// `(key, id)` tag per slot it filled; an `Err` aborts the sort. A run
+    /// holds `memory_records` records or, the last, what is left of
+    /// `count`, so the producer is never offered more than the run still
+    /// holds nor more than the count still owed: whatever it reads to make
+    /// its records, it reads no earlier than a record-at-a-time input would.
+    /// Filling none of a non-empty offer ends the input early, which is
+    /// [`ObliviousError::Corrupt`]. Once the last run is complete the input's
+    /// end is confirmed with one **empty offer**: the producer finishes
+    /// whatever reading its input needs and must tag nothing.
     ///
-    /// A full arena is one run. It is ordered by sorting an index of its
-    /// tags, not its payloads, and — unless it is the only one and not full,
-    /// in which case it is delivered straight from the arena and the sort
-    /// partition is not touched — spilled to the partition by gathering the
-    /// payloads in sorted order into the batch staging: **consecutive ranged
-    /// writes** of at most `IO_BATCH_BLOCKS` blocks (the head continues
-    /// across batches, so a run still streams at transfer speed while the
-    /// staging stays capped at one batch). The runs are merged in a single
-    /// multi-way pass from per-run look-ahead buffers that the ranged refill
-    /// reads, capped the same way, fill directly; `output` borrows each
-    /// record from the buffer it was read into. The arena is released before
-    /// the look-ahead is allocated, so a sort holds `memory_records` blocks
-    /// of one or the other plus one batch of staging. On the simulated disk
-    /// both phases pay one positioning per batch instead of one per block,
-    /// which is what makes sorting's share of access *time* far smaller than
-    /// its share of I/O *operations* (Figure 12(b)).
+    /// A run is ordered by sorting an index of its tags, not its payloads.
+    /// A sort of at most `memory_records` records is delivered straight from
+    /// the arena and never touches the sort partition. Otherwise each run is
+    /// spilled to the partition by gathering its payloads in sorted order
+    /// into the batch staging: **consecutive ranged writes** of at most
+    /// `IO_BATCH_BLOCKS` blocks (the head continues across batches, so a run
+    /// still streams at transfer speed while the staging stays capped at one
+    /// batch) — all but the last run's final batch, which is still in the
+    /// staging when the input ends and **stays resident**. The runs are
+    /// merged in a single multi-way pass from per-run look-ahead buffers
+    /// that the ranged refill reads, capped the same way, fill directly,
+    /// with the resident batch as one more input; `output` borrows each
+    /// record from the buffer it lies in. The look-ahead reuses the arena's
+    /// memory, so a sort holds `memory_records` sort-partition blocks (one
+    /// per run where there are more runs) plus one batch of staging. With
+    /// `n` records, runs of `B = memory_records` and a last run of `L`
+    /// records whose final batch holds `r`, a spilling sort writes and reads
+    /// `n − r` blocks. On the
+    /// simulated disk both phases pay one positioning per batch instead of
+    /// one per block, which is what makes sorting's share of access *time*
+    /// far smaller than its share of I/O *operations* (Figure 12(b)).
     ///
     /// # Panics
     ///
@@ -165,6 +191,7 @@ impl<D: BlockDevice> ExternalSorter<D> {
     pub fn sort<P, F>(
         &self,
         payload_len: usize,
+        count: u64,
         mut produce: P,
         mut output: F,
     ) -> Result<MaintenanceIo, ObliviousError>
@@ -182,46 +209,60 @@ impl<D: BlockDevice> ExternalSorter<D> {
         }
         let mut io = MaintenanceIo::default();
 
-        // Run formation.
-        let mut arena = vec![0u8; self.memory_records * payload_len];
+        // Run formation, in the front of the sort's memory. The merge's
+        // look-ahead reuses that memory once the runs are formed, so it is
+        // sized in partition blocks rather than payloads.
+        let mut memory = vec![0u8; self.memory_records * bs];
+        let arena = &mut memory[..self.memory_records * payload_len];
         let mut tags: Vec<(u64, u64)> = Vec::with_capacity(self.memory_records);
         let mut order: Vec<usize> = Vec::with_capacity(self.memory_records);
         // One batch of encoded records, allocated at the first spill. Every
         // record covers the same prefix of its block, so the bytes behind it
         // stay zero from one batch to the next.
         let mut staging: Vec<u8> = Vec::new();
-        // Records spilled so far. Runs lie back to back from block 0, each
-        // `memory_records` long but the last.
-        let mut spilled: u64 = 0;
-        loop {
+        // Records produced and records spilled so far. Runs lie back to back
+        // from block 0, each `memory_records` long but the last.
+        let (mut produced, mut spilled) = (0u64, 0u64);
+        let resident = loop {
+            let run = (self.memory_records as u64).min(count - produced) as usize;
             tags.clear();
-            let mut ended = false;
-            while tags.len() < self.memory_records {
+            while tags.len() < run {
                 let filled = tags.len();
-                produce(&mut arena[filled * payload_len..], &mut tags)?;
+                produce(
+                    &mut arena[filled * payload_len..run * payload_len],
+                    &mut tags,
+                )?;
                 assert!(
-                    tags.len() <= self.memory_records,
+                    tags.len() <= run,
                     "producer tagged more slots than it was offered"
                 );
                 if tags.len() == filled {
-                    ended = true;
-                    break;
+                    return Err(ObliviousError::Corrupt(format!(
+                        "sort input ended after {} of {count} records",
+                        produced + filled as u64
+                    )));
                 }
             }
-            if tags.is_empty() {
-                break;
+            produced += run as u64;
+            let last = produced == count;
+            if last {
+                produce(&mut [], &mut tags)?;
+                assert!(
+                    tags.len() == run,
+                    "producer tagged more slots than it was offered"
+                );
             }
             // The slot number breaks ties, as a stable sort of the records
             // themselves would.
             order.clear();
-            order.extend(0..tags.len());
+            order.extend(0..run);
             order.sort_unstable_by_key(|&slot| (tags[slot], slot));
             let record = |slot: usize| SortRecord {
                 key: tags[slot].0,
                 id: tags[slot].1,
                 payload: &arena[slot * payload_len..][..payload_len],
             };
-            if ended && spilled == 0 {
+            if last && spilled == 0 {
                 // Everything fits in memory: no external phase needed.
                 for &slot in &order {
                     output(record(slot))?;
@@ -229,42 +270,51 @@ impl<D: BlockDevice> ExternalSorter<D> {
                 return Ok(io);
             }
 
-            let len = tags.len() as u64;
-            if spilled + len > self.sort_device.num_blocks() {
+            // The last run's final batch is encoded like the others but
+            // stays in the staging.
+            let kept = if last {
+                (run - 1) % IO_BATCH_BLOCKS as usize + 1
+            } else {
+                0
+            };
+            let (spill, keep) = order.split_at(run - kept);
+            let required = spilled + spill.len() as u64;
+            if required > self.sort_device.num_blocks() {
                 return Err(ObliviousError::SortPartitionTooSmall {
-                    required: spilled + len,
+                    required,
                     available: self.sort_device.num_blocks(),
                 });
             }
             if staging.is_empty() {
                 staging = vec![0u8; self.memory_records.min(IO_BATCH_BLOCKS as usize) * bs];
             }
-            for batch in order.chunks(IO_BATCH_BLOCKS as usize) {
-                let window = &mut staging[..batch.len() * bs];
-                for (&slot, block) in batch.iter().zip(window.chunks_exact_mut(bs)) {
-                    record(slot).encode_into(block)?;
-                }
+            for batch in spill.chunks(IO_BATCH_BLOCKS as usize) {
+                let window = stage(batch.iter().map(|&slot| record(slot)), &mut staging, bs)?;
                 self.sort_device.write_blocks(spilled, window)?;
                 spilled += batch.len() as u64;
             }
-            io.writes += len;
-            if ended {
-                break;
+            io.writes += spill.len() as u64;
+            if last {
+                stage(keep.iter().map(|&slot| record(slot)), &mut staging, bs)?;
+                break kept;
             }
-        }
-        if spilled == 0 {
-            return Ok(io);
-        }
-        drop((arena, staging));
+        };
 
         // Multi-way merge with per-run read-ahead: the memory budget is split
-        // across the runs so that each refill reads a contiguous batch of
-        // blocks — this is what keeps the merge pass largely sequential on a
-        // physical disk, the property Figure 12(b) of the paper relies on.
+        // across the runs on the partition so that each refill reads a
+        // contiguous batch of blocks — this is what keeps the merge pass
+        // largely sequential on a physical disk, the property Figure 12(b)
+        // of the paper relies on. The resident batch is one more input, its
+        // look-ahead the staging it was encoded in.
         let run_len = self.memory_records as u64;
         let runs = spilled.div_ceil(run_len) as usize;
         let lookahead = (self.memory_records / runs).max(1);
-        let mut buffers = vec![0u8; runs * lookahead * bs];
+        // More runs than records of memory still get one block each.
+        memory.resize(memory.len().max(runs * lookahead * bs), 0);
+        let mut inputs: Vec<&mut [u8]> = memory[..runs * lookahead * bs]
+            .chunks_exact_mut(lookahead * bs)
+            .chain([&mut staging[..resident * bs]])
+            .collect();
         let mut cursors: Vec<RunCursor> = (0..runs as u64)
             .map(|run| RunCursor {
                 next_block: run * run_len,
@@ -272,21 +322,24 @@ impl<D: BlockDevice> ExternalSorter<D> {
                 head: 0,
                 filled: 0,
             })
+            .chain([RunCursor {
+                next_block: 0,
+                remaining: 0,
+                head: 0,
+                filled: resident,
+            }])
             .collect();
-        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::with_capacity(runs);
-        for (run, (cursor, buffer)) in cursors
-            .iter_mut()
-            .zip(buffers.chunks_exact_mut(lookahead * bs))
-            .enumerate()
-        {
-            self.refill(cursor, buffer, payload_len, &mut io)?;
+        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::with_capacity(runs + 1);
+        for (run, (cursor, buffer)) in cursors.iter_mut().zip(&mut inputs).enumerate() {
+            if cursor.filled == 0 {
+                self.refill(cursor, buffer, payload_len, &mut io)?;
+            }
             let front = SortRecord::view(&buffer[..bs])?;
             heap.push(Reverse((front.key, front.id, run)));
         }
 
         while let Some(Reverse((_, _, run))) = heap.pop() {
-            let cursor = &mut cursors[run];
-            let buffer = &mut buffers[run * lookahead * bs..][..lookahead * bs];
+            let (cursor, buffer) = (&mut cursors[run], &mut *inputs[run]);
             output(SortRecord::view(&buffer[cursor.head * bs..][..bs])?)?;
             cursor.head += 1;
             if cursor.head == cursor.filled && cursor.remaining > 0 {
@@ -387,7 +440,7 @@ mod tests {
     ) -> Result<(Vec<Owned>, MaintenanceIo), ObliviousError> {
         let mut out = Vec::new();
         let payload_len = input.first().map_or(1, |r| r.2.len());
-        let io = sorter.sort(payload_len, feed(input, 3, None), |r| {
+        let io = sorter.sort(payload_len, input.len() as u64, feed(input, 3, None), |r| {
             out.push((r.key, r.id, r.payload.to_vec()));
             Ok(())
         })?;
@@ -413,9 +466,10 @@ mod tests {
         let (out, io) = run_sort(100, 8);
         assert_eq!(out.len(), 100);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
-        // Every record was spilled once and read back once.
-        assert_eq!(io.writes, 100);
-        assert_eq!(io.reads, 100);
+        // Every record was spilled once and read back once, but the last
+        // run of 4, which stays in memory.
+        assert_eq!(io.writes, 96);
+        assert_eq!(io.reads, 96);
         // Payloads survive.
         for (_, id, payload) in &out {
             assert_eq!(payload, &vec![(id % 256) as u8; 100]);
@@ -432,36 +486,35 @@ mod tests {
 
     #[test]
     fn runs_larger_than_one_io_batch_round_trip() {
-        // Runs of 150 records spill as 64 + 64 + 22 block batches and the
-        // merge refills read 64 + 11; the sort must be oblivious to the
-        // batching seams.
+        // Runs of 150 records spill as 64 + 64 + 22 block batches — the
+        // last run's 22 stay in memory — and the merge refills read 64 + 11;
+        // the sort must be oblivious to the batching seams.
         let (out, io) = run_sort(300, 150);
         assert_eq!(out.len(), 300);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(io.writes, 300);
-        assert_eq!(io.reads, 300);
+        assert_eq!(io.writes, 278);
+        assert_eq!(io.reads, 278);
         let mut ids: Vec<u64> = out.iter().map(|r| r.1).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..300).collect::<Vec<_>>());
     }
 
     #[test]
-    fn a_full_first_run_is_spilled_even_when_it_is_the_last() {
-        // Exactly `memory_records` records: the sorter cannot know the input
-        // ends there until it asks again, by which time the run is on the
-        // partition — one run, merged alone.
+    fn a_full_first_run_is_not_spilled_when_it_is_the_last() {
+        // Exactly `memory_records` records: the count says the input ends
+        // there, so the one run is delivered from the arena.
         let (out, io) = run_sort(8, 8);
-        assert_eq!((io.writes, io.reads), (8, 8));
+        assert_eq!((io.writes, io.reads), (0, 0));
         assert_eq!(out.len(), 8);
         assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
     fn more_runs_than_memory_records_merge_one_block_at_a_time() {
-        // 25 runs against 2 records of memory: every run's look-ahead is
-        // the one-block minimum.
+        // 25 runs against 2 records of memory: every spilled run's
+        // look-ahead is the one-block minimum; the last run stays in memory.
         let (out, io) = run_sort(50, 2);
-        assert_eq!((io.writes, io.reads), (50, 50));
+        assert_eq!((io.writes, io.reads), (48, 48));
         assert_eq!(
             out.iter().map(|r| r.0).collect::<Vec<_>>(),
             (0..50).collect::<Vec<_>>()
@@ -538,7 +591,7 @@ mod tests {
         }
         let sorter = ExternalSorter::new(Layered::with_hook(MemDevice::new(64, 256), Shortened), 4);
         let mut delivered = 0;
-        let result = sorter.sort(100, feed(&records(10, 100), 3, None), |_| {
+        let result = sorter.sort(100, 10, feed(&records(10, 100), 3, None), |_| {
             delivered += 1;
             Ok(())
         });
@@ -555,7 +608,7 @@ mod tests {
         let sorter = ExternalSorter::new(device, 4);
         let input = records(10, 10);
         let mut delivered = 0;
-        let err = sorter.sort(10, feed(&input, 3, Some(7)), |_| {
+        let err = sorter.sort(10, 10, feed(&input, 3, Some(7)), |_| {
             delivered += 1;
             Ok(())
         });
@@ -565,9 +618,12 @@ mod tests {
 
     #[test]
     fn the_producer_is_never_offered_more_than_the_run_still_holds() {
-        // Runs of 5, a producer that fills 1, 2 or 3 slots a call: every
-        // offer is exactly the unfilled tail of the current run, and a run
-        // is on the partition before the next one's first offer.
+        // Runs of 5 over 13 records, a producer that fills 1, 2 or 3 slots a
+        // call: every offer is exactly the unfilled tail of the current run —
+        // the last run holds the 3 records the count still owes — a run is
+        // on the partition before the next one's first offer, and one empty
+        // offer confirms the end of the input before the last run's records
+        // go anywhere.
         let device = stegfs_blockdev::TracingDevice::new(MemDevice::new(64, 64));
         let sorter = ExternalSorter::new(device, 5);
         let input = records(13, 8);
@@ -589,17 +645,85 @@ mod tests {
             ));
             Ok(())
         };
-        sorter.sort(8, produce, |_| Ok(())).unwrap();
+        sorter.sort(8, 13, produce, |_| Ok(())).unwrap();
 
         let mut held = 0;
         let mut produced = 0;
-        for (offered, taken, spilled) in offers {
-            assert_eq!(offered, 5 - held, "after {produced} records");
-            assert_eq!(spilled, produced - held, "after {produced} records");
+        for &(offered, taken, spilled) in &offers {
+            let run_start = produced - held;
+            assert_eq!(
+                offered,
+                5.min(13 - run_start) - held,
+                "after {produced} records"
+            );
+            assert_eq!(spilled, run_start, "after {produced} records");
             produced += taken;
             held = (held + taken) % 5;
         }
         assert_eq!(produced, 13);
+        assert_eq!(offers.last().map(|o| (o.0, o.1)), Some((0, 0)));
+        assert_eq!(offers.iter().filter(|o| o.0 == 0).count(), 1);
+    }
+
+    #[test]
+    fn an_input_short_of_its_count_is_corrupt() {
+        // 10 records where 12 were promised, ending inside the last run and
+        // at its start: the sort fails before it outputs anything.
+        for memory in [4, 5] {
+            let sorter = ExternalSorter::new(MemDevice::new(64, 256), memory);
+            let input = records(10, 10);
+            let mut delivered = 0;
+            let result = sorter.sort(10, 12, feed(&input, 3, None), |_| {
+                delivered += 1;
+                Ok(())
+            });
+            assert_eq!(
+                result,
+                Err(ObliviousError::Corrupt(
+                    "sort input ended after 10 of 12 records".to_string()
+                )),
+                "runs of {memory}"
+            );
+            assert_eq!(delivered, 0, "runs of {memory}");
+        }
+    }
+
+    #[test]
+    fn the_last_sort_batch_stays_in_memory() {
+        // The spill rule: n <= B records never touch the partition; past
+        // that, everything but the last run's final I/O batch — r records,
+        // for a last run of L — is written once and read back once.
+        for memory in [4u64, 64, 150] {
+            for n in [
+                1,
+                memory - 1,
+                memory,
+                memory + 1,
+                2 * memory,
+                3 * memory + 5,
+            ] {
+                let (out, io) = run_sort(n, memory as usize);
+                let last_run = n - memory * ((n - 1) / memory);
+                let last_batch = last_run - IO_BATCH_BLOCKS * ((last_run - 1) / IO_BATCH_BLOCKS);
+                let resident = if n <= memory { n } else { last_batch };
+                let expected = n - resident;
+                println!(
+                    "B = {memory:>3}  n = {n:>3}  last run {last_run:>3}  in memory {resident:>3}  \
+                     writes {:>3}  reads {:>3}",
+                    io.writes, io.reads
+                );
+                assert_eq!(
+                    (io.writes, io.reads),
+                    (expected, expected),
+                    "n = {n}, B = {memory}"
+                );
+                assert_eq!(
+                    out.iter().map(|r| r.0).collect::<Vec<_>>(),
+                    (0..n).collect::<Vec<_>>(),
+                    "n = {n}, B = {memory}"
+                );
+            }
+        }
     }
 
     #[test]

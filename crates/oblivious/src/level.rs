@@ -216,10 +216,20 @@ impl Level {
         let snapshot = self.take_snapshot();
         let nothing = Prefix {
             len: 0,
-            ..self.prefix()
+            ..snapshot.prefix(self)
         };
         let sweep = LevelSweep::new(device, codec, [nothing, nothing]);
-        let result = self.rebuild_with(codec, sorter, master_key, rng, &items, |_| false, sweep);
+        let count = items.len() as u64;
+        let result = self.rebuild_with(
+            codec,
+            sorter,
+            master_key,
+            rng,
+            &items,
+            count,
+            |_| false,
+            sweep,
+        );
         self.settle_rebuild(snapshot, result)
     }
 
@@ -252,33 +262,31 @@ impl Level {
         let shadowed = |id: u64| {
             upper_ids.contains(&id) || upper_level.is_some_and(|l| l.manifest.contains_key(&id))
         };
-        let upper_prefix = match upper_level {
-            Some(level) => level.prefix(),
-            None => Prefix {
-                len: 0,
-                ..self.prefix()
-            },
-        };
         let kept_lower = self.manifest.keys().filter(|&&id| !shadowed(id)).count() as u64;
-        if upper_items.len() as u64 + upper_prefix.len + kept_lower > self.capacity {
+        let upper_len = upper_level.map_or(0, |level| level.len() as u64);
+        let count = upper_items.len() as u64 + upper_len + kept_lower;
+        if count > self.capacity {
             return Err(ObliviousError::CapacityExhausted);
         }
 
-        let sweep = LevelSweep::new(device, codec, [upper_prefix, self.prefix()]);
         let snapshot = self.take_snapshot();
-        let result =
-            self.rebuild_with(codec, sorter, master_key, rng, upper_items, shadowed, sweep);
+        let old = snapshot.prefix(self);
+        let upper_prefix = match upper_level {
+            Some(level) => Prefix::of(level, &level.manifest, level.key),
+            None => Prefix { len: 0, ..old },
+        };
+        let sweep = LevelSweep::new(device, codec, [upper_prefix, old]);
+        let result = self.rebuild_with(
+            codec,
+            sorter,
+            master_key,
+            rng,
+            upper_items,
+            count,
+            shadowed,
+            sweep,
+        );
         self.settle_rebuild(snapshot, result)
-    }
-
-    /// Where the level's current contents lie and the key they are sealed
-    /// under.
-    fn prefix(&self) -> Prefix {
-        Prefix {
-            key: self.key,
-            data_offset: self.data_offset,
-            len: self.manifest.len() as u64,
-        }
     }
 
     /// Capture the level's logical state and empty the manifest in
@@ -322,12 +330,12 @@ impl Level {
     /// fresh epoch key and nonce; seal into the sorter's run arena
     /// `upper_items`, then what `sweep` reads — the emptied upper level's
     /// items, then those of the level's old contents (still under the old
-    /// epoch key) that are not `shadowed`; sort them by random keys, write
-    /// the new permutation back in ranged batches and rebuild the index.
-    /// The caller must have snapshotted the level state
-    /// ([`Level::take_snapshot`]) and pre-checked capacity. Errors are tagged
-    /// with whether any level block had been written, so
-    /// [`Level::settle_rebuild`] knows when a rollback is safe.
+    /// epoch key) that are not `shadowed`, `count` items in all; sort them by
+    /// random keys, write the new permutation back in ranged batches and
+    /// rebuild the index. The caller must have snapshotted the level state
+    /// ([`Level::take_snapshot`]), counted the items and pre-checked
+    /// capacity. Errors are tagged with whether any level block had been
+    /// written, so [`Level::settle_rebuild`] knows when a rollback is safe.
     ///
     /// The producer handed to [`ExternalSorter::sort`] fills at most
     /// [`PIPELINE_WIDTH`] arena slots a call. Each item's plaintext is laid
@@ -338,12 +346,17 @@ impl Level {
     /// seal-one-item-at-a-time loop. The slots just filled are then sealed
     /// where they lie in one multi-buffer pass
     /// ([`BlockCodec::seal_blocks_in_place`]), byte-identical to that loop.
-    /// The sorter offers only what the current run still holds, so the next
-    /// ranged read of `sweep` is never issued ahead of the spill that
-    /// precedes it on the device. An oversized item or a corrupt swept batch
-    /// aborts the sort — which outputs nothing before its input ends, so
-    /// still before any level write — with the DRBG where the items before
-    /// it left it.
+    /// The sorter offers only what the current run still holds and the
+    /// count still owes, so the next ranged read of `sweep` is never issued
+    /// ahead of the spill that precedes it on the device. On the sorter's
+    /// closing empty offer the producer reads `sweep` to the end of both
+    /// prefixes — trailing shadowed items included, so the blocks read stay
+    /// a function of the public prefix lengths — and any item it still
+    /// finds lies past the count: [`ObliviousError::Corrupt`], as is an
+    /// input that ends short of it. An oversized item, a corrupt swept batch
+    /// or a miscount aborts the sort — which outputs nothing before its
+    /// input ends, so still before any level write — with the DRBG where the
+    /// items before it left it.
     #[allow(clippy::too_many_arguments)]
     fn rebuild_with<D, S>(
         &mut self,
@@ -352,6 +365,7 @@ impl Level {
         master_key: &Key256,
         rng: &mut HashDrbg,
         upper_items: &[(u64, Vec<u8>)],
+        count: u64,
         shadowed: impl Fn(u64) -> bool,
         mut sweep: LevelSweep<'_, D>,
     ) -> Result<MaintenanceIo, RebuildFailure>
@@ -374,11 +388,13 @@ impl Level {
         let bs = codec.block_size();
         let item_cap = Self::item_capacity(bs);
         let key = self.key;
+        let index_no = self.index_no;
         let mut upper = upper_items.iter();
         let produce = |free: &mut [u8], tags: &mut Vec<(u64, u64)>| {
             let want = (free.len() / bs).min(PIPELINE_WIDTH);
+            let closing = free.is_empty();
             let mut filled = 0;
-            while filled < want {
+            while filled < want || closing {
                 let (id, payload) = match upper.next() {
                     Some((id, payload)) => (*id, payload.as_slice()),
                     None => match sweep.next_item()? {
@@ -387,6 +403,11 @@ impl Level {
                         None => break,
                     },
                 };
+                if closing {
+                    return Err(ObliviousError::Corrupt(format!(
+                        "the merge into level {index_no} finds id {id} past the {count} items it counted"
+                    )));
+                }
                 if payload.len() > item_cap {
                     return Err(ObliviousError::ItemTooLarge {
                         got: payload.len(),
@@ -414,7 +435,7 @@ impl Level {
         let capacity = self.capacity;
         let manifest = &mut self.manifest;
         let data_offset = self.data_offset;
-        let sort_result = sorter.sort(bs, produce, |record| {
+        let sort_result = sorter.sort(bs, count, produce, |record| {
             if slot >= capacity {
                 return Err(ObliviousError::CapacityExhausted);
             }
@@ -471,6 +492,13 @@ struct LevelSnapshot {
     key: Key256,
 }
 
+impl LevelSnapshot {
+    /// The old contents of `level`, the level this snapshot was taken of.
+    fn prefix(&self, level: &Level) -> Prefix<'_> {
+        Prefix::of(level, &self.manifest, self.key)
+    }
+}
+
 /// A [`Level::rebuild_with`] error plus whether any level block (data or
 /// index) may have been overwritten before it surfaced.
 struct RebuildFailure {
@@ -478,13 +506,29 @@ struct RebuildFailure {
     wrote: bool,
 }
 
-/// A level's occupied slot prefix as a sweep reads it: the epoch key its
-/// items are sealed under, its first data block and its length.
+/// A level's occupied slot prefix as a sweep reads it: the level, the epoch
+/// key its items are sealed under, its first data block, its length and the
+/// manifest that says which id each slot holds.
 #[derive(Clone, Copy)]
-struct Prefix {
+struct Prefix<'m> {
+    index_no: u32,
     key: Key256,
     data_offset: BlockId,
     len: u64,
+    manifest: &'m DetHashMap<u64, u64>,
+}
+
+impl<'m> Prefix<'m> {
+    /// The prefix of `level` that `manifest` describes, sealed under `key`.
+    fn of(level: &Level, manifest: &'m DetHashMap<u64, u64>, key: Key256) -> Self {
+        Self {
+            index_no: level.index_no,
+            key,
+            data_offset: level.data_offset,
+            len: manifest.len() as u64,
+            manifest,
+        }
+    }
 }
 
 /// Sweep of two occupied slot prefixes, one after the other — the level
@@ -492,15 +536,17 @@ struct Prefix {
 /// memory), then the receiving level's old contents — in ranged reads of
 /// [`IO_BATCH_BLOCKS`] blocks, fetched on demand into one batch buffer. A
 /// batch never spans the two prefixes; it is decrypted in the buffer it was
-/// read into and every item in it checked before the first is handed out,
-/// so a corrupt slot surfaces with the read that fetched it. Holds only
-/// device/codec references plus copied level parameters, so a level can
-/// stream its *old* contents (under the old epoch key) while
+/// read into and every item in it checked before the first is handed out —
+/// it must decode, and its id must be the one its level's old manifest
+/// places in the slot it was read from — so a corrupt or replayed slot
+/// surfaces with the read that fetched it. Holds only device/codec
+/// references, copied level parameters and the old manifests, so a level
+/// can stream its *old* contents (under the old epoch key) while
 /// [`Level::rebuild_with`] mutates the level state.
 struct LevelSweep<'a, D: ?Sized> {
     device: &'a D,
     codec: &'a BlockCodec,
-    prefixes: [Prefix; 2],
+    prefixes: [Prefix<'a>; 2],
     /// The prefix the current batch was read from, and the next slot of it
     /// to read.
     current: usize,
@@ -518,7 +564,7 @@ struct LevelSweep<'a, D: ?Sized> {
 type Swept<'b> = (bool, u64, &'b [u8]);
 
 impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
-    fn new(device: &'a D, codec: &'a BlockCodec, prefixes: [Prefix; 2]) -> Self {
+    fn new(device: &'a D, codec: &'a BlockCodec, prefixes: [Prefix<'a>; 2]) -> Self {
         let longest = prefixes[0].len.max(prefixes[1].len);
         Self {
             device,
@@ -543,16 +589,23 @@ impl<'a, D: BlockDevice + ?Sized> LevelSweep<'a, D> {
                 (self.current, self.next_slot) = (self.current + 1, 0);
             }
             let prefix = self.prefixes[self.current];
-            let batch = IO_BATCH_BLOCKS.min(prefix.len - self.next_slot);
+            let first = self.next_slot;
+            let batch = IO_BATCH_BLOCKS.min(prefix.len - first);
             let window = &mut self.buf[..batch as usize * bs];
             self.device
-                .read_blocks(prefix.data_offset + self.next_slot, window)?;
+                .read_blocks(prefix.data_offset + first, window)?;
             self.next_slot += batch;
             self.codec
                 .open_in_place(&prefix.key, window)
                 .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
-            for block in window.chunks_exact(bs) {
-                decode_item(&block[IV_SIZE..])?;
+            for (slot, block) in (first..).zip(window.chunks_exact(bs)) {
+                let (id, _) = decode_item(&block[IV_SIZE..])?;
+                if prefix.manifest.get(&id) != Some(&slot) {
+                    return Err(ObliviousError::Corrupt(format!(
+                        "slot {slot} of level {} holds id {id}, which the level does not place there",
+                        prefix.index_no
+                    )));
+                }
             }
             (self.loaded, self.taken) = (window.len(), 0);
         }
@@ -620,11 +673,9 @@ mod tests {
         device: &D,
         codec: &BlockCodec,
     ) -> Vec<(u64, Vec<u8>)> {
-        let nothing = Prefix {
-            len: 0,
-            ..level.prefix()
-        };
-        let mut sweep = LevelSweep::new(device, codec, [nothing, level.prefix()]);
+        let prefix = Prefix::of(level, &level.manifest, level.key);
+        let nothing = Prefix { len: 0, ..prefix };
+        let mut sweep = LevelSweep::new(device, codec, [nothing, prefix]);
         let mut items = Vec::new();
         while let Some((_, id, payload)) = sweep.next_item().unwrap() {
             items.push((id, payload.to_vec()));
@@ -1192,14 +1243,17 @@ mod tests {
         }
 
         /// Items pulled up to `PIPELINE_WIDTH` at a time — never past the
-        /// sorter's next run boundary — laid out in a group buffer, sealed
-        /// as a group, each copied out into a record of its own.
+        /// sorter's next run boundary nor past `count` — laid out in a group
+        /// buffer, sealed as a group, each copied out into a record of its
+        /// own. A pull once `count` items are out reads the items to their
+        /// end and yields an error if any is left.
         struct SealedRecords<'a, I> {
             items: I,
             codec: &'a BlockCodec,
             key: Key256,
             rng: &'a mut HashDrbg,
             run_len: usize,
+            count: usize,
             pulled: usize,
             group: Vec<u8>,
             ready: VecDeque<Result<Record, ObliviousError>>,
@@ -1210,7 +1264,20 @@ mod tests {
             fn fill(&mut self) {
                 let bs = self.codec.block_size();
                 let item_cap = Level::item_capacity(bs);
-                let want = PIPELINE_WIDTH.min(self.run_len - self.pulled % self.run_len);
+                let want = PIPELINE_WIDTH
+                    .min(self.run_len - self.pulled % self.run_len)
+                    .min(self.count - self.pulled);
+                if want == 0 {
+                    self.exhausted = true;
+                    match self.items.next() {
+                        Some(Ok((id, _))) => self.ready.push_back(Err(ObliviousError::Corrupt(
+                            format!("extra item {id} past the count"),
+                        ))),
+                        Some(Err(e)) => self.ready.push_back(Err(e)),
+                        None => {}
+                    }
+                    return;
+                }
                 let mut tags = [(0u64, 0u64); PIPELINE_WIDTH];
                 let mut n = 0;
                 let mut failure = None;
@@ -1262,12 +1329,15 @@ mod tests {
             }
         }
 
-        /// The external sort over owned records: chunks of `memory_records`
-        /// sorted in place, spilled through a staging buffer zero-filled for
-        /// every batch, merged from per-run queues of decoded records.
+        /// The external sort over the `count` owned records of `iter`:
+        /// chunks of `memory_records` sorted in place, spilled through a
+        /// staging buffer zero-filled for every batch — all but the last
+        /// chunk's final batch, kept as a queue of its own — merged from
+        /// per-run queues of decoded records.
         fn sort<S: BlockDevice>(
             sort_device: &S,
             memory_records: usize,
+            count: usize,
             mut iter: impl Iterator<Item = Result<Record, ObliviousError>>,
             mut output: impl FnMut(Record) -> Result<(), ObliviousError>,
         ) -> Result<MaintenanceIo, ObliviousError> {
@@ -1275,27 +1345,39 @@ mod tests {
             let bs = sort_device.block_size();
             let mut runs: Vec<(u64, u64)> = Vec::new();
             let mut next_free: u64 = 0;
-            let mut first_run: Option<Vec<Record>> = None;
+            let mut produced = 0;
             let mut staging: Vec<u8> = Vec::new();
-            loop {
-                let mut chunk: Vec<Record> = Vec::with_capacity(memory_records);
-                for record in iter.by_ref() {
+            let resident = loop {
+                let run = memory_records.min(count - produced);
+                let mut chunk: Vec<Record> = Vec::with_capacity(run);
+                for record in iter.by_ref().take(run) {
                     chunk.push(record?);
-                    if chunk.len() == memory_records {
-                        break;
-                    }
                 }
-                if chunk.is_empty() {
-                    break;
+                if chunk.len() < run {
+                    return Err(ObliviousError::Corrupt(format!(
+                        "sort input ended after {} of {count} records",
+                        produced + chunk.len()
+                    )));
+                }
+                produced += run;
+                let last = produced == count;
+                if last {
+                    assert!(iter.next().transpose()?.is_none());
                 }
                 chunk.sort_by_key(|r| (r.key, r.id));
-                let is_last_possible = chunk.len() < memory_records;
-                if runs.is_empty() && is_last_possible {
-                    first_run = Some(chunk);
-                    break;
+                if last && runs.is_empty() {
+                    for record in chunk {
+                        output(record)?;
+                    }
+                    return Ok(io);
                 }
+                let kept = if last {
+                    (run - 1) % IO_BATCH_BLOCKS as usize + 1
+                } else {
+                    0
+                };
                 let start = next_free;
-                let len = chunk.len() as u64;
+                let len = (run - kept) as u64;
                 if start + len > sort_device.num_blocks() {
                     return Err(ObliviousError::SortPartitionTooSmall {
                         required: start + len,
@@ -1321,20 +1403,13 @@ mod tests {
                 }
                 io.writes += len;
                 next_free += len;
-                runs.push((start, len));
-                if is_last_possible {
-                    break;
+                if len > 0 {
+                    runs.push((start, len));
                 }
-            }
-            if let Some(run) = first_run {
-                for record in run {
-                    output(record)?;
+                if last {
+                    break chunk.split_off(run - kept);
                 }
-                return Ok(io);
-            }
-            if runs.is_empty() {
-                return Ok(io);
-            }
+            };
 
             struct RunCursor {
                 next_block: u64,
@@ -1349,6 +1424,11 @@ mod tests {
                     remaining: len,
                     buffered: VecDeque::new(),
                 })
+                .chain([RunCursor {
+                    next_block: 0,
+                    remaining: 0,
+                    buffered: resident.into(),
+                }])
                 .collect();
             let read_batch = lookahead.min(IO_BATCH_BLOCKS);
             let mut buf = vec![0u8; read_batch as usize * bs];
@@ -1453,7 +1533,8 @@ mod tests {
                 .keys()
                 .filter(|id| !upper_ids.contains(id))
                 .count() as u64;
-            if upper_items.len() as u64 + kept_lower > level.capacity {
+            let count = upper_items.len() + kept_lower as usize;
+            if count as u64 > level.capacity {
                 return Err(ObliviousError::CapacityExhausted);
             }
             let old_len = level.manifest.len() as u64;
@@ -1487,6 +1568,7 @@ mod tests {
                 key: level.key,
                 rng,
                 run_len: memory_records,
+                count,
                 pulled: 0,
                 group: vec![0u8; PIPELINE_WIDTH * codec.block_size()],
                 ready: VecDeque::with_capacity(PIPELINE_WIDTH + 1),
@@ -1500,7 +1582,7 @@ mod tests {
             let mut wrote = false;
             let manifest = &mut level.manifest;
             let data_offset = level.data_offset;
-            let sorted = sort(sort_device, memory_records, records, |record| {
+            let sorted = sort(sort_device, memory_records, count, records, |record| {
                 staging.extend_from_slice(&record.payload);
                 manifest.insert(record.id, slot);
                 slot += 1;

@@ -599,6 +599,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_replayed_level_slot_fails_the_flush_that_sweeps_it() {
+        // Level items carry no MAC and bind no slot, so a block copied over
+        // another slot of the same level decodes cleanly. Merged as it
+        // reads, level 1 would come out one slot longer than its manifest,
+        // and the next cascade, sweeping only the manifest's prefix, would
+        // drop a bystander (id 6) the attacker never touched.
+        let store = new_store(4, 32);
+        for id in 0..4u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        let data_offset = {
+            let level = store.levels[0].read();
+            assert_eq!((level.manifest[&3], level.manifest[&0]), (0, 1));
+            level.data_offset
+        };
+        let mut block = vec![0u8; BLOCK];
+        store.device.read_block(data_offset, &mut block).unwrap();
+        store.device.write_block(data_offset + 1, &block).unwrap();
+
+        for id in 4..7u64 {
+            store.insert(id, payload(id)).unwrap();
+        }
+        assert_eq!(
+            store.insert(7, payload(7)),
+            Err(ObliviousError::Corrupt(
+                "slot 1 of level 1 holds id 3, which the level does not place there".to_string()
+            ))
+        );
+        assert!(store.membership_is_consistent());
+        assert_eq!(store.read(6).unwrap(), payload(6));
+    }
+
     /// The store is a cache with no on-disk state of its own: a start reads
     /// neither partition, so nothing a crash or an attacker left on them is
     /// ever trusted, and the first flush rewrites over it.

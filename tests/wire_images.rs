@@ -327,12 +327,25 @@ fn construction2_session_is_pinned() {
     );
 }
 
+/// The entries of a [`Watched`] log that the main partition (`L`) served.
+fn main_only(log: &[u8]) -> Vec<u8> {
+    log.chunks_exact(18)
+        .filter(|entry| entry[0] == b'L')
+        .flatten()
+        .copied()
+        .collect()
+}
+
 /// Level items and hash-index buckets on the main partition; spilled sort
 /// records on the sort partition; and the requests that put them there, as
 /// an observer of both partitions sees them. The store keeps no record of
-/// its own beside the levels. The four values were taken from the last build
+/// its own beside the levels. The main-partition image and the
+/// main-partition part of both request logs were taken from the last build
 /// that could persist a write-epoch record, with that record off, so no
-/// level, bucket or sort-record byte and no request moved when it went.
+/// level or bucket byte and no main-partition request moved when it went,
+/// nor when the sort stopped spilling its last batch. The sort image and
+/// the two whole logs were taken from the first build that kept that batch
+/// in memory.
 #[test]
 fn oblivious_store_images_are_pinned() {
     type Store = ObliviousStore<Watched, Watched>;
@@ -364,10 +377,14 @@ fn oblivious_store_images_are_pinned() {
     }
     assert!(store.stats().reorders > 0, "no flush ran");
     // Every flush cascade lies behind: the request sequence of the whole
-    // maintenance path.
+    // maintenance path, and the part of it the main partition serves.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "c3b151cb1164afdda2dc292c1e38abf195ff12649333fa33e81c2abca9abe44e"
+        "55c8e8adf4ce3b8a3bcdff59b01c670877ab5fa82aa47ffe39aa3d94f737ff76"
+    );
+    assert_eq!(
+        sha256_hex(&main_only(&log.lock().unwrap())),
+        "605a2bff2598b683d495445eab415c494964e6b6e43427660d967bdd644400bc"
     );
     for id in [0u64, 17, 39] {
         assert_eq!(store.read(id).unwrap(), content(200, id as u8));
@@ -378,7 +395,11 @@ fn oblivious_store_images_are_pinned() {
     // no draw.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "2957a09e810485ce1b88ac7f50a3142e4ebef4e435fe99045ac69a88f104856f"
+        "ad811f68f72d6f401c3eb88fd143222f1424c1a9f68c9e417158f7775c649d74"
+    );
+    assert_eq!(
+        sha256_hex(&main_only(&log.lock().unwrap())),
+        "492c58cdd53ae45be1f393329a817e5ff7a27c7058309198b6eb10cdd345cf5a"
     );
 
     assert_eq!(
@@ -390,6 +411,6 @@ fn oblivious_store_images_are_pinned() {
     assert_ne!(sort_image, image_sha256(&untouched), "no run was spilled");
     assert_eq!(
         sort_image,
-        "9995164993334bf4581e7efbc9cb659df4b366b2f5b1fda90e405cd5d3aa7d19"
+        "73697bfab51b531a41f7d4c604fa6ac466cd71ed41f356128f9a258da618c85a"
     );
 }
