@@ -166,7 +166,9 @@ impl<D: BlockDevice> ResilientStore<D> {
             map.set(b, BlockClass::Reserved);
         }
         // Claim the journal slots through the same uniform allocation as
-        // hidden data; the format-time random fill is a valid empty journal.
+        // hidden data; the format fill is a valid empty journal. A slot holds
+        // zeros sealed under the fill's one-time key, which the journal key
+        // opens to noise: no record magic, no valid HMAC, so no intent.
         // Two blocks per logical slot: consecutive pairs mirror each other,
         // so a lost slot block can no longer orphan an in-flight intent.
         let slots = fs.allocate_blocks(&map, 2 * cfg.journal_slots as u64)?;

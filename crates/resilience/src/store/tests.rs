@@ -66,6 +66,17 @@ fn wrong_master_cannot_open() {
 }
 
 #[test]
+fn a_freshly_formatted_volume_scans_an_empty_journal() {
+    // The slots hold nothing but the format fill; opening the volume reads
+    // every one of them and finds no intent.
+    let device = fresh_store().fs.into_device();
+    let reopened = ResilientStore::open(device, cfg(), &master(), 8).unwrap();
+    let report = reopened.last_recovery();
+    assert_eq!(report.intents_found, 0, "{report:?}");
+    assert!(reopened.paths().is_empty());
+}
+
+#[test]
 fn format_refuses_zero_journal_slots() {
     // There is no un-journaled write path: a volume without slots would
     // wait for one forever on its first create.

@@ -12,17 +12,23 @@
 //! map is the *agent's* knowledge, not the volume's (the volume must not
 //! record which blocks are live).
 
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+
 use parking_lot::Mutex;
 
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::HashDrbg;
+use stegfs_crypto::{Aes256, CbcCipher, HashDrbg};
 
 use crate::blockmap::BlockClass;
 use crate::codec::BlockCodec;
 use crate::error::FsError;
 use crate::fak::FileAccessKey;
 use crate::header::{FileHeader, FileKind, HeaderCaps};
-use crate::layout::{Superblock, DEFAULT_BLOCK_SIZE, SUPERBLOCK_BLOCK};
+use crate::layout::{Superblock, DEFAULT_BLOCK_SIZE, IV_SIZE, SUPERBLOCK_BLOCK};
 use crate::sharded_map::{ShardedBlockMap, DEFAULT_MAP_SHARDS};
 
 /// Probe positions tried when locating (or placing) a file's header.
@@ -33,10 +39,13 @@ const HEADER_PROBE_LIMIT: u32 = 64;
 pub struct StegFsConfig {
     /// Block size in bytes (must leave a 16-byte-aligned data field).
     pub block_size: usize,
-    /// Whether to physically fill abandoned blocks with random bytes at
-    /// format time. Filling is what a real deployment does (it is what makes
-    /// abandoned and live blocks indistinguishable); benchmarks that only
-    /// care about I/O timing can skip it to keep volume set-up fast.
+    /// Whether to seal every payload block at format time, under a one-time
+    /// key nobody keeps, so that abandoned blocks read as ciphertext exactly
+    /// like hidden ones. A real deployment fills: a block the format left
+    /// as the device had it (zeros on a fresh [`MemDevice`]) is one no file
+    /// has ever written, and an image shows it.
+    ///
+    /// [`MemDevice`]: stegfs_blockdev::MemDevice
     pub fill_on_format: bool,
 }
 
@@ -50,8 +59,9 @@ impl Default for StegFsConfig {
 }
 
 impl StegFsConfig {
-    /// A configuration that skips the random fill at format time; used by the
-    /// benchmark harness where volumes are large and only timing matters.
+    /// A configuration that skips the format fill. Never-written blocks then
+    /// stand out from hidden ones in an image, so this is for set-ups that
+    /// measure or count I/O and never show the image to an attacker.
     pub fn without_fill(mut self) -> Self {
         self.fill_on_format = false;
         self
@@ -162,15 +172,8 @@ impl<D: BlockDevice> StegFs<D> {
 
         let codec = BlockCodec::new(block_size);
         if cfg.fill_on_format {
-            // Abandon every payload block: fill with random bytes so that
-            // nothing distinguishes them from future encrypted data blocks.
-            let mut fill = stegfs_crypto::HashDrbg::new(&seed.to_le_bytes());
-            let mut fast = FastFill::new(&mut fill);
-            let mut buf = vec![0u8; block_size];
-            for b in 1..num_blocks {
-                fast.fill(&mut buf);
-                device.write_block(b, &buf)?;
-            }
+            let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            seal_fill(&device, seed, workers)?;
         }
 
         let fs = Self {
@@ -698,48 +701,139 @@ enum ContentInit<'a> {
     Skip,
 }
 
-/// Fast non-cryptographic fill used only for bulk-formatting abandoned
-/// blocks. Seeded from the volume's DRBG; statistical randomness is all that
-/// matters here (the blocks carry no information), and the DRBG itself would
-/// make formatting gigabyte-scale simulated volumes needlessly slow.
-struct FastFill {
-    state: [u64; 4],
+/// Bytes of payload sealed as one unit of the format fill: one claim, one
+/// buffer and one ranged write.
+const FILL_CHUNK_BYTES: usize = 256 * 1024;
+
+/// Abandon every payload block of a fresh volume: block `b` becomes the CBC
+/// encryption under `k` of one block of zeros with the counter `b` as IV.
+/// Its first 16 bytes, `AES_k(b)`, read as the IV and the rest as
+/// `CBC_k(0…0)` under that IV, so it is shaped like a sealed block under a
+/// key nobody holds. `k` is drawn from the fill stream (the little-endian
+/// seed; the volume DRBG draws from the big-endian one), expanded here rather
+/// than in a codec's schedule cache, and wiped when the fill returns. Without
+/// `k` the fill is AES output: no part of it predicts another, so a snapshot
+/// cannot tell a block no file ever wrote from a hidden one.
+///
+/// `workers` threads seal: the calling thread and `workers - 1` scoped ones.
+/// Chunks of [`FILL_CHUNK_BYTES`] are claimed in ascending order by whoever
+/// is free, and the calling thread writes them in that order, one ranged
+/// write each. Until the chunk it needs next is sealed it takes in what the
+/// workers sealed and seals the first unclaimed chunk itself, so with one
+/// worker the fill is a plain loop. A block's bytes depend on `k` and `b`
+/// alone and the chunk bounds on the geometry alone, so the image and the
+/// request stream are the same for any worker count. No chunk is claimed
+/// `2 · workers` or more past the last one written, which bounds the fill's
+/// memory whatever the volume's size.
+fn seal_fill<D: BlockDevice>(device: &D, seed: u64, workers: usize) -> Result<(), FsError> {
+    let (block_size, num_blocks) = (device.block_size(), device.num_blocks());
+    let mut key = [0u8; 32];
+    HashDrbg::new(&seed.to_le_bytes()).fill_bytes(&mut key);
+    let cbc = CbcCipher::new(Aes256::new(&key));
+    key.fill(0);
+    std::hint::black_box(&key);
+
+    let per_chunk = (FILL_CHUNK_BYTES / block_size).max(1) as u64;
+    let chunks = (num_blocks - 1).div_ceil(per_chunk) as usize;
+    let start_of = |chunk: usize| 1 + chunk as u64 * per_chunk;
+    // Written chunks' buffers, for the next seal: with a fresh buffer per
+    // chunk, freed on another thread, 1 MiB chunks sealed two to three
+    // times slower.
+    let spare = Mutex::new(Vec::new());
+    let seal = |chunk: usize| {
+        let start = start_of(chunk);
+        let end = (start + per_chunk).min(num_blocks);
+        let mut run: Vec<u8> = spare.lock().pop().unwrap_or_default();
+        run.clear();
+        run.resize((end - start) as usize * block_size, 0);
+        let ivs: Vec<[u8; IV_SIZE]> = (start..end)
+            .map(|b| {
+                let mut iv = [0u8; IV_SIZE];
+                iv[..8].copy_from_slice(&b.to_le_bytes());
+                iv
+            })
+            .collect();
+        let mut lanes: Vec<&mut [u8]> = run.chunks_exact_mut(block_size).collect();
+        cbc.encrypt_many_in_place(&ivs, &mut lanes)?;
+        Ok(run)
+    };
+
+    // A sealer with nothing to claim polls and yields rather than sleeping:
+    // the fill is over in tens of milliseconds, and on a virtual machine
+    // waking a halted core costs about as much as sealing a chunk.
+    let workers = workers.clamp(1, chunks);
+    let window = 2 * workers;
+    // Sealed chunks travel through the channel; the atomics publish no other
+    // data, and their Release stores and Acquire loads order them only
+    // among themselves.
+    let (next, written) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+    let stopped = &AtomicBool::new(false);
+    // The first chunk nobody has claimed, now claimed; `None` while every
+    // chunk is claimed or the window past the last write is full.
+    let try_claim = || {
+        let mut chunk = next.load(Ordering::Acquire);
+        while chunk < chunks.min(written.load(Ordering::Acquire) + window) {
+            match next.compare_exchange_weak(chunk, chunk + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Some(chunk),
+                Err(now) => chunk = now,
+            }
+        }
+        None
+    };
+    let (sealed_tx, sealed) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            let (sealed_tx, try_claim, seal) = (sealed_tx.clone(), &try_claim, &seal);
+            scope.spawn(move || {
+                while !stopped.load(Ordering::Acquire) && next.load(Ordering::Acquire) < chunks {
+                    let Some(chunk) = try_claim() else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    // A lost chunk would leave the writer polling for it.
+                    let run = catch_unwind(AssertUnwindSafe(|| seal(chunk))).unwrap_or_else(|_| {
+                        Err(FsError::Cipher("a format fill worker panicked".into()))
+                    });
+                    if sealed_tx.send((chunk, run)).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        // Whatever way the writer leaves, no worker claims another chunk.
+        let _stop = StopOnDrop(stopped);
+        let mut early = BTreeMap::new();
+        for chunk in 0..chunks {
+            // Until `chunk` is sealed, take in what the workers sealed and
+            // seal the next unclaimed chunk here rather than wait.
+            let run = loop {
+                if let Some(run) = early.remove(&chunk) {
+                    break run;
+                }
+                if let Ok((other, run)) = sealed.try_recv() {
+                    early.insert(other, run);
+                } else if let Some(other) = try_claim() {
+                    early.insert(other, seal(other));
+                } else {
+                    std::thread::yield_now();
+                }
+            };
+            let run = run?;
+            device.write_blocks(start_of(chunk), &run)?;
+            written.store(chunk + 1, Ordering::Release);
+            spare.lock().push(run);
+        }
+        Ok(())
+    })
 }
 
-impl FastFill {
-    fn new(seed_source: &mut HashDrbg) -> Self {
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            *s = seed_source.next_u64() | 1;
-        }
-        Self { state }
-    }
+/// Raises its flag when dropped, on return, error or panic alike.
+struct StopOnDrop<'a>(&'a AtomicBool);
 
-    fn next(&mut self) -> u64 {
-        // xoshiro256** step.
-        let result = self.state[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.state[1] << 17;
-        self.state[2] ^= self.state[0];
-        self.state[3] ^= self.state[1];
-        self.state[1] ^= self.state[2];
-        self.state[0] ^= self.state[3];
-        self.state[2] ^= t;
-        self.state[3] = self.state[3].rotate_left(45);
-        result
-    }
-
-    fn fill(&mut self, buf: &mut [u8]) {
-        // Whole words first: a fixed-length copy is a single store, where a
-        // `chunk.len()`-long one is a `memcpy` call per word.
-        let mut words = buf.chunks_exact_mut(8);
-        for word in &mut words {
-            word.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let tail = words.into_remainder();
-        if !tail.is_empty() {
-            let v = self.next().to_le_bytes();
-            tail.copy_from_slice(&v[..tail.len()]);
-        }
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -766,19 +860,63 @@ mod tests {
         assert!(blk.iter().any(|&b| b != 0));
     }
 
+    /// The image a fill with `workers` workers leaves on a volume of
+    /// `blocks` 512-byte blocks, and the request stream it sent: kind, first
+    /// block and length of every request.
+    fn fill_with(blocks: u64, workers: usize) -> (Vec<u8>, Vec<(IoKind, BlockId, u64)>) {
+        let log = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let device = Layered::with_hook(MemDevice::new(blocks, 512), {
+            let log = log.clone();
+            move |_: &MemDevice, io: Io| {
+                log.lock().push((io.kind, io.start, io.blocks));
+                Ok(())
+            }
+        });
+        seal_fill(&device, 7, workers).unwrap();
+        let mut image = vec![0u8; blocks as usize * 512];
+        device.inner().read_blocks(0, &mut image).unwrap();
+        let requests = log.lock().clone();
+        (image, requests)
+    }
+
     #[test]
-    fn fast_fill_is_one_word_per_eight_bytes_and_a_cut_last_word() {
-        // The fill is the generator's words laid end to end, the last one
-        // cut to fit: buffers that are and are not whole words.
-        for len in [0usize, 1, 7, 8, 9, 64, 515] {
-            let mut words = FastFill::new(&mut HashDrbg::from_u64(9));
-            let expected: Vec<u8> = (0..len.div_ceil(8))
-                .flat_map(|_| words.next().to_le_bytes())
-                .take(len)
-                .collect();
-            let mut buf = vec![0xEEu8; len];
-            FastFill::new(&mut HashDrbg::from_u64(9)).fill(&mut buf);
-            assert_eq!(buf, expected, "{len} bytes");
+    fn the_fill_is_the_same_for_any_worker_count() {
+        // Four whole chunks and a short fifth: one chunk per worker at five
+        // workers, an uneven deal at two.
+        let per_chunk = (FILL_CHUNK_BYTES / 512) as u64;
+        let blocks = 1 + 4 * per_chunk + 100;
+        let (image, requests) = fill_with(blocks, 1);
+        for workers in [2, 5] {
+            let (other, other_requests) = fill_with(blocks, workers);
+            assert!(other == image, "{workers} workers wrote other bytes");
+            assert_eq!(other_requests, requests, "{workers} workers");
+        }
+
+        // One ascending stream of ranged writes over every payload block.
+        let expected: Vec<_> = (0..5)
+            .map(|c| {
+                (
+                    IoKind::Write,
+                    1 + c * per_chunk,
+                    per_chunk.min(blocks - 1 - c * per_chunk),
+                )
+            })
+            .collect();
+        assert_eq!(requests, expected);
+        // The superblock's place is untouched; every payload block is one
+        // block of zeros CBC-sealed under the fill key, its counter as IV.
+        assert!(image[..512].iter().all(|&b| b == 0));
+        let mut key = [0u8; 32];
+        HashDrbg::new(&7u64.to_le_bytes()).fill_bytes(&mut key);
+        let cbc = CbcCipher::new(Aes256::new(&key));
+        for (b, block) in image.chunks_exact(512).enumerate().skip(1) {
+            let mut counter = [0u8; IV_SIZE];
+            counter[..8].copy_from_slice(&(b as u64).to_le_bytes());
+            assert_eq!(
+                cbc.decrypt(&counter, block).unwrap(),
+                [0u8; 512],
+                "block {b}"
+            );
         }
     }
 

@@ -7,6 +7,14 @@
 //! and the DRBG is consumed in the same order. The oblivious store's request
 //! sequence on both of its partitions is pinned the same way, and so are a
 //! session of each StegHide construction.
+//!
+//! Every volume formatted through `StegFs::format` carries the format fill,
+//! so its pins were taken again from the first build that sealed the fill
+//! (zeros under a one-time key, written as ranged requests) instead of
+//! drawing it from a linear generator one block at a time. The two builds
+//! agree on the two logged agent sessions everywhere else: every request
+//! after the fill is the same, and a block differs only where no request
+//! after the format wrote it or where a dummy update resealed fill bytes.
 
 use std::sync::{Arc, Mutex};
 
@@ -97,23 +105,22 @@ fn durable_volume() -> (Arc<MemDevice>, ResilientStore<Arc<MemDevice>>) {
     (device, store)
 }
 
-/// The hash the build before the hidden-directory format was deleted gave
-/// for this script with the directory's lines taken out (with them it gave
-/// 0b4edb…efa5, the hash of the build before the registry became an ordinary
-/// hidden file): nothing the script still writes moved.
+/// The hash the first build with the sealed format fill gave (the build
+/// before it gave 7e5453…f728, as did the build before the hidden-directory
+/// format was deleted, for this script with the directory's lines taken
+/// out).
 #[test]
 fn durable_volume_image_is_pinned() {
     let (device, _store) = durable_volume();
     assert_eq!(
         image_sha256(&device),
-        "7e5453ac84626aa37d228c13a9e0221e71d161aeb012940a2e4938352a03f728"
+        "f71a6cfd0795c906fa23eb119446835eef466369b00fd43f3b380f6f51c8cad2"
     );
 }
 
 /// [`durable_volume`] plus a registry: a hidden file of zeroed one-block
 /// shards, then records checkpointed into it through the write plan. Pinned
-/// the same way: the hash the build before the hidden-directory format was
-/// deleted gave without the directory's lines (757acf…a21d with them).
+/// the same way (62f05d…4570 before the sealed fill).
 #[test]
 fn registry_volume_image_is_pinned() {
     let (device, store) = durable_volume();
@@ -126,15 +133,16 @@ fn registry_volume_image_is_pinned() {
     registry.checkpoint().unwrap();
     assert_eq!(
         image_sha256(&device),
-        "62f05dc6f50c4c382017593f521afe0e74d3a1deaf5c07fbad6e7d2d410c4570"
+        "3a4fc7832b002ad820220052fc3ab3a4e80364a9cf138c000dd562a36059be3a"
     );
 }
 
 /// A bare substrate volume through two files' lives: a data file created
 /// and a dummy file created with random content, then both deleted — the
 /// random fill of a dummy file's content and the refill of every released
-/// block, drawn from the volume DRBG. The hash is the one the build before
-/// both fills went through `StegFs::randomize_block` gave.
+/// block, drawn from the volume DRBG. Pinned the same way (1585966…db19
+/// before the sealed fill, as in the build before both fills went through
+/// `StegFs::randomize_block`).
 #[test]
 fn substrate_file_lifecycle_image_is_pinned() {
     let device = Arc::new(MemDevice::new(512, 512));
@@ -150,7 +158,7 @@ fn substrate_file_lifecycle_image_is_pinned() {
     fs.delete_file(&map, dummy).unwrap();
     assert_eq!(
         image_sha256(&device),
-        "158596697620597cde5ff6597376127d7e8fb3bdb39e82e6072061637eb1db19"
+        "4a0d6e11759aaee18eb9ece2fb3ad25e4a8e446a913ed82db1214f786efc8b7c"
     );
 }
 
@@ -165,12 +173,34 @@ fn watched_device(blocks: u64) -> (Arc<MemDevice>, Watched) {
     (device, watched)
 }
 
+/// A bare substrate volume straight after `format`: the superblock, the
+/// format fill (every payload block zeros sealed under a one-time key) and
+/// the requests that wrote them, one ranged write per fill chunk in
+/// ascending order, the last chunk short. The fill depends on the seed and
+/// the geometry alone — not on how many workers sealed it, nor on the cipher
+/// backend — so both pins hold on every machine and every backend.
+#[test]
+fn substrate_format_image_is_pinned() {
+    let (device, watched) = watched_device(1500);
+    let log = Arc::clone(&watched.log);
+    StegFs::format(watched, StegFsConfig::default().with_block_size(512), 48).unwrap();
+    assert_eq!(
+        image_sha256(&device),
+        "233f2c91d0478bef427ac384e8f9e5100bae02bf7c929e6bff6e500c1c6acb60"
+    );
+    assert_eq!(
+        sha256_hex(&log.lock().unwrap()),
+        "c670423785e1073c52dad8d9b963b99b328bd46bc643c0ef8f0519a2a4325681"
+    );
+}
+
 /// One Construction 1 agent from format to file deletion, with no restart:
 /// files created, a file closed and opened again (the construction's
 /// login), relocating updates interleaved with dummy batches, a range
-/// update, a file created mid-session, then flush, close and delete. The
-/// image and the request sequence are the build's before the agent's
-/// per-file and per-block state moved into one registry.
+/// update, a file created mid-session, then flush, close and delete. Pinned
+/// the same way: before the sealed fill the image was bb9d0b…657e and the
+/// request sequence 1f2c59…bdbb, as in the build before the agent's per-file
+/// and per-block state moved into one registry.
 #[test]
 fn construction1_session_is_pinned() {
     let (device, watched) = watched_device(512);
@@ -218,11 +248,11 @@ fn construction1_session_is_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "bb9d0b9844684927366c87239f513967086789f34e4ffbbdbbc099b3faa3657e"
+        "949ee4487448c6cbde2be1a3a90b9b0e6bdbe3527b5c4ed1b020c05760393af5"
     );
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "1f2c5907503b0fe1ded097036b3625d5a397610ce19d3e520e431dc98b13bdbb"
+        "cd67fe578fc219be28144b267d2381c2317bc2baa9a548027a697438355d0599"
     );
 }
 
@@ -231,7 +261,8 @@ fn construction1_session_is_pinned() {
 /// with zero knowledge, both users logged in, relocating updates (each a
 /// swap with a disclosed dummy file's block) interleaved with dummy batches,
 /// a file created from the disclosed dummy files' blocks, then both logouts.
-/// Pinned the same way as [`construction1_session_is_pinned`].
+/// Pinned the same way as [`construction1_session_is_pinned`] (4e808c…4d1b
+/// and a300aa…292f before the sealed fill).
 #[test]
 fn construction2_session_is_pinned() {
     let (device, watched) = watched_device(1024);
@@ -319,11 +350,11 @@ fn construction2_session_is_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "4e808c024c3dae92dc02b0bd6a0cba5224c2eddfdb492c07095517577a1a4d1b"
+        "5607a0ef88247d123f11d94577aa9707b47e376ba659c60200a4c447ae7d91f8"
     );
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "a300aa5405a0314a78c07cb9298c99fb7e5667d04f144fde291521b3db43292f"
+        "8f46547877d61f9526e1e8f962522aa7201cd00ee3184ab93972cfcc33456027"
     );
 }
 

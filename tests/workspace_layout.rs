@@ -275,7 +275,7 @@ fn byte_order_and_bounds_live_in_the_wire_layer_only() {
         ("crates/stegfs/src/wire.rs", "the wire layer itself"),
         (
             "crates/stegfs/src/fs.rs",
-            "format-time DRBG seed and fill generator",
+            "format-time DRBG seed and fill counter",
         ),
         (
             "crates/resilience/src/stripe.rs",
