@@ -8,17 +8,15 @@
 //! sequence of first-time fetches, interleaved with dummy reads, looks like a
 //! uniformly random process to an observer of the partition.
 //!
-//! Like the store it fronts, the read front takes `&self` everywhere: the
-//! fetch bookkeeping (the set `S` of Figure 8(a)) lives behind a `RwLock`,
-//! the draw DRBG behind a `Mutex`, and the counters are relaxed atomics.
-//! Lock order: fetch state → DRBG → store locks (a guard on the fetch state
-//! may be held while calling into the store, never the reverse).
+//! Like the store it fronts, the read front serves one call at a time behind
+//! one lock, which holds the fetched set `S` of Figure 8(a) and the draw
+//! DRBG; the counters sit outside it. A call that reaches the store
+//! takes the store's lock inside the front's, never the reverse.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HashDrbg;
 
-use crate::det::DetHashSet;
 use crate::error::ObliviousError;
 use crate::store::ObliviousStore;
 
@@ -39,12 +37,12 @@ stegfs_blockdev::counters! {
     }
 }
 
-/// The already-fetched set `S` of Figure 8(a): insertion-ordered for decoy
-/// sampling, hashed for membership checks.
-#[derive(Default)]
+/// What the front's lock guards: the already-fetched set `S` of Figure 8(a),
+/// in insertion order for decoy sampling, and the draw DRBG. Every block in
+/// `S` is in the store, which never drops an item.
 struct FetchState {
     fetched: Vec<BlockId>,
-    fetched_set: DetHashSet<BlockId>,
+    rng: HashDrbg,
 }
 
 /// The oblivious read front (Figure 8(a)) combining a StegFS partition device
@@ -52,8 +50,7 @@ struct FetchState {
 pub struct ObliviousReadFront<P, D, S> {
     steg_partition: P,
     store: ObliviousStore<D, S>,
-    state: RwLock<FetchState>,
-    rng: Mutex<HashDrbg>,
+    state: Mutex<FetchState>,
     stats: SharedFrontStats,
 }
 
@@ -68,8 +65,10 @@ where
         Self {
             steg_partition,
             store,
-            state: RwLock::new(FetchState::default()),
-            rng: Mutex::new(HashDrbg::new(&seed.to_be_bytes())),
+            state: Mutex::new(FetchState {
+                fetched: Vec::new(),
+                rng: HashDrbg::new(&seed.to_be_bytes()),
+            }),
             stats: SharedFrontStats::default(),
         }
     }
@@ -105,75 +104,42 @@ where
     /// and re-draw. Only when the draw falls outside `S` is the wanted block
     /// actually copied into the cache — so the partition sees reads whose
     /// positions are uniform and independent of the request stream.
+    ///
+    /// A miss the full store could not take fails with
+    /// [`ObliviousError::CapacityExhausted`] before any draw, partition read
+    /// or count, so `S`, the DRBG and the stats are as they were.
     pub fn read_block(&self, block: BlockId) -> Result<Vec<u8>, ObliviousError> {
-        self.stats.reads_served.inc();
+        let mut state = self.state.lock();
         if self.store.contains(block) {
+            self.stats.reads_served.inc();
             self.stats.cache_hits.inc();
             return self.store.read(block);
         }
-
-        let m = self.steg_partition.num_blocks();
-        loop {
-            // Draw under one DRBG lock with the fetch state held shared, so
-            // the draw is compared against the same `|S|` a decoy would be
-            // sampled from; the partition wait happens outside both locks.
-            let decoy: Option<BlockId> = {
-                let state = self.state.read();
-                // A racing thread may have fetched `block` after the
-                // cache-hit check above. Without this re-check the loop
-                // livelocks once every partition block is in `S` (each draw
-                // then lands inside `S`, so the genuine-fetch branch — the
-                // only other exit — is never taken). The winner inserts into
-                // the store before releasing the state write lock, so
-                // membership here guarantees the cached copy is in place.
-                if state.fetched_set.contains(&block) {
-                    drop(state);
-                    self.stats.cache_hits.inc();
-                    return self.store.read(block);
-                }
-                let mut rng = self.rng.lock();
-                let x = rng.gen_range(m);
-                if x < state.fetched.len() as u64 {
-                    let idx = rng.gen_range(state.fetched.len() as u64) as usize;
-                    Some(state.fetched[idx])
-                } else {
-                    None
-                }
-            };
-            if let Some(decoy) = decoy {
-                let _ = self.read_steg_raw(decoy)?;
-                self.stats.steg_dummy_reads.inc();
-                continue;
-            }
-
-            // Genuine fetch. The racing-fetch check runs under the state
-            // write lock, and the winner inserts into the store while still
-            // holding it — so a loser that observes `block ∈ S` knows the
-            // cache copy is already in place.
-            let raw = self.read_steg_raw(block)?;
-            let mut state = self.state.write();
-            if state.fetched_set.contains(&block) {
-                // Another thread fetched it first; our partition read was
-                // indistinguishable from a decoy, and the cached copy (which
-                // may be fresher than our raw bytes) is authoritative.
-                drop(state);
-                self.stats.steg_dummy_reads.inc();
-                return self.store.read(block);
-            }
-            self.stats.steg_fetches.inc();
-            state.fetched.push(block);
-            state.fetched_set.insert(block);
-            self.store.insert(block, raw.clone())?;
-            return Ok(raw);
+        if self.store.len() >= self.store.config().last_level_blocks as usize {
+            return Err(ObliviousError::CapacityExhausted);
         }
+        self.stats.reads_served.inc();
+
+        let FetchState { fetched, rng } = &mut *state;
+        let m = self.steg_partition.num_blocks();
+        while rng.gen_range(m) < fetched.len() as u64 {
+            let decoy = fetched[rng.gen_range(fetched.len() as u64) as usize];
+            self.read_steg_raw(decoy)?;
+            self.stats.steg_dummy_reads.inc();
+        }
+        let raw = self.read_steg_raw(block)?;
+        self.store.insert(block, raw.clone())?;
+        self.stats.steg_fetches.inc();
+        fetched.push(block);
+        Ok(raw)
     }
 
     /// Issue one dummy read against the StegFS partition ("dummy reads are
     /// also mixed in to conceal the real reads", Section 5.1.1).
     pub fn dummy_read(&self) -> Result<(), ObliviousError> {
-        let m = self.steg_partition.num_blocks();
-        let block = self.rng.lock().gen_range(m);
-        let _ = self.read_steg_raw(block)?;
+        let mut state = self.state.lock();
+        let block = state.rng.gen_range(self.steg_partition.num_blocks());
+        self.read_steg_raw(block)?;
         self.stats.steg_dummy_reads.inc();
         Ok(())
     }
@@ -182,15 +148,14 @@ where
     /// responsible for also updating the StegFS partition through the
     /// update-hiding agent, Section 5.1.2).
     pub fn write_back(&self, block: BlockId, raw: Vec<u8>) -> Result<(), ObliviousError> {
-        let mut state = self.state.write();
-        if self.store.contains(block) || state.fetched_set.contains(&block) {
-            self.store.write(block, raw)
-        } else {
+        let mut state = self.state.lock();
+        let first = !self.store.contains(block);
+        self.store.insert(block, raw)?;
+        if first {
             self.stats.steg_fetches.inc();
             state.fetched.push(block);
-            state.fetched_set.insert(block);
-            self.store.insert(block, raw)
         }
+        Ok(())
     }
 }
 
@@ -204,9 +169,13 @@ mod tests {
 
     const STEG_BLOCK: usize = 512;
 
-    fn new_front(
-        steg_blocks: u64,
-    ) -> ObliviousReadFront<TracingDevice<MemDevice>, MemDevice, MemDevice> {
+    type Front = ObliviousReadFront<TracingDevice<MemDevice>, MemDevice, MemDevice>;
+
+    fn new_front(steg_blocks: u64) -> Front {
+        front_over(steg_blocks, ObliviousConfig::new(4, steg_blocks.max(8)))
+    }
+
+    fn front_over(steg_blocks: u64, cfg: ObliviousConfig) -> Front {
         let steg = MemDevice::new(steg_blocks, STEG_BLOCK);
         for b in 0..steg_blocks {
             steg.fill_block(b, (b % 251) as u8).unwrap();
@@ -214,7 +183,6 @@ mod tests {
         let steg = TracingDevice::new(steg);
 
         let store_block = ObliviousStore::<MemDevice, MemDevice>::block_size_for_item(STEG_BLOCK);
-        let cfg = ObliviousConfig::new(4, steg_blocks.max(8));
         let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, store_block);
         let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
         let store = ObliviousStore::new(
@@ -278,6 +246,45 @@ mod tests {
             seen.insert(record.block);
         }
         assert_eq!(seen, wanted);
+    }
+
+    /// Regression: a miss the full store could not take used to put its
+    /// block into `S` first, so a retry reported a cache hit and then
+    /// `NotCached`. It is refused before any partition read, DRBG draw or
+    /// count, however often it is retried.
+    #[test]
+    fn a_miss_on_a_full_store_is_refused_before_any_partition_read() {
+        let front = front_over(16, ObliviousConfig::new(2, 8));
+        let twin = front_over(16, ObliviousConfig::new(2, 8));
+        for b in 0..8u64 {
+            front.read_block(b).unwrap();
+            twin.read_block(b).unwrap();
+        }
+        let (stats, requests) = (front.stats(), front.steg_partition().log().len());
+        for _ in 0..3 {
+            assert_eq!(front.read_block(8), Err(ObliviousError::CapacityExhausted));
+        }
+        assert_eq!(front.stats(), stats);
+        assert_eq!(front.steg_partition().log().len(), requests);
+        assert_eq!(
+            front.read_block(5).unwrap()[0],
+            5,
+            "cached blocks still served"
+        );
+
+        // The DRBG drew nothing: the next draws match a twin that never
+        // asked for block 8.
+        twin.read_block(5).unwrap();
+        for f in [&front, &twin] {
+            f.steg_partition().log().clear();
+            for _ in 0..8 {
+                f.dummy_read().unwrap();
+            }
+        }
+        assert_eq!(
+            front.steg_partition().log().records(),
+            twin.steg_partition().log().records()
+        );
     }
 
     #[test]

@@ -32,14 +32,14 @@
 //!
 //! Three implementation properties matter for the reproduction:
 //!
-//! * **concurrent readers** — every store and front method takes `&self`:
-//!   the front buffer, membership set and each hierarchy level sit behind
-//!   their own `RwLock`, counters are relaxed atomics, and structural
-//!   flush/dump cascades write-lock only the levels they restructure. A
+//! * **one call at a time** — every store and front method takes `&self`,
+//!   so threads can share them, but each object keeps its state behind one
+//!   lock held for the whole call, as the sequential hierarchy of Goldreich
+//!   & Ostrovsky has it: a read is one scan, a flush one cascade, and
+//!   nothing runs in between. Counters are relaxed atomics. A
 //!   single-threaded caller sees bit-for-bit the sequential behaviour; at N
 //!   threads the store is value-deterministic (every id reads back its last
-//!   write) while trace order depends on scheduling;
-//!
+//!   write) while the order of the calls depends on scheduling;
 //! * **batched maintenance I/O** — level sweeps, the external sort's run
 //!   spills/refills and index rebuilds move data through the ranged
 //!   `read_blocks`/`write_blocks` device operations, so on the simulated
@@ -70,7 +70,7 @@ pub use det::{DetHashMap, DetHashSet, DetHasher};
 pub use error::ObliviousError;
 pub use extsort::{ExternalSorter, SortRecord};
 pub use front::{FrontStats, ObliviousReadFront};
-pub use stats::{ObliviousStats, SharedObliviousStats};
+pub use stats::ObliviousStats;
 pub use store::ObliviousStore;
 /// The per-item codecs, for the hostile-input suite
 /// (`tests/hostile_decoders.rs`) only.

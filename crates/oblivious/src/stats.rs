@@ -9,9 +9,8 @@ stegfs_blockdev::counters! {
     /// 12(b) of the paper reports. Simulated time, when a clock is attached,
     /// is attributed the same way.
     pub struct ObliviousStats,
-    /// The decomposed store's live counters: the `&self` read path bumps
-    /// them without any lock.
-    pub struct SharedObliviousStats {
+    /// The store's live counters, bumped and read without its lock.
+    pub(crate) struct SharedObliviousStats {
         /// Reads served by the store (buffer hits included).
         reads_served,
         /// Reads satisfied straight from the in-memory buffer.

@@ -1,35 +1,17 @@
-//! The oblivious storage proper: Figure 8(b), decomposed for concurrent
-//! readers.
+//! The oblivious storage proper: Figure 8(b).
 //!
-//! The store is split into a **shared read side** and a **structural write
-//! side** so that the serving layer can point many threads at one
-//! `&ObliviousStore`:
-//!
-//! * the read side (`read`, `contains`, `stats`, audits) takes `&self`: the
-//!   front buffer and the membership set sit behind `RwLock`s, each hierarchy
-//!   level behind its own `RwLock`, and the counters are relaxed atomics
-//!   ([`SharedObliviousStats`]) — a read probes every level's index and then
-//!   every level's data, holding at most one level lock at a time, shared
-//!   with every other reader touching that level, and rescans if the level
-//!   it found the id in was rebuilt between its two probes (the level's
-//!   epoch moved);
-//! * the structural side (buffer flushes and the cascading `dump` of Figure
-//!   8(b)) acquires the front-buffer write lock plus write locks on exactly
-//!   the levels it restructures, so concurrent reads on untouched levels
-//!   proceed while a flush rewrites the deep hierarchy.
-//!
-//! Lock order (documented in the README's Concurrency section): membership →
-//! front buffer → level locks in ascending level order → DRBG. Readers take a
-//! single level lock at a time and never acquire one while holding the DRBG;
-//! structural passes acquire all their level write locks before touching the
-//! DRBG, so the order is total and deadlock-free. The [`write
-//! epoch`](ObliviousStore::write_epoch) is bumped entering and leaving every
-//! structural pass (odd while one is in flight) — the observable guard that
-//! flushes never interleave with each other.
+//! Goldreich and Ostrovsky's hierarchy is sequential: every access is one
+//! whole scan, every `dump` one whole rebuild. The store keeps it that way.
+//! The front buffer, the membership set, the levels, the DRBG and the count
+//! of structural passes sit behind one lock, and every public call holds it
+//! from start to end. So a read is one scan whatever the scheduling: no
+//! flush can rebuild a level between its index probe and its data probe, and
+//! no write can slip in between the scan and the re-buffering of what it
+//! found. Every method still takes `&self`, so the serving layer can share
+//! one store across threads; the counters are read and bumped without the
+//! lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::Mutex;
 use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{sim::SimClock, BlockDevice};
 use stegfs_crypto::{HashDrbg, Key256, AES_BLOCK_SIZE};
@@ -49,6 +31,16 @@ struct FrontBuffer {
     index: DetHashMap<u64, usize>,
 }
 
+/// Everything a call reads or changes, behind the store's one lock.
+struct State {
+    front: FrontBuffer,
+    membership: DetHashSet<u64>,
+    levels: Vec<Level>,
+    rng: HashDrbg,
+    /// Structural passes (buffer flushes with their cascades) started.
+    passes: u64,
+}
+
 /// The hierarchical oblivious store of Section 5.
 ///
 /// `D` is the device holding the level hierarchy (the "oblivious partition");
@@ -56,27 +48,20 @@ struct FrontBuffer {
 /// re-ordering. Both are typically wrappers around the same simulated disk in
 /// the benchmark harness.
 ///
-/// Every method takes `&self`; the store is `Sync` and is shared across the
-/// serving layer's worker threads by reference. A single-threaded caller
-/// observes exactly the sequential semantics (every run consumes the DRBG
-/// in the same order, so traces are bit-for-bit identical); multi-threaded
-/// runs are value-deterministic — every item reads back what was last
-/// written — while trace order depends on scheduling.
+/// Every method takes `&self` and the store is `Sync`, but calls run one at a
+/// time: each holds the store's lock from start to end. Every run of the
+/// same call sequence consumes the DRBG in the same order, so traces are
+/// bit-for-bit identical; with several threads every item reads back what
+/// was last written, while the order of the calls depends on scheduling.
 pub struct ObliviousStore<D, S> {
     device: D,
     sorter: ExternalSorter<S>,
     codec: BlockCodec,
     cfg: ObliviousConfig,
-    levels: Vec<RwLock<Level>>,
-    front: RwLock<FrontBuffer>,
-    membership: RwLock<DetHashSet<u64>>,
     master_key: Key256,
-    rng: Mutex<HashDrbg>,
     stats: SharedObliviousStats,
     clock: Option<SimClock>,
-    /// Structural-pass guard: even at rest, odd while a flush/dump cascade is
-    /// rewriting levels. Bumped entering and leaving [`Self::flush_buffer`].
-    write_epoch: AtomicU64,
+    state: Mutex<State>,
 }
 
 impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
@@ -160,7 +145,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 );
                 index_offset += level.index.num_blocks;
                 data_offset += capacity;
-                RwLock::new(level)
+                level
             })
             .collect();
 
@@ -169,14 +154,16 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
             device,
             codec: BlockCodec::new(block_size),
             cfg,
-            levels,
-            front: RwLock::new(FrontBuffer::default()),
-            membership: RwLock::new(DetHashSet::default()),
             master_key,
-            rng: Mutex::new(HashDrbg::new(&seed.to_be_bytes())),
             stats: SharedObliviousStats::default(),
             clock,
-            write_epoch: AtomicU64::new(0),
+            state: Mutex::new(State {
+                front: FrontBuffer::default(),
+                membership: DetHashSet::default(),
+                levels,
+                rng: HashDrbg::new(&seed.to_be_bytes()),
+                passes: 0,
+            }),
         })
     }
 
@@ -187,7 +174,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Number of hierarchy levels.
     pub fn num_levels(&self) -> u32 {
-        self.levels.len() as u32
+        self.cfg.num_levels()
     }
 
     /// The configuration in use.
@@ -197,17 +184,17 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 
     /// Whether logical block `id` is cached anywhere in the store.
     pub fn contains(&self, id: u64) -> bool {
-        self.membership.read().contains(&id)
+        self.state.lock().membership.contains(&id)
     }
 
     /// Number of distinct logical blocks cached.
     pub fn len(&self) -> usize {
-        self.membership.read().len()
+        self.state.lock().membership.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.membership.read().is_empty()
+        self.state.lock().membership.is_empty()
     }
 
     /// Counters collected so far (a relaxed snapshot; exact at quiescence).
@@ -215,23 +202,19 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         self.stats.snapshot()
     }
 
-    /// The structural-pass counter: even when no flush/dump cascade is in
-    /// flight, odd while one is rewriting levels. Two increments per
-    /// completed pass, so `write_epoch() / 2` counts structural passes. This
-    /// is the write-epoch guard the serving layer can observe: a read uses it
-    /// to notice that a flush ran while it scanned the levels (the per-level
-    /// locks already exclude it from levels under rewrite), and audits assert
-    /// it is even at quiescence.
+    /// Twice the number of structural passes (buffer flushes with their
+    /// cascades) started, failed ones included: `write_epoch() / 2` counts
+    /// them. Always even, since no call can observe a pass in flight.
     pub fn write_epoch(&self) -> u64 {
-        self.write_epoch.load(Ordering::Acquire)
+        2 * self.state.lock().passes
     }
 
     /// Number of items per level, buffer first — handy for tests and the
-    /// benchmark harness. Exact at quiescence; a moment-in-time sample while
-    /// other threads are active.
+    /// benchmark harness.
     pub fn occupancy(&self) -> Vec<usize> {
-        let mut v = vec![self.front.read().entries.len()];
-        v.extend(self.levels.iter().map(|l| l.read().len()));
+        let state = self.state.lock();
+        let mut v = vec![state.front.entries.len()];
+        v.extend(state.levels.iter().map(Level::len));
         v
     }
 
@@ -242,10 +225,6 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// Insert (or overwrite) a cached item. New items enter through the
     /// agent's buffer exactly like freshly read ones, so an attacker cannot
     /// tell an insert-triggered flush from a read-triggered one.
-    ///
-    /// The membership write lock is held across the buffer update (and any
-    /// flush it triggers) so a concurrent reader that observes `id` as a
-    /// member is guaranteed to find its value in the buffer or a level.
     pub fn insert(&self, id: u64, payload: Vec<u8>) -> Result<(), ObliviousError> {
         if payload.len() > self.item_capacity() {
             return Err(ObliviousError::ItemTooLarge {
@@ -253,24 +232,19 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 max: self.item_capacity(),
             });
         }
-        let mut membership = self.membership.write();
-        if membership.len() >= self.cfg.last_level_blocks as usize && !membership.contains(&id) {
+        let mut state = self.state.lock();
+        if state.membership.len() >= self.cfg.last_level_blocks as usize
+            && !state.membership.contains(&id)
+        {
             return Err(ObliviousError::CapacityExhausted);
         }
         self.stats.inserts.inc();
-        membership.insert(id);
-        let mut front = self.front.write();
-        if let Some(&pos) = front.index.get(&id) {
-            front.entries[pos].1 = payload;
+        state.membership.insert(id);
+        if let Some(&pos) = state.front.index.get(&id) {
+            state.front.entries[pos].1 = payload;
             return Ok(());
         }
-        let pos = front.entries.len();
-        front.index.insert(id, pos);
-        front.entries.push((id, payload));
-        if front.entries.len() >= self.cfg.buffer_blocks as usize {
-            self.flush_buffer(&mut front)?;
-        }
-        Ok(())
+        self.buffer(&mut state, id, payload)
     }
 
     /// Overwrite the cached copy of `id`. Identical to [`ObliviousStore::insert`];
@@ -285,103 +259,71 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// order, then one data slot in every level, in level order, regardless
     /// of where (or whether) the block was found, so the observable access
     /// pattern is independent of the request stream.
-    ///
-    /// Concurrent readers interleave freely: in each phase a reader holds
-    /// one level's read lock while probing it (shared with other readers of
-    /// the same level) and drops it before moving to the next. The index
-    /// phase racing a flush always finds *a* copy — the cascade moves items
-    /// strictly downward, the direction the phase proceeds — but the level
-    /// it was found in may be rebuilt before the data phase reaches it. The
-    /// level's epoch then has moved: the slot its old index named is not
-    /// read (a dummy slot is), and the levels are scanned again. Nor is the
-    /// copy necessarily the freshest: a `write` of the same id can be
-    /// buffered and flushed into a level the scan has already passed.
-    /// Re-buffering that stale copy would shadow the newer one (the buffer
-    /// wins by convention), so the copy a scan found is only trusted if no
-    /// structural pass ran since the buffer was last seen not to hold the
-    /// id; otherwise the levels are scanned again.
     pub fn read(&self, id: u64) -> Result<Vec<u8>, ObliviousError> {
-        if !self.contains(id) {
+        let mut state = self.state.lock();
+        if !state.membership.contains(&id) {
             return Err(ObliviousError::NotCached { id });
         }
         self.stats.reads_served.inc();
 
-        loop {
-            // Buffer hit: served from agent memory, no storage I/O (Figure
-            // 8(b)). The epoch is sampled under the front lock, which every
-            // structural pass holds from start to end.
-            let epoch = {
-                let front = self.front.read();
-                if let Some(&pos) = front.index.get(&id) {
-                    self.stats.buffer_hits.inc();
-                    return Ok(front.entries[pos].1.clone());
-                }
-                self.write_epoch()
-            };
-
-            let Some(payload) = self.scan_levels(id)? else {
-                continue;
-            };
-
-            // Figure 8(b): "add B1 to buffer; if buffer is full ... copy
-            // buffer into level1". Sequentially neither early exit is ever
-            // taken: the buffer was checked above and nothing ran in between.
-            let mut front = self.front.write();
-            if let Some(&pos) = front.index.get(&id) {
-                // A racing reader or writer re-buffered the id: that copy is
-                // at least as fresh as ours.
-                return Ok(front.entries[pos].1.clone());
-            }
-            if self.write_epoch() != epoch {
-                continue;
-            }
-            let pos = front.entries.len();
-            front.index.insert(id, pos);
-            front.entries.push((id, payload.clone()));
-            if front.entries.len() >= self.cfg.buffer_blocks as usize {
-                self.flush_buffer(&mut front)?;
-            }
-            return Ok(payload);
+        // Buffer hit: served from agent memory, no storage I/O (Figure 8(b)).
+        if let Some(&pos) = state.front.index.get(&id) {
+            self.stats.buffer_hits.inc();
+            return Ok(state.front.entries[pos].1.clone());
         }
+
+        // Figure 8(b): "add B1 to buffer; if buffer is full ... copy buffer
+        // into level1".
+        let payload = self.scan_levels(&mut state, id)?;
+        self.buffer(&mut state, id, payload.clone())?;
+        Ok(payload)
+    }
+
+    /// Append an item the buffer does not hold, flushing a full buffer.
+    fn buffer(&self, state: &mut State, id: u64, payload: Vec<u8>) -> Result<(), ObliviousError> {
+        let front = &mut state.front;
+        front.index.insert(id, front.entries.len());
+        front.entries.push((id, payload));
+        if front.entries.len() >= self.cfg.buffer_blocks as usize {
+            self.flush_buffer(state)?;
+        }
+        Ok(())
     }
 
     /// One Figure 8(b) pass over the hierarchy for `id`, in two ascending
     /// phases: one index bucket in every level, then one data slot in every
     /// level — real in the shallowest level whose index names the id, dummy
     /// everywhere else. The index regions lie back to back, so the first
-    /// phase's hops are short forward skips. Returns the shallowest copy, or
-    /// `None` if the level holding it was rebuilt between its two probes:
-    /// its slot is never read under an epoch other than the one whose index
-    /// named it, and the caller scans again.
-    fn scan_levels(&self, id: u64) -> Result<Option<Vec<u8>>, ObliviousError> {
+    /// phase's hops are short forward skips. Returns the shallowest copy,
+    /// which is the freshest: copies only ever move downward.
+    fn scan_levels(&self, state: &mut State, id: u64) -> Result<Vec<u8>, ObliviousError> {
+        let State { levels, rng, .. } = state;
         let start = self.now_us();
         let mut retrieve_ios = 0u64;
         // Every probe of the pass, index or data, real or dummy, reads into
         // this one block.
         let mut scratch = vec![0u8; self.codec.block_size()];
 
-        // The hit: the level, the slot its index names and the level's epoch.
-        let mut hit: Option<(usize, u64, u64)> = None;
-        for (li, slot) in self.levels.iter().enumerate() {
-            let level = slot.read();
+        // The hit: the level and the slot its index names.
+        let mut hit: Option<(usize, u64)> = None;
+        for (li, level) in levels.iter().enumerate() {
             if hit.is_none() && level.len() > 0 {
                 let (data_slot, index_reads) = level.lookup(&self.device, id, &mut scratch)?;
                 retrieve_ios += index_reads;
-                hit = data_slot.map(|data_slot| (li, data_slot, level.epoch));
+                hit = data_slot.map(|data_slot| (li, data_slot));
             } else {
                 // Either the block was already found higher up, or the level
                 // is empty: a dummy probe, so every read looks the same.
-                let bucket = self.rng.lock().next_u64() % level.index.num_blocks;
+                let bucket = rng.next_u64() % level.index.num_blocks;
                 level.dummy_index_probe(&self.device, bucket, &mut scratch)?;
                 retrieve_ios += 1;
             }
         }
 
         let mut found: Option<Vec<u8>> = None;
-        for (li, slot) in self.levels.iter().enumerate() {
-            let level = slot.read();
+        for (li, level) in levels.iter().enumerate() {
             match hit {
-                Some((hit_li, data_slot, epoch)) if hit_li == li && level.epoch == epoch => {
+                Some((hit_li, data_slot)) if hit_li == li => {
                     let (read_id, payload) =
                         level.read_slot(&self.device, &self.codec, data_slot, &mut scratch)?;
                     if read_id != id {
@@ -399,10 +341,9 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                     // prefix would be recognisably a dummy — and if only some
                     // dummies could land there, tell which kind it was. An
                     // empty level has no prefix to hide in; any slot does.
-                    // The DRBG lock is released before the device wait.
                     let len = level.len() as u64;
                     let dummy_range = if len > 0 { len } else { level.capacity };
-                    let data_slot = self.rng.lock().gen_range(dummy_range);
+                    let data_slot = rng.gen_range(dummy_range);
                     level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
                 }
             }
@@ -411,7 +352,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         self.stats.retrieve_ios.add(retrieve_ios);
         self.stats.retrieve_time_us.add(self.now_us() - start);
 
-        hit.map(|_| found).ok_or_else(|| {
+        found.ok_or_else(|| {
             ObliviousError::Corrupt(format!(
                 "membership set contains {id} but no level holds it"
             ))
@@ -425,70 +366,56 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// (they are fresher), and both the emptied level and the receiving
     /// level's old contents flow from ranged reads into the external sort
     /// without being materialized.
-    ///
-    /// Called with the front-buffer write lock held (every structural entry
-    /// point holds it), which makes structural passes mutually exclusive;
-    /// the write epoch records that exclusivity observably.
-    fn flush_buffer(&self, front: &mut FrontBuffer) -> Result<(), ObliviousError> {
-        if front.entries.is_empty() {
-            return Ok(());
-        }
-        self.write_epoch.fetch_add(1, Ordering::Release);
-        let result = self.flush_buffer_inner(front);
-        self.write_epoch.fetch_add(1, Ordering::Release);
-        result
-    }
-
-    fn flush_buffer_inner(&self, front: &mut FrontBuffer) -> Result<(), ObliviousError> {
+    fn flush_buffer(&self, state: &mut State) -> Result<(), ObliviousError> {
+        let State {
+            front,
+            levels,
+            rng,
+            passes,
+            ..
+        } = state;
         let start = self.now_us();
+        *passes += 1;
 
-        // Plan the cascade, acquiring level write locks in ascending order
-        // (all of them before the DRBG — the documented lock order). Every
-        // level in `guards` but the last is emptied into the one below it.
+        // Plan the cascade: the first `depth` levels receive items, and
+        // every one of them but the last is emptied into the one below it.
         // The cascade stops at the first level with room for the one above
         // or at the last level, which always has room once duplicates are
         // dropped: `insert` holds membership to `last_level_blocks`, which
         // the last level's capacity covers. Only occupancy (public) decides.
-        let mut guards: Vec<RwLockWriteGuard<'_, Level>> = vec![self.levels[0].write()];
-        if !guards[0].can_accept(front.entries.len()) {
-            while let Some(next) = self.levels.get(guards.len()) {
-                let upper_len = guards[guards.len() - 1].len();
-                guards.push(next.write());
-                if guards[guards.len() - 1].can_accept(upper_len) {
-                    break;
-                }
-            }
+        let (mut depth, mut incoming) = (1, front.entries.len());
+        while depth < levels.len() && !levels[depth - 1].can_accept(incoming) {
+            incoming = levels[depth - 1].len();
+            depth += 1;
         }
-
-        let mut rng = self.rng.lock();
-        let mut io = MaintenanceIo::default();
 
         // Deepest first, exactly as the recursive dump of Figure 8(b). An
         // upper level is cleared only once the level below holds its items.
-        for d in (1..guards.len()).rev() {
-            let (upper, lower) = guards.split_at_mut(d);
+        let mut io = MaintenanceIo::default();
+        for d in (1..depth).rev() {
+            let (upper, lower) = levels.split_at_mut(d);
             io += lower[0].merge_reorder(
                 &self.device,
                 &self.codec,
                 &self.sorter,
                 &self.master_key,
-                &mut rng,
+                rng,
                 &[],
                 Some(&upper[d - 1]),
             )?;
-            upper[d - 1].clear(&mut rng);
+            upper[d - 1].clear(rng);
         }
 
         // The merge borrows the buffer, which is cleared only on success:
         // if the merge fails before its first write (a corrupt level slot
         // surfacing mid-stream), the level rolls back and the buffered items
         // stay readable from the buffer instead of being silently lost.
-        io += guards[0].merge_reorder(
+        io += levels[0].merge_reorder(
             &self.device,
             &self.codec,
             &self.sorter,
             &self.master_key,
-            &mut rng,
+            rng,
             &front.entries,
             None,
         )?;
@@ -496,7 +423,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         front.index.clear();
 
         self.stats.sort_ios.add(io.total());
-        self.stats.reorders.add(guards.len() as u64);
+        self.stats.reorders.add(depth as u64);
         self.stats.sort_time_us.add(self.now_us() - start);
         Ok(())
     }
@@ -505,12 +432,10 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// of the buffered ids and every level manifest (items are cached
     /// forever, so nothing may leak in either direction across flushes and
     /// cascade re-orders), and the buffer index must mirror the buffer
-    /// exactly. Exposed for tests and the bench harness; safe to call while
-    /// other threads are mid-operation (it snapshots under the membership
-    /// and front read locks, which freezes structural passes).
+    /// exactly. Exposed for tests and the bench harness.
     pub fn membership_is_consistent(&self) -> bool {
-        let membership = self.membership.read();
-        let front = self.front.read();
+        let state = self.state.lock();
+        let front = &state.front;
         let buffer_indexed = front.index.len() == front.entries.len()
             && front
                 .entries
@@ -518,12 +443,12 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 .enumerate()
                 .all(|(pos, (id, _))| front.index.get(id) == Some(&pos));
         let mut union: DetHashSet<u64> = front.entries.iter().map(|&(id, _)| id).collect();
-        for level in &self.levels {
-            union.extend(level.read().manifest.keys().copied());
+        for level in &state.levels {
+            union.extend(level.manifest.keys().copied());
         }
         buffer_indexed
-            && union.len() == membership.len()
-            && union.iter().all(|id| membership.contains(id))
+            && union.len() == state.membership.len()
+            && union.iter().all(|id| state.membership.contains(id))
     }
 }
 
@@ -531,7 +456,8 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use stegfs_blockdev::{Io, IoKind, Layered, MemDevice};
+    use std::sync::Arc;
+    use stegfs_blockdev::{Counter, Io, IoKind, Layered, MemDevice};
 
     const BLOCK: usize = 512;
 
@@ -566,11 +492,11 @@ mod tests {
         for id in 0..4u64 {
             store.insert(id, payload(id)).unwrap();
         }
-        assert!(store.levels[0].read().len() > 0);
+        assert!(store.state.lock().levels[0].len() > 0);
 
         // Corrupt one of level 1's occupied slots directly on the device.
         let (slot, data_offset) = {
-            let level = store.levels[0].read();
+            let level = &store.state.lock().levels[0];
             (*level.manifest.values().next().unwrap(), level.data_offset)
         };
         store
@@ -590,8 +516,8 @@ mod tests {
 
         // The failure surfaced before any level write: the level rolled
         // back, the buffer still holds every pending item, and the
-        // bookkeeping invariants survived. The write epoch is even again —
-        // the failed structural pass closed its guard on the way out.
+        // bookkeeping invariants survived. The failed pass still counts as
+        // one.
         assert!(store.membership_is_consistent());
         assert_eq!(store.write_epoch() % 2, 0);
         for id in 100..104u64 {
@@ -611,7 +537,7 @@ mod tests {
             store.insert(id, payload(id)).unwrap();
         }
         let data_offset = {
-            let level = store.levels[0].read();
+            let level = &store.state.lock().levels[0];
             assert_eq!((level.manifest[&3], level.manifest[&0]), (0, 1));
             level.data_offset
         };
@@ -637,15 +563,15 @@ mod tests {
     /// ever trusted, and the first flush rewrites over it.
     #[test]
     fn a_new_store_reads_neither_partition() {
-        let counting = |requests: &std::sync::Arc<AtomicU64>| {
+        let counting = |requests: &Arc<Counter>| {
             let requests = requests.clone();
             move |_: &MemDevice, _: Io| {
-                requests.fetch_add(1, Ordering::Relaxed);
+                requests.inc();
                 Ok(())
             }
         };
-        let main_requests = std::sync::Arc::new(AtomicU64::new(0));
-        let sort_requests = std::sync::Arc::new(AtomicU64::new(0));
+        let main_requests = Arc::new(Counter::default());
+        let sort_requests = Arc::new(Counter::default());
         let cfg = ObliviousConfig::new(4, 64);
         let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
         let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
@@ -664,8 +590,8 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(main_requests.load(Ordering::Relaxed), 0, "main partition");
-        assert_eq!(sort_requests.load(Ordering::Relaxed), 0, "sort partition");
+        assert_eq!(main_requests.get(), 0, "main partition");
+        assert_eq!(sort_requests.get(), 0, "sort partition");
 
         for id in 0..40u64 {
             store.insert(id, payload(id)).unwrap();
@@ -674,7 +600,7 @@ mod tests {
             assert_eq!(store.read(id).unwrap(), payload(id), "id {id}");
         }
         assert!(store.membership_is_consistent());
-        assert!(main_requests.load(Ordering::Relaxed) > 0, "the hook counts");
+        assert!(main_requests.get() > 0, "the hook counts");
     }
 
     #[test]
@@ -818,7 +744,7 @@ mod tests {
         let before = store.stats();
         // Pick an id that is certainly not in the buffer right now.
         let target = (0..12u64)
-            .find(|id| !store.front.read().index.contains_key(id))
+            .find(|id| !store.state.lock().front.index.contains_key(id))
             .unwrap();
         store.read(target).unwrap();
         let delta = store.stats().since(&before);
@@ -927,7 +853,7 @@ mod tests {
         let before = store.stats();
         let mut probed = 0u64;
         for id in 0..40u64 {
-            if !store.front.read().index.contains_key(&id) {
+            if !store.state.lock().front.index.contains_key(&id) {
                 store.read(id).unwrap();
                 probed += 1;
             }
@@ -965,133 +891,88 @@ mod tests {
         assert_eq!(stats.inserts, 48);
     }
 
-    /// A closure a device runs once, on the reading thread, before the first
-    /// read of a block in the armed range.
-    type Hook = Option<(std::ops::Range<u64>, Box<dyn FnOnce() + Send>)>;
-
-    /// A store for `ObliviousConfig::new(4, 64)` whose main partition runs
-    /// the [`Hook`] armed in the returned slot.
-    fn hooked_store() -> (
-        std::sync::Arc<ObliviousStore<impl BlockDevice + 'static, MemDevice>>,
-        std::sync::Arc<Mutex<Hook>>,
-    ) {
-        let hook: std::sync::Arc<Mutex<Hook>> = std::sync::Arc::default();
-        let run_hook = {
-            let hook = hook.clone();
+    /// A read is one scan, whatever the scheduling. A device hook pauses a
+    /// read between its index phase and its data phase and starts, on
+    /// another thread, a write of the same id plus the inserts that flush
+    /// it. The writer waits for the lock: none of its requests comes before
+    /// the read's last one, the read issues exactly its 2k probes and
+    /// returns the old value, and the next read returns the new one.
+    #[test]
+    fn concurrent_write_and_flush_wait_for_a_read_between_its_phases() {
+        type Armed = Option<Box<dyn FnOnce() + Send>>;
+        type Log = Arc<Mutex<Vec<std::thread::ThreadId>>>;
+        let cfg = ObliviousConfig::new(4, 64);
+        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
+        let data_region = blocks - cfg.total_slots()..blocks;
+        let (log, armed): (Log, Arc<Mutex<Armed>>) = Default::default();
+        let hook = {
+            let (log, armed) = (log.clone(), armed.clone());
             move |_: &MemDevice, io: Io| {
-                // The lock is released before the hook runs.
-                let armed = hook.lock().take_if(|(range, _)| {
-                    io.kind == IoKind::Read && io.block_ids().any(|b| range.contains(&b))
-                });
-                if let Some((_, run)) = armed {
+                log.lock().push(std::thread::current().id());
+                let data_read =
+                    io.kind == IoKind::Read && io.block_ids().any(|b| data_region.contains(&b));
+                // The slot's lock is released before the hook runs.
+                let run = armed.lock().take_if(|_| data_read);
+                if let Some(run) = run {
                     run();
                 }
                 Ok(())
             }
         };
-        let cfg = ObliviousConfig::new(4, 64);
-        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
-        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
-        let store = ObliviousStore::new(
-            Layered::with_hook(MemDevice::new(blocks, BLOCK), run_hook),
-            MemDevice::new(sort_blocks + 8, BLOCK + 32),
-            cfg,
-            Key256::from_passphrase("test master"),
-            1234,
-            None,
-        )
-        .unwrap();
-        (std::sync::Arc::new(store), hook)
-    }
-
-    #[test]
-    fn read_racing_a_write_and_flush_of_the_same_id_returns_the_new_value() {
-        // The lost-write interleaving, forced: a device whose read of one
-        // chosen block first runs a hook. The hook fires while a reader is
-        // holding the stale level-2 copy of id 3 and, on the reader's own
-        // thread, overwrites id 3 and fills the buffer so the new value is
-        // flushed into level 1 — behind the reader's scan.
-        let (store, hook) = hooked_store();
-        // Three flushes: ids 0..8 end up in level 2, ids 8..12 in level 1,
-        // which has room for one more buffer.
+        let store = Arc::new(
+            ObliviousStore::new(
+                Layered::with_hook(MemDevice::new(blocks, BLOCK), hook),
+                MemDevice::new(sort_blocks + 8, BLOCK + 32),
+                cfg,
+                Key256::from_passphrase("test master"),
+                1234,
+                None,
+            )
+            .unwrap(),
+        );
+        // Three flushes: id 3 ends up in level 2 and the buffer is empty.
         for id in 0..12u64 {
             store.insert(id, payload(id)).unwrap();
         }
-        let stale_copy = {
-            let level = store.levels[1].read();
-            level.data_offset + level.manifest[&3]
-        };
-        assert!(!store.levels[0].read().manifest.contains_key(&3));
-
+        let k = u64::from(store.num_levels());
         let fresh = vec![0xF5u8; 64];
-        let writer = store.clone();
-        let value = fresh.clone();
-        *hook.lock() = Some((
-            stale_copy..stale_copy + 1,
-            Box::new(move || {
-                writer.write(3, value).unwrap();
-                for id in 20..23u64 {
-                    writer.insert(id, payload(id)).unwrap();
-                }
-                assert!(writer.levels[0].read().manifest.contains_key(&3));
-            }),
-        ));
-        let epoch = store.write_epoch();
-        assert_eq!(
-            store.read(3).unwrap(),
-            fresh,
-            "the read returned a stale copy"
-        );
-        assert!(hook.lock().is_none(), "the hook never fired");
-        assert_eq!(store.write_epoch(), epoch + 2);
-        assert_eq!(
-            store.read(3).unwrap(),
-            fresh,
-            "a stale copy was re-buffered"
-        );
-        // Two calls, however many scans the first one took.
-        assert_eq!(store.stats().reads_served, 2);
-        assert!(store.membership_is_consistent());
-    }
 
-    #[test]
-    fn a_level_rebuilt_between_its_index_and_data_probes_is_scanned_again() {
-        // The epoch rule, forced: a read finds id 9 in level 1's index;
-        // while its index phase is probing level 2, a flush on the reader's
-        // own thread rebuilds level 1 — a fresh permutation under a fresh
-        // key — before the data phase comes back to level 1. The slot the
-        // old index named now holds another item.
-        let (store, hook) = hooked_store();
-        // Three flushes: ids 0..8 end up in level 2, ids 8..12 in level 1,
-        // which has room for one more buffer.
-        for id in 0..12u64 {
-            store.insert(id, payload(id)).unwrap();
-        }
-        let old_slot = store.levels[0].read().manifest[&9];
-        let level_2_index = {
-            let index = store.levels[1].read().index;
-            index.offset..index.offset + index.num_blocks
-        };
+        let writer_thread = Arc::new(Mutex::new(None));
+        *armed.lock() = Some(Box::new({
+            let (store, fresh, writer_thread) =
+                (store.clone(), fresh.clone(), writer_thread.clone());
+            move || {
+                let (started, wait) = std::sync::mpsc::channel();
+                *writer_thread.lock() = Some(std::thread::spawn(move || {
+                    started.send(()).unwrap();
+                    store.write(3, fresh).unwrap();
+                    for id in 20..23u64 {
+                        store.insert(id, payload(id)).unwrap();
+                    }
+                }));
+                // Room for the writer to run ahead, were the read not one
+                // call under one lock.
+                wait.recv().unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+        }));
 
-        let writer = store.clone();
-        *hook.lock() = Some((
-            level_2_index,
-            Box::new(move || {
-                for id in 20..24u64 {
-                    writer.insert(id, payload(id)).unwrap();
-                }
-                let level = writer.levels[0].read();
-                assert_eq!(level.len(), 8, "the flush went into level 1");
-                assert_ne!(
-                    level.manifest[&9], old_slot,
-                    "the rebuild left id 9 in place"
-                );
-            }),
-        ));
-        let epoch = store.write_epoch();
-        assert_eq!(store.read(9).unwrap(), payload(9));
-        assert!(hook.lock().is_none(), "the hook never fired");
-        assert_eq!(store.write_epoch(), epoch + 2);
+        let (epoch, before) = (store.write_epoch(), store.stats());
+        log.lock().clear();
+        assert_eq!(store.read(3).unwrap(), payload(3), "the read's own value");
+        assert_eq!(store.stats().since(&before).retrieve_ios, 2 * k);
+        let writer = writer_thread.lock().take().expect("the hook never fired");
+        writer.join().unwrap();
+
+        let log = log.lock().clone();
+        let reader = std::thread::current().id();
+        let reads = log.iter().filter(|&&t| t == reader).count();
+        let first_write = log.iter().position(|&t| t != reader).expect("no flush");
+        assert_eq!(reads as u64, 2 * k, "requests of the read");
+        assert_eq!(first_write, reads, "the flush started inside the read");
+        assert_eq!(store.write_epoch(), epoch + 2, "one flush");
+        assert_eq!(store.read(3).unwrap(), fresh);
         assert!(store.membership_is_consistent());
     }
 
@@ -1125,10 +1006,11 @@ mod tests {
         }
         let k = store.num_levels() as usize;
         let regions: Vec<_> = store
+            .state
+            .lock()
             .levels
             .iter()
             .map(|level| {
-                let level = level.read();
                 let index = level.index.offset..level.index.offset + level.index.num_blocks;
                 (index, level.data_offset..level.data_offset + level.capacity)
             })
@@ -1253,7 +1135,7 @@ mod tests {
         for id in 0..4u64 {
             store.insert(id, payload(id)).unwrap();
         }
-        let index = store.levels[0].read().index;
+        let index = store.state.lock().levels[0].index;
         let mut bucket = vec![0u8; BLOCK];
         bucket[..2].fill(0xff);
         for b in 0..index.num_blocks {

@@ -193,14 +193,14 @@ fn distinguishers_still_catch_the_ablation_under_concurrency() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent oblivious reads: the decomposed store's position stream at 8
+// Concurrent oblivious reads: the shared store's position stream at 8
 // threads must satisfy the same statistical bounds as the sequential stream.
 
 const OBLIVIOUS_ITEMS: u64 = 128;
 const OBLIVIOUS_USERS: usize = 8;
 const OBLIVIOUS_READS_PER_USER: u64 = 40;
 
-/// The shared oblivious bed: the decomposed store over a tracing device plus
+/// The shared oblivious bed: the store over a tracing device plus
 /// per-user pre-seeded Zipf DRBGs (locked so the tasks stay `Send`).
 struct ObliviousBed {
     store: ObliviousStore<TracingDevice<MemDevice>, MemDevice>,

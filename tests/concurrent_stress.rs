@@ -32,9 +32,8 @@ fn stress_threads() -> usize {
 }
 
 /// The shared system the tasks run against: the lock-decomposed agent plus
-/// the decomposed oblivious store, shared directly — oblivious reads from
-/// different threads interleave under the store's per-level read locks
-/// instead of serializing behind a coarse `Mutex`, and the membership audit
+/// the oblivious store, shared directly — oblivious calls from different
+/// threads take turns behind the store's one lock, and the membership audit
 /// runs *mid-flight* under all 8 threads.
 struct SharedSystem {
     agent: ConcurrentAgent<MemDevice>,

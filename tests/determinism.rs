@@ -239,7 +239,7 @@ fn store_state_is_reproducible_after_heavy_cascades() {
     assert_eq!(run(), run());
 }
 
-/// Build an identically seeded decomposed store over a tracing device.
+/// Build an identically seeded store over a tracing device.
 fn traced_cascade_store() -> (
     ObliviousStore<TracingDevice<MemDevice>, MemDevice>,
     TraceLog,
@@ -282,11 +282,11 @@ fn decomposed_item(u: u64, r: u64) -> u64 {
     (u * 19 + r * 7) % 64
 }
 
-/// The decomposed store driven by `ConcurrentDriver` at one thread must be
+/// The store driven by `ConcurrentDriver` at one thread must be
 /// trace-identical to the same store called directly in the driver's visit
-/// order — the lock decomposition changes nothing about single-threaded
-/// behaviour: every DRBG draw, flush cascade and physical I/O lands at the
-/// same program point, so the traces match bit for bit.
+/// order — sharing it by reference behind its lock changes nothing about
+/// single-threaded behaviour: every DRBG draw, flush cascade and physical
+/// I/O lands at the same program point, so the traces match bit for bit.
 #[test]
 fn single_thread_decomposed_store_is_trace_identical_to_direct_calls() {
     use stegfs_repro::workload::ConcurrentDriver;

@@ -1,7 +1,8 @@
-//! Equivalence proptest for the decomposed oblivious store: for random
-//! interleaved read/update/flush-heavy operation sequences, the shared
-//! `&self` store produces exactly the same read-back results as the same
-//! operations funneled through a coarse `Mutex<ObliviousStore>` — at any
+//! Equivalence proptest for the shared oblivious store: for random
+//! interleaved read/update/flush-heavy operation sequences, the `&self`
+//! store called from many threads at once (its own lock makes the calls
+//! take turns) produces exactly the same read-back results as the same
+//! operations funneled through an outer `Mutex<ObliviousStore>` — at any
 //! thread count, compared at value level.
 //!
 //! Thread ids get disjoint id stripes so every id's final value is
@@ -102,8 +103,8 @@ fn expected_values(user: usize, ops: &[ObliviousOp]) -> Vec<(u64, Vec<u8>)> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Decomposed store under real threads vs the same sequences through a
-    /// coarse `Mutex`: identical final read-back for every written id, and
+    /// The store shared by real threads vs the same sequences through an
+    /// outer `Mutex`: identical final read-back for every written id, and
     /// identical membership.
     #[test]
     fn decomposed_store_is_value_equivalent_to_mutex_wrapped(
@@ -114,7 +115,7 @@ proptest! {
     ) {
         let users = ops_per_user.len();
 
-        // Shared decomposed store: users run concurrently, ops race freely
+        // Shared store: users run concurrently, ops race freely
         // across stripes (reads of never-written slots are allowed to fail
         // with NotCached — that is not a divergence, both sides skip them).
         let shared = new_store(users as u64);
@@ -129,8 +130,8 @@ proptest! {
             }
         });
 
-        // Coarse-Mutex reference: same sequences, same threads, whole-store
-        // lock around every operation.
+        // Outer-Mutex reference: same sequences, same threads, a second
+        // whole-store lock around every operation.
         let wrapped = Mutex::new(new_store(users as u64));
         run_threaded(&ops_per_user, |user, op| {
             let store = wrapped.lock().unwrap();
