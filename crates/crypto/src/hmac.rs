@@ -2,9 +2,9 @@
 //!
 //! Used throughout the reproduction as the keyed derivation primitive: the
 //! location of a hidden file's header is derived from its access key and path
-//! name (Section 4.1.2), and per-level hash-index keys in the oblivious
-//! storage are derived from a logical address and a rebuild nonce
-//! (Section 5.1.2).
+//! name (Section 4.1.2), and the index block a read probes in each level of
+//! the oblivious storage is derived from a logical address and the level's
+//! epoch nonce (Section 5.1.2).
 
 use crate::backend::{self, Sha256Backend};
 use crate::sha256::{finish_many, hash_many, LaneHash, Sha256, SHA256_OUTPUT_SIZE};

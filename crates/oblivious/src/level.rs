@@ -9,6 +9,15 @@
 //! epochs. Occupied slots are always the contiguous prefix `0..len` because
 //! the only way items enter a level is a full rewrite during re-ordering.
 //!
+//! The level's manifest, in agent memory, is its index: it finds the slot of
+//! an id. Section 5.1.2 keeps a hash index of `(id, slot)` entries on the
+//! device instead; here the index region keeps only what an observer sees of
+//! that index — its size ([`index_blocks_for`]), one probe per read at the
+//! block the keyed hash of the id and the epoch's nonce names, and a whole
+//! rewrite per re-order — and holds noise derived from the epoch key. A
+//! device image therefore names no slot, nothing parses an index block, and
+//! damage to one costs nothing; Table 4's I/O counts are unchanged.
+//!
 //! Maintenance (re-order / merge) moves data in ranged
 //! [`BlockDevice::read_blocks`] / [`BlockDevice::write_blocks`] requests of
 //! [`IO_BATCH_BLOCKS`] blocks: on the simulated disk a level sweep pays one
@@ -16,15 +25,16 @@
 //! paper report sorting as a minority of access *time* despite being the
 //! majority of I/O *operations* (Figure 12(b), Section 6.3).
 
+use std::sync::OnceLock;
+
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{HashDrbg, Key256, PIPELINE_WIDTH};
+use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, HmacSha256, Key256, PIPELINE_WIDTH};
 
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
 use crate::extsort::{ExternalSorter, MaintenanceIo};
-use crate::hashindex::HashIndexRegion;
 
 /// Per-item header inside a sealed slot: id (8) + payload length (4) +
 /// reserved (4).
@@ -37,23 +47,40 @@ pub(crate) const ITEM_HEADER: usize = 16;
 /// memory budget.
 pub(crate) const IO_BATCH_BLOCKS: u64 = 64;
 
+/// Blocks in the index region of a level of `capacity` slots: the size of
+/// Section 5.1.2's bucket index — 16-byte `(keyed hash, slot)` entries behind
+/// a 2-byte count, at 50 % load. The region stores none of them, but keeps
+/// that size, so the layout and the I/O of the paper's cost model stay.
+pub(crate) fn index_blocks_for(capacity: u64, block_size: usize) -> u64 {
+    let entries_per_block = ((block_size - 2) / 16) as u64;
+    (capacity * 2).div_ceil(entries_per_block).max(1)
+}
+
+/// The index's fixed HMAC key state, padded and hashed exactly once; every
+/// keyed-hash call afterwards reuses it instead of re-absorbing the key.
+fn index_hmac() -> &'static HmacSha256 {
+    static KEYED: OnceLock<HmacSha256> = OnceLock::new();
+    KEYED.get_or_init(|| HmacSha256::new(b"stegfs-oblivious-index"))
+}
+
 /// One level of the hierarchy.
 pub(crate) struct Level {
     /// 1-based level number (for key derivation and diagnostics).
     pub index_no: u32,
-    /// On-disk hash index region.
-    pub index: HashIndexRegion,
+    /// First block of the index region.
+    pub index_offset: BlockId,
+    /// Number of blocks in the index region.
+    pub index_blocks: u64,
     /// First block of the data region.
     pub data_offset: BlockId,
     /// Number of item slots.
     pub capacity: u64,
-    /// In-memory mirror of the index: id → slot. The on-disk index is what
-    /// lookups actually read (and pay I/O for); the mirror exists so
-    /// re-ordering knows what the level holds without a scan. Deterministic
-    /// hashing (not `std`'s randomly seeded maps) so every run of a bin
-    /// consumes the DRBG in the same order and produces identical bytes.
+    /// The level's index: id → slot, for the scan that reads a slot and for
+    /// the re-order that sweeps them. Deterministic hashing (not `std`'s
+    /// randomly seeded maps) so every run of a bin consumes the DRBG in the
+    /// same order and produces identical bytes.
     pub manifest: DetHashMap<u64, u64>,
-    /// Nonce of the current index epoch.
+    /// Nonce of the current epoch: it places the index probe of every id.
     pub nonce: u64,
     /// Epoch counter (bumped at every re-order).
     pub epoch: u64,
@@ -96,11 +123,8 @@ impl Level {
     ) -> Self {
         Self {
             index_no,
-            index: HashIndexRegion {
-                offset: index_offset,
-                num_blocks: HashIndexRegion::blocks_for_capacity(capacity, block_size),
-                block_size,
-            },
+            index_offset,
+            index_blocks: index_blocks_for(capacity, block_size),
             data_offset,
             capacity,
             manifest: DetHashMap::default(),
@@ -112,7 +136,7 @@ impl Level {
 
     /// Number of blocks (index + data) this level occupies.
     pub fn blocks_required(capacity: u64, block_size: usize) -> u64 {
-        HashIndexRegion::blocks_for_capacity(capacity, block_size) + capacity
+        index_blocks_for(capacity, block_size) + capacity
     }
 
     /// Number of items currently stored.
@@ -157,41 +181,72 @@ impl Level {
         Ok(())
     }
 
-    /// Look up `id` in the on-disk index, reading buckets through `scratch`.
-    /// Returns the slot (if present) and the number of index blocks read.
-    pub fn lookup<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        id: u64,
-        scratch: &mut [u8],
-    ) -> Result<(Option<u64>, u64), ObliviousError> {
-        self.index.lookup(device, self.nonce, id, scratch)
+    /// The index block a probe for `id` reads: the keyed hash of the id
+    /// under the epoch's nonce, as Section 5.1.2 places it, so which block a
+    /// read probes says nothing across re-orders.
+    pub fn bucket_of(&self, id: u64) -> u64 {
+        let mut msg = [0u8; 16];
+        Writer::over(&mut msg[..]).u64(self.nonce).u64(id);
+        index_hmac().derive_u64_with(&msg) % self.index_blocks
     }
 
-    /// Read one index bucket into `scratch` as a dummy probe.
-    pub fn dummy_index_probe<D: BlockDevice + ?Sized>(
+    /// Read index block `bucket` into `scratch`: a probe, real or dummy. The
+    /// bytes are noise and are not looked at.
+    pub fn probe_index<D: BlockDevice + ?Sized>(
         &self,
         device: &D,
         bucket: u64,
         scratch: &mut [u8],
     ) -> Result<(), ObliviousError> {
-        self.index.dummy_probe(device, bucket, scratch)
+        device.read_block(self.index_offset + bucket, scratch)?;
+        Ok(())
     }
 
     /// Discard the level's contents. The on-disk blocks are left as they are
-    /// (they are indistinguishable from live ciphertext anyway); bumping the
-    /// index nonce makes every stale on-disk index entry unfindable.
+    /// (they are indistinguishable from live ciphertext anyway). The nonce
+    /// drawn here places no probe — an empty level is probed at a DRBG-drawn
+    /// block, and the next re-order draws its own — but the draw keeps every
+    /// later one where it is.
     pub fn clear(&mut self, rng: &mut HashDrbg) {
         self.manifest.clear();
         self.nonce = rng.next_u64();
         self.epoch += 1;
     }
 
+    /// Rewrite the whole index region for the current epoch, in ranged
+    /// writes of [`IO_BATCH_BLOCKS`] blocks: block `b` becomes one block of
+    /// zeros CBC-encrypted under a key derived from the epoch key, with `b`
+    /// as IV. The bytes depend on the epoch key and the geometry alone, so
+    /// they carry nothing of what the level holds, draw nothing from the
+    /// DRBG, and no part of one epoch's region predicts another's.
+    fn rewrite_index<D: BlockDevice + ?Sized>(
+        &self,
+        device: &D,
+        block_size: usize,
+    ) -> Result<(), ObliviousError> {
+        let cbc = CbcCipher::new(Aes256::new(self.key.derive("oblivious:index").as_bytes()));
+        let batch = IO_BATCH_BLOCKS.min(self.index_blocks);
+        let mut staging = vec![0u8; batch as usize * block_size];
+        let end = self.index_offset + self.index_blocks;
+        for first in (self.index_offset..end).step_by(batch as usize) {
+            let window = &mut staging[..batch.min(end - first) as usize * block_size];
+            window.fill(0);
+            for (b, block) in (first..).zip(window.chunks_exact_mut(block_size)) {
+                let mut iv = [0u8; IV_SIZE];
+                Writer::over(&mut iv[..]).u64(b);
+                cbc.encrypt_in_place(&iv, block)
+                    .map_err(|e| ObliviousError::Corrupt(e.to_string()))?;
+            }
+            device.write_blocks(first, window)?;
+        }
+        Ok(())
+    }
+
     /// Re-order the level so that it holds exactly `items`, in a fresh random
-    /// permutation, re-encrypted under a fresh epoch key, with a rebuilt
-    /// index (Section 5.1.2). The permutation is produced by an external
-    /// merge sort over random keys so that memory use stays bounded by the
-    /// agent's buffer.
+    /// permutation, re-encrypted under a fresh epoch key, with a rewritten
+    /// index region (Section 5.1.2). The permutation is produced by an
+    /// external merge sort over random keys so that memory use stays bounded
+    /// by the agent's buffer.
     ///
     /// The store itself always goes through [`Level::merge_reorder`] (a plain
     /// re-order is a merge with an empty upper set); this entry point remains
@@ -332,8 +387,8 @@ impl Level {
     /// items, then those of the level's old contents (still under the old
     /// epoch key) that are not `shadowed`, `count` items in all; sort them by
     /// random keys, write the new permutation back in ranged batches and
-    /// rebuild the index. The caller must have snapshotted the level state
-    /// ([`Level::take_snapshot`]), counted the items and pre-checked
+    /// rewrite the index region. The caller must have snapshotted the level
+    /// state ([`Level::take_snapshot`]), counted the items and pre-checked
     /// capacity. Errors are tagged with whether any level block had been
     /// written, so [`Level::settle_rebuild`] knows when a rollback is safe.
     ///
@@ -466,17 +521,10 @@ impl Level {
         io += sort_io;
         io.writes += slot;
 
-        // Rebuild the on-disk hash index under the fresh nonce.
-        let index_result = self.index.build(
-            device,
-            self.nonce,
-            self.manifest.iter().map(|(&id, &s)| (id, s)),
-        );
-        let index_writes = match index_result {
-            Ok(w) => w,
-            Err(error) => return Err(RebuildFailure { error, wrote: true }),
-        };
-        io.writes += index_writes;
+        if let Err(error) = self.rewrite_index(device, bs) {
+            return Err(RebuildFailure { error, wrote: true });
+        }
+        io.writes += self.index_blocks;
 
         Ok(io)
     }
@@ -629,7 +677,7 @@ mod tests {
         let level = Level::layout(
             index_no,
             offset,
-            offset + HashIndexRegion::blocks_for_capacity(capacity, BLOCK),
+            offset + index_blocks_for(capacity, BLOCK),
             capacity,
             BLOCK,
             master,
@@ -648,10 +696,9 @@ mod tests {
         (device, sort_device, level, codec, master, rng)
     }
 
-    /// The slot the on-disk index gives for `id`.
-    fn lookup<D: BlockDevice>(level: &Level, device: &D, id: u64) -> Option<u64> {
-        let mut scratch = vec![0u8; BLOCK];
-        level.lookup(device, id, &mut scratch).unwrap().0
+    /// The slot the level's manifest gives for `id`.
+    fn lookup(level: &Level, id: u64) -> Option<u64> {
+        level.manifest.get(&id).copied()
     }
 
     /// The `(id, payload)` sealed in `slot`.
@@ -700,13 +747,13 @@ mod tests {
         assert!(io.writes >= 20);
 
         for (id, payload) in items(20) {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             let (read_id, read_payload) = read_slot(&level, &device, &codec, slot);
             assert_eq!(read_id, id);
             assert_eq!(read_payload, payload);
         }
         // Absent ids are not found.
-        assert_eq!(lookup(&level, &device, 9999), None);
+        assert_eq!(lookup(&level, 9999), None);
     }
 
     #[test]
@@ -751,11 +798,11 @@ mod tests {
 
         // Duplicates carry the upper payload; survivors keep the lower one.
         for id in 105..110u64 {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, vec![0xEE; 32]);
         }
         for (i, id) in (100..105u64).enumerate() {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(
                 read_slot(&level, &device, &codec, slot).1,
                 vec![(i % 256) as u8; 64]
@@ -778,7 +825,7 @@ mod tests {
         let second: Vec<u64> = (0..10).map(|i| level.manifest[&(i + 100)]).collect();
         assert_ne!(first, second, "in-place merge still re-permutes");
         for (id, payload) in items(10) {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
     }
@@ -924,7 +971,7 @@ mod tests {
         assert!(matches!(t.merge_down(), Err(ObliviousError::Corrupt(_))));
         assert!(state(&t) == before);
         for (id, payload) in items(40) {
-            let slot = lookup(&t.below, &t.device, id).expect("present");
+            let slot = lookup(&t.below, id).expect("present");
             assert_eq!(read_slot(&t.below, &t.device, &t.codec, slot).1, payload);
         }
     }
@@ -944,7 +991,7 @@ mod tests {
         // The level is untouched: all original items still resolvable.
         assert_eq!(level.len(), 8);
         for (id, payload) in items(8) {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
     }
@@ -989,7 +1036,7 @@ mod tests {
             if id == 100 {
                 continue; // the deliberately corrupted slot
             }
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
 
@@ -1170,7 +1217,7 @@ mod tests {
         );
         assert_eq!(level.manifest.len(), manifest_before);
         for (id, payload) in items(12) {
-            let slot = lookup(&level, &device, id).expect("present");
+            let slot = lookup(&level, id).expect("present");
             assert_eq!(read_slot(&level, &device, &codec, slot).1, payload);
         }
     }
@@ -1474,47 +1521,6 @@ mod tests {
             Ok(io)
         }
 
-        /// The index build over one `Vec` of entries per bucket.
-        fn build_index<D: BlockDevice>(
-            index: &HashIndexRegion,
-            device: &D,
-            nonce: u64,
-            entries: impl Iterator<Item = (u64, u64)>,
-        ) -> Result<u64, ObliviousError> {
-            let bs = index.block_size;
-            let per_bucket = HashIndexRegion::entries_per_bucket(bs);
-            let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); index.num_blocks as usize];
-            for (id, slot) in entries {
-                let hash = HashIndexRegion::keyed_hash(nonce, id);
-                let mut b = (hash % index.num_blocks) as usize;
-                while buckets[b].len() >= per_bucket {
-                    b = (b + 1) % index.num_blocks as usize;
-                }
-                buckets[b].push((hash, slot));
-            }
-            let batch = IO_BATCH_BLOCKS.min(index.num_blocks) as usize;
-            let mut staging = vec![0u8; batch * bs];
-            let mut written: u64 = 0;
-            while written < index.num_blocks {
-                let n = (batch as u64).min(index.num_blocks - written) as usize;
-                let window = &mut staging[..n * bs];
-                window.fill(0);
-                for (j, bucket) in buckets[written as usize..written as usize + n]
-                    .iter()
-                    .enumerate()
-                {
-                    let mut w = Writer::over(&mut window[j * bs..][..bs]);
-                    w.u16(bucket.len() as u16);
-                    for &(hash, slot) in bucket {
-                        w.u64(hash).u64(slot);
-                    }
-                }
-                device.write_blocks(index.offset + written, window)?;
-                written += n as u64;
-            }
-            Ok(index.num_blocks)
-        }
-
         /// `Level::merge_reorder` over the pieces above, rollback included.
         #[allow(clippy::too_many_arguments)]
         pub fn merge_reorder<D: BlockDevice, S: BlockDevice>(
@@ -1612,12 +1618,8 @@ mod tests {
                 writes: slot,
             };
             io += sort_io;
-            io.writes += build_index(
-                &level.index,
-                device,
-                level.nonce,
-                level.manifest.iter().map(|(&id, &s)| (id, s)),
-            )?;
+            level.rewrite_index(device, bs)?;
+            io.writes += level.index_blocks;
             Ok(io)
         }
     }
@@ -1712,8 +1714,8 @@ mod tests {
     }
 
     /// What two sides of a comparison must agree on: both partition images,
-    /// the manifest in iteration order (the index is built in it), nonce,
-    /// key and epoch, the DRBG's next output and the request log.
+    /// the manifest in iteration order, nonce, key and epoch, the DRBG's
+    /// next output and the request log.
     #[derive(PartialEq)]
     struct Observed {
         level_image: Snapshot,
@@ -1917,6 +1919,67 @@ mod tests {
     }
 
     #[test]
+    fn the_index_region_keeps_the_size_of_the_bucket_index() {
+        // 31 entries a 512-byte block at 50 % load: 100 items need
+        // ceil(200 / 31) = 7 blocks, and an empty level still has one.
+        assert_eq!(index_blocks_for(100, 512), 7);
+        assert_eq!(index_blocks_for(31, 512), 2);
+        assert_eq!(index_blocks_for(0, 512), 1);
+        assert_eq!(index_blocks_for(8192, 4128), 64);
+    }
+
+    #[test]
+    fn nonce_changes_bucket_placement() {
+        // Under the next epoch's nonce an id keeps its index block only by
+        // chance — about one id in `index_blocks` — which is why the probes
+        // leak nothing across re-orders.
+        let master = Key256::from_passphrase("oblivious master");
+        let (mut level, _) = back_to_back(1, 0, 200, &master);
+        assert_eq!(level.index_blocks, 13);
+        level.nonce = 7;
+        let before: Vec<u64> = (0..200).map(|id| level.bucket_of(id)).collect();
+        let used: DetHashSet<u64> = before.iter().copied().collect();
+        assert_eq!(
+            used.len() as u64,
+            level.index_blocks,
+            "every block is probed"
+        );
+        level.nonce = 8;
+        let kept = (0..200)
+            .zip(&before)
+            .filter(|&(id, &bucket)| level.bucket_of(id) == bucket)
+            .count();
+        assert!(kept < 40, "{kept} of 200 ids kept their index block");
+    }
+
+    #[test]
+    fn the_index_region_is_noise_under_the_epoch_key() {
+        // Every re-order rewrites the whole region; block b is a block of
+        // zeros CBC-encrypted under the epoch's index key with b as IV, so
+        // it holds nothing of the items, their slots or the DRBG, and the
+        // next epoch's region shares nothing with it.
+        let (device, sort_device, mut level, codec, master, mut rng) = setup(64);
+        let sorter = ExternalSorter::new(sort_device, 16);
+        let mut regions = Vec::new();
+        for n in [40, 10] {
+            level
+                .reorder(&device, &codec, &sorter, &master, &mut rng, items(n))
+                .unwrap();
+            let mut region = vec![0u8; level.index_blocks as usize * BLOCK];
+            device.read_blocks(level.index_offset, &mut region).unwrap();
+            let key = level.key.derive("oblivious:index");
+            let cbc = CbcCipher::new(Aes256::new(key.as_bytes()));
+            for (b, block) in (level.index_offset..).zip(region.chunks_exact(BLOCK)) {
+                let mut iv = [0u8; IV_SIZE];
+                Writer::over(&mut iv[..]).u64(b);
+                assert_eq!(cbc.decrypt(&iv, block).unwrap(), [0u8; BLOCK], "block {b}");
+            }
+            regions.push(region);
+        }
+        assert_ne!(regions[0], regions[1]);
+    }
+
+    #[test]
     fn clear_makes_old_entries_unfindable() {
         let (device, sort_device, mut level, codec, master, mut rng) = setup(16);
         let sorter = ExternalSorter::new(sort_device, 4);
@@ -1926,7 +1989,7 @@ mod tests {
         level.clear(&mut rng);
         assert_eq!(level.len(), 0);
         for (id, _) in items(10) {
-            assert_eq!(lookup(&level, &device, id), None);
+            assert_eq!(lookup(&level, id), None);
         }
         let _ = codec;
     }

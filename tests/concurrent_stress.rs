@@ -1,11 +1,13 @@
 //! Stress/invariant suite for the concurrent serving layer: 8 threads of
 //! mixed read / update / create tasks (plus oblivious reads straight at the
-//! shared, lock-decomposed [`ObliviousStore`]) hammer one shared system
-//! through [`ConcurrentDriver`], then every safety invariant is audited:
+//! shared [`ObliviousStore`], whose calls take turns behind its one lock)
+//! hammer one shared system through [`ConcurrentDriver`], then every safety
+//! invariant is audited:
 //!
 //! * [`ObliviousStore::membership_is_consistent`] holds *during* the run
-//!   (audited from the worker threads) and after it, and the write-epoch
-//!   guard is even (no structural pass left open);
+//!   (audited from the worker threads) and after it, and
+//!   [`ObliviousStore::write_epoch`] is even (twice the structural passes
+//!   run: no call sees one in flight);
 //! * block-class conservation on the sharded map — every block is in exactly
 //!   one class and the cached per-shard counters agree with the class
 //!   vectors (`data + dummy + unknown + reserved == num_blocks`);
@@ -31,10 +33,11 @@ fn stress_threads() -> usize {
     stegfs_bench::harness::bench_threads().unwrap_or(8)
 }
 
-/// The shared system the tasks run against: the lock-decomposed agent plus
-/// the oblivious store, shared directly — oblivious calls from different
-/// threads take turns behind the store's one lock, and the membership audit
-/// runs *mid-flight* under all 8 threads.
+/// The shared system the tasks run against: the agent, whose locks are
+/// decomposed per block-map shard, plus the oblivious store, whose are
+/// not — oblivious calls from different threads take turns behind the
+/// store's one lock, each held for the whole call, and the membership audit
+/// runs between them under all 8 threads.
 struct SharedSystem {
     agent: ConcurrentAgent<MemDevice>,
     oblivious: ObliviousStore<MemDevice, MemDevice>,

@@ -17,9 +17,9 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use stegfs_repro::blockdev::{BlockDevice, MemDevice};
+use stegfs_repro::blockdev::MemDevice;
 use stegfs_repro::crypto::{HmacSha256, Key256};
-use stegfs_repro::oblivious::{decode_item, encode_item_into, HashIndexRegion, SortRecord};
+use stegfs_repro::oblivious::{decode_item, encode_item_into, SortRecord};
 use stegfs_repro::resilience::{
     decode_records, encode_records, BlockCheck, BlockWriteIntent, IntentBody, IntentRecord,
     ParityEntry, ParityIntent, ResilientStore, StripeConfig, StripeMap, VolumeAnchor,
@@ -206,33 +206,6 @@ fn cases() -> Vec<Case> {
         "level item",
         field,
         Box::new(|bytes| decode_item(bytes).ok().map(|(_, payload)| payload.len())),
-    );
-
-    let region = HashIndexRegion {
-        offset: 0,
-        num_blocks: 1,
-        block_size: 128,
-    };
-    let bucket_device = MemDevice::new(1, 128);
-    region
-        .build(&bucket_device, 42, (0..6).map(|i| (i, 100 + i)))
-        .unwrap();
-    let mut bucket = vec![0u8; 128];
-    bucket_device.read_block(0, &mut bucket).unwrap();
-    plain(
-        "hash index bucket",
-        bucket,
-        Box::new(move |bytes| {
-            // The index is read straight off the device: a bucket is always
-            // a whole block, of whatever bytes the attacker left there.
-            let mut block = bytes.to_vec();
-            block.resize(128, 0);
-            bucket_device.write_block(0, &block[..128]).unwrap();
-            let (slot, _) = region
-                .lookup(&bucket_device, 42, 3, &mut block[..128])
-                .ok()?;
-            Some(slot.is_some() as usize)
-        }),
     );
 
     // ----- self-authenticating frames -------------------------------------

@@ -367,16 +367,17 @@ fn main_only(log: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-/// Level items and hash-index buckets on the main partition; spilled sort
+/// Level items and index regions on the main partition; spilled sort
 /// records on the sort partition; and the requests that put them there, as
 /// an observer of both partitions sees them. The store keeps no record of
-/// its own beside the levels. The main-partition image and the
-/// main-partition part of both request logs were taken from the last build
-/// that could persist a write-epoch record, with that record off, so no
-/// level or bucket byte and no main-partition request moved when it went,
-/// nor when the sort stopped spilling its last batch. The sort image and
-/// the two whole logs were taken from the first build that kept that batch
-/// in memory.
+/// its own beside the levels. The main-partition part of both request logs
+/// was taken from the last build that could persist a write-epoch record,
+/// with that record off, so no main-partition request moved when it went,
+/// nor when the sort stopped spilling its last batch, nor when the index
+/// regions stopped holding `(hash, slot)` entries. The sort image and the
+/// two whole logs were taken from the first build that kept that batch in
+/// memory; the main-partition image from the first build whose index
+/// regions hold noise under each level's epoch key.
 #[test]
 fn oblivious_store_images_are_pinned() {
     type Store = ObliviousStore<Watched, Watched>;
@@ -421,7 +422,7 @@ fn oblivious_store_images_are_pinned() {
         assert_eq!(store.read(id).unwrap(), content(200, id as u8));
     }
     // ... and with three level scans behind them, each every level's index
-    // bucket and then every level's data slot: every dummy data slot is
+    // block and then every level's data slot: every dummy data slot is
     // drawn from the level's occupied prefix, and a one-slot prefix consumes
     // no draw.
     assert_eq!(
@@ -435,7 +436,7 @@ fn oblivious_store_images_are_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "88e012a397fcaf70a78fb7277f73e3fb049853491d36ecac423ab329e06516e9"
+        "12251a0d5104da4f6f6409e11dac1ee56a4ddf3000d4ca0f9f8a10438d399714"
     );
     let sort_image = image_sha256(&sort_device);
     let untouched = MemDevice::new(sort_device.num_blocks(), sort_device.block_size());

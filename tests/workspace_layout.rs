@@ -7,8 +7,9 @@
 //! The source-layout rules ride here too, so each is one mechanism that
 //! runs under `cargo test`: who may implement `BlockDevice`, what
 //! `ResilientStore` states once, where integers meet bytes, which
-//! configuration builders the program calls, and which bin and guard schema
-//! each committed `BENCH_*.json` belongs to.
+//! configuration builders the program calls, which bin and guard schema
+//! each committed `BENCH_*.json` belongs to, and that every decoder README's
+//! formats table names still exists.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -473,5 +474,145 @@ fn every_bench_report_has_one_writer_and_one_guard() {
     assert_eq!(
         guarded, report_schemas,
         "schemas in bench_guard.py SPECS (left) against the committed reports' (right)"
+    );
+}
+
+/// The `Type::fn` and `module::fn` names in the first column of README's
+/// *On-disk formats* table.
+fn format_table_decoders(readme: &str) -> Vec<String> {
+    let (_, section) = readme
+        .split_once("\n## On-disk formats\n")
+        .expect("README has an On-disk formats section");
+    let section = section.split("\n## ").next().unwrap_or_default();
+    let is_ident = |segment: &str| {
+        segment.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && segment
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix('|')?.split('|').next())
+        .flat_map(|first_cell| first_cell.split('`').skip(1).step_by(2))
+        .filter(|span| span.contains("::") && span.split("::").all(is_ident))
+        .map(String::from)
+        .collect()
+}
+
+/// The type an `impl` header implements (`impl<T> Trait for Type<T> {` →
+/// `Type`), or `None` for a line that is not one.
+fn implemented_type(header: &str) -> Option<&str> {
+    let mut rest = header.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let (mut depth, mut previous) = (0, ' ');
+        for (at, c) in rest.char_indices() {
+            match c {
+                '<' => depth += 1,
+                '>' if previous != '-' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        rest = &rest[at + 1..];
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            previous = c;
+        }
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let implemented = rest.rsplit(" for ").next()?.trim_start();
+    let path = implemented.split(['<', ' ', '{']).next()?;
+    path.rsplit("::").next()
+}
+
+/// Whether `line`, trimmed, declares `fn name`.
+fn declares_fn(line: &str, name: &str) -> bool {
+    let mut rest = line.trim_start();
+    while let Some(next) = ["pub(crate) ", "pub(super) ", "pub ", "const ", "unsafe "]
+        .iter()
+        .find_map(|prefix| rest.strip_prefix(prefix))
+    {
+        rest = next;
+    }
+    rest.strip_prefix("fn ")
+        .and_then(|rest| rest.strip_prefix(name))
+        .is_some_and(|rest| rest.starts_with(['(', '<']))
+}
+
+/// Whether the production lines of `sources` (path, lines) define `path`: a
+/// `Type::fn` as a `fn` of an `impl` block of that type, a `module::fn` as a
+/// top-level `fn` of that module's file.
+fn defines(sources: &[(PathBuf, Vec<String>)], path: &str) -> bool {
+    let (qualifier, name) = path.rsplit_once("::").unwrap();
+    let last = qualifier.rsplit("::").next().unwrap();
+    if last.starts_with(|c: char| c.is_ascii_uppercase()) {
+        sources.iter().any(|(_, lines)| {
+            let mut in_impl = false;
+            lines.iter().any(|line| {
+                if line.starts_with("impl") {
+                    in_impl = implemented_type(line) == Some(last);
+                } else if line.starts_with('}') {
+                    in_impl = false;
+                }
+                in_impl && declares_fn(line, name)
+            })
+        })
+    } else {
+        let module = qualifier.replace("::", "/");
+        let files = [format!("/src/{module}.rs"), format!("/src/{module}/mod.rs")];
+        sources.iter().any(|(file, lines)| {
+            let file = file.to_string_lossy();
+            files.iter().any(|suffix| file.ends_with(suffix.as_str()))
+                && lines
+                    .iter()
+                    .any(|line| !line.starts_with(' ') && declares_fn(line, name))
+        })
+    }
+}
+
+/// README's *On-disk formats* table lists every decoder that parses bytes
+/// an attacker can write. A row whose decoder is gone describes a format the
+/// program no longer has: every `Type::fn` or `module::fn` of its first
+/// column must be a `fn` of that type's `impl` or of that module, in the
+/// production lines of `crates/*/src`. The type matters: a `Level::lookup`
+/// does not keep a `HashIndexRegion::lookup` row alive.
+#[test]
+fn every_decoder_the_formats_table_names_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        rust_files_under(&entry.unwrap().path().join("src"), &mut files);
+    }
+    let sources: Vec<(PathBuf, Vec<String>)> = files
+        .into_iter()
+        .map(|file| {
+            let lines = production_lines(&file);
+            (file, lines)
+        })
+        .collect();
+
+    // The resolver itself: a type's method, a module's function, and
+    // neither under the other's name.
+    assert!(defines(&sources, "SortRecord::view"));
+    assert!(defines(&sources, "level::decode_item"));
+    assert!(!defines(&sources, "SortRecord::decode_item"));
+    assert!(!defines(&sources, "level::view"));
+
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let decoders = format_table_decoders(&readme);
+    assert!(
+        decoders.len() >= 10,
+        "only {} decoders found in the formats table: {decoders:?}",
+        decoders.len()
+    );
+    let missing: Vec<&String> = decoders
+        .iter()
+        .filter(|path| !defines(&sources, path))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README's On-disk formats table names decoders the source does not define: {missing:?}"
     );
 }
