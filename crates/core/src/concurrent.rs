@@ -12,9 +12,9 @@
 //! the statistical attackers.
 //!
 //! [`ConcurrentAgent`] is that keying plus file lifecycle over the shared
-//! [`Engine`]; every method takes `&self`, so one thread or many may drive it.
-
-use parking_lot::RwLock;
+//! [`Engine`]. Every method takes `&self`, so many threads may share one
+//! agent; each call holds the engine's one lock from start to end, so they
+//! take turns.
 
 use stegfs_base::{
     BlockClass, FileAccessKey, FsError, OpenFile, ShardedBlockMap, StegFs, StegFsConfig,
@@ -32,28 +32,38 @@ use crate::stats::UpdateStats;
 /// registry.
 pub(crate) struct VolumeKey(Key256);
 
+impl VolumeKey {
+    /// Effective FAK for a user file: the location comes from the user's
+    /// secret and path, while header and content are encrypted under the
+    /// agent's volume-wide key (Section 4.1.2: "the agent keeps two keys
+    /// \[...\] the other is the secret key for encrypting all the storage
+    /// blocks").
+    fn fak(&self, user_secret: &Key256) -> FileAccessKey {
+        FileAccessKey::from_parts(
+            user_secret.derive("steghide:location"),
+            self.0,
+            Some(self.0),
+        )
+    }
+}
+
 impl Keying for VolumeKey {
-    fn draw(
-        &self,
-        payload_blocks: u64,
-        _: &RwLock<Registry>,
-        rng: &mut HashDrbg,
-    ) -> Option<BlockId> {
+    fn draw(&self, payload_blocks: u64, _: &Registry, rng: &mut HashDrbg) -> Option<BlockId> {
         Some(1 + rng.gen_range(payload_blocks))
     }
 
     fn claim_swap_target(
         &self,
         map: &ShardedBlockMap,
-        _: &RwLock<Registry>,
+        _: &Registry,
         b2: BlockId,
     ) -> Option<SwapTarget> {
         map.claim(b2, BlockClass::Dummy, BlockClass::Data)
             .then_some(SwapTarget::Abandoned)
     }
 
-    fn reseal(&self, _: &ShardedBlockMap, _: &RwLock<Registry>, _: BlockId) -> Reseal {
-        Reseal::Key(self.0)
+    fn reseal(&self, _: &Registry, _: BlockId) -> Result<Reseal, AgentError> {
+        Ok(Reseal::Key(self.0))
     }
 
     fn content_key(&self, _: &OpenFile) -> Result<Key256, AgentError> {
@@ -129,36 +139,21 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
     /// key so that a later [`ConcurrentAgent::mount`] (via
     /// [`ShardedBlockMap::from_bytes`]) has the complete view.
     pub fn export_block_map(&self) -> Vec<u8> {
-        let _quiesced = self.engine.exclusive();
+        let _quiesced = self.engine.lock();
         self.engine.map.to_bytes()
     }
 
-    /// Effective FAK for a user file: the location comes from the user's
-    /// secret and path, while header and content are encrypted under the
-    /// agent's volume-wide key (Section 4.1.2: "the agent keeps two keys
-    /// \[...\] the other is the secret key for encrypting all the storage
-    /// blocks").
-    fn effective_fak(&self, user_secret: &Key256) -> FileAccessKey {
-        let agent_key = self.engine.keying.0;
-        FileAccessKey::from_parts(
-            user_secret.derive("steghide:location"),
-            agent_key,
-            Some(agent_key),
-        )
-    }
-
-    /// Run a [`StegFs`] creation path as a structural operation (it excludes
-    /// per-block traffic for its short, rare duration) and register the
-    /// result.
+    /// Run a [`StegFs`] creation path under the engine's lock and register
+    /// the result.
     fn create(
         &self,
         user_secret: &Key256,
         make: impl FnOnce(&StegFs<D>, &ShardedBlockMap, &FileAccessKey) -> Result<OpenFile, FsError>,
     ) -> Result<FileId, AgentError> {
-        let _exclusive = self.engine.exclusive();
-        let fak = self.effective_fak(user_secret);
+        let mut e = self.engine.lock();
+        let fak = e.keying.fak(user_secret);
         let file = make(&self.engine.fs, &self.engine.map, &fak)?;
-        Ok(self.engine.registry.write().register(file).0)
+        Ok(e.registry.register(file).0)
     }
 
     /// Create a hidden file for a user and leave it open; returns its id.
@@ -190,32 +185,26 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
     /// Open an existing hidden file; returns its id. Idempotent: opening a
     /// file that is already open returns the existing id, so all its users
     /// share one cached header.
-    ///
-    /// Per-block traffic: opening probes header and indirect blocks on the
-    /// device, which must not interleave with a concurrent create/flush's
-    /// multi-block header writes.
     pub fn open_file(&self, user_secret: &Key256, path: &str) -> Result<FileId, AgentError> {
-        let _shared = self.engine.shared();
-        let file = self
-            .engine
-            .fs
-            .open_file(&self.effective_fak(user_secret), path)?;
-        Ok(self.engine.registry.write().register(file).0)
+        let mut e = self.engine.lock();
+        let file = self.engine.fs.open_file(&e.keying.fak(user_secret), path)?;
+        Ok(e.registry.register(file).0)
     }
 
     /// Save (if dirty) and close an open file. The id is dead afterwards for
     /// everyone who held it.
     pub fn close_file(&self, id: FileId) -> Result<(), AgentError> {
-        let exclusive = self.engine.exclusive();
-        exclusive.save(id)?;
-        exclusive.unregister(id);
+        let mut e = self.engine.lock();
+        e.save(id)?;
+        e.registry.unregister(id);
         Ok(())
     }
 
     /// Delete an open file, returning its blocks to the dummy pool.
     pub fn delete_file(&self, id: FileId) -> Result<(), AgentError> {
-        let exclusive = self.engine.exclusive();
-        let file = exclusive
+        let mut e = self.engine.lock();
+        let file = e
+            .registry
             .unregister(id)
             .ok_or(AgentError::UnknownFile(id))?;
         self.engine.fs.delete_file(&self.engine.map, file)?;
@@ -224,17 +213,17 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
 
     /// Read one content block of an open file.
     pub fn read_block(&self, id: FileId, index: u64) -> Result<Vec<u8>, AgentError> {
-        self.engine.shared().read_block(id, index)
+        self.engine.lock().read_block(id, index)
     }
 
     /// Read a whole open file as one consistent snapshot.
     pub fn read_file(&self, id: FileId) -> Result<Vec<u8>, AgentError> {
-        self.engine.shared().read_file(id)
+        self.engine.lock().read_file(id)
     }
 
     /// Number of content blocks of an open file.
     pub fn num_blocks(&self, id: FileId) -> Result<u64, AgentError> {
-        self.engine.num_blocks(id)
+        self.engine.lock().num_blocks(id)
     }
 
     /// Update one content block with the Figure 6 algorithm.
@@ -244,7 +233,7 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         index: u64,
         payload: &[u8],
     ) -> Result<UpdateOutcome, AgentError> {
-        self.engine.shared().update_block(id, index, payload)
+        self.engine.lock().update_block(id, index, payload)
     }
 
     /// Update `count` consecutive content blocks starting at `start_index`,
@@ -258,20 +247,19 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         fill: u8,
     ) -> Result<Vec<UpdateOutcome>, AgentError> {
         self.engine
-            .shared()
+            .lock()
             .update_range_fill(id, start_index, count, fill)
     }
 
     /// Issue `k` idle-time dummy updates (Section 4.1.3) on uniformly drawn
     /// payload blocks; returns the touched blocks in selection order.
     pub fn dummy_update_batch(&self, k: usize) -> Result<Vec<u64>, AgentError> {
-        self.engine.shared().dummy_update_batch(k)
+        self.engine.lock().dummy_update_batch(k)
     }
 
-    /// Write back every dirty cached header. A structural operation (header
-    /// and indirect writes bypass the shard locks).
+    /// Write back every dirty cached header.
     pub fn flush(&self) -> Result<(), AgentError> {
-        self.engine.exclusive().flush()
+        self.engine.lock().flush()
     }
 
     /// Update statistics collected so far.
@@ -294,7 +282,7 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         &self.engine.fs
     }
 
-    /// Shard count of the map and the update-lock array.
+    /// Shard count of the agent's block map.
     pub fn num_shards(&self) -> usize {
         self.engine.map.num_shards()
     }
@@ -308,7 +296,12 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use stegfs_blockdev::MemDevice;
+    use std::sync::{mpsc, Arc};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    use parking_lot::Mutex;
+    use stegfs_blockdev::{DeviceError, Io, IoKind, Layered, MemDevice};
 
     pub(crate) const AGENT_SECRET: &str = "concurrent agent secret";
 
@@ -354,8 +347,105 @@ pub(crate) mod tests {
         assert_eq!(agent.read_file(id2).unwrap(), read);
     }
 
+    /// A device gate for the one-call-at-a-time tests: once armed, the first
+    /// write parks until the test releases it. Each request is logged with
+    /// its thread as it goes on to the device, after any park.
+    #[derive(Clone, Default)]
+    pub(crate) struct WriteGate {
+        log: Arc<Mutex<Vec<ThreadId>>>,
+        armed: Arc<Mutex<Option<Park>>>,
+    }
+
+    /// Where a parked write says it has parked, and waits to be released.
+    type Park = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    impl WriteGate {
+        pub(crate) fn device(
+            &self,
+            num_blocks: u64,
+        ) -> Layered<MemDevice, impl Fn(&MemDevice, Io) -> Result<(), DeviceError> + Send + Sync>
+        {
+            let gate = self.clone();
+            let hook = move |_: &MemDevice, io: Io| {
+                let park = gate.armed.lock().take_if(|_| io.kind == IoKind::Write);
+                if let Some((parked, release)) = park {
+                    parked.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+                gate.log.lock().push(std::thread::current().id());
+                Ok(())
+            };
+            Layered::with_hook(MemDevice::new(num_blocks, 512), hook)
+        }
+
+        /// Run `update` on one thread until its first write parks, start
+        /// `read` on a second, release the update 200 ms later, and assert
+        /// that every request of the read comes after the update's last.
+        pub(crate) fn read_during_update(
+            &self,
+            update: impl FnOnce() + Send,
+            read: impl FnOnce() + Send,
+        ) {
+            self.log.lock().clear();
+            let (updater, reader) = std::thread::scope(|s| {
+                let (parked_tx, parked) = mpsc::channel();
+                let (release, release_rx) = mpsc::channel();
+                *self.armed.lock() = Some((parked_tx, release_rx));
+                let updater = s.spawn(update);
+                parked
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("the update never wrote");
+                let reader = s.spawn(read);
+                std::thread::sleep(Duration::from_millis(200));
+                release.send(()).unwrap();
+                let ids = (updater.thread().id(), reader.thread().id());
+                updater.join().unwrap();
+                reader.join().unwrap();
+                ids
+            });
+            let order: String = (self.log.lock().iter())
+                .map(|&t| match t {
+                    t if t == updater => 'U',
+                    t if t == reader => 'R',
+                    _ => '?',
+                })
+                .collect();
+            let last_update = order.rfind('U').expect("the update made no request");
+            let first_read = order.find('R').expect("the read made no request");
+            assert!(
+                first_read > last_update,
+                "the read ran inside the update (U: update, R: read): {order}"
+            );
+        }
+    }
+
     #[test]
-    fn dummy_batch_takes_each_shard_lock_once_and_counts() {
+    fn concurrent_calls_wait_for_an_update_in_flight() {
+        let gate = WriteGate::default();
+        let agent = ConcurrentAgent::format(
+            gate.device(512),
+            StegFsConfig::default().with_block_size(512),
+            AgentConfig::default(),
+            Key256::from_passphrase(AGENT_SECRET),
+            7,
+            8,
+        )
+        .unwrap();
+        let per = agent.fs().content_bytes_per_block();
+        let user = Key256::from_passphrase("gate");
+        let a = agent.create_file(&user, "/a", &vec![1u8; per * 2]).unwrap();
+        let b = agent.create_file(&user, "/b", &vec![2u8; per * 2]).unwrap();
+        gate.read_during_update(
+            || {
+                agent.update_block(a, 0, &vec![3u8; per]).unwrap();
+            },
+            || assert_eq!(agent.read_block(b, 0).unwrap(), vec![2u8; per]),
+        );
+        assert_eq!(agent.read_block(a, 0).unwrap(), vec![3u8; per]);
+    }
+
+    #[test]
+    fn dummy_batch_touches_k_payload_blocks_and_counts() {
         let agent = agent(256, 4);
         let touched = agent.dummy_update_batch(64).unwrap();
         assert_eq!(touched.len(), 64);
@@ -456,8 +546,8 @@ pub(crate) mod tests {
     #[test]
     fn reopening_a_file_returns_the_same_id() {
         // Two sessions opening the same physical file must share one cached
-        // header (and therefore one per-file update lock); a second id would
-        // let concurrent updates diverge and the last flushed header win.
+        // header; a second id would let their updates diverge and the last
+        // flushed header win.
         let agent = agent(512, 8);
         let user = Key256::from_passphrase("erin");
         let per = agent.fs().content_bytes_per_block();

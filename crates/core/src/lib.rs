@@ -19,9 +19,10 @@
 //!
 //! The paper describes *one* update-hiding algorithm run under two keying
 //! constructions, and so does this crate: a single private Figure 6 engine
-//! (relocation loop, reseal, flush, and the lock decomposition that lets
-//! many threads drive it through `&self`), instantiated statically by two
-//! thin agents that differ only in keying and file/session lifecycle:
+//! (relocation loop, reseal, flush, and the one lock that lets many threads
+//! share it through `&self`, each call taking its turn), instantiated
+//! statically by two thin agents that differ only in keying and
+//! file/session lifecycle:
 //!
 //! * [`ConcurrentAgent`] (the paper's **StegHide\***, Construction 1): the
 //!   agent persistently holds one volume-wide encryption key plus the dummy

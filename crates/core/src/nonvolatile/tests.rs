@@ -155,7 +155,7 @@ fn closing_and_deleting_files_empties_the_registry() {
             .create_file(&user, &path, &vec![1u8; per * 2])
             .unwrap();
         agent.update_block(id, round % 2, &vec![2u8; per]).unwrap();
-        assert!(!agent.engine.registry.read().is_empty());
+        assert!(!agent.engine.lock().registry.is_empty());
         if round % 2 == 0 {
             agent.close_file(id).unwrap();
             let id = agent.open_file(&user, &path).unwrap();
@@ -164,6 +164,6 @@ fn closing_and_deleting_files_empties_the_registry() {
         } else {
             agent.delete_file(id).unwrap();
         }
-        assert!(agent.engine.registry.read().is_empty(), "round {round}");
+        assert!(agent.engine.lock().registry.is_empty(), "round {round}");
     }
 }

@@ -1,20 +1,18 @@
 //! The agent's one registry: everything it knows about files and blocks.
 //!
 //! The registry is the agent's working memory (Section 3.2.3): which hidden
-//! and dummy files it currently knows about — each with its cached header and
-//! its update lock — and, for every block of those files, which file owns it
-//! in what role and where it sits in the universe that uniform draws sample.
-//! Nothing else in the agent is keyed by file or by block, so nothing can
-//! fall out of step with it. Under Construction 2 this is exactly the
-//! knowledge that evaporates at logout or restart; under Construction 1 it
-//! can be reconstructed from the persistent block map and key.
+//! and dummy files it currently knows about — each with its cached header —
+//! and, for every block of those files, which file owns it in what role and
+//! where it sits in the universe that uniform draws sample. Nothing else in
+//! the agent is keyed by file or by block, so nothing can fall out of step
+//! with it. It is plain data: the engine's one lock guards it. Under
+//! Construction 2 this is exactly the knowledge that evaporates at logout or
+//! restart; under Construction 1 it can be reconstructed from the persistent
+//! block map and key.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use stegfs_base::OpenFile;
+use stegfs_base::{FileKind, OpenFile};
 use stegfs_blockdev::BlockId;
 use stegfs_crypto::HashDrbg;
 
@@ -32,19 +30,10 @@ pub(crate) enum BlockRole {
     Content(u64),
 }
 
-/// A registered file.
-struct Entry {
-    file: OpenFile,
-    /// Serialises updates of the file so header bookkeeping stays
-    /// consistent; never held by the read path. It lives and dies with the
-    /// entry.
-    update_lock: Arc<Mutex<()>>,
-}
-
 /// Registered files, and every block they own as one sampled universe.
 #[derive(Default)]
 pub(crate) struct Registry {
-    files: HashMap<FileId, Entry>,
+    files: HashMap<FileId, OpenFile>,
     next_id: FileId,
     /// Each known block with its owner and role, in the order uniform draws
     /// index: a new block is pushed, a forgotten one swap-removed.
@@ -56,10 +45,13 @@ pub(crate) struct Registry {
 impl Registry {
     /// Register an open file and index all of its blocks, unless a file with
     /// the same header block already is: two live ids for one physical file
-    /// would carry two independently cached headers — concurrent updates
-    /// through them would diverge and the last flushed header would silently
-    /// win, leaking the other's relocated blocks. Returns the id and whether
-    /// it is new.
+    /// would carry two independently cached headers — updates through them
+    /// would diverge and the last flushed header would silently win, leaking
+    /// the other's relocated blocks. Returns the id and whether it is new.
+    ///
+    /// The content blocks of a data file disclosed without its content key
+    /// stay out of the universe: the agent can neither reseal them nor, as
+    /// their bytes are real, randomise them, so no draw may land on them.
     pub(crate) fn register(&mut self, file: OpenFile) -> (FileId, bool) {
         if let Some((id, BlockRole::Header)) = self.owner_of(file.header_location) {
             return (id, false);
@@ -70,11 +62,12 @@ impl Registry {
         for (i, &b) in file.indirect_locations.iter().enumerate() {
             self.set_owner(b, id, BlockRole::Indirect(i));
         }
-        for (i, &b) in file.header.blocks.iter().enumerate() {
-            self.set_owner(b, id, BlockRole::Content(i as u64));
+        if file.header.kind == FileKind::Dummy || file.fak.content_key().is_some() {
+            for (i, &b) in file.header.blocks.iter().enumerate() {
+                self.set_owner(b, id, BlockRole::Content(i as u64));
+            }
         }
-        let update_lock = Arc::default();
-        self.files.insert(id, Entry { file, update_lock });
+        self.files.insert(id, file);
         (id, true)
     }
 
@@ -99,10 +92,10 @@ impl Registry {
         }
     }
 
-    /// Unregister a file, forgetting all of its blocks and its update lock.
-    /// Returns the open file (e.g. so the caller can release its blocks).
+    /// Unregister a file, forgetting all of its blocks. Returns the open file
+    /// (e.g. so the caller can release its blocks).
     pub(crate) fn unregister(&mut self, id: FileId) -> Option<OpenFile> {
-        let Entry { file, .. } = self.files.remove(&id)?;
+        let file = self.files.remove(&id)?;
         for b in file.all_blocks() {
             self.forget_block(b);
         }
@@ -111,17 +104,12 @@ impl Registry {
 
     /// Borrow a registered file.
     pub(crate) fn get(&self, id: FileId) -> Option<&OpenFile> {
-        self.files.get(&id).map(|entry| &entry.file)
+        self.files.get(&id)
     }
 
     /// Mutably borrow a registered file.
     pub(crate) fn get_mut(&mut self, id: FileId) -> Option<&mut OpenFile> {
-        self.files.get_mut(&id).map(|entry| &mut entry.file)
-    }
-
-    /// The update lock of a registered file.
-    pub(crate) fn update_lock(&self, id: FileId) -> Option<Arc<Mutex<()>>> {
-        self.files.get(&id).map(|entry| entry.update_lock.clone())
+        self.files.get_mut(&id)
     }
 
     /// Whether no file is registered (so no block is known either).
@@ -232,7 +220,7 @@ impl Registry {
         let mut ids: Vec<_> = self
             .files
             .iter()
-            .filter(|(_, entry)| entry.file.dirty)
+            .filter(|(_, file)| file.dirty)
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
@@ -243,7 +231,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stegfs_base::{FileAccessKey, FileHeader, FileKind};
+    use stegfs_base::{FileAccessKey, FileHeader};
 
     fn open_file(path: &str, header_loc: u64, blocks: Vec<u64>, dummy: bool) -> OpenFile {
         let kind = if dummy {
@@ -275,7 +263,23 @@ mod tests {
         assert_eq!(reg.owner_of(10), Some((id, BlockRole::Header)));
         assert_eq!(reg.owner_of(21), Some((id, BlockRole::Content(1))));
         assert_eq!(reg.owner_of(99), None);
-        assert!(reg.update_lock(id).is_some());
+    }
+
+    #[test]
+    fn content_without_its_key_stays_out_of_the_universe() {
+        let mut reg = Registry::default();
+        let mut data = open_file("/a", 10, vec![20, 21], false);
+        data.fak = data.fak.without_content_key();
+        let (id, _) = reg.register(data);
+        assert_eq!(universe(&reg), [10]);
+        assert_eq!(reg.owner_of(20), None);
+        // A dummy file's content holds no real bytes: it stays drawable.
+        let mut dummy = open_file("/d", 30, vec![40], true);
+        dummy.fak = dummy.fak.without_content_key();
+        reg.register(dummy);
+        assert_eq!(universe(&reg), [10, 30, 40]);
+        reg.unregister(id).unwrap();
+        assert_eq!(universe(&reg), [40, 30]);
     }
 
     #[test]
@@ -300,7 +304,6 @@ mod tests {
         assert_eq!(universe(&reg), [41, 40, 30]);
         assert_eq!(reg.owner_of(10), None);
         assert!(reg.owner_of(40).is_some());
-        assert!(reg.update_lock(id_a).is_none());
         assert!(reg.unregister(id_a).is_none());
         reg.unregister(id_b).unwrap();
         assert!(reg.is_empty());

@@ -40,13 +40,13 @@ macro_rules! on_both_keyings {
 fn in_place_and_relocated_updates_preserve_readability() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
         let per = e.fs.content_bytes_per_block();
-        let before = e.shared().read_file(id).unwrap();
+        let before = e.lock().read_file(id).unwrap();
         let data_blocks = e.map.data_blocks();
         let new_block = vec![0x99u8; per];
-        let outcome = e.shared().update_block(id, 2, &new_block).unwrap();
+        let outcome = e.lock().update_block(id, 2, &new_block).unwrap();
         // Whatever branch was taken, the file now reads back with the new
         // block in position 2 and everything else untouched.
-        let read = e.shared().read_file(id).unwrap();
+        let read = e.lock().read_file(id).unwrap();
         assert_eq!(&read[..2 * per], &before[..2 * per]);
         assert_eq!(&read[2 * per..3 * per], &new_block[..]);
         assert_eq!(&read[3 * per..], &before[3 * per..]);
@@ -66,7 +66,11 @@ fn in_place_and_relocated_updates_preserve_readability() {
 fn scratch_buffer_reseal_is_byte_identical_to_open_then_seal() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
         let block = e.locations(id)[3];
-        let Reseal::Key(key) = e.keying.reseal(&e.map, &e.registry, block) else {
+        let reseal = {
+            let state = e.lock();
+            state.keying.reseal(&state.registry, block)
+        };
+        let Ok(Reseal::Key(key)) = reseal else {
             panic!("a live content block is dummy-updated under its key");
         };
         // The formulation the in-place round trip replaced — open into a
@@ -77,10 +81,7 @@ fn scratch_buffer_reseal_is_byte_identical_to_open_then_seal() {
         let plaintext = codec.read_sealed(e.fs.device(), block, &key).unwrap();
         let expected = codec.seal(&key, &plaintext, &mut rng).unwrap();
 
-        {
-            let _shard = e.shard_lock(block);
-            assert!(e.reseal_shard_locked(block).unwrap());
-        }
+        e.lock().reseal(block).unwrap();
 
         let mut on_device = vec![0u8; codec.block_size()];
         e.fs.device().read_block(block, &mut on_device).unwrap();
@@ -98,7 +99,7 @@ fn relocation_is_overwhelmingly_likely_at_low_utilisation() {
         let mut relocated = 0;
         for i in 0..50u64 {
             if matches!(
-                e.shared().update_block(id, i % 4, &vec![i as u8; per]),
+                e.lock().update_block(id, i % 4, &vec![i as u8; per]),
                 Ok(UpdateOutcome::Relocated { .. })
             ) {
                 relocated += 1;
@@ -112,10 +113,10 @@ fn relocation_is_overwhelmingly_likely_at_low_utilisation() {
         assert_eq!(e.stats.snapshot().relocations, relocated);
         // After a flush the relocations are on disk: a fresh open of the
         // file finds the header the agent has cached.
-        e.exclusive().flush().unwrap();
+        e.lock().flush().unwrap();
         let (fak, path) = {
-            let registry = e.registry.read();
-            let file = registry.get(id).unwrap();
+            let state = e.lock();
+            let file = state.registry.get(id).unwrap();
             (file.fak.clone(), file.path.clone())
         };
         let reopened = e.fs.open_file(&fak, &path).unwrap();
@@ -128,7 +129,7 @@ fn iterations_track_figure6_retries() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
         let per = e.fs.content_bytes_per_block();
         for i in 0..20u64 {
-            e.shared().update_block(id, 0, &vec![i as u8; per]).unwrap();
+            e.lock().update_block(id, 0, &vec![i as u8; per]).unwrap();
         }
         let s = e.stats.snapshot();
         assert_eq!(s.data_updates, 20);
@@ -149,25 +150,25 @@ fn ablation_mode_never_relocates() {
         let per = e.fs.content_bytes_per_block();
         let before = e.locations(id);
         for i in 0..10u64 {
-            let outcome = e.shared().update_block(id, 1, &vec![i as u8; per]);
+            let outcome = e.lock().update_block(id, 1, &vec![i as u8; per]);
             assert_eq!(outcome, Ok(UpdateOutcome::InPlace { block: before[1] }));
         }
         assert_eq!(e.locations(id), before);
         let s = e.stats.snapshot();
         assert_eq!((s.relocations, s.in_place, s.iterations), (0, 10, 10));
         assert_eq!(s.mean_ios_per_data_update(), 2.0);
-        assert_eq!(e.shared().read_block(id, 1).unwrap(), vec![9u8; per]);
+        assert_eq!(e.lock().read_block(id, 1).unwrap(), vec![9u8; per]);
     });
 }
 
 #[test]
 fn dummy_updates_do_not_corrupt_data() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
-        let content = e.shared().read_file(id).unwrap();
+        let content = e.lock().read_file(id).unwrap();
         for _ in 0..20 {
-            assert_eq!(e.shared().dummy_update_batch(10).unwrap().len(), 10);
+            assert_eq!(e.lock().dummy_update_batch(10).unwrap().len(), 10);
         }
-        assert_eq!(e.shared().read_file(id).unwrap(), content);
+        assert_eq!(e.lock().read_file(id).unwrap(), content);
         let s = e.stats.snapshot();
         assert_eq!(s.dummy_updates, 200);
         assert_eq!(s.data_updates, 0);
@@ -179,7 +180,7 @@ fn oversized_payload_rejected() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
         let per = e.fs.content_bytes_per_block();
         assert_eq!(
-            e.shared().update_block(id, 0, &vec![0u8; per + 1]),
+            e.lock().update_block(id, 0, &vec![0u8; per + 1]),
             Err(AgentError::PayloadTooLarge {
                 got: per + 1,
                 max: per
@@ -193,15 +194,15 @@ fn oversized_payload_rejected() {
 fn unknown_file_and_index_errors() {
     on_both_keyings!(AgentConfig::default(), |e, id| {
         assert!(matches!(
-            e.shared().update_block(id, 1000, b"x"),
+            e.lock().update_block(id, 1000, b"x"),
             Err(AgentError::Fs(FsError::OutOfBounds { index: 1000, .. }))
         ));
         assert_eq!(
-            e.shared().update_block(id + 100, 0, b"x"),
+            e.lock().update_block(id + 100, 0, b"x"),
             Err(AgentError::UnknownFile(id + 100))
         );
         assert_eq!(
-            e.shared().read_file(id + 100),
+            e.lock().read_file(id + 100),
             Err(AgentError::UnknownFile(id + 100))
         );
         assert_eq!(e.stats.snapshot(), UpdateStats::default());

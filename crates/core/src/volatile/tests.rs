@@ -149,11 +149,43 @@ fn login_with_wrong_key_fails() {
     // The half-finished login left nothing behind.
     assert!(agent.logged_in_users().is_empty());
     assert_eq!(agent.map().data_blocks() + agent.map().dummy_blocks(), 0);
-    assert!(agent.engine.registry.read().is_empty());
+    assert!(agent.engine.lock().registry.is_empty());
     assert_eq!(
         agent.dummy_update_batch(1),
         Err(AgentError::NothingToUpdate)
     );
+}
+
+#[test]
+fn a_data_file_disclosed_without_its_content_key_stays_out_of_the_draws() {
+    let (agent, content) = provisioned_on(
+        MemDevice::new(2048, 512),
+        &["alice", "bob"],
+        AgentConfig::default(),
+    );
+    let mut creds = credentials("alice");
+    creds[0].fak = creds[0].fak.without_content_key();
+    let alice = agent.login("alice", &creds).unwrap();
+    let alice_data = agent.session_files(alice).unwrap()[0];
+    let keyless = agent.engine.locations(alice_data);
+    let bob = agent.login("bob", &credentials("bob")).unwrap();
+    let bob_data = agent.session_files(bob).unwrap()[0];
+    let per = agent.fs().content_bytes_per_block();
+    // Six of the 32 blocks alice and bob disclosed are content alice's key
+    // cannot reseal: every batch and every update would draw some of them
+    // if they were drawable.
+    for i in 0..16u64 {
+        agent
+            .update_block(bob, bob_data, i % 6, &vec![i as u8; per])
+            .unwrap();
+        let victims = agent.dummy_update_batch(16).unwrap();
+        assert!(victims.iter().all(|b| !keyless.contains(b)), "{victims:?}");
+    }
+    agent.logout(alice).unwrap();
+    let alice = agent.login("alice", &credentials("alice")).unwrap();
+    let data = agent.session_files(alice).unwrap()[0];
+    assert_eq!(agent.engine.locations(data), keyless);
+    assert_eq!(agent.read_file(alice, data).unwrap(), content);
 }
 
 #[test]
@@ -219,9 +251,9 @@ fn login_churn_leaves_the_registry_empty() {
         agent
             .update_block(session, files[0], cycle % 6, &vec![cycle as u8; per])
             .unwrap();
-        assert!(!agent.engine.registry.read().is_empty());
+        assert!(!agent.engine.lock().registry.is_empty());
         agent.logout(session).unwrap();
-        assert!(agent.engine.registry.read().is_empty(), "cycle {cycle}");
+        assert!(agent.engine.lock().registry.is_empty(), "cycle {cycle}");
         ids.extend(files);
     }
     // Every login minted fresh ids; none of them left anything behind.

@@ -21,18 +21,17 @@
 //! agent never holds a map that knows the volume's free blocks.
 //!
 //! [`ConcurrentVolatileAgent`] is that keying plus session lifecycle over the
-//! shared [`Engine`]; every method takes `&self`:
+//! shared [`Engine`]. Every method takes `&self` and holds the engine's one
+//! lock from start to end, so calls from many threads take turns:
 //!
-//! * **login and logout are structural**: they open/forget many files,
-//!   re-classify all their blocks and mutate the registry wholesale, so they
-//!   exclude all per-block traffic — a logout can never race a read or
-//!   update of the session's own blocks;
-//! * the **session table** is one map behind one `RwLock`: login, logout and
-//!   file creation — its only writers — are structural anyway, and the
-//!   ownership checks that read it never contend with each other;
+//! * the **session table** lives in the keying, under that lock: a login,
+//!   a logout or a file creation is one call, and the ownership check that
+//!   guards a read or an update runs inside the same call as the read or
+//!   update, so it can never race a logout;
 //! * **candidates** (dummy-update victims and relocation targets alike) are
 //!   drawn from the *known* universe only — the blocks of files disclosed by
-//!   logged-in sessions, exactly Construction 2's visibility rule — and a
+//!   logged-in sessions, exactly Construction 2's visibility rule, less the
+//!   content of a data file disclosed without its content key — and a
 //!   relocation target is a content block of a disclosed *dummy* file
 //!   (Section 4.2.2, the user's own decoys).
 //!
@@ -42,9 +41,6 @@
 //! what was disclosed.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
 
 use stegfs_base::{
     BlockClass, FileAccessKey, FileKind, FsError, OpenFile, ShardedBlockMap, StegFs,
@@ -53,7 +49,7 @@ use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{HashDrbg, Key256};
 
 use crate::config::AgentConfig;
-use crate::engine::{Engine, Exclusive, Keying, Reseal, Shared, SwapTarget, UpdateOutcome};
+use crate::engine::{Engine, Keying, Locked, Reseal, SwapTarget, UpdateOutcome};
 use crate::error::AgentError;
 use crate::registry::{BlockRole, FileId, Registry};
 use crate::stats::UpdateStats;
@@ -89,56 +85,70 @@ struct Session {
 }
 
 /// Construction 2 keying: every answer comes from what logged-in users have
-/// disclosed.
-pub(crate) struct DisclosedKeys;
+/// disclosed, and the session table records who disclosed what.
+pub(crate) struct DisclosedKeys {
+    /// Live sessions and the files each one lists.
+    sessions: HashMap<SessionId, Session>,
+    next_session: SessionId,
+}
+
+impl DisclosedKeys {
+    /// The files `session` lists.
+    fn files(&self, session: SessionId) -> Result<&[FileId], AgentError> {
+        Ok(&self
+            .sessions
+            .get(&session)
+            .ok_or(AgentError::UnknownSession(session))?
+            .files)
+    }
+
+    /// Whether `session` may touch file `id`.
+    fn check_ownership(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
+        if self.files(session)?.contains(&id) {
+            Ok(())
+        } else {
+            Err(AgentError::UnknownFile(id))
+        }
+    }
+}
 
 impl Keying for DisclosedKeys {
-    fn draw(&self, _: u64, registry: &RwLock<Registry>, rng: &mut HashDrbg) -> Option<BlockId> {
-        registry.read().random_known_block(rng)
+    fn draw(&self, _: u64, registry: &Registry, rng: &mut HashDrbg) -> Option<BlockId> {
+        registry.random_known_block(rng)
     }
 
     fn claim_swap_target(
         &self,
         map: &ShardedBlockMap,
-        registry: &RwLock<Registry>,
+        registry: &Registry,
         b2: BlockId,
     ) -> Option<SwapTarget> {
-        let target = {
-            let registry = registry.read();
-            match registry.owner_of(b2)? {
-                (file, BlockRole::Content(index)) if registry.get(file)?.is_dummy() => {
-                    SwapTarget::DummyFile { file, index }
-                }
-                _ => return None,
+        let target = match registry.owner_of(b2)? {
+            (file, BlockRole::Content(index)) if registry.get(file)?.is_dummy() => {
+                SwapTarget::DummyFile { file, index }
             }
+            _ => return None,
         };
-        // Losing the claim means a concurrent update is converting B2 right
-        // now; the caller's dummy update of it will skip.
         map.claim(b2, BlockClass::Dummy, BlockClass::Data)
             .then_some(target)
     }
 
-    fn reseal(&self, map: &ShardedBlockMap, registry: &RwLock<Registry>, block: BlockId) -> Reseal {
-        let registry = registry.read();
-        // A drawn block is always attributed (logout is structural), but Skip
-        // is the safe answer if it is not.
-        let Some((file, role)) = registry
+    fn reseal(&self, registry: &Registry, block: BlockId) -> Result<Reseal, AgentError> {
+        // Every drawn block is attributed and keyed: draws sample the
+        // registry under the same lock, and the registry leaves out content
+        // it holds no key for. A block it cannot key is never written.
+        let (file, role) = registry
             .owner_of(block)
             .and_then(|(id, role)| Some((registry.get(id)?, role)))
-        else {
-            return Reseal::Skip;
-        };
-        match role {
+            .ok_or(AgentError::NothingToUpdate)?;
+        Ok(match role {
             BlockRole::Header | BlockRole::Indirect(_) => Reseal::Key(*file.fak.header_key()),
-            BlockRole::Content(_) => match (file.header.kind, file.fak.content_key()) {
-                (FileKind::Data, Some(key)) => Reseal::Key(*key),
-                // Dummy-file content (or a data file whose content key was
-                // withheld): the bytes are meaningless — unless the block has
-                // just been claimed as a relocation target.
-                _ if map.class(block) == BlockClass::Data => Reseal::Skip,
-                _ => Reseal::Random,
+            BlockRole::Content(_) => match file.header.kind {
+                FileKind::Data => Reseal::Key(self.content_key(file)?),
+                // Dummy-file content: the bytes are meaningless.
+                FileKind::Dummy => Reseal::Random,
             },
-        }
+        })
     }
 
     fn content_key(&self, file: &OpenFile) -> Result<Key256, AgentError> {
@@ -152,9 +162,6 @@ impl Keying for DisclosedKeys {
 /// The Construction 2 agent (StegHide).
 pub struct ConcurrentVolatileAgent<D> {
     pub(crate) engine: Engine<D, DisclosedKeys>,
-    /// Live sessions and the files each one lists.
-    sessions: RwLock<HashMap<SessionId, Session>>,
-    next_session: AtomicU64,
 }
 
 impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
@@ -179,43 +186,45 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     ) -> Result<Self, AgentError> {
         let fs = StegFs::mount(device, seed)?;
         let map = ShardedBlockMap::new_unknown(fs.superblock().num_blocks, num_shards);
+        let keying = DisclosedKeys {
+            sessions: HashMap::new(),
+            next_session: 1,
+        };
         Ok(Self {
-            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, DisclosedKeys),
-            sessions: RwLock::default(),
-            next_session: AtomicU64::new(1),
+            engine: Engine::new(fs, map, agent_cfg, seed ^ 0x9e3779b9, keying),
         })
     }
 
     /// Log a user on: open every disclosed file, add its blocks to the
-    /// agent's view, and return the session id. Structural: it excludes all
-    /// per-block traffic for its duration.
+    /// agent's view, and return the session id.
     pub fn login(
         &self,
         user: &str,
         credentials: &[UserCredential],
     ) -> Result<SessionId, AgentError> {
-        let exclusive = self.engine.exclusive();
+        let mut e = self.engine.lock();
         let mut files = Vec::with_capacity(credentials.len());
         for cred in credentials {
             let file = match self.engine.fs.open_file(&cred.fak, &cred.path) {
                 Ok(file) => file,
-                Err(e) => {
+                Err(err) => {
                     // Roll back the files this login already opened.
-                    self.release_unlisted(&exclusive, &files);
-                    return Err(e.into());
+                    self.release_unlisted(&mut e, &files);
+                    return Err(err.into());
                 }
             };
             // Re-disclosure of an already-registered file (another live
             // session of the same user) reuses the id and its cached header.
-            let mut registry = self.engine.registry.write();
-            let (id, fresh) = registry.register(file);
-            if let Some(file) = registry.get(id).filter(|_| fresh) {
+            let (id, fresh) = e.registry.register(file);
+            if let Some(file) = e.registry.get(id).filter(|_| fresh) {
                 self.engine.fs.register_file(&self.engine.map, file);
             }
             files.push(id);
         }
-        let session = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.sessions.write().insert(
+        let keys = &mut e.keying;
+        let session = keys.next_session;
+        keys.next_session += 1;
+        keys.sessions.insert(
             session,
             Session {
                 user: user.to_string(),
@@ -228,13 +237,12 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// Forget every file of `files` that no live session lists: its keys,
     /// its cached header and its blocks' classifications. Headers must
     /// already be saved.
-    fn release_unlisted(&self, exclusive: &Exclusive<'_, D, DisclosedKeys>, files: &[FileId]) {
-        let sessions = self.sessions.read();
+    fn release_unlisted(&self, e: &mut Locked<'_, D, DisclosedKeys>, files: &[FileId]) {
         for &id in files {
-            if sessions.values().any(|s| s.files.contains(&id)) {
+            if e.keying.sessions.values().any(|s| s.files.contains(&id)) {
                 continue;
             }
-            if let Some(file) = exclusive.unregister(id) {
+            if let Some(file) = e.registry.unregister(id) {
                 for b in file.all_blocks() {
                     self.engine.map.set(b, BlockClass::Unknown);
                 }
@@ -244,31 +252,27 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
 
     /// Log a user off: persist dirty headers, then forget every file, key
     /// and block classification the session contributed (unless another live
-    /// session still lists the same file). Structural.
+    /// session still lists the same file).
     ///
     /// If a header cannot be written the error is returned and the session
     /// stays logged in, untouched, so the caller can retry: forgetting a
     /// relocated file whose on-disk header still names its abandoned blocks
     /// would hand the next login stale — or by then re-claimed — blocks.
     pub fn logout(&self, session: SessionId) -> Result<(), AgentError> {
-        let exclusive = self.engine.exclusive();
-        let files = self.session_files(session)?;
+        let mut e = self.engine.lock();
+        let files = e.keying.files(session)?.to_vec();
         for &id in &files {
-            exclusive.save(id)?;
+            e.save(id)?;
         }
-        self.sessions.write().remove(&session);
-        self.release_unlisted(&exclusive, &files);
+        e.keying.sessions.remove(&session);
+        self.release_unlisted(&mut e, &files);
         Ok(())
     }
 
     /// Users currently logged in (sorted, duplicates preserved per session).
     pub fn logged_in_users(&self) -> Vec<String> {
-        let mut users: Vec<String> = self
-            .sessions
-            .read()
-            .values()
-            .map(|s| s.user.clone())
-            .collect();
+        let e = self.engine.lock();
+        let mut users: Vec<String> = e.keying.sessions.values().map(|s| s.user.clone()).collect();
         users.sort();
         users
     }
@@ -276,43 +280,24 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// File ids registered by a session, in credential order (files created
     /// during the session follow).
     pub fn session_files(&self, session: SessionId) -> Result<Vec<FileId>, AgentError> {
-        Ok(self
-            .sessions
-            .read()
-            .get(&session)
-            .ok_or(AgentError::UnknownSession(session))?
-            .files
-            .clone())
+        Ok(self.engine.lock().keying.files(session)?.to_vec())
     }
 
-    /// Enter as per-block traffic on a file `session` disclosed. The check
-    /// runs inside the structural read lock, so it cannot race a logout.
-    fn shared_for(
+    /// Take the engine's lock for a call on a file `session` disclosed.
+    fn lock_for(
         &self,
         session: SessionId,
         id: FileId,
-    ) -> Result<Shared<'_, D, DisclosedKeys>, AgentError> {
-        let shared = self.engine.shared();
-        self.check_ownership(session, id)?;
-        Ok(shared)
-    }
-
-    fn check_ownership(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
-        let sessions = self.sessions.read();
-        let s = sessions
-            .get(&session)
-            .ok_or(AgentError::UnknownSession(session))?;
-        if s.files.contains(&id) {
-            Ok(())
-        } else {
-            Err(AgentError::UnknownFile(id))
-        }
+    ) -> Result<Locked<'_, D, DisclosedKeys>, AgentError> {
+        let e = self.engine.lock();
+        e.keying.check_ownership(session, id)?;
+        Ok(e)
     }
 
     /// Create a new hidden file for a logged-in user by converting blocks of
     /// the disclosed dummy files into data blocks. This is how new data
     /// enters the system at runtime without the agent needing any global
-    /// free-space knowledge. Structural.
+    /// free-space knowledge.
     pub fn create_file_from_dummies(
         &self,
         session: SessionId,
@@ -320,11 +305,14 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         fak: &FileAccessKey,
         content: &[u8],
     ) -> Result<FileId, AgentError> {
-        let _exclusive = self.engine.exclusive();
-        let mut sessions = self.sessions.write();
-        let state = sessions
+        let mut e = self.engine.lock();
+        let state = &mut *e;
+        let listed = state
+            .keying
+            .sessions
             .get_mut(&session)
             .ok_or(AgentError::UnknownSession(session))?;
+        let registry = &mut state.registry;
         let fs = &self.engine.fs;
         let file = fs.create_file(&self.engine.map, path, fak, content)?;
         fs.register_file(&self.engine.map, &file);
@@ -332,7 +320,6 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         // Creating the file consumed blocks the map classified as dummy;
         // here those belong to disclosed dummy files, whose headers must stop
         // referencing them.
-        let mut registry = self.engine.registry.write();
         for block in file.all_blocks() {
             let Some((owner, BlockRole::Content(_))) = registry.owner_of(block) else {
                 continue;
@@ -342,13 +329,13 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
             }
         }
         let (id, _) = registry.register(file);
-        state.files.push(id);
+        listed.files.push(id);
         Ok(id)
     }
 
     /// Read a whole file as one consistent snapshot.
     pub fn read_file(&self, session: SessionId, id: FileId) -> Result<Vec<u8>, AgentError> {
-        self.shared_for(session, id)?.read_file(id)
+        self.lock_for(session, id)?.read_file(id)
     }
 
     /// Read one content block.
@@ -358,13 +345,12 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         id: FileId,
         index: u64,
     ) -> Result<Vec<u8>, AgentError> {
-        self.shared_for(session, id)?.read_block(id, index)
+        self.lock_for(session, id)?.read_block(id, index)
     }
 
     /// Number of content blocks of an open file.
     pub fn num_blocks(&self, session: SessionId, id: FileId) -> Result<u64, AgentError> {
-        self.check_ownership(session, id)?;
-        self.engine.num_blocks(id)
+        self.lock_for(session, id)?.num_blocks(id)
     }
 
     /// Update one content block with the Figure 6 algorithm. Relocation
@@ -376,8 +362,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         index: u64,
         payload: &[u8],
     ) -> Result<UpdateOutcome, AgentError> {
-        self.shared_for(session, id)?
-            .update_block(id, index, payload)
+        self.lock_for(session, id)?.update_block(id, index, payload)
     }
 
     /// Update `count` consecutive blocks with a fill byte (Figure 11(b)'s
@@ -390,7 +375,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         count: u64,
         fill: u8,
     ) -> Result<Vec<UpdateOutcome>, AgentError> {
-        self.shared_for(session, id)?
+        self.lock_for(session, id)?
             .update_range_fill(id, start_index, count, fill)
     }
 
@@ -399,19 +384,17 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// is nothing the agent can touch ([`AgentError::NothingToUpdate`]) — the
     /// price of volatility the paper notes.
     pub fn dummy_update_batch(&self, k: usize) -> Result<Vec<BlockId>, AgentError> {
-        self.engine.shared().dummy_update_batch(k)
+        self.engine.lock().dummy_update_batch(k)
     }
 
-    /// Save the cached header of one file. Structural.
+    /// Save the cached header of one file.
     pub fn save_file(&self, session: SessionId, id: FileId) -> Result<(), AgentError> {
-        let exclusive = self.engine.exclusive();
-        self.check_ownership(session, id)?;
-        exclusive.save(id)
+        self.lock_for(session, id)?.save(id)
     }
 
-    /// Write back every dirty cached header. Structural.
+    /// Write back every dirty cached header.
     pub fn flush(&self) -> Result<(), AgentError> {
-        self.engine.exclusive().flush()
+        self.engine.lock().flush()
     }
 
     /// Update statistics collected so far.
@@ -424,13 +407,13 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         &self.engine.map
     }
 
-    /// Quiesce all traffic and audit the map: cached per-shard counters agree
-    /// with the class vectors and every block is in exactly one class. The
-    /// only way to observe counter consistency while other threads are live;
-    /// sampling [`ConcurrentVolatileAgent::map`] mid-flight races in-flight
-    /// claim/counter pairs by design.
+    /// Audit the map between calls: cached per-shard counters agree with the
+    /// class vectors and every block is in exactly one class. The only way to
+    /// observe counter consistency while other threads are live; sampling
+    /// [`ConcurrentVolatileAgent::map`] mid-flight races a call's
+    /// claim/counter pairs.
     pub fn audit_map_consistency(&self) -> bool {
-        let _exclusive = self.engine.exclusive();
+        let _between_calls = self.engine.lock();
         let map = &self.engine.map;
         map.counters_are_consistent()
             && map.data_blocks() + map.dummy_blocks() + map.unknown_blocks() + map.reserved_blocks()
@@ -442,7 +425,7 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         &self.engine.fs
     }
 
-    /// Shard count of the map and the update-lock array.
+    /// Shard count of the agent's block map.
     pub fn num_shards(&self) -> usize {
         self.engine.map.num_shards()
     }
@@ -577,6 +560,25 @@ pub(crate) mod tests {
             agent.logout(999),
             Err(AgentError::UnknownSession(999))
         ));
+    }
+
+    #[test]
+    fn concurrent_calls_wait_for_an_update_in_flight() {
+        let gate = crate::concurrent::tests::WriteGate::default();
+        let (agent, content) =
+            provisioned_on(gate.device(2048), &["alice", "bob"], AgentConfig::default());
+        let per = agent.fs().content_bytes_per_block();
+        let alice = agent.login("alice", &credentials("alice")).unwrap();
+        let bob = agent.login("bob", &credentials("bob")).unwrap();
+        let a = agent.session_files(alice).unwrap()[0];
+        let b = agent.session_files(bob).unwrap()[0];
+        gate.read_during_update(
+            || {
+                agent.update_block(alice, a, 0, &vec![3u8; per]).unwrap();
+            },
+            || assert_eq!(agent.read_block(bob, b, 0).unwrap(), content[..per]),
+        );
+        assert_eq!(agent.read_block(alice, a, 0).unwrap(), vec![3u8; per]);
     }
 
     #[test]

@@ -267,9 +267,9 @@ impl<D: BlockDevice> StegFs<D> {
     /// The map's atomic [`ShardedBlockMap::claim`] keeps two allocators from
     /// marking the same block. The up-front space check is only advisory on
     /// a shared map (other threads may drain the pool mid-loop — the agents
-    /// therefore run creation under their structural write lock), so the
-    /// loop also re-checks the pool on every failed claim and rolls back
-    /// instead of spinning forever once it empties.
+    /// therefore create files under their one engine lock), so the loop also
+    /// re-checks the pool on every failed claim and rolls back instead of
+    /// spinning forever once it empties.
     pub fn allocate_blocks(
         &self,
         map: &ShardedBlockMap,

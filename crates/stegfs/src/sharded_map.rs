@@ -22,8 +22,10 @@ use stegfs_blockdev::BlockId;
 
 use crate::blockmap::{decode_classes, encode_classes, BlockClass};
 
-/// Default shard count: enough to spread an 8–32-thread serving layer with
-/// negligible per-shard memory overhead.
+/// Default shard count: enough to spread the map's readers and claims over
+/// an 8–32-thread serving layer with negligible per-shard memory overhead.
+/// The agents keep it for their maps and group a dummy batch's reseals by
+/// it.
 pub const DEFAULT_MAP_SHARDS: usize = 16;
 
 /// One shard: the classes of every block `b` with `b % num_shards == index`,
@@ -132,8 +134,8 @@ impl ShardedBlockMap {
         self.num_blocks
     }
 
-    /// The shard index responsible for `block` — the same decomposition the
-    /// agents use for their per-shard update locks.
+    /// The shard index responsible for `block` — the order in which the
+    /// agents reseal a dummy batch (shards ascending).
     pub fn shard_of(&self, block: BlockId) -> usize {
         (block % self.shards.len() as u64) as usize
     }

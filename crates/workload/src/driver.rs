@@ -12,9 +12,11 @@
 //! simulated disk clock, and a user's access time is the simulated time from
 //! its first step to its last (queueing delay included).
 //!
-//! For *real* (OS-thread) concurrency against the lock-decomposed agents,
-//! use [`ConcurrentDriver`]; for the session-churn event streams those
-//! stress runs replay, see [`ChurnWorkload`](crate::churn::ChurnWorkload).
+//! For *real* (OS-thread) concurrency against the shared `&self` systems —
+//! the agents and the oblivious store, each of which serves one call at a
+//! time behind one lock — use [`ConcurrentDriver`]; for the session-churn
+//! event streams those stress runs replay, see
+//! [`ChurnWorkload`](crate::churn::ChurnWorkload).
 
 /// Simulated start and end time of one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

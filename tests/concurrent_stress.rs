@@ -1,8 +1,9 @@
 //! Stress/invariant suite for the concurrent serving layer: 8 threads of
 //! mixed read / update / create tasks (plus oblivious reads straight at the
-//! shared [`ObliviousStore`], whose calls take turns behind its one lock)
-//! hammer one shared system through [`ConcurrentDriver`], then every safety
-//! invariant is audited:
+//! shared [`ObliviousStore`]) hammer one shared system through
+//! [`ConcurrentDriver`] — the agent and the store each serve one call at a
+//! time behind one lock, so the threads' calls take turns — then every
+//! safety invariant is audited:
 //!
 //! * [`ObliviousStore::membership_is_consistent`] holds *during* the run
 //!   (audited from the worker threads) and after it, and
@@ -33,11 +34,10 @@ fn stress_threads() -> usize {
     stegfs_bench::harness::bench_threads().unwrap_or(8)
 }
 
-/// The shared system the tasks run against: the agent, whose locks are
-/// decomposed per block-map shard, plus the oblivious store, whose are
-/// not — oblivious calls from different threads take turns behind the
-/// store's one lock, each held for the whole call, and the membership audit
-/// runs between them under all 8 threads.
+/// The shared system the tasks run against: the agent and the oblivious
+/// store. Each keeps its state behind one lock held for the whole call, so
+/// calls from different threads take turns, and the membership audit runs
+/// between them under all 8 threads.
 struct SharedSystem {
     agent: ConcurrentAgent<MemDevice>,
     oblivious: ObliviousStore<MemDevice, MemDevice>,
@@ -367,7 +367,7 @@ fn volatile_agent_survives_login_logout_storms() {
     // block, read another back and check it, occasionally drive a dummy
     // update or audit the map, logout. Sessions therefore appear and vanish
     // continuously while the other seven users are mid-traffic — exactly the
-    // storm the structural lock must serialize against per-block ops.
+    // storm the engine's one lock must serialise against per-block calls.
     let tasks: Vec<_> = (0..V_USERS)
         .map(|u| {
             let mut round = 0u64;
@@ -415,8 +415,8 @@ fn volatile_agent_survives_login_logout_storms() {
                             }
                         }
                         if round % 4 == 2 {
-                            // Mid-run audit: quiesces traffic via the
-                            // structural lock, then checks counter/class
+                            // Mid-run audit: takes the engine's lock
+                            // between calls, then checks counter/class
                             // conservation under it.
                             assert!(
                                 agent.audit_map_consistency(),
