@@ -46,9 +46,10 @@ pub const AES_BLOCK_SIZE: usize = 16;
 
 /// How many independent CBC chains one multi-buffer encrypt keeps in flight.
 /// Eight 128-bit lanes fill the `aesenc` pipeline on every post-2010 x86 core
-/// while still leaving half the XMM register file for round keys. Callers
-/// with independent blocks to seal (a level re-order, a file creation, a
-/// write plan) size their groups by it on every backend.
+/// while still leaving half the XMM register file for round keys. A caller
+/// fills the lanes with whatever independent chains it has: a StegFS block
+/// codec cuts one block's data field into this many lanes, an oblivious
+/// level re-order seals this many one-chain slots a call.
 pub const PIPELINE_WIDTH: usize = 8;
 
 /// A block cipher operating on 16-byte blocks, and CBC mode over it.

@@ -691,7 +691,7 @@ mod tests {
         let (level, end) = back_to_back(1, 0, capacity, &master);
         let device = MemDevice::new(end, BLOCK);
         let sort_device = MemDevice::new(4 * capacity.max(8), BLOCK + 32);
-        let codec = BlockCodec::new(BLOCK);
+        let codec = BlockCodec::one_chain(BLOCK);
         let rng = HashDrbg::from_u64(5);
         (device, sort_device, level, codec, master, rng)
     }
@@ -849,7 +849,7 @@ mod tests {
         let (mut below, end) = back_to_back(2, end, upper + lower + 8, &master);
         let device = MemDevice::new(end, BLOCK);
         let sort_device = MemDevice::new(upper + lower + 8, BLOCK + 32);
-        let codec = BlockCodec::new(BLOCK);
+        let codec = BlockCodec::one_chain(BLOCK);
         let mut rng = HashDrbg::from_u64(5);
         let sorter = ExternalSorter::new(&sort_device, 17);
         below
@@ -1105,7 +1105,7 @@ mod tests {
         let (mut level, end) = back_to_back(1, 1000, 128, &master);
         let log = TraceLog::new();
         let device = TracingDevice::with_log(MemDevice::new(end, BLOCK), log.clone());
-        let codec = BlockCodec::new(BLOCK);
+        let codec = BlockCodec::one_chain(BLOCK);
         let mut rng = HashDrbg::from_u64(5);
         let sorter = ExternalSorter::new(
             TracingDevice::with_log(MemDevice::new(512, BLOCK + 32), log.clone()),
@@ -1675,7 +1675,7 @@ mod tests {
                 device: watched(MemDevice::new(end, BLOCK), "level", &log),
                 sort_device: watched(MemDevice::new(n + 40, BLOCK + 32), "sort", &log),
                 level,
-                codec: BlockCodec::new(BLOCK),
+                codec: BlockCodec::one_chain(BLOCK),
                 master,
                 rng: HashDrbg::from_u64(5),
             };

@@ -152,7 +152,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         Ok(Self {
             sorter: ExternalSorter::new(sort_device, cfg.buffer_blocks.max(2) as usize),
             device,
-            codec: BlockCodec::new(block_size),
+            codec: BlockCodec::one_chain(block_size),
             cfg,
             master_key,
             stats: SharedObliviousStats::default(),
@@ -483,6 +483,24 @@ mod tests {
 
     fn payload(id: u64) -> Vec<u8> {
         vec![(id % 251) as u8; 200]
+    }
+
+    #[test]
+    fn slots_are_one_cbc_chain_under_the_stored_iv() {
+        // The store seals whole level runs, which fill the multi-buffer
+        // kernel one block per chain: its slots keep the one-chain format,
+        // not the volume's laned one.
+        use stegfs_crypto::{Aes256, CbcCipher, HashDrbg};
+        let store = new_store(4, 32);
+        let key = Key256::from_passphrase("slot key");
+        let plain: Vec<u8> = (0..BLOCK - IV_SIZE).map(|i| (i * 13) as u8).collect();
+        let sealed = store
+            .codec
+            .seal(&key, &plain, &mut HashDrbg::from_u64(5))
+            .unwrap();
+        let (iv, field) = sealed.split_first_chunk::<IV_SIZE>().unwrap();
+        let cbc = CbcCipher::new(Aes256::new(key.as_bytes()));
+        assert_eq!(field, &cbc.encrypt(iv, &plain).unwrap()[..]);
     }
 
     #[test]

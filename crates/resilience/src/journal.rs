@@ -359,7 +359,7 @@ impl IntentJournal {
         let (primary, mirror) = self.pair(slot);
         // Two independent seals (fresh IV each): the mirror shares no
         // ciphertext bytes with the primary, so the pair never reads as a
-        // visible twin on disk. Sealed as one group, written primary first.
+        // visible twin on disk. Sealed and written primary first.
         let pair: Vec<(BlockId, &[u8])> = std::iter::once(primary)
             .chain(mirror)
             .map(|block| (block, plain.as_slice()))

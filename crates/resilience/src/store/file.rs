@@ -271,8 +271,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             let parity = self.codec.encode(&refs);
 
             let locs = self.fs.allocate_blocks(&self.map, m as u64)?;
-            // The stripe's parity rows are sealed as one group, then written
-            // in row order.
+            // The stripe's parity rows are sealed and written in row order.
             let group: Vec<(BlockId, &[u8])> = locs
                 .iter()
                 .zip(&parity)

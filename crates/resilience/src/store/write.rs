@@ -227,8 +227,8 @@ impl<D: BlockDevice> ResilientStore<D> {
             for (&(_, _, new_field), (entry, parities)) in
                 chunk.iter().zip(entries.iter().zip(&planned_parity))
             {
-                // The entry's data block and its parity rows are sealed as
-                // one group, then written data first, parity in row order.
+                // The entry's data block and its parity rows are sealed and
+                // written data first, parity in row order.
                 let mut group: Vec<(BlockId, &[u8])> = Vec::with_capacity(1 + m);
                 group.push((entry.data_location, new_field));
                 group.extend(

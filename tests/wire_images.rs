@@ -15,6 +15,16 @@
 //! agree on the two logged agent sessions everywhere else: every request
 //! after the fill is the same, and a block differs only where no request
 //! after the format wrote it or where a dummy update resealed fill bytes.
+//!
+//! The four pins of volumes whose blocks the `BlockCodec` sealed — the
+//! durable volume, the registry volume and the two construction sessions —
+//! were taken again when the codec cut every StegFS block's data field into
+//! eight CBC lanes seeded from the one stored IV: the same IVs, requests and
+//! draws, so every request-log pin held, but other ciphertext bytes. The
+//! format and file-lifecycle images hold no codec-sealed block once the
+//! script ends (the fill is sealed under a one-time key as one chain, and a
+//! deleted file's blocks are refilled with noise), and the oblivious slots
+//! keep one chain, so those pins did not move.
 
 use std::sync::{Arc, Mutex};
 
@@ -105,22 +115,23 @@ fn durable_volume() -> (Arc<MemDevice>, ResilientStore<Arc<MemDevice>>) {
     (device, store)
 }
 
-/// The hash the first build with the sealed format fill gave (the build
-/// before it gave 7e5453…f728, as did the build before the hidden-directory
-/// format was deleted, for this script with the directory's lines taken
-/// out).
+/// The hash the first build with laned blocks gave (f71a6c…cad2 with one
+/// chain a block; before the sealed format fill 7e5453…f728, as in the
+/// build before the hidden-directory format was deleted, for this script
+/// with the directory's lines taken out).
 #[test]
 fn durable_volume_image_is_pinned() {
     let (device, _store) = durable_volume();
     assert_eq!(
         image_sha256(&device),
-        "f71a6cfd0795c906fa23eb119446835eef466369b00fd43f3b380f6f51c8cad2"
+        "b7d3d8b3763b92e61faf6cebdbb939a7e746217605bce3b01532ac89c0e948f9"
     );
 }
 
 /// [`durable_volume`] plus a registry: a hidden file of zeroed one-block
 /// shards, then records checkpointed into it through the write plan. Pinned
-/// the same way (62f05d…4570 before the sealed fill).
+/// the same way (3a4fc7…be3a with one chain a block, 62f05d…4570 before the
+/// sealed fill).
 #[test]
 fn registry_volume_image_is_pinned() {
     let (device, store) = durable_volume();
@@ -133,7 +144,7 @@ fn registry_volume_image_is_pinned() {
     registry.checkpoint().unwrap();
     assert_eq!(
         image_sha256(&device),
-        "3a4fc7832b002ad820220052fc3ab3a4e80364a9cf138c000dd562a36059be3a"
+        "aacf09ba56fd8d7d31d2d345b3dbb59c586f122ed899545219c21c3eb87e6012"
     );
 }
 
@@ -198,9 +209,10 @@ fn substrate_format_image_is_pinned() {
 /// files created, a file closed and opened again (the construction's
 /// login), relocating updates interleaved with dummy batches, a range
 /// update, a file created mid-session, then flush, close and delete. Pinned
-/// the same way: before the sealed fill the image was bb9d0b…657e and the
-/// request sequence 1f2c59…bdbb, as in the build before the agent's per-file
-/// and per-block state moved into one registry.
+/// the same way: with one chain a block the image was 949ee4…3af5; before
+/// the sealed fill the image was bb9d0b…657e and the request sequence
+/// 1f2c59…bdbb, as in the build before the agent's per-file and per-block
+/// state moved into one registry.
 #[test]
 fn construction1_session_is_pinned() {
     let (device, watched) = watched_device(512);
@@ -248,7 +260,7 @@ fn construction1_session_is_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "949ee4487448c6cbde2be1a3a90b9b0e6bdbe3527b5c4ed1b020c05760393af5"
+        "ac913aed4ed24367d3955e4056291af33c8e9fb184e7b6379436b4ec564830a9"
     );
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
@@ -261,8 +273,9 @@ fn construction1_session_is_pinned() {
 /// with zero knowledge, both users logged in, relocating updates (each a
 /// swap with a disclosed dummy file's block) interleaved with dummy batches,
 /// a file created from the disclosed dummy files' blocks, then both logouts.
-/// Pinned the same way as [`construction1_session_is_pinned`] (4e808c…4d1b
-/// and a300aa…292f before the sealed fill).
+/// Pinned the same way as [`construction1_session_is_pinned`] (image
+/// 5607a0…91f8 with one chain a block; 4e808c…4d1b and a300aa…292f before
+/// the sealed fill).
 #[test]
 fn construction2_session_is_pinned() {
     let (device, watched) = watched_device(1024);
@@ -350,7 +363,7 @@ fn construction2_session_is_pinned() {
 
     assert_eq!(
         image_sha256(&device),
-        "5607a0ef88247d123f11d94577aa9707b47e376ba659c60200a4c447ae7d91f8"
+        "2249cd3750b6fd148b9bfb97931bb130bf7b99d76661ffe9d70a4a35ab7a40e4"
     );
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
