@@ -45,9 +45,9 @@
 //! Slots are recycled in memory when an operation finishes; the on-disk
 //! record is left behind (clearing it would cost a write per operation and a
 //! distinguishable "always rewritten twice" pattern). Staleness is resolved
-//! by op-id: operations on one path are serialized by its file lock, so
-//! among valid records for the same path every record except the highest
-//! op-id is necessarily complete. [`ResilientStore::open`] scans the slots,
+//! by op-id: operations are serialized by the store's one lock, so among
+//! valid records for the same path every record except the highest op-id is
+//! necessarily complete. [`ResilientStore::open`] scans the slots,
 //! recovers the highest record per path, then randomizes every slot.
 //!
 //! **Slot replication.** A slot block is itself a single point of loss: a

@@ -47,8 +47,10 @@
 //!   what is free; the owner index only supplies keys.* A victim some managed
 //!   file owns is resealed under that file's key, a victim the block map
 //!   classes `Dummy` is re-randomised, and every other block — anchor
-//!   replicas, journal slots, an allocation not yet adopted by a file — is
-//!   left alone.
+//!   replicas, journal slots, a claimed block no managed file holds — is
+//!   left alone. The store serves one call at a time: its path table, owner
+//!   index and anchor generation sit behind one lock held for the whole
+//!   call.
 //! * [`Registry`] — the persistent sharded registry, a client of the store:
 //!   it borrows a [`ResilientStore`], keeps its records in one managed
 //!   hidden file at [`REGISTRY_PATH`] (one shard per content block), reads

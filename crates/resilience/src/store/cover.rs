@@ -5,18 +5,16 @@
 //! the owner index supplies the key of a victim some managed file holds, and
 //! for every other victim the *block map* decides — `Dummy` is free space and
 //! is randomised, anything else is somebody's (an anchor replica, a journal
-//! slot, a block an allocation has claimed for a file or a repair that has
-//! not entered the index yet) and is left alone.
+//! slot, a block claimed through the block map that no managed file holds)
+//! and is left alone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::RwLock;
 
 use stegfs_base::BlockClass;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HashDrbg;
 
-use super::file::{FileState, Owner, Role};
+use super::file::{FileMut, Role};
 use super::ResilientStore;
 use crate::error::ResilienceError;
 
@@ -46,8 +44,9 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// victim streams stay distributionally comparable.
     ///
     /// Owners come from the standing owner index — k lookups, whatever the
-    /// number of managed blocks — and each looked-up role is confirmed under
-    /// its file's lock before it is used.
+    /// number of managed blocks — each read when its victim's turn comes, so
+    /// a repair earlier in the batch that re-homed a shard onto a later
+    /// victim is seen.
     ///
     /// Returns the blocks actually rewritten (the observable update stream).
     pub fn dummy_update_batch(
@@ -55,6 +54,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         k: usize,
         cursor: Option<&ScrubCursor>,
     ) -> Result<Vec<BlockId>, ResilienceError> {
+        let mut tables = self.tables.lock();
         let num = self.fs.superblock().num_blocks;
         let victims: Vec<BlockId> = match cursor {
             Some(cursor) => cursor.next_victims(k),
@@ -62,70 +62,42 @@ impl<D: BlockDevice> ResilientStore<D> {
                 .map(|_| self.fs.with_rng(|rng| 1 + rng.gen_range(num - 1)))
                 .collect(),
         };
-        // One pass over the standing index for every victim's owner.
-        let planned: Vec<(BlockId, Option<Owner>)> = {
-            let index = self.index.read();
-            victims
-                .into_iter()
-                .map(|victim| (victim, index.get(&victim).cloned()))
-                .collect()
-        };
-
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         let mut field = vec![0u8; self.fs.content_bytes_per_block()];
-        let mut touched = Vec::with_capacity(planned.len());
-        for (victim, mut owner) in planned {
-            // The lookup ran before the owner's lock was taken; a repair may
-            // have re-homed the shard since. A role that no longer holds is
-            // looked up afresh — repairs update the index under the file's
-            // lock, so it is current again once that lock has been ours.
-            let rewritten = loop {
-                let Some((state, role)) = owner else {
-                    // Nobody's key: rewritten only if the block map says it
-                    // is free, and claimed while it is, so an allocation
-                    // beside the batch is never handed a block mid-rewrite.
-                    let free = self
-                        .map
-                        .claim(victim, BlockClass::Dummy, BlockClass::Reserved);
-                    if free {
-                        let written = self.fs.randomize_block(victim, &mut scratch);
-                        self.map.set(victim, BlockClass::Dummy);
-                        written?;
-                    }
-                    break free;
-                };
-                if self.dummy_update_owned(victim, &state, role, &mut scratch, &mut field)? {
-                    break true;
+        let mut touched = Vec::with_capacity(victims.len());
+        for victim in victims {
+            match tables.index.get(&victim).cloned() {
+                Some((path, role)) => {
+                    let mut g = tables.file_mut(&path)?;
+                    self.dummy_update_owned(victim, &mut g, role, &mut scratch, &mut field)?;
                 }
-                owner = self.index.read().get(&victim).cloned();
-            };
-            if rewritten {
-                touched.push(victim);
+                // Nobody's key: rewritten only if the block map says it is
+                // free. No allocation runs beside the batch.
+                None if self.map.class(victim) == BlockClass::Dummy => {
+                    self.fs.randomize_block(victim, &mut scratch)?;
+                }
+                None => continue,
             }
+            touched.push(victim);
         }
         Ok(touched)
     }
 
-    /// Dummy-update `victim` as the block playing `role` in `state`: one
-    /// read, one write, whatever the role. The block is opened under the key
-    /// the role implies and that same plaintext sealed back under a fresh IV
-    /// — the bytes and the IV draw of a reseal; in between, a content block
-    /// or parity row is MAC-verified against its record (a mismatch becomes a
+    /// Dummy-update `victim` as the block playing `role` in `g`: one read,
+    /// one write, whatever the role. The block is opened under the key the
+    /// role implies and that same plaintext sealed back under a fresh IV —
+    /// the bytes and the IV draw of a reseal; in between, a content block or
+    /// parity row is MAC-verified against its record (a mismatch becomes a
     /// journaled stripe repair instead), which is why the plaintext is in
-    /// hand at all. Returns `false`, with nothing read or written, if the
-    /// role no longer holds under the file's lock.
+    /// hand at all.
     fn dummy_update_owned(
         &self,
         victim: BlockId,
-        state: &RwLock<FileState>,
+        g: &mut FileMut<'_>,
         role: Role,
         scratch: &mut [u8],
         field: &mut [u8],
-    ) -> Result<bool, ResilienceError> {
-        let g = state.read();
-        if !role.holds(&g, victim) {
-            return Ok(false);
-        }
+    ) -> Result<(), ResilienceError> {
         let (key, striped) = g.sealing(role);
         self.read_field(victim, &key, scratch, field)?;
         if let Some((expected, stripe)) = striped {
@@ -134,16 +106,15 @@ impl<D: BlockDevice> ResilientStore<D> {
                 // corruption; heal the stripe. Nothing is read again — the
                 // repair's write of the rebuilt shard is this victim's
                 // update, and a stripe past repair is the scrub's to report.
-                drop(g);
-                self.repair_stripe(&mut state.write(), stripe, true)?;
-                return Ok(true);
+                self.repair_stripe(g, stripe, true)?;
+                return Ok(());
             }
         }
         let codec = self.fs.codec();
         self.fs.with_rng(|rng| codec.lay_out(scratch, field, rng))?;
         codec.seal_blocks_in_place(&key, scratch)?;
         self.fs.device().write_block(victim, scratch)?;
-        Ok(true)
+        Ok(())
     }
 }
 

@@ -1,16 +1,16 @@
 //! A managed file: its state, the one enumeration of the blocks it owns, the
-//! owner index built from that enumeration, and file creation.
+//! owner index built from that enumeration, the handle the heal path works
+//! through, and file creation.
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use stegfs_base::OpenFile;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::Key256;
 
-use super::{padded, ResilientStore};
+use super::{padded, ResilientStore, Tables};
 use crate::error::ResilienceError;
 use crate::journal::IntentBody;
 use crate::stripe::{BlockCheck, ChecksumKeys, ParityEntry, StripeMap};
@@ -148,37 +148,69 @@ pub(super) enum Role {
     ShadowHeaderTree,
 }
 
-impl Role {
-    /// Whether `block` plays this role in `g` right now. The owner index is
-    /// read before the file's lock is taken, so a repair may have moved the
-    /// shard in between; every use of a looked-up role checks this first.
-    ///
-    /// Kept beside [`FileState::owned_blocks`] rather than derived from it:
-    /// it answers the inverse question for one block on the cover path, where
-    /// materialising the whole list per victim is what the index exists to
-    /// avoid.
-    pub(super) fn holds(self, g: &FileState, block: BlockId) -> bool {
-        let in_tree = |file: &OpenFile| {
-            file.header_location == block || file.indirect_locations.contains(&block)
-        };
-        match self {
-            Role::Content(_) | Role::Parity(..) => g.shard_location(self) == Some(block),
-            Role::HeaderTree => in_tree(&g.open),
-            Role::ShadowContent => g.shadow.header.blocks.contains(&block),
-            Role::ShadowHeaderTree => in_tree(&g.shadow),
+/// Which managed file holds each block, by path, and in what role — the key
+/// a dummy update needs for its victim. Filled as files are loaded or created
+/// and kept current at the one place a block changes hands afterwards
+/// (`repair_stripe` re-homing a shard, through [`FileMut::rehome`]). It
+/// supplies keys only: whether an unowned block is free is the block map's
+/// call.
+pub(super) type OwnerIndex = HashMap<BlockId, (Arc<str>, Role)>;
+
+/// One managed file's state with the owner index beside it: the handle the
+/// heal path works through, since a repair that re-homes a shard moves the
+/// shard's index entry with it. Derefs to the file's [`FileState`].
+pub(super) struct FileMut<'t> {
+    state: &'t mut FileState,
+    index: &'t mut OwnerIndex,
+}
+
+impl FileMut<'_> {
+    /// The shard at `from` now lives at `to`: its file and role move with it.
+    pub(super) fn rehome(&mut self, from: BlockId, to: BlockId) {
+        if let Some(owner) = self.index.remove(&from) {
+            self.index.insert(to, owner);
         }
     }
 }
 
-pub(super) type Owner = (Arc<RwLock<FileState>>, Role);
+impl Deref for FileMut<'_> {
+    type Target = FileState;
 
-/// Which managed file holds each block, and in what role — the key a dummy
-/// update needs for its victim. Filled as files are loaded or created and
-/// kept current at the one place a block changes hands afterwards
-/// (`repair_stripe` re-homing a shard), always under that file's write lock.
-/// It supplies keys only: whether an unowned block is free is the block
-/// map's call.
-pub(super) type OwnerIndex = HashMap<BlockId, Owner>;
+    fn deref(&self) -> &FileState {
+        self.state
+    }
+}
+
+impl DerefMut for FileMut<'_> {
+    fn deref_mut(&mut self) -> &mut FileState {
+        self.state
+    }
+}
+
+impl Tables {
+    /// The managed file at `path` as a handle the heal path can re-home its
+    /// shards through.
+    pub(super) fn file_mut(&mut self, path: &str) -> Result<FileMut<'_>, ResilienceError> {
+        let state = self
+            .files
+            .get_mut(path)
+            .ok_or_else(|| ResilienceError::UnknownFile(path.to_string()))?;
+        Ok(FileMut {
+            state,
+            index: &mut self.index,
+        })
+    }
+
+    /// Start managing a file: enter it in the path table and its blocks in
+    /// the owner index.
+    pub(super) fn adopt(&mut self, path: String, state: FileState) {
+        let owner: Arc<str> = Arc::from(path.as_str());
+        for (loc, role) in state.owned_blocks() {
+            self.index.insert(loc, (Arc::clone(&owner), role));
+        }
+        self.files.insert(path, state);
+    }
+}
 
 impl<D: BlockDevice> ResilientStore<D> {
     /// On-disk layout of `path`'s stripes: for each stripe, the physical
@@ -188,8 +220,8 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// reveals nothing an owner of the file's access key could not already
     /// derive.
     pub fn stripe_layout(&self, path: &str) -> Result<Vec<Vec<BlockId>>, ResilienceError> {
-        let state = self.file_state(path)?;
-        let g = state.read();
+        let mut tables = self.tables.lock();
+        let g = tables.file_mut(path)?;
         let mut out = vec![Vec::new(); g.stripes.num_stripes() as usize];
         // Content blocks come first and in index order, parity rows after
         // them in (stripe, row) order: each stripe fills data first.
@@ -212,7 +244,8 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// next open by randomising the (derivable) header first — the file never
     /// half-exists.
     pub fn create_file(&self, path: &str, content: &[u8]) -> Result<(), ResilienceError> {
-        if self.files.read().contains_key(path) {
+        let mut tables = self.tables.lock();
+        if tables.files.contains_key(path) {
             return Err(ResilienceError::Corrupt(format!(
                 "file {path} already exists"
             )));
@@ -229,20 +262,8 @@ impl<D: BlockDevice> ResilientStore<D> {
                 return Err(e);
             }
         };
-        self.adopt(path.to_string(), state);
-        self.persist_anchor()
-    }
-
-    /// Start managing a file: enter it in the path table and its blocks in
-    /// the owner index.
-    pub(super) fn adopt(&self, path: String, state: FileState) {
-        let state = Arc::new(RwLock::new(state));
-        let owned = state.read().owned_blocks();
-        let owners = owned
-            .into_iter()
-            .map(|(loc, role)| (loc, (Arc::clone(&state), role)));
-        self.index.write().extend(owners);
-        self.files.write().insert(path, state);
+        tables.adopt(path.to_string(), state);
+        self.persist_anchor(&mut tables)
     }
 
     /// Compute checks and parity for a freshly created file and persist the
@@ -302,13 +323,5 @@ impl<D: BlockDevice> ResilientStore<D> {
             &stripes.encode(),
         )?;
         FileState::new((content_key, keys), open, shadow, stripes)
-    }
-
-    pub(super) fn file_state(&self, path: &str) -> Result<Arc<RwLock<FileState>>, ResilienceError> {
-        self.files
-            .read()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| ResilienceError::UnknownFile(path.to_string()))
     }
 }

@@ -19,8 +19,13 @@
 //! managed file holding it and the role it plays there — so a dummy update
 //! finds its victim's key with one lookup instead of walking every file. The
 //! index is filled where a file enters the path table and changed where
-//! `repair_stripe` re-homes a shard; a looked-up role is confirmed under the
-//! file's lock before use, because a repair may run in between.
+//! `repair_stripe` re-homes a shard.
+//!
+//! The store serves one call at a time, as the paper's agent turns every
+//! request into one serial stream: the path table, the owner index and the
+//! anchor generation sit behind one lock that every public call holds from
+//! start to end, so a looked-up role is always current. The volume, the
+//! block map and the counters stay outside it.
 //!
 //! The cover rule: **the block map decides what is free; the owner index
 //! only supplies keys** (spelled out in `cover`).
@@ -51,9 +56,8 @@ mod repair;
 mod write;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{
@@ -127,7 +131,26 @@ impl ResilienceConfig {
         self
     }
 }
+
+/// Everything a call changes besides the volume, the block map and the
+/// counters, behind the store's one lock.
+#[derive(Default)]
+struct Tables {
+    /// Managed files by path. `BTreeMap` so that every sweep and every
+    /// persisted table is in deterministic path order.
+    files: BTreeMap<String, FileState>,
+    /// Block → owning file and role, for every block of every file in
+    /// `files`.
+    index: OwnerIndex,
+    /// Anchor generation counter; bumped on every FAK-table change.
+    generation: u64,
+}
+
 /// A store of erasure-coded hidden files over a block device.
+///
+/// Every method takes `&self` and the store is `Sync`, but calls run one at
+/// a time: each holds the store's lock from start to end. A device hook that
+/// re-enters the store on the calling thread deadlocks.
 pub struct ResilientStore<D> {
     fs: StegFs<D>,
     map: ShardedBlockMap,
@@ -136,17 +159,10 @@ pub struct ResilientStore<D> {
     master: Key256,
     anchor_key: Key256,
     payload_key: Key256,
-    /// Anchor generation counter; bumped on every FAK-table change.
-    generation: Mutex<u64>,
-    /// Managed files by path. `BTreeMap` so that every sweep and every
-    /// persisted table is in deterministic path order.
-    files: RwLock<BTreeMap<String, Arc<RwLock<FileState>>>>,
-    /// Block → owning file and role, for every block of every file in
-    /// `files`. Never locked while a file's lock is being waited for.
-    index: RwLock<OwnerIndex>,
+    tables: Mutex<Tables>,
     journal: IntentJournal,
     /// Outcome of the journal-recovery pass run by [`ResilientStore::open`].
-    recovery: Mutex<RecoveryReport>,
+    recovery: RecoveryReport,
     stats: SharedResilienceStats,
 }
 
@@ -173,7 +189,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         // so a lost slot block can no longer orphan an in-flight intent.
         let slots = fs.allocate_blocks(&map, 2 * cfg.journal_slots as u64)?;
         let store = Self::assemble(fs, map, cfg, master, 0, slots);
-        store.persist_anchor()?;
+        store.persist_anchor(&mut store.tables.lock())?;
         Ok(store)
     }
 
@@ -206,7 +222,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         for &slot in &slots {
             map.set(slot, BlockClass::Data);
         }
-        let store = Self::assemble(fs, map, cfg, master, anchor.generation, slots);
+        let mut store = Self::assemble(fs, map, cfg, master, anchor.generation, slots);
         store.stats.anchor_repairs.add(repaired.len() as u64);
 
         for (path, fak) in table {
@@ -238,10 +254,9 @@ impl<D: BlockDevice> ResilientStore<D> {
                 }
                 store.map.set(loc, BlockClass::Data);
             }
-            store.adopt(path, state);
+            store.tables.get_mut().adopt(path, state);
         }
-        let report = store.recover_journal()?;
-        *store.recovery.lock() = report;
+        store.recovery = store.recover_journal()?;
         Ok(store)
     }
 
@@ -254,16 +269,17 @@ impl<D: BlockDevice> ResilientStore<D> {
         journal_slots: Vec<BlockId>,
     ) -> Self {
         Self {
-            index: RwLock::default(),
             codec: ErasureCodec::new(cfg.stripe.k, cfg.stripe.m),
             stripe_cfg: cfg.stripe,
             master: *master,
             anchor_key: master.derive("resilience:anchor"),
             payload_key: master.derive("resilience:payload"),
-            generation: Mutex::new(generation),
-            files: RwLock::new(BTreeMap::new()),
+            tables: Mutex::new(Tables {
+                generation,
+                ..Tables::default()
+            }),
             journal: IntentJournal::new(master, journal_slots),
-            recovery: Mutex::new(RecoveryReport::default()),
+            recovery: RecoveryReport::default(),
             stats: SharedResilienceStats::default(),
             fs,
             map,
@@ -300,7 +316,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// The anchor generation the volume currently carries. Bumped on every
     /// FAK-table change; the bump is the atomic commit point of file creation.
     pub fn generation(&self) -> u64 {
-        *self.generation.lock()
+        self.tables.lock().generation
     }
 
     /// The intent-journal slot locations.
@@ -311,12 +327,12 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// What the journal-recovery pass of [`ResilientStore::open`] did. A
     /// freshly formatted store reports a clean (empty) recovery.
     pub fn last_recovery(&self) -> RecoveryReport {
-        self.recovery.lock().clone()
+        self.recovery.clone()
     }
 
     /// Paths of every managed file, in order.
     pub fn paths(&self) -> Vec<String> {
-        self.files.read().keys().cloned().collect()
+        self.tables.lock().files.keys().cloned().collect()
     }
 
     // ----- sealed blocks and intents -----------------------------------
@@ -377,8 +393,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// Serialise the anchor payload plaintext: the journal slot locations,
     /// then the FAK table as `count` and `(path_len, path, fak)` entries in
     /// path order.
-    fn encode_payload_plain(&self) -> Vec<u8> {
-        let files = self.files.read();
+    fn encode_payload_plain(&self, files: &BTreeMap<String, FileState>) -> Vec<u8> {
         let slots = self.journal.slots();
         let mut w = Writer::new();
         w.u16(slots.len() as u16);
@@ -387,7 +402,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         }
         w.u32(files.len() as u32);
         for (path, state) in files.iter() {
-            w.str16(path).bytes(&state.read().open.fak.to_bytes());
+            w.str16(path).bytes(&state.open.fak.to_bytes());
         }
         w.finish()
     }
@@ -455,8 +470,8 @@ impl<D: BlockDevice> ResilientStore<D> {
 
     /// Re-write every anchor replica with the current FAK table under a
     /// bumped generation.
-    fn persist_anchor(&self) -> Result<(), ResilienceError> {
-        let payload = self.seal_payload(&self.encode_payload_plain());
+    fn persist_anchor(&self, tables: &mut Tables) -> Result<(), ResilienceError> {
+        let payload = self.seal_payload(&self.encode_payload_plain(&tables.files));
         let capacity = VolumeAnchor::payload_capacity(self.fs.codec().block_size());
         if payload.len() > capacity {
             return Err(ResilienceError::AnchorOverflow {
@@ -464,11 +479,10 @@ impl<D: BlockDevice> ResilientStore<D> {
                 capacity,
             });
         }
-        let mut generation = self.generation.lock();
-        *generation += 1;
+        tables.generation += 1;
         let anchor = VolumeAnchor {
             superblock: *self.fs.superblock(),
-            generation: *generation,
+            generation: tables.generation,
             payload,
         };
         anchor.write_replicas(self.fs.device(), &self.anchor_key)?;

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::Key256;
 
-use super::file::{FileState, Role};
+use super::file::{FileMut, FileState, Role};
 use super::ResilientStore;
 use crate::error::ResilienceError;
 
@@ -18,25 +18,24 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// the call either returns the file's true bytes or reports it
     /// unrecoverable — never silently wrong data.
     pub fn read_file(&self, path: &str) -> Result<Vec<u8>, ResilienceError> {
-        let state = self.file_state(path)?;
-        let guard = state.read();
+        let mut tables = self.tables.lock();
+        let mut g = tables.file_mut(path)?;
         let per = self.fs.content_bytes_per_block();
-        let file_size = guard.open.header.file_size as usize;
-        let num = guard.open.header.num_blocks() as usize;
+        let file_size = g.open.header.file_size as usize;
+        let num = g.open.header.num_blocks() as usize;
 
         let mut out = vec![0u8; num * per];
-        let bad = self.read_fields(&guard, &mut out)?;
+        let bad = self.read_fields(&g, &mut out)?;
         self.stats.reads_verified.add((num - bad.len()) as u64);
         if !bad.is_empty() {
             self.stats.read_check_failures.add(bad.len() as u64);
-            drop(guard);
             // `bad` ascends, as the fields of `out` do.
             let failed: Vec<Role> = bad.iter().map(|&i| Role::Content(i)).collect();
             let fields = out
                 .chunks_exact_mut(per)
                 .enumerate()
                 .filter_map(|(i, field)| bad.binary_search(&(i as u64)).is_ok().then_some(field));
-            self.heal_and_reread(&mut state.write(), &failed, fields)?;
+            self.heal_and_reread(&mut g, &failed, fields)?;
         }
         out.truncate(file_size);
         Ok(out)
@@ -111,7 +110,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// relies on to record that check as the block's pre-image without a MAC.
     pub(super) fn healed_read(
         &self,
-        g: &mut FileState,
+        g: &mut FileMut<'_>,
         index: u64,
         field: &mut [u8],
     ) -> Result<(), ResilienceError> {
@@ -132,7 +131,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// re-read is `Unrecoverable`.
     pub(super) fn heal_and_reread<'f>(
         &self,
-        g: &mut FileState,
+        g: &mut FileMut<'_>,
         failed: &[Role],
         fields: impl Iterator<Item = &'f mut [u8]>,
     ) -> Result<(), ResilienceError> {

@@ -49,9 +49,9 @@ impl<D: BlockDevice> ResilientStore<D> {
         let records = self.journal.scan(&self.fs)?;
         report.intents_found = records.len() as u64;
 
-        // Operations on one path are serialised by its file lock, so among
-        // valid records for the same path every one except the highest op-id
-        // is certainly complete: keep only the latest per path.
+        // Operations are serialised by the store's lock, so among valid
+        // records for the same path every one except the highest op-id is
+        // certainly complete: keep only the latest per path.
         let mut latest: BTreeMap<String, IntentRecord> = BTreeMap::new();
         for record in records {
             match latest.get(&record.path) {
@@ -87,7 +87,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// derivable from the master key, so the rollback needs no on-disk state
     /// beyond the intent itself.
     fn recover_create(&self, path: &str) -> Result<Recovered, ResilienceError> {
-        if self.files.read().contains_key(path) {
+        if self.tables.lock().files.contains_key(path) {
             // The anchor bump landed: the create committed, record is stale.
             return Ok(Recovered::Stale);
         }
@@ -149,10 +149,10 @@ impl<D: BlockDevice> ResilientStore<D> {
         path: &str,
         entries: &[BlockWriteIntent],
     ) -> Result<Recovered, ResilienceError> {
-        let Ok(state) = self.file_state(path) else {
+        let mut tables = self.tables.lock();
+        let Ok(mut g) = tables.file_mut(path) else {
             return Ok(Recovered::Stale);
         };
-        let mut g = state.write();
 
         // The record's tail covers the chunk-closing shadow rewrite; strip it
         // off before stripe grouping (shadow entries have no stripe geometry)
@@ -328,10 +328,10 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// Redo an interrupted repair: re-verify and re-repair every stripe of
     /// the file. Repair is idempotent and clean stripes are untouched.
     fn recover_repair(&self, path: &str) -> Result<Recovered, ResilienceError> {
-        let Ok(state) = self.file_state(path) else {
+        let mut tables = self.tables.lock();
+        let Ok(mut g) = tables.file_mut(path) else {
             return Ok(Recovered::Stale);
         };
-        let mut g = state.write();
         let mut lost = false;
         for stripe in 0..g.stripes.num_stripes() {
             lost |= self.repair_stripe(&mut g, stripe, false)?.unrecoverable;

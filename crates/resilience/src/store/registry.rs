@@ -14,15 +14,13 @@
 //! resident memory is O(active users).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HmacSha256;
 
-use super::file::FileState;
 use super::ResilientStore;
 use crate::error::ResilienceError;
 
@@ -88,7 +86,6 @@ pub fn decode_records(buf: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, Resilienc
 /// its file. A value exists only while the volume carries the file.
 pub struct Registry<'s, D> {
     store: &'s ResilientStore<D>,
-    file: Arc<RwLock<FileState>>,
     shards: u32,
     max_resident: usize,
     mac: HmacSha256,
@@ -111,8 +108,7 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
         }
         let per = store.fs.content_bytes_per_block();
         store.create_file(REGISTRY_PATH, &vec![0u8; shards as usize * per])?;
-        let file = store.file_state(REGISTRY_PATH)?;
-        Ok(Self::serve(store, file, shards, resident))
+        Ok(Self::serve(store, shards, resident))
     }
 
     /// The registry `store`'s volume carries, if any. At most `resident`
@@ -122,27 +118,21 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
         store: &'s ResilientStore<D>,
         resident: usize,
     ) -> Result<Option<Self>, ResilienceError> {
-        let Ok(file) = store.file_state(REGISTRY_PATH) else {
-            return Ok(None);
+        let blocks = match store.tables.lock().files.get(REGISTRY_PATH) {
+            Some(file) => file.open.header.num_blocks(),
+            None => return Ok(None),
         };
-        let blocks = file.read().open.header.num_blocks();
         let shards = u32::try_from(blocks)
             .ok()
             .filter(|&n| n > 0)
             .ok_or_else(|| ResilienceError::Corrupt(format!("registry of {blocks} blocks")))?;
-        Ok(Some(Self::serve(store, file, shards, resident)))
+        Ok(Some(Self::serve(store, shards, resident)))
     }
 
-    fn serve(
-        store: &'s ResilientStore<D>,
-        file: Arc<RwLock<FileState>>,
-        shards: u32,
-        resident: usize,
-    ) -> Self {
+    fn serve(store: &'s ResilientStore<D>, shards: u32, resident: usize) -> Self {
         let mac_key = store.master.derive("resilience:registry").derive("mac");
         Self {
             store,
-            file,
             shards,
             max_resident: resident.max(1),
             mac: HmacSha256::new(mac_key.as_bytes()),
@@ -159,8 +149,9 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
     /// Every block the registry file occupies (content, parity, header tree
     /// and shadow stripe map), for invisibility and cover-traffic tests.
     pub fn blocks(&self) -> Vec<BlockId> {
-        let owned = self.file.read().owned_blocks();
-        owned.into_iter().map(|(b, _)| b).collect()
+        let tables = self.store.tables.lock();
+        let owned = tables.files.get(REGISTRY_PATH).map(|f| f.owned_blocks());
+        owned.into_iter().flatten().map(|(b, _)| b).collect()
     }
 
     /// Resident-memory statistics: the O(active users) contract.
@@ -275,8 +266,10 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
     /// block is rebuilt from parity first, or the load fails.
     fn load_shard(&self, id: u32) -> Result<Shard, ResilienceError> {
         let mut field = vec![0u8; self.store.fs.content_bytes_per_block()];
+        let mut tables = self.store.tables.lock();
+        let mut file = tables.file_mut(REGISTRY_PATH)?;
         self.store
-            .healed_read(&mut self.file.write(), u64::from(id), &mut field)?;
+            .healed_read(&mut file, u64::from(id), &mut field)?;
         let records = decode_records(&field)?;
         let len = 4 + records.iter().map(|(u, v)| record_len(u, v)).sum::<usize>();
         Ok(Shard {

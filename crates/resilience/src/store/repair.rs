@@ -3,15 +3,12 @@
 //! and the scrub sweep on top of it.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use stegfs_base::{BlockClass, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::Key256;
 
-use super::file::FileState;
+use super::file::{FileMut, FileState};
 use super::ResilientStore;
 use crate::codec::ErasureCodec;
 use crate::error::ResilienceError;
@@ -170,7 +167,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// locations, so it never pushes a stripe past parity tolerance.
     pub(super) fn repair_stripe(
         &self,
-        g: &mut FileState,
+        g: &mut FileMut<'_>,
         stripe: u64,
         journaled: bool,
     ) -> Result<StripeRepair, ResilienceError> {
@@ -204,8 +201,6 @@ impl<D: BlockDevice> ResilientStore<D> {
 
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         for shard in &rebuilt {
-            // The claimed block is `Data` in the block map from here on, so
-            // cover traffic leaves it alone until the index learns its owner.
             let new_loc = self.fs.allocate_blocks(&self.map, 1)?[0];
             self.seal_block(new_loc, &g.content_key, &shard.shard)?;
             if shard.slot < k {
@@ -216,12 +211,7 @@ impl<D: BlockDevice> ResilientStore<D> {
                 entry.location = new_loc;
                 g.stripes.set_parity_entry(stripe, shard.slot - k, entry);
             }
-            // The shard's file and role move with it.
-            let mut index = self.index.write();
-            if let Some(owner) = index.remove(&shard.location) {
-                index.insert(new_loc, owner);
-            }
-            drop(index);
+            g.rehome(shard.location, new_loc);
             // Only release the corrupt location after the reconstructed
             // shard is durably sealed at its new home (write ordering).
             self.fs.randomize_block(shard.location, &mut scratch)?;
@@ -240,15 +230,16 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// data and parity block in ranged batches of at most `SCRUB_BATCH`
     /// blocks, and reconstruct every degraded stripe.
     pub fn scrub(&self) -> Result<ScrubReport, ResilienceError> {
+        let mut tables = self.tables.lock();
         let mut report = ScrubReport::default();
 
         let (_, healed) = VolumeAnchor::read_quorum(self.fs.device(), &self.anchor_key)?;
         report.anchor_replicas_repaired = healed.len() as u64;
         self.stats.anchor_repairs.add(healed.len() as u64);
 
-        let files: Vec<Arc<RwLock<FileState>>> = self.files.read().values().cloned().collect();
-        for state in files {
-            let mut g = state.write();
+        let paths: Vec<String> = tables.files.keys().cloned().collect();
+        for path in paths {
+            let mut g = tables.file_mut(&path)?;
             let content_key = g.content_key;
 
             // Every striped location of this file with the MAC recorded for

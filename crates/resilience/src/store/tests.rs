@@ -1,8 +1,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::AtomicUsize;
+use std::sync::{mpsc, Arc};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 use stegfs_blockdev::sim::{DiskModel, SimDevice};
-use stegfs_blockdev::{FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
+use stegfs_blockdev::{DeviceError, FaultDevice, FaultPlan, Io, IoKind, Layered, MemDevice};
 use stegfs_crypto::HashDrbg;
 
 use super::file::Role;
@@ -97,8 +100,8 @@ fn read_path_repairs_corrupted_block() {
     store.create_file("/a", &data).unwrap();
 
     let victim = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         g.open.header.blocks[2]
     };
     let mut plan = FaultPlan::new(11);
@@ -110,8 +113,7 @@ fn read_path_repairs_corrupted_block() {
     assert_eq!(stats.read_check_failures, 1);
     assert_eq!(stats.blocks_repaired, 1);
     // Repaired onto a fresh block; the old location is dummy again.
-    let state = store.file_state("/a").unwrap();
-    assert_ne!(state.read().open.header.blocks[2], victim);
+    assert_ne!(block_of(&store, "/a", 2), victim);
     assert_eq!(store.block_map().class(victim), BlockClass::Dummy);
     // A second read is clean.
     assert_eq!(store.read_file("/a").unwrap(), data);
@@ -126,8 +128,8 @@ fn beyond_parity_tolerance_reports_never_lies() {
 
     // Corrupt 3 blocks of stripe 0 (m = 2 tolerated).
     let victims = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         g.open.header.blocks[..3].to_vec()
     };
     let mut plan = FaultPlan::new(13);
@@ -153,8 +155,8 @@ fn scrub_finds_and_repairs_silent_corruption() {
     store.create_file("/a", &data).unwrap();
 
     let (victim_data, victim_parity) = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         (
             g.open.header.blocks[0],
             g.stripes.parity_entry(1, 0).location,
@@ -205,8 +207,8 @@ fn reseal_preserves_parity_relations() {
     let data = content(3500);
     store.create_file("/a", &data).unwrap();
     let owned: Vec<BlockId> = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         g.owned_blocks().into_iter().map(|(loc, _)| loc).collect()
     };
     let ciphertext = |loc: BlockId| {
@@ -233,8 +235,8 @@ fn reseal_preserves_parity_relations() {
     // and a degraded read still reconstructs.
     assert!(store.scrub().unwrap().is_clean());
     let victim = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         g.open.header.blocks[1]
     };
     let mut plan = FaultPlan::new(23);
@@ -263,8 +265,8 @@ fn delta_parity_update_matches_full_reencode() {
     // Parity still reconstructs after the delta update: kill the block
     // we just wrote and read through repair.
     let victim = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         g.open.header.blocks[1]
     };
     let mut plan = FaultPlan::new(29);
@@ -332,7 +334,7 @@ fn journal_record_survives_one_zeroed_slot_copy() {
 }
 
 fn block_of(store: &ResilientStore<impl BlockDevice>, path: &str, index: usize) -> BlockId {
-    store.file_state(path).unwrap().read().open.header.blocks[index]
+    store.tables.lock().files[path].open.header.blocks[index]
 }
 
 fn image(device: &impl BlockDevice) -> Vec<u8> {
@@ -503,8 +505,7 @@ fn read_file_is_billed_as_one_ascending_sweep() {
     let per = store.fs.content_bytes_per_block();
     let data = content(N * per - 5);
     store.create_file("/big", &data).unwrap();
-    let state = store.file_state("/big").unwrap();
-    let by_index = state.read().open.header.blocks.clone();
+    let by_index = store.tables.lock().files["/big"].open.header.blocks.clone();
     assert_eq!(by_index.len(), N);
     let mut ascending = by_index.clone();
     ascending.sort_unstable();
@@ -538,8 +539,8 @@ fn write_file_takes_a_fast_hash_collision_for_the_change_it_is() {
     store.create_file("/a", &data).unwrap();
     let mut updated = data.clone();
     let colliding = {
-        let state = store.file_state("/a").unwrap();
-        let g = state.read();
+        let tables = store.tables.lock();
+        let g = &tables.files["/a"];
         let colliding = g.keys.fast_collision(&data[3 * per..4 * per]);
         assert_eq!(g.keys.fast(&colliding), g.stripes.data_check(3).fast);
         colliding
@@ -559,8 +560,8 @@ fn shadow_checks_on_device(
     store: &ResilientStore<impl BlockDevice>,
     path: &str,
 ) -> Vec<BlockCheck> {
-    let state = store.file_state(path).unwrap();
-    let g = state.read();
+    let tables = store.tables.lock();
+    let g = &tables.files[path];
     let blocks = g.shadow.header.blocks.iter();
     blocks
         .map(|&loc| {
@@ -660,8 +661,8 @@ fn recomputed_plan(
     path: &str,
     changes: &[(u64, Vec<u8>)],
 ) -> Vec<EntryChecks> {
-    let state = store.file_state(path).unwrap();
-    let g = state.read();
+    let tables = store.tables.lock();
+    let g = &tables.files[path];
     let (k, m) = (store.stripe_cfg.k as u64, store.stripe_cfg.m);
     let per = store.fs.content_bytes_per_block();
     let content_key = *g.open.fak.content_key().unwrap();
@@ -858,8 +859,7 @@ fn write_file_records_the_healed_blocks_true_pre_image() {
 /// `dummy_update_batch` call used to.
 fn rebuilt_owners<D: BlockDevice>(store: &ResilientStore<D>) -> BTreeMap<BlockId, (String, Role)> {
     let mut owners = BTreeMap::new();
-    for (path, state) in store.files.read().iter() {
-        let g = state.read();
+    for (path, g) in store.tables.lock().files.iter() {
         let mut own = |loc, role| owners.insert(loc, (path.clone(), role));
         for (i, &loc) in g.open.header.blocks.iter().enumerate() {
             own(loc, Role::Content(i as u64));
@@ -886,12 +886,14 @@ fn rebuilt_owners<D: BlockDevice>(store: &ResilientStore<D>) -> BTreeMap<BlockId
 }
 
 fn assert_index_is_current<D: BlockDevice>(store: &ResilientStore<D>, when: &str) {
-    let index = store.index.read();
+    let rebuilt = rebuilt_owners(store);
+    let tables = store.tables.lock();
+    let index = &tables.index;
     let standing: BTreeMap<BlockId, (String, Role)> = index
         .iter()
-        .map(|(&loc, (state, role))| (loc, (state.read().open.path.clone(), *role)))
+        .map(|(&loc, (path, role))| (loc, (path.to_string(), *role)))
         .collect();
-    assert_eq!(standing, rebuilt_owners(store), "{when}");
+    assert_eq!(standing, rebuilt, "{when}");
     // What the index used to list as reserved is the block map's to know:
     // claimed, and nobody's in the index.
     for b in VolumeAnchor::replica_blocks(store.fs.superblock().num_blocks)
@@ -1001,8 +1003,8 @@ fn rebuild_per_batch_dummy_update<D: BlockDevice>(
         match owners.get(&victim) {
             None => store.fs.randomize_block(victim, &mut scratch).unwrap(),
             Some((path, role)) => {
-                let state = store.file_state(path).unwrap();
-                let g = state.read();
+                let mut tables = store.tables.lock();
+                let g = &tables.files[path];
                 let content_key = *g.open.fak.content_key().unwrap();
                 let keys = ChecksumKeys::derive(&content_key);
                 let verified = |expected: [u8; 16]| {
@@ -1027,12 +1029,11 @@ fn rebuild_per_batch_dummy_update<D: BlockDevice>(
                     Role::ShadowContent => (*g.shadow.fak.content_key().unwrap(), 0, true),
                     Role::ShadowHeaderTree => (*g.shadow.fak.header_key(), 0, true),
                 };
-                drop(g);
                 if intact {
                     store.fs.reseal_block(victim, &key).unwrap();
                 } else {
                     store
-                        .repair_stripe(&mut state.write(), stripe, true)
+                        .repair_stripe(&mut tables.file_mut(path).unwrap(), stripe, true)
                         .unwrap();
                 }
             }
@@ -1081,67 +1082,109 @@ fn dummy_updates_match_the_rebuild_per_batch_reference() {
     }
 }
 
-#[test]
-fn dummy_update_rechecks_a_role_that_went_stale_after_the_lookup() {
-    // A device whose next read of one chosen block first runs a hook, and
-    // which logs every block written.
-    type Hook = Option<(BlockId, Box<dyn FnOnce() + Send>)>;
-    let hook: Arc<Mutex<Hook>> = Arc::default();
-    let writes: Arc<Mutex<Vec<BlockId>>> = Arc::default();
-    let device = Layered::with_hook(MemDevice::new(512, 512), {
-        let (hook, writes) = (hook.clone(), writes.clone());
-        move |_: &MemDevice, io: Io| {
-            match io.kind {
-                IoKind::Write => writes.lock().extend(io.block_ids()),
-                IoKind::Read => {
-                    // The lock is released before the hook runs.
-                    let armed = hook.lock().take_if(|(at, _)| io.contains(*at));
-                    if let Some((_, run)) = armed {
-                        run();
-                    }
-                }
+/// A device gate for the one-call-at-a-time tests: once armed, the first
+/// write parks until the test releases it. Each request is logged with its
+/// thread as it goes on to the device, after any park.
+#[derive(Clone, Default)]
+struct WriteGate {
+    log: Arc<Mutex<Vec<ThreadId>>>,
+    armed: Arc<Mutex<Option<Park>>>,
+}
+
+/// Where a parked write says it has parked, and waits to be released.
+type Park = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+impl WriteGate {
+    fn device(
+        &self,
+    ) -> Layered<MemDevice, impl Fn(&MemDevice, Io) -> Result<(), DeviceError> + Send + Sync> {
+        let gate = self.clone();
+        let hook = move |_: &MemDevice, io: Io| {
+            let park = gate.armed.lock().take_if(|_| io.kind == IoKind::Write);
+            if let Some((parked, release)) = park {
+                parked.send(()).unwrap();
+                release.recv().unwrap();
             }
+            gate.log.lock().push(std::thread::current().id());
             Ok(())
-        }
-    });
-    let store = Arc::new(ResilientStore::format(device, cfg(), &master(), 7).unwrap());
+        };
+        Layered::with_hook(MemDevice::new(512, 512), hook)
+    }
+
+    /// Run `first` on one thread until its first write parks, start
+    /// `second` on another, and release the write 200 ms later. Returns both
+    /// results and the order of their requests: `1` for a request of
+    /// `first`, `2` for one of `second`.
+    fn race<A: Send, B: Send>(
+        &self,
+        first: impl FnOnce() -> A + Send,
+        second: impl FnOnce() -> B + Send,
+    ) -> (A, B, String) {
+        self.log.lock().clear();
+        let (a, b, ids) = std::thread::scope(|s| {
+            let (parked_tx, parked) = mpsc::channel();
+            let (release, release_rx) = mpsc::channel();
+            *self.armed.lock() = Some((parked_tx, release_rx));
+            let first = s.spawn(first);
+            parked
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the first call never wrote");
+            let second = s.spawn(second);
+            std::thread::sleep(Duration::from_millis(200));
+            release.send(()).unwrap();
+            let ids = (first.thread().id(), second.thread().id());
+            (first.join().unwrap(), second.join().unwrap(), ids)
+        });
+        let order = (self.log.lock().iter())
+            .map(|&t| match t {
+                t if t == ids.0 => '1',
+                t if t == ids.1 => '2',
+                _ => '?',
+            })
+            .collect();
+        (a, b, order)
+    }
+}
+
+#[test]
+fn concurrent_calls_wait_for_a_write_in_flight() {
+    let gate = WriteGate::default();
+    let store = ResilientStore::format(gate.device(), cfg(), &master(), 7).unwrap();
     store.create_file("/a", &content(2000)).unwrap();
-    store.create_file("/b", &content(2000)).unwrap();
-    let a0 = block_of(&store, "/a", 0);
-    let b1 = block_of(&store, "/b", 1);
+    store.create_file("/b", &content(700)).unwrap();
+    let ((), (), order) = gate.race(
+        || store.write_block("/a", 1, &[0x5a; 100]).unwrap(),
+        || assert_eq!(store.read_file("/b").unwrap(), content(700)),
+    );
+    let last_write = order.rfind('1').expect("the write made no request");
+    let first_read = order.find('2').expect("the read made no request");
+    assert!(
+        first_read > last_write,
+        "the read ran inside the write (1: write, 2: read): {order}"
+    );
+}
 
-    // The batch looks both victims up, then verifies `a0` — and during
-    // that read, on the same thread, `b1` is corrupted and a read of /b
-    // re-homes its shard. By the time the batch reaches `b1` the role it
-    // looked up describes a block /b no longer owns.
-    let mover = store.clone();
-    *hook.lock() = Some((
-        a0,
-        Box::new(move || {
-            let zeros = vec![0u8; 512];
-            mover.fs.device().inner().write_block(b1, &zeros).unwrap();
-            assert_eq!(mover.read_file("/b").unwrap(), content(2000));
-            assert_ne!(block_of(&mover, "/b", 1), b1);
-        }),
-    ));
-    writes.lock().clear();
-    let cursor = ScrubCursor {
-        order: vec![a0, b1],
-        pos: AtomicUsize::new(0),
+#[test]
+fn a_create_racing_a_create_of_its_path_is_refused() {
+    let gate = WriteGate::default();
+    let store = ResilientStore::format(gate.device(), cfg(), &master(), 7).unwrap();
+    let (first, second) = (vec![1u8; 700], vec![2u8; 700]);
+    let (a, b, order) = gate.race(
+        || store.create_file("/same", &first),
+        || store.create_file("/same", &second),
+    );
+    let created = match (a.is_ok(), b.is_ok()) {
+        (true, false) => &first,
+        (false, true) => &second,
+        outcome => panic!("creates returned {outcome:?}, one must win: {order}"),
     };
-    let touched = store.dummy_update_batch(2, Some(&cursor)).unwrap();
-    assert!(hook.lock().is_none(), "the hook never fired");
-    assert_eq!(touched, vec![a0, b1]);
-
-    // `b1` is nobody's now: the repair randomised it once, and the dummy
-    // update rewrote it as the unowned block it is — not "verified"
-    // under /b's key, found wanting and left alone.
-    let writes = writes.lock().clone();
-    assert_eq!(writes.iter().filter(|&&b| b == b1).count(), 2);
-    assert_eq!(writes.last(), Some(&b1));
-    assert_eq!(store.stats().degraded_stripes, 1);
-    assert_index_is_current(&store, "after the batch");
-    assert!(store.scrub().unwrap().is_clean());
+    let live = store.read_file("/same").unwrap();
+    let reopened = ResilientStore::open(store.into_device(), cfg(), &master(), 8).unwrap();
+    assert_eq!(
+        &live, created,
+        "the live read serves the refused create's bytes"
+    );
+    assert_eq!(reopened.read_file("/same").unwrap(), live);
 }
 
 #[test]
@@ -1163,8 +1206,8 @@ fn parity_blocks_look_like_free_space() {
     // stegfs-analysis integration test).
     let store = fresh_store();
     store.create_file("/a", &content(3000)).unwrap();
-    let state = store.file_state("/a").unwrap();
-    let g = state.read();
+    let tables = store.tables.lock();
+    let g = &tables.files["/a"];
     let loc = g.stripes.parity_locations()[0];
     let mut buf = vec![0u8; 512];
     store.fs.device().read_block(loc, &mut buf).unwrap();
@@ -1214,7 +1257,7 @@ fn anchor_payload_golden_vectors_are_bit_identical() {
     let store = fresh_store();
     store.create_file("/a", &content(700)).unwrap();
     store.create_file("/b/ü", &content(10)).unwrap();
-    let plain = store.encode_payload_plain();
+    let plain = store.encode_payload_plain(&store.tables.lock().files);
     assert_eq!(plain, GOLDEN_PAYLOAD_PLAIN);
     assert_eq!(store.seal_payload(&plain), GOLDEN_PAYLOAD_SEALED);
 

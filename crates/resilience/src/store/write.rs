@@ -6,7 +6,7 @@ use std::collections::{btree_map, BTreeMap};
 
 use stegfs_blockdev::{BlockDevice, BlockId};
 
-use super::file::{FileState, Role};
+use super::file::{FileMut, FileState, Role};
 use super::{padded, ResilientStore};
 use crate::error::ResilienceError;
 use crate::journal::{BlockWriteIntent, IntentBody, ParityIntent, SHADOW_ENTRY_BASE};
@@ -69,8 +69,8 @@ impl<D: BlockDevice> ResilientStore<D> {
         path: &str,
         blocks: &[(u64, &[u8])],
     ) -> Result<(), ResilienceError> {
-        let state = self.file_state(path)?;
-        let mut g = state.write();
+        let mut tables = self.tables.lock();
+        let mut g = tables.file_mut(path)?;
         let per = self.fs.content_bytes_per_block();
         if let Some(&(_, data)) = blocks.iter().find(|(_, data)| data.len() > per) {
             return Err(ResilienceError::BlockTooLarge {
@@ -110,7 +110,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     fn write_batch_locked(
         &self,
         path: &str,
-        g: &mut FileState,
+        g: &mut FileMut<'_>,
         changes: &[(u64, &[u8], &[u8])],
     ) -> Result<(), ResilienceError> {
         if changes.is_empty() {
@@ -264,7 +264,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// verified against — by the fast check, or after a heal by the full one.
     fn read_parity_rows(
         &self,
-        g: &mut FileState,
+        g: &mut FileMut<'_>,
         stripe: u64,
     ) -> Result<(Vec<Vec<u8>>, Vec<BlockCheck>), ResilienceError> {
         let m = self.stripe_cfg.m;
@@ -303,8 +303,8 @@ impl<D: BlockDevice> ResilientStore<D> {
     /// ordered `WriteBatch` intent(s). The new content must occupy the same
     /// number of blocks (striped files do not resize in place).
     pub fn write_file(&self, path: &str, content: &[u8]) -> Result<(), ResilienceError> {
-        let state = self.file_state(path)?;
-        let mut g = state.write();
+        let mut tables = self.tables.lock();
+        let mut g = tables.file_mut(path)?;
         let per = self.fs.content_bytes_per_block();
         let num = g.open.header.num_blocks();
         let new_blocks = (content.len().div_ceil(per) as u64).max(1);
