@@ -90,8 +90,9 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         }
     }
 
-    /// Format `device` as a fresh volume served by this agent, with the block
-    /// map split over `num_shards` shards.
+    /// Format `device` as a fresh volume served by this agent. `num_shards`
+    /// groups a dummy batch's reseals ([`ShardedBlockMap::shard_of`]); it
+    /// splits nothing.
     ///
     /// `agent_key` is the secret the agent keeps; `seed` drives all
     /// pseudo-random choices (block scattering, IVs, dummy targets) so
@@ -121,7 +122,8 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
 
     /// Re-attach the agent to an existing volume using its persistent
     /// secrets: the key and the block map it saved (see
-    /// [`ConcurrentAgent::export_block_map`]), whose shard count it keeps.
+    /// [`ConcurrentAgent::export_block_map`]), whose reseal grouping
+    /// ([`ShardedBlockMap::num_shards`]) it keeps.
     /// `seed` drives the candidate draws and, in a stream of its own, the
     /// volume DRBG ([`StegFs::mount`]): give each restart a fresh one.
     pub fn mount(
@@ -282,11 +284,6 @@ impl<D: BlockDevice> ConcurrentAgent<D> {
         &self.engine.fs
     }
 
-    /// Shard count of the agent's block map.
-    pub fn num_shards(&self) -> usize {
-        self.engine.map.num_shards()
-    }
-
     /// Consume the agent and return the underlying device.
     pub fn into_device(self) -> D {
         self.engine.fs.into_device()
@@ -301,7 +298,7 @@ pub(crate) mod tests {
     use std::time::Duration;
 
     use parking_lot::Mutex;
-    use stegfs_blockdev::{DeviceError, Io, IoKind, Layered, MemDevice};
+    use stegfs_blockdev::{DeviceError, Io, IoKind, Layered, MemDevice, TraceLog, TracingDevice};
 
     pub(crate) const AGENT_SECRET: &str = "concurrent agent secret";
 
@@ -453,6 +450,40 @@ pub(crate) mod tests {
         let stats = agent.stats();
         assert_eq!(stats.dummy_updates, 64);
         assert_eq!(stats.mean_ios_per_data_update(), 0.0, "no data update yet");
+    }
+
+    /// The reseal grouping is a contract, not a layout: a dummy batch
+    /// writes its victims stably sorted by `b % num_shards`, so the request
+    /// order (and every pinned image) depends on the grouping number alone.
+    #[test]
+    fn dummy_batch_reseals_in_shard_groups() {
+        let mut orders = Vec::new();
+        for shards in [1, 16] {
+            let log = TraceLog::new();
+            let agent = ConcurrentAgent::format(
+                TracingDevice::with_log(MemDevice::new(512, 512), log.clone()),
+                StegFsConfig::default().with_block_size(512),
+                AgentConfig::default(),
+                Key256::from_passphrase(AGENT_SECRET),
+                7,
+                shards,
+            )
+            .unwrap();
+            log.clear();
+            let victims = agent.dummy_update_batch(12).unwrap();
+            let writes: Vec<BlockId> = (log.records().iter())
+                .filter(|r| r.kind == IoKind::Write)
+                .map(|r| r.block)
+                .collect();
+            let mut grouped = victims.clone();
+            grouped.sort_by_key(|&b| b % agent.map().num_shards() as u64);
+            assert_eq!(writes, grouped, "{shards} shards: victims {victims:?}");
+            orders.push(writes);
+        }
+        assert_ne!(
+            orders[0], orders[1],
+            "the seed must tell the groupings apart"
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   no draw, reseal or read ever sees a block claimed but not yet
 //!   repointed;
 //! * a **dummy batch** draws all `k` victims first, then reseals them grouped
-//!   by map shard (shards ascending, selection order within a shard);
+//!   by [`ShardedBlockMap::shard_of`] (`b % num_shards` ascending, selection
+//!   order within a group);
 //! * every request and every DRBG draw happens in call order, so a run on
 //!   one thread is bit-for-bit reproducible and a run on N threads is
 //!   value-deterministic: calls take turns, in an order the scheduler picks.
@@ -379,16 +380,16 @@ impl<D: BlockDevice, K: Keying> Locked<'_, D, K> {
     }
 
     /// Issue `k` dummy updates (Section 4.1.3): draw all `k` victims, then
-    /// reseal them grouped by map shard — shards ascending, selection order
-    /// within a shard. Returns the victims in selection order;
+    /// reseal them grouped by `b % num_shards` — groups ascending, selection
+    /// order within a group. Returns the victims in selection order;
     /// [`AgentError::NothingToUpdate`] if the agent knows of no block at all.
     pub(crate) fn dummy_update_batch(&mut self, k: usize) -> Result<Vec<BlockId>, AgentError> {
         let victims: Vec<BlockId> = (0..k).map_while(|_| self.draw()).collect();
         if victims.len() < k {
             return Err(AgentError::NothingToUpdate);
         }
-        // The shard grouping only keeps the reseal order, and so the pinned
-        // device images, what they were; no lock needs it.
+        // The grouping only fixes the reseal order, and so the pinned device
+        // images; nothing else depends on it.
         let mut by_shard = victims.clone();
         by_shard.sort_by_key(|&block| self.engine.map.shard_of(block));
         for block in by_shard {

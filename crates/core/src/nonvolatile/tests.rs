@@ -56,7 +56,7 @@ fn mount_with_exported_map_preserves_view() {
         99,
     )
     .unwrap();
-    assert_eq!(remounted.num_shards(), 4);
+    assert_eq!(remounted.map().num_shards(), 4);
     assert_eq!(
         remounted.map().blocks_in_class(BlockClass::Data),
         data_blocks

@@ -407,10 +407,10 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
         &self.engine.map
     }
 
-    /// Audit the map between calls: cached per-shard counters agree with the
-    /// class vectors and every block is in exactly one class. The only way to
-    /// observe counter consistency while other threads are live; sampling
-    /// [`ConcurrentVolatileAgent::map`] mid-flight races a call's
+    /// Audit the map between calls: the cached per-class counters agree
+    /// with the class vector and every block is in exactly one class. The
+    /// only way to observe counter consistency while other threads are live;
+    /// sampling [`ConcurrentVolatileAgent::map`] mid-flight races a call's
     /// claim/counter pairs.
     pub fn audit_map_consistency(&self) -> bool {
         let _between_calls = self.engine.lock();
@@ -423,11 +423,6 @@ impl<D: BlockDevice> ConcurrentVolatileAgent<D> {
     /// The underlying file system.
     pub fn fs(&self) -> &StegFs<D> {
         &self.engine.fs
-    }
-
-    /// Shard count of the agent's block map.
-    pub fn num_shards(&self) -> usize {
-        self.engine.map.num_shards()
     }
 
     /// Consume the agent and return the underlying device (simulated agent

@@ -84,6 +84,8 @@ pub enum ResilienceError {
     Corrupt(String),
     /// The named file is not registered in the store.
     UnknownFile(String),
+    /// A create named a path the store already holds; nothing was written.
+    AlreadyExists(String),
 }
 
 impl core::fmt::Display for ResilienceError {
@@ -140,6 +142,7 @@ impl core::fmt::Display for ResilienceError {
             ),
             ResilienceError::Corrupt(msg) => write!(f, "corrupt persisted structure: {msg}"),
             ResilienceError::UnknownFile(path) => write!(f, "unknown file: {path}"),
+            ResilienceError::AlreadyExists(path) => write!(f, "file already exists: {path}"),
         }
     }
 }

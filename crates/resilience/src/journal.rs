@@ -3,9 +3,10 @@
 //! Every multi-block mutation of a resilient volume (file create, delta
 //! update, stripe repair) writes a sealed *intent record* into one of a small
 //! pool of journal slot blocks **before** touching any data block. The slots
-//! are ordinary payload blocks claimed through the same uniform
-//! [`stegfs_base::ShardedBlockMap::claim`] path as hidden data and sealed with the
-//! volume's block codec, so on disk a journal slot is `IV ‖ CBC bytes` —
+//! are ordinary payload blocks claimed through the same uniform path as
+//! hidden data (one compare-exchange in the block map,
+//! [`stegfs_base::ShardedBlockMap::claim`]) and sealed with the volume's
+//! block codec, so on disk a journal slot is `IV ‖ CBC bytes` —
 //! byte-indistinguishable from free space, parity, or hidden content. Their
 //! locations travel in the anchor payload, so only the master key ever finds
 //! them.

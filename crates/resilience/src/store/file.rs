@@ -246,9 +246,7 @@ impl<D: BlockDevice> ResilientStore<D> {
     pub fn create_file(&self, path: &str, content: &[u8]) -> Result<(), ResilienceError> {
         let mut tables = self.tables.lock();
         if tables.files.contains_key(path) {
-            return Err(ResilienceError::Corrupt(format!(
-                "file {path} already exists"
-            )));
+            return Err(ResilienceError::AlreadyExists(path.to_string()));
         }
         let _intent = self.begin_intent(path, IntentBody::Create)?;
         let fak = self.file_fak(path);

@@ -5,9 +5,9 @@
 //! every hidden file it manages:
 //!
 //! * `m` sealed parity blocks per stripe of `k` content blocks, placed
-//!   through the same uniform [`ShardedBlockMap::claim`] allocation as
-//!   hidden data — on disk a parity block is indistinguishable from free
-//!   space;
+//!   through the same uniform allocation as hidden data (one
+//!   compare-exchange in the block map, [`ShardedBlockMap::claim`]) — on
+//!   disk a parity block is indistinguishable from free space;
 //! * a per-file [`StripeMap`] of plaintext integrity checks and parity
 //!   locations, persisted as a *shadow hidden file* (sealed and scattered
 //!   like any other hidden file, never plaintext on disk);

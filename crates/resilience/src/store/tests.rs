@@ -1173,11 +1173,15 @@ fn a_create_racing_a_create_of_its_path_is_refused() {
         || store.create_file("/same", &first),
         || store.create_file("/same", &second),
     );
-    let created = match (a.is_ok(), b.is_ok()) {
-        (true, false) => &first,
-        (false, true) => &second,
+    let (created, refused) = match (a, b) {
+        (Ok(()), Err(e)) => (&first, e),
+        (Err(e), Ok(())) => (&second, e),
         outcome => panic!("creates returned {outcome:?}, one must win: {order}"),
     };
+    assert!(
+        matches!(&refused, ResilienceError::AlreadyExists(path) if path == "/same"),
+        "the losing create is refused as a taken path, not {refused:?}"
+    );
     let live = store.read_file("/same").unwrap();
     let reopened = ResilientStore::open(store.into_device(), cfg(), &master(), 8).unwrap();
     assert_eq!(
@@ -1195,7 +1199,10 @@ fn unknown_file_and_duplicate_create() {
         Err(ResilienceError::UnknownFile(_))
     ));
     store.create_file("/a", &content(10)).unwrap();
-    assert!(store.create_file("/a", &content(10)).is_err());
+    assert!(matches!(
+        store.create_file("/a", &content(10)),
+        Err(ResilienceError::AlreadyExists(path)) if path == "/a"
+    ));
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //! evaluation. The access-hiding behaviour is layered on top by the
 //! `steghide` agent (updates) and `stegfs-oblivious` (reads).
 //!
-//! Block allocation is delegated to the caller through a [`ShardedBlockMap`]: the
-//! map is the *agent's* knowledge, not the volume's (the volume must not
-//! record which blocks are live).
+//! Block allocation is delegated to the caller through its block map
+//! ([`ShardedBlockMap`], one flat class vector): the map is the *agent's*
+//! knowledge, not the volume's (the volume must not record which blocks
+//! are live).
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -23,13 +24,12 @@ use parking_lot::Mutex;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::{Aes256, CbcCipher, HashDrbg};
 
-use crate::blockmap::BlockClass;
+use crate::blockmap::{BlockClass, ShardedBlockMap, DEFAULT_MAP_SHARDS};
 use crate::codec::BlockCodec;
 use crate::error::FsError;
 use crate::fak::FileAccessKey;
 use crate::header::{FileHeader, FileKind, HeaderCaps};
 use crate::layout::{Superblock, DEFAULT_BLOCK_SIZE, IV_SIZE, SUPERBLOCK_BLOCK};
-use crate::sharded_map::{ShardedBlockMap, DEFAULT_MAP_SHARDS};
 
 /// Probe positions tried when locating (or placing) a file's header.
 const HEADER_PROBE_LIMIT: u32 = 64;
@@ -265,11 +265,11 @@ impl<D: BlockDevice> StegFs<D> {
     /// "scattered across the storage space" placement.
     ///
     /// The map's atomic [`ShardedBlockMap::claim`] keeps two allocators from
-    /// marking the same block. The up-front space check is only advisory on
-    /// a shared map (other threads may drain the pool mid-loop — the agents
-    /// therefore create files under their one engine lock), so the loop also
-    /// re-checks the pool on every failed claim and rolls back instead of
-    /// spinning forever once it empties.
+    /// marking the same block. Every tier calls this under its one lock, but
+    /// the map is `Sync` and public, so a caller may still share it: there
+    /// the up-front space check is only advisory (another thread may drain
+    /// the pool mid-loop), and the loop re-checks the pool on every failed
+    /// claim and rolls back instead of spinning forever once it empties.
     pub fn allocate_blocks(
         &self,
         map: &ShardedBlockMap,
@@ -426,9 +426,9 @@ impl<D: BlockDevice> StegFs<D> {
         let header_location = *candidates
             .iter()
             .find(|&&b| {
-                // `claim` rather than check-then-set, so two concurrent
-                // creations (or a creation racing an allocation) can never
-                // take the same header slot on a sharded map.
+                // `claim` rather than check-then-set, so two creations
+                // sharing one map (or a creation racing an allocation) can
+                // never take the same header slot.
                 map.claim(b, BlockClass::Dummy, BlockClass::Data)
                     || map.claim(b, BlockClass::Unknown, BlockClass::Data)
             })

@@ -20,8 +20,8 @@
 //!   only random bytes, handed to users under Construction 2;
 //! * one **block classification map** ([`ShardedBlockMap`]) giving the
 //!   agent's view of which physical blocks hold data versus dummy bytes —
-//!   shared by reference, with atomic claims, and persisted in a 2-bit wire
-//!   format;
+//!   one flat vector of atomic classes, claimed by compare-exchange, and
+//!   persisted in a 2-bit wire format;
 //! * the **wire layer** ([`wire`]) — the one bounds-checked cursor and one
 //!   authenticated frame every on-disk encoder and decoder of the workspace
 //!   goes through.
@@ -46,14 +46,12 @@ mod fak;
 mod fs;
 pub mod header;
 pub mod layout;
-mod sharded_map;
 pub mod wire;
 
-pub use blockmap::BlockClass;
+pub use blockmap::{BlockClass, ShardedBlockMap, DEFAULT_MAP_SHARDS};
 pub use codec::BlockCodec;
 pub use error::FsError;
 pub use fak::FileAccessKey;
 pub use fs::{OpenFile, StegFs, StegFsConfig};
 pub use header::{FileHeader, FileKind};
 pub use layout::{Superblock, DEFAULT_BLOCK_SIZE, IV_SIZE, SUPERBLOCK_BLOCK};
-pub use sharded_map::{ShardedBlockMap, DEFAULT_MAP_SHARDS};

@@ -1,6 +1,7 @@
 //! Property tests: [`ShardedBlockMap`] must be observationally identical to
 //! a plain `Vec<BlockClass>` under every operation sequence and every shard
-//! count — sharding may only change locking, never classification results.
+//! count — the shard count is only the agents' dummy-batch reseal grouping
+//! and may never change a classification result.
 //! Same shape as `blockdev/tests/batched_equivalence.rs`: drive the map and
 //! the oracle through one generated op stream and require identical
 //! `class()` / `data_blocks()` / `dummy_blocks()` / `utilisation()`
@@ -108,7 +109,8 @@ fn assert_maps_agree(
 
 proptest! {
     /// Identical op sequences produce identical observations, for every shard
-    /// count from degenerate (1) to more shards than blocks.
+    /// count from degenerate (1) to more shards than blocks: the grouping
+    /// number changes no observation.
     #[test]
     fn sharded_map_matches_scalar(ops in ops_strategy(), shards in 1usize..33) {
         let mut oracle = Oracle::new_all_dummy();
@@ -151,7 +153,7 @@ proptest! {
     }
 
     /// Changing the shard count, and a trip through the persisted form, are
-    /// both the identity on classifications.
+    /// both the identity on classifications (and on the persisted bytes).
     #[test]
     fn resharding_roundtrips(ops in ops_strategy(), from in 1usize..33, to in 1usize..33) {
         let mut oracle = Oracle::new_all_dummy();

@@ -9,9 +9,9 @@
 //!   (audited from the worker threads) and after it, and
 //!   [`ObliviousStore::write_epoch`] is even (twice the structural passes
 //!   run: no call sees one in flight);
-//! * block-class conservation on the sharded map — every block is in exactly
-//!   one class and the cached per-shard counters agree with the class
-//!   vectors (`data + dummy + unknown + reserved == num_blocks`);
+//! * block-class conservation on the block map — every block is in exactly
+//!   one class and the cached per-class counters agree with the class
+//!   vector (`data + dummy + unknown + reserved == num_blocks`);
 //! * every file reads back byte-identical to what its owner last wrote.
 //!
 //! Thread count defaults to 8 and can be pinned with `STEGFS_BENCH_THREADS`
@@ -184,7 +184,7 @@ fn eight_thread_mixed_workload_preserves_all_invariants() {
         );
     }
 
-    // 2. Block-class conservation on the sharded map.
+    // 2. Block-class conservation on the block map.
     let map = system.agent.map();
     assert!(map.counters_are_consistent(), "cached counters drifted");
     assert_eq!(
@@ -280,7 +280,7 @@ fn single_thread_reference_run_passes_the_same_audits() {
 // Construction 2 under storms: the agent's registry is shared by
 // every session, and logins/logouts rebuild it while other sessions read and
 // relocate. The satellite invariants: class-counter conservation on the
-// sharded map at every point, and byte-identical read-back of every user's
+// block map at every point, and byte-identical read-back of every user's
 // file after the storm.
 
 use steghide::{ConcurrentVolatileAgent, SessionId, UserCredential};
@@ -342,8 +342,8 @@ fn build_volatile_system() -> ConcurrentVolatileAgent<MemDevice> {
     .expect("mount concurrent volatile agent")
 }
 
-/// Class-counter conservation on the volatile agent's sharded map: cached
-/// counters agree with the class vectors and every block is in exactly one
+/// Class-counter conservation on the volatile agent's block map: cached
+/// counters agree with the class vector and every block is in exactly one
 /// class. Safe to call mid-flight from any worker thread.
 fn audit_volatile_map(agent: &ConcurrentVolatileAgent<MemDevice>, ctx: &str) {
     let map = agent.map();
