@@ -275,18 +275,19 @@ impl<D: BlockDevice> ResilientStore<D> {
 
         for stripe in 0..stripes.num_stripes() {
             let range = stripes.stripe_data_range(stripe);
-            let mut data: Vec<Vec<u8>> = Vec::with_capacity(k);
-            for i in range {
-                // Reconstitute the full zero-padded data field from the
-                // content (what create_file sealed) instead of re-reading it.
-                let chunk = content.chunks(per).nth(i as usize).unwrap_or(&[]);
-                let field = padded(chunk, per);
-                stripes.set_data_check(i, keys.check(&field));
-                data.push(field);
-            }
+            // Reconstitute the full zero-padded data fields from the content
+            // (what create_file sealed) instead of re-reading them.
+            let mut data: Vec<Vec<u8>> = range
+                .clone()
+                .map(|i| padded(content.chunks(per).nth(i as usize).unwrap_or(&[]), per))
+                .collect();
+            let present = data.len();
             // Short final stripe: missing data shards are known-zero.
             data.resize(k, vec![0u8; per]);
             let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+            for (i, check) in range.zip(keys.check_many(&refs[..present])) {
+                stripes.set_data_check(i, check);
+            }
             let parity = self.codec.encode(&refs);
 
             let locs = self.fs.allocate_blocks(&self.map, m as u64)?;
@@ -301,15 +302,9 @@ impl<D: BlockDevice> ResilientStore<D> {
                     .codec()
                     .write_sealed_many(self.fs.device(), &content_key, &group, rng)
             })?;
-            for (row, shard) in parity.iter().enumerate() {
-                stripes.set_parity_entry(
-                    stripe,
-                    row,
-                    ParityEntry {
-                        location: locs[row],
-                        check: keys.check(shard),
-                    },
-                );
+            let rows: Vec<&[u8]> = parity.iter().map(Vec::as_slice).collect();
+            for (row, (&location, check)) in locs.iter().zip(keys.check_many(&rows)).enumerate() {
+                stripes.set_parity_entry(stripe, row, ParityEntry { location, check });
             }
         }
 

@@ -319,17 +319,22 @@ impl<D: BlockDevice> StegFs<D> {
         Ok(())
     }
 
-    fn header_candidates(&self, fak: &FileAccessKey, path: &str) -> Vec<BlockId> {
-        (0..HEADER_PROBE_LIMIT)
-            .map(|probe| {
-                fak.header_location(
-                    &self.superblock.salt,
-                    path,
-                    probe,
-                    self.superblock.payload_blocks(),
-                )
-            })
-            .collect()
+    /// The header probe positions of `path` in probe order, each derived
+    /// (one HMAC) only when the caller asks for it: a create stops at the
+    /// first free probe and an open at its header.
+    fn header_candidates<'a>(
+        &'a self,
+        fak: &'a FileAccessKey,
+        path: &'a str,
+    ) -> impl Iterator<Item = BlockId> + 'a {
+        (0..HEADER_PROBE_LIMIT).map(move |probe| {
+            fak.header_location(
+                &self.superblock.salt,
+                path,
+                probe,
+                self.superblock.payload_blocks(),
+            )
+        })
     }
 
     /// Create a hidden file at `path` with the given content.
@@ -422,19 +427,18 @@ impl<D: BlockDevice> StegFs<D> {
         // header there carries the same overwrite risk as in the original
         // StegFS, where the agent simply cannot know about files whose owners
         // are not logged in.
-        let candidates = self.header_candidates(fak, path);
-        let header_location = *candidates
-            .iter()
-            .find(|&&b| {
+        let mut last_probe = 0;
+        let header_location = self
+            .header_candidates(fak, path)
+            .find(|&b| {
+                last_probe = b;
                 // `claim` rather than check-then-set, so two creations
                 // sharing one map (or a creation racing an allocation) can
                 // never take the same header slot.
                 map.claim(b, BlockClass::Dummy, BlockClass::Data)
                     || map.claim(b, BlockClass::Unknown, BlockClass::Data)
             })
-            .ok_or(FsError::HeaderCollision {
-                block: *candidates.last().unwrap_or(&0),
-            })?;
+            .ok_or(FsError::HeaderCollision { block: last_probe })?;
 
         // Allocate content and indirect blocks.
         let content_locs = match self.allocate_blocks(map, content_blocks) {
@@ -1004,6 +1008,22 @@ mod tests {
         assert_eq!(
             fs.open_file(&fak, "/other").unwrap_err(),
             FsError::NoSuchFile
+        );
+    }
+
+    #[test]
+    fn a_create_with_every_probe_taken_reports_the_last_probe() {
+        let (fs, map) = small_fs();
+        let fak = FileAccessKey::from_passphrase("k");
+        let probes: Vec<BlockId> = fs.header_candidates(&fak, "/full").collect();
+        for &b in &probes {
+            map.set(b, BlockClass::Data);
+        }
+        assert_eq!(
+            fs.create_file(&map, "/full", &fak, b"data").unwrap_err(),
+            FsError::HeaderCollision {
+                block: probes[HEADER_PROBE_LIMIT as usize - 1]
+            }
         );
     }
 

@@ -25,8 +25,11 @@ use stegfs_repro::blockdev::{IoKind, TraceLog};
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::DEFAULT_MAP_SHARDS;
-use stegfs_repro::workload::{AccessPattern, ConcurrentDriver};
+use stegfs_repro::workload::AccessPattern;
 use steghide::{AgentConfig, ConcurrentAgent, FileId};
+
+mod support;
+use support::ConcurrentDriver;
 
 const VOLUME_BLOCKS: u64 = 2048;
 const HOT_BLOCKS: u64 = 48;

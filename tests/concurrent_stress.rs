@@ -20,8 +20,10 @@
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
 use stegfs_repro::stegfs::DEFAULT_MAP_SHARDS;
-use stegfs_repro::workload::ConcurrentDriver;
 use steghide::{AgentConfig, ConcurrentAgent, FileId};
+
+mod support;
+use support::ConcurrentDriver;
 
 const USERS: usize = 8;
 const ROUNDS: u64 = 18;

@@ -15,6 +15,9 @@ use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
 use stegfs_workload::AccessPattern;
 
+mod support;
+use support::ConcurrentDriver;
+
 /// One fig12a/fig12b data point rendered exactly as the bins render it.
 fn fig12_point_rendered() -> Vec<String> {
     // The identical sweep logic the fig12a/fig12b bins run (same seed
@@ -144,7 +147,6 @@ fn experiment_outputs_are_backend_invariant() {
 /// written, invariants hold — but trace order depends on scheduling; see the
 /// README's Concurrency section.)
 fn concurrent_single_thread_trace() -> (Vec<(IoKind, u64)>, Vec<u8>) {
-    use stegfs_repro::workload::ConcurrentDriver;
     use steghide::{AgentConfig, ConcurrentAgent};
 
     let log = TraceLog::new();
@@ -289,7 +291,6 @@ fn decomposed_item(u: u64, r: u64) -> u64 {
 /// I/O lands at the same program point, so the traces match bit for bit.
 #[test]
 fn single_thread_decomposed_store_is_trace_identical_to_direct_calls() {
-    use stegfs_repro::workload::ConcurrentDriver;
     const USERS: u64 = 3;
     const ROUNDS: u64 = 40;
 

@@ -1,13 +1,16 @@
-//! Property tests: [`ConcurrentDriver`] at one thread must reproduce
-//! [`RoundRobinDriver`] *exactly* — same per-step visit order, same final
-//! system state, same task timings — and at any thread count it must apply
-//! every task's full effect exactly once.
+//! The test-support [`ConcurrentDriver`] against [`RoundRobinDriver`]: at
+//! one thread it must reproduce the sequential driver *exactly* — same
+//! per-step visit order, same final system state, same task timings — and at
+//! any thread count it must apply every task's full effect exactly once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use stegfs_workload::{ConcurrentDriver, RoundRobinDriver, TaskTiming};
+use stegfs_repro::workload::{RoundRobinDriver, TaskTiming};
+
+mod support;
+use support::ConcurrentDriver;
 
 /// A shared system whose clock advances by a per-step cost and which logs
 /// every step as `(task_id, clock_after)`.
@@ -115,4 +118,76 @@ proptest! {
             prop_assert!(t.end_us <= total * 10);
         }
     }
+}
+
+/// A shared counter system for the example-based cases.
+fn counter() -> AtomicU64 {
+    AtomicU64::new(0)
+}
+
+fn counting_task(steps: u64) -> impl FnMut(&AtomicU64) -> bool + Send {
+    let mut left = steps;
+    move |s: &AtomicU64| {
+        s.fetch_add(1, Ordering::Relaxed);
+        left -= 1;
+        left == 0
+    }
+}
+
+#[test]
+fn concurrent_driver_completes_all_tasks_at_any_thread_count() {
+    for threads in [1, 2, 3, 8] {
+        let system = counter();
+        let tasks: Vec<_> = vec![counting_task(5), counting_task(1), counting_task(9)];
+        let timings =
+            ConcurrentDriver::run(&system, tasks, threads, || system.load(Ordering::Relaxed));
+        assert_eq!(system.load(Ordering::Relaxed), 15, "{threads} threads");
+        assert_eq!(timings.len(), 3);
+    }
+}
+
+#[test]
+fn one_thread_matches_round_robin_visit_order() {
+    // Record the task visit sequence under both drivers; with one thread
+    // they must be identical.
+    let log = Mutex::new(Vec::new());
+    let mk = |id: usize, steps: u64| {
+        let log = &log;
+        let mut left = steps;
+        move |_: &AtomicU64| {
+            log.lock().unwrap().push(id);
+            left -= 1;
+            left == 0
+        }
+    };
+    ConcurrentDriver::run(&counter(), vec![mk(0, 3), mk(1, 1), mk(2, 2)], 1, || 0);
+    let concurrent_log = std::mem::take(&mut *log.lock().unwrap());
+
+    let mk_seq = |id: usize, steps: u64| {
+        let mut left = steps;
+        move |log: &mut Vec<usize>| {
+            log.push(id);
+            left -= 1;
+            left == 0
+        }
+    };
+    let mut sequential_log = Vec::new();
+    RoundRobinDriver::run(
+        &mut sequential_log,
+        vec![mk_seq(0, 3), mk_seq(1, 1), mk_seq(2, 2)],
+        || 0,
+    );
+    assert_eq!(concurrent_log, sequential_log);
+}
+
+#[test]
+fn empty_task_list_returns_no_timings() {
+    let tasks: Vec<fn(&AtomicU64) -> bool> = vec![];
+    assert!(ConcurrentDriver::run(&counter(), tasks, 4, || 0).is_empty());
+}
+
+#[test]
+#[should_panic(expected = "thread count must be positive")]
+fn zero_threads_panics() {
+    ConcurrentDriver::run(&counter(), vec![counting_task(1)], 0, || 0);
 }
