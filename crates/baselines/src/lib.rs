@@ -18,7 +18,6 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use stegfs_blockdev::{BlockDevice, BlockId, DeviceError};
 
 /// How a [`NativeFs`] lays files out on disk.
@@ -126,14 +125,12 @@ impl NativeFile {
     }
 }
 
-/// An unencrypted, extent-based native file system baseline.
+/// An unencrypted, extent-based native file system baseline. Creating a
+/// file takes `&mut self`; reads and in-place updates change no metadata and
+/// take `&self`.
 pub struct NativeFs<D> {
     device: D,
     policy: AllocationPolicy,
-    state: Mutex<State>,
-}
-
-struct State {
     next_free: BlockId,
     /// Per-zone allocation cursors (fragmented layout only).
     zone_cursors: Vec<BlockId>,
@@ -157,12 +154,10 @@ impl<D: BlockDevice> NativeFs<D> {
         Self {
             device,
             policy,
-            state: Mutex::new(State {
-                next_free: 1,
-                zone_cursors,
-                next_zone: 0,
-                files: HashMap::new(),
-            }),
+            next_free: 1,
+            zone_cursors,
+            next_zone: 0,
+            files: HashMap::new(),
         }
     }
 
@@ -171,19 +166,15 @@ impl<D: BlockDevice> NativeFs<D> {
         len.div_ceil(self.device.block_size() as u64).max(1)
     }
 
-    fn allocate(
-        &self,
-        state: &mut State,
-        num_blocks: u64,
-    ) -> Result<Vec<(BlockId, u64)>, NativeFsError> {
+    fn allocate(&mut self, num_blocks: u64) -> Result<Vec<(BlockId, u64)>, NativeFsError> {
         let total = self.device.num_blocks();
         match self.policy {
             AllocationPolicy::Contiguous => {
-                if state.next_free + num_blocks > total {
+                if self.next_free + num_blocks > total {
                     return Err(NativeFsError::NoSpace);
                 }
-                let start = state.next_free;
-                state.next_free += num_blocks;
+                let start = self.next_free;
+                self.next_free += num_blocks;
                 Ok(vec![(start, num_blocks)])
             }
             AllocationPolicy::Fragmented {
@@ -200,12 +191,12 @@ impl<D: BlockDevice> NativeFs<D> {
                     // rotating so consecutive fragments land far apart.
                     let mut placed = false;
                     for probe in 0..zones {
-                        let zone = (state.next_zone + probe) % zones;
+                        let zone = (self.next_zone + probe) % zones;
                         let zone_end = 1 + (zone as u64 + 1) * zone_size;
-                        if state.zone_cursors[zone] + take <= zone_end.min(total) {
-                            extents.push((state.zone_cursors[zone], take));
-                            state.zone_cursors[zone] += take;
-                            state.next_zone = (zone + 1) % zones;
+                        if self.zone_cursors[zone] + take <= zone_end.min(total) {
+                            extents.push((self.zone_cursors[zone], take));
+                            self.zone_cursors[zone] += take;
+                            self.next_zone = (zone + 1) % zones;
                             placed = true;
                             break;
                         }
@@ -224,29 +215,29 @@ impl<D: BlockDevice> NativeFs<D> {
     /// whatever the device already holds). Used by the benchmark harness to
     /// set up large populations quickly; the I/O pattern of later reads and
     /// updates is identical to a fully written file.
-    pub fn create_file_sparse(&self, name: &str, size: u64) -> Result<NativeFile, NativeFsError> {
-        let mut state = self.state.lock();
-        if state.files.contains_key(name) {
+    pub fn create_file_sparse(
+        &mut self,
+        name: &str,
+        size: u64,
+    ) -> Result<NativeFile, NativeFsError> {
+        if self.files.contains_key(name) {
             return Err(NativeFsError::AlreadyExists(name.to_string()));
         }
         let num_blocks = self.blocks_for_len(size);
-        let extents = self.allocate(&mut state, num_blocks)?;
+        let extents = self.allocate(num_blocks)?;
         let file = NativeFile {
             name: name.to_string(),
             size,
             extents,
         };
-        state.files.insert(name.to_string(), file.clone());
+        self.files.insert(name.to_string(), file.clone());
         Ok(file)
     }
 
     /// Look up a file's metadata.
-    fn stat(&self, name: &str) -> Result<NativeFile, NativeFsError> {
-        self.state
-            .lock()
-            .files
+    fn stat(&self, name: &str) -> Result<&NativeFile, NativeFsError> {
+        self.files
             .get(name)
-            .cloned()
             .ok_or_else(|| NativeFsError::NotFound(name.to_string()))
     }
 
@@ -309,7 +300,7 @@ mod tests {
 
     #[test]
     fn clean_disk_allocates_contiguously() {
-        let fs = NativeFs::new(MemDevice::new(1024, 512), AllocationPolicy::clean_disk());
+        let mut fs = NativeFs::new(MemDevice::new(1024, 512), AllocationPolicy::clean_disk());
         let a = fs.create_file_sparse("a", 512 * 10).unwrap();
         let b = fs.create_file_sparse("b", 512 * 5).unwrap();
         assert_eq!(a.extents, vec![(1, 10)]);
@@ -321,7 +312,7 @@ mod tests {
 
     #[test]
     fn frag_disk_breaks_files_into_fragments() {
-        let fs = NativeFs::new(MemDevice::new(4096, 512), AllocationPolicy::frag_disk());
+        let mut fs = NativeFs::new(MemDevice::new(4096, 512), AllocationPolicy::frag_disk());
         let f = fs.create_file_sparse("f", 512 * 20).unwrap();
         assert_eq!(f.num_blocks(), 20);
         assert_eq!(f.extents.len(), 3); // 8 + 8 + 4
@@ -334,7 +325,7 @@ mod tests {
     #[test]
     fn update_range_changes_blocks_in_place() {
         let dev = MemDevice::new(256, 512);
-        let fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
+        let mut fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
         let before = fs.create_file_sparse("f", 512 * 4).unwrap();
         fs.update_range("f", 1, 2, 0xee).unwrap();
         let after = fs.stat("f").unwrap();
@@ -351,7 +342,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_and_missing_files_error() {
-        let fs = NativeFs::new(MemDevice::new(256, 512), AllocationPolicy::clean_disk());
+        let mut fs = NativeFs::new(MemDevice::new(256, 512), AllocationPolicy::clean_disk());
         fs.create_file_sparse("f", 512).unwrap();
         assert!(matches!(
             fs.update_range("f", 5, 1, 0),
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn no_space_is_reported() {
-        let fs = NativeFs::new(MemDevice::new(8, 512), AllocationPolicy::clean_disk());
+        let mut fs = NativeFs::new(MemDevice::new(8, 512), AllocationPolicy::clean_disk());
         assert!(matches!(
             fs.create_file_sparse("big", 512 * 100),
             Err(NativeFsError::NoSpace)
@@ -380,7 +371,7 @@ mod tests {
     fn frag_disk_read_is_mostly_sequential_within_fragments() {
         use stegfs_blockdev::sim::SimDevice;
         let dev = SimDevice::new(MemDevice::new(65536, 4096));
-        let fs = NativeFs::new(&dev, AllocationPolicy::frag_disk());
+        let mut fs = NativeFs::new(&dev, AllocationPolicy::frag_disk());
         fs.create_file_sparse("f", 4096 * 64).unwrap();
         fs.read_range("f", 0, 64).unwrap();
         let stats = dev.stats().snapshot();
@@ -394,7 +385,7 @@ mod tests {
     fn clean_disk_read_is_almost_entirely_sequential() {
         use stegfs_blockdev::sim::SimDevice;
         let dev = SimDevice::new(MemDevice::new(65536, 4096));
-        let fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
+        let mut fs = NativeFs::new(&dev, AllocationPolicy::clean_disk());
         fs.create_file_sparse("f", 4096 * 64).unwrap();
         fs.read_range("f", 0, 64).unwrap();
         let stats = dev.stats().snapshot();

@@ -83,17 +83,16 @@ fn main() {
         let dev = Arc::new(FaultDevice::new(clone_to_mem(&image).expect("clone")));
         let store =
             ResilientStore::open(Arc::clone(&dev), store_cfg(), &master(), 62).expect("open");
-        // Stage `staged` concurrently in-flight mutations: write each intent
-        // record through a parallel journal handle over the same slots and
-        // leak the guard, exactly the on-disk state `staged` racing writers
-        // would leave behind at a power cut. Ghost paths make the recovery
-        // pass do its full undo-by-derivation probe per intent.
-        let journal = IntentJournal::new(&master(), store.journal_slots());
-        for f in 0..staged {
-            let guard = journal
+        // Stage `staged` live intents, one per logical slot, each sealed
+        // through a journal over that slot's pair alone: the recovery scan's
+        // cost per live record. The store itself leaves at most one (it
+        // journals into slot 0 only). Ghost paths make the recovery pass do
+        // its full undo-by-derivation probe per intent.
+        let slots = store.journal_slots();
+        for (f, pair) in slots.chunks(2).take(staged).enumerate() {
+            IntentJournal::new(&master(), pair.to_vec())
                 .begin(store.fs(), &format!("/ghost{f}"), IntentBody::Create)
                 .expect("stage intent");
-            std::mem::forget(guard);
         }
         let snapshot = dev.snapshot_to_mem().expect("snapshot");
         drop(store);

@@ -67,7 +67,7 @@ fn main() {
     // --- 1. Bulk registration, checkpoint, cold reopen. ---
     let device = MemDevice::new(volume_blocks, BLOCK_SIZE);
     let store = ResilientStore::format(device, store_cfg(), &master(), 0x5ca1e).expect("format");
-    let registry = Registry::create(&store, shards, max_resident).expect("create registry");
+    let mut registry = Registry::create(&store, shards, max_resident).expect("create registry");
 
     // Shard-ordered bulk load: group the population by its keyed shard so
     // each shard is filled once instead of thrashing the resident cache.
@@ -96,7 +96,7 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let store = ResilientStore::open(device, store_cfg(), &master(), 0x5ca1e).expect("reopen");
-    let registry = Registry::open(&store, max_resident)
+    let mut registry = Registry::open(&store, max_resident)
         .expect("open registry")
         .expect("reopen must rediscover the registry");
     let reopen_secs = t0.elapsed().as_secs_f64().max(1e-9);

@@ -396,7 +396,7 @@ impl TestBed {
                 } else {
                     AllocationPolicy::clean_disk()
                 };
-                let fs = NativeFs::new(device, policy);
+                let mut fs = NativeFs::new(device, policy);
                 let mut names = Vec::new();
                 for (i, &blocks) in spec.file_blocks.iter().enumerate() {
                     let name = format!("file{i}");

@@ -8,41 +8,28 @@
 //! sequence of first-time fetches, interleaved with dummy reads, looks like a
 //! uniformly random process to an observer of the partition.
 //!
-//! Like the store it fronts, the read front serves one call at a time behind
-//! one lock, which holds the fetched set `S` of Figure 8(a) and the draw
-//! DRBG; the counters sit outside it. A call that reaches the store
-//! takes the store's lock inside the front's, never the reverse.
+//! The front serves one caller: the fetched set `S` of Figure 8(a), the draw
+//! DRBG and the counters are plain fields, and every call takes `&mut self`.
+//! A caller that shares a front wraps it in a lock of its own.
 
-use parking_lot::Mutex;
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HashDrbg;
 
 use crate::error::ObliviousError;
 use crate::store::ObliviousStore;
 
-stegfs_blockdev::counters! {
-    /// Counters describing the read front's activity.
-    pub struct FrontStats,
-    /// The live counters of the `&self` read path.
-    struct SharedFrontStats {
-        /// Logical block reads served.
-        reads_served,
-        /// Reads satisfied by the oblivious cache.
-        cache_hits,
-        /// First-time fetches from the StegFS partition.
-        steg_fetches,
-        /// Decoy reads issued against the StegFS partition (both the re-draw
-        /// reads of Figure 8(a) and explicit dummy reads).
-        steg_dummy_reads,
-    }
-}
-
-/// What the front's lock guards: the already-fetched set `S` of Figure 8(a),
-/// in insertion order for decoy sampling, and the draw DRBG. Every block in
-/// `S` is in the store, which never drops an item.
-struct FetchState {
-    fetched: Vec<BlockId>,
-    rng: HashDrbg,
+/// Counters describing the read front's activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontStats {
+    /// Logical block reads served.
+    pub reads_served: u64,
+    /// Reads satisfied by the oblivious cache.
+    pub cache_hits: u64,
+    /// First-time fetches from the StegFS partition.
+    pub steg_fetches: u64,
+    /// Decoy reads issued against the StegFS partition (both the re-draw
+    /// reads of Figure 8(a) and explicit dummy reads).
+    pub steg_dummy_reads: u64,
 }
 
 /// The oblivious read front (Figure 8(a)) combining a StegFS partition device
@@ -50,8 +37,12 @@ struct FetchState {
 pub struct ObliviousReadFront<P, D, S> {
     steg_partition: P,
     store: ObliviousStore<D, S>,
-    state: Mutex<FetchState>,
-    stats: SharedFrontStats,
+    /// The already-fetched set `S` of Figure 8(a), in insertion order for
+    /// decoy sampling. Every block in `S` is in the store, which never drops
+    /// an item.
+    fetched: Vec<BlockId>,
+    rng: HashDrbg,
+    stats: FrontStats,
 }
 
 impl<P, D, S> ObliviousReadFront<P, D, S>
@@ -65,11 +56,9 @@ where
         Self {
             steg_partition,
             store,
-            state: Mutex::new(FetchState {
-                fetched: Vec::new(),
-                rng: HashDrbg::new(&seed.to_be_bytes()),
-            }),
-            stats: SharedFrontStats::default(),
+            fetched: Vec::new(),
+            rng: HashDrbg::new(&seed.to_be_bytes()),
+            stats: FrontStats::default(),
         }
     }
 
@@ -83,9 +72,9 @@ where
         &self.steg_partition
     }
 
-    /// Counters collected so far (a relaxed snapshot; exact at quiescence).
+    /// Counters collected so far.
     pub fn stats(&self) -> FrontStats {
-        self.stats.snapshot()
+        self.stats
     }
 
     fn read_steg_raw(&self, block: BlockId) -> Result<Vec<u8>, ObliviousError> {
@@ -108,52 +97,48 @@ where
     /// A miss the full store could not take fails with
     /// [`ObliviousError::CapacityExhausted`] before any draw, partition read
     /// or count, so `S`, the DRBG and the stats are as they were.
-    pub fn read_block(&self, block: BlockId) -> Result<Vec<u8>, ObliviousError> {
-        let mut state = self.state.lock();
+    pub fn read_block(&mut self, block: BlockId) -> Result<Vec<u8>, ObliviousError> {
         if self.store.contains(block) {
-            self.stats.reads_served.inc();
-            self.stats.cache_hits.inc();
+            self.stats.reads_served += 1;
+            self.stats.cache_hits += 1;
             return self.store.read(block);
         }
         if self.store.len() >= self.store.config().last_level_blocks as usize {
             return Err(ObliviousError::CapacityExhausted);
         }
-        self.stats.reads_served.inc();
+        self.stats.reads_served += 1;
 
-        let FetchState { fetched, rng } = &mut *state;
         let m = self.steg_partition.num_blocks();
-        while rng.gen_range(m) < fetched.len() as u64 {
-            let decoy = fetched[rng.gen_range(fetched.len() as u64) as usize];
+        while self.rng.gen_range(m) < self.fetched.len() as u64 {
+            let decoy = self.fetched[self.rng.gen_range(self.fetched.len() as u64) as usize];
             self.read_steg_raw(decoy)?;
-            self.stats.steg_dummy_reads.inc();
+            self.stats.steg_dummy_reads += 1;
         }
         let raw = self.read_steg_raw(block)?;
         self.store.insert(block, raw.clone())?;
-        self.stats.steg_fetches.inc();
-        fetched.push(block);
+        self.stats.steg_fetches += 1;
+        self.fetched.push(block);
         Ok(raw)
     }
 
     /// Issue one dummy read against the StegFS partition ("dummy reads are
     /// also mixed in to conceal the real reads", Section 5.1.1).
-    pub fn dummy_read(&self) -> Result<(), ObliviousError> {
-        let mut state = self.state.lock();
-        let block = state.rng.gen_range(self.steg_partition.num_blocks());
+    pub fn dummy_read(&mut self) -> Result<(), ObliviousError> {
+        let block = self.rng.gen_range(self.steg_partition.num_blocks());
         self.read_steg_raw(block)?;
-        self.stats.steg_dummy_reads.inc();
+        self.stats.steg_dummy_reads += 1;
         Ok(())
     }
 
     /// Write-through: update the cached copy of `block` (the caller is
     /// responsible for also updating the StegFS partition through the
     /// update-hiding agent, Section 5.1.2).
-    pub fn write_back(&self, block: BlockId, raw: Vec<u8>) -> Result<(), ObliviousError> {
-        let mut state = self.state.lock();
+    pub fn write_back(&mut self, block: BlockId, raw: Vec<u8>) -> Result<(), ObliviousError> {
         let first = !self.store.contains(block);
         self.store.insert(block, raw)?;
         if first {
-            self.stats.steg_fetches.inc();
-            state.fetched.push(block);
+            self.stats.steg_fetches += 1;
+            self.fetched.push(block);
         }
         Ok(())
     }
@@ -163,6 +148,7 @@ where
 mod tests {
     use super::*;
     use crate::config::ObliviousConfig;
+    use parking_lot::Mutex;
     use std::collections::HashSet;
     use stegfs_blockdev::{BlockDeviceExt, MemDevice, TracingDevice};
     use stegfs_crypto::Key256;
@@ -199,7 +185,7 @@ mod tests {
 
     #[test]
     fn reads_return_partition_contents() {
-        let front = new_front(64);
+        let mut front = new_front(64);
         for b in [3u64, 17, 40, 3, 17] {
             let data = front.read_block(b).unwrap();
             assert!(data.iter().all(|&x| x == (b % 251) as u8), "block {b}");
@@ -212,7 +198,7 @@ mod tests {
 
     #[test]
     fn each_partition_block_is_fetched_at_most_once() {
-        let front = new_front(32);
+        let mut front = new_front(32);
         for round in 0..3 {
             for b in 0..32u64 {
                 let data = front.read_block(b).unwrap();
@@ -224,7 +210,7 @@ mod tests {
 
     #[test]
     fn decoy_reads_only_touch_already_fetched_blocks() {
-        let front = new_front(16);
+        let mut front = new_front(16);
         // Fetch a few blocks, then observe the partition trace: every read
         // must address either a first-time fetch or an already fetched block.
         let mut wanted = HashSet::new();
@@ -254,8 +240,8 @@ mod tests {
     /// count, however often it is retried.
     #[test]
     fn a_miss_on_a_full_store_is_refused_before_any_partition_read() {
-        let front = front_over(16, ObliviousConfig::new(2, 8));
-        let twin = front_over(16, ObliviousConfig::new(2, 8));
+        let mut front = front_over(16, ObliviousConfig::new(2, 8));
+        let mut twin = front_over(16, ObliviousConfig::new(2, 8));
         for b in 0..8u64 {
             front.read_block(b).unwrap();
             twin.read_block(b).unwrap();
@@ -275,7 +261,7 @@ mod tests {
         // The DRBG drew nothing: the next draws match a twin that never
         // asked for block 8.
         twin.read_block(5).unwrap();
-        for f in [&front, &twin] {
+        for f in [&mut front, &mut twin] {
             f.steg_partition().log().clear();
             for _ in 0..8 {
                 f.dummy_read().unwrap();
@@ -289,7 +275,7 @@ mod tests {
 
     #[test]
     fn dummy_reads_touch_the_partition() {
-        let front = new_front(32);
+        let mut front = new_front(32);
         for _ in 0..10 {
             front.dummy_read().unwrap();
         }
@@ -299,7 +285,7 @@ mod tests {
 
     #[test]
     fn write_back_updates_cached_copy() {
-        let front = new_front(32);
+        let mut front = new_front(32);
         front.read_block(4).unwrap();
         front.write_back(4, vec![0xAB; STEG_BLOCK]).unwrap();
         assert_eq!(front.read_block(4).unwrap(), vec![0xAB; STEG_BLOCK]);
@@ -308,21 +294,24 @@ mod tests {
         assert_eq!(front.read_block(20).unwrap(), vec![0xCD; STEG_BLOCK]);
     }
 
+    /// Threads that share one front through a lock of their own, as the
+    /// `&mut self` API asks, still fetch every partition block once.
     #[test]
     fn concurrent_readers_fetch_each_block_once() {
-        let front = new_front(32);
+        let front = Mutex::new(new_front(32));
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let front = &front;
                 s.spawn(move || {
                     for i in 0..64u64 {
                         let b = (t * 11 + i * 3) % 32;
-                        let data = front.read_block(b).unwrap();
+                        let data = front.lock().read_block(b).unwrap();
                         assert_eq!(data[0], (b % 251) as u8, "block {b}");
                     }
                 });
             }
         });
+        let front = front.into_inner();
         let stats = front.stats();
         assert_eq!(stats.reads_served, 4 * 64);
         assert_eq!(
@@ -334,25 +323,26 @@ mod tests {
 
     #[test]
     fn racing_readers_on_a_tiny_partition_terminate() {
-        // Regression: a reader that entered the miss loop before its block
-        // was fetched by a racer used to spin on decoy reads forever once
+        // Regression: a reader that reached the miss loop for a block that a
+        // racer had already fetched used to spin on decoy reads forever once
         // every partition block was in `S` (every draw then lands inside
-        // `S`). A tiny partition and many fresh fronts hit that window with
-        // near-certainty; the test passing at all is the assertion.
+        // `S`). A tiny partition that the readers exhaust, over many fresh
+        // fronts, hits that case; the test passing at all is the assertion.
         for round in 0..24u64 {
-            let front = new_front(4);
+            let front = Mutex::new(new_front(4));
             std::thread::scope(|s| {
                 for t in 0..4u64 {
                     let front = &front;
                     s.spawn(move || {
                         for i in 0..8u64 {
                             let b = (t + i + round) % 4;
-                            let data = front.read_block(b).unwrap();
+                            let data = front.lock().read_block(b).unwrap();
                             assert_eq!(data[0], (b % 251) as u8, "block {b}");
                         }
                     });
                 }
             });
+            let front = front.into_inner();
             assert_eq!(front.stats().steg_fetches, 4);
             assert!(front.store().membership_is_consistent());
         }

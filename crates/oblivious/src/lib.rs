@@ -36,14 +36,16 @@
 //!
 //! Three implementation properties matter for the reproduction:
 //!
-//! * **one call at a time** — every store and front method takes `&self`,
-//!   so threads can share them, but each object keeps its state behind one
-//!   lock held for the whole call, as the sequential hierarchy of Goldreich
-//!   & Ostrovsky has it: a read is one scan, a flush one cascade, and
-//!   nothing runs in between. Counters are relaxed atomics. A
-//!   single-threaded caller sees bit-for-bit the sequential behaviour; at N
-//!   threads the store is value-deterministic (every id reads back its last
-//!   write) while the order of the calls depends on scheduling;
+//! * **one call at a time** — as the sequential hierarchy of Goldreich &
+//!   Ostrovsky has it: a read is one scan, a flush one cascade, and nothing
+//!   runs in between. Every store method takes `&self`, so threads can
+//!   share a store, and the store keeps its state behind one lock held for
+//!   the whole call; its counters are relaxed atomics. A single-threaded
+//!   caller sees bit-for-bit the sequential behaviour; at N threads the
+//!   store is value-deterministic (every id reads back its last write)
+//!   while the order of the calls depends on scheduling. The front serves
+//!   one caller: its fetched set, DRBG and counters are plain fields, and
+//!   every front method that reads or fetches takes `&mut self`;
 //! * **batched maintenance I/O** — level sweeps, the external sort's run
 //!   spills/refills and index rewrites move data through the ranged
 //!   `read_blocks`/`write_blocks` device operations, so on the simulated

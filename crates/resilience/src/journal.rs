@@ -43,13 +43,17 @@
 //! * **Repair** — repair is idempotent, so the record is a pure redo marker:
 //!   recovery re-verifies and re-repairs the whole file.
 //!
-//! Slots are recycled in memory when an operation finishes; the on-disk
-//! record is left behind (clearing it would cost a write per operation and a
-//! distinguishable "always rewritten twice" pattern). Staleness is resolved
-//! by op-id: operations are serialized by the store's one lock, so among
-//! valid records for the same path every record except the highest op-id is
-//! necessarily complete. [`ResilientStore::open`] scans the slots,
-//! recovers the highest record per path, then randomizes every slot.
+//! The store serves one call at a time and no call holds two intents, so
+//! every record is sealed into logical slot 0, over the record of the
+//! operation before it; the other slots keep their fill until recovery
+//! randomizes them. A finished operation's record is left behind (clearing
+//! it would cost a write per operation and a distinguishable "always
+//! rewritten twice" pattern). Staleness is resolved by op-id: among valid
+//! records for the same path every record except the highest op-id is
+//! necessarily complete. [`ResilientStore::open`] scans every slot (a
+//! volume written by a build that spread intents over the pool may hold
+//! one in each), recovers the highest record per path, then randomizes
+//! every slot.
 //!
 //! **Slot replication.** A slot block is itself a single point of loss: a
 //! zeroed or bit-rotted slot silently orphans an in-flight intent, and
@@ -65,8 +69,6 @@
 //! [`ResilientStore::open`]: crate::ResilientStore::open
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 use stegfs_base::wire::{Reader, WireError, Writer, TAG_LEN};
 use stegfs_base::StegFs;
@@ -241,17 +243,15 @@ impl IntentRecord {
     }
 }
 
-/// The slot pool and keys of a volume's intent journal. The pool is never
+/// The slots and keys of a volume's intent journal. The slot list is never
 /// empty: `ResilientStore::format` and `open` refuse a volume without slots,
-/// so [`IntentJournal::begin`] always has one to wait for.
+/// so [`IntentJournal::begin`] always has slot 0 to seal into.
 ///
 /// Consecutive blocks of the slot list form replicated pairs: blocks `2i`
 /// and `2i + 1` both hold logical slot `i`'s record. An odd trailing block
 /// (a legacy single-copy pool) is a logical slot with no mirror.
 pub struct IntentJournal {
     slots: Vec<BlockId>,
-    /// Indices of *logical* slots currently free for new intents.
-    free: Mutex<Vec<usize>>,
     op_counter: AtomicU64,
     seal_key: Key256,
     mac: HmacSha256,
@@ -265,9 +265,7 @@ impl IntentJournal {
     pub fn new(master: &Key256, slots: Vec<BlockId>) -> Self {
         assert!(!slots.is_empty(), "an intent journal needs a slot");
         let mac_key = master.derive("resilience:journal-mac");
-        let logical = slots.len().div_ceil(2);
         Self {
-            free: Mutex::new((0..logical).rev().collect()),
             op_counter: AtomicU64::new(1),
             seal_key: master.derive("resilience:journal"),
             mac: HmacSha256::new(mac_key.as_bytes()),
@@ -280,8 +278,10 @@ impl IntentJournal {
         &self.slots
     }
 
-    /// Number of logical (replicated) slots — concurrent in-flight intents
-    /// the pool can hold.
+    /// Number of logical (replicated) slots [`IntentJournal::scan`] reads.
+    /// [`IntentJournal::begin`] writes slot 0 only; the others hold a
+    /// record only on a volume written by a build that spread intents over
+    /// the pool.
     pub fn logical_slots(&self) -> usize {
         self.slots.len().div_ceil(2)
     }
@@ -322,27 +322,16 @@ impl IntentJournal {
             / (ENTRY_LEN + parity_rows * PARITY_LEN)
     }
 
-    /// Wait for a free slot. Operations hold a slot only for their own
-    /// duration, so with any reasonable pool size this never spins long.
-    fn acquire_slot(&self) -> usize {
-        loop {
-            if let Some(slot) = self.free.lock().pop() {
-                return slot;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Journal an intent: seal the record into a free slot *before* the
-    /// operation's first data write. The guard returns the slot to the pool
-    /// when dropped; the on-disk record stays behind as a stale
-    /// (certainly-complete) entry.
+    /// Journal an intent: seal the record into logical slot 0 *before* the
+    /// operation's first data write. The record stays behind as a stale
+    /// (certainly-complete) entry once the operation finishes, until the
+    /// next operation's record replaces it.
     pub fn begin<D: BlockDevice>(
         &self,
         fs: &StegFs<D>,
         path: &str,
         body: IntentBody,
-    ) -> Result<IntentGuard<'_>, ResilienceError> {
+    ) -> Result<(), ResilienceError> {
         let record = IntentRecord {
             op_id: self.op_counter.fetch_add(1, Ordering::Relaxed),
             path: path.to_string(),
@@ -356,8 +345,7 @@ impl IntentJournal {
                 capacity,
             });
         }
-        let slot = self.acquire_slot();
-        let (primary, mirror) = self.pair(slot);
+        let (primary, mirror) = self.pair(0);
         // Two independent seals (fresh IV each): the mirror shares no
         // ciphertext bytes with the primary, so the pair never reads as a
         // visible twin on disk. Sealed and written primary first.
@@ -365,18 +353,11 @@ impl IntentJournal {
             .chain(mirror)
             .map(|block| (block, plain.as_slice()))
             .collect();
-        let io = fs.with_rng(|rng| {
+        fs.with_rng(|rng| {
             fs.codec()
                 .write_sealed_many(fs.device(), &self.seal_key, &pair, rng)
-        });
-        if let Err(e) = io {
-            self.free.lock().push(slot);
-            return Err(e.into());
-        }
-        Ok(IntentGuard {
-            journal: self,
-            slot,
-        })
+        })?;
+        Ok(())
     }
 
     /// Read every logical slot and return the valid records found, in slot
@@ -422,19 +403,6 @@ impl IntentJournal {
             fs.randomize_block(slot, &mut scratch)?;
         }
         Ok(())
-    }
-}
-
-/// RAII handle for a journaled operation's slot; dropping it (after the
-/// operation's writes are issued) recycles the slot.
-pub struct IntentGuard<'a> {
-    journal: &'a IntentJournal,
-    slot: usize,
-}
-
-impl Drop for IntentGuard<'_> {
-    fn drop(&mut self) {
-        self.journal.free.lock().push(self.slot);
     }
 }
 

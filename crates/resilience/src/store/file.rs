@@ -248,7 +248,7 @@ impl<D: BlockDevice> ResilientStore<D> {
         if tables.files.contains_key(path) {
             return Err(ResilienceError::AlreadyExists(path.to_string()));
         }
-        let _intent = self.begin_intent(path, IntentBody::Create)?;
+        self.begin_intent(path, IntentBody::Create)?;
         let fak = self.file_fak(path);
         let open = self.fs.create_file(&self.map, path, &fak, content)?;
         let state = match self.stripe_file(open, content) {

@@ -68,7 +68,7 @@ use stegfs_crypto::{Aes256, CbcCipher, Key256};
 
 use crate::codec::ErasureCodec;
 use crate::error::ResilienceError;
-use crate::journal::{IntentBody, IntentGuard, IntentJournal};
+use crate::journal::{IntentBody, IntentJournal};
 use crate::stats::{RecoveryReport, ResilienceStats, SharedResilienceStats};
 use crate::stripe::{StripeConfig, StripeMap};
 use crate::superblock::VolumeAnchor;
@@ -96,9 +96,11 @@ pub struct ResilienceConfig {
     pub fs: StegFsConfig,
     /// Logical intent-journal slots claimed at format time, at least one
     /// (`format` refuses `0`: a durable volume is never built without crash
-    /// consistency). Each slot admits one in-flight multi-block mutation and
-    /// occupies *two* uniformly claimed blocks (a replicated pair, so a lost
-    /// slot block cannot orphan an in-flight intent).
+    /// consistency). Each slot occupies *two* uniformly claimed blocks (a
+    /// replicated pair, so a lost slot block cannot orphan an in-flight
+    /// intent). The store serves one call at a time and journals into slot
+    /// 0 only: a slot past the first is rewritten only when recovery
+    /// randomizes every slot.
     pub journal_slots: usize,
 }
 
@@ -358,14 +360,10 @@ impl<D: BlockDevice> ResilientStore<D> {
 
     /// Journal `body` for `path` ahead of the operation's first write and
     /// count it.
-    fn begin_intent(
-        &self,
-        path: &str,
-        body: IntentBody,
-    ) -> Result<IntentGuard<'_>, ResilienceError> {
-        let intent = self.journal.begin(&self.fs, path, body)?;
+    fn begin_intent(&self, path: &str, body: IntentBody) -> Result<(), ResilienceError> {
+        self.journal.begin(&self.fs, path, body)?;
         self.stats.intents_journaled.inc();
-        Ok(intent)
+        Ok(())
     }
 
     // ----- key derivations ---------------------------------------------

@@ -15,8 +15,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use parking_lot::Mutex;
-
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_blockdev::{BlockDevice, BlockId};
 use stegfs_crypto::HmacSha256;
@@ -83,7 +81,10 @@ pub fn decode_records(buf: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, Resilienc
 }
 
 /// The persistent registry of one volume, served over the store that holds
-/// its file. A value exists only while the volume carries the file.
+/// its file. A value exists only while the volume carries the file. Every
+/// call that loads, changes or drops a resident shard takes `&mut self`: a
+/// registry serves one caller, and a caller that shares one wraps it in a
+/// lock of its own.
 pub struct Registry<'s, D> {
     store: &'s ResilientStore<D>,
     shards: u32,
@@ -91,7 +92,7 @@ pub struct Registry<'s, D> {
     mac: HmacSha256,
     /// Resident shards in load order; the front is evicted first, which is
     /// deterministic for a deterministic operation sequence.
-    resident: Mutex<VecDeque<Shard>>,
+    resident: VecDeque<Shard>,
 }
 
 impl<'s, D: BlockDevice> Registry<'s, D> {
@@ -136,7 +137,7 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
             shards,
             max_resident: resident.max(1),
             mac: HmacSha256::new(mac_key.as_bytes()),
-            resident: Mutex::default(),
+            resident: VecDeque::new(),
         }
     }
 
@@ -156,11 +157,10 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
 
     /// Resident-memory statistics: the O(active users) contract.
     pub fn stats(&self) -> RegistryStats {
-        let resident = self.resident.lock();
         RegistryStats {
             shards: self.shards,
-            resident_shards: resident.len(),
-            resident_records: resident.iter().map(|s| s.records.len()).sum(),
+            resident_shards: self.resident.len(),
+            resident_records: self.resident.iter().map(|s| s.records.len()).sum(),
         }
     }
 
@@ -178,7 +178,7 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
     /// Insert or replace `user`'s record. A record that would make its shard
     /// outgrow one data field is refused with
     /// [`ResilienceError::ShardOverflow`], and the shard is left as it was.
-    pub fn put(&self, user: &str, value: &[u8]) -> Result<(), ResilienceError> {
+    pub fn put(&mut self, user: &str, value: &[u8]) -> Result<(), ResilienceError> {
         let capacity = self.store.fs.content_bytes_per_block();
         self.with_shard_of(user, |shard| {
             let old = shard.records.get(user).map_or(0, |v| record_len(user, v));
@@ -198,12 +198,12 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
     }
 
     /// Look up `user`'s record.
-    pub fn get(&self, user: &str) -> Result<Option<Vec<u8>>, ResilienceError> {
+    pub fn get(&mut self, user: &str) -> Result<Option<Vec<u8>>, ResilienceError> {
         self.with_shard_of(user, |shard| shard.records.get(user).cloned())
     }
 
     /// Remove `user`'s record; reports whether it existed.
-    pub fn remove(&self, user: &str) -> Result<bool, ResilienceError> {
+    pub fn remove(&mut self, user: &str) -> Result<bool, ResilienceError> {
         self.with_shard_of(user, |shard| {
             let Some(value) = shard.records.remove(user) else {
                 return false;
@@ -216,12 +216,11 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
 
     /// Checkpoint every dirty resident shard as one batch; returns how many
     /// were written.
-    pub fn checkpoint(&self) -> Result<usize, ResilienceError> {
-        let mut resident = self.resident.lock();
-        let mut dirty: Vec<&mut Shard> = resident.iter_mut().filter(|s| s.dirty).collect();
+    pub fn checkpoint(&mut self) -> Result<usize, ResilienceError> {
+        let mut dirty: Vec<&mut Shard> = self.resident.iter_mut().filter(|s| s.dirty).collect();
         // The write plan takes a batch in block order.
         dirty.sort_unstable_by_key(|s| s.id);
-        self.write_shards(&dirty.iter().map(|s| &**s).collect::<Vec<_>>())?;
+        write_shards(self.store, &dirty.iter().map(|s| &**s).collect::<Vec<_>>())?;
         for shard in &mut dirty {
             shard.dirty = false;
         }
@@ -230,20 +229,20 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
 
     /// Checkpoint dirty shards, then drop every resident shard: the cold
     /// state a fresh open starts from.
-    pub fn drop_caches(&self) -> Result<(), ResilienceError> {
+    pub fn drop_caches(&mut self) -> Result<(), ResilienceError> {
         self.checkpoint()?;
-        self.resident.lock().clear();
+        self.resident.clear();
         Ok(())
     }
 
     /// Run `f` over `user`'s shard, made resident.
     fn with_shard_of<T>(
-        &self,
+        &mut self,
         user: &str,
         f: impl FnOnce(&mut Shard) -> T,
     ) -> Result<T, ResilienceError> {
         let id = self.shard_of(user);
-        let mut resident = self.resident.lock();
+        let resident = &mut self.resident;
         let at = match resident.iter().position(|s| s.id == id) {
             Some(at) => at,
             None => {
@@ -251,45 +250,50 @@ impl<'s, D: BlockDevice> Registry<'s, D> {
                 // before it goes when dirty, so a failed write loses nothing.
                 while resident.len() >= self.max_resident {
                     if let Some(old) = resident.front().filter(|s| s.dirty) {
-                        self.write_shards(&[old])?;
+                        write_shards(self.store, &[old])?;
                     }
                     resident.pop_front();
                 }
-                resident.push_back(self.load_shard(id)?);
+                resident.push_back(load_shard(self.store, id)?);
                 resident.len() - 1
             }
         };
         Ok(f(&mut resident[at]))
     }
+}
 
-    /// Read shard `id` from its block through the healing read: a damaged
-    /// block is rebuilt from parity first, or the load fails.
-    fn load_shard(&self, id: u32) -> Result<Shard, ResilienceError> {
-        let mut field = vec![0u8; self.store.fs.content_bytes_per_block()];
-        let mut tables = self.store.tables.lock();
-        let mut file = tables.file_mut(REGISTRY_PATH)?;
-        self.store
-            .healed_read(&mut file, u64::from(id), &mut field)?;
-        let records = decode_records(&field)?;
-        let len = 4 + records.iter().map(|(u, v)| record_len(u, v)).sum::<usize>();
-        Ok(Shard {
-            id,
-            records,
-            len,
-            dirty: false,
-        })
-    }
+/// Read shard `id` from its block through the healing read: a damaged block
+/// is rebuilt from parity first, or the load fails.
+fn load_shard<D: BlockDevice>(
+    store: &ResilientStore<D>,
+    id: u32,
+) -> Result<Shard, ResilienceError> {
+    let mut field = vec![0u8; store.fs.content_bytes_per_block()];
+    let mut tables = store.tables.lock();
+    let mut file = tables.file_mut(REGISTRY_PATH)?;
+    store.healed_read(&mut file, u64::from(id), &mut field)?;
+    let records = decode_records(&field)?;
+    let len = 4 + records.iter().map(|(u, v)| record_len(u, v)).sum::<usize>();
+    Ok(Shard {
+        id,
+        records,
+        len,
+        dirty: false,
+    })
+}
 
-    /// Write `shards`, in ascending id order, to their blocks as one batch of
-    /// the write plan.
-    fn write_shards(&self, shards: &[&Shard]) -> Result<(), ResilienceError> {
-        let fields: Vec<(u64, Vec<u8>)> = shards
-            .iter()
-            .map(|s| (u64::from(s.id), encode_records(&s.records)))
-            .collect();
-        let blocks: Vec<(u64, &[u8])> = fields.iter().map(|(i, f)| (*i, f.as_slice())).collect();
-        self.store.write_blocks(REGISTRY_PATH, &blocks)
-    }
+/// Write `shards`, in ascending id order, to their blocks as one batch of the
+/// write plan.
+fn write_shards<D: BlockDevice>(
+    store: &ResilientStore<D>,
+    shards: &[&Shard],
+) -> Result<(), ResilienceError> {
+    let fields: Vec<(u64, Vec<u8>)> = shards
+        .iter()
+        .map(|s| (u64::from(s.id), encode_records(&s.records)))
+        .collect();
+    let blocks: Vec<(u64, &[u8])> = fields.iter().map(|(i, f)| (*i, f.as_slice())).collect();
+    store.write_blocks(REGISTRY_PATH, &blocks)
 }
 
 #[cfg(test)]
@@ -346,7 +350,7 @@ mod tests {
     /// shard's own block in it (shard `i` is content block `i`).
     fn checkpointed_twice() -> (Store, Vec<BlockId>, BlockId) {
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         for value in [&b"first"[..], b"second"] {
             reg.put("u0", value).unwrap();
             reg.checkpoint().unwrap();
@@ -363,7 +367,7 @@ mod tests {
     fn put_get_remove_roundtrip() {
         let store = fresh_store();
         assert!(Registry::open(&store, RESIDENT).unwrap().is_none());
-        let reg = create(&store);
+        let mut reg = create(&store);
         assert_eq!(reg.stats().shards, SHARDS);
         for i in 0..20 {
             reg.put(&format!("user-{i}"), format!("state-{i}").as_bytes())
@@ -384,7 +388,7 @@ mod tests {
     #[test]
     fn checkpoint_then_reopen_from_disk() {
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         for i in 0..12 {
             reg.put(&format!("u{i}"), &[i as u8; 24]).unwrap();
         }
@@ -393,7 +397,7 @@ mod tests {
         let device = store.fs.into_device();
 
         let reopened = ResilientStore::open(device, cfg(), &master(), 8).unwrap();
-        let reg = open(&reopened);
+        let mut reg = open(&reopened);
         // Cold start: nothing resident until a lookup pulls a shard in.
         assert_eq!(reg.stats().resident_shards, 0);
         for i in 0..12 {
@@ -404,7 +408,7 @@ mod tests {
     #[test]
     fn resident_memory_stays_bounded() {
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         for i in 0..64 {
             reg.put(&format!("user-{i}"), &[7; 8]).unwrap();
             assert!(reg.stats().resident_shards <= RESIDENT);
@@ -422,7 +426,7 @@ mod tests {
     #[test]
     fn shard_overflow_is_reported() {
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         // A shard holds one data field: a record that fills it exactly fits,
         // one byte more is refused before it reaches the shard — never
         // stored, never silently truncated.
@@ -449,7 +453,7 @@ mod tests {
         // there, it would be retried first by every eviction and fail it,
         // taking down puts to every other shard and every checkpoint.
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         assert!(matches!(
             reg.put("whale", &[9; 496]),
             Err(ResilienceError::ShardOverflow {
@@ -507,7 +511,7 @@ mod tests {
     #[test]
     fn cover_traffic_reseals_every_registry_block() {
         let store = fresh_store();
-        let reg = create(&store);
+        let mut reg = create(&store);
         let users: Vec<String> = (0..12).map(|i| format!("u{i}")).collect();
         for (i, user) in users.iter().enumerate() {
             reg.put(user, &[i as u8; 24]).unwrap();
@@ -531,7 +535,7 @@ mod tests {
 
         let read_back = |store: &Store| {
             assert_eq!(store.read_file(REGISTRY_PATH).unwrap(), image);
-            let reg = open(store);
+            let mut reg = open(store);
             for (i, user) in users.iter().enumerate() {
                 assert_eq!(reg.get(user).unwrap(), Some(vec![i as u8; 24]), "{user}");
             }

@@ -195,9 +195,9 @@ impl<D: BlockDevice> ResilientStore<D> {
             }
         };
 
-        let _intent = journaled
-            .then(|| self.begin_intent(&g.open.path, IntentBody::Repair))
-            .transpose()?;
+        if journaled {
+            self.begin_intent(&g.open.path, IntentBody::Repair)?;
+        }
 
         let mut scratch = vec![0u8; self.fs.codec().block_size()];
         for shard in &rebuilt {

@@ -304,12 +304,11 @@ fn torn_write_mid_update_is_recovered() {
 #[test]
 fn journal_record_survives_one_zeroed_slot_copy() {
     let store = fresh_store();
-    let guard = store
+    // No operation follows: the record stays live on disk, as after a crash.
+    store
         .journal
         .begin(store.fs(), "/victim", IntentBody::Create)
         .unwrap();
-    // Leak the guard: the record stays live on disk, as after a crash.
-    std::mem::forget(guard);
     let found = store.journal.scan(store.fs()).unwrap();
     assert_eq!(found.len(), 1);
 
@@ -331,6 +330,86 @@ fn journal_record_survives_one_zeroed_slot_copy() {
     }
     store.fs.device().apply_plan(&plan).unwrap();
     assert!(store.journal.scan(store.fs()).unwrap().is_empty());
+}
+
+/// Every journaled call seals its record into logical slot 0, both copies:
+/// the store serves one call at a time and no call holds two intents. Every
+/// other slot block keeps its format fill, and cover traffic, the scrub
+/// cursor's included, rewrites no slot block.
+#[test]
+fn every_intent_lands_in_journal_slot_pair_zero() {
+    let store = fresh_store();
+    let slots = store.journal.slots().to_vec();
+    assert_eq!(slots.len(), 2 * cfg().journal_slots);
+    let slot_bytes = || -> Vec<Vec<u8>> {
+        let device = store.fs().device();
+        slots
+            .iter()
+            .map(|&b| {
+                let mut buf = vec![0u8; device.block_size()];
+                device.read_block(b, &mut buf).unwrap();
+                buf
+            })
+            .collect()
+    };
+    let zero = |block: BlockId| {
+        let mut plan = FaultPlan::new(block);
+        plan.zero_block(block);
+        store.fs.device().apply_plan(&plan).unwrap();
+    };
+    let fill = slot_bytes();
+    let data = content(5000);
+
+    let ops: [(&str, &dyn Fn()); 5] = [
+        ("create", &|| store.create_file("/a", &data).unwrap()),
+        ("write_block", &|| {
+            store.write_block("/a", 3, &[0x5a; 90]).unwrap()
+        }),
+        ("write_file", &|| {
+            let mut changed = store.read_file("/a").unwrap();
+            changed[7] ^= 0xff;
+            store.write_file("/a", &changed).unwrap();
+        }),
+        ("read heal", &|| {
+            zero(block_of(&store, "/a", 2));
+            store.read_file("/a").unwrap();
+        }),
+        ("scrub repair", &|| {
+            zero(block_of(&store, "/a", 5));
+            assert!(store.scrub().unwrap().fully_repaired());
+        }),
+    ];
+    let mut before = fill.clone();
+    for (name, op) in ops {
+        let journaled = store.stats().intents_journaled;
+        op();
+        assert!(
+            store.stats().intents_journaled > journaled,
+            "{name} journaled nothing"
+        );
+        let after = slot_bytes();
+        assert_ne!(
+            after[0], before[0],
+            "{name} left slot 0's primary as it was"
+        );
+        assert_ne!(after[1], before[1], "{name} left slot 0's mirror as it was");
+        assert_eq!(after[2..], fill[2..], "{name} wrote a slot past pair 0");
+        before = after;
+    }
+    assert_eq!(store.stats().blocks_repaired, 2, "both heals ran");
+    let read_back = store.read_file("/a").unwrap();
+
+    let cursor = store.scrub_cursor(5);
+    let mut touched = BTreeSet::new();
+    for _ in 0..cursor.cycle_len().div_ceil(8) {
+        touched.extend(store.dummy_update_batch(8, Some(&cursor)).unwrap());
+    }
+    assert!(
+        slots.iter().all(|b| !touched.contains(b)),
+        "cover traffic rewrote a slot"
+    );
+    assert_eq!(slot_bytes(), before);
+    assert_eq!(store.read_file("/a").unwrap(), read_back);
 }
 
 fn block_of(store: &ResilientStore<impl BlockDevice>, path: &str, index: usize) -> BlockId {
@@ -953,11 +1032,10 @@ fn owner_index_tracks_a_rebuild_through_creates_writes_repairs_and_reopens() {
             // Reopen with a live `Repair` intent over a corrupt shard:
             // the re-homing happens inside `open`'s recovery pass.
             _ => {
-                let guard = store
+                store
                     .journal
                     .begin(store.fs(), &path, IntentBody::Repair)
                     .unwrap();
-                std::mem::forget(guard);
                 let mut plan = FaultPlan::new(step);
                 plan.zero_block(block_of(&store, &path, 0));
                 store.fs.device().apply_plan(&plan).unwrap();

@@ -217,7 +217,7 @@ impl<D: BlockDevice> ResilientStore<D> {
             // Write-ahead intent: every pre/post check the recovery pass
             // needs to classify each affected block as old or new, sealed
             // into one journal slot before the first data write below.
-            let _intent = self.begin_intent(
+            self.begin_intent(
                 path,
                 IntentBody::WriteBatch {
                     entries: entries.clone(),

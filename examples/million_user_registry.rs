@@ -29,7 +29,7 @@ fn main() {
         0x5ca1e,
     )
     .expect("format volume");
-    let registry = Registry::create(&store, 256, 8).expect("create registry");
+    let mut registry = Registry::create(&store, 256, 8).expect("create registry");
 
     let users = 20_000u64;
     for u in 0..users {

@@ -50,7 +50,7 @@ fn main() {
         None,
     )
     .expect("build oblivious store");
-    let front = ObliviousReadFront::new(fs.device(), store, 23);
+    let mut front = ObliviousReadFront::new(fs.device(), store, 23);
 
     // ---- The skewed workload: 2000 reads, 80 % of them on 20 hot blocks. ---
     let mut pattern = AccessPattern::zipf(file.header.num_blocks(), 1.2);

@@ -22,6 +22,7 @@
 //! indices (keeping `0`, `total` and every eighth one) for the CI profile.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::{self, Debug};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -379,7 +380,7 @@ impl System for Durable<'_> {
                 ("/f", f, landed)
             }
             Checkpoint(value) => {
-                let registry = Registry::open(store, RESIDENT).unwrap().unwrap();
+                let mut registry = Registry::open(store, RESIDENT).unwrap().unwrap();
                 let put = users().iter().all(|u| registry.put(u, value).is_ok());
                 if put && registry.checkpoint().is_ok() {
                     acked.extend(users().into_iter().map(|u| (u, value.to_vec())));
@@ -407,9 +408,11 @@ impl System for Durable<'_> {
             (Err(e), None) => panic!("remount refused: {e:?}"),
         };
         // A key the store has no file for reads as a registry record.
-        let registry = Registry::open(&store, RESIDENT).unwrap();
+        let registry = RefCell::new(Registry::open(&store, RESIDENT).unwrap());
         let state = (self.cells)(&|key| match store.read_file(key) {
-            Err(ResilienceError::UnknownFile(_)) => registry.as_ref()?.get(key).unwrap(),
+            Err(ResilienceError::UnknownFile(_)) => {
+                registry.borrow_mut().as_mut()?.get(key).unwrap()
+            }
             read => Some(read.unwrap()),
         });
         if cut.torn.is_none() {
@@ -504,7 +507,7 @@ fn shadow_map_rewrite_cuts_leave_a_consistent_stripe_map() {
 fn registry_checkpoint_is_old_or_new_at_every_cut() {
     let records = |read: Read<'_>| users().iter().map(|u| read(u)).collect();
     let sys = Durable::new(records).with(|store, acked| {
-        let registry = Registry::create(store, 4, RESIDENT).unwrap();
+        let mut registry = Registry::create(store, 4, RESIDENT).unwrap();
         for u in users() {
             registry.put(&u, b"old-state").unwrap();
             acked.insert(u, b"old-state".to_vec());
@@ -512,7 +515,7 @@ fn registry_checkpoint_is_old_or_new_at_every_cut() {
         registry.checkpoint().unwrap();
     });
     let sys = sys.property(|store, _, _, state| {
-        let registry = Registry::open(store, RESIDENT).unwrap().unwrap();
+        let mut registry = Registry::open(store, RESIDENT).unwrap().unwrap();
         let mut first = HashMap::new();
         for (u, record) in users().iter().zip(state) {
             let shard = registry.shard_of(u);

@@ -355,7 +355,7 @@ const REGISTRY_RESIDENT: usize = 2;
 /// overwrites and checkpoints over 12 users spread across 4 shards. Returns
 /// every lookup result so behaviour can be compared alongside the I/O trace.
 fn registry_workload<D: BlockDevice>(
-    registry: &stegfs_repro::resilience::Registry<'_, D>,
+    registry: &mut stegfs_repro::resilience::Registry<'_, D>,
 ) -> Vec<Option<Vec<u8>>> {
     let mut observed = Vec::new();
     for i in 0..32u64 {
@@ -387,7 +387,7 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let master = Key256::from_passphrase("registry determinism");
     let store_a =
         ResilientStore::format(Arc::clone(&dev_a), registry_det_cfg(), &master, 0xd373).unwrap();
-    let registry_a = Registry::create(&store_a, 4, REGISTRY_RESIDENT).unwrap();
+    let mut registry_a = Registry::create(&store_a, 4, REGISTRY_RESIDENT).unwrap();
     for i in 0..12u64 {
         registry_a
             .put(&format!("det-reg-{i}"), format!("seed-{i}").as_bytes())
@@ -400,7 +400,7 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let image = stegfs_repro::blockdev::clone_to_mem(&*dev_a).unwrap();
     registry_a.drop_caches().unwrap();
     log_a.clear();
-    let observed_a = registry_workload(&registry_a);
+    let observed_a = registry_workload(&mut registry_a);
     let trace_a: Vec<(IoKind, u64)> = log_a.records().iter().map(|r| (r.kind, r.block)).collect();
 
     // Session 2 reopens the identical image from disk.
@@ -408,7 +408,7 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
     let dev_b = Arc::new(TracingDevice::with_log(image, log_b.clone()));
     let store_b =
         ResilientStore::open(Arc::clone(&dev_b), registry_det_cfg(), &master, 0xd373).unwrap();
-    let registry_b = Registry::open(&store_b, REGISTRY_RESIDENT)
+    let mut registry_b = Registry::open(&store_b, REGISTRY_RESIDENT)
         .unwrap()
         .expect("reopen must rediscover the registry");
     assert_eq!(
@@ -417,7 +417,7 @@ fn reopened_registry_is_trace_identical_to_the_fresh_build() {
         "a reopened registry starts cold: resident memory is O(active users)"
     );
     log_b.clear();
-    let observed_b = registry_workload(&registry_b);
+    let observed_b = registry_workload(&mut registry_b);
     let trace_b: Vec<(IoKind, u64)> = log_b.records().iter().map(|r| (r.kind, r.block)).collect();
 
     assert_eq!(

@@ -56,7 +56,7 @@ fn build_front(
 #[test]
 fn file_contents_read_through_the_oblivious_front_match() {
     let (fs, file, _log, content) = build_partition();
-    let front = build_front(&fs);
+    let mut front = build_front(&fs);
     let per = fs.content_bytes_per_block();
     let key = file.fak.content_key().unwrap();
 
@@ -89,7 +89,7 @@ fn file_contents_read_through_the_oblivious_front_match() {
 #[test]
 fn partition_sees_each_block_once_plus_decoys() {
     let (fs, file, log, _content) = build_partition();
-    let front = build_front(&fs);
+    let mut front = build_front(&fs);
     log.clear();
 
     // A skewed workload over a few hot blocks.
@@ -113,7 +113,7 @@ fn partition_sees_each_block_once_plus_decoys() {
 fn write_back_keeps_cache_and_partition_consistent() {
     let (fs, mut file, _log, content) = build_partition();
     let per = fs.content_bytes_per_block();
-    let front = build_front(&fs);
+    let mut front = build_front(&fs);
 
     // Read block 3 through the front, then update it through the file system
     // (in place, for simplicity) and write the new version back to the cache.

@@ -207,9 +207,11 @@ fn scrub_repairs_seeded_fault_plan_and_anchor_replica() {
     assert!(store.scrub().unwrap().is_clean());
 }
 
-/// Crash consistency: a write torn mid-block (only 100 bytes land) leaves
-/// the stripe recoverable to the *new* content, because parity is updated
-/// with the intended delta before the data write.
+/// Crash consistency: a data write torn mid-block (only 100 bytes land)
+/// under an intact journal record leaves the stripe recoverable to the
+/// *new* content, because parity is updated with the intended delta. The
+/// update's first two scalar writes are the record's two slot copies; they
+/// land whole, so the tear hits the data block.
 #[test]
 fn torn_write_during_update_recovers_new_content() {
     let store = fresh(4, 2, 5);
@@ -218,12 +220,20 @@ fn torn_write_during_update_recovers_new_content() {
     store.create_file("/journal", &data).unwrap();
 
     let new_block = pattern(per, 2);
-    store.fs().device().arm_partial_scalar_write(100);
+    let device = store.fs().device();
+    device.arm_partial_scalar_write(BLOCK_SIZE);
+    device.arm_partial_scalar_write(BLOCK_SIZE);
+    device.arm_partial_scalar_write(100);
     store.write_block("/journal", 2, &new_block).unwrap();
 
     let mut want = data;
     want[2 * per..3 * per].copy_from_slice(&new_block);
     assert_eq!(store.read_file("/journal").unwrap(), want);
+    assert_eq!(
+        store.stats().read_check_failures,
+        1,
+        "the torn data block fails its check and parity rebuilds it"
+    );
     assert!(store.scrub().unwrap().is_clean());
 }
 
@@ -457,7 +467,7 @@ fn registry_segments_are_indistinguishable_from_free_space() {
     // 128 one-block shards make a file of ≈ 200 blocks: enough bytes that
     // the KL estimators' own sampling bias, which shrinks as 1/n over n
     // bytes, sits well under the 0.01 bounds below.
-    let registry = Registry::create(&store, 128, 4).unwrap();
+    let mut registry = Registry::create(&store, 128, 4).unwrap();
     // Fill the shards with real records (bounded by block capacity) and
     // push them all to disk.
     for i in 0..96u64 {

@@ -135,7 +135,7 @@ fn durable_volume_image_is_pinned() {
 #[test]
 fn registry_volume_image_is_pinned() {
     let (device, store) = durable_volume();
-    let registry = Registry::create(&store, 4, 4).unwrap();
+    let mut registry = Registry::create(&store, 4, 4).unwrap();
     for i in 0..24u8 {
         registry
             .put(&format!("user-{i}"), &content(8 + i as usize, i))

@@ -8,10 +8,10 @@
 //! runs under `cargo test`: who may implement `BlockDevice`, what
 //! `ResilientStore` states once, where integers meet bytes, which
 //! configuration builders the program calls, which bin and guard schema
-//! each committed `BENCH_*.json` belongs to, and that every decoder README's
-//! formats table names still exists.
+//! each committed `BENCH_*.json` belongs to, that every decoder README's
+//! formats table names still exists, and where a lock or an atomic may sit.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn bench_crate_dir() -> PathBuf {
@@ -349,6 +349,137 @@ fn production_unwrap_and_expect_sites_do_not_grow() {
         "{} production unwrap/expect sites, past the ratchet of {PRODUCTION_PANIC_SITES}: \
          return a typed error or state the invariant, don't add a site\n{}",
         sites.len(),
+        sites.join("\n")
+    );
+}
+
+/// Every lock, atomic and spin-yield in the production code of the storage
+/// crates, per file and type, with why it stays. Each tier serves one call
+/// at a time, so shared state earns its place only where a caller shares
+/// the object by `&`: `benchmark/`'s `Sut` is `Send + Sync` and shares the
+/// agents, the oblivious store and the durable store that way (ROADMAP item
+/// 20), and the format fill seals on worker threads. An object no caller
+/// shares takes `&mut self` instead.
+const SHARED_STATE_SITES: [(&str, &str, usize, &str); 12] = [
+    (
+        "crates/core/src/engine.rs",
+        "Mutex",
+        3,
+        "the engine's one lock: `Sut` shares both agents by `&`",
+    ),
+    (
+        "crates/core/src/engine.rs",
+        "MutexGuard",
+        2,
+        "the guard a locked call holds: `Sut` shares both agents by `&`",
+    ),
+    (
+        "crates/oblivious/src/store.rs",
+        "Mutex",
+        3,
+        "the oblivious store's one lock: `Sut` shares the store by `&`",
+    ),
+    (
+        "crates/resilience/src/journal.rs",
+        "AtomicU64",
+        3,
+        "the op counter, beside the durable store's lock until item 6",
+    ),
+    (
+        "crates/resilience/src/store/cover.rs",
+        "AtomicUsize",
+        3,
+        "the scrub cursor's position: `Sut` advances its cursor by `&`",
+    ),
+    (
+        "crates/resilience/src/store/mod.rs",
+        "Mutex",
+        3,
+        "the durable store's one lock: `Sut` shares the store by `&`",
+    ),
+    (
+        "crates/stegfs/src/blockmap.rs",
+        "AtomicU64",
+        3,
+        "class counts of the map the agents and the durable store claim from by `&`",
+    ),
+    (
+        "crates/stegfs/src/blockmap.rs",
+        "AtomicU8",
+        4,
+        "block classes the agents and the durable store claim by `&`",
+    ),
+    (
+        "crates/stegfs/src/fs.rs",
+        "AtomicBool",
+        3,
+        "the format fill's worker pool: its stop flag",
+    ),
+    (
+        "crates/stegfs/src/fs.rs",
+        "AtomicUsize",
+        3,
+        "the format fill's worker pool: its next and written cursors",
+    ),
+    (
+        "crates/stegfs/src/fs.rs",
+        "Mutex",
+        5,
+        "the volume DRBG the shared fronts draw from by `&`, \
+         and the format fill's spare buffers",
+    ),
+    (
+        "crates/stegfs/src/fs.rs",
+        "yield_now",
+        2,
+        "the format fill's worker pool waits for its sealer",
+    ),
+];
+
+/// The words of `line` that name shared state: a `Mutex*`, `RwLock*` or
+/// `Atomic*` type, or a `yield_now` spin.
+fn shared_state_words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| {
+            word.starts_with("Mutex")
+                || word.starts_with("RwLock")
+                || *word == "yield_now"
+                || word
+                    .strip_prefix("Atomic")
+                    .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_uppercase()))
+        })
+}
+
+#[test]
+fn locks_and_atomics_sit_only_where_a_caller_shares_the_object() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = BTreeMap::new();
+    let mut sites = Vec::new();
+    for krate in ["stegfs", "core", "oblivious", "resilience", "baselines"] {
+        let mut files = Vec::new();
+        rust_files_under(&root.join("crates").join(krate).join("src"), &mut files);
+        for file in &files {
+            let name = file.strip_prefix(root).unwrap().display().to_string();
+            for (at, line) in production_lines(file).iter().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                for word in shared_state_words(line) {
+                    *found.entry((name.clone(), word.to_string())).or_insert(0) += 1;
+                    sites.push(format!("{name}:{}: {}", at + 1, line.trim()));
+                }
+            }
+        }
+    }
+    let listed: BTreeMap<(String, String), usize> = SHARED_STATE_SITES
+        .iter()
+        .map(|&(file, word, count, _)| ((file.to_string(), word.to_string()), count))
+        .collect();
+    assert_eq!(
+        found,
+        listed,
+        "shared state moved: an object no caller shares takes `&mut self`; \
+         list a new site with why it stays, and drop a site that went\n{}",
         sites.join("\n")
     );
 }
