@@ -56,52 +56,6 @@ pub fn timed(iters: u64, mut op: impl FnMut()) -> f64 {
     (best * iters as f64).max(1e-9)
 }
 
-/// Thread-count override for [`fan_out`], read from `--threads N` (or
-/// `--threads=N`) on the command line or the `STEGFS_BENCH_THREADS`
-/// environment variable, flag winning over env. `None` means "use all
-/// available cores". Pinning the count (typically to 1) makes bench
-/// *wall-clock* numbers reproducible across machines with different core
-/// counts; simulated-time output is identical either way.
-pub fn bench_threads() -> Option<usize> {
-    if let Some(n) = threads_from_args(std::env::args()) {
-        return Some(n);
-    }
-    match std::env::var("STEGFS_BENCH_THREADS") {
-        Ok(raw) if !raw.is_empty() => {
-            let parsed: usize = raw
-                .parse()
-                .unwrap_or_else(|_| panic!("invalid STEGFS_BENCH_THREADS value {raw:?}"));
-            assert!(parsed > 0, "STEGFS_BENCH_THREADS must be at least 1");
-            Some(parsed)
-        }
-        _ => None,
-    }
-}
-
-/// Parse `--threads N` / `--threads=N` out of an argv iterator. Only those
-/// two exact spellings are recognised; every other token — including other
-/// flags that merely share the prefix, like `--threadpool` — is ignored, as
-/// the bins ignore all argv they do not understand.
-fn threads_from_args(args: impl IntoIterator<Item = String>) -> Option<usize> {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--threads" {
-            args.next()
-                .unwrap_or_else(|| panic!("--threads requires a positive integer"))
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            rest.to_string()
-        } else {
-            continue;
-        };
-        let parsed: usize = value
-            .parse()
-            .unwrap_or_else(|_| panic!("invalid --threads value {value:?}"));
-        assert!(parsed > 0, "--threads must be at least 1");
-        return Some(parsed);
-    }
-    None
-}
-
 /// Run independent experiment points concurrently on scoped threads and
 /// return their results in input order.
 ///
@@ -110,10 +64,8 @@ fn threads_from_args(args: impl IntoIterator<Item = String>) -> Option<usize> {
 /// fan-out is embarrassingly parallel. Points are handed to `worker` from a
 /// shared queue so long points (high utilisation, high concurrency) do not
 /// serialise behind short ones. A panicking worker propagates out of the
-/// scope, so failures are as loud as in the sequential version.
-///
-/// The thread count defaults to the available cores and can be pinned with
-/// `--threads N` / `STEGFS_BENCH_THREADS` (see [`bench_threads`]).
+/// scope, so failures are as loud as in the sequential version. One thread
+/// per available core; no bin that fans out measures wall-clock time.
 pub fn fan_out<P, R, F>(points: Vec<P>, worker: F) -> Vec<R>
 where
     P: Send,
@@ -121,12 +73,9 @@ where
     F: Fn(P) -> R + Sync,
 {
     let n = points.len();
-    let threads = bench_threads()
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
+    let threads = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
         .min(n);
     if threads <= 1 {
         return points.into_iter().map(worker).collect();
@@ -707,38 +656,6 @@ mod tests {
         } else {
             assert_eq!(pick(10, 2), if quick_mode() { 2 } else { 10 });
         }
-    }
-
-    #[test]
-    fn bench_threads_reads_env_when_no_flag_present() {
-        // `cargo test` passes no --threads flag; only assert when the
-        // surrounding shell has not exported the variable (same policy as
-        // `pick_follows_quick_mode` below).
-        if std::env::var_os("STEGFS_BENCH_THREADS").is_none() {
-            assert_eq!(bench_threads(), None);
-        }
-    }
-
-    #[test]
-    fn threads_flag_parses_both_spellings_and_ignores_lookalikes() {
-        let argv = |toks: &[&str]| toks.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args(argv(&["bin", "--threads", "4"])), Some(4));
-        assert_eq!(threads_from_args(argv(&["bin", "--threads=2"])), Some(2));
-        assert_eq!(threads_from_args(argv(&["bin", "--quick"])), None);
-        // Prefix lookalikes are unknown flags and must be ignored, not
-        // treated as a malformed --threads.
-        assert_eq!(threads_from_args(argv(&["bin", "--threadpool"])), None);
-        assert_eq!(threads_from_args(argv(&["bin", "--threads8"])), None);
-        assert_eq!(
-            threads_from_args(argv(&["bin", "--threads-count", "4"])),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--threads requires a positive integer")]
-    fn threads_flag_without_value_panics() {
-        let _ = threads_from_args(["bin".to_string(), "--threads".to_string()]);
     }
 
     #[test]

@@ -4,19 +4,19 @@
 //! by the store: every level's index region lies in one area at the front of
 //! the oblivious partition, every data region behind it. Every slot holds
 //! one sealed item (`IV || CBC(id, length, payload)`) under the level's
-//! current *epoch key*; re-ordering derives a fresh epoch key and a fresh
-//! index nonce, so nothing observable links a level's contents across
-//! epochs. Occupied slots are always the contiguous prefix `0..len` because
-//! the only way items enter a level is a full rewrite during re-ordering.
+//! current *epoch key*; re-ordering derives a fresh epoch key, so nothing
+//! observable links a level's contents across epochs. Occupied slots are
+//! always the contiguous prefix `0..len` because the only way items enter a
+//! level is a full rewrite during re-ordering.
 //!
 //! The level's manifest, in agent memory, is its index: it finds the slot of
 //! an id. Section 5.1.2 keeps a hash index of `(id, slot)` entries on the
 //! device instead; here the index region keeps only what an observer sees of
-//! that index — its size ([`index_blocks_for`]), one probe per read at the
-//! block the keyed hash of the id and the epoch's nonce names, and a whole
-//! rewrite per re-order — and holds noise derived from the epoch key. A
-//! device image therefore names no slot, nothing parses an index block, and
-//! damage to one costs nothing; Table 4's I/O counts are unchanged.
+//! that index — its size ([`index_blocks_for`]), one probe per read at a
+//! DRBG-drawn block, and a whole rewrite per re-order — and holds noise
+//! derived from the epoch key. A device image therefore names no slot,
+//! nothing parses an index block, and damage to one costs nothing; Table
+//! 4's I/O counts are unchanged.
 //!
 //! Maintenance (re-order / merge) moves data in ranged
 //! [`BlockDevice::read_blocks`] / [`BlockDevice::write_blocks`] requests of
@@ -25,12 +25,10 @@
 //! paper report sorting as a minority of access *time* despite being the
 //! majority of I/O *operations* (Figure 12(b), Section 6.3).
 
-use std::sync::OnceLock;
-
 use stegfs_base::wire::{Reader, Writer};
 use stegfs_base::{BlockCodec, IV_SIZE};
 use stegfs_blockdev::{BlockDevice, BlockId};
-use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, HmacSha256, Key256, PIPELINE_WIDTH};
+use stegfs_crypto::{Aes256, CbcCipher, HashDrbg, Key256, PIPELINE_WIDTH};
 
 use crate::det::{DetHashMap, DetHashSet};
 use crate::error::ObliviousError;
@@ -56,13 +54,6 @@ pub(crate) fn index_blocks_for(capacity: u64, block_size: usize) -> u64 {
     (capacity * 2).div_ceil(entries_per_block).max(1)
 }
 
-/// The index's fixed HMAC key state, padded and hashed exactly once; every
-/// keyed-hash call afterwards reuses it instead of re-absorbing the key.
-fn index_hmac() -> &'static HmacSha256 {
-    static KEYED: OnceLock<HmacSha256> = OnceLock::new();
-    KEYED.get_or_init(|| HmacSha256::new(b"stegfs-oblivious-index"))
-}
-
 /// One level of the hierarchy.
 pub(crate) struct Level {
     /// 1-based level number (for key derivation and diagnostics).
@@ -80,8 +71,6 @@ pub(crate) struct Level {
     /// randomly seeded maps) so every run of a bin consumes the DRBG in the
     /// same order and produces identical bytes.
     pub manifest: DetHashMap<u64, u64>,
-    /// Nonce of the current epoch: it places the index probe of every id.
-    pub nonce: u64,
     /// Epoch counter (bumped at every re-order).
     pub epoch: u64,
     /// Encryption key of the current epoch.
@@ -128,7 +117,6 @@ impl Level {
             data_offset,
             capacity,
             manifest: DetHashMap::default(),
-            nonce: 0,
             epoch: 0,
             key: master_key.derive(&format!("oblivious:level{index_no}:epoch0")),
         }
@@ -170,47 +158,11 @@ impl Level {
         decode_item(&scratch[IV_SIZE..])
     }
 
-    /// Read a slot into `scratch` without interpreting it (dummy probe).
-    pub fn read_slot_raw<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        slot: u64,
-        scratch: &mut [u8],
-    ) -> Result<(), ObliviousError> {
-        device.read_block(self.data_offset + slot, scratch)?;
-        Ok(())
-    }
-
-    /// The index block a probe for `id` reads: the keyed hash of the id
-    /// under the epoch's nonce, as Section 5.1.2 places it, so which block a
-    /// read probes says nothing across re-orders.
-    pub fn bucket_of(&self, id: u64) -> u64 {
-        let mut msg = [0u8; 16];
-        Writer::over(&mut msg[..]).u64(self.nonce).u64(id);
-        index_hmac().derive_u64_with(&msg) % self.index_blocks
-    }
-
-    /// Read index block `bucket` into `scratch`: a probe, real or dummy. The
-    /// bytes are noise and are not looked at.
-    pub fn probe_index<D: BlockDevice + ?Sized>(
-        &self,
-        device: &D,
-        bucket: u64,
-        scratch: &mut [u8],
-    ) -> Result<(), ObliviousError> {
-        device.read_block(self.index_offset + bucket, scratch)?;
-        Ok(())
-    }
-
     /// Discard the level's contents. The on-disk blocks are left as they are
-    /// (they are indistinguishable from live ciphertext anyway). The nonce
-    /// drawn here places no probe — an empty level is probed at a DRBG-drawn
-    /// block, and the next re-order draws its own — but the draw keeps every
-    /// later one where it is.
-    pub fn clear(&mut self, rng: &mut HashDrbg) {
+    /// (they are indistinguishable from live ciphertext anyway), and so is
+    /// the epoch: the next re-order bumps it before it derives a key.
+    pub fn clear(&mut self) {
         self.manifest.clear();
-        self.nonce = rng.next_u64();
-        self.epoch += 1;
     }
 
     /// Rewrite the whole index region for the current epoch, in ranged
@@ -240,52 +192,6 @@ impl Level {
             device.write_blocks(first, window)?;
         }
         Ok(())
-    }
-
-    /// Re-order the level so that it holds exactly `items`, in a fresh random
-    /// permutation, re-encrypted under a fresh epoch key, with a rewritten
-    /// index region (Section 5.1.2). The permutation is produced by an
-    /// external merge sort over random keys so that memory use stays bounded
-    /// by the agent's buffer.
-    ///
-    /// The store itself always goes through [`Level::merge_reorder`] (a plain
-    /// re-order is a merge with an empty upper set); this entry point remains
-    /// for tests that need to place an exact item set.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn reorder<D, S>(
-        &mut self,
-        device: &D,
-        codec: &BlockCodec,
-        sorter: &ExternalSorter<S>,
-        master_key: &Key256,
-        rng: &mut HashDrbg,
-        items: Vec<(u64, Vec<u8>)>,
-    ) -> Result<MaintenanceIo, ObliviousError>
-    where
-        D: BlockDevice + ?Sized,
-        S: BlockDevice,
-    {
-        if items.len() as u64 > self.capacity {
-            return Err(ObliviousError::CapacityExhausted);
-        }
-        let snapshot = self.take_snapshot();
-        let nothing = Prefix {
-            len: 0,
-            ..snapshot.prefix(self)
-        };
-        let sweep = LevelSweep::new(device, codec, [nothing, nothing]);
-        let count = items.len() as u64;
-        let result = self.rebuild_with(
-            codec,
-            sorter,
-            master_key,
-            rng,
-            &items,
-            count,
-            |_| false,
-            sweep,
-        );
-        self.settle_rebuild(snapshot, result)
     }
 
     /// Merge the fresher copies — `upper_items`, borrowed from the front
@@ -349,7 +255,6 @@ impl Level {
     fn take_snapshot(&mut self) -> LevelSnapshot {
         LevelSnapshot {
             manifest: std::mem::take(&mut self.manifest),
-            nonce: self.nonce,
             key: self.key,
         }
     }
@@ -358,10 +263,10 @@ impl Level {
     /// before the first on-disk level write — a corrupt slot surfacing while
     /// the old contents stream into the sort, a sort-device error during run
     /// formation, an oversized item — the level's blocks are still the intact
-    /// old permutation, so the logical state (manifest, index nonce, epoch
-    /// key) is rolled back and the level stays readable; only the epoch
-    /// counter keeps its bump, so a retry derives a never-used key. After a
-    /// write the old permutation is partially clobbered and nothing can be
+    /// old permutation, so the logical state (manifest and epoch key) is
+    /// rolled back and the level stays readable; only the epoch counter
+    /// keeps its bump, so a retry derives a never-used key. After a write
+    /// the old permutation is partially clobbered and nothing can be
     /// restored: the level keeps the post-failure state.
     fn settle_rebuild(
         &mut self,
@@ -373,7 +278,6 @@ impl Level {
             Err(failure) => {
                 if !failure.wrote {
                     self.manifest = snapshot.manifest;
-                    self.nonce = snapshot.nonce;
                     self.key = snapshot.key;
                 }
                 Err(failure.error)
@@ -381,16 +285,16 @@ impl Level {
         }
     }
 
-    /// Shared tail of [`Level::reorder`] / [`Level::merge_reorder`]: derive a
-    /// fresh epoch key and nonce; seal into the sorter's run arena
-    /// `upper_items`, then what `sweep` reads — the emptied upper level's
-    /// items, then those of the level's old contents (still under the old
-    /// epoch key) that are not `shadowed`, `count` items in all; sort them by
-    /// random keys, write the new permutation back in ranged batches and
-    /// rewrite the index region. The caller must have snapshotted the level
-    /// state ([`Level::take_snapshot`]), counted the items and pre-checked
-    /// capacity. Errors are tagged with whether any level block had been
-    /// written, so [`Level::settle_rebuild`] knows when a rollback is safe.
+    /// Tail of [`Level::merge_reorder`]: derive a fresh epoch key; seal into
+    /// the sorter's run arena `upper_items`, then what `sweep` reads — the
+    /// emptied upper level's items, then those of the level's old contents
+    /// (still under the old epoch key) that are not `shadowed`, `count` items
+    /// in all; sort them by random keys, write the new permutation back in
+    /// ranged batches and rewrite the index region. The caller must have
+    /// snapshotted the level state ([`Level::take_snapshot`]), counted the
+    /// items and pre-checked capacity. Errors are tagged with whether any
+    /// level block had been written, so [`Level::settle_rebuild`] knows when
+    /// a rollback is safe.
     ///
     /// The producer handed to [`ExternalSorter::sort`] fills at most
     /// [`PIPELINE_WIDTH`] arena slots a call. Each item's plaintext is laid
@@ -429,7 +333,6 @@ impl Level {
         S: BlockDevice,
     {
         self.epoch += 1;
-        self.nonce = rng.next_u64();
         self.key = master_key.derive(&format!(
             "oblivious:level{}:epoch{}",
             self.index_no, self.epoch
@@ -536,7 +439,6 @@ impl Level {
 /// epoch key is ever derived twice.
 struct LevelSnapshot {
     manifest: DetHashMap<u64, u64>,
-    nonce: u64,
     key: Key256,
 }
 
@@ -670,6 +572,48 @@ mod tests {
     use stegfs_blockdev::{DeviceError, Io, IoHook, Layered, MemDevice, Snapshot};
 
     const BLOCK: usize = 512;
+
+    impl Level {
+        /// Re-order the level so that it holds exactly `items`, in a fresh
+        /// random permutation under a fresh epoch key, with a rewritten index
+        /// region: a merge with nothing above it and nothing of its own kept,
+        /// for the tests that place an exact item set.
+        pub(super) fn reorder<D, S>(
+            &mut self,
+            device: &D,
+            codec: &BlockCodec,
+            sorter: &ExternalSorter<S>,
+            master_key: &Key256,
+            rng: &mut HashDrbg,
+            items: Vec<(u64, Vec<u8>)>,
+        ) -> Result<MaintenanceIo, ObliviousError>
+        where
+            D: BlockDevice + ?Sized,
+            S: BlockDevice,
+        {
+            if items.len() as u64 > self.capacity {
+                return Err(ObliviousError::CapacityExhausted);
+            }
+            let snapshot = self.take_snapshot();
+            let nothing = Prefix {
+                len: 0,
+                ..snapshot.prefix(self)
+            };
+            let sweep = LevelSweep::new(device, codec, [nothing, nothing]);
+            let count = items.len() as u64;
+            let result = self.rebuild_with(
+                codec,
+                sorter,
+                master_key,
+                rng,
+                &items,
+                count,
+                |_| false,
+                sweep,
+            );
+            self.settle_rebuild(snapshot, result)
+        }
+    }
 
     /// Lay out a level standalone at `offset`, its index region just before
     /// its data region; returns the level and the first block after it.
@@ -930,7 +874,7 @@ mod tests {
             let state = |t: &TwoLevels| {
                 let manifest: Vec<(u64, u64)> =
                     t.below.manifest.iter().map(|(&i, &s)| (i, s)).collect();
-                let epoch = (t.below.nonce, t.below.key, t.below.epoch);
+                let epoch = (t.below.key, t.below.epoch);
                 (
                     image(&t.device),
                     image(&t.sort_device),
@@ -962,7 +906,6 @@ mod tests {
             (
                 image(&t.device),
                 sorted(&t.below),
-                t.below.nonce,
                 t.below.key,
                 sorted(&t.above),
             )
@@ -1068,7 +1011,6 @@ mod tests {
                 .reorder(&device, &codec, &sorter, &master, &mut rng, items(n))
                 .unwrap();
 
-            assert_eq!(loop_rng.next_u64(), level.nonce);
             let mut expected: Vec<(u64, u64, Vec<u8>)> = items(n)
                 .into_iter()
                 .map(|(id, payload)| {
@@ -1146,7 +1088,7 @@ mod tests {
             let mut manifest: Vec<(u64, u64)> =
                 level.manifest.iter().map(|(&id, &s)| (id, s)).collect();
             manifest.sort_unstable();
-            (manifest, level.nonce, level.key)
+            (manifest, level.key)
         };
 
         // An oversized item among well-formed ones.
@@ -1563,7 +1505,6 @@ mod tests {
             let snapshot = level.take_snapshot();
 
             level.epoch += 1;
-            level.nonce = rng.next_u64();
             level.key = master_key.derive(&format!(
                 "oblivious:level{}:epoch{}",
                 level.index_no, level.epoch
@@ -1605,7 +1546,6 @@ mod tests {
                 Err(error) => {
                     assert!(!wrote, "the reference is only driven to pre-write failures");
                     level.manifest = snapshot.manifest;
-                    level.nonce = snapshot.nonce;
                     level.key = snapshot.key;
                     return Err(error);
                 }
@@ -1706,7 +1646,7 @@ mod tests {
                 level_image: image(self.device.inner()),
                 sort_image: image(self.sort_device.inner()),
                 manifest: self.level.manifest.iter().map(|(&i, &s)| (i, s)).collect(),
-                epoch: (self.level.nonce, self.level.key, self.level.epoch),
+                epoch: (self.level.key, self.level.epoch),
                 next_draw: self.rng.clone().next_u64(),
                 requests: self.device.hook().log.lock().unwrap().clone(),
             }
@@ -1714,14 +1654,14 @@ mod tests {
     }
 
     /// What two sides of a comparison must agree on: both partition images,
-    /// the manifest in iteration order, nonce, key and epoch, the DRBG's
-    /// next output and the request log.
+    /// the manifest in iteration order, key and epoch, the DRBG's next
+    /// output and the request log.
     #[derive(PartialEq)]
     struct Observed {
         level_image: Snapshot,
         sort_image: Snapshot,
         manifest: Vec<(u64, u64)>,
-        epoch: (u64, Key256, u64),
+        epoch: (Key256, u64),
         next_draw: u64,
         requests: Vec<Request>,
     }
@@ -1929,30 +1869,6 @@ mod tests {
     }
 
     #[test]
-    fn nonce_changes_bucket_placement() {
-        // Under the next epoch's nonce an id keeps its index block only by
-        // chance — about one id in `index_blocks` — which is why the probes
-        // leak nothing across re-orders.
-        let master = Key256::from_passphrase("oblivious master");
-        let (mut level, _) = back_to_back(1, 0, 200, &master);
-        assert_eq!(level.index_blocks, 13);
-        level.nonce = 7;
-        let before: Vec<u64> = (0..200).map(|id| level.bucket_of(id)).collect();
-        let used: DetHashSet<u64> = before.iter().copied().collect();
-        assert_eq!(
-            used.len() as u64,
-            level.index_blocks,
-            "every block is probed"
-        );
-        level.nonce = 8;
-        let kept = (0..200)
-            .zip(&before)
-            .filter(|&(id, &bucket)| level.bucket_of(id) == bucket)
-            .count();
-        assert!(kept < 40, "{kept} of 200 ids kept their index block");
-    }
-
-    #[test]
     fn the_index_region_is_noise_under_the_epoch_key() {
         // Every re-order rewrites the whole region; block b is a block of
         // zeros CBC-encrypted under the epoch's index key with b as IV, so
@@ -1986,7 +1902,7 @@ mod tests {
         level
             .reorder(&device, &codec, &sorter, &master, &mut rng, items(10))
             .unwrap();
-        level.clear(&mut rng);
+        level.clear();
         assert_eq!(level.len(), 0);
         for (id, _) in items(10) {
             assert_eq!(lookup(&level, id), None);

@@ -19,14 +19,16 @@
 //!   *i* cascades into level *i+1*; the receiving level is then re-encrypted
 //!   and **re-ordered to a fresh random permutation with an external merge
 //!   sort**, so any block is read at most once per permutation epoch;
-//! * a per-level **hash index** (rewritten, with a fresh nonce, at every
-//!   re-order) costs one extra I/O per level per read — which is why the
-//!   paper's per-read cost is `2k + 4k(log_B 2^k + 1) ≈ 10·k` I/Os (Table
-//!   4). Here each level's manifest, in agent memory, maps ids to slots;
-//!   the on-disk index region keeps the paper's size, probe positions and
-//!   rewrites, so that cost is unchanged, but holds noise under the level's
-//!   epoch key instead of `(hash, slot)` entries: a device image names no
-//!   slot a read hit, and every read is exactly `2k` requests.
+//! * a per-level **hash index** (rewritten at every re-order) costs one
+//!   extra I/O per level per read — which is why the paper's per-read cost
+//!   is `2k + 4k(log_B 2^k + 1) ≈ 10·k` I/Os (Table 4). Here each level's
+//!   manifest, in agent memory, maps ids to slots; the on-disk index region
+//!   keeps the paper's size and rewrites, so that cost is unchanged, but
+//!   holds noise under the level's epoch key instead of `(hash, slot)`
+//!   entries, and each read probes it at a DRBG-drawn block — what a hashed
+//!   lookup of an (id, epoch) pair, made at most once, looks like: a device
+//!   image names no slot a read hit, and every read is exactly `2k`
+//!   requests.
 //!
 //! [`ObliviousStore`] implements the hierarchy (Figure 8(b));
 //! [`ObliviousReadFront`] implements the randomized first-fetch path from the

@@ -293,13 +293,14 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
     /// One Figure 8(b) pass over the hierarchy for `id`, in two ascending
     /// phases: one index block in every level, then one data slot in every
     /// level — real in the shallowest level whose manifest holds the id,
-    /// dummy everywhere else. Every level down to that one is probed at the
-    /// block the id's keyed hash names, every level below it and every empty
-    /// one at a DRBG-drawn block, as Section 5.1.2's index lookups would be;
-    /// the slot comes from the manifest, not from the block read. The index
-    /// regions lie back to back, so the first phase's hops are short forward
-    /// skips. A scan is exactly 2k reads. Returns the shallowest copy, which
-    /// is the freshest: copies only ever move downward.
+    /// dummy everywhere else. Every index probe reads a DRBG-drawn block of
+    /// its level's region, whatever the id and wherever it is found: Section
+    /// 5.1.2's hashed lookup looks each (id, epoch) pair up at most once, so
+    /// to an observer its block is such a draw, and the manifests, not the
+    /// block read, give the slot. The index regions lie back to back, so the
+    /// first phase's hops are short forward skips. A scan is exactly 2k
+    /// reads. Returns the shallowest copy, which is the freshest: copies only
+    /// ever move downward.
     fn scan_levels(&self, state: &mut State, id: u64) -> Result<Vec<u8>, ObliviousError> {
         let State { levels, rng, .. } = state;
         let start = self.now_us();
@@ -307,19 +308,15 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
         // this one block.
         let mut scratch = vec![0u8; self.codec.block_size()];
 
-        // The hit: the level that holds the id and its slot there.
-        let mut hit: Option<(usize, u64)> = None;
-        for (li, level) in levels.iter().enumerate() {
-            let bucket = if hit.is_none() && level.len() > 0 {
-                hit = level.manifest.get(&id).map(|&data_slot| (li, data_slot));
-                level.bucket_of(id)
-            } else {
-                // Either the block was already found higher up, or the level
-                // is empty: a dummy probe, so every read looks the same.
-                rng.next_u64() % level.index_blocks
-            };
-            level.probe_index(&self.device, bucket, &mut scratch)?;
+        for level in levels.iter() {
+            let block = level.index_offset + rng.gen_range(level.index_blocks);
+            self.device.read_block(block, &mut scratch)?;
         }
+        // The hit: the level that holds the id and its slot there.
+        let hit = levels
+            .iter()
+            .enumerate()
+            .find_map(|(li, level)| level.manifest.get(&id).map(|&data_slot| (li, data_slot)));
 
         let mut found: Option<Vec<u8>> = None;
         for (li, level) in levels.iter().enumerate() {
@@ -345,7 +342,8 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                     let len = level.len() as u64;
                     let dummy_range = if len > 0 { len } else { level.capacity };
                     let data_slot = rng.gen_range(dummy_range);
-                    level.read_slot_raw(&self.device, data_slot, &mut scratch)?;
+                    self.device
+                        .read_block(level.data_offset + data_slot, &mut scratch)?;
                 }
             }
         }
@@ -403,7 +401,7 @@ impl<D: BlockDevice, S: BlockDevice> ObliviousStore<D, S> {
                 &[],
                 Some(&upper[d - 1]),
             )?;
-            upper[d - 1].clear(rng);
+            upper[d - 1].clear();
         }
 
         // The merge borrows the buffer, which is cleared only on success:
@@ -554,23 +552,26 @@ mod tests {
         for id in 0..4u64 {
             store.insert(id, payload(id)).unwrap();
         }
-        let data_offset = {
+        // Id 3's slot is copied over id 0's.
+        let (data_offset, from, to) = {
             let level = &store.state.lock().levels[0];
-            assert_eq!((level.manifest[&3], level.manifest[&0]), (0, 1));
-            level.data_offset
+            (level.data_offset, level.manifest[&3], level.manifest[&0])
         };
         let mut block = vec![0u8; BLOCK];
-        store.device.read_block(data_offset, &mut block).unwrap();
-        store.device.write_block(data_offset + 1, &block).unwrap();
+        store
+            .device
+            .read_block(data_offset + from, &mut block)
+            .unwrap();
+        store.device.write_block(data_offset + to, &block).unwrap();
 
         for id in 4..7u64 {
             store.insert(id, payload(id)).unwrap();
         }
         assert_eq!(
             store.insert(7, payload(7)),
-            Err(ObliviousError::Corrupt(
-                "slot 1 of level 1 holds id 3, which the level does not place there".to_string()
-            ))
+            Err(ObliviousError::Corrupt(format!(
+                "slot {to} of level 1 holds id 3, which the level does not place there"
+            )))
         );
         assert!(store.membership_is_consistent());
         assert_eq!(store.read(6).unwrap(), payload(6));
@@ -1092,6 +1093,65 @@ mod tests {
         }
         println!("{scans} scans");
         assert!(scans >= 100, "only {scans} plain scans");
+    }
+
+    /// Which index block a scan probes is a DRBG draw in every level, so two
+    /// stores in one state, each reading an id the other does not, make the
+    /// same k index reads; only the data phase goes where the manifests say.
+    #[test]
+    fn the_index_phase_does_not_depend_on_the_id_read() {
+        use stegfs_blockdev::{TraceLog, TracingDevice};
+
+        let cfg = ObliviousConfig::new(4, 256);
+        let blocks = ObliviousStore::<MemDevice, MemDevice>::blocks_required(&cfg, BLOCK);
+        let sort_blocks = ObliviousStore::<MemDevice, MemDevice>::sort_blocks_required(&cfg);
+        let traced = || {
+            let log = TraceLog::new();
+            let store = ObliviousStore::new(
+                TracingDevice::with_log(MemDevice::new(blocks, BLOCK), log.clone()),
+                MemDevice::new(sort_blocks + 8, BLOCK + 32),
+                cfg,
+                Key256::from_passphrase("test master"),
+                1234,
+                None,
+            )
+            .unwrap();
+            for id in 0..160u64 {
+                store.insert(id, payload(id)).unwrap();
+            }
+            (store, log)
+        };
+        let k = cfg.num_levels() as usize;
+        let scan = |(store, log): &(ObliviousStore<_, MemDevice>, TraceLog), id: u64| {
+            log.clear();
+            assert_eq!(store.read(id).unwrap(), payload(id));
+            let reads: Vec<u64> = log
+                .records()
+                .iter()
+                .filter(|r| r.kind == IoKind::Read)
+                .map(|r| r.block)
+                .collect();
+            assert_eq!(reads.len(), 2 * k, "id {id}: one plain scan");
+            reads
+        };
+
+        let (first, second) = (traced(), traced());
+        // The smallest id of each of the first two levels whose index region
+        // spans more than one block.
+        let ids: Vec<u64> = first
+            .0
+            .state
+            .lock()
+            .levels
+            .iter()
+            .filter(|level| level.index_blocks > 1)
+            .filter_map(|level| level.manifest.keys().min().copied())
+            .take(2)
+            .collect();
+        assert_eq!(ids.len(), 2, "two levels with multi-block index regions");
+        let (a, b) = (scan(&first, ids[0]), scan(&second, ids[1]));
+        assert_eq!(a[..k], b[..k], "index phases of ids {ids:?}");
+        assert_ne!(a[k..], b[k..], "data phases of ids {ids:?}");
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   one class and the cached per-class counters agree with the class
 //!   vector (`data + dummy + unknown + reserved == num_blocks`);
 //! * every file reads back byte-identical to what its owner last wrote.
-//!
-//! Thread count defaults to 8 and can be pinned with `STEGFS_BENCH_THREADS`
-//! (the CI `concurrent-stress` job does exactly that).
 
 use stegfs_repro::oblivious::{ObliviousConfig, ObliviousStore};
 use stegfs_repro::prelude::*;
@@ -30,11 +27,8 @@ const ROUNDS: u64 = 18;
 const FILE_BLOCKS: u64 = 6;
 const OBLIVIOUS_ITEMS: u64 = 64;
 
-/// Worker count: the bench harness's `STEGFS_BENCH_THREADS`/`--threads`
-/// policy (loud on invalid values), defaulting to 8 when unpinned.
-fn stress_threads() -> usize {
-    stegfs_bench::harness::bench_threads().unwrap_or(8)
-}
+/// Worker threads of every scenario.
+const THREADS: usize = 8;
 
 /// The shared system the tasks run against: the agent and the oblivious
 /// store. Each keeps its state behind one lock held for the whole call, so
@@ -166,8 +160,7 @@ fn eight_thread_mixed_workload_preserves_all_invariants() {
         })
         .collect();
 
-    let threads = stress_threads();
-    let timings = ConcurrentDriver::run(&system, tasks, threads, || 0);
+    let timings = ConcurrentDriver::run(&system, tasks, THREADS, || 0);
     assert_eq!(timings.len(), USERS);
 
     // ------------------------------------------------- invariant audits
@@ -438,8 +431,7 @@ fn volatile_agent_survives_login_logout_storms() {
         })
         .collect();
 
-    let threads = stress_threads();
-    let timings = ConcurrentDriver::run(&agent, tasks, threads, || 0);
+    let timings = ConcurrentDriver::run(&agent, tasks, THREADS, || 0);
     assert_eq!(timings.len(), V_USERS);
 
     // 1. Everyone logged out: the agent's view collapsed back to zero

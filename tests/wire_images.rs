@@ -390,7 +390,12 @@ fn main_only(log: &[u8]) -> Vec<u8> {
 /// regions stopped holding `(hash, slot)` entries. The sort image and the
 /// two whole logs were taken from the first build that kept that batch in
 /// memory; the main-partition image from the first build whose index
-/// regions hold noise under each level's epoch key.
+/// regions hold noise under each level's epoch key. All but the first
+/// main-partition pin were taken again when every index probe became a DRBG
+/// draw and the per-epoch index nonce went: without the nonce draws the IVs
+/// and sort keys move, and with them the refill order of the sorted runs,
+/// both images and every probe position, while the maintenance requests on
+/// the main partition stay where they were.
 #[test]
 fn oblivious_store_images_are_pinned() {
     type Store = ObliviousStore<Watched, Watched>;
@@ -425,7 +430,7 @@ fn oblivious_store_images_are_pinned() {
     // maintenance path, and the part of it the main partition serves.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "55c8e8adf4ce3b8a3bcdff59b01c670877ab5fa82aa47ffe39aa3d94f737ff76"
+        "ae9c5d352b10764a247bc9637155cbec273b187a8a0dab1bc4af804d56a357c4"
     );
     assert_eq!(
         sha256_hex(&main_only(&log.lock().unwrap())),
@@ -434,28 +439,28 @@ fn oblivious_store_images_are_pinned() {
     for id in [0u64, 17, 39] {
         assert_eq!(store.read(id).unwrap(), content(200, id as u8));
     }
-    // ... and with three level scans behind them, each every level's index
-    // block and then every level's data slot: every dummy data slot is
-    // drawn from the level's occupied prefix, and a one-slot prefix consumes
-    // no draw.
+    // ... and with three level scans behind them, each a DRBG-drawn index
+    // block in every level and then every level's data slot: every dummy
+    // data slot is drawn from the level's occupied prefix, and a one-block
+    // index region or a one-slot prefix consumes no draw.
     assert_eq!(
         sha256_hex(&log.lock().unwrap()),
-        "ad811f68f72d6f401c3eb88fd143222f1424c1a9f68c9e417158f7775c649d74"
+        "e4fdf63ff3396bac06286c36d6f272e8256fa0280ef2b549ad755492fa9d5a19"
     );
     assert_eq!(
         sha256_hex(&main_only(&log.lock().unwrap())),
-        "492c58cdd53ae45be1f393329a817e5ff7a27c7058309198b6eb10cdd345cf5a"
+        "e53e7a181a8b9192fbde718cd462abdc163634cafee3a3fea73a34e7a4920998"
     );
 
     assert_eq!(
         image_sha256(&device),
-        "12251a0d5104da4f6f6409e11dac1ee56a4ddf3000d4ca0f9f8a10438d399714"
+        "ecaf5252e1cf4c79c8df9b5c3cd1ee6373c71490d3a3fedbd4fc7bfeb1130553"
     );
     let sort_image = image_sha256(&sort_device);
     let untouched = MemDevice::new(sort_device.num_blocks(), sort_device.block_size());
     assert_ne!(sort_image, image_sha256(&untouched), "no run was spilled");
     assert_eq!(
         sort_image,
-        "73697bfab51b531a41f7d4c604fa6ac466cd71ed41f356128f9a258da618c85a"
+        "c4c8d6a548573ad1777b2d3cb7658f54cfd229b8e3c1f0025270ee05c1b83c56"
     );
 }
